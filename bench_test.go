@@ -11,6 +11,7 @@
 package xmlshred_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -329,25 +330,7 @@ func BenchmarkExecuteBatch(b *testing.B) {
 // BenchmarkExecutePrepared times repeated executions of pre-compiled
 // PreparedPlans — the steady state of MeasureExecution's repetition
 // loop, where even the fingerprint lookup is amortized away.
-func BenchmarkExecutePrepared(b *testing.B) {
-	built, plans := executorBenchSetup(b)
-	pps := make([]*engine.PreparedPlan, len(plans))
-	for i, plan := range plans {
-		pp, err := built.Prepared(plan)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pps[i] = pp
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, pp := range pps {
-			if _, err := pp.Execute(); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
+func BenchmarkExecutePrepared(b *testing.B) { benchExecutePreparedWorkers(b, 1) }
 
 // BenchmarkExecutePreparedTraced is BenchmarkExecutePrepared with the
 // observability layer attached: every execution records an
@@ -370,16 +353,16 @@ func BenchmarkExecutePreparedTraced(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pp := range pps {
-			if _, err := pp.Execute(); err != nil {
+			if _, err := pp.ExecuteContextWorkers(context.Background(), 1); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
 }
 
-// benchExecutePreparedWorkers is BenchmarkExecutePrepared with the
-// morsel worker pool on: same pre-compiled plans, same Fig. 5 DBLP
-// workload, intra-query parallelism at the given worker count. Results
+// benchExecutePreparedWorkers runs the pre-compiled plans of the Fig. 5
+// DBLP workload at the given worker count: 1 is the serial pipeline
+// (BenchmarkExecutePrepared), above that the morsel worker pool. Results
 // are bit-identical to workers=1; only wall-clock changes. Speedup
 // over BenchmarkExecutePrepared requires actual hardware parallelism —
 // on a single-CPU host the interesting bound is the overhead, which
@@ -392,13 +375,12 @@ func benchExecutePreparedWorkers(b *testing.B, workers int) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		pp.Workers = workers
 		pps[i] = pp
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, pp := range pps {
-			if _, err := pp.Execute(); err != nil {
+			if _, err := pp.ExecuteContextWorkers(context.Background(), workers); err != nil {
 				b.Fatal(err)
 			}
 		}

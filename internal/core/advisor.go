@@ -96,9 +96,10 @@ type Options struct {
 	// Workers sizes the engine's intra-query morsel worker pool for the
 	// executions MeasureExecution and CostAudit perform (0 or 1 =
 	// serial per-branch pipeline, < 0 = GOMAXPROCS; see
-	// engine.PreparedPlan.Workers). Results are bit-identical at any
-	// setting; only wall-clock time changes, so the default of 0 keeps
-	// measured timings comparable with earlier baselines.
+	// engine.PreparedPlan.ExecuteContextWorkers). Results are
+	// bit-identical at any setting; only wall-clock time changes, so the
+	// default of 0 keeps measured timings comparable with earlier
+	// baselines.
 	Workers int
 }
 

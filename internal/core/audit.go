@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"strings"
@@ -69,6 +70,7 @@ func (a *Advisor) CostAudit(res *Result, docs ...*xmlgen.Doc) (*Audit, error) {
 	prov := stats.FromDatabase(db)
 	opt := optimizer.New(prov)
 	audit := &Audit{}
+	ctx := context.TODO() // CostAudit's signature carries no context
 	for qi, wq := range a.W.Queries {
 		sql, err := translate.Translate(res.Mapping, wq.XPath)
 		if err != nil {
@@ -82,13 +84,12 @@ func (a *Advisor) CostAudit(res *Result, docs ...*xmlgen.Doc) (*Audit, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: preparing %s: %w", wq.XPath, err)
 		}
-		pp.Workers = a.Opts.Workers
 		qa := QueryAudit{Tag: wq.XPath.String(), Weight: wq.Weight, Plan: plan.Explain()}
 		if qi < len(res.PerQueryCost) {
 			qa.EstCost = res.PerQueryCost[qi]
 		}
 		// First execution: result size and access counters.
-		out, err := pp.Execute()
+		out, err := pp.ExecuteContextWorkers(ctx, a.Opts.Workers)
 		if err != nil {
 			return nil, fmt.Errorf("core: executing %s: %w", wq.XPath, err)
 		}
@@ -99,7 +100,7 @@ func (a *Advisor) CostAudit(res *Result, docs ...*xmlgen.Doc) (*Audit, error) {
 		// per-execution average.
 		reps := 1
 		start := time.Now()
-		if _, err := pp.Execute(); err != nil {
+		if _, err := pp.ExecuteContextWorkers(ctx, a.Opts.Workers); err != nil {
 			return nil, err
 		}
 		elapsed := time.Since(start)
@@ -110,7 +111,7 @@ func (a *Advisor) CostAudit(res *Result, docs ...*xmlgen.Doc) (*Audit, error) {
 			}
 			start = time.Now()
 			for i := 0; i < reps; i++ {
-				if _, err := pp.Execute(); err != nil {
+				if _, err := pp.ExecuteContextWorkers(ctx, a.Opts.Workers); err != nil {
 					return nil, err
 				}
 			}

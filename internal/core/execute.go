@@ -70,7 +70,6 @@ func (a *Advisor) MeasureExecutionContext(ctx context.Context, res *Result, docs
 		if err != nil {
 			return nil, fmt.Errorf("core: preparing %s: %w", wq.XPath, err)
 		}
-		pp.Workers = a.Opts.Workers
 		plans = append(plans, prepared{pp: pp, weight: wq.Weight})
 	}
 	weights := make([]float64, len(plans))
@@ -82,7 +81,7 @@ func (a *Advisor) MeasureExecutionContext(ctx context.Context, res *Result, docs
 	runOnce := func(count bool) error {
 		for pi, p := range plans {
 			for r := 0; r < reps[pi]; r++ {
-				out, err := p.pp.ExecuteContext(ctx)
+				out, err := p.pp.ExecuteContextWorkers(ctx, a.Opts.Workers)
 				if err != nil {
 					return fmt.Errorf("core: executing workload: %w", err)
 				}

@@ -415,9 +415,7 @@ func Run(c Case) (RunStats, *Mismatch) {
 		if perr2 != nil {
 			return st, fail("prepare", t.idx, t.q.String(), "%v\nSQL:\n%s", perr2, t.sql.SQL())
 		}
-		pp.Workers = wk
-		par, xerr2 := pp.Execute()
-		pp.Workers = 0
+		par, xerr2 := pp.ExecuteContextWorkers(context.Background(), wk)
 		if xerr2 != nil {
 			return st, fail("execute-parallel", t.idx, t.q.String(), "workers=%d: %v\nSQL:\n%s", wk, xerr2, t.sql.SQL())
 		}
@@ -461,9 +459,7 @@ func Run(c Case) (RunStats, *Mismatch) {
 			if pperr != nil {
 				return st, fail("chunk-scan-equivalence", t.idx, t.q.String(), "prepare: %v\nSQL:\n%s", pperr, t.sql.SQL())
 			}
-			ppaged.Workers = wk
-			ppar, pxerr2 := ppaged.Execute()
-			ppaged.Workers = 0
+			ppar, pxerr2 := ppaged.ExecuteContextWorkers(context.Background(), wk)
 			if pxerr2 != nil {
 				return st, fail("chunk-scan-equivalence", t.idx, t.q.String(),
 					"workers=%d: %v\nSQL:\n%s", wk, pxerr2, t.sql.SQL())

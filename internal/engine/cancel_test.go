@@ -41,12 +41,10 @@ func TestCancelBeforeExecute(t *testing.T) {
 			wantErr = context.DeadlineExceeded
 		}
 		for _, wk := range []int{1, 4} {
-			pp.Workers = wk
-			if _, err := pp.ExecuteContext(ctx); !errors.Is(err, wantErr) {
+			if _, err := pp.ExecuteContextWorkers(ctx, wk); !errors.Is(err, wantErr) {
 				t.Errorf("%s workers=%d: err = %v, want %v", name, wk, err, wantErr)
 			}
 		}
-		pp.Workers = 0
 		// The top-level helper threads ctx through prepare too.
 		if _, err := ExecuteContext(ctx, built, plans[0]); !errors.Is(err, wantErr) {
 			t.Errorf("%s ExecuteContext: err = %v, want %v", name, err, wantErr)
@@ -125,14 +123,13 @@ func TestCancelMidExecution(t *testing.T) {
 			if err != nil {
 				t.Fatalf("plan %d: prepare: %v", pi, err)
 			}
-			pp.Workers = wk
 			missesBefore := built.CacheCounters()["prepared.misses"]
 			// Trip the cancel on successively later polls until the plan
 			// runs out of pipelines; the first poll always lands.
 			for after := int64(1); after <= 4; after++ {
 				ctx := newPollCancelCtx(after)
 				start := time.Now()
-				_, err := pp.ExecuteContext(ctx)
+				_, err := pp.ExecuteContextWorkers(ctx, wk)
 				took := time.Since(start)
 				ctx.cancel()
 				if err != nil {
@@ -148,7 +145,7 @@ func TestCancelMidExecution(t *testing.T) {
 			}
 			// Warm re-execution after cancellations: bit-identical, no new
 			// plan compilation.
-			got, err := pp.ExecuteContext(context.Background())
+			got, err := pp.ExecuteContextWorkers(context.Background(), wk)
 			if err != nil {
 				t.Fatalf("plan %d workers %d: execute after cancel: %v", pi, wk, err)
 			}
@@ -157,7 +154,6 @@ func TestCancelMidExecution(t *testing.T) {
 				t.Errorf("plan %d workers %d: prepared.misses grew %d -> %d after cancellations",
 					pi, wk, missesBefore, after)
 			}
-			pp.Workers = 0
 		}
 		if !interrupted {
 			t.Errorf("workers=%d: no cancel landed mid-execution in any attempt", wk)
@@ -174,13 +170,11 @@ func TestCancelLeaksNoGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pp.Workers = 4
-	defer func() { pp.Workers = 0 }()
 	before := runtime.NumGoroutine()
 	for i := 0; i < 50; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		go cancel()
-		_, _ = pp.ExecuteContext(ctx)
+		_, _ = pp.ExecuteContextWorkers(ctx, 4)
 		cancel()
 	}
 	// Workers exit asynchronously after Wait; give the runtime a moment

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/optimizer"
@@ -197,7 +198,7 @@ func TestParallelBranchesDeterministic(t *testing.T) {
 				for _, par := range []int{1, 4} {
 					pp.Parallelism = par
 					for run := 0; run < 3; run++ {
-						got, err := pp.Execute()
+						got, err := pp.ExecuteContextWorkers(context.Background(), 1)
 						if err != nil {
 							t.Fatalf("plan %d par %d run %d: %v", pi, par, run, err)
 						}

@@ -51,15 +51,15 @@ func Execute(b *Built, plan *optimizer.Plan) (*Result, error) {
 
 // ExecuteContext is Execute with cancellation: ctx aborts both the
 // wait for plan compilation and the execution itself (see
-// PreparedPlan.ExecuteContext). A cancelled call never poisons the
-// Built's structure caches — in-flight builds always complete for the
-// next caller.
+// PreparedPlan.ExecuteContextWorkers; this helper runs it serially). A
+// cancelled call never poisons the Built's structure caches — in-flight
+// builds always complete for the next caller.
 func ExecuteContext(ctx context.Context, b *Built, plan *optimizer.Plan) (*Result, error) {
 	pp, err := b.PreparedContext(ctx, plan)
 	if err != nil {
 		return nil, err
 	}
-	return pp.ExecuteContext(ctx)
+	return pp.ExecuteContextWorkers(ctx, 1)
 }
 
 // scope tracks the combined tuple layout during branch execution:

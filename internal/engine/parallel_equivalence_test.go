@@ -84,23 +84,21 @@ func TestMorselExecutorMatchesReference(t *testing.T) {
 					t.Fatalf("plan %d: prepare: %v", pi, err)
 				}
 				for _, wk := range counts {
-					pp.Workers = wk
 					for run := 0; run < 2; run++ {
-						got, err := pp.ExecuteContext(context.Background())
+						got, err := pp.ExecuteContextWorkers(context.Background(), wk)
 						if err != nil {
 							t.Fatalf("plan %d workers %d run %d: %v", pi, wk, run, err)
 						}
 						requireIdentical(t, name, got, want)
 					}
 				}
-				pp.Workers = 0
 			}
 		})
 	}
 }
 
-// TestWorkersKnobSemantics pins the Workers knob's resolution rules:
-// 0 and 1 stay on the serial per-branch path (no morsel counter
+// TestWorkersKnobSemantics pins the workers argument's resolution
+// rules: 0 and 1 stay on the serial per-branch path (no morsel counter
 // traffic), negative means GOMAXPROCS, and > 1 turns the morsel pool
 // on — all bit-identical to the reference.
 func TestWorkersKnobSemantics(t *testing.T) {
@@ -115,13 +113,11 @@ func TestWorkersKnobSemantics(t *testing.T) {
 			t.Fatalf("plan %d: prepare: %v", pi, err)
 		}
 		for _, wk := range []int{0, 1, -1, 3} {
-			pp.Workers = wk
-			got, err := pp.Execute()
+			got, err := pp.ExecuteContextWorkers(context.Background(), wk)
 			if err != nil {
 				t.Fatalf("plan %d workers %d: %v", pi, wk, err)
 			}
 			requireIdentical(t, "workers-knob", got, want)
 		}
-		pp.Workers = 0
 	}
 }

@@ -22,25 +22,16 @@ import (
 // combined tuples into pooled batch arenas, and only the projected
 // output rows are freshly allocated (in one chunk per batch).
 //
-// A PreparedPlan is safe for concurrent Execute calls; per-execution
-// operator state comes from a pool.
+// A PreparedPlan is safe for concurrent ExecuteContextWorkers calls —
+// a plan cached on a Built is shared by every session that prepares the
+// same plan, so the worker count travels with each call, not on the
+// plan; per-execution operator state comes from a pool.
 type PreparedPlan struct {
 	// Parallelism caps the number of union branches executed
-	// concurrently when the morsel pool is off (Workers <= 1); <= 0
+	// concurrently when the morsel pool is off (workers <= 1); <= 0
 	// means GOMAXPROCS. Results are bit-identical at any setting:
 	// branches land in fixed slots and merge in plan order.
 	Parallelism int
-
-	// Workers sizes the morsel worker pool shared by one Execute call.
-	// When > 1, every branch's driver (table scan, index range scan, or
-	// partition-group scan) is split into fixed-size morsels dispatched
-	// to the pool, so a single wide scan — and the hash-join probes and
-	// filters downstream of it — runs on several cores at once. 0 or 1
-	// keeps the serial per-branch pipeline (branches still fan out under
-	// Parallelism); < 0 means GOMAXPROCS. Every morsel emits into a
-	// fixed (branch, morsel) slot and slots merge in plan order, so
-	// rows, order, values, and stats are bit-identical at any setting.
-	Workers int
 
 	built    *Built
 	plan     *optimizer.Plan
@@ -64,38 +55,24 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 	return pp, nil
 }
 
-// Execute runs the prepared plan without cancellation (a background
-// context). See ExecuteContext.
-func (pp *PreparedPlan) Execute() (*Result, error) {
-	return pp.ExecuteContext(context.Background())
-}
-
-// ExecuteContext runs the prepared plan. With Workers <= 1 whole union
-// branches fan out on a pool bounded by Parallelism; with Workers > 1
-// every branch's driver is additionally split into morsels dispatched
-// to one shared worker pool (see executeMorsels). Either way each unit
-// of work lands in a fixed slot and slots merge in plan order, so
-// repeated runs produce identical results at any setting.
+// ExecuteContextWorkers runs the prepared plan at an explicit worker
+// count. With workers 0 or 1 whole union branches fan out on a pool
+// bounded by Parallelism; with workers > 1 every branch's driver (table
+// scan, index range scan, or partition-group scan) is additionally
+// split into morsels dispatched to one worker pool shared by this call
+// (see executeMorsels), so a single wide scan — and the hash-join
+// probes and filters downstream of it — runs on several cores at once;
+// workers < 0 means GOMAXPROCS. Either way each unit of work lands in a
+// fixed slot and slots merge in plan order, so rows, order, values, and
+// stats are bit-identical at any count.
 //
 // ctx cancels the execution: cancellation is polled once per driver
 // batch, so a cancelled call returns ctx's error promptly without
 // finishing the scan or join it was in. A cancelled execution never
 // poisons the Built's single-flight structure caches (structure builds
 // always run to completion; see cacheGet) and returns pooled operator
-// state for reuse, so a later ExecuteContext on the same PreparedPlan
-// succeeds with warm caches.
-func (pp *PreparedPlan) ExecuteContext(ctx context.Context) (*Result, error) {
-	return pp.ExecuteContextWorkers(ctx, pp.Workers)
-}
-
-// ExecuteContextWorkers is ExecuteContext at an explicit worker count,
-// leaving the shared Workers field untouched. A PreparedPlan cached on
-// a Built is shared by every session that prepares the same plan, so a
-// long-lived multi-session server cannot set Workers per request
-// without racing other sessions; this entry point carries the count
-// through the call instead. Workers semantics match the field: 0 or 1
-// is the serial per-branch pipeline, < 0 means GOMAXPROCS, > 1 sizes
-// the morsel pool. Results are bit-identical at any count.
+// state for reuse, so a later call on the same PreparedPlan succeeds
+// with warm caches.
 func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) (*Result, error) {
 	var tr *obs.Tracer
 	var reg *obs.Registry
@@ -144,7 +121,7 @@ func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) 
 	return res, nil
 }
 
-// executeBranches is the branch-parallel execution path (Workers <= 1):
+// executeBranches is the branch-parallel execution path (workers <= 1):
 // each branch runs its whole pipeline serially, independent branches
 // fan out on a pool bounded by Parallelism, and each branch emits into
 // a fixed slot merged in plan order.
@@ -219,26 +196,28 @@ const (
 	srcScan srcKind = iota
 	srcSeek
 	srcZip
-	srcChunks
 )
 
 // driverSrc is the compiled driving access of a branch.
 type driverSrc struct {
-	kind    srcKind
+	kind srcKind
+	// table is the driver table of scans and seeks — for a scan over a
+	// registered source, possibly an unhydrated shell.
 	table   *rel.Table
 	bi      *builtIndex
 	seekOp  opKind
 	seekVal rel.Value
 	zip     *partZip
-	// chunks feeds a srcChunks driver: the scan pulls resident fragments
-	// from the source one chunk at a time instead of materializing the
-	// table, so peak scan memory follows the source's paging budget.
+	// chunks feeds a srcScan driver: the scan pulls resident fragments
+	// from the source one chunk at a time, so peak scan memory follows
+	// the source's paging budget. A resident table is its own single
+	// chunk (see tableSource).
 	chunks ScanSource
-	// rows is the materialized row view the pipeline hands downstream
-	// operators by reference: the table's generation-cached Rows() for
-	// scans and seeks, the zip rows for partition drivers. Resolved at
+	// rows is the materialized row view seek and zip drivers hand
+	// downstream operators by reference: the table's generation-cached
+	// Rows() for seeks, the zip rows for partition drivers. Resolved at
 	// prepare time so execution never takes the materialization lock.
-	// srcChunks drivers leave it nil and resolve rows per chunk.
+	// Scans resolve rows per acquired chunk.
 	rows [][]rel.Value
 }
 
@@ -287,8 +266,8 @@ type proj struct {
 type preparedBranch struct {
 	src driverSrc
 	// kerns are the driver-stage columnar filter kernels: every
-	// predicate applied before the first join, compiled against the
-	// driver table's column vectors (table scans and index seeks only —
+	// predicate applied before the first join, compiled against
+	// src.table's column vectors (table scans and index seeks only —
 	// partition-zip drivers keep row filters in ops). They run over the
 	// selection vector of driver row ids before any row is materialized
 	// into a batch, in the same WHERE order the reference executor
@@ -297,18 +276,19 @@ type preparedBranch struct {
 	ops        []pipeOp
 	projs      []proj
 	nJoinSlots int
-	// chunkPreds are the driver-stage predicates of a srcChunks driver,
-	// in WHERE order. They are validated once at Prepare (compiled
-	// against the table shell and discarded) and recompiled per chunk at
-	// run time — every kernel is bit-equivalent to matchCompare, so
-	// per-chunk recompilation cannot change results, and chunk-local
-	// structures (string dictionaries) get chunk-local kernels.
-	chunkPreds []*sqlast.Pred
-	// chunkScope is a driver-table-only scope snapshot for per-chunk
-	// kernel compilation (the branch scope keeps growing as joins land).
-	chunkScope *scope
-	// built backs per-chunk kernel compilation (EXISTS probe-set lookups
-	// go through its single-flighted cache).
+	// kernPreds are the predicates kerns was compiled from, in the same
+	// order. A scan recompiles them against each acquired fragment that
+	// is not src.table itself (see fragKernels) — every kernel is
+	// bit-equivalent to matchCompare, so recompilation cannot change
+	// results, and chunk-local structures (string dictionaries) get
+	// chunk-local kernels.
+	kernPreds []*sqlast.Pred
+	// scope is the branch scope, kept for fragKernels: the driver table
+	// sits at offset 0, so its positions stay column indices however
+	// many joins land after it.
+	scope *scope
+	// built backs fragKernels (EXISTS probe-set lookups go through its
+	// single-flighted cache).
 	built *Built
 	// pool recycles per-execution operator state (batch buffers) across
 	// executions of this branch.
@@ -340,8 +320,8 @@ func colNames(t *rel.Table) []string {
 }
 
 func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
-	pb := &preparedBranch{}
 	sc := newScope()
+	pb := &preparedBranch{built: b, scope: sc}
 	a := br.Driver
 	var cols []string
 	if len(a.PartGroups) > 0 {
@@ -370,20 +350,12 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 			}
 			pb.src = driverSrc{kind: srcSeek, table: t, bi: bi,
 				seekOp: opFromCmp(a.SeekPred.Op), seekVal: a.SeekPred.Value, rows: t.Rows()}
-		} else if src := b.ScanSource(a.Table); src != nil && b.ViewTable(a.Table) == nil {
-			if src.RowCount() != t.RowCount() {
-				return nil, fmt.Errorf("engine: scan source for %s covers %d rows, table declares %d",
-					a.Table, src.RowCount(), t.RowCount())
-			}
-			pb.built = b
-			pb.src = driverSrc{kind: srcChunks, table: t, chunks: src}
-			pb.chunkScope = newScope()
-			pb.chunkScope.add(a.Table, cols)
 		} else {
-			if err := t.Hydrate(); err != nil {
+			src, err := b.driverSource(a.Table, t)
+			if err != nil {
 				return nil, err
 			}
-			pb.src = driverSrc{kind: srcScan, table: t, rows: t.Rows()}
+			pb.src = driverSrc{kind: srcScan, table: t, chunks: src}
 		}
 	}
 	sc.add(a.Table, cols)
@@ -448,14 +420,8 @@ func (pb *preparedBranch) appendFilters(b *Built, br *optimizer.Branch, sc *scop
 				return err
 			}
 			if k != nil {
-				if pb.src.kind == srcChunks {
-					// Validation compile only: the shell has no resident
-					// vectors, so the real kernels recompile against each
-					// resident chunk at run time (see chunkKernels).
-					pb.chunkPreds = append(pb.chunkPreds, p)
-				} else {
-					pb.kerns = append(pb.kerns, k)
-				}
+				pb.kerns = append(pb.kerns, k)
+				pb.kernPreds = append(pb.kernPreds, p)
 				applied[i] = true
 				continue
 			}
@@ -681,26 +647,26 @@ func (pb *preparedBranch) resolveDriver(st *ExecStats) (int, []int) {
 		return len(ids), ids
 	case srcZip:
 		return len(pb.src.zip.rows), nil
-	case srcChunks:
-		return pb.src.chunks.RowCount(), nil
 	default: // srcScan
-		return pb.src.table.RowCount(), nil
+		return pb.src.chunks.RowCount(), nil
 	}
 }
 
-// chunkKernels compiles the driver-stage predicates of a srcChunks
-// branch against one resident chunk fragment. The compile is cheap
+// fragKernels returns the driver-stage kernels for one acquired scan
+// fragment. A resident table is its own fragment, so the kernels
+// compiled against it at Prepare serve as they are; any other fragment
+// gets kernels compiled against its own vectors. The compile is cheap
 // (scope positions resolve in a two-level map, EXISTS probe sets come
 // from the Built's single-flighted cache) and chunk-local: a string
 // range predicate precomputes its match table against the chunk's own
-// dictionary. Kernels operate on chunk-local row ids.
-func (pb *preparedBranch) chunkKernels(frag *rel.Table) ([]colKernel, error) {
-	if len(pb.chunkPreds) == 0 {
-		return nil, nil
+// dictionary. Kernels operate on fragment-local row ids.
+func (pb *preparedBranch) fragKernels(frag *rel.Table) ([]colKernel, error) {
+	if frag == pb.src.table {
+		return pb.kerns, nil
 	}
-	ks := make([]colKernel, 0, len(pb.chunkPreds))
-	for _, p := range pb.chunkPreds {
-		k, err := compileColKernel(pb.built, p, frag, pb.chunkScope)
+	ks := make([]colKernel, 0, len(pb.kernPreds))
+	for _, p := range pb.kernPreds {
+		k, err := compileColKernel(pb.built, p, frag, pb.scope)
 		if err != nil {
 			return nil, err
 		}
@@ -710,34 +676,36 @@ func (pb *preparedBranch) chunkKernels(frag *rel.Table) ([]colKernel, error) {
 }
 
 // morselRanges splits the branch's n driver rows into morsel ranges.
-// srcChunks drivers align morsels to chunk boundaries — whole chunks
-// accumulate until a morsel reaches morselRows — so each worker faults
-// and holds exactly one chunk at a time and two morsels never fault the
-// same chunk; every other driver splits on the fixed morselRows stride.
+// Scans split along their source's chunk spans; seek and zip drivers
+// are one span of n rows.
 func (pb *preparedBranch) morselRanges(n int) [][2]int {
-	var out [][2]int
-	if pb.src.kind == srcChunks {
-		src := pb.src.chunks
-		nc := src.NumChunks()
-		lo := 0
-		for k := 0; k < nc; {
-			hi := lo
-			for k < nc && hi-lo < morselRows {
-				_, hi = src.ChunkSpan(k)
-				k++
-			}
-			if hi > n {
-				hi = n
-			}
-			if hi > lo {
-				out = append(out, [2]int{lo, hi})
-			}
-			lo = hi
-		}
-		return out
+	if pb.src.kind == srcScan {
+		return morselRanges(pb.src.chunks.NumChunks(), pb.src.chunks.ChunkSpan)
 	}
-	for lo := 0; lo < n; lo += morselRows {
-		out = append(out, [2]int{lo, min(lo+morselRows, n)})
+	return morselRanges(1, func(int) (int, int) { return 0, n })
+}
+
+// morselRanges tiles nc contiguous chunk spans with morsel ranges: each
+// chunk is cut into pieces of at most morselRows, and consecutive
+// pieces accumulate until a morsel reaches morselRows. A chunk that
+// fits a morsel is therefore never split, so the worker that faults it
+// is the only one holding it; a single chunk — a resident table, a
+// seek's id list, a partition zip — splits on the fixed stride.
+func morselRanges(nc int, span func(k int) (lo, hi int)) [][2]int {
+	var out [][2]int
+	lo, end := 0, 0 // the morsel being accumulated is [lo, end)
+	for k := 0; k < nc; k++ {
+		clo, chi := span(k)
+		for end = clo; end < chi; {
+			end = min(end+morselRows, chi)
+			if end-lo >= morselRows {
+				out = append(out, [2]int{lo, end})
+				lo = end
+			}
+		}
+	}
+	if end > lo {
+		out = append(out, [2]int{lo, end})
 	}
 	return out
 }
@@ -871,21 +839,12 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 		sink(bt)
 	}
 
-	feed := func(chunk [][]rel.Value) {
-		bt := state.in
-		bt.Reset()
-		for _, r := range chunk {
-			bt.AppendRef(r)
-		}
-		process(0, bt)
-	}
-	// feedSel materializes the surviving driver rows — after the
-	// columnar kernels compacted the selection vector — as references
-	// into the generation-cached row view and pushes them through the
-	// remaining (join and post-join) operators.
-	rows := pb.src.rows
-	feedSel := func(sel []int32) {
-		for _, k := range pb.kerns {
+	// feedSel compacts a selection vector of row ids with the
+	// driver-stage kernels, materializes the survivors as references into
+	// the row view the ids index, and pushes them through the remaining
+	// (join and post-join) operators.
+	feedSel := func(kerns []colKernel, rows [][]rel.Value, sel []int32) {
+		for _, k := range kerns {
 			sel = k(sel)
 			if len(sel) == 0 {
 				return
@@ -898,67 +857,41 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 		}
 		process(0, bt)
 	}
-	switch pb.src.kind {
-	case srcChunks:
-		// Chunk-granular scan: fault each overlapping chunk through the
-		// source, filter it with chunk-compiled kernels, and release it
-		// before moving on — the fragment is resident only between Chunk
-		// and release, so peak scan memory follows the source's budget.
-		// Output is bit-identical to the assembled srcScan path: batch
-		// boundaries differ but every operator is per-row, touchTable
-		// charges the same per-cell work on the fragment's vectors, and
-		// RowsScanned sums to the same total.
-		src := pb.src.chunks
-		nc := src.NumChunks()
-		for k := 0; k < nc; k++ {
-			clo, chi := src.ChunkSpan(k)
-			if chi <= lo {
-				continue
-			}
-			if clo >= hi {
-				break
-			}
-			frag, release, err := src.Chunk(k)
-			if err != nil {
-				return out, err
-			}
-			kerns, err := pb.chunkKernels(frag)
-			if err != nil {
-				release()
-				return out, err
-			}
-			frows := frag.Rows()
-			s0, e0 := max(lo, clo), min(hi, chi)
-			for start := s0; start < e0; start += rel.BatchSize {
-				if cancelled() {
-					release()
-					return out, ctx.Err()
-				}
-				end := min(start+rel.BatchSize, e0)
-				touchTable(frag, start-clo, end-clo)
-				st.RowsScanned += int64(end - start)
-				sel := state.sel[:0]
-				for r := start - clo; r < end-clo; r++ {
-					sel = append(sel, int32(r))
-				}
-				for _, kn := range kerns {
-					sel = kn(sel)
-					if len(sel) == 0 {
-						break
-					}
-				}
-				if len(sel) == 0 {
-					continue
-				}
-				bt := state.in
-				bt.Reset()
-				for _, r := range sel {
-					bt.AppendRef(frows[r])
-				}
-				process(0, bt)
-			}
-			release()
+	// scanChunk scans rows [s0, e0) of chunk k (chunk-local ids): acquire
+	// the fragment from the source, filter it with kernels for that
+	// fragment, and release it before returning — a paged fragment is
+	// resident only between Chunk and release, so peak scan memory
+	// follows the source's budget.
+	scanChunk := func(k, s0, e0 int) error {
+		frag, release, err := pb.src.chunks.Chunk(k)
+		if err != nil {
+			return err
 		}
+		defer release()
+		kerns, err := pb.fragKernels(frag)
+		if err != nil {
+			return err
+		}
+		frows := frag.Rows()
+		for start := s0; start < e0; start += rel.BatchSize {
+			if cancelled() {
+				return ctx.Err()
+			}
+			end := min(start+rel.BatchSize, e0)
+			// Per-batch scan-cost touch: the simulated sequential-read
+			// work stays proportional to scanned bytes (see touchTable),
+			// read straight off the fragment's column vectors.
+			touchTable(frag, start, end)
+			st.RowsScanned += int64(end - start)
+			sel := state.sel[:0]
+			for r := start; r < end; r++ {
+				sel = append(sel, int32(r))
+			}
+			feedSel(kerns, frows, sel)
+		}
+		return nil
+	}
+	switch pb.src.kind {
 	case srcSeek:
 		for start := lo; start < hi; start += rel.BatchSize {
 			if cancelled() {
@@ -969,7 +902,7 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 			for _, id := range ids[start:end] {
 				sel = append(sel, int32(id))
 			}
-			feedSel(sel)
+			feedSel(pb.kerns, pb.src.rows, sel)
 		}
 	case srcZip:
 		for start := lo; start < hi; start += rel.BatchSize {
@@ -978,25 +911,29 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 			}
 			end := min(start+rel.BatchSize, hi)
 			st.RowsScanned += int64((end - start) * pb.src.zip.groups)
-			feed(rows[start:end])
+			bt := state.in
+			bt.Reset()
+			for _, r := range pb.src.rows[start:end] {
+				bt.AppendRef(r)
+			}
+			process(0, bt)
 		}
 	default: // srcScan
-		t := pb.src.table
-		for start := lo; start < hi; start += rel.BatchSize {
-			if cancelled() {
-				return out, ctx.Err()
+		// Batches never span chunks, but every operator is per-row and
+		// touchTable charges per cell, so rows, order and stats do not
+		// depend on where the source's chunks end.
+		src := pb.src.chunks
+		for k, nc := 0, src.NumChunks(); k < nc; k++ {
+			clo, chi := src.ChunkSpan(k)
+			if chi <= lo {
+				continue
 			}
-			end := min(start+rel.BatchSize, hi)
-			// Per-batch scan-cost touch: the simulated sequential-read
-			// work stays proportional to scanned bytes (see touchTable),
-			// read straight off the column vectors.
-			touchTable(t, start, end)
-			st.RowsScanned += int64(end - start)
-			sel := state.sel[:0]
-			for r := start; r < end; r++ {
-				sel = append(sel, int32(r))
+			if clo >= hi {
+				break
 			}
-			feedSel(sel)
+			if err := scanChunk(k, max(lo, clo)-clo, min(hi, chi)-clo); err != nil {
+				return out, err
+			}
 		}
 	}
 	return out, nil

@@ -1,21 +1,28 @@
 package engine
 
-import "repro/internal/rel"
+import (
+	"fmt"
 
-// ScanSource feeds a driver-stage table scan chunk by chunk instead of
-// through a fully materialized rel.Table, so a scan's peak resident
-// memory is bounded by the source's paging policy (the storage layer
-// backs one with its CLOCK-budgeted pager) rather than by table size.
+	"repro/internal/rel"
+)
+
+// ScanSource feeds a driver-stage table scan chunk by chunk, so a
+// scan's peak resident memory is bounded by the source's paging policy
+// (the storage layer backs one with its CLOCK-budgeted pager) rather
+// than by table size. Every plain table scan runs through one: a table
+// with no registered source is wrapped as a single resident chunk (see
+// tableSource), so there is one scan driver whatever backs the rows.
 //
 // A source describes a fixed point-in-time row set: RowCount and the
 // chunk spans never change after registration, and results must be
-// bit-identical to scanning the assembled table — the executor leans on
-// that to keep the assembled path as its equivalence oracle. Chunk
-// returns a resident fragment covering rows [lo, hi) of the table plus
-// a release callback; the fragment is only valid until release, which
-// lets the source unpin or evict it. Chunk must be safe for concurrent
-// calls (morsel workers pull chunks independently) and should return an
-// error — not stale data — when the backing store has moved on.
+// bit-identical to ExecuteReference over the same rows — the
+// row-at-a-time executor is the equivalence oracle for every source.
+// Chunk returns a resident fragment covering rows [lo, hi) of the table
+// plus a release callback; the fragment is only valid until release,
+// which lets the source unpin or evict it. Chunk must be safe for
+// concurrent calls (morsel workers pull chunks independently) and
+// should return an error — not stale data — when the backing store has
+// moved on.
 type ScanSource interface {
 	// Columns returns the table's column descriptors, in table order.
 	Columns() []rel.Column
@@ -49,3 +56,36 @@ func (b *Built) SetScanSource(table string, src ScanSource) {
 
 // ScanSource returns the registered chunk source for a table, or nil.
 func (b *Built) ScanSource(table string) ScanSource { return b.sources[table] }
+
+// tableSource serves a resident table as a one-chunk ScanSource: the
+// chunk spans every row, is the table itself, and needs no release.
+type tableSource struct{ t *rel.Table }
+
+func (s tableSource) Columns() []rel.Column    { return s.t.Columns }
+func (s tableSource) RowCount() int            { return s.t.RowCount() }
+func (s tableSource) NumChunks() int           { return 1 }
+func (s tableSource) ChunkSpan(int) (int, int) { return 0, s.t.RowCount() }
+func (s tableSource) Chunk(int) (*rel.Table, func(), error) {
+	return s.t, func() {}, nil
+}
+
+// driverSource resolves the chunk source a plain scan of t pulls from,
+// where t is what the access to name resolved to: the registered source
+// when t is the base table it was registered for, otherwise t itself,
+// hydrated, as one resident chunk (views and unregistered tables).
+func (b *Built) driverSource(name string, t *rel.Table) (ScanSource, error) {
+	if src := b.sources[name]; src != nil && t == b.DB.Table(name) {
+		if src.RowCount() != t.RowCount() {
+			return nil, fmt.Errorf("engine: scan source for %s covers %d rows, table declares %d",
+				name, src.RowCount(), t.RowCount())
+		}
+		return src, nil
+	}
+	if err := t.Hydrate(); err != nil {
+		return nil, err
+	}
+	// Materialize the generation-cached row view now, so the first
+	// execution only takes its lock instead of building it.
+	t.Rows()
+	return tableSource{t}, nil
+}

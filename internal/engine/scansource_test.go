@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
@@ -16,7 +17,7 @@ import (
 
 // planQuery plans a hand-built query against the oracle database under
 // an empty config. Plans are Built-independent, so one plan executes
-// against both the assembled and the chunk-sourced Built.
+// against every Built over the same rows, whatever sources it has.
 func planQuery(t *testing.T, db *rel.Database, q *sqlast.Query) *optimizer.Plan {
 	t.Helper()
 	plan, err := optimizer.New(stats.FromDatabase(db)).PlanQuery(q, &physical.Config{})
@@ -26,22 +27,47 @@ func planQuery(t *testing.T, db *rel.Database, q *sqlast.Query) *optimizer.Plan 
 	return plan
 }
 
+// countedSource wraps a ScanSource and counts outstanding acquisitions
+// so tests can assert the executor's release discipline: at most one
+// held chunk per worker, zero when idle.
+type countedSource struct {
+	ScanSource
+	held    atomic.Int64
+	maxHeld atomic.Int64
+}
+
+func (s *countedSource) Chunk(k int) (*rel.Table, func(), error) {
+	frag, release, err := s.ScanSource.Chunk(k)
+	if err != nil {
+		return nil, nil, err
+	}
+	h := s.held.Add(1)
+	for {
+		m := s.maxHeld.Load()
+		if h <= m || s.maxHeld.CompareAndSwap(m, h) {
+			break
+		}
+	}
+	var released atomic.Bool
+	return frag, func() {
+		if released.CompareAndSwap(false, true) {
+			s.held.Add(-1)
+			release()
+		}
+	}, nil
+}
+
 // sliceSource is an in-memory ScanSource: chunk-granular snapshots of
 // a resident table, adopted as read-only views at Chunk time — the
-// same shape the storage pager serves, without the disk. It counts
-// outstanding acquisitions so tests can assert the executor's release
-// discipline: at most one held chunk per worker, zero when idle.
+// same shape the storage pager serves, without the disk.
 type sliceSource struct {
 	cols   []rel.Column
 	rows   int
 	spans  [][2]int
 	chunks []*rel.TableSnapshot
-
-	held    atomic.Int64
-	maxHeld atomic.Int64
 }
 
-func newSliceSource(t *testing.T, tbl *rel.Table, chunkRows int) *sliceSource {
+func newSliceSource(t *testing.T, tbl *rel.Table, chunkRows int) *countedSource {
 	t.Helper()
 	if chunkRows%64 != 0 {
 		t.Fatalf("chunkRows %d must be a multiple of 64", chunkRows)
@@ -57,7 +83,7 @@ func newSliceSource(t *testing.T, tbl *rel.Table, chunkRows int) *sliceSource {
 		s.spans = append(s.spans, [2]int{lo, hi})
 		s.chunks = append(s.chunks, cs)
 	}
-	return s
+	return &countedSource{ScanSource: s}
 }
 
 func (s *sliceSource) Columns() []rel.Column      { return s.cols }
@@ -66,19 +92,7 @@ func (s *sliceSource) NumChunks() int             { return len(s.chunks) }
 func (s *sliceSource) ChunkSpan(k int) (int, int) { return s.spans[k][0], s.spans[k][1] }
 
 func (s *sliceSource) Chunk(k int) (*rel.Table, func(), error) {
-	h := s.held.Add(1)
-	for {
-		m := s.maxHeld.Load()
-		if h <= m || s.maxHeld.CompareAndSwap(m, h) {
-			break
-		}
-	}
-	var released atomic.Bool
-	return rel.ViewFromSnapshot(s.chunks[k]), func() {
-		if released.CompareAndSwap(false, true) {
-			s.held.Add(-1)
-		}
-	}, nil
+	return rel.ViewFromSnapshot(s.chunks[k]), func() {}, nil
 }
 
 // chunkDB builds a parent/child database big enough to span many
@@ -135,10 +149,10 @@ func chunkDB(nrows int) *rel.Database {
 	return db
 }
 
-// chunkQueries exercise the srcChunks driver: a pure filtered scan
-// (typed int + dictionary string kernels), a scan over the
-// exception-bearing float column (generic fallback kernel), and a
-// hash-join with a driver-stage filter.
+// chunkQueries exercise the scan driver: a pure filtered scan (typed
+// int + dictionary string kernels), a scan over the exception-bearing
+// float column (generic fallback kernel), and a hash-join with a
+// driver-stage filter.
 func chunkQueries() []*sqlast.Query {
 	return []*sqlast.Query{
 		{Branches: []*sqlast.Select{{
@@ -182,65 +196,79 @@ func chunkQueries() []*sqlast.Query {
 	}
 }
 
-// TestScanSourceMatchesAssembled is the in-memory equivalence oracle
-// for the chunk-scan driver: the same plans executed over a Built with
-// registered chunk sources must return bit-identical results — rows,
-// order, values, stats — to the assembled-table Built and the
+// TestScanSourceMatchesAssembled is the in-memory equivalence matrix
+// of the one scan driver: the same plans executed over an unregistered
+// resident table (the implicit one-chunk tableSource), over a
+// registered tableSource (fragment-identity kernel reuse, counted), and
+// over registered 128-row chunk sources (per-fragment kernels) must all
+// return results bit-identical — rows, order, values, stats — to the
 // row-at-a-time reference, serially and at several morsel worker
 // counts, with every chunk released when execution finishes.
 func TestScanSourceMatchesAssembled(t *testing.T) {
 	const nrows = 1600
 	db := chunkDB(nrows)
 
-	oracle, err := Build(db, nil)
+	resident, err := Build(db, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paged, err := Build(chunkDB(nrows), nil)
-	if err != nil {
-		t.Fatal(err)
+	sources := map[string]func(*rel.Table) *countedSource{
+		"resident": nil,
+		"table": func(tbl *rel.Table) *countedSource {
+			return &countedSource{ScanSource: tableSource{tbl}}
+		},
+		"chunks-128": func(tbl *rel.Table) *countedSource { return newSliceSource(t, tbl, 128) },
 	}
-	bigSrc := newSliceSource(t, db.Table("big"), 128)
-	kidSrc := newSliceSource(t, db.Table("kid"), 128)
-	paged.SetScanSource("big", bigSrc)
-	paged.SetScanSource("kid", kidSrc)
 
 	defer func(old int) { morselRows = old }(morselRows)
 	morselRows = 256 // two 128-row chunks per morsel
 
-	for qi, q := range chunkQueries() {
-		plan := planQuery(t, db, q)
-		want, err := ExecuteReference(oracle, plan)
-		if err != nil {
-			t.Fatalf("query %d: reference: %v", qi, err)
+	for name, mk := range sources {
+		built := resident
+		var counted []*countedSource
+		if mk != nil {
+			sdb := chunkDB(nrows)
+			if built, err = Build(sdb, nil); err != nil {
+				t.Fatal(err)
+			}
+			for _, tbl := range sdb.Tables() {
+				src := mk(tbl)
+				built.SetScanSource(tbl.Name, src)
+				counted = append(counted, src)
+			}
 		}
-		asm, err := Execute(oracle, plan)
-		if err != nil {
-			t.Fatalf("query %d: assembled: %v", qi, err)
-		}
-		requireIdentical(t, fmt.Sprintf("query %d assembled-vs-reference", qi), asm, want)
-
-		pp, err := paged.Prepared(plan)
-		if err != nil {
-			t.Fatalf("query %d: prepare paged: %v", qi, err)
-		}
-		for _, workers := range []int{1, 2, runtime.NumCPU()} {
-			pp.Workers = workers
-			for run := 0; run < 2; run++ {
-				got, err := pp.Execute()
-				if err != nil {
-					t.Fatalf("query %d workers %d: %v", qi, workers, err)
+		for qi, q := range chunkQueries() {
+			plan := planQuery(t, db, q)
+			want, err := ExecuteReference(resident, plan)
+			if err != nil {
+				t.Fatalf("query %d: reference: %v", qi, err)
+			}
+			pp, err := built.Prepared(plan)
+			if err != nil {
+				t.Fatalf("%s query %d: prepare: %v", name, qi, err)
+			}
+			for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
+				for run := 0; run < 2; run++ {
+					got, err := pp.ExecuteContextWorkers(context.Background(), workers)
+					if err != nil {
+						t.Fatalf("%s query %d workers %d: %v", name, qi, workers, err)
+					}
+					requireIdentical(t, fmt.Sprintf("%s query %d workers %d", name, qi, workers), got, want)
 				}
-				requireIdentical(t, fmt.Sprintf("query %d workers %d", qi, workers), got, want)
-			}
-			if h := bigSrc.held.Load() + kidSrc.held.Load(); h != 0 {
-				t.Fatalf("query %d workers %d: %d chunks still held after execution", qi, workers, h)
+				for _, src := range counted {
+					if h := src.held.Load(); h != 0 {
+						t.Fatalf("%s query %d workers %d: %d chunks still held after execution", name, qi, workers, h)
+					}
+				}
 			}
 		}
-		pp.Workers = 0
-	}
-	if m := bigSrc.maxHeld.Load(); m < 1 {
-		t.Fatal("scan source was never used")
+		used := mk == nil
+		for _, src := range counted {
+			used = used || src.maxHeld.Load() > 0
+		}
+		if !used {
+			t.Fatalf("%s: scan source was never used", name)
+		}
 	}
 }
 
@@ -277,9 +305,9 @@ func TestScanSourceOverVirtualShells(t *testing.T) {
 
 	for qi, q := range chunkQueries() {
 		plan := planQuery(t, db, q)
-		want, err := Execute(oracle, plan)
+		want, err := ExecuteReference(oracle, plan)
 		if err != nil {
-			t.Fatalf("query %d: oracle: %v", qi, err)
+			t.Fatalf("query %d: reference: %v", qi, err)
 		}
 		got, err := Execute(paged, plan)
 		if err != nil {
@@ -327,7 +355,7 @@ func TestScanSourceIgnoredForSeeks(t *testing.T) {
 	src := newSliceSource(t, db.Table("big"), 128)
 	paged.SetScanSource("big", src)
 
-	want, err := Execute(oracle, plan)
+	want, err := ExecuteReference(oracle, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

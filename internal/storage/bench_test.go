@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"testing"
@@ -242,7 +243,7 @@ func BenchmarkChunkScanQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pp.Execute(); err != nil {
+		if _, err := pp.ExecuteContextWorkers(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -274,7 +275,7 @@ func BenchmarkAssembledScanQuery(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pp.Execute(); err != nil {
+		if _, err := pp.ExecuteContextWorkers(context.Background(), 1); err != nil {
 			b.Fatal(err)
 		}
 	}

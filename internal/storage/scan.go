@@ -77,12 +77,8 @@ func (s *Store) ChunkScan(name string) (*ChunkScan, error) {
 	if tail := s.redo[name]; len(tail) > 0 {
 		ov := rel.NewTable(name, d.Cols)
 		ov.Parent = e.Parent
-		for _, rec := range tail {
-			if len(rec.Row) != len(d.Cols) {
-				return nil, fmt.Errorf("storage: redo record for table %q has %d values, table has %d columns",
-					name, len(rec.Row), len(d.Cols))
-			}
-			ov.AppendRow(rec.Row)
+		if err := replayRedo(name, len(d.Cols), tail, ov.AppendRow); err != nil {
+			return nil, err
 		}
 		cs.overlay = ov
 		cs.spans = append(cs.spans, [2]int{lo, lo + ov.RowCount()})
@@ -138,42 +134,20 @@ func (cs *ChunkScan) Chunk(k int) (*rel.Table, func(), error) {
 	return rel.ViewFromSnapshot(snap), release, nil
 }
 
-// assembleEntry loads one table entry into a private assembled table —
-// segment rows plus the given redo tail — bypassing the store's
-// assembled-table cache. PagedBuilt's hydration loaders use it so a
-// hydrated shell never aliases the cache: a later Append mutates the
-// cached table, and sharing vectors with it would silently mutate a
-// point-in-time view (the shell instead fails loudly at Hydrate if the
-// entry no longer decodes to its declared shape).
+// assembleEntry assembles one table entry — segment rows plus the given
+// redo tail — bypassing the store's assembled-table cache. PagedBuilt's
+// hydration loaders use it so a hydrated shell never aliases the cache:
+// a later Append mutates the cached table, and sharing vectors with it
+// would silently mutate a point-in-time view (the shell instead fails
+// loudly at Hydrate if the entry no longer decodes to its declared
+// shape).
 func (s *Store) assembleEntry(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	var t *rel.Table
-	var err error
-	if e.ChunkRows > 0 {
-		t, err = s.loadChunkedLocked(e)
-	} else {
-		t, err = s.loadSegmentLocked(e)
-	}
-	if err != nil {
-		return nil, err
-	}
-	if t.RowCount() != e.Rows || t.Generation() != e.Generation || t.Bytes() != e.Bytes {
-		return nil, fmt.Errorf("storage: segment %s decodes to %d rows / generation %d / %d bytes, manifest says %d / %d / %d",
-			e.File, t.RowCount(), t.Generation(), t.Bytes(), e.Rows, e.Generation, e.Bytes)
-	}
-	for _, rec := range tail {
-		if len(rec.Row) != len(t.Columns) {
-			return nil, fmt.Errorf("storage: redo record for table %q has %d values, table has %d columns",
-				e.Name, len(rec.Row), len(t.Columns))
-		}
-		t.AppendRow(rec.Row)
-	}
-	s.reg.Counter("storage.segment.loads").Inc()
-	return t, nil
+	return s.assembleLocked(e, tail)
 }
 
 // PagedBuilt is Built with query-time paging: every chunked table
@@ -191,8 +165,9 @@ func (s *Store) assembleEntry(e *TableEntry, tail []redoRecord) (*rel.Table, err
 // compaction, chunk scans and hydrations fail with a staleness error
 // rather than serving rows the Built's generation snapshot does not
 // cover — call PagedBuilt again for a fresh view. Results are
-// bit-identical to Built over the same store state; Built remains the
-// assembled-path oracle.
+// bit-identical to Built over the same store state: both run the
+// engine's one scan driver, Built over resident one-chunk sources, and
+// engine.ExecuteReference is the oracle for both.
 func (s *Store) PagedBuilt() (*engine.Built, error) {
 	start := time.Now()
 	s.mu.Lock()
@@ -226,19 +201,14 @@ func (s *Store) PagedBuilt() (*engine.Built, error) {
 		}
 		tail := s.redo[e.Name] // appends only ever extend; the slice header pins our prefix
 		rows, gen, bytes := e.Rows, e.Generation, e.Bytes
-		for _, rec := range tail {
-			if len(rec.Row) != len(d.Cols) {
-				loadErr = fmt.Errorf("storage: redo record for table %q has %d values, table has %d columns",
-					e.Name, len(rec.Row), len(d.Cols))
-				break
-			}
-			// rel.RowBytes and the per-append generation bump are
-			// AppendRow's own accounting, so the shell's declared shape
-			// matches what Hydrate's replay lands on exactly.
+		// rel.RowBytes and the per-append generation bump are AppendRow's
+		// own accounting, so the shell's declared shape matches what
+		// Hydrate's replay lands on exactly.
+		loadErr = replayRedo(e.Name, len(d.Cols), tail, func(row []rel.Value) {
 			rows++
 			gen++
-			bytes += rel.RowBytes(rec.Row)
-		}
+			bytes += rel.RowBytes(row)
+		})
 		if loadErr != nil {
 			break
 		}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -268,16 +269,14 @@ func TestPagedBuiltMatchesAssembledUnderBudget(t *testing.T) {
 					t.Fatalf("query %d: prepare paged: %v", qi, err)
 				}
 				for _, workers := range workerCounts {
-					pp.Workers = workers
 					for run := 0; run < 2; run++ {
-						got, err := pp.Execute()
+						got, err := pp.ExecuteContextWorkers(context.Background(), workers)
 						if err != nil {
 							t.Fatalf("query %d workers %d: %v", qi, workers, err)
 						}
 						requireSameResult(t, fmt.Sprintf("query %d workers %d run %d", qi, workers, run), got, want)
 					}
 				}
-				pp.Workers = 0
 			}
 			if memBudget > 0 {
 				if dataBytes < 4*memBudget {
@@ -354,9 +353,9 @@ func TestPagedBuiltIncludesRedoTail(t *testing.T) {
 
 	for qi, q := range scanQueries() {
 		plan := scanPlan(t, db, q)
-		want, err := engine.Execute(oracle, plan)
+		want, err := engine.ExecuteReference(oracle, plan)
 		if err != nil {
-			t.Fatalf("query %d: oracle: %v", qi, err)
+			t.Fatalf("query %d: reference: %v", qi, err)
 		}
 		got, err := engine.Execute(paged, plan)
 		if err != nil {
@@ -587,7 +586,7 @@ func TestChunkScanRejectsWholeTableSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	plan := scanPlan(t, db, scanQueries()[0])
-	want, err := engine.Execute(oracle, plan)
+	want, err := engine.ExecuteReference(oracle, plan)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -311,7 +311,8 @@ func (s *Store) tableLocked(name string) (*rel.Table, error) {
 
 // tableLoadLocked is tableLocked without the Close fence, for internal
 // callers that legitimately run during shutdown (the background
-// compaction Close waits out).
+// compaction Close waits out). It serves the assembled-table cache,
+// assembling the table with its current redo tail on a miss.
 func (s *Store) tableLoadLocked(name string) (*rel.Table, error) {
 	if t, ok := s.tables[name]; ok {
 		s.touchLocked(name)
@@ -321,6 +322,22 @@ func (s *Store) tableLoadLocked(name string) (*rel.Table, error) {
 	if e == nil {
 		return nil, fmt.Errorf("storage: no table %q in store %s", name, s.dir)
 	}
+	t, err := s.assembleLocked(e, s.redo[name])
+	if err != nil {
+		return nil, err
+	}
+	s.tables[name] = t
+	s.touchLocked(name)
+	s.evictTablesLocked()
+	return t, nil
+}
+
+// assembleLocked loads one table entry into a fresh assembled table:
+// the segment through its verification chain, a check that it decodes
+// to the shape the manifest pins, then the given redo tail replayed in
+// commit order. The result is private to the caller — nothing here
+// touches the assembled-table cache.
+func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
 	start := time.Now()
 	var t *rel.Table
 	var err error
@@ -336,18 +353,45 @@ func (s *Store) tableLoadLocked(name string) (*rel.Table, error) {
 		return nil, fmt.Errorf("storage: segment %s decodes to %d rows / generation %d / %d bytes, manifest says %d / %d / %d",
 			e.File, t.RowCount(), t.Generation(), t.Bytes(), e.Rows, e.Generation, e.Bytes)
 	}
-	for _, rec := range s.redo[name] {
-		if len(rec.Row) != len(t.Columns) {
-			return nil, fmt.Errorf("storage: redo record for table %q has %d values, table has %d columns", name, len(rec.Row), len(t.Columns))
-		}
-		t.AppendRow(rec.Row)
+	if err := replayRedo(e.Name, len(t.Columns), tail, t.AppendRow); err != nil {
+		return nil, err
 	}
-	s.tables[name] = t
-	s.touchLocked(name)
-	s.evictTablesLocked()
 	s.reg.Counter("storage.segment.loads").Inc()
 	s.reg.Counter("storage.segment.load_ns").Add(time.Since(start).Nanoseconds())
 	return t, nil
+}
+
+// replayRedo applies a table's redo tail in commit order, rejecting any
+// record whose width disagrees with the table's ncols columns.
+func replayRedo(table string, ncols int, tail []redoRecord, apply func(row []rel.Value)) error {
+	for _, rec := range tail {
+		if len(rec.Row) != ncols {
+			return fmt.Errorf("storage: redo record for table %q has %d values, table has %d columns",
+				table, len(rec.Row), ncols)
+		}
+		apply(rec.Row)
+	}
+	return nil
+}
+
+// columnsLocked returns a table's column descriptors without
+// assembling it where the format allows: a chunked segment's verified
+// directory carries them, so the write path of a budgeted store never
+// loads (and caches) a cold table just to check a row's width. A
+// whole-table segment has no directory and loads.
+func (s *Store) columnsLocked(name string) ([]rel.Column, error) {
+	if e := s.man.Table(name); e != nil && e.ChunkRows > 0 {
+		d, err := s.chunkedDirLocked(e)
+		if err != nil {
+			return nil, err
+		}
+		return d.Cols, nil
+	}
+	t, err := s.tableLoadLocked(name)
+	if err != nil {
+		return nil, err
+	}
+	return t.Columns, nil
 }
 
 // loadSegmentLocked loads a version-1 whole-table segment through the
@@ -552,15 +596,15 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 		s.mu.Unlock()
 		return fmt.Errorf("storage: store has no redo log")
 	}
-	t, err := s.tableLocked(table)
+	cols, err := s.columnsLocked(table)
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
 	for _, row := range rows {
-		if len(row) != len(t.Columns) {
+		if len(row) != len(cols) {
 			s.mu.Unlock()
-			return fmt.Errorf("storage: append to %q has %d values, table has %d columns", table, len(row), len(t.Columns))
+			return fmt.Errorf("storage: append to %q has %d values, table has %d columns", table, len(row), len(cols))
 		}
 	}
 	if s.gcCur == nil {

@@ -258,6 +258,49 @@ func TestRedoReplay(t *testing.T) {
 	}
 }
 
+// TestAppendDoesNotAssembleColdTable is the regression test for the
+// write path of a budgeted store: AppendBatch used to load (and cache)
+// the whole table just to compare row widths. A chunked table's verified
+// directory carries its columns, so an append to a cold table must load
+// no segment — and a later Table still sees the appended rows.
+func TestAppendDoesNotAssembleColdTable(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st, err := Open(dir, Options{MemBudgetBytes: 1, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.AppendBatch("book", [][]rel.Value{bookRow(6), bookRow(7)}); err != nil {
+		t.Fatal(err)
+	}
+	if n := reg.Counter("storage.segment.loads").Value(); n != 0 {
+		t.Fatalf("append to a cold table loaded %d segments, want 0", n)
+	}
+	if tb, _ := st.ResidentBytes(); tb != 0 {
+		t.Fatalf("append left %d assembled-table bytes resident, want 0", tb)
+	}
+	if err := st.Append("book", []rel.Value{rel.Int(99)}); err == nil {
+		t.Fatal("short row accepted")
+	}
+	if err := st.Append("ghost", bookRow(8)); err == nil {
+		t.Fatal("append to unknown table accepted")
+	}
+	book, err := st.Table("book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if book.RowCount() != 7 {
+		t.Fatalf("table has %d rows after appends, want 7", book.RowCount())
+	}
+	if got := book.ValueAt(6, 2); got.String() != "b-7" {
+		t.Fatalf("last appended title = %v, want b-7", got)
+	}
+}
+
 func TestManifestIsCommitPoint(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
