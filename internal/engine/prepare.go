@@ -217,7 +217,8 @@ type driverSrc struct {
 	// downstream operators by reference: the table's generation-cached
 	// Rows() for seeks, the zip rows for partition drivers. Resolved at
 	// prepare time so execution never takes the materialization lock.
-	// Scans resolve rows per acquired chunk.
+	// Scans resolve rows per acquired chunk: a resident table's cached
+	// view, or only the filter's survivors of any other fragment.
 	rows [][]rel.Value
 }
 
@@ -295,9 +296,10 @@ type preparedBranch struct {
 	pool sync.Pool
 }
 
-// branchState is the per-execution operator state: the driver batch,
-// the driver selection vector the columnar kernels compact, and one
-// output batch per join operator.
+// branchState is the per-execution operator state: the driver batch
+// (rows by reference; a scan of paged fragments swaps in one with an
+// arena for the survivors it materializes), the driver selection vector
+// the columnar kernels compact, and one output batch per join operator.
 type branchState struct {
 	in      *rel.Batch
 	sel     []int32
@@ -840,10 +842,12 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 	}
 
 	// feedSel compacts a selection vector of row ids with the
-	// driver-stage kernels, materializes the survivors as references into
-	// the row view the ids index, and pushes them through the remaining
-	// (join and post-join) operators.
-	feedSel := func(kerns []colKernel, rows [][]rel.Value, sel []int32) {
+	// driver-stage kernels, materializes the survivors, and pushes them
+	// through the remaining (join and post-join) operators. Survivors
+	// reference the row view the ids index when there is one (rows); a
+	// paged fragment has none, so only its survivors are read off the
+	// column vectors, into the driver batch's own arena.
+	feedSel := func(kerns []colKernel, rows [][]rel.Value, frag *rel.Table, sel []int32) {
 		for _, k := range kerns {
 			sel = k(sel)
 			if len(sel) == 0 {
@@ -852,8 +856,14 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 		}
 		bt := state.in
 		bt.Reset()
-		for _, r := range sel {
-			bt.AppendRef(rows[r])
+		if rows != nil {
+			for _, r := range sel {
+				bt.AppendRef(rows[r])
+			}
+		} else {
+			for _, r := range sel {
+				frag.ReadRowInto(bt.AppendArena(), int(r))
+			}
 		}
 		process(0, bt)
 	}
@@ -872,7 +882,18 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 		if err != nil {
 			return err
 		}
-		frows := frag.Rows()
+		// A resident table keeps handing out its generation-cached row
+		// view. Any other fragment belongs to its source (a pager-cached
+		// chunk is shared and budgeted by its on-disk size), so nothing
+		// is cached on it: the driver batch grows an arena of the
+		// fragment's width, once per pooled state, and survivors land
+		// there.
+		var frows [][]rel.Value
+		if frag == pb.src.table {
+			frows = frag.Rows()
+		} else if w := len(frag.Columns); state.in.Width() != w {
+			state.in = rel.NewBatch(w)
+		}
 		for start := s0; start < e0; start += rel.BatchSize {
 			if cancelled() {
 				return ctx.Err()
@@ -887,7 +908,7 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 			for r := start; r < end; r++ {
 				sel = append(sel, int32(r))
 			}
-			feedSel(kerns, frows, sel)
+			feedSel(kerns, frows, frag, sel)
 		}
 		return nil
 	}
@@ -902,7 +923,7 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 			for _, id := range ids[start:end] {
 				sel = append(sel, int32(id))
 			}
-			feedSel(pb.kerns, pb.src.rows, sel)
+			feedSel(pb.kerns, pb.src.rows, nil, sel)
 		}
 	case srcZip:
 		for start := lo; start < hi; start += rel.BatchSize {

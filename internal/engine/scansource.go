@@ -19,7 +19,10 @@ import (
 // row-at-a-time executor is the equivalence oracle for every source.
 // Chunk returns a resident fragment covering rows [lo, hi) of the table
 // plus a release callback; the fragment is only valid until release,
-// which lets the source unpin or evict it. Chunk must be safe for
+// which lets the source unpin or evict it, and may be shared with other
+// scans — the executor reads its column vectors in place and never
+// calls Rows() on a fragment that is not the driver table itself, so
+// nothing outlives the release. Chunk must be safe for
 // concurrent calls (morsel workers pull chunks independently) and
 // should return an error — not stale data — when the backing store has
 // moved on.
@@ -37,7 +40,7 @@ type ScanSource interface {
 	ChunkSpan(k int) (lo, hi int)
 	// Chunk returns chunk k as a resident read-only table fragment whose
 	// row r corresponds to global row ChunkSpan(k).lo + r, plus a release
-	// callback the caller must invoke when done with the fragment.
+	// callback the caller must invoke once, when done with the fragment.
 	Chunk(k int) (*rel.Table, func(), error)
 }
 

@@ -57,14 +57,15 @@ func (s *countedSource) Chunk(k int) (*rel.Table, func(), error) {
 	}, nil
 }
 
-// sliceSource is an in-memory ScanSource: chunk-granular snapshots of
-// a resident table, adopted as read-only views at Chunk time — the
-// same shape the storage pager serves, without the disk.
+// sliceSource is an in-memory ScanSource: chunk-granular slices of a
+// resident table, each validated into a table of its own once and
+// served as is at Chunk time — the same shape the storage pager
+// serves, without the disk.
 type sliceSource struct {
 	cols   []rel.Column
 	rows   int
 	spans  [][2]int
-	chunks []*rel.TableSnapshot
+	chunks []*rel.Table
 }
 
 func newSliceSource(t *testing.T, tbl *rel.Table, chunkRows int) *countedSource {
@@ -80,8 +81,12 @@ func newSliceSource(t *testing.T, tbl *rel.Table, chunkRows int) *countedSource 
 		if err != nil {
 			t.Fatalf("SliceSnapshot(%d,%d): %v", lo, hi, err)
 		}
+		chunk, err := rel.TableFromSnapshot(cs)
+		if err != nil {
+			t.Fatalf("TableFromSnapshot(rows %d..%d): %v", lo, hi, err)
+		}
 		s.spans = append(s.spans, [2]int{lo, hi})
-		s.chunks = append(s.chunks, cs)
+		s.chunks = append(s.chunks, chunk)
 	}
 	return &countedSource{ScanSource: s}
 }
@@ -92,7 +97,7 @@ func (s *sliceSource) NumChunks() int             { return len(s.chunks) }
 func (s *sliceSource) ChunkSpan(k int) (int, int) { return s.spans[k][0], s.spans[k][1] }
 
 func (s *sliceSource) Chunk(k int) (*rel.Table, func(), error) {
-	return rel.ViewFromSnapshot(s.chunks[k]), func() {}, nil
+	return s.chunks[k], func() {}, nil
 }
 
 // chunkDB builds a parent/child database big enough to span many

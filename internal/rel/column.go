@@ -55,19 +55,30 @@ func (b *Bitmap) permute(perm []int) {
 
 // Dict is a per-column string dictionary: distinct strings in first-
 // appearance order, so codes are stable as the column grows and
-// decode(encode(s)) == s exactly.
+// decode(encode(s)) == s exactly. Intern mutates the dictionary (and,
+// the first time on a restored one, builds idx) and must be exclusive
+// with every reader, Code included — the rule AppendRow already puts
+// on the table that owns the column.
 type Dict struct {
 	strs []string
-	idx  map[string]uint32
+	// idx is the string -> code index of a dictionary that is being
+	// appended to. A dictionary restored from a snapshot has none until
+	// its first Intern: restored tables are mostly read and chunk
+	// fragments only ever read, and the index costs several times the
+	// memory of the strings it points at.
+	idx map[string]uint32
 }
 
 // Intern returns the code for s, adding it to the dictionary if new.
 func (d *Dict) Intern(s string) uint32 {
+	if d.idx == nil {
+		d.idx = make(map[string]uint32, len(d.strs))
+		for c, ds := range d.strs {
+			d.idx[ds] = uint32(c)
+		}
+	}
 	if c, ok := d.idx[s]; ok {
 		return c
-	}
-	if d.idx == nil {
-		d.idx = make(map[string]uint32)
 	}
 	c := uint32(len(d.strs))
 	d.strs = append(d.strs, s)
@@ -75,8 +86,23 @@ func (d *Dict) Intern(s string) uint32 {
 	return c
 }
 
-// Code looks up the code for s without interning.
+// Code looks up the code for s without interning: through the index
+// when the dictionary has one, otherwise by scanning the entries (one
+// pass per compiled equality kernel, never per row). The scan compares
+// lengths before bytes and costs under 1 ns an entry: 7-13 us over the
+// widest dictionary the benchmark corpus has (20 000 titles, table-wide
+// after a hydrate) and under 2 us over a 4096-row chunk's, against the
+// 1.2 ms and 0.36 ms of building an index that the compile would use
+// once.
 func (d *Dict) Code(s string) (uint32, bool) {
+	if d.idx == nil {
+		for c, ds := range d.strs {
+			if ds == s {
+				return uint32(c), true
+			}
+		}
+		return 0, false
+	}
 	c, ok := d.idx[s]
 	return c, ok
 }

@@ -1,6 +1,7 @@
 package rel
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -244,6 +245,80 @@ func TestRowBytesMatchesAppendRow(t *testing.T) {
 		}
 		if got := tb.Generation() - genBefore; got != 1 {
 			t.Errorf("row %d: AppendRow moved Generation by %d, want 1", i, got)
+		}
+	}
+	restored, err := TableFromSnapshot(tb.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Bytes() != tb.Bytes() {
+		t.Errorf("TableFromSnapshot accounts %d bytes, AppendRow accumulated %d", restored.Bytes(), tb.Bytes())
+	}
+}
+
+// TestSnapshotBytesMatchAppendRow holds TableFromSnapshot's column-wise
+// byte accounting to AppendRow's running total, on whole tables and on
+// every 64-row slice of them (the chunks the segment format stores,
+// the last one short): NULLs, empty strings, wrong-typed exception
+// appends, and a string column that never interns anything.
+func TestSnapshotBytesMatchAppendRow(t *testing.T) {
+	words := []string{"", "a", "bb", "a considerably longer string value", "1998"}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		tb := NewTable("acct", []Column{
+			{Name: IDColumn, Typ: TInt},
+			{Name: "tag", Typ: TString, Nullable: true},
+			{Name: "val", Typ: TFloat, Nullable: true},
+			{Name: "n", Typ: TInt, Nullable: true},
+			{Name: "odd", Typ: TString, Nullable: true}, // only NULLs and wrong-typed values
+		})
+		nrows := 130 + rng.Intn(120) // never a multiple of 64
+		if nrows%64 == 0 {
+			nrows++
+		}
+		rowBytes := make([]int64, nrows)
+		for r := 0; r < nrows; r++ {
+			row := []Value{Int(int64(r)), Str(words[rng.Intn(len(words))]), Float(rng.NormFloat64()),
+				Int(int64(rng.Intn(50))), Float(float64(r))}
+			for c := 1; c < 4; c++ {
+				switch rng.Intn(10) {
+				case 0:
+					row[c] = NullOf(tb.Columns[c].Typ)
+				case 1: // lands in the exception slot of every column type
+					row[c] = Value{Typ: Type(rng.Intn(3)), I: int64(rng.Intn(9)), F: rng.Float64(), S: words[rng.Intn(len(words))]}
+				}
+			}
+			if rng.Intn(6) == 0 {
+				row[4] = NullOf(TString)
+			}
+			rowBytes[r] = RowBytes(row)
+			tb.AppendRow(row)
+		}
+		snap := tb.Snapshot()
+		whole, err := TableFromSnapshot(snap)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if whole.Bytes() != tb.Bytes() {
+			t.Fatalf("seed %d: TableFromSnapshot accounts %d bytes, AppendRow accumulated %d", seed, whole.Bytes(), tb.Bytes())
+		}
+		for lo := 0; lo < nrows; lo += 64 {
+			hi := min(lo+64, nrows)
+			part, err := snap.SliceSnapshot(lo, hi)
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			chunk, err := TableFromSnapshot(part)
+			if err != nil {
+				t.Fatalf("seed %d rows [%d,%d): %v", seed, lo, hi, err)
+			}
+			var want int64
+			for _, b := range rowBytes[lo:hi] {
+				want += b
+			}
+			if chunk.Bytes() != want {
+				t.Fatalf("seed %d rows [%d,%d): chunk accounts %d bytes, its rows' RowBytes sum to %d", seed, lo, hi, chunk.Bytes(), want)
+			}
 		}
 	}
 }

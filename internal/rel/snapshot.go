@@ -194,8 +194,9 @@ func (s *TableSnapshot) SliceSnapshot(lo, hi int) (*TableSnapshot, error) {
 // snapshot decoded from an untrusted byte stream either yields a table
 // bit-identical to the one that produced it or a descriptive error,
 // never a panic and never a silently wrong table. Byte accounting is
-// recomputed from the values (not trusted from the source), so
-// Bytes()/Pages() match what AppendRow would have accumulated.
+// recomputed from the vectors, column by column (not trusted from the
+// source), so Bytes()/Pages() match what AppendRow would have
+// accumulated.
 func TableFromSnapshot(s *TableSnapshot) (*Table, error) {
 	if s == nil {
 		return nil, fmt.Errorf("rel: nil snapshot")
@@ -234,70 +235,13 @@ func TableFromSnapshot(s *TableSnapshot) (*Table, error) {
 		}
 		t.cols[i] = cv
 	}
-	// Recompute byte accounting exactly as AppendRow would have.
-	for r := 0; r < t.nrows; r++ {
-		t.bytes += 8 // per-row overhead
-		for ci := range t.cols {
-			t.bytes += int64(t.cols[ci].value(r).Width())
-		}
+	// Recompute byte accounting exactly as AppendRow would have: the
+	// per-row overhead plus every column's value widths.
+	t.bytes = 8 * int64(t.nrows)
+	for ci := range t.cols {
+		t.bytes += t.cols[ci].widthSum()
 	}
 	return t, nil
-}
-
-// ViewFromSnapshot adopts an already-validated snapshot as a read-only
-// Table without re-running TableFromSnapshot's structural checks or its
-// O(rows×cols) byte re-accounting. It exists for snapshots whose
-// validity is established elsewhere — pager-cached chunks go through
-// the full verification chain (CRC → bounds-checked decode →
-// TableFromSnapshot) exactly once at fault time, and a budgeted scan
-// re-adopting the same cached chunk on every visit must not pay the
-// validation again. The returned table aliases the snapshot's vectors,
-// must not be appended to, and reports Bytes() == 0 (chunk residency is
-// accounted by the pager in on-disk bytes, not by the view).
-func ViewFromSnapshot(s *TableSnapshot) *Table {
-	t := &Table{
-		Name:   s.Name,
-		Parent: s.Parent,
-		nrows:  s.RowCount,
-		gen:    s.Generation,
-		colIdx: make(map[string]int, len(s.Columns)),
-	}
-	t.Columns = make([]Column, len(s.Columns))
-	t.cols = make([]colVec, len(s.Columns))
-	for i := range s.Columns {
-		cs := &s.Columns[i]
-		t.colIdx[cs.Col.Name] = i
-		t.Columns[i] = cs.Col
-		set := 0
-		for _, w := range cs.NullWords {
-			set += bits.OnesCount64(w)
-		}
-		cv := colVec{
-			typ:    cs.Col.Typ,
-			nulls:  Bitmap{words: cs.NullWords, n: s.RowCount, set: set},
-			ints:   cs.Ints,
-			floats: cs.Floats,
-			codes:  cs.Codes,
-		}
-		if cs.Col.Typ == TString {
-			d := &Dict{strs: cs.Dict}
-			if len(cs.Dict) > 0 {
-				d.idx = make(map[string]uint32, len(cs.Dict))
-				for c, ds := range cs.Dict {
-					d.idx[ds] = uint32(c)
-				}
-			}
-			cv.dict = d
-		}
-		if len(cs.Exc) > 0 {
-			cv.exc = make(map[int]Value, len(cs.Exc))
-			for _, e := range cs.Exc {
-				cv.exc[e.Row] = e.Val
-			}
-		}
-		t.cols[i] = cv
-	}
-	return t
 }
 
 // colVecFromSnapshot validates and adopts one column's vectors.
@@ -359,7 +303,6 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 	// with the exception value, zeroed payload slot underneath, and a
 	// value that genuinely does not round-trip (otherwise append would
 	// not have recorded it, and re-encoding would not be stable).
-	excAt := make(map[int]Value, len(cs.Exc))
 	prev := -1
 	for _, e := range cs.Exc {
 		if e.Row <= prev {
@@ -373,7 +316,6 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 			return bad("exception at row %d: null bit %v disagrees with value nullness %v",
 				e.Row, nulls.Get(e.Row), e.Val.Null)
 		}
-		excAt[e.Row] = e.Val
 	}
 
 	// Dictionary canonicality and per-row payload invariants, modeled
@@ -386,67 +328,80 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 	// here makes snapshot->table->snapshot the identity, which the
 	// golden-format and fuzz round-trip tests rely on.
 	//
-	// stored returns the payload the vector must hold at row r: the
-	// exception value's payload when its type matches, the zero value
-	// for NULL/mismatched rows, and ok=false for plain rows (vector
-	// payload is authoritative).
-	stored := func(r int) (v Value, zero bool, constrained bool) {
-		if e, exc := excAt[r]; exc {
-			if !e.Null && e.Typ == cs.Col.Typ {
-				return e, false, true
-			}
-			return Value{}, true, true
-		}
-		if nulls.Get(r) {
-			return Value{}, true, true
-		}
-		return Value{}, false, false
-	}
+	// A NULL row holds a zero slot whether or not it carries an
+	// exception (the null bits agree, checked above), so the numeric
+	// columns walk the set bits of the bitmap word by word and then
+	// patch in the handful of exception rows; plain non-NULL rows put no
+	// constraint on a numeric vector and are never visited.
+	typed := func(e *ExcEntry) bool { return !e.Val.Null && e.Val.Typ == cs.Col.Typ }
+	var dict *Dict
 	switch cs.Col.Typ {
 	case TInt:
-		for r := 0; r < rows; r++ {
-			if v, zero, ok := stored(r); ok {
-				want := v.I
-				if zero {
-					want = 0
+		for wi, w := range cs.NullWords {
+			for ; w != 0; w &= w - 1 {
+				if r := wi*64 + bits.TrailingZeros64(w); cs.Ints[r] != 0 {
+					return bad("row %d payload slot is %d, want 0", r, cs.Ints[r])
 				}
-				if cs.Ints[r] != want {
-					return bad("row %d payload slot is %d, want %d", r, cs.Ints[r], want)
-				}
+			}
+		}
+		for i := range cs.Exc {
+			e, want := &cs.Exc[i], int64(0)
+			if typed(e) {
+				want = e.Val.I
+			}
+			if cs.Ints[e.Row] != want {
+				return bad("row %d payload slot is %d, want %d", e.Row, cs.Ints[e.Row], want)
 			}
 		}
 	case TFloat:
-		for r := 0; r < rows; r++ {
-			if v, zero, ok := stored(r); ok {
-				want := math.Float64bits(v.F)
-				if zero {
-					want = 0
+		for wi, w := range cs.NullWords {
+			for ; w != 0; w &= w - 1 {
+				if r := wi*64 + bits.TrailingZeros64(w); math.Float64bits(cs.Floats[r]) != 0 {
+					return bad("row %d payload slot is %v, want bits 0", r, cs.Floats[r])
 				}
-				if math.Float64bits(cs.Floats[r]) != want {
-					return bad("row %d payload slot is %v, want bits %x", r, cs.Floats[r], want)
-				}
+			}
+		}
+		for i := range cs.Exc {
+			e, want := &cs.Exc[i], uint64(0)
+			if typed(e) {
+				want = math.Float64bits(e.Val.F)
+			}
+			if math.Float64bits(cs.Floats[e.Row]) != want {
+				return bad("row %d payload slot is %v, want bits %x", e.Row, cs.Floats[e.Row], want)
 			}
 		}
 	case TString:
-		seen := make(map[string]bool, len(cs.Dict))
+		dict = &Dict{strs: cs.Dict}
+		// The duplicate check is the only use a restored dictionary has
+		// for a hash table (its string -> code index waits for the first
+		// Intern, see Dict), so the set is garbage on return.
+		seen := make(map[string]struct{}, len(cs.Dict))
 		for _, ds := range cs.Dict {
-			if seen[ds] {
+			if _, dup := seen[ds]; dup {
 				return bad("dictionary entry %q duplicated", ds)
 			}
-			seen[ds] = true
+			seen[ds] = struct{}{}
 		}
 		next := uint32(0) // next first-appearance code expected
-		for r := 0; r < rows; r++ {
-			v, zero, constrained := stored(r)
-			if constrained && zero {
-				if cs.Codes[r] != 0 {
-					return bad("row %d is NULL or type-mismatched but code slot is %d, want 0", r, cs.Codes[r])
+		ei := 0           // cursor over cs.Exc, which ascends with r
+		for r, c := range cs.Codes {
+			var e *ExcEntry
+			if ei < len(cs.Exc) && cs.Exc[ei].Row == r {
+				e = &cs.Exc[ei]
+				ei++
+			}
+			zero := nulls.set > 0 && nulls.Get(r)
+			if e != nil {
+				zero = !typed(e)
+			}
+			if zero {
+				if c != 0 {
+					return bad("row %d is NULL or type-mismatched but code slot is %d, want 0", r, c)
 				}
 				continue
 			}
 			// Plain rows and string-typed exception rows both intern
 			// their string, so both participate in dictionary order.
-			c := cs.Codes[r]
 			if c > next || int(c) >= len(cs.Dict) {
 				return bad("row %d has code %d out of first-appearance order (next new code %d, dict size %d)",
 					r, c, next, len(cs.Dict))
@@ -454,8 +409,8 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 			if c == next {
 				next++
 			}
-			if constrained && cs.Dict[c] != v.S {
-				return bad("row %d exception string %q disagrees with dictionary entry %q", r, v.S, cs.Dict[c])
+			if e != nil && cs.Dict[c] != e.Val.S {
+				return bad("row %d exception string %q disagrees with dictionary entry %q", r, e.Val.S, cs.Dict[c])
 			}
 		}
 		if int(next) != len(cs.Dict) {
@@ -463,28 +418,50 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 		}
 	}
 
-	cv := colVec{typ: cs.Col.Typ, nulls: nulls, ints: cs.Ints, floats: cs.Floats, codes: cs.Codes}
-	if cs.Col.Typ == TString {
-		d := &Dict{strs: cs.Dict}
-		if len(cs.Dict) > 0 {
-			d.idx = make(map[string]uint32, len(cs.Dict))
-			for i, ds := range cs.Dict {
-				d.idx[ds] = uint32(i)
-			}
-		}
-		cv.dict = d
-	}
-	if len(excAt) > 0 {
-		cv.exc = excAt
+	cv := colVec{typ: cs.Col.Typ, nulls: nulls, ints: cs.Ints, floats: cs.Floats, codes: cs.Codes, dict: dict}
+	if len(cs.Exc) > 0 {
+		cv.exc = make(map[int]Value, len(cs.Exc))
 	}
 	// Faithfulness: an exception value must differ from what the
-	// vectors materialize (checked after cv exists so materialize can
-	// run). A round-tripping "exception" would re-encode differently
-	// than the append path produces.
-	for row, v := range excAt {
-		if v.BitEqual(cv.materialize(row)) {
-			return bad("exception at row %d is bit-equal to the vector value %v; append would not have recorded it", row, v)
+	// vectors materialize. A round-tripping "exception" would re-encode
+	// differently than the append path produces.
+	for _, e := range cs.Exc {
+		if e.Val.BitEqual(cv.materialize(e.Row)) {
+			return bad("exception at row %d is bit-equal to the vector value %v; append would not have recorded it", e.Row, e.Val)
 		}
+		cv.exc[e.Row] = e.Val
 	}
 	return cv, nil
+}
+
+// widthSum returns the accounting width of every value in the column,
+// what AppendRow's running total holds for it: 1 per NULL, 8 per
+// numeric, the string length (min 1) per string, with each exception
+// row patched from its vector value's width to its exact value's.
+func (cv *colVec) widthSum() int64 {
+	rows, nulls := int64(cv.nulls.n), int64(cv.nulls.set)
+	var b int64
+	switch {
+	case cv.typ != TString:
+		b = nulls + 8*(rows-nulls)
+	case cv.dict.Len() == 0:
+		// Every row materializes as NULL or the empty-string placeholder.
+		b = rows
+	default:
+		b = nulls
+		for r, c := range cv.codes {
+			if nulls > 0 && cv.nulls.Get(r) {
+				continue
+			}
+			if n := len(cv.dict.strs[c]); n > 0 {
+				b += int64(n)
+			} else {
+				b++
+			}
+		}
+	}
+	for row, v := range cv.exc {
+		b += int64(v.Width() - cv.materialize(row).Width())
+	}
+	return b
 }

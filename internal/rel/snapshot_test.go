@@ -101,7 +101,7 @@ func TestSnapshotRoundTripRandom(t *testing.T) {
 		ncols := 1 + rng.Intn(4)
 		for i := 0; i < ncols; i++ {
 			cols = append(cols, Column{
-				Name: string(rune('a'+i)), Typ: Type(rng.Intn(3)), Nullable: true,
+				Name: string(rune('a' + i)), Typ: Type(rng.Intn(3)), Nullable: true,
 			})
 		}
 		tbl := NewTable("r", cols)
@@ -197,5 +197,42 @@ func TestTableFromSnapshotRejects(t *testing.T) {
 				t.Fatalf("corrupted snapshot accepted (table %v)", tbl.Name)
 			}
 		})
+	}
+}
+
+// TestRestoredDictLooksUpAndInterns: a dictionary restored from a
+// snapshot carries no string -> code index. Code must still resolve
+// every entry (and nothing else) by scanning, and the first Intern must
+// index the restored entries before it adds anything, so a string that
+// was already there keeps its code.
+func TestRestoredDictLooksUpAndInterns(t *testing.T) {
+	tb := NewTable("d", []Column{{Name: "s", Typ: TString}})
+	for _, w := range []string{"a", "b", "a", "c"} {
+		tb.AppendRow([]Value{Str(w)})
+	}
+	got, err := TableFromSnapshot(tb.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, dict, _, ok := got.StrCol(0)
+	if !ok {
+		t.Fatal("restored string column not servable by StrCol")
+	}
+	for want, w := range []string{"a", "b", "c"} {
+		if c, ok := dict.Code(w); !ok || int(c) != want {
+			t.Fatalf("Code(%q) = %d, %v on a restored dictionary; want %d", w, c, ok, want)
+		}
+	}
+	if c, ok := dict.Code("zz"); ok {
+		t.Fatalf("Code(\"zz\") = %d on a dictionary that never saw it", c)
+	}
+	got.AppendRow([]Value{Str("b")})
+	got.AppendRow([]Value{Str("d")})
+	codes, dict, _, _ := got.StrCol(0)
+	if codes[4] != 1 || codes[5] != 3 || dict.Len() != 4 {
+		t.Fatalf("after appending \"b\" and \"d\": codes %v, %d entries; want ... 1 3 and 4 entries", codes, dict.Len())
+	}
+	if c, ok := dict.Code("d"); !ok || c != 3 {
+		t.Fatalf("Code(\"d\") = %d, %v after interning it", c, ok)
 	}
 }

@@ -133,50 +133,3 @@ func TestVirtualTableHydrateMismatch(t *testing.T) {
 		}
 	}
 }
-
-// TestViewFromSnapshot pins the fast adoption path against the
-// validating constructor: identical values, nullness, dictionary
-// behavior, and kernel-accessor results — only byte accounting differs
-// (a view leaves it at 0 by contract).
-func TestViewFromSnapshot(t *testing.T) {
-	src := snapshotTable(t)
-	src.Parent = "root"
-	snap := src.Snapshot()
-	oracle, err := TableFromSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	view := ViewFromSnapshot(snap)
-
-	if view.Bytes() != 0 {
-		t.Fatalf("view accounts %d bytes, want 0", view.Bytes())
-	}
-	if view.Name != oracle.Name || view.Parent != oracle.Parent ||
-		view.RowCount() != oracle.RowCount() || view.Generation() != oracle.Generation() {
-		t.Fatal("view identity differs from validated table")
-	}
-	for r := 0; r < oracle.RowCount(); r++ {
-		for c := range oracle.Columns {
-			if !view.ValueAt(r, c).BitEqual(oracle.ValueAt(r, c)) {
-				t.Fatalf("value (%d,%d): %v vs %v", r, c, view.ValueAt(r, c), oracle.ValueAt(r, c))
-			}
-			if view.IsNullAt(r, c) != oracle.IsNullAt(r, c) {
-				t.Fatalf("nullness (%d,%d) differs", r, c)
-			}
-		}
-	}
-	// Kernel accessors agree: ID is clean int, title/score carry
-	// exceptions so both reject.
-	if _, _, ok := view.IntCol(0); !ok {
-		t.Fatal("view IntCol(ID) not clean")
-	}
-	if _, _, _, ok := view.StrCol(2); ok {
-		t.Fatal("view StrCol(title) must reject: column has exceptions")
-	}
-	ci := view.ColIndex(PIDColumn)
-	vals, nulls, ok := view.IntCol(ci)
-	ovals, onulls, ook := oracle.IntCol(ci)
-	if ok != ook || len(vals) != len(ovals) || nulls.SetCount() != onulls.SetCount() {
-		t.Fatal("view IntCol(PID) disagrees with validated table")
-	}
-}

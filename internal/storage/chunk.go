@@ -310,12 +310,15 @@ func (d *chunkedDir) fileSize() int64 {
 }
 
 // decodeChunk parses and validates one chunk blob against the
-// directory: envelope CRC, bounds-checked decode of every column
-// vector, then full rel.TableFromSnapshot structural validation — the
-// same chain a whole version-1 segment goes through, at chunk
-// granularity. The returned snapshot is self-contained (local
-// dictionary, local exception rows).
-func (d *chunkedDir) decodeChunk(k int, blob []byte) (*rel.TableSnapshot, error) {
+// directory: the directory entry's CRC over the whole frame, the
+// envelope's magic, version, and length (its own CRC field lies inside
+// the frame the directory just hashed, so the payload is not hashed a
+// second time), a bounds-checked decode of every column vector, then
+// full rel.TableFromSnapshot structural validation — the same chain a
+// whole version-1 segment goes through, at chunk granularity. The
+// returned table is self-contained (local dictionary, local exception
+// rows, generation 0) and ready to scan: it is what the pager caches.
+func (d *chunkedDir) decodeChunk(k int, blob []byte) (*rel.Table, error) {
 	ref := &d.Chunks[k]
 	if int64(len(blob)) != ref.Size {
 		return nil, fmt.Errorf("storage: chunk %d of %s is %d bytes, directory says %d", k, d.Name, len(blob), ref.Size)
@@ -323,82 +326,23 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte) (*rel.TableSnapshot, error)
 	if got := crc32.Checksum(blob, crcTable); got != ref.CRC {
 		return nil, fmt.Errorf("storage: chunk %d of %s checksum mismatch: directory says %08x, blob hashes to %08x", k, d.Name, ref.CRC, got)
 	}
-	payload, err := openEnvelope("chunk", chunkMagic, ChunkSegmentVersion, blob)
+	payload, err := envelopePayload("chunk", chunkMagic, ChunkSegmentVersion, blob)
 	if err != nil {
 		return nil, err
 	}
-	rows := ref.Rows
 	r := &reader{buf: payload, kind: "chunk"}
 	snap := &rel.TableSnapshot{
 		Name:     d.Name,
 		Parent:   d.Parent,
-		RowCount: rows,
-		Columns:  make([]rel.ColumnSnapshot, 0, len(d.Cols)),
+		RowCount: ref.Rows,
+		Columns:  make([]rel.ColumnSnapshot, len(d.Cols)),
 	}
-	for _, col := range d.Cols {
-		cs := rel.ColumnSnapshot{Col: col}
-		nwords := r.uvarint("bitmap word count")
-		if nwords > uint64(r.remaining())/8 {
-			return nil, r.failf("bitmap of %d words exceeds remaining payload %d", nwords, r.remaining())
-		}
-		if r.err == nil && nwords > 0 {
-			cs.NullWords = make([]uint64, nwords)
-			for w := range cs.NullWords {
-				cs.NullWords[w] = r.u64("bitmap word")
-			}
-		}
-		switch col.Typ {
-		case rel.TInt:
-			if uint64(rows)*8 > uint64(r.remaining()) {
-				return nil, r.failf("int vector of %d rows exceeds remaining payload %d", rows, r.remaining())
-			}
-			cs.Ints = make([]int64, rows)
-			for ri := range cs.Ints {
-				cs.Ints[ri] = int64(r.u64("int value"))
-			}
-		case rel.TFloat:
-			if uint64(rows)*8 > uint64(r.remaining()) {
-				return nil, r.failf("float vector of %d rows exceeds remaining payload %d", rows, r.remaining())
-			}
-			cs.Floats = make([]float64, rows)
-			for ri := range cs.Floats {
-				cs.Floats[ri] = math.Float64frombits(r.u64("float value"))
-			}
-		case rel.TString:
-			dn := r.uvarint("dictionary size")
-			if dn > uint64(r.remaining()) {
-				return nil, r.failf("dictionary of %d entries exceeds remaining payload %d", dn, r.remaining())
-			}
-			if r.err == nil && dn > 0 {
-				cs.Dict = make([]string, dn)
-				for di := range cs.Dict {
-					cs.Dict[di] = r.str("dictionary entry")
-				}
-			}
-			cs.Codes = make([]uint32, rows)
-			for ri := range cs.Codes {
-				c := r.uvarint("string code")
-				if c > math.MaxUint32 {
-					return nil, r.failf("string code %d overflows uint32", c)
-				}
-				cs.Codes[ri] = uint32(c)
-			}
-		}
-		nexc := r.uvarint("exception count")
-		if nexc > uint64(rows) {
-			return nil, r.failf("exception count %d exceeds chunk rows %d", nexc, rows)
-		}
-		if r.err == nil && nexc > 0 {
-			cs.Exc = make([]rel.ExcEntry, nexc)
-			for ei := range cs.Exc {
-				cs.Exc[ei].Row = int(r.uvarint("exception row"))
-				cs.Exc[ei].Val = r.value()
-			}
-		}
+	for ci, col := range d.Cols {
+		snap.Columns[ci].Col = col
+		r.columnData(&snap.Columns[ci], uint64(ref.Rows))
 		if r.err != nil {
 			return nil, r.err
 		}
-		snap.Columns = append(snap.Columns, cs)
 	}
 	if r.remaining() != 0 {
 		return nil, r.failf("%d trailing bytes after chunk data", r.remaining())
@@ -406,10 +350,11 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte) (*rel.TableSnapshot, error)
 	// Structural validation: a chunk must be a valid table fragment in
 	// its own right (bitmap shape, dictionary canonicality, exception
 	// faithfulness) before any of its rows are served or merged.
-	if _, err := rel.TableFromSnapshot(snap); err != nil {
+	t, err := rel.TableFromSnapshot(snap)
+	if err != nil {
 		return nil, fmt.Errorf("storage: chunk %d of %s: %w", k, d.Name, err)
 	}
-	return snap, nil
+	return t, nil
 }
 
 // mergeChunks reassembles a full-table snapshot from per-chunk
@@ -522,7 +467,7 @@ func DecodeChunkedSegment(data []byte) (*rel.TableSnapshot, error) {
 		if err != nil {
 			return nil, err
 		}
-		parts[k] = part
+		parts[k] = part.Snapshot()
 	}
 	return d.mergeChunks(parts)
 }

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"math"
 	"os"
 	"path/filepath"
@@ -199,5 +200,120 @@ func TestSliceSnapshotSelfContained(t *testing.T) {
 		if _, err := snap.SliceSnapshot(span[0], span[1]); err == nil {
 			t.Fatalf("slice [%d,%d) accepted", span[0], span[1])
 		}
+	}
+}
+
+// TestChunkVerificationChainByRegion corrupts one encoded chunk region
+// by region and holds every link of the verification chain to its job.
+// Each corruption must be refused against the directory entry as
+// written (the directory's CRC32-C covers the whole frame). Then the
+// directory entry is re-hashed over the corrupted frame — corruption
+// the checksum does not see — and the links behind it must still refuse
+// everything that is not a well-formed chunk: the envelope's magic,
+// version and length, the bounds-checked decode, and structural
+// validation. Two regions have nothing behind the checksum, and the
+// test says so: a live numeric value (any 64 bits are a value) and the
+// envelope's own CRC field, which the decoder no longer hashes against
+// because the directory CRC already covers it.
+func TestChunkVerificationChainByRegion(t *testing.T) {
+	const rows = 70 // two bitmap words, the second partly used
+	tb := rel.NewTable("t", []rel.Column{
+		{Name: "n", Typ: rel.TInt, Nullable: true},
+		{Name: "tag", Typ: rel.TString, Nullable: true},
+	})
+	for r := 0; r < rows; r++ {
+		n, tag := rel.Int(int64(r+7)), rel.Str(fmt.Sprintf("a%d", r%2))
+		switch r {
+		case 1:
+			n = rel.NullOf(rel.TInt)
+		case 2:
+			tag = rel.Int(5) // wrong-typed: the column's one exception
+		}
+		tb.AppendRow([]rel.Value{n, tag})
+	}
+	enc, err := EncodeChunkedSegment(tb.Snapshot(), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := decodeChunkedDir(enc[:chunkedDirLen(enc)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(d.Chunks) != 1 {
+		t.Fatalf("fixture has %d chunks, want 1", len(d.Chunks))
+	}
+	ref := d.Chunks[0]
+	blob := enc[ref.Off : ref.Off+ref.Size]
+	if _, err := d.decodeChunk(0, blob); err != nil {
+		t.Fatalf("intact chunk: %v", err)
+	}
+
+	// Walk the payload the way the format lays it out to find each
+	// region's offset inside the frame.
+	r := &reader{buf: blob[envelopeSize:], kind: "chunk"}
+	at := func() int { return envelopeSize + r.off }
+	r.take(8*r.uvarint("words"), "bitmap")
+	bitmap := at() - 16 // first word of column n's bitmap
+	ints := at()
+	r.take(8*rows, "ints")
+	r.uvarint("nexc")
+	r.take(8*r.uvarint("words"), "bitmap")
+	dictLen := at()
+	dn := r.uvarint("dict size")
+	dictBytes := at() + 2 // second byte of the first entry, "a0"
+	for i := uint64(0); i < dn; i++ {
+		r.take(r.uvarint("len"), "entry")
+	}
+	codes := at()
+	r.take(rows, "codes")
+	r.uvarint("nexc")
+	excRow := at()
+	if r.err != nil || dn != 2 || blob[excRow] != 2 || blob[dictBytes] != '0' {
+		t.Fatalf("fixture layout drifted: err %v, dict %d, exception row byte %d, dict byte %q", r.err, dn, blob[excRow], blob[dictBytes])
+	}
+
+	flip := func(off int, mask byte) func([]byte) []byte {
+		return func(b []byte) []byte { b[off] ^= mask; return b }
+	}
+	cases := []struct {
+		name    string
+		corrupt func([]byte) []byte
+		// behindCRC: refused even when the directory CRC matches the
+		// corrupted frame.
+		behindCRC bool
+	}{
+		{"envelope magic", flip(0, 0x01), true},
+		{"envelope version", flip(4, 0x01), true},
+		{"envelope length", flip(8, 0x01), true},
+		{"envelope CRC field", flip(16, 0x01), false},
+		{"bitmap word: NULL bit over a live value", flip(bitmap, 0x01), true},
+		{"int vector: a NULL row's slot", flip(ints+8*1, 0x01), true},
+		{"int vector: a live value", flip(ints+8*3, 0x01), false},
+		{"dictionary length", flip(dictLen, 0x01), true},
+		{"dictionary bytes: entry becomes a duplicate", flip(dictBytes, 0x01), true},
+		{"code varint", flip(codes, 0x01), true},
+		{"exception row", func(b []byte) []byte { b[excRow] = rows; return b }, true},
+		{"trailing byte", func(b []byte) []byte {
+			b = append(b, 0)
+			b[8]++ // the envelope admits to the extra byte
+			return b
+		}, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := tc.corrupt(append([]byte(nil), blob...))
+			if _, err := d.decodeChunk(0, bad); err == nil {
+				t.Fatal("corrupted chunk accepted against the directory entry as written")
+			}
+			fooled := *d
+			fooled.Chunks = []chunkRef{{Rows: ref.Rows, Off: ref.Off, Size: int64(len(bad)), CRC: crc32.Checksum(bad, crcTable)}}
+			_, err := fooled.decodeChunk(0, bad)
+			if tc.behindCRC && err == nil {
+				t.Fatal("with the directory CRC fooled, nothing behind it refused the chunk")
+			}
+			if !tc.behindCRC && err != nil {
+				t.Fatalf("expected only the directory CRC to guard this region, but a later link refused it: %v", err)
+			}
+		})
 	}
 }

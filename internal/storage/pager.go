@@ -10,9 +10,12 @@ import (
 	"repro/internal/rel"
 )
 
-// pager is a memory-budgeted cache of decoded, validated chunk
-// snapshots. Residency is accounted in on-disk framed chunk bytes (a
-// stable, deterministic proxy for heap cost), and eviction is CLOCK
+// pager is a memory-budgeted cache of decoded, validated chunk tables:
+// an entry holds the *rel.Table the verification chain produced, ready
+// to scan, so a hit hands it out as is and allocates nothing.
+// Residency is accounted in on-disk framed chunk bytes (a stable,
+// deterministic proxy for heap cost: scans read the cached vectors in
+// place and never grow a row cache on them), and eviction is CLOCK
 // (second-chance): a hit sets the entry's reference bit, the clock
 // hand clears bits until it finds an unreferenced victim. A budget of
 // zero or less means unlimited — nothing is ever evicted, matching the
@@ -51,12 +54,13 @@ type chunkKey struct {
 
 // pageEntry is one cached chunk.
 type pageEntry struct {
-	key  chunkKey
-	snap *rel.TableSnapshot
-	size int64
-	ref  bool // CLOCK reference bit
-	pins int  // active chunkPinned readers; pinned entries are not evictable
-	dead bool // invalidated while pinned; dropped from the ring at the last unpin
+	key   chunkKey
+	tab   *rel.Table
+	size  int64
+	ref   bool   // CLOCK reference bit
+	pins  int    // active chunkPinned readers; pinned entries are not evictable
+	dead  bool   // invalidated while pinned; dropped from the ring at the last unpin
+	unpin func() // releases one pin; built once at admission so a pinned hit allocates nothing
 }
 
 func newPager(dir string, budget int64, reg *obs.Registry) *pager {
@@ -72,39 +76,51 @@ func newPager(dir string, budget int64, reg *obs.Registry) *pager {
 // through the verification chain (chunk CRC → bounds-checked decode →
 // TableFromSnapshot structural validation) on a miss and evicting
 // under the budget before admitting it.
-func (p *pager) chunk(file string, d *chunkedDir, k int) (*rel.TableSnapshot, error) {
-	snap, release, err := p.acquire(file, d, k, false)
+func (p *pager) chunk(file string, d *chunkedDir, k int) (*rel.Table, error) {
+	e, err := p.acquire(file, d, k, false)
 	if err != nil {
 		return nil, err
 	}
-	release()
-	return snap, nil
+	return e.tab, nil
 }
 
 // chunkPinned is chunk with the entry pinned against eviction until the
-// returned release is called. Scans hold exactly one pin per worker, so
-// the budget overshoot stays bounded to one chunk per worker even when
-// every other entry is evictable.
-func (p *pager) chunkPinned(file string, d *chunkedDir, k int) (*rel.TableSnapshot, func(), error) {
-	return p.acquire(file, d, k, true)
+// returned release is called, once per call. Scans hold exactly one pin
+// per worker, so the budget overshoot stays bounded to one chunk per
+// worker even when every other entry is evictable.
+//
+// The release is the entry's one unpin closure, not a per-acquisition
+// one (that would be an allocation on every hit), so it cannot tell
+// whose pin it is dropping. What it guarantees instead: a release with
+// no pin outstanding is a no-op, so the pin count never goes negative —
+// a repeated release by the only holder is harmless, and no sequence of
+// releases can leave a later reader's pin netting to zero or a dead
+// entry's bytes stranded in the account. A repeated release while
+// another reader holds the same chunk does drop that reader's pin;
+// callers release once.
+func (p *pager) chunkPinned(file string, d *chunkedDir, k int) (*rel.Table, func(), error) {
+	e, err := p.acquire(file, d, k, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	return e.tab, e.unpin, nil
 }
 
-// acquire serves one chunk, pinning its cache entry when pin is set.
+// acquire serves one chunk's cache entry, pinned when pin is set.
 // Every call increments exactly one of storage.pager.hits or
 // storage.pager.faults: a fault is an admission; a load raced out by a
 // concurrent admission counts as a hit plus storage.pager.dup_loads
 // (the wasted read keeps bytes_read honest without double-counting
 // admissions).
-func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*rel.TableSnapshot, func(), error) {
+func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*pageEntry, error) {
 	key := chunkKey{table: d.Name, file: file, idx: k}
 	ref := &d.Chunks[k]
 	p.mu.Lock()
 	if e, ok := p.entries[key]; ok {
-		e.ref = true
-		unpin := p.pinLocked(e, pin)
+		p.hitLocked(e, pin)
 		p.mu.Unlock()
 		p.reg.Counter("storage.pager.hits").Inc()
-		return e.snap, unpin, nil
+		return e, nil
 	}
 	p.inflight += ref.Size
 	if hw := p.resident + p.inflight; hw > p.peak {
@@ -112,61 +128,62 @@ func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*rel.Table
 	}
 	p.mu.Unlock()
 
-	snap, err := p.load(file, d, k)
+	tab, err := p.load(file, d, k)
 
 	p.mu.Lock()
 	p.inflight -= ref.Size
 	if err != nil {
 		p.mu.Unlock()
-		return nil, nil, err
+		return nil, err
 	}
 	if e, ok := p.entries[key]; ok {
 		// Another loader admitted the same chunk while we read it;
 		// serve the cached copy.
-		e.ref = true
-		unpin := p.pinLocked(e, pin)
+		p.hitLocked(e, pin)
 		p.mu.Unlock()
 		p.reg.Counter("storage.pager.hits").Inc()
 		p.reg.Counter("storage.pager.dup_loads").Inc()
-		return e.snap, unpin, nil
+		return e, nil
 	}
 	p.evictFor(ref.Size)
-	e := &pageEntry{key: key, snap: snap, size: ref.Size, ref: true}
+	e := &pageEntry{key: key, tab: tab, size: ref.Size}
+	e.unpin = func() { p.unpin(e) }
 	p.entries[key] = e
 	p.ring = append(p.ring, e)
 	p.resident += e.size
 	if hw := p.resident + p.inflight; hw > p.peak {
 		p.peak = hw
 	}
-	unpin := p.pinLocked(e, pin)
+	p.hitLocked(e, pin)
 	p.reg.Gauge("storage.pager.resident_bytes").Set(float64(p.resident))
 	p.mu.Unlock()
 	p.reg.Counter("storage.pager.faults").Inc()
-	return snap, unpin, nil
+	return e, nil
 }
 
-// pinLocked takes a pin on e (when pin is set) and returns the matching
-// idempotent release. Caller holds p.mu. The last unpin of an entry
-// invalidate marked dead drops it from the ring and the accounting —
-// until then its bytes stay resident (the reader still holds the
-// snapshot), so the gauge and peak reflect actual residency.
-func (p *pager) pinLocked(e *pageEntry, pin bool) func() {
-	if !pin {
-		return func() {}
+// hitLocked marks e referenced and takes a pin on it when pin is set.
+// Caller holds p.mu.
+func (p *pager) hitLocked(e *pageEntry, pin bool) {
+	e.ref = true
+	if pin {
+		e.pins++
 	}
-	e.pins++
-	released := false
-	return func() {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if released {
-			return
-		}
-		released = true
-		e.pins--
-		if e.dead && e.pins == 0 {
-			p.dropDeadLocked(e)
-		}
+}
+
+// unpin releases one pin on e; with none outstanding it does nothing
+// (see chunkPinned). The last unpin of an entry invalidate marked dead
+// drops it from the ring and the accounting — until then its bytes stay
+// resident (the reader still holds the table), so the gauge and peak
+// reflect actual residency.
+func (p *pager) unpin(e *pageEntry) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if e.pins == 0 {
+		return
+	}
+	e.pins--
+	if e.dead && e.pins == 0 {
+		p.dropDeadLocked(e)
 	}
 }
 
@@ -189,25 +206,29 @@ func (p *pager) dropDeadLocked(e *pageEntry) {
 }
 
 // load reads and validates one chunk from disk (no cache interaction).
-func (p *pager) load(file string, d *chunkedDir, k int) (*rel.TableSnapshot, error) {
+// A failed or short read counts under storage.read.errors; a chunk that
+// was read but does not verify (CRC, decode, structural validation)
+// counts under storage.checksum.failures.
+func (p *pager) load(file string, d *chunkedDir, k int) (*rel.Table, error) {
 	ref := &d.Chunks[k]
 	f, err := os.Open(filepath.Join(p.dir, file))
 	if err != nil {
+		p.reg.Counter("storage.read.errors").Inc()
 		return nil, fmt.Errorf("storage: reading chunk %d of %s: %w", k, d.Name, err)
 	}
 	defer f.Close()
 	blob := make([]byte, ref.Size)
 	if _, err := f.ReadAt(blob, ref.Off); err != nil {
-		p.reg.Counter("storage.checksum.failures").Inc()
+		p.reg.Counter("storage.read.errors").Inc()
 		return nil, fmt.Errorf("storage: reading chunk %d of %s at offset %d: %w", k, d.Name, ref.Off, err)
 	}
-	snap, err := d.decodeChunk(k, blob)
+	tab, err := d.decodeChunk(k, blob)
 	if err != nil {
 		p.reg.Counter("storage.checksum.failures").Inc()
 		return nil, err
 	}
 	p.reg.Counter("storage.segment.bytes_read").Add(ref.Size)
-	return snap, nil
+	return tab, nil
 }
 
 // evictFor makes room for need bytes under the budget. Caller holds

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -167,8 +168,8 @@ func TestPagerConcurrentLoads(t *testing.T) {
 				if k == len(d.Chunks)-1 {
 					want = d.RowCount - k*d.ChunkRows
 				}
-				if snap.RowCount != want {
-					errs <- fmt.Errorf("chunk %d served %d rows, want %d", k, snap.RowCount, want)
+				if snap.RowCount() != want {
+					errs <- fmt.Errorf("chunk %d served %d rows, want %d", k, snap.RowCount(), want)
 					return
 				}
 			}
@@ -334,8 +335,8 @@ func TestPagerInvalidatePinnedAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.RowCount != d.ChunkRows {
-		t.Fatalf("pinned chunk served %d rows, want %d", snap.RowCount, d.ChunkRows)
+	if snap.RowCount() != d.ChunkRows {
+		t.Fatalf("pinned chunk served %d rows, want %d", snap.RowCount(), d.ChunkRows)
 	}
 	if _, err := p.chunk("fact.seg", d, 1); err != nil {
 		t.Fatal(err)
@@ -363,7 +364,7 @@ func TestPagerInvalidatePinnedAccounting(t *testing.T) {
 	// The last unpin drops the dead entry's bytes, leaving only the
 	// fresh admission — which must survive the drop intact.
 	release()
-	release() // idempotent
+	release() // no pin outstanding: a no-op, the dead entry is dropped once
 	if got := p.residentBytes(); got != size {
 		t.Fatalf("resident %d after last unpin, want the fresh admission's %d", got, size)
 	}
@@ -386,8 +387,8 @@ func TestPagerPinnedChunkSurvivesPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.RowCount != d.ChunkRows {
-		t.Fatalf("pinned chunk served %d rows, want %d", snap.RowCount, d.ChunkRows)
+	if snap.RowCount() != d.ChunkRows {
+		t.Fatalf("pinned chunk served %d rows, want %d", snap.RowCount(), d.ChunkRows)
 	}
 	for pass := 0; pass < 2; pass++ {
 		for k := 1; k < len(d.Chunks); k++ {
@@ -403,7 +404,7 @@ func TestPagerPinnedChunkSurvivesPressure(t *testing.T) {
 		t.Fatal("pinned chunk was evicted under pressure")
 	}
 	release()
-	release() // idempotent
+	release() // no pin outstanding: a no-op
 	p.mu.Lock()
 	pins := p.entries[chunkKey{"fact", "fact.seg", 0}].pins
 	p.mu.Unlock()
@@ -422,5 +423,122 @@ func TestPagerPinnedChunkSurvivesPressure(t *testing.T) {
 	p.mu.Unlock()
 	if still {
 		t.Fatal("released chunk never evicted under sustained pressure")
+	}
+}
+
+// TestPagerReleaseNeverUnderflows pins the misuse contract of the
+// release chunkPinned returns (one closure per entry, so a hit allocates
+// nothing): with no pin outstanding it is a no-op. A stray release must
+// not bank a negative count that cancels the next reader's pin — that
+// reader's chunk would be evictable while held, breaking the peak <=
+// budget + one chunk per worker bound — and must not keep a dead entry
+// from ever reaching the pins == 0 that drops its bytes.
+func TestPagerReleaseNeverUnderflows(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, d, maxChunk := pagerFixture(t, 640, 0, reg)
+	p.budget = 2 * maxChunk
+	key := chunkKey{"fact", "fact.seg", 0}
+	pinsOf := func() int {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return p.entries[key].pins
+	}
+
+	_, stray, err := p.chunkPinned("fact.seg", d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stray()
+	stray()
+	stray()
+	if got := pinsOf(); got != 0 {
+		t.Fatalf("pins %d after repeated release, want 0", got)
+	}
+
+	// The next reader's pin counts in full and holds under pressure.
+	_, release, err := p.chunkPinned("fact.seg", d, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := pinsOf(); got != 1 {
+		t.Fatalf("pins %d for one reader after a stray release, want 1", got)
+	}
+	for pass := 0; pass < 2; pass++ {
+		for k := 1; k < len(d.Chunks); k++ {
+			if _, err := p.chunk("fact.seg", d, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	p.mu.Lock()
+	_, held := p.entries[key]
+	p.mu.Unlock()
+	if !held {
+		t.Fatal("a stray release let a pinned chunk be evicted")
+	}
+
+	// Invalidated while pinned, then released more than once: the dead
+	// entry leaves the ring and the account exactly once.
+	p.invalidate("fact")
+	if got, want := p.residentBytes(), d.Chunks[0].Size; got != want {
+		t.Fatalf("resident %d with one dead pinned chunk, want %d", got, want)
+	}
+	release()
+	release()
+	stray()
+	p.mu.Lock()
+	ring, resident := len(p.ring), p.resident
+	p.mu.Unlock()
+	if ring != 0 || resident != 0 {
+		t.Fatalf("ring %d resident %d after the dead entry's releases, want 0 and 0", ring, resident)
+	}
+	if g := reg.Gauge("storage.pager.resident_bytes").Value(); g != 0 {
+		t.Fatalf("resident gauge %v, want 0", g)
+	}
+}
+
+// TestPagerTellsReadErrorsFromChecksumFailures: a chunk that cannot be
+// read (here: the file ends inside it) counts under storage.read.errors;
+// a chunk that reads but does not verify counts under
+// storage.checksum.failures. Neither leaks into the other, and an
+// intact chunk of the same file still loads.
+func TestPagerTellsReadErrorsFromChecksumFailures(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, d, _ := pagerFixture(t, 320, 0, reg)
+	path := filepath.Join(p.dir, "fact.seg")
+	readErrs := reg.Counter("storage.read.errors")
+	crcFails := reg.Counter("storage.checksum.failures")
+
+	last := len(d.Chunks) - 1
+	if err := os.Truncate(path, d.Chunks[last].Off+d.Chunks[last].Size/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.chunk("fact.seg", d, last); err == nil {
+		t.Fatal("chunk past the end of a truncated file loaded")
+	}
+	if r, c := readErrs.Value(), crcFails.Value(); r != 1 || c != 0 {
+		t.Fatalf("short read: read.errors %d checksum.failures %d, want 1 and 0", r, c)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[d.Chunks[0].Off+envelopeSize+3] ^= 1
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.chunk("fact.seg", d, 0); err == nil {
+		t.Fatal("chunk with a flipped payload bit loaded")
+	}
+	if r, c := readErrs.Value(), crcFails.Value(); r != 1 || c != 1 {
+		t.Fatalf("flipped bit: read.errors %d checksum.failures %d, want 1 and 1", r, c)
+	}
+
+	if _, err := p.chunk("fact.seg", d, 1); err != nil {
+		t.Fatalf("intact chunk: %v", err)
+	}
+	if r, c := readErrs.Value(), crcFails.Value(); r != 1 || c != 1 {
+		t.Fatalf("intact chunk moved the counters: read.errors %d checksum.failures %d", r, c)
 	}
 }

@@ -115,11 +115,16 @@ func (cs *ChunkScan) check() error {
 }
 
 // Chunk returns chunk k as a resident read-only fragment plus its
-// release. Segment chunks go through the pager's verification chain
-// (CRC → bounds-checked decode → structural validation, done once at
-// fault time) and come back pinned; the adopted view skips
-// re-validation (rel.ViewFromSnapshot). The overlay chunk is already
-// resident and its release is a no-op.
+// release, which the caller invokes once (a release with no pin
+// outstanding is a no-op; see pager.chunkPinned). Segment chunks come
+// back pinned, as the table the pager caches: the verification chain
+// (CRC → bounds-checked decode → structural validation) ran once at
+// fault time and a hit re-does none of it. The fragment is shared by
+// every scan that holds it, so callers read its vectors in place
+// (typed accessors, ReadRowInto) and must not call Rows() on it — the
+// row view would outlive the pin and escape the pager's residency
+// account. The overlay chunk is already resident and its release is a
+// no-op.
 func (cs *ChunkScan) Chunk(k int) (*rel.Table, func(), error) {
 	if err := cs.check(); err != nil {
 		return nil, nil, err
@@ -127,11 +132,7 @@ func (cs *ChunkScan) Chunk(k int) (*rel.Table, func(), error) {
 	if cs.overlay != nil && k == len(cs.spans)-1 {
 		return cs.overlay, func() {}, nil
 	}
-	snap, release, err := cs.s.pager.chunkPinned(cs.file, cs.d, k)
-	if err != nil {
-		return nil, nil, err
-	}
-	return rel.ViewFromSnapshot(snap), release, nil
+	return cs.s.pager.chunkPinned(cs.file, cs.d, k)
 }
 
 // assembleEntry assembles one table entry — segment rows plus the given

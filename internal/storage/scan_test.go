@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -202,6 +203,48 @@ func maxChunkBytes(t testing.TB, s *Store) int64 {
 	return max
 }
 
+// hasRowCache reports whether a table has materialized its row view
+// (rel.Table.Rows), by looking at the unexported cache field.
+func hasRowCache(t *rel.Table) bool {
+	return reflect.ValueOf(t).Elem().FieldByName("rowCache").Len() > 0
+}
+
+// TestChunkHitAllocatesNothing: on a warm pager, acquiring and
+// releasing a chunk is a lock, a map lookup and a pin — the cached
+// table is handed out as is.
+func TestChunkHitAllocatesNothing(t *testing.T) {
+	s, err := Open(savedScanStore(t, 640), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	cs, err := s.ChunkScan("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acquire := func(k int) *rel.Table {
+		frag, release, err := cs.Chunk(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		return frag
+	}
+	for k := 0; k < cs.NumChunks(); k++ {
+		acquire(k) // warm: every chunk faults once
+	}
+	for k := 0; k < cs.NumChunks(); k++ {
+		first := acquire(k)
+		if allocs := testing.AllocsPerRun(50, func() {
+			if acquire(k) != first {
+				t.Fatal("a hit served a different table than the one cached")
+			}
+		}); allocs != 0 {
+			t.Errorf("chunk %d: a pager hit allocates %.0f times, want 0", k, allocs)
+		}
+	}
+}
+
 // TestPagedBuiltMatchesAssembledUnderBudget is the PR's acceptance
 // test: over a dataset at least 4x the memory budget, driver-stage
 // scan queries through PagedBuilt return results bit-identical to the
@@ -277,6 +320,21 @@ func TestPagedBuiltMatchesAssembledUnderBudget(t *testing.T) {
 						requireSameResult(t, fmt.Sprintf("query %d workers %d run %d", qi, workers, run), got, want)
 					}
 				}
+			}
+			// Paged scans read survivors straight off the cached chunk
+			// tables: none of them may have grown a row view, which the
+			// pager's residency account (on-disk chunk bytes) would not
+			// cover. With no budget every scanned chunk is still cached.
+			s.pager.mu.Lock()
+			for _, e := range s.pager.ring {
+				if hasRowCache(e.tab) {
+					t.Errorf("cached chunk %d of %s holds a materialized row view", e.key.idx, e.key.table)
+				}
+			}
+			cached := len(s.pager.ring)
+			s.pager.mu.Unlock()
+			if cached == 0 {
+				t.Fatal("no chunk left in the pager to inspect")
 			}
 			if memBudget > 0 {
 				if dataBytes < 4*memBudget {
@@ -409,7 +467,7 @@ func TestChunkScanStaleness(t *testing.T) {
 		t.Fatalf("chunk 0 has %d rows, span says %d", frag.RowCount(), hi-lo)
 	}
 	release()
-	release() // idempotent
+	release() // no pin outstanding: a no-op
 
 	// An append to an unrelated table must not invalidate this scan.
 	if err := s.Append("kid", []rel.Value{rel.Int(9000), rel.Int(1), rel.Str("x")}); err != nil {

@@ -52,9 +52,13 @@ func wrapEnvelope(magic [4]byte, version uint32, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// openEnvelope verifies the frame and returns the payload. kind names
-// the file type in errors ("segment", "manifest").
-func openEnvelope(kind string, magic [4]byte, version uint32, data []byte) ([]byte, error) {
+// envelopePayload checks the frame's magic, version, and length and
+// returns the payload without hashing it. kind names the file type in
+// errors ("segment", "manifest"). Only a caller that has already
+// verified a checksum over the whole frame may stop here (a chunk,
+// whose directory entry hashes the frame, envelope CRC field included);
+// everyone else goes through openEnvelope.
+func envelopePayload(kind string, magic [4]byte, version uint32, data []byte) ([]byte, error) {
 	if len(data) < envelopeSize {
 		return nil, fmt.Errorf("storage: %s file truncated: %d bytes, need at least %d", kind, len(data), envelopeSize)
 	}
@@ -69,6 +73,16 @@ func openEnvelope(kind string, magic [4]byte, version uint32, data []byte) ([]by
 	payload := data[envelopeSize:]
 	if n != uint64(len(payload)) {
 		return nil, fmt.Errorf("storage: %s payload length %d disagrees with file size (%d bytes after header)", kind, n, len(payload))
+	}
+	return payload, nil
+}
+
+// openEnvelope verifies the frame, payload checksum included, and
+// returns the payload.
+func openEnvelope(kind string, magic [4]byte, version uint32, data []byte) ([]byte, error) {
+	payload, err := envelopePayload(kind, magic, version, data)
+	if err != nil {
+		return nil, err
 	}
 	want := binary.LittleEndian.Uint32(data[16:20])
 	if got := crc32.Checksum(payload, crcTable); got != want {
@@ -175,66 +189,7 @@ func DecodeSegment(data []byte) (*rel.TableSnapshot, error) {
 		cs.Col.Nullable = nullable == 1
 		cs.Col.LeafID = int(r.varint("leaf id"))
 		cs.Col.Occurrence = int(r.uvarint("occurrence"))
-		nwords := r.uvarint("bitmap word count")
-		if nwords > uint64(r.remaining())/8 {
-			return nil, r.failf("bitmap of %d words exceeds remaining payload %d", nwords, r.remaining())
-		}
-		if r.err == nil && nwords > 0 {
-			cs.NullWords = make([]uint64, nwords)
-			for w := range cs.NullWords {
-				cs.NullWords[w] = r.u64("bitmap word")
-			}
-		}
-		switch cs.Col.Typ {
-		case rel.TInt:
-			if rows*8 > uint64(r.remaining()) {
-				return nil, r.failf("int vector of %d rows exceeds remaining payload %d", rows, r.remaining())
-			}
-			cs.Ints = make([]int64, rows)
-			for ri := range cs.Ints {
-				cs.Ints[ri] = int64(r.u64("int value"))
-			}
-		case rel.TFloat:
-			if rows*8 > uint64(r.remaining()) {
-				return nil, r.failf("float vector of %d rows exceeds remaining payload %d", rows, r.remaining())
-			}
-			cs.Floats = make([]float64, rows)
-			for ri := range cs.Floats {
-				cs.Floats[ri] = math.Float64frombits(r.u64("float value"))
-			}
-		case rel.TString:
-			dn := r.uvarint("dictionary size")
-			if dn > uint64(r.remaining()) {
-				return nil, r.failf("dictionary of %d entries exceeds remaining payload %d", dn, r.remaining())
-			}
-			if r.err == nil && dn > 0 {
-				cs.Dict = make([]string, dn)
-				for di := range cs.Dict {
-					cs.Dict[di] = r.str("dictionary entry")
-				}
-			}
-			cs.Codes = make([]uint32, rows)
-			for ri := range cs.Codes {
-				c := r.uvarint("string code")
-				if c > math.MaxUint32 {
-					return nil, r.failf("string code %d overflows uint32", c)
-				}
-				cs.Codes[ri] = uint32(c)
-			}
-		default:
-			return nil, r.failf("unknown column type %d", typ)
-		}
-		nexc := r.uvarint("exception count")
-		if nexc > rows {
-			return nil, r.failf("exception count %d exceeds row count %d", nexc, rows)
-		}
-		if r.err == nil && nexc > 0 {
-			cs.Exc = make([]rel.ExcEntry, nexc)
-			for ei := range cs.Exc {
-				cs.Exc[ei].Row = int(r.uvarint("exception row"))
-				cs.Exc[ei].Val = r.value()
-			}
-		}
+		r.columnData(&cs, rows)
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -331,6 +286,136 @@ func (r *reader) u64(what string) uint64 {
 	return v
 }
 
+// take returns the next n bytes after one bounds check.
+func (r *reader) take(n uint64, what string) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > uint64(r.remaining()) {
+		r.failf("%s of %d bytes exceeds remaining payload %d", what, n, r.remaining())
+		return nil
+	}
+	b := r.buf[r.off : r.off+int(n)]
+	r.off += int(n)
+	return b
+}
+
+// fixed returns the bytes of a vector of n 8-byte little-endian
+// elements: one bounds check for the whole vector, so the caller's
+// conversion loop runs without per-element cursor or error checks.
+func (r *reader) fixed(n uint64, what string) []byte {
+	if r.err == nil && n > uint64(r.remaining())/8 {
+		r.failf("%s of %d entries exceeds remaining payload %d", what, n, r.remaining())
+	}
+	return r.take(n*8, what)
+}
+
+// columnData decodes one column's data region — null bitmap, typed
+// payload vector, exceptions — into cs, whose Col is already set. The
+// whole-table and chunked formats lay this region out identically.
+// Every allocation is sized by a count already checked against the
+// remaining payload.
+func (r *reader) columnData(cs *rel.ColumnSnapshot, rows uint64) {
+	nwords := r.uvarint("bitmap word count")
+	if b := r.fixed(nwords, "bitmap"); len(b) > 0 {
+		cs.NullWords = make([]uint64, nwords)
+		for i := range cs.NullWords {
+			cs.NullWords[i] = binary.LittleEndian.Uint64(b[8*i:])
+		}
+	}
+	switch cs.Col.Typ {
+	case rel.TInt:
+		if b := r.fixed(rows, "int vector"); r.err == nil {
+			cs.Ints = make([]int64, rows)
+			for i := range cs.Ints {
+				cs.Ints[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		}
+	case rel.TFloat:
+		if b := r.fixed(rows, "float vector"); r.err == nil {
+			cs.Floats = make([]float64, rows)
+			for i := range cs.Floats {
+				cs.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+			}
+		}
+	case rel.TString:
+		cs.Dict = r.dict()
+		cs.Codes = r.codes(rows)
+	default:
+		r.failf("unknown column type %d", cs.Col.Typ)
+	}
+	nexc := r.uvarint("exception count")
+	if nexc > rows {
+		r.failf("exception count %d exceeds row count %d", nexc, rows)
+	}
+	if r.err == nil && nexc > 0 {
+		cs.Exc = make([]rel.ExcEntry, nexc)
+		for ei := range cs.Exc {
+			cs.Exc[ei].Row = int(r.uvarint("exception row"))
+			cs.Exc[ei].Val = r.value()
+		}
+	}
+}
+
+// dict decodes a string dictionary: a first pass bounds-checks every
+// length-prefixed entry and finds where the region ends, then the
+// region becomes one string and the entries are sliced out of it — one
+// allocation per dictionary instead of one per entry.
+func (r *reader) dict() []string {
+	dn := r.uvarint("dictionary size")
+	if r.err == nil && dn > uint64(r.remaining()) {
+		r.failf("dictionary of %d entries exceeds remaining payload %d", dn, r.remaining())
+	}
+	if r.err != nil || dn == 0 {
+		return nil
+	}
+	start := r.off
+	for i := uint64(0); i < dn && r.err == nil; i++ {
+		r.take(r.uvarint("dictionary entry length"), "dictionary entry")
+	}
+	if r.err != nil {
+		return nil
+	}
+	region := string(r.buf[start:r.off])
+	dict := make([]string, dn)
+	off := start
+	for i := range dict {
+		n, w := binary.Uvarint(r.buf[off:])
+		off += w
+		dict[i] = region[off-start : off-start+int(n)]
+		off += int(n)
+	}
+	return dict
+}
+
+// codes decodes a vector of uvarint dictionary codes. A code below 128
+// is its own single byte and skips the varint decoder.
+func (r *reader) codes(rows uint64) []uint32 {
+	if r.err == nil && rows > uint64(r.remaining()) {
+		r.failf("code vector of %d rows exceeds remaining payload %d", rows, r.remaining())
+	}
+	if r.err != nil {
+		return nil
+	}
+	codes := make([]uint32, rows)
+	for i := range codes {
+		if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
+			codes[i] = uint32(r.buf[r.off])
+			r.off++
+			continue
+		}
+		c := r.uvarint("string code")
+		if c > math.MaxUint32 {
+			r.failf("string code %d overflows uint32", c)
+		}
+		if r.err != nil {
+			return nil
+		}
+		codes[i] = uint32(c)
+	}
+	return codes
+}
+
 func (r *reader) uvarint(what string) uint64 {
 	if r.err != nil {
 		return 0
@@ -358,20 +443,7 @@ func (r *reader) varint(what string) int64 {
 }
 
 func (r *reader) str(what string) string {
-	if r.err != nil {
-		return ""
-	}
-	n := r.uvarint(what + " length")
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(r.remaining()) {
-		r.failf("%s length %d exceeds remaining payload %d", what, n, r.remaining())
-		return ""
-	}
-	s := string(r.buf[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
+	return string(r.take(r.uvarint(what+" length"), what))
 }
 
 func (r *reader) value() rel.Value {

@@ -437,10 +437,11 @@ func (s *Store) loadChunkedLocked(e *TableEntry) (*rel.Table, error) {
 	}
 	parts := make([]*rel.TableSnapshot, len(d.Chunks))
 	for k := range d.Chunks {
-		parts[k], err = s.pager.chunk(e.File, d, k)
+		tab, err := s.pager.chunk(e.File, d, k)
 		if err != nil {
 			return nil, err
 		}
+		parts[k] = tab.Snapshot()
 	}
 	merged, err := d.mergeChunks(parts)
 	if err != nil {

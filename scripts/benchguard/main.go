@@ -36,8 +36,9 @@
 // numbers); and -mode chunkscan pins the chunk-granular query path
 // against BENCH_PR9.json — the budgeted scan's pager high-water mark
 // must stay within its residency bound (peak_over_bound <= 1, from the
-// run itself), and the ChunkScanQuery/AssembledScanQuery cost factor
-// must not drift.
+// run itself), and the ChunkScanQuery/AssembledScanQuery cost factors
+// (ns/op and allocs/op, so the bench run needs -benchmem) must not
+// drift.
 //
 // Usage:
 //
@@ -45,7 +46,7 @@
 //	    go run ./scripts/benchguard -baseline BENCH_PR3.json -columnar BENCH_PR6.json
 //	go test -run '^$' -bench 'SegmentDecode|StoreReopen|Append' ./internal/storage/ | \
 //	    go run ./scripts/benchguard -mode paging -baseline BENCH_PR8.json -resident BENCH_PR7.json
-//	go test -run '^$' -bench 'ScanQuery' ./internal/storage/ | \
+//	go test -run '^$' -bench 'ScanQuery' -benchmem ./internal/storage/ | \
 //	    go run ./scripts/benchguard -mode chunkscan -baseline BENCH_PR9.json
 //	go test -run '^$' -bench 'BenchmarkService' ./internal/service/loadgen/ | \
 //	    go run ./scripts/benchguard -mode qps -baseline BENCH_PR10.json
@@ -96,11 +97,12 @@ const (
 	// pager's resident high-water mark over (budget + one chunk per
 	// concurrent holder), and a budgeted scan whose peak exceeds that
 	// bound is leaking residency — no baseline can excuse it.
-	// maxChunkScanRatio bounds the ChunkScanQuery/AssembledScanQuery
-	// ratio drift against the PR 9 baseline: faulting chunks per
-	// execution costs a constant factor over resident tables, and this
-	// pins that factor so chunk-path regressions cannot hide behind an
-	// executor that got slower everywhere.
+	// maxChunkScanDrift bounds the drift of the
+	// ChunkScanQuery/AssembledScanQuery ratios (ns/op and allocs/op)
+	// against the BENCH_PR9.json baseline: faulting chunks per execution
+	// costs a constant factor over resident tables, and this pins that
+	// factor so chunk-path regressions cannot hide behind an executor
+	// that got slower everywhere.
 	maxPeakOverBound  = 1.00
 	maxChunkScanDrift = 1.50
 	// -mode qps bounds. The speedup contract is decided from the run's
@@ -346,20 +348,34 @@ func main() {
 			fmt.Printf("benchguard: FAIL: budgeted chunk scan peaked at %.0f%% of the residency bound — the pager is leaking resident bytes\n", peak*100)
 			failed = true
 		}
-		// Chunk-faulting cost factor vs the PR 9 baseline, normalized by
-		// the assembled-path execution of the same plan from the same
-		// run/baseline (cancels machine speed like the other modes).
-		baseNs := loadBaseline(*baselinePath)
-		asmBase := need(baseNs, "BenchmarkAssembledScanQuery", *baselinePath)
-		pagedBase := need(baseNs, "BenchmarkChunkScanQuery", *baselinePath)
-		asmNow := need(measured, "BenchmarkAssembledScanQuery", "bench output")
-		pagedNow := need(measured, "BenchmarkChunkScanQuery", "bench output")
-		drift := (pagedNow / asmNow) / (pagedBase / asmBase)
-		fmt.Printf("benchguard: chunk-scan drift %.3f (bound %.2f)\n", drift, maxChunkScanDrift)
-		if drift > maxChunkScanDrift {
-			fmt.Printf("benchguard: FAIL: chunk-scan execution regressed %.1f%% vs %s (normalized by the assembled path)\n",
-				(drift-1)*100, *baselinePath)
-			failed = true
+		// Chunk-faulting cost factors vs the baseline — time and
+		// allocations per execution — each normalized by the
+		// assembled-path execution of the same plan from the same
+		// run/baseline (cancels machine speed like the other modes, and
+		// executor-wide allocation changes for the second row).
+		base := loadBaselineMetrics(*baselinePath)
+		for _, row := range []struct{ what, unit, field string }{
+			{"execution time", "ns/op", "ns_per_op"},
+			{"allocations", "allocs/op", "allocs_per_op"},
+		} {
+			now := func(bench string) float64 {
+				if row.unit == "ns/op" {
+					return need(measured, bench, "bench output")
+				}
+				return need(metrics[bench], row.unit, "bench output of "+bench+" (run it with -benchmem)")
+			}
+			was := func(bench string) float64 {
+				return need(base[bench], row.field, *baselinePath+" for "+bench)
+			}
+			const paged, asm = "BenchmarkChunkScanQuery", "BenchmarkAssembledScanQuery"
+			drift := (now(paged) / now(asm)) / (was(paged) / was(asm))
+			fmt.Printf("benchguard: chunk-scan %s: paged/assembled %.2f, drift %.3f (bound %.2f)\n",
+				row.what, now(paged)/now(asm), drift, maxChunkScanDrift)
+			if drift > maxChunkScanDrift {
+				fmt.Printf("benchguard: FAIL: chunk-scan %s regressed %.1f%% vs %s (normalized by the assembled path)\n",
+					row.what, (drift-1)*100, *baselinePath)
+				failed = true
+			}
 		}
 		if failed {
 			os.Exit(1)
