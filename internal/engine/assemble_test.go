@@ -1,0 +1,245 @@
+package engine
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"runtime"
+	"sort"
+	"strconv"
+	"testing"
+	"unsafe"
+
+	"repro/internal/optimizer"
+	"repro/internal/rel"
+	"repro/internal/schema"
+	"repro/internal/xmlgen"
+)
+
+// randomKey draws an ORDER BY key from a small domain, so keys repeat
+// across runs: ints, floats equal to those ints (mixed numeric types
+// compare numerically), NaN, and NULLs of either type.
+func randomKey(rng *rand.Rand, around int) rel.Value {
+	switch rng.Intn(12) {
+	case 0:
+		return rel.NullOf(rel.TInt)
+	case 1:
+		return rel.NullOf(rel.TFloat)
+	case 2:
+		return rel.Float(math.NaN())
+	case 3, 4:
+		return rel.Float(float64(around) + 0.5*float64(rng.Intn(2)))
+	}
+	return rel.Int(int64(around))
+}
+
+// randomSlots builds a slot list the way pipelines fill one: each slot
+// holds arenas of whole rows, width values each. The key column follows
+// one of several shapes — globally ascending (one run), ascending per
+// slot (one run per slot, interleaving with its neighbours), descending
+// (every row its own run), or random — and the column after the key, if
+// there is one, numbers the rows so a row is recognisable by value too.
+func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
+	slots := make([]outSlot, rng.Intn(7))
+	shape := rng.Intn(4)
+	serial, asc := 0, 0
+	for si := range slots {
+		s := &slots[si]
+		s.width = width
+		if shape == 1 {
+			asc = rng.Intn(3)
+		}
+		for a := rng.Intn(4); a > 0; a-- {
+			n := rng.Intn(9)
+			s.rows += n
+			if width == 0 {
+				continue
+			}
+			arena := make([]rel.Value, n*width)
+			for r := 0; r < n; r++ {
+				row := arena[r*width : (r+1)*width]
+				for c := range row {
+					row[c] = rel.Str("c" + strconv.Itoa(c))
+				}
+				if orderPos >= 0 {
+					switch shape {
+					case 0:
+						asc += rng.Intn(2)
+						row[orderPos] = rel.Int(int64(asc))
+					case 1:
+						asc += rng.Intn(2)
+						row[orderPos] = randomKey(rng, asc)
+					case 2:
+						row[orderPos] = rel.Int(int64(1000 - serial))
+					default:
+						row[orderPos] = randomKey(rng, rng.Intn(5))
+					}
+				}
+				if width > 1 {
+					row[(orderPos+1+width)%width] = rel.Int(int64(serial))
+				}
+				serial++
+			}
+			s.arenas = append(s.arenas, arena)
+		}
+	}
+	return slots
+}
+
+// TestAssembleMatchesStableSort is the merge's differential: for random
+// slot lists — no slots, empty slots, width 0, one run to one run per
+// row, keys duplicated across runs, NULL, NaN and mixed int/float keys,
+// and no ORDER BY at all — assemble must return exactly the row
+// sequence sort.SliceStable gives on the plain concatenation (the very
+// same rows, by address), every row with cap == len.
+func TestAssembleMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(engineTestSeed(t)))
+	multiRun := 0
+	for iter := 0; iter < 3000; iter++ {
+		width := rng.Intn(4)
+		orderPos := rng.Intn(width+1) - 1
+		slots := randomSlots(rng, width, orderPos)
+
+		var want [][]rel.Value
+		for _, s := range slots {
+			if width == 0 {
+				for r := 0; r < s.rows; r++ {
+					want = append(want, nil)
+				}
+			}
+			for _, arena := range s.arenas {
+				for k := 0; k < len(arena); k += width {
+					want = append(want, arena[k:k+width])
+				}
+			}
+		}
+		if orderPos >= 0 {
+			if !sort.SliceIsSorted(want, func(i, j int) bool {
+				return want[i][orderPos].Compare(want[j][orderPos]) < 0
+			}) {
+				multiRun++
+			}
+			sort.SliceStable(want, func(i, j int) bool {
+				return want[i][orderPos].Compare(want[j][orderPos]) < 0
+			})
+		}
+
+		got := assemble(slots, orderPos)
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: %d rows, want %d", iter, len(got), len(want))
+		}
+		for i := range got {
+			if len(got[i]) != width || cap(got[i]) != width {
+				t.Fatalf("iter %d row %d: len %d cap %d, want both %d", iter, i, len(got[i]), cap(got[i]), width)
+			}
+			if width > 0 && &got[i][0] != &want[i][0] {
+				t.Fatalf("iter %d (width %d, order by %d): row %d is %v, want %v",
+					iter, width, orderPos, i, got[i], want[i])
+			}
+		}
+	}
+	if multiRun < 500 {
+		t.Fatalf("only %d of 3000 cases had more than one run: the generator no longer exercises the merge", multiRun)
+	}
+}
+
+// TestAssembledRowsDoNotShareCapacity: rows are cut from a shared arena,
+// so an append to one must reallocate rather than overwrite the first
+// value of the next.
+func TestAssembledRowsDoNotShareCapacity(t *testing.T) {
+	arena := []rel.Value{rel.Int(1), rel.Str("a"), rel.Int(2), rel.Str("b"), rel.Int(3), rel.Str("c")}
+	rows := assemble([]outSlot{{arenas: [][]rel.Value{arena}, rows: 3, width: 2}}, 0)
+	for i := range rows {
+		_ = append(rows[i], rel.Str("overflow"))
+	}
+	for i, want := range []int64{1, 2, 3} {
+		if got := arena[2*i]; !got.BitEqual(rel.Int(want)) {
+			t.Fatalf("appending to a row overwrote its neighbour: arena[%d] = %v, want %d", 2*i, got, want)
+		}
+	}
+}
+
+// TestPrepareRejectsOrderByMissingFromOutput: the ORDER BY position is
+// resolved when the plan is compiled, so a plan ordering by a column
+// its branches do not project fails in Prepare — with the error the
+// executors have always reported — not after every branch has run.
+func TestPrepareRejectsOrderByMissingFromOutput(t *testing.T) {
+	fx := equivalenceFixtures(t)["movie-hybrid"]
+	good := fx.plans[0]
+	q := *good.Query
+	q.OrderBy = "no_such_column"
+	bad := &optimizer.Plan{Query: &q, Branches: good.Branches}
+	const want = "engine: ORDER BY column no_such_column missing from output"
+	if _, err := Prepare(fx.built, bad); err == nil || err.Error() != want {
+		t.Fatalf("Prepare: err = %v, want %q", err, want)
+	}
+	if _, err := fx.built.PreparedContext(context.Background(), bad); err == nil || err.Error() != want {
+		t.Fatalf("PreparedContext: err = %v, want %q", err, want)
+	}
+	if _, err := ExecuteReference(fx.built, bad); err == nil || err.Error() != want {
+		t.Fatalf("ExecuteReference: err = %v, want %q", err, want)
+	}
+	pp, err := Prepare(fx.built, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pp.orderPos < 0 || pp.cols[pp.orderPos] != good.Query.OrderBy {
+		t.Fatalf("orderPos = %d for ORDER BY %s over %v", pp.orderPos, good.Query.OrderBy, pp.cols)
+	}
+}
+
+// TestResultBytesStayGone bounds what one prepared execution allocates:
+// on a resident fixture whose sorted union arrives as a single run, the
+// result costs one 24-byte header and width 40-byte values per row, and
+// everything else an execution allocates (slots, arena lists, pooled
+// state, size-class rounding) must fit in 15 % on top. A growth-append
+// of the header slice, a second header slice, or a fatter rel.Value
+// each breaks the bound.
+func TestResultBytesStayGone(t *testing.T) {
+	if size := unsafe.Sizeof(rel.Value{}); size != 40 {
+		t.Skipf("rel.Value is %d bytes on this platform; the bound is stated for 64-bit", size)
+	}
+	doc := xmlgen.GenerateMovie(schema.Movie(), xmlgen.MovieOptions{Movies: 3 * morselRows / 2, Seed: 77})
+	built, plans := buildPlans(t, schema.Movie(), doc, []string{`//movie/year`, `//movie/title`}, nil)
+	ctx := context.Background()
+	for pi, plan := range plans {
+		pp, err := built.Prepared(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 2} {
+			res, err := pp.ExecuteContextWorkers(ctx, workers) // warms the state pools
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, width := len(res.Rows), len(res.Cols)
+			unordered := *pp
+			unordered.orderPos = -1
+			concat, err := unordered.ExecuteContextWorkers(ctx, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rows < morselRows || pp.orderPos < 0 || !sort.SliceIsSorted(concat.Rows, func(i, j int) bool {
+				return concat.Rows[i][pp.orderPos].Compare(concat.Rows[j][pp.orderPos]) < 0
+			}) {
+				t.Fatalf("plan %d: %d rows, order position %d: not the single-run sorted union this guard wants", pi, rows, pp.orderPos)
+			}
+			const runs = 5
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				if _, err := pp.ExecuteContextWorkers(ctx, workers); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			got := float64(after.TotalAlloc-before.TotalAlloc) / runs
+			bound := 1.15 * float64(rows) * float64(24+40*width)
+			t.Logf("plan %d workers %d: %d rows x %d cols, %.0f bytes per execution (bound %.0f)", pi, workers, rows, width, got, bound)
+			if got > bound {
+				t.Errorf("plan %d workers %d: %.0f bytes per execution, more than 1.15 x %d rows x (24 + 40 x %d) = %.0f",
+					pi, workers, got, rows, width, bound)
+			}
+		}
+	}
+}

@@ -6,6 +6,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/obs"
@@ -182,14 +183,14 @@ func buildIndex(db *rel.Database, idx *physical.Index) (*builtIndex, error) {
 	for i := range bi.order {
 		bi.order[i] = i
 	}
-	sort.SliceStable(bi.order, func(a, c int) bool {
-		ra, rc := rows[bi.order[a]], rows[bi.order[c]]
+	slices.SortStableFunc(bi.order, func(a, c int) int {
+		ra, rc := rows[a], rows[c]
 		for _, ki := range bi.keyIdx {
 			if cmp := ra[ki].Compare(rc[ki]); cmp != 0 {
-				return cmp < 0
+				return cmp
 			}
 		}
-		return false
+		return 0
 	})
 	lead := bi.keyIdx[0]
 	bi.leadKeys = make([]rel.Value, len(bi.order))

@@ -24,9 +24,10 @@ var morselRows = 4 * rel.BatchSize
 // morsel that feeds them, so one wide scan parallelizes end to end;
 // hash-join build sides stay single-flighted on the Built's cache.
 //
-// Determinism: each morsel writes its rows and stats into a fixed
-// (branch, morsel) slot; the merge concatenates slots branch by branch
-// in plan order and morsel by morsel in driver order. runRange output
+// Determinism: each morsel writes its arenas and stats into a fixed
+// (branch, morsel) slot; the slots lie branch by branch in plan order
+// and morsel by morsel in driver order, which is the order assemble
+// reads them in. runRange output
 // depends only on which driver rows a morsel covers — never on timing
 // — and ExecStats are commutative sums, so results are bit-identical
 // to serial execution at any worker count.
@@ -36,21 +37,18 @@ var morselRows = 4 * rel.BatchSize
 // its morsels are claimable, mirroring the serial path's accounting.
 func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *obs.Registry, workers int) (*Result, error) {
 	type branchRun struct {
-		st   ExecStats // precharge + driver-resolution stats
-		ids  []int     // seek drivers: matching row ids
-		n    int       // driver row count
-		out  []morselOut
-		span *obs.Span
+		st     ExecStats // precharge + driver-resolution stats
+		ids    []int     // seek drivers: matching row ids
+		n      int       // driver row count
+		lo, hi int       // the branch's morsels are tasks and slots [lo, hi)
+		span   *obs.Span
 	}
-	nb := len(pp.branches)
-	runs := make([]*branchRun, nb)
+	runs := make([]*branchRun, len(pp.branches))
 	type task struct {
 		branch int
-		morsel int // index into runs[branch].out
 		lo, hi int
 	}
-	var tasks []task
-	totalMorsels := 0
+	var tasks []task // task i fills slots[i]
 	// Resolve drivers and build the task list up front: driver
 	// resolution (index range seek + seek-cost charge) is cheap and
 	// single-threaded here so morsel boundaries are fixed before any
@@ -63,18 +61,18 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 		pb.precharge(&r.st)
 		r.n, r.ids = pb.resolveDriver(&r.st)
 		ranges := pb.morselRanges(r.n)
-		nm := len(ranges)
-		r.out = make([]morselOut, nm)
 		r.span = sp.Child("executor.branch",
 			obs.Int("branch", int64(bi)),
 			obs.Int("operators", int64(len(pb.ops))),
-			obs.Int("morsels", int64(nm)))
+			obs.Int("morsels", int64(len(ranges))))
 		runs[bi] = r
-		for m, rg := range ranges {
-			tasks = append(tasks, task{branch: bi, morsel: m, lo: rg[0], hi: rg[1]})
+		r.lo = len(tasks)
+		for _, rg := range ranges {
+			tasks = append(tasks, task{branch: bi, lo: rg[0], hi: rg[1]})
 		}
-		totalMorsels += nm
+		r.hi = len(tasks)
 	}
+	slots := make([]outSlot, len(tasks))
 
 	var next atomic.Int64
 	var stop atomic.Bool
@@ -104,34 +102,30 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 				t := tasks[i]
 				r := runs[t.branch]
 				ms := r.span.Child("executor.morsel",
-					obs.Int("morsel", int64(t.morsel)),
+					obs.Int("morsel", int64(i-r.lo)),
 					obs.Int("rows_in", int64(t.hi-t.lo)))
-				slot := &r.out[t.morsel]
-				var err error
-				slot.rows, err = pp.branches[t.branch].runRange(ctx, &slot.st, r.ids, t.lo, t.hi)
-				if err != nil {
+				slot := &slots[i]
+				if err := pp.branches[t.branch].runRange(ctx, slot, r.ids, t.lo, t.hi); err != nil {
 					ms.SetAttr(obs.String("error", err.Error()))
 					ms.End()
 					fail(err)
 					return
 				}
-				ms.SetAttr(obs.Int("rows", int64(len(slot.rows))))
+				ms.SetAttr(obs.Int("rows", int64(slot.rows)))
 				ms.End()
 			}
 		}()
 	}
 	wg.Wait()
-	reg.Counter("engine.exec.morsels").Add(int64(totalMorsels))
+	reg.Counter("engine.exec.morsels").Add(int64(len(tasks)))
 
 	res := &Result{Cols: pp.cols}
 	for _, r := range runs {
-		var bst ExecStats
-		bst.add(r.st)
+		bst := r.st
 		brows := 0
-		for i := range r.out {
-			res.Rows = append(res.Rows, r.out[i].rows...)
-			bst.add(r.out[i].st)
-			brows += len(r.out[i].rows)
+		for i := r.lo; i < r.hi; i++ {
+			bst.add(slots[i].st)
+			brows += slots[i].rows
 		}
 		res.Stats.add(bst)
 		r.span.SetAttr(obs.Int("rows", int64(brows)),
@@ -142,12 +136,6 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 	if firstErr != nil {
 		return nil, firstErr
 	}
+	res.Rows = assemble(slots, pp.orderPos)
 	return res, nil
-}
-
-// morselOut is one morsel's fixed output slot: its projected rows in
-// driver order plus the stats its pipeline accumulated.
-type morselOut struct {
-	rows [][]rel.Value
-	st   ExecStats
 }

@@ -30,6 +30,18 @@ func workerCountsUnderTest(t *testing.T) []int {
 		}
 		counts = append(counts, w)
 	}
+	rng := rand.New(rand.NewSource(engineTestSeed(t)))
+	for i := 0; i < 2; i++ {
+		counts = append(counts, 2+rng.Intn(15))
+	}
+	t.Logf("worker counts under test: %v", counts)
+	return counts
+}
+
+// engineTestSeed returns the seed of a randomized engine test: the clock,
+// or ENGINE_TEST_SEED to replay a failure. It logs the seed it chose.
+func engineTestSeed(t *testing.T) int64 {
+	t.Helper()
 	seed := time.Now().UnixNano()
 	if env := os.Getenv("ENGINE_TEST_SEED"); env != "" {
 		s, err := strconv.ParseInt(env, 10, 64)
@@ -38,13 +50,8 @@ func workerCountsUnderTest(t *testing.T) []int {
 		}
 		seed = s
 	}
-	t.Logf("randomized worker counts use seed %d (replay: ENGINE_TEST_SEED=%d)", seed, seed)
-	rng := rand.New(rand.NewSource(seed))
-	for i := 0; i < 2; i++ {
-		counts = append(counts, 2+rng.Intn(15))
-	}
-	t.Logf("worker counts under test: %v", counts)
-	return counts
+	t.Logf("random seed %d (replay: ENGINE_TEST_SEED=%d)", seed, seed)
+	return seed
 }
 
 // TestMorselExecutorMatchesReference is the intra-query-parallelism

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -20,7 +21,8 @@ import (
 // PreparedPlan allocates no per-row intermediates: operators pass
 // fixed-size rel.Batch blocks with selection vectors, joins write
 // combined tuples into pooled batch arenas, and only the projected
-// output rows are freshly allocated (in one chunk per batch).
+// output is freshly allocated — one value arena per batch, plus the
+// result's row headers, cut once at their exact count (see assemble).
 //
 // A PreparedPlan is safe for concurrent ExecuteContextWorkers calls —
 // a plan cached on a Built is shared by every session that prepares the
@@ -33,18 +35,28 @@ type PreparedPlan struct {
 	// branches land in fixed slots and merge in plan order.
 	Parallelism int
 
-	built    *Built
-	plan     *optimizer.Plan
-	cols     []string
+	built *Built
+	plan  *optimizer.Plan
+	cols  []string
+	// orderPos is the output position of the ORDER BY column, -1 when the
+	// query has none.
+	orderPos int
 	branches []*preparedBranch
 }
 
 // Prepare compiles a plan for the batch executor. All plan-shape
 // errors the row-at-a-time executor reported during execution (unknown
-// tables, unbuilt indexes, out-of-scope columns, unapplied predicates)
-// are reported here instead, once.
+// tables, unbuilt indexes, out-of-scope columns, unapplied predicates,
+// an ORDER BY column missing from the output) are reported here
+// instead, once.
 func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
-	pp := &PreparedPlan{built: b, plan: plan, cols: plan.Query.OutputColumns()}
+	pp := &PreparedPlan{built: b, plan: plan, cols: plan.Query.OutputColumns(), orderPos: -1}
+	if ob := plan.Query.OrderBy; ob != "" {
+		pp.orderPos = slices.Index(pp.cols, ob)
+		if pp.orderPos < 0 {
+			return nil, fmt.Errorf("engine: ORDER BY column %s missing from output", ob)
+		}
+	}
 	for _, br := range plan.Branches {
 		pb, err := prepareBranch(b, br)
 		if err != nil {
@@ -63,8 +75,8 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 // (see executeMorsels), so a single wide scan — and the hash-join
 // probes and filters downstream of it — runs on several cores at once;
 // workers < 0 means GOMAXPROCS. Either way each unit of work lands in a
-// fixed slot and slots merge in plan order, so rows, order, values, and
-// stats are bit-identical at any count.
+// fixed slot and assemble reads the slots in plan order, so rows, order,
+// values, and stats are bit-identical at any count.
 //
 // ctx cancels the execution: cancellation is polled once per driver
 // batch, so a cancelled call returns ctx's error promptly without
@@ -99,9 +111,6 @@ func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) 
 	} else {
 		res, err = pp.executeBranches(ctx, sp)
 	}
-	if err == nil {
-		err = sortResult(res, pp.plan.Query.OrderBy)
-	}
 	if err != nil {
 		sp.SetAttr(obs.String("error", err.Error()))
 		sp.End()
@@ -124,24 +133,20 @@ func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) 
 // executeBranches is the branch-parallel execution path (workers <= 1):
 // each branch runs its whole pipeline serially, independent branches
 // fan out on a pool bounded by Parallelism, and each branch emits into
-// a fixed slot merged in plan order.
+// a fixed slot assembled in plan order.
 func (pp *PreparedPlan) executeBranches(ctx context.Context, sp *obs.Span) (*Result, error) {
 	n := len(pp.branches)
-	type branchOut struct {
-		rows [][]rel.Value
-		st   ExecStats
-		err  error
-	}
-	slots := make([]branchOut, n)
+	slots := make([]outSlot, n)
+	errs := make([]error, n)
 	runBranch := func(i int) {
 		bs := sp.Child("executor.branch",
 			obs.Int("branch", int64(i)),
 			obs.Int("operators", int64(len(pp.branches[i].ops))))
-		slots[i].rows, slots[i].err = pp.branches[i].run(ctx, &slots[i].st)
-		if slots[i].err != nil {
-			bs.SetAttr(obs.String("error", slots[i].err.Error()))
+		errs[i] = pp.branches[i].run(ctx, &slots[i])
+		if errs[i] != nil {
+			bs.SetAttr(obs.String("error", errs[i].Error()))
 		}
-		bs.SetAttr(obs.Int("rows", int64(len(slots[i].rows))),
+		bs.SetAttr(obs.Int("rows", int64(slots[i].rows)),
 			obs.Int("rows_scanned", slots[i].st.RowsScanned),
 			obs.Int("rows_sought", slots[i].st.RowsSought))
 		bs.End()
@@ -156,7 +161,7 @@ func (pp *PreparedPlan) executeBranches(ctx context.Context, sp *obs.Span) (*Res
 	if par <= 1 {
 		for i := range pp.branches {
 			runBranch(i)
-			if slots[i].err != nil {
+			if errs[i] != nil {
 				break
 			}
 		}
@@ -180,12 +185,12 @@ func (pp *PreparedPlan) executeBranches(ctx context.Context, sp *obs.Span) (*Res
 	}
 	res := &Result{Cols: pp.cols}
 	for i := range slots {
-		if slots[i].err != nil {
-			return nil, slots[i].err
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
-		res.Rows = append(res.Rows, slots[i].rows...)
 		res.Stats.add(slots[i].st)
 	}
+	res.Rows = assemble(slots, pp.orderPos)
 	return res, nil
 }
 
@@ -606,15 +611,15 @@ func (pb *preparedBranch) initPool() {
 	}
 }
 
-// run executes one branch serially, returning its projected rows in
-// pipeline order. It is the single-worker composition of the three
-// phases the morsel executor schedules separately: precharge, driver
-// resolution, and the row-range pipeline.
-func (pb *preparedBranch) run(ctx context.Context, st *ExecStats) ([][]rel.Value, error) {
-	st.Branches++
-	pb.precharge(st)
-	n, ids := pb.resolveDriver(st)
-	return pb.runRange(ctx, st, ids, 0, n)
+// run executes one branch serially, emitting its projected rows into
+// out in pipeline order. It is the single-worker composition of the
+// three phases the morsel executor schedules separately: precharge,
+// driver resolution, and the row-range pipeline.
+func (pb *preparedBranch) run(ctx context.Context, out *outSlot) error {
+	out.st.Branches++
+	pb.precharge(&out.st)
+	n, ids := pb.resolveDriver(&out.st)
+	return pb.runRange(ctx, out, ids, 0, n)
 }
 
 // precharge charges the hash-join build-side scan cost. The reference
@@ -713,15 +718,15 @@ func morselRanges(nc int, span func(k int) (lo, hi int)) [][2]int {
 }
 
 // runRange pushes driver rows [lo, hi) through the branch pipeline and
-// returns the projected rows in pipeline order. Output depends only on
-// the driver rows' order — operators keep no state across rows, and
-// batch boundaries never split a row's join expansion out of order —
-// so concatenating adjacent ranges' outputs equals one big run, which
-// is what makes the morsel merge bit-identical to serial execution.
-// ctx is polled once per driver batch; on cancellation the pipeline
-// stops promptly, pooled state is still returned for reuse, and ctx's
-// error is reported.
-func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int, lo, hi int) ([][]rel.Value, error) {
+// emits the projected rows into out (arenas, row count, stats) in
+// pipeline order. Output depends only on the driver rows' order —
+// operators keep no state across rows, and batch boundaries never split
+// a row's join expansion out of order — so reading adjacent ranges'
+// slots back to back equals one big run, which is what makes the morsel
+// path bit-identical to serial execution. ctx is polled once per driver
+// batch; on cancellation the pipeline stops promptly, pooled state is
+// still returned for reuse, and ctx's error is reported.
+func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int, lo, hi int) error {
 	done := ctx.Done()
 	cancelled := func() bool {
 		if done == nil {
@@ -736,31 +741,32 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 	}
 	state := pb.pool.Get().(*branchState)
 	defer pb.pool.Put(state)
-	var out [][]rel.Value
+	st := &out.st
 	np := len(pb.projs)
+	out.width = np
 
-	// sink projects a batch's live rows into fresh output rows, one
-	// backing arena chunk per batch instead of one allocation per row.
+	// sink projects a batch's live rows into one fresh, exactly-sized
+	// arena; the rows themselves are cut later, once (see assemble).
 	sink := func(bt *rel.Batch) {
 		n := bt.Len()
-		if n == 0 {
+		out.rows += n
+		if n == 0 || np == 0 {
 			return
 		}
 		arena := make([]rel.Value, n*np)
 		k := 0
 		for _, si := range bt.Sel {
 			r := bt.Rows[si]
-			o := arena[k : k+np : k+np]
-			for i, pr := range pb.projs {
+			for _, pr := range pb.projs {
 				if pr.null {
-					o[i] = rel.NullOf(rel.TString)
+					arena[k] = rel.NullOf(rel.TString)
 				} else {
-					o[i] = r[pr.pos]
+					arena[k] = r[pr.pos]
 				}
+				k++
 			}
-			out = append(out, o)
-			k += np
 		}
+		out.arenas = append(out.arenas, arena)
 	}
 
 	// process pushes a batch through the operators starting at oi.
@@ -916,7 +922,7 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 	case srcSeek:
 		for start := lo; start < hi; start += rel.BatchSize {
 			if cancelled() {
-				return out, ctx.Err()
+				return ctx.Err()
 			}
 			end := min(start+rel.BatchSize, hi)
 			sel := state.sel[:0]
@@ -928,7 +934,7 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 	case srcZip:
 		for start := lo; start < hi; start += rel.BatchSize {
 			if cancelled() {
-				return out, ctx.Err()
+				return ctx.Err()
 			}
 			end := min(start+rel.BatchSize, hi)
 			st.RowsScanned += int64((end - start) * pb.src.zip.groups)
@@ -953,9 +959,9 @@ func (pb *preparedBranch) runRange(ctx context.Context, st *ExecStats, ids []int
 				break
 			}
 			if err := scanChunk(k, max(lo, clo)-clo, min(hi, chi)-clo); err != nil {
-				return out, err
+				return err
 			}
 		}
 	}
-	return out, nil
+	return nil
 }

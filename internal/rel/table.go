@@ -2,7 +2,7 @@ package rel
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -344,8 +344,8 @@ func (t *Table) SortByID() {
 		perm[i] = i
 	}
 	idc := &t.cols[id]
-	sort.SliceStable(perm, func(i, j int) bool {
-		return idc.value(perm[i]).Compare(idc.value(perm[j])) < 0
+	slices.SortStableFunc(perm, func(a, b int) int {
+		return idc.value(a).Compare(idc.value(b))
 	})
 	for ci := range t.cols {
 		t.cols[ci].permute(perm)

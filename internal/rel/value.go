@@ -16,8 +16,9 @@ import (
 // pages; the cost model works in these units).
 const PageSize = 8192
 
-// Type is a column type.
-type Type int
+// Type is a column type: a one-byte tag, as it is on disk, so that it
+// shares Value's first word with Null.
+type Type uint8
 
 const (
 	// TInt is a 64-bit integer column.
@@ -40,7 +41,10 @@ func (t Type) String() string {
 	return fmt.Sprintf("Type(%d)", int(t))
 }
 
-// Value is a nullable typed value.
+// Value is a nullable typed value. Null and Typ pack into the first
+// word, so a Value is 40 bytes on a 64-bit platform (TestValueSize);
+// result arenas, row views and batch arenas are all []Value, so a field
+// added here is paid for per cell everywhere.
 type Value struct {
 	Null bool
 	Typ  Type

@@ -3,7 +3,22 @@ package rel
 import (
 	"math"
 	"testing"
+	"unsafe"
 )
+
+// TestValueSize pins the layout every arena, row view and hash-table
+// row in the system is made of: two tag bytes padded to a word, then
+// I, F and the string header — 40 bytes on a 64-bit platform. A tag
+// wider than a byte (Type was an int once: 48 bytes) costs a sixth of
+// every result.
+func TestValueSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("the layout is stated for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Value{}); got != 40 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 40", got)
+	}
+}
 
 // TestFloatTotalOrder pins the total order over special floats: NULL
 // sorts before everything, NaN sorts before every other float and

@@ -1,0 +1,114 @@
+#!/usr/bin/env bash
+# Paired benchmark runs of a parent commit against this checkout.
+#
+#   scripts/benchpair.sh <parent-ref> [pairs] [workload...]
+#
+# Exports <parent-ref> into .bench_build/parent/ (git archive: the
+# working tree and .git stay untouched), then for each workload runs
+# the parent and this checkout alternately with each side's own,
+# unmodified bench/run.sh: pair p uses seed SEED+p-1 (SEED defaults to
+# 1) on both sides, and who goes first alternates per pair. The runs
+# land in two results files, bench/out/pair-parent.json and
+# bench/out/pair-change.json, and the script ends with bench/run.sh
+# --compare of the two (rows of workloads that were not run are left
+# out). It exits non-zero when a row is worse than its BENCHMARK.json
+# bound.
+#
+# Defaults: 10 pairs, every workload of BENCHMARK.json. The run length
+# is the benchmark's run_seconds on both sides.
+set -euo pipefail
+
+if [ $# -lt 1 ]; then
+	sed -n '2,19p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+	exit 2
+fi
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+cd "$root"
+ref="$1"
+pairs="${2:-10}"
+shift
+[ $# -gt 0 ] && shift
+workloads=("$@")
+if [ ${#workloads[@]} -eq 0 ]; then
+	mapfile -t workloads < <(sed -n '/"workloads"/,/\]/p' BENCHMARK.json | sed -n 's/.*"name": *"\([^"]*\)".*/\1/p')
+fi
+seed0="${SEED:-1}"
+
+parent_sha="$(git rev-parse --short "$ref^{commit}")"
+change_sha="$(git rev-parse --short HEAD)"
+git diff --quiet HEAD 2>/dev/null || change_sha="$change_sha+dirty"
+parent="$root/.bench_build/parent"
+rm -rf "$parent"
+mkdir -p "$parent" bench/out
+git archive "$ref" | tar -x -C "$parent"
+
+out_parent="bench/out/pair-parent.json"
+out_change="bench/out/pair-change.json"
+recs_parent=()
+recs_change=()
+
+# run_side <side> <dir> <workload> <seed>: one untraced run; the result
+# line (the last line run.sh prints) becomes one record of that side's
+# results file. A run whose operations failed still prints its line and
+# is recorded; --compare reports it.
+run_side() {
+	local side="$1" dir="$2" wl="$3" seed="$4" log line
+	echo "# $side: $wl seed $seed" >&2
+	log="$(bash "$dir/bench/run.sh" --workload "$wl" --seed "$seed" --trace 0)" || true
+	line="$(tail -n 1 <<<"$log")"
+	case "$line" in
+	"{"*) ;;
+	*)
+		echo "$log" >&2
+		echo "benchpair: $side $wl seed $seed printed no result line" >&2
+		exit 1
+		;;
+	esac
+	grep -E "^$wl (ops_per_s|lat_tail_ms|alloc_kb_per_op|mem_inuse_p95_mb) " <<<"$log" | sed "s/^/#   /" >&2 || true
+	local rec="{\"workload\":\"$wl\",\"seed\":$seed,\"trace\":false,${line#\{}"
+	if [ "$side" = parent ]; then recs_parent+=("$rec"); else recs_change+=("$rec"); fi
+}
+
+# write_results <file> <commit> <record...>
+write_results() {
+	local file="$1" commit="$2" sep=""
+	shift 2
+	{
+		printf '{"commit":"%s","started":"%s","runs":[\n' "$commit" "$(date -u +%Y-%m-%dT%H:%M:%SZ)"
+		for rec in "$@"; do
+			printf '%s%s' "$sep" "$rec"
+			sep=$',\n'
+		done
+		printf '\n],"claim":null}\n'
+	} >"$file"
+}
+
+for wl in "${workloads[@]}"; do
+	for ((p = 1; p <= pairs; p++)); do
+		seed=$((seed0 + p - 1))
+		if ((p % 2)); then
+			run_side parent "$parent" "$wl" "$seed"
+			run_side change "$root" "$wl" "$seed"
+		else
+			run_side change "$root" "$wl" "$seed"
+			run_side parent "$parent" "$wl" "$seed"
+		fi
+	done
+done
+write_results "$out_parent" "$parent_sha" "${recs_parent[@]}"
+write_results "$out_change" "$change_sha" "${recs_change[@]}"
+echo "# wrote $out_parent and $out_change" >&2
+
+# --compare lists every workload of BENCHMARK.json and counts one that
+# is in neither file as worse; only the rows that were measured decide
+# this script's exit status.
+table="$(bash bench/run.sh --compare "$out_parent" "$out_change" 2>/dev/null | grep -v ' missing$')" || true
+if [ -z "$table" ]; then
+	echo "benchpair: --compare printed no table" >&2
+	exit 1
+fi
+echo "$table"
+if grep -Eq ' worse( |$)' <<<"$table"; then
+	echo "benchpair: at least one row is worse than its bound" >&2
+	exit 1
+fi
