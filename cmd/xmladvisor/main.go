@@ -272,12 +272,12 @@ func openStore(c cliConfig) error {
 		fmt.Printf("\n-- logical design (SQL schema) --\n%s\n", man.MappingSQL)
 	}
 	snap := reg.Snapshot()
-	tableRes, chunkRes := st.ResidentBytes()
+	_, chunkRes := st.ResidentBytes()
 	fmt.Printf("\nreopened warm: %d tables, data %d KB, structures %d KB, segments read %.0f KB, open+rebuild %.1f ms\n",
 		len(man.Tables), built.DB.Bytes()>>10, built.StructBytes>>10,
 		snap["storage.segment.bytes_read"]/1024,
 		snap["storage.open.ms"]+snap["storage.built.ms"]+snap["storage.paged_built.ms"])
-	fmt.Printf("resident: tables %d KB, chunk cache %d KB", tableRes>>10, chunkRes>>10)
+	fmt.Printf("resident: chunk cache %d KB", chunkRes>>10)
 	if c.memBudgetMB > 0 {
 		fmt.Printf(" (budget %d MB, faults %.0f, evictions %.0f)",
 			c.memBudgetMB, snap["storage.pager.faults"], snap["storage.pager.evictions"])

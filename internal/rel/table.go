@@ -179,8 +179,7 @@ func (t *Table) HasColumn(name string) bool { return t.ColIndex(name) >= 0 }
 // RowBytes returns the byte-accounting delta one AppendRow of row
 // applies: the per-row overhead plus each value's width. AppendRow
 // itself uses it, so consumers that predict a table's accounting
-// without appending — storage's paged shells computing what a redo
-// tail adds to Bytes() — cannot drift from the real bookkeeping (the
+// without appending cannot drift from the real bookkeeping (the
 // matching Generation() delta is one per appended row).
 func RowBytes(row []Value) int64 {
 	b := int64(8) // per-row overhead

@@ -302,21 +302,30 @@ func (s *Service) RegisterBuilt(name string, b *engine.Built, m *shred.Mapping, 
 // with paged=true driver-stage scans pull chunks through the store's
 // budgeted pager (Store.PagedBuilt), so every session's scans share one
 // CLOCK-managed chunk cache and the corpus serves data larger than RAM.
-// Optimizer statistics are collected once at registration through the
-// store's assembled-table cache (budget-evicting), so a paged corpus
-// pays one bounded pass, not a resident copy.
+// A resident Built owns its tables — it keeps answering with the rows
+// it was built over whatever the store does next; a paged one turns
+// stale (typed errors, never wrong rows) once the store moves on.
+// Optimizer statistics are collected once at registration: from the
+// Built's own tables when resident, and table by table when paged, so
+// registration holds one assembled table at a time, never a resident
+// copy of the corpus.
 func (s *Service) RegisterStore(name string, st *storage.Store, m *shred.Mapping, paged bool) error {
-	db, err := st.Database()
-	if err != nil {
-		return fmt.Errorf("service: register %s: %w", name, err)
+	if !paged {
+		b, err := st.Built()
+		if err != nil {
+			return fmt.Errorf("service: register %s: %w", name, err)
+		}
+		return s.RegisterBuilt(name, b, m, nil)
 	}
-	prov := stats.FromDatabase(db)
-	var b *engine.Built
-	if paged {
-		b, err = st.PagedBuilt()
-	} else {
-		b, err = st.Built()
+	prov := make(stats.MapProvider)
+	for _, e := range st.Manifest().Tables {
+		t, err := st.Table(e.Name)
+		if err != nil {
+			return fmt.Errorf("service: register %s: %w", name, err)
+		}
+		prov[e.Name] = stats.FromTable(t)
 	}
+	b, err := st.PagedBuilt()
 	if err != nil {
 		return fmt.Errorf("service: register %s: %w", name, err)
 	}

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/rel"
 	"repro/internal/storage"
 )
 
@@ -167,4 +168,52 @@ func TestSharedPagedBuiltRaceBattery(t *testing.T) {
 		t.Errorf("prepared.misses = %d, want %d (counters %v)",
 			counters["prepared.misses"], len(serviceQueries), counters)
 	}
+}
+
+// TestResidentStoreCorpusSurvivesAppendAndCompact: a corpus registered
+// resident (paged=false) owns its tables, so the store appending to and
+// compacting the same data changes nothing the corpus serves — every
+// answer stays bit-identical to the registration-time reference instead
+// of tripping the engine's mutated-after-Build guard.
+func TestResidentStoreCorpusSurvivesAppendAndCompact(t *testing.T) {
+	m, db, built := movieFixture(t, 200)
+	want := refResults(t, m, db, serviceQueries)
+
+	dir := t.TempDir()
+	if _, err := storage.Save(dir, built, storage.Options{ChunkRows: 64}); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	store, err := storage.Open(dir, storage.Options{ChunkRows: 64})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() { store.Close() })
+
+	svc := New(Config{PoolWorkers: 2})
+	if err := svc.RegisterStore("movie", store, m, false); err != nil {
+		t.Fatal(err)
+	}
+	pass := func(label string) {
+		t.Helper()
+		for i, qs := range serviceQueries {
+			resp, err := svc.Query(context.Background(), Request{Corpus: "movie", Tenant: "t0", XPath: qs})
+			if err != nil {
+				t.Fatalf("%s: %s: %v", label, qs, err)
+			}
+			requireSameResult(t, label+": "+qs, resp, want[i])
+		}
+	}
+	pass("before append")
+
+	movie := db.Table("movie")
+	row := make([]rel.Value, len(movie.Columns))
+	movie.ReadRowInto(row, 0)
+	if err := store.Append("movie", row); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	pass("after append")
+	if err := store.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	pass("after compact")
 }

@@ -466,30 +466,37 @@ func (m MapProvider) TableStats(name string) *TableStats { return m[name] }
 func FromDatabase(db *rel.Database) MapProvider {
 	out := make(MapProvider)
 	for _, t := range db.Tables() {
-		ts := &TableStats{Name: t.Name, Rows: int64(t.RowCount()), Cols: make(map[string]*ColumnStats)}
-		if t.RowCount() > 0 {
-			ts.RowBytes = float64(t.Bytes())/float64(t.RowCount()) - 8
-		}
-		for ci, col := range t.Columns {
-			cc := NewColumnCollector(col.Typ)
-			nulls := int64(0)
-			for r := 0; r < t.RowCount(); r++ {
-				v := t.ValueAt(r, ci)
-				if v.Null {
-					nulls++
-					continue
-				}
-				cc.Add(v)
-			}
-			cs := cc.Stats()
-			if t.RowCount() > 0 {
-				cs.NullFrac = float64(nulls) / float64(t.RowCount())
-			}
-			ts.Cols[col.Name] = cs
-		}
-		out[t.Name] = ts
+		out[t.Name] = FromTable(t)
 	}
 	return out
+}
+
+// FromTable computes one table's exact TableStats. Callers that cannot
+// hold a whole database resident (a paged store corpus) collect table
+// by table.
+func FromTable(t *rel.Table) *TableStats {
+	ts := &TableStats{Name: t.Name, Rows: int64(t.RowCount()), Cols: make(map[string]*ColumnStats)}
+	if t.RowCount() > 0 {
+		ts.RowBytes = float64(t.Bytes())/float64(t.RowCount()) - 8
+	}
+	for ci, col := range t.Columns {
+		cc := NewColumnCollector(col.Typ)
+		nulls := int64(0)
+		for r := 0; r < t.RowCount(); r++ {
+			v := t.ValueAt(r, ci)
+			if v.Null {
+				nulls++
+				continue
+			}
+			cc.Add(v)
+		}
+		cs := cc.Stats()
+		if t.RowCount() > 0 {
+			cs.NullFrac = float64(nulls) / float64(t.RowCount())
+		}
+		ts.Cols[col.Name] = cs
+	}
+	return ts
 }
 
 // String summarizes a collection for diagnostics.

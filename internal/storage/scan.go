@@ -2,9 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/engine"
 	"repro/internal/rel"
 )
 
@@ -47,16 +45,20 @@ type ChunkScan struct {
 func (s *Store) ChunkScan(name string) (*ChunkScan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	e := s.man.Table(name)
-	if e == nil {
-		return nil, fmt.Errorf("storage: no table %q in store %s", name, s.dir)
+	e, err := s.entryLocked(name)
+	if err != nil {
+		return nil, err
 	}
 	if e.ChunkRows <= 0 {
 		return nil, fmt.Errorf("storage: table %q uses the whole-table segment format; chunk scans need a chunked segment", name)
 	}
+	return s.chunkScanLocked(e, s.redo[name])
+}
+
+// chunkScanLocked builds the scan of a chunked entry and its current
+// redo tail: the staleness fence, the chunk spans, and the tail as an
+// overlay.
+func (s *Store) chunkScanLocked(e *TableEntry, tail []redoRecord) (*ChunkScan, error) {
 	d, err := s.chunkedDirLocked(e)
 	if err != nil {
 		return nil, err
@@ -64,8 +66,8 @@ func (s *Store) ChunkScan(name string) (*ChunkScan, error) {
 	cs := &ChunkScan{
 		s:     s,
 		man:   s.man,
-		redoN: len(s.redo[name]),
-		table: name,
+		redoN: len(tail),
+		table: e.Name,
 		file:  e.File,
 		d:     d,
 	}
@@ -74,10 +76,10 @@ func (s *Store) ChunkScan(name string) (*ChunkScan, error) {
 		cs.spans = append(cs.spans, [2]int{lo, lo + ref.Rows})
 		lo += ref.Rows
 	}
-	if tail := s.redo[name]; len(tail) > 0 {
-		ov := rel.NewTable(name, d.Cols)
+	if len(tail) > 0 {
+		ov := rel.NewTable(e.Name, d.Cols)
 		ov.Parent = e.Parent
-		if err := replayRedo(name, len(d.Cols), tail, ov.AppendRow); err != nil {
+		if err := replayRedo(e.Name, len(d.Cols), tail, ov.AppendRow); err != nil {
 			return nil, err
 		}
 		cs.overlay = ov
@@ -133,114 +135,4 @@ func (cs *ChunkScan) Chunk(k int) (*rel.Table, func(), error) {
 		return cs.overlay, func() {}, nil
 	}
 	return cs.s.pager.chunkPinned(cs.file, cs.d, k)
-}
-
-// assembleEntry assembles one table entry — segment rows plus the given
-// redo tail — bypassing the store's assembled-table cache. PagedBuilt's
-// hydration loaders use it so a hydrated shell never aliases the cache:
-// a later Append mutates the cached table, and sharing vectors with it
-// would silently mutate a point-in-time view (the shell instead fails
-// loudly at Hydrate if the entry no longer decodes to its declared
-// shape).
-func (s *Store) assembleEntry(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	return s.assembleLocked(e, tail)
-}
-
-// PagedBuilt is Built with query-time paging: every chunked table
-// enters the database as a schema-only virtual shell whose driver-stage
-// scans pull chunks through the pager (a registered ChunkScan source),
-// so a scan query's peak resident bytes follow Options.MemBudgetBytes
-// instead of table size. Accesses that genuinely need the whole table —
-// index, view, and partition builds, join build sides, EXISTS probes,
-// index seeks — hydrate the shell on demand through a private assembly
-// of the same point-in-time row set (segment + the redo tail committed
-// when PagedBuilt ran). Version-1 whole-table segments cannot be paged
-// and load assembled, as in Built.
-//
-// The returned Built is a point-in-time view: after an append or a
-// compaction, chunk scans and hydrations fail with a staleness error
-// rather than serving rows the Built's generation snapshot does not
-// cover — call PagedBuilt again for a fresh view. Results are
-// bit-identical to Built over the same store state: both run the
-// engine's one scan driver, Built over resident one-chunk sources, and
-// engine.ExecuteReference is the oracle for both.
-func (s *Store) PagedBuilt() (*engine.Built, error) {
-	start := time.Now()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, ErrClosed
-	}
-	design := s.man.Design
-	db := rel.NewDatabase()
-	type pagedTable struct {
-		name string
-		rows int
-	}
-	var chunked []pagedTable
-	var loadErr error
-	for i := range s.man.Tables {
-		e := s.man.Tables[i] // copy: the loader must survive manifest swaps
-		if e.ChunkRows <= 0 {
-			t, err := s.tableLoadLocked(e.Name)
-			if err != nil {
-				loadErr = err
-				break
-			}
-			db.Add(t)
-			continue
-		}
-		d, err := s.chunkedDirLocked(&e)
-		if err != nil {
-			loadErr = err
-			break
-		}
-		tail := s.redo[e.Name] // appends only ever extend; the slice header pins our prefix
-		rows, gen, bytes := e.Rows, e.Generation, e.Bytes
-		// rel.RowBytes and the per-append generation bump are AppendRow's
-		// own accounting, so the shell's declared shape matches what
-		// Hydrate's replay lands on exactly.
-		loadErr = replayRedo(e.Name, len(d.Cols), tail, func(row []rel.Value) {
-			rows++
-			gen++
-			bytes += rel.RowBytes(row)
-		})
-		if loadErr != nil {
-			break
-		}
-		entry, tailAt := e, tail
-		db.Add(rel.NewVirtualTable(e.Name, e.Parent, d.Cols, rows, gen, bytes,
-			func() (*rel.Table, error) { return s.assembleEntry(&entry, tailAt) }))
-		chunked = append(chunked, pagedTable{e.Name, rows})
-	}
-	s.mu.Unlock()
-	if loadErr != nil {
-		return nil, loadErr
-	}
-	b, err := engine.Build(db, design)
-	if err != nil {
-		return nil, fmt.Errorf("storage: rebuilding physical design: %w", err)
-	}
-	for _, pt := range chunked {
-		src, err := s.ChunkScan(pt.name)
-		if err != nil {
-			return nil, err
-		}
-		// The store lock was released for engine.Build; an append that
-		// slipped in would hand us a source covering more rows than the
-		// shell declares. Fail with the staleness contract instead of
-		// returning a Built that errors confusingly at prepare time.
-		if src.RowCount() != pt.rows {
-			return nil, fmt.Errorf("storage: store moved on while building paged view of %q (%d rows now, %d at snapshot); retry PagedBuilt",
-				pt.name, src.RowCount(), pt.rows)
-		}
-		b.SetScanSource(pt.name, src)
-	}
-	s.reg.Gauge("storage.paged_built.ms").Set(float64(time.Since(start).Nanoseconds()) / 1e6)
-	return b, nil
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/physical"
 	"repro/internal/rel"
 )
 
@@ -29,10 +30,11 @@ type Options struct {
 	// Open.
 	MappingSQL string
 	// MemBudgetBytes caps how many bytes of columnar data the store
-	// keeps resident: the chunk cache and the assembled-table cache
-	// each evict down to it (chunk cache by CLOCK, tables by LRU,
-	// always retaining the most recently touched table). Zero or less
-	// means unlimited — everything stays resident once loaded.
+	// keeps resident. The store's only cache is the chunk pager, which
+	// evicts down to this by CLOCK (overshooting by at most one pinned
+	// chunk per concurrent reader); tables the store assembles belong
+	// to their callers and are not counted. Zero or less means
+	// unlimited — every chunk stays resident once faulted.
 	MemBudgetBytes int64
 	// ChunkRows is the rows-per-chunk for segments written by Save and
 	// Compact. Zero means DefaultChunkRows; a negative value selects
@@ -57,16 +59,16 @@ func (o Options) chunkRowsOrDefault() int {
 	return o.ChunkRows
 }
 
-// Store is an opened on-disk store: the verified manifest plus lazily
-// loaded table segments. Segments are read, checksum-verified, and
-// structurally validated on first touch (chunk by chunk for chunked
-// segments); redo records replay onto the freshly loaded table before
-// it is served.
+// Store is an opened on-disk store: the verified manifest, the redo
+// tail, and a budgeted cache of verified chunks (the pager). Segments
+// are read, checksum-verified, and structurally validated when a
+// caller asks for rows (chunk by chunk for chunked segments).
 //
-// Under a memory budget, tables the store has assembled may be evicted
-// and reassembled on the next touch, so Table may return a different
-// *rel.Table for the same name across calls; with no budget the
-// returned table is shared and stable.
+// The store keeps no assembled table. Every *rel.Table it hands out —
+// from Table, Database, Built, or a PagedBuilt shell's hydration — is
+// assembled for that caller from pager chunks plus the redo tail
+// committed at that moment, belongs to the caller, and is never touched
+// by the store again: later appends and compactions do not show in it.
 type Store struct {
 	dir  string
 	reg  *obs.Registry
@@ -76,13 +78,14 @@ type Store struct {
 	// always flushMu before mu.
 	flushMu sync.Mutex
 
-	mu     sync.Mutex
-	man    *Manifest
-	tables map[string]*rel.Table
-	mru    []string // table names, least recently used first
-	dirs   map[string]*chunkedDir
-	pager  *pager
-	redo   map[string][]redoRecord
+	mu    sync.Mutex
+	man   *Manifest
+	dirs  map[string]*chunkedDir
+	pager *pager
+	redo  map[string][]redoRecord
+	// v1Cols remembers the columns of whole-table segments, which have
+	// no directory to read them from, after their first load.
+	v1Cols map[string][]rel.Column
 	// redoFootOff is the file offset of the redo log's commit footer
 	// (where the next record goes); redoCount the committed row count.
 	// Both advance under mu as batches commit.
@@ -192,8 +195,8 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 }
 
 // Open reads and verifies the manifest and the redo log. Table
-// segments are not read yet — Table, Database, and Built load them on
-// first touch, chunk by chunk under the memory budget for chunked
+// segments are not read yet — Table, Database, and Built load them
+// when called, chunk by chunk under the memory budget for chunked
 // segments.
 func Open(dir string, opts Options) (*Store, error) {
 	start := time.Now()
@@ -211,8 +214,8 @@ func Open(dir string, opts Options) (*Store, error) {
 		man:         man,
 		reg:         opts.Registry,
 		opts:        opts,
-		tables:      make(map[string]*rel.Table, len(man.Tables)),
 		dirs:        make(map[string]*chunkedDir),
+		v1Cols:      make(map[string][]rel.Column),
 		pager:       newPager(dir, opts.MemBudgetBytes, opts.Registry),
 		redo:        make(map[string][]redoRecord),
 		redoVersion: RedoBatchVersion,
@@ -283,60 +286,47 @@ func (s *Store) RedoRows() int {
 	return int(s.redoCount)
 }
 
-// ResidentBytes reports the bytes of columnar data currently resident:
-// assembled tables plus the chunk cache.
+// ResidentBytes reports the bytes of columnar data the store keeps
+// resident. The first result is always 0 — the store holds no assembled
+// table — and survives only for callers of the two-result signature;
+// the second is the chunk cache, the one account MemBudgetBytes governs.
 func (s *Store) ResidentBytes() (tables, chunks int64) {
-	s.mu.Lock()
-	for _, t := range s.tables {
-		tables += t.Bytes()
-	}
-	s.mu.Unlock()
-	return tables, s.pager.residentBytes()
+	return 0, s.pager.residentBytes()
 }
 
-// Table returns the named table, loading and verifying its segment on
-// first touch and replaying any redo records onto it.
-func (s *Store) Table(name string) (*rel.Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.tableLocked(name)
-}
-
-func (s *Store) tableLocked(name string) (*rel.Table, error) {
+// entryLocked resolves a table name to its manifest entry behind the
+// Close fence.
+func (s *Store) entryLocked(name string) (*TableEntry, error) {
 	if s.closed {
 		return nil, ErrClosed
-	}
-	return s.tableLoadLocked(name)
-}
-
-// tableLoadLocked is tableLocked without the Close fence, for internal
-// callers that legitimately run during shutdown (the background
-// compaction Close waits out). It serves the assembled-table cache,
-// assembling the table with its current redo tail on a miss.
-func (s *Store) tableLoadLocked(name string) (*rel.Table, error) {
-	if t, ok := s.tables[name]; ok {
-		s.touchLocked(name)
-		return t, nil
 	}
 	e := s.man.Table(name)
 	if e == nil {
 		return nil, fmt.Errorf("storage: no table %q in store %s", name, s.dir)
 	}
-	t, err := s.assembleLocked(e, s.redo[name])
+	return e, nil
+}
+
+// Table assembles the named table as of now: its segment, loaded and
+// verified through the pager, plus the committed redo tail. Each call
+// returns a fresh table the caller owns.
+func (s *Store) Table(name string) (*rel.Table, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e, err := s.entryLocked(name)
 	if err != nil {
 		return nil, err
 	}
-	s.tables[name] = t
-	s.touchLocked(name)
-	s.evictTablesLocked()
-	return t, nil
+	return s.assembleLocked(e, s.redo[name])
 }
 
-// assembleLocked loads one table entry into a fresh assembled table:
-// the segment through its verification chain, a check that it decodes
-// to the shape the manifest pins, then the given redo tail replayed in
-// commit order. The result is private to the caller — nothing here
-// touches the assembled-table cache.
+// assembleLocked is the only way a manifest entry becomes a
+// *rel.Table: the segment through its verification chain (chunks
+// faulting through the pager), a check that it decodes to the shape the
+// manifest pins, then the given redo tail replayed in commit order. The
+// result shares nothing with the pager's chunks or with any other
+// assembly, so whoever receives it owns it. It has no Close fence:
+// the background compaction Close waits out assembles during shutdown.
 func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
 	start := time.Now()
 	var t *rel.Table
@@ -375,22 +365,30 @@ func replayRedo(table string, ncols int, tail []redoRecord, apply func(row []rel
 }
 
 // columnsLocked returns a table's column descriptors without
-// assembling it where the format allows: a chunked segment's verified
-// directory carries them, so the write path of a budgeted store never
-// loads (and caches) a cold table just to check a row's width. A
-// whole-table segment has no directory and loads.
+// assembling it, so the write path never loads a table just to check a
+// row's width: a chunked segment's verified directory carries them, and
+// a whole-table segment, which has no directory, loads once and is
+// remembered.
 func (s *Store) columnsLocked(name string) ([]rel.Column, error) {
-	if e := s.man.Table(name); e != nil && e.ChunkRows > 0 {
+	e, err := s.entryLocked(name)
+	if err != nil {
+		return nil, err
+	}
+	if e.ChunkRows > 0 {
 		d, err := s.chunkedDirLocked(e)
 		if err != nil {
 			return nil, err
 		}
 		return d.Cols, nil
 	}
-	t, err := s.tableLoadLocked(name)
+	if cols, ok := s.v1Cols[name]; ok {
+		return cols, nil
+	}
+	t, err := s.assembleLocked(e, nil)
 	if err != nil {
 		return nil, err
 	}
+	s.v1Cols[name] = t.Columns
 	return t.Columns, nil
 }
 
@@ -500,90 +498,131 @@ func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 	return d, nil
 }
 
-// touchLocked marks a table most recently used.
-func (s *Store) touchLocked(name string) {
-	for i, n := range s.mru {
-		if n == name {
-			s.mru = append(append(s.mru[:i], s.mru[i+1:]...), name)
-			return
-		}
-	}
-	s.mru = append(s.mru, name)
-}
-
-// evictTablesLocked drops least-recently-used assembled tables until
-// their total bytes fit the budget, always retaining the most recently
-// touched one. Evicted tables reassemble through the chunk cache (and
-// re-replay their redo tail) on the next touch.
-func (s *Store) evictTablesLocked() {
-	var total int64
-	for _, t := range s.tables {
-		total += t.Bytes()
-	}
-	if s.opts.MemBudgetBytes > 0 {
-		evictions := s.reg.Counter("storage.table.evictions")
-		for total > s.opts.MemBudgetBytes && len(s.mru) > 1 {
-			victim := s.mru[0]
-			s.mru = s.mru[1:]
-			if t, ok := s.tables[victim]; ok {
-				total -= t.Bytes()
-				delete(s.tables, victim)
-				evictions.Inc()
-			}
-		}
-	}
-	s.reg.Gauge("storage.resident.table_bytes").Set(float64(total))
-}
-
-// Database loads every table in manifest order and returns them as a
-// database.
-func (s *Store) Database() (*rel.Database, error) {
+// view is the one constructor behind Database, Built, and PagedBuilt:
+// a single walk over the manifest under s.mu that captures every
+// table's entry and the redo prefix committed at that instant, and
+// turns each pair into an assembled table — or, when paged and the
+// segment is chunked, into a schema-only shell plus the ChunkScan that
+// serves its driver-stage scans. A shell hydrates through assembleLocked
+// over the same captured pair, so all the tables of one view describe
+// one point in time.
+func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	db := rel.NewDatabase()
-	for i := range s.man.Tables {
-		t, err := s.tableLocked(s.man.Tables[i].Name)
-		if err != nil {
-			return nil, err
-		}
-		db.Add(t)
+	if s.closed {
+		return nil, nil, nil, ErrClosed
 	}
-	return db, nil
+	db := rel.NewDatabase()
+	var scans []*ChunkScan
+	for i := range s.man.Tables {
+		e := s.man.Tables[i]   // copy: a shell's loader must survive manifest swaps
+		tail := s.redo[e.Name] // appends only ever extend; the slice header pins our prefix
+		if !paged || e.ChunkRows <= 0 {
+			t, err := s.assembleLocked(&e, tail)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			db.Add(t)
+			continue
+		}
+		cs, err := s.chunkScanLocked(&e, tail)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		// The overlay started empty, so its generation and bytes are
+		// exactly what replaying the tail adds to the segment's — the
+		// shape Hydrate's assembly lands on.
+		gen, bytes := e.Generation, e.Bytes
+		if ov := cs.overlay; ov != nil {
+			gen += ov.Generation()
+			bytes += ov.Bytes()
+		}
+		db.Add(rel.NewVirtualTable(e.Name, e.Parent, cs.d.Cols, cs.rows, gen, bytes, func() (*rel.Table, error) {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			if s.closed {
+				return nil, ErrClosed
+			}
+			return s.assembleLocked(&e, tail)
+		}))
+		scans = append(scans, cs)
+	}
+	return db, s.man.Design, scans, nil
 }
 
-// Built loads the full database and rebuilds the physical design the
-// store was saved with — indexes, materialized views, and vertical
+// Database assembles every table in manifest order and returns them as
+// a database the caller owns.
+func (s *Store) Database() (*rel.Database, error) {
+	db, _, _, err := s.view(false)
+	return db, err
+}
+
+// Built assembles the full database and rebuilds the physical design
+// the store was saved with — indexes, materialized views, and vertical
 // partitions are reconstructed from the base tables, restoring warm
-// serving after a restart.
+// serving after a restart. The result is a point-in-time view that
+// needs nothing from the store afterwards: it keeps answering, with the
+// rows it was built over, across later appends, compactions, and Close.
 func (s *Store) Built() (*engine.Built, error) {
+	return s.built(false, "storage.built.ms")
+}
+
+// PagedBuilt is Built with query-time paging: every chunked table
+// enters the database as a schema-only virtual shell whose driver-stage
+// scans pull chunks through the pager (a registered ChunkScan source),
+// so a scan query's peak resident bytes follow Options.MemBudgetBytes
+// instead of table size. Accesses that genuinely need the whole table —
+// index, view, and partition builds, join build sides, EXISTS probes,
+// index seeks — hydrate the shell on demand by assembling the same
+// point-in-time row set (segment + the redo tail committed when
+// PagedBuilt ran); the hydrated table belongs to the Built, outside the
+// budget. Version-1 whole-table segments cannot be paged and are
+// assembled, as in Built.
+//
+// Unlike Built, the view keeps reading from the store: after an append
+// or a compaction, chunk scans fail with a staleness error (and
+// hydrations fail once the segment file is gone) rather than serving
+// rows the Built's generation snapshot does not cover — call PagedBuilt
+// again for a fresh view. Results are bit-identical to Built over the
+// same store state: both run the engine's one scan driver, Built over
+// resident one-chunk sources, and engine.ExecuteReference is the oracle
+// for both.
+func (s *Store) PagedBuilt() (*engine.Built, error) {
+	return s.built(true, "storage.paged_built.ms")
+}
+
+// built rebuilds the physical design over a view and registers the
+// view's chunk scans; gauge names the build-time metric.
+func (s *Store) built(paged bool, gauge string) (*engine.Built, error) {
 	start := time.Now()
-	db, err := s.Database()
+	db, design, scans, err := s.view(paged)
 	if err != nil {
 		return nil, err
 	}
-	s.mu.Lock()
-	design := s.man.Design
-	s.mu.Unlock()
+	// engine.Build runs outside s.mu: it hydrates the shells its
+	// structures need, and hydration takes the lock.
 	b, err := engine.Build(db, design)
 	if err != nil {
 		return nil, fmt.Errorf("storage: rebuilding physical design: %w", err)
 	}
-	s.reg.Gauge("storage.built.ms").Set(float64(time.Since(start).Nanoseconds()) / 1e6)
+	for _, cs := range scans {
+		b.SetScanSource(cs.table, cs)
+	}
+	s.reg.Gauge(gauge).Set(float64(time.Since(start).Nanoseconds()) / 1e6)
 	return b, nil
 }
 
-// Append durably logs one row append and applies it to the (loaded)
-// table, so a later Open of the same directory replays it and lands on
-// the same row count and generation. Concurrent appenders share one
-// fsync (group commit).
+// Append durably logs one row append, so tables assembled from here on
+// — and a later Open of the same directory — replay it and land on the
+// same row count and generation. Concurrent appenders share one fsync
+// (group commit).
 func (s *Store) Append(table string, row []rel.Value) error {
 	return s.AppendBatch(table, [][]rel.Value{row})
 }
 
-// AppendBatch durably logs a batch of row appends under a single fsync
-// and applies them to the (loaded) table. Batches from concurrent
-// appenders that queue while a flush is in progress coalesce into the
-// next fsync.
+// AppendBatch durably logs a batch of row appends under a single
+// fsync. Batches from concurrent appenders that queue while a flush is
+// in progress coalesce into the next fsync.
 func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	if len(rows) == 0 {
 		return nil
@@ -657,12 +696,8 @@ func (s *Store) flushBatchLocked(b *commitBatch) {
 	s.mu.Lock()
 	s.redoFootOff = newFoot
 	s.redoCount += nrows
-	for i := range b.recs {
-		rec := &b.recs[i]
-		if t, ok := s.tables[rec.Table]; ok {
-			t.AppendRow(rec.Row)
-		}
-		s.redo[rec.Table] = append(s.redo[rec.Table], *rec)
+	for _, rec := range b.recs {
+		s.redo[rec.Table] = append(s.redo[rec.Table], rec)
 	}
 	s.mu.Unlock()
 }
@@ -764,7 +799,7 @@ func (s *Store) compactLocked() error {
 		if err := step("segment:" + e.Name); err != nil {
 			return err
 		}
-		t, err := s.tableLoadLocked(e.Name)
+		t, err := s.assembleLocked(&e, s.redo[e.Name])
 		if err != nil {
 			return err
 		}

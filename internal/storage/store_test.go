@@ -190,18 +190,18 @@ func TestLazyLoadingAndMetrics(t *testing.T) {
 	if loads.Value() != 1 {
 		t.Fatalf("after one Table call: %d loads, want 1", loads.Value())
 	}
-	// Second touch serves the cached table.
+	// The store keeps no assembled table: every call is one assembly.
 	if _, err := st.Table("book"); err != nil {
 		t.Fatal(err)
 	}
-	if loads.Value() != 1 {
-		t.Fatalf("cached table reloaded: %d loads", loads.Value())
+	if loads.Value() != 2 {
+		t.Fatalf("after two Table calls: %d loads, want 2", loads.Value())
 	}
 	if _, err := st.Database(); err != nil {
 		t.Fatal(err)
 	}
-	if loads.Value() != 2 {
-		t.Fatalf("after Database: %d loads, want 2", loads.Value())
+	if loads.Value() != 4 {
+		t.Fatalf("after Database over two tables: %d loads, want 4", loads.Value())
 	}
 	if reg.Counter("storage.segment.bytes_read").Value() <= 0 {
 		t.Fatal("no segment bytes accounted")
@@ -299,6 +299,137 @@ func TestAppendDoesNotAssembleColdTable(t *testing.T) {
 	if got := book.ValueAt(6, 2); got.String() != "b-7" {
 		t.Fatalf("last appended title = %v, want b-7", got)
 	}
+}
+
+// TestAppendToWholeTableSegmentLoadsOnce is the version-1 twin of
+// TestAppendDoesNotAssembleColdTable: a whole-table segment has no
+// directory to read the columns from, so the first append loads it —
+// and the store remembers the columns instead of loading per append.
+func TestAppendToWholeTableSegmentLoadsOnce(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Save(dir, fixtureBuilt(t), Options{ChunkRows: -1}); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st, err := Open(dir, Options{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for id := 6; id < 26; id++ {
+		if err := st.Append("book", bookRow(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := reg.Counter("storage.segment.loads").Value(); n > 1 {
+		t.Fatalf("20 appends to a whole-table segment loaded it %d times, want at most 1", n)
+	}
+	if err := st.Append("book", []rel.Value{rel.Int(99)}); err == nil {
+		t.Fatal("short row accepted")
+	}
+	book, err := st.Table("book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if book.RowCount() != 25 {
+		t.Fatalf("table has %d rows after appends, want 25", book.RowCount())
+	}
+}
+
+// TestBuiltIsUnaffectedByAppends pins the ownership rule for a resident
+// Built: its tables belong to it, so a scan over them may run while the
+// store appends (no race under -race), and the Built still describes
+// the rows it was built over afterwards.
+func TestBuiltIsUnaffectedByAppends(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	b, err := st.Built()
+	if err != nil {
+		t.Fatal(err)
+	}
+	book := b.DB.Table("book")
+	rows, gen := book.RowCount(), book.Generation()
+
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		row := make([]rel.Value, len(book.Columns))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for r := 0; r < book.RowCount(); r++ {
+				book.ReadRowInto(row, r)
+			}
+		}
+	}()
+	for id := 6; id < 56; id++ {
+		if err := st.Append("book", bookRow(id)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	<-done
+
+	if book.RowCount() != rows || book.Generation() != gen {
+		t.Fatalf("Built's book moved to %d rows / generation %d under appends, was %d / %d",
+			book.RowCount(), book.Generation(), rows, gen)
+	}
+	fresh, err := st.Table("book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.RowCount() != rows+50 {
+		t.Fatalf("a fresh assembly has %d rows, want %d", fresh.RowCount(), rows+50)
+	}
+}
+
+// TestTableCallsReturnOwnedTables: every Table call is a fresh assembly
+// the caller owns — mutating one reaches neither the next call's table
+// nor the durable state.
+func TestTableCallsReturnOwnedTables(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	first, err := st.Table("book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	first.AppendRow(bookRow(6))
+	second, err := st.Table("book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first == second {
+		t.Fatal("two Table calls returned the same table")
+	}
+	tablesBitEqual(t, fixtureDB().Table("book"), second)
+	re, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	reopened, err := re.Table("book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablesBitEqual(t, second, reopened)
 }
 
 func TestManifestIsCommitPoint(t *testing.T) {
