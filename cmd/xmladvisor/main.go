@@ -49,7 +49,7 @@ func main() {
 	flag.StringVar(&cfg.saveDir, "save-dir", "", "persist the loaded data and recommended design as a durable store in this directory")
 	flag.StringVar(&cfg.openDir, "open-dir", "", "reopen a store saved with -save-dir, verify it, and print its summary (no advisor run)")
 	flag.Int64Var(&cfg.memBudgetMB, "mem-budget", 0, "memory budget in MB for -open-dir: column chunks beyond the budget are paged in on demand and evicted (0 = unlimited, everything stays resident)")
-	flag.IntVar(&cfg.chunkRows, "chunk-rows", 0, "rows per column chunk for segments written by -save-dir (0 = default 4096, -1 = legacy whole-table segments, else a positive multiple of 64)")
+	flag.IntVar(&cfg.chunkRows, "chunk-rows", 0, "rows per column chunk for segments written by -save-dir (0 = default 4096, else a positive multiple of 64)")
 	flag.IntVar(&cfg.compactThreshold, "compact-threshold", 0, "redo-log rows that trigger background compaction on an opened store (0 = compact only on demand)")
 	flag.BoolVar(&cfg.paged, "paged", false, "with -open-dir: rebuild through the chunk-granular paged view (Store.PagedBuilt) — tables stay on disk as schema shells and scans fault chunks under -mem-budget instead of assembling tables up front")
 	flag.Parse()
@@ -246,17 +246,11 @@ func openStore(c cliConfig) error {
 	}
 	fmt.Printf("%-20s %10s %12s %12s %10s  %s\n", "table", "rows", "generation", "bytes", "chunk", "segment")
 	for _, e := range man.Tables {
-		chunk := "whole"
-		if e.ChunkRows > 0 {
-			chunk = fmt.Sprintf("%d", e.ChunkRows)
-		}
-		fmt.Printf("%-20s %10d %12d %12d %10s  %s\n", e.Name, e.Rows, e.Generation, e.Bytes, chunk, e.File)
+		fmt.Printf("%-20s %10d %12d %12d %10d  %s\n", e.Name, e.Rows, e.Generation, e.Bytes, e.ChunkRows, e.File)
 	}
 	var redoBytes int64
-	if man.RedoFile != "" {
-		if fi, err := os.Stat(filepath.Join(c.openDir, man.RedoFile)); err == nil {
-			redoBytes = fi.Size()
-		}
+	if fi, err := os.Stat(filepath.Join(c.openDir, man.RedoFile)); err == nil {
+		redoBytes = fi.Size()
 	}
 	fmt.Printf("redo %s: %d rows, %d KB (generation %d)", man.RedoFile, st.RedoRows(), redoBytes>>10, man.Epoch)
 	if c.compactThreshold > 0 && st.RedoRows() >= c.compactThreshold {
@@ -284,14 +278,8 @@ func openStore(c cliConfig) error {
 	}
 	fmt.Println()
 	if c.paged {
-		srcs := 0
-		for _, e := range man.Tables {
-			if built.ScanSource(e.Name) != nil {
-				srcs++
-			}
-		}
-		fmt.Printf("paged view: %d of %d tables serve scans chunk-by-chunk through the pager; shells assemble only for index/view/partition builds and join build sides\n",
-			srcs, len(man.Tables))
+		fmt.Printf("paged view: all %d tables serve scans chunk-by-chunk through the pager; shells assemble only for index/view/partition builds and join build sides\n",
+			len(man.Tables))
 	}
 	return nil
 }

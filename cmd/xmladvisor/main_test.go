@@ -189,6 +189,21 @@ func TestRunSaveOpen(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
 		t.Fatalf("corrupted store reopened: %v", err)
 	}
+
+	// -chunk-rows -1 is not a format selector: the save fails with the
+	// chunk-size error and publishes nothing.
+	bad := filepath.Join(dir, "bad")
+	err = runSilent(t, cliConfig{
+		dataset: "movie", scale: 0.02, queryPath: queries,
+		algorithm: "greedy", parallel: 1, execute: false,
+		saveDir: bad, chunkRows: -1,
+	})
+	if err == nil || !strings.Contains(err.Error(), "chunk size -1") {
+		t.Fatalf("-chunk-rows -1: %v, want a chunk-size error", err)
+	}
+	if _, err := os.Stat(filepath.Join(bad, "MANIFEST.xman")); err == nil {
+		t.Fatal("failed save published a manifest")
+	}
 }
 
 // captureStdout runs fn with os.Stdout redirected to a pipe and

@@ -55,17 +55,18 @@ func (b *Bitmap) permute(perm []int) {
 
 // Dict is a per-column string dictionary: distinct strings in first-
 // appearance order, so codes are stable as the column grows and
-// decode(encode(s)) == s exactly. Intern mutates the dictionary (and,
-// the first time on a restored one, builds idx) and must be exclusive
-// with every reader, Code included — the rule AppendRow already puts
-// on the table that owns the column.
+// decode(encode(s)) == s exactly. It has one writer, Intern, and one
+// lookup rule for everyone else: readers (Code, Str, Strs, Len) see only
+// strs. Intern mutates the dictionary and must be exclusive with every
+// reader — the rule AppendRow already puts on the table that owns the
+// column.
 type Dict struct {
 	strs []string
-	// idx is the string -> code index of a dictionary that is being
-	// appended to. A dictionary restored from a snapshot has none until
-	// its first Intern: restored tables are mostly read and chunk
-	// fragments only ever read, and the index costs several times the
-	// memory of the strings it points at.
+	// idx is Intern's private string -> code index; no reader touches
+	// it. A dictionary restored from a snapshot has none until its first
+	// Intern: restored tables are mostly read and chunk fragments only
+	// ever read, and the index costs several times the memory of the
+	// strings it points at.
 	idx map[string]uint32
 }
 
@@ -86,25 +87,21 @@ func (d *Dict) Intern(s string) uint32 {
 	return c
 }
 
-// Code looks up the code for s without interning: through the index
-// when the dictionary has one, otherwise by scanning the entries (one
-// pass per compiled equality kernel, never per row). The scan compares
-// lengths before bytes and costs under 1 ns an entry: 7-13 us over the
-// widest dictionary the benchmark corpus has (20 000 titles, table-wide
-// after a hydrate) and under 2 us over a 4096-row chunk's, against the
-// 1.2 ms and 0.36 ms of building an index that the compile would use
-// once.
+// Code looks up the code for s without interning, by scanning the
+// entries — one pass per compiled equality kernel (a resident table
+// compiles once per prepared plan, a chunk once per fragment), never per
+// row. The scan compares lengths before bytes and costs under 1 ns an
+// entry: 7-13 us over the widest dictionary the benchmark corpus has
+// (20 000 titles, table-wide after a hydrate) and under 2 us over a
+// 4096-row chunk's, against the 1.2 ms and 0.36 ms of building an index
+// that the compile would use once.
 func (d *Dict) Code(s string) (uint32, bool) {
-	if d.idx == nil {
-		for c, ds := range d.strs {
-			if ds == s {
-				return uint32(c), true
-			}
+	for c, ds := range d.strs {
+		if ds == s {
+			return uint32(c), true
 		}
-		return 0, false
 	}
-	c, ok := d.idx[s]
-	return c, ok
+	return 0, false
 }
 
 // Str decodes a code.

@@ -72,6 +72,35 @@ func TestDictIdentity(t *testing.T) {
 	}
 }
 
+// TestDictCodeAgreesWithIntern: Code has one rule — scan strs — so it
+// must agree with the writer in every state a dictionary can be in:
+// fresh (index built as it grew), restored from a snapshot (no index),
+// and restored after its first Intern (index built from the entries).
+func TestDictCodeAgreesWithIntern(t *testing.T) {
+	words := []string{"a", "bb", "", "a", "ccc", "bb"}
+	fresh := &Dict{}
+	for _, w := range words {
+		fresh.Intern(w)
+	}
+	restored := &Dict{strs: append([]string(nil), fresh.Strs()...)}
+	interned := &Dict{strs: append([]string(nil), fresh.Strs()...)}
+	interned.Intern("dddd")
+	for name, d := range map[string]*Dict{"fresh": fresh, "restored": restored, "restored+Intern": interned} {
+		if _, ok := d.Code("never"); ok {
+			t.Fatalf("%s: Code found a string nobody interned", name)
+		}
+		n := d.Len()
+		for _, w := range d.Strs() {
+			// Code first: on the restored dictionary this Intern is the
+			// one that builds the index.
+			c, ok := d.Code(w)
+			if ic := d.Intern(w); !ok || c != ic || d.Len() != n {
+				t.Fatalf("%s: Code(%q) = %d, %v; Intern = %d (%d -> %d entries)", name, w, c, ok, ic, n, d.Len())
+			}
+		}
+	}
+}
+
 // randomValue draws a value for column type ct, sometimes of the wrong
 // type or with special float payloads, so the exception slot and the
 // bit-faithfulness contract are exercised together.

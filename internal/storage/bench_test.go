@@ -41,10 +41,12 @@ func benchDB() *rel.Database {
 }
 
 // BenchmarkSegmentDecode measures the pure columnar decode + validate
-// path; benchguard normalizes reopen latency against it.
+// path over one whole-table (version-1) blob — bytes only the test-side
+// encoder still produces; benchguard normalizes reopen latency against
+// it, so it keeps timing exactly what the recorded baselines timed.
 func BenchmarkSegmentDecode(b *testing.B) {
 	db := benchDB()
-	enc := EncodeSegment(db.Table("fact").Snapshot())
+	enc := encodeLegacySegment(db.Table("fact").Snapshot())
 	b.SetBytes(int64(len(enc)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -95,13 +97,6 @@ func benchReopen(b *testing.B, dir string, openOpts Options) {
 // budget: every chunk is read, verified, and merged once.
 func BenchmarkStoreReopen(b *testing.B) {
 	benchReopen(b, benchStore(b, Options{}), Options{})
-}
-
-// BenchmarkStoreReopenV1 pins the legacy whole-table format — the
-// fully resident path earlier baselines recorded; benchguard holds it
-// within noise of the PR 7 numbers.
-func BenchmarkStoreReopenV1(b *testing.B) {
-	benchReopen(b, benchStore(b, Options{ChunkRows: -1}), Options{ChunkRows: -1})
 }
 
 // BenchmarkStoreReopenBudgeted is the cold-chunk scan: a budget a

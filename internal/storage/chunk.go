@@ -80,8 +80,9 @@ type chunkedDir struct {
 
 // EncodeChunkedSegment serializes a snapshot into the chunked format
 // with chunkRows rows per chunk (must be a positive multiple of 64).
-// Like EncodeSegment, the encoding is deterministic: the same snapshot
-// always yields the same bytes.
+// The encoding is deterministic: the same snapshot always yields the
+// same bytes (exceptions are sorted, dictionaries are in
+// first-appearance order), which the golden-format tests pin.
 func EncodeChunkedSegment(s *rel.TableSnapshot, chunkRows int) ([]byte, error) {
 	if chunkRows <= 0 || chunkRows%64 != 0 {
 		return nil, fmt.Errorf("storage: chunk size %d is not a positive multiple of 64", chunkRows)

@@ -32,15 +32,15 @@ func TestFuzzCorpusChecked(t *testing.T) {
 	multi := multiChunkDB(200).Table("fact")
 	empty := rel.NewTable("e", []rel.Column{{Name: rel.IDColumn, Typ: rel.TInt}})
 
-	batched := emptyRedoLog(RedoBatchVersion)[:redoHeaderSize]
+	batched := emptyRedoLog()[:redoHeaderSize]
 	batched = append(batched, encodeRedoBatchRecord("book", [][]rel.Value{
 		{rel.Int(1), rel.Str("x")},
 		{rel.Int(2), rel.Str("y")},
 		{rel.NullOf(rel.TInt), rel.Str("z")},
 	})...)
 	batched = append(batched, encodeRedoFooter(3)...)
-	single := emptyRedoLog(RedoVersion)[:redoHeaderSize]
-	single = append(single, encodeRedoRecord("book", []rel.Value{rel.Int(1), rel.Str("x")})...)
+	single := emptyLegacyRedoLog()[:redoHeaderSize]
+	single = append(single, encodeLegacyRedoRecord("book", []rel.Value{rel.Int(1), rel.Str("x")})...)
 	single = append(single, encodeRedoFooter(1)...)
 
 	corpora := map[string]map[string][]byte{
@@ -52,14 +52,14 @@ func TestFuzzCorpusChecked(t *testing.T) {
 			"truncated-book": chunked(book, 64)[:envelopeSize+9],
 		},
 		"FuzzRedoDecode": {
-			"empty-v1":   emptyRedoLog(RedoVersion),
-			"empty-v2":   emptyRedoLog(RedoBatchVersion),
+			"empty-v1":   emptyLegacyRedoLog(),
+			"empty-v2":   emptyRedoLog(),
 			"single-v1":  single,
 			"batched-v2": batched,
 		},
 		"FuzzSegmentDecode": {
-			"book":  EncodeSegment(book.Snapshot()),
-			"empty": EncodeSegment(empty.Snapshot()),
+			"book":  encodeLegacySegment(book.Snapshot()),
+			"empty": encodeLegacySegment(empty.Snapshot()),
 		},
 	}
 	for fuzzName, entries := range corpora {

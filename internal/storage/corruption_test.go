@@ -67,8 +67,24 @@ func saveCompactedMultiChunk(t *testing.T, dir string) {
 	}
 }
 
+// copyStore clones a store directory's files into a fresh directory.
+func copyStore(t testing.TB, src string) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, f := range storeFiles(t, src) {
+		data, err := os.ReadFile(filepath.Join(src, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
 // storeFiles lists the store directory's file names sorted by name.
-func storeFiles(t *testing.T, dir string) []string {
+func storeFiles(t testing.TB, dir string) []string {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -85,8 +101,7 @@ func storeFiles(t *testing.T, dir string) []string {
 
 // openAll fully opens a store: Open, every table, and the physical
 // rebuild. Any of these may fail; none may panic. A tiny memory budget
-// forces the chunk pager and table LRU through eviction on corrupted
-// inputs too.
+// forces the chunk pager through eviction on corrupted inputs too.
 func openAll(dir string) (map[string]*rel.Table, error) {
 	st, err := Open(dir, Options{MemBudgetBytes: 8 << 10})
 	if err != nil {
@@ -111,18 +126,9 @@ func openAll(dir string) (map[string]*rel.Table, error) {
 // clone to either fail cleanly or serve data bit-identical to the
 // original. A panic, a partial table, or a wrong row count is a test
 // failure.
-func corruptionTrial(t *testing.T, base string, files []string, want map[string]*rel.Table) func(name string, corrupt func(dir string)) {
+func corruptionTrial(t *testing.T, base string, want map[string]*rel.Table) func(name string, corrupt func(dir string)) {
 	return func(name string, corrupt func(dir string)) {
-		dir := t.TempDir()
-		for _, f := range files {
-			data, err := os.ReadFile(filepath.Join(base, f))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, f), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
+		dir := copyStore(t, base)
 		corrupt(dir)
 		got, err := openAll(dir)
 		if err != nil {
@@ -146,16 +152,23 @@ func corruptionTrial(t *testing.T, base string, files []string, want map[string]
 	}
 }
 
-// corruptionSweep runs the seeded flip/truncate battery over every
-// file of the base store.
-func corruptionSweep(t *testing.T, base string, trials int, seed int64) {
+// baseTables opens the pristine base store for the rows every trial is
+// held to.
+func baseTables(t *testing.T, base string) map[string]*rel.Table {
+	t.Helper()
 	want, err := openAll(base)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return want
+}
+
+// corruptionSweep runs the seeded flip/truncate battery over every
+// file of the base store, which it only reads.
+func corruptionSweep(t *testing.T, base string, want map[string]*rel.Table, trials int, seed int64) {
 	files := storeFiles(t, base)
 	rng := rand.New(rand.NewSource(seed))
-	trial := corruptionTrial(t, base, files, want)
+	trial := corruptionTrial(t, base, want)
 	for i := 0; i < trials; i++ {
 		f := files[rng.Intn(len(files))]
 		data, err := os.ReadFile(filepath.Join(base, f))
@@ -189,13 +202,10 @@ func corruptionSweep(t *testing.T, base string, trials int, seed int64) {
 func TestCorruptionNeverLies(t *testing.T) {
 	base := t.TempDir()
 	saveFixtureWithRedo(t, base, Options{})
-	corruptionSweep(t, base, 120, 23)
+	want := baseTables(t, base)
+	corruptionSweep(t, base, want, 120, 23)
 
-	want, err := openAll(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trial := corruptionTrial(t, base, storeFiles(t, base), want)
+	trial := corruptionTrial(t, base, want)
 	trial("empty manifest", func(dir string) {
 		if err := os.WriteFile(filepath.Join(dir, ManifestName), nil, 0o644); err != nil {
 			t.Fatal(err)
@@ -248,12 +258,17 @@ func TestCorruptionNeverLies(t *testing.T) {
 	})
 }
 
-// TestCorruptionNeverLiesV1 keeps the legacy whole-table format under
-// the same battery now that Save defaults to chunked segments.
+// TestCorruptionNeverLiesV1 keeps the legacy formats under the same
+// battery through the only code that still reads them, the conversion
+// in Open: every flipped or truncated byte of a checked-in legacy store
+// is a clean error or the exact rows it held. The base copy is never
+// opened (that would convert it); each trial converts its own clone.
 func TestCorruptionNeverLiesV1(t *testing.T) {
-	base := t.TempDir()
-	saveFixtureWithRedo(t, base, Options{ChunkRows: -1})
-	corruptionSweep(t, base, 120, 29)
+	for i, name := range legacyStores {
+		t.Run(name, func(t *testing.T) {
+			corruptionSweep(t, copyLegacyStore(t, name), legacyWant(name), 120, 29+int64(i))
+		})
+	}
 }
 
 // TestCorruptionNeverLiesCompacted runs the battery over a compacted
@@ -264,13 +279,10 @@ func TestCorruptionNeverLiesV1(t *testing.T) {
 func TestCorruptionNeverLiesCompacted(t *testing.T) {
 	base := t.TempDir()
 	saveCompactedMultiChunk(t, base)
-	corruptionSweep(t, base, 120, 31)
+	want := baseTables(t, base)
+	corruptionSweep(t, base, want, 120, 31)
 
-	want, err := openAll(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trial := corruptionTrial(t, base, storeFiles(t, base), want)
+	trial := corruptionTrial(t, base, want)
 	trial("stray next-epoch files", func(dir string) {
 		// A crash mid-compaction leaves half-written epoch-2 files
 		// behind; Open reads only what the manifest lists.
@@ -318,15 +330,22 @@ func TestCorruptionNeverLiesCompacted(t *testing.T) {
 
 // TestTruncatedSegmentWrongRowCount pins the specific disaster the
 // issue calls out: a truncated segment must never open as a table with
-// fewer rows than the manifest promises — in either format.
+// fewer rows than the manifest promises — in the chunked format, or in
+// a legacy store on its way through the conversion.
 func TestTruncatedSegmentWrongRowCount(t *testing.T) {
 	for _, tc := range []struct {
-		name      string
-		chunkRows int
-	}{{"chunked", 64}, {"v1", -1}} {
-		t.Run(tc.name, func(t *testing.T) {
+		name string
+		base func(t *testing.T) string
+	}{
+		{"chunked", func(t *testing.T) string {
 			base := t.TempDir()
-			saveFixtureWithRedo(t, base, Options{ChunkRows: tc.chunkRows})
+			saveFixtureWithRedo(t, base, Options{ChunkRows: 64})
+			return base
+		}},
+		{"v1", func(t *testing.T) string { return copyLegacyStore(t, "legacy") }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			base := tc.base(t)
 			seg := filepath.Join(base, "t0000.seg")
 			data, err := os.ReadFile(seg)
 			if err != nil {

@@ -8,24 +8,25 @@ import (
 	"repro/internal/rel"
 )
 
-// FuzzSegmentDecode hammers the segment decoder with arbitrary bytes.
-// The properties:
+// FuzzSegmentDecode hammers the read-only whole-table segment decoder
+// with arbitrary bytes. The properties:
 //
 //  1. DecodeSegment never panics and never allocates proportionally to
 //     claimed (rather than actual) sizes.
 //  2. Anything that decodes AND validates through rel.TableFromSnapshot
-//     re-encodes to a segment that decodes back to a bit-identical
-//     table (round-trip identity on the accepted subset).
+//     survives what Open's conversion does to it: encoded as a chunked
+//     segment it decodes back to a bit-identical table, and that
+//     table's snapshot re-encodes to the same bytes.
 func FuzzSegmentDecode(f *testing.F) {
 	for _, tb := range fixtureDB().Tables() {
-		f.Add(EncodeSegment(tb.Snapshot()))
+		f.Add(encodeLegacySegment(tb.Snapshot()))
 	}
 	// Minimal valid segment: empty single-column table.
 	empty := rel.NewTable("e", []rel.Column{{Name: rel.IDColumn, Typ: rel.TInt}})
-	f.Add(EncodeSegment(empty.Snapshot()))
+	f.Add(encodeLegacySegment(empty.Snapshot()))
 	// Seeds aimed at the interesting branches: bad magic, future
 	// version, truncations, and a CRC-valid envelope over garbage.
-	seed := EncodeSegment(empty.Snapshot())
+	seed := encodeLegacySegment(empty.Snapshot())
 	bad := append([]byte(nil), seed...)
 	bad[0] ^= 0xff
 	f.Add(bad)
@@ -45,48 +46,59 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc := EncodeSegment(tb.Snapshot())
-		snap2, err := DecodeSegment(enc)
-		if err != nil {
-			t.Fatalf("re-encoding of accepted segment does not decode: %v", err)
-		}
-		tb2, err := rel.TableFromSnapshot(snap2)
-		if err != nil {
-			t.Fatalf("re-encoding of accepted segment does not validate: %v", err)
-		}
-		if tb.Name != tb2.Name || tb.RowCount() != tb2.RowCount() ||
-			tb.Generation() != tb2.Generation() || tb.Bytes() != tb2.Bytes() {
-			t.Fatalf("round trip drifted: %s/%d/%d/%d vs %s/%d/%d/%d",
-				tb.Name, tb.RowCount(), tb.Generation(), tb.Bytes(),
-				tb2.Name, tb2.RowCount(), tb2.Generation(), tb2.Bytes())
-		}
-		for r := 0; r < tb.RowCount(); r++ {
-			for c := range tb.Columns {
-				if !tb.ValueAt(r, c).BitEqual(tb2.ValueAt(r, c)) {
-					t.Fatalf("round trip drifted at (%d,%d)", r, c)
-				}
-			}
-		}
-		// A second encoding must be byte-stable.
-		if !bytes.Equal(enc, EncodeSegment(tb2.Snapshot())) {
-			t.Fatal("encoding of accepted segment is not deterministic")
-		}
+		chunkedRoundTrip(t, tb)
 	})
 }
 
+// chunkedRoundTrip requires an accepted table to re-encode through the
+// current encoder to a chunked segment that decodes back bit-identically
+// and byte-stably.
+func chunkedRoundTrip(t *testing.T, tb *rel.Table) {
+	enc, err := EncodeChunkedSegment(tb.Snapshot(), 64)
+	if err != nil {
+		t.Fatalf("re-encoding of accepted segment failed: %v", err)
+	}
+	snap2, err := DecodeChunkedSegment(enc)
+	if err != nil {
+		t.Fatalf("re-encoding of accepted segment does not decode: %v", err)
+	}
+	tb2, err := rel.TableFromSnapshot(snap2)
+	if err != nil {
+		t.Fatalf("re-encoding of accepted segment does not validate: %v", err)
+	}
+	if tb.Name != tb2.Name || tb.RowCount() != tb2.RowCount() ||
+		tb.Generation() != tb2.Generation() || tb.Bytes() != tb2.Bytes() {
+		t.Fatalf("round trip drifted: %s/%d/%d/%d vs %s/%d/%d/%d",
+			tb.Name, tb.RowCount(), tb.Generation(), tb.Bytes(),
+			tb2.Name, tb2.RowCount(), tb2.Generation(), tb2.Bytes())
+	}
+	for r := 0; r < tb.RowCount(); r++ {
+		for c := range tb.Columns {
+			if !tb.ValueAt(r, c).BitEqual(tb2.ValueAt(r, c)) {
+				t.Fatalf("round trip drifted at (%d,%d)", r, c)
+			}
+		}
+	}
+	// A second encoding must be byte-stable.
+	enc2, err := EncodeChunkedSegment(tb2.Snapshot(), 64)
+	if err != nil || !bytes.Equal(enc, enc2) {
+		t.Fatal("encoding of accepted segment is not deterministic")
+	}
+}
+
 // FuzzRedoDecode gives the redo log reader the same treatment: no
-// panics, and accepted logs re-encode faithfully in the same framing —
-// including the batched (version 2) group-commit framing.
+// panics, and the rows of an accepted log — in either framing — re-encode
+// faithfully as batched (version 2) records, the only framing written.
 func FuzzRedoDecode(f *testing.F) {
-	f.Add(emptyRedoLog(RedoVersion))
-	f.Add(emptyRedoLog(RedoBatchVersion))
-	log := emptyRedoLog(RedoVersion)
-	rec := encodeRedoRecord("book", []rel.Value{rel.Int(1), rel.Str("x")})
+	f.Add(emptyLegacyRedoLog())
+	f.Add(emptyRedoLog())
+	log := emptyLegacyRedoLog()
+	rec := encodeLegacyRedoRecord("book", []rel.Value{rel.Int(1), rel.Str("x")})
 	withRec := append(append(log[:redoHeaderSize:redoHeaderSize], rec...), encodeRedoFooter(1)...)
 	f.Add(withRec)
 	f.Add(withRec[:len(withRec)-redoFooterSize]) // committed record, missing footer
 	// A batched record: three rows to one table under one frame.
-	batched := emptyRedoLog(RedoBatchVersion)[:redoHeaderSize]
+	batched := emptyRedoLog()[:redoHeaderSize]
 	batched = append(batched, encodeRedoBatchRecord("book", [][]rel.Value{
 		{rel.Int(1), rel.Str("x")},
 		{rel.Int(2), rel.Str("y")},
@@ -101,23 +113,20 @@ func FuzzRedoDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		out := emptyRedoLog(version)[:redoHeaderSize]
-		if version == RedoVersion {
-			for _, r := range recs {
-				out = append(out, encodeRedoRecord(r.Table, r.Row)...)
-			}
-		} else {
-			for _, r := range recs {
-				out = append(out, encodeRedoBatchRecord(r.Table, [][]rel.Value{r.Row})...)
-			}
+		if version != RedoVersion && version != RedoBatchVersion {
+			t.Fatalf("accepted redo log reports version %d", version)
+		}
+		out := emptyRedoLog()[:redoHeaderSize]
+		for _, r := range recs {
+			out = append(out, encodeRedoBatchRecord(r.Table, [][]rel.Value{r.Row})...)
 		}
 		out = append(out, encodeRedoFooter(uint32(len(recs)))...)
 		recs2, version2, err := readRedo(out)
 		if err != nil {
 			t.Fatalf("re-encoding of accepted redo log rejected: %v", err)
 		}
-		if version2 != version {
-			t.Fatalf("round trip changed version: %d vs %d", version2, version)
+		if version2 != RedoBatchVersion {
+			t.Fatalf("re-encoded log reports version %d, want %d", version2, RedoBatchVersion)
 		}
 		if len(recs2) != len(recs) {
 			t.Fatalf("round trip drifted: %d records vs %d", len(recs2), len(recs))
@@ -171,35 +180,6 @@ func FuzzChunkDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		enc, err := EncodeChunkedSegment(tb.Snapshot(), 64)
-		if err != nil {
-			t.Fatalf("re-encoding of accepted chunked segment failed: %v", err)
-		}
-		snap2, err := DecodeChunkedSegment(enc)
-		if err != nil {
-			t.Fatalf("re-encoding of accepted chunked segment does not decode: %v", err)
-		}
-		tb2, err := rel.TableFromSnapshot(snap2)
-		if err != nil {
-			t.Fatalf("re-encoding of accepted chunked segment does not validate: %v", err)
-		}
-		if tb.Name != tb2.Name || tb.RowCount() != tb2.RowCount() ||
-			tb.Generation() != tb2.Generation() || tb.Bytes() != tb2.Bytes() {
-			t.Fatalf("round trip drifted: %s/%d/%d/%d vs %s/%d/%d/%d",
-				tb.Name, tb.RowCount(), tb.Generation(), tb.Bytes(),
-				tb2.Name, tb2.RowCount(), tb2.Generation(), tb2.Bytes())
-		}
-		for r := 0; r < tb.RowCount(); r++ {
-			for c := range tb.Columns {
-				if !tb.ValueAt(r, c).BitEqual(tb2.ValueAt(r, c)) {
-					t.Fatalf("round trip drifted at (%d,%d)", r, c)
-				}
-			}
-		}
-		// A second encoding must be byte-stable.
-		enc2, err := EncodeChunkedSegment(tb2.Snapshot(), 64)
-		if err != nil || !bytes.Equal(enc, enc2) {
-			t.Fatal("encoding of accepted chunked segment is not deterministic")
-		}
+		chunkedRoundTrip(t, tb)
 	})
 }

@@ -34,15 +34,15 @@ type TableEntry struct {
 	// (always a bare name, never a path).
 	File string `json:"file"`
 	// Size is the segment file's full length. CRC is the CRC32-C of
-	// the whole file for a version-1 segment, or of just the framed
-	// directory for a chunked segment (chunk bodies carry their own
-	// checksums in the directory, so lazy loads never hash the whole
-	// file).
+	// just the framed directory (chunk bodies carry their own checksums
+	// in the directory, so lazy loads never hash the whole file) — or,
+	// in a legacy store Open has yet to convert, of the whole file of a
+	// version-1 segment.
 	Size int64  `json:"size"`
 	CRC  uint32 `json:"crc"`
-	// ChunkRows and Dir describe a chunked (format version 2) segment:
-	// rows per chunk and the framed directory length. Both zero for a
-	// version-1 whole-table segment.
+	// ChunkRows and Dir describe the chunked segment: rows per chunk
+	// and the framed directory length. Both are zero only for a
+	// version-1 whole-table segment, which no live Store ever holds.
 	ChunkRows int   `json:"chunkRows,omitempty"`
 	Dir       int64 `json:"dir,omitempty"`
 	// Rows, Generation, and Bytes pin the decoded table's shape: a
@@ -59,8 +59,8 @@ type TableEntry struct {
 // logical design (the mapping's SQL schema) for operators.
 type Manifest struct {
 	// FormatVersion is the segment format the store was written with:
-	// SegmentVersion (whole-table blobs) or ChunkSegmentVersion
-	// (chunked segments).
+	// ChunkSegmentVersion, or SegmentVersion (whole-table blobs) in a
+	// legacy store before Open converts it.
 	FormatVersion int `json:"formatVersion"`
 	// Epoch counts compactions: each redo-log fold writes a new
 	// generation of segment files named for the epoch and bumps it.
@@ -76,7 +76,7 @@ type Manifest struct {
 	// the advisor chose, informational (the relational schema itself
 	// is authoritative in the segments).
 	MappingSQL string `json:"mappingSQL,omitempty"`
-	// RedoFile is the redo log file name.
+	// RedoFile is the redo log file name; every store has one.
 	RedoFile string `json:"redoFile"`
 }
 
@@ -148,10 +148,8 @@ func decodeManifest(data []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("storage: corrupt manifest: table %q has a directory length %d but no chunk size", e.Name, e.Dir)
 		}
 	}
-	if m.RedoFile != "" {
-		if err := checkFileName(m.RedoFile); err != nil {
-			return nil, fmt.Errorf("storage: corrupt manifest: redo log: %w", err)
-		}
+	if err := checkFileName(m.RedoFile); err != nil {
+		return nil, fmt.Errorf("storage: corrupt manifest: redo log: %w", err)
 	}
 	return m, nil
 }

@@ -20,10 +20,13 @@ import (
 //	record := u32 body length | u32 CRC32-C of body | body
 //	footer := "XEND" | u32 row count | u32 CRC32-C of footer prefix
 //
-// Version 1 frames one row per record; version 2 (the group-commit
-// format) frames one record per batch of rows appended to the same
-// table under a single fsync. The footer always counts rows, so the
-// bounded-replay guarantee is framing-independent.
+// Version 2 (the group-commit format) frames one record per batch of
+// rows appended to the same table under a single fsync, and is the only
+// framing this package writes. Version 1 framed one row per record; it
+// is read-only — readRedo still verifies and decodes it so that Open can
+// convert such a store (convert.go), and nothing appends to it. The
+// footer always counts rows, so the bounded-replay guarantee is
+// framing-independent.
 //
 // Records are self-checksummed, and the footer pins the row count: an
 // append overwrites the old footer with the new record and writes a
@@ -34,9 +37,10 @@ import (
 // open (the append was never acknowledged, so no acknowledged write is
 // lost).
 
-// RedoVersion is the original one-row-per-record redo format.
-// RedoBatchVersion frames one record per group-committed batch; new
-// stores write it, and readRedo accepts both.
+// RedoVersion is the original one-row-per-record redo format, which
+// readRedo accepts and nothing writes. RedoBatchVersion frames one
+// record per group-committed batch: every log Save, compaction, and the
+// conversion of a legacy store create, and every append, uses it.
 const (
 	RedoVersion      = 1
 	RedoBatchVersion = 2
@@ -77,10 +81,10 @@ func encodeRedoFooter(count uint32) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
 }
 
-// emptyRedoLog is the initial file Save and compaction write: header
-// plus a zero-record footer.
-func emptyRedoLog(version uint32) []byte {
-	return append(encodeRedoHeader(version), encodeRedoFooter(0)...)
+// emptyRedoLog is the initial file Save and every epoch publish write:
+// batch-framed header plus a zero-record footer.
+func emptyRedoLog() []byte {
+	return append(encodeRedoHeader(RedoBatchVersion), encodeRedoFooter(0)...)
 }
 
 // frameRedoBody wraps a record body with its length and checksum.
@@ -89,17 +93,6 @@ func frameRedoBody(body []byte) []byte {
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
 	return append(out, body...)
-}
-
-// encodeRedoRecord frames one append as a checksummed v1 record.
-func encodeRedoRecord(table string, row []rel.Value) []byte {
-	var body []byte
-	body = appendString(body, table)
-	body = binary.AppendUvarint(body, uint64(len(row)))
-	for _, v := range row {
-		body = appendValue(body, v)
-	}
-	return frameRedoBody(body)
 }
 
 // encodeRedoBatchRecord frames a batch of rows appended to one table
@@ -118,7 +111,7 @@ func encodeRedoBatchRecord(table string, rows [][]rel.Value) []byte {
 }
 
 // readRedo parses a redo log file's full contents and reports the
-// file's format version (so later appends keep the framing). Any
+// file's format version (Open converts a version-1 store). Any
 // structural damage — bad magic, wrong version, truncated record,
 // checksum mismatch, missing or disagreeing footer, garbage body — is
 // an error; the caller treats the store as unopenable rather than
@@ -181,7 +174,7 @@ func readRedo(data []byte) ([]redoRecord, uint32, error) {
 	return recs, version, nil
 }
 
-// decodeRedoBody parses one checksum-verified record body.
+// decodeRedoBody parses one checksum-verified version-1 record body.
 func decodeRedoBody(body []byte) (redoRecord, error) {
 	r := &reader{buf: body, kind: "redo record"}
 	var rec redoRecord
@@ -255,35 +248,27 @@ func decodeRedoBatchBody(body []byte) ([]redoRecord, error) {
 // appendRedoBatch writes a batch of appends over the old footer at
 // footOff, follows it with the footer for count total rows, truncates
 // any stale bytes from an earlier failed write, and fsyncs once — the
-// group commit. In a v2 log, consecutive rows to the same table fold
-// into one batched record; in a v1 log each row gets its own record
-// (the framing matches the file's header version either way). The
-// footer write is the commit: a crash before it leaves a footer-less
-// tail that readRedo rejects.
-func appendRedoBatch(path string, version uint32, recs []redoRecord, footOff int64, count uint32) (newFootOff int64, err error) {
+// group commit. Consecutive rows to the same table fold into one
+// batched record. The footer write is the commit: a crash before it
+// leaves a footer-less tail that readRedo rejects.
+func appendRedoBatch(path string, recs []redoRecord, footOff int64, count uint32) (newFootOff int64, err error) {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("storage: opening redo log: %w", err)
 	}
 	defer f.Close()
 	var buf []byte
-	if version == RedoVersion {
-		for i := range recs {
-			buf = append(buf, encodeRedoRecord(recs[i].Table, recs[i].Row)...)
+	for i := 0; i < len(recs); {
+		j := i + 1
+		for j < len(recs) && recs[j].Table == recs[i].Table {
+			j++
 		}
-	} else {
-		for i := 0; i < len(recs); {
-			j := i + 1
-			for j < len(recs) && recs[j].Table == recs[i].Table {
-				j++
-			}
-			rows := make([][]rel.Value, 0, j-i)
-			for k := i; k < j; k++ {
-				rows = append(rows, recs[k].Row)
-			}
-			buf = append(buf, encodeRedoBatchRecord(recs[i].Table, rows)...)
-			i = j
+		rows := make([][]rel.Value, 0, j-i)
+		for k := i; k < j; k++ {
+			rows = append(rows, recs[k].Row)
 		}
+		buf = append(buf, encodeRedoBatchRecord(recs[i].Table, rows)...)
+		i = j
 	}
 	recLen := int64(len(buf))
 	buf = append(buf, encodeRedoFooter(count)...)

@@ -7,7 +7,7 @@ import (
 )
 
 // ChunkScan is a storage-backed engine.ScanSource: it serves one
-// chunked table chunk by chunk through the pager, so a driver-stage
+// table chunk by chunk through the pager, so a driver-stage
 // scan faults, filters, and releases one verified chunk per worker at a
 // time instead of assembling the table — peak scan memory follows
 // Options.MemBudgetBytes (plus one pinned chunk per worker), not table
@@ -38,10 +38,9 @@ type ChunkScan struct {
 	overlay *rel.Table
 }
 
-// ChunkScan returns a chunk-granular scan source for the named table,
-// which must be stored in the chunked segment format. Register it on a
-// Built (engine.Built.SetScanSource) to bound driver-stage scan memory;
-// Store.PagedBuilt does both for every chunked table.
+// ChunkScan returns a chunk-granular scan source for the named table.
+// Register it on a Built (engine.Built.SetScanSource) to bound
+// driver-stage scan memory; Store.PagedBuilt does both for every table.
 func (s *Store) ChunkScan(name string) (*ChunkScan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -49,14 +48,11 @@ func (s *Store) ChunkScan(name string) (*ChunkScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if e.ChunkRows <= 0 {
-		return nil, fmt.Errorf("storage: table %q uses the whole-table segment format; chunk scans need a chunked segment", name)
-	}
 	return s.chunkScanLocked(e, s.redo[name])
 }
 
-// chunkScanLocked builds the scan of a chunked entry and its current
-// redo tail: the staleness fence, the chunk spans, and the tail as an
+// chunkScanLocked builds the scan of an entry and its current redo
+// tail: the staleness fence, the chunk spans, and the tail as an
 // overlay.
 func (s *Store) chunkScanLocked(e *TableEntry, tail []redoRecord) (*ChunkScan, error) {
 	d, err := s.chunkedDirLocked(e)

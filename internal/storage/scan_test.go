@@ -606,51 +606,3 @@ func TestChunkScanNeverServesPreCompactionChunk(t *testing.T) {
 		t.Fatal("post-compaction chunk came from the cache instead of faulting the new segment")
 	}
 }
-
-// TestChunkScanRejectsWholeTableSegments pins the format gate: version-1
-// whole-table segments cannot be chunk-scanned, and PagedBuilt falls
-// back to assembled loading for them.
-func TestChunkScanRejectsWholeTableSegments(t *testing.T) {
-	dir := t.TempDir()
-	b, err := engine.Build(scanDB(192), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Save(dir, b, Options{ChunkRows: -1}); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	if _, err := s.ChunkScan("big"); err == nil || !strings.Contains(err.Error(), "whole-table") {
-		t.Fatalf("v1 chunk scan: %v, want format error", err)
-	}
-	paged, err := s.PagedBuilt()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if paged.ScanSource("big") != nil {
-		t.Fatal("PagedBuilt registered a chunk source for a v1 segment")
-	}
-	db, err := s.Database()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle, err := s.Built()
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan := scanPlan(t, db, scanQueries()[0])
-	want, err := engine.ExecuteReference(oracle, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := engine.Execute(paged, plan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireSameResult(t, "v1 fallback", got, want)
-}

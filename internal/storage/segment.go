@@ -24,9 +24,10 @@ import (
 	"repro/internal/rel"
 )
 
-// SegmentVersion is the current binary segment format version. Readers
-// accept exactly this version; older binaries reject newer segments
-// with a descriptive error instead of misparsing them.
+// SegmentVersion is the whole-table segment format: one checksummed
+// blob per table. Nothing writes it — DecodeSegment reads it so
+// that Open can convert a store that still holds such segments
+// (convert.go); ChunkSegmentVersion is the format stores are written in.
 const SegmentVersion = 1
 
 // segMagic brands segment files. The envelope shared by all storage
@@ -91,57 +92,8 @@ func openEnvelope(kind string, magic [4]byte, version uint32, data []byte) ([]by
 	return payload, nil
 }
 
-// EncodeSegment serializes a table snapshot into a self-contained,
-// checksummed segment. The encoding is deterministic: the same
-// snapshot always yields the same bytes (exceptions are sorted,
-// dictionaries are in first-appearance order), which the golden-format
-// tests pin.
-func EncodeSegment(s *rel.TableSnapshot) []byte {
-	var p []byte
-	p = appendString(p, s.Name)
-	p = appendString(p, s.Parent)
-	p = binary.AppendUvarint(p, uint64(s.Generation))
-	p = binary.AppendUvarint(p, uint64(s.RowCount))
-	p = binary.AppendUvarint(p, uint64(len(s.Columns)))
-	for i := range s.Columns {
-		cs := &s.Columns[i]
-		p = appendString(p, cs.Col.Name)
-		p = append(p, byte(cs.Col.Typ), boolByte(cs.Col.Nullable))
-		p = binary.AppendVarint(p, int64(cs.Col.LeafID))
-		p = binary.AppendUvarint(p, uint64(cs.Col.Occurrence))
-		p = binary.AppendUvarint(p, uint64(len(cs.NullWords)))
-		for _, w := range cs.NullWords {
-			p = binary.LittleEndian.AppendUint64(p, w)
-		}
-		switch cs.Col.Typ {
-		case rel.TInt:
-			for _, v := range cs.Ints {
-				p = binary.LittleEndian.AppendUint64(p, uint64(v))
-			}
-		case rel.TFloat:
-			for _, v := range cs.Floats {
-				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
-			}
-		case rel.TString:
-			p = binary.AppendUvarint(p, uint64(len(cs.Dict)))
-			for _, ds := range cs.Dict {
-				p = appendString(p, ds)
-			}
-			for _, c := range cs.Codes {
-				p = binary.AppendUvarint(p, uint64(c))
-			}
-		}
-		p = binary.AppendUvarint(p, uint64(len(cs.Exc)))
-		for _, e := range cs.Exc {
-			p = binary.AppendUvarint(p, uint64(e.Row))
-			p = appendValue(p, e.Val)
-		}
-	}
-	return wrapEnvelope(segMagic, SegmentVersion, p)
-}
-
-// DecodeSegment parses a segment file back into a snapshot. It
-// tolerates arbitrary input: every read is bounds-checked, allocation
+// DecodeSegment parses a whole-table (SegmentVersion) segment file into
+// a snapshot. It tolerates arbitrary input: every read is bounds-checked, allocation
 // sizes are capped by the remaining payload, and all failures are
 // errors (the native fuzz target FuzzSegmentDecode hammers this).
 // Structural validation beyond the wire shape — bitmap/vector length

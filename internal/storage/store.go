@@ -36,9 +36,10 @@ type Options struct {
 	// to their callers and are not counted. Zero or less means
 	// unlimited — every chunk stays resident once faulted.
 	MemBudgetBytes int64
-	// ChunkRows is the rows-per-chunk for segments written by Save and
-	// Compact. Zero means DefaultChunkRows; a negative value selects
-	// the version-1 whole-table format.
+	// ChunkRows is the rows-per-chunk for segments written by Save,
+	// Compact, and the one-time conversion of a legacy store in Open:
+	// a positive multiple of 64, or zero for DefaultChunkRows. Anything
+	// else is an error from whichever of them writes a segment.
 	ChunkRows int
 	// CompactRecords, when positive, auto-compacts the store in the
 	// background once the redo log holds at least this many rows. Zero
@@ -61,8 +62,10 @@ func (o Options) chunkRowsOrDefault() int {
 
 // Store is an opened on-disk store: the verified manifest, the redo
 // tail, and a budgeted cache of verified chunks (the pager). Segments
-// are read, checksum-verified, and structurally validated when a
-// caller asks for rows (chunk by chunk for chunked segments).
+// are read, checksum-verified, and structurally validated chunk by
+// chunk when a caller asks for rows. A live store holds one format
+// only — every manifest entry is a chunked segment and the redo log is
+// batch-framed; Open converts anything older before it returns.
 //
 // The store keeps no assembled table. Every *rel.Table it hands out —
 // from Table, Database, Built, or a PagedBuilt shell's hydration — is
@@ -83,15 +86,11 @@ type Store struct {
 	dirs  map[string]*chunkedDir
 	pager *pager
 	redo  map[string][]redoRecord
-	// v1Cols remembers the columns of whole-table segments, which have
-	// no directory to read them from, after their first load.
-	v1Cols map[string][]rel.Column
 	// redoFootOff is the file offset of the redo log's commit footer
 	// (where the next record goes); redoCount the committed row count.
 	// Both advance under mu as batches commit.
 	redoFootOff int64
 	redoCount   uint32
-	redoVersion uint32
 	// gcCur is the open group-commit batch appenders join until a
 	// leader detaches and flushes it.
 	gcCur *commitBatch
@@ -101,8 +100,8 @@ type Store struct {
 
 	compacting atomic.Bool
 	compactWG  sync.WaitGroup
-	// killCompact, when set by tests, is invoked before each compaction
-	// step; returning an error simulates a crash at that point.
+	// killCompact, when set by tests, is invoked before each step of
+	// publishLocked; returning an error simulates a crash at that point.
 	killCompact func(step string) error
 }
 
@@ -115,8 +114,8 @@ type commitBatch struct {
 	err     error
 }
 
-// encodeTableFile serializes one table in the configured format and
-// returns the file bytes plus the manifest entry pinning its facts.
+// encodeTableFile serializes one table as a chunked segment and returns
+// the file bytes plus the manifest entry pinning its facts.
 func encodeTableFile(t *rel.Table, file string, chunkRows int) ([]byte, TableEntry, error) {
 	e := TableEntry{
 		Name:       t.Name,
@@ -125,12 +124,6 @@ func encodeTableFile(t *rel.Table, file string, chunkRows int) ([]byte, TableEnt
 		Rows:       t.RowCount(),
 		Generation: t.Generation(),
 		Bytes:      t.Bytes(),
-	}
-	if chunkRows < 0 {
-		seg := EncodeSegment(t.Snapshot())
-		e.Size = int64(len(seg))
-		e.CRC = crc32.Checksum(seg, crcTable)
-		return seg, e, nil
 	}
 	seg, err := EncodeChunkedSegment(t.Snapshot(), chunkRows)
 	if err != nil {
@@ -157,12 +150,8 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 	}
 	written := opts.Registry.Counter("storage.save.bytes_written")
 	cr := opts.chunkRowsOrDefault()
-	format := ChunkSegmentVersion
-	if cr < 0 {
-		format = SegmentVersion
-	}
 	man := &Manifest{
-		FormatVersion: format,
+		FormatVersion: ChunkSegmentVersion,
 		Design:        b.Config,
 		MappingSQL:    opts.MappingSQL,
 		RedoFile:      RedoName,
@@ -178,7 +167,7 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 		written.Add(int64(len(seg)))
 		man.Tables = append(man.Tables, entry)
 	}
-	redo := emptyRedoLog(RedoBatchVersion)
+	redo := emptyRedoLog()
 	if err := writeFileSync(filepath.Join(dir, RedoName), redo); err != nil {
 		return nil, err
 	}
@@ -196,9 +185,23 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 
 // Open reads and verifies the manifest and the redo log. Table
 // segments are not read yet — Table, Database, and Built load them
-// when called, chunk by chunk under the memory budget for chunked
-// segments.
+// when called, chunk by chunk under the memory budget.
+//
+// Open writes in one case: a store from before the chunked format —
+// its manifest lists a whole-table (version-1) segment, or its redo log
+// is framed one row per record — is converted before Open returns
+// (convertLegacyLocked), because nothing behind this door reads or
+// extends either. The converted store is published as the next epoch
+// the way a compaction is, so a crash part-way reopens to the old store
+// (which converts again) or to the new one, never a mix; if the
+// directory cannot be written, Open fails and says so.
 func Open(dir string, opts Options) (*Store, error) {
+	return open(dir, opts, nil)
+}
+
+// open is Open with the publish killpoint installed before a conversion
+// can run; tests inject crashes through it.
+func open(dir string, opts Options, kill func(step string) error) (*Store, error) {
 	start := time.Now()
 	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -209,36 +212,35 @@ func Open(dir string, opts Options) (*Store, error) {
 		opts.Registry.Counter("storage.checksum.failures").Inc()
 		return nil, err
 	}
+	rb, err := os.ReadFile(filepath.Join(dir, man.RedoFile))
+	if err != nil {
+		return nil, fmt.Errorf("storage: opening redo log: %w", err)
+	}
+	recs, version, err := readRedo(rb)
+	if err != nil {
+		opts.Registry.Counter("storage.checksum.failures").Inc()
+		return nil, err
+	}
 	s := &Store{
 		dir:         dir,
 		man:         man,
 		reg:         opts.Registry,
 		opts:        opts,
 		dirs:        make(map[string]*chunkedDir),
-		v1Cols:      make(map[string][]rel.Column),
 		pager:       newPager(dir, opts.MemBudgetBytes, opts.Registry),
 		redo:        make(map[string][]redoRecord),
-		redoVersion: RedoBatchVersion,
+		redoFootOff: int64(len(rb)) - redoFooterSize,
+		redoCount:   uint32(len(recs)),
+		killCompact: kill,
 	}
-	if man.RedoFile != "" {
-		rb, err := os.ReadFile(filepath.Join(dir, man.RedoFile))
-		if err != nil {
-			return nil, fmt.Errorf("storage: opening redo log: %w", err)
+	for _, rec := range recs {
+		if man.Table(rec.Table) == nil {
+			return nil, fmt.Errorf("storage: redo log references unknown table %q", rec.Table)
 		}
-		recs, version, err := readRedo(rb)
-		if err != nil {
-			opts.Registry.Counter("storage.checksum.failures").Inc()
-			return nil, err
-		}
-		for _, rec := range recs {
-			if man.Table(rec.Table) == nil {
-				return nil, fmt.Errorf("storage: redo log references unknown table %q", rec.Table)
-			}
-			s.redo[rec.Table] = append(s.redo[rec.Table], rec)
-		}
-		s.redoFootOff = int64(len(rb)) - redoFooterSize
-		s.redoCount = uint32(len(recs))
-		s.redoVersion = version
+		s.redo[rec.Table] = append(s.redo[rec.Table], rec)
+	}
+	if err := s.convertLegacyLocked(version); err != nil {
+		return nil, err
 	}
 	opts.Registry.Gauge("storage.open.ms").Set(float64(time.Since(start).Nanoseconds()) / 1e6)
 	return s, nil
@@ -320,22 +322,22 @@ func (s *Store) Table(name string) (*rel.Table, error) {
 	return s.assembleLocked(e, s.redo[name])
 }
 
-// assembleLocked is the only way a manifest entry becomes a
-// *rel.Table: the segment through its verification chain (chunks
-// faulting through the pager), a check that it decodes to the shape the
-// manifest pins, then the given redo tail replayed in commit order. The
-// result shares nothing with the pager's chunks or with any other
-// assembly, so whoever receives it owns it. It has no Close fence:
+// assembleLocked is the only way a live store's manifest entry becomes
+// a *rel.Table: the chunked segment through its verification chain
+// (chunks faulting through the pager), a check that it decodes to the
+// shape the manifest pins, then the given redo tail replayed in commit
+// order. The result shares nothing with the pager's chunks or with any
+// other assembly, so whoever receives it owns it. It has no Close fence:
 // the background compaction Close waits out assembles during shutdown.
 func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
+	return s.assembleFrom(s.loadChunkedLocked, e, tail)
+}
+
+// assembleFrom is assembleLocked over a given segment loader; the only
+// other loader is the legacy one the conversion in Open passes.
+func (s *Store) assembleFrom(load func(*TableEntry) (*rel.Table, error), e *TableEntry, tail []redoRecord) (*rel.Table, error) {
 	start := time.Now()
-	var t *rel.Table
-	var err error
-	if e.ChunkRows > 0 {
-		t, err = s.loadChunkedLocked(e)
-	} else {
-		t, err = s.loadSegmentLocked(e)
-	}
+	t, err := load(e)
 	if err != nil {
 		return nil, err
 	}
@@ -362,66 +364,6 @@ func replayRedo(table string, ncols int, tail []redoRecord, apply func(row []rel
 		apply(rec.Row)
 	}
 	return nil
-}
-
-// columnsLocked returns a table's column descriptors without
-// assembling it, so the write path never loads a table just to check a
-// row's width: a chunked segment's verified directory carries them, and
-// a whole-table segment, which has no directory, loads once and is
-// remembered.
-func (s *Store) columnsLocked(name string) ([]rel.Column, error) {
-	e, err := s.entryLocked(name)
-	if err != nil {
-		return nil, err
-	}
-	if e.ChunkRows > 0 {
-		d, err := s.chunkedDirLocked(e)
-		if err != nil {
-			return nil, err
-		}
-		return d.Cols, nil
-	}
-	if cols, ok := s.v1Cols[name]; ok {
-		return cols, nil
-	}
-	t, err := s.assembleLocked(e, nil)
-	if err != nil {
-		return nil, err
-	}
-	s.v1Cols[name] = t.Columns
-	return t.Columns, nil
-}
-
-// loadSegmentLocked loads a version-1 whole-table segment through the
-// verification chain: size, CRC, bounds-checked decode, structural
-// validation.
-func (s *Store) loadSegmentLocked(e *TableEntry) (*rel.Table, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, e.File))
-	if err != nil {
-		return nil, fmt.Errorf("storage: reading segment for table %q: %w", e.Name, err)
-	}
-	if int64(len(data)) != e.Size {
-		s.reg.Counter("storage.checksum.failures").Inc()
-		return nil, fmt.Errorf("storage: segment %s is %d bytes, manifest says %d", e.File, len(data), e.Size)
-	}
-	if got := crc32.Checksum(data, crcTable); got != e.CRC {
-		s.reg.Counter("storage.checksum.failures").Inc()
-		return nil, fmt.Errorf("storage: segment %s checksum mismatch: manifest says %08x, file hashes to %08x", e.File, e.CRC, got)
-	}
-	snap, err := DecodeSegment(data)
-	if err != nil {
-		s.reg.Counter("storage.checksum.failures").Inc()
-		return nil, err
-	}
-	if snap.Name != e.Name {
-		return nil, fmt.Errorf("storage: segment %s holds table %q, manifest says %q", e.File, snap.Name, e.Name)
-	}
-	t, err := rel.TableFromSnapshot(snap)
-	if err != nil {
-		return nil, fmt.Errorf("storage: segment %s: %w", e.File, err)
-	}
-	s.reg.Counter("storage.segment.bytes_read").Add(int64(len(data)))
-	return t, nil
 }
 
 // loadChunkedLocked assembles a table from its chunked segment: the
@@ -501,11 +443,10 @@ func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 // view is the one constructor behind Database, Built, and PagedBuilt:
 // a single walk over the manifest under s.mu that captures every
 // table's entry and the redo prefix committed at that instant, and
-// turns each pair into an assembled table — or, when paged and the
-// segment is chunked, into a schema-only shell plus the ChunkScan that
-// serves its driver-stage scans. A shell hydrates through assembleLocked
-// over the same captured pair, so all the tables of one view describe
-// one point in time.
+// turns each pair into an assembled table — or, when paged, into a
+// schema-only shell plus the ChunkScan that serves its driver-stage
+// scans. A shell hydrates through assembleLocked over the same captured
+// pair, so all the tables of one view describe one point in time.
 func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -517,7 +458,7 @@ func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan,
 	for i := range s.man.Tables {
 		e := s.man.Tables[i]   // copy: a shell's loader must survive manifest swaps
 		tail := s.redo[e.Name] // appends only ever extend; the slice header pins our prefix
-		if !paged || e.ChunkRows <= 0 {
+		if !paged {
 			t, err := s.assembleLocked(&e, tail)
 			if err != nil {
 				return nil, nil, nil, err
@@ -567,17 +508,16 @@ func (s *Store) Built() (*engine.Built, error) {
 	return s.built(false, "storage.built.ms")
 }
 
-// PagedBuilt is Built with query-time paging: every chunked table
-// enters the database as a schema-only virtual shell whose driver-stage
-// scans pull chunks through the pager (a registered ChunkScan source),
-// so a scan query's peak resident bytes follow Options.MemBudgetBytes
-// instead of table size. Accesses that genuinely need the whole table —
-// index, view, and partition builds, join build sides, EXISTS probes,
-// index seeks — hydrate the shell on demand by assembling the same
+// PagedBuilt is Built with query-time paging: every table enters the
+// database as a schema-only virtual shell whose driver-stage scans pull
+// chunks through the pager (a registered ChunkScan source), so a scan
+// query's peak resident bytes follow Options.MemBudgetBytes instead of
+// table size. Accesses that genuinely need the whole table — index,
+// view, and partition builds, join build sides, EXISTS probes, index
+// seeks — hydrate the shell on demand by assembling the same
 // point-in-time row set (segment + the redo tail committed when
 // PagedBuilt ran); the hydrated table belongs to the Built, outside the
-// budget. Version-1 whole-table segments cannot be paged and are
-// assembled, as in Built.
+// budget.
 //
 // Unlike Built, the view keeps reading from the store: after an append
 // or a compaction, chunk scans fail with a staleness error (and
@@ -627,24 +567,22 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	if len(rows) == 0 {
 		return nil
 	}
+	// The verified segment directory carries the columns, so checking a
+	// row's width never assembles the table.
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
+	var cd *chunkedDir
+	e, err := s.entryLocked(table)
+	if err == nil {
+		cd, err = s.chunkedDirLocked(e)
 	}
-	if s.man.RedoFile == "" {
-		s.mu.Unlock()
-		return fmt.Errorf("storage: store has no redo log")
-	}
-	cols, err := s.columnsLocked(table)
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
 	for _, row := range rows {
-		if len(row) != len(cols) {
+		if len(row) != len(cd.Cols) {
 			s.mu.Unlock()
-			return fmt.Errorf("storage: append to %q has %d values, table has %d columns", table, len(row), len(cols))
+			return fmt.Errorf("storage: append to %q has %d values, table has %d columns", table, len(row), len(cd.Cols))
 		}
 	}
 	if s.gcCur == nil {
@@ -679,12 +617,12 @@ func (s *Store) flushBatchLocked(b *commitBatch) {
 	if s.gcCur == b {
 		s.gcCur = nil
 	}
-	footOff, count, version := s.redoFootOff, s.redoCount, s.redoVersion
+	footOff, count := s.redoFootOff, s.redoCount
 	path := filepath.Join(s.dir, s.man.RedoFile)
 	s.mu.Unlock()
 
 	nrows := uint32(len(b.recs))
-	newFoot, err := appendRedoBatch(path, version, b.recs, footOff, count+nrows)
+	newFoot, err := appendRedoBatch(path, b.recs, footOff, count+nrows)
 	b.flushed = true
 	b.err = err
 	if err != nil {
@@ -723,52 +661,65 @@ func (s *Store) maybeCompactAsync() {
 	go func() {
 		defer s.compactWG.Done()
 		defer s.compacting.Store(false)
-		if err := s.compactNoFence(); err != nil {
+		if err := s.compact(false); err != nil {
 			s.reg.Counter("storage.compact.failures").Inc()
 		}
 	}()
 }
 
 // Compact folds the redo log back into fresh segments: every table
-// with a redo tail is rewritten (with its replayed rows) into a new
-// epoch's segment file, a fresh empty redo log is written, and the new
-// manifest is published via temp-file+rename — the atomic switch-over.
-// A crash anywhere before the rename leaves the old manifest pointing
-// at the old files, so the store reopens at the old generation; a
-// crash after it reopens at the new one with a bounded (empty) redo
-// tail. Stray files from an unfinished epoch are ignored by Open,
-// which only reads what the manifest lists.
-func (s *Store) Compact() error {
+// with a redo tail is rewritten (with its replayed rows) into the next
+// epoch's segment file and the epoch is published by publishLocked.
+func (s *Store) Compact() error { return s.compact(true) }
+
+// compact is Compact; without the Close fence it is the background
+// compaction, which may complete during shutdown so that one triggered
+// before Close keeps the bounded-redo-tail promise even when Close
+// races it to flushMu.
+func (s *Store) compact(fence bool) error {
 	s.flushMu.Lock()
 	defer s.flushMu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
+	if fence && s.closed {
 		return ErrClosed
 	}
-	return s.compactLocked()
-}
-
-// compactNoFence runs a compaction that is allowed to complete during
-// shutdown: a background compaction triggered before Close keeps the
-// bounded-redo-tail promise even when Close races it to flushMu.
-func (s *Store) compactNoFence() error {
-	s.flushMu.Lock()
-	defer s.flushMu.Unlock()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.compactLocked()
-}
-
-// compactLocked is the body of Compact. Caller holds flushMu and mu.
-func (s *Store) compactLocked() error {
 	start := time.Now()
-	if s.man.RedoFile == "" {
-		return fmt.Errorf("storage: store has no redo log")
-	}
-	if s.redoCount == 0 {
+	folded := s.redoCount
+	if folded == 0 {
 		return nil
 	}
+	if err := s.publishLocked(s.foldTailLocked); err != nil {
+		return err
+	}
+	s.reg.Counter("storage.compact.runs").Inc()
+	s.reg.Counter("storage.compact.records_folded").Add(int64(folded))
+	s.reg.Gauge("storage.compact.ms").Set(float64(time.Since(start).Nanoseconds()) / 1e6)
+	return nil
+}
+
+// foldTailLocked is compaction's rewrite rule for publishLocked: a table
+// with a redo tail is assembled with it, any other carries over.
+func (s *Store) foldTailLocked(e *TableEntry) (*rel.Table, error) {
+	if tail := s.redo[e.Name]; len(tail) > 0 {
+		return s.assembleLocked(e, tail)
+	}
+	return nil, nil
+}
+
+// publishLocked moves the store to its next epoch; compaction and the
+// legacy conversion in Open are its two callers. rewrite returns the
+// table an entry's new segment holds — its rows with the redo tail
+// folded in — or nil to carry the entry's file over unchanged. The new
+// segment files are written first, then a fresh empty redo log, then
+// the new manifest is published via temp-file+rename — the atomic
+// switch-over. A crash anywhere before the rename leaves the old
+// manifest pointing at the old files, so the store reopens at the old
+// epoch with its full redo tail; a crash after it reopens at the new
+// one with an empty tail. Stray files from an unfinished epoch are
+// ignored by Open, which only reads what the manifest lists. Caller
+// holds flushMu and mu, or is Open, whose store nobody else has yet.
+func (s *Store) publishLocked(rewrite func(e *TableEntry) (*rel.Table, error)) error {
 	step := func(name string) error {
 		if s.killCompact != nil {
 			return s.killCompact(name)
@@ -777,12 +728,8 @@ func (s *Store) compactLocked() error {
 	}
 	epoch := s.man.Epoch + 1
 	cr := s.opts.chunkRowsOrDefault()
-	format := ChunkSegmentVersion
-	if cr < 0 {
-		format = SegmentVersion
-	}
 	newMan := &Manifest{
-		FormatVersion: format,
+		FormatVersion: ChunkSegmentVersion,
 		Epoch:         epoch,
 		Design:        s.man.Design,
 		MappingSQL:    s.man.MappingSQL,
@@ -792,15 +739,15 @@ func (s *Store) compactLocked() error {
 	var obsolete, rewritten []string
 	for i := range s.man.Tables {
 		e := s.man.Tables[i]
-		if len(s.redo[e.Name]) == 0 {
+		t, err := rewrite(&e)
+		if err != nil {
+			return err
+		}
+		if t == nil {
 			newMan.Tables = append(newMan.Tables, e)
 			continue
 		}
 		if err := step("segment:" + e.Name); err != nil {
-			return err
-		}
-		t, err := s.assembleLocked(&e, s.redo[e.Name])
-		if err != nil {
 			return err
 		}
 		seg, entry, err := encodeTableFile(t, fmt.Sprintf("t%04d.e%04d.seg", i, epoch), cr)
@@ -818,7 +765,7 @@ func (s *Store) compactLocked() error {
 	if err := step("redo"); err != nil {
 		return err
 	}
-	redo := emptyRedoLog(RedoBatchVersion)
+	redo := emptyRedoLog()
 	if err := writeFileSync(filepath.Join(s.dir, newMan.RedoFile), redo); err != nil {
 		return err
 	}
@@ -839,19 +786,14 @@ func (s *Store) compactLocked() error {
 	// it before anything can fail, so a live store never straddles
 	// epochs.
 	obsolete = append(obsolete, s.man.RedoFile)
-	folded := s.redoCount
 	s.man = newMan
 	s.redo = make(map[string][]redoRecord)
 	s.redoCount = 0
 	s.redoFootOff = redoHeaderSize
-	s.redoVersion = RedoBatchVersion
 	for _, name := range rewritten {
 		delete(s.dirs, name)
 		s.pager.invalidate(name)
 	}
-	s.reg.Counter("storage.compact.runs").Inc()
-	s.reg.Counter("storage.compact.records_folded").Add(int64(folded))
-	s.reg.Gauge("storage.compact.ms").Set(float64(time.Since(start).Nanoseconds()) / 1e6)
 
 	// Old-epoch files are garbage now; removal is best-effort (a crash
 	// that leaves them behind costs disk, not correctness).

@@ -301,41 +301,6 @@ func TestAppendDoesNotAssembleColdTable(t *testing.T) {
 	}
 }
 
-// TestAppendToWholeTableSegmentLoadsOnce is the version-1 twin of
-// TestAppendDoesNotAssembleColdTable: a whole-table segment has no
-// directory to read the columns from, so the first append loads it —
-// and the store remembers the columns instead of loading per append.
-func TestAppendToWholeTableSegmentLoadsOnce(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Save(dir, fixtureBuilt(t), Options{ChunkRows: -1}); err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	st, err := Open(dir, Options{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for id := 6; id < 26; id++ {
-		if err := st.Append("book", bookRow(id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if n := reg.Counter("storage.segment.loads").Value(); n > 1 {
-		t.Fatalf("20 appends to a whole-table segment loaded it %d times, want at most 1", n)
-	}
-	if err := st.Append("book", []rel.Value{rel.Int(99)}); err == nil {
-		t.Fatal("short row accepted")
-	}
-	book, err := st.Table("book")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if book.RowCount() != 25 {
-		t.Fatalf("table has %d rows after appends, want 25", book.RowCount())
-	}
-}
-
 // TestBuiltIsUnaffectedByAppends pins the ownership rule for a resident
 // Built: its tables belong to it, so a scan over them may run while the
 // store appends (no race under -race), and the Built still describes
@@ -471,6 +436,17 @@ func TestOpenRejectsEscapingFileNames(t *testing.T) {
 	_, err = Open(dir, Options{})
 	if err == nil || !strings.Contains(err.Error(), "not a bare name") {
 		t.Fatalf("path-escaping manifest accepted: %v", err)
+	}
+	// No writer ever produced a store without a redo log: a manifest
+	// that names none is corrupt, not a variant.
+	man.Tables[0].File = "t0000.seg"
+	man.RedoFile = ""
+	noRedo, err := encodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := decodeManifest(noRedo); err == nil || !strings.Contains(err.Error(), "corrupt manifest: redo log") {
+		t.Fatalf("manifest without a redo log accepted: %v", err)
 	}
 }
 

@@ -28,13 +28,11 @@
 // W1/Direct ratio is pinned against the baseline when the run and the
 // baseline fall in the same cpu category.
 //
-// Three storage modes ride on the same normalization: -mode reopen
-// pins the StoreReopen/SegmentDecode ratio against BENCH_PR7.json;
-// -mode paging pins the chunked, budgeted, and resident reopen paths
-// plus the group-commit amortization against BENCH_PR8.json (with
-// -resident BENCH_PR7.json holding the unbudgeted path to the PR 7
-// numbers); and -mode chunkscan pins the chunk-granular query path
-// against BENCH_PR9.json — the budgeted scan's pager high-water mark
+// Two storage modes ride on the same normalization: -mode paging pins
+// the chunked and budgeted reopen paths (StoreReopen and
+// StoreReopenBudgeted over SegmentDecode) plus the group-commit
+// amortization against BENCH_PR8.json; and -mode chunkscan pins the
+// chunk-granular query path against BENCH_PR9.json — the budgeted scan's pager high-water mark
 // must stay within its residency bound (peak_over_bound <= 1, from the
 // run itself), and the ChunkScanQuery/AssembledScanQuery cost factors
 // (ns/op and allocs/op, so the bench run needs -benchmem) must not
@@ -45,7 +43,7 @@
 //	go test -run '^$' -bench 'BenchmarkExecute...' -benchtime 2s | \
 //	    go run ./scripts/benchguard -baseline BENCH_PR3.json -columnar BENCH_PR6.json
 //	go test -run '^$' -bench 'SegmentDecode|StoreReopen|Append' ./internal/storage/ | \
-//	    go run ./scripts/benchguard -mode paging -baseline BENCH_PR8.json -resident BENCH_PR7.json
+//	    go run ./scripts/benchguard -mode paging -baseline BENCH_PR8.json
 //	go test -run '^$' -bench 'ScanQuery' -benchmem ./internal/storage/ | \
 //	    go run ./scripts/benchguard -mode chunkscan -baseline BENCH_PR9.json
 //	go test -run '^$' -bench 'BenchmarkService' ./internal/service/loadgen/ | \
@@ -75,21 +73,14 @@ const (
 	maxDisabledDrift   = 1.05
 	maxEnabledOverhead = 1.25
 	maxWorkersOverhead = 1.50
-	// maxReopenDrift bounds the -mode reopen check: StoreReopen /
-	// SegmentDecode measured now against the same ratio in
-	// BENCH_PR7.json. The reopen path adds file reads, whole-file CRCs,
-	// manifest checks, and redo replay on top of the codec, so the
-	// ratio is what the bound pins — a reopen-latency regression that
+	// -mode paging bounds. maxPagingDrift holds the chunked and budgeted
+	// reopens (file reads, directory and chunk CRCs, manifest checks,
+	// redo replay on top of the codec) against the PR 8 baseline,
+	// normalized by the segment codec — a reopen-latency regression that
 	// is not just "the codec got slower everywhere" fails.
-	maxReopenDrift = 1.50
-	// -mode paging bounds. maxResidentDrift holds the fully resident
-	// (version-1, unbudgeted) reopen within noise of the PR 7 numbers —
-	// the paging machinery must cost nothing when it is not used.
-	// maxPagingDrift holds the chunked and budgeted reopens against the
-	// PR 8 baseline the same normalized way. maxBatchPerRowFraction is
-	// the group-commit contract from a single run: 100 rows under one
-	// fsync must beat 100 separate fsyncs per row by a wide margin.
-	maxResidentDrift       = 1.50
+	// maxBatchPerRowFraction is the group-commit contract from a single
+	// run: 100 rows under one fsync must beat 100 separate fsyncs per
+	// row by a wide margin.
 	maxPagingDrift         = 1.50
 	maxBatchPerRowFraction = 0.80
 	// -mode chunkscan bounds. maxPeakOverBound is the PR 9 memory
@@ -194,8 +185,7 @@ func loadBaseline(path string) map[string]float64 {
 func main() {
 	baselinePath := flag.String("baseline", "BENCH_PR3.json", "baseline benchmark JSON")
 	columnarPath := flag.String("columnar", "", "columnar baseline JSON (BENCH_PR6.json); empty skips the columnar bound")
-	mode := flag.String("mode", "executor", `guard mode: "executor" (the PR 3/6 executor bounds), "reopen" (store reopen latency vs the PR 7 baseline), "paging" (memory-budgeted paging + group commit vs the PR 8 baseline), "chunkscan" (budgeted query peak residency + chunk-scan cost vs the PR 9 baseline), or "qps" (service sustained-QPS speedup + dispatch overhead vs the PR 10 baseline)`)
-	residentPath := flag.String("resident", "", "resident-path baseline JSON (BENCH_PR7.json) for -mode paging; empty skips the resident bound")
+	mode := flag.String("mode", "executor", `guard mode: "executor" (the PR 3/6 executor bounds), "paging" (store reopen latency, memory-budgeted paging + group commit vs the PR 8 baseline), "chunkscan" (budgeted query peak residency + chunk-scan cost vs the PR 9 baseline), or "qps" (service sustained-QPS speedup + dispatch overhead vs the PR 10 baseline)`)
 	flag.Parse()
 
 	measured := map[string]float64{}
@@ -246,36 +236,12 @@ func main() {
 		return v
 	}
 
-	if *mode == "reopen" {
-		// Store-reopen drift: BenchmarkStoreReopen covers Open + every
-		// segment load (checksum, decode, validate); BenchmarkSegmentDecode
-		// is the pure codec, which normalizes out machine speed the same
-		// way the reference executor does for the executor bounds.
-		baseNs := loadBaseline(*baselinePath)
-		decBase := need(baseNs, "BenchmarkSegmentDecode", *baselinePath)
-		reopenBase := need(baseNs, "BenchmarkStoreReopen", *baselinePath)
-		decNow := need(measured, "BenchmarkSegmentDecode", "bench output")
-		// BENCH_PR7.json recorded the whole-table format; since PR 8
-		// BenchmarkStoreReopen measures the chunked default and
-		// BenchmarkStoreReopenV1 is the like-for-like path — prefer it
-		// when the run includes it.
-		reopenNow, ok := measured["BenchmarkStoreReopenV1"]
-		if !ok {
-			reopenNow = need(measured, "BenchmarkStoreReopen", "bench output")
-		}
-		drift := (reopenNow / decNow) / (reopenBase / decBase)
-		fmt.Printf("benchguard: reopen drift %.3f (bound %.2f)\n", drift, maxReopenDrift)
-		if drift > maxReopenDrift {
-			fmt.Printf("benchguard: FAIL: store reopen regressed %.1f%% vs %s (normalized by the segment codec)\n",
-				(drift-1)*100, *baselinePath)
-			os.Exit(1)
-		}
-		fmt.Println("benchguard: OK")
-		return
-	}
 	if *mode == "paging" {
-		// All reopen-shaped bounds are normalized by the segment codec
-		// from the same run/baseline, cancelling machine speed.
+		// The reopen bounds are normalized by the segment codec from the
+		// same run/baseline, cancelling machine speed the way the
+		// reference executor does for the executor bounds:
+		// BenchmarkStoreReopen covers Open + every chunk load (checksum,
+		// decode, validate, merge), BenchmarkSegmentDecode is the codec.
 		baseNs := loadBaseline(*baselinePath)
 		decBase := need(baseNs, "BenchmarkSegmentDecode", *baselinePath)
 		decNow := need(measured, "BenchmarkSegmentDecode", "bench output")
@@ -290,23 +256,6 @@ func main() {
 			if drift > maxPagingDrift {
 				fmt.Printf("benchguard: FAIL: %s regressed %.1f%% vs %s (normalized by the segment codec)\n",
 					name, (drift-1)*100, *baselinePath)
-				failed = true
-			}
-		}
-
-		// The fully resident path must stay within noise of PR 7: the
-		// old baseline's BenchmarkStoreReopen recorded the whole-table
-		// format, which BenchmarkStoreReopenV1 still exercises.
-		if *residentPath != "" {
-			resNs := loadBaseline(*residentPath)
-			decRes := need(resNs, "BenchmarkSegmentDecode", *residentPath)
-			reopenRes := need(resNs, "BenchmarkStoreReopen", *residentPath)
-			v1Now := need(measured, "BenchmarkStoreReopenV1", "bench output")
-			drift := (v1Now / decNow) / (reopenRes / decRes)
-			fmt.Printf("benchguard: resident (v1) drift %.3f vs %s (bound %.2f)\n", drift, *residentPath, maxResidentDrift)
-			if drift > maxResidentDrift {
-				fmt.Printf("benchguard: FAIL: resident reopen path regressed %.1f%% vs %s — paging must be free when unused\n",
-					(drift-1)*100, *residentPath)
 				failed = true
 			}
 		}
