@@ -300,7 +300,7 @@ func executorBenchSetup(b *testing.B) (*engine.Built, []*optimizer.Plan) {
 // BenchmarkExecuteReference times the row-at-a-time reference executor
 // on the Fig. 5 DBLP workload — the old execution path, kept as the
 // differential-testing oracle. Compare ns/op and allocs/op against
-// BenchmarkExecuteBatch/BenchmarkExecutePrepared (see BENCH_PR3.json).
+// BenchmarkExecuteBatch/BenchmarkExecutePrepared from the same run.
 func BenchmarkExecuteReference(b *testing.B) {
 	built, plans := executorBenchSetup(b)
 	b.ResetTimer()
@@ -335,10 +335,9 @@ func BenchmarkExecutePrepared(b *testing.B) { benchExecutePreparedWorkers(b, 1) 
 // BenchmarkExecutePreparedTraced is BenchmarkExecutePrepared with the
 // observability layer attached: every execution records an
 // executor.execute span with per-branch children and live registry
-// counters. The delta against BenchmarkExecutePrepared is the cost of
-// *enabled* tracing; BenchmarkExecutePrepared itself (nil tracer — the
-// default) must stay within the BENCH_PR3.json baseline, which
-// scripts/benchguard enforces in CI.
+// counters. The delta against BenchmarkExecutePrepared (nil tracer — the
+// default) is the cost of *enabled* tracing, which scripts/benchguard
+// bounds in CI from the one run.
 func BenchmarkExecutePreparedTraced(b *testing.B) {
 	built, plans := executorBenchSetup(b)
 	built.AttachObs(obs.New(), obs.NewRegistry())
@@ -361,9 +360,9 @@ func BenchmarkExecutePreparedTraced(b *testing.B) {
 }
 
 // benchExecutePreparedWorkers runs the pre-compiled plans of the Fig. 5
-// DBLP workload at the given worker count: 1 is the serial pipeline
-// (BenchmarkExecutePrepared), above that the morsel worker pool. Results
-// are bit-identical to workers=1; only wall-clock changes. Speedup
+// DBLP workload on the given number of goroutines: 1 is the caller's
+// alone (BenchmarkExecutePrepared). Results are bit-identical at any
+// count; only wall-clock changes. Speedup
 // over BenchmarkExecutePrepared requires actual hardware parallelism —
 // on a single-CPU host the interesting bound is the overhead, which
 // scripts/benchguard caps.

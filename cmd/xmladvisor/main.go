@@ -43,7 +43,7 @@ func main() {
 	flag.BoolVar(&cfg.showSQL, "sql", false, "print the translated SQL per query")
 	trace := flag.Bool("trace", false, "narrate the search per round on stderr")
 	flag.IntVar(&cfg.parallel, "parallel", 1, "concurrent candidate evaluations (all algorithms; results are identical at any setting)")
-	flag.IntVar(&cfg.workers, "workers", 0, "intra-query morsel workers for -execute measurements (0/1 = serial pipeline, -1 = all CPUs; results are identical at any setting)")
+	flag.IntVar(&cfg.workers, "workers", 0, "goroutines each -execute measurement query runs on (0 or 1 = one goroutine, -1 = all CPUs; results are identical at any setting)")
 	flag.StringVar(&cfg.traceJSON, "trace-json", "", "write the structured span tree (search phases, tuner calls, executor stages) to this file as JSON")
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /debug/vars, /debug/metrics, and /debug/pprof on this address while running")
 	flag.StringVar(&cfg.saveDir, "save-dir", "", "persist the loaded data and recommended design as a durable store in this directory")

@@ -93,13 +93,11 @@ type Options struct {
 	// so rounds parallelize cleanly; results and metric counts are
 	// bit-identical to sequential runs at any setting.
 	Parallelism int
-	// Workers sizes the engine's intra-query morsel worker pool for the
-	// executions MeasureExecution and CostAudit perform (0 or 1 =
-	// serial per-branch pipeline, < 0 = GOMAXPROCS; see
+	// Workers is the number of goroutines each execution MeasureExecution
+	// and CostAudit perform runs on (0 or 1 = one goroutine, the
+	// caller's; < 0 = GOMAXPROCS; see
 	// engine.PreparedPlan.ExecuteContextWorkers). Results are
-	// bit-identical at any setting; only wall-clock time changes, so the
-	// default of 0 keeps measured timings comparable with earlier
-	// baselines.
+	// bit-identical at any setting; only wall-clock time changes.
 	Workers int
 }
 

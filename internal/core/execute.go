@@ -38,10 +38,9 @@ func (a *Advisor) MeasureExecution(res *Result, docs ...*xmlgen.Doc) (*Execution
 
 // MeasureExecutionContext is MeasureExecution with cancellation: ctx
 // aborts the measurement between (and, via the engine's per-batch
-// polling, inside) query executions. Options.Workers sets the engine's
-// morsel worker pool for every measured execution; the default of 0
-// keeps the serial per-branch path, whose timings are the paper's
-// baseline.
+// polling, inside) query executions. Options.Workers is the number of
+// goroutines every measured execution runs on; the default of 0 is the
+// caller's goroutine alone.
 func (a *Advisor) MeasureExecutionContext(ctx context.Context, res *Result, docs ...*xmlgen.Doc) (*Execution, error) {
 	db, built, err := a.BuildFor(res, docs...)
 	if err != nil {

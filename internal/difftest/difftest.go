@@ -446,7 +446,7 @@ func Run(c Case) (RunStats, *Mismatch) {
 			// Chunk-scan differential: the same plan through the paged
 			// Built — scans faulting, filtering, and releasing one pager
 			// chunk at a time — must be bit-identical to the reference,
-			// serially and at the seeded morsel worker count.
+			// at one worker and at the seeded worker count.
 			pres, pxerr := engine.Execute(paged, rplan)
 			if pxerr != nil {
 				return st, fail("chunk-scan-equivalence", t.idx, t.q.String(), "execute: %v\nSQL:\n%s", pxerr, t.sql.SQL())

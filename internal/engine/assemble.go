@@ -2,8 +2,7 @@ package engine
 
 import "repro/internal/rel"
 
-// outSlot is the fixed output slot of one unit of pipeline work — a
-// whole branch on the serial path, one morsel on the morsel path. The
+// outSlot is the fixed output slot of one morsel of pipeline work. The
 // pipeline does not build rows: it fills one exactly-sized value arena
 // per output batch (whole rows of width values, back to back, in
 // pipeline order) and counts them. Row headers are cut once, by

@@ -176,10 +176,11 @@ func TestBatchExecutorMatchesReference(t *testing.T) {
 	}
 }
 
-// TestParallelBranchesDeterministic executes prepared plans with branch
-// parallelism forced above one worker and asserts results stay
+// TestParallelBranchesDeterministic executes the memoized (shared)
+// prepared plan of every multi-branch fixture on one goroutine and on
+// more goroutines than it has branches, and asserts results stay
 // bit-identical to the sequential reference across repeated runs. Run
-// with -race this also checks the worker pool for data races.
+// with -race this also checks the claim loop for data races.
 func TestParallelBranchesDeterministic(t *testing.T) {
 	for name, fx := range equivalenceFixtures(t) {
 		t.Run(name, func(t *testing.T) {
@@ -195,17 +196,15 @@ func TestParallelBranchesDeterministic(t *testing.T) {
 				if again, _ := fx.built.Prepared(plan); again != pp {
 					t.Fatalf("plan %d: Prepared not memoized", pi)
 				}
-				for _, par := range []int{1, 4} {
-					pp.Parallelism = par
+				for _, workers := range []int{1, 4} {
 					for run := 0; run < 3; run++ {
-						got, err := pp.ExecuteContextWorkers(context.Background(), 1)
+						got, err := pp.ExecuteContextWorkers(context.Background(), workers)
 						if err != nil {
-							t.Fatalf("plan %d par %d run %d: %v", pi, par, run, err)
+							t.Fatalf("plan %d workers %d run %d: %v", pi, workers, run, err)
 						}
 						requireIdentical(t, name, got, want)
 					}
 				}
-				pp.Parallelism = 0
 			}
 		})
 	}

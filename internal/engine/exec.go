@@ -51,7 +51,8 @@ func Execute(b *Built, plan *optimizer.Plan) (*Result, error) {
 
 // ExecuteContext is Execute with cancellation: ctx aborts both the
 // wait for plan compilation and the execution itself (see
-// PreparedPlan.ExecuteContextWorkers; this helper runs it serially). A
+// PreparedPlan.ExecuteContextWorkers; this helper runs it on the caller's
+// goroutine alone). A
 // cancelled call never poisons the Built's structure caches — in-flight
 // builds always complete for the next caller.
 func ExecuteContext(ctx context.Context, b *Built, plan *optimizer.Plan) (*Result, error) {

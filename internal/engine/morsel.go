@@ -15,31 +15,34 @@ import (
 // it and exercise partial/straddling morsels on small fixtures.
 var morselRows = 4 * rel.BatchSize
 
-// executeMorsels is the intra-query parallel execution path
-// (Workers > 1). Every branch's driver — table scan, index range scan,
-// or partition-group zip scan — is split into fixed-size morsels of
-// driver rows, and all morsels from all branches are dispatched to one
-// worker pool shared by this Execute call. Downstream operators
-// (filters, hash-join probes, index-nested-loop joins) run inside the
-// morsel that feeds them, so one wide scan parallelizes end to end;
-// hash-join build sides stay single-flighted on the Built's cache.
+// executeMorsels is the one scheduler every execution goes through.
+// Every branch's driver — table scan, index range scan, or
+// partition-group zip scan — is split into fixed-size morsels of driver
+// rows, and the morsels of all branches form one task list that exactly
+// `workers` goroutines claim from: the caller's own plus workers-1
+// spawned here, so one worker is the same loop with nothing spawned.
+// Downstream operators (filters, hash-join probes, index-nested-loop
+// joins) run inside the morsel that feeds them, so one wide scan
+// parallelizes end to end; hash-join build sides stay single-flighted
+// on the Built's cache.
 //
 // Determinism: each morsel writes its arenas and stats into a fixed
 // (branch, morsel) slot; the slots lie branch by branch in plan order
 // and morsel by morsel in driver order, which is the order assemble
-// reads them in. runRange output
-// depends only on which driver rows a morsel covers — never on timing
-// — and ExecStats are commutative sums, so results are bit-identical
-// to serial execution at any worker count.
+// reads them in. runRange output depends only on which driver rows a
+// morsel covers — never on timing or on which goroutine ran it — and
+// ExecStats are commutative sums, so results are bit-identical at any
+// worker count and under any claim order.
 //
-// Each branch also gets one precharge task (hash-join build-side cost
-// charging, once per branch — see precharge) that runs before any of
-// its morsels are claimable, mirroring the serial path's accounting.
+// The claim order is therefore free to serve the pager (see
+// claimOrder): morsel-major across branches, at every worker count.
+//
+// Hash-join build-side cost is charged once per branch, never per
+// morsel (see precharge), before any morsel is claimable.
 func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *obs.Registry, workers int) (*Result, error) {
 	type branchRun struct {
 		st     ExecStats // precharge + driver-resolution stats
 		ids    []int     // seek drivers: matching row ids
-		n      int       // driver row count
 		lo, hi int       // the branch's morsels are tasks and slots [lo, hi)
 		span   *obs.Span
 	}
@@ -55,12 +58,14 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 	// worker starts. Branch spans are created serially in plan order;
 	// morsel spans are added concurrently by workers (Span.Child is
 	// concurrency-safe).
+	counts := make([]int, len(pp.branches))
 	for bi, pb := range pp.branches {
 		r := &branchRun{}
 		r.st.Branches++
 		pb.precharge(&r.st)
-		r.n, r.ids = pb.resolveDriver(&r.st)
-		ranges := pb.morselRanges(r.n)
+		var n int
+		n, r.ids = pb.resolveDriver(&r.st)
+		ranges := pb.morselRanges(n)
 		r.span = sp.Child("executor.branch",
 			obs.Int("branch", int64(bi)),
 			obs.Int("operators", int64(len(pb.ops))),
@@ -71,8 +76,10 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 			tasks = append(tasks, task{branch: bi, lo: rg[0], hi: rg[1]})
 		}
 		r.hi = len(tasks)
+		counts[bi] = len(ranges)
 	}
 	slots := make([]outSlot, len(tasks))
+	order := claimOrder(counts)
 
 	var next atomic.Int64
 	var stop atomic.Bool
@@ -86,36 +93,38 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 		errMu.Unlock()
 		stop.Store(true)
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
+	claim := func() {
+		for {
+			c := int(next.Add(1)) - 1
+			if c >= len(order) || stop.Load() {
+				return
+			}
+			i := order[c]
+			t := tasks[i]
+			r := runs[t.branch]
+			ms := r.span.Child("executor.morsel",
+				obs.Int("morsel", int64(i-r.lo)),
+				obs.Int("rows_in", int64(t.hi-t.lo)))
+			slot := &slots[i]
+			if err := pp.branches[t.branch].runRange(ctx, slot, r.ids, t.lo, t.hi); err != nil {
+				ms.SetAttr(obs.String("error", err.Error()))
+				ms.End()
+				fail(err)
+				return
+			}
+			ms.SetAttr(obs.Int("rows", int64(slot.rows)))
+			ms.End()
+		}
 	}
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for w := min(workers, len(tasks)); w > 1; w-- {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(tasks) || stop.Load() {
-					return
-				}
-				t := tasks[i]
-				r := runs[t.branch]
-				ms := r.span.Child("executor.morsel",
-					obs.Int("morsel", int64(i-r.lo)),
-					obs.Int("rows_in", int64(t.hi-t.lo)))
-				slot := &slots[i]
-				if err := pp.branches[t.branch].runRange(ctx, slot, r.ids, t.lo, t.hi); err != nil {
-					ms.SetAttr(obs.String("error", err.Error()))
-					ms.End()
-					fail(err)
-					return
-				}
-				ms.SetAttr(obs.Int("rows", int64(slot.rows)))
-				ms.End()
-			}
+			claim()
 		}()
 	}
+	claim()
 	wg.Wait()
 	reg.Counter("engine.exec.morsels").Add(int64(len(tasks)))
 
@@ -138,4 +147,30 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 	}
 	res.Rows = assemble(slots, pp.orderPos)
 	return res, nil
+}
+
+// claimOrder returns the order in which tasks are claimed, given each
+// branch's morsel count: morsel 0 of every branch, then morsel 1 of
+// every branch, and so on, as indices into the branch-major task list.
+// Branches of one query mostly scan the same table, so walking them
+// together lets the second branch hit the chunk the first just faulted
+// instead of faulting the whole table once per branch under a budget
+// smaller than the table. The order takes no worker count: one worker
+// shares chunks exactly as seven do.
+func claimOrder(counts []int) []int {
+	starts := make([]int, len(counts))
+	total := 0
+	for b, c := range counts {
+		starts[b] = total
+		total += c
+	}
+	order := make([]int, 0, total)
+	for m := 0; len(order) < total; m++ {
+		for b, c := range counts {
+			if m < c {
+				order = append(order, starts[b]+m)
+			}
+		}
+	}
+	return order
 }

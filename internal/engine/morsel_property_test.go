@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/physical"
+	"repro/internal/rel"
 	"repro/internal/schema"
 	"repro/internal/xmlgen"
 )
@@ -102,7 +103,8 @@ func TestMorselRangesOneChunkIsFixedStride(t *testing.T) {
 // over a resident Built every branch — scan, seek, or partition zip —
 // dispatches one morsel per fixed-stride range of its driver rows, so
 // the engine.exec.morsels delta per query is unchanged from before the
-// scan drivers merged, at every worker count above 1.
+// scan drivers merged, and the same at every worker count — one
+// goroutine claims the morsels seven would.
 func TestResidentMorselCounterIsFixedStride(t *testing.T) {
 	defer func(old int) { morselRows = old }(morselRows)
 	morselRows = 8
@@ -130,12 +132,7 @@ func TestResidentMorselCounterIsFixedStride(t *testing.T) {
 			if _, err := pp.ExecuteContextWorkers(context.Background(), wk); err != nil {
 				t.Fatalf("plan %d workers %d: %v", pi, wk, err)
 			}
-			got := morsels.Value() - before
-			if wk == 1 {
-				if got != 0 {
-					t.Errorf("plan %d: serial execution counted %d morsels", pi, got)
-				}
-			} else if got != want {
+			if got := morsels.Value() - before; got != want {
 				t.Errorf("plan %d workers %d: %d morsels, fixed stride gives %d", pi, wk, got, want)
 			}
 		}
@@ -217,6 +214,80 @@ func TestMorselRangesSpanLayouts(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestClaimOrderIsMorselMajor pins the one claim rule over seeded random
+// branch shapes (empty branches included): the order is a permutation of
+// the branch-major task list, and read as (morsel, branch) pairs it is
+// strictly increasing — morsel 0 of every branch, then morsel 1, …. The
+// rule has no worker-count input; the end-to-end half shows it at one
+// worker, where the chunk acquisitions of a two-branch scan of one table
+// come in claim order: both branches take chunk 0, then both take chunk 1.
+func TestClaimOrderIsMorselMajor(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	for trial := 0; trial < 200; trial++ {
+		counts := make([]int, rng.Intn(6))
+		var branchOf, morselOf []int // of each task, branch-major
+		for b := range counts {
+			counts[b] = rng.Intn(5)
+			for m := 0; m < counts[b]; m++ {
+				branchOf, morselOf = append(branchOf, b), append(morselOf, m)
+			}
+		}
+		order := claimOrder(counts)
+		if len(order) != len(branchOf) {
+			t.Fatalf("counts %v: order %v has %d entries, want %d", counts, order, len(order), len(branchOf))
+		}
+		seen := make([]bool, len(order))
+		for c, i := range order {
+			if i < 0 || i >= len(seen) || seen[i] {
+				t.Fatalf("counts %v: order %v is not a permutation", counts, order)
+			}
+			seen[i] = true
+			if c == 0 {
+				continue
+			}
+			p := order[c-1]
+			if morselOf[p] > morselOf[i] || (morselOf[p] == morselOf[i] && branchOf[p] >= branchOf[i]) {
+				t.Fatalf("counts %v: order %v is not morsel-major at position %d", counts, order, c)
+			}
+		}
+	}
+
+	defer func(old int) { morselRows = old }(morselRows)
+	morselRows = 128 // one 128-row chunk per morsel
+	db := chunkDB(640)
+	built, err := Build(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := &orderedSource{ScanSource: newSliceSource(t, db.Table("big"), 128)}
+	built.SetScanSource("big", src)
+	pp, err := built.Prepared(planQuery(t, db, chunkQueries()[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pp.branches) != 2 {
+		t.Fatalf("fixture has %d branches, want the two-branch union", len(pp.branches))
+	}
+	if _, err := pp.ExecuteContextWorkers(context.Background(), 1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(src.acquired), "[0 0 1 1 2 2 3 3 4 4]"; got != want {
+		t.Fatalf("one worker acquired chunks %s, want %s", got, want)
+	}
+}
+
+// orderedSource records the order chunks are acquired in. Not safe for
+// concurrent executions: it is for one worker.
+type orderedSource struct {
+	ScanSource
+	acquired []int
+}
+
+func (s *orderedSource) Chunk(k int) (*rel.Table, func(), error) {
+	s.acquired = append(s.acquired, k)
+	return s.ScanSource.Chunk(k)
 }
 
 func repeat(v, n int) []int {

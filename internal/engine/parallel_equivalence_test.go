@@ -16,13 +16,13 @@ import (
 )
 
 // workerCountsUnderTest returns the worker counts every equivalence
-// fixture runs at: the fixed battery {1, 2, 7, NumCPU}, any count
+// fixture runs at: the fixed battery {0, 1, 2, 7, NumCPU, -1}, any count
 // injected by CI through ENGINE_TEST_WORKERS, and two randomized
 // counts whose seed is logged so a failure replays with
 // ENGINE_TEST_SEED=<seed>.
 func workerCountsUnderTest(t *testing.T) []int {
 	t.Helper()
-	counts := []int{1, 2, 7, runtime.NumCPU()}
+	counts := []int{0, 1, 2, 7, runtime.NumCPU(), -1}
 	if env := os.Getenv("ENGINE_TEST_WORKERS"); env != "" {
 		w, err := strconv.Atoi(env)
 		if err != nil || w < 1 {
@@ -55,8 +55,8 @@ func engineTestSeed(t *testing.T) int64 {
 }
 
 // TestMorselExecutorMatchesReference is the intra-query-parallelism
-// differential: every integration fixture plan, executed with the
-// morsel pool at each worker count, must be bit-identical — columns,
+// differential: every integration fixture plan, executed at each
+// worker count, must be bit-identical — columns,
 // rows in order, values, and stats — to the row-at-a-time reference
 // executor, on cold and warm caches. Under -race this also exercises
 // the morsel dispatch, the shared branch pools, and the single-flight
@@ -105,9 +105,9 @@ func TestMorselExecutorMatchesReference(t *testing.T) {
 }
 
 // TestWorkersKnobSemantics pins the workers argument's resolution
-// rules: 0 and 1 stay on the serial per-branch path (no morsel counter
-// traffic), negative means GOMAXPROCS, and > 1 turns the morsel pool
-// on — all bit-identical to the reference.
+// rules: 0 and 1 are one goroutine (the caller's), negative means
+// GOMAXPROCS, and n > 1 is n goroutines on the same task list — all
+// bit-identical to the reference.
 func TestWorkersKnobSemantics(t *testing.T) {
 	fx := equivalenceFixtures(t)["movie-hybrid"]
 	for pi, plan := range fx.plans {

@@ -29,12 +29,6 @@ import (
 // same plan, so the worker count travels with each call, not on the
 // plan; per-execution operator state comes from a pool.
 type PreparedPlan struct {
-	// Parallelism caps the number of union branches executed
-	// concurrently when the morsel pool is off (workers <= 1); <= 0
-	// means GOMAXPROCS. Results are bit-identical at any setting:
-	// branches land in fixed slots and merge in plan order.
-	Parallelism int
-
 	built *Built
 	plan  *optimizer.Plan
 	cols  []string
@@ -67,16 +61,16 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 	return pp, nil
 }
 
-// ExecuteContextWorkers runs the prepared plan at an explicit worker
-// count. With workers 0 or 1 whole union branches fan out on a pool
-// bounded by Parallelism; with workers > 1 every branch's driver (table
-// scan, index range scan, or partition-group scan) is additionally
-// split into morsels dispatched to one worker pool shared by this call
-// (see executeMorsels), so a single wide scan — and the hash-join
-// probes and filters downstream of it — runs on several cores at once;
-// workers < 0 means GOMAXPROCS. Either way each unit of work lands in a
-// fixed slot and assemble reads the slots in plan order, so rows, order,
-// values, and stats are bit-identical at any count.
+// ExecuteContextWorkers runs the prepared plan on exactly `workers`
+// goroutines, the caller's included: 0 or 1 is the caller alone,
+// workers < 0 means GOMAXPROCS. Every branch's driver (table scan, index
+// range scan, or partition-group scan) is split into morsels, and the
+// morsels of all branches are claimed from one task list (see
+// executeMorsels), so with several workers a single wide scan — and the
+// hash-join probes and filters downstream of it — runs on several cores
+// at once. Each morsel lands in a fixed slot and assemble reads the
+// slots in plan order, so rows, order, values, and stats are
+// bit-identical at any count.
 //
 // ctx cancels the execution: cancellation is polled once per driver
 // batch, so a cancelled call returns ctx's error promptly without
@@ -104,13 +98,7 @@ func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) 
 	n := len(pp.branches)
 	sp := tr.StartSpan("executor.execute",
 		obs.Int("branches", int64(n)), obs.Int("workers", int64(workers)))
-	var res *Result
-	var err error
-	if workers > 1 {
-		res, err = pp.executeMorsels(ctx, sp, reg, workers)
-	} else {
-		res, err = pp.executeBranches(ctx, sp)
-	}
+	res, err := pp.executeMorsels(ctx, sp, reg, workers)
 	if err != nil {
 		sp.SetAttr(obs.String("error", err.Error()))
 		sp.End()
@@ -127,70 +115,6 @@ func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) 
 	reg.Counter("engine.exec.rows_out").Add(int64(len(res.Rows)))
 	reg.Counter("engine.exec.rows_scanned").Add(res.Stats.RowsScanned)
 	reg.Counter("engine.exec.rows_sought").Add(res.Stats.RowsSought)
-	return res, nil
-}
-
-// executeBranches is the branch-parallel execution path (workers <= 1):
-// each branch runs its whole pipeline serially, independent branches
-// fan out on a pool bounded by Parallelism, and each branch emits into
-// a fixed slot assembled in plan order.
-func (pp *PreparedPlan) executeBranches(ctx context.Context, sp *obs.Span) (*Result, error) {
-	n := len(pp.branches)
-	slots := make([]outSlot, n)
-	errs := make([]error, n)
-	runBranch := func(i int) {
-		bs := sp.Child("executor.branch",
-			obs.Int("branch", int64(i)),
-			obs.Int("operators", int64(len(pp.branches[i].ops))))
-		errs[i] = pp.branches[i].run(ctx, &slots[i])
-		if errs[i] != nil {
-			bs.SetAttr(obs.String("error", errs[i].Error()))
-		}
-		bs.SetAttr(obs.Int("rows", int64(slots[i].rows)),
-			obs.Int("rows_scanned", slots[i].st.RowsScanned),
-			obs.Int("rows_sought", slots[i].st.RowsSought))
-		bs.End()
-	}
-	par := pp.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := range pp.branches {
-			runBranch(i)
-			if errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		idx := make(chan int)
-		var wg sync.WaitGroup
-		wg.Add(par)
-		for w := 0; w < par; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					runBranch(i)
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	res := &Result{Cols: pp.cols}
-	for i := range slots {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		res.Stats.add(slots[i].st)
-	}
-	res.Rows = assemble(slots, pp.orderPos)
 	return res, nil
 }
 
@@ -611,17 +535,6 @@ func (pb *preparedBranch) initPool() {
 	}
 }
 
-// run executes one branch serially, emitting its projected rows into
-// out in pipeline order. It is the single-worker composition of the
-// three phases the morsel executor schedules separately: precharge,
-// driver resolution, and the row-range pipeline.
-func (pb *preparedBranch) run(ctx context.Context, out *outSlot) error {
-	out.st.Branches++
-	pb.precharge(&out.st)
-	n, ids := pb.resolveDriver(&out.st)
-	return pb.runRange(ctx, out, ids, 0, n)
-}
-
 // precharge charges the hash-join build-side scan cost. The reference
 // executor re-fetches every build side once per execution, even when
 // the driver produces no rows; charging the same scan touch and
@@ -722,8 +635,8 @@ func morselRanges(nc int, span func(k int) (lo, hi int)) [][2]int {
 // pipeline order. Output depends only on the driver rows' order —
 // operators keep no state across rows, and batch boundaries never split
 // a row's join expansion out of order — so reading adjacent ranges'
-// slots back to back equals one big run, which is what makes the morsel
-// path bit-identical to serial execution. ctx is polled once per driver
+// slots back to back equals one big run, which is what makes results
+// bit-identical however the driver is cut into morsels. ctx is polled once per driver
 // batch; on cancellation the pipeline stops promptly, pooled state is
 // still returned for reuse, and ctx's error is reported.
 func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int, lo, hi int) error {

@@ -156,10 +156,26 @@ func chunkDB(nrows int) *rel.Database {
 
 // chunkQueries exercise the scan driver: a pure filtered scan (typed
 // int + dictionary string kernels), a scan over the exception-bearing
-// float column (generic fallback kernel), and a hash-join with a
-// driver-stage filter.
+// float column (generic fallback kernel), a hash-join with a
+// driver-stage filter, and a union of two filtered scans of the same
+// table (the shape every split or inlined mapping translates to).
 func chunkQueries() []*sqlast.Query {
+	bigCols := []sqlast.SelectItem{
+		{Col: &sqlast.ColRef{Table: "big", Column: "ID"}, As: "ID"},
+		{Col: &sqlast.ColRef{Table: "big", Column: "tag"}, As: "tag"},
+	}
 	return []*sqlast.Query{
+		{Branches: []*sqlast.Select{{
+			Items: bigCols,
+			From:  []string{"big"},
+			Where: []sqlast.Pred{{Kind: sqlast.PredCompare, Op: sqlast.OpGe,
+				Col: sqlast.ColRef{Table: "big", Column: "n"}, Value: rel.Int(90)}},
+		}, {
+			Items: bigCols,
+			From:  []string{"big"},
+			Where: []sqlast.Pred{{Kind: sqlast.PredCompare, Op: sqlast.OpEq,
+				Col: sqlast.ColRef{Table: "big", Column: "tag"}, Value: rel.Str("tag-01")}},
+		}}, OrderBy: "ID"},
 		{Branches: []*sqlast.Select{{
 			Items: []sqlast.SelectItem{
 				{Col: &sqlast.ColRef{Table: "big", Column: "ID"}, As: "ID"},
@@ -207,8 +223,10 @@ func chunkQueries() []*sqlast.Query {
 // registered tableSource (fragment-identity kernel reuse, counted), and
 // over registered 128-row chunk sources (per-fragment kernels) must all
 // return results bit-identical — rows, order, values, stats — to the
-// row-at-a-time reference, serially and at several morsel worker
-// counts, with every chunk released when execution finishes.
+// row-at-a-time reference at several worker counts, with never more
+// chunks held at once than the execution has workers — the worker count
+// is the number of goroutines, whatever the number of branches — and
+// every chunk released when execution finishes.
 func TestScanSourceMatchesAssembled(t *testing.T) {
 	const nrows = 1600
 	db := chunkDB(nrows)
@@ -242,6 +260,7 @@ func TestScanSourceMatchesAssembled(t *testing.T) {
 				counted = append(counted, src)
 			}
 		}
+		used := mk == nil
 		for qi, q := range chunkQueries() {
 			plan := planQuery(t, db, q)
 			want, err := ExecuteReference(resident, plan)
@@ -254,22 +273,26 @@ func TestScanSourceMatchesAssembled(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
 				for run := 0; run < 2; run++ {
+					for _, src := range counted {
+						src.maxHeld.Store(0)
+					}
 					got, err := pp.ExecuteContextWorkers(context.Background(), workers)
 					if err != nil {
 						t.Fatalf("%s query %d workers %d: %v", name, qi, workers, err)
 					}
 					requireIdentical(t, fmt.Sprintf("%s query %d workers %d", name, qi, workers), got, want)
-				}
-				for _, src := range counted {
-					if h := src.held.Load(); h != 0 {
-						t.Fatalf("%s query %d workers %d: %d chunks still held after execution", name, qi, workers, h)
+					for _, src := range counted {
+						if h := src.held.Load(); h != 0 {
+							t.Fatalf("%s query %d workers %d: %d chunks still held after execution", name, qi, workers, h)
+						}
+						m := src.maxHeld.Load()
+						if m > int64(workers) {
+							t.Fatalf("%s query %d: %d chunks held at once by %d workers", name, qi, m, workers)
+						}
+						used = used || m > 0
 					}
 				}
 			}
-		}
-		used := mk == nil
-		for _, src := range counted {
-			used = used || src.maxHeld.Load() > 0
 		}
 		if !used {
 			t.Fatalf("%s: scan source was never used", name)

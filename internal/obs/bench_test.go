@@ -5,8 +5,8 @@ import "testing"
 // BenchmarkNilTracer pins the disabled-path cost of the instrumentation
 // pattern used on hot paths: a nil-tracer span start/attr/end sequence
 // must stay in the low-nanosecond range so wiring obs through the
-// executor and the search does not tax production runs (see
-// BENCH_PR4_OBS.json for the end-to-end executor comparison).
+// executor and the search does not tax production runs (the end-to-end
+// comparison is BenchmarkExecutePreparedTraced in the repo root).
 func BenchmarkNilTracer(b *testing.B) {
 	var tr *Tracer
 	b.ReportAllocs()

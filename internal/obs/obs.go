@@ -7,9 +7,9 @@
 // The disabled path is a deliberate design constraint: a nil *Tracer
 // and a nil *Span accept every method call as a near-no-op (one
 // pointer test), so instrumented hot paths keep their performance when
-// tracing is off. BenchmarkNilTracer and the executor benchmarks in
-// the repo root pin this (<5% overhead against BENCH_PR3.json; see
-// BENCH_PR4_OBS.json).
+// tracing is off. BenchmarkNilTracer pins this, and the executor
+// benchmarks in the repo root bound what enabled tracing costs on top
+// (scripts/benchguard, from one run).
 package obs
 
 import (

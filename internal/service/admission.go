@@ -248,13 +248,14 @@ func (t *tenant) Peaks() (inflight int, mem int64) {
 	return t.peakInflight, t.peakMem
 }
 
-// workerPool is the bounded global morsel-worker pool shared by every
-// concurrent query in the process. Every admitted query always runs
-// with at least one worker (the serial pipeline on its own goroutine);
-// the pool only hands out the *extra* parallel workers beyond that, up
-// to its capacity, and never blocks — under load queries degrade to
-// fewer workers instead of queueing twice. Results are bit-identical at
-// any worker count (the PR 5 morsel contract), so degrading is safe.
+// workerPool is the bounded global worker pool shared by every
+// concurrent query in the process. Every admitted query always runs on
+// its own goroutine; the pool only hands out the *extra* goroutines
+// beyond that, up to its capacity, and never blocks — under load
+// queries degrade to fewer workers, down to their own goroutine alone,
+// instead of queueing twice. The grant is the concurrency: the engine
+// runs a query on exactly 1 + extra goroutines. Results are
+// bit-identical at any worker count, so degrading is safe.
 type workerPool struct {
 	cap int
 

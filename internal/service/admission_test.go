@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/rel"
 )
 
 // Admission-control properties: quotas are never exceeded (peaks
@@ -336,13 +338,82 @@ func TestWorkerPoolGrants(t *testing.T) {
 	if snap["service.pool.capacity"] != 3 || snap["service.pool.busy"] != 0 || snap["service.pool.busy_peak"] != 3 {
 		t.Errorf("pool gauges = %v", snap)
 	}
-	// Serial requests never take pool slots; a zero-capacity pool
-	// degrades everything to serial.
+	// One-worker requests never take pool slots; a zero-capacity pool
+	// degrades everything to one worker.
 	if got := p.acquire(1); got != 0 {
 		t.Errorf("want=1 acquired %d extra", got)
 	}
 	z := newWorkerPool(0, nil)
 	if got := z.acquire(8); got != 0 {
 		t.Errorf("zero-capacity pool granted %d", got)
+	}
+}
+
+// heldSource serves a resident table as one chunk and counts, across
+// every table of its corpus, the chunks held at once: each goroutine
+// scanning holds one, so the peak is the number of goroutines the query
+// ran on.
+type heldSource struct {
+	t         *rel.Table
+	held, max *atomic.Int64
+}
+
+func (s heldSource) Columns() []rel.Column    { return s.t.Columns }
+func (s heldSource) RowCount() int            { return s.t.RowCount() }
+func (s heldSource) NumChunks() int           { return 1 }
+func (s heldSource) ChunkSpan(int) (int, int) { return 0, s.t.RowCount() }
+func (s heldSource) Chunk(int) (*rel.Table, func(), error) {
+	h := s.held.Add(1)
+	for m := s.max.Load(); h > m && !s.max.CompareAndSwap(m, h); m = s.max.Load() {
+	}
+	return s.t, func() { s.held.Add(-1) }, nil
+}
+
+// TestGrantIsTheConcurrency pins what Response.Workers means: the number
+// of goroutines the query ran on. A four-branch union asked for four
+// workers gets one from a zero-capacity pool and then scans one branch
+// at a time; with three pool slots it gets four and holds at most four
+// chunks.
+func TestGrantIsTheConcurrency(t *testing.T) {
+	const query = `//movie/(title | aka_title | director | actor)`
+	m, db, _ := movieFixture(t, 2000)
+	want := refResults(t, m, db, []string{query})[0]
+	for _, tc := range []struct {
+		poolWorkers, granted, poolPeak int
+	}{
+		{poolWorkers: -1, granted: 1, poolPeak: 0},
+		{poolWorkers: 3, granted: 4, poolPeak: 3},
+	} {
+		_, db, built := movieFixture(t, 2000)
+		var held, peak atomic.Int64
+		for _, tbl := range db.Tables() {
+			built.SetScanSource(tbl.Name, heldSource{t: tbl, held: &held, max: &peak})
+		}
+		svc := New(Config{PoolWorkers: tc.poolWorkers})
+		if err := svc.RegisterBuilt("movie", built, m, nil); err != nil {
+			t.Fatal(err)
+		}
+		for run := 0; run < 5; run++ {
+			resp, err := svc.Query(context.Background(), Request{Corpus: "movie", Tenant: "t0", XPath: query, Workers: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameResult(t, query, resp, want)
+			if resp.Stats.Branches != 4 {
+				t.Fatalf("fixture query has %d branches, want 4", resp.Stats.Branches)
+			}
+			if resp.Workers != tc.granted {
+				t.Fatalf("PoolWorkers %d: granted %d workers, want %d", tc.poolWorkers, resp.Workers, tc.granted)
+			}
+		}
+		if p := peak.Load(); p < 1 || p > int64(tc.granted) {
+			t.Errorf("PoolWorkers %d: %d chunks held at once on %d granted workers", tc.poolWorkers, p, tc.granted)
+		}
+		if held.Load() != 0 {
+			t.Errorf("PoolWorkers %d: %d chunks still held", tc.poolWorkers, held.Load())
+		}
+		if svc.PoolPeak() != tc.poolPeak {
+			t.Errorf("PoolWorkers %d: pool peak %d, want %d", tc.poolWorkers, svc.PoolPeak(), tc.poolPeak)
+		}
 	}
 }

@@ -81,10 +81,11 @@ func wrapDeadline(phase string, err error) error {
 
 // Config sizes a Service. Zero values take documented defaults.
 type Config struct {
-	// PoolWorkers is the capacity of the global morsel-worker pool:
-	// the number of *extra* parallel workers (beyond each query's own
-	// goroutine) that may exist process-wide at once. Default
-	// GOMAXPROCS; negative disables intra-query parallelism entirely.
+	// PoolWorkers is the capacity of the global worker pool: the number
+	// of *extra* goroutines (beyond each query's own) that queries may
+	// run on process-wide at once. Default GOMAXPROCS; negative is a
+	// zero-capacity pool, under which every query runs on its own
+	// goroutine and no other.
 	PoolWorkers int
 	// MaxWorkersPerQuery caps the workers any one query may be granted,
 	// counting its own goroutine. Default 4.
@@ -111,9 +112,9 @@ type Request struct {
 	Corpus string `json:"corpus"`
 	Tenant string `json:"tenant"`
 	XPath  string `json:"xpath"`
-	// Workers is the requested intra-query parallelism (counting the
-	// request's own goroutine); 0 takes MaxWorkersPerQuery. The grant
-	// may be smaller under load, never larger.
+	// Workers is the number of goroutines the request asks to run on,
+	// counting its own; 0 takes MaxWorkersPerQuery. The grant may be
+	// smaller under load, never larger.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS overrides the service default deadline, in
 	// milliseconds; 0 keeps the default, negative means no deadline.
@@ -129,7 +130,9 @@ type Response struct {
 	Cols  []string
 	Rows  [][]rel.Value
 	Stats engine.ExecStats
-	// Workers is the granted worker count the query ran with.
+	// Workers is the grant: the number of goroutines the query ran on,
+	// counting the request's own (1 = that goroutine alone, whatever the
+	// number of union branches).
 	Workers int
 	// Queued is how long the request waited for admission; Elapsed the
 	// total service time including execution.

@@ -75,9 +75,14 @@ func scanDB(nrows int) *rel.Database {
 
 // scanQueries drive the chunk-scan path end to end: a filtered scan
 // with typed int + dictionary string kernels, a scan over the
-// exception-bearing float column (generic fallback), and a hash-join
-// whose probe side is a driver-stage chunk scan.
+// exception-bearing float column (generic fallback), a hash-join whose
+// probe side is a driver-stage chunk scan, and — last — a union of two
+// filtered scans of the same table.
 func scanQueries() []*sqlast.Query {
+	bigCols := []sqlast.SelectItem{
+		{Col: &sqlast.ColRef{Table: "big", Column: rel.IDColumn}, As: "ID"},
+		{Col: &sqlast.ColRef{Table: "big", Column: "tag"}, As: "tag"},
+	}
 	return []*sqlast.Query{
 		{Branches: []*sqlast.Select{{
 			Items: []sqlast.SelectItem{
@@ -116,6 +121,17 @@ func scanQueries() []*sqlast.Query {
 				{Kind: sqlast.PredCompare, Op: sqlast.OpLt,
 					Col: sqlast.ColRef{Table: "big", Column: "n"}, Value: rel.Int(50)},
 			},
+		}}, OrderBy: "ID"},
+		{Branches: []*sqlast.Select{{
+			Items: bigCols,
+			From:  []string{"big"},
+			Where: []sqlast.Pred{{Kind: sqlast.PredCompare, Op: sqlast.OpGe,
+				Col: sqlast.ColRef{Table: "big", Column: "n"}, Value: rel.Int(90)}},
+		}, {
+			Items: bigCols,
+			From:  []string{"big"},
+			Where: []sqlast.Pred{{Kind: sqlast.PredCompare, Op: sqlast.OpEq,
+				Col: sqlast.ColRef{Table: "big", Column: "tag"}, Value: rel.Str("tag-01")}},
 		}}, OrderBy: "ID"},
 	}
 }
@@ -349,6 +365,90 @@ func TestPagedBuiltMatchesAssembledUnderBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPagedFaultsRepeatAtOneWorker pins that one worker is one goroutine
+// and that the branches of a union walk a shared table together: a
+// two-branch union over an 8-chunk table (saved at DefaultChunkRows, so
+// a chunk is a morsel), reopened under a budget of two chunks and
+// executed at one worker on a fresh store, reads every chunk exactly
+// once — the second branch hits what the first just faulted — with the
+// same pager traffic run after run at any GOMAXPROCS, inside budget +
+// one chunk.
+func TestPagedFaultsRepeatAtOneWorker(t *testing.T) {
+	const chunks = 8
+	dir := t.TempDir()
+	b, err := engine.Build(scanDB(chunks*DefaultChunkRows), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Save(dir, b, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	queries := scanQueries()
+	plan := scanPlan(t, b.DB, queries[len(queries)-1]) // the two-branch union
+	if len(plan.Branches) != 2 {
+		t.Fatalf("fixture plan has %d branches, want 2", len(plan.Branches))
+	}
+	want, err := engine.ExecuteReference(b, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sizing, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxChunk := maxChunkBytes(t, sizing)
+	sizing.Close()
+	budget := 2 * maxChunk
+
+	// traffic executes the plan once at one worker on a fresh store and
+	// returns the pager counters the execution moved.
+	names := []string{"storage.pager.faults", "storage.pager.hits", "storage.segment.bytes_read"}
+	traffic := func(run int) map[string]int64 {
+		reg := obs.NewRegistry()
+		s, err := Open(dir, Options{MemBudgetBytes: budget, Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		paged, err := s.PagedBuilt()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := paged.ScanSource("big").NumChunks(); n != chunks {
+			t.Fatalf("big has %d chunks, want %d", n, chunks)
+		}
+		pp, err := paged.Prepared(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		delta := make(map[string]int64)
+		for _, n := range names {
+			delta[n] = -reg.Counter(n).Value()
+		}
+		got, err := pp.ExecuteContextWorkers(context.Background(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResult(t, fmt.Sprintf("run %d", run), got, want)
+		for _, n := range names {
+			delta[n] += reg.Counter(n).Value()
+		}
+		if pk := s.pager.peakBytes(); pk > budget+maxChunk {
+			t.Errorf("run %d: pager peak %dB exceeds budget %dB + one chunk %dB", run, pk, budget, maxChunk)
+		}
+		return delta
+	}
+	first, again := traffic(0), traffic(1)
+	if first["storage.pager.faults"] != chunks || first["storage.pager.hits"] != chunks {
+		t.Errorf("%d faults, %d hits; want %d each (every chunk read once per query, not once per branch)",
+			first["storage.pager.faults"], first["storage.pager.hits"], chunks)
+	}
+	if !reflect.DeepEqual(first, again) {
+		t.Errorf("pager traffic differs run to run: %v then %v", first, again)
 	}
 }
 
