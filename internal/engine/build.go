@@ -28,6 +28,9 @@ type Built struct {
 	parts   map[string][]*rel.Table // base table -> group tables
 	caches  *builtCaches            // plan-lifetime execution structures
 	sources map[string]ScanSource   // driver-stage chunk sources by table
+	// scanCost is what heap scans over this Built pay on top of the
+	// query's own work; fixed at construction.
+	scanCost ScanCostModel
 
 	// gens snapshots every reachable table's mutation generation at
 	// Build time; the structure caches refuse to serve after any table
@@ -82,18 +85,27 @@ func (b *Built) checkGenerations() error {
 	return nil
 }
 
-// Build materializes every structure in the configuration.
+// Build materializes every structure in the configuration over the
+// paper's substrate: heap scans pay the DiskResident scan cost.
 func Build(db *rel.Database, cfg *physical.Config) (*Built, error) {
+	return BuildWithScanCost(db, cfg, DiskResident)
+}
+
+// BuildWithScanCost is Build under the given scan-cost model. Results
+// and ExecStats are the same under either model; only the time a scan
+// takes differs.
+func BuildWithScanCost(db *rel.Database, cfg *physical.Config, cost ScanCostModel) (*Built, error) {
 	if cfg == nil {
 		cfg = &physical.Config{}
 	}
 	b := &Built{
-		DB:      db,
-		Config:  cfg,
-		indexes: make(map[string]*builtIndex),
-		views:   make(map[string]*rel.Table),
-		parts:   make(map[string][]*rel.Table),
-		caches:  newBuiltCaches(),
+		DB:       db,
+		Config:   cfg,
+		indexes:  make(map[string]*builtIndex),
+		views:    make(map[string]*rel.Table),
+		parts:    make(map[string][]*rel.Table),
+		caches:   newBuiltCaches(),
+		scanCost: cost,
 	}
 	for _, idx := range cfg.Indexes {
 		bi, err := buildIndex(db, idx)
@@ -124,6 +136,9 @@ func Build(db *rel.Database, cfg *physical.Config) (*Built, error) {
 	b.snapshotGenerations()
 	return b, nil
 }
+
+// ScanCost returns the scan-cost model the Built was made under.
+func (b *Built) ScanCost() ScanCostModel { return b.scanCost }
 
 // Index returns the built index for a descriptor, or nil.
 func (b *Built) Index(idx *physical.Index) *builtIndex {

@@ -29,12 +29,12 @@ import (
 // fails loudly on post-build mutation (see Built.checkGenerations).
 // Hit/miss traffic per cache kind is counted unconditionally (plain
 // atomics, one add per access) and surfaces through CacheCounters,
-// the obs registry, and execution spans. The simulated scan cost
-// (touchRows) and the ExecStats accounting are NOT cached — every
-// execution still pays the scan touch and counts the rows its plan
-// reads, so measured execution time keeps the paper's scan/probe cost
-// ratio and Stats stay bit-identical to the row-at-a-time reference
-// executor.
+// the obs registry, and execution spans. The Built's scan cost (see
+// ScanCostModel) and the ExecStats accounting are NOT cached — every
+// execution still pays for the scans its plan performs, whatever the
+// model charges for one, and counts the rows it reads, so measured
+// execution time keeps the model's scan/probe cost ratio and Stats stay
+// bit-identical to the row-at-a-time reference executor.
 type builtCaches struct {
 	mu       sync.Mutex
 	zips     map[string]*centry[*partZip]
@@ -242,47 +242,63 @@ func (b *Built) partitionZip(table string, groups []int) (*partZip, error) {
 	})
 }
 
-// joinTable is a cached hash-join build side over a row source.
-// Integer keys (the common ID/PID case) use the chained head/next
-// layout of the reference executor — probing walks the chain in the
-// same (reverse-build) order, so join output ordering is bit-identical.
-// String keys map to row indices in build order, likewise matching the
-// reference.
+// joinTable is a cached hash-join build side: the key column's hash
+// chains over build positions, and nothing else — the probe fills the
+// inner columns a query references from the source's column vectors (see
+// colFill), so the table holds no rows. Integer keys (the common ID/PID
+// case) use the chained head/next layout of the reference executor —
+// probing walks the chain in the same (reverse-build) order, so join
+// output ordering is bit-identical. String keys map to build positions
+// in build order, likewise matching the reference.
 type joinTable struct {
-	rows    [][]rel.Value
 	intKeys bool
 	head    map[int64]int32
 	next    []int32
 	str     map[string][]int32
+	// rids maps a build position to its source row id when the build
+	// covers a subset of the source (a seek-fed build side); nil when
+	// position i is row i.
+	rids []int32
 }
 
-func buildJoinTable(rows [][]rel.Value, ji int) *joinTable {
-	jt := &joinTable{rows: rows}
-	jt.intKeys = len(rows) == 0 || rows[0][ji].Typ == rel.TInt
+// rid returns the source row id of build position i.
+func (jt *joinTable) rid(i int32) int32 {
+	if jt.rids != nil {
+		return jt.rids[i]
+	}
+	return i
+}
+
+// buildJoinTable hashes the n build positions by key(i), the join
+// column's value at position i.
+func buildJoinTable(n int, key func(i int) rel.Value) *joinTable {
+	jt := &joinTable{}
+	jt.intKeys = n == 0 || key(0).Typ == rel.TInt
 	if jt.intKeys {
-		jt.head = make(map[int64]int32, len(rows))
-		jt.next = make([]int32, len(rows))
-		for i, ir := range rows {
-			if ir[ji].Null {
+		jt.head = make(map[int64]int32, n)
+		jt.next = make([]int32, n)
+		for i := 0; i < n; i++ {
+			v := key(i)
+			if v.Null {
 				jt.next[i] = -1
 				continue
 			}
-			k := ir[ji].I
-			if prev, ok := jt.head[k]; ok {
+			if prev, ok := jt.head[v.I]; ok {
 				jt.next[i] = prev
 			} else {
 				jt.next[i] = -1
 			}
-			jt.head[k] = int32(i)
+			jt.head[v.I] = int32(i)
 		}
 		return jt
 	}
-	jt.str = make(map[string][]int32, len(rows))
-	for i, ir := range rows {
-		if ir[ji].Null {
+	jt.str = make(map[string][]int32, n)
+	for i := 0; i < n; i++ {
+		v := key(i)
+		if v.Null {
 			continue
 		}
-		k := ir[ji].String()
+		k := v.String()
 		jt.str[k] = append(jt.str[k], int32(i))
 	}
 	return jt
@@ -290,10 +306,11 @@ func buildJoinTable(rows [][]rel.Value, ji int) *joinTable {
 
 // hashJoinTable returns the cached build side for joining against the
 // named row source on the given column. srcKey identifies the row
-// source (base table, view, or partition zip) within the Built.
-func (b *Built) hashJoinTable(srcKey, col string, rows [][]rel.Value, ji int) (*joinTable, error) {
+// source (base table, view, or partition zip) within the Built; n and
+// key describe its join column.
+func (b *Built) hashJoinTable(srcKey, col string, n int, key func(i int) rel.Value) (*joinTable, error) {
 	return cacheGet(context.Background(), b, b.caches.joins, ckindJoin, srcKey+"|c:"+col, func() (*joinTable, error) {
-		return buildJoinTable(rows, ji), nil
+		return buildJoinTable(n, key), nil
 	})
 }
 

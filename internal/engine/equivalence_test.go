@@ -16,8 +16,21 @@ import (
 
 // buildPlans shreds the doc under the tree's mapping and plans every
 // query under the config, returning the built database and the plans.
+// The Built is Build's: the paper's DiskResident substrate.
 func buildPlans(t *testing.T, tree *schema.Tree, doc *xmlgen.Doc,
 	queries []string, cfg *physical.Config) (*Built, []*optimizer.Plan) {
+	t.Helper()
+	return buildPlansCost(t, tree, doc, queries, cfg, DiskResident)
+}
+
+// scanCostModels are the two models every equivalence matrix runs
+// under: results, order, values and ExecStats must not depend on what a
+// scan is charged.
+var scanCostModels = map[string]ScanCostModel{"disk-resident": DiskResident, "in-memory": InMemory}
+
+// buildPlansCost is buildPlans under the given scan-cost model.
+func buildPlansCost(t *testing.T, tree *schema.Tree, doc *xmlgen.Doc,
+	queries []string, cfg *physical.Config, cost ScanCostModel) (*Built, []*optimizer.Plan) {
 	t.Helper()
 	m, err := shred.Compile(tree)
 	if err != nil {
@@ -30,9 +43,12 @@ func buildPlans(t *testing.T, tree *schema.Tree, doc *xmlgen.Doc,
 	if cfg == nil {
 		cfg = &physical.Config{}
 	}
-	built, err := Build(db, cfg)
+	built, err := BuildWithScanCost(db, cfg, cost)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
+	}
+	if built.ScanCost() != cost {
+		t.Fatalf("ScanCost() = %d, built under %d", built.ScanCost(), cost)
 	}
 	opt := optimizer.New(stats.FromDatabase(db))
 	var plans []*optimizer.Plan
@@ -87,8 +103,8 @@ func requireIdentical(t *testing.T, label string, got, want *Result) {
 // equivalenceFixtures covers every operator the executors implement:
 // heap scans, index seeks, INL and hash joins (base tables and views),
 // partition-zip drivers, multi-branch unions, and EXISTS predicates
-// from split selections.
-func equivalenceFixtures(t *testing.T) map[string]struct {
+// from split selections — each Built under the given scan-cost model.
+func equivalenceFixtures(t *testing.T, cost ScanCostModel) map[string]struct {
 	built *Built
 	plans []*optimizer.Plan
 } {
@@ -105,7 +121,7 @@ func equivalenceFixtures(t *testing.T) map[string]struct {
 	}
 
 	movieDoc := xmlgen.GenerateMovie(schema.Movie(), xmlgen.MovieOptions{Movies: 300, Seed: 21})
-	b, ps := buildPlans(t, schema.Movie(), movieDoc, movieQueries, nil)
+	b, ps := buildPlansCost(t, schema.Movie(), movieDoc, movieQueries, nil, cost)
 	add("movie-hybrid", b, ps)
 
 	idxCfg := &physical.Config{}
@@ -113,16 +129,16 @@ func equivalenceFixtures(t *testing.T) map[string]struct {
 		Include: []string{"ID", "title", "box_office"}})
 	idxCfg.AddIndex(&physical.Index{Name: "ix_actor_pid", Table: "actor", Key: []string{"PID"}})
 	idxCfg.AddIndex(&physical.Index{Name: "ix_movie_genre", Table: "movie", Key: []string{"genre"}})
-	b, ps = buildPlans(t, schema.Movie(), movieDoc, movieQueries, idxCfg)
+	b, ps = buildPlansCost(t, schema.Movie(), movieDoc, movieQueries, idxCfg, cost)
 	add("movie-indexes", b, ps)
 
 	viewCfg := &physical.Config{}
 	viewCfg.AddView(&physical.View{Name: "v_movie_actor", Outer: "movie", Inner: "actor",
 		OuterCols: []string{"ID", "year", "genre", "title"}, InnerCols: []string{"actor"}})
-	b, ps = buildPlans(t, schema.Movie(), movieDoc, []string{
+	b, ps = buildPlansCost(t, schema.Movie(), movieDoc, []string{
 		`//movie[genre = "genre-03"]/(title | year | actor)`,
 		`//movie[year >= 2000]/(title | box_office)`,
-	}, viewCfg)
+	}, viewCfg, cost)
 	add("movie-view", b, ps)
 
 	partCfg := &physical.Config{}
@@ -130,11 +146,11 @@ func equivalenceFixtures(t *testing.T) map[string]struct {
 		{"title", "year", "box_office", "seasons"},
 		{"avg_rating", "genre", "country", "language", "runtime"},
 	}})
-	b, ps = buildPlans(t, schema.Movie(), movieDoc, movieQueries, partCfg)
+	b, ps = buildPlansCost(t, schema.Movie(), movieDoc, movieQueries, partCfg, cost)
 	add("movie-partition", b, ps)
 
 	dblpDoc := xmlgen.GenerateDBLP(schema.DBLP(), xmlgen.DBLPOptions{Inproceedings: 300, Books: 40, Seed: 21})
-	b, ps = buildPlans(t, schema.DBLP(), dblpDoc, dblpQueries, nil)
+	b, ps = buildPlansCost(t, schema.DBLP(), dblpDoc, dblpQueries, nil, cost)
 	add("dblp-hybrid", b, ps)
 
 	splitTree := schema.DBLP()
@@ -143,9 +159,9 @@ func equivalenceFixtures(t *testing.T) map[string]struct {
 			n.SplitCount = 2
 		}
 	}
-	b, ps = buildPlans(t, splitTree, dblpDoc, []string{
+	b, ps = buildPlansCost(t, splitTree, dblpDoc, []string{
 		`//inproceedings[author = "Fatima Author-00005"]/(title | year)`,
-	}, nil)
+	}, nil, cost)
 	add("dblp-split-exists", b, ps)
 
 	return out
@@ -157,7 +173,7 @@ func equivalenceFixtures(t *testing.T) map[string]struct {
 // row-at-a-time reference path, on the first (cold-cache) execution and
 // on repeated warm-cache executions.
 func TestBatchExecutorMatchesReference(t *testing.T) {
-	for name, fx := range equivalenceFixtures(t) {
+	for name, fx := range equivalenceFixtures(t, DiskResident) {
 		t.Run(name, func(t *testing.T) {
 			for pi, plan := range fx.plans {
 				want, err := ExecuteReference(fx.built, plan)
@@ -182,7 +198,7 @@ func TestBatchExecutorMatchesReference(t *testing.T) {
 // bit-identical to the sequential reference across repeated runs. Run
 // with -race this also checks the claim loop for data races.
 func TestParallelBranchesDeterministic(t *testing.T) {
-	for name, fx := range equivalenceFixtures(t) {
+	for name, fx := range equivalenceFixtures(t, DiskResident) {
 		t.Run(name, func(t *testing.T) {
 			for pi, plan := range fx.plans {
 				want, err := ExecuteReference(fx.built, plan)

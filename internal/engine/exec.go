@@ -63,59 +63,137 @@ func ExecuteContext(ctx context.Context, b *Built, plan *optimizer.Plan) (*Resul
 	return pp.ExecuteContextWorkers(ctx, 1)
 }
 
-// scope tracks the combined tuple layout during branch execution:
-// table name -> column name -> offset in the combined tuple.
+// scope tracks the tables a branch has in scope and resolves column
+// references against them, one way per executor. The reference executor
+// builds combined tuples — every column of every table, concatenated in
+// join order — and reads them at pos. The batch executor builds narrow
+// tuples: slot hands out one tuple slot per distinct column, at its
+// first reference, so a branch's tuples are as wide as the set of
+// columns something after the scan reads (join keys, post-driver
+// predicates, the projection) and every table's refs list says which of
+// its columns to fill and where. Driver-stage kernels read column
+// vectors at col and take no slot. slot is the only method that writes:
+// it runs during Prepare, on one goroutine; executions only call col.
 type scope struct {
-	offsets map[string]map[string]int
-	width   int
+	tables map[string]*scopeTable
+	width  int // combined tuple width (reference executor)
+	slots  int // narrow tuple slots handed out (batch executor)
 }
 
-func newScope() *scope { return &scope{offsets: make(map[string]map[string]int)} }
+// scopeTable is one table in scope.
+type scopeTable struct {
+	base int            // combined-tuple offset of the table's first column
+	cols map[string]int // column name -> column index
+	refs []colRef       // the columns a narrow tuple carries, in slot order
+}
 
-func (sc *scope) add(table string, cols []string) {
-	m := make(map[string]int, len(cols))
+// colRef places one referenced column in the narrow tuple.
+type colRef struct{ col, slot int }
+
+func newScope() *scope { return &scope{tables: make(map[string]*scopeTable)} }
+
+func (sc *scope) add(table string, cols []string) *scopeTable {
+	st := &scopeTable{base: sc.width, cols: make(map[string]int, len(cols))}
 	for i, c := range cols {
-		m[c] = sc.width + i
+		st.cols[c] = i
 	}
-	sc.offsets[table] = m
+	sc.tables[table] = st
 	sc.width += len(cols)
+	return st
 }
 
+// resolve finds a column's table and its index there.
+func (sc *scope) resolve(c sqlast.ColRef) (*scopeTable, int, error) {
+	st, ok := sc.tables[c.Table]
+	if !ok {
+		return nil, 0, fmt.Errorf("engine: table %s not in scope", c.Table)
+	}
+	i, ok := st.cols[c.Column]
+	if !ok {
+		return nil, 0, fmt.Errorf("engine: column %s not in scope", c)
+	}
+	return st, i, nil
+}
+
+// col returns the column's index within its table.
+func (sc *scope) col(c sqlast.ColRef) (int, error) {
+	_, i, err := sc.resolve(c)
+	return i, err
+}
+
+// pos returns the column's position in the combined tuple.
 func (sc *scope) pos(c sqlast.ColRef) (int, error) {
-	m, ok := sc.offsets[c.Table]
-	if !ok {
-		return 0, fmt.Errorf("engine: table %s not in scope", c.Table)
+	st, i, err := sc.resolve(c)
+	if err != nil {
+		return 0, err
 	}
-	i, ok := m[c.Column]
-	if !ok {
-		return 0, fmt.Errorf("engine: column %s not in scope", c)
-	}
-	return i, nil
+	return st.base + i, nil
 }
 
-func (sc *scope) has(table string) bool { _, ok := sc.offsets[table]; return ok }
+// slot returns the column's slot in the narrow tuple, handing out the
+// next free one at the column's first reference.
+func (sc *scope) slot(c sqlast.ColRef) (int, error) {
+	st, i, err := sc.resolve(c)
+	if err != nil {
+		return 0, err
+	}
+	for _, r := range st.refs {
+		if r.col == i {
+			return r.slot, nil
+		}
+	}
+	st.refs = append(st.refs, colRef{col: i, slot: sc.slots})
+	sc.slots++
+	return sc.slots - 1, nil
+}
 
-// scanSink absorbs the byte-touching work of heap scans so the
-// compiler cannot elide it. It is updated atomically: union branches
-// may scan in parallel.
+func (sc *scope) has(table string) bool { _, ok := sc.tables[table]; return ok }
+
+// scanSink absorbs the byte-touching work of simulated heap reads so the
+// compiler cannot elide it. It is updated atomically: morsels scan in
+// parallel.
 var scanSink atomic.Int64
 
-// scanTouchPasses calibrates the simulated sequential-read bandwidth
-// of heap scans. The paper's substrate is a disk-resident system where
-// scanning a page costs far more than a hash-table operation; an
-// in-memory row store inverts that balance, so heap scans here touch
-// every byte several times to restore the ratio (roughly emulating a
-// few hundred MB/s of effective scan bandwidth against in-memory joins).
+// ScanCostModel says what a heap scan over a Built costs on top of the
+// work the query itself needs. It is fixed where the Built is made and
+// every executor — the batch pipeline's driver scans and hash-join
+// build-side charges, and ExecuteReference's fetches — follows the Built
+// it runs on, so a batch execution and its oracle always pay alike.
+// ExecStats do not depend on it. It is a value only because two makers
+// of Builts need different ones; nothing else selects it.
+type ScanCostModel uint8
+
+const (
+	// DiskResident emulates the paper's substrate, a disk-resident system
+	// where scanning a page costs far more than a hash-table operation:
+	// every scan reads each scanned byte scanTouchPasses times (see
+	// touchTable). Without it in-memory scans are width-oblivious and the
+	// paper's untuned-mapping comparisons (Section 1.1) lose their
+	// crossover. Build uses it, so the advisor's measured executions, the
+	// experiments and the examples run on it.
+	DiskResident ScanCostModel = iota
+	// InMemory adds nothing: a scan costs the work of the query. The
+	// storage layer's Builts and the query server's corpora use it — what
+	// a paged scan reads it has really faulted, and serving latency should
+	// measure serving.
+	InMemory
+)
+
+// scanTouchPasses calibrates the simulated sequential-read bandwidth of
+// DiskResident heap scans: an in-memory store inverts the disk/hash cost
+// balance, so scans touch every byte several times to restore the ratio
+// (roughly emulating a few hundred MB/s of effective scan bandwidth
+// against in-memory joins).
 const scanTouchPasses = 8
 
-// touchRows makes heap scans cost work proportional to the scanned
-// byte volume, like the page reads of a disk-resident system: a wider
-// table is slower to scan even when the query projects few columns.
-// Without this, in-memory scans are width-oblivious and the paper's
-// untuned-mapping comparisons (Section 1.1) lose their crossover. The
-// batch executor calls it once per batch of scanned rows, so the
-// simulated read cost stays attached to the scan that incurs it even
-// when downstream operators reuse cached structures.
+// simulatesDisk reports whether scans over b pay the DiskResident cost;
+// the two executors ask it before every touchRows / touchTable.
+func (b *Built) simulatesDisk() bool { return b.scanCost == DiskResident }
+
+// touchRows makes a DiskResident heap scan cost work proportional to the
+// scanned byte volume, like the page reads of a disk-resident system: a
+// wider table is slower to scan even when the query projects few
+// columns. The reference executor calls it per fetched table.
 func touchRows(rows [][]rel.Value) {
 	var sink int64
 	for pass := 0; pass < scanTouchPasses; pass++ {
@@ -141,7 +219,10 @@ func touchRows(rows [][]rel.Value) {
 // string cells one per byte — without materializing a row. Columns
 // holding exception values (appends that don't round-trip through the
 // typed vectors) fall back to per-cell materialization so the charged
-// work matches the row store exactly.
+// work matches the row store exactly. The batch executor calls it once
+// per batch of scanned rows, so the simulated read stays attached to the
+// scan that incurs it even when downstream operators reuse cached
+// structures.
 func touchTable(t *rel.Table, lo, hi int) {
 	if lo >= hi {
 		return
@@ -213,10 +294,12 @@ func predInScope(p *sqlast.Pred, sc *scope) bool {
 	return false
 }
 
-func colPositions(sc *scope, cols []sqlast.ColRef) ([]int, error) {
+// colPositions resolves every column through one of the scope's
+// resolvers (col, pos or slot).
+func colPositions(resolve func(sqlast.ColRef) (int, error), cols []sqlast.ColRef) ([]int, error) {
 	out := make([]int, len(cols))
 	for i, c := range cols {
-		pos, err := sc.pos(c)
+		pos, err := resolve(c)
 		if err != nil {
 			return nil, err
 		}

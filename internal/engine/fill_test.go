@@ -1,0 +1,172 @@
+package engine
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"repro/internal/optimizer"
+	"repro/internal/physical"
+	"repro/internal/rel"
+	"repro/internal/sqlast"
+)
+
+// fillDB holds the value shapes a typed fill cannot serve from the
+// vector alone: columns with exception values — wrong-typed appends and
+// NULLs that carry a payload — on a driver table and on a join inner,
+// join keys among them, and a string column that is NULL in every row
+// (an empty dictionary under a full code vector).
+func fillDB() *rel.Database {
+	const np, nc = 150, 260
+	p := rel.NewTable("p", []rel.Column{
+		{Name: "ID", Typ: rel.TInt},
+		{Name: "PID", Typ: rel.TInt, Nullable: true},
+		{Name: "k", Typ: rel.TInt},
+		{Name: "allnull", Typ: rel.TString, Nullable: true},
+		{Name: "x", Typ: rel.TInt, Nullable: true},
+		{Name: "f", Typ: rel.TFloat, Nullable: true},
+		{Name: "tag", Typ: rel.TString},
+	})
+	for i := 0; i < np; i++ {
+		x := rel.Int(int64(i * 10))
+		switch i % 7 {
+		case 0:
+			x = rel.Str("seven")
+		case 1:
+			x = rel.Value{Null: true, Typ: rel.TInt, I: int64(i)}
+		case 2:
+			x = rel.Float(1.5)
+		case 3:
+			x = rel.NullOf(rel.TInt)
+		}
+		f := rel.Float(float64(i) / 4)
+		switch i % 6 {
+		case 0:
+			f = rel.Int(int64(i))
+		case 1:
+			f = rel.Value{Null: true, Typ: rel.TFloat, F: 2.5}
+		}
+		p.AppendRow([]rel.Value{rel.Int(int64(i)), rel.NullOf(rel.TInt), rel.Int(int64(i % 5)),
+			rel.NullOf(rel.TString), x, f, rel.Str(fmt.Sprintf("t%d", i%4))})
+	}
+	c := rel.NewTable("c", []rel.Column{
+		{Name: "ID", Typ: rel.TInt},
+		{Name: "PID", Typ: rel.TInt, Nullable: true},
+		{Name: "w", Typ: rel.TString, Nullable: true},
+		{Name: "allnull", Typ: rel.TString, Nullable: true},
+	})
+	c.Parent = "p"
+	for i := 0; i < nc; i++ {
+		pid := rel.Int(int64(i % np))
+		switch i % 11 {
+		case 1:
+			pid = rel.Value{Null: true, Typ: rel.TInt, I: 3}
+		case 2:
+			pid = rel.Str("2")
+		}
+		w := rel.Str(fmt.Sprintf("t%d", i%4))
+		switch i % 5 {
+		case 3:
+			w = rel.Value{Null: true, Typ: rel.TString, S: "ghost"}
+		case 4:
+			w = rel.Int(int64(i))
+		}
+		c.AppendRow([]rel.Value{rel.Int(int64(1000 + i)), pid, w, rel.NullOf(rel.TString)})
+	}
+	db := rel.NewDatabase()
+	db.Add(p)
+	db.Add(c)
+	return db
+}
+
+// TestFillMatchesReference runs every tuple source of the batch
+// executor — scan fragments (resident and chunked), a seek driver, hash
+// joins keyed by int and by string and fed by a seek, an INL join — over
+// fillDB, projecting and filtering on the exception-bearing and all-NULL
+// columns, and wants the reference executor's rows bit for bit. The
+// plans are written by hand so each access path is certain to run.
+func TestFillMatchesReference(t *testing.T) {
+	col := func(tbl, c string) *sqlast.ColRef { return &sqlast.ColRef{Table: tbl, Column: c} }
+	item := func(tbl, c string) sqlast.SelectItem {
+		return sqlast.SelectItem{Col: col(tbl, c), As: tbl + "_" + c}
+	}
+	cfg := &physical.Config{}
+	ixPK := &physical.Index{Name: "ix_p_k", Table: "p", Key: []string{"k"}}
+	ixCPID := &physical.Index{Name: "ix_c_pid", Table: "c", Key: []string{"PID"}}
+	ixCID := &physical.Index{Name: "ix_c_id", Table: "c", Key: []string{"ID"}}
+	cfg.AddIndex(ixPK)
+	cfg.AddIndex(ixCPID)
+	cfg.AddIndex(ixCID)
+
+	scanP := optimizer.Access{Table: "p"}
+	joinPred := sqlast.Pred{Kind: sqlast.PredJoin, Left: *col("c", "PID"), Right: *col("p", "ID")}
+	pItems := []sqlast.SelectItem{item("p", "ID"), item("p", "allnull"), item("p", "x"), item("p", "f")}
+	joinItems := []sqlast.SelectItem{item("p", "ID"), item("p", "x"), item("c", "w"), item("c", "allnull"), item("c", "PID")}
+
+	plan := func(sel *sqlast.Select, driver optimizer.Access, joins ...optimizer.Join) *optimizer.Plan {
+		q := &sqlast.Query{Branches: []*sqlast.Select{sel}, OrderBy: sel.Items[0].As}
+		return &optimizer.Plan{Query: q, Branches: []*optimizer.Branch{{Sel: sel, Driver: driver, Joins: joins}}}
+	}
+	seekK := &sqlast.Pred{Kind: sqlast.PredCompare, Op: sqlast.OpGe, Col: *col("p", "k"), Value: rel.Int(2)}
+	seekCID := &sqlast.Pred{Kind: sqlast.PredCompare, Op: sqlast.OpLt, Col: *col("c", "ID"), Value: rel.Int(1100)}
+	seekSel := &sqlast.Select{Items: pItems, From: []string{"p"}, Where: []sqlast.Pred{*seekK}}
+	seekFedSel := &sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred, *seekCID}}
+	plans := map[string]*optimizer.Plan{
+		"scan": plan(&sqlast.Select{Items: pItems, From: []string{"p"}}, scanP),
+		"scan-filter-on-exceptions": plan(&sqlast.Select{Items: pItems, From: []string{"p"},
+			Where: []sqlast.Pred{{Kind: sqlast.PredCompare, Op: sqlast.OpGe, Col: *col("p", "x"), Value: rel.Int(100)}}}, scanP),
+		"seek-driver": plan(seekSel,
+			optimizer.Access{Table: "p", Kind: optimizer.AccessSeek, Index: ixPK, SeekPred: &seekSel.Where[0]}),
+		"hash-join": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred,
+			{Kind: sqlast.PredCompare, Op: sqlast.OpNe, Col: *col("c", "w"), Value: rel.Str("t1")}}}, scanP,
+			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c"},
+				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
+		"hash-join-string-key": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"},
+			Where: []sqlast.Pred{{Kind: sqlast.PredJoin, Left: *col("c", "w"), Right: *col("p", "tag")}}}, scanP,
+			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c"},
+				OuterCol: *col("p", "tag"), InnerCol: *col("c", "w")}),
+		"hash-join-seek-fed": plan(seekFedSel, scanP,
+			optimizer.Join{Method: optimizer.JoinHash,
+				Inner:    optimizer.Access{Table: "c", Kind: optimizer.AccessSeek, Index: ixCID, SeekPred: &seekFedSel.Where[1]},
+				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
+		"inl-join": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred}}, scanP,
+			optimizer.Join{Method: optimizer.JoinINL, Inner: optimizer.Access{Table: "c", Kind: optimizer.AccessSeek, Index: ixCPID},
+				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
+	}
+
+	defer func(old int) { morselRows = old }(morselRows)
+	morselRows = 64
+	for model, cost := range scanCostModels {
+		for _, chunked := range []bool{false, true} {
+			db := fillDB()
+			built, err := BuildWithScanCost(db, cfg, cost)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if chunked {
+				built.SetScanSource("p", newSliceSource(t, db.Table("p"), 64))
+			}
+			for name, pl := range plans {
+				label := fmt.Sprintf("%s chunked=%v %s", model, chunked, name)
+				want, err := ExecuteReference(built, pl)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", label, err)
+				}
+				if len(want.Rows) == 0 {
+					t.Fatalf("%s: the reference returns no rows; the fixture lost its point", label)
+				}
+				pp, err := Prepare(built, pl)
+				if err != nil {
+					t.Fatalf("%s: prepare: %v", label, err)
+				}
+				for _, workers := range []int{1, 3} {
+					got, err := pp.ExecuteContextWorkers(context.Background(), workers)
+					if err != nil {
+						t.Fatalf("%s workers %d: %v", label, workers, err)
+					}
+					requireIdentical(t, label, got, want)
+				}
+			}
+		}
+	}
+}

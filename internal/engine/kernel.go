@@ -22,14 +22,15 @@ import (
 type colKernel func(sel []int32) []int32
 
 // compileColKernel compiles one predicate into a columnar kernel over
-// the driver table. sc holds only the driver table at this stage, so
-// scope positions are column indices. It never fails to produce a
-// kernel for a supported predicate kind: unsupported column/literal
-// shapes fall back to a per-cell ValueAt kernel.
+// the driver table, or over a fragment of it: column references resolve
+// to column indices (scope.col), not tuple slots — a kernel runs before
+// any tuple exists. It never fails to produce a kernel for a supported
+// predicate kind: unsupported column/literal shapes fall back to a
+// per-cell ValueAt kernel.
 func compileColKernel(b *Built, p *sqlast.Pred, t *rel.Table, sc *scope) (colKernel, error) {
 	switch p.Kind {
 	case sqlast.PredCompare:
-		pos, err := sc.pos(p.Col)
+		pos, err := sc.col(p.Col)
 		if err != nil {
 			return nil, err
 		}
@@ -47,7 +48,7 @@ func compileColKernel(b *Built, p *sqlast.Pred, t *rel.Table, sc *scope) (colKer
 			return live
 		}, nil
 	case sqlast.PredOr:
-		positions, err := colPositions(sc, p.Cols)
+		positions, err := colPositions(sc.col, p.Cols)
 		if err != nil {
 			return nil, err
 		}
@@ -65,11 +66,11 @@ func compileColKernel(b *Built, p *sqlast.Pred, t *rel.Table, sc *scope) (colKer
 			return live
 		}, nil
 	case sqlast.PredExists, sqlast.PredOrExists:
-		positions, err := colPositions(sc, p.Cols)
+		positions, err := colPositions(sc.col, p.Cols)
 		if err != nil {
 			return nil, err
 		}
-		outerPos, err := sc.pos(p.OuterCol)
+		outerPos, err := sc.col(p.OuterCol)
 		if err != nil {
 			return nil, err
 		}

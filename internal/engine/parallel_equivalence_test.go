@@ -55,50 +55,60 @@ func engineTestSeed(t *testing.T) int64 {
 }
 
 // TestMorselExecutorMatchesReference is the intra-query-parallelism
-// differential: every integration fixture plan, executed at each
-// worker count, must be bit-identical — columns,
-// rows in order, values, and stats — to the row-at-a-time reference
-// executor, on cold and warm caches. Under -race this also exercises
+// differential: every integration fixture plan, built under each
+// scan-cost model and executed at each worker count, must be
+// bit-identical — columns, rows in order, values, and stats — to the
+// row-at-a-time reference executor on the same Built, on cold and warm
+// caches. Under -race this also exercises
 // the morsel dispatch, the shared branch pools, and the single-flight
 // caches for data races.
 func TestMorselExecutorMatchesReference(t *testing.T) {
 	counts := workerCountsUnderTest(t)
-	fixtures := equivalenceFixtures(t)
 	// The integration fixtures fit a single morsel (a few hundred driver
 	// rows vs morselRows = 4096); add a fixture wide enough that every
 	// branch genuinely splits across morsels at the default size.
 	bigDoc := xmlgen.GenerateMovie(schema.Movie(), xmlgen.MovieOptions{Movies: 3 * morselRows / 2, Seed: 77})
-	bigBuilt, bigPlans := buildPlans(t, schema.Movie(), bigDoc, movieQueries, nil)
-	fixtures["movie-multi-morsel"] = struct {
+	type fixture = struct {
 		built *Built
 		plans []*optimizer.Plan
-	}{bigBuilt, bigPlans}
-	names := make([]string, 0, len(fixtures))
-	for name := range fixtures {
+	}
+	byModel := make(map[string]map[string]fixture)
+	for model, cost := range scanCostModels {
+		fixtures := equivalenceFixtures(t, cost)
+		bigBuilt, bigPlans := buildPlansCost(t, schema.Movie(), bigDoc, movieQueries, nil, cost)
+		fixtures["movie-multi-morsel"] = fixture{bigBuilt, bigPlans}
+		byModel[model] = fixtures
+	}
+	names := make([]string, 0, len(byModel["in-memory"]))
+	for name := range byModel["in-memory"] {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		fx := fixtures[name]
 		t.Run(name, func(t *testing.T) {
-			for pi, plan := range fx.plans {
-				want, err := ExecuteReference(fx.built, plan)
-				if err != nil {
-					t.Fatalf("plan %d: reference: %v", pi, err)
-				}
-				pp, err := fx.built.Prepared(plan)
-				if err != nil {
-					t.Fatalf("plan %d: prepare: %v", pi, err)
-				}
-				for _, wk := range counts {
-					for run := 0; run < 2; run++ {
-						got, err := pp.ExecuteContextWorkers(context.Background(), wk)
+			for model, fixtures := range byModel {
+				fx := fixtures[name]
+				t.Run(model, func(t *testing.T) {
+					for pi, plan := range fx.plans {
+						want, err := ExecuteReference(fx.built, plan)
 						if err != nil {
-							t.Fatalf("plan %d workers %d run %d: %v", pi, wk, run, err)
+							t.Fatalf("plan %d: reference: %v", pi, err)
 						}
-						requireIdentical(t, name, got, want)
+						pp, err := fx.built.Prepared(plan)
+						if err != nil {
+							t.Fatalf("plan %d: prepare: %v", pi, err)
+						}
+						for _, wk := range counts {
+							for run := 0; run < 2; run++ {
+								got, err := pp.ExecuteContextWorkers(context.Background(), wk)
+								if err != nil {
+									t.Fatalf("plan %d workers %d run %d: %v", pi, wk, run, err)
+								}
+								requireIdentical(t, name, got, want)
+							}
+						}
 					}
-				}
+				})
 			}
 		})
 	}
@@ -109,7 +119,7 @@ func TestMorselExecutorMatchesReference(t *testing.T) {
 // GOMAXPROCS, and n > 1 is n goroutines on the same task list — all
 // bit-identical to the reference.
 func TestWorkersKnobSemantics(t *testing.T) {
-	fx := equivalenceFixtures(t)["movie-hybrid"]
+	fx := equivalenceFixtures(t, DiskResident)["movie-hybrid"]
 	for pi, plan := range fx.plans {
 		want, err := ExecuteReference(fx.built, plan)
 		if err != nil {

@@ -19,10 +19,12 @@ import (
 // hash tables, EXISTS sets, partition zips) resolved once at compile
 // time against the Built's plan-lifetime caches. Executing a
 // PreparedPlan allocates no per-row intermediates: operators pass
-// fixed-size rel.Batch blocks with selection vectors, joins write
-// combined tuples into pooled batch arenas, and only the projected
-// output is freshly allocated — one value arena per batch, plus the
-// result's row headers, cut once at their exact count (see assemble).
+// fixed-size rel.Batch blocks with selection vectors, scans and joins
+// fill pooled batch arenas with narrow tuples — only the columns the
+// branch references, copied from column vectors (see colFill) — and only
+// the projected output is freshly allocated: one value arena per batch,
+// plus the result's row headers, cut once at their exact count (see
+// assemble).
 //
 // A PreparedPlan is safe for concurrent ExecuteContextWorkers calls —
 // a plan cached on a Built is shared by every session that prepares the
@@ -142,13 +144,11 @@ type driverSrc struct {
 	// the source's paging budget. A resident table is its own single
 	// chunk (see tableSource).
 	chunks ScanSource
-	// rows is the materialized row view seek and zip drivers hand
-	// downstream operators by reference: the table's generation-cached
-	// Rows() for seeks, the zip rows for partition drivers. Resolved at
-	// prepare time so execution never takes the materialization lock.
-	// Scans resolve rows per acquired chunk: a resident table's cached
-	// view, or only the filter's survivors of any other fragment.
-	rows [][]rel.Value
+	// refs are the driver columns the branch's tuples carry. fills lands
+	// them for seek and zip drivers, whose source is fixed at Prepare; a
+	// scan compiles its fills against each fragment it acquires.
+	refs  []colRef
+	fills []colFill
 }
 
 // pipeKind discriminates pipeline operators.
@@ -164,26 +164,32 @@ const (
 type pipeOp struct {
 	kind pipeKind
 
-	// pred filters rows in place on the selection vector (pipeFilter).
+	// pred filters tuples in place on the selection vector (pipeFilter).
 	pred func([]rel.Value) bool
 
-	// Join fields.
-	outerPos int
-	width    int // combined tuple width after this join
-	slot     int // output-batch slot in branchState.joinOut
+	// Join fields: the outer key's tuple slot, the operator's output
+	// batch in branchState, and the fills that land the referenced inner
+	// columns for the matched inner row ids. inner and innerTable /
+	// innerRows name the inner source until prepareBranch has compiled
+	// everything that can reference it and resolves fills.
+	outerSlot  int
+	out        int
+	fills      []colFill
+	inner      *scopeTable
+	innerTable *rel.Table
+	innerRows  [][]rel.Value // partition-zip inner
 
 	// Hash join: cached build side, plus the per-execution scan
 	// accounting its inner source incurs (the reference executor
 	// re-scans the build side every execution; the batch executor pays
-	// the same simulated scan cost and counters but skips the rebuild).
+	// the same scan cost and counters but skips the rebuild).
 	jt          *joinTable
 	scanTable   *rel.Table // table to touch per run (nil for zips/seeks)
 	scanCount   int64      // RowsScanned per run
 	soughtCount int64      // RowsSought per run (seek-fed build side)
 
 	// INL join.
-	bi        *builtIndex
-	innerRows [][]rel.Value // generation-cached row view of the inner table
+	bi *builtIndex
 }
 
 // proj is one projection slot.
@@ -199,13 +205,17 @@ type preparedBranch struct {
 	// predicate applied before the first join, compiled against
 	// src.table's column vectors (table scans and index seeks only —
 	// partition-zip drivers keep row filters in ops). They run over the
-	// selection vector of driver row ids before any row is materialized
-	// into a batch, in the same WHERE order the reference executor
-	// applies.
-	kerns      []colKernel
-	ops        []pipeOp
-	projs      []proj
-	nJoinSlots int
+	// selection vector of driver row ids before any tuple is filled, in
+	// the same WHERE order the reference executor applies.
+	kerns []colKernel
+	ops   []pipeOp
+	projs []proj
+	// width is the branch's tuple width: the number of distinct columns
+	// referenced after the driver stage (scope.slots). Every batch of the
+	// branch is this wide; a join copies its outer tuple and fills the
+	// inner table's slots.
+	width  int
+	nJoins int
 	// kernPreds are the predicates kerns was compiled from, in the same
 	// order. A scan recompiles them against each acquired fragment that
 	// is not src.table itself (see fragKernels) — every kernel is
@@ -213,26 +223,26 @@ type preparedBranch struct {
 	// results, and chunk-local structures (string dictionaries) get
 	// chunk-local kernels.
 	kernPreds []*sqlast.Pred
-	// scope is the branch scope, kept for fragKernels: the driver table
-	// sits at offset 0, so its positions stay column indices however
-	// many joins land after it.
+	// scope is the branch scope, kept for fragKernels, which only reads
+	// it (scope.col).
 	scope *scope
 	// built backs fragKernels (EXISTS probe-set lookups go through its
-	// single-flighted cache).
+	// single-flighted cache) and carries the scan-cost model.
 	built *Built
 	// pool recycles per-execution operator state (batch buffers) across
 	// executions of this branch.
 	pool sync.Pool
 }
 
-// branchState is the per-execution operator state: the driver batch
-// (rows by reference; a scan of paged fragments swaps in one with an
-// arena for the survivors it materializes), the driver selection vector
-// the columnar kernels compact, and one output batch per join operator.
+// branchState is the per-execution operator state: the driver batch the
+// scan fills, the driver selection vector the columnar kernels compact,
+// and per join operator one output batch plus the matched inner row ids
+// of the tuples in it.
 type branchState struct {
 	in      *rel.Batch
 	sel     []int32
 	joinOut []*rel.Batch
+	rids    [][]int32
 }
 
 func resolveTable(b *Built, name string) *rel.Table {
@@ -260,7 +270,7 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 		if err != nil {
 			return nil, err
 		}
-		pb.src = driverSrc{kind: srcZip, zip: z, rows: z.rows}
+		pb.src = driverSrc{kind: srcZip, zip: z}
 		cols = z.cols
 	} else {
 		t := resolveTable(b, a.Table)
@@ -280,7 +290,7 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 				return nil, err
 			}
 			pb.src = driverSrc{kind: srcSeek, table: t, bi: bi,
-				seekOp: opFromCmp(a.SeekPred.Op), seekVal: a.SeekPred.Value, rows: t.Rows()}
+				seekOp: opFromCmp(a.SeekPred.Op), seekVal: a.SeekPred.Value}
 		} else {
 			src, err := b.driverSource(a.Table, t)
 			if err != nil {
@@ -289,10 +299,10 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 			pb.src = driverSrc{kind: srcScan, table: t, chunks: src}
 		}
 	}
-	sc.add(a.Table, cols)
+	driver := sc.add(a.Table, cols)
 	applied := make(map[int]bool)
 	// Driver-stage filters over a table source compile to columnar
-	// kernels; everything after the first join filters materialized rows.
+	// kernels; everything after the first join filters filled tuples.
 	if err := pb.appendFilters(b, br, sc, applied, pb.src.table); err != nil {
 		return nil, err
 	}
@@ -318,11 +328,28 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 			pb.projs = append(pb.projs, proj{null: true})
 			continue
 		}
-		pos, err := sc.pos(*it.Col)
+		pos, err := sc.slot(*it.Col)
 		if err != nil {
 			return nil, err
 		}
 		pb.projs = append(pb.projs, proj{pos: pos})
+	}
+	// Every reference is resolved: the referenced set of each table in
+	// scope is final, and so are the tuple width and the fills.
+	pb.width = sc.slots
+	pb.src.refs = driver.refs
+	switch pb.src.kind {
+	case srcSeek:
+		pb.src.fills = tableFills(pb.src.table, driver.refs)
+	case srcZip:
+		pb.src.fills = rowFills(pb.src.zip.rows, driver.refs)
+	}
+	for i := range pb.ops {
+		if op := &pb.ops[i]; op.innerTable != nil {
+			op.fills = tableFills(op.innerTable, op.inner.refs)
+		} else if op.innerRows != nil {
+			op.fills = rowFills(op.innerRows, op.inner.refs)
+		}
 	}
 	pb.initPool()
 	return pb, nil
@@ -370,38 +397,38 @@ func (pb *preparedBranch) appendFilters(b *Built, br *optimizer.Branch, sc *scop
 // appendJoin compiles one join step, resolving the build side through
 // the Built's structure caches.
 func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, j optimizer.Join) error {
-	outerPos, err := sc.pos(j.OuterCol)
+	outerSlot, err := sc.slot(j.OuterCol)
 	if err != nil {
 		return err
 	}
-	slot := pb.nJoinSlots
-	pb.nJoinSlots++
+	op := pipeOp{kind: pipeHashJoin, outerSlot: outerSlot, out: pb.nJoins}
+	pb.nJoins++
 	if j.Method == optimizer.JoinINL {
 		bi := b.Index(j.Inner.Index)
 		if bi == nil {
 			return fmt.Errorf("engine: INL index %s not built", j.Inner.Index.Name)
 		}
-		t := bi.table
-		sc.add(j.Inner.Table, colNames(t))
-		pb.ops = append(pb.ops, pipeOp{kind: pipeINLJoin, outerPos: outerPos,
-			bi: bi, innerRows: t.Rows(), width: sc.width, slot: slot})
+		op.kind, op.bi, op.innerTable = pipeINLJoin, bi, bi.table
+		op.inner = sc.add(j.Inner.Table, colNames(bi.table))
+		pb.ops = append(pb.ops, op)
 		return nil
 	}
-	// Hash join: resolve the inner row source.
-	var rows [][]rel.Value
+	// Hash join: resolve the inner source, its size, and its key column.
 	var cols []string
 	var srcKey string
-	var scanTable *rel.Table
-	var scanCount, soughtCount int64
+	var n int
+	var cell func(i, col int) rel.Value // value at build position i
+	var rids []int32                    // seek-fed build: position -> row id
 	a := j.Inner
 	if len(a.PartGroups) > 0 {
 		z, zerr := b.partitionZip(a.Table, a.PartGroups)
 		if zerr != nil {
 			return zerr
 		}
-		rows, cols = z.rows, z.cols
+		cols, n, op.innerRows = z.cols, len(z.rows), z.rows
+		cell = func(i, col int) rel.Value { return z.rows[i][col] }
 		srcKey = "p:" + zipKey(a.Table, a.PartGroups)
-		scanCount = int64(len(z.rows) * z.groups)
+		op.scanCount = int64(len(z.rows) * z.groups)
 	} else {
 		t := resolveTable(b, a.Table)
 		if t == nil {
@@ -410,7 +437,7 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 		if err := t.Hydrate(); err != nil {
 			return err
 		}
-		cols = colNames(t)
+		cols, op.innerTable = colNames(t), t
 		if a.Kind == optimizer.AccessSeek {
 			// A seek-fed hash build: not produced by today's optimizer,
 			// but the reference path supports it. The seek restricts the
@@ -423,55 +450,50 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 				return fmt.Errorf("engine: seek access without predicate on %s", a.Table)
 			}
 			ids := bi.seekRange(opFromCmp(a.SeekPred.Op), a.SeekPred.Value)
-			trows := t.Rows()
-			rows = make([][]rel.Value, len(ids))
+			n = len(ids)
+			cell = func(i, col int) rel.Value { return t.ValueAt(ids[i], col) }
+			rids = make([]int32, n)
 			for i, id := range ids {
-				rows[i] = trows[id]
+				rids[i] = int32(id)
 			}
-			soughtCount = int64(len(rows))
+			op.soughtCount = int64(n)
 		} else {
-			rows = t.Rows()
+			n = t.RowCount()
+			cell = t.ValueAt
 			if b.ViewTable(a.Table) != nil {
 				srcKey = "v:" + a.Table
 			} else {
 				srcKey = "t:" + a.Table
 			}
-			scanTable = t
-			scanCount = int64(t.RowCount())
+			op.scanTable = t
+			op.scanCount = int64(n)
 		}
 	}
-	ji := -1
-	for i, c := range cols {
-		if c == j.InnerCol.Column {
-			ji = i
-			break
-		}
-	}
+	ji := slices.Index(cols, j.InnerCol.Column)
 	if ji < 0 {
 		return fmt.Errorf("engine: join column %s missing from %s", j.InnerCol, j.Inner.Table)
 	}
-	sc.add(j.Inner.Table, cols)
-	var jt *joinTable
+	op.inner = sc.add(j.Inner.Table, cols)
+	key := func(i int) rel.Value { return cell(i, ji) }
 	if srcKey != "" {
-		jt, err = b.hashJoinTable(srcKey, j.InnerCol.Column, rows, ji)
+		op.jt, err = b.hashJoinTable(srcKey, j.InnerCol.Column, n, key)
 		if err != nil {
 			return err
 		}
 	} else {
-		jt = buildJoinTable(rows, ji)
+		op.jt = buildJoinTable(n, key)
+		op.jt.rids = rids
 	}
-	pb.ops = append(pb.ops, pipeOp{kind: pipeHashJoin, outerPos: outerPos, jt: jt,
-		width: sc.width, slot: slot, scanTable: scanTable,
-		scanCount: scanCount, soughtCount: soughtCount})
+	pb.ops = append(pb.ops, op)
 	return nil
 }
 
-// compileBatchPred builds a boolean row predicate with every column
-// position and probe structure resolved at compile time.
+// compileBatchPred builds a boolean tuple predicate with every column's
+// tuple slot and every probe structure resolved at compile time.
 func compileBatchPred(b *Built, p *sqlast.Pred, sc *scope) (func([]rel.Value) bool, error) {
 	switch p.Kind {
 	case sqlast.PredCompare:
-		pos, err := sc.pos(p.Col)
+		pos, err := sc.slot(p.Col)
 		if err != nil {
 			return nil, err
 		}
@@ -479,7 +501,7 @@ func compileBatchPred(b *Built, p *sqlast.Pred, sc *scope) (func([]rel.Value) bo
 			return matchCompare(r[pos], p.Op, p.Value)
 		}, nil
 	case sqlast.PredOr:
-		positions, err := colPositions(sc, p.Cols)
+		positions, err := colPositions(sc.slot, p.Cols)
 		if err != nil {
 			return nil, err
 		}
@@ -492,11 +514,11 @@ func compileBatchPred(b *Built, p *sqlast.Pred, sc *scope) (func([]rel.Value) bo
 			return false
 		}, nil
 	case sqlast.PredExists, sqlast.PredOrExists:
-		positions, err := colPositions(sc, p.Cols)
+		positions, err := colPositions(sc.slot, p.Cols)
 		if err != nil {
 			return nil, err
 		}
-		outerPos, err := sc.pos(p.OuterCol)
+		outerPos, err := sc.slot(p.OuterCol)
 		if err != nil {
 			return nil, err
 		}
@@ -516,20 +538,15 @@ func compileBatchPred(b *Built, p *sqlast.Pred, sc *scope) (func([]rel.Value) bo
 	return nil, fmt.Errorf("engine: cannot compile predicate %s", p)
 }
 
-// initPool wires the per-execution state pool: one driver batch plus
-// one arena batch per join operator, sized to that join's output width.
+// initPool wires the per-execution state pool: the driver batch and one
+// output batch per join operator, all as wide as the branch's tuples.
 func (pb *preparedBranch) initPool() {
-	widths := make([]int, 0, pb.nJoinSlots)
-	for _, op := range pb.ops {
-		if op.kind != pipeFilter {
-			widths = append(widths, op.width)
-		}
-	}
 	pb.pool.New = func() any {
-		st := &branchState{in: rel.NewBatch(0), sel: make([]int32, 0, rel.BatchSize),
-			joinOut: make([]*rel.Batch, len(widths))}
-		for i, w := range widths {
-			st.joinOut[i] = rel.NewBatch(w)
+		st := &branchState{in: rel.NewBatch(pb.width), sel: make([]int32, 0, rel.BatchSize),
+			joinOut: make([]*rel.Batch, pb.nJoins), rids: make([][]int32, pb.nJoins)}
+		for i := range st.joinOut {
+			st.joinOut[i] = rel.NewBatch(pb.width)
+			st.rids[i] = make([]int32, 0, rel.BatchSize)
 		}
 		return st
 	}
@@ -537,16 +554,16 @@ func (pb *preparedBranch) initPool() {
 
 // precharge charges the hash-join build-side scan cost. The reference
 // executor re-fetches every build side once per execution, even when
-// the driver produces no rows; charging the same scan touch and
-// counters up front — once per branch, never per morsel — keeps
-// measured cost and Stats aligned at any worker count.
+// the driver produces no rows; charging the same scan cost and counters
+// up front — once per branch, never per morsel — keeps measured cost
+// and Stats aligned at any worker count.
 func (pb *preparedBranch) precharge(st *ExecStats) {
 	for i := range pb.ops {
 		op := &pb.ops[i]
 		if op.kind != pipeHashJoin {
 			continue
 		}
-		if op.scanTable != nil {
+		if op.scanTable != nil && pb.built.simulatesDisk() {
 			touchTable(op.scanTable, 0, op.scanTable.RowCount())
 		}
 		st.RowsScanned += op.scanCount
@@ -655,10 +672,10 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 	state := pb.pool.Get().(*branchState)
 	defer pb.pool.Put(state)
 	st := &out.st
-	np := len(pb.projs)
+	np, w := len(pb.projs), pb.width
 	out.width = np
 
-	// sink projects a batch's live rows into one fresh, exactly-sized
+	// sink projects a batch's live tuples into one fresh, exactly-sized
 	// arena; the rows themselves are cut later, once (see assemble).
 	sink := func(bt *rel.Batch) {
 		n := bt.Len()
@@ -669,7 +686,7 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 		arena := make([]rel.Value, n*np)
 		k := 0
 		for _, si := range bt.Sel {
-			r := bt.Rows[si]
+			r := bt.Row(si)
 			for _, pr := range pb.projs {
 				if pr.null {
 					arena[k] = rel.NullOf(rel.TString)
@@ -687,86 +704,69 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 	process = func(oi int, bt *rel.Batch) {
 		for ; oi < len(pb.ops); oi++ {
 			op := &pb.ops[oi]
-			switch op.kind {
-			case pipeFilter:
+			if op.kind == pipeFilter {
 				bt.FilterSel(op.pred)
 				if bt.Len() == 0 {
 					return
 				}
-			case pipeHashJoin, pipeINLJoin:
-				ob := state.joinOut[op.slot]
-				ob.Reset()
-				next := oi + 1
-				flush := func() {
-					if ob.Len() > 0 {
-						process(next, ob)
-					}
-					ob.Reset()
-				}
-				if op.kind == pipeHashJoin {
-					jt := op.jt
-					if jt.intKeys {
-						for _, si := range bt.Sel {
-							orow := bt.Rows[si]
-							v := orow[op.outerPos]
-							if v.Null || v.Typ != rel.TInt {
-								continue
-							}
-							i, ok := jt.head[v.I]
-							for ok && i >= 0 {
-								ob.AppendConcat(orow, jt.rows[i])
-								if ob.Full() {
-									flush()
-								}
-								i = jt.next[i]
-							}
-						}
-					} else {
-						for _, si := range bt.Sel {
-							orow := bt.Rows[si]
-							v := orow[op.outerPos]
-							if v.Null {
-								continue
-							}
-							for _, i := range jt.str[v.String()] {
-								ob.AppendConcat(orow, jt.rows[i])
-								if ob.Full() {
-									flush()
-								}
-							}
-						}
-					}
-				} else {
-					irows := op.innerRows
-					for _, si := range bt.Sel {
-						orow := bt.Rows[si]
-						v := orow[op.outerPos]
-						if v.Null {
-							continue
-						}
-						for _, rid := range op.bi.seekEqual(v) {
-							st.RowsSought++
-							ob.AppendConcat(orow, irows[rid])
-							if ob.Full() {
-								flush()
-							}
-						}
-					}
-				}
-				flush()
-				return
+				continue
 			}
+			// A join copies each outer tuple once per match into its output
+			// batch and remembers the matched inner row; a full batch has
+			// its inner columns filled, column by column, and moves on.
+			ob, rids := state.joinOut[op.out], state.rids[op.out][:0]
+			ob.Reset()
+			flush := func() {
+				for i := range op.fills {
+					op.fills[i].fill(ob.Arena(), w, rids)
+				}
+				process(oi+1, ob)
+				ob.Reset()
+				rids = rids[:0]
+			}
+			emit := func(orow []rel.Value, rid int32) {
+				copy(ob.AppendArena(1), orow)
+				rids = append(rids, rid)
+				if ob.Full() {
+					flush()
+				}
+			}
+			jt := op.jt
+			for _, si := range bt.Sel {
+				orow := bt.Row(si)
+				v := orow[op.outerSlot]
+				switch {
+				case v.Null:
+				case op.kind == pipeINLJoin:
+					for _, rid := range op.bi.seekEqual(v) {
+						st.RowsSought++
+						emit(orow, int32(rid))
+					}
+				case !jt.intKeys:
+					for _, i := range jt.str[v.String()] {
+						emit(orow, jt.rid(i))
+					}
+				case v.Typ == rel.TInt:
+					i, ok := jt.head[v.I]
+					for ok && i >= 0 {
+						emit(orow, jt.rid(i))
+						i = jt.next[i]
+					}
+				}
+			}
+			if ob.Len() > 0 {
+				flush()
+			}
+			return
 		}
 		sink(bt)
 	}
 
-	// feedSel compacts a selection vector of row ids with the
-	// driver-stage kernels, materializes the survivors, and pushes them
-	// through the remaining (join and post-join) operators. Survivors
-	// reference the row view the ids index when there is one (rows); a
-	// paged fragment has none, so only its survivors are read off the
-	// column vectors, into the driver batch's own arena.
-	feedSel := func(kerns []colKernel, rows [][]rel.Value, frag *rel.Table, sel []int32) {
+	// feedSel compacts a selection vector of driver row ids with the
+	// driver-stage kernels, fills the survivors' referenced columns into
+	// the driver batch, and pushes it through the remaining (join and
+	// post-join) operators.
+	feedSel := func(kerns []colKernel, fills []colFill, sel []int32) {
 		for _, k := range kerns {
 			sel = k(sel)
 			if len(sel) == 0 {
@@ -775,22 +775,19 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 		}
 		bt := state.in
 		bt.Reset()
-		if rows != nil {
-			for _, r := range sel {
-				bt.AppendRef(rows[r])
-			}
-		} else {
-			for _, r := range sel {
-				frag.ReadRowInto(bt.AppendArena(), int(r))
-			}
+		region := bt.AppendArena(len(sel))
+		for i := range fills {
+			fills[i].fill(region, w, sel)
 		}
 		process(0, bt)
 	}
 	// scanChunk scans rows [s0, e0) of chunk k (chunk-local ids): acquire
-	// the fragment from the source, filter it with kernels for that
-	// fragment, and release it before returning — a paged fragment is
-	// resident only between Chunk and release, so peak scan memory
-	// follows the source's budget.
+	// the fragment from the source, filter it with kernels and fill from
+	// it with fills compiled for that fragment, and release it before
+	// returning — a paged fragment is resident only between Chunk and
+	// release, so peak scan memory follows the source's budget, and
+	// nothing is cached on a fragment (a pager-cached chunk is shared and
+	// budgeted by its on-disk size).
 	scanChunk := func(k, s0, e0 int) error {
 		frag, release, err := pb.src.chunks.Chunk(k)
 		if err != nil {
@@ -801,67 +798,54 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 		if err != nil {
 			return err
 		}
-		// A resident table keeps handing out its generation-cached row
-		// view. Any other fragment belongs to its source (a pager-cached
-		// chunk is shared and budgeted by its on-disk size), so nothing
-		// is cached on it: the driver batch grows an arena of the
-		// fragment's width, once per pooled state, and survivors land
-		// there.
-		var frows [][]rel.Value
-		if frag == pb.src.table {
-			frows = frag.Rows()
-		} else if w := len(frag.Columns); state.in.Width() != w {
-			state.in = rel.NewBatch(w)
-		}
+		fills := tableFills(frag, pb.src.refs)
+		simulated := pb.built.simulatesDisk()
 		for start := s0; start < e0; start += rel.BatchSize {
 			if cancelled() {
 				return ctx.Err()
 			}
 			end := min(start+rel.BatchSize, e0)
-			// Per-batch scan-cost touch: the simulated sequential-read
-			// work stays proportional to scanned bytes (see touchTable),
-			// read straight off the fragment's column vectors.
-			touchTable(frag, start, end)
+			// Per-batch scan cost: under the DiskResident model the
+			// simulated sequential read stays proportional to scanned bytes
+			// (see touchTable), read straight off the fragment's vectors.
+			if simulated {
+				touchTable(frag, start, end)
+			}
 			st.RowsScanned += int64(end - start)
 			sel := state.sel[:0]
 			for r := start; r < end; r++ {
 				sel = append(sel, int32(r))
 			}
-			feedSel(kerns, frows, frag, sel)
+			feedSel(kerns, fills, sel)
 		}
 		return nil
 	}
 	switch pb.src.kind {
-	case srcSeek:
+	case srcSeek, srcZip:
+		// One span of driver positions: a seek's positions index its id
+		// list, a zip's are its row ids.
 		for start := lo; start < hi; start += rel.BatchSize {
 			if cancelled() {
 				return ctx.Err()
 			}
 			end := min(start+rel.BatchSize, hi)
 			sel := state.sel[:0]
-			for _, id := range ids[start:end] {
-				sel = append(sel, int32(id))
+			if pb.src.kind == srcSeek {
+				for _, id := range ids[start:end] {
+					sel = append(sel, int32(id))
+				}
+			} else {
+				st.RowsScanned += int64((end - start) * pb.src.zip.groups)
+				for r := start; r < end; r++ {
+					sel = append(sel, int32(r))
+				}
 			}
-			feedSel(pb.kerns, pb.src.rows, nil, sel)
-		}
-	case srcZip:
-		for start := lo; start < hi; start += rel.BatchSize {
-			if cancelled() {
-				return ctx.Err()
-			}
-			end := min(start+rel.BatchSize, hi)
-			st.RowsScanned += int64((end - start) * pb.src.zip.groups)
-			bt := state.in
-			bt.Reset()
-			for _, r := range pb.src.rows[start:end] {
-				bt.AppendRef(r)
-			}
-			process(0, bt)
+			feedSel(pb.kerns, pb.src.fills, sel)
 		}
 	default: // srcScan
 		// Batches never span chunks, but every operator is per-row and
-		// touchTable charges per cell, so rows, order and stats do not
-		// depend on where the source's chunks end.
+		// the scan cost is charged per cell, so rows, order and stats do
+		// not depend on where the source's chunks end.
 		src := pb.src.chunks
 		for k, nc := 0, src.NumChunks(); k < nc; k++ {
 			clo, chi := src.ChunkSpan(k)

@@ -138,7 +138,9 @@ func fetchAccess(b *Built, s *sqlast.Select, a optimizer.Access, st *ExecStats) 
 		return cols, rows, nil
 	}
 	trows := t.Rows()
-	touchRows(trows)
+	if b.simulatesDisk() {
+		touchRows(trows)
+	}
 	if st != nil {
 		st.RowsScanned += int64(len(trows))
 	}
@@ -232,7 +234,7 @@ func compilePred(b *Built, p *sqlast.Pred, sc *scope, ex *existsCache) (func([]r
 			return matchCompare(r[pos], p.Op, p.Value), nil
 		}, nil
 	case sqlast.PredOr:
-		positions, err := colPositions(sc, p.Cols)
+		positions, err := colPositions(sc.pos, p.Cols)
 		if err != nil {
 			return nil, err
 		}
@@ -245,7 +247,7 @@ func compilePred(b *Built, p *sqlast.Pred, sc *scope, ex *existsCache) (func([]r
 			return false, nil
 		}, nil
 	case sqlast.PredExists, sqlast.PredOrExists:
-		positions, err := colPositions(sc, p.Cols)
+		positions, err := colPositions(sc.pos, p.Cols)
 		if err != nil {
 			return nil, err
 		}

@@ -20,9 +20,11 @@ import (
 // Chunk returns a resident fragment covering rows [lo, hi) of the table
 // plus a release callback; the fragment is only valid until release,
 // which lets the source unpin or evict it, and may be shared with other
-// scans — the executor reads its column vectors in place and never
-// calls Rows() on a fragment that is not the driver table itself, so
-// nothing outlives the release. Chunk must be safe for
+// scans — the executor reads its column vectors in place (kernels over
+// a batch of row ids, then the referenced columns of the survivors
+// copied into its own batch arena) and never builds a row view, so
+// nothing is cached on a fragment and no reference to its vectors
+// outlives the release. Chunk must be safe for
 // concurrent calls (morsel workers pull chunks independently) and
 // should return an error — not stale data — when the backing store has
 // moved on.
@@ -87,8 +89,5 @@ func (b *Built) driverSource(name string, t *rel.Table) (ScanSource, error) {
 	if err := t.Hydrate(); err != nil {
 		return nil, err
 	}
-	// Materialize the generation-cached row view now, so the first
-	// execution only takes its lock instead of building it.
-	t.Rows()
 	return tableSource{t}, nil
 }

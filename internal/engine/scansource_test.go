@@ -221,8 +221,9 @@ func chunkQueries() []*sqlast.Query {
 // of the one scan driver: the same plans executed over an unregistered
 // resident table (the implicit one-chunk tableSource), over a
 // registered tableSource (fragment-identity kernel reuse, counted), and
-// over registered 128-row chunk sources (per-fragment kernels) must all
-// return results bit-identical — rows, order, values, stats — to the
+// over registered 128-row chunk sources (per-fragment kernels and
+// fills), under either scan-cost model, must all return results
+// bit-identical — rows, order, values, stats — to the
 // row-at-a-time reference at several worker counts, with never more
 // chunks held at once than the execution has workers — the worker count
 // is the number of goroutines, whatever the number of branches — and
@@ -230,11 +231,6 @@ func chunkQueries() []*sqlast.Query {
 func TestScanSourceMatchesAssembled(t *testing.T) {
 	const nrows = 1600
 	db := chunkDB(nrows)
-
-	resident, err := Build(db, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	sources := map[string]func(*rel.Table) *countedSource{
 		"resident": nil,
 		"table": func(tbl *rel.Table) *countedSource {
@@ -246,56 +242,59 @@ func TestScanSourceMatchesAssembled(t *testing.T) {
 	defer func(old int) { morselRows = old }(morselRows)
 	morselRows = 256 // two 128-row chunks per morsel
 
-	for name, mk := range sources {
-		built := resident
-		var counted []*countedSource
-		if mk != nil {
+	for model, cost := range scanCostModels {
+		for name, mk := range sources {
+			name = model + " " + name
 			sdb := chunkDB(nrows)
-			if built, err = Build(sdb, nil); err != nil {
+			built, err := BuildWithScanCost(sdb, nil, cost)
+			if err != nil {
 				t.Fatal(err)
 			}
-			for _, tbl := range sdb.Tables() {
-				src := mk(tbl)
-				built.SetScanSource(tbl.Name, src)
-				counted = append(counted, src)
+			var counted []*countedSource
+			if mk != nil {
+				for _, tbl := range sdb.Tables() {
+					src := mk(tbl)
+					built.SetScanSource(tbl.Name, src)
+					counted = append(counted, src)
+				}
 			}
-		}
-		used := mk == nil
-		for qi, q := range chunkQueries() {
-			plan := planQuery(t, db, q)
-			want, err := ExecuteReference(resident, plan)
-			if err != nil {
-				t.Fatalf("query %d: reference: %v", qi, err)
-			}
-			pp, err := built.Prepared(plan)
-			if err != nil {
-				t.Fatalf("%s query %d: prepare: %v", name, qi, err)
-			}
-			for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
-				for run := 0; run < 2; run++ {
-					for _, src := range counted {
-						src.maxHeld.Store(0)
-					}
-					got, err := pp.ExecuteContextWorkers(context.Background(), workers)
-					if err != nil {
-						t.Fatalf("%s query %d workers %d: %v", name, qi, workers, err)
-					}
-					requireIdentical(t, fmt.Sprintf("%s query %d workers %d", name, qi, workers), got, want)
-					for _, src := range counted {
-						if h := src.held.Load(); h != 0 {
-							t.Fatalf("%s query %d workers %d: %d chunks still held after execution", name, qi, workers, h)
+			used := mk == nil
+			for qi, q := range chunkQueries() {
+				plan := planQuery(t, db, q)
+				want, err := ExecuteReference(built, plan)
+				if err != nil {
+					t.Fatalf("%s query %d: reference: %v", name, qi, err)
+				}
+				pp, err := built.Prepared(plan)
+				if err != nil {
+					t.Fatalf("%s query %d: prepare: %v", name, qi, err)
+				}
+				for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
+					for run := 0; run < 2; run++ {
+						for _, src := range counted {
+							src.maxHeld.Store(0)
 						}
-						m := src.maxHeld.Load()
-						if m > int64(workers) {
-							t.Fatalf("%s query %d: %d chunks held at once by %d workers", name, qi, m, workers)
+						got, err := pp.ExecuteContextWorkers(context.Background(), workers)
+						if err != nil {
+							t.Fatalf("%s query %d workers %d: %v", name, qi, workers, err)
 						}
-						used = used || m > 0
+						requireIdentical(t, fmt.Sprintf("%s query %d workers %d", name, qi, workers), got, want)
+						for _, src := range counted {
+							if h := src.held.Load(); h != 0 {
+								t.Fatalf("%s query %d workers %d: %d chunks still held after execution", name, qi, workers, h)
+							}
+							m := src.maxHeld.Load()
+							if m > int64(workers) {
+								t.Fatalf("%s query %d: %d chunks held at once by %d workers", name, qi, m, workers)
+							}
+							used = used || m > 0
+						}
 					}
 				}
 			}
-		}
-		if !used {
-			t.Fatalf("%s: scan source was never used", name)
+			if !used {
+				t.Fatalf("%s: scan source was never used", name)
+			}
 		}
 	}
 }

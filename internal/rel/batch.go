@@ -1,7 +1,5 @@
 package rel
 
-import "fmt"
-
 // BatchSize is the number of tuples an executor batch holds. Batches
 // are the unit of work of the pipelined executor: operators pass
 // fixed-size blocks of tuples with a selection vector instead of
@@ -9,111 +7,84 @@ import "fmt"
 // execution at row granularity).
 const BatchSize = 1024
 
-// Batch is a fixed-capacity block of combined tuples flowing through
-// the execution pipeline. Rows either reference external storage
-// (table heaps, cached structures) via AppendRef, or live in the
-// batch's own arena via AppendConcat — one contiguous backing slice
-// per batch, so joins cost one arena write instead of one allocation
-// per output row. Sel is the selection vector: the indices of live
-// rows in pipeline order. Filters compact Sel in place and never move
-// row data.
+// Batch is a fixed-capacity block of tuples flowing through the
+// execution pipeline. Every tuple lives in the batch's own arena — one
+// contiguous backing slice, width values per tuple, allocated once for
+// BatchSize tuples — so a scan or a join costs arena writes instead of
+// one allocation per row, and tuple slices handed out stay valid until
+// Reset. The executor fills an arena column by column, so a tuple is as
+// wide as the set of columns the query references, not as the tables it
+// reads. Sel is the selection vector: the indices of live tuples in
+// pipeline order. Filters compact Sel in place and never move tuple
+// data.
 type Batch struct {
-	// Rows holds up to BatchSize tuples; only indices listed in Sel are
-	// live.
-	Rows [][]Value
-	// Sel is the selection vector over Rows.
+	// Sel is the selection vector over the appended tuples.
 	Sel []int32
 
 	arena []Value
 	width int
+	n     int
 }
 
-// NewBatch creates an empty batch. A non-zero width pre-allocates an
-// arena able to back BatchSize owned rows of that width, which
-// AppendConcat then fills without ever reallocating (reallocation
-// would invalidate previously appended row slices).
+// NewBatch creates an empty batch of the given tuple width. Width 0 is
+// legal: a query that references no column still counts tuples.
 func NewBatch(width int) *Batch {
-	b := &Batch{
-		Rows:  make([][]Value, 0, BatchSize),
+	return &Batch{
 		Sel:   make([]int32, 0, BatchSize),
+		arena: make([]Value, 0, BatchSize*width),
 		width: width,
 	}
-	if width > 0 {
-		b.arena = make([]Value, 0, BatchSize*width)
-	}
-	return b
 }
-
-// Width returns the arena row width the batch was created with (0 for
-// reference-only batches).
-func (b *Batch) Width() int { return b.width }
 
 // Reset empties the batch for reuse, keeping its buffers.
 func (b *Batch) Reset() {
-	b.Rows = b.Rows[:0]
 	b.Sel = b.Sel[:0]
 	b.arena = b.arena[:0]
+	b.n = 0
 }
 
-// Len returns the number of live (selected) rows.
+// Len returns the number of live (selected) tuples.
 func (b *Batch) Len() int { return len(b.Sel) }
 
-// Full reports whether the batch holds BatchSize rows.
-func (b *Batch) Full() bool { return len(b.Rows) >= BatchSize }
+// Full reports whether the batch holds BatchSize tuples.
+func (b *Batch) Full() bool { return b.n >= BatchSize }
 
-// AppendRef appends a live row that references external storage.
-func (b *Batch) AppendRef(row []Value) {
-	b.Sel = append(b.Sel, int32(len(b.Rows)))
-	b.Rows = append(b.Rows, row)
+// Row returns tuple i (an index as listed in Sel).
+func (b *Batch) Row(i int32) []Value {
+	lo := int(i) * b.width
+	return b.arena[lo : lo+b.width : lo+b.width]
 }
 
-// AppendConcat appends the live combined tuple left++right, copied
-// into the batch arena. len(left)+len(right) must equal the batch
-// width and the batch must not be Full; violations panic, because the
-// append would otherwise silently reallocate the arena and invalidate
-// every previously appended row slice.
-func (b *Batch) AppendConcat(left, right []Value) {
-	if len(left)+len(right) != b.width {
-		panic(fmt.Sprintf("rel: concat width %d+%d != batch width %d", len(left), len(right), b.width))
-	}
-	chunk := b.appendArenaRow()
-	copy(chunk, left)
-	copy(chunk[len(left):], right)
-}
-
-// AppendArena registers the next live row backed by a cleared arena
-// chunk of the batch width and returns the chunk for the caller to
-// fill. The batch must not be Full. The executor's columnar sink uses
-// it to project straight from column vectors without staging a row.
-func (b *Batch) AppendArena() []Value {
-	chunk := b.appendArenaRow()
-	for i := range chunk {
-		chunk[i] = Value{}
-	}
-	return chunk
-}
-
-func (b *Batch) appendArenaRow() []Value {
-	if b.Full() {
+// AppendArena registers the next n tuples as live and returns their
+// arena region — n*width values, tuple after tuple — for the caller to
+// fill. The region is not cleared: a recycled batch still holds the
+// values of its previous use in the slots the caller leaves alone. The
+// n tuples must fit; an append past BatchSize panics, because it would
+// reallocate the arena and invalidate every tuple slice handed out.
+func (b *Batch) AppendArena(n int) []Value {
+	if b.n+n > BatchSize {
 		panic("rel: arena append on a full batch")
 	}
-	if b.width == 0 {
-		panic("rel: arena append on a batch created without an arena width")
+	for i := 0; i < n; i++ {
+		b.Sel = append(b.Sel, int32(b.n+i))
 	}
-	n := len(b.arena)
-	b.arena = b.arena[:n+b.width]
-	b.Sel = append(b.Sel, int32(len(b.Rows)))
-	b.Rows = append(b.Rows, b.arena[n:n+b.width:n+b.width])
-	return b.arena[n : n+b.width]
+	b.n += n
+	lo := len(b.arena)
+	b.arena = b.arena[:lo+n*b.width]
+	return b.arena[lo:]
 }
 
-// FilterSel compacts the selection vector in place, keeping the rows
-// for which keep returns true. Row data is not moved, so relative
+// Arena returns the values of every tuple appended since Reset, live or
+// filtered out, tuple after tuple.
+func (b *Batch) Arena() []Value { return b.arena }
+
+// FilterSel compacts the selection vector in place, keeping the tuples
+// for which keep returns true. Tuple data is not moved, so relative
 // order is preserved.
 func (b *Batch) FilterSel(keep func(row []Value) bool) {
 	live := b.Sel[:0]
 	for _, si := range b.Sel {
-		if keep(b.Rows[si]) {
+		if keep(b.Row(si)) {
 			live = append(live, si)
 		}
 	}

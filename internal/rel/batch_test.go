@@ -6,42 +6,25 @@ import (
 	"testing"
 )
 
-func TestBatchAppendConcatArenaStable(t *testing.T) {
-	b := NewBatch(2)
-	var lefts [][]Value
-	for i := 0; i < BatchSize; i++ {
-		lefts = append(lefts, []Value{Int(int64(i))})
-	}
-	right := []Value{Str("r")}
-	for i := 0; i < BatchSize; i++ {
-		b.AppendConcat(lefts[i], right)
-	}
-	if !b.Full() {
-		t.Fatal("batch should be full")
-	}
-	// Every earlier row must still see its own values: AppendConcat may
-	// never reallocate the arena mid-batch.
-	for i, si := range b.Sel {
-		row := b.Rows[si]
-		if len(row) != 2 || row[0].I != int64(i) || row[1].S != "r" {
-			t.Fatalf("row %d corrupted: %v", i, row)
-		}
+// fillBatch appends n tuples whose first column holds 0..n-1.
+func fillBatch(b *Batch, n int) {
+	region := b.AppendArena(n)
+	for i := 0; i < n; i++ {
+		region[i*len(region)/n] = Int(int64(i))
 	}
 }
 
 func TestBatchFilterSelPreservesOrder(t *testing.T) {
-	b := NewBatch(0)
-	for i := 0; i < 10; i++ {
-		b.AppendRef([]Value{Int(int64(i))})
-	}
+	b := NewBatch(1)
+	fillBatch(b, 10)
 	b.FilterSel(func(r []Value) bool { return r[0].I%2 == 0 })
 	if b.Len() != 5 {
 		t.Fatalf("Len = %d, want 5", b.Len())
 	}
 	want := []int64{0, 2, 4, 6, 8}
 	for i, si := range b.Sel {
-		if b.Rows[si][0].I != want[i] {
-			t.Fatalf("filtered order wrong at %d: %v", i, b.Rows[si])
+		if b.Row(si)[0].I != want[i] {
+			t.Fatalf("filtered order wrong at %d: %v", i, b.Row(si))
 		}
 	}
 	// A second filter composes over the compacted selection.
@@ -67,76 +50,79 @@ func mustPanic(t *testing.T, want string, f func()) {
 	f()
 }
 
-// TestBatchAppendConcatContract pins the arena-safety panics: a
-// width-mismatched concat or an append past BatchSize would silently
-// reallocate the arena and dangle every previously returned row slice,
-// so both must refuse loudly instead.
-func TestBatchAppendConcatContract(t *testing.T) {
-	mustPanic(t, "concat width 1+1 != batch width 3", func() {
-		b := NewBatch(3)
-		b.AppendConcat([]Value{Int(1)}, []Value{Int(2)})
-	})
+// TestBatchAppendArenaContract pins the arena-safety panic: an append
+// past BatchSize would reallocate the arena and dangle every tuple slice
+// handed out, so it must refuse loudly — in one step or many, at any
+// width, the legal width 0 included.
+func TestBatchAppendArenaContract(t *testing.T) {
 	mustPanic(t, "arena append on a full batch", func() {
 		b := NewBatch(1)
 		for i := 0; i <= BatchSize; i++ {
-			b.AppendConcat([]Value{Int(int64(i))}, nil)
+			b.AppendArena(1)
 		}
 	})
-	mustPanic(t, "arena append on a batch created without an arena width", func() {
-		b := NewBatch(0)
-		b.AppendConcat(nil, nil)
+	mustPanic(t, "arena append on a full batch", func() {
+		NewBatch(2).AppendArena(BatchSize + 1)
 	})
-	mustPanic(t, "arena append on a batch created without an arena width", func() {
+	mustPanic(t, "arena append on a full batch", func() {
 		b := NewBatch(0)
-		b.AppendArena()
+		b.AppendArena(BatchSize)
+		b.AppendArena(1)
 	})
-	// A width-matching concat right at the boundary still works: the
-	// contract rejects the row after the last, not the last itself.
+	// The append that exactly fills the batch still works: the contract
+	// rejects the tuple after the last, not the last itself.
 	b := NewBatch(2)
-	for i := 0; i < BatchSize; i++ {
-		b.AppendConcat([]Value{Int(int64(i))}, []Value{Str("x")})
+	b.AppendArena(BatchSize - 1)
+	b.AppendArena(1)
+	if !b.Full() || b.Len() != BatchSize || len(b.Arena()) != 2*BatchSize {
+		t.Fatalf("Full=%v Len=%d arena=%d after %d appends", b.Full(), b.Len(), len(b.Arena()), BatchSize)
 	}
-	if !b.Full() || b.Len() != BatchSize {
-		t.Fatalf("Full=%v Len=%d after %d appends", b.Full(), b.Len(), BatchSize)
+	// Width 0 counts tuples without storing anything.
+	z := NewBatch(0)
+	if region := z.AppendArena(3); len(region) != 0 || z.Len() != 3 || len(z.Row(2)) != 0 {
+		t.Fatalf("width-0 batch: region %d values, Len %d", len(region), z.Len())
 	}
 }
 
-// TestBatchAppendArena: the returned chunk is cleared, registered as a
-// live row, and stable across subsequent appends.
+// TestBatchAppendArena: the returned region is registered as live
+// tuples of the batch width, is not cleared (the executor overwrites the
+// slots it reads), and never moves under later appends.
 func TestBatchAppendArena(t *testing.T) {
 	b := NewBatch(2)
-	first := b.AppendArena()
+	first := b.AppendArena(1)
 	first[0], first[1] = Int(1), Str("a")
 	for i := 0; i < 100; i++ {
-		chunk := b.AppendArena()
-		for j, v := range chunk {
-			if (v != Value{}) {
-				t.Fatalf("append %d slot %d not cleared: %v", i, j, v)
-			}
+		region := b.AppendArena(3)
+		if len(region) != 6 {
+			t.Fatalf("append %d: region of %d values, want 6", i, len(region))
 		}
-		chunk[0] = Int(int64(i))
+		region[0] = Int(int64(i))
 	}
 	if first[0].I != 1 || first[1].S != "a" {
-		t.Fatalf("first arena row moved: %v", first)
+		t.Fatalf("first arena tuple moved: %v", first)
 	}
-	if got := b.Rows[b.Sel[0]]; &got[0] != &first[0] {
-		t.Fatal("Sel[0] does not reference the first arena chunk")
+	if got := b.Row(b.Sel[0]); &got[0] != &first[0] {
+		t.Fatal("Sel[0] does not reference the first arena tuple")
+	}
+	if got := b.Row(b.Sel[4]); &got[0] != &b.Arena()[8] || cap(got) != 2 {
+		t.Fatalf("tuple 4 is not arena[8:10:10]: cap %d", cap(got))
+	}
+	b.Reset()
+	if again := b.AppendArena(1); again[0].I != 1 || again[1].S != "a" {
+		t.Fatalf("a recycled region was cleared: %v", again)
 	}
 }
 
 func TestBatchResetReuse(t *testing.T) {
 	b := NewBatch(3)
-	b.AppendConcat([]Value{Int(1), Int(2)}, []Value{Str("x")})
+	fillBatch(b, 2)
 	b.Reset()
-	if b.Len() != 0 || len(b.Rows) != 0 {
+	if b.Len() != 0 || len(b.Arena()) != 0 || b.Full() {
 		t.Fatal("Reset did not empty the batch")
 	}
-	b.AppendConcat([]Value{Int(7), Int(8)}, []Value{Str("y")})
-	row := b.Rows[b.Sel[0]]
+	copy(b.AppendArena(1), []Value{Int(7), Int(8), Str("y")})
+	row := b.Row(b.Sel[0])
 	if row[0].I != 7 || row[2].S != "y" {
 		t.Fatalf("row after reset = %v", row)
-	}
-	if b.Width() != 3 {
-		t.Fatalf("Width = %d, want 3", b.Width())
 	}
 }

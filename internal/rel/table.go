@@ -34,11 +34,12 @@ type Column struct {
 
 // Table is a columnar table: one typed vector per column (int64,
 // float64, or dictionary-coded strings) plus a null bitmap. The
-// executor's kernels read the vectors through the typed accessors
-// (IntCol/FloatCol/StrCol); row-at-a-time consumers — the reference
-// executor, the shredder's round-trip checks, tests — use the
-// materializing accessors (Rows, ValueAt, ReadRowInto), which rebuild
-// bit-identical rows.
+// executor's kernels and tuple fills read the vectors through the typed
+// accessors (IntCol/FloatCol/StrCol), cell by cell through ValueAt for
+// a column that holds exception values; row-at-a-time consumers — the
+// reference executor, structure builds, the shredder's round-trip
+// checks, tests — use the materializing accessors (Rows, ReadRowInto),
+// which rebuild bit-identical rows.
 type Table struct {
 	// Name is the relation name.
 	Name string
@@ -299,11 +300,14 @@ func (t *Table) StrCol(ci int) (codes []uint32, dict *Dict, nulls *Bitmap, ok bo
 	return cv.codes, cv.dict, &cv.nulls, true
 }
 
-// Rows materializes the table as row slices, cached per generation.
-// This is the compatibility accessor for row-at-a-time consumers (the
-// reference executor, hash-join build sides, views); values are
-// bit-identical to what AppendRow stored. Callers must not modify the
-// returned rows.
+// Rows materializes the table as row slices, cached per generation: a
+// second copy of the table, 40 bytes a cell plus a header a row, that
+// lives as long as the table does. It is the accessor of row-at-a-time
+// consumers that run once or off the serving path — the reference
+// executor, index, view and partition builds, EXISTS and partition-zip
+// builds, tests; the batch executor never calls it (it fills the columns
+// a query references from the typed vectors). Values are bit-identical
+// to what AppendRow stored. Callers must not modify the returned rows.
 func (t *Table) Rows() [][]Value {
 	t.requireResident()
 	t.rowMu.Lock()
@@ -328,6 +332,15 @@ func (t *Table) Rows() [][]Value {
 	t.rowCache = rows
 	t.rowCacheGen = t.gen
 	return rows
+}
+
+// RowViewBuilt reports whether Rows has materialized the current
+// generation's row view — a hook for the tests that pin which paths stay
+// off it.
+func (t *Table) RowViewBuilt() bool {
+	t.rowMu.Lock()
+	defer t.rowMu.Unlock()
+	return t.rowCache != nil && t.rowCacheGen == t.gen
 }
 
 // SortByID sorts rows by the ID column; shredding emits rows in

@@ -24,9 +24,14 @@ import (
 //
 // Admission outcomes map onto status codes so generic HTTP tooling
 // does the right thing — 429 for overload (back off), 504 for
-// deadline, 404 for an unknown corpus — and the body carries a "kind"
-// tag so Client can recover the exact sentinel error, keeping local
-// and remote callers on one error taxonomy.
+// deadline, 404 for an unknown corpus, 413 for a request body over
+// maxRequestBody — and the body carries a "kind" tag so Client can
+// recover the exact sentinel error, keeping local and remote callers on
+// one error taxonomy.
+
+// maxRequestBody caps a /query request body. A request is an XPath and
+// a handful of scalars; a megabyte is far past any real one.
+const maxRequestBody = 1 << 20
 
 // wireValue is the JSON form of a rel.Value. Floats travel as
 // strconv.FormatFloat(…, 'g', -1, 64) strings so every float —
@@ -94,6 +99,8 @@ func errKind(err error) (status int, kind string) {
 		return http.StatusNotFound, "unknown_corpus"
 	case errors.Is(err, ErrClosed):
 		return http.StatusServiceUnavailable, "closed"
+	case errors.Is(err, ErrRequestTooLarge):
+		return http.StatusRequestEntityTooLarge, "request_too_large"
 	default:
 		return http.StatusBadRequest, ""
 	}
@@ -109,6 +116,8 @@ func kindErr(kind, msg string) error {
 		return fmt.Errorf("%w (server: %s)", ErrUnknownCorpus, msg)
 	case "closed":
 		return fmt.Errorf("%w (server: %s)", ErrClosed, msg)
+	case "request_too_large":
+		return fmt.Errorf("%w (server: %s)", ErrRequestTooLarge, msg)
 	default:
 		return errors.New(msg)
 	}
@@ -133,15 +142,23 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	fail := func(err error) {
+		status, kind := errKind(err)
+		writeJSON(w, status, wireError{Error: err.Error(), Kind: kind})
+	}
 	var req Request
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<20)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, wireError{Error: "bad request body: " + err.Error()})
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			fail(fmt.Errorf("%w: over %d bytes", ErrRequestTooLarge, tooLarge.Limit))
+		} else {
+			fail(fmt.Errorf("bad request body: %w", err))
+		}
 		return
 	}
 	resp, err := s.Query(r.Context(), req)
 	if err != nil {
-		status, kind := errKind(err)
-		writeJSON(w, status, wireError{Error: err.Error(), Kind: kind})
+		fail(err)
 		return
 	}
 	wr := wireResponse{

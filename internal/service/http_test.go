@@ -2,8 +2,12 @@ package service
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/rel"
@@ -73,7 +77,7 @@ func TestWireValueRoundTrip(t *testing.T) {
 }
 
 func TestErrKindMapping(t *testing.T) {
-	for _, sentinel := range []error{ErrOverloaded, ErrDeadline, ErrUnknownCorpus, ErrClosed} {
+	for _, sentinel := range []error{ErrOverloaded, ErrDeadline, ErrUnknownCorpus, ErrClosed, ErrRequestTooLarge} {
 		status, kind := errKind(sentinel)
 		if kind == "" {
 			t.Fatalf("%v: no kind", sentinel)
@@ -85,5 +89,63 @@ func TestErrKindMapping(t *testing.T) {
 	// The wrapped DeadlineError maps like its sentinel.
 	if _, kind := errKind(wrapDeadline("execute", context.DeadlineExceeded)); kind != "deadline" {
 		t.Errorf("DeadlineError kind = %q", kind)
+	}
+}
+
+// TestRequestBodyLimit walks both sides of maxRequestBody: a valid
+// request padded to exactly the limit is served, one byte more is a 413
+// with its own kind — not the JSON-decode 400 a silently truncated body
+// used to produce — and the kind survives the Client round trip as
+// ErrRequestTooLarge.
+func TestRequestBodyLimit(t *testing.T) {
+	m, _, built := movieFixture(t, 40)
+	svc := New(Config{})
+	if err := svc.RegisterBuilt("movie", built, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(ts.Close)
+
+	req := `{"corpus":"movie","tenant":"t","xpath":"//movie/year"}`
+	post := func(size int) (int, wireError) {
+		t.Helper()
+		body := strings.Repeat(" ", size-len(req)) + req
+		resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%d-byte body: %v", size, err)
+		}
+		defer resp.Body.Close()
+		var we wireError
+		if resp.StatusCode != http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&we); err != nil {
+				t.Fatalf("%d-byte body: HTTP %d with an unreadable error body: %v", size, resp.StatusCode, err)
+			}
+		}
+		return resp.StatusCode, we
+	}
+	if status, we := post(maxRequestBody); status != http.StatusOK {
+		t.Errorf("body of exactly %d bytes: HTTP %d (%+v), want 200", maxRequestBody, status, we)
+	}
+	status, we := post(maxRequestBody + 1)
+	if status != http.StatusRequestEntityTooLarge || we.Kind != "request_too_large" {
+		t.Errorf("body of %d bytes: HTTP %d kind %q (%s), want 413 request_too_large", maxRequestBody+1, status, we.Kind, we.Error)
+	}
+	// A malformed body inside the limit is still a plain 400.
+	resp, err := http.Post(ts.URL+"/query", "application/json", strings.NewReader(`{"corpus":`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Errorf("truncated JSON: HTTP %d, want 400", resp.StatusCode)
+	}
+
+	cl := NewClient(ts.URL, nil)
+	_, err = cl.Query(context.Background(), Request{Corpus: "movie", Tenant: "t", XPath: "//movie/" + strings.Repeat("x", 2<<20)})
+	if !errors.Is(err, ErrRequestTooLarge) {
+		t.Errorf("2 MiB request through Client: got %v, want ErrRequestTooLarge", err)
+	}
+	if _, err := cl.Query(context.Background(), Request{Corpus: "movie", Tenant: "t", XPath: "//movie/year"}); err != nil {
+		t.Errorf("a normal request after the oversized one: %v", err)
 	}
 }

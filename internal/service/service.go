@@ -54,6 +54,9 @@ var (
 	ErrUnknownCorpus = errors.New("service: unknown corpus")
 	// ErrClosed fences use after Close.
 	ErrClosed = errors.New("service: closed")
+	// ErrRequestTooLarge reports an HTTP request body over the server's
+	// limit (maxRequestBody); the request was not decoded.
+	ErrRequestTooLarge = errors.New("service: request body too large")
 )
 
 // DeadlineError is the concrete error for a request that ran out of

@@ -248,34 +248,6 @@ func BenchmarkChunkScanQuery(b *testing.B) {
 	b.ReportMetric(float64(s.pager.peakBytes())/float64(data), "peak_over_data")
 }
 
-// BenchmarkAssembledScanQuery is the normalizer: the same plan over the
-// same store through fully assembled tables. benchguard pins the
-// ChunkScanQuery/AssembledScanQuery ratio so chunk faulting stays an
-// acceptable constant factor over resident execution.
-func BenchmarkAssembledScanQuery(b *testing.B) {
-	dir, _ := benchScanStore(b)
-	plan := benchScanPlan(b, dir)
-	s, err := Open(dir, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	built, err := s.Built()
-	if err != nil {
-		b.Fatal(err)
-	}
-	pp, err := built.Prepared(plan)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := pp.ExecuteContextWorkers(context.Background(), 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkReopenAfterCompaction: a grown redo log folded back into
 // fresh segments must reopen at segment speed, not replay speed.
 func BenchmarkReopenAfterCompaction(b *testing.B) {

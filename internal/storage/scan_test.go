@@ -219,12 +219,6 @@ func maxChunkBytes(t testing.TB, s *Store) int64 {
 	return max
 }
 
-// hasRowCache reports whether a table has materialized its row view
-// (rel.Table.Rows), by looking at the unexported cache field.
-func hasRowCache(t *rel.Table) bool {
-	return reflect.ValueOf(t).Elem().FieldByName("rowCache").Len() > 0
-}
-
 // TestChunkHitAllocatesNothing: on a warm pager, acquiring and
 // releasing a chunk is a lock, a map lookup and a pin — the cached
 // table is handed out as is.
@@ -343,7 +337,7 @@ func TestPagedBuiltMatchesAssembledUnderBudget(t *testing.T) {
 			// cover. With no budget every scanned chunk is still cached.
 			s.pager.mu.Lock()
 			for _, e := range s.pager.ring {
-				if hasRowCache(e.tab) {
+				if e.tab.RowViewBuilt() {
 					t.Errorf("cached chunk %d of %s holds a materialized row view", e.key.idx, e.key.table)
 				}
 			}
@@ -365,6 +359,71 @@ func TestPagedBuiltMatchesAssembledUnderBudget(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestServingScansBuildNoRowView pins the batch executor's one fill
+// path on both store-backed Builts: a scan-only plan and a scan +
+// hash-join plan, on the resident view and on the paged one, leave no
+// table they reach — driver, join inner, pager chunk — with a
+// materialized row view (rel.Table.Rows), the second, several times
+// wider copy of a table that serving used to build at Prepare.
+func TestServingScansBuildNoRowView(t *testing.T) {
+	s, err := Open(savedScanStore(t, 1024), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	db, err := s.Database()
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := engine.Build(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := scanQueries()
+	for name, view := range map[string]func() (*engine.Built, error){"Built": s.Built, "PagedBuilt": s.PagedBuilt} {
+		b, err := view()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if b.ScanCost() != engine.InMemory {
+			t.Errorf("%s: scan-cost model %d, want engine.InMemory", name, b.ScanCost())
+		}
+		for _, qi := range []int{0, 2} { // filtered scan; scan + hash join
+			plan := scanPlan(t, db, queries[qi])
+			want, err := engine.ExecuteReference(oracle, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pp, err := b.Prepared(plan)
+			if err != nil {
+				t.Fatalf("%s query %d: prepare: %v", name, qi, err)
+			}
+			for _, workers := range []int{1, 2} {
+				got, err := pp.ExecuteContextWorkers(context.Background(), workers)
+				if err != nil {
+					t.Fatalf("%s query %d workers %d: %v", name, qi, workers, err)
+				}
+				requireSameResult(t, fmt.Sprintf("%s query %d workers %d", name, qi, workers), got, want)
+			}
+		}
+		for _, tbl := range b.DB.Tables() {
+			if tbl.RowViewBuilt() {
+				t.Errorf("%s: table %s holds a materialized row view after serving scans", name, tbl.Name)
+			}
+		}
+	}
+	s.pager.mu.Lock()
+	defer s.pager.mu.Unlock()
+	if len(s.pager.ring) == 0 {
+		t.Fatal("no chunk left in the pager to inspect")
+	}
+	for _, e := range s.pager.ring {
+		if e.tab.RowViewBuilt() {
+			t.Errorf("cached chunk %d of %s holds a materialized row view", e.key.idx, e.key.table)
+		}
 	}
 }
 
