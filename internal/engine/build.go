@@ -5,6 +5,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -72,8 +73,8 @@ func (b *Built) snapshotGenerations() {
 }
 
 // checkGenerations fails if any table mutated after Build. The
-// plan-lifetime caches (hash tables, EXISTS probe sets, partition
-// zips, prepared plans) are derived from Build-time rows; serving them
+// plan-lifetime caches (hash tables, EXISTS probe sets, prepared
+// plans) are derived from Build-time rows; serving them
 // over mutated data would silently return stale results, so the stale
 // state is an error, not a refresh.
 func (b *Built) checkGenerations() error {
@@ -93,10 +94,16 @@ func Build(db *rel.Database, cfg *physical.Config) (*Built, error) {
 
 // BuildWithScanCost is Build under the given scan-cost model. Results
 // and ExecStats are the same under either model; only the time a scan
-// takes differs.
+// takes differs. The configuration may come from outside the program (a
+// store's manifest), so one that does not fit the database — an unknown
+// table or column, an index without a key, a view or partition over a
+// table without ID/PID — is an error, never a panic.
 func BuildWithScanCost(db *rel.Database, cfg *physical.Config, cost ScanCostModel) (*Built, error) {
 	if cfg == nil {
 		cfg = &physical.Config{}
+	}
+	if slices.Contains(cfg.Indexes, nil) || slices.Contains(cfg.Views, nil) || slices.Contains(cfg.Partitions, nil) {
+		return nil, errors.New("engine: configuration lists a null index, view or partition")
 	}
 	b := &Built{
 		DB:       db,
@@ -177,6 +184,9 @@ func buildIndex(db *rel.Database, idx *physical.Index) (*builtIndex, error) {
 	if t == nil {
 		return nil, fmt.Errorf("engine: index %s on unknown table %s", idx.Name, idx.Table)
 	}
+	if len(idx.Key) == 0 {
+		return nil, fmt.Errorf("engine: index %s on %s has no key column", idx.Name, idx.Table)
+	}
 	if err := t.Hydrate(); err != nil {
 		return nil, err
 	}
@@ -193,24 +203,15 @@ func buildIndex(db *rel.Database, idx *physical.Index) (*builtIndex, error) {
 			return nil, fmt.Errorf("engine: index %s includes unknown column %s.%s", idx.Name, idx.Table, k)
 		}
 	}
-	rows := t.Rows()
 	bi.order = make([]int, t.RowCount())
 	for i := range bi.order {
 		bi.order[i] = i
 	}
-	slices.SortStableFunc(bi.order, func(a, c int) int {
-		ra, rc := rows[a], rows[c]
-		for _, ki := range bi.keyIdx {
-			if cmp := ra[ki].Compare(rc[ki]); cmp != 0 {
-				return cmp
-			}
-		}
-		return 0
-	})
+	slices.SortStableFunc(bi.order, t.RowComparator(bi.keyIdx))
 	lead := bi.keyIdx[0]
 	bi.leadKeys = make([]rel.Value, len(bi.order))
 	for i, rid := range bi.order {
-		bi.leadKeys[i] = rows[rid][lead]
+		bi.leadKeys[i] = t.ValueAt(rid, lead)
 	}
 	bi.firstNonNull = sort.Search(len(bi.order), func(i int) bool {
 		return !bi.leadKeys[i].Null
@@ -218,8 +219,8 @@ func buildIndex(db *rel.Database, idx *physical.Index) (*builtIndex, error) {
 	bi.bytes = 12 * int64(t.RowCount())
 	for _, c := range append(append([]string(nil), idx.Key...), idx.Include...) {
 		ci := t.ColIndex(c)
-		for _, row := range rows {
-			bi.bytes += int64(row[ci].Width())
+		for r, n := 0, t.RowCount(); r < n; r++ {
+			bi.bytes += int64(t.ValueAt(r, ci).Width())
 		}
 	}
 	return bi, nil
@@ -282,6 +283,20 @@ const (
 	opGe
 )
 
+// newStructTable is rel.NewTable for a view or partition group, whose
+// columns a configuration names: a column listed twice is the
+// configuration's error, where NewTable would panic.
+func newStructTable(name string, cols []rel.Column) (*rel.Table, error) {
+	seen := make(map[string]bool, len(cols))
+	for _, c := range cols {
+		if seen[c.Name] {
+			return nil, fmt.Errorf("engine: %s lists column %s twice", name, c.Name)
+		}
+		seen[c.Name] = true
+	}
+	return rel.NewTable(name, cols), nil
+}
+
 // buildView materializes a parent-child join view: for every inner row
 // whose PID matches an outer ID, one row with the carried columns named
 // table__col.
@@ -318,28 +333,35 @@ func buildView(db *rel.Database, v *physical.View) (*rel.Table, error) {
 		cols = append(cols, col)
 		innerIdx = append(innerIdx, ci)
 	}
-	vt := rel.NewTable(v.Name, cols)
-	byID := make(map[int64][]rel.Value, outer.RowCount())
-	oid := outer.ColIndex(rel.IDColumn)
-	for _, row := range outer.Rows() {
-		byID[row[oid].I] = row
+	oid, pid := outer.ColIndex(rel.IDColumn), inner.ColIndex(rel.PIDColumn)
+	if oid < 0 || pid < 0 {
+		return nil, fmt.Errorf("engine: view %s joins %s.%s to %s.%s, and one of them is missing",
+			v.Name, v.Inner, rel.PIDColumn, v.Outer, rel.IDColumn)
 	}
-	pid := inner.ColIndex(rel.PIDColumn)
+	vt, err := newStructTable(v.Name, cols)
+	if err != nil {
+		return nil, err
+	}
+	byID := make(map[int64]int, outer.RowCount()) // outer ID -> row id
+	for r, n := 0, outer.RowCount(); r < n; r++ {
+		byID[outer.ValueAt(r, oid).I] = r
+	}
 	out := make([]rel.Value, 0, len(cols)) // AppendRow copies, so one scratch row suffices
-	for _, irow := range inner.Rows() {
-		if irow[pid].Null {
+	for ir, n := 0, inner.RowCount(); ir < n; ir++ {
+		p := inner.ValueAt(ir, pid)
+		if p.Null {
 			continue
 		}
-		orow, ok := byID[irow[pid].I]
+		or, ok := byID[p.I]
 		if !ok {
 			continue
 		}
 		out = out[:0]
 		for _, ci := range outerIdx {
-			out = append(out, orow[ci])
+			out = append(out, outer.ValueAt(or, ci))
 		}
 		for _, ci := range innerIdx {
-			out = append(out, irow[ci])
+			out = append(out, inner.ValueAt(ir, ci))
 		}
 		vt.AppendRow(out)
 	}
@@ -356,10 +378,15 @@ func buildPartition(db *rel.Database, vp *physical.VPartition) ([]*rel.Table, er
 	if err := t.Hydrate(); err != nil {
 		return nil, err
 	}
+	id, pid := t.ColIndex(rel.IDColumn), t.ColIndex(rel.PIDColumn)
+	if id < 0 || pid < 0 {
+		return nil, fmt.Errorf("engine: partition of %s, which has no %s/%s columns to replicate",
+			vp.Table, rel.IDColumn, rel.PIDColumn)
+	}
 	var out []*rel.Table
 	for gi, group := range vp.Groups {
-		cols := []rel.Column{t.Columns[t.ColIndex(rel.IDColumn)], t.Columns[t.ColIndex(rel.PIDColumn)]}
-		idxs := []int{t.ColIndex(rel.IDColumn), t.ColIndex(rel.PIDColumn)}
+		cols := []rel.Column{t.Columns[id], t.Columns[pid]}
+		idxs := []int{id, pid}
 		for _, c := range group {
 			ci := t.ColIndex(c)
 			if ci < 0 {
@@ -368,11 +395,14 @@ func buildPartition(db *rel.Database, vp *physical.VPartition) ([]*rel.Table, er
 			cols = append(cols, t.Columns[ci])
 			idxs = append(idxs, ci)
 		}
-		gt := rel.NewTable(vp.GroupTable(gi), cols)
+		gt, err := newStructTable(vp.GroupTable(gi), cols)
+		if err != nil {
+			return nil, err
+		}
 		grow := make([]rel.Value, len(idxs)) // AppendRow copies, so one scratch row suffices
-		for _, row := range t.Rows() {
+		for r, n := 0, t.RowCount(); r < n; r++ {
 			for i, ci := range idxs {
-				grow[i] = row[ci]
+				grow[i] = t.ValueAt(r, ci)
 			}
 			gt.AppendRow(grow)
 		}

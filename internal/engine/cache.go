@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -15,8 +16,9 @@ import (
 
 // builtCaches holds the plan-lifetime execution structures of a Built:
 // join hash tables keyed by (source, column), EXISTS probe sets keyed
-// by predicate, zipped partition-group row sets, and compiled
-// PreparedPlans keyed by plan fingerprint. Everything is built lazily
+// by predicate, and compiled PreparedPlans keyed by plan fingerprint. (A
+// zip of partition groups is not among them: it is the base table's own
+// column vectors, see prepareBranch.) Everything is built lazily
 // on first use and shared across repeated executions and across plans
 // over the same Built — the operator-state reuse half of the batch
 // executor. Entries are single-flighted so parallel union branches
@@ -37,7 +39,6 @@ import (
 // bit-identical to the row-at-a-time reference executor.
 type builtCaches struct {
 	mu       sync.Mutex
-	zips     map[string]*centry[*partZip]
 	joins    map[string]*centry[*joinTable]
 	exists   map[string]*centry[*existsSet]
 	prepared map[string]*centry[*PreparedPlan]
@@ -49,8 +50,7 @@ type builtCaches struct {
 type ckind int
 
 const (
-	ckindZip ckind = iota
-	ckindJoin
+	ckindJoin ckind = iota
 	ckindExists
 	ckindPrepared
 	ckindCount
@@ -58,8 +58,6 @@ const (
 
 func (k ckind) String() string {
 	switch k {
-	case ckindZip:
-		return "zip"
 	case ckindJoin:
 		return "join"
 	case ckindExists:
@@ -75,7 +73,6 @@ type cacheStat struct {
 
 func newBuiltCaches() *builtCaches {
 	return &builtCaches{
-		zips:     make(map[string]*centry[*partZip]),
 		joins:    make(map[string]*centry[*joinTable]),
 		exists:   make(map[string]*centry[*existsSet]),
 		prepared: make(map[string]*centry[*PreparedPlan]),
@@ -101,7 +98,7 @@ type centry[T any] struct {
 // caches the result regardless of ctx, so a cancelled query leaves
 // either no entry or a finished one — never a broken or abandoned
 // entry — and the next caller gets a warm hit. Internal structure
-// lookups during execution (zips, join tables, EXISTS sets) pass
+// lookups during execution (join tables, EXISTS sets) pass
 // context.Background() for the same reason: a build already in the
 // middle of a pipeline is cheaper to finish than to redo.
 func cacheGet[T any](ctx context.Context, b *Built, m map[string]*centry[T], kind ckind, key string, build func() (T, error)) (T, error) {
@@ -183,65 +180,6 @@ func (b *Built) PreparedContext(ctx context.Context, plan *optimizer.Plan) (*Pre
 	})
 }
 
-// partZip is a cached zip of a table's partition groups into combined
-// rows (the per-execution work of the reference fetchPartition, done
-// once per Built).
-type partZip struct {
-	cols []string
-	rows [][]rel.Value
-	// groups is the number of partition groups zipped; each execution
-	// that reads the zip counts rows*groups scanned rows, exactly like
-	// zipping afresh.
-	groups int
-}
-
-func zipKey(table string, groups []int) string {
-	return fmt.Sprintf("%s|%v", table, groups)
-}
-
-// partitionZip returns the cached zip of the given partition groups.
-func (b *Built) partitionZip(table string, groups []int) (*partZip, error) {
-	return cacheGet(context.Background(), b, b.caches.zips, ckindZip, zipKey(table, groups), func() (*partZip, error) {
-		var groupTables []*rel.Table
-		for _, g := range groups {
-			gt := b.PartGroup(table, g)
-			if gt == nil {
-				return nil, fmt.Errorf("engine: partition group %d of %s not built", g, table)
-			}
-			groupTables = append(groupTables, gt)
-		}
-		z := &partZip{groups: len(groupTables)}
-		seen := make(map[string]bool)
-		type src struct{ gi, ci int }
-		var srcs []src
-		for gi, gt := range groupTables {
-			for ci, c := range gt.Columns {
-				if seen[c.Name] {
-					continue
-				}
-				seen[c.Name] = true
-				z.cols = append(z.cols, c.Name)
-				srcs = append(srcs, src{gi, ci})
-			}
-		}
-		groupRows := make([][][]rel.Value, len(groupTables))
-		for gi, gt := range groupTables {
-			groupRows[gi] = gt.Rows()
-		}
-		n := groupTables[0].RowCount()
-		z.rows = make([][]rel.Value, n)
-		arena := make([]rel.Value, n*len(srcs))
-		for i := 0; i < n; i++ {
-			row := arena[i*len(srcs) : (i+1)*len(srcs) : (i+1)*len(srcs)]
-			for k, sr := range srcs {
-				row[k] = groupRows[sr.gi][i][sr.ci]
-			}
-			z.rows[i] = row
-		}
-		return z, nil
-	})
-}
-
 // joinTable is a cached hash-join build side: the key column's hash
 // chains over build positions, and nothing else — the probe fills the
 // inner columns a query references from the source's column vectors (see
@@ -306,8 +244,8 @@ func buildJoinTable(n int, key func(i int) rel.Value) *joinTable {
 
 // hashJoinTable returns the cached build side for joining against the
 // named row source on the given column. srcKey identifies the row
-// source (base table, view, or partition zip) within the Built; n and
-// key describe its join column.
+// source (base table or view; a zip of partition groups is its base
+// table) within the Built; n and key describe its join column.
 func (b *Built) hashJoinTable(srcKey, col string, n int, key func(i int) rel.Value) (*joinTable, error) {
 	return cacheGet(context.Background(), b, b.caches.joins, ckindJoin, srcKey+"|c:"+col, func() (*joinTable, error) {
 		return buildJoinTable(n, key), nil
@@ -335,47 +273,102 @@ func (e *existsSet) match(v rel.Value) bool {
 	return e.strs[v.String()]
 }
 
+// matchIntSetString resolves a non-integer probe against an int-keyed
+// set: it matches exactly when the probe's string form is the
+// canonical decimal rendering of a present key.
+func matchIntSetString(set map[int64]bool, v rel.Value) bool {
+	s := v.String()
+	i, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || strconv.FormatInt(i, 10) != s {
+		return false
+	}
+	return set[i]
+}
+
 // existsProbeSet returns the cached probe set for an EXISTS predicate.
 // The key is the predicate's canonical SQL rendering, which pins the
 // inner table, join column, and any inner-value restriction — the same
-// identity the reference executor's per-execution cache used.
+// identity the reference executor's per-execution cache uses.
 func (b *Built) existsProbeSet(p *sqlast.Pred) (*existsSet, error) {
 	return cacheGet(context.Background(), b, b.caches.exists, ckindExists, "exists:"+p.String(), func() (*existsSet, error) {
-		t := b.DB.Table(p.Table)
-		if t == nil {
-			return nil, fmt.Errorf("engine: EXISTS over unknown table %s", p.Table)
-		}
-		if err := t.Hydrate(); err != nil {
-			return nil, err
-		}
-		ji := t.ColIndex(p.JoinCol)
-		if ji < 0 {
-			return nil, fmt.Errorf("engine: EXISTS join column %s.%s missing", p.Table, p.JoinCol)
-		}
-		vi := -1
-		if p.InnerCol != "" {
-			vi = t.ColIndex(p.InnerCol)
-			if vi < 0 {
-				return nil, fmt.Errorf("engine: EXISTS value column %s.%s missing", p.Table, p.InnerCol)
-			}
-		}
-		rows := t.Rows()
-		if t.Columns[ji].Typ == rel.TInt {
-			if ints, ok := buildIntExists(rows, ji, vi, p); ok {
-				return &existsSet{ints: ints}, nil
-			}
-		}
-		return &existsSet{strs: buildStrExists(rows, ji, vi, p)}, nil
+		return buildExistsSet(b, p)
 	})
 }
 
-// CachedStructures reports the cache population (zips, join tables,
-// exists sets, prepared plans) — observability for tests and tools.
+// buildExistsSet builds the probe set of an EXISTS predicate from the
+// one or two columns of the inner table it names; both executors build
+// theirs here.
+func buildExistsSet(b *Built, p *sqlast.Pred) (*existsSet, error) {
+	t := b.DB.Table(p.Table)
+	if t == nil {
+		return nil, fmt.Errorf("engine: EXISTS over unknown table %s", p.Table)
+	}
+	if err := t.Hydrate(); err != nil {
+		return nil, err
+	}
+	ji := t.ColIndex(p.JoinCol)
+	if ji < 0 {
+		return nil, fmt.Errorf("engine: EXISTS join column %s.%s missing", p.Table, p.JoinCol)
+	}
+	vi := -1
+	if p.InnerCol != "" {
+		vi = t.ColIndex(p.InnerCol)
+		if vi < 0 {
+			return nil, fmt.Errorf("engine: EXISTS value column %s.%s missing", p.Table, p.InnerCol)
+		}
+	}
+	if t.Columns[ji].Typ == rel.TInt {
+		if ints, ok := buildIntExists(t, ji, vi, p); ok {
+			return &existsSet{ints: ints}, nil
+		}
+	}
+	return &existsSet{strs: buildStrExists(t, ji, vi, p)}, nil
+}
+
+// buildIntExists builds an int-keyed EXISTS probe set over join column
+// ji of t, restricted by p on value column vi when vi >= 0; ok is false
+// when a non-integer value appears in the declared-int join column (the
+// caller then falls back to string keys, preserving the exact
+// stringified-key semantics).
+func buildIntExists(t *rel.Table, ji, vi int, p *sqlast.Pred) (map[int64]bool, bool) {
+	set := make(map[int64]bool)
+	for r, n := 0, t.RowCount(); r < n; r++ {
+		k := t.ValueAt(r, ji)
+		if k.Null {
+			continue
+		}
+		if k.Typ != rel.TInt {
+			return nil, false
+		}
+		if vi >= 0 && !matchCompare(t.ValueAt(r, vi), p.Op, p.Value) {
+			continue
+		}
+		set[k.I] = true
+	}
+	return set, true
+}
+
+func buildStrExists(t *rel.Table, ji, vi int, p *sqlast.Pred) map[string]bool {
+	set := make(map[string]bool)
+	for r, n := 0, t.RowCount(); r < n; r++ {
+		k := t.ValueAt(r, ji)
+		if k.Null {
+			continue
+		}
+		if vi >= 0 && !matchCompare(t.ValueAt(r, vi), p.Op, p.Value) {
+			continue
+		}
+		set[k.String()] = true
+	}
+	return set
+}
+
+// CachedStructures reports the cache population (join tables, exists
+// sets, prepared plans) — observability for tests and tools.
 func (b *Built) CachedStructures() map[string]int {
 	b.caches.mu.Lock()
 	defer b.caches.mu.Unlock()
 	return map[string]int{
-		"partZips":   len(b.caches.zips),
 		"joinTables": len(b.caches.joins),
 		"existsSets": len(b.caches.exists),
 		"prepared":   len(b.caches.prepared),

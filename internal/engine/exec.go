@@ -42,7 +42,7 @@ type Result struct {
 
 // Execute runs an optimizer plan over the built database through the
 // pipelined batch executor. The compiled form of the plan and its
-// probe structures (join hash tables, EXISTS sets, partition zips) are
+// probe structures (join hash tables, EXISTS sets) are
 // cached on the Built, so repeated executions of the same plan — and
 // other plans touching the same tables — reuse them.
 func Execute(b *Built, plan *optimizer.Plan) (*Result, error) {

@@ -4,12 +4,13 @@ import "repro/internal/rel"
 
 // This file is the batch executor's one way of turning stored rows into
 // tuples. A tuple carries only the columns something after the scan
-// reads (see scope.slot), and every tuple source — a scan fragment, a
-// seek driver's table, a hash or INL join's inner table, a partition
-// zip — lands its share of them through colFills: one per referenced
-// column, each copying that column into its tuple slot for a whole list
-// of row ids at once, straight from the typed vector. Values are
-// bit-identical to Table.ReadRowInto's.
+// reads (see scope.slot), and every tuple source is a rel.Table — a scan
+// fragment, a seek driver's table, a hash or INL join's inner table, the
+// base table a zip of partition groups stands for — that lands its share
+// of them through colFills: one per referenced column, each copying that
+// column into its tuple slot for a whole list of row ids at once,
+// straight from the typed vector. Values are bit-identical to
+// Table.ReadRowInto's.
 
 // fillKind selects a colFill's source representation.
 type fillKind uint8
@@ -19,7 +20,6 @@ const (
 	fillFloats                 // clean TFloat vector
 	fillStrs                   // clean dictionary-coded TString vector
 	fillCells                  // a column holding exception values: per-cell ValueAt
-	fillRows                   // a partition zip's combined rows
 )
 
 // colFill copies one column of a tuple source into one tuple slot.
@@ -36,8 +36,7 @@ type colFill struct {
 	// column skips the per-row bitmap probe.
 	nulls *rel.Bitmap
 
-	table *rel.Table    // fillCells
-	rows  [][]rel.Value // fillRows
+	table *rel.Table // fillCells
 }
 
 // tableFills compiles the fills that land refs' columns of t. t must be
@@ -59,15 +58,6 @@ func tableFills(t *rel.Table, refs []colRef) []colFill {
 			f.nulls = nulls
 		}
 		fills[i] = f
-	}
-	return fills
-}
-
-// rowFills is tableFills over a partition zip's combined rows.
-func rowFills(rows [][]rel.Value, refs []colRef) []colFill {
-	fills := make([]colFill, len(refs))
-	for i, r := range refs {
-		fills[i] = colFill{kind: fillRows, slot: r.slot, col: r.col, rows: rows}
 	}
 	return fills
 }
@@ -107,11 +97,6 @@ func (f *colFill) fill(arena []rel.Value, w int, ids []int32) {
 	case fillCells:
 		for _, r := range ids {
 			arena[k] = f.table.ValueAt(int(r), f.col)
-			k += w
-		}
-	case fillRows:
-		for _, r := range ids {
-			arena[k] = f.rows[r][f.col]
 			k += w
 		}
 	}

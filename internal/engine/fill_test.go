@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/optimizer"
@@ -81,10 +82,14 @@ func fillDB() *rel.Database {
 
 // TestFillMatchesReference runs every tuple source of the batch
 // executor — scan fragments (resident and chunked), a seek driver, hash
-// joins keyed by int and by string and fed by a seek, an INL join — over
+// joins keyed by int and by string and fed by a seek, an INL join, and
+// zips of partition groups as a driver and as a hash-join inner — over
 // fillDB, projecting and filtering on the exception-bearing and all-NULL
 // columns, and wants the reference executor's rows bit for bit. The
-// plans are written by hand so each access path is certain to run.
+// plans are written by hand so each access path is certain to run. Both
+// tables are partitioned, so the zip cases check the claim the executor
+// rests on: it fills a zip from the base table, the reference zips the
+// materialized group tables (fetchPartition), and the two agree.
 func TestFillMatchesReference(t *testing.T) {
 	col := func(tbl, c string) *sqlast.ColRef { return &sqlast.ColRef{Table: tbl, Column: c} }
 	item := func(tbl, c string) sqlast.SelectItem {
@@ -97,6 +102,10 @@ func TestFillMatchesReference(t *testing.T) {
 	cfg.AddIndex(ixPK)
 	cfg.AddIndex(ixCPID)
 	cfg.AddIndex(ixCID)
+	// Every group replicates ID and PID; x and f hold exception values
+	// and NULLs, allnull an empty dictionary.
+	cfg.AddPartition(&physical.VPartition{Table: "p", Groups: [][]string{{"k", "allnull", "x"}, {"f", "tag"}}})
+	cfg.AddPartition(&physical.VPartition{Table: "c", Groups: [][]string{{"w"}, {"allnull"}}})
 
 	scanP := optimizer.Access{Table: "p"}
 	joinPred := sqlast.Pred{Kind: sqlast.PredJoin, Left: *col("c", "PID"), Right: *col("p", "ID")}
@@ -109,6 +118,10 @@ func TestFillMatchesReference(t *testing.T) {
 	}
 	seekK := &sqlast.Pred{Kind: sqlast.PredCompare, Op: sqlast.OpGe, Col: *col("p", "k"), Value: rel.Int(2)}
 	seekCID := &sqlast.Pred{Kind: sqlast.PredCompare, Op: sqlast.OpLt, Col: *col("c", "ID"), Value: rel.Int(1100)}
+	zipP := func(groups ...int) optimizer.Access { return optimizer.Access{Table: "p", PartGroups: groups} }
+	cmpPred := func(tbl, c string, op sqlast.CmpOp, v rel.Value) sqlast.Pred {
+		return sqlast.Pred{Kind: sqlast.PredCompare, Op: op, Col: *col(tbl, c), Value: v}
+	}
 	seekSel := &sqlast.Select{Items: pItems, From: []string{"p"}, Where: []sqlast.Pred{*seekK}}
 	seekFedSel := &sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred, *seekCID}}
 	plans := map[string]*optimizer.Plan{
@@ -128,6 +141,18 @@ func TestFillMatchesReference(t *testing.T) {
 		"hash-join-seek-fed": plan(seekFedSel, scanP,
 			optimizer.Join{Method: optimizer.JoinHash,
 				Inner:    optimizer.Access{Table: "c", Kind: optimizer.AccessSeek, Index: ixCID, SeekPred: &seekFedSel.Where[1]},
+				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
+		"zip-driver-kernels": plan(&sqlast.Select{Items: []sqlast.SelectItem{item("p", "ID"), item("p", "allnull"), item("p", "x"), item("p", "PID")},
+			From: []string{"p"}, Where: []sqlast.Pred{cmpPred("p", "k", sqlast.OpGe, rel.Int(1)), cmpPred("p", "x", sqlast.OpGe, rel.Int(100))}}, zipP(0)),
+		"zip-two-groups": plan(&sqlast.Select{Items: append([]sqlast.SelectItem{item("p", "tag"), item("p", "k")}, pItems...),
+			From: []string{"p"}, Where: []sqlast.Pred{cmpPred("p", "tag", sqlast.OpNe, rel.Str("t2"))}}, zipP(0, 1)),
+		"zip-hash-join-inner": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred,
+			cmpPred("c", "w", sqlast.OpNe, rel.Str("t1"))}}, scanP,
+			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c", PartGroups: []int{0, 1}},
+				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
+		"zip-driver-zip-inner": plan(&sqlast.Select{Items: []sqlast.SelectItem{item("p", "ID"), item("p", "f"), item("c", "w"), item("c", "ID")},
+			From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred, cmpPred("p", "f", sqlast.OpLt, rel.Float(30))}}, zipP(1),
+			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c", PartGroups: []int{0}},
 				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
 		"inl-join": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred}}, scanP,
 			optimizer.Join{Method: optimizer.JoinINL, Inner: optimizer.Access{Table: "c", Kind: optimizer.AccessSeek, Index: ixCPID},
@@ -166,6 +191,27 @@ func TestFillMatchesReference(t *testing.T) {
 					}
 					requireIdentical(t, label, got, want)
 				}
+				if pb := pp.branches[0]; name == "zip-driver-kernels" && (len(pb.kerns) != 2 || len(pb.ops) != 0) {
+					t.Errorf("%s: %d kernels and %d pipeline operators; both driver-stage predicates should be kernels", label, len(pb.kerns), len(pb.ops))
+				}
+			}
+			// A join on a zip of c and a join on c itself have one build
+			// side: c's PID column, cached once (the seek-fed build stays
+			// private to its plan; "c.w" is the string-keyed join's).
+			if keys := built.CacheKeys(); fmt.Sprint(keys) != "[t:c|c:PID t:c|c:w]" {
+				t.Errorf("%s chunked=%v: join-table cache holds %v", model, chunked, keys)
+			}
+			// A zip holds the columns of the groups its access names and no
+			// others, for both executors.
+			outside := plan(&sqlast.Select{Items: []sqlast.SelectItem{item("p", "ID"), item("p", "f")}, From: []string{"p"}}, zipP(0))
+			if _, err := Prepare(built, outside); err == nil || !strings.Contains(err.Error(), "column p.f not in scope") {
+				t.Errorf("prepare of a plan reading p.f from a zip of group 0: %v", err)
+			}
+			if _, err := ExecuteReference(built, outside); err == nil || !strings.Contains(err.Error(), "column p.f not in scope") {
+				t.Errorf("reference run of a plan reading p.f from a zip of group 0: %v", err)
+			}
+			if _, err := Prepare(built, plan(&sqlast.Select{Items: pItems[:1], From: []string{"p"}}, zipP(2))); err == nil {
+				t.Error("prepare over partition group 2 of p, which was never built, succeeded")
 			}
 		}
 	}

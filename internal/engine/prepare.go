@@ -16,8 +16,8 @@ import (
 // PreparedPlan is the compiled, reusable form of an optimizer plan
 // over one Built: a pipelined batch executor per union branch, with
 // predicate closures, projection layouts, and probe structures (join
-// hash tables, EXISTS sets, partition zips) resolved once at compile
-// time against the Built's plan-lifetime caches. Executing a
+// hash tables, EXISTS sets) resolved once at compile time against the
+// Built's plan-lifetime caches. Executing a
 // PreparedPlan allocates no per-row intermediates: operators pass
 // fixed-size rel.Batch blocks with selection vectors, scans and joins
 // fill pooled batch arenas with narrow tuples — only the columns the
@@ -132,13 +132,16 @@ const (
 // driverSrc is the compiled driving access of a branch.
 type driverSrc struct {
 	kind srcKind
-	// table is the driver table of scans and seeks — for a scan over a
-	// registered source, possibly an unhydrated shell.
+	// table is the driver table — for a scan over a registered source,
+	// possibly an unhydrated shell; for a zip of partition groups, the
+	// base table (see addPartZip).
 	table   *rel.Table
 	bi      *builtIndex
 	seekOp  opKind
 	seekVal rel.Value
-	zip     *partZip
+	// groups is the number of partition groups a srcZip driver zips:
+	// every driver row counts as one scanned row per group.
+	groups int
 	// chunks feeds a srcScan driver: the scan pulls resident fragments
 	// from the source one chunk at a time, so peak scan memory follows
 	// the source's paging budget. A resident table is its own single
@@ -169,22 +172,21 @@ type pipeOp struct {
 
 	// Join fields: the outer key's tuple slot, the operator's output
 	// batch in branchState, and the fills that land the referenced inner
-	// columns for the matched inner row ids. inner and innerTable /
-	// innerRows name the inner source until prepareBranch has compiled
-	// everything that can reference it and resolves fills.
+	// columns for the matched inner row ids. inner and innerTable name
+	// the inner source until prepareBranch has compiled everything that
+	// can reference it and resolves fills.
 	outerSlot  int
 	out        int
 	fills      []colFill
 	inner      *scopeTable
 	innerTable *rel.Table
-	innerRows  [][]rel.Value // partition-zip inner
 
 	// Hash join: cached build side, plus the per-execution scan
 	// accounting its inner source incurs (the reference executor
 	// re-scans the build side every execution; the batch executor pays
 	// the same scan cost and counters but skips the rebuild).
 	jt          *joinTable
-	scanTable   *rel.Table // table to touch per run (nil for zips/seeks)
+	scanTable   *rel.Table // table to touch per run (nil for zips and seeks)
 	scanCount   int64      // RowsScanned per run
 	soughtCount int64      // RowsSought per run (seek-fed build side)
 
@@ -203,10 +205,9 @@ type preparedBranch struct {
 	src driverSrc
 	// kerns are the driver-stage columnar filter kernels: every
 	// predicate applied before the first join, compiled against
-	// src.table's column vectors (table scans and index seeks only —
-	// partition-zip drivers keep row filters in ops). They run over the
-	// selection vector of driver row ids before any tuple is filled, in
-	// the same WHERE order the reference executor applies.
+	// src.table's column vectors whatever the driver kind. They run over
+	// the selection vector of driver row ids before any tuple is filled,
+	// in the same WHERE order the reference executor applies.
 	kerns []colKernel
 	ops   []pipeOp
 	projs []proj
@@ -260,24 +261,44 @@ func colNames(t *rel.Table) []string {
 	return cols
 }
 
+// addPartZip puts the zip of access a's partition groups in scope and
+// returns what fills it: the hydrated base table. Group tables replicate
+// the base table's cells row for row, so zipping them back together
+// yields the base table's own column vectors; only the columns the named
+// groups hold resolve in scope, so a plan reaching outside its groups
+// fails as it would over the group tables.
+func addPartZip(b *Built, sc *scope, a optimizer.Access) (*rel.Table, *scopeTable, error) {
+	t := b.DB.Table(a.Table)
+	st := sc.add(a.Table, nil)
+	for _, g := range a.PartGroups {
+		gt := b.PartGroup(a.Table, g)
+		if gt == nil {
+			return nil, nil, fmt.Errorf("engine: partition group %d of %s not built", g, a.Table)
+		}
+		for _, c := range gt.Columns {
+			st.cols[c.Name] = t.ColIndex(c.Name)
+		}
+	}
+	return t, st, t.Hydrate()
+}
+
 func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 	sc := newScope()
 	pb := &preparedBranch{built: b, scope: sc}
 	a := br.Driver
-	var cols []string
+	var driver *scopeTable
 	if len(a.PartGroups) > 0 {
-		z, err := b.partitionZip(a.Table, a.PartGroups)
+		t, st, err := addPartZip(b, sc, a)
 		if err != nil {
 			return nil, err
 		}
-		pb.src = driverSrc{kind: srcZip, zip: z}
-		cols = z.cols
+		pb.src = driverSrc{kind: srcZip, table: t, groups: len(a.PartGroups)}
+		driver = st
 	} else {
 		t := resolveTable(b, a.Table)
 		if t == nil {
 			return nil, fmt.Errorf("engine: unknown table %s", a.Table)
 		}
-		cols = colNames(t)
 		if a.Kind == optimizer.AccessSeek {
 			bi := b.Index(a.Index)
 			if bi == nil {
@@ -298,11 +319,11 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 			}
 			pb.src = driverSrc{kind: srcScan, table: t, chunks: src}
 		}
+		driver = sc.add(a.Table, colNames(t))
 	}
-	driver := sc.add(a.Table, cols)
 	applied := make(map[int]bool)
-	// Driver-stage filters over a table source compile to columnar
-	// kernels; everything after the first join filters filled tuples.
+	// Driver-stage filters compile to columnar kernels over the driver
+	// table; everything after the first join filters filled tuples.
 	if err := pb.appendFilters(b, br, sc, applied, pb.src.table); err != nil {
 		return nil, err
 	}
@@ -338,17 +359,12 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 	// scope is final, and so are the tuple width and the fills.
 	pb.width = sc.slots
 	pb.src.refs = driver.refs
-	switch pb.src.kind {
-	case srcSeek:
+	if pb.src.kind != srcScan {
 		pb.src.fills = tableFills(pb.src.table, driver.refs)
-	case srcZip:
-		pb.src.fills = rowFills(pb.src.zip.rows, driver.refs)
 	}
 	for i := range pb.ops {
 		if op := &pb.ops[i]; op.innerTable != nil {
 			op.fills = tableFills(op.innerTable, op.inner.refs)
-		} else if op.innerRows != nil {
-			op.fills = rowFills(op.innerRows, op.inner.refs)
 		}
 	}
 	pb.initPool()
@@ -358,10 +374,9 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 // appendFilters compiles every not-yet-applied predicate whose
 // referenced tables are in scope, in WHERE order — the same
 // application order as the reference executor's applyPreds passes.
-// When kt is non-nil (the driver-stage pass over a table scan or index
-// seek) each predicate compiles to a columnar kernel over kt's vectors
-// instead of a row closure; kernels run in the same order the closures
-// would have.
+// When kt is non-nil (the driver-stage pass) each predicate compiles to
+// a columnar kernel over kt's vectors instead of a row closure; kernels
+// run in the same order the closures would have.
 func (pb *preparedBranch) appendFilters(b *Built, br *optimizer.Branch, sc *scope, applied map[int]bool, kt *rel.Table) error {
 	s := br.Sel
 	for i := range s.Where {
@@ -414,30 +429,27 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 		return nil
 	}
 	// Hash join: resolve the inner source, its size, and its key column.
-	var cols []string
+	var t *rel.Table
 	var srcKey string
 	var n int
-	var cell func(i, col int) rel.Value // value at build position i
-	var rids []int32                    // seek-fed build: position -> row id
+	var rids []int32 // seek-fed build: position -> row id
 	a := j.Inner
 	if len(a.PartGroups) > 0 {
-		z, zerr := b.partitionZip(a.Table, a.PartGroups)
-		if zerr != nil {
-			return zerr
+		// A zip's build side is the base table's: both share one cached
+		// join table, and only the per-run scan accounting differs.
+		if t, op.inner, err = addPartZip(b, sc, a); err != nil {
+			return err
 		}
-		cols, n, op.innerRows = z.cols, len(z.rows), z.rows
-		cell = func(i, col int) rel.Value { return z.rows[i][col] }
-		srcKey = "p:" + zipKey(a.Table, a.PartGroups)
-		op.scanCount = int64(len(z.rows) * z.groups)
+		n, srcKey = t.RowCount(), "t:"+a.Table
+		op.scanCount = int64(n * len(a.PartGroups))
 	} else {
-		t := resolveTable(b, a.Table)
-		if t == nil {
+		if t = resolveTable(b, a.Table); t == nil {
 			return fmt.Errorf("engine: unknown table %s", a.Table)
 		}
 		if err := t.Hydrate(); err != nil {
 			return err
 		}
-		cols, op.innerTable = colNames(t), t
+		op.inner = sc.add(a.Table, colNames(t))
 		if a.Kind == optimizer.AccessSeek {
 			// A seek-fed hash build: not produced by today's optimizer,
 			// but the reference path supports it. The seek restricts the
@@ -451,7 +463,6 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 			}
 			ids := bi.seekRange(opFromCmp(a.SeekPred.Op), a.SeekPred.Value)
 			n = len(ids)
-			cell = func(i, col int) rel.Value { return t.ValueAt(ids[i], col) }
 			rids = make([]int32, n)
 			for i, id := range ids {
 				rids[i] = int32(id)
@@ -459,7 +470,6 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 			op.soughtCount = int64(n)
 		} else {
 			n = t.RowCount()
-			cell = t.ValueAt
 			if b.ViewTable(a.Table) != nil {
 				srcKey = "v:" + a.Table
 			} else {
@@ -469,19 +479,18 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 			op.scanCount = int64(n)
 		}
 	}
-	ji := slices.Index(cols, j.InnerCol.Column)
-	if ji < 0 {
+	op.innerTable = t
+	ji, ok := op.inner.cols[j.InnerCol.Column]
+	if !ok {
 		return fmt.Errorf("engine: join column %s missing from %s", j.InnerCol, j.Inner.Table)
 	}
-	op.inner = sc.add(j.Inner.Table, cols)
-	key := func(i int) rel.Value { return cell(i, ji) }
 	if srcKey != "" {
-		op.jt, err = b.hashJoinTable(srcKey, j.InnerCol.Column, n, key)
+		op.jt, err = b.hashJoinTable(srcKey, j.InnerCol.Column, n, func(i int) rel.Value { return t.ValueAt(i, ji) })
 		if err != nil {
 			return err
 		}
 	} else {
-		op.jt = buildJoinTable(n, key)
+		op.jt = buildJoinTable(n, func(i int) rel.Value { return t.ValueAt(int(rids[i]), ji) })
 		op.jt.rids = rids
 	}
 	pb.ops = append(pb.ops, op)
@@ -574,8 +583,7 @@ func (pb *preparedBranch) precharge(st *ExecStats) {
 // resolveDriver materializes the branch's driver row set: the number of
 // driver rows, plus — for index range seeks — the matching row ids (in
 // index order), whose seek cost is charged here, once per branch. Scans
-// and partition zips drive straight off their row slices and return nil
-// ids.
+// and partition zips drive off row positions and return nil ids.
 func (pb *preparedBranch) resolveDriver(st *ExecStats) (int, []int) {
 	switch pb.src.kind {
 	case srcSeek:
@@ -583,7 +591,7 @@ func (pb *preparedBranch) resolveDriver(st *ExecStats) (int, []int) {
 		st.RowsSought += int64(len(ids))
 		return len(ids), ids
 	case srcZip:
-		return len(pb.src.zip.rows), nil
+		return pb.src.table.RowCount(), nil
 	default: // srcScan
 		return pb.src.chunks.RowCount(), nil
 	}
@@ -835,7 +843,7 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 					sel = append(sel, int32(id))
 				}
 			} else {
-				st.RowsScanned += int64((end - start) * pb.src.zip.groups)
+				st.RowsScanned += int64((end - start) * pb.src.groups)
 				for r := start; r < end; r++ {
 					sel = append(sel, int32(r))
 				}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strconv"
 
 	"repro/internal/optimizer"
 	"repro/internal/rel"
@@ -127,10 +126,10 @@ func fetchAccess(b *Built, s *sqlast.Select, a optimizer.Access, st *ExecStats) 
 			return nil, nil, fmt.Errorf("engine: seek access without predicate on %s", a.Table)
 		}
 		ids := bi.seekRange(opFromCmp(a.SeekPred.Op), a.SeekPred.Value)
-		trows := t.Rows()
 		rows := make([][]rel.Value, len(ids))
 		for i, id := range ids {
-			rows[i] = trows[id]
+			rows[i] = make([]rel.Value, len(cols))
+			t.ReadRowInto(rows[i], id)
 		}
 		if st != nil {
 			st.RowsSought += int64(len(rows))
@@ -271,130 +270,27 @@ func compilePred(b *Built, p *sqlast.Pred, sc *scope, ex *existsCache) (func([]r
 	return nil, fmt.Errorf("engine: cannot compile predicate %s", p)
 }
 
-// existsCache builds per-predicate semi-join probe structures lazily.
-// Integer join keys (the common ID/PID case) get an int-keyed set and
-// probe fast path mirroring the int-keyed hash join; everything else
-// falls back to stringified keys.
+// existsCache holds the semi-join probe sets one branch execution has
+// built, by predicate (see buildExistsSet).
 type existsCache struct {
 	b    *Built
-	ints map[string]map[int64]bool
-	strs map[string]map[string]bool
+	sets map[string]*existsSet
 }
 
 func (e *existsCache) matcher(p *sqlast.Pred) (func(rel.Value) bool, error) {
-	t := e.b.DB.Table(p.Table)
-	if t == nil {
-		return nil, fmt.Errorf("engine: EXISTS over unknown table %s", p.Table)
+	key := p.String()
+	if set, ok := e.sets[key]; ok {
+		return set.match, nil
 	}
-	if err := t.Hydrate(); err != nil {
+	set, err := buildExistsSet(e.b, p)
+	if err != nil {
 		return nil, err
 	}
-	key := p.String()
-	if ints, ok := e.ints[key]; ok {
-		return intSetMatcher(ints), nil
+	if e.sets == nil {
+		e.sets = make(map[string]*existsSet)
 	}
-	if strs, ok := e.strs[key]; ok {
-		return strSetMatcher(strs), nil
-	}
-	ji := t.ColIndex(p.JoinCol)
-	if ji < 0 {
-		return nil, fmt.Errorf("engine: EXISTS join column %s.%s missing", p.Table, p.JoinCol)
-	}
-	vi := -1
-	if p.InnerCol != "" {
-		vi = t.ColIndex(p.InnerCol)
-		if vi < 0 {
-			return nil, fmt.Errorf("engine: EXISTS value column %s.%s missing", p.Table, p.InnerCol)
-		}
-	}
-	trows := t.Rows()
-	if t.Columns[ji].Typ == rel.TInt {
-		if set, ok := buildIntExists(trows, ji, vi, p); ok {
-			if e.ints == nil {
-				e.ints = make(map[string]map[int64]bool)
-			}
-			e.ints[key] = set
-			return intSetMatcher(set), nil
-		}
-	}
-	set := buildStrExists(trows, ji, vi, p)
-	if e.strs == nil {
-		e.strs = make(map[string]map[string]bool)
-	}
-	e.strs[key] = set
-	return strSetMatcher(set), nil
-}
-
-// buildIntExists builds an int-keyed EXISTS probe set; ok is false
-// when a non-integer value appears in the declared-int join column
-// (the caller then falls back to string keys, preserving the exact
-// stringified-key semantics).
-func buildIntExists(rows [][]rel.Value, ji, vi int, p *sqlast.Pred) (map[int64]bool, bool) {
-	set := make(map[int64]bool)
-	for _, row := range rows {
-		if row[ji].Null {
-			continue
-		}
-		if row[ji].Typ != rel.TInt {
-			return nil, false
-		}
-		if vi >= 0 && !matchCompare(row[vi], p.Op, p.Value) {
-			continue
-		}
-		set[row[ji].I] = true
-	}
-	return set, true
-}
-
-func buildStrExists(rows [][]rel.Value, ji, vi int, p *sqlast.Pred) map[string]bool {
-	set := make(map[string]bool)
-	for _, row := range rows {
-		if row[ji].Null {
-			continue
-		}
-		if vi >= 0 && !matchCompare(row[vi], p.Op, p.Value) {
-			continue
-		}
-		set[row[ji].String()] = true
-	}
-	return set
-}
-
-func strSetMatcher(set map[string]bool) func(rel.Value) bool {
-	return func(v rel.Value) bool {
-		if v.Null {
-			return false
-		}
-		return set[v.String()]
-	}
-}
-
-// intSetMatcher probes an int-keyed set. Integer probes hit the map
-// directly; any other probe value matches exactly when its string form
-// is the canonical decimal rendering of a key — the same outcomes the
-// stringified set produces, without stringifying every probe.
-func intSetMatcher(set map[int64]bool) func(rel.Value) bool {
-	return func(v rel.Value) bool {
-		if v.Null {
-			return false
-		}
-		if v.Typ == rel.TInt {
-			return set[v.I]
-		}
-		return matchIntSetString(set, v)
-	}
-}
-
-// matchIntSetString resolves a non-integer probe against an int-keyed
-// set: it matches exactly when the probe's string form is the
-// canonical decimal rendering of a present key.
-func matchIntSetString(set map[int64]bool, v rel.Value) bool {
-	s := v.String()
-	i, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || strconv.FormatInt(i, 10) != s {
-		return false
-	}
-	return set[i]
+	e.sets[key] = set
+	return set.match, nil
 }
 
 // execJoin performs one join step, producing combined tuples.
@@ -415,7 +311,6 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 			cols[i] = c.Name
 		}
 		sc.add(j.Inner.Table, cols)
-		trows := t.Rows()
 		var out [][]rel.Value
 		for _, orow := range outer {
 			v := orow[outerPos]
@@ -426,7 +321,10 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 				if st != nil {
 					st.RowsSought++
 				}
-				out = append(out, concatRows(orow, trows[rid]))
+				row := make([]rel.Value, len(orow)+len(cols))
+				copy(row, orow)
+				t.ReadRowInto(row[len(orow):], rid)
+				out = append(out, row)
 			}
 		}
 		return out, nil

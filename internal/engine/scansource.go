@@ -22,8 +22,8 @@ import (
 // which lets the source unpin or evict it, and may be shared with other
 // scans — the executor reads its column vectors in place (kernels over
 // a batch of row ids, then the referenced columns of the survivors
-// copied into its own batch arena) and never builds a row view, so
-// nothing is cached on a fragment and no reference to its vectors
+// copied into its own batch arena) and never calls Rows() on it, so
+// nothing row-shaped hangs off a fragment and no reference to its vectors
 // outlives the release. Chunk must be safe for
 // concurrent calls (morsel workers pull chunks independently) and
 // should return an error — not stale data — when the backing store has

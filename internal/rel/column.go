@@ -1,6 +1,9 @@
 package rel
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // This file is the columnar storage layer under Table: one typed vector
 // per column (int64, float64, or dictionary-coded strings) plus a null
@@ -209,6 +212,49 @@ func (cv *colVec) value(row int) Value {
 // clean reports whether every row round-trips through the typed vector;
 // kernels require it before reading the vectors directly.
 func (cv *colVec) clean() bool { return len(cv.exc) == 0 }
+
+// comparator orders two rows of the column as Value.Compare orders their
+// values. A clean column holds only NULLs and values of its own type, for
+// which Compare is NULLs first and then the scalar order of the payload,
+// so it is read off the typed vector; a column with exception values
+// compares materialized cells.
+func (cv *colVec) comparator() func(a, b int) int {
+	if !cv.clean() {
+		return func(a, b int) int { return cv.value(a).Compare(cv.value(b)) }
+	}
+	var payload func(a, b int) int
+	switch cv.typ {
+	case TInt:
+		ints := cv.ints
+		payload = func(a, b int) int { return cmpInt(ints[a], ints[b]) }
+	case TFloat:
+		floats := cv.floats
+		payload = func(a, b int) int { return cmpFloat(floats[a], floats[b]) }
+	default:
+		codes, strs := cv.codes, cv.dict.strs
+		payload = func(a, b int) int {
+			if codes[a] == codes[b] {
+				return 0
+			}
+			return strings.Compare(strs[codes[a]], strs[codes[b]])
+		}
+	}
+	if !cv.nulls.Any() {
+		return payload
+	}
+	nulls := &cv.nulls
+	return func(a, b int) int {
+		switch an, bn := nulls.Get(a), nulls.Get(b); {
+		case an && bn:
+			return 0
+		case an:
+			return -1
+		case bn:
+			return 1
+		}
+		return payload(a, b)
+	}
+}
 
 // permute reorders the column so that new row i = old row perm[i].
 func (cv *colVec) permute(perm []int) {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -262,21 +263,149 @@ func TestSortByIDPermutes(t *testing.T) {
 	}
 }
 
-// TestRowsCachePerGeneration: Rows() is cached until the table mutates,
-// and a superseded cache still describes the old generation unchanged.
-func TestRowsCachePerGeneration(t *testing.T) {
+// TestRowsMaterializesPerCall: Rows() keeps nothing on the table — every
+// call hands out fresh rows the caller owns, and rows taken before a
+// mutation still describe the table as it was.
+func TestRowsMaterializesPerCall(t *testing.T) {
 	tb := NewTable("gen", []Column{{Name: "ID", Typ: TInt}})
 	tb.AppendRow([]Value{Int(1)})
 	r1 := tb.Rows()
-	if r2 := tb.Rows(); &r1[0] != &r2[0] {
-		t.Fatal("Rows() rebuilt the cache without a mutation")
+	if r2 := tb.Rows(); &r1[0][0] == &r2[0][0] {
+		t.Fatal("two Rows() calls share one backing array")
 	}
 	tb.AppendRow([]Value{Int(2)})
 	r3 := tb.Rows()
 	if len(r1) != 1 || r1[0][0].I != 1 {
-		t.Fatalf("old generation's rows mutated: %v", r1)
+		t.Fatalf("rows taken before the append changed: %v", r1)
 	}
 	if len(r3) != 2 {
-		t.Fatalf("new generation has %d rows, want 2", len(r3))
+		t.Fatalf("after the append Rows() has %d rows, want 2", len(r3))
+	}
+}
+
+// comparatorTable holds one column of every storage shape RowComparator
+// reads: clean typed vectors with and without NULLs (the floats with NaN,
+// -0.0 and both infinities), and columns pushed onto the exception path
+// by a wrong-typed append or a NULL that carries a payload. Values repeat
+// so ties are common, and ID repeats and goes NULL so a stable sort by
+// it has something to keep in place.
+func comparatorTable() *Table {
+	tb := NewTable("cmp", []Column{
+		{Name: "ID", Typ: TInt, Nullable: true},
+		{Name: "i", Typ: TInt},
+		{Name: "f", Typ: TFloat, Nullable: true},
+		{Name: "s", Typ: TString, Nullable: true},
+		{Name: "sfull", Typ: TString},
+		{Name: "xi", Typ: TInt, Nullable: true},
+		{Name: "xf", Typ: TFloat, Nullable: true},
+		{Name: "xs", Typ: TString, Nullable: true},
+	})
+	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1.5, -2.25, 1.5}
+	r := rand.New(rand.NewSource(97))
+	for n := 0; n < 120; n++ {
+		id := Int(int64(r.Intn(30)))
+		if n%9 == 4 {
+			id = NullOf(TInt)
+		}
+		f := Float(floats[r.Intn(len(floats))])
+		if n%7 == 3 {
+			f = NullOf(TFloat)
+		}
+		s := Str(fmt.Sprintf("s-%d", r.Intn(9)))
+		if n%5 == 2 {
+			s = NullOf(TString)
+		}
+		xi := Int(int64(r.Intn(6)))
+		switch n % 8 {
+		case 1:
+			xi = Str("3") // compares as a string against the ints
+		case 2:
+			xi = Float(2.5)
+		case 3:
+			xi = Value{Null: true, Typ: TInt, I: 4}
+		}
+		xf := Float(floats[r.Intn(len(floats))])
+		switch n % 6 {
+		case 1:
+			xf = Int(1)
+		case 2:
+			xf = Value{Null: true, Typ: TFloat, F: math.NaN()}
+		}
+		xs := Str(fmt.Sprintf("%d", r.Intn(5)))
+		switch n % 6 {
+		case 0:
+			xs = Int(int64(r.Intn(5)))
+		case 1:
+			xs = Value{Null: true, Typ: TString, S: "ghost"}
+		}
+		tb.AppendRow([]Value{id, Int(int64(r.Intn(11) - 5)), f, s, Str(fmt.Sprintf("w%d", r.Intn(7))), xi, xf, xs})
+	}
+	return tb
+}
+
+// TestRowComparatorMatchesValueCompare: over every column of
+// comparatorTable and every pair of rows, the comparator returns what
+// Value.Compare returns for the two cells — on the typed paths and on the
+// exception path — and a multi-column comparator is the lexicographic
+// combination, first difference wins.
+func TestRowComparatorMatchesValueCompare(t *testing.T) {
+	tb := comparatorTable()
+	for ci, c := range tb.Columns {
+		_, _, cleanInt := tb.IntCol(ci)
+		_, _, cleanFloat := tb.FloatCol(ci)
+		_, _, _, cleanStr := tb.StrCol(ci)
+		if clean, wantClean := cleanInt || cleanFloat || cleanStr, c.Name[0] != 'x'; clean != wantClean {
+			t.Fatalf("column %s: clean = %v, the fixture wants %v", c.Name, clean, wantClean)
+		}
+		cmp := tb.RowComparator([]int{ci})
+		for a := 0; a < tb.RowCount(); a++ {
+			for b := 0; b < tb.RowCount(); b++ {
+				va, vb := tb.ValueAt(a, ci), tb.ValueAt(b, ci)
+				if got, want := cmp(a, b), va.Compare(vb); got != want {
+					t.Fatalf("column %s rows %d, %d: comparator %d, (%v).Compare(%v) = %d", c.Name, a, b, got, va, vb, want)
+				}
+			}
+		}
+	}
+	for _, cols := range [][]int{{1, 2}, {3, 0, 1}, {5, 3}, {4, 7, 6}} {
+		cmp := tb.RowComparator(cols)
+		for a := 0; a < tb.RowCount(); a++ {
+			for b := 0; b < tb.RowCount(); b++ {
+				want := 0
+				for _, ci := range cols {
+					if want = tb.ValueAt(a, ci).Compare(tb.ValueAt(b, ci)); want != 0 {
+						break
+					}
+				}
+				if got := cmp(a, b); got != want {
+					t.Fatalf("columns %v rows %d, %d: comparator %d, want %d", cols, a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSortByIDMatchesRowSort: SortByID lands every row where a stable
+// sort of the materialized rows by Value.Compare on ID puts it — the
+// algorithm it replaced — with a clean ID column (repeats and NULLs keep
+// their relative order) and with one on the exception path.
+func TestSortByIDMatchesRowSort(t *testing.T) {
+	clean := comparatorTable()
+	dirty := NewTable("dirty", []Column{{Name: "ID", Typ: TInt, Nullable: true}, {Name: "n", Typ: TInt}})
+	for n, id := range []Value{Int(5), Str("4"), Int(3), NullOf(TInt), Float(3), Int(5), {Null: true, Typ: TInt, I: 9}, Int(1)} {
+		dirty.AppendRow([]Value{id, Int(int64(n))})
+	}
+	for _, tb := range []*Table{clean, dirty} {
+		want := tb.Rows()
+		sort.SliceStable(want, func(i, j int) bool { return want[i][0].Compare(want[j][0]) < 0 })
+		tb.SortByID()
+		got := tb.Rows()
+		for i := range want {
+			for j := range want[i] {
+				if !got[i][j].BitEqual(want[i][j]) {
+					t.Fatalf("%s row %d col %d = %v after SortByID, the row sort puts %v there", tb.Name, i, j, got[i][j], want[i][j])
+				}
+			}
+		}
 	}
 }

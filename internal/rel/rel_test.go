@@ -169,9 +169,10 @@ func TestTableSortByID(t *testing.T) {
 	tb.AppendRow([]Value{Int(1), Int(1), Str("a"), Int(1)})
 	tb.AppendRow([]Value{Int(2), Int(1), Str("b"), Int(1)})
 	tb.SortByID()
+	rows := tb.Rows()
 	for i, want := range []int64{1, 2, 3} {
-		if tb.Rows()[i][0].I != want {
-			t.Fatalf("row %d ID = %d, want %d", i, tb.Rows()[i][0].I, want)
+		if rows[i][0].I != want {
+			t.Fatalf("row %d ID = %d, want %d", i, rows[i][0].I, want)
 		}
 	}
 }

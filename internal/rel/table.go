@@ -32,14 +32,14 @@ type Column struct {
 	Occurrence int
 }
 
-// Table is a columnar table: one typed vector per column (int64,
-// float64, or dictionary-coded strings) plus a null bitmap. The
-// executor's kernels and tuple fills read the vectors through the typed
-// accessors (IntCol/FloatCol/StrCol), cell by cell through ValueAt for
-// a column that holds exception values; row-at-a-time consumers — the
-// reference executor, structure builds, the shredder's round-trip
-// checks, tests — use the materializing accessors (Rows, ReadRowInto),
-// which rebuild bit-identical rows.
+// Table is a columnar table, and the column vectors are the only form
+// it keeps its data in: one typed vector per column (int64, float64, or
+// dictionary-coded strings) plus a null bitmap. The executor's kernels
+// and tuple fills read the vectors through the typed accessors
+// (IntCol/FloatCol/StrCol), structure builds through ValueAt and
+// RowComparator. Rows and ReadRowInto rebuild bit-identical rows for a
+// caller that wants them — the reference executor, the ingest benchmark's
+// read-back, tests — and nothing of what they return stays on the table.
 type Table struct {
 	// Name is the relation name.
 	Name string
@@ -55,16 +55,6 @@ type Table struct {
 	colIdx map[string]int
 	bytes  int64
 	gen    int64
-
-	// rowMu guards the lazily built row-materialized view. Concurrent
-	// executions share one table, so the first Rows() call per
-	// generation builds the cache under the lock and later calls reuse
-	// it. A superseded cache is abandoned, never mutated, so slices
-	// handed out before a mutation stay valid (they just describe the
-	// old generation, which Generation() guards catch).
-	rowMu       sync.Mutex
-	rowCache    [][]Value
-	rowCacheGen int64
 
 	// virtual marks a schema-only shell (NewVirtualTable) whose data is
 	// not resident: metadata accessors work, data accessors do not until
@@ -300,21 +290,13 @@ func (t *Table) StrCol(ci int) (codes []uint32, dict *Dict, nulls *Bitmap, ok bo
 	return cv.codes, cv.dict, &cv.nulls, true
 }
 
-// Rows materializes the table as row slices, cached per generation: a
-// second copy of the table, 40 bytes a cell plus a header a row, that
-// lives as long as the table does. It is the accessor of row-at-a-time
-// consumers that run once or off the serving path — the reference
-// executor, index, view and partition builds, EXISTS and partition-zip
-// builds, tests; the batch executor never calls it (it fills the columns
-// a query references from the typed vectors). Values are bit-identical
-// to what AppendRow stored. Callers must not modify the returned rows.
+// Rows materializes the whole table as fresh row slices the caller owns
+// — 40 bytes a cell plus a header a row, built anew on every call, so
+// call it once and keep the result. The reference executor's full-table
+// fetches and tests use it; everything else reads the column vectors.
+// Values are bit-identical to what AppendRow stored.
 func (t *Table) Rows() [][]Value {
 	t.requireResident()
-	t.rowMu.Lock()
-	defer t.rowMu.Unlock()
-	if t.rowCache != nil && t.rowCacheGen == t.gen {
-		return t.rowCache
-	}
 	w := len(t.Columns)
 	rows := make([][]Value, t.nrows)
 	if t.nrows > 0 {
@@ -329,18 +311,33 @@ func (t *Table) Rows() [][]Value {
 			rows[r] = flat[r*w : (r+1)*w : (r+1)*w]
 		}
 	}
-	t.rowCache = rows
-	t.rowCacheGen = t.gen
 	return rows
 }
 
-// RowViewBuilt reports whether Rows has materialized the current
-// generation's row view — a hook for the tests that pin which paths stay
-// off it.
-func (t *Table) RowViewBuilt() bool {
-	t.rowMu.Lock()
-	defer t.rowMu.Unlock()
-	return t.rowCache != nil && t.rowCacheGen == t.gen
+// RowComparator returns the order of the table's rows by the given
+// columns, most significant first: cmp(a, b) compares rows a and b cell
+// by cell exactly as Value.Compare does (NULLs first, the NaN total
+// order), reading clean columns straight off their typed vectors and
+// only a column that holds exception values through ValueAt. The
+// function reads the table as it is when called, so build it after the
+// last mutation.
+func (t *Table) RowComparator(cols []int) func(a, b int) int {
+	t.requireResident()
+	cmps := make([]func(a, b int) int, len(cols))
+	for i, ci := range cols {
+		cmps[i] = t.cols[ci].comparator()
+	}
+	if len(cmps) == 1 {
+		return cmps[0]
+	}
+	return func(a, b int) int {
+		for _, cmp := range cmps {
+			if c := cmp(a, b); c != 0 {
+				return c
+			}
+		}
+		return 0
+	}
 }
 
 // SortByID sorts rows by the ID column; shredding emits rows in
@@ -355,10 +352,7 @@ func (t *Table) SortByID() {
 	for i := range perm {
 		perm[i] = i
 	}
-	idc := &t.cols[id]
-	slices.SortStableFunc(perm, func(a, b int) int {
-		return idc.value(a).Compare(idc.value(b))
-	})
+	slices.SortStableFunc(perm, t.RowComparator([]int{id}))
 	for ci := range t.cols {
 		t.cols[ci].permute(perm)
 	}

@@ -146,7 +146,7 @@ type Response struct {
 // corpus is one registered dataset: a shared Built, the mapping that
 // translates XPath against it, its optimizer, and the per-query-text
 // plan cache. The Built's own caches (prepared plans by fingerprint,
-// hash tables, probe sets, partition zips) are shared across every
+// hash tables, probe sets) are shared across every
 // session automatically because the Built itself is shared; the plans
 // map adds the XPath-text → optimizer.Plan step on top, single-flighted
 // so concurrent first requests for the same text translate and plan

@@ -120,7 +120,7 @@ func (cs *ChunkScan) check() error {
 // fault time and a hit re-does none of it. The fragment is shared by
 // every scan that holds it, so callers read its vectors in place
 // (typed accessors, ValueAt) and must not call Rows() on it — the
-// row view would outlive the pin and escape the pager's residency
+// copy would outlive the pin and escape the pager's residency
 // account. The overlay chunk is already resident and its release is a
 // no-op.
 func (cs *ChunkScan) Chunk(k int) (*rel.Table, func(), error) {

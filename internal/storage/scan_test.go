@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -331,21 +333,6 @@ func TestPagedBuiltMatchesAssembledUnderBudget(t *testing.T) {
 					}
 				}
 			}
-			// Paged scans read survivors straight off the cached chunk
-			// tables: none of them may have grown a row view, which the
-			// pager's residency account (on-disk chunk bytes) would not
-			// cover. With no budget every scanned chunk is still cached.
-			s.pager.mu.Lock()
-			for _, e := range s.pager.ring {
-				if e.tab.RowViewBuilt() {
-					t.Errorf("cached chunk %d of %s holds a materialized row view", e.key.idx, e.key.table)
-				}
-			}
-			cached := len(s.pager.ring)
-			s.pager.mu.Unlock()
-			if cached == 0 {
-				t.Fatal("no chunk left in the pager to inspect")
-			}
 			if memBudget > 0 {
 				if dataBytes < 4*memBudget {
 					t.Fatalf("dataset %dB is under 4x budget %dB; fixture lost its point", dataBytes, memBudget)
@@ -362,13 +349,13 @@ func TestPagedBuiltMatchesAssembledUnderBudget(t *testing.T) {
 	}
 }
 
-// TestServingScansBuildNoRowView pins the batch executor's one fill
-// path on both store-backed Builts: a scan-only plan and a scan +
-// hash-join plan, on the resident view and on the paged one, leave no
-// table they reach — driver, join inner, pager chunk — with a
-// materialized row view (rel.Table.Rows), the second, several times
-// wider copy of a table that serving used to build at Prepare.
-func TestServingScansBuildNoRowView(t *testing.T) {
+// TestStoreBuiltsServeInMemory pins what both store-backed Builts are:
+// under the InMemory scan-cost model, and equal to the reference
+// executor over a DiskResident oracle on a scan-only plan and a scan +
+// hash-join plan at one and two workers. (That serving never builds a row
+// view is structural since rel.Table keeps none: see the engine's
+// TestRowsCalledOnlyByReference.)
+func TestStoreBuiltsServeInMemory(t *testing.T) {
 	s, err := Open(savedScanStore(t, 1024), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -408,21 +395,6 @@ func TestServingScansBuildNoRowView(t *testing.T) {
 				}
 				requireSameResult(t, fmt.Sprintf("%s query %d workers %d", name, qi, workers), got, want)
 			}
-		}
-		for _, tbl := range b.DB.Tables() {
-			if tbl.RowViewBuilt() {
-				t.Errorf("%s: table %s holds a materialized row view after serving scans", name, tbl.Name)
-			}
-		}
-	}
-	s.pager.mu.Lock()
-	defer s.pager.mu.Unlock()
-	if len(s.pager.ring) == 0 {
-		t.Fatal("no chunk left in the pager to inspect")
-	}
-	for _, e := range s.pager.ring {
-		if e.tab.RowViewBuilt() {
-			t.Errorf("cached chunk %d of %s holds a materialized row view", e.key.idx, e.key.table)
 		}
 	}
 }
@@ -763,5 +735,66 @@ func TestChunkScanNeverServesPreCompactionChunk(t *testing.T) {
 	}
 	if reg.Counter("storage.pager.faults").Value() != faults+1 {
 		t.Fatal("post-compaction chunk came from the cache instead of faulting the new segment")
+	}
+}
+
+// TestMalformedDesignIsAnError: a physical design reaches engine.Build
+// from outside the program — Manifest.Design is JSON — so one that does
+// not fit the database is reported, never a panic: an index without a key
+// column, a view or a partition over a table without ID/PID, a column
+// listed twice, a null entry. The keyless index is also driven the way it
+// would arrive, through a saved manifest and both store-backed Builts.
+func TestMalformedDesignIsAnError(t *testing.T) {
+	db := scanDB(64)
+	db.Add(rel.NewTable("flat", []rel.Column{{Name: "a", Typ: rel.TInt}}))
+	keyless := &physical.Config{Indexes: []*physical.Index{{Name: "ix_none", Table: "big", Include: []string{"tag"}}}}
+	for name, tc := range map[string]struct {
+		cfg  *physical.Config
+		want string
+	}{
+		"keyless index": {keyless, "no key column"},
+		"view outer without ID": {&physical.Config{Views: []*physical.View{{Name: "v", Outer: "flat", Inner: "kid",
+			OuterCols: []string{"a"}, InnerCols: []string{"word"}}}}, "missing"},
+		"view inner without PID": {&physical.Config{Views: []*physical.View{{Name: "v", Outer: "big", Inner: "flat",
+			OuterCols: []string{"tag"}, InnerCols: []string{"a"}}}}, "missing"},
+		"partition without ID/PID": {&physical.Config{Partitions: []*physical.VPartition{{Table: "flat",
+			Groups: [][]string{{"a"}}}}}, "no ID/PID"},
+		"partition group repeats a key": {&physical.Config{Partitions: []*physical.VPartition{{Table: "big",
+			Groups: [][]string{{"tag", rel.IDColumn}}}}}, "twice"},
+		"view lists a column twice": {&physical.Config{Views: []*physical.View{{Name: "v", Outer: "big", Inner: "kid",
+			OuterCols: []string{"tag", "tag"}, InnerCols: []string{"word"}}}}, "twice"},
+		"null index": {&physical.Config{Indexes: []*physical.Index{nil}}, "null"},
+	} {
+		b, err := engine.BuildWithScanCost(db, tc.cfg, engine.InMemory)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Build = %v, %v; want an error mentioning %q", name, b, err, tc.want)
+		}
+	}
+
+	dir := savedScanStore(t, 64)
+	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := decodeManifest(mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man.Design = keyless
+	if mb, err = encodeManifest(man); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), mb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for name, view := range map[string]func() (*engine.Built, error){"Built": s.Built, "PagedBuilt": s.PagedBuilt} {
+		if b, err := view(); err == nil || !strings.Contains(err.Error(), "no key column") {
+			t.Errorf("%s over a manifest with a keyless index = %v, %v; want an error", name, b, err)
+		}
 	}
 }
