@@ -437,7 +437,7 @@ func (a *Advisor) costUnder(tree *schema.Tree, cfg func(*shred.Mapping) *physica
 		}
 		total += wq.Weight * cost
 	}
-	met.OptimizerCalls += opt.Calls
+	met.OptimizerCalls += opt.Calls()
 	sp.SetAttr(obs.Float("cost", total))
 	return ev, total, nil
 }

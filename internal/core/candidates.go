@@ -464,7 +464,7 @@ func (a *Advisor) queryCostFull(tree *schema.Tree, wq workload.Query, met *Metri
 	}
 	opt := optimizer.New(shred.DeriveStats(m, a.Col))
 	cost, err := opt.Cost(sql, nil)
-	met.OptimizerCalls += opt.Calls
+	met.OptimizerCalls += opt.Calls()
 	if err != nil {
 		return 0
 	}

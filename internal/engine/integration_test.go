@@ -486,8 +486,8 @@ func TestOptimizerCallsCounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if opt.Calls != 3 {
-		t.Errorf("Calls = %d, want 3", opt.Calls)
+	if opt.Calls() != 3 {
+		t.Errorf("Calls = %d, want 3", opt.Calls())
 	}
 }
 

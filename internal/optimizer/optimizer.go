@@ -9,11 +9,13 @@
 package optimizer
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/physical"
 	"repro/internal/rel"
@@ -114,6 +116,12 @@ type Branch struct {
 	Joins []Join
 	// Rows and Cost are branch-level estimates.
 	Rows, Cost float64
+
+	// an is the analysis of the query branch this plan answers (for a
+	// view plan that is the branch before the rewrite, not Sel). Replan
+	// plans from it again, or keeps the Branch when no changed table is
+	// in an.tables.
+	an *analysis
 }
 
 // Plan is the physical plan of a sorted outer-union query.
@@ -238,28 +246,65 @@ type Optimizer struct {
 	// Provider supplies table statistics (derived during search, exact
 	// when planning execution).
 	Provider stats.Provider
-	// Calls counts PlanQuery invocations — the experiments report
-	// optimizer-call counts like the paper reports tool running time.
-	Calls int64
+	// calls counts PlanQuery and Replan invocations. Atomic: a service
+	// corpus plans concurrent plan-cache misses on one Optimizer.
+	calls atomic.Int64
 }
 
 // New creates an optimizer over the given statistics.
 func New(p stats.Provider) *Optimizer { return &Optimizer{Provider: p} }
 
+// Calls returns the number of PlanQuery and Replan invocations so far —
+// the experiments report optimizer-call counts like the paper reports
+// tool running time.
+func (o *Optimizer) Calls() int64 { return o.calls.Load() }
+
 // PlanQuery builds the minimum-estimated-cost physical plan for the
 // query under the configuration.
 func (o *Optimizer) PlanQuery(q *sqlast.Query, cfg *physical.Config) (*Plan, error) {
-	o.Calls++
+	return o.plan(q, cfg, nil, nil)
+}
+
+// Replan plans prev.Query under cfg, where cfg differs from the
+// configuration prev was planned under only in structures on the
+// changed tables (an index or partition on one of them, a view joining
+// two of them). prev must come from PlanQuery or Replan of this
+// optimizer. The result is the
+// plan PlanQuery(prev.Query, cfg) returns, bit for bit, and counts as
+// one call like it; branches that name no changed table are prev's own
+// Branch values, shared, and the others are planned again from the
+// analysis prev carries. A branch reads cfg only through the indexes
+// and partition of the tables in its FROM list or under its EXISTS
+// predicates and through the views over two tables of its FROM list, so
+// a structure on other tables cannot move its plan.
+//
+// Replan records view rewrites in the analysis prev shares with every
+// plan descending from the same PlanQuery: calls on such plans must not
+// run concurrently.
+func (o *Optimizer) Replan(prev *Plan, cfg *physical.Config, changed []string) (*Plan, error) {
+	return o.plan(prev.Query, cfg, prev, changed)
+}
+
+// plan is the one planning loop: every branch from nothing (prev nil),
+// or only the branches of prev that name a changed table.
+func (o *Optimizer) plan(q *sqlast.Query, cfg *physical.Config, prev *Plan, changed []string) (*Plan, error) {
+	o.calls.Add(1)
 	if cfg == nil {
 		cfg = &physical.Config{}
 	}
-	plan := &Plan{Query: q}
-	for _, s := range q.Branches {
-		b, err := o.planBranch(s, cfg)
+	plan := &Plan{Query: q, Branches: make([]*Branch, len(q.Branches))}
+	for i, s := range q.Branches {
+		var b *Branch
+		var err error
+		if prev == nil {
+			b, err = o.planBranch(o.analyse(s), cfg)
+		} else if b = prev.Branches[i]; b.an.touches(changed) {
+			b, err = o.planBranch(b.an, cfg)
+		}
 		if err != nil {
 			return nil, err
 		}
-		plan.Branches = append(plan.Branches, b)
+		plan.Branches[i] = b
 		plan.Rows += b.Rows
 		plan.Cost += b.Cost + CostBranch
 	}
@@ -278,123 +323,261 @@ func (o *Optimizer) Cost(q *sqlast.Query, cfg *physical.Config) (float64, error)
 	return p.Cost, nil
 }
 
+// maxJoinTables is the widest FROM list a branch may have: left-deep
+// orders are enumerated exhaustively, and 8! = 40 320 orders is the
+// most a what-if call can afford. The translator's widest branch joins
+// two tables (a host relation and one child relation).
+const maxJoinTables = 8
+
+// ErrTooManyTables is returned (wrapped) for a branch whose FROM list
+// names more than eight tables.
+var ErrTooManyTables = errors.New("optimizer: branch joins too many tables to enumerate join orders")
+
+// analysis is everything planning a branch reads that no physical
+// configuration changes. PlanQuery makes one per branch and every plan
+// Replan derives from that plan carries it forward, so a what-if call
+// starts from the join graph, not from the SQL.
+type analysis struct {
+	sel *sqlast.Select
+	// tables is sel.Tables(): the FROM list plus EXISTS inner tables —
+	// the tables whose structures the branch's plan can depend on.
+	tables []string
+	// from is aligned with sel.From (nil when that is wider than
+	// maxJoinTables).
+	from []fromTable
+	// rewrites memoizes the rewrite of a two-table sel over each view of
+	// those two tables planned against so far.
+	rewrites []*viewRewrite
+}
+
+// fromTable is one FROM table of an analysed branch.
+type fromTable struct {
+	name string
+	// ts is nil when the provider has no statistics for the table; no
+	// join order can then be planned.
+	ts *stats.TableStats
+	// needed is sel.ColumnsOf(name); rows the cardinality after the
+	// table's local predicates.
+	needed []string
+	rows   float64
+	// edges are the join predicates with this table on one side, in
+	// WHERE order.
+	edges []joinEdge
+}
+
+// joinEdge is a join predicate oriented towards one FROM table: outer
+// is the column of the other side, inner the column of the table.
+type joinEdge struct {
+	// others has a bit for every FROM position holding the other
+	// side's table.
+	others       uint
+	outer, inner sqlast.ColRef
+}
+
+// viewRewrite is a branch rewritten over a view.
+type viewRewrite struct {
+	view *physical.View
+	// sel is nil when the view does not apply to the branch.
+	sel *sqlast.Select
+	// scan reads the whole view; scan.Rows is the cardinality after the
+	// rewritten local predicates.
+	scan Access
+}
+
+// analyse derives a branch's analysis from its SQL and the provider's
+// statistics.
+func (o *Optimizer) analyse(s *sqlast.Select) *analysis {
+	an := &analysis{sel: s, tables: s.Tables()}
+	if len(s.From) > maxJoinTables {
+		return an
+	}
+	positions := func(table string) (mask uint) {
+		for j, u := range s.From {
+			if u == table {
+				mask |= 1 << j
+			}
+		}
+		return mask
+	}
+	an.from = make([]fromTable, len(s.From))
+	for i, t := range s.From {
+		ft := &an.from[i]
+		ft.name, ft.needed = t, s.ColumnsOf(t)
+		if ft.ts = o.Provider.TableStats(t); ft.ts != nil {
+			ft.rows, _ = o.localRows(s, t, ft.ts, nil)
+		}
+		for _, p := range s.Where {
+			if p.Kind != sqlast.PredJoin {
+				continue
+			}
+			if p.Right.Table == t {
+				ft.edges = append(ft.edges, joinEdge{others: positions(p.Left.Table), outer: p.Left, inner: p.Right})
+			}
+			if p.Left.Table == t {
+				ft.edges = append(ft.edges, joinEdge{others: positions(p.Right.Table), outer: p.Right, inner: p.Left})
+			}
+		}
+	}
+	return an
+}
+
+// touches reports whether a structure on one of the tables could be
+// used by the branch.
+func (an *analysis) touches(tables []string) bool {
+	for _, t := range tables {
+		for _, x := range an.tables {
+			if x == t {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// rewriteOver returns the branch rewritten over a view of its two
+// tables (sel nil when the view does not apply); RewriteOverView runs
+// once per such view.
+func (o *Optimizer) rewriteOver(an *analysis, v *physical.View) *viewRewrite {
+	for _, r := range an.rewrites {
+		if r.view == v {
+			return r
+		}
+	}
+	r := &viewRewrite{view: v}
+	if rs, ok := RewriteOverView(an.sel, v); ok {
+		ts := v.Stats(o.Provider)
+		r.sel, r.scan = rs, o.scanAccess(v.Name, ts, nil)
+		r.scan.Rows, _ = o.localRows(rs, v.Name, ts, nil)
+	}
+	an.rewrites = append(an.rewrites, r)
+	return r
+}
+
 // planBranch picks the cheaper of the base-table plan and any
-// view-rewritten plan.
-func (o *Optimizer) planBranch(s *sqlast.Select, cfg *physical.Config) (*Branch, error) {
-	best, err := o.planBase(s, cfg)
+// view-rewritten plan; of equal costs the base plan, then the view
+// earlier in cfg.Views, wins.
+func (o *Optimizer) planBranch(an *analysis, cfg *physical.Config) (*Branch, error) {
+	best, err := o.planBase(an, cfg)
 	if err != nil {
 		return nil, err
 	}
+	f := an.sel.From
+	if len(f) != 2 {
+		return best, nil // views are two-table joins
+	}
 	for _, v := range cfg.Views {
-		rs, ok := RewriteOverView(s, v)
-		if !ok {
+		if (f[0] != v.Outer && f[1] != v.Outer) || (f[0] != v.Inner && f[1] != v.Inner) {
+			continue // not a view of the branch's two tables
+		}
+		r := o.rewriteOver(an, v)
+		if r.sel == nil {
 			continue
 		}
-		vb, err := o.planViewBranch(rs, v, cfg)
+		rows, ecost, err := o.applyExists(r.sel, r.scan.Rows, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if best == nil || vb.Cost < best.Cost {
-			// vb.Sel stays the rewritten select: it is what executes.
-			best = vb
+		if cost := r.scan.Cost + (ecost + rows*CostTuple); cost < best.Cost {
+			// Sel is the rewritten select: it is what executes.
+			best = &Branch{Sel: r.sel, View: v, Driver: r.scan, Rows: rows, Cost: cost, an: an}
 		}
-	}
-	if best == nil {
-		return nil, fmt.Errorf("optimizer: no plan for branch %s", s.SQL())
 	}
 	return best, nil
 }
 
-// planViewBranch plans a rewritten single-table branch over a view.
-func (o *Optimizer) planViewBranch(s *sqlast.Select, v *physical.View, cfg *physical.Config) (*Branch, error) {
-	ts := v.Stats(o.Provider)
-	acc := o.scanAccess(v.Name, ts, nil)
-	rows, sel := o.localRows(s, v.Name, ts, nil)
-	acc.Rows = rows
-	_ = sel
-	cost := acc.Cost
-	rows, ecost, err := o.applyExists(s, map[string]bool{v.Name: true}, rows, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cost += ecost + rows*CostTuple
-	return &Branch{Sel: s, View: v, Driver: acc, Rows: rows, Cost: cost}, nil
-}
-
-// planBase enumerates left-deep join orders over the base tables.
-func (o *Optimizer) planBase(s *sqlast.Select, cfg *physical.Config) (*Branch, error) {
-	tables := s.From
-	if len(tables) == 0 {
+// planBase picks the cheapest left-deep join order over the base
+// tables; of equal costs the order earlier in the enumeration wins.
+func (o *Optimizer) planBase(an *analysis, cfg *physical.Config) (*Branch, error) {
+	s := an.sel
+	switch n := len(s.From); {
+	case n == 0:
 		return nil, fmt.Errorf("optimizer: branch without FROM: %s", s.SQL())
+	case n > maxJoinTables:
+		return nil, fmt.Errorf("%w: %d, at most %d: %s", ErrTooManyTables, n, maxJoinTables, s.SQL())
 	}
-	var best *Branch
-	for _, perm := range permutations(tables) {
-		b, err := o.planOrder(s, perm, cfg)
-		if err != nil {
-			continue // this order may be unjoinable; others may work
-		}
-		if best == nil || b.Cost < best.Cost {
-			best = b
-		}
-	}
-	if best == nil {
+	e := orderEnum{o: o, an: an, cfg: cfg}
+	e.extend(0, 0, 0, 0)
+	if !e.found {
 		return nil, fmt.Errorf("optimizer: no joinable order for branch %s", s.SQL())
 	}
-	return best, nil
+	return &Branch{Sel: s, Driver: e.bestDriver, Joins: append([]Join(nil), e.bestJoins[:len(s.From)-1]...),
+		Rows: e.bestRows, Cost: e.bestCost, an: an}, nil
 }
 
-// planOrder plans one left-deep order.
-func (o *Optimizer) planOrder(s *sqlast.Select, order []string, cfg *physical.Config) (*Branch, error) {
-	driver := order[0]
-	dts := o.Provider.TableStats(driver)
-	if dts == nil {
-		return nil, fmt.Errorf("optimizer: no statistics for table %s", driver)
-	}
-	acc := o.bestTableAccess(s, driver, dts, cfg)
-	b := &Branch{Sel: s, Driver: acc, Rows: acc.Rows, Cost: acc.Cost}
-	joined := map[string]bool{driver: true}
-	for _, t := range order[1:] {
-		jp, ok := findJoinPred(s, joined, t)
-		if !ok {
-			return nil, fmt.Errorf("optimizer: no join predicate reaching %s", t)
+// orderEnum enumerates the left-deep orders of a branch in place:
+// lexicographically by FROM position, the first table varying slowest.
+// The order being extended lives in driver/joins and a prefix's joins
+// are planned once for all its completions; only a complete order
+// cheaper than every earlier one is copied to best*.
+type orderEnum struct {
+	o   *Optimizer
+	an  *analysis
+	cfg *physical.Config
+
+	driver Access
+	joins  [maxJoinTables - 1]Join
+
+	found              bool
+	bestDriver         Access
+	bestJoins          [maxJoinTables - 1]Join
+	bestRows, bestCost float64
+}
+
+// extend tries every table not yet joined as table number depth of the
+// order; rows and cost are the prefix's.
+func (e *orderEnum) extend(depth int, joined uint, rows, cost float64) {
+	from := e.an.from
+	if depth == len(from) {
+		rows, ecost, err := e.o.applyExists(e.an.sel, rows, e.cfg)
+		if err != nil {
+			return
 		}
-		outerCol, innerCol := jp.Left, jp.Right
-		if innerCol.Table != t {
-			outerCol, innerCol = jp.Right, jp.Left
+		cost += ecost + rows*CostTuple
+		if !e.found || cost < e.bestCost {
+			e.found, e.bestDriver, e.bestRows, e.bestCost = true, e.driver, rows, cost
+			copy(e.bestJoins[:], e.joins[:depth-1])
 		}
-		its := o.Provider.TableStats(t)
-		if its == nil {
-			return nil, fmt.Errorf("optimizer: no statistics for table %s", t)
+		return
+	}
+	for t := range from {
+		ft := &from[t]
+		if joined&(1<<t) != 0 || ft.ts == nil {
+			continue
 		}
-		j := o.bestJoin(s, t, its, cfg, b.Rows, outerCol, innerCol)
-		b.Joins = append(b.Joins, j)
-		b.Rows = j.Rows
-		b.Cost += j.Cost
-		joined[t] = true
+		if depth == 0 {
+			e.driver = e.o.bestTableAccess(e.an.sel, ft, e.cfg)
+			e.extend(1, 1<<t, e.driver.Rows, e.driver.Cost)
+			continue
+		}
+		// The first predicate joining t to the prefix; without one no
+		// completion of prefix+t can be planned.
+		for i := range ft.edges {
+			if edge := &ft.edges[i]; edge.others&joined != 0 {
+				j := e.o.bestJoin(ft, e.cfg, rows, edge.outer, edge.inner)
+				e.joins[depth-1] = j
+				e.extend(depth+1, joined|1<<t, j.Rows, cost+j.Cost)
+				break
+			}
+		}
 	}
-	rows, ecost, err := o.applyExists(s, joined, b.Rows, cfg)
-	if err != nil {
-		return nil, err
-	}
-	b.Rows = rows
-	b.Cost += ecost + rows*CostTuple
-	return b, nil
 }
 
 // bestTableAccess picks the cheapest access path for a driving table.
-func (o *Optimizer) bestTableAccess(s *sqlast.Select, table string, ts *stats.TableStats, cfg *physical.Config) Access {
-	needed := s.ColumnsOf(table)
+func (o *Optimizer) bestTableAccess(s *sqlast.Select, ft *fromTable, cfg *physical.Config) Access {
+	table, ts, needed := ft.name, ft.ts, ft.needed
 	vp := cfg.PartitionOf(table)
-	rows, _ := o.localRows(s, table, ts, nil)
 	best := o.scanAccess(table, ts, vp.GroupsForOrNil(needed))
-	best.Rows = rows
+	best.Rows = ft.rows
 	if vp != nil {
 		// Partitioned tables scan their groups; indexes target the base
 		// table and are unavailable (Section 3.1 equivalence).
 		best.Cost = o.partScanCost(vp, ts, best.PartGroups)
 		return best
 	}
-	for _, idx := range cfg.IndexesOn(table) {
+	for _, idx := range cfg.Indexes {
+		if idx.Table != table {
+			continue
+		}
 		sp := sargablePred(s, table, idx.Key[0])
 		if sp == nil {
 			continue
@@ -426,10 +609,9 @@ func (o *Optimizer) bestTableAccess(s *sqlast.Select, table string, ts *stats.Ta
 }
 
 // bestJoin picks hash vs index-nested-loop for the next inner table.
-func (o *Optimizer) bestJoin(s *sqlast.Select, inner string, its *stats.TableStats,
-	cfg *physical.Config, outerRows float64, outerCol, innerCol sqlast.ColRef) Join {
-	needed := s.ColumnsOf(inner)
-	innerRows, _ := o.localRows(s, inner, its, nil)
+func (o *Optimizer) bestJoin(ft *fromTable, cfg *physical.Config, outerRows float64,
+	outerCol, innerCol sqlast.ColRef) Join {
+	inner, its, needed, innerRows := ft.name, ft.ts, ft.needed, ft.rows
 	// Join output estimate: |O| * |I| / max(d(innerCol), 1).
 	d := 1.0
 	if cs := its.Col(innerCol.Column); cs != nil && cs.Distinct > 0 {
@@ -450,8 +632,8 @@ func (o *Optimizer) bestJoin(s *sqlast.Select, inner string, its *stats.TableSta
 		Rows: outRows, Cost: hashCost}
 	if vp == nil {
 		fanout := outRows / math.Max(outerRows, 1)
-		for _, idx := range cfg.IndexesOn(inner) {
-			if idx.Key[0] != innerCol.Column {
+		for _, idx := range cfg.Indexes {
+			if idx.Table != inner || idx.Key[0] != innerCol.Column {
 				continue
 			}
 			covering := idx.Covers(needed)
@@ -469,15 +651,20 @@ func (o *Optimizer) bestJoin(s *sqlast.Select, inner string, its *stats.TableSta
 	return best
 }
 
-// applyExists folds EXISTS semi-joins whose outer column is available.
-func (o *Optimizer) applyExists(s *sqlast.Select, joined map[string]bool, rows float64,
-	cfg *physical.Config) (float64, float64, error) {
+// applyExists folds the EXISTS semi-joins of a fully joined branch; the
+// outer column must belong to a FROM table.
+func (o *Optimizer) applyExists(s *sqlast.Select, rows float64, cfg *physical.Config) (float64, float64, error) {
 	var cost float64
-	for _, p := range s.Where {
+	for i := range s.Where {
+		p := &s.Where[i]
 		if p.Kind != sqlast.PredExists && p.Kind != sqlast.PredOrExists {
 			continue
 		}
-		if !joined[p.OuterCol.Table] && cfg.View(p.OuterCol.Table) == nil {
+		inScope := false
+		for _, t := range s.From {
+			inScope = inScope || t == p.OuterCol.Table
+		}
+		if !inScope {
 			return 0, 0, fmt.Errorf("optimizer: EXISTS outer column %s not in scope", p.OuterCol)
 		}
 		ets := o.Provider.TableStats(p.Table)
@@ -487,8 +674,8 @@ func (o *Optimizer) applyExists(s *sqlast.Select, joined map[string]bool, rows f
 		// Probe via an index on the join column when available,
 		// otherwise build a hash of the inner table once.
 		indexed := false
-		for _, idx := range cfg.IndexesOn(p.Table) {
-			if idx.Key[0] == p.JoinCol {
+		for _, idx := range cfg.Indexes {
+			if idx.Table == p.Table && idx.Key[0] == p.JoinCol {
 				indexed = true
 				break
 			}
@@ -508,7 +695,7 @@ func (o *Optimizer) applyExists(s *sqlast.Select, joined map[string]bool, rows f
 	return rows, cost, nil
 }
 
-func (o *Optimizer) existsSelectivity(p sqlast.Pred, ets *stats.TableStats) float64 {
+func (o *Optimizer) existsSelectivity(p *sqlast.Pred, ets *stats.TableStats) float64 {
 	matching := float64(ets.Rows)
 	if p.InnerCol != "" {
 		if cs := ets.Col(p.InnerCol); cs != nil {
@@ -622,22 +809,6 @@ func sargablePred(s *sqlast.Select, table, col string) *sqlast.Pred {
 	return nil
 }
 
-// findJoinPred locates a join predicate connecting the joined set to t.
-func findJoinPred(s *sqlast.Select, joined map[string]bool, t string) (sqlast.Pred, bool) {
-	for _, p := range s.Where {
-		if p.Kind != sqlast.PredJoin {
-			continue
-		}
-		if joined[p.Left.Table] && p.Right.Table == t {
-			return p, true
-		}
-		if joined[p.Right.Table] && p.Left.Table == t {
-			return sqlast.Pred{Kind: sqlast.PredJoin, Left: p.Right, Right: p.Left}, true
-		}
-	}
-	return sqlast.Pred{}, false
-}
-
 // RewriteOverView rewrites a two-table join branch over a matching
 // materialized view; ok is false when the view does not apply.
 func RewriteOverView(s *sqlast.Select, v *physical.View) (*sqlast.Select, bool) {
@@ -734,22 +905,4 @@ func RewriteOverView(s *sqlast.Select, v *physical.View) (*sqlast.Select, bool) 
 		out.Where = append(out.Where, np)
 	}
 	return out, true
-}
-
-// permutations enumerates all orders of the tables (branches join at
-// most a handful of relations).
-func permutations(items []string) [][]string {
-	if len(items) <= 1 {
-		return [][]string{append([]string(nil), items...)}
-	}
-	var out [][]string
-	for i := range items {
-		rest := make([]string, 0, len(items)-1)
-		rest = append(rest, items[:i]...)
-		rest = append(rest, items[i+1:]...)
-		for _, p := range permutations(rest) {
-			out = append(out, append([]string{items[i]}, p...))
-		}
-	}
-	return out
 }

@@ -249,8 +249,8 @@ func TestCallsCount(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if o.Calls != 5 {
-		t.Errorf("Calls = %d", o.Calls)
+	if o.Calls() != 5 {
+		t.Errorf("Calls = %d", o.Calls())
 	}
 }
 

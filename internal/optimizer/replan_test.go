@@ -1,0 +1,587 @@
+package optimizer
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/physical"
+	"repro/internal/rel"
+	"repro/internal/schema"
+	"repro/internal/shred"
+	"repro/internal/sqlast"
+	"repro/internal/stats"
+	"repro/internal/transform"
+	"repro/internal/translate"
+	"repro/internal/workload"
+	"repro/internal/xmlgen"
+)
+
+// The reference planner: the planner as it stood before branches were
+// analysed once — every left-deep order materialized by permutations and
+// planned from the SQL with a joined-set map, views rewritten per call.
+// It shares only the per-table costing (bestTableAccess, bestJoin,
+// applyExists) with the planner under test, fed from ColumnsOf and
+// localRows directly, so it pins order sequence, tie-breaks, join
+// predicate choice and the float operations of the sums.
+
+func permutations(items []string) [][]string {
+	if len(items) <= 1 {
+		return [][]string{append([]string(nil), items...)}
+	}
+	var out [][]string
+	for i := range items {
+		rest := make([]string, 0, len(items)-1)
+		rest = append(rest, items[:i]...)
+		rest = append(rest, items[i+1:]...)
+		for _, p := range permutations(rest) {
+			out = append(out, append([]string{items[i]}, p...))
+		}
+	}
+	return out
+}
+
+func refFindJoinPred(s *sqlast.Select, joined map[string]bool, t string) (sqlast.Pred, bool) {
+	for _, p := range s.Where {
+		if p.Kind != sqlast.PredJoin {
+			continue
+		}
+		if joined[p.Left.Table] && p.Right.Table == t {
+			return p, true
+		}
+		if joined[p.Right.Table] && p.Left.Table == t {
+			return sqlast.Pred{Kind: sqlast.PredJoin, Left: p.Right, Right: p.Left}, true
+		}
+	}
+	return sqlast.Pred{}, false
+}
+
+func (o *Optimizer) refTable(s *sqlast.Select, t string) (*fromTable, bool) {
+	ts := o.Provider.TableStats(t)
+	if ts == nil {
+		return nil, false
+	}
+	rows, _ := o.localRows(s, t, ts, nil)
+	return &fromTable{name: t, ts: ts, needed: s.ColumnsOf(t), rows: rows}, true
+}
+
+func (o *Optimizer) refPlanOrder(s *sqlast.Select, order []string, cfg *physical.Config) (*Branch, bool) {
+	ft, ok := o.refTable(s, order[0])
+	if !ok {
+		return nil, false
+	}
+	acc := o.bestTableAccess(s, ft, cfg)
+	b := &Branch{Sel: s, Driver: acc, Rows: acc.Rows, Cost: acc.Cost}
+	joined := map[string]bool{order[0]: true}
+	for _, t := range order[1:] {
+		jp, ok := refFindJoinPred(s, joined, t)
+		if !ok {
+			return nil, false
+		}
+		outerCol, innerCol := jp.Left, jp.Right
+		if innerCol.Table != t {
+			outerCol, innerCol = jp.Right, jp.Left
+		}
+		ft, ok := o.refTable(s, t)
+		if !ok {
+			return nil, false
+		}
+		j := o.bestJoin(ft, cfg, b.Rows, outerCol, innerCol)
+		b.Joins = append(b.Joins, j)
+		b.Rows = j.Rows
+		b.Cost += j.Cost
+		joined[t] = true
+	}
+	rows, ecost, err := o.applyExists(s, b.Rows, cfg)
+	if err != nil {
+		return nil, false
+	}
+	b.Rows = rows
+	b.Cost += ecost + rows*CostTuple
+	return b, true
+}
+
+func (o *Optimizer) refPlanBranch(s *sqlast.Select, cfg *physical.Config) (*Branch, error) {
+	var best *Branch
+	for _, perm := range permutations(s.From) {
+		if b, ok := o.refPlanOrder(s, perm, cfg); ok && (best == nil || b.Cost < best.Cost) {
+			best = b
+		}
+	}
+	if best == nil {
+		return nil, fmt.Errorf("reference: no joinable order for branch %s", s.SQL())
+	}
+	for _, v := range cfg.Views {
+		rs, ok := RewriteOverView(s, v)
+		if !ok {
+			continue
+		}
+		ts := v.Stats(o.Provider)
+		acc := o.scanAccess(v.Name, ts, nil)
+		rows, _ := o.localRows(rs, v.Name, ts, nil)
+		acc.Rows = rows
+		cost := acc.Cost
+		rows, ecost, err := o.applyExists(rs, rows, cfg)
+		if err != nil {
+			return nil, err
+		}
+		cost += ecost + rows*CostTuple
+		if cost < best.Cost {
+			best = &Branch{Sel: rs, View: v, Driver: acc, Rows: rows, Cost: cost}
+		}
+	}
+	return best, nil
+}
+
+func (o *Optimizer) refPlanQuery(q *sqlast.Query, cfg *physical.Config) (*Plan, error) {
+	plan := &Plan{Query: q}
+	for _, s := range q.Branches {
+		b, err := o.refPlanBranch(s, cfg)
+		if err != nil {
+			return nil, err
+		}
+		plan.Branches = append(plan.Branches, b)
+		plan.Rows += b.Rows
+		plan.Cost += b.Cost + CostBranch
+	}
+	if q.OrderBy != "" && plan.Rows > 1 {
+		plan.Cost += plan.Rows * math.Log2(plan.Rows+2) * CostSortTuple
+	}
+	return plan, nil
+}
+
+// samePlan fails unless the two plans are the same plan to the bit.
+func samePlan(t *testing.T, label string, got, want *Plan) {
+	t.Helper()
+	bits := math.Float64bits
+	if bits(got.Cost) != bits(want.Cost) || bits(got.Rows) != bits(want.Rows) {
+		t.Errorf("%s: cost/rows %x/%x, want %x/%x", label, bits(got.Cost), bits(got.Rows), bits(want.Cost), bits(want.Rows))
+	}
+	if len(got.Branches) != len(want.Branches) {
+		t.Fatalf("%s: %d branches, want %d", label, len(got.Branches), len(want.Branches))
+	}
+	for i, b := range got.Branches {
+		if w := want.Branches[i]; bits(b.Cost) != bits(w.Cost) || bits(b.Rows) != bits(w.Rows) || b.View != w.View {
+			t.Errorf("%s: branch %d cost/rows/view %x/%x/%v, want %x/%x/%v", label, i,
+				bits(b.Cost), bits(b.Rows), b.View, bits(w.Cost), bits(w.Rows), w.View)
+		}
+	}
+	if g, w := got.Explain(), want.Explain(); g != w {
+		t.Errorf("%s: Explain differs:\n%s\nwant:\n%s", label, g, w)
+	}
+	if got.Fingerprint() != want.Fingerprint() {
+		t.Errorf("%s: Fingerprint differs", label)
+	}
+	if g, w := strings.Join(got.Objects(), " "), strings.Join(want.Objects(), " "); g != w {
+		t.Errorf("%s: Objects %s, want %s", label, g, w)
+	}
+}
+
+// structure is one physical structure with the tables it is on.
+type structure struct {
+	idx    *physical.Index
+	view   *physical.View
+	vpart  *physical.VPartition
+	tables []string
+}
+
+// with returns cfg plus the structure, or nil when cfg cannot take it
+// (a second partition of one table).
+func (st structure) with(cfg *physical.Config) *physical.Config {
+	out := cfg.Clone()
+	switch {
+	case st.idx != nil:
+		out.Indexes = append(out.Indexes, st.idx)
+	case st.view != nil:
+		out.Views = append(out.Views, st.view)
+	case !out.AddPartition(st.vpart):
+		return nil
+	}
+	return out
+}
+
+// branchStructures lists the structures a tuner would try for a branch:
+// plain and covering indexes on predicate, join and EXISTS columns, the
+// join view of a two-table branch, a referenced/rest partition of every
+// FROM table.
+func branchStructures(s *sqlast.Select, prov stats.Provider, seq *int) []structure {
+	var out []structure
+	name := func(prefix string) string { *seq++; return fmt.Sprintf("%s_%d", prefix, *seq) }
+	index := func(table, key string, include []string) {
+		out = append(out, structure{tables: []string{table},
+			idx: &physical.Index{Name: name("ix_" + table), Table: table, Key: []string{key}, Include: include}})
+	}
+	for _, p := range s.Where {
+		switch p.Kind {
+		case sqlast.PredCompare:
+			index(p.Col.Table, p.Col.Column, nil)
+			index(p.Col.Table, p.Col.Column, s.ColumnsOf(p.Col.Table))
+		case sqlast.PredJoin:
+			for _, side := range []sqlast.ColRef{p.Left, p.Right} {
+				index(side.Table, side.Column, nil)
+				index(side.Table, side.Column, s.ColumnsOf(side.Table))
+			}
+			if len(s.From) == 2 {
+				l, r := p.Left, p.Right
+				if l.Column == rel.IDColumn {
+					l, r = r, l
+				}
+				if l.Column == rel.PIDColumn && r.Column == rel.IDColumn {
+					out = append(out, structure{tables: []string{r.Table, l.Table}, view: &physical.View{
+						Name: name("v_" + r.Table), Outer: r.Table, Inner: l.Table,
+						OuterCols: s.ColumnsOf(r.Table), InnerCols: s.ColumnsOf(l.Table)}})
+				}
+			}
+		case sqlast.PredExists, sqlast.PredOrExists:
+			index(p.Table, p.JoinCol, nil)
+		}
+	}
+	for _, t := range s.From {
+		ts := prov.TableStats(t)
+		if ts == nil {
+			continue
+		}
+		refd := s.ColumnsOf(t)
+		var rest []string
+		for c := range ts.Cols {
+			if i := sort.SearchStrings(refd, c); i == len(refd) || refd[i] != c {
+				rest = append(rest, c)
+			}
+		}
+		sort.Strings(rest)
+		if len(rest) > 0 {
+			out = append(out, structure{tables: []string{t}, vpart: &physical.VPartition{Table: t, Groups: [][]string{refd, rest}}})
+		}
+	}
+	return out
+}
+
+// fig5Fixture translates the four Fig. 5 workload classes under the
+// hybrid mapping and three randomly transformed ones.
+func fig5Fixture(t *testing.T) (provs []stats.Provider, queries [][]*sqlast.Query) {
+	t.Helper()
+	base := schema.DBLP()
+	doc := xmlgen.GenerateDBLP(base, xmlgen.DBLPOptions{Inproceedings: 1500, Books: 150, Seed: 72})
+	col := xmlgen.CollectStats(base, doc)
+	var xps []*workload.Workload
+	for _, p := range workload.StandardParams(6, 11) {
+		w, err := workload.Generate(base, col, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		xps = append(xps, w)
+	}
+	r := rand.New(rand.NewSource(5))
+	trees := []*schema.Tree{base}
+	for len(trees) < 4 {
+		tree := base
+		for step := 0; step < 4; step++ {
+			ts := transform.EnumerateNonSubsumed(tree, col)
+			if next, err := ts[r.Intn(len(ts))].Apply(tree); err == nil {
+				tree = next
+			}
+		}
+		trees = append(trees, tree)
+	}
+	for _, tree := range trees {
+		m, err := shred.Compile(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var qs []*sqlast.Query
+		for _, w := range xps {
+			for _, wq := range w.Queries {
+				q, err := translate.Translate(m, wq.XPath)
+				if err != nil {
+					t.Fatalf("%s: %v", wq.XPath, err)
+				}
+				qs = append(qs, q)
+			}
+		}
+		provs = append(provs, shred.DeriveStats(m, col))
+		queries = append(queries, qs)
+	}
+	return provs, queries
+}
+
+// TestReplanMatchesPlanQuery grows configurations one random structure
+// at a time and after every step compares, for every query, the plan
+// Replan derives from the previous step's plan with the plan PlanQuery
+// builds from nothing and with the reference planner's.
+func TestReplanMatchesPlanQuery(t *testing.T) {
+	provs, queries := fig5Fixture(t)
+	for mi, prov := range provs {
+		o := New(prov)
+		seq := 0
+		var pool []structure
+		for _, q := range queries[mi] {
+			for _, s := range q.Branches {
+				pool = append(pool, branchStructures(s, prov, &seq)...)
+			}
+		}
+		r := rand.New(rand.NewSource(int64(mi) + 1))
+		cfg := &physical.Config{}
+		prev := make([]*Plan, len(queries[mi]))
+		for i, q := range queries[mi] {
+			var err error
+			if prev[i], err = o.PlanQuery(q, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		replanned, kept := 0, 0
+		for step := 0; step < 40; step++ {
+			st := pool[r.Intn(len(pool))]
+			// Partitions come last: a partitioned table takes no
+			// index, so early ones would leave seeks and INL joins
+			// unexercised.
+			if st.vpart != nil && step < 30 {
+				continue
+			}
+			next := st.with(cfg)
+			if next == nil {
+				continue
+			}
+			cfg = next
+			for i, q := range queries[mi] {
+				label := fmt.Sprintf("mapping %d step %d query %d", mi, step, i)
+				calls := o.Calls()
+				inc, err := o.Replan(prev[i], cfg, st.tables)
+				if err != nil {
+					t.Fatalf("%s: Replan: %v", label, err)
+				}
+				full, err := o.PlanQuery(q, cfg)
+				if err != nil {
+					t.Fatalf("%s: PlanQuery: %v", label, err)
+				}
+				if d := o.Calls() - calls; d != 2 {
+					t.Errorf("%s: Replan + PlanQuery counted %d calls, want 2", label, d)
+				}
+				ref, err := o.refPlanQuery(q, cfg)
+				if err != nil {
+					t.Fatalf("%s: reference: %v", label, err)
+				}
+				samePlan(t, label+" Replan vs PlanQuery", inc, full)
+				samePlan(t, label+" PlanQuery vs reference", full, ref)
+				for bi, b := range inc.Branches {
+					if b == prev[i].Branches[bi] {
+						kept++
+					} else {
+						replanned++
+					}
+				}
+				prev[i] = inc
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+		}
+		if replanned == 0 || kept == 0 {
+			t.Errorf("mapping %d: %d branches re-planned, %d kept; the walk must do both", mi, replanned, kept)
+		}
+	}
+}
+
+// caseStats is movie → actor → award with a second child of movie.
+func caseStats() stats.MapProvider {
+	p := fakeStats()
+	intCol := func(count, distinct int64) *stats.ColumnStats {
+		return &stats.ColumnStats{Count: count, Distinct: distinct, AvgWidth: 8, Typ: rel.TInt,
+			Min: rel.Int(0), Max: rel.Int(distinct)}
+	}
+	p["award"] = &stats.TableStats{Name: "award", Rows: 5000, RowBytes: 30, Cols: map[string]*stats.ColumnStats{
+		"ID": intCol(5000, 5000), "PID": intCol(5000, 3000), "prize": intCol(5000, 40)}}
+	return p
+}
+
+func col(t, c string) sqlast.ColRef { return sqlast.ColRef{Table: t, Column: c} }
+
+func joinPred(child, parent string) sqlast.Pred {
+	return sqlast.Pred{Kind: sqlast.PredJoin, Left: col(child, "PID"), Right: col(parent, "ID")}
+}
+
+// threeTableBranch joins movie, award and actor as a chain; award joins
+// actor only, so the orders starting movie, award are unjoinable.
+func threeTableBranch() *sqlast.Select {
+	return &sqlast.Select{
+		Items: []sqlast.SelectItem{{Col: &sqlast.ColRef{Table: "movie", Column: "ID"}, As: "ID"},
+			{Col: &sqlast.ColRef{Table: "award", Column: "prize"}, As: "prize"}},
+		From: []string{"movie", "award", "actor"},
+		Where: []sqlast.Pred{joinPred("actor", "movie"), joinPred("award", "actor"),
+			{Kind: sqlast.PredCompare, Op: sqlast.OpEq, Col: col("movie", "genre"), Value: rel.Str("g")}},
+	}
+}
+
+// TestReplanCases walks hand-built branches through the configurations
+// that exercise one planner rule each.
+func TestReplanCases(t *testing.T) {
+	exists := selectMovie(sqlast.Pred{Kind: sqlast.PredExists, Op: sqlast.OpEq, Value: rel.Str("x"),
+		Table: "actor", JoinCol: "PID", InnerCol: "actor", OuterCol: col("movie", "ID")})
+	orExists := selectMovie(sqlast.Pred{Kind: sqlast.PredOrExists, Op: sqlast.OpEq, Value: rel.Str("x"),
+		Cols: []sqlast.ColRef{col("movie", "title")}, Table: "actor", JoinCol: "PID", InnerCol: "actor",
+		OuterCol: col("movie", "ID")})
+	q := &sqlast.Query{OrderBy: "ID", Branches: []*sqlast.Select{
+		exists, orExists, threeTableBranch(), joinBranch(), selectMovie()}}
+	view := func(name string) *physical.View {
+		return &physical.View{Name: name, Outer: "movie", Inner: "actor",
+			OuterCols: []string{"ID", "genre"}, InnerCols: []string{"PID", "actor"}}
+	}
+	v1, v2 := view("v1"), view("v2")
+	steps := []struct {
+		name string
+		st   structure
+		// replanned lists the branches the step may re-plan.
+		replanned []int
+	}{
+		{"index under EXISTS only", structure{tables: []string{"actor"},
+			idx: &physical.Index{Name: "a_pid", Table: "actor", Key: []string{"PID"}}}, []int{0, 1, 2, 3}},
+		{"index on the third table", structure{tables: []string{"award"},
+			idx: &physical.Index{Name: "w_pid", Table: "award", Key: []string{"PID"}, Include: []string{"prize"}}}, []int{2}},
+		{"first of two equal views", structure{tables: []string{"movie", "actor"}, view: v1}, []int{0, 1, 2, 3, 4}},
+		{"second of two equal views", structure{tables: []string{"movie", "actor"}, view: v2}, []int{0, 1, 2, 3, 4}},
+		{"partitioned driver", structure{tables: []string{"movie"},
+			vpart: &physical.VPartition{Table: "movie", Groups: [][]string{{"title"}, {"year", "genre"}}}}, []int{0, 1, 2, 3, 4}},
+	}
+	o := New(caseStats())
+	cfg := &physical.Config{}
+	prev, err := o.PlanQuery(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, step := range steps {
+		cfg = step.st.with(cfg)
+		inc, err := o.Replan(prev, cfg, step.st.tables)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		full, err := o.PlanQuery(q, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		ref, err := o.refPlanQuery(q, cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		samePlan(t, step.name+": Replan vs PlanQuery", inc, full)
+		samePlan(t, step.name+": PlanQuery vs reference", full, ref)
+		for bi, b := range inc.Branches {
+			may := false
+			for _, r := range step.replanned {
+				may = may || r == bi
+			}
+			if b != prev.Branches[bi] && !may {
+				t.Errorf("%s: branch %d was re-planned", step.name, bi)
+			}
+		}
+		prev = inc
+	}
+	if got := prev.Branches[3].View; got != v1 {
+		t.Errorf("equal-cost views: branch answered from %v, want v1, the first in cfg.Views", got)
+	}
+	if got := prev.Branches[2].Driver.Table; len(prev.Branches[2].Joins) != 2 {
+		t.Errorf("three-table branch: driver %s with %d joins", got, len(prev.Branches[2].Joins))
+	}
+	if len(prev.Branches[4].Driver.PartGroups) == 0 {
+		t.Errorf("partitioned driver not planned as a partition scan: %+v", prev.Branches[4].Driver)
+	}
+	// The views the other way round: still the first wins.
+	swapped := cfg.Clone()
+	swapped.Views = []*physical.View{v2, v1}
+	p, err := o.PlanQuery(q, swapped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Branches[3].View != v2 {
+		t.Errorf("equal-cost views swapped: branch answered from %v, want v2", p.Branches[3].View)
+	}
+}
+
+// TestReplanUntouchedAllocates pins the price of a what-if call that
+// changes nothing for a query: the Plan and its branch slice.
+func TestReplanUntouchedAllocates(t *testing.T) {
+	o := New(caseStats())
+	q := &sqlast.Query{OrderBy: "ID", Branches: []*sqlast.Select{joinBranch(), selectMovie()}}
+	prev, err := o.PlanQuery(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &physical.Config{Indexes: []*physical.Index{{Name: "w", Table: "award", Key: []string{"PID"}}}}
+	changed := []string{"award"}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := o.Replan(prev, cfg, changed); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("Replan of an untouched query allocates %v objects, want 2 (the Plan and its branch slice)", allocs)
+	}
+}
+
+// chainBranch joins n tables t0 ← t1 ← … (each the parent of the next).
+func chainBranch(n int) (*sqlast.Select, stats.MapProvider) {
+	s := &sqlast.Select{Items: []sqlast.SelectItem{{Col: &sqlast.ColRef{Table: "t0", Column: "ID"}, As: "ID"}}}
+	prov := stats.MapProvider{}
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("t%d", i)
+		s.From = append(s.From, name)
+		if i > 0 {
+			s.Where = append(s.Where, joinPred(name, s.From[i-1]))
+		}
+		rows := int64(1000 * (i + 1))
+		prov[name] = &stats.TableStats{Name: name, Rows: rows, RowBytes: 24, Cols: map[string]*stats.ColumnStats{
+			"ID":  {Count: rows, Distinct: rows, AvgWidth: 8, Typ: rel.TInt},
+			"PID": {Count: rows, Distinct: rows / 2, AvgWidth: 8, Typ: rel.TInt},
+			"x":   {Count: rows, Distinct: 10, AvgWidth: 8, Typ: rel.TInt}}}
+	}
+	return s, prov
+}
+
+// TestJoinOrderEnumerationBounds: the widest branch the planner takes is
+// planned like the reference plans it, a prefix no join predicate
+// extends is dropped once rather than once per completion, and a wider
+// branch is a typed error.
+func TestJoinOrderEnumerationBounds(t *testing.T) {
+	s, prov := chainBranch(maxJoinTables)
+	o := New(prov)
+	q := &sqlast.Query{Branches: []*sqlast.Select{s}}
+	// Every table partitioned: each table access and join step planned
+	// allocates its partition-group list, so allocations count steps.
+	cfg := &physical.Config{}
+	for _, t := range s.From {
+		cfg.AddPartition(&physical.VPartition{Table: t, Groups: [][]string{{"x"}}})
+	}
+	got, err := o.PlanQuery(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if testing.Short() {
+		t.Log("skipping the 40 320-order reference plan in -short mode")
+	} else {
+		want, err := o.refPlanQuery(q, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		samePlan(t, "8-table chain", got, want)
+	}
+	// A chain has 2^(n-1) joinable orders; their prefixes are intervals
+	// of the chain, a few hundred join steps in all. Planning every
+	// order's prefix up to its first unreachable table is tens of
+	// thousands.
+	if allocs := testing.AllocsPerRun(3, func() { o.PlanQuery(q, cfg) }); allocs > 2000 {
+		t.Errorf("planning the 8-table chain allocates %v objects: unjoinable prefixes are not abandoned", allocs)
+	}
+	wide, prov := chainBranch(maxJoinTables + 1)
+	_, err = New(prov).PlanQuery(&sqlast.Query{Branches: []*sqlast.Select{wide}}, nil)
+	if !errors.Is(err, ErrTooManyTables) {
+		t.Errorf("9-table branch: error %v, want ErrTooManyTables", err)
+	}
+	// No join predicate at all: no order, an error, not a panic.
+	s2, prov2 := chainBranch(2)
+	s2.Where = nil
+	if _, err := New(prov2).PlanQuery(&sqlast.Query{Branches: []*sqlast.Select{s2}}, nil); err == nil {
+		t.Error("unjoinable branch planned")
+	}
+}

@@ -140,80 +140,74 @@ type candidate struct {
 	idx     *physical.Index
 	view    *physical.View
 	vpart   *physical.VPartition
-	tables  []string // tables whose queries it can affect
+	id      string   // the structure's ID(), the candidate's identity
+	tables  []string // the structure's tables: only queries naming one can change plan
 	bytes   int64
 	origins []int // workload indices of the queries that generated it
 }
 
-func (c *candidate) id() string {
-	switch {
-	case c.idx != nil:
-		return c.idx.ID()
-	case c.view != nil:
-		return c.view.ID()
-	default:
-		return c.vpart.ID()
-	}
-}
-
+// addTo adds the structure to a configuration made of other candidates.
+// Candidates are distinct by id (generateCandidates), so an index or
+// view is appended without AddIndex/AddView's scan for a twin, which
+// renders the ID of every structure already chosen on every trial.
 func (c *candidate) addTo(cfg *physical.Config) bool {
 	switch {
 	case c.idx != nil:
-		return cfg.AddIndex(c.idx)
+		cfg.Indexes = append(cfg.Indexes, c.idx)
 	case c.view != nil:
-		return cfg.AddView(c.view)
+		cfg.Views = append(cfg.Views, c.view)
 	default:
 		return cfg.AddPartition(c.vpart)
 	}
+	return true
 }
 
 // Tune runs the tool over the workload.
 func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error) {
 	opt := optimizer.New(prov)
-	startCalls := opt.Calls
 	cfg := &physical.Config{}
-	costs := make([]float64, len(w))
+	// plans are the workload's plans under cfg. A what-if call re-plans
+	// from them the branches a candidate's tables can reach; a query
+	// naming none of those tables keeps plan and cost without a call.
 	plans := make([]*optimizer.Plan, len(w))
+	tables := make([][]string, len(w))
 	for i, wq := range w {
 		p, err := opt.PlanQuery(wq.Q, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("physdesign: base cost of query %d: %w", i, err)
 		}
-		plans[i] = p
-		costs[i] = p.Cost
+		plans[i], tables[i] = p, wq.Q.Tables()
 	}
 	cands := generateCandidates(w, prov, opts)
-	cands = prefilterCandidates(cands, w, opt, costs, opts)
+	cands = prefilterCandidates(cands, w, opt, plans, opts)
 	// Lazy greedy selection: scores only go down as structures are
 	// added, so a stale-score heap avoids re-evaluating every candidate
 	// every round (the classic lazy submodular trick).
 	type scored struct {
-		c      *candidate
-		score  float64
-		round  int
-		benfit float64
-		costs  []float64
+		c     *candidate
+		score float64
+		round int
+		plans []*optimizer.Plan // the workload's plans with c added, as of round
 	}
-	evaluate := func(c *candidate) (float64, []float64, bool) {
+	evaluate := func(c *candidate) (float64, []*optimizer.Plan, bool) {
 		trial := cfg.Clone()
 		if !c.addTo(trial) {
 			return 0, nil, false
 		}
 		benefit := -c.maintenanceCost(opts.InsertRates)
-		trialCosts := make([]float64, len(w))
-		copy(trialCosts, costs)
+		trialPlans := append([]*optimizer.Plan(nil), plans...)
 		for i, wq := range w {
-			if !queryTouches(wq.Q, c.tables) {
+			if !intersects(tables[i], c.tables) {
 				continue
 			}
-			p, err := opt.PlanQuery(wq.Q, trial)
+			p, err := opt.Replan(plans[i], trial, c.tables)
 			if err != nil {
 				return 0, nil, false
 			}
-			trialCosts[i] = p.Cost
-			benefit += wq.Weight * (costs[i] - p.Cost)
+			trialPlans[i] = p
+			benefit += wq.Weight * (plans[i].Cost - p.Cost)
 		}
-		return benefit, trialCosts, true
+		return benefit, trialPlans, true
 	}
 	var pool []*scored
 	for _, c := range cands {
@@ -246,12 +240,12 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 				selected = best
 				break
 			}
-			benefit, trialCosts, ok := evaluate(s.c)
+			benefit, trialPlans, ok := evaluate(s.c)
 			if !ok {
 				pool[best] = nil
 				continue
 			}
-			s.benfit, s.costs, s.round = benefit, trialCosts, round
+			s.plans, s.round = trialPlans, round
 			s.score = benefit / math.Max(float64(s.c.bytes), 1)
 			if benefit <= 1e-9 {
 				pool[best] = nil
@@ -262,12 +256,14 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		}
 		s := pool[selected]
 		s.c.addTo(cfg)
-		costs = s.costs
+		plans = s.plans
 		pool[selected] = nil
 	}
-	// Final pass: plans and exact per-query costs under the chosen
-	// configuration.
+	// Final pass: every query planned from nothing under the chosen
+	// configuration, so the recommendation's plans and costs owe nothing
+	// to the incremental ones and share no branch with them.
 	total := 0.0
+	costs := make([]float64, len(w))
 	for i, wq := range w {
 		p, err := opt.PlanQuery(wq.Q, cfg)
 		if err != nil {
@@ -282,7 +278,7 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		obs.Int("queries", int64(len(w))),
 		obs.Int("candidates", int64(len(cands))),
 		obs.Int("structures", int64(len(cfg.Indexes)+len(cfg.Views)+len(cfg.Partitions))),
-		obs.Int("optimizer_calls", opt.Calls-startCalls),
+		obs.Int("optimizer_calls", opt.Calls()),
 		obs.Float("total_cost", total+maint))
 	return &Recommendation{
 		Config:          cfg,
@@ -291,7 +287,7 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		TotalCost:       total + maint,
 		StructBytes:     cfg.EstBytes(prov),
 		MaintenanceCost: maint,
-		OptimizerCalls:  opt.Calls - startCalls,
+		OptimizerCalls:  opt.Calls(),
 	}, nil
 }
 
@@ -314,14 +310,11 @@ func configMaintenance(cfg *physical.Config, rates map[string]float64) float64 {
 	return total
 }
 
-// queryTouches reports whether the query references any of the tables.
-func queryTouches(q *sqlast.Query, tables []string) bool {
-	qt := q.Tables()
-	for _, t := range tables {
-		for _, x := range qt {
-			if x == t {
-				return true
-			}
+// intersects reports whether the two table lists share a table.
+func intersects(a, b []string) bool {
+	for _, t := range a {
+		if containsStr(b, t) {
+			return true
 		}
 	}
 	return false
@@ -334,8 +327,15 @@ func generateCandidates(w Workload, prov stats.Provider, opts Options) []*candid
 	var out []*candidate
 	qi := 0
 	add := func(c *candidate) {
-		id := c.id()
-		if prev, ok := seen[id]; ok {
+		switch {
+		case c.idx != nil:
+			c.id = c.idx.ID()
+		case c.view != nil:
+			c.id = c.view.ID()
+		default:
+			c.id = c.vpart.ID()
+		}
+		if prev, ok := seen[c.id]; ok {
 			// Record the additional origin query.
 			last := len(prev.origins) - 1
 			if last < 0 || prev.origins[last] != qi {
@@ -344,7 +344,7 @@ func generateCandidates(w Workload, prov stats.Provider, opts Options) []*candid
 			return
 		}
 		c.origins = []int{qi}
-		seen[id] = c
+		seen[c.id] = c
 		out = append(out, c)
 	}
 	seq := 0
@@ -366,7 +366,7 @@ func generateCandidates(w Workload, prov stats.Provider, opts Options) []*candid
 		}
 	}
 	// Deterministic order helps reproducibility.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].id() < out[j].id() })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].id < out[j].id })
 	return out
 }
 
@@ -375,7 +375,7 @@ func generateCandidates(w Workload, prov stats.Provider, opts Options) []*candid
 // MaxCandidates, so heavily partitioned mappings with hundreds of
 // near-duplicate candidates stay tractable.
 func prefilterCandidates(cands []*candidate, w Workload, opt *optimizer.Optimizer,
-	baseCosts []float64, opts Options) []*candidate {
+	base []*optimizer.Plan, opts Options) []*candidate {
 	limit := defaultMaxCandidates
 	if len(cands) <= limit {
 		return cands
@@ -392,11 +392,11 @@ func prefilterCandidates(cands []*candidate, w Workload, opt *optimizer.Optimize
 		}
 		benefit := -c.maintenanceCost(opts.InsertRates)
 		for _, qi := range c.origins {
-			p, err := opt.PlanQuery(w[qi].Q, trial)
+			p, err := opt.Replan(base[qi], trial, c.tables)
 			if err != nil {
 				continue
 			}
-			benefit += w[qi].Weight * (baseCosts[qi] - p.Cost)
+			benefit += w[qi].Weight * (base[qi].Cost - p.Cost)
 		}
 		if benefit <= 0 {
 			continue

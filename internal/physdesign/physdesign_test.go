@@ -176,10 +176,10 @@ func TestCandidateGenerationShapes(t *testing.T) {
 	// No duplicates.
 	seen := make(map[string]bool)
 	for _, c := range cands {
-		if seen[c.id()] {
-			t.Errorf("duplicate candidate %s", c.id())
+		if seen[c.id] {
+			t.Errorf("duplicate candidate %s", c.id)
 		}
-		seen[c.id()] = true
+		seen[c.id] = true
 	}
 }
 

@@ -66,11 +66,13 @@ func (i *Index) EstBytes(ts *stats.TableStats) int64 {
 		return 0
 	}
 	width := 12.0 // row pointer + entry overhead
-	for _, c := range append(append([]string(nil), i.Key...), i.Include...) {
-		if cs := ts.Col(c); cs != nil {
-			width += (1-cs.NullFrac)*colWidth(cs) + cs.NullFrac
-		} else {
-			width += 8
+	for _, cols := range [2][]string{i.Key, i.Include} {
+		for _, c := range cols {
+			if cs := ts.Col(c); cs != nil {
+				width += (1-cs.NullFrac)*colWidth(cs) + cs.NullFrac
+			} else {
+				width += 8
+			}
 		}
 	}
 	return int64(width * float64(ts.Rows))

@@ -217,3 +217,39 @@ func TestResidentStoreCorpusSurvivesAppendAndCompact(t *testing.T) {
 	}
 	pass("after compact")
 }
+
+// TestConcurrentPlanMissesShareOptimizer: plan-cache misses for distinct
+// query texts plan concurrently on the one Optimizer a corpus owns
+// (corpus.plan releases its mutex before planning), so everything the
+// planner writes there must be synchronized. Under -race this is the
+// regression test for the optimizer's call counter; the count pins that
+// no increment is lost.
+func TestConcurrentPlanMissesShareOptimizer(t *testing.T) {
+	m, _, built := movieFixture(t, 200)
+	svc := New(Config{PoolWorkers: 4, DefaultQuota: TenantQuota{MaxConcurrent: 8, MaxQueued: 64}})
+	if err := svc.RegisterBuilt("movie", built, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	const sessions, texts = 8, 50
+	var wg sync.WaitGroup
+	for s := 0; s < sessions; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for i := 0; i < texts; i++ {
+				q := fmt.Sprintf("//movie[year >= %d]/title", 1900+s*texts+i)
+				if _, err := svc.Query(context.Background(), Request{Corpus: "movie", Tenant: "t", XPath: q}); err != nil {
+					t.Errorf("%s: %v", q, err)
+					return
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	svc.mu.Lock()
+	calls := svc.corpora["movie"].opt.Calls()
+	svc.mu.Unlock()
+	if calls != sessions*texts {
+		t.Errorf("optimizer counted %d calls for %d distinct query texts", calls, sessions*texts)
+	}
+}
