@@ -32,42 +32,46 @@ type evalService struct {
 	optsKey string
 
 	mu      sync.Mutex
-	evals   map[string]*evalEntry   // full tool evaluations, by tree signature
-	derives map[string]*deriveEntry // cost derivations, by (cur, next) signatures
-	fixed   map[string]*fixedEntry  // fixed-config costings (Two-Step phase 1)
-	qcosts  map[string]*qcostEntry  // bare single-query costs (merging oracle)
+	evals   map[string]*flight[*evalResult] // full tool evaluations, by tree signature
+	derives map[string]*flight[float64]     // cost derivations, by (cur, next) signatures
+	fixed   map[string]*flight[float64]     // fixed-config costings (Two-Step phase 1)
+	qcosts  map[string]*flight[float64]     // bare single-query costs (merging oracle)
 }
 
-// evalEntry is a memoized full evaluation. done is closed when ev/err
-// and the effort metrics are final.
-type evalEntry struct {
+// flight is one memoized computation. done is closed when val, err and
+// the effort metrics are final.
+type flight[V any] struct {
 	done chan struct{}
-	ev   *evalResult
+	val  V
 	err  error
 	met  Metrics
 }
 
-// deriveEntry is a memoized cost derivation.
-type deriveEntry struct {
-	done chan struct{}
-	cost float64
-	err  error
-	met  Metrics
-}
-
-// fixedEntry is a memoized fixed-configuration workload costing.
-type fixedEntry struct {
-	done chan struct{}
-	cost float64
-	err  error
-	met  Metrics
-}
-
-// qcostEntry is a memoized bare single-query cost.
-type qcostEntry struct {
-	done chan struct{}
-	cost float64
-	met  Metrics
+// memo returns the value cache holds for key, computing it once per key
+// however many callers ask at the same time. On a miss the computing
+// caller's metrics absorb the computation's effort plus an
+// EvalCacheMisses tick; every other caller — including callers that
+// arrive while the computation is still in flight — records only an
+// EvalCacheHits tick. The miss is recorded at reservation time, while
+// the caller still holds the map lock, so exactly one miss per key is
+// structural: the decision and the tick cannot be separated by a
+// concurrent requester (TestEvalCacheAccountingUnderRace pins this).
+func memo[V any](s *evalService, cache map[string]*flight[V], key string, met *Metrics, compute func(*Metrics) (V, error)) (V, error) {
+	s.mu.Lock()
+	if f, ok := cache[key]; ok {
+		s.mu.Unlock()
+		<-f.done
+		met.EvalCacheHits++
+		return f.val, f.err
+	}
+	f := &flight[V]{done: make(chan struct{})}
+	cache[key] = f
+	met.EvalCacheMisses++
+	s.mu.Unlock()
+	f.val, f.err = compute(&f.met)
+	close(f.done)
+	met.merge(f.met)
+	return f.val, f.err
 }
 
 // service returns the advisor's evaluation service, creating it on
@@ -81,10 +85,10 @@ func (a *Advisor) service() *evalService {
 				DisableViews:      a.Opts.DisableViews,
 				EnableVPartitions: a.Opts.EnableVPartitions,
 			}.Key(),
-			evals:   make(map[string]*evalEntry),
-			derives: make(map[string]*deriveEntry),
-			fixed:   make(map[string]*fixedEntry),
-			qcosts:  make(map[string]*qcostEntry),
+			evals:   make(map[string]*flight[*evalResult]),
+			derives: make(map[string]*flight[float64]),
+			fixed:   make(map[string]*flight[float64]),
+			qcosts:  make(map[string]*flight[float64]),
 		}
 	})
 	return a.svc
@@ -131,31 +135,11 @@ func (s *evalService) forEach(n int, fn func(i int)) {
 }
 
 // evaluate returns the memoized full evaluation of a tree, computing it
-// once per canonical signature. On a miss the computing caller's
-// metrics absorb the full effort (tool call, optimizer calls) plus an
-// EvalCacheMisses tick; every other caller — including callers that
-// arrive while the computation is still in flight — records only an
-// EvalCacheHits tick. The miss is recorded at reservation time, while
-// the caller still holds the map lock, so exactly one miss per key is
-// structural: the decision and the tick cannot be separated by a
-// concurrent requester (TestEvalCacheAccountingUnderRace pins this).
+// once per canonical signature.
 func (s *evalService) evaluate(tree *schema.Tree, met *Metrics) (*evalResult, error) {
-	key := s.key(tree.Signature())
-	s.mu.Lock()
-	if ent, ok := s.evals[key]; ok {
-		s.mu.Unlock()
-		<-ent.done
-		met.EvalCacheHits++
-		return ent.ev, ent.err
-	}
-	ent := &evalEntry{done: make(chan struct{})}
-	s.evals[key] = ent
-	met.EvalCacheMisses++
-	s.mu.Unlock()
-	ent.ev, ent.err = s.a.evaluateFull(tree, &ent.met)
-	close(ent.done)
-	met.merge(ent.met)
-	return ent.ev, ent.err
+	return memo(s, s.evals, s.key(tree.Signature()), met, func(m *Metrics) (*evalResult, error) {
+		return s.a.evaluateFull(tree, m)
+	})
 }
 
 // deriveCost returns the memoized Section 4.8 derived cost of moving
@@ -163,63 +147,26 @@ func (s *evalService) evaluate(tree *schema.Tree, met *Metrics) (*evalResult, er
 // candidates against an unchanged current mapping, so derivations
 // repeat across rounds; the cache answers the repeats.
 func (s *evalService) deriveCost(cur *evalResult, next *schema.Tree, met *Metrics) (float64, error) {
-	key := s.key(cur.tree.Signature() + "->" + next.Signature())
-	s.mu.Lock()
-	if ent, ok := s.derives[key]; ok {
-		s.mu.Unlock()
-		<-ent.done
-		met.EvalCacheHits++
-		return ent.cost, ent.err
-	}
-	ent := &deriveEntry{done: make(chan struct{})}
-	s.derives[key] = ent
-	met.EvalCacheMisses++
-	s.mu.Unlock()
-	ent.cost, ent.err = s.a.deriveCostFull(cur, next, &ent.met)
-	close(ent.done)
-	met.merge(ent.met)
-	return ent.cost, ent.err
+	return memo(s, s.derives, s.key(cur.tree.Signature()+"->"+next.Signature()), met, func(m *Metrics) (float64, error) {
+		return s.a.deriveCostFull(cur, next, m)
+	})
 }
 
 // costUnderDefault returns the memoized workload cost of a tree under
 // Two-Step's phase-1 default configuration (no tuning).
 func (s *evalService) costUnderDefault(tree *schema.Tree, met *Metrics) (float64, error) {
-	key := s.key("2step:" + tree.Signature())
-	s.mu.Lock()
-	if ent, ok := s.fixed[key]; ok {
-		s.mu.Unlock()
-		<-ent.done
-		met.EvalCacheHits++
-		return ent.cost, ent.err
-	}
-	ent := &fixedEntry{done: make(chan struct{})}
-	s.fixed[key] = ent
-	met.EvalCacheMisses++
-	s.mu.Unlock()
-	_, ent.cost, ent.err = s.a.costUnder(tree, defaultConfig, &ent.met)
-	close(ent.done)
-	met.merge(ent.met)
-	return ent.cost, ent.err
+	return memo(s, s.fixed, s.key("2step:"+tree.Signature()), met, func(m *Metrics) (float64, error) {
+		_, cost, err := s.a.costUnder(tree, defaultConfig, m)
+		return cost, err
+	})
 }
 
 // queryCost returns the memoized bare-configuration cost of one query
 // under a tree (the candidate-merging ranking oracle of Section 4.7,
 // which re-costs the same queries for every pairwise merge).
 func (s *evalService) queryCost(tree *schema.Tree, wq workload.Query, met *Metrics) float64 {
-	key := s.key(tree.Signature() + "|q:" + wq.XPath.String())
-	s.mu.Lock()
-	if ent, ok := s.qcosts[key]; ok {
-		s.mu.Unlock()
-		<-ent.done
-		met.EvalCacheHits++
-		return ent.cost
-	}
-	ent := &qcostEntry{done: make(chan struct{})}
-	s.qcosts[key] = ent
-	met.EvalCacheMisses++
-	s.mu.Unlock()
-	ent.cost = s.a.queryCostFull(tree, wq, &ent.met)
-	close(ent.done)
-	met.merge(ent.met)
-	return ent.cost
+	cost, _ := memo(s, s.qcosts, s.key(tree.Signature()+"|q:"+wq.XPath.String()), met, func(m *Metrics) (float64, error) {
+		return s.a.queryCostFull(tree, wq, m), nil
+	})
+	return cost
 }

@@ -7,9 +7,10 @@
 // The disabled path is a deliberate design constraint: a nil *Tracer
 // and a nil *Span accept every method call as a near-no-op (one
 // pointer test), so instrumented hot paths keep their performance when
-// tracing is off. BenchmarkNilTracer pins this, and the executor
-// benchmarks in the repo root bound what enabled tracing costs on top
-// (scripts/benchguard, from one run).
+// tracing is off. BenchmarkNilTracer pins this, and scripts/benchguard
+// bounds what enabled tracing costs on top: BenchmarkExecutePreparedTraced
+// over BenchmarkExecutePrepared (repo root), both on an InMemory Built so
+// the scan-cost simulation does not dilute the ratio.
 package obs
 
 import (

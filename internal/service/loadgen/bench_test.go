@@ -19,12 +19,12 @@ import (
 	"repro/internal/xpath"
 )
 
-// Sustained-QPS benchmarks for the service path, recorded as
-// BENCH_PR10.json and guarded by `benchguard -mode qps`:
+// Sustained-QPS benchmarks for the service path, guarded by
+// scripts/benchguard from the run itself:
 //
 //	BenchmarkServiceDirect — the same query mix executed serially
-//	  through the bare engine (normalizer: what the work costs with no
-//	  service, no admission, one session).
+//	  through the bare engine (what the work costs with no service, no
+//	  admission, one session).
 //	BenchmarkServiceQPSW1  — loadgen at benchSessions concurrent sessions through
 //	  the service, every query pinned to workers=1.
 //	BenchmarkServiceQPSW4  — same load, queries ask for 4 morsel
@@ -36,8 +36,9 @@ import (
 // the run itself when cpus > sessions (a runner with a thread to spare
 // for a query's extra workers) and only a dispatch-overhead floor
 // otherwise, where the sessions' own queries already occupy every
-// thread. All three run on one Built (engine.Build's, so the same
-// scan-cost model on both sides of every ratio).
+// thread. All three run on one InMemory Built — the serving path's
+// scan-cost model, so the ratios time the service and the engine, not
+// the paper's simulated disk passes.
 
 const (
 	benchMovies = 400
@@ -64,7 +65,7 @@ func benchFixture(b *testing.B) (*shred.Mapping, *rel.Database, *engine.Built) {
 	if err != nil {
 		b.Fatalf("Shred: %v", err)
 	}
-	built, err := engine.Build(db, &physical.Config{})
+	built, err := engine.BuildWithScanCost(db, &physical.Config{}, engine.InMemory)
 	if err != nil {
 		b.Fatalf("Build: %v", err)
 	}

@@ -3,8 +3,8 @@
 // throughput and tail latency. It targets anything that answers a
 // service.Request — the in-process Service, or a remote xmlserved via
 // service.Client — through one QueryFunc signature, so the same
-// harness produces the checked-in QPS benchmark (BENCH_PR10.json) and
-// ad-hoc load tests against a live server.
+// harness drives the sustained-QPS benchmarks scripts/benchguard bounds
+// in CI and ad-hoc load tests against a live server.
 package loadgen
 
 import (

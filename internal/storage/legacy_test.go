@@ -16,8 +16,8 @@ import (
 
 // The product writes neither the whole-table segment format nor the
 // one-row redo framing; the encoders below are the retired writers,
-// kept test-side so the golden files, the fuzz seeds, and
-// BenchmarkSegmentDecode still have their bytes. They produce no store:
+// kept test-side so the golden files and the fuzz seeds still have
+// their bytes. They produce no store:
 // the legacy stores the conversion tests open are checked in under
 // testdata/golden/legacy{,-mixed}, written once by the last build that
 // had a legacy write path, and are never regenerated.
