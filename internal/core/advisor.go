@@ -404,16 +404,14 @@ func (a *Advisor) publishMetrics(alg string, met Metrics, cost float64) {
 
 // defaultConfig is Two-Step's phase-1 physical design guess: a
 // clustered index on ID and a secondary index on PID for every
-// relation (Section 5.1.1).
+// relation (Section 5.1.1). Relation names are distinct, so the indexes
+// are too and are appended without AddIndex's scan for a twin.
 func defaultConfig(m *shred.Mapping) *physical.Config {
-	cfg := &physical.Config{}
+	cfg := &physical.Config{Indexes: make([]*physical.Index, 0, 2*len(m.Relations))}
 	for _, r := range m.Relations {
-		cfg.AddIndex(&physical.Index{
-			Name: "pk_" + r.Name, Table: r.Name, Key: []string{rel.IDColumn},
-		})
-		cfg.AddIndex(&physical.Index{
-			Name: "fk_" + r.Name, Table: r.Name, Key: []string{rel.PIDColumn},
-		})
+		cfg.Indexes = append(cfg.Indexes,
+			&physical.Index{Name: "pk_" + r.Name, Table: r.Name, Key: []string{rel.IDColumn}},
+			&physical.Index{Name: "fk_" + r.Name, Table: r.Name, Key: []string{rel.PIDColumn}})
 	}
 	return cfg
 }

@@ -2,12 +2,15 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/obs"
 	"repro/internal/physdesign"
+	"repro/internal/rel"
 	"repro/internal/schema"
 	"repro/internal/stats"
 	"repro/internal/transform"
@@ -186,6 +189,8 @@ func (a *Advisor) Greedy() (*Result, error) {
 					cands[ranked[i].idx] = nil
 					continue
 				}
+				a.tracef("greedy round %d: re-estimated %s, derived %.2f exact %.2f",
+					round, cands[ranked[i].idx].desc, ranked[i].cost, ev.cost)
 				if ev.cost < bestCost {
 					bestIdx, bestTree, bestCost, bestEv = ranked[i].idx, ranked[i].tree, ev.cost, ev
 					break
@@ -421,7 +426,7 @@ func retainedStructBytes(cur *evalResult, retained map[string]bool) int64 {
 	for _, vp := range cur.rec.Config.Partitions {
 		used := false
 		for gi := range vp.Groups {
-			if retained[fmt.Sprintf("%s#g%d", vp.Table, gi)] {
+			if retained[vp.Table+"#g"+strconv.Itoa(gi)] {
 				used = true
 				break
 			}
@@ -437,29 +442,20 @@ func retainedStructBytes(cur *evalResult, retained map[string]bool) int64 {
 }
 
 // changedTables diffs two mappings: tables that exist in only one, or
-// whose column sets differ.
+// whose column lists (names and types, in order) differ.
 func changedTables(cur, next *evalResult) map[string]bool {
-	sig := func(e *evalResult) map[string]string {
-		out := make(map[string]string, len(e.mapping.Relations))
-		for _, r := range e.mapping.Relations {
-			var b strings.Builder
-			for _, c := range r.Columns {
-				fmt.Fprintf(&b, "%s:%d;", c.Name, c.Typ)
-			}
-			out[r.Name] = b.String()
-		}
-		return out
-	}
-	a, b := sig(cur), sig(next)
 	changed := make(map[string]bool)
-	for t, s := range a {
-		if b[t] != s {
-			changed[t] = true
+	for _, r := range cur.mapping.Relations {
+		n := next.mapping.Relation(r.Name)
+		if n == nil || !slices.EqualFunc(r.Columns, n.Columns, func(a, b rel.Column) bool {
+			return a.Name == b.Name && a.Typ == b.Typ
+		}) {
+			changed[r.Name] = true
 		}
 	}
-	for t, s := range b {
-		if a[t] != s {
-			changed[t] = true
+	for _, r := range next.mapping.Relations {
+		if cur.mapping.Relation(r.Name) == nil {
+			changed[r.Name] = true
 		}
 	}
 	return changed

@@ -122,3 +122,38 @@ func TestTraceOutput(t *testing.T) {
 		t.Errorf("trace missing search narration: %q", out)
 	}
 }
+
+// TestTraceDerivedVsExact: every move the ranked walk accepts was
+// re-estimated exactly, and the trace shows that re-estimation with the
+// candidate's derived cost beside its exact one.
+func TestTraceDerivedVsExact(t *testing.T) {
+	fx := movieFixture(t, movieTestQueries)
+	var sb strings.Builder
+	if _, err := New(fx.base, fx.col, fx.w, Options{Trace: &sb}).Greedy(); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	lines := strings.Split(out, "\n")
+	applied := 0
+	for _, line := range lines {
+		// "greedy round N: applied DESC, cost OLD -> NEW"
+		head, rest, ok := strings.Cut(line, ": applied ")
+		if !ok || strings.Contains(out, head+": exact fallback sweep found") {
+			continue
+		}
+		desc := rest[:strings.LastIndex(rest, ", cost ")]
+		exact := rest[strings.LastIndex(rest, " -> ")+len(" -> "):]
+		want := head + ": re-estimated " + desc + ", derived "
+		found := false
+		for _, l := range lines {
+			found = found || strings.HasPrefix(l, want) && strings.HasSuffix(l, " exact "+exact)
+		}
+		if !found {
+			t.Errorf("accepted move %q has no line %q…\" exact %s\" in\n%s", desc, want, exact, out)
+		}
+		applied++
+	}
+	if applied == 0 {
+		t.Fatalf("no move accepted by the ranked walk:\n%s", out)
+	}
+}

@@ -12,7 +12,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -119,8 +121,8 @@ type Branch struct {
 
 	// an is the analysis of the query branch this plan answers (for a
 	// view plan that is the branch before the rewrite, not Sel). Replan
-	// plans from it again, or keeps the Branch when no changed table is
-	// in an.tables.
+	// plans from it again, or keeps the Branch when no added structure
+	// serves it.
 	an *analysis
 }
 
@@ -168,7 +170,7 @@ func (p *Plan) Objects() []string {
 	addAccess := func(a Access) {
 		if len(a.PartGroups) > 0 {
 			for _, g := range a.PartGroups {
-				add(fmt.Sprintf("%s#g%d", a.Table, g))
+				add(a.Table + "#g" + strconv.Itoa(g))
 			}
 		} else {
 			add(a.Table)
@@ -265,29 +267,25 @@ func (o *Optimizer) PlanQuery(q *sqlast.Query, cfg *physical.Config) (*Plan, err
 	return o.plan(q, cfg, nil, nil)
 }
 
-// Replan plans prev.Query under cfg, where cfg differs from the
-// configuration prev was planned under only in structures on the
-// changed tables (an index or partition on one of them, a view joining
-// two of them). prev must come from PlanQuery or Replan of this
-// optimizer. The result is the
-// plan PlanQuery(prev.Query, cfg) returns, bit for bit, and counts as
-// one call like it; branches that name no changed table are prev's own
-// Branch values, shared, and the others are planned again from the
-// analysis prev carries. A branch reads cfg only through the indexes
-// and partition of the tables in its FROM list or under its EXISTS
-// predicates and through the views over two tables of its FROM list, so
-// a structure on other tables cannot move its plan.
+// Replan plans prev.Query under cfg, where cfg is the configuration
+// prev was planned under plus the structures of added. prev must come
+// from PlanQuery or Replan of this optimizer. The result is the plan
+// PlanQuery(prev.Query, cfg) returns, bit for bit, and counts as one
+// call like it. A branch is planned again from the analysis prev
+// carries only when a structure of added can serve it (see serves);
+// every other branch, and every re-planned one that comes out equal to
+// its old plan field for field, is prev's own Branch, shared.
 //
 // Replan records view rewrites in the analysis prev shares with every
 // plan descending from the same PlanQuery: calls on such plans must not
 // run concurrently.
-func (o *Optimizer) Replan(prev *Plan, cfg *physical.Config, changed []string) (*Plan, error) {
-	return o.plan(prev.Query, cfg, prev, changed)
+func (o *Optimizer) Replan(prev *Plan, cfg, added *physical.Config) (*Plan, error) {
+	return o.plan(prev.Query, cfg, prev, added)
 }
 
 // plan is the one planning loop: every branch from nothing (prev nil),
-// or only the branches of prev that name a changed table.
-func (o *Optimizer) plan(q *sqlast.Query, cfg *physical.Config, prev *Plan, changed []string) (*Plan, error) {
+// or only the branches of prev that a structure of added serves.
+func (o *Optimizer) plan(q *sqlast.Query, cfg *physical.Config, prev *Plan, added *physical.Config) (*Plan, error) {
 	o.calls.Add(1)
 	if cfg == nil {
 		cfg = &physical.Config{}
@@ -297,9 +295,9 @@ func (o *Optimizer) plan(q *sqlast.Query, cfg *physical.Config, prev *Plan, chan
 		var b *Branch
 		var err error
 		if prev == nil {
-			b, err = o.planBranch(o.analyse(s), cfg)
-		} else if b = prev.Branches[i]; b.an.touches(changed) {
-			b, err = o.planBranch(b.an, cfg)
+			b, err = o.planBranch(o.analyse(s), cfg, nil)
+		} else if b = prev.Branches[i]; o.serves(b.an, added) {
+			b, err = o.planBranch(b.an, cfg, b)
 		}
 		if err != nil {
 			return nil, err
@@ -339,12 +337,15 @@ var ErrTooManyTables = errors.New("optimizer: branch joins too many tables to en
 // starts from the join graph, not from the SQL.
 type analysis struct {
 	sel *sqlast.Select
-	// tables is sel.Tables(): the FROM list plus EXISTS inner tables —
-	// the tables whose structures the branch's plan can depend on.
-	tables []string
 	// from is aligned with sel.From (nil when that is wider than
 	// maxJoinTables).
 	from []fromTable
+	// probes are the columns an index must lead with to be used by the
+	// branch: every non-<> compare column (a seek), both columns of every
+	// join predicate (the inner column of an index nested-loop join), and
+	// the Table and JoinCol of every EXISTS and OR-EXISTS predicate (the
+	// semi-join probe).
+	probes []sqlast.ColRef
 	// rewrites memoizes the rewrite of a two-table sel over each view of
 	// those two tables planned against so far.
 	rewrites []*viewRewrite
@@ -387,7 +388,22 @@ type viewRewrite struct {
 // analyse derives a branch's analysis from its SQL and the provider's
 // statistics.
 func (o *Optimizer) analyse(s *sqlast.Select) *analysis {
-	an := &analysis{sel: s, tables: s.Tables()}
+	an := &analysis{sel: s}
+	if len(s.Where) > 0 {
+		an.probes = make([]sqlast.ColRef, 0, 2*len(s.Where))
+	}
+	for i := range s.Where {
+		switch p := &s.Where[i]; p.Kind {
+		case sqlast.PredCompare:
+			if p.Op != sqlast.OpNe {
+				an.probes = append(an.probes, p.Col)
+			}
+		case sqlast.PredJoin:
+			an.probes = append(an.probes, p.Left, p.Right)
+		case sqlast.PredExists, sqlast.PredOrExists:
+			an.probes = append(an.probes, sqlast.ColRef{Table: p.Table, Column: p.JoinCol})
+		}
+	}
 	if len(s.From) > maxJoinTables {
 		return an
 	}
@@ -421,17 +437,38 @@ func (o *Optimizer) analyse(s *sqlast.Select) *analysis {
 	return an
 }
 
-// touches reports whether a structure on one of the tables could be
-// used by the branch.
-func (an *analysis) touches(tables []string) bool {
-	for _, t := range tables {
-		for _, x := range an.tables {
-			if x == t {
+// serves reports whether a structure of added can change the branch's
+// plan: an index leading with one of the branch's probe columns, a
+// partition of a FROM table, or a view of the branch's two FROM tables
+// the branch rewrites over. These are the only reads of a configuration
+// in bestTableAccess, bestJoin, applyExists and planBranch, so a branch
+// no structure of added serves plans under prev's configuration plus
+// added as it did without them. It may memoize view rewrites in an.
+func (o *Optimizer) serves(an *analysis, added *physical.Config) bool {
+	for _, idx := range added.Indexes {
+		if slices.Contains(an.probes, sqlast.ColRef{Table: idx.Table, Column: idx.Key[0]}) {
+			return true
+		}
+	}
+	for _, vp := range added.Partitions {
+		for i := range an.from {
+			if an.from[i].name == vp.Table {
 				return true
 			}
 		}
 	}
+	for _, v := range added.Views {
+		if viewOf(an.sel.From, v) && o.rewriteOver(an, v).sel != nil {
+			return true
+		}
+	}
 	return false
+}
+
+// viewOf reports whether v is a view of the two tables of a two-table
+// FROM list.
+func viewOf(from []string, v *physical.View) bool {
+	return len(from) == 2 && (from[0] == v.Outer || from[1] == v.Outer) && (from[0] == v.Inner || from[1] == v.Inner)
 }
 
 // rewriteOver returns the branch rewritten over a view of its two
@@ -455,53 +492,40 @@ func (o *Optimizer) rewriteOver(an *analysis, v *physical.View) *viewRewrite {
 
 // planBranch picks the cheaper of the base-table plan and any
 // view-rewritten plan; of equal costs the base plan, then the view
-// earlier in cfg.Views, wins.
-func (o *Optimizer) planBranch(an *analysis, cfg *physical.Config) (*Branch, error) {
-	best, err := o.planBase(an, cfg)
-	if err != nil {
+// earlier in cfg.Views, wins. A winner equal to prev field for field
+// is prev itself, so a re-plan that comes out the same allocates
+// nothing.
+func (o *Optimizer) planBranch(an *analysis, cfg *physical.Config, prev *Branch) (*Branch, error) {
+	e := orderEnum{o: o, an: an, cfg: cfg}
+	if err := e.run(); err != nil {
 		return nil, err
 	}
-	f := an.sel.From
-	if len(f) != 2 {
-		return best, nil // views are two-table joins
-	}
+	var view *viewRewrite
+	rows, cost := e.bestRows, e.bestCost
 	for _, v := range cfg.Views {
-		if (f[0] != v.Outer && f[1] != v.Outer) || (f[0] != v.Inner && f[1] != v.Inner) {
-			continue // not a view of the branch's two tables
+		if !viewOf(an.sel.From, v) {
+			continue
 		}
 		r := o.rewriteOver(an, v)
 		if r.sel == nil {
 			continue
 		}
-		rows, ecost, err := o.applyExists(r.sel, r.scan.Rows, cfg)
+		vrows, ecost, err := o.applyExists(r.sel, r.scan.Rows, cfg)
 		if err != nil {
 			return nil, err
 		}
-		if cost := r.scan.Cost + (ecost + rows*CostTuple); cost < best.Cost {
-			// Sel is the rewritten select: it is what executes.
-			best = &Branch{Sel: r.sel, View: v, Driver: r.scan, Rows: rows, Cost: cost, an: an}
+		if vcost := r.scan.Cost + (ecost + vrows*CostTuple); vcost < cost {
+			view, rows, cost = r, vrows, vcost
 		}
 	}
-	return best, nil
-}
-
-// planBase picks the cheapest left-deep join order over the base
-// tables; of equal costs the order earlier in the enumeration wins.
-func (o *Optimizer) planBase(an *analysis, cfg *physical.Config) (*Branch, error) {
-	s := an.sel
-	switch n := len(s.From); {
-	case n == 0:
-		return nil, fmt.Errorf("optimizer: branch without FROM: %s", s.SQL())
-	case n > maxJoinTables:
-		return nil, fmt.Errorf("%w: %d, at most %d: %s", ErrTooManyTables, n, maxJoinTables, s.SQL())
+	if view == nil {
+		return e.branch(prev), nil
 	}
-	e := orderEnum{o: o, an: an, cfg: cfg}
-	e.extend(0, 0, 0, 0)
-	if !e.found {
-		return nil, fmt.Errorf("optimizer: no joinable order for branch %s", s.SQL())
+	if prev != nil && prev.View == view.view && sameFloat(prev.Rows, rows) && sameFloat(prev.Cost, cost) {
+		return prev, nil // Sel and Driver are view's memoized rewrite
 	}
-	return &Branch{Sel: s, Driver: e.bestDriver, Joins: append([]Join(nil), e.bestJoins[:len(s.From)-1]...),
-		Rows: e.bestRows, Cost: e.bestCost, an: an}, nil
+	// Sel is the rewritten select: it is what executes.
+	return &Branch{Sel: view.sel, View: view.view, Driver: view.scan, Rows: rows, Cost: cost, an: an}, nil
 }
 
 // orderEnum enumerates the left-deep orders of a branch in place:
@@ -522,6 +546,51 @@ type orderEnum struct {
 	bestJoins          [maxJoinTables - 1]Join
 	bestRows, bestCost float64
 }
+
+// run finds the cheapest left-deep join order over the base tables; of
+// equal costs the order earlier in the enumeration wins.
+func (e *orderEnum) run() error {
+	s := e.an.sel
+	switch n := len(s.From); {
+	case n == 0:
+		return fmt.Errorf("optimizer: branch without FROM: %s", s.SQL())
+	case n > maxJoinTables:
+		return fmt.Errorf("%w: %d, at most %d: %s", ErrTooManyTables, n, maxJoinTables, s.SQL())
+	}
+	e.extend(0, 0, 0, 0)
+	if !e.found {
+		return fmt.Errorf("optimizer: no joinable order for branch %s", s.SQL())
+	}
+	return nil
+}
+
+// branch returns the cheapest order as a Branch: prev itself when prev
+// is that base plan field for field, indexes and seek predicates by
+// pointer.
+func (e *orderEnum) branch(prev *Branch) *Branch {
+	joins := e.bestJoins[:len(e.an.from)-1]
+	if prev != nil && prev.View == nil && sameFloat(prev.Rows, e.bestRows) && sameFloat(prev.Cost, e.bestCost) &&
+		prev.Driver.same(e.bestDriver) && slices.EqualFunc(prev.Joins, joins, Join.same) {
+		return prev
+	}
+	return &Branch{Sel: e.an.sel, Driver: e.bestDriver, Joins: append([]Join(nil), joins...),
+		Rows: e.bestRows, Cost: e.bestCost, an: e.an}
+}
+
+func (a Access) same(b Access) bool {
+	return a.Table == b.Table && a.Kind == b.Kind && a.Index == b.Index && a.Covering == b.Covering &&
+		a.SeekPred == b.SeekPred && slices.Equal(a.PartGroups, b.PartGroups) &&
+		sameFloat(a.Rows, b.Rows) && sameFloat(a.Cost, b.Cost)
+}
+
+func (j Join) same(k Join) bool {
+	return j.Method == k.Method && j.OuterCol == k.OuterCol && j.InnerCol == k.InnerCol &&
+		sameFloat(j.Rows, k.Rows) && sameFloat(j.Cost, k.Cost) && j.Inner.same(k.Inner)
+}
+
+// sameFloat compares estimates to the bit, as the plans they end up in
+// are compared.
+func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 // extend tries every table not yet joined as table number depth of the
 // order; rows and cost are the prefix's.

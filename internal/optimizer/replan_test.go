@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -204,6 +205,23 @@ func (st structure) with(cfg *physical.Config) *physical.Config {
 	return out
 }
 
+// added returns the structure alone as a configuration: Replan's added.
+func (st structure) added() *physical.Config { return st.with(&physical.Config{}) }
+
+// touches reports whether the branch's table set (FROM plus EXISTS
+// tables) holds one of the structure's tables: what the query-level
+// filter and the gate before this one let through.
+func (st structure) touches(b *Branch) bool {
+	for _, t := range b.an.sel.Tables() {
+		for _, u := range st.tables {
+			if t == u {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // branchStructures lists the structures a tuner would try for a branch:
 // plain and covering indexes on predicate, join and EXISTS columns, the
 // join view of a two-table branch, a referenced/rest partition of every
@@ -311,7 +329,10 @@ func fig5Fixture(t *testing.T) (provs []stats.Provider, queries [][]*sqlast.Quer
 // TestReplanMatchesPlanQuery grows configurations one random structure
 // at a time and after every step compares, for every query, the plan
 // Replan derives from the previous step's plan with the plan PlanQuery
-// builds from nothing and with the reference planner's.
+// builds from nothing and with the reference planner's. The walk must
+// re-plan branches, keep branches on the structure's tables that the
+// structure cannot serve (the gate), and keep re-planned branches that
+// come out the same.
 func TestReplanMatchesPlanQuery(t *testing.T) {
 	provs, queries := fig5Fixture(t)
 	for mi, prov := range provs {
@@ -332,7 +353,7 @@ func TestReplanMatchesPlanQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		replanned, kept := 0, 0
+		replanned, gated, same := 0, 0, 0
 		for step := 0; step < 40; step++ {
 			st := pool[r.Intn(len(pool))]
 			// Partitions come last: a partitioned table takes no
@@ -346,10 +367,15 @@ func TestReplanMatchesPlanQuery(t *testing.T) {
 				continue
 			}
 			cfg = next
+			added := st.added()
 			for i, q := range queries[mi] {
 				label := fmt.Sprintf("mapping %d step %d query %d", mi, step, i)
+				serves := make([]bool, len(q.Branches))
+				for bi, b := range prev[i].Branches {
+					serves[bi] = o.serves(b.an, added)
+				}
 				calls := o.Calls()
-				inc, err := o.Replan(prev[i], cfg, st.tables)
+				inc, err := o.Replan(prev[i], cfg, added)
 				if err != nil {
 					t.Fatalf("%s: Replan: %v", label, err)
 				}
@@ -367,9 +393,15 @@ func TestReplanMatchesPlanQuery(t *testing.T) {
 				samePlan(t, label+" Replan vs PlanQuery", inc, full)
 				samePlan(t, label+" PlanQuery vs reference", full, ref)
 				for bi, b := range inc.Branches {
-					if b == prev[i].Branches[bi] {
-						kept++
-					} else {
+					old := prev[i].Branches[bi]
+					switch {
+					case !serves[bi] && b != old:
+						t.Errorf("%s: branch %d was re-planned though the structure cannot serve it", label, bi)
+					case !serves[bi] && st.touches(old):
+						gated++
+					case serves[bi] && b == old:
+						same++
+					case serves[bi]:
 						replanned++
 					}
 				}
@@ -379,8 +411,10 @@ func TestReplanMatchesPlanQuery(t *testing.T) {
 				t.FailNow()
 			}
 		}
-		if replanned == 0 || kept == 0 {
-			t.Errorf("mapping %d: %d branches re-planned, %d kept; the walk must do both", mi, replanned, kept)
+		t.Logf("mapping %d: %d re-planned, %d gated, %d re-planned to the same plan", mi, replanned, gated, same)
+		if replanned == 0 || gated == 0 || same == 0 {
+			t.Errorf("mapping %d: %d branches re-planned, %d on the structure's tables kept by the gate, %d re-planned to the same plan; the walk must do all three",
+				mi, replanned, gated, same)
 		}
 	}
 }
@@ -433,15 +467,18 @@ func TestReplanCases(t *testing.T) {
 	steps := []struct {
 		name string
 		st   structure
-		// replanned lists the branches the step may re-plan.
-		replanned []int
+		// serves lists the branches the structure serves: the ones the
+		// step re-plans.
+		serves []int
 	}{
 		{"index under EXISTS only", structure{tables: []string{"actor"},
 			idx: &physical.Index{Name: "a_pid", Table: "actor", Key: []string{"PID"}}}, []int{0, 1, 2, 3}},
 		{"index on the third table", structure{tables: []string{"award"},
 			idx: &physical.Index{Name: "w_pid", Table: "award", Key: []string{"PID"}, Include: []string{"prize"}}}, []int{2}},
-		{"first of two equal views", structure{tables: []string{"movie", "actor"}, view: v1}, []int{0, 1, 2, 3, 4}},
-		{"second of two equal views", structure{tables: []string{"movie", "actor"}, view: v2}, []int{0, 1, 2, 3, 4}},
+		{"index no predicate probes", structure{tables: []string{"movie"},
+			idx: &physical.Index{Name: "m_year", Table: "movie", Key: []string{"year"}}}, nil},
+		{"first of two equal views", structure{tables: []string{"movie", "actor"}, view: v1}, []int{3}},
+		{"second of two equal views", structure{tables: []string{"movie", "actor"}, view: v2}, []int{3}},
 		{"partitioned driver", structure{tables: []string{"movie"},
 			vpart: &physical.VPartition{Table: "movie", Groups: [][]string{{"title"}, {"year", "genre"}}}}, []int{0, 1, 2, 3, 4}},
 	}
@@ -451,9 +488,20 @@ func TestReplanCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gated := 0
 	for _, step := range steps {
 		cfg = step.st.with(cfg)
-		inc, err := o.Replan(prev, cfg, step.st.tables)
+		added := step.st.added()
+		for bi, b := range prev.Branches {
+			want := slices.Contains(step.serves, bi)
+			if got := o.serves(b.an, added); got != want {
+				t.Errorf("%s: branch %d served %v, want %v", step.name, bi, got, want)
+			}
+			if !want && step.st.touches(b) {
+				gated++
+			}
+		}
+		inc, err := o.Replan(prev, cfg, added)
 		if err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
@@ -468,15 +516,18 @@ func TestReplanCases(t *testing.T) {
 		samePlan(t, step.name+": Replan vs PlanQuery", inc, full)
 		samePlan(t, step.name+": PlanQuery vs reference", full, ref)
 		for bi, b := range inc.Branches {
-			may := false
-			for _, r := range step.replanned {
-				may = may || r == bi
-			}
-			if b != prev.Branches[bi] && !may {
+			if b != prev.Branches[bi] && !slices.Contains(step.serves, bi) {
 				t.Errorf("%s: branch %d was re-planned", step.name, bi)
 			}
 		}
+		// v2 ties v1 and loses: branch 3's view plan comes out the same.
+		if step.st.view == v2 && inc.Branches[3] != prev.Branches[3] {
+			t.Errorf("%s: branch 3's view plan came out the same but was not kept", step.name)
+		}
 		prev = inc
+	}
+	if gated == 0 {
+		t.Error("no branch on a step's tables was kept by the gate")
 	}
 	if got := prev.Branches[3].View; got != v1 {
 		t.Errorf("equal-cost views: branch answered from %v, want v1, the first in cfg.Views", got)
@@ -509,14 +560,126 @@ func TestReplanUntouchedAllocates(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := &physical.Config{Indexes: []*physical.Index{{Name: "w", Table: "award", Key: []string{"PID"}}}}
-	changed := []string{"award"}
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := o.Replan(prev, cfg, changed); err != nil {
+		if _, err := o.Replan(prev, cfg, cfg); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs != 2 {
 		t.Errorf("Replan of an untouched query allocates %v objects, want 2 (the Plan and its branch slice)", allocs)
+	}
+}
+
+// TestReplanSamePlanKeepsBranch: indexes each branch can use but that
+// lose to its plan re-plan every branch and keep every one — prev's own
+// Branch, and no allocation beyond the Plan and its branch slice.
+func TestReplanSamePlanKeepsBranch(t *testing.T) {
+	o := New(caseStats())
+	// year >= 0 matches every movie, and a genre matches one in 20: a
+	// non-covering seek pays a random lookup per match and loses to the
+	// scan in both branches.
+	unselective := sqlast.Pred{Kind: sqlast.PredCompare, Op: sqlast.OpGe, Col: col("movie", "year"), Value: rel.Int(0)}
+	q := &sqlast.Query{OrderBy: "ID", Branches: []*sqlast.Select{selectMovie(unselective), joinBranch()}}
+	prev, err := o.PlanQuery(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := &physical.Config{Indexes: []*physical.Index{
+		{Name: "m_year", Table: "movie", Key: []string{"year"}},
+		{Name: "m_genre", Table: "movie", Key: []string{"genre"}}}}
+	for bi, b := range prev.Branches {
+		if !o.serves(b.an, cfg) {
+			t.Fatalf("branch %d: not served by %s", bi, cfg)
+		}
+	}
+	inc, err := o.Replan(prev, cfg, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := o.PlanQuery(q, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	samePlan(t, "Replan vs PlanQuery", inc, full)
+	for bi, b := range inc.Branches {
+		if b != prev.Branches[bi] {
+			t.Errorf("branch %d: re-planned to the same plan but not kept:\n%s", bi, inc.Explain())
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := o.Replan(prev, cfg, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 2 {
+		t.Errorf("Replan to the same plan allocates %v objects, want 2 (the Plan and its branch slice)", allocs)
+	}
+}
+
+// TestReplanServesIsSound: over the Fig. 5 fixture, grown by random
+// structures, every branch a random further structure cannot serve is
+// planned under the configuration with it exactly as without it — the
+// gate keeps only what PlanQuery would rebuild to the bit.
+func TestReplanServesIsSound(t *testing.T) {
+	provs, queries := fig5Fixture(t)
+	for mi, prov := range provs {
+		o := New(prov)
+		seq := 0
+		var pool []structure
+		for _, q := range queries[mi] {
+			for _, s := range q.Branches {
+				pool = append(pool, branchStructures(s, prov, &seq)...)
+			}
+		}
+		r := rand.New(rand.NewSource(int64(mi) + 7))
+		cfg := &physical.Config{}
+		rejected, onTables := 0, 0
+		for step := 0; step < 30; step++ {
+			st := pool[r.Intn(len(pool))]
+			next := st.with(cfg)
+			if next == nil {
+				continue
+			}
+			added := st.added()
+			for i, q := range queries[mi] {
+				before, err := o.PlanQuery(q, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				after, err := o.PlanQuery(q, next)
+				if err != nil {
+					t.Fatal(err)
+				}
+				all := true
+				for bi, b := range before.Branches {
+					if o.serves(b.an, added) {
+						all = false
+						continue
+					}
+					rejected++
+					if st.touches(b) {
+						onTables++
+					}
+					label := fmt.Sprintf("mapping %d step %d query %d branch %d", mi, step, i, bi)
+					samePlan(t, label, &Plan{Branches: []*Branch{after.Branches[bi]}}, &Plan{Branches: []*Branch{b}})
+				}
+				if all {
+					samePlan(t, fmt.Sprintf("mapping %d step %d query %d", mi, step, i), after, before)
+				}
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+			// Partitions stay out of the grown configuration (as in
+			// TestReplanMatchesPlanQuery's early steps) so later indexes
+			// keep something to serve.
+			if st.vpart == nil {
+				cfg = next
+			}
+		}
+		if onTables == 0 {
+			t.Errorf("mapping %d: %d branches rejected, none on the structure's tables", mi, rejected)
+		}
 	}
 }
 

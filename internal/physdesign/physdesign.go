@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/obs"
@@ -144,6 +145,9 @@ type candidate struct {
 	tables  []string // the structure's tables: only queries naming one can change plan
 	bytes   int64
 	origins []int // workload indices of the queries that generated it
+	// added is the structure alone: what a what-if call passes Replan as
+	// the added structures, and prefilterCandidates' whole trial.
+	added *physical.Config
 }
 
 // addTo adds the structure to a configuration made of other candidates.
@@ -167,8 +171,8 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 	opt := optimizer.New(prov)
 	cfg := &physical.Config{}
 	// plans are the workload's plans under cfg. A what-if call re-plans
-	// from them the branches a candidate's tables can reach; a query
-	// naming none of those tables keeps plan and cost without a call.
+	// from them the branches a candidate's structure can serve; a query
+	// naming none of its tables keeps plan and cost without a call.
 	plans := make([]*optimizer.Plan, len(w))
 	tables := make([][]string, len(w))
 	for i, wq := range w {
@@ -200,7 +204,7 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 			if !intersects(tables[i], c.tables) {
 				continue
 			}
-			p, err := opt.Replan(plans[i], trial, c.tables)
+			p, err := opt.Replan(plans[i], trial, c.added)
 			if err != nil {
 				return 0, nil, false
 			}
@@ -344,13 +348,15 @@ func generateCandidates(w Workload, prov stats.Provider, opts Options) []*candid
 			return
 		}
 		c.origins = []int{qi}
+		c.added = &physical.Config{}
+		c.addTo(c.added)
 		seen[c.id] = c
 		out = append(out, c)
 	}
 	seq := 0
 	name := func(prefix string) string {
 		seq++
-		return fmt.Sprintf("%s_%d", prefix, seq)
+		return prefix + "_" + strconv.Itoa(seq)
 	}
 	for i, wq := range w {
 		qi = i
@@ -386,13 +392,11 @@ func prefilterCandidates(cands []*candidate, w Workload, opt *optimizer.Optimize
 	}
 	rs := make([]ranked, 0, len(cands))
 	for _, c := range cands {
-		trial := &physical.Config{}
-		if !c.addTo(trial) {
-			continue
-		}
+		// The base plans are planned under the empty configuration, so
+		// the trial is the structure alone.
 		benefit := -c.maintenanceCost(opts.InsertRates)
 		for _, qi := range c.origins {
-			p, err := opt.Replan(base[qi], trial, c.tables)
+			p, err := opt.Replan(base[qi], c.added, c.added)
 			if err != nil {
 				continue
 			}

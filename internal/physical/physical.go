@@ -30,9 +30,18 @@ type Index struct {
 
 // ID returns a canonical identity string for deduplication.
 func (i *Index) ID() string {
-	inc := append([]string(nil), i.Include...)
-	sort.Strings(inc)
-	return fmt.Sprintf("idx:%s(%s)inc(%s)", i.Table, strings.Join(i.Key, ","), strings.Join(inc, ","))
+	return "idx:" + i.Table + "(" + strings.Join(i.Key, ",") + ")inc(" + strings.Join(sorted(i.Include), ",") + ")"
+}
+
+// sorted returns cols in sorted order, copying them only when they are
+// not.
+func sorted(cols []string) []string {
+	if sort.StringsAreSorted(cols) {
+		return cols
+	}
+	out := append([]string(nil), cols...)
+	sort.Strings(out)
+	return out
 }
 
 // Covers reports whether every column in cols is stored in the index.
@@ -111,11 +120,8 @@ type View struct {
 
 // ID returns a canonical identity string for deduplication.
 func (v *View) ID() string {
-	oc := append([]string(nil), v.OuterCols...)
-	ic := append([]string(nil), v.InnerCols...)
-	sort.Strings(oc)
-	sort.Strings(ic)
-	return fmt.Sprintf("view:%s(%s)x%s(%s)", v.Outer, strings.Join(oc, ","), v.Inner, strings.Join(ic, ","))
+	return "view:" + v.Outer + "(" + strings.Join(sorted(v.OuterCols), ",") + ")x" +
+		v.Inner + "(" + strings.Join(sorted(v.InnerCols), ",") + ")"
 }
 
 // ViewColumn returns the view column name carrying table.col, or ""
@@ -297,8 +303,9 @@ func (c *Config) Clone() *Config {
 
 // AddIndex appends an index unless an identical one exists.
 func (c *Config) AddIndex(i *Index) bool {
+	id := i.ID()
 	for _, e := range c.Indexes {
-		if e.ID() == i.ID() {
+		if e.ID() == id {
 			return false
 		}
 	}
@@ -308,8 +315,9 @@ func (c *Config) AddIndex(i *Index) bool {
 
 // AddView appends a view unless an identical one exists.
 func (c *Config) AddView(v *View) bool {
+	id := v.ID()
 	for _, e := range c.Views {
-		if e.ID() == v.ID() {
+		if e.ID() == id {
 			return false
 		}
 	}
