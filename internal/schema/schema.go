@@ -561,14 +561,23 @@ func nearestElement(n *Node) *Node {
 	return nil
 }
 
-// Signature renders a canonical serialization of the tree for use as a
-// memoization key: everything mapping compilation and statistics
-// derivation read — structure, element identities, annotations, split
+// Signature renders a serialization of the tree for use as a
+// memoization key: structure, element identities, annotations, split
 // counts, union distributions, simple types, and occurrence bounds.
-// Two trees with equal signatures compile to identical mappings with
-// identical derived statistics, so an evaluation of one can be reused
-// for the other. Unlike String, it disambiguates same-named elements by
-// node ID and includes distribution metadata.
+// Unlike String, it disambiguates same-named elements by node ID and
+// includes distribution metadata.
+//
+// A node's distributions are rendered as a sorted set, but mapping
+// compilation reads them in order (shred's expandPartitions and
+// partitionSuffix). Two trees with equal signatures therefore compile
+// to the same relations with the same columns and statistics, but the
+// condition suffixes of their partition names may come in a different
+// order (inproceedings_has_url_has_cdrom vs
+// inproceedings_has_cdrom_has_url; shred's
+// TestSignatureIgnoresDistributionOrder). A memo keyed by Signature that
+// hands back a mapping, or anything naming its relations, can give one
+// tree the other's names; the costs agree, but a search that breaks
+// ties by name need not take the same path.
 func (t *Tree) Signature() string {
 	var b strings.Builder
 	var render func(n *Node)

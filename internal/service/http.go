@@ -11,16 +11,17 @@ import (
 	"net/http"
 	"strconv"
 	"time"
-
-	"repro/internal/engine"
-	"repro/internal/rel"
 )
 
 // The wire protocol is JSON over HTTP:
 //
-//	POST /query    Request body  → wireResponse | wireError
+//	POST /query    Request body  → response (wire.go) | wireError
 //	GET  /corpora  → []CorpusInfo
 //	GET  /healthz  → "ok"
+//
+// The /query 200 body goes through the hand-rolled codec in wire.go;
+// everything else — request decoding, error bodies, /corpora — through
+// encoding/json.
 //
 // Admission outcomes map onto status codes so generic HTTP tooling
 // does the right thing — 429 for overload (back off), 504 for
@@ -32,56 +33,6 @@ import (
 // maxRequestBody caps a /query request body. A request is an XPath and
 // a handful of scalars; a megabyte is far past any real one.
 const maxRequestBody = 1 << 20
-
-// wireValue is the JSON form of a rel.Value. Floats travel as
-// strconv.FormatFloat(…, 'g', -1, 64) strings so every float —
-// including NaN and the infinities, which encoding/json rejects —
-// round-trips bit-exactly.
-type wireValue struct {
-	Null bool   `json:"null,omitempty"`
-	Type string `json:"type"`
-	Int  int64  `json:"int,omitempty"`
-	Flt  string `json:"float,omitempty"`
-	Str  string `json:"str,omitempty"`
-}
-
-func toWire(v rel.Value) wireValue {
-	w := wireValue{Null: v.Null}
-	switch v.Typ {
-	case rel.TInt:
-		w.Type, w.Int = "int", v.I
-	case rel.TFloat:
-		w.Type, w.Flt = "float", strconv.FormatFloat(v.F, 'g', -1, 64)
-	default:
-		w.Type, w.Str = "string", v.S
-	}
-	return w
-}
-
-func fromWire(w wireValue) (rel.Value, error) {
-	switch w.Type {
-	case "int":
-		return rel.Value{Null: w.Null, Typ: rel.TInt, I: w.Int}, nil
-	case "float":
-		f, err := strconv.ParseFloat(w.Flt, 64)
-		if err != nil && w.Flt != "" {
-			return rel.Value{}, fmt.Errorf("service: bad float %q: %w", w.Flt, err)
-		}
-		return rel.Value{Null: w.Null, Typ: rel.TFloat, F: f}, nil
-	case "string":
-		return rel.Value{Null: w.Null, Typ: rel.TString, S: w.Str}, nil
-	}
-	return rel.Value{}, fmt.Errorf("service: bad wire type %q", w.Type)
-}
-
-type wireResponse struct {
-	Cols      []string         `json:"cols"`
-	Rows      [][]wireValue    `json:"rows"`
-	Stats     engine.ExecStats `json:"stats"`
-	Workers   int              `json:"workers"`
-	QueuedUS  int64            `json:"queued_us"`
-	ElapsedUS int64            `json:"elapsed_us"`
-}
 
 type wireError struct {
 	Error string `json:"error"`
@@ -161,22 +112,13 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		fail(err)
 		return
 	}
-	wr := wireResponse{
-		Cols:      resp.Cols,
-		Rows:      make([][]wireValue, len(resp.Rows)),
-		Stats:     resp.Stats,
-		Workers:   resp.Workers,
-		QueuedUS:  resp.Queued.Microseconds(),
-		ElapsedUS: resp.Elapsed.Microseconds(),
-	}
-	for i, row := range resp.Rows {
-		wrow := make([]wireValue, len(row))
-		for j, v := range row {
-			wrow[j] = toWire(v)
-		}
-		wr.Rows[i] = wrow
-	}
-	writeJSON(w, http.StatusOK, wr)
+	bp := getBuf()
+	*bp = appendResponse(*bp, resp)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
+	w.WriteHeader(http.StatusOK)
+	w.Write(*bp) //nolint:errcheck
+	putBuf(bp)
 }
 
 func (s *Service) handleCorpora(w http.ResponseWriter, r *http.Request) {
@@ -223,13 +165,18 @@ func (sv *Server) Close() error {
 	return sv.srv.Close()
 }
 
+// maxResponseBody is the largest /query response body Client reads. A
+// larger one is an error naming this cap, not a truncated read.
+const maxResponseBody = 64 << 20
+
 // Client is the HTTP counterpart of Service.Query: it submits requests
 // to a remote xmlserved and folds wire errors back into the sentinel
 // taxonomy, so code written against Query works unchanged against a
 // remote service (loadgen targets either through QueryFunc).
 type Client struct {
-	base string
-	hc   *http.Client
+	base    string
+	hc      *http.Client
+	maxBody int64 // maxResponseBody; tests lower it
 }
 
 // NewClient builds a client for a service at base (e.g.
@@ -240,18 +187,14 @@ func NewClient(base string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	return &Client{base: base, hc: hc}
+	return &Client{base: base, hc: hc, maxBody: maxResponseBody}
 }
 
 // Query submits one request. Admission errors come back as the same
 // sentinels the local path returns: errors.Is(err, ErrOverloaded) and
 // errors.Is(err, ErrDeadline) hold across the wire.
 func (c *Client) Query(ctx context.Context, req Request) (*Response, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return nil, err
-	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/query", bytes.NewReader(body))
+	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/query", bytes.NewReader(appendRequest(nil, req)))
 	if err != nil {
 		return nil, err
 	}
@@ -264,35 +207,24 @@ func (c *Client) Query(ctx context.Context, req Request) (*Response, error) {
 		return nil, err
 	}
 	defer resp.Body.Close()
-	dec := json.NewDecoder(io.LimitReader(resp.Body, 64<<20))
 	if resp.StatusCode != http.StatusOK {
 		var we wireError
-		if err := dec.Decode(&we); err != nil {
+		if err := json.NewDecoder(io.LimitReader(resp.Body, c.maxBody)).Decode(&we); err != nil {
 			return nil, fmt.Errorf("service: HTTP %d (unreadable body: %v)", resp.StatusCode, err)
 		}
 		return nil, kindErr(we.Kind, we.Error)
 	}
-	var wr wireResponse
-	if err := dec.Decode(&wr); err != nil {
-		return nil, fmt.Errorf("service: decode response: %w", err)
-	}
-	out := &Response{
-		Cols:    wr.Cols,
-		Rows:    make([][]rel.Value, len(wr.Rows)),
-		Stats:   wr.Stats,
-		Workers: wr.Workers,
-		Queued:  time.Duration(wr.QueuedUS) * time.Microsecond,
-		Elapsed: time.Duration(wr.ElapsedUS) * time.Microsecond,
-	}
-	for i, wrow := range wr.Rows {
-		row := make([]rel.Value, len(wrow))
-		for j, wv := range wrow {
-			row[j], err = fromWire(wv)
-			if err != nil {
-				return nil, err
-			}
+	bp, err := readBody(resp.Body, resp.ContentLength, c.maxBody)
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, wrapDeadline("client", ctx.Err())
 		}
-		out.Rows[i] = row
+		return nil, err
+	}
+	out, err := decodeResponse(*bp)
+	putBuf(bp)
+	if err != nil {
+		return nil, fmt.Errorf("service: decode response: %w", err)
 	}
 	return out, nil
 }

@@ -1,12 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -66,11 +68,16 @@ func TestWireValueRoundTrip(t *testing.T) {
 		rel.NullOf(rel.TFloat),
 	}
 	for _, v := range cases {
-		got, err := fromWire(toWire(v))
+		resp := &Response{Cols: []string{"v"}, Rows: [][]rel.Value{{v}}}
+		body := appendResponse(nil, resp)
+		if want := oracleEncode(t, resp); !bytes.Equal(body, want) {
+			t.Errorf("%v: encoded %q, want %q", v, body, want)
+		}
+		back, err := decodeResponse(body)
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}
-		if !got.BitEqual(v) {
+		if got := back.Rows[0][0]; !got.BitEqual(v) {
 			t.Errorf("round trip %v -> %v: not bit-equal", v, got)
 		}
 	}
@@ -148,4 +155,51 @@ func TestRequestBodyLimit(t *testing.T) {
 	if _, err := cl.Query(context.Background(), Request{Corpus: "movie", Tenant: "t", XPath: "//movie/year"}); err != nil {
 		t.Errorf("a normal request after the oversized one: %v", err)
 	}
+}
+
+// FuzzHTTPQuery posts arbitrary bodies to the service's handler. Every
+// one must end in a defined outcome: no panic, a status from the wire
+// protocol's set, a 200 body the client decodes with a Content-Length
+// that matches it, and any other body a wireError.
+func FuzzHTTPQuery(f *testing.F) {
+	m, _, built := movieFixture(f, 12)
+	svc := New(Config{})
+	if err := svc.RegisterBuilt("movie", built, m, nil); err != nil {
+		f.Fatal(err)
+	}
+	h := svc.Handler()
+	for _, q := range serviceQueries {
+		f.Add(appendRequest(nil, Request{Corpus: "movie", Tenant: "t", XPath: q, Workers: 2}))
+	}
+	for _, s := range []string{
+		`{"corpus":"nope","tenant":"t","xpath":"//movie/year"}`,
+		`{"corpus":"movie","tenant":"t","xpath":"//movie[year >="}`,
+		`{"corpus":"movie","tenant":"t","xpath":"//movie/year","timeout_ms":-1,"workers":-1,"mem_estimate":-5}`,
+		`{"corpus":"movie","tenant":"t","xpath":"//movie/year","workers":1000000,"mem_estimate":9223372036854775807}`,
+		`{"corpus":"movie","xpath":"//nothing"}`,
+		`{"corpus":`, `{}`, `null`, `[]`, `"x"`, ``, `{"workers":"2"}`, `{"timeout_ms":1e999}`,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+		switch rec.Code {
+		case http.StatusOK:
+			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
+				t.Fatalf("%q: Content-Length %q for a %d-byte body", body, cl, rec.Body.Len())
+			}
+			if _, err := decodeResponse(rec.Body.Bytes()); err != nil {
+				t.Fatalf("%q: 200 body does not decode: %v", body, err)
+			}
+		case http.StatusBadRequest, http.StatusNotFound, http.StatusRequestEntityTooLarge,
+			http.StatusTooManyRequests, http.StatusServiceUnavailable, http.StatusGatewayTimeout:
+			var we wireError
+			if err := json.Unmarshal(rec.Body.Bytes(), &we); err != nil || we.Error == "" {
+				t.Fatalf("%q: HTTP %d body %q is not a wireError (%v)", body, rec.Code, rec.Body, err)
+			}
+		default:
+			t.Fatalf("%q: HTTP %d", body, rec.Code)
+		}
+	})
 }

@@ -2,6 +2,10 @@ package shred
 
 import (
 	"math"
+	"reflect"
+	"regexp"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/rel"
@@ -173,6 +177,53 @@ func TestCompileCrossProductDistributions(t *testing.T) {
 	}
 	if got := len(m.RelationsOf("movie")); got != 4 {
 		t.Errorf("cross-product partitions = %d, want 4: %v", got, relationNames(m))
+	}
+}
+
+// TestSignatureIgnoresDistributionOrder pins what schema.Tree.Signature
+// does not promise. Two trees that distribute inproceedings on url and
+// on cdrom, in opposite orders, share a signature, but Compile reads
+// the distributions in order: the partitions are the same relations
+// under names whose condition suffixes come in the other order.
+func TestSignatureIgnoresDistributionOrder(t *testing.T) {
+	compile := func(first, second string) (*schema.Tree, *Mapping) {
+		tr := schema.DBLP()
+		in := tr.ElementsNamed("inproceedings")[0]
+		in.Distributions = []schema.Distribution{
+			{Optionals: []int{tr.ElementsNamed(first)[0].ID}},
+			{Optionals: []int{tr.ElementsNamed(second)[0].ID}},
+		}
+		m, err := Compile(tr)
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		return tr, m
+	}
+	t1, m1 := compile("url", "cdrom")
+	t2, m2 := compile("cdrom", "url")
+	if t1.Signature() != t2.Signature() {
+		t.Fatalf("signatures differ:\n%s\n%s", t1.Signature(), t2.Signature())
+	}
+	if m1.Relation("inproceedings_has_url_has_cdrom") == nil || m2.Relation("inproceedings_has_cdrom_has_url") == nil {
+		t.Fatalf("partition names: %v and %v", relationNames(m1), relationNames(m2))
+	}
+	// With each name's condition suffixes sorted, the two mappings are
+	// the same relations with the same columns.
+	cond := regexp.MustCompile(`_(has|no)_[a-z]+`)
+	canonical := func(m *Mapping) map[string][]string {
+		out := make(map[string][]string)
+		for _, r := range m.Relations {
+			conds := cond.FindAllString(r.Name, -1)
+			sort.Strings(conds)
+			out[cond.ReplaceAllString(r.Name, "")+strings.Join(conds, "")] = colNames(r)
+		}
+		return out
+	}
+	if c1, c2 := canonical(m1), canonical(m2); !reflect.DeepEqual(c1, c2) {
+		t.Errorf("the mappings differ beyond suffix order:\n%v\n%v", c1, c2)
+	}
+	if reflect.DeepEqual(relationNames(m1), relationNames(m2)) {
+		t.Errorf("relation names no longer depend on distribution order: %v", relationNames(m1))
 	}
 }
 
