@@ -285,9 +285,9 @@ type orderedSource struct {
 	acquired []int
 }
 
-func (s *orderedSource) Chunk(k int) (*rel.Table, func(), error) {
+func (s *orderedSource) ChunkColumns(k int, cols []int) (*rel.Table, func(), error) {
 	s.acquired = append(s.acquired, k)
-	return s.ScanSource.Chunk(k)
+	return s.ScanSource.ChunkColumns(k, cols)
 }
 
 func repeat(v, n int) []int {

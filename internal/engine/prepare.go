@@ -53,14 +53,68 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 			return nil, fmt.Errorf("engine: ORDER BY column %s missing from output", ob)
 		}
 	}
+	// A scan asks its source for the columns it reads and no others, and
+	// every branch that scans one table asks for one set, their union: the
+	// first branch to reach a chunk faults what all of them read, so a
+	// union still reads each chunk once (claimOrder walks them together).
+	need := make(map[*rel.Table][]int)
 	for _, br := range plan.Branches {
 		pb, err := prepareBranch(b, br)
 		if err != nil {
 			return nil, err
 		}
 		pp.branches = append(pp.branches, pb)
+		if pb.src.kind == srcScan {
+			need[pb.src.table] = append(need[pb.src.table], pb.scanColumns()...)
+		}
+	}
+	for t, cols := range need {
+		slices.Sort(cols)
+		if cols = slices.Compact(cols); len(cols) == 0 {
+			// A scan that reads no column still has its chunks verified
+			// before their rows count: it asks for the first column.
+			cols = []int{0}
+		}
+		need[t] = cols
+	}
+	for _, pb := range pp.branches {
+		if pb.src.kind == srcScan {
+			pb.src.need = need[pb.src.table]
+		}
 	}
 	return pp, nil
+}
+
+// scanColumns lists the driver columns a scan branch reads: every column
+// its kernels and fills read — or, under the DiskResident model, whose
+// simulated read (touchTable) charges every column, all of them.
+func (pb *preparedBranch) scanColumns() []int {
+	t := pb.src.table
+	var cols []int
+	if pb.built.simulatesDisk() {
+		for ci := range t.Columns {
+			cols = append(cols, ci)
+		}
+		return cols
+	}
+	for _, r := range pb.src.refs {
+		cols = append(cols, r.col)
+	}
+	for _, p := range pb.kernPreds {
+		refs := p.Cols
+		switch p.Kind {
+		case sqlast.PredCompare:
+			refs = []sqlast.ColRef{p.Col}
+		case sqlast.PredExists, sqlast.PredOrExists:
+			refs = append(refs[:len(refs):len(refs)], p.OuterCol)
+		}
+		for _, c := range refs {
+			if ci, err := pb.scope.col(c); err == nil { // compiling the kernel resolved it
+				cols = append(cols, ci)
+			}
+		}
+	}
+	return cols
 }
 
 // ExecuteContextWorkers runs the prepared plan on exactly `workers`
@@ -147,6 +201,10 @@ type driverSrc struct {
 	// the source's paging budget. A resident table is its own single
 	// chunk (see tableSource).
 	chunks ScanSource
+	// need is the column set a srcScan driver fetches (ScanSource's
+	// ChunkColumns): ascending, the union of what every branch of the
+	// plan scanning this table reads (see Prepare).
+	need []int
 	// refs are the driver columns the branch's tuples carry. fills lands
 	// them for seek and zip drivers, whose source is fixed at Prepare; a
 	// scan compiles its fills against each fragment it acquires.
@@ -790,14 +848,15 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 		process(0, bt)
 	}
 	// scanChunk scans rows [s0, e0) of chunk k (chunk-local ids): acquire
-	// the fragment from the source, filter it with kernels and fill from
-	// it with fills compiled for that fragment, and release it before
-	// returning — a paged fragment is resident only between Chunk and
-	// release, so peak scan memory follows the source's budget, and
-	// nothing is cached on a fragment (a pager-cached chunk is shared and
-	// budgeted by its on-disk size).
+	// the fragment with the columns the scan reads from the source, filter
+	// it with kernels and fill from it with fills compiled for that
+	// fragment, and release it before returning — a paged fragment is
+	// resident only between the fetch and release, so peak scan memory
+	// follows the source's budget, and nothing is cached on a fragment (a
+	// pager-cached chunk is shared and budgeted by its columns' encoded
+	// bytes).
 	scanChunk := func(k, s0, e0 int) error {
-		frag, release, err := pb.src.chunks.Chunk(k)
+		frag, release, err := pb.src.chunks.ChunkColumns(k, pb.src.need)
 		if err != nil {
 			return err
 		}

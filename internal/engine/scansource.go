@@ -17,17 +17,18 @@ import (
 // chunk spans never change after registration, and results must be
 // bit-identical to ExecuteReference over the same rows — the
 // row-at-a-time executor is the equivalence oracle for every source.
-// Chunk returns a resident fragment covering rows [lo, hi) of the table
-// plus a release callback; the fragment is only valid until release,
-// which lets the source unpin or evict it, and may be shared with other
-// scans — the executor reads its column vectors in place (kernels over
-// a batch of row ids, then the referenced columns of the survivors
-// copied into its own batch arena) and never calls Rows() on it, so
-// nothing row-shaped hangs off a fragment and no reference to its vectors
-// outlives the release. Chunk must be safe for
-// concurrent calls (morsel workers pull chunks independently) and
-// should return an error — not stale data — when the backing store has
-// moved on.
+// ChunkColumns, the one fetch the executor makes, returns a resident
+// fragment covering rows [lo, hi) of the table with at least the
+// columns the scan reads, plus a release callback; the fragment is only
+// valid until release, which lets the source unpin or evict it, and may
+// be shared with other scans — the executor reads the columns it asked
+// for in place (kernels over a batch of row ids, then the referenced
+// columns of the survivors copied into its own batch arena) and no
+// others, so a source may leave the rest absent (rel.NewFragment), and
+// nothing row-shaped hangs off a fragment and no reference to its
+// vectors outlives the release. Fetches must be safe for concurrent
+// calls (morsel workers pull chunks independently) and should return an
+// error — not stale data — when the backing store has moved on.
 type ScanSource interface {
 	// Columns returns the table's column descriptors, in table order.
 	Columns() []rel.Column
@@ -41,9 +42,14 @@ type ScanSource interface {
 	// RowCount().
 	ChunkSpan(k int) (lo, hi int)
 	// Chunk returns chunk k as a resident read-only table fragment whose
-	// row r corresponds to global row ChunkSpan(k).lo + r, plus a release
-	// callback the caller must invoke once, when done with the fragment.
+	// row r corresponds to global row ChunkSpan(k).lo + r, with every
+	// column resident, plus a release callback the caller must invoke
+	// once, when done with the fragment.
 	Chunk(k int) (*rel.Table, func(), error)
+	// ChunkColumns is Chunk for the columns cols alone: a non-empty list
+	// of ascending column indices that must be resident in the fragment;
+	// any other column may be absent.
+	ChunkColumns(k int, cols []int) (*rel.Table, func(), error)
 }
 
 // SetScanSource registers a chunk source for driver-stage scans of the
@@ -71,6 +77,9 @@ func (s tableSource) RowCount() int            { return s.t.RowCount() }
 func (s tableSource) NumChunks() int           { return 1 }
 func (s tableSource) ChunkSpan(int) (int, int) { return 0, s.t.RowCount() }
 func (s tableSource) Chunk(int) (*rel.Table, func(), error) {
+	return s.t, func() {}, nil
+}
+func (s tableSource) ChunkColumns(int, []int) (*rel.Table, func(), error) {
 	return s.t, func() {}, nil
 }
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -36,8 +38,8 @@ type countedSource struct {
 	maxHeld atomic.Int64
 }
 
-func (s *countedSource) Chunk(k int) (*rel.Table, func(), error) {
-	frag, release, err := s.ScanSource.Chunk(k)
+func (s *countedSource) ChunkColumns(k int, cols []int) (*rel.Table, func(), error) {
+	frag, release, err := s.ScanSource.ChunkColumns(k, cols)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -98,6 +100,10 @@ func (s *sliceSource) ChunkSpan(k int) (int, int) { return s.spans[k][0], s.span
 
 func (s *sliceSource) Chunk(k int) (*rel.Table, func(), error) {
 	return s.chunks[k], func() {}, nil
+}
+
+func (s *sliceSource) ChunkColumns(k int, _ []int) (*rel.Table, func(), error) {
+	return s.Chunk(k)
 }
 
 // chunkDB builds a parent/child database big enough to span many
@@ -396,5 +402,83 @@ func TestScanSourceIgnoredForSeeks(t *testing.T) {
 	}
 	if src.maxHeld.Load() != 0 {
 		t.Fatal("seek access pulled chunks from the scan source")
+	}
+}
+
+// recordingSource records the column set of every fetch.
+type recordingSource struct {
+	ScanSource
+	mu   sync.Mutex
+	sets [][]int
+}
+
+func (s *recordingSource) ChunkColumns(k int, cols []int) (*rel.Table, func(), error) {
+	s.mu.Lock()
+	s.sets = append(s.sets, slices.Clone(cols))
+	s.mu.Unlock()
+	return s.ScanSource.ChunkColumns(k, cols)
+}
+
+// TestScanColumnSets pins what a scan asks its source for. Under the
+// InMemory model it is exactly the columns its kernels and fills read —
+// every column of the scanned table the branch's SQL references — unioned
+// over every branch of the plan that scans the same table, so a union
+// fetches one set; under DiskResident, whose simulated read touches
+// whole rows, it is every column. Each fixture plan runs on two workers
+// over 128-row chunk sources, and every fetch must carry its table's set.
+func TestScanColumnSets(t *testing.T) {
+	const nrows = 640
+	db := chunkDB(nrows)
+	for model, cost := range scanCostModels {
+		sdb := chunkDB(nrows)
+		built, err := BuildWithScanCost(sdb, nil, cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srcs := make(map[string]*recordingSource)
+		for _, tbl := range sdb.Tables() {
+			srcs[tbl.Name] = &recordingSource{ScanSource: newSliceSource(t, tbl, 128)}
+			built.SetScanSource(tbl.Name, srcs[tbl.Name])
+		}
+		for qi, q := range chunkQueries() {
+			plan := planQuery(t, db, q)
+			want := make(map[string][]int)
+			for _, br := range plan.Branches {
+				a := br.Driver
+				if a.Kind != optimizer.AccessScan || len(a.PartGroups) > 0 {
+					continue
+				}
+				tbl := sdb.Table(a.Table)
+				for ci, c := range tbl.Columns {
+					if cost == DiskResident || slices.Contains(br.Sel.ColumnsOf(a.Table), c.Name) {
+						want[a.Table] = append(want[a.Table], ci)
+					}
+				}
+			}
+			for name, cols := range want {
+				slices.Sort(cols)
+				want[name] = slices.Compact(cols)
+			}
+			for _, src := range srcs {
+				src.sets = nil
+			}
+			pp, err := built.Prepared(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pp.ExecuteContextWorkers(context.Background(), 2); err != nil {
+				t.Fatal(err)
+			}
+			for name, src := range srcs {
+				if want[name] != nil && len(src.sets) == 0 {
+					t.Fatalf("%s query %d: %s is scanned but was never fetched", model, qi, name)
+				}
+				for _, got := range src.sets {
+					if !slices.Equal(got, want[name]) {
+						t.Fatalf("%s query %d: %s fetched columns %v, want %v", model, qi, name, got, want[name])
+					}
+				}
+			}
+		}
 	}
 }

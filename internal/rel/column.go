@@ -132,6 +132,9 @@ type colVec struct {
 	// so columnar storage is bit-faithful to the row store for any
 	// caller.
 	exc map[int]Value
+	// absent marks a column of a fragment whose vectors are not resident
+	// (see NewFragment); its other fields but typ are zero.
+	absent bool
 }
 
 func newColVec(t Type) colVec {

@@ -67,7 +67,7 @@ type TableSnapshot struct {
 // a sorted slice): the snapshot is valid as long as the table is not
 // mutated, and must not be written through.
 func (t *Table) Snapshot() *TableSnapshot {
-	t.requireResident()
+	t.requireWhole()
 	s := &TableSnapshot{
 		Name:       t.Name,
 		Parent:     t.Parent,
@@ -210,30 +210,22 @@ func TableFromSnapshot(s *TableSnapshot) (*Table, error) {
 	if s.Generation < 0 {
 		return nil, fmt.Errorf("rel: snapshot of %s has negative generation %d", s.Name, s.Generation)
 	}
-	t := &Table{
-		Name:   s.Name,
-		Parent: s.Parent,
-		nrows:  s.RowCount,
-		gen:    s.Generation,
-		colIdx: make(map[string]int, len(s.Columns)),
-	}
-	t.Columns = make([]Column, len(s.Columns))
-	t.cols = make([]colVec, len(s.Columns))
+	cols := make([]Column, len(s.Columns))
 	for i := range s.Columns {
-		cs := &s.Columns[i]
-		if cs.Col.Name == "" {
+		if cols[i] = s.Columns[i].Col; cols[i].Name == "" {
 			return nil, fmt.Errorf("rel: snapshot of %s: column %d has empty name", s.Name, i)
 		}
-		if _, dup := t.colIdx[cs.Col.Name]; dup {
-			return nil, fmt.Errorf("rel: snapshot of %s: duplicate column %s", s.Name, cs.Col.Name)
-		}
-		t.colIdx[cs.Col.Name] = i
-		t.Columns[i] = cs.Col
-		cv, err := colVecFromSnapshot(s.Name, cs, s.RowCount)
-		if err != nil {
+	}
+	idx, err := indexColumns(s.Name, cols)
+	if err != nil {
+		return nil, err
+	}
+	t := newFragment(s.Name, s.Parent, cols, s.RowCount, idx)
+	t.gen = s.Generation
+	for i := range s.Columns {
+		if err := t.AdoptColumn(i, &s.Columns[i]); err != nil {
 			return nil, err
 		}
-		t.cols[i] = cv
 	}
 	// Recompute byte accounting exactly as AppendRow would have: the
 	// per-row overhead plus every column's value widths.
@@ -242,6 +234,31 @@ func TableFromSnapshot(s *TableSnapshot) (*Table, error) {
 		t.bytes += t.cols[ci].widthSum()
 	}
 	return t, nil
+}
+
+// AdoptColumn validates cs as the state of column ci, which must be
+// absent, and makes the column resident, adopting cs's slices without
+// copying. Validation is colVecFromSnapshot's, the same TableFromSnapshot
+// runs; an invalid column is an error and leaves the column absent. It
+// writes t in place, so t must not be shared yet — a cache that grows a
+// shared fragment merges a private one in with WithColumns.
+func (t *Table) AdoptColumn(ci int, cs *ColumnSnapshot) error {
+	if ci < 0 || ci >= len(t.cols) {
+		return fmt.Errorf("rel: adopting column %d of %s, which has %d", ci, t.Name, len(t.cols))
+	}
+	if cs.Col != t.Columns[ci] {
+		return fmt.Errorf("rel: adopting %+v as column %d of %s, which declares %+v", cs.Col, ci, t.Name, t.Columns[ci])
+	}
+	if !t.cols[ci].absent {
+		return fmt.Errorf("rel: column %s.%s is already resident", t.Name, cs.Col.Name)
+	}
+	cv, err := colVecFromSnapshot(t.Name, cs, t.nrows)
+	if err != nil {
+		return err
+	}
+	t.cols[ci] = cv
+	t.absent--
+	return nil
 }
 
 // colVecFromSnapshot validates and adopts one column's vectors.
@@ -372,15 +389,8 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 		}
 	case TString:
 		dict = &Dict{strs: cs.Dict}
-		// The duplicate check is the only use a restored dictionary has
-		// for a hash table (its string -> code index waits for the first
-		// Intern, see Dict), so the set is garbage on return.
-		seen := make(map[string]struct{}, len(cs.Dict))
-		for _, ds := range cs.Dict {
-			if _, dup := seen[ds]; dup {
-				return bad("dictionary entry %q duplicated", ds)
-			}
-			seen[ds] = struct{}{}
+		if ds, dup := firstDuplicate(cs.Dict); dup {
+			return bad("dictionary entry %q duplicated", ds)
 		}
 		next := uint32(0) // next first-appearance code expected
 		ei := 0           // cursor over cs.Exc, which ascends with r

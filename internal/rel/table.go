@@ -55,6 +55,9 @@ type Table struct {
 	colIdx map[string]int
 	bytes  int64
 	gen    int64
+	// absent counts the columns whose vectors are not resident; nonzero
+	// only on a fragment (NewFragment).
+	absent int
 
 	// virtual marks a schema-only shell (NewVirtualTable) whose data is
 	// not resident: metadata accessors work, data accessors do not until
@@ -68,16 +71,35 @@ type Table struct {
 
 // NewTable creates an empty table.
 func NewTable(name string, cols []Column) *Table {
-	t := &Table{Name: name, Columns: cols, colIdx: make(map[string]int, len(cols))}
+	t := &Table{Name: name, Columns: cols, colIdx: mustIndexColumns(name, cols)}
 	t.cols = make([]colVec, len(cols))
 	for i, c := range cols {
-		if _, dup := t.colIdx[c.Name]; dup {
-			panic(fmt.Sprintf("rel: duplicate column %s.%s", name, c.Name))
-		}
-		t.colIdx[c.Name] = i
 		t.cols[i] = newColVec(c.Typ)
 	}
 	return t
+}
+
+// indexColumns maps every column name to its position, refusing a
+// repeated name.
+func indexColumns(table string, cols []Column) (map[string]int, error) {
+	idx := make(map[string]int, len(cols))
+	for i, c := range cols {
+		if _, dup := idx[c.Name]; dup {
+			return nil, fmt.Errorf("rel: duplicate column %s.%s", table, c.Name)
+		}
+		idx[c.Name] = i
+	}
+	return idx, nil
+}
+
+// mustIndexColumns is indexColumns for the constructors, to which a
+// repeated name is a programming error.
+func mustIndexColumns(table string, cols []Column) map[string]int {
+	idx, err := indexColumns(table, cols)
+	if err != nil {
+		panic(err.Error())
+	}
+	return idx
 }
 
 // NewVirtualTable creates a schema-only shell that reports the name,
@@ -91,15 +113,70 @@ func NewTable(name string, cols []Column) *Table {
 func NewVirtualTable(name, parent string, cols []Column, rows int, gen, bytes int64, load func() (*Table, error)) *Table {
 	t := &Table{Name: name, Parent: parent, Columns: cols,
 		nrows: rows, gen: gen, bytes: bytes,
-		colIdx: make(map[string]int, len(cols)), load: load}
-	for i, c := range cols {
-		if _, dup := t.colIdx[c.Name]; dup {
-			panic(fmt.Sprintf("rel: duplicate column %s.%s", name, c.Name))
-		}
-		t.colIdx[c.Name] = i
-	}
+		colIdx: mustIndexColumns(name, cols), load: load}
 	t.virtual.Store(true)
 	return t
+}
+
+// NewFragment creates a table of rows rows over cols with no column
+// resident yet: a fragment. Its metadata accessors work at once, and
+// AdoptColumn makes its columns resident one at a time. While a column is
+// absent, the typed accessors report ok=false for it and ValueAt and
+// IsNullAt panic on it; every accessor that reads whole rows (Rows,
+// ReadRowInto, Snapshot, AppendRow, SortByID) panics while any column is
+// absent. Those panics are programming errors, as on a virtual shell: a
+// reader of a fragment reads only the columns it asked for. A fragment
+// keeps no byte accounting (Bytes is 0); whoever caches it budgets it.
+func NewFragment(name, parent string, cols []Column, rows int) *Table {
+	return newFragment(name, parent, cols, rows, mustIndexColumns(name, cols))
+}
+
+// newFragment is NewFragment over an already built column index.
+func newFragment(name, parent string, cols []Column, rows int, idx map[string]int) *Table {
+	t := &Table{Name: name, Parent: parent, Columns: cols, nrows: rows, colIdx: idx, absent: len(cols)}
+	t.cols = make([]colVec, len(cols))
+	for i, c := range cols {
+		t.cols[i] = colVec{typ: c.Typ, absent: true}
+	}
+	return t
+}
+
+// WithColumns returns a fragment of the same rows holding every column
+// resident in t or in src, which must be a fragment of the same table.
+// Neither t nor src changes, so a fragment already handed out stays what
+// it was; the result shares their vectors and metadata.
+func (t *Table) WithColumns(src *Table) *Table {
+	if len(src.cols) != len(t.cols) || src.nrows != t.nrows {
+		panic(fmt.Sprintf("rel: merging a fragment of %d rows × %d columns into one of %d × %d",
+			src.nrows, len(src.cols), t.nrows, len(t.cols)))
+	}
+	out := t.derive()
+	for i := range src.cols {
+		if out.cols[i].absent && !src.cols[i].absent {
+			out.cols[i] = src.cols[i]
+			out.absent--
+		}
+	}
+	return out
+}
+
+// WithoutColumn returns a fragment of the same rows holding t's resident
+// columns except ci. t does not change.
+func (t *Table) WithoutColumn(ci int) *Table {
+	out := t.derive()
+	if !out.cols[ci].absent {
+		out.cols[ci] = colVec{typ: out.cols[ci].typ, absent: true}
+		out.absent++
+	}
+	return out
+}
+
+// derive copies t's metadata and column slots into a new table whose
+// slots can change without touching t.
+func (t *Table) derive() *Table {
+	t.requireResident()
+	return &Table{Name: t.Name, Parent: t.Parent, Columns: t.Columns, nrows: t.nrows,
+		colIdx: t.colIdx, gen: t.gen, absent: t.absent, cols: slices.Clone(t.cols)}
 }
 
 // Resident reports whether the table's data is readable: always true
@@ -124,6 +201,9 @@ func (t *Table) Hydrate() error {
 	if err != nil {
 		return fmt.Errorf("rel: hydrating %s: %w", t.Name, err)
 	}
+	if src.absent > 0 {
+		return fmt.Errorf("rel: hydrating %s: loaded a fragment with %d columns absent", t.Name, src.absent)
+	}
 	if src.nrows != t.nrows || src.gen != t.gen || src.bytes != t.bytes || len(src.Columns) != len(t.Columns) {
 		return fmt.Errorf("rel: hydrating %s: loaded %d rows / generation %d / %d bytes, shell declares %d / %d / %d",
 			t.Name, src.nrows, src.gen, src.bytes, t.nrows, t.gen, t.bytes)
@@ -144,6 +224,24 @@ func (t *Table) Hydrate() error {
 func (t *Table) requireResident() {
 	if t.virtual.Load() {
 		panic(fmt.Sprintf("rel: table %s is a virtual shell; call Hydrate before reading rows", t.Name))
+	}
+}
+
+// requireWhole is requireResident for accessors that read every column:
+// it also panics on a fragment with an absent column.
+func (t *Table) requireWhole() {
+	t.requireResident()
+	if t.absent > 0 {
+		panic(fmt.Sprintf("rel: table %s is a fragment with %d of its %d columns absent; it has no whole rows", t.Name, t.absent, len(t.Columns)))
+	}
+}
+
+// requireColumn is requireResident for accessors that read column ci:
+// it also panics when ci is absent from a fragment.
+func (t *Table) requireColumn(ci int) {
+	t.requireResident()
+	if t.cols[ci].absent {
+		panic(fmt.Sprintf("rel: column %s.%s is absent from this fragment", t.Name, t.Columns[ci].Name))
 	}
 }
 
@@ -184,7 +282,7 @@ func RowBytes(row []Value) int64 {
 // values are decomposed into the column vectors — the slice is not
 // retained, so callers may reuse it.
 func (t *Table) AppendRow(row []Value) {
-	t.requireResident()
+	t.requireWhole()
 	if len(row) != len(t.Columns) {
 		panic(fmt.Sprintf("rel: row width %d != %d columns in %s", len(row), len(t.Columns), t.Name))
 	}
@@ -221,13 +319,13 @@ func (t *Table) Pages() int64 {
 // ValueAt returns the value at (row, col), bit-identical to what
 // AppendRow stored.
 func (t *Table) ValueAt(row, col int) Value {
-	t.requireResident()
+	t.requireColumn(col)
 	return t.cols[col].value(row)
 }
 
 // IsNullAt reports whether the value at (row, col) is NULL.
 func (t *Table) IsNullAt(row, col int) bool {
-	t.requireResident()
+	t.requireColumn(col)
 	cv := &t.cols[col]
 	if cv.exc != nil {
 		if v, ok := cv.exc[row]; ok {
@@ -240,7 +338,7 @@ func (t *Table) IsNullAt(row, col int) bool {
 // ReadRowInto materializes row rid into dst, which must have exactly
 // one slot per column.
 func (t *Table) ReadRowInto(dst []Value, rid int) {
-	t.requireResident()
+	t.requireWhole()
 	if len(dst) != len(t.Columns) {
 		panic(fmt.Sprintf("rel: dst width %d != %d columns in %s", len(dst), len(t.Columns), t.Name))
 	}
@@ -259,7 +357,7 @@ func (t *Table) IntCol(ci int) (vals []int64, nulls *Bitmap, ok bool) {
 		return nil, nil, false
 	}
 	cv := &t.cols[ci]
-	if cv.typ != TInt || !cv.clean() {
+	if cv.typ != TInt || cv.absent || !cv.clean() {
 		return nil, nil, false
 	}
 	return cv.ints, &cv.nulls, true
@@ -271,7 +369,7 @@ func (t *Table) FloatCol(ci int) (vals []float64, nulls *Bitmap, ok bool) {
 		return nil, nil, false
 	}
 	cv := &t.cols[ci]
-	if cv.typ != TFloat || !cv.clean() {
+	if cv.typ != TFloat || cv.absent || !cv.clean() {
 		return nil, nil, false
 	}
 	return cv.floats, &cv.nulls, true
@@ -284,7 +382,7 @@ func (t *Table) StrCol(ci int) (codes []uint32, dict *Dict, nulls *Bitmap, ok bo
 		return nil, nil, nil, false
 	}
 	cv := &t.cols[ci]
-	if cv.typ != TString || !cv.clean() {
+	if cv.typ != TString || cv.absent || !cv.clean() {
 		return nil, nil, nil, false
 	}
 	return cv.codes, cv.dict, &cv.nulls, true
@@ -296,7 +394,7 @@ func (t *Table) StrCol(ci int) (codes []uint32, dict *Dict, nulls *Bitmap, ok bo
 // fetches and tests use it; everything else reads the column vectors.
 // Values are bit-identical to what AppendRow stored.
 func (t *Table) Rows() [][]Value {
-	t.requireResident()
+	t.requireWhole()
 	w := len(t.Columns)
 	rows := make([][]Value, t.nrows)
 	if t.nrows > 0 {
@@ -322,9 +420,9 @@ func (t *Table) Rows() [][]Value {
 // function reads the table as it is when called, so build it after the
 // last mutation.
 func (t *Table) RowComparator(cols []int) func(a, b int) int {
-	t.requireResident()
 	cmps := make([]func(a, b int) int, len(cols))
 	for i, ci := range cols {
+		t.requireColumn(ci)
 		cmps[i] = t.cols[ci].comparator()
 	}
 	if len(cmps) == 1 {
@@ -343,7 +441,7 @@ func (t *Table) RowComparator(cols []int) func(a, b int) int {
 // SortByID sorts rows by the ID column; shredding emits rows in
 // document order so this is normally already true.
 func (t *Table) SortByID() {
-	t.requireResident()
+	t.requireWhole()
 	id := t.ColIndex(IDColumn)
 	if id < 0 {
 		return

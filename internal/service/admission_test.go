@@ -362,7 +362,10 @@ func (s heldSource) Columns() []rel.Column    { return s.t.Columns }
 func (s heldSource) RowCount() int            { return s.t.RowCount() }
 func (s heldSource) NumChunks() int           { return 1 }
 func (s heldSource) ChunkSpan(int) (int, int) { return 0, s.t.RowCount() }
-func (s heldSource) Chunk(int) (*rel.Table, func(), error) {
+func (s heldSource) Chunk(k int) (*rel.Table, func(), error) {
+	return s.ChunkColumns(k, nil)
+}
+func (s heldSource) ChunkColumns(int, []int) (*rel.Table, func(), error) {
 	h := s.held.Add(1)
 	for m := s.max.Load(); h > m && !s.max.CompareAndSwap(m, h); m = s.max.Load() {
 	}

@@ -178,3 +178,37 @@ func BenchmarkChunkScanQuery(b *testing.B) {
 	b.ReportMetric(float64(s.pager.peakBytes())/float64(bound), "peak_over_bound")
 	b.ReportMetric(float64(s.pager.peakBytes())/float64(data), "peak_over_data")
 }
+
+// BenchmarkChunkFault measures one whole-chunk fault — open, read the
+// frame, verify, decode and validate every column, admit — on a
+// 4096-row chunk of the scanDB fixture, invalidated before each fetch
+// so every one faults. Its allocs/op is the fault's residue.
+func BenchmarkChunkFault(b *testing.B) {
+	dir := b.TempDir()
+	built, err := engine.Build(scanDB(DefaultChunkRows), nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := Save(dir, built, Options{}); err != nil {
+		b.Fatal(err)
+	}
+	s, err := Open(dir, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	cs, err := s.ChunkScan("big")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.pager.invalidate("big")
+		_, release, err := cs.Chunk(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		release()
+	}
+}

@@ -76,6 +76,9 @@ type chunkedDir struct {
 	// DirLen is the framed directory length — the file offset where
 	// the first chunk starts.
 	DirLen int64
+	// all lists every column index in order: the column set of a fetch
+	// that wants whole chunks.
+	all []int
 }
 
 // EncodeChunkedSegment serializes a snapshot into the chunked format
@@ -224,6 +227,7 @@ func decodeChunkedDir(data []byte) (*chunkedDir, error) {
 		return nil, r.failf("column count %d exceeds remaining payload %d", ncols, r.remaining())
 	}
 	d.Cols = make([]rel.Column, 0, ncols)
+	names := make(map[string]bool, ncols)
 	for i := uint64(0); i < ncols && r.err == nil; i++ {
 		var c rel.Column
 		c.Name = r.str("column name")
@@ -240,11 +244,22 @@ func decodeChunkedDir(data []byte) (*chunkedDir, error) {
 		if nullable > 1 {
 			return nil, r.failf("nullable flag %d is not a boolean", nullable)
 		}
+		// A chunk fault adopts the columns it needs one at a time, so no
+		// later link sees the column list whole: the names are checked
+		// here, once per segment.
+		switch {
+		case c.Name == "":
+			return nil, r.failf("column %d has an empty name", i)
+		case names[c.Name]:
+			return nil, r.failf("duplicate column %q", c.Name)
+		}
+		names[c.Name] = true
 		c.Typ = rel.Type(typ)
 		c.Nullable = nullable == 1
 		c.LeafID = int(r.varint("leaf id"))
 		c.Occurrence = int(r.uvarint("occurrence"))
 		d.Cols = append(d.Cols, c)
+		d.all = append(d.all, int(i))
 	}
 	nchunks := r.uvarint("chunk count")
 	if r.err != nil {
@@ -310,16 +325,23 @@ func (d *chunkedDir) fileSize() int64 {
 	return n
 }
 
-// decodeChunk parses and validates one chunk blob against the
-// directory: the directory entry's CRC over the whole frame, the
-// envelope's magic, version, and length (its own CRC field lies inside
-// the frame the directory just hashed, so the payload is not hashed a
-// second time), a bounds-checked decode of every column vector, then
-// full rel.TableFromSnapshot structural validation — the same chain a
-// whole version-1 segment goes through, at chunk granularity. The
-// returned table is self-contained (local dictionary, local exception
-// rows, generation 0) and ready to scan: it is what the pager caches.
-func (d *chunkedDir) decodeChunk(k int, blob []byte) (*rel.Table, error) {
+// decodeChunk parses and validates the columns cols (ascending column
+// indices) of one chunk blob against the directory: the directory
+// entry's CRC over the whole frame, the envelope's magic, version, and
+// length (its own CRC field lies inside the frame the directory just
+// hashed, so the payload is not hashed a second time), a bounds-checked
+// walk of every column region, and for each column in cols a decode of
+// its vectors and rel's structural validation (AdoptColumn, the check
+// TableFromSnapshot runs) — the same chain a whole version-1 segment
+// goes through, at chunk granularity. A column outside cols is walked
+// with the same bounds checks and nothing is allocated for it. The
+// returned fragment holds exactly the columns in cols, self-contained
+// (local dictionary, local exception rows, generation 0) and ready to
+// scan: it is what the pager caches. Nothing in it points into blob.
+// regions, when not nil, has one slot per column and receives the
+// length of every column's encoded region, the bytes the pager charges
+// a resident column.
+func (d *chunkedDir) decodeChunk(k int, blob []byte, cols []int, regions []int64) (*rel.Table, error) {
 	ref := &d.Chunks[k]
 	if int64(len(blob)) != ref.Size {
 		return nil, fmt.Errorf("storage: chunk %d of %s is %d bytes, directory says %d", k, d.Name, len(blob), ref.Size)
@@ -332,28 +354,36 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte) (*rel.Table, error) {
 		return nil, err
 	}
 	r := &reader{buf: payload, kind: "chunk"}
-	snap := &rel.TableSnapshot{
-		Name:     d.Name,
-		Parent:   d.Parent,
-		RowCount: ref.Rows,
-		Columns:  make([]rel.ColumnSnapshot, len(d.Cols)),
-	}
+	t := rel.NewFragment(d.Name, d.Parent, d.Cols, ref.Rows)
+	next := 0 // cursor over cols
 	for ci, col := range d.Cols {
-		snap.Columns[ci].Col = col
-		r.columnData(&snap.Columns[ci], uint64(ref.Rows))
+		keep := next < len(cols) && cols[next] == ci
+		start := r.off
+		cs := rel.ColumnSnapshot{Col: col}
+		r.columnData(&cs, uint64(ref.Rows), keep)
 		if r.err != nil {
 			return nil, r.err
+		}
+		if regions != nil {
+			regions[ci] = int64(r.off - start)
+		}
+		if !keep {
+			continue
+		}
+		next++
+		// Structural validation: a column must be a valid column of the
+		// fragment in its own right (bitmap shape, dictionary
+		// canonicality, exception faithfulness) before any of its rows
+		// are served or merged.
+		if err := t.AdoptColumn(ci, &cs); err != nil {
+			return nil, fmt.Errorf("storage: chunk %d of %s: %w", k, d.Name, err)
 		}
 	}
 	if r.remaining() != 0 {
 		return nil, r.failf("%d trailing bytes after chunk data", r.remaining())
 	}
-	// Structural validation: a chunk must be a valid table fragment in
-	// its own right (bitmap shape, dictionary canonicality, exception
-	// faithfulness) before any of its rows are served or merged.
-	t, err := rel.TableFromSnapshot(snap)
-	if err != nil {
-		return nil, fmt.Errorf("storage: chunk %d of %s: %w", k, d.Name, err)
+	if next != len(cols) {
+		return nil, fmt.Errorf("storage: chunk %d of %s: column set %v is not ascending indices below %d", k, d.Name, cols, len(d.Cols))
 	}
 	return t, nil
 }
@@ -464,7 +494,7 @@ func DecodeChunkedSegment(data []byte) (*rel.TableSnapshot, error) {
 	parts := make([]*rel.TableSnapshot, len(d.Chunks))
 	for k := range d.Chunks {
 		ref := &d.Chunks[k]
-		part, err := d.decodeChunk(k, data[ref.Off:ref.Off+ref.Size])
+		part, err := d.decodeChunk(k, data[ref.Off:ref.Off+ref.Size], d.all, nil)
 		if err != nil {
 			return nil, err
 		}

@@ -244,7 +244,7 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 	}
 	ref := d.Chunks[0]
 	blob := enc[ref.Off : ref.Off+ref.Size]
-	if _, err := d.decodeChunk(0, blob); err != nil {
+	if _, err := d.decodeChunk(0, blob, d.all, nil); err != nil {
 		t.Fatalf("intact chunk: %v", err)
 	}
 
@@ -302,12 +302,12 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			bad := tc.corrupt(append([]byte(nil), blob...))
-			if _, err := d.decodeChunk(0, bad); err == nil {
+			if _, err := d.decodeChunk(0, bad, d.all, nil); err == nil {
 				t.Fatal("corrupted chunk accepted against the directory entry as written")
 			}
 			fooled := *d
 			fooled.Chunks = []chunkRef{{Rows: ref.Rows, Off: ref.Off, Size: int64(len(bad)), CRC: crc32.Checksum(bad, crcTable)}}
-			_, err := fooled.decodeChunk(0, bad)
+			_, err := fooled.decodeChunk(0, bad, d.all, nil)
 			if tc.behindCRC && err == nil {
 				t.Fatal("with the directory CRC fooled, nothing behind it refused the chunk")
 			}

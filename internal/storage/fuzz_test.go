@@ -170,6 +170,15 @@ func FuzzChunkDecode(f *testing.F) {
 	f.Add(seed[:len(seed)-3])
 	f.Add(wrapEnvelope(chunkDirMagic, ChunkSegmentVersion, []byte{0x01, 0x61, 0x00, 0xff, 0xff, 0xff, 0xff}))
 	f.Add([]byte{})
+	// A well-framed segment whose directory names two columns alike: the
+	// directory, not a later link, must refuse it.
+	dup := fixtureDB().Table("book").Snapshot()
+	dup.Columns[2].Col.Name = dup.Columns[0].Col.Name
+	dupEnc, err := EncodeChunkedSegment(dup, 64)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(dupEnc)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeChunkedSegment(data)

@@ -4,27 +4,38 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/rel"
 )
 
-// pager is a memory-budgeted cache of decoded, validated chunk tables:
-// an entry holds the *rel.Table the verification chain produced, ready
-// to scan, so a hit hands it out as is and allocates nothing.
-// Residency is accounted in on-disk framed chunk bytes (a stable,
+// pager is a memory-budgeted cache of decoded, validated chunk columns.
+// Its unit is one column of one chunk: a scan faults, keeps and is
+// charged for only the columns it reads, so a query that filters one
+// column and projects two holds three of a chunk's columns, not all of
+// them. An entry is one chunk; it holds a *rel.Table fragment with the
+// chunk's resident columns, as the verification chain produced them and
+// ready to scan, so a hit hands it out as is and allocates nothing. The
+// fragment is never written: admitting or evicting a column replaces it
+// with a new fragment sharing the other columns' vectors (rel's
+// WithColumns and WithoutColumn), so a fragment a reader already holds
+// stays what it was.
+//
+// Residency is accounted per column in encoded region bytes (a stable,
 // deterministic proxy for heap cost: scans read the cached vectors in
 // place and never grow a row cache on them), and eviction is CLOCK
-// (second-chance): a hit sets the entry's reference bit, the clock
-// hand clears bits until it finds an unreferenced victim. A budget of
-// zero or less means unlimited — nothing is ever evicted, matching the
-// fully-resident behavior of earlier formats.
+// (second-chance) over column slots: a hit sets the reference bit of
+// every column it asked for, the clock hand clears bits until it finds
+// an unreferenced victim. A pinned chunk's columns are never victims. A
+// budget of zero or less means unlimited — nothing is ever evicted.
 //
-// The budget is a cache target, not a hard ceiling: a chunk currently
-// being loaded is not yet evictable, so resident + in-flight bytes can
-// exceed the budget by one chunk per concurrent loader (the peak field
-// tracks the high-water mark so tests can pin exactly that bound).
+// The budget is a cache target, not a hard ceiling: a fault reads its
+// chunk's whole frame before it knows what it will keep, so resident +
+// in-flight bytes can exceed the budget by one frame per concurrent
+// loader (the peak field tracks the high-water mark so tests can pin
+// exactly that bound).
 type pager struct {
 	dir    string
 	budget int64
@@ -32,10 +43,10 @@ type pager struct {
 
 	mu       sync.Mutex
 	entries  map[chunkKey]*pageEntry
-	ring     []*pageEntry // clock order
+	ring     []*colSlot // clock order
 	hand     int
 	resident int64
-	inflight int64 // bytes of chunks being loaded right now
+	inflight int64 // frame bytes being read right now
 	peak     int64 // high-water mark of resident + inflight
 }
 
@@ -52,16 +63,38 @@ type chunkKey struct {
 	idx   int
 }
 
-// pageEntry is one cached chunk.
+// pageEntry is one cached chunk: it enters the map when a fault admits
+// its first columns and leaves when its last column is evicted or its
+// table is invalidated.
 type pageEntry struct {
 	key   chunkKey
-	tab   *rel.Table
-	size  int64
-	ref   bool   // CLOCK reference bit
-	pins  int    // active chunkPinned readers; pinned entries are not evictable
-	dead  bool   // invalidated while pinned; dropped from the ring at the last unpin
-	unpin func() // releases one pin; built once at admission so a pinned hit allocates nothing
+	tab   *rel.Table // the resident columns
+	slots []colSlot  // by column index; the ring points at the resident ones
+	n     int        // resident columns
+	pins  int        // readers holding the chunk; a pinned chunk loses no column
+	dead  bool       // invalidated while pinned; dropped from the ring at the last unpin
+	unpin func()     // releases one pin; built once per entry so a pinned hit allocates nothing
 }
+
+// colSlot is one column of one cached chunk: the unit CLOCK evicts and
+// the budget charges while it is resident.
+type colSlot struct {
+	e    *pageEntry
+	col  int
+	in   bool  // resident
+	size int64 // the column's encoded region bytes, while resident
+	ref  bool  // CLOCK reference bit
+}
+
+// frame is a fault's scratch: the chunk's framed bytes, read once, and
+// every column region's length. Frames are pooled, since decode copies
+// out everything it keeps.
+type frame struct {
+	buf     []byte
+	regions []int64
+}
+
+var frames = sync.Pool{New: func() any { return new(frame) }}
 
 func newPager(dir string, budget int64, reg *obs.Registry) *pager {
 	return &pager{
@@ -72,22 +105,19 @@ func newPager(dir string, budget int64, reg *obs.Registry) *pager {
 	}
 }
 
-// chunk returns chunk k of the table described by d, loading it
-// through the verification chain (chunk CRC → bounds-checked decode →
-// TableFromSnapshot structural validation) on a miss and evicting
-// under the budget before admitting it.
+// chunk returns chunk k of the table described by d with every column
+// resident, unpinned: the fragment stays valid, but its bytes may leave
+// the residency account while the caller still holds it.
 func (p *pager) chunk(file string, d *chunkedDir, k int) (*rel.Table, error) {
-	e, err := p.acquire(file, d, k, false)
-	if err != nil {
-		return nil, err
-	}
-	return e.tab, nil
+	tab, _, err := p.acquire(file, d, k, d.all, false)
+	return tab, err
 }
 
-// chunkPinned is chunk with the entry pinned against eviction until the
-// returned release is called, once per call. Scans hold exactly one pin
-// per worker, so the budget overshoot stays bounded to one chunk per
-// worker even when every other entry is evictable.
+// chunkPinned returns chunk k with at least the columns cols (ascending
+// column indices) resident, pinned against eviction until the returned
+// release is called, once per call. Scans hold exactly one pin per
+// worker, so the budget overshoot stays bounded to one chunk per worker
+// even when every other column is evictable.
 //
 // The release is the entry's one unpin closure, not a per-acquisition
 // one (that would be an allocation on every hit), so it cannot tell
@@ -98,29 +128,35 @@ func (p *pager) chunk(file string, d *chunkedDir, k int) (*rel.Table, error) {
 // entry's bytes stranded in the account. A repeated release while
 // another reader holds the same chunk does drop that reader's pin;
 // callers release once.
-func (p *pager) chunkPinned(file string, d *chunkedDir, k int) (*rel.Table, func(), error) {
-	e, err := p.acquire(file, d, k, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return e.tab, e.unpin, nil
+func (p *pager) chunkPinned(file string, d *chunkedDir, k int, cols []int) (*rel.Table, func(), error) {
+	return p.acquire(file, d, k, cols, true)
 }
 
-// acquire serves one chunk's cache entry, pinned when pin is set.
-// Every call increments exactly one of storage.pager.hits or
-// storage.pager.faults: a fault is an admission; a load raced out by a
-// concurrent admission counts as a hit plus storage.pager.dup_loads
-// (the wasted read keeps bytes_read honest without double-counting
-// admissions).
-func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*pageEntry, error) {
+// acquire serves columns cols of one chunk, pinned when pin is set; the
+// release is nil when it is not. Every call increments exactly one of
+// storage.pager.hits or storage.pager.faults. A hit finds every column
+// resident. A miss reads the chunk's frame once and decodes the columns
+// it lacked; it is a fault when it admits at least one of them, and a
+// load raced out by concurrent admissions of all of them counts as a
+// hit plus storage.pager.dup_loads — so frames read = faults +
+// dup_loads, and bytes_read stays honest without double-counting
+// admissions.
+//
+// A miss holds no pin while it reads, so what it holds beyond the
+// budget is its frame alone; a column that was resident when it began
+// may be evicted meanwhile, and is then decoded from the frame it still
+// holds, under the lock, so the admission stays one step.
+func (p *pager) acquire(file string, d *chunkedDir, k int, cols []int, pin bool) (*rel.Table, func(), error) {
 	key := chunkKey{table: d.Name, file: file, idx: k}
 	ref := &d.Chunks[k]
 	p.mu.Lock()
-	if e, ok := p.entries[key]; ok {
-		p.hitLocked(e, pin)
+	e := p.entries[key]
+	missing := absentLocked(e, cols)
+	if e != nil && missing == nil {
+		tab, release := p.hitLocked(e, cols, pin)
 		p.mu.Unlock()
 		p.reg.Counter("storage.pager.hits").Inc()
-		return e, nil
+		return tab, release, nil
 	}
 	p.inflight += ref.Size
 	if hw := p.resident + p.inflight; hw > p.peak {
@@ -128,52 +164,122 @@ func (p *pager) acquire(file string, d *chunkedDir, k int, pin bool) (*pageEntry
 	}
 	p.mu.Unlock()
 
-	tab, err := p.load(file, d, k)
+	fr := frames.Get().(*frame)
+	defer frames.Put(fr)
+	frag, err := p.load(file, d, k, missing, fr)
 
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.inflight -= ref.Size
 	if err != nil {
-		p.mu.Unlock()
-		return nil, err
+		return nil, nil, err
 	}
-	if e, ok := p.entries[key]; ok {
-		// Another loader admitted the same chunk while we read it;
-		// serve the cached copy.
-		p.hitLocked(e, pin)
-		p.mu.Unlock()
+	if e = p.entries[key]; e == nil {
+		e = &pageEntry{key: key, slots: make([]colSlot, len(d.Cols))}
+		for c := range e.slots {
+			e.slots[c] = colSlot{e: e, col: c}
+		}
+		e.unpin = func() { p.unpin(e) }
+		p.entries[key] = e
+	}
+	admitted := p.admitLocked(e, frag, missing, fr.regions)
+	if lost := absentLocked(e, cols); lost != nil {
+		frag, err := d.decodeChunk(k, fr.buf[:ref.Size], lost, nil)
+		if err != nil {
+			p.reg.Counter("storage.checksum.failures").Inc()
+			return nil, nil, err
+		}
+		admitted = p.admitLocked(e, frag, lost, fr.regions) || admitted
+	}
+	tab, release := p.hitLocked(e, cols, pin)
+	if admitted {
+		p.reg.Counter("storage.pager.faults").Inc()
+	} else {
 		p.reg.Counter("storage.pager.hits").Inc()
 		p.reg.Counter("storage.pager.dup_loads").Inc()
-		return e, nil
 	}
-	p.evictFor(ref.Size)
-	e := &pageEntry{key: key, tab: tab, size: ref.Size}
-	e.unpin = func() { p.unpin(e) }
-	p.entries[key] = e
-	p.ring = append(p.ring, e)
-	p.resident += e.size
+	return tab, release, nil
+}
+
+// absentLocked lists the columns of cols that e (nil: no entry) does not
+// hold, or nil when it holds them all. Caller holds p.mu.
+func absentLocked(e *pageEntry, cols []int) []int {
+	n := 0
+	for _, c := range cols {
+		if e == nil || !e.slots[c].in {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	absent := make([]int, 0, n)
+	for _, c := range cols {
+		if e == nil || !e.slots[c].in {
+			absent = append(absent, c)
+		}
+	}
+	return absent
+}
+
+// admitLocked makes the columns cols of frag resident in e where e
+// lacks them, evicting to make room, and reports whether it admitted
+// any (a new entry's first fragment counts, columns or none). e is
+// pinned while room is made, so none of its columns is a victim.
+// Caller holds p.mu.
+func (p *pager) admitLocked(e *pageEntry, frag *rel.Table, cols []int, regions []int64) bool {
+	var need int64
+	fresh := 0
+	for _, c := range cols {
+		if !e.slots[c].in {
+			need += regions[c]
+			fresh++
+		}
+	}
+	if fresh == 0 && e.tab != nil {
+		return false
+	}
+	e.pins++
+	p.evictFor(need)
+	e.pins--
+	for _, c := range cols {
+		if s := &e.slots[c]; !s.in {
+			s.in, s.size, s.ref = true, regions[c], false
+			e.n++
+			p.ring = append(p.ring, s)
+			p.resident += s.size
+		}
+	}
+	if e.tab == nil {
+		e.tab = frag
+	} else {
+		e.tab = e.tab.WithColumns(frag)
+	}
 	if hw := p.resident + p.inflight; hw > p.peak {
 		p.peak = hw
 	}
-	p.hitLocked(e, pin)
 	p.reg.Gauge("storage.pager.resident_bytes").Set(float64(p.resident))
-	p.mu.Unlock()
-	p.reg.Counter("storage.pager.faults").Inc()
-	return e, nil
+	return true
 }
 
-// hitLocked marks e referenced and takes a pin on it when pin is set.
+// hitLocked marks the columns cols of e referenced, takes a pin when pin
+// is set, and returns e's fragment and, when pinned, its release.
 // Caller holds p.mu.
-func (p *pager) hitLocked(e *pageEntry, pin bool) {
-	e.ref = true
-	if pin {
-		e.pins++
+func (p *pager) hitLocked(e *pageEntry, cols []int, pin bool) (*rel.Table, func()) {
+	for _, c := range cols {
+		e.slots[c].ref = true
 	}
+	if !pin {
+		return e.tab, nil
+	}
+	e.pins++
+	return e.tab, e.unpin
 }
 
 // unpin releases one pin on e; with none outstanding it does nothing
 // (see chunkPinned). The last unpin of an entry invalidate marked dead
 // drops it from the ring and the accounting — until then its bytes stay
-// resident (the reader still holds the table), so the gauge and peak
+// resident (the reader still holds the fragment), so the gauge and peak
 // reflect actual residency.
 func (p *pager) unpin(e *pageEntry) {
 	p.mu.Lock()
@@ -181,35 +287,40 @@ func (p *pager) unpin(e *pageEntry) {
 	if e.pins == 0 {
 		return
 	}
-	e.pins--
-	if e.dead && e.pins == 0 {
+	if e.pins--; e.pins == 0 && e.dead {
 		p.dropDeadLocked(e)
 	}
 }
 
-// dropDeadLocked removes a dead (invalidated-while-pinned) entry from
-// the ring and the residency accounting. Caller holds p.mu. The entry
-// left the entries map at invalidate time — a fresh admission may own
-// that key by now — so removal is by ring identity, never by key.
+// dropDeadLocked removes a dead (invalidated-while-pinned) entry's
+// column slots from the ring and the residency accounting. Caller holds
+// p.mu. The entry left the entries map at invalidate time — a fresh
+// admission may own that key by now — so removal is by identity, never
+// by key.
 func (p *pager) dropDeadLocked(e *pageEntry) {
-	for i, r := range p.ring {
-		if r == e {
-			p.ring = append(p.ring[:i], p.ring[i+1:]...)
-			if i < p.hand {
-				p.hand--
-			}
-			break
+	keep := p.ring[:0]
+	hand := p.hand
+	for i, s := range p.ring {
+		if s.e != e {
+			keep = append(keep, s)
+			continue
 		}
+		if i < p.hand {
+			hand--
+		}
+		p.resident -= s.size
 	}
-	p.resident -= e.size
+	clear(p.ring[len(keep):])
+	p.ring, p.hand = keep, hand
 	p.reg.Gauge("storage.pager.resident_bytes").Set(float64(p.resident))
 }
 
-// load reads and validates one chunk from disk (no cache interaction).
-// A failed or short read counts under storage.read.errors; a chunk that
-// was read but does not verify (CRC, decode, structural validation)
-// counts under storage.checksum.failures.
-func (p *pager) load(file string, d *chunkedDir, k int) (*rel.Table, error) {
+// load reads one chunk's frame from disk into fr and decodes the columns
+// cols of it (no cache interaction), recording every column region's
+// length in fr.regions. A failed or short read counts under
+// storage.read.errors; a chunk that was read but does not verify (CRC,
+// decode, structural validation) counts under storage.checksum.failures.
+func (p *pager) load(file string, d *chunkedDir, k int, cols []int, fr *frame) (*rel.Table, error) {
 	ref := &d.Chunks[k]
 	f, err := os.Open(filepath.Join(p.dir, file))
 	if err != nil {
@@ -217,12 +328,19 @@ func (p *pager) load(file string, d *chunkedDir, k int) (*rel.Table, error) {
 		return nil, fmt.Errorf("storage: reading chunk %d of %s: %w", k, d.Name, err)
 	}
 	defer f.Close()
-	blob := make([]byte, ref.Size)
+	if int64(cap(fr.buf)) < ref.Size {
+		fr.buf = make([]byte, ref.Size)
+	}
+	blob := fr.buf[:ref.Size]
 	if _, err := f.ReadAt(blob, ref.Off); err != nil {
 		p.reg.Counter("storage.read.errors").Inc()
 		return nil, fmt.Errorf("storage: reading chunk %d of %s at offset %d: %w", k, d.Name, ref.Off, err)
 	}
-	tab, err := d.decodeChunk(k, blob)
+	if cap(fr.regions) < len(d.Cols) {
+		fr.regions = make([]int64, len(d.Cols))
+	}
+	fr.regions = fr.regions[:len(d.Cols)]
+	tab, err := d.decodeChunk(k, blob, cols, fr.regions)
 	if err != nil {
 		p.reg.Counter("storage.checksum.failures").Inc()
 		return nil, err
@@ -234,8 +352,9 @@ func (p *pager) load(file string, d *chunkedDir, k int) (*rel.Table, error) {
 // evictFor makes room for need bytes under the budget. Caller holds
 // p.mu. The scan is bounded: one full sweep clears every reference
 // bit, a second finds a victim, so 2·len+1 steps always suffice (a
-// ring of only pinned entries simply runs the bound out and admits
-// over budget — the peak tracking records exactly that overshoot).
+// ring of only pinned chunks' columns simply runs the bound out and
+// admits over budget — the peak tracking records exactly that
+// overshoot).
 func (p *pager) evictFor(need int64) {
 	if p.budget <= 0 {
 		return
@@ -245,54 +364,66 @@ func (p *pager) evictFor(need int64) {
 		if p.hand >= len(p.ring) {
 			p.hand = 0
 		}
-		e := p.ring[p.hand]
-		if e.pins > 0 {
+		s := p.ring[p.hand]
+		if s.e.pins > 0 {
 			p.hand++
 			continue
 		}
-		if e.ref {
-			e.ref = false
+		if s.ref {
+			s.ref = false
 			p.hand++
 			continue
 		}
-		p.ring = append(p.ring[:p.hand], p.ring[p.hand+1:]...)
-		delete(p.entries, e.key)
-		p.resident -= e.size
+		p.ring = slices.Delete(p.ring, p.hand, p.hand+1)
+		p.resident -= s.size
+		s.in = false
+		e := s.e
+		if e.n--; e.n == 0 {
+			e.tab = nil
+			delete(p.entries, e.key)
+		} else {
+			e.tab = e.tab.WithoutColumn(s.col)
+		}
 		evictions.Inc()
 	}
 }
 
 // invalidate drops every cached chunk of a table (compaction rewrote
-// its segment, so cached chunks describe a dead file). An entry a scan
-// worker still holds pinned cannot leave memory yet: it is unmapped (no
-// future hit can reach it) but marked dead and kept in the ring with
-// its bytes accounted until the last unpin drops it, so resident_bytes
-// and the peak high-water mark track actual residency. The clock hand
-// is re-indexed against the surviving ring rather than reset: a reset
-// would hand every surviving early-ring entry a fresh second chance
-// after each compaction and skew eviction toward late-ring entries.
+// its segment, so cached chunks describe a dead file). A chunk a scan
+// worker or a loader still holds pinned cannot leave memory yet: it is
+// unmapped (no future hit can reach it) but marked dead and its columns
+// kept in the ring with their bytes accounted until the last unpin drops
+// them, so resident_bytes and the peak high-water mark track actual
+// residency. The clock hand is re-indexed against the surviving ring
+// rather than reset: a reset would hand every surviving early-ring
+// column a fresh second chance after each compaction and skew eviction
+// toward late-ring columns.
 func (p *pager) invalidate(table string) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	for key, e := range p.entries {
+		if key.table == table {
+			delete(p.entries, key)
+			e.dead = e.pins > 0
+		}
+	}
 	keep := p.ring[:0]
 	hand := p.hand
-	for i, e := range p.ring {
-		if e.key.table == table {
-			delete(p.entries, e.key)
-			if e.pins > 0 {
-				e.dead = true
-				e.ref = false
-				keep = append(keep, e)
-				continue
-			}
+	for i, s := range p.ring {
+		switch {
+		case s.e.key.table != table:
+		case s.e.dead:
+			s.ref = false
+		default:
 			if i < p.hand {
 				hand--
 			}
-			p.resident -= e.size
+			p.resident -= s.size
 			continue
 		}
-		keep = append(keep, e)
+		keep = append(keep, s)
 	}
+	clear(p.ring[len(keep):])
 	p.ring = keep
 	if hand < 0 || hand > len(keep) {
 		hand = 0
@@ -309,7 +440,7 @@ func (p *pager) residentBytes() int64 {
 }
 
 // peakBytes reports the high-water mark of resident + in-flight bytes;
-// tests pin it to budget + one chunk per concurrent loader.
+// tests pin it to budget + one frame per concurrent loader.
 func (p *pager) peakBytes() int64 {
 	p.mu.Lock()
 	defer p.mu.Unlock()

@@ -37,6 +37,10 @@ func pagerFixture(t *testing.T, rows int, budget int64, reg *obs.Registry) (*pag
 	return newPager(dir, budget, reg), d, maxChunk
 }
 
+// charged is what the pager charges a chunk with every column
+// resident: the sum of its column regions, its frame less the envelope.
+func charged(c chunkRef) int64 { return c.Size - envelopeSize }
+
 // chunkedDirLen reads the directory envelope length out of a chunked
 // segment's framing (envelope header + payload length).
 func chunkedDirLen(enc []byte) int64 {
@@ -92,7 +96,7 @@ func TestPagerUnlimitedKeepsEverything(t *testing.T) {
 	p, d, _ := pagerFixture(t, 320, 0, reg)
 	var total int64
 	for _, c := range d.Chunks {
-		total += c.Size
+		total += charged(c)
 	}
 	for pass := 0; pass < 2; pass++ {
 		for k := range d.Chunks {
@@ -272,22 +276,25 @@ func TestPagerInvalidateKeepsClockOrder(t *testing.T) {
 	}
 	dd.Name = "dim"
 
-	// Ring [f0 d0 f1]; hand parked on f1 after a sweep that cleared d0
-	// and re-referenced f0 (a hit after the hand passed it).
+	// Ring [f0 d0 f1] of one column each; hand parked on f1 after a sweep
+	// that cleared d0 and re-referenced f0 (a hit after the hand passed
+	// it).
+	id := []int{0}
 	for _, ld := range []struct {
 		file string
 		dir  *chunkedDir
 		k    int
 	}{{"fact.seg", d, 0}, {"dim.seg", dd, 0}, {"fact.seg", d, 1}} {
-		if _, err := p.chunk(ld.file, ld.dir, ld.k); err != nil {
+		if _, _, err := p.acquire(ld.file, ld.dir, ld.k, id, false); err != nil {
 			t.Fatal(err)
 		}
 	}
 	p.mu.Lock()
-	p.entries[chunkKey{"fact", "fact.seg", 0}].ref = true
-	p.entries[chunkKey{"dim", "dim.seg", 0}].ref = false
-	p.entries[chunkKey{"fact", "fact.seg", 1}].ref = true
+	p.entries[chunkKey{"fact", "fact.seg", 0}].slots[0].ref = true
+	p.entries[chunkKey{"dim", "dim.seg", 0}].slots[0].ref = false
+	p.entries[chunkKey{"fact", "fact.seg", 1}].slots[0].ref = true
 	p.hand = 2
+	idBytes := p.entries[chunkKey{"fact", "fact.seg", 0}].slots[0].size // every full chunk's ID region
 	p.mu.Unlock()
 
 	p.invalidate("dim")
@@ -299,8 +306,8 @@ func TestPagerInvalidateKeepsClockOrder(t *testing.T) {
 	// room. A clamped hand sweeps f1 → f0 → f1 and evicts f1; the old
 	// reset-to-zero bug swept f0 → f1 → f0 and evicted the recently
 	// referenced f0.
-	p.budget = p.residentBytes() + d.Chunks[2].Size - 1
-	if _, err := p.chunk("fact.seg", d, 2); err != nil {
+	p.budget = p.residentBytes() + idBytes - 1
+	if _, _, err := p.acquire("fact.seg", d, 2, id, false); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
@@ -331,7 +338,7 @@ func TestPagerInvalidateKeepsClockOrder(t *testing.T) {
 func TestPagerInvalidatePinnedAccounting(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, d, _ := pagerFixture(t, 320, 0, reg)
-	snap, release, err := p.chunkPinned("fact.seg", d, 0)
+	snap, release, err := p.chunkPinned("fact.seg", d, 0, d.all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +348,7 @@ func TestPagerInvalidatePinnedAccounting(t *testing.T) {
 	if _, err := p.chunk("fact.seg", d, 1); err != nil {
 		t.Fatal(err)
 	}
-	size := d.Chunks[0].Size
+	size := charged(d.Chunks[0])
 
 	p.invalidate("fact")
 	if got := p.residentBytes(); got != size {
@@ -383,7 +390,7 @@ func TestPagerPinnedChunkSurvivesPressure(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, d, maxChunk := pagerFixture(t, 640, 0, reg)
 	p.budget = 2 * maxChunk
-	snap, release, err := p.chunkPinned("fact.seg", d, 0)
+	snap, release, err := p.chunkPinned("fact.seg", d, 0, d.all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +451,7 @@ func TestPagerReleaseNeverUnderflows(t *testing.T) {
 		return p.entries[key].pins
 	}
 
-	_, stray, err := p.chunkPinned("fact.seg", d, 0)
+	_, stray, err := p.chunkPinned("fact.seg", d, 0, d.all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +463,7 @@ func TestPagerReleaseNeverUnderflows(t *testing.T) {
 	}
 
 	// The next reader's pin counts in full and holds under pressure.
-	_, release, err := p.chunkPinned("fact.seg", d, 0)
+	_, release, err := p.chunkPinned("fact.seg", d, 0, d.all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +487,7 @@ func TestPagerReleaseNeverUnderflows(t *testing.T) {
 	// Invalidated while pinned, then released more than once: the dead
 	// entry leaves the ring and the account exactly once.
 	p.invalidate("fact")
-	if got, want := p.residentBytes(), d.Chunks[0].Size; got != want {
+	if got, want := p.residentBytes(), charged(d.Chunks[0]); got != want {
 		t.Fatalf("resident %d with one dead pinned chunk, want %d", got, want)
 	}
 	release()

@@ -193,7 +193,7 @@ func decodeRedoBody(body []byte) (redoRecord, error) {
 	}
 	rec.Row = make([]rel.Value, nvals)
 	for i := range rec.Row {
-		rec.Row[i] = r.value()
+		rec.Row[i] = r.value(true)
 	}
 	if r.err != nil {
 		return redoRecord{}, r.err
@@ -232,7 +232,7 @@ func decodeRedoBatchBody(body []byte) ([]redoRecord, error) {
 		}
 		row := make([]rel.Value, nvals)
 		for j := range row {
-			row[j] = r.value()
+			row[j] = r.value(true)
 		}
 		if r.err != nil {
 			return nil, r.err

@@ -16,14 +16,14 @@ import (
 // the assembled table: segment rows in chunk order, then replayed
 // appends in commit order.
 //
-// A ChunkScan is a point-in-time view. Every Chunk call re-checks the
-// store under its lock and fails — never serves stale rows — once the
-// store has moved on: Close fences with ErrClosed, and an append to
-// the table or a compaction (which rewrites the segment file) makes
-// the scan stale. Chunk is safe for concurrent use by morsel workers;
-// each acquired chunk is pinned against eviction until its release
-// runs, which is what keeps the budget overshoot bounded to one chunk
-// per worker.
+// A ChunkScan is a point-in-time view. Every fetch re-checks the store
+// under its lock and fails — never serves stale rows — once the store
+// has moved on: Close fences with ErrClosed, and an append to the table
+// or a compaction (which rewrites the segment file) makes the scan
+// stale. Fetches are safe for concurrent use by morsel workers; each
+// acquired chunk is pinned against eviction until its release runs,
+// which is what keeps the budget overshoot bounded to one chunk per
+// worker.
 type ChunkScan struct {
 	s     *Store
 	man   *Manifest // staleness fence: the manifest epoch at creation
@@ -112,23 +112,30 @@ func (cs *ChunkScan) check() error {
 	return nil
 }
 
-// Chunk returns chunk k as a resident read-only fragment plus its
+// Chunk is ChunkColumns for every column of the table.
+func (cs *ChunkScan) Chunk(k int) (*rel.Table, func(), error) {
+	return cs.ChunkColumns(k, cs.d.all)
+}
+
+// ChunkColumns returns chunk k as a resident read-only fragment holding
+// at least the columns cols (ascending column indices), plus its
 // release, which the caller invokes once (a release with no pin
 // outstanding is a no-op; see pager.chunkPinned). Segment chunks come
-// back pinned, as the table the pager caches: the verification chain
-// (CRC → bounds-checked decode → structural validation) ran once at
-// fault time and a hit re-does none of it. The fragment is shared by
-// every scan that holds it, so callers read its vectors in place
-// (typed accessors, ValueAt) and must not call Rows() on it — the
-// copy would outlive the pin and escape the pager's residency
-// account. The overlay chunk is already resident and its release is a
+// back pinned, as the fragment the pager caches: the verification chain
+// (CRC → bounds-checked walk → decode and structural validation of the
+// columns it lacked) ran at fault time and a hit re-does none of it. The
+// fragment is shared by every scan that holds it, so callers read the
+// columns they asked for in place (typed accessors, ValueAt) — any other
+// column may be absent — and must not call Rows() on it: the copy would
+// outlive the pin and escape the pager's residency account. The overlay
+// chunk is already resident, every column of it, and its release is a
 // no-op.
-func (cs *ChunkScan) Chunk(k int) (*rel.Table, func(), error) {
+func (cs *ChunkScan) ChunkColumns(k int, cols []int) (*rel.Table, func(), error) {
 	if err := cs.check(); err != nil {
 		return nil, nil, err
 	}
 	if cs.overlay != nil && k == len(cs.spans)-1 {
 		return cs.overlay, func() {}, nil
 	}
-	return cs.s.pager.chunkPinned(cs.file, cs.d, k)
+	return cs.s.pager.chunkPinned(cs.file, cs.d, k, cols)
 }

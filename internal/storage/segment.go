@@ -141,7 +141,7 @@ func DecodeSegment(data []byte) (*rel.TableSnapshot, error) {
 		cs.Col.Nullable = nullable == 1
 		cs.Col.LeafID = int(r.varint("leaf id"))
 		cs.Col.Occurrence = int(r.uvarint("occurrence"))
-		r.columnData(&cs, rows)
+		r.columnData(&cs, rows, true)
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -266,10 +266,13 @@ func (r *reader) fixed(n uint64, what string) []byte {
 // payload vector, exceptions — into cs, whose Col is already set. The
 // whole-table and chunked formats lay this region out identically.
 // Every allocation is sized by a count already checked against the
-// remaining payload.
-func (r *reader) columnData(cs *rel.ColumnSnapshot, rows uint64) {
+// remaining payload. With keep false the region is only walked: every
+// bounds check runs, nothing is allocated, and cs is left as it was —
+// how a chunk fault passes over the columns it does not need. Whatever
+// is kept is copied out of r.buf, so the buffer may be reused.
+func (r *reader) columnData(cs *rel.ColumnSnapshot, rows uint64, keep bool) {
 	nwords := r.uvarint("bitmap word count")
-	if b := r.fixed(nwords, "bitmap"); len(b) > 0 {
+	if b := r.fixed(nwords, "bitmap"); keep && len(b) > 0 {
 		cs.NullWords = make([]uint64, nwords)
 		for i := range cs.NullWords {
 			cs.NullWords[i] = binary.LittleEndian.Uint64(b[8*i:])
@@ -277,22 +280,25 @@ func (r *reader) columnData(cs *rel.ColumnSnapshot, rows uint64) {
 	}
 	switch cs.Col.Typ {
 	case rel.TInt:
-		if b := r.fixed(rows, "int vector"); r.err == nil {
+		if b := r.fixed(rows, "int vector"); keep && r.err == nil {
 			cs.Ints = make([]int64, rows)
 			for i := range cs.Ints {
 				cs.Ints[i] = int64(binary.LittleEndian.Uint64(b[8*i:]))
 			}
 		}
 	case rel.TFloat:
-		if b := r.fixed(rows, "float vector"); r.err == nil {
+		if b := r.fixed(rows, "float vector"); keep && r.err == nil {
 			cs.Floats = make([]float64, rows)
 			for i := range cs.Floats {
 				cs.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
 			}
 		}
 	case rel.TString:
-		cs.Dict = r.dict()
-		cs.Codes = r.codes(rows)
+		dict := r.dict(keep)
+		codes := r.codes(rows, keep)
+		if keep {
+			cs.Dict, cs.Codes = dict, codes
+		}
 	default:
 		r.failf("unknown column type %d", cs.Col.Typ)
 	}
@@ -300,20 +306,29 @@ func (r *reader) columnData(cs *rel.ColumnSnapshot, rows uint64) {
 	if nexc > rows {
 		r.failf("exception count %d exceeds row count %d", nexc, rows)
 	}
-	if r.err == nil && nexc > 0 {
-		cs.Exc = make([]rel.ExcEntry, nexc)
-		for ei := range cs.Exc {
-			cs.Exc[ei].Row = int(r.uvarint("exception row"))
-			cs.Exc[ei].Val = r.value()
+	if r.err != nil || nexc == 0 {
+		return
+	}
+	if !keep {
+		for ei := uint64(0); ei < nexc && r.err == nil; ei++ {
+			r.uvarint("exception row")
+			r.value(false)
 		}
+		return
+	}
+	cs.Exc = make([]rel.ExcEntry, nexc)
+	for ei := range cs.Exc {
+		cs.Exc[ei].Row = int(r.uvarint("exception row"))
+		cs.Exc[ei].Val = r.value(true)
 	}
 }
 
 // dict decodes a string dictionary: a first pass bounds-checks every
 // length-prefixed entry and finds where the region ends, then the
 // region becomes one string and the entries are sliced out of it — one
-// allocation per dictionary instead of one per entry.
-func (r *reader) dict() []string {
+// allocation per dictionary instead of one per entry. With keep false
+// it stops after the first pass.
+func (r *reader) dict(keep bool) []string {
 	dn := r.uvarint("dictionary size")
 	if r.err == nil && dn > uint64(r.remaining()) {
 		r.failf("dictionary of %d entries exceeds remaining payload %d", dn, r.remaining())
@@ -325,7 +340,7 @@ func (r *reader) dict() []string {
 	for i := uint64(0); i < dn && r.err == nil; i++ {
 		r.take(r.uvarint("dictionary entry length"), "dictionary entry")
 	}
-	if r.err != nil {
+	if r.err != nil || !keep {
 		return nil
 	}
 	region := string(r.buf[start:r.off])
@@ -341,29 +356,33 @@ func (r *reader) dict() []string {
 }
 
 // codes decodes a vector of uvarint dictionary codes. A code below 128
-// is its own single byte and skips the varint decoder.
-func (r *reader) codes(rows uint64) []uint32 {
+// is its own single byte and skips the varint decoder. With keep false
+// the codes are read and checked but not stored.
+func (r *reader) codes(rows uint64, keep bool) []uint32 {
 	if r.err == nil && rows > uint64(r.remaining()) {
 		r.failf("code vector of %d rows exceeds remaining payload %d", rows, r.remaining())
 	}
 	if r.err != nil {
 		return nil
 	}
-	codes := make([]uint32, rows)
-	for i := range codes {
+	var codes []uint32
+	if keep {
+		codes = make([]uint32, rows)
+	}
+	for i := uint64(0); i < rows; i++ {
+		c := uint64(0)
 		if r.off < len(r.buf) && r.buf[r.off] < 0x80 {
-			codes[i] = uint32(r.buf[r.off])
+			c = uint64(r.buf[r.off])
 			r.off++
-			continue
-		}
-		c := r.uvarint("string code")
-		if c > math.MaxUint32 {
+		} else if c = r.uvarint("string code"); c > math.MaxUint32 {
 			r.failf("string code %d overflows uint32", c)
 		}
 		if r.err != nil {
 			return nil
 		}
-		codes[i] = uint32(c)
+		if keep {
+			codes[i] = uint32(c)
+		}
 	}
 	return codes
 }
@@ -398,13 +417,17 @@ func (r *reader) str(what string) string {
 	return string(r.take(r.uvarint(what+" length"), what))
 }
 
-func (r *reader) value() rel.Value {
+// value decodes a full rel.Value. With keep false it runs the same
+// checks and returns the zero Value without allocating its string.
+func (r *reader) value(keep bool) rel.Value {
 	var v rel.Value
 	null := r.byte("value null flag")
 	typ := r.byte("value type")
 	v.I = r.varint("value int payload")
 	v.F = math.Float64frombits(r.u64("value float payload"))
-	v.S = r.str("value string payload")
+	if s := r.take(r.uvarint("value string payload length"), "value string payload"); keep {
+		v.S = string(s)
+	}
 	if r.err != nil {
 		return rel.Value{}
 	}
@@ -416,6 +439,9 @@ func (r *reader) value() rel.Value {
 	case rel.TInt, rel.TFloat, rel.TString:
 	default:
 		r.failf("value has unknown type %d", typ)
+		return rel.Value{}
+	}
+	if !keep {
 		return rel.Value{}
 	}
 	v.Null = null == 1
