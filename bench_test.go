@@ -264,9 +264,6 @@ func BenchmarkUpdateWorkload(b *testing.B) {
 // executorBenchSetup builds the Fig. 5 DBLP workload's plans under the
 // hybrid mapping: the same queries the comparison benchmarks execute,
 // planned once, so the executor benchmarks below time pure execution.
-// Unlike the paper-figure benchmarks above, the Built is InMemory: the
-// eight simulated disk passes of DiskResident would be most of every
-// execution and dilute the ratios scripts/benchguard bounds.
 func executorBenchSetup(b *testing.B) (*engine.Built, []*optimizer.Plan) {
 	b.Helper()
 	d := dblpDataset()
@@ -280,7 +277,7 @@ func executorBenchSetup(b *testing.B) (*engine.Built, []*optimizer.Plan) {
 		b.Fatal(err)
 	}
 	cfg := &physical.Config{}
-	built, err := engine.BuildWithScanCost(db, cfg, engine.InMemory)
+	built, err := engine.Build(db, cfg)
 	if err != nil {
 		b.Fatal(err)
 	}

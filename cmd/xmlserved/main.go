@@ -156,7 +156,7 @@ func registerGenerated(svc *service.Service, name string, scale float64) error {
 	if err != nil {
 		return fmt.Errorf("%s: shred: %w", name, err)
 	}
-	built, err := engine.BuildWithScanCost(db, &physical.Config{}, engine.InMemory)
+	built, err := engine.Build(db, &physical.Config{})
 	if err != nil {
 		return fmt.Errorf("%s: build: %w", name, err)
 	}

@@ -7,8 +7,10 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/rel"
 	"repro/internal/stats"
 	"repro/internal/translate"
 	"repro/internal/xmlgen"
@@ -54,16 +56,23 @@ const (
 )
 
 // CostAudit loads the documents under the result's mapping, builds the
-// recommended configuration, and measures every workload query,
-// pairing each measurement with the advisor's estimated cost. The
-// estimated side comes from Result.PerQueryCost (what the search
-// optimized); the measured side re-plans against the loaded data's
-// actual statistics, exactly like MeasureExecution.
+// recommended configuration on the budgeted store MeasureExecution runs
+// on, and measures every workload query, pairing each measurement with
+// the advisor's estimated cost. The estimated side comes from
+// Result.PerQueryCost (what the search optimized); the measured side
+// re-plans against the loaded data's actual statistics, exactly like
+// MeasureExecution.
 func (a *Advisor) CostAudit(res *Result, docs ...*xmlgen.Doc) (*Audit, error) {
-	db, built, err := a.BuildFor(res, docs...)
-	if err != nil {
-		return nil, err
-	}
+	var audit *Audit
+	err := a.onBudgetedStore(res, docs, func(db *rel.Database, built *engine.Built) (err error) {
+		audit, err = a.audit(res, db, built)
+		return err
+	})
+	return audit, err
+}
+
+// audit is CostAudit over a loaded database and its Built.
+func (a *Advisor) audit(res *Result, db *rel.Database, built *engine.Built) (*Audit, error) {
 	sp := a.Opts.Obs.StartSpan("advisor.cost-audit",
 		obs.Int("queries", int64(len(a.W.Queries))))
 	defer sp.End()

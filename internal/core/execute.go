@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
 	"time"
 
 	"repro/internal/engine"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/rel"
 	"repro/internal/shred"
 	"repro/internal/stats"
+	"repro/internal/storage"
 	"repro/internal/translate"
 	"repro/internal/xmlgen"
 )
@@ -28,10 +30,11 @@ type Execution struct {
 }
 
 // MeasureExecution loads the documents under the result's mapping,
-// materializes the recommended configuration, and executes every
-// workload query, repeated in proportion to its weight (fractional
-// weights are scaled and rounded half-up; see executionReps), returning
-// real execution measurements — the quality metric of Section 5.1.4.
+// materializes the recommended configuration on a budgeted store (see
+// onBudgetedStore), and executes every workload query, repeated in
+// proportion to its weight (fractional weights are scaled and rounded
+// half-up; see executionReps), returning real execution measurements —
+// the quality metric of Section 5.1.4.
 func (a *Advisor) MeasureExecution(res *Result, docs ...*xmlgen.Doc) (*Execution, error) {
 	return a.MeasureExecutionContext(context.Background(), res, docs...)
 }
@@ -42,10 +45,17 @@ func (a *Advisor) MeasureExecution(res *Result, docs ...*xmlgen.Doc) (*Execution
 // goroutines every measured execution runs on; the default of 0 is the
 // caller's goroutine alone.
 func (a *Advisor) MeasureExecutionContext(ctx context.Context, res *Result, docs ...*xmlgen.Doc) (*Execution, error) {
-	db, built, err := a.BuildFor(res, docs...)
-	if err != nil {
-		return nil, err
-	}
+	var ex *Execution
+	err := a.onBudgetedStore(res, docs, func(db *rel.Database, built *engine.Built) (err error) {
+		ex, err = a.measure(ctx, res, db, built)
+		return err
+	})
+	return ex, err
+}
+
+// measure is MeasureExecutionContext over a loaded database and its
+// Built.
+func (a *Advisor) measure(ctx context.Context, res *Result, db *rel.Database, built *engine.Built) (*Execution, error) {
 	prov := stats.FromDatabase(db)
 	opt := optimizer.New(prov)
 	type prepared struct {
@@ -157,11 +167,53 @@ func executionReps(weights []float64) []int {
 	return reps
 }
 
+// measureBudgetDivisor sets the pager budget of the measured runs: a
+// quarter of the saved data, the ratio the paged serving benchmark runs
+// at, so a scan of a wider table faults more chunks.
+const measureBudgetDivisor = 4
+
+// onBudgetedStore is the substrate of the measured runs (MeasureExecution,
+// CostAudit). It loads the documents under the result's mapping, saves
+// the recommended design to a temporary directory, reopens it with a
+// pager budget of a quarter of the data, and calls run with the shredded
+// database (the optimizer's statistics) and the store's PagedBuilt. The
+// store is closed and the directory removed on every return.
+func (a *Advisor) onBudgetedStore(res *Result, docs []*xmlgen.Doc, run func(*rel.Database, *engine.Built) error) error {
+	db, resident, err := a.BuildFor(res, docs...)
+	if err != nil {
+		return err
+	}
+	dir, err := os.MkdirTemp("", "xmlshred-measure-")
+	if err != nil {
+		return fmt.Errorf("core: creating measurement store: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	man, err := storage.Save(dir, resident, storage.Options{Registry: a.Opts.Registry})
+	if err != nil {
+		return fmt.Errorf("core: saving measurement store: %w", err)
+	}
+	var data int64
+	for _, e := range man.Tables {
+		data += e.Bytes
+	}
+	st, err := storage.Open(dir, storage.Options{Registry: a.Opts.Registry, MemBudgetBytes: data / measureBudgetDivisor})
+	if err != nil {
+		return fmt.Errorf("core: opening measurement store: %w", err)
+	}
+	defer st.Close()
+	built, err := st.PagedBuilt()
+	if err != nil {
+		return fmt.Errorf("core: building configuration on the measurement store: %w", err)
+	}
+	built.AttachObs(a.Opts.Obs, a.Opts.Registry)
+	return run(db, built)
+}
+
 // BuildFor loads the documents under the result's recommended mapping
 // and materializes the recommended physical configuration, with the
-// advisor's observability attached. It is the shared entry into real
-// execution (MeasureExecution, CostAudit) and durable persistence
-// (storage.Save takes the returned Built).
+// advisor's observability attached, all resident. It is the entry into
+// durable persistence (storage.Save takes the returned Built) and what
+// the measured runs save to their store.
 func (a *Advisor) BuildFor(res *Result, docs ...*xmlgen.Doc) (*rel.Database, *engine.Built, error) {
 	db, err := shredLoad(res, docs)
 	if err != nil {

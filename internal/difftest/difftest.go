@@ -316,8 +316,7 @@ func Run(c Case) (RunStats, *Mismatch) {
 	// the reopened copy to the same bar as the executors — bit-identical
 	// tables now, bit-identical results and identical plan costs per
 	// query below.
-	var reopened *engine.Built
-	var pagedViews map[string]*engine.Built // by scan-cost model
+	var reopened, paged *engine.Built
 	var reopenedOpt *optimizer.Optimizer
 	if c.Persist {
 		// The reopened store runs under a deliberately tiny memory
@@ -360,28 +359,10 @@ func Run(c Case) (RunStats, *Mismatch) {
 		// Paged view of the same store: driver-stage scans pull chunks
 		// through the pager under the trial's tiny budget instead of
 		// reading assembled tables. Executed differentially below.
-		paged, err := store.PagedBuilt()
+		paged, err = store.PagedBuilt()
 		if err != nil {
 			return st, fail("chunk-scan-equivalence", -1, "", "paged rebuild: %v (config %v)", err, cfg)
 		}
-		// The store's view scans under engine.InMemory. Its twin pays the
-		// paper's simulated disk over the same shells and the same pager
-		// sources, so the stage holds the paged path to its oracle with
-		// the scan-cost model off and on.
-		pagedDisk, err := engine.Build(paged.DB, cfg)
-		if err != nil {
-			return st, fail("chunk-scan-equivalence", -1, "", "paged rebuild on simulated disk: %v (config %v)", err, cfg)
-		}
-		for _, tb := range paged.DB.Tables() {
-			if src := paged.ScanSource(tb.Name); src != nil {
-				pagedDisk.SetScanSource(tb.Name, src)
-			}
-		}
-		if paged.ScanCost() != engine.InMemory || pagedDisk.ScanCost() != engine.DiskResident {
-			return st, fail("chunk-scan-equivalence", -1, "", "scan-cost models %d / %d, want in-memory / disk-resident",
-				paged.ScanCost(), pagedDisk.ScanCost())
-		}
-		pagedViews = map[string]*engine.Built{"in-memory": paged, "disk-resident": pagedDisk}
 	}
 	// Every trial also exercises the tracing layer: executor spans are
 	// recorded for each batch execution and the tree must stay
@@ -404,7 +385,6 @@ func Run(c Case) (RunStats, *Mismatch) {
 	type svcQuery struct {
 		idx   int
 		query string
-		plan  *optimizer.Plan
 		ref   *engine.Result
 	}
 	var svcQueries []svcQuery
@@ -468,37 +448,35 @@ func Run(c Case) (RunStats, *Mismatch) {
 			// chunk at a time — must be bit-identical to the reference
 			// executor on the same Built (which must itself agree with the
 			// resident reference), at one worker and at the seeded worker
-			// count, with the scan-cost model off and on.
-			for model, paged := range pagedViews {
-				chunkFail := func(format string, args ...any) *Mismatch {
-					return fail("chunk-scan-equivalence", t.idx, t.q.String(),
-						model+": "+format+"\nSQL:\n%s", append(args, t.sql.SQL())...)
-				}
-				pref, prerr := engine.ExecuteReference(paged, rplan)
-				if prerr != nil {
-					return st, chunkFail("reference: %v", prerr)
-				}
-				if d := diffResults(pref, ref); d != "" {
-					return st, chunkFail("paged reference vs resident reference: %s (applied %v)", d, applied)
-				}
-				pres, pxerr := engine.Execute(paged, rplan)
-				if pxerr != nil {
-					return st, chunkFail("execute: %v", pxerr)
-				}
-				if d := diffResults(pres, pref); d != "" {
-					return st, chunkFail("%s (applied %v)", d, applied)
-				}
-				ppaged, pperr := paged.Prepared(rplan)
-				if pperr != nil {
-					return st, chunkFail("prepare: %v", pperr)
-				}
-				ppar, pxerr2 := ppaged.ExecuteContextWorkers(context.Background(), wk)
-				if pxerr2 != nil {
-					return st, chunkFail("workers=%d: %v", wk, pxerr2)
-				}
-				if d := diffResults(ppar, pref); d != "" {
-					return st, chunkFail("workers=%d: %s (applied %v)", wk, d, applied)
-				}
+			// count.
+			chunkFail := func(format string, args ...any) *Mismatch {
+				return fail("chunk-scan-equivalence", t.idx, t.q.String(),
+					format+"\nSQL:\n%s", append(args, t.sql.SQL())...)
+			}
+			pref, prerr := engine.ExecuteReference(paged, rplan)
+			if prerr != nil {
+				return st, chunkFail("reference: %v", prerr)
+			}
+			if d := diffResults(pref, ref); d != "" {
+				return st, chunkFail("paged reference vs resident reference: %s (applied %v)", d, applied)
+			}
+			pres, pxerr := engine.Execute(paged, rplan)
+			if pxerr != nil {
+				return st, chunkFail("execute: %v", pxerr)
+			}
+			if d := diffResults(pres, pref); d != "" {
+				return st, chunkFail("%s (applied %v)", d, applied)
+			}
+			ppaged, pperr := paged.Prepared(rplan)
+			if pperr != nil {
+				return st, chunkFail("prepare: %v", pperr)
+			}
+			ppar, pxerr2 := ppaged.ExecuteContextWorkers(context.Background(), wk)
+			if pxerr2 != nil {
+				return st, chunkFail("workers=%d: %v", wk, pxerr2)
+			}
+			if d := diffResults(ppar, pref); d != "" {
+				return st, chunkFail("workers=%d: %s (applied %v)", wk, d, applied)
 			}
 		}
 		gold, gerr := xmlgen.Evaluate(base, doc, t.q)
@@ -516,18 +494,15 @@ func Run(c Case) (RunStats, *Mismatch) {
 				return st, fail("cost", t.idx, t.q.String(), "%s (applied %v)", cerr, applied)
 			}
 		}
-		svcQueries = append(svcQueries, svcQuery{idx: t.idx, query: t.q.String(), plan: plan, ref: ref})
+		svcQueries = append(svcQueries, svcQuery{idx: t.idx, query: t.q.String(), ref: ref})
 	}
 	// Service-equivalence stage: the same workload through an in-process
 	// multi-tenant service — concurrent sessions, seeded random quotas,
-	// pool size, and per-session worker asks — over two corpora: the
-	// trial's Built with its warm caches (the paper's simulated disk) and
-	// a Built of the same data and design under engine.InMemory, the
-	// model a served corpus runs under. Every response from either must
-	// be bit-identical (rows, order, values, stats) to the direct
-	// reference execution — on the in-memory corpus also to that Built's
-	// own reference — and the service's plan cache must have translated
-	// each query text exactly once per corpus across all sessions.
+	// pool size, and per-session worker asks — over the trial's Built with
+	// its warm caches as one corpus. Every response must be bit-identical
+	// (rows, order, values, stats) to the direct reference execution, and
+	// the service's plan cache must have translated each query text
+	// exactly once across all sessions.
 	if c.Service && len(svcQueries) > 0 {
 		srand := rand.New(rand.NewSource(mix(c.Seed, 7)))
 		sessions := 2 + srand.Intn(3)
@@ -544,25 +519,9 @@ func Run(c Case) (RunStats, *Mismatch) {
 				MaxQueued: 2 * sessions * len(svcQueries),
 			},
 		})
-		builtMem, merr := engine.BuildWithScanCost(db, cfg, engine.InMemory)
-		if merr != nil {
-			return st, fail("service-equivalence", -1, "", "in-memory build: %v (config %v)", merr, cfg)
-		}
-		corpora := map[string]*engine.Built{"trial": built, "trial-mem": builtMem}
-		for name, b := range corpora {
-			if rerr := svc.RegisterBuilt(name, b, m, nil); rerr != nil {
-				return st, fail("service-equivalence", -1, "", "register %s: %v", name, rerr)
-			}
-		}
-		for _, sq := range svcQueries {
-			mref, rerr := engine.ExecuteReference(builtMem, sq.plan)
-			if rerr != nil {
-				return st, fail("service-equivalence", sq.idx, sq.query, "in-memory reference: %v", rerr)
-			}
-			if d := diffResults(mref, sq.ref); d != "" {
-				return st, fail("service-equivalence", sq.idx, sq.query,
-					"in-memory reference vs simulated-disk reference: %s (applied %v)", d, applied)
-			}
+		const corpus = "trial"
+		if rerr := svc.RegisterBuilt(corpus, built, m, nil); rerr != nil {
+			return st, fail("service-equivalence", -1, "", "register %s: %v", corpus, rerr)
 		}
 		asks := make([]int, sessions)
 		for i := range asks {
@@ -576,21 +535,19 @@ func Run(c Case) (RunStats, *Mismatch) {
 				defer wg.Done()
 				tenant := fmt.Sprintf("tenant-%d", s%2)
 				for _, sq := range svcQueries {
-					for corpus := range corpora {
-						resp, qerr := svc.Query(context.Background(), service.Request{
-							Corpus: corpus, Tenant: tenant, XPath: sq.query, Workers: asks[s],
-						})
-						if qerr != nil {
-							fails <- fail("service-equivalence", sq.idx, sq.query,
-								"session %d corpus %s: %v (applied %v)", s, corpus, qerr, applied)
-							return
-						}
-						got := &engine.Result{Cols: resp.Cols, Rows: resp.Rows, Stats: resp.Stats}
-						if d := diffResults(got, sq.ref); d != "" {
-							fails <- fail("service-equivalence", sq.idx, sq.query,
-								"session %d corpus %s workers %d: %s (applied %v)", s, corpus, asks[s], d, applied)
-							return
-						}
+					resp, qerr := svc.Query(context.Background(), service.Request{
+						Corpus: corpus, Tenant: tenant, XPath: sq.query, Workers: asks[s],
+					})
+					if qerr != nil {
+						fails <- fail("service-equivalence", sq.idx, sq.query,
+							"session %d: %v (applied %v)", s, qerr, applied)
+						return
+					}
+					got := &engine.Result{Cols: resp.Cols, Rows: resp.Rows, Stats: resp.Stats}
+					if d := diffResults(got, sq.ref); d != "" {
+						fails <- fail("service-equivalence", sq.idx, sq.query,
+							"session %d workers %d: %s (applied %v)", s, asks[s], d, applied)
+						return
 					}
 				}
 			}(s)
@@ -605,10 +562,10 @@ func Run(c Case) (RunStats, *Mismatch) {
 			distinct[sq.query] = true
 		}
 		snap := sreg.Snapshot()
-		if got, want := snap["service.plan.misses"], float64(len(corpora)*len(distinct)); got != want {
+		if got, want := snap["service.plan.misses"], float64(len(distinct)); got != want {
 			return st, fail("service-equivalence", -1, "",
-				"plan cache misses %v across %d sessions, want %v: %d distinct texts on each of %d corpora (single-flight broken)",
-				got, sessions, want, len(distinct), len(corpora))
+				"plan cache misses %v across %d sessions, want %v distinct texts (single-flight broken)",
+				got, sessions, want)
 		}
 		for _, tenant := range []string{"tenant-0", "tenant-1"} {
 			if peak := snap["service.tenant."+tenant+".inflight_peak"]; peak > float64(maxConc) {

@@ -164,7 +164,7 @@ func TestAssembledRowsDoNotShareCapacity(t *testing.T) {
 // its branches do not project fails in Prepare — with the error the
 // executors have always reported — not after every branch has run.
 func TestPrepareRejectsOrderByMissingFromOutput(t *testing.T) {
-	fx := equivalenceFixtures(t, DiskResident)["movie-hybrid"]
+	fx := equivalenceFixtures(t)["movie-hybrid"]
 	good := fx.plans[0]
 	q := *good.Query
 	q.OrderBy = "no_such_column"

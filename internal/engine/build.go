@@ -29,9 +29,6 @@ type Built struct {
 	parts   map[string][]*rel.Table // base table -> group tables
 	caches  *builtCaches            // plan-lifetime execution structures
 	sources map[string]ScanSource   // driver-stage chunk sources by table
-	// scanCost is what heap scans over this Built pay on top of the
-	// query's own work; fixed at construction.
-	scanCost ScanCostModel
 
 	// gens snapshots every reachable table's mutation generation at
 	// Build time; the structure caches refuse to serve after any table
@@ -87,18 +84,11 @@ func (b *Built) checkGenerations() error {
 }
 
 // Build materializes every structure in the configuration over the
-// paper's substrate: heap scans pay the DiskResident scan cost.
+// database. The configuration may come from outside the program
+// (a store's manifest), so one that does not fit the database — an
+// unknown table or column, an index without a key, a view or partition
+// over a table without ID/PID — is an error, never a panic.
 func Build(db *rel.Database, cfg *physical.Config) (*Built, error) {
-	return BuildWithScanCost(db, cfg, DiskResident)
-}
-
-// BuildWithScanCost is Build under the given scan-cost model. Results
-// and ExecStats are the same under either model; only the time a scan
-// takes differs. The configuration may come from outside the program (a
-// store's manifest), so one that does not fit the database — an unknown
-// table or column, an index without a key, a view or partition over a
-// table without ID/PID — is an error, never a panic.
-func BuildWithScanCost(db *rel.Database, cfg *physical.Config, cost ScanCostModel) (*Built, error) {
 	if cfg == nil {
 		cfg = &physical.Config{}
 	}
@@ -106,13 +96,12 @@ func BuildWithScanCost(db *rel.Database, cfg *physical.Config, cost ScanCostMode
 		return nil, errors.New("engine: configuration lists a null index, view or partition")
 	}
 	b := &Built{
-		DB:       db,
-		Config:   cfg,
-		indexes:  make(map[string]*builtIndex),
-		views:    make(map[string]*rel.Table),
-		parts:    make(map[string][]*rel.Table),
-		caches:   newBuiltCaches(),
-		scanCost: cost,
+		DB:      db,
+		Config:  cfg,
+		indexes: make(map[string]*builtIndex),
+		views:   make(map[string]*rel.Table),
+		parts:   make(map[string][]*rel.Table),
+		caches:  newBuiltCaches(),
 	}
 	for _, idx := range cfg.Indexes {
 		bi, err := buildIndex(db, idx)
@@ -143,9 +132,6 @@ func BuildWithScanCost(db *rel.Database, cfg *physical.Config, cost ScanCostMode
 	b.snapshotGenerations()
 	return b, nil
 }
-
-// ScanCost returns the scan-cost model the Built was made under.
-func (b *Built) ScanCost() ScanCostModel { return b.scanCost }
 
 // Index returns the built index for a descriptor, or nil.
 func (b *Built) Index(idx *physical.Index) *builtIndex {

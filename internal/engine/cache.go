@@ -31,12 +31,12 @@ import (
 // fails loudly on post-build mutation (see Built.checkGenerations).
 // Hit/miss traffic per cache kind is counted unconditionally (plain
 // atomics, one add per access) and surfaces through CacheCounters,
-// the obs registry, and execution spans. The Built's scan cost (see
-// ScanCostModel) and the ExecStats accounting are NOT cached — every
-// execution still pays for the scans its plan performs, whatever the
-// model charges for one, and counts the rows it reads, so measured
-// execution time keeps the model's scan/probe cost ratio and Stats stay
-// bit-identical to the row-at-a-time reference executor.
+// the obs registry, and execution spans. Driver scans and the ExecStats
+// accounting are NOT cached — every execution still reads the chunks its
+// plan scans (through the pager, on a store-backed Built) and counts the
+// rows it reads, so measured execution time keeps the scan/probe cost
+// ratio of the substrate and Stats stay bit-identical to the
+// row-at-a-time reference executor.
 type builtCaches struct {
 	mu       sync.Mutex
 	joins    map[string]*centry[*joinTable]

@@ -16,21 +16,8 @@ import (
 
 // buildPlans shreds the doc under the tree's mapping and plans every
 // query under the config, returning the built database and the plans.
-// The Built is Build's: the paper's DiskResident substrate.
 func buildPlans(t *testing.T, tree *schema.Tree, doc *xmlgen.Doc,
 	queries []string, cfg *physical.Config) (*Built, []*optimizer.Plan) {
-	t.Helper()
-	return buildPlansCost(t, tree, doc, queries, cfg, DiskResident)
-}
-
-// scanCostModels are the two models every equivalence matrix runs
-// under: results, order, values and ExecStats must not depend on what a
-// scan is charged.
-var scanCostModels = map[string]ScanCostModel{"disk-resident": DiskResident, "in-memory": InMemory}
-
-// buildPlansCost is buildPlans under the given scan-cost model.
-func buildPlansCost(t *testing.T, tree *schema.Tree, doc *xmlgen.Doc,
-	queries []string, cfg *physical.Config, cost ScanCostModel) (*Built, []*optimizer.Plan) {
 	t.Helper()
 	m, err := shred.Compile(tree)
 	if err != nil {
@@ -43,12 +30,9 @@ func buildPlansCost(t *testing.T, tree *schema.Tree, doc *xmlgen.Doc,
 	if cfg == nil {
 		cfg = &physical.Config{}
 	}
-	built, err := BuildWithScanCost(db, cfg, cost)
+	built, err := Build(db, cfg)
 	if err != nil {
 		t.Fatalf("Build: %v", err)
-	}
-	if built.ScanCost() != cost {
-		t.Fatalf("ScanCost() = %d, built under %d", built.ScanCost(), cost)
 	}
 	opt := optimizer.New(stats.FromDatabase(db))
 	var plans []*optimizer.Plan
@@ -100,28 +84,23 @@ func requireIdentical(t *testing.T, label string, got, want *Result) {
 	}
 }
 
+// eqFixture is a Built and plans over it.
+type eqFixture struct {
+	built *Built
+	plans []*optimizer.Plan
+}
+
 // equivalenceFixtures covers every operator the executors implement:
 // heap scans, index seeks, INL and hash joins (base tables and views),
 // partition-zip drivers, multi-branch unions, and EXISTS predicates
-// from split selections — each Built under the given scan-cost model.
-func equivalenceFixtures(t *testing.T, cost ScanCostModel) map[string]struct {
-	built *Built
-	plans []*optimizer.Plan
-} {
+// from split selections.
+func equivalenceFixtures(t *testing.T) map[string]eqFixture {
 	t.Helper()
-	out := make(map[string]struct {
-		built *Built
-		plans []*optimizer.Plan
-	})
-	add := func(name string, b *Built, ps []*optimizer.Plan) {
-		out[name] = struct {
-			built *Built
-			plans []*optimizer.Plan
-		}{b, ps}
-	}
+	out := make(map[string]eqFixture)
+	add := func(name string, b *Built, ps []*optimizer.Plan) { out[name] = eqFixture{b, ps} }
 
 	movieDoc := xmlgen.GenerateMovie(schema.Movie(), xmlgen.MovieOptions{Movies: 300, Seed: 21})
-	b, ps := buildPlansCost(t, schema.Movie(), movieDoc, movieQueries, nil, cost)
+	b, ps := buildPlans(t, schema.Movie(), movieDoc, movieQueries, nil)
 	add("movie-hybrid", b, ps)
 
 	idxCfg := &physical.Config{}
@@ -129,16 +108,16 @@ func equivalenceFixtures(t *testing.T, cost ScanCostModel) map[string]struct {
 		Include: []string{"ID", "title", "box_office"}})
 	idxCfg.AddIndex(&physical.Index{Name: "ix_actor_pid", Table: "actor", Key: []string{"PID"}})
 	idxCfg.AddIndex(&physical.Index{Name: "ix_movie_genre", Table: "movie", Key: []string{"genre"}})
-	b, ps = buildPlansCost(t, schema.Movie(), movieDoc, movieQueries, idxCfg, cost)
+	b, ps = buildPlans(t, schema.Movie(), movieDoc, movieQueries, idxCfg)
 	add("movie-indexes", b, ps)
 
 	viewCfg := &physical.Config{}
 	viewCfg.AddView(&physical.View{Name: "v_movie_actor", Outer: "movie", Inner: "actor",
 		OuterCols: []string{"ID", "year", "genre", "title"}, InnerCols: []string{"actor"}})
-	b, ps = buildPlansCost(t, schema.Movie(), movieDoc, []string{
+	b, ps = buildPlans(t, schema.Movie(), movieDoc, []string{
 		`//movie[genre = "genre-03"]/(title | year | actor)`,
 		`//movie[year >= 2000]/(title | box_office)`,
-	}, viewCfg, cost)
+	}, viewCfg)
 	add("movie-view", b, ps)
 
 	partCfg := &physical.Config{}
@@ -146,11 +125,11 @@ func equivalenceFixtures(t *testing.T, cost ScanCostModel) map[string]struct {
 		{"title", "year", "box_office", "seasons"},
 		{"avg_rating", "genre", "country", "language", "runtime"},
 	}})
-	b, ps = buildPlansCost(t, schema.Movie(), movieDoc, movieQueries, partCfg, cost)
+	b, ps = buildPlans(t, schema.Movie(), movieDoc, movieQueries, partCfg)
 	add("movie-partition", b, ps)
 
 	dblpDoc := xmlgen.GenerateDBLP(schema.DBLP(), xmlgen.DBLPOptions{Inproceedings: 300, Books: 40, Seed: 21})
-	b, ps = buildPlansCost(t, schema.DBLP(), dblpDoc, dblpQueries, nil, cost)
+	b, ps = buildPlans(t, schema.DBLP(), dblpDoc, dblpQueries, nil)
 	add("dblp-hybrid", b, ps)
 
 	splitTree := schema.DBLP()
@@ -159,9 +138,9 @@ func equivalenceFixtures(t *testing.T, cost ScanCostModel) map[string]struct {
 			n.SplitCount = 2
 		}
 	}
-	b, ps = buildPlansCost(t, splitTree, dblpDoc, []string{
+	b, ps = buildPlans(t, splitTree, dblpDoc, []string{
 		`//inproceedings[author = "Fatima Author-00005"]/(title | year)`,
-	}, nil, cost)
+	}, nil)
 	add("dblp-split-exists", b, ps)
 
 	return out
@@ -173,7 +152,7 @@ func equivalenceFixtures(t *testing.T, cost ScanCostModel) map[string]struct {
 // row-at-a-time reference path, on the first (cold-cache) execution and
 // on repeated warm-cache executions.
 func TestBatchExecutorMatchesReference(t *testing.T) {
-	for name, fx := range equivalenceFixtures(t, DiskResident) {
+	for name, fx := range equivalenceFixtures(t) {
 		t.Run(name, func(t *testing.T) {
 			for pi, plan := range fx.plans {
 				want, err := ExecuteReference(fx.built, plan)
@@ -198,7 +177,7 @@ func TestBatchExecutorMatchesReference(t *testing.T) {
 // bit-identical to the sequential reference across repeated runs. Run
 // with -race this also checks the claim loop for data races.
 func TestParallelBranchesDeterministic(t *testing.T) {
-	for name, fx := range equivalenceFixtures(t, DiskResident) {
+	for name, fx := range equivalenceFixtures(t) {
 		t.Run(name, func(t *testing.T) {
 			for pi, plan := range fx.plans {
 				want, err := ExecuteReference(fx.built, plan)

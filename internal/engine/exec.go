@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
 
 	"repro/internal/optimizer"
 	"repro/internal/rel"
@@ -148,131 +147,6 @@ func (sc *scope) slot(c sqlast.ColRef) (int, error) {
 }
 
 func (sc *scope) has(table string) bool { _, ok := sc.tables[table]; return ok }
-
-// scanSink absorbs the byte-touching work of simulated heap reads so the
-// compiler cannot elide it. It is updated atomically: morsels scan in
-// parallel.
-var scanSink atomic.Int64
-
-// ScanCostModel says what a heap scan over a Built costs on top of the
-// work the query itself needs. It is fixed where the Built is made and
-// every executor — the batch pipeline's driver scans and hash-join
-// build-side charges, and ExecuteReference's fetches — follows the Built
-// it runs on, so a batch execution and its oracle always pay alike.
-// ExecStats do not depend on it. It is a value only because two makers
-// of Builts need different ones; nothing else selects it.
-type ScanCostModel uint8
-
-const (
-	// DiskResident emulates the paper's substrate, a disk-resident system
-	// where scanning a page costs far more than a hash-table operation:
-	// every scan reads each scanned byte scanTouchPasses times (see
-	// touchTable). Without it in-memory scans are width-oblivious and the
-	// paper's untuned-mapping comparisons (Section 1.1) lose their
-	// crossover. Build uses it, so the advisor's measured executions, the
-	// experiments and the examples run on it.
-	DiskResident ScanCostModel = iota
-	// InMemory adds nothing: a scan costs the work of the query. The
-	// storage layer's Builts and the query server's corpora use it — what
-	// a paged scan reads it has really faulted, and serving latency should
-	// measure serving.
-	InMemory
-)
-
-// scanTouchPasses calibrates the simulated sequential-read bandwidth of
-// DiskResident heap scans: an in-memory store inverts the disk/hash cost
-// balance, so scans touch every byte several times to restore the ratio
-// (roughly emulating a few hundred MB/s of effective scan bandwidth
-// against in-memory joins).
-const scanTouchPasses = 8
-
-// simulatesDisk reports whether scans over b pay the DiskResident cost;
-// the two executors ask it before every touchRows / touchTable.
-func (b *Built) simulatesDisk() bool { return b.scanCost == DiskResident }
-
-// touchRows makes a DiskResident heap scan cost work proportional to the
-// scanned byte volume, like the page reads of a disk-resident system: a
-// wider table is slower to scan even when the query projects few
-// columns. The reference executor calls it per fetched table.
-func touchRows(rows [][]rel.Value) {
-	var sink int64
-	for pass := 0; pass < scanTouchPasses; pass++ {
-		for _, row := range rows {
-			for i := range row {
-				v := &row[i]
-				if v.Typ == rel.TString && !v.Null {
-					for j := 0; j < len(v.S); j++ {
-						sink += int64(v.S[j])
-					}
-				} else {
-					sink += 8
-				}
-			}
-		}
-	}
-	scanSink.Add(sink)
-}
-
-// touchTable is touchRows over columnar storage: the same simulated
-// per-byte scan cost for rows [lo, hi), read straight from the column
-// vectors — numeric cells cost one unit of work per cell per pass,
-// string cells one per byte — without materializing a row. Columns
-// holding exception values (appends that don't round-trip through the
-// typed vectors) fall back to per-cell materialization so the charged
-// work matches the row store exactly. The batch executor calls it once
-// per batch of scanned rows, so the simulated read stays attached to the
-// scan that incurs it even when downstream operators reuse cached
-// structures.
-func touchTable(t *rel.Table, lo, hi int) {
-	if lo >= hi {
-		return
-	}
-	var sink int64
-	for pass := 0; pass < scanTouchPasses; pass++ {
-		for ci := range t.Columns {
-			if codes, dict, nulls, ok := t.StrCol(ci); ok {
-				strs := dict.Strs()
-				for r := lo; r < hi; r++ {
-					if nulls.Get(r) {
-						sink += 8
-						continue
-					}
-					s := strs[codes[r]]
-					for j := 0; j < len(s); j++ {
-						sink += int64(s[j])
-					}
-				}
-				continue
-			}
-			if t.Columns[ci].Typ != rel.TString {
-				if _, _, ok := t.IntCol(ci); ok {
-					for r := lo; r < hi; r++ {
-						sink += 8
-					}
-					continue
-				}
-				if _, _, ok := t.FloatCol(ci); ok {
-					for r := lo; r < hi; r++ {
-						sink += 8
-					}
-					continue
-				}
-			}
-			// Exception fallback: charge each cell like touchRows would.
-			for r := lo; r < hi; r++ {
-				v := t.ValueAt(r, ci)
-				if v.Typ == rel.TString && !v.Null {
-					for j := 0; j < len(v.S); j++ {
-						sink += int64(v.S[j])
-					}
-				} else {
-					sink += 8
-				}
-			}
-		}
-	}
-	scanSink.Add(sink)
-}
 
 func predInScope(p *sqlast.Pred, sc *scope) bool {
 	switch p.Kind {

@@ -161,58 +161,56 @@ func TestFillMatchesReference(t *testing.T) {
 
 	defer func(old int) { morselRows = old }(morselRows)
 	morselRows = 64
-	for model, cost := range scanCostModels {
-		for _, chunked := range []bool{false, true} {
-			db := fillDB()
-			built, err := BuildWithScanCost(db, cfg, cost)
+	for _, chunked := range []bool{false, true} {
+		db := fillDB()
+		built, err := Build(db, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if chunked {
+			built.SetScanSource("p", newSliceSource(t, db.Table("p"), 64))
+		}
+		for name, pl := range plans {
+			label := fmt.Sprintf("chunked=%v %s", chunked, name)
+			want, err := ExecuteReference(built, pl)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s: reference: %v", label, err)
 			}
-			if chunked {
-				built.SetScanSource("p", newSliceSource(t, db.Table("p"), 64))
+			if len(want.Rows) == 0 {
+				t.Fatalf("%s: the reference returns no rows; the fixture lost its point", label)
 			}
-			for name, pl := range plans {
-				label := fmt.Sprintf("%s chunked=%v %s", model, chunked, name)
-				want, err := ExecuteReference(built, pl)
+			pp, err := Prepare(built, pl)
+			if err != nil {
+				t.Fatalf("%s: prepare: %v", label, err)
+			}
+			for _, workers := range []int{1, 3} {
+				got, err := pp.ExecuteContextWorkers(context.Background(), workers)
 				if err != nil {
-					t.Fatalf("%s: reference: %v", label, err)
+					t.Fatalf("%s workers %d: %v", label, workers, err)
 				}
-				if len(want.Rows) == 0 {
-					t.Fatalf("%s: the reference returns no rows; the fixture lost its point", label)
-				}
-				pp, err := Prepare(built, pl)
-				if err != nil {
-					t.Fatalf("%s: prepare: %v", label, err)
-				}
-				for _, workers := range []int{1, 3} {
-					got, err := pp.ExecuteContextWorkers(context.Background(), workers)
-					if err != nil {
-						t.Fatalf("%s workers %d: %v", label, workers, err)
-					}
-					requireIdentical(t, label, got, want)
-				}
-				if pb := pp.branches[0]; name == "zip-driver-kernels" && (len(pb.kerns) != 2 || len(pb.ops) != 0) {
-					t.Errorf("%s: %d kernels and %d pipeline operators; both driver-stage predicates should be kernels", label, len(pb.kerns), len(pb.ops))
-				}
+				requireIdentical(t, label, got, want)
 			}
-			// A join on a zip of c and a join on c itself have one build
-			// side: c's PID column, cached once (the seek-fed build stays
-			// private to its plan; "c.w" is the string-keyed join's).
-			if keys := built.CacheKeys(); fmt.Sprint(keys) != "[t:c|c:PID t:c|c:w]" {
-				t.Errorf("%s chunked=%v: join-table cache holds %v", model, chunked, keys)
+			if pb := pp.branches[0]; name == "zip-driver-kernels" && (len(pb.kerns) != 2 || len(pb.ops) != 0) {
+				t.Errorf("%s: %d kernels and %d pipeline operators; both driver-stage predicates should be kernels", label, len(pb.kerns), len(pb.ops))
 			}
-			// A zip holds the columns of the groups its access names and no
-			// others, for both executors.
-			outside := plan(&sqlast.Select{Items: []sqlast.SelectItem{item("p", "ID"), item("p", "f")}, From: []string{"p"}}, zipP(0))
-			if _, err := Prepare(built, outside); err == nil || !strings.Contains(err.Error(), "column p.f not in scope") {
-				t.Errorf("prepare of a plan reading p.f from a zip of group 0: %v", err)
-			}
-			if _, err := ExecuteReference(built, outside); err == nil || !strings.Contains(err.Error(), "column p.f not in scope") {
-				t.Errorf("reference run of a plan reading p.f from a zip of group 0: %v", err)
-			}
-			if _, err := Prepare(built, plan(&sqlast.Select{Items: pItems[:1], From: []string{"p"}}, zipP(2))); err == nil {
-				t.Error("prepare over partition group 2 of p, which was never built, succeeded")
-			}
+		}
+		// A join on a zip of c and a join on c itself have one build
+		// side: c's PID column, cached once (the seek-fed build stays
+		// private to its plan; "c.w" is the string-keyed join's).
+		if keys := built.CacheKeys(); fmt.Sprint(keys) != "[t:c|c:PID t:c|c:w]" {
+			t.Errorf("chunked=%v: join-table cache holds %v", chunked, keys)
+		}
+		// A zip holds the columns of the groups its access names and no
+		// others, for both executors.
+		outside := plan(&sqlast.Select{Items: []sqlast.SelectItem{item("p", "ID"), item("p", "f")}, From: []string{"p"}}, zipP(0))
+		if _, err := Prepare(built, outside); err == nil || !strings.Contains(err.Error(), "column p.f not in scope") {
+			t.Errorf("prepare of a plan reading p.f from a zip of group 0: %v", err)
+		}
+		if _, err := ExecuteReference(built, outside); err == nil || !strings.Contains(err.Error(), "column p.f not in scope") {
+			t.Errorf("reference run of a plan reading p.f from a zip of group 0: %v", err)
+		}
+		if _, err := Prepare(built, plan(&sqlast.Select{Items: pItems[:1], From: []string{"p"}}, zipP(2))); err == nil {
+			t.Error("prepare over partition group 2 of p, which was never built, succeeded")
 		}
 	}
 }

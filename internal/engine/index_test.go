@@ -59,7 +59,7 @@ func rowSortIndex(t *rel.Table, idx *physical.Index) (order []int, leadKeys []re
 // the same total.
 func TestIndexBuildMatchesRowSort(t *testing.T) {
 	builts := map[string]*Built{}
-	for name, fx := range equivalenceFixtures(t, InMemory) {
+	for name, fx := range equivalenceFixtures(t) {
 		if len(fx.built.Config.Indexes) > 0 {
 			builts[name] = fx.built
 		}
@@ -73,7 +73,7 @@ func TestIndexBuildMatchesRowSort(t *testing.T) {
 	multi.AddIndex(&physical.Index{Name: "ix_year_rating_id", Table: "movie", Key: []string{"year", "avg_rating", "ID"}})
 	multi.AddIndex(&physical.Index{Name: "ix_actor_pid_actor", Table: "actor", Key: []string{"PID", "actor"}})
 	var err error
-	if builts["movie-multi"], err = BuildWithScanCost(movie.DB, multi, InMemory); err != nil {
+	if builts["movie-multi"], err = Build(movie.DB, multi); err != nil {
 		t.Fatal(err)
 	}
 	dirty := &physical.Config{}
@@ -81,7 +81,7 @@ func TestIndexBuildMatchesRowSort(t *testing.T) {
 	dirty.AddIndex(&physical.Index{Name: "ix_p_k_x", Table: "p", Key: []string{"k", "x"}})
 	dirty.AddIndex(&physical.Index{Name: "ix_p_allnull_f", Table: "p", Key: []string{"allnull", "f"}})
 	dirty.AddIndex(&physical.Index{Name: "ix_c_w_pid", Table: "c", Key: []string{"w", "PID"}, Include: []string{"allnull"}})
-	if builts["fill-exceptions"], err = BuildWithScanCost(fillDB(), dirty, InMemory); err != nil {
+	if builts["fill-exceptions"], err = Build(fillDB(), dirty); err != nil {
 		t.Fatal(err)
 	}
 

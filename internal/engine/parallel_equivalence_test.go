@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/optimizer"
 	"repro/internal/schema"
 	"repro/internal/xmlgen"
 )
@@ -54,47 +53,48 @@ func engineTestSeed(t *testing.T) int64 {
 	return seed
 }
 
+// OpenPaged saves b as a store on disk and returns the store's
+// PagedBuilt, reopened under a quarter of the data's bytes: the
+// substrate the paper's measured runs execute on. The storage package
+// imports engine, so only the external tests can supply it (see
+// paged_test.go).
+var OpenPaged func(t *testing.T, b *Built) *Built
+
 // TestMorselExecutorMatchesReference is the intra-query-parallelism
-// differential: every integration fixture plan, built under each
-// scan-cost model and executed at each worker count, must be
+// differential: every integration fixture plan, executed at each worker
+// count on its resident Built ("in-memory") and on the same design saved
+// and reopened as a budgeted paged store ("disk-resident"), must be
 // bit-identical — columns, rows in order, values, and stats — to the
-// row-at-a-time reference executor on the same Built, on cold and warm
-// caches. Under -race this also exercises
-// the morsel dispatch, the shared branch pools, and the single-flight
-// caches for data races.
+// row-at-a-time reference executor over the resident Built, on cold and
+// warm caches. Under -race this also exercises the morsel dispatch, the
+// shared branch pools, the single-flight caches and the pager for data
+// races.
 func TestMorselExecutorMatchesReference(t *testing.T) {
 	counts := workerCountsUnderTest(t)
+	fixtures := equivalenceFixtures(t)
 	// The integration fixtures fit a single morsel (a few hundred driver
 	// rows vs morselRows = 4096); add a fixture wide enough that every
 	// branch genuinely splits across morsels at the default size.
 	bigDoc := xmlgen.GenerateMovie(schema.Movie(), xmlgen.MovieOptions{Movies: 3 * morselRows / 2, Seed: 77})
-	type fixture = struct {
-		built *Built
-		plans []*optimizer.Plan
-	}
-	byModel := make(map[string]map[string]fixture)
-	for model, cost := range scanCostModels {
-		fixtures := equivalenceFixtures(t, cost)
-		bigBuilt, bigPlans := buildPlansCost(t, schema.Movie(), bigDoc, movieQueries, nil, cost)
-		fixtures["movie-multi-morsel"] = fixture{bigBuilt, bigPlans}
-		byModel[model] = fixtures
-	}
-	names := make([]string, 0, len(byModel["in-memory"]))
-	for name := range byModel["in-memory"] {
+	bigBuilt, bigPlans := buildPlans(t, schema.Movie(), bigDoc, movieQueries, nil)
+	fixtures["movie-multi-morsel"] = eqFixture{bigBuilt, bigPlans}
+	names := make([]string, 0, len(fixtures))
+	for name := range fixtures {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
+		fx := fixtures[name]
 		t.Run(name, func(t *testing.T) {
-			for model, fixtures := range byModel {
-				fx := fixtures[name]
-				t.Run(model, func(t *testing.T) {
+			substrates := map[string]*Built{"in-memory": fx.built, "disk-resident": OpenPaged(t, fx.built)}
+			for substrate, built := range substrates {
+				t.Run(substrate, func(t *testing.T) {
 					for pi, plan := range fx.plans {
 						want, err := ExecuteReference(fx.built, plan)
 						if err != nil {
 							t.Fatalf("plan %d: reference: %v", pi, err)
 						}
-						pp, err := fx.built.Prepared(plan)
+						pp, err := built.Prepared(plan)
 						if err != nil {
 							t.Fatalf("plan %d: prepare: %v", pi, err)
 						}
@@ -119,7 +119,7 @@ func TestMorselExecutorMatchesReference(t *testing.T) {
 // GOMAXPROCS, and n > 1 is n goroutines on the same task list — all
 // bit-identical to the reference.
 func TestWorkersKnobSemantics(t *testing.T) {
-	fx := equivalenceFixtures(t, DiskResident)["movie-hybrid"]
+	fx := equivalenceFixtures(t)["movie-hybrid"]
 	for pi, plan := range fx.plans {
 		want, err := ExecuteReference(fx.built, plan)
 		if err != nil {

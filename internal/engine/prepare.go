@@ -86,17 +86,9 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 }
 
 // scanColumns lists the driver columns a scan branch reads: every column
-// its kernels and fills read — or, under the DiskResident model, whose
-// simulated read (touchTable) charges every column, all of them.
+// its kernels and fills read.
 func (pb *preparedBranch) scanColumns() []int {
-	t := pb.src.table
 	var cols []int
-	if pb.built.simulatesDisk() {
-		for ci := range t.Columns {
-			cols = append(cols, ci)
-		}
-		return cols
-	}
 	for _, r := range pb.src.refs {
 		cols = append(cols, r.col)
 	}
@@ -241,12 +233,11 @@ type pipeOp struct {
 
 	// Hash join: cached build side, plus the per-execution scan
 	// accounting its inner source incurs (the reference executor
-	// re-scans the build side every execution; the batch executor pays
-	// the same scan cost and counters but skips the rebuild).
+	// re-scans the build side every execution; the batch executor
+	// charges the same counters but skips the rebuild).
 	jt          *joinTable
-	scanTable   *rel.Table // table to touch per run (nil for zips and seeks)
-	scanCount   int64      // RowsScanned per run
-	soughtCount int64      // RowsSought per run (seek-fed build side)
+	scanCount   int64 // RowsScanned per run
+	soughtCount int64 // RowsSought per run (seek-fed build side)
 
 	// INL join.
 	bi *builtIndex
@@ -286,7 +277,7 @@ type preparedBranch struct {
 	// it (scope.col).
 	scope *scope
 	// built backs fragKernels (EXISTS probe-set lookups go through its
-	// single-flighted cache) and carries the scan-cost model.
+	// single-flighted cache).
 	built *Built
 	// pool recycles per-execution operator state (batch buffers) across
 	// executions of this branch.
@@ -533,7 +524,6 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 			} else {
 				srcKey = "t:" + a.Table
 			}
-			op.scanTable = t
 			op.scanCount = int64(n)
 		}
 	}
@@ -619,19 +609,16 @@ func (pb *preparedBranch) initPool() {
 	}
 }
 
-// precharge charges the hash-join build-side scan cost. The reference
-// executor re-fetches every build side once per execution, even when
-// the driver produces no rows; charging the same scan cost and counters
-// up front — once per branch, never per morsel — keeps measured cost
-// and Stats aligned at any worker count.
+// precharge charges the hash-join build-side scan counters. The
+// reference executor re-fetches every build side once per execution,
+// even when the driver produces no rows; charging the same counters up
+// front — once per branch, never per morsel — keeps Stats aligned at any
+// worker count.
 func (pb *preparedBranch) precharge(st *ExecStats) {
 	for i := range pb.ops {
 		op := &pb.ops[i]
 		if op.kind != pipeHashJoin {
 			continue
-		}
-		if op.scanTable != nil && pb.built.simulatesDisk() {
-			touchTable(op.scanTable, 0, op.scanTable.RowCount())
 		}
 		st.RowsScanned += op.scanCount
 		st.RowsSought += op.soughtCount
@@ -866,18 +853,11 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 			return err
 		}
 		fills := tableFills(frag, pb.src.refs)
-		simulated := pb.built.simulatesDisk()
 		for start := s0; start < e0; start += rel.BatchSize {
 			if cancelled() {
 				return ctx.Err()
 			}
 			end := min(start+rel.BatchSize, e0)
-			// Per-batch scan cost: under the DiskResident model the
-			// simulated sequential read stays proportional to scanned bytes
-			// (see touchTable), read straight off the fragment's vectors.
-			if simulated {
-				touchTable(frag, start, end)
-			}
 			st.RowsScanned += int64(end - start)
 			sel := state.sel[:0]
 			for r := start; r < end; r++ {

@@ -137,9 +137,6 @@ func fetchAccess(b *Built, s *sqlast.Select, a optimizer.Access, st *ExecStats) 
 		return cols, rows, nil
 	}
 	trows := t.Rows()
-	if b.simulatesDisk() {
-		touchRows(trows)
-	}
 	if st != nil {
 		st.RowsScanned += int64(len(trows))
 	}

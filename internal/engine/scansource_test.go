@@ -228,8 +228,7 @@ func chunkQueries() []*sqlast.Query {
 // resident table (the implicit one-chunk tableSource), over a
 // registered tableSource (fragment-identity kernel reuse, counted), and
 // over registered 128-row chunk sources (per-fragment kernels and
-// fills), under either scan-cost model, must all return results
-// bit-identical — rows, order, values, stats — to the
+// fills), must all return results bit-identical — rows, order, values, stats — to the
 // row-at-a-time reference at several worker counts, with never more
 // chunks held at once than the execution has workers — the worker count
 // is the number of goroutines, whatever the number of branches — and
@@ -248,59 +247,56 @@ func TestScanSourceMatchesAssembled(t *testing.T) {
 	defer func(old int) { morselRows = old }(morselRows)
 	morselRows = 256 // two 128-row chunks per morsel
 
-	for model, cost := range scanCostModels {
-		for name, mk := range sources {
-			name = model + " " + name
-			sdb := chunkDB(nrows)
-			built, err := BuildWithScanCost(sdb, nil, cost)
+	for name, mk := range sources {
+		sdb := chunkDB(nrows)
+		built, err := Build(sdb, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var counted []*countedSource
+		if mk != nil {
+			for _, tbl := range sdb.Tables() {
+				src := mk(tbl)
+				built.SetScanSource(tbl.Name, src)
+				counted = append(counted, src)
+			}
+		}
+		used := mk == nil
+		for qi, q := range chunkQueries() {
+			plan := planQuery(t, db, q)
+			want, err := ExecuteReference(built, plan)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%s query %d: reference: %v", name, qi, err)
 			}
-			var counted []*countedSource
-			if mk != nil {
-				for _, tbl := range sdb.Tables() {
-					src := mk(tbl)
-					built.SetScanSource(tbl.Name, src)
-					counted = append(counted, src)
-				}
+			pp, err := built.Prepared(plan)
+			if err != nil {
+				t.Fatalf("%s query %d: prepare: %v", name, qi, err)
 			}
-			used := mk == nil
-			for qi, q := range chunkQueries() {
-				plan := planQuery(t, db, q)
-				want, err := ExecuteReference(built, plan)
-				if err != nil {
-					t.Fatalf("%s query %d: reference: %v", name, qi, err)
-				}
-				pp, err := built.Prepared(plan)
-				if err != nil {
-					t.Fatalf("%s query %d: prepare: %v", name, qi, err)
-				}
-				for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
-					for run := 0; run < 2; run++ {
-						for _, src := range counted {
-							src.maxHeld.Store(0)
+			for _, workers := range []int{1, 2, 7, runtime.NumCPU()} {
+				for run := 0; run < 2; run++ {
+					for _, src := range counted {
+						src.maxHeld.Store(0)
+					}
+					got, err := pp.ExecuteContextWorkers(context.Background(), workers)
+					if err != nil {
+						t.Fatalf("%s query %d workers %d: %v", name, qi, workers, err)
+					}
+					requireIdentical(t, fmt.Sprintf("%s query %d workers %d", name, qi, workers), got, want)
+					for _, src := range counted {
+						if h := src.held.Load(); h != 0 {
+							t.Fatalf("%s query %d workers %d: %d chunks still held after execution", name, qi, workers, h)
 						}
-						got, err := pp.ExecuteContextWorkers(context.Background(), workers)
-						if err != nil {
-							t.Fatalf("%s query %d workers %d: %v", name, qi, workers, err)
+						m := src.maxHeld.Load()
+						if m > int64(workers) {
+							t.Fatalf("%s query %d: %d chunks held at once by %d workers", name, qi, m, workers)
 						}
-						requireIdentical(t, fmt.Sprintf("%s query %d workers %d", name, qi, workers), got, want)
-						for _, src := range counted {
-							if h := src.held.Load(); h != 0 {
-								t.Fatalf("%s query %d workers %d: %d chunks still held after execution", name, qi, workers, h)
-							}
-							m := src.maxHeld.Load()
-							if m > int64(workers) {
-								t.Fatalf("%s query %d: %d chunks held at once by %d workers", name, qi, m, workers)
-							}
-							used = used || m > 0
-						}
+						used = used || m > 0
 					}
 				}
 			}
-			if !used {
-				t.Fatalf("%s: scan source was never used", name)
-			}
+		}
+		if !used {
+			t.Fatalf("%s: scan source was never used", name)
 		}
 	}
 }
@@ -419,64 +415,61 @@ func (s *recordingSource) ChunkColumns(k int, cols []int) (*rel.Table, func(), e
 	return s.ScanSource.ChunkColumns(k, cols)
 }
 
-// TestScanColumnSets pins what a scan asks its source for. Under the
-// InMemory model it is exactly the columns its kernels and fills read —
-// every column of the scanned table the branch's SQL references — unioned
-// over every branch of the plan that scans the same table, so a union
-// fetches one set; under DiskResident, whose simulated read touches
-// whole rows, it is every column. Each fixture plan runs on two workers
-// over 128-row chunk sources, and every fetch must carry its table's set.
+// TestScanColumnSets pins what a scan asks its source for: exactly the
+// columns its kernels and fills read — every column of the scanned table
+// the branch's SQL references — unioned over every branch of the plan
+// that scans the same table, so a union fetches one set. Each fixture
+// plan runs on two workers over 128-row chunk sources, and every fetch
+// must carry its table's set.
 func TestScanColumnSets(t *testing.T) {
 	const nrows = 640
 	db := chunkDB(nrows)
-	for model, cost := range scanCostModels {
-		sdb := chunkDB(nrows)
-		built, err := BuildWithScanCost(sdb, nil, cost)
+	sdb := chunkDB(nrows)
+	built, err := Build(sdb, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs := make(map[string]*recordingSource)
+	for _, tbl := range sdb.Tables() {
+		srcs[tbl.Name] = &recordingSource{ScanSource: newSliceSource(t, tbl, 128)}
+		built.SetScanSource(tbl.Name, srcs[tbl.Name])
+	}
+	for qi, q := range chunkQueries() {
+		plan := planQuery(t, db, q)
+		want := make(map[string][]int)
+		for _, br := range plan.Branches {
+			a := br.Driver
+			if a.Kind != optimizer.AccessScan || len(a.PartGroups) > 0 {
+				continue
+			}
+			tbl := sdb.Table(a.Table)
+			for ci, c := range tbl.Columns {
+				if slices.Contains(br.Sel.ColumnsOf(a.Table), c.Name) {
+					want[a.Table] = append(want[a.Table], ci)
+				}
+			}
+		}
+		for name, cols := range want {
+			slices.Sort(cols)
+			want[name] = slices.Compact(cols)
+		}
+		for _, src := range srcs {
+			src.sets = nil
+		}
+		pp, err := built.Prepared(plan)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcs := make(map[string]*recordingSource)
-		for _, tbl := range sdb.Tables() {
-			srcs[tbl.Name] = &recordingSource{ScanSource: newSliceSource(t, tbl, 128)}
-			built.SetScanSource(tbl.Name, srcs[tbl.Name])
+		if _, err := pp.ExecuteContextWorkers(context.Background(), 2); err != nil {
+			t.Fatal(err)
 		}
-		for qi, q := range chunkQueries() {
-			plan := planQuery(t, db, q)
-			want := make(map[string][]int)
-			for _, br := range plan.Branches {
-				a := br.Driver
-				if a.Kind != optimizer.AccessScan || len(a.PartGroups) > 0 {
-					continue
-				}
-				tbl := sdb.Table(a.Table)
-				for ci, c := range tbl.Columns {
-					if cost == DiskResident || slices.Contains(br.Sel.ColumnsOf(a.Table), c.Name) {
-						want[a.Table] = append(want[a.Table], ci)
-					}
-				}
+		for name, src := range srcs {
+			if want[name] != nil && len(src.sets) == 0 {
+				t.Fatalf("query %d: %s is scanned but was never fetched", qi, name)
 			}
-			for name, cols := range want {
-				slices.Sort(cols)
-				want[name] = slices.Compact(cols)
-			}
-			for _, src := range srcs {
-				src.sets = nil
-			}
-			pp, err := built.Prepared(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := pp.ExecuteContextWorkers(context.Background(), 2); err != nil {
-				t.Fatal(err)
-			}
-			for name, src := range srcs {
-				if want[name] != nil && len(src.sets) == 0 {
-					t.Fatalf("%s query %d: %s is scanned but was never fetched", model, qi, name)
-				}
-				for _, got := range src.sets {
-					if !slices.Equal(got, want[name]) {
-						t.Fatalf("%s query %d: %s fetched columns %v, want %v", model, qi, name, got, want[name])
-					}
+			for _, got := range src.sets {
+				if !slices.Equal(got, want[name]) {
+					t.Fatalf("query %d: %s fetched columns %v, want %v", qi, name, got, want[name])
 				}
 			}
 		}

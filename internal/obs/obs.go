@@ -9,8 +9,7 @@
 // pointer test), so instrumented hot paths keep their performance when
 // tracing is off. BenchmarkNilTracer pins this, and scripts/benchguard
 // bounds what enabled tracing costs on top: BenchmarkExecutePreparedTraced
-// over BenchmarkExecutePrepared (repo root), both on an InMemory Built so
-// the scan-cost simulation does not dilute the ratio.
+// over BenchmarkExecutePrepared (repo root), both on one Built.
 package obs
 
 import (

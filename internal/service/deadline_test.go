@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -246,4 +251,55 @@ var _ = func() bool {
 	var _ func(context.Context, Request) (*Response, error) = c.Query
 	var _ *engine.Result
 	return true
+}
+
+// TestServiceHugeTimeoutMeansNoDeadline: a timeout_ms whose product with
+// time.Millisecond overflows an int64 is no deadline, through Query and
+// through the /query handler. Wrapped, 76480200929599801 ms became a
+// 64 ns deadline and 18446744073710 ms (≈ 584 years) ≈ 0.45 ms — a
+// spurious 504 — while 1e13 ms and MaxInt64 ms wrapped negative. The
+// largest value that fits is a real (≈ 292-year) deadline.
+func TestServiceHugeTimeoutMeansNoDeadline(t *testing.T) {
+	m, db, built := movieFixture(t, 1500)
+	qs := serviceQueries[1]
+	want := refResults(t, m, db, []string{qs})[0]
+	svc := New(Config{DefaultTimeout: time.Minute})
+	if err := svc.RegisterBuilt("movie", built, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	const maxMS = math.MaxInt64 / int64(time.Millisecond)
+	for _, tc := range []struct {
+		ms   int64
+		want time.Duration // what Service.timeout resolves
+	}{
+		{76480200929599801, 0},
+		{18446744073710, 0},
+		{10_000_000_000_000, 0},
+		{math.MaxInt64, 0},
+		{maxMS + 1, 0},
+		{maxMS, time.Duration(maxMS) * time.Millisecond},
+		{-1, 0},
+		{0, time.Minute},
+	} {
+		req := Request{Corpus: "movie", Tenant: "t", XPath: qs, TimeoutMS: tc.ms}
+		if got := svc.timeout(req); got != tc.want {
+			t.Errorf("timeout_ms %d resolves to %v, want %v", tc.ms, got, tc.want)
+		}
+		resp, err := svc.Query(context.Background(), req)
+		if err != nil {
+			t.Fatalf("Query with timeout_ms %d: %v", tc.ms, err)
+		}
+		requireSameResult(t, fmt.Sprintf("Query timeout_ms %d", tc.ms), resp, want)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(appendRequest(nil, req))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("/query with timeout_ms %d: HTTP %d %s", tc.ms, rec.Code, rec.Body)
+		}
+		got, err := decodeResponse(rec.Body.Bytes())
+		if err != nil {
+			t.Fatalf("/query with timeout_ms %d: %v", tc.ms, err)
+		}
+		requireSameResult(t, fmt.Sprintf("/query timeout_ms %d", tc.ms), got, want)
+	}
 }

@@ -36,9 +36,7 @@ import (
 // the run itself when cpus > sessions (a runner with a thread to spare
 // for a query's extra workers) and only a dispatch-overhead floor
 // otherwise, where the sessions' own queries already occupy every
-// thread. All three run on one InMemory Built — the serving path's
-// scan-cost model, so the ratios time the service and the engine, not
-// the paper's simulated disk passes.
+// thread. All three run on one Built.
 
 const (
 	benchMovies = 400
@@ -65,7 +63,7 @@ func benchFixture(b *testing.B) (*shred.Mapping, *rel.Database, *engine.Built) {
 	if err != nil {
 		b.Fatalf("Shred: %v", err)
 	}
-	built, err := engine.BuildWithScanCost(db, &physical.Config{}, engine.InMemory)
+	built, err := engine.Build(db, &physical.Config{})
 	if err != nil {
 		b.Fatalf("Build: %v", err)
 	}

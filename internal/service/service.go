@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -120,7 +121,8 @@ type Request struct {
 	// smaller under load, never larger.
 	Workers int `json:"workers,omitempty"`
 	// TimeoutMS overrides the service default deadline, in
-	// milliseconds; 0 keeps the default, negative means no deadline.
+	// milliseconds; 0 keeps the default, negative (or more than a
+	// time.Duration holds) means no deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 	// MemEstimate is the in-flight memory charge in bytes; 0 takes the
 	// service default.
@@ -399,9 +401,11 @@ func (s *Service) corpus(name string) (*corpus, error) {
 }
 
 // timeout resolves the request's deadline: per-request override, else
-// the service default; negative disables.
+// the service default; negative disables, and so does an override too
+// large for a time.Duration (≈ 292 years), which would otherwise wrap to
+// a tiny or negative deadline.
 func (s *Service) timeout(req Request) time.Duration {
-	if req.TimeoutMS < 0 {
+	if req.TimeoutMS < 0 || req.TimeoutMS > math.MaxInt64/int64(time.Millisecond) {
 		return 0
 	}
 	if req.TimeoutMS > 0 {

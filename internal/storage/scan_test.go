@@ -349,13 +349,12 @@ func TestPagedBuiltMatchesAssembledUnderBudget(t *testing.T) {
 	}
 }
 
-// TestStoreBuiltsServeInMemory pins what both store-backed Builts are:
-// under the InMemory scan-cost model, and equal to the reference
-// executor over a DiskResident oracle on a scan-only plan and a scan +
-// hash-join plan at one and two workers. (That serving never builds a row
-// view is structural since rel.Table keeps none: see the engine's
-// TestRowsCalledOnlyByReference.)
-func TestStoreBuiltsServeInMemory(t *testing.T) {
+// TestStoreBuiltsMatchReference pins that both store-backed Builts equal
+// the reference executor over an engine.Build oracle on a scan-only plan
+// and a scan + hash-join plan at one and two workers. (That serving
+// never builds a row view is structural since rel.Table keeps none: see
+// the engine's TestRowsCalledOnlyByReference.)
+func TestStoreBuiltsMatchReference(t *testing.T) {
 	s, err := Open(savedScanStore(t, 1024), Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -374,9 +373,6 @@ func TestStoreBuiltsServeInMemory(t *testing.T) {
 		b, err := view()
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
-		}
-		if b.ScanCost() != engine.InMemory {
-			t.Errorf("%s: scan-cost model %d, want engine.InMemory", name, b.ScanCost())
 		}
 		for _, qi := range []int{0, 2} { // filtered scan; scan + hash join
 			plan := scanPlan(t, db, queries[qi])
@@ -765,7 +761,7 @@ func TestMalformedDesignIsAnError(t *testing.T) {
 			OuterCols: []string{"tag", "tag"}, InnerCols: []string{"word"}}}}, "twice"},
 		"null index": {&physical.Config{Indexes: []*physical.Index{nil}}, "null"},
 	} {
-		b, err := engine.BuildWithScanCost(db, tc.cfg, engine.InMemory)
+		b, err := engine.Build(db, tc.cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Build = %v, %v; want an error mentioning %q", name, b, err, tc.want)
 		}

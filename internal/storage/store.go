@@ -540,10 +540,8 @@ func (s *Store) built(paged bool, gauge string) (*engine.Built, error) {
 		return nil, err
 	}
 	// The build runs outside s.mu: it hydrates the shells its structures
-	// need, and hydration takes the lock. A store-backed Built serves:
-	// its scans read real chunks or really resident columns, so they pay
-	// no simulated disk on top (engine.InMemory).
-	b, err := engine.BuildWithScanCost(db, design, engine.InMemory)
+	// need, and hydration takes the lock.
+	b, err := engine.Build(db, design)
 	if err != nil {
 		return nil, fmt.Errorf("storage: rebuilding physical design: %w", err)
 	}
