@@ -48,10 +48,9 @@ func main() {
 	flag.StringVar(&cfg.debugAddr, "debug-addr", "", "serve /debug/vars, /debug/metrics, and /debug/pprof on this address while running")
 	flag.StringVar(&cfg.saveDir, "save-dir", "", "persist the loaded data and recommended design as a durable store in this directory")
 	flag.StringVar(&cfg.openDir, "open-dir", "", "reopen a store saved with -save-dir, verify it, and print its summary (no advisor run)")
-	flag.Int64Var(&cfg.memBudgetMB, "mem-budget", 0, "memory budget in MB for -open-dir: column chunks beyond the budget are paged in on demand and evicted (0 = unlimited, everything stays resident)")
+	flag.Int64Var(&cfg.memBudgetMB, "mem-budget", 0, "memory budget in MB for -open-dir: above 0 the store is rebuilt through the chunk-granular paged view (Store.PagedBuilt), tables stay on disk as schema shells and scans fault column chunks in on demand under the budget (0 = unlimited, tables assembled resident)")
 	flag.IntVar(&cfg.chunkRows, "chunk-rows", 0, "rows per column chunk for segments written by -save-dir (0 = default 4096, else a positive multiple of 64)")
 	flag.IntVar(&cfg.compactThreshold, "compact-threshold", 0, "redo-log rows that trigger background compaction on an opened store (0 = compact only on demand)")
-	flag.BoolVar(&cfg.paged, "paged", false, "with -open-dir: rebuild through the chunk-granular paged view (Store.PagedBuilt) — tables stay on disk as schema shells and scans fault chunks under -mem-budget instead of assembling tables up front")
 	flag.Parse()
 	if *trace {
 		traceWriter = os.Stderr
@@ -76,7 +75,6 @@ type cliConfig struct {
 	saveDir, openDir                                string
 	memBudgetMB                                     int64
 	chunkRows, compactThreshold                     int
-	paged                                           bool
 }
 
 func run(c cliConfig) error {
@@ -236,8 +234,9 @@ func openStore(c cliConfig) error {
 	defer st.Close()
 	man := st.Manifest()
 	fmt.Printf("store %s (segment format v%d, epoch %d)\n", c.openDir, man.FormatVersion, man.Epoch)
+	// A budget bounds only what pages, so a budgeted store is paged.
 	rebuild := st.Built
-	if c.paged {
+	if c.memBudgetMB > 0 {
 		rebuild = st.PagedBuilt
 	}
 	built, err := rebuild()
@@ -277,8 +276,8 @@ func openStore(c cliConfig) error {
 			c.memBudgetMB, snap["storage.pager.faults"], snap["storage.pager.evictions"])
 	}
 	fmt.Println()
-	if c.paged {
-		fmt.Printf("paged view: all %d tables serve scans chunk-by-chunk through the pager; shells assemble only for index/view/partition builds and join build sides\n",
+	if c.memBudgetMB > 0 {
+		fmt.Printf("paged view: all %d tables serve scans, partition scans included, chunk-by-chunk through the pager; shells assemble only for index and view builds, seeks, join build sides and EXISTS probes\n",
 			len(man.Tables))
 	}
 	return nil

@@ -159,20 +159,20 @@ func TestRunSaveOpen(t *testing.T) {
 		}
 	}
 
-	// A budgeted reopen reports the pager traffic alongside residency.
+	if strings.Contains(out, "paged view:") {
+		t.Errorf("unbudgeted open summary claims a paged view:\n%s", out)
+	}
+
+	// A budgeted reopen is paged: it rebuilds through chunk-scan shells,
+	// says so, and reports the pager traffic alongside residency.
 	out = captureStdout(t, func() error {
 		return run(cliConfig{openDir: store, memBudgetMB: 1})
 	})
 	if !strings.Contains(out, "budget 1 MB") || !strings.Contains(out, "faults") {
 		t.Errorf("budgeted open summary missing pager stats:\n%s", out)
 	}
-
-	// A paged reopen rebuilds through chunk-scan shells and says so.
-	out = captureStdout(t, func() error {
-		return run(cliConfig{openDir: store, memBudgetMB: 1, paged: true})
-	})
 	if !strings.Contains(out, "paged view:") || !strings.Contains(out, "chunk-by-chunk") {
-		t.Errorf("paged open summary missing paged-view line:\n%s", out)
+		t.Errorf("budgeted open summary missing paged-view line:\n%s", out)
 	}
 
 	// A corrupted store must reopen as an error, not a summary.

@@ -6,7 +6,7 @@
 // per-request deadlines).
 //
 //	xmlserved -addr :8080 -corpora movie,dblp -scale 0.25
-//	xmlserved -addr :8080 -store /data/movies -store-schema movie -paged -mem-budget 33554432
+//	xmlserved -addr :8080 -store /data/movies -store-schema movie -mem-budget 33554432
 //	curl -s localhost:8080/query -d '{"corpus":"movie","tenant":"t1","xpath":"//movie/year"}'
 //
 // Admission state (queue depth, admitted/rejected/timed-out counters,
@@ -42,8 +42,7 @@ func main() {
 		storeDir      = flag.String("store", "", "serve a durable store directory as a corpus instead of generating data")
 		storeName     = flag.String("store-name", "store", "corpus name for the -store directory")
 		storeSchema   = flag.String("store-schema", "movie", "schema the -store data was shredded under: movie or dblp")
-		paged         = flag.Bool("paged", false, "serve -store through chunk-granular paged scans under -mem-budget")
-		memBudget     = flag.Int64("mem-budget", 0, "store memory budget in bytes (0 = unbudgeted)")
+		memBudget     = flag.Int64("mem-budget", 0, "store memory budget in bytes: above 0, -store is served through chunk-granular paged scans under it (0 = unbudgeted, tables assembled)")
 		poolWorkers   = flag.Int("pool-workers", 0, "global morsel-worker pool capacity (0 = GOMAXPROCS)")
 		maxWorkers    = flag.Int("max-workers", 4, "max workers any one query may be granted")
 		defTimeout    = flag.Duration("default-timeout", 0, "default per-request deadline (0 = none)")
@@ -53,7 +52,7 @@ func main() {
 	)
 	flag.Parse()
 	if err := run(*addr, *debugAddr, *corpora, *scale, *storeDir, *storeName, *storeSchema,
-		*paged, *memBudget, *poolWorkers, *maxWorkers, *defTimeout,
+		*memBudget, *poolWorkers, *maxWorkers, *defTimeout,
 		*maxConcurrent, *maxQueued, *memQuota); err != nil {
 		fmt.Fprintln(os.Stderr, "xmlserved:", err)
 		os.Exit(1)
@@ -61,7 +60,7 @@ func main() {
 }
 
 func run(addr, debugAddr, corpora string, scale float64,
-	storeDir, storeName, storeSchema string, paged bool, memBudget int64,
+	storeDir, storeName, storeSchema string, memBudget int64,
 	poolWorkers, maxWorkers int, defTimeout time.Duration,
 	maxConcurrent, maxQueued int, memQuota int64) error {
 	reg := obs.NewRegistry()
@@ -87,6 +86,9 @@ func run(addr, debugAddr, corpora string, scale float64,
 			return err
 		}
 		defer store.Close()
+		// A budget bounds only what pages: a store is paged exactly when it
+		// has one.
+		paged := memBudget > 0
 		if err := svc.RegisterStore(storeName, store, m, paged); err != nil {
 			return err
 		}

@@ -26,9 +26,8 @@ type Built struct {
 
 	indexes map[string]*builtIndex // by index ID
 	views   map[string]*rel.Table
-	parts   map[string][]*rel.Table // base table -> group tables
-	caches  *builtCaches            // plan-lifetime execution structures
-	sources map[string]ScanSource   // driver-stage chunk sources by table
+	caches  *builtCaches          // plan-lifetime execution structures
+	sources map[string]ScanSource // driver-stage chunk sources by table
 
 	// gens snapshots every reachable table's mutation generation at
 	// Build time; the structure caches refuse to serve after any table
@@ -52,8 +51,7 @@ func (b *Built) AttachObs(tr *obs.Tracer, reg *obs.Registry) {
 }
 
 // snapshotGenerations records the Build-time generation of every table
-// the executor can read: base tables, materialized views, and
-// partition group tables.
+// the executor can read: base tables and materialized views.
 func (b *Built) snapshotGenerations() {
 	b.gens = make(map[*rel.Table]int64)
 	for _, t := range b.DB.Tables() {
@@ -61,11 +59,6 @@ func (b *Built) snapshotGenerations() {
 	}
 	for _, vt := range b.views {
 		b.gens[vt] = vt.Generation()
-	}
-	for _, gts := range b.parts {
-		for _, gt := range gts {
-			b.gens[gt] = gt.Generation()
-		}
 	}
 }
 
@@ -100,7 +93,6 @@ func Build(db *rel.Database, cfg *physical.Config) (*Built, error) {
 		Config:  cfg,
 		indexes: make(map[string]*builtIndex),
 		views:   make(map[string]*rel.Table),
-		parts:   make(map[string][]*rel.Table),
 		caches:  newBuiltCaches(),
 	}
 	for _, idx := range cfg.Indexes {
@@ -119,15 +111,16 @@ func Build(db *rel.Database, cfg *physical.Config) (*Built, error) {
 		b.views[v.Name] = vt
 		b.StructBytes += vt.Bytes()
 	}
+	// A partition is a column set of its base table, not a copy: Build
+	// only checks its names, and a partition scan reads the table's own
+	// columns. The accounting still charges the replicated keys a
+	// partitioned design stores per group.
 	for _, vp := range cfg.Partitions {
-		gts, err := buildPartition(db, vp)
+		t, groups, err := partitionColumns(db, vp)
 		if err != nil {
 			return nil, err
 		}
-		b.parts[vp.Table] = gts
-		for _, gt := range gts {
-			b.StructBytes += 16 * int64(gt.RowCount()) // replicated keys
-		}
+		b.StructBytes += 16 * int64(t.RowCount()) * int64(len(groups))
 	}
 	b.snapshotGenerations()
 	return b, nil
@@ -141,13 +134,38 @@ func (b *Built) Index(idx *physical.Index) *builtIndex {
 // ViewTable returns the materialized view table, or nil.
 func (b *Built) ViewTable(name string) *rel.Table { return b.views[name] }
 
-// PartGroup returns one partition group table.
-func (b *Built) PartGroup(table string, g int) *rel.Table {
-	gts := b.parts[table]
-	if g < 0 || g >= len(gts) {
-		return nil
+// partitionColumns resolves a partition's groups to column indices of
+// its base table, each group led by the ID and PID it replicates. It
+// reads the schema alone, so a paged table stays unhydrated.
+func partitionColumns(db *rel.Database, vp *physical.VPartition) (*rel.Table, [][]int, error) {
+	if vp == nil {
+		return nil, nil, errors.New("engine: partition access to an unpartitioned table")
 	}
-	return gts[g]
+	t := db.Table(vp.Table)
+	if t == nil {
+		return nil, nil, fmt.Errorf("engine: partition of unknown table %s", vp.Table)
+	}
+	id, pid := t.ColIndex(rel.IDColumn), t.ColIndex(rel.PIDColumn)
+	if id < 0 || pid < 0 {
+		return nil, nil, fmt.Errorf("engine: partition of %s, which has no %s/%s columns to replicate",
+			vp.Table, rel.IDColumn, rel.PIDColumn)
+	}
+	groups := make([][]int, len(vp.Groups))
+	for gi, group := range vp.Groups {
+		idxs := []int{id, pid}
+		for _, c := range group {
+			ci := t.ColIndex(c)
+			if ci < 0 {
+				return nil, nil, fmt.Errorf("engine: partition group references unknown column %s.%s", vp.Table, c)
+			}
+			if slices.Contains(idxs, ci) {
+				return nil, nil, fmt.Errorf("engine: %s lists column %s twice", vp.GroupTable(gi), c)
+			}
+			idxs = append(idxs, ci)
+		}
+		groups[gi] = idxs
+	}
+	return t, groups, nil
 }
 
 // builtIndex is a sorted permutation of a table's rows by key columns.
@@ -269,9 +287,9 @@ const (
 	opGe
 )
 
-// newStructTable is rel.NewTable for a view or partition group, whose
-// columns a configuration names: a column listed twice is the
-// configuration's error, where NewTable would panic.
+// newStructTable is rel.NewTable for a view, whose columns a
+// configuration names: a column listed twice is the configuration's
+// error, where NewTable would panic.
 func newStructTable(name string, cols []rel.Column) (*rel.Table, error) {
 	seen := make(map[string]bool, len(cols))
 	for _, c := range cols {
@@ -352,47 +370,4 @@ func buildView(db *rel.Database, v *physical.View) (*rel.Table, error) {
 		vt.AppendRow(out)
 	}
 	return vt, nil
-}
-
-// buildPartition splits a table vertically; group rows stay aligned
-// with the base table's row order and replicate ID and PID.
-func buildPartition(db *rel.Database, vp *physical.VPartition) ([]*rel.Table, error) {
-	t := db.Table(vp.Table)
-	if t == nil {
-		return nil, fmt.Errorf("engine: partition of unknown table %s", vp.Table)
-	}
-	if err := t.Hydrate(); err != nil {
-		return nil, err
-	}
-	id, pid := t.ColIndex(rel.IDColumn), t.ColIndex(rel.PIDColumn)
-	if id < 0 || pid < 0 {
-		return nil, fmt.Errorf("engine: partition of %s, which has no %s/%s columns to replicate",
-			vp.Table, rel.IDColumn, rel.PIDColumn)
-	}
-	var out []*rel.Table
-	for gi, group := range vp.Groups {
-		cols := []rel.Column{t.Columns[id], t.Columns[pid]}
-		idxs := []int{id, pid}
-		for _, c := range group {
-			ci := t.ColIndex(c)
-			if ci < 0 {
-				return nil, fmt.Errorf("engine: partition group references unknown column %s.%s", vp.Table, c)
-			}
-			cols = append(cols, t.Columns[ci])
-			idxs = append(idxs, ci)
-		}
-		gt, err := newStructTable(vp.GroupTable(gi), cols)
-		if err != nil {
-			return nil, err
-		}
-		grow := make([]rel.Value, len(idxs)) // AppendRow copies, so one scratch row suffices
-		for r, n := 0, t.RowCount(); r < n; r++ {
-			for i, ci := range idxs {
-				grow[i] = t.ValueAt(r, ci)
-			}
-			gt.AppendRow(grow)
-		}
-		out = append(out, gt)
-	}
-	return out, nil
 }

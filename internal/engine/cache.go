@@ -16,13 +16,13 @@ import (
 
 // builtCaches holds the plan-lifetime execution structures of a Built:
 // join hash tables keyed by (source, column), EXISTS probe sets keyed
-// by predicate, and compiled PreparedPlans keyed by plan fingerprint. (A
-// zip of partition groups is not among them: it is the base table's own
-// column vectors, see prepareBranch.) Everything is built lazily
-// on first use and shared across repeated executions and across plans
-// over the same Built — the operator-state reuse half of the batch
-// executor. Entries are single-flighted so parallel union branches
-// never build the same structure twice.
+// by predicate, and compiled PreparedPlans keyed by plan fingerprint (a
+// partition holds nothing: it is a column set of its base table, see
+// addPartition). Everything is built lazily on first use and shared
+// across repeated executions and across plans over the same Built — the
+// operator-state reuse half of the batch executor. Entries are
+// single-flighted so parallel union branches never build the same
+// structure twice.
 //
 // Caching is safe because a Built's data is immutable after Build;
 // that used to be an unchecked convention, and mutating a table after
@@ -244,8 +244,8 @@ func buildJoinTable(n int, key func(i int) rel.Value) *joinTable {
 
 // hashJoinTable returns the cached build side for joining against the
 // named row source on the given column. srcKey identifies the row
-// source (base table or view; a zip of partition groups is its base
-// table) within the Built; n and key describe its join column.
+// source (base table or view; a partition is its base table) within the
+// Built; n and key describe its join column.
 func (b *Built) hashJoinTable(srcKey, col string, n int, key func(i int) rel.Value) (*joinTable, error) {
 	return cacheGet(context.Background(), b, b.caches.joins, ckindJoin, srcKey+"|c:"+col, func() (*joinTable, error) {
 		return buildJoinTable(n, key), nil

@@ -5,12 +5,11 @@ import "repro/internal/rel"
 // This file is the batch executor's one way of turning stored rows into
 // tuples. A tuple carries only the columns something after the scan
 // reads (see scope.slot), and every tuple source is a rel.Table — a scan
-// fragment, a seek driver's table, a hash or INL join's inner table, the
-// base table a zip of partition groups stands for — that lands its share
-// of them through colFills: one per referenced column, each copying that
-// column into its tuple slot for a whole list of row ids at once,
-// straight from the typed vector. Values are bit-identical to
-// Table.ReadRowInto's.
+// fragment, a seek driver's table, a hash or INL join's inner table (a
+// partition's base table among them) — that lands its share of them
+// through colFills: one per referenced column, each copying that column
+// into its tuple slot for a whole list of row ids at once, straight from
+// the typed vector. Values are bit-identical to Table.ReadRowInto's.
 
 // fillKind selects a colFill's source representation.
 type fillKind uint8

@@ -118,7 +118,7 @@ func TestFillMatchesReference(t *testing.T) {
 	}
 	seekK := &sqlast.Pred{Kind: sqlast.PredCompare, Op: sqlast.OpGe, Col: *col("p", "k"), Value: rel.Int(2)}
 	seekCID := &sqlast.Pred{Kind: sqlast.PredCompare, Op: sqlast.OpLt, Col: *col("c", "ID"), Value: rel.Int(1100)}
-	zipP := func(groups ...int) optimizer.Access { return optimizer.Access{Table: "p", PartGroups: groups} }
+	zipP := func(groups ...int) optimizer.Access { return optimizer.Access{Table: "p", Groups: groups} }
 	cmpPred := func(tbl, c string, op sqlast.CmpOp, v rel.Value) sqlast.Pred {
 		return sqlast.Pred{Kind: sqlast.PredCompare, Op: op, Col: *col(tbl, c), Value: v}
 	}
@@ -148,11 +148,11 @@ func TestFillMatchesReference(t *testing.T) {
 			From: []string{"p"}, Where: []sqlast.Pred{cmpPred("p", "tag", sqlast.OpNe, rel.Str("t2"))}}, zipP(0, 1)),
 		"zip-hash-join-inner": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred,
 			cmpPred("c", "w", sqlast.OpNe, rel.Str("t1"))}}, scanP,
-			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c", PartGroups: []int{0, 1}},
+			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c", Groups: []int{0, 1}},
 				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
 		"zip-driver-zip-inner": plan(&sqlast.Select{Items: []sqlast.SelectItem{item("p", "ID"), item("p", "f"), item("c", "w"), item("c", "ID")},
 			From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred, cmpPred("p", "f", sqlast.OpLt, rel.Float(30))}}, zipP(1),
-			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c", PartGroups: []int{0}},
+			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c", Groups: []int{0}},
 				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
 		"inl-join": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred}}, scanP,
 			optimizer.Join{Method: optimizer.JoinINL, Inner: optimizer.Access{Table: "c", Kind: optimizer.AccessSeek, Index: ixCPID},
@@ -210,7 +210,7 @@ func TestFillMatchesReference(t *testing.T) {
 			t.Errorf("reference run of a plan reading p.f from a zip of group 0: %v", err)
 		}
 		if _, err := Prepare(built, plan(&sqlast.Select{Items: pItems[:1], From: []string{"p"}}, zipP(2))); err == nil {
-			t.Error("prepare over partition group 2 of p, which was never built, succeeded")
+			t.Error("prepare over partition group 2 of p, which p's partition does not have, succeeded")
 		}
 	}
 }

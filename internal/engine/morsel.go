@@ -16,8 +16,8 @@ import (
 var morselRows = 4 * rel.BatchSize
 
 // executeMorsels is the one scheduler every execution goes through.
-// Every branch's driver — table scan, index range scan, or
-// partition-group zip scan — is split into fixed-size morsels of driver
+// Every branch's driver — a table scan (a partition scan among them) or
+// an index range scan — is split into fixed-size morsels of driver
 // rows, and the morsels of all branches form one task list that exactly
 // `workers` goroutines claim from: the caller's own plus workers-1
 // spawned here, so one worker is the same loop with nothing spawned.

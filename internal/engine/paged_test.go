@@ -4,11 +4,12 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/obs"
 	"repro/internal/storage"
 )
 
 func init() {
-	engine.OpenPaged = func(t *testing.T, b *engine.Built) *engine.Built {
+	engine.OpenPaged = func(t *testing.T, b *engine.Built, reg *obs.Registry) *engine.Built {
 		t.Helper()
 		dir := t.TempDir()
 		man, err := storage.Save(dir, b, storage.Options{ChunkRows: 64})
@@ -19,7 +20,7 @@ func init() {
 		for _, e := range man.Tables {
 			data += e.Bytes
 		}
-		st, err := storage.Open(dir, storage.Options{MemBudgetBytes: data / 4})
+		st, err := storage.Open(dir, storage.Options{MemBudgetBytes: data / 4, Registry: reg})
 		if err != nil {
 			t.Fatalf("Open: %v", err)
 		}

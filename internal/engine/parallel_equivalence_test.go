@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/schema"
 	"repro/internal/xmlgen"
 )
@@ -54,11 +55,11 @@ func engineTestSeed(t *testing.T) int64 {
 }
 
 // OpenPaged saves b as a store on disk and returns the store's
-// PagedBuilt, reopened under a quarter of the data's bytes: the
-// substrate the paper's measured runs execute on. The storage package
-// imports engine, so only the external tests can supply it (see
-// paged_test.go).
-var OpenPaged func(t *testing.T, b *Built) *Built
+// PagedBuilt, reopened under a quarter of the data's bytes with its
+// metrics in reg (nil for none): the substrate the paper's measured runs
+// execute on. The storage package imports engine, so only the external
+// tests can supply it (see paged_test.go).
+var OpenPaged func(t *testing.T, b *Built, reg *obs.Registry) *Built
 
 // TestMorselExecutorMatchesReference is the intra-query-parallelism
 // differential: every integration fixture plan, executed at each worker
@@ -86,7 +87,7 @@ func TestMorselExecutorMatchesReference(t *testing.T) {
 	for _, name := range names {
 		fx := fixtures[name]
 		t.Run(name, func(t *testing.T) {
-			substrates := map[string]*Built{"in-memory": fx.built, "disk-resident": OpenPaged(t, fx.built)}
+			substrates := map[string]*Built{"in-memory": fx.built, "disk-resident": OpenPaged(t, fx.built, nil)}
 			for substrate, built := range substrates {
 				t.Run(substrate, func(t *testing.T) {
 					for pi, plan := range fx.plans {

@@ -172,21 +172,21 @@ type srcKind int
 const (
 	srcScan srcKind = iota
 	srcSeek
-	srcZip
 )
 
 // driverSrc is the compiled driving access of a branch.
 type driverSrc struct {
 	kind srcKind
 	// table is the driver table — for a scan over a registered source,
-	// possibly an unhydrated shell; for a zip of partition groups, the
-	// base table (see addPartZip).
+	// possibly an unhydrated shell; for a partition scan, the base table
+	// (see addPartition).
 	table   *rel.Table
 	bi      *builtIndex
 	seekOp  opKind
 	seekVal rel.Value
-	// groups is the number of partition groups a srcZip driver zips:
-	// every driver row counts as one scanned row per group.
+	// groups is what one scanned driver row charges to RowsScanned: the
+	// number of partition groups a partition scan reads, 1 for a plain
+	// scan.
 	groups int
 	// chunks feeds a srcScan driver: the scan pulls resident fragments
 	// from the source one chunk at a time, so peak scan memory follows
@@ -198,8 +198,8 @@ type driverSrc struct {
 	// plan scanning this table reads (see Prepare).
 	need []int
 	// refs are the driver columns the branch's tuples carry. fills lands
-	// them for seek and zip drivers, whose source is fixed at Prepare; a
-	// scan compiles its fills against each fragment it acquires.
+	// them for a seek driver, whose table is fixed at Prepare; a scan
+	// compiles its fills against each fragment it acquires.
 	refs  []colRef
 	fills []colFill
 }
@@ -310,65 +310,67 @@ func colNames(t *rel.Table) []string {
 	return cols
 }
 
-// addPartZip puts the zip of access a's partition groups in scope and
-// returns what fills it: the hydrated base table. Group tables replicate
-// the base table's cells row for row, so zipping them back together
-// yields the base table's own column vectors; only the columns the named
-// groups hold resolve in scope, so a plan reaching outside its groups
-// fails as it would over the group tables.
-func addPartZip(b *Built, sc *scope, a optimizer.Access) (*rel.Table, *scopeTable, error) {
-	t := b.DB.Table(a.Table)
+// addPartition puts access a's partition groups in scope and returns
+// their base table. A partition is a set of the table's columns, so only
+// the columns the named groups hold — and the ID and PID every group
+// replicates — resolve in scope, and a plan reaching outside its groups
+// fails as it would over separate group tables.
+func addPartition(b *Built, sc *scope, a optimizer.Access) (*rel.Table, *scopeTable, error) {
+	t, groups, err := partitionColumns(b.DB, b.Config.PartitionOf(a.Table))
+	if err != nil {
+		return nil, nil, err
+	}
 	st := sc.add(a.Table, nil)
-	for _, g := range a.PartGroups {
-		gt := b.PartGroup(a.Table, g)
-		if gt == nil {
-			return nil, nil, fmt.Errorf("engine: partition group %d of %s not built", g, a.Table)
+	for _, g := range a.Groups {
+		if g < 0 || g >= len(groups) {
+			return nil, nil, fmt.Errorf("engine: %s has no partition group %d", a.Table, g)
 		}
-		for _, c := range gt.Columns {
-			st.cols[c.Name] = t.ColIndex(c.Name)
+		for _, ci := range groups[g] {
+			st.cols[t.Columns[ci].Name] = ci
 		}
 	}
-	return t, st, t.Hydrate()
+	return t, st, nil
 }
 
 func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 	sc := newScope()
 	pb := &preparedBranch{built: b, scope: sc}
 	a := br.Driver
+	t := resolveTable(b, a.Table)
+	if t == nil {
+		return nil, fmt.Errorf("engine: unknown table %s", a.Table)
+	}
 	var driver *scopeTable
-	if len(a.PartGroups) > 0 {
-		t, st, err := addPartZip(b, sc, a)
+	if len(a.Groups) > 0 {
+		var err error
+		if t, driver, err = addPartition(b, sc, a); err != nil {
+			return nil, err
+		}
+	} else {
+		driver = sc.add(a.Table, colNames(t))
+	}
+	if a.Kind == optimizer.AccessSeek && len(a.Groups) == 0 {
+		bi := b.Index(a.Index)
+		if bi == nil {
+			return nil, fmt.Errorf("engine: index %s not built", a.Index.Name)
+		}
+		if a.SeekPred == nil {
+			return nil, fmt.Errorf("engine: seek access without predicate on %s", a.Table)
+		}
+		if err := t.Hydrate(); err != nil {
+			return nil, err
+		}
+		pb.src = driverSrc{kind: srcSeek, table: t, bi: bi,
+			seekOp: opFromCmp(a.SeekPred.Op), seekVal: a.SeekPred.Value}
+	} else {
+		// A partition scan is a plain scan of its base table that reads
+		// only the columns of the groups it names and counts each row it
+		// scans once per group.
+		src, err := b.driverSource(a.Table, t)
 		if err != nil {
 			return nil, err
 		}
-		pb.src = driverSrc{kind: srcZip, table: t, groups: len(a.PartGroups)}
-		driver = st
-	} else {
-		t := resolveTable(b, a.Table)
-		if t == nil {
-			return nil, fmt.Errorf("engine: unknown table %s", a.Table)
-		}
-		if a.Kind == optimizer.AccessSeek {
-			bi := b.Index(a.Index)
-			if bi == nil {
-				return nil, fmt.Errorf("engine: index %s not built", a.Index.Name)
-			}
-			if a.SeekPred == nil {
-				return nil, fmt.Errorf("engine: seek access without predicate on %s", a.Table)
-			}
-			if err := t.Hydrate(); err != nil {
-				return nil, err
-			}
-			pb.src = driverSrc{kind: srcSeek, table: t, bi: bi,
-				seekOp: opFromCmp(a.SeekPred.Op), seekVal: a.SeekPred.Value}
-		} else {
-			src, err := b.driverSource(a.Table, t)
-			if err != nil {
-				return nil, err
-			}
-			pb.src = driverSrc{kind: srcScan, table: t, chunks: src}
-		}
-		driver = sc.add(a.Table, colNames(t))
+		pb.src = driverSrc{kind: srcScan, table: t, chunks: src, groups: max(1, len(a.Groups))}
 	}
 	applied := make(map[int]bool)
 	// Driver-stage filters compile to columnar kernels over the driver
@@ -408,7 +410,7 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 	// scope is final, and so are the tuple width and the fills.
 	pb.width = sc.slots
 	pb.src.refs = driver.refs
-	if pb.src.kind != srcScan {
+	if pb.src.kind == srcSeek {
 		pb.src.fills = tableFills(pb.src.table, driver.refs)
 	}
 	for i := range pb.ops {
@@ -483,14 +485,17 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 	var n int
 	var rids []int32 // seek-fed build: position -> row id
 	a := j.Inner
-	if len(a.PartGroups) > 0 {
-		// A zip's build side is the base table's: both share one cached
-		// join table, and only the per-run scan accounting differs.
-		if t, op.inner, err = addPartZip(b, sc, a); err != nil {
+	if len(a.Groups) > 0 {
+		// A partition's build side is its base table's: both share one
+		// cached join table, and only the per-run scan accounting differs.
+		if t, op.inner, err = addPartition(b, sc, a); err != nil {
+			return err
+		}
+		if err := t.Hydrate(); err != nil {
 			return err
 		}
 		n, srcKey = t.RowCount(), "t:"+a.Table
-		op.scanCount = int64(n * len(a.PartGroups))
+		op.scanCount = int64(n * len(a.Groups))
 	} else {
 		if t = resolveTable(b, a.Table); t == nil {
 			return fmt.Errorf("engine: unknown table %s", a.Table)
@@ -628,18 +633,14 @@ func (pb *preparedBranch) precharge(st *ExecStats) {
 // resolveDriver materializes the branch's driver row set: the number of
 // driver rows, plus — for index range seeks — the matching row ids (in
 // index order), whose seek cost is charged here, once per branch. Scans
-// and partition zips drive off row positions and return nil ids.
+// drive off row positions and return nil ids.
 func (pb *preparedBranch) resolveDriver(st *ExecStats) (int, []int) {
-	switch pb.src.kind {
-	case srcSeek:
+	if pb.src.kind == srcSeek {
 		ids := pb.src.bi.seekRange(pb.src.seekOp, pb.src.seekVal)
 		st.RowsSought += int64(len(ids))
 		return len(ids), ids
-	case srcZip:
-		return pb.src.table.RowCount(), nil
-	default: // srcScan
-		return pb.src.chunks.RowCount(), nil
 	}
+	return pb.src.chunks.RowCount(), nil
 }
 
 // fragKernels returns the driver-stage kernels for one acquired scan
@@ -666,8 +667,8 @@ func (pb *preparedBranch) fragKernels(frag *rel.Table) ([]colKernel, error) {
 }
 
 // morselRanges splits the branch's n driver rows into morsel ranges.
-// Scans split along their source's chunk spans; seek and zip drivers
-// are one span of n rows.
+// Scans split along their source's chunk spans; a seek driver is one
+// span of n rows.
 func (pb *preparedBranch) morselRanges(n int) [][2]int {
 	if pb.src.kind == srcScan {
 		return morselRanges(pb.src.chunks.NumChunks(), pb.src.chunks.ChunkSpan)
@@ -680,7 +681,7 @@ func (pb *preparedBranch) morselRanges(n int) [][2]int {
 // pieces accumulate until a morsel reaches morselRows. A chunk that
 // fits a morsel is therefore never split, so the worker that faults it
 // is the only one holding it; a single chunk — a resident table, a
-// seek's id list, a partition zip — splits on the fixed stride.
+// seek's id list — splits on the fixed stride.
 func morselRanges(nc int, span func(k int) (lo, hi int)) [][2]int {
 	var out [][2]int
 	lo, end := 0, 0 // the morsel being accumulated is [lo, end)
@@ -858,7 +859,7 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 				return ctx.Err()
 			}
 			end := min(start+rel.BatchSize, e0)
-			st.RowsScanned += int64(end - start)
+			st.RowsScanned += int64((end - start) * pb.src.groups)
 			sel := state.sel[:0]
 			for r := start; r < end; r++ {
 				sel = append(sel, int32(r))
@@ -867,44 +868,34 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 		}
 		return nil
 	}
-	switch pb.src.kind {
-	case srcSeek, srcZip:
-		// One span of driver positions: a seek's positions index its id
-		// list, a zip's are its row ids.
+	if pb.src.kind == srcSeek {
+		// One span of driver positions, indexing the seek's id list.
 		for start := lo; start < hi; start += rel.BatchSize {
 			if cancelled() {
 				return ctx.Err()
 			}
-			end := min(start+rel.BatchSize, hi)
 			sel := state.sel[:0]
-			if pb.src.kind == srcSeek {
-				for _, id := range ids[start:end] {
-					sel = append(sel, int32(id))
-				}
-			} else {
-				st.RowsScanned += int64((end - start) * pb.src.groups)
-				for r := start; r < end; r++ {
-					sel = append(sel, int32(r))
-				}
+			for _, id := range ids[start:min(start+rel.BatchSize, hi)] {
+				sel = append(sel, int32(id))
 			}
 			feedSel(pb.kerns, pb.src.fills, sel)
 		}
-	default: // srcScan
-		// Batches never span chunks, but every operator is per-row and
-		// the scan cost is charged per cell, so rows, order and stats do
-		// not depend on where the source's chunks end.
-		src := pb.src.chunks
-		for k, nc := 0, src.NumChunks(); k < nc; k++ {
-			clo, chi := src.ChunkSpan(k)
-			if chi <= lo {
-				continue
-			}
-			if clo >= hi {
-				break
-			}
-			if err := scanChunk(k, max(lo, clo)-clo, min(hi, chi)-clo); err != nil {
-				return err
-			}
+		return nil
+	}
+	// Batches never span chunks, but every operator is per-row and the
+	// scan cost is charged per row, so rows, order and stats do not depend
+	// on where the source's chunks end.
+	src := pb.src.chunks
+	for k, nc := 0, src.NumChunks(); k < nc; k++ {
+		clo, chi := src.ChunkSpan(k)
+		if chi <= lo {
+			continue
+		}
+		if clo >= hi {
+			break
+		}
+		if err := scanChunk(k, max(lo, clo)-clo, min(hi, chi)-clo); err != nil {
+			return err
 		}
 	}
 	return nil

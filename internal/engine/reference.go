@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/optimizer"
+	"repro/internal/physical"
 	"repro/internal/rel"
 	"repro/internal/sqlast"
 )
@@ -98,8 +99,8 @@ func execBranch(b *Built, br *optimizer.Branch, st *ExecStats) ([][]rel.Value, e
 // fetchAccess materializes the rows of an access path as combined
 // tuples (a fresh slice of column names plus row slices).
 func fetchAccess(b *Built, s *sqlast.Select, a optimizer.Access, st *ExecStats) ([]string, [][]rel.Value, error) {
-	if len(a.PartGroups) > 0 {
-		return fetchPartition(b, s, a, st)
+	if len(a.Groups) > 0 {
+		return fetchPartition(b, a, st)
 	}
 	var t *rel.Table
 	if vt := b.ViewTable(a.Table); vt != nil {
@@ -144,46 +145,73 @@ func fetchAccess(b *Built, s *sqlast.Select, a optimizer.Access, st *ExecStats) 
 }
 
 // fetchPartition zips the needed partition groups into combined rows.
-func fetchPartition(b *Built, s *sqlast.Select, a optimizer.Access, st *ExecStats) ([]string, [][]rel.Value, error) {
+// Like every other fetch here it builds what it reads on each call: the
+// group tables, copies of the base table's columns, so the oracle zips
+// real copies where the batch executor reads the base table itself.
+func fetchPartition(b *Built, a optimizer.Access, st *ExecStats) ([]string, [][]rel.Value, error) {
+	gts, err := buildPartition(b.DB, b.Config.PartitionOf(a.Table))
+	if err != nil {
+		return nil, nil, err
+	}
 	var cols []string
-	var groupTables []*rel.Table
-	for _, g := range a.PartGroups {
-		gt := b.PartGroup(a.Table, g)
-		if gt == nil {
-			return nil, nil, fmt.Errorf("engine: partition group %d of %s not built", g, a.Table)
-		}
-		groupTables = append(groupTables, gt)
+	type src struct {
+		rows [][]rel.Value
+		ci   int
 	}
-	seen := make(map[string]bool)
-	type src struct{ gi, ci int }
 	var srcs []src
-	for gi, gt := range groupTables {
-		for ci, c := range gt.Columns {
-			if seen[c.Name] {
-				continue
+	seen := make(map[string]bool)
+	for _, g := range a.Groups {
+		if g < 0 || g >= len(gts) {
+			return nil, nil, fmt.Errorf("engine: %s has no partition group %d", a.Table, g)
+		}
+		grows := gts[g].Rows()
+		for ci, c := range gts[g].Columns {
+			if !seen[c.Name] {
+				seen[c.Name] = true
+				cols = append(cols, c.Name)
+				srcs = append(srcs, src{grows, ci})
 			}
-			seen[c.Name] = true
-			cols = append(cols, c.Name)
-			srcs = append(srcs, src{gi, ci})
 		}
 	}
-	groupRows := make([][][]rel.Value, len(groupTables))
-	for gi, gt := range groupTables {
-		groupRows[gi] = gt.Rows()
-	}
-	n := groupTables[0].RowCount()
-	rows := make([][]rel.Value, n)
-	for i := 0; i < n; i++ {
-		row := make([]rel.Value, len(srcs))
+	rows := make([][]rel.Value, gts[0].RowCount())
+	for i := range rows {
+		rows[i] = make([]rel.Value, len(srcs))
 		for k, sr := range srcs {
-			row[k] = groupRows[sr.gi][i][sr.ci]
+			rows[i][k] = sr.rows[i][sr.ci]
 		}
-		rows[i] = row
 	}
 	if st != nil {
-		st.RowsScanned += int64(n * len(groupTables))
+		st.RowsScanned += int64(len(rows) * len(a.Groups))
 	}
 	return cols, rows, nil
+}
+
+// buildPartition splits a table vertically; group rows stay aligned
+// with the base table's row order and replicate ID and PID.
+func buildPartition(db *rel.Database, vp *physical.VPartition) ([]*rel.Table, error) {
+	t, groups, err := partitionColumns(db, vp)
+	if err == nil {
+		err = t.Hydrate()
+	}
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*rel.Table, len(groups))
+	for gi, idxs := range groups {
+		cols := make([]rel.Column, len(idxs))
+		for i, ci := range idxs {
+			cols[i] = t.Columns[ci]
+		}
+		out[gi] = rel.NewTable(vp.GroupTable(gi), cols)
+		grow := make([]rel.Value, len(idxs)) // AppendRow copies, so one scratch row suffices
+		for r := range t.RowCount() {
+			for i, ci := range idxs {
+				grow[i] = t.ValueAt(r, ci)
+			}
+			out[gi].AppendRow(grow)
+		}
+	}
+	return out, nil
 }
 
 // applyPreds evaluates every not-yet-applied predicate whose referenced

@@ -53,11 +53,11 @@ type ScanSource interface {
 }
 
 // SetScanSource registers a chunk source for driver-stage scans of the
-// named base table. Plain table scans (no partition groups, not a view)
-// then pull chunks from the source instead of materializing the table's
-// rows; every other access to the table — seeks, join build sides,
-// EXISTS probes, index/view/partition builds — still hydrates the full
-// table. Register sources after Build and before Prepare.
+// named base table. Its scans, partition scans included, then pull
+// chunks from the source instead of materializing the table's rows;
+// every other access to the table — seeks, join build sides, EXISTS
+// probes, index/view builds — still hydrates the full table. Register
+// sources after Build and before Prepare.
 func (b *Built) SetScanSource(table string, src ScanSource) {
 	if b.sources == nil {
 		b.sources = make(map[string]ScanSource)
@@ -83,10 +83,10 @@ func (s tableSource) ChunkColumns(int, []int) (*rel.Table, func(), error) {
 	return s.t, func() {}, nil
 }
 
-// driverSource resolves the chunk source a plain scan of t pulls from,
-// where t is what the access to name resolved to: the registered source
-// when t is the base table it was registered for, otherwise t itself,
-// hydrated, as one resident chunk (views and unregistered tables).
+// driverSource resolves the chunk source a scan of t pulls from, where t
+// is what the access to name resolved to: the registered source when t
+// is the base table it was registered for, otherwise t itself, hydrated,
+// as one resident chunk (views and unregistered tables).
 func (b *Built) driverSource(name string, t *rel.Table) (ScanSource, error) {
 	if src := b.sources[name]; src != nil && t == b.DB.Table(name) {
 		if src.RowCount() != t.RowCount() {

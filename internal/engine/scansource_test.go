@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/optimizer"
 	"repro/internal/physical"
 	"repro/internal/rel"
@@ -419,59 +420,157 @@ func (s *recordingSource) ChunkColumns(k int, cols []int) (*rel.Table, func(), e
 // columns its kernels and fills read — every column of the scanned table
 // the branch's SQL references — unioned over every branch of the plan
 // that scans the same table, so a union fetches one set. Each fixture
-// plan runs on two workers over 128-row chunk sources, and every fetch
-// must carry its table's set.
+// plan runs on two workers over 128-row chunk sources, unpartitioned and
+// with both tables partitioned, and every fetch must carry its table's
+// set: a partition scan fetches the columns it references, all of them
+// inside the groups it names.
 func TestScanColumnSets(t *testing.T) {
 	const nrows = 640
 	db := chunkDB(nrows)
-	sdb := chunkDB(nrows)
-	built, err := Build(sdb, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srcs := make(map[string]*recordingSource)
-	for _, tbl := range sdb.Tables() {
-		srcs[tbl.Name] = &recordingSource{ScanSource: newSliceSource(t, tbl, 128)}
-		built.SetScanSource(tbl.Name, srcs[tbl.Name])
-	}
-	for qi, q := range chunkQueries() {
-		plan := planQuery(t, db, q)
-		want := make(map[string][]int)
-		for _, br := range plan.Branches {
-			a := br.Driver
-			if a.Kind != optimizer.AccessScan || len(a.PartGroups) > 0 {
-				continue
-			}
-			tbl := sdb.Table(a.Table)
-			for ci, c := range tbl.Columns {
-				if slices.Contains(br.Sel.ColumnsOf(a.Table), c.Name) {
-					want[a.Table] = append(want[a.Table], ci)
-				}
-			}
-		}
-		for name, cols := range want {
-			slices.Sort(cols)
-			want[name] = slices.Compact(cols)
-		}
-		for _, src := range srcs {
-			src.sets = nil
-		}
-		pp, err := built.Prepared(plan)
+	partitioned := &physical.Config{}
+	partitioned.AddPartition(&physical.VPartition{Table: "big", Groups: [][]string{{"tag"}, {"val", "n"}}})
+	partitioned.AddPartition(&physical.VPartition{Table: "kid", Groups: [][]string{{"word"}}})
+	for _, cfg := range []*physical.Config{{}, partitioned} {
+		sdb := chunkDB(nrows)
+		built, err := Build(sdb, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pp.ExecuteContextWorkers(context.Background(), 2); err != nil {
-			t.Fatal(err)
+		srcs := make(map[string]*recordingSource)
+		for _, tbl := range sdb.Tables() {
+			srcs[tbl.Name] = &recordingSource{ScanSource: newSliceSource(t, tbl, 128)}
+			built.SetScanSource(tbl.Name, srcs[tbl.Name])
 		}
-		for name, src := range srcs {
-			if want[name] != nil && len(src.sets) == 0 {
-				t.Fatalf("query %d: %s is scanned but was never fetched", qi, name)
+		opt := optimizer.New(stats.FromDatabase(db))
+		partScans := 0
+		for qi, q := range chunkQueries() {
+			plan, err := opt.PlanQuery(q, cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for _, got := range src.sets {
-				if !slices.Equal(got, want[name]) {
-					t.Fatalf("query %d: %s fetched columns %v, want %v", qi, name, got, want[name])
+			want := make(map[string][]int)
+			for _, br := range plan.Branches {
+				a := br.Driver
+				if a.Kind != optimizer.AccessScan {
+					continue
+				}
+				inGroups := func(string) bool { return true }
+				if len(a.Groups) > 0 {
+					partScans++
+					vp := cfg.PartitionOf(a.Table)
+					inGroups = func(c string) bool {
+						if c == rel.IDColumn || c == rel.PIDColumn {
+							return true
+						}
+						for _, g := range a.Groups {
+							if slices.Contains(vp.Groups[g], c) {
+								return true
+							}
+						}
+						return false
+					}
+				}
+				tbl := sdb.Table(a.Table)
+				for ci, c := range tbl.Columns {
+					if slices.Contains(br.Sel.ColumnsOf(a.Table), c.Name) {
+						if !inGroups(c.Name) {
+							t.Fatalf("query %d: plan reads %s.%s outside its groups %v", qi, a.Table, c.Name, a.Groups)
+						}
+						want[a.Table] = append(want[a.Table], ci)
+					}
+				}
+			}
+			for name, cols := range want {
+				slices.Sort(cols)
+				want[name] = slices.Compact(cols)
+			}
+			for _, src := range srcs {
+				src.sets = nil
+			}
+			pp, err := built.Prepared(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := pp.ExecuteContextWorkers(context.Background(), 2); err != nil {
+				t.Fatal(err)
+			}
+			for name, src := range srcs {
+				if want[name] != nil && len(src.sets) == 0 {
+					t.Fatalf("query %d: %s is scanned but was never fetched", qi, name)
+				}
+				for _, got := range src.sets {
+					if !slices.Equal(got, want[name]) {
+						t.Fatalf("query %d: %s fetched columns %v, want %v", qi, name, got, want[name])
+					}
 				}
 			}
 		}
+		if len(cfg.Partitions) > 0 && partScans == 0 {
+			t.Fatal("no plan drives off a partition; the partitioned fixture lost its point")
+		}
+	}
+}
+
+// TestPartitionScanPagesThroughStore pins that a partition scan is a
+// plain scan of its base table. On a store reopened under a quarter of
+// its data, plans driving off one and two partition groups of big —
+// which no index, view or hash-join build side reads — page through
+// big's chunk source: neither the rebuild nor the scans hydrate big, the
+// pager faults, and results equal the reference's zip of group copies on
+// the resident Built.
+func TestPartitionScanPagesThroughStore(t *testing.T) {
+	db := chunkDB(1600)
+	cfg := &physical.Config{}
+	cfg.AddPartition(&physical.VPartition{Table: "big", Groups: [][]string{{"tag"}, {"val", "n"}}})
+	oracle, err := Build(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	paged := OpenPaged(t, oracle, reg)
+	big := paged.DB.Table("big")
+	if big.Resident() {
+		t.Fatal("PagedBuilt hydrated the partitioned table")
+	}
+	faults := reg.Counter("storage.pager.faults")
+	before := faults.Value()
+
+	col := func(c string) *sqlast.ColRef { return &sqlast.ColRef{Table: "big", Column: c} }
+	items := []sqlast.SelectItem{{Col: col("ID"), As: "ID"}, {Col: col("tag"), As: "tag"}}
+	opt := optimizer.New(stats.FromDatabase(db))
+	for groups, sel := range map[int]*sqlast.Select{
+		1: {Items: items, From: []string{"big"},
+			Where: []sqlast.Pred{{Kind: sqlast.PredCompare, Op: sqlast.OpEq, Col: *col("tag"), Value: rel.Str("tag-03")}}},
+		2: {Items: append(items, sqlast.SelectItem{Col: col("val"), As: "val"}), From: []string{"big"},
+			Where: []sqlast.Pred{{Kind: sqlast.PredCompare, Op: sqlast.OpGe, Col: *col("n"), Value: rel.Int(60)}}},
+	} {
+		plan, err := opt.PlanQuery(&sqlast.Query{Branches: []*sqlast.Select{sel}, OrderBy: "ID"}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := plan.Branches[0].Driver.Groups; len(g) != groups {
+			t.Fatalf("plan drives off groups %v, want %d of them", g, groups)
+		}
+		want, err := ExecuteReference(oracle, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pp, err := paged.Prepared(plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			got, err := pp.ExecuteContextWorkers(context.Background(), workers)
+			if err != nil {
+				t.Fatalf("%d groups, workers %d: %v", groups, workers, err)
+			}
+			requireIdentical(t, fmt.Sprintf("%d groups, workers %d", groups, workers), got, want)
+		}
+	}
+	if big.Resident() {
+		t.Fatal("a partition scan hydrated its base table")
+	}
+	if faults.Value() <= before {
+		t.Fatal("partition scans faulted no chunk; they did not page through the store")
 	}
 }

@@ -67,9 +67,9 @@ type Access struct {
 	Covering bool
 	// SeekPred is the sargable predicate the seek applies.
 	SeekPred *sqlast.Pred
-	// PartGroups lists vertical partition groups read (nil when the
+	// Groups lists vertical partition groups read (nil when the
 	// table is unpartitioned).
-	PartGroups []int
+	Groups []int
 	// Rows estimates the output cardinality after local predicates.
 	Rows float64
 	// Cost is the estimated access cost.
@@ -168,8 +168,8 @@ func (p *Plan) Objects() []string {
 		}
 	}
 	addAccess := func(a Access) {
-		if len(a.PartGroups) > 0 {
-			for _, g := range a.PartGroups {
+		if len(a.Groups) > 0 {
+			for _, g := range a.Groups {
 				add(a.Table + "#g" + strconv.Itoa(g))
 			}
 		} else {
@@ -236,8 +236,8 @@ func explainAccess(a Access) string {
 			pred = " [" + a.SeekPred.String() + "]"
 		}
 		return fmt.Sprintf("INDEX SEEK %s ON %s%s%s", a.Index.Name, a.Table, cover, pred)
-	case len(a.PartGroups) > 0:
-		return fmt.Sprintf("PARTITION SCAN %s groups=%v", a.Table, a.PartGroups)
+	case len(a.Groups) > 0:
+		return fmt.Sprintf("PARTITION SCAN %s groups=%v", a.Table, a.Groups)
 	default:
 		return fmt.Sprintf("SCAN %s", a.Table)
 	}
@@ -579,7 +579,7 @@ func (e *orderEnum) branch(prev *Branch) *Branch {
 
 func (a Access) same(b Access) bool {
 	return a.Table == b.Table && a.Kind == b.Kind && a.Index == b.Index && a.Covering == b.Covering &&
-		a.SeekPred == b.SeekPred && slices.Equal(a.PartGroups, b.PartGroups) &&
+		a.SeekPred == b.SeekPred && slices.Equal(a.Groups, b.Groups) &&
 		sameFloat(a.Rows, b.Rows) && sameFloat(a.Cost, b.Cost)
 }
 
@@ -640,7 +640,7 @@ func (o *Optimizer) bestTableAccess(s *sqlast.Select, ft *fromTable, cfg *physic
 	if vp != nil {
 		// Partitioned tables scan their groups; indexes target the base
 		// table and are unavailable (Section 3.1 equivalence).
-		best.Cost = o.partScanCost(vp, ts, best.PartGroups)
+		best.Cost = o.partScanCost(vp, ts, best.Groups)
 		return best
 	}
 	for _, idx := range cfg.Indexes {
@@ -694,7 +694,7 @@ func (o *Optimizer) bestJoin(ft *fromTable, cfg *physical.Config, outerRows floa
 	// Hash join: scan inner fully, build, probe.
 	innerScan := o.scanAccess(inner, its, vp.GroupsForOrNil(needed))
 	if vp != nil {
-		innerScan.Cost = o.partScanCost(vp, its, innerScan.PartGroups)
+		innerScan.Cost = o.partScanCost(vp, its, innerScan.Groups)
 	}
 	hashCost := innerScan.Cost + (outerRows+innerRows)*CostHashTuple
 	best := Join{Method: JoinHash, Inner: innerScan, OuterCol: outerCol, InnerCol: innerCol,
@@ -829,11 +829,11 @@ func (o *Optimizer) localRows(s *sqlast.Select, table string, ts *stats.TableSta
 // partition cost is filled by partScanCost).
 func (o *Optimizer) scanAccess(table string, ts *stats.TableStats, groups []int) Access {
 	return Access{
-		Table:      table,
-		Kind:       AccessScan,
-		PartGroups: groups,
-		Rows:       float64(ts.Rows),
-		Cost:       float64(ts.Pages()) + float64(ts.Rows)*CostTuple,
+		Table:  table,
+		Kind:   AccessScan,
+		Groups: groups,
+		Rows:   float64(ts.Rows),
+		Cost:   float64(ts.Pages()) + float64(ts.Rows)*CostTuple,
 	}
 }
 

@@ -535,7 +535,7 @@ func TestReplanCases(t *testing.T) {
 	if got := prev.Branches[2].Driver.Table; len(prev.Branches[2].Joins) != 2 {
 		t.Errorf("three-table branch: driver %s with %d joins", got, len(prev.Branches[2].Joins))
 	}
-	if len(prev.Branches[4].Driver.PartGroups) == 0 {
+	if len(prev.Branches[4].Driver.Groups) == 0 {
 		t.Errorf("partitioned driver not planned as a partition scan: %+v", prev.Branches[4].Driver)
 	}
 	// The views the other way round: still the first wins.

@@ -98,7 +98,18 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, wireError{Error: err.Error(), Kind: kind})
 	}
 	var req Request
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody)).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	err := dec.Decode(&req)
+	if err == nil {
+		// A body is one request object: anything after it but whitespace
+		// makes the body malformed, not ignored.
+		if _, err = dec.Token(); err == io.EOF {
+			err = nil
+		} else if err == nil {
+			err = errors.New("data after the request object")
+		}
+	}
+	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
 			fail(fmt.Errorf("%w: over %d bytes", ErrRequestTooLarge, tooLarge.Limit))

@@ -157,10 +157,52 @@ func TestRequestBodyLimit(t *testing.T) {
 	}
 }
 
+// TestTrailingDataIsABadRequest pins that a /query body is exactly one
+// request object: whitespace after it is accepted, anything else — junk,
+// a second value, a stray delimiter — is a 400 "bad request body", never
+// a query run on the body's prefix.
+func TestTrailingDataIsABadRequest(t *testing.T) {
+	m, _, built := movieFixture(t, 40)
+	svc := New(Config{})
+	if err := svc.RegisterBuilt("movie", built, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	req := `{"corpus":"movie","tenant":"t","xpath":"//movie/year"}`
+	for _, tc := range []struct {
+		name, body string
+		status     int
+	}{
+		{"one object", req, http.StatusOK},
+		{"trailing newline", req + "\n", http.StatusOK},
+		{"trailing whitespace", req + " \r\n\t ", http.StatusOK},
+		{"trailing junk", req + " junk", http.StatusBadRequest},
+		{"second object", req + "\n" + req, http.StatusBadRequest},
+		{"second value", req + " 1", http.StatusBadRequest},
+		{"stray brace", req + "}", http.StatusBadRequest},
+		{"stray bracket", req + "]", http.StatusBadRequest},
+		{"stray comma", req + ",", http.StatusBadRequest},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", strings.NewReader(tc.body)))
+		if rec.Code != tc.status {
+			t.Errorf("%s: HTTP %d (%s), want %d", tc.name, rec.Code, rec.Body, tc.status)
+			continue
+		}
+		if tc.status != http.StatusOK {
+			var we wireError
+			if err := json.Unmarshal(rec.Body.Bytes(), &we); err != nil || !strings.HasPrefix(we.Error, "bad request body") {
+				t.Errorf("%s: error body %q (%v), want a bad request body wireError", tc.name, rec.Body, err)
+			}
+		}
+	}
+}
+
 // FuzzHTTPQuery posts arbitrary bodies to the service's handler. Every
 // one must end in a defined outcome: no panic, a status from the wire
-// protocol's set, a 200 body the client decodes with a Content-Length
-// that matches it, and any other body a wireError.
+// protocol's set, a 200 only for a body that is one JSON value, its
+// response decoding with a Content-Length that matches it, and any other
+// body a wireError.
 func FuzzHTTPQuery(f *testing.F) {
 	m, _, built := movieFixture(f, 12)
 	svc := New(Config{})
@@ -178,6 +220,8 @@ func FuzzHTTPQuery(f *testing.F) {
 		`{"corpus":"movie","tenant":"t","xpath":"//movie/year","workers":1000000,"mem_estimate":9223372036854775807}`,
 		`{"corpus":"movie","xpath":"//nothing"}`,
 		`{"corpus":`, `{}`, `null`, `[]`, `"x"`, ``, `{"workers":"2"}`, `{"timeout_ms":1e999}`,
+		`{"corpus":"movie","xpath":"//movie/year"} junk`, `{"corpus":"movie","xpath":"//movie/year"}` + "\n",
+		`{"corpus":"movie","xpath":"//movie/year"}{}`,
 	} {
 		f.Add([]byte(s))
 	}
@@ -186,6 +230,9 @@ func FuzzHTTPQuery(f *testing.F) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
 		switch rec.Code {
 		case http.StatusOK:
+			if !json.Valid(body) {
+				t.Fatalf("%q: HTTP 200 for a body that is not one JSON value", body)
+			}
 			if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
 				t.Fatalf("%q: Content-Length %q for a %d-byte body", body, cl, rec.Body.Len())
 			}

@@ -737,8 +737,9 @@ func TestChunkScanNeverServesPreCompactionChunk(t *testing.T) {
 // TestMalformedDesignIsAnError: a physical design reaches engine.Build
 // from outside the program — Manifest.Design is JSON — so one that does
 // not fit the database is reported, never a panic: an index without a key
-// column, a view or a partition over a table without ID/PID, a column
-// listed twice, a null entry. The keyless index is also driven the way it
+// column, a view or a partition over a table without ID/PID, a partition
+// over an unknown table or naming an unknown column, a column listed
+// twice, a null entry. The keyless index is also driven the way it
 // would arrive, through a saved manifest and both store-backed Builts.
 func TestMalformedDesignIsAnError(t *testing.T) {
 	db := scanDB(64)
@@ -757,6 +758,10 @@ func TestMalformedDesignIsAnError(t *testing.T) {
 			Groups: [][]string{{"a"}}}}}, "no ID/PID"},
 		"partition group repeats a key": {&physical.Config{Partitions: []*physical.VPartition{{Table: "big",
 			Groups: [][]string{{"tag", rel.IDColumn}}}}}, "twice"},
+		"partition over an unknown table": {&physical.Config{Partitions: []*physical.VPartition{{Table: "nope",
+			Groups: [][]string{{"tag"}}}}}, "unknown table nope"},
+		"partition group names an unknown column": {&physical.Config{Partitions: []*physical.VPartition{{Table: "big",
+			Groups: [][]string{{"tag"}, {"nope"}}}}}, "unknown column big.nope"},
 		"view lists a column twice": {&physical.Config{Views: []*physical.View{{Name: "v", Outer: "big", Inner: "kid",
 			OuterCols: []string{"tag", "tag"}, InnerCols: []string{"word"}}}}, "twice"},
 		"null index": {&physical.Config{Indexes: []*physical.Index{nil}}, "null"},

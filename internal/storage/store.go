@@ -499,11 +499,12 @@ func (s *Store) Database() (*rel.Database, error) {
 }
 
 // Built assembles the full database and rebuilds the physical design
-// the store was saved with — indexes, materialized views, and vertical
-// partitions are reconstructed from the base tables, restoring warm
-// serving after a restart. The result is a point-in-time view that
-// needs nothing from the store afterwards: it keeps answering, with the
-// rows it was built over, across later appends, compactions, and Close.
+// the store was saved with — indexes and materialized views are
+// reconstructed from the base tables, vertical partitions are checked
+// against their columns — restoring warm serving after a restart. The
+// result is a point-in-time view that needs nothing from the store
+// afterwards: it keeps answering, with the rows it was built over, across
+// later appends, compactions, and Close.
 func (s *Store) Built() (*engine.Built, error) {
 	return s.built(false, "storage.built.ms")
 }
@@ -512,12 +513,12 @@ func (s *Store) Built() (*engine.Built, error) {
 // database as a schema-only virtual shell whose driver-stage scans pull
 // chunks through the pager (a registered ChunkScan source), so a scan
 // query's peak resident bytes follow Options.MemBudgetBytes instead of
-// table size. Accesses that genuinely need the whole table — index,
-// view, and partition builds, join build sides, EXISTS probes, index
-// seeks — hydrate the shell on demand by assembling the same
-// point-in-time row set (segment + the redo tail committed when
-// PagedBuilt ran); the hydrated table belongs to the Built, outside the
-// budget.
+// table size; a partition scan is a scan of its base table and pages the
+// same way. Accesses that genuinely need the whole table — index and
+// view builds, join build sides, EXISTS probes, index seeks — hydrate
+// the shell on demand by assembling the same point-in-time row set
+// (segment + the redo tail committed when PagedBuilt ran); the hydrated
+// table belongs to the Built, outside the budget.
 //
 // Unlike Built, the view keeps reading from the store: after an append
 // or a compaction, chunk scans fail with a staleness error (and
