@@ -181,7 +181,9 @@ func (b *Built) PreparedContext(ctx context.Context, plan *optimizer.Plan) (*Pre
 }
 
 // joinTable is a cached hash-join build side: the key column's hash
-// chains over build positions, and nothing else — the probe fills the
+// chains over build positions, and nothing else. The build side is
+// always a whole source, so build position i is the source's row i,
+// the row id the probe emits. The probe fills the
 // inner columns a query references from the source's column vectors (see
 // colFill), so the table holds no rows. Integer keys (the common ID/PID
 // case) use the chained head/next layout of the reference executor —
@@ -193,18 +195,6 @@ type joinTable struct {
 	head    map[int64]int32
 	next    []int32
 	str     map[string][]int32
-	// rids maps a build position to its source row id when the build
-	// covers a subset of the source (a seek-fed build side); nil when
-	// position i is row i.
-	rids []int32
-}
-
-// rid returns the source row id of build position i.
-func (jt *joinTable) rid(i int32) int32 {
-	if jt.rids != nil {
-		return jt.rids[i]
-	}
-	return i
 }
 
 // buildJoinTable hashes the n build positions by key(i), the join

@@ -82,7 +82,7 @@ func fillDB() *rel.Database {
 
 // TestFillMatchesReference runs every tuple source of the batch
 // executor — scan fragments (resident and chunked), a seek driver, hash
-// joins keyed by int and by string and fed by a seek, an INL join, and
+// joins keyed by int and by string, an INL join, and
 // zips of partition groups as a driver and as a hash-join inner — over
 // fillDB, projecting and filtering on the exception-bearing and all-NULL
 // columns, and wants the reference executor's rows bit for bit. The
@@ -138,10 +138,6 @@ func TestFillMatchesReference(t *testing.T) {
 			Where: []sqlast.Pred{{Kind: sqlast.PredJoin, Left: *col("c", "w"), Right: *col("p", "tag")}}}, scanP,
 			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c"},
 				OuterCol: *col("p", "tag"), InnerCol: *col("c", "w")}),
-		"hash-join-seek-fed": plan(seekFedSel, scanP,
-			optimizer.Join{Method: optimizer.JoinHash,
-				Inner:    optimizer.Access{Table: "c", Kind: optimizer.AccessSeek, Index: ixCID, SeekPred: &seekFedSel.Where[1]},
-				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
 		"zip-driver-kernels": plan(&sqlast.Select{Items: []sqlast.SelectItem{item("p", "ID"), item("p", "allnull"), item("p", "x"), item("p", "PID")},
 			From: []string{"p"}, Where: []sqlast.Pred{cmpPred("p", "k", sqlast.OpGe, rel.Int(1)), cmpPred("p", "x", sqlast.OpGe, rel.Int(100))}}, zipP(0)),
 		"zip-two-groups": plan(&sqlast.Select{Items: append([]sqlast.SelectItem{item("p", "tag"), item("p", "k")}, pItems...),
@@ -195,10 +191,18 @@ func TestFillMatchesReference(t *testing.T) {
 			}
 		}
 		// A join on a zip of c and a join on c itself have one build
-		// side: c's PID column, cached once (the seek-fed build stays
-		// private to its plan; "c.w" is the string-keyed join's).
+		// side: c's PID column, cached once ("c.w" is the string-keyed
+		// join's).
 		if keys := built.CacheKeys(); fmt.Sprint(keys) != "[t:c|c:PID t:c|c:w]" {
 			t.Errorf("chunked=%v: join-table cache holds %v", chunked, keys)
+		}
+		// A hash join's build side is a scan: the optimizer never feeds
+		// one from a seek, and Prepare refuses a plan that does.
+		seekFed := plan(seekFedSel, scanP, optimizer.Join{Method: optimizer.JoinHash,
+			Inner:    optimizer.Access{Table: "c", Kind: optimizer.AccessSeek, Index: ixCID, SeekPred: &seekFedSel.Where[1]},
+			OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")})
+		if _, err := Prepare(built, seekFed); err == nil || !strings.Contains(err.Error(), "fed by a seek") {
+			t.Errorf("chunked=%v: prepare of a seek-fed hash join: %v, want a refusal", chunked, err)
 		}
 		// A zip holds the columns of the groups its access names and no
 		// others, for both executors.

@@ -235,9 +235,8 @@ type pipeOp struct {
 	// accounting its inner source incurs (the reference executor
 	// re-scans the build side every execution; the batch executor
 	// charges the same counters but skips the rebuild).
-	jt          *joinTable
-	scanCount   int64 // RowsScanned per run
-	soughtCount int64 // RowsSought per run (seek-fed build side)
+	jt        *joinTable
+	scanCount int64 // RowsScanned per run
 
 	// INL join.
 	bi *builtIndex
@@ -480,11 +479,16 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 		return nil
 	}
 	// Hash join: resolve the inner source, its size, and its key column.
+	// The build side is always a whole table, view, or partition: the
+	// optimizer never feeds a hash join from a seek (scanAccess), and a
+	// plan that does is refused rather than built privately.
+	a := j.Inner
+	if a.Kind == optimizer.AccessSeek {
+		return fmt.Errorf("engine: hash join on %s fed by a seek; a hash join's build side is a scan", a.Table)
+	}
 	var t *rel.Table
 	var srcKey string
 	var n int
-	var rids []int32 // seek-fed build: position -> row id
-	a := j.Inner
 	if len(a.Groups) > 0 {
 		// A partition's build side is its base table's: both share one
 		// cached join table, and only the per-run scan accounting differs.
@@ -504,47 +508,20 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 			return err
 		}
 		op.inner = sc.add(a.Table, colNames(t))
-		if a.Kind == optimizer.AccessSeek {
-			// A seek-fed hash build: not produced by today's optimizer,
-			// but the reference path supports it. The seek restricts the
-			// build rows, so the table stays private to this plan.
-			bi := b.Index(a.Index)
-			if bi == nil {
-				return fmt.Errorf("engine: index %s not built", a.Index.Name)
-			}
-			if a.SeekPred == nil {
-				return fmt.Errorf("engine: seek access without predicate on %s", a.Table)
-			}
-			ids := bi.seekRange(opFromCmp(a.SeekPred.Op), a.SeekPred.Value)
-			n = len(ids)
-			rids = make([]int32, n)
-			for i, id := range ids {
-				rids[i] = int32(id)
-			}
-			op.soughtCount = int64(n)
-		} else {
-			n = t.RowCount()
-			if b.ViewTable(a.Table) != nil {
-				srcKey = "v:" + a.Table
-			} else {
-				srcKey = "t:" + a.Table
-			}
-			op.scanCount = int64(n)
+		n, srcKey = t.RowCount(), "t:"+a.Table
+		if b.ViewTable(a.Table) != nil {
+			srcKey = "v:" + a.Table
 		}
+		op.scanCount = int64(n)
 	}
 	op.innerTable = t
 	ji, ok := op.inner.cols[j.InnerCol.Column]
 	if !ok {
 		return fmt.Errorf("engine: join column %s missing from %s", j.InnerCol, j.Inner.Table)
 	}
-	if srcKey != "" {
-		op.jt, err = b.hashJoinTable(srcKey, j.InnerCol.Column, n, func(i int) rel.Value { return t.ValueAt(i, ji) })
-		if err != nil {
-			return err
-		}
-	} else {
-		op.jt = buildJoinTable(n, func(i int) rel.Value { return t.ValueAt(int(rids[i]), ji) })
-		op.jt.rids = rids
+	op.jt, err = b.hashJoinTable(srcKey, j.InnerCol.Column, n, func(i int) rel.Value { return t.ValueAt(i, ji) })
+	if err != nil {
+		return err
 	}
 	pb.ops = append(pb.ops, op)
 	return nil
@@ -622,11 +599,9 @@ func (pb *preparedBranch) initPool() {
 func (pb *preparedBranch) precharge(st *ExecStats) {
 	for i := range pb.ops {
 		op := &pb.ops[i]
-		if op.kind != pipeHashJoin {
-			continue
+		if op.kind == pipeHashJoin {
+			st.RowsScanned += op.scanCount
 		}
-		st.RowsScanned += op.scanCount
-		st.RowsSought += op.soughtCount
 	}
 }
 
@@ -798,12 +773,12 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 					}
 				case !jt.intKeys:
 					for _, i := range jt.str[v.String()] {
-						emit(orow, jt.rid(i))
+						emit(orow, i)
 					}
 				case v.Typ == rel.TInt:
 					i, ok := jt.head[v.I]
 					for ok && i >= 0 {
-						emit(orow, jt.rid(i))
+						emit(orow, i)
 						i = jt.next[i]
 					}
 				}

@@ -9,11 +9,10 @@ import (
 	"repro/internal/rel"
 )
 
-// Chunked segment format (version 2). Version 1 serializes a whole
-// table as one checksummed blob, which forces the entire table into
-// memory to verify or serve any of it. Version 2 splits the rows into
-// fixed-size chunks so the pager can load, verify, and evict them
-// independently under a memory budget:
+// Chunked segment format (version 2), the only segment format this
+// package reads or writes. It splits a table's rows into fixed-size
+// chunks so the pager can load, verify, and evict them independently
+// under a memory budget:
 //
 //	file      := directory | chunk...
 //	directory := "XCSG" | u32 version | u64 len | u32 CRC | dirPayload
@@ -39,8 +38,9 @@ import (
 // dictionary in first-appearance order within the chunk, making each
 // chunk a self-contained, independently verifiable table fragment:
 // per-chunk CRC, then bounds-checked decode, then full
-// rel.TableFromSnapshot structural validation, exactly the chain whole
-// segments go through.
+// rel.TableFromSnapshot structural validation. Version 1 was a
+// whole-table blob; Open refuses a store that still holds one with
+// ErrUnsupportedFormat.
 const ChunkSegmentVersion = 2
 
 // DefaultChunkRows is the chunk size Save uses when Options.ChunkRows
@@ -174,16 +174,10 @@ func encodeChunkPayload(part *rel.TableSnapshot) []byte {
 // data (a chunked segment's directory). It returns the payload and the
 // total framed length consumed.
 func openEnvelopePrefix(kind string, magic [4]byte, version uint32, data []byte) (payload []byte, consumed int64, err error) {
-	if len(data) < envelopeSize {
-		return nil, 0, fmt.Errorf("storage: %s truncated: %d bytes, need at least %d", kind, len(data), envelopeSize)
+	n, err := envelopeLen(kind, magic, version, data)
+	if err != nil {
+		return nil, 0, err
 	}
-	if [4]byte(data[:4]) != magic {
-		return nil, 0, fmt.Errorf("storage: not a %s (magic %q)", kind, data[:4])
-	}
-	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
-		return nil, 0, fmt.Errorf("storage: unsupported %s format version %d (this build reads version %d)", kind, v, version)
-	}
-	n := binary.LittleEndian.Uint64(data[8:16])
 	if n > uint64(len(data)-envelopeSize) {
 		return nil, 0, fmt.Errorf("storage: %s payload length %d exceeds remaining %d bytes", kind, n, len(data)-envelopeSize)
 	}
@@ -197,8 +191,8 @@ func openEnvelopePrefix(kind string, magic [4]byte, version uint32, data []byte)
 
 // decodeChunkedDir parses and validates a chunked segment's directory.
 // data may be the whole file or any prefix that covers the directory.
-// Like DecodeSegment, it tolerates arbitrary input: every read is
-// bounds-checked and allocation sizes are capped by the payload.
+// It tolerates arbitrary input: every read is bounds-checked and
+// allocation sizes are capped by the payload.
 func decodeChunkedDir(data []byte) (*chunkedDir, error) {
 	payload, consumed, err := openEnvelopePrefix("chunked segment directory", chunkDirMagic, ChunkSegmentVersion, data)
 	if err != nil {
@@ -332,8 +326,7 @@ func (d *chunkedDir) fileSize() int64 {
 // hashed, so the payload is not hashed a second time), a bounds-checked
 // walk of every column region, and for each column in cols a decode of
 // its vectors and rel's structural validation (AdoptColumn, the check
-// TableFromSnapshot runs) — the same chain a whole version-1 segment
-// goes through, at chunk granularity. A column outside cols is walked
+// TableFromSnapshot runs). A column outside cols is walked
 // with the same bounds checks and nothing is allocated for it. The
 // returned fragment holds exactly the columns in cols, self-contained
 // (local dictionary, local exception rows, generation 0) and ready to
@@ -481,8 +474,8 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 // DecodeChunkedSegment parses a whole chunked segment file back into a
 // full-table snapshot: directory, every chunk through the per-chunk
 // verification chain, then reassembly. Callers must still run the
-// result through rel.TableFromSnapshot (exactly like DecodeSegment);
-// the native fuzz target FuzzChunkDecode hammers this entry point.
+// result through rel.TableFromSnapshot; the native fuzz target
+// FuzzChunkDecode hammers this entry point.
 func DecodeChunkedSegment(data []byte) (*rel.TableSnapshot, error) {
 	d, err := decodeChunkedDir(data)
 	if err != nil {

@@ -105,9 +105,8 @@ func TestChunkedRejectsBadChunkSize(t *testing.T) {
 	}
 }
 
-// TestChunkedGolden pins the chunked wire format byte for byte, like
-// TestSegmentGolden pins version 1: any change must come with a
-// version bump and regenerated goldens
+// TestChunkedGolden pins the chunked wire format byte for byte: any
+// change must come with a version bump and regenerated goldens
 // (go test ./internal/storage -run ChunkedGolden -update).
 func TestChunkedGolden(t *testing.T) {
 	for _, tb := range fixtureDB().Tables() {

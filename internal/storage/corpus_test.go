@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -19,7 +20,8 @@ func corpusEntry(data []byte) []byte {
 // TestFuzzCorpusChecked pins the checked-in fuzz corpora under
 // testdata/fuzz/: the interesting wire-format shapes are committed so
 // CI fuzz-smoke starts from real coverage instead of an empty corpus.
-// Regenerate with -update after a (version-bumped) format change.
+// Regenerate with -update after a (version-bumped) format change; the
+// version-1 redo seeds stay as inputs FuzzRedoDecode must reject.
 func TestFuzzCorpusChecked(t *testing.T) {
 	chunked := func(tb *rel.Table, rows int) []byte {
 		enc, err := EncodeChunkedSegment(tb.Snapshot(), rows)
@@ -39,9 +41,6 @@ func TestFuzzCorpusChecked(t *testing.T) {
 		{rel.NullOf(rel.TInt), rel.Str("z")},
 	})...)
 	batched = append(batched, encodeRedoFooter(3)...)
-	single := emptyLegacyRedoLog()[:redoHeaderSize]
-	single = append(single, encodeLegacyRedoRecord("book", []rel.Value{rel.Int(1), rel.Str("x")})...)
-	single = append(single, encodeRedoFooter(1)...)
 
 	corpora := map[string]map[string][]byte{
 		"FuzzChunkDecode": {
@@ -52,15 +51,17 @@ func TestFuzzCorpusChecked(t *testing.T) {
 			"truncated-book": chunked(book, 64)[:envelopeSize+9],
 		},
 		"FuzzRedoDecode": {
-			"empty-v1":   emptyLegacyRedoLog(),
+			"empty-v1":   legacyRedoLog("book"),
 			"empty-v2":   emptyRedoLog(),
-			"single-v1":  single,
+			"single-v1":  legacyRedoLog("book", []rel.Value{rel.Int(1), rel.Str("x")}),
 			"batched-v2": batched,
 		},
-		"FuzzSegmentDecode": {
-			"book":  encodeLegacySegment(book.Snapshot()),
-			"empty": encodeLegacySegment(empty.Snapshot()),
-		},
+	}
+	// The version-1 redo seeds are inputs the reader must refuse.
+	for _, name := range []string{"empty-v1", "single-v1"} {
+		if _, err := readRedo(corpora["FuzzRedoDecode"][name]); !errors.Is(err, ErrUnsupportedFormat) {
+			t.Errorf("redo seed %s: %v, want ErrUnsupportedFormat", name, err)
+		}
 	}
 	for fuzzName, entries := range corpora {
 		for name, data := range entries {

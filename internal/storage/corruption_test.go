@@ -258,19 +258,6 @@ func TestCorruptionNeverLies(t *testing.T) {
 	})
 }
 
-// TestCorruptionNeverLiesV1 keeps the legacy formats under the same
-// battery through the only code that still reads them, the conversion
-// in Open: every flipped or truncated byte of a checked-in legacy store
-// is a clean error or the exact rows it held. The base copy is never
-// opened (that would convert it); each trial converts its own clone.
-func TestCorruptionNeverLiesV1(t *testing.T) {
-	for i, name := range legacyStores {
-		t.Run(name, func(t *testing.T) {
-			corruptionSweep(t, copyLegacyStore(t, name), legacyWant(name), 120, 29+int64(i))
-		})
-	}
-}
-
 // TestCorruptionNeverLiesCompacted runs the battery over a compacted
 // multi-chunk store (epoch-1 file names, per-chunk checksums, fresh
 // redo tail), plus the compaction-specific worst cases: stray files
@@ -330,39 +317,27 @@ func TestCorruptionNeverLiesCompacted(t *testing.T) {
 
 // TestTruncatedSegmentWrongRowCount pins the specific disaster the
 // issue calls out: a truncated segment must never open as a table with
-// fewer rows than the manifest promises — in the chunked format, or in
-// a legacy store on its way through the conversion.
+// fewer rows than the manifest promises.
 func TestTruncatedSegmentWrongRowCount(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		base func(t *testing.T) string
-	}{
-		{"chunked", func(t *testing.T) string {
-			base := t.TempDir()
-			saveFixtureWithRedo(t, base, Options{ChunkRows: 64})
-			return base
-		}},
-		{"v1", func(t *testing.T) string { return copyLegacyStore(t, "legacy") }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			base := tc.base(t)
-			seg := filepath.Join(base, "t0000.seg")
-			data, err := os.ReadFile(seg)
-			if err != nil {
+	t.Run("chunked", func(t *testing.T) {
+		base := t.TempDir()
+		saveFixtureWithRedo(t, base, Options{ChunkRows: 64})
+		seg := filepath.Join(base, "t0000.seg")
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for cut := 0; cut < len(data); cut += 7 {
+			if err := os.WriteFile(seg, data[:cut], 0o644); err != nil {
 				t.Fatal(err)
 			}
-			for cut := 0; cut < len(data); cut += 7 {
-				if err := os.WriteFile(seg, data[:cut], 0o644); err != nil {
-					t.Fatal(err)
-				}
-				st, err := Open(base, Options{})
-				if err != nil {
-					continue
-				}
-				if tb, err := st.Table("book"); err == nil {
-					t.Fatalf("truncation at %d served table with %d rows", cut, tb.RowCount())
-				}
+			st, err := Open(base, Options{})
+			if err != nil {
+				continue
 			}
-		})
-	}
+			if tb, err := st.Table("book"); err == nil {
+				t.Fatalf("truncation at %d served table with %d rows", cut, tb.RowCount())
+			}
+		}
+	})
 }

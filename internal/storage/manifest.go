@@ -35,14 +35,12 @@ type TableEntry struct {
 	File string `json:"file"`
 	// Size is the segment file's full length. CRC is the CRC32-C of
 	// just the framed directory (chunk bodies carry their own checksums
-	// in the directory, so lazy loads never hash the whole file) — or,
-	// in a legacy store Open has yet to convert, of the whole file of a
-	// version-1 segment.
+	// in the directory, so lazy loads never hash the whole file).
 	Size int64  `json:"size"`
 	CRC  uint32 `json:"crc"`
 	// ChunkRows and Dir describe the chunked segment: rows per chunk
-	// and the framed directory length. Both are zero only for a
-	// version-1 whole-table segment, which no live Store ever holds.
+	// and the framed directory length. A zero ChunkRows marks a
+	// version-1 whole-table segment, which Open refuses.
 	ChunkRows int   `json:"chunkRows,omitempty"`
 	Dir       int64 `json:"dir,omitempty"`
 	// Rows, Generation, and Bytes pin the decoded table's shape: a
@@ -58,9 +56,8 @@ type TableEntry struct {
 // creation order), the chosen physical design, and a rendering of the
 // logical design (the mapping's SQL schema) for operators.
 type Manifest struct {
-	// FormatVersion is the segment format the store was written with:
-	// ChunkSegmentVersion, or SegmentVersion (whole-table blobs) in a
-	// legacy store before Open converts it.
+	// FormatVersion is the segment format the store was written with;
+	// Open reads only ChunkSegmentVersion.
 	FormatVersion int `json:"formatVersion"`
 	// Epoch counts compactions: each redo-log fold writes a new
 	// generation of segment files named for the epoch and bumps it.
@@ -110,8 +107,8 @@ func decodeManifest(data []byte) (*Manifest, error) {
 	if err := json.Unmarshal(payload, m); err != nil {
 		return nil, fmt.Errorf("storage: corrupt manifest: %w", err)
 	}
-	if m.FormatVersion != SegmentVersion && m.FormatVersion != ChunkSegmentVersion {
-		return nil, fmt.Errorf("storage: manifest says segment format %d, this build reads %d and %d", m.FormatVersion, SegmentVersion, ChunkSegmentVersion)
+	if m.FormatVersion != ChunkSegmentVersion {
+		return nil, fmt.Errorf("%w: manifest says segment format %d, this build reads format %d", ErrUnsupportedFormat, m.FormatVersion, ChunkSegmentVersion)
 	}
 	if m.Epoch < 0 {
 		return nil, fmt.Errorf("storage: corrupt manifest: negative epoch %d", m.Epoch)
@@ -138,14 +135,14 @@ func decodeManifest(data []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("storage: corrupt manifest: table %q has impossible shape (rows %d, size %d, bytes %d, generation %d)",
 				e.Name, e.Rows, e.Size, e.Bytes, e.Generation)
 		}
-		if e.ChunkRows < 0 || (e.ChunkRows > 0 && e.ChunkRows%64 != 0) {
+		if e.ChunkRows == 0 {
+			return nil, fmt.Errorf("%w: table %q is a whole-table segment (segment format 1), this build reads format %d", ErrUnsupportedFormat, e.Name, ChunkSegmentVersion)
+		}
+		if e.ChunkRows < 0 || e.ChunkRows%64 != 0 {
 			return nil, fmt.Errorf("storage: corrupt manifest: table %q chunk size %d is not a positive multiple of 64", e.Name, e.ChunkRows)
 		}
-		if e.ChunkRows > 0 && (e.Dir < envelopeSize || e.Dir > e.Size) {
+		if e.Dir < envelopeSize || e.Dir > e.Size {
 			return nil, fmt.Errorf("storage: corrupt manifest: table %q directory length %d is impossible for a %d-byte segment", e.Name, e.Dir, e.Size)
-		}
-		if e.ChunkRows == 0 && e.Dir != 0 {
-			return nil, fmt.Errorf("storage: corrupt manifest: table %q has a directory length %d but no chunk size", e.Name, e.Dir)
 		}
 	}
 	if err := checkFileName(m.RedoFile); err != nil {

@@ -14,37 +14,29 @@ import (
 // exactly where they were before the restart. Layout:
 //
 //	"XRDO" | u32 version | record... | footer
-//	v1 record body := string table name | uvarint value count | value...
-//	v2 record body := string table name | uvarint row count |
-//	                  (uvarint value count | value...)...
 //	record := u32 body length | u32 CRC32-C of body | body
+//	body   := string table name | uvarint row count |
+//	          (uvarint value count | value...)...
 //	footer := "XEND" | u32 row count | u32 CRC32-C of footer prefix
 //
-// Version 2 (the group-commit format) frames one record per batch of
-// rows appended to the same table under a single fsync, and is the only
-// framing this package writes. Version 1 framed one row per record; it
-// is read-only — readRedo still verifies and decodes it so that Open can
-// convert such a store (convert.go), and nothing appends to it. The
-// footer always counts rows, so the bounded-replay guarantee is
-// framing-independent.
+// Each record is one batch of rows appended to the same table under a
+// single fsync (group commit). Records are self-checksummed, and the
+// footer pins the row count: an append overwrites the old footer with
+// the new record and writes a fresh footer after it. Truncating the
+// file anywhere — even exactly at a record boundary — removes or
+// damages the footer, so readRedo reports an error instead of silently
+// replaying a prefix.
 //
-// Records are self-checksummed, and the footer pins the row count: an
-// append overwrites the old footer with the new record and writes a
-// fresh footer after it. Truncating the file anywhere — even exactly
-// at a record boundary — removes or damages the footer, so readRedo
-// reports an error instead of silently replaying a prefix. A crash
-// mid-append likewise leaves a damaged tail and the store refuses to
-// open (the append was never acknowledged, so no acknowledged write is
-// lost).
+// The overwrite is also the log's weak point: a crash in the middle of
+// an append leaves no valid footer, and Open then refuses the whole
+// store — every batch acknowledged before the crash included — rather
+// than replaying the last commit (ROADMAP item 1 moves the commit point
+// past the old footer so only the torn append is lost).
 
-// RedoVersion is the original one-row-per-record redo format, which
-// readRedo accepts and nothing writes. RedoBatchVersion frames one
-// record per group-committed batch: every log Save, compaction, and the
-// conversion of a legacy store create, and every append, uses it.
-const (
-	RedoVersion      = 1
-	RedoBatchVersion = 2
-)
+// RedoBatchVersion is the redo log format: one record per
+// group-committed batch. Version 1 framed one row per record; readRedo
+// refuses it, like any other version, with ErrUnsupportedFormat.
+const RedoBatchVersion = 2
 
 var (
 	redoMagic    = [4]byte{'X', 'R', 'D', 'O'}
@@ -64,14 +56,6 @@ type redoRecord struct {
 	Row   []rel.Value
 }
 
-// encodeRedoHeader returns the 8-byte file header for the given format
-// version.
-func encodeRedoHeader(version uint32) []byte {
-	out := make([]byte, 0, redoHeaderSize)
-	out = append(out, redoMagic[:]...)
-	return binary.LittleEndian.AppendUint32(out, version)
-}
-
 // encodeRedoFooter returns the commit marker for a log holding count
 // records.
 func encodeRedoFooter(count uint32) []byte {
@@ -82,9 +66,10 @@ func encodeRedoFooter(count uint32) []byte {
 }
 
 // emptyRedoLog is the initial file Save and every epoch publish write:
-// batch-framed header plus a zero-record footer.
+// the header plus a zero-record footer.
 func emptyRedoLog() []byte {
-	return append(encodeRedoHeader(RedoBatchVersion), encodeRedoFooter(0)...)
+	out := binary.LittleEndian.AppendUint32(append([]byte(nil), redoMagic[:]...), RedoBatchVersion)
+	return append(out, encodeRedoFooter(0)...)
 }
 
 // frameRedoBody wraps a record body with its length and checksum.
@@ -96,7 +81,7 @@ func frameRedoBody(body []byte) []byte {
 }
 
 // encodeRedoBatchRecord frames a batch of rows appended to one table
-// as a single checksummed v2 record.
+// as a single checksummed record.
 func encodeRedoBatchRecord(table string, rows [][]rel.Value) []byte {
 	var body []byte
 	body = appendString(body, table)
@@ -110,30 +95,28 @@ func encodeRedoBatchRecord(table string, rows [][]rel.Value) []byte {
 	return frameRedoBody(body)
 }
 
-// readRedo parses a redo log file's full contents and reports the
-// file's format version (Open converts a version-1 store). Any
-// structural damage — bad magic, wrong version, truncated record,
-// checksum mismatch, missing or disagreeing footer, garbage body — is
-// an error; the caller treats the store as unopenable rather than
-// replaying a prefix silently. Batched v2 records are flattened to one
-// redoRecord per row, in order.
-func readRedo(data []byte) ([]redoRecord, uint32, error) {
+// readRedo parses a redo log file's full contents. Any structural
+// damage — bad magic, truncated record, checksum mismatch, missing or
+// disagreeing footer, garbage body — is an error, and a version other
+// than RedoBatchVersion is ErrUnsupportedFormat; the caller treats the
+// store as unopenable rather than replaying a prefix silently. Batched
+// records are flattened to one redoRecord per row, in order.
+func readRedo(data []byte) ([]redoRecord, error) {
 	if len(data) < redoHeaderSize+redoFooterSize {
-		return nil, 0, fmt.Errorf("storage: redo log truncated: %d bytes, need at least %d", len(data), redoHeaderSize+redoFooterSize)
+		return nil, fmt.Errorf("storage: redo log truncated: %d bytes, need at least %d", len(data), redoHeaderSize+redoFooterSize)
 	}
 	if [4]byte(data[:4]) != redoMagic {
-		return nil, 0, fmt.Errorf("storage: not a redo log (magic %q)", data[:4])
+		return nil, fmt.Errorf("storage: not a redo log (magic %q)", data[:4])
 	}
-	version := binary.LittleEndian.Uint32(data[4:8])
-	if version != RedoVersion && version != RedoBatchVersion {
-		return nil, 0, fmt.Errorf("storage: unsupported redo log format version %d (this build reads versions %d and %d)", version, RedoVersion, RedoBatchVersion)
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != RedoBatchVersion {
+		return nil, fmt.Errorf("%w: redo log version %d, this build reads version %d", ErrUnsupportedFormat, v, RedoBatchVersion)
 	}
 	foot := data[len(data)-redoFooterSize:]
 	if [4]byte(foot[:4]) != redoEndMagic {
-		return nil, 0, fmt.Errorf("storage: redo log has no commit footer (truncated or crashed mid-append)")
+		return nil, fmt.Errorf("storage: redo log has no commit footer (truncated or crashed mid-append)")
 	}
 	if got, want := crc32.Checksum(foot[:8], crcTable), binary.LittleEndian.Uint32(foot[8:]); got != want {
-		return nil, 0, fmt.Errorf("storage: redo log footer checksum mismatch: footer says %08x, hashes to %08x", want, got)
+		return nil, fmt.Errorf("storage: redo log footer checksum mismatch: footer says %08x, hashes to %08x", want, got)
 	}
 	count := binary.LittleEndian.Uint32(foot[4:8])
 	var recs []redoRecord
@@ -141,70 +124,32 @@ func readRedo(data []byte) ([]redoRecord, uint32, error) {
 	end := len(data) - redoFooterSize
 	for off < end {
 		if end-off < 8 {
-			return nil, 0, fmt.Errorf("storage: redo log truncated at offset %d: partial record header", off)
+			return nil, fmt.Errorf("storage: redo log truncated at offset %d: partial record header", off)
 		}
 		n := int(binary.LittleEndian.Uint32(data[off:]))
 		want := binary.LittleEndian.Uint32(data[off+4:])
 		off += 8
 		if n < 0 || n > end-off {
-			return nil, 0, fmt.Errorf("storage: redo log truncated at offset %d: record body of %d bytes exceeds file", off, n)
+			return nil, fmt.Errorf("storage: redo log truncated at offset %d: record body of %d bytes exceeds file", off, n)
 		}
 		body := data[off : off+n]
 		if got := crc32.Checksum(body, crcTable); got != want {
-			return nil, 0, fmt.Errorf("storage: redo record at offset %d checksum mismatch: record says %08x, body hashes to %08x", off, want, got)
+			return nil, fmt.Errorf("storage: redo record at offset %d checksum mismatch: record says %08x, body hashes to %08x", off, want, got)
 		}
-		if version == RedoVersion {
-			rec, err := decodeRedoBody(body)
-			if err != nil {
-				return nil, 0, fmt.Errorf("storage: redo record at offset %d: %w", off, err)
-			}
-			recs = append(recs, rec)
-		} else {
-			batch, err := decodeRedoBatchBody(body)
-			if err != nil {
-				return nil, 0, fmt.Errorf("storage: redo record at offset %d: %w", off, err)
-			}
-			recs = append(recs, batch...)
+		batch, err := decodeRedoBatchBody(body)
+		if err != nil {
+			return nil, fmt.Errorf("storage: redo record at offset %d: %w", off, err)
 		}
+		recs = append(recs, batch...)
 		off += n
 	}
 	if uint32(len(recs)) != count {
-		return nil, 0, fmt.Errorf("storage: redo log holds %d rows, footer says %d", len(recs), count)
+		return nil, fmt.Errorf("storage: redo log holds %d rows, footer says %d", len(recs), count)
 	}
-	return recs, version, nil
+	return recs, nil
 }
 
-// decodeRedoBody parses one checksum-verified version-1 record body.
-func decodeRedoBody(body []byte) (redoRecord, error) {
-	r := &reader{buf: body, kind: "redo record"}
-	var rec redoRecord
-	rec.Table = r.str("table name")
-	if r.err == nil && rec.Table == "" {
-		r.failf("empty table name")
-	}
-	nvals := r.uvarint("value count")
-	if r.err == nil && nvals > uint64(r.remaining()) {
-		// Each value costs at least 11 body bytes; cheap sanity bound
-		// before allocating.
-		r.failf("value count %d exceeds remaining body %d", nvals, r.remaining())
-	}
-	if r.err != nil {
-		return redoRecord{}, r.err
-	}
-	rec.Row = make([]rel.Value, nvals)
-	for i := range rec.Row {
-		rec.Row[i] = r.value(true)
-	}
-	if r.err != nil {
-		return redoRecord{}, r.err
-	}
-	if r.remaining() != 0 {
-		return redoRecord{}, r.failf("%d trailing bytes after row values", r.remaining())
-	}
-	return rec, nil
-}
-
-// decodeRedoBatchBody parses one checksum-verified v2 record body into
+// decodeRedoBatchBody parses one checksum-verified record body into
 // one redoRecord per row.
 func decodeRedoBatchBody(body []byte) ([]redoRecord, error) {
 	r := &reader{buf: body, kind: "redo record"}

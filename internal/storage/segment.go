@@ -1,10 +1,11 @@
 // Package storage is the durable layer under internal/rel: it
 // serializes each table's columnar state (typed vectors, null bitmaps,
 // string dictionaries, bit-faithfulness exceptions) into versioned,
-// checksummed binary segment files, records the schema and the chosen
+// checksummed chunked segment files, records the schema and the chosen
 // physical design in a manifest, and reopens the whole store with lazy
-// per-table segment loading plus a redo log so generation counters
-// replay deterministically across restarts.
+// chunk-by-chunk loading plus a redo log so generation counters replay
+// deterministically across restarts. Open reads exactly the formats
+// Save writes; any other version is ErrUnsupportedFormat.
 //
 // Durability model: Save writes every segment, then the redo log, then
 // the manifest last (via rename). A crash mid-save leaves no readable
@@ -24,18 +25,9 @@ import (
 	"repro/internal/rel"
 )
 
-// SegmentVersion is the whole-table segment format: one checksummed
-// blob per table. Nothing writes it — DecodeSegment reads it so
-// that Open can convert a store that still holds such segments
-// (convert.go); ChunkSegmentVersion is the format stores are written in.
-const SegmentVersion = 1
-
-// segMagic brands segment files. The envelope shared by all storage
-// files is: magic (4 bytes) | u32 version | u64 payload length |
+// envelopeSize is the fixed byte cost of the envelope shared by every
+// storage file: magic (4 bytes) | u32 version | u64 payload length |
 // u32 CRC32-C of payload | payload.
-var segMagic = [4]byte{'X', 'S', 'E', 'G'}
-
-// envelopeSize is the fixed byte cost of the file envelope.
 const envelopeSize = 4 + 4 + 8 + 4
 
 // crcTable is the Castagnoli polynomial table shared by every
@@ -53,24 +45,34 @@ func wrapEnvelope(magic [4]byte, version uint32, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// envelopePayload checks the frame's magic, version, and length and
-// returns the payload without hashing it. kind names the file type in
-// errors ("segment", "manifest"). Only a caller that has already
-// verified a checksum over the whole frame may stop here (a chunk,
-// whose directory entry hashes the frame, envelope CRC field included);
-// everyone else goes through openEnvelope.
-func envelopePayload(kind string, magic [4]byte, version uint32, data []byte) ([]byte, error) {
+// envelopeLen checks a frame's size, magic, and version and returns the
+// payload length its header declares. kind names the file type in
+// errors ("manifest", "chunk"). Every file kind passes its version
+// through here, so a past or future version of any of them is
+// ErrUnsupportedFormat.
+func envelopeLen(kind string, magic [4]byte, version uint32, data []byte) (uint64, error) {
 	if len(data) < envelopeSize {
-		return nil, fmt.Errorf("storage: %s file truncated: %d bytes, need at least %d", kind, len(data), envelopeSize)
+		return 0, fmt.Errorf("storage: %s truncated: %d bytes, need at least %d", kind, len(data), envelopeSize)
 	}
 	if [4]byte(data[:4]) != magic {
-		return nil, fmt.Errorf("storage: not a %s file (magic %q)", kind, data[:4])
+		return 0, fmt.Errorf("storage: not a %s (magic %q)", kind, data[:4])
 	}
-	v := binary.LittleEndian.Uint32(data[4:8])
-	if v != version {
-		return nil, fmt.Errorf("storage: unsupported %s format version %d (this build reads version %d)", kind, v, version)
+	if v := binary.LittleEndian.Uint32(data[4:8]); v != version {
+		return 0, fmt.Errorf("%w: %s version %d, this build reads version %d", ErrUnsupportedFormat, kind, v, version)
 	}
-	n := binary.LittleEndian.Uint64(data[8:16])
+	return binary.LittleEndian.Uint64(data[8:16]), nil
+}
+
+// envelopePayload checks the frame's magic, version, and length and
+// returns the payload without hashing it. Only a caller that has
+// already verified a checksum over the whole frame may stop here (a
+// chunk, whose directory entry hashes the frame, envelope CRC field
+// included); everyone else goes through openEnvelope.
+func envelopePayload(kind string, magic [4]byte, version uint32, data []byte) ([]byte, error) {
+	n, err := envelopeLen(kind, magic, version, data)
+	if err != nil {
+		return nil, err
+	}
 	payload := data[envelopeSize:]
 	if n != uint64(len(payload)) {
 		return nil, fmt.Errorf("storage: %s payload length %d disagrees with file size (%d bytes after header)", kind, n, len(payload))
@@ -90,70 +92,6 @@ func openEnvelope(kind string, magic [4]byte, version uint32, data []byte) ([]by
 		return nil, fmt.Errorf("storage: %s checksum mismatch: file says %08x, payload hashes to %08x", kind, want, got)
 	}
 	return payload, nil
-}
-
-// DecodeSegment parses a whole-table (SegmentVersion) segment file into
-// a snapshot. It tolerates arbitrary input: every read is bounds-checked, allocation
-// sizes are capped by the remaining payload, and all failures are
-// errors (the native fuzz target FuzzSegmentDecode hammers this).
-// Structural validation beyond the wire shape — bitmap/vector length
-// agreement, dictionary canonicality, exception faithfulness — happens
-// in rel.TableFromSnapshot; callers must run the snapshot through it
-// before using the data.
-func DecodeSegment(data []byte) (*rel.TableSnapshot, error) {
-	payload, err := openEnvelope("segment", segMagic, SegmentVersion, data)
-	if err != nil {
-		return nil, err
-	}
-	r := &reader{buf: payload, kind: "segment"}
-	s := &rel.TableSnapshot{}
-	s.Name = r.str("table name")
-	s.Parent = r.str("parent name")
-	s.Generation = int64(r.uvarint("generation"))
-	rows := r.uvarint("row count")
-	// Each row costs at least one payload byte in the narrowest
-	// encoding (a one-byte varint code), so a row count exceeding the
-	// payload size is garbage; reject before sizing any allocation.
-	if rows > uint64(len(payload)) {
-		return nil, r.failf("row count %d exceeds payload size %d", rows, len(payload))
-	}
-	s.RowCount = int(rows)
-	ncols := r.uvarint("column count")
-	if ncols > uint64(r.remaining()) {
-		return nil, r.failf("column count %d exceeds remaining payload %d", ncols, r.remaining())
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	s.Columns = make([]rel.ColumnSnapshot, 0, ncols)
-	for i := uint64(0); i < ncols && r.err == nil; i++ {
-		var cs rel.ColumnSnapshot
-		cs.Col.Name = r.str("column name")
-		typ := r.byte("column type")
-		nullable := r.byte("nullable flag")
-		if r.err != nil {
-			return nil, r.err
-		}
-		cs.Col.Typ = rel.Type(typ)
-		if nullable > 1 {
-			return nil, r.failf("nullable flag %d is not a boolean", nullable)
-		}
-		cs.Col.Nullable = nullable == 1
-		cs.Col.LeafID = int(r.varint("leaf id"))
-		cs.Col.Occurrence = int(r.uvarint("occurrence"))
-		r.columnData(&cs, rows, true)
-		if r.err != nil {
-			return nil, r.err
-		}
-		s.Columns = append(s.Columns, cs)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.remaining() != 0 {
-		return nil, r.failf("%d trailing bytes after table data", r.remaining())
-	}
-	return s, nil
 }
 
 // appendString writes a uvarint-length-prefixed string.
@@ -263,8 +201,7 @@ func (r *reader) fixed(n uint64, what string) []byte {
 }
 
 // columnData decodes one column's data region — null bitmap, typed
-// payload vector, exceptions — into cs, whose Col is already set. The
-// whole-table and chunked formats lay this region out identically.
+// payload vector, exceptions — into cs, whose Col is already set.
 // Every allocation is sized by a count already checked against the
 // remaining payload. With keep false the region is only walked: every
 // bounds check runs, nothing is allocated, and cs is left as it was —

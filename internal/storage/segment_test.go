@@ -3,106 +3,120 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"flag"
+	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/rel"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden segment files")
 
-func TestSegmentEncodeDeterministic(t *testing.T) {
-	for _, tb := range fixtureDB().Tables() {
-		a := encodeLegacySegment(tb.Snapshot())
-		b := encodeLegacySegment(tb.Snapshot())
-		if !bytes.Equal(a, b) {
-			t.Fatalf("table %q: two encodings of the same table differ", tb.Name)
-		}
+// requireUnsupported asserts err refuses a format version: it wraps
+// ErrUnsupportedFormat and names what was found.
+func requireUnsupported(t *testing.T, what string, err error, wantSub string) {
+	t.Helper()
+	if !errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), wantSub) {
+		t.Fatalf("%s: %v, want ErrUnsupportedFormat naming %q", what, err, wantSub)
 	}
 }
 
-func TestSegmentRoundTrip(t *testing.T) {
-	for _, tb := range fixtureDB().Tables() {
-		snap, err := DecodeSegment(encodeLegacySegment(tb.Snapshot()))
-		if err != nil {
-			t.Fatalf("table %q: %v", tb.Name, err)
-		}
-		got, err := rel.TableFromSnapshot(snap)
-		if err != nil {
-			t.Fatalf("table %q: %v", tb.Name, err)
-		}
-		tablesBitEqual(t, tb, got)
-	}
-}
-
-// TestSegmentGolden pins the read-only whole-table wire format byte for
-// byte. The golden files are frozen (-update does not rewrite them): the
-// product no longer encodes this format, and the test-side encoder must
-// keep producing exactly the bytes DecodeSegment has always read.
-func TestSegmentGolden(t *testing.T) {
-	for _, tb := range fixtureDB().Tables() {
-		enc := encodeLegacySegment(tb.Snapshot())
-		path := filepath.Join("testdata", "golden", tb.Name+".seg")
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(enc, want) {
-			t.Fatalf("table %q: encoding differs from golden file %s (%d vs %d bytes) — format drifted without a version bump",
-				tb.Name, path, len(enc), len(want))
-		}
-		// The golden bytes must also still decode to the fixture.
-		snap, err := DecodeSegment(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rel.TableFromSnapshot(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tablesBitEqual(t, tb, got)
-	}
-}
-
-// TestSegmentVersionBump exercises the forward-compatibility path: a
-// segment from a future format version must be rejected with a
-// descriptive error, not misparsed.
+// TestSegmentVersionBump: every file kind refuses a version this build
+// does not write, past or future, with ErrUnsupportedFormat and a
+// message naming both versions — never a misparse.
 func TestSegmentVersionBump(t *testing.T) {
-	enc := encodeLegacySegment(fixtureDB().Tables()[0].Snapshot())
-	future := append([]byte(nil), enc...)
-	binary.LittleEndian.PutUint32(future[4:8], SegmentVersion+1)
-	_, err := DecodeSegment(future)
-	if err == nil || !strings.Contains(err.Error(), "unsupported segment format version") {
-		t.Fatalf("future-version segment: %v", err)
+	encode := func(man *Manifest) []byte {
+		mb, err := encodeManifest(man)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mb
 	}
-	// Same gate on the other file kinds.
-	man := &Manifest{FormatVersion: SegmentVersion, RedoFile: RedoName}
-	mb, err := encodeManifest(man)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mb := encode(&Manifest{FormatVersion: ChunkSegmentVersion, RedoFile: RedoName})
 	binary.LittleEndian.PutUint32(mb[4:8], ManifestVersion+1)
 	// Re-wrapping is not needed: version is outside the checksummed
 	// payload, so only the version check can fire.
-	if _, err := decodeManifest(mb); err == nil || !strings.Contains(err.Error(), "unsupported manifest format version") {
-		t.Fatalf("future-version manifest: %v", err)
+	_, err := decodeManifest(mb)
+	requireUnsupported(t, "future-version manifest", err, "manifest version 2, this build reads version 1")
+
+	for _, v := range []int{1, ChunkSegmentVersion + 1} {
+		_, err := decodeManifest(encode(&Manifest{FormatVersion: v, RedoFile: RedoName}))
+		requireUnsupported(t, "manifest of another segment format", err, fmt.Sprintf("segment format %d, this build reads format 2", v))
 	}
-	log := emptyRedoLog()
-	binary.LittleEndian.PutUint32(log[4:8], RedoBatchVersion+1)
-	if _, _, err := readRedo(log); err == nil || !strings.Contains(err.Error(), "unsupported redo log format version") {
-		t.Fatalf("future-version redo log: %v", err)
+	// A whole-table entry in a manifest that otherwise claims the chunked
+	// format: the refusal names the table.
+	whole := &Manifest{FormatVersion: ChunkSegmentVersion, RedoFile: RedoName, Tables: []TableEntry{
+		{Name: "book", File: "t0000.seg", Size: 297, Rows: 5, Generation: 5, Bytes: 182},
+	}}
+	_, err = decodeManifest(encode(whole))
+	requireUnsupported(t, "whole-table manifest entry", err, `table "book" is a whole-table segment`)
+
+	for _, v := range []uint32{1, RedoBatchVersion + 1} {
+		log := emptyRedoLog()
+		binary.LittleEndian.PutUint32(log[4:8], v)
+		_, err := readRedo(log)
+		requireUnsupported(t, "redo log of another version", err, fmt.Sprintf("redo log version %d, this build reads version 2", v))
 	}
+
 	chunked, err := EncodeChunkedSegment(fixtureDB().Tables()[0].Snapshot(), 64)
 	if err != nil {
 		t.Fatal(err)
 	}
 	binary.LittleEndian.PutUint32(chunked[4:8], ChunkSegmentVersion+1)
-	if _, err := DecodeChunkedSegment(chunked); err == nil || !strings.Contains(err.Error(), "unsupported chunked segment directory format version") {
-		t.Fatalf("future-version chunked segment: %v", err)
+	_, err = DecodeChunkedSegment(chunked)
+	requireUnsupported(t, "future-version chunked segment", err, "chunked segment directory version 3, this build reads version 2")
+}
+
+// TestOpenRefusesLegacyStore: a store from before the chunked format is
+// refused, not converted. "legacy" holds whole-table segments under a
+// one-row-per-record redo log; "legacy-mixed" is that store after a
+// compaction chunked book and left author whole-table. Open fails with
+// ErrUnsupportedFormat naming the segment format or the table, and
+// writes nothing: every byte of the directory stays as it was.
+func TestOpenRefusesLegacyStore(t *testing.T) {
+	for name, wantSub := range map[string]string{
+		"legacy":       "segment format 1",
+		"legacy-mixed": `table "author"`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := copyStore(t, filepath.Join("testdata", "golden", name))
+			read := func() map[string][]byte {
+				files := make(map[string][]byte)
+				for _, f := range storeFiles(t, dir) {
+					data, err := os.ReadFile(filepath.Join(dir, f))
+					if err != nil {
+						t.Fatal(err)
+					}
+					files[f] = data
+				}
+				return files
+			}
+			before := read()
+			reg := obs.NewRegistry()
+			st, err := Open(dir, Options{Registry: reg})
+			if st != nil {
+				st.Close()
+			}
+			requireUnsupported(t, "Open of "+name, err, wantSub)
+			if n := reg.Counter("storage.save.bytes_written").Value(); n != 0 {
+				t.Fatalf("refused Open wrote %d bytes", n)
+			}
+			after := read()
+			if len(after) != len(before) {
+				t.Fatalf("refused Open changed the file set: %d files, had %d", len(after), len(before))
+			}
+			for f, data := range before {
+				if !bytes.Equal(after[f], data) {
+					t.Fatalf("refused Open changed %s", f)
+				}
+			}
+		})
 	}
 }
 
@@ -112,10 +126,14 @@ func TestSegmentVersionBump(t *testing.T) {
 // envelope of the accounted size (no hidden blow-up, no hidden
 // compression the accounting misses).
 func TestSegmentAccounting(t *testing.T) {
-	for _, tb := range fixtureDB().Tables() {
+	const chunkRows = 64
+	for _, tb := range append(fixtureDB().Tables(), multiChunkDB(200).Tables()...) {
 		snap := tb.Snapshot()
-		enc := encodeLegacySegment(snap)
-		decSnap, err := DecodeSegment(enc)
+		enc, err := EncodeChunkedSegment(snap, chunkRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		decSnap, err := DecodeChunkedSegment(enc)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,20 +146,24 @@ func TestSegmentAccounting(t *testing.T) {
 				tb.Name, dec.Bytes(), dec.Pages(), tb.Bytes(), tb.Pages())
 		}
 		// Structural upper bound on the wire size, computed from the
-		// snapshot shape: envelope + table header + per-column header,
-		// bitmap words, vectors (8 bytes per numeric row, <=5 bytes per
-		// string code), dictionary, and exceptions.
-		bound := envelopeSize + 64 + len(snap.Name) + len(snap.Parent)
+		// snapshot shape: the directory (envelope, table header, one
+		// column descriptor per column, one reference per chunk), then per
+		// chunk an envelope and per column a region header, bitmap words,
+		// vectors (8 bytes per numeric row, <=5 bytes per string code),
+		// the chunk-local dictionary (at worst the whole dictionary in
+		// every chunk), and exceptions.
+		chunks := (snap.RowCount + chunkRows - 1) / chunkRows
+		bound := envelopeSize + 64 + len(snap.Name) + len(snap.Parent) + chunks*(envelopeSize+24)
 		for i := range snap.Columns {
 			cs := &snap.Columns[i]
-			bound += 64 + len(cs.Col.Name) + 8*len(cs.NullWords)
+			bound += 32 + len(cs.Col.Name) + chunks*32 + 8*len(cs.NullWords)
 			switch cs.Col.Typ {
 			case rel.TInt, rel.TFloat:
 				bound += 8 * snap.RowCount
 			case rel.TString:
 				bound += 5 * snap.RowCount
 				for _, d := range cs.Dict {
-					bound += 10 + len(d)
+					bound += chunks * (10 + len(d))
 				}
 			}
 			for _, e := range cs.Exc {
@@ -159,17 +181,18 @@ func TestSegmentAccounting(t *testing.T) {
 }
 
 // TestEnvelopeRejects drives the shared file envelope through its
-// failure modes directly.
+// failure modes directly, framed as a manifest.
 func TestEnvelopeRejects(t *testing.T) {
 	payload := []byte("hello payload")
-	good := wrapEnvelope(segMagic, SegmentVersion, payload)
+	good := wrapEnvelope(manMagic, ManifestVersion, payload)
 	cases := []struct {
 		name    string
 		mutate  func([]byte) []byte
 		wantSub string
 	}{
 		{"too short", func(d []byte) []byte { return d[:envelopeSize-1] }, "truncated"},
-		{"bad magic", func(d []byte) []byte { d[0] ^= 0xff; return d }, "not a segment file"},
+		{"bad magic", func(d []byte) []byte { d[0] ^= 0xff; return d }, "not a manifest"},
+		{"other version", func(d []byte) []byte { d[4]++; return d }, "manifest version 2, this build reads version 1"},
 		{"bad length", func(d []byte) []byte { d[8]++; return d }, "disagrees with file size"},
 		{"flipped payload", func(d []byte) []byte { d[envelopeSize] ^= 1; return d }, "checksum mismatch"},
 		{"flipped crc", func(d []byte) []byte { d[16] ^= 1; return d }, "checksum mismatch"},
@@ -178,13 +201,16 @@ func TestEnvelopeRejects(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			d := tc.mutate(append([]byte(nil), good...))
-			_, err := openEnvelope("segment", segMagic, SegmentVersion, d)
+			_, err := openEnvelope("manifest", manMagic, ManifestVersion, d)
 			if err == nil || !strings.Contains(err.Error(), tc.wantSub) {
 				t.Fatalf("got %v, want error containing %q", err, tc.wantSub)
 			}
+			if unsupported := errors.Is(err, ErrUnsupportedFormat); unsupported != (tc.name == "other version") {
+				t.Fatalf("errors.Is(%v, ErrUnsupportedFormat) = %v", err, unsupported)
+			}
 		})
 	}
-	got, err := openEnvelope("segment", segMagic, SegmentVersion, good)
+	got, err := openEnvelope("manifest", manMagic, ManifestVersion, good)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("intact envelope rejected: %v", err)
 	}

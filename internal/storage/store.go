@@ -20,6 +20,12 @@ import (
 // ErrClosed is returned by every Store operation after Close.
 var ErrClosed = errors.New("storage: store is closed")
 
+// ErrUnsupportedFormat is wrapped by every error that refuses a file for
+// its format version: a manifest, segment, chunk, or redo log written by
+// an older or a newer build. The message names the version found and
+// the one this build reads.
+var ErrUnsupportedFormat = errors.New("storage: unsupported format")
+
 // Options configures Save and Open.
 type Options struct {
 	// Registry receives storage metrics (segment loads, bytes, latency,
@@ -36,10 +42,9 @@ type Options struct {
 	// to their callers and are not counted. Zero or less means
 	// unlimited — every chunk stays resident once faulted.
 	MemBudgetBytes int64
-	// ChunkRows is the rows-per-chunk for segments written by Save,
-	// Compact, and the one-time conversion of a legacy store in Open:
-	// a positive multiple of 64, or zero for DefaultChunkRows. Anything
-	// else is an error from whichever of them writes a segment.
+	// ChunkRows is the rows-per-chunk for segments written by Save and
+	// Compact: a positive multiple of 64, or zero for DefaultChunkRows.
+	// Anything else is an error from whichever of them writes a segment.
 	ChunkRows int
 	// CompactRecords, when positive, auto-compacts the store in the
 	// background once the redo log holds at least this many rows. Zero
@@ -63,9 +68,8 @@ func (o Options) chunkRowsOrDefault() int {
 // Store is an opened on-disk store: the verified manifest, the redo
 // tail, and a budgeted cache of verified chunks (the pager). Segments
 // are read, checksum-verified, and structurally validated chunk by
-// chunk when a caller asks for rows. A live store holds one format
-// only — every manifest entry is a chunked segment and the redo log is
-// batch-framed; Open converts anything older before it returns.
+// chunk when a caller asks for rows. Every manifest entry is a chunked
+// segment and the redo log is batch-framed: Open refuses anything else.
 //
 // The store keeps no assembled table. Every *rel.Table it hands out —
 // from Table, Database, Built, or a PagedBuilt shell's hydration — is
@@ -185,23 +189,11 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 
 // Open reads and verifies the manifest and the redo log. Table
 // segments are not read yet — Table, Database, and Built load them
-// when called, chunk by chunk under the memory budget.
-//
-// Open writes in one case: a store from before the chunked format —
-// its manifest lists a whole-table (version-1) segment, or its redo log
-// is framed one row per record — is converted before Open returns
-// (convertLegacyLocked), because nothing behind this door reads or
-// extends either. The converted store is published as the next epoch
-// the way a compaction is, so a crash part-way reopens to the old store
-// (which converts again) or to the new one, never a mix; if the
-// directory cannot be written, Open fails and says so.
+// when called, chunk by chunk under the memory budget. Open writes
+// nothing. A store in any format other than the one Save writes — a
+// whole-table (version-1) segment, a one-row-per-record redo log, or a
+// version from a later build — fails with ErrUnsupportedFormat.
 func Open(dir string, opts Options) (*Store, error) {
-	return open(dir, opts, nil)
-}
-
-// open is Open with the publish killpoint installed before a conversion
-// can run; tests inject crashes through it.
-func open(dir string, opts Options, kill func(step string) error) (*Store, error) {
 	start := time.Now()
 	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
@@ -216,7 +208,7 @@ func open(dir string, opts Options, kill func(step string) error) (*Store, error
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening redo log: %w", err)
 	}
-	recs, version, err := readRedo(rb)
+	recs, err := readRedo(rb)
 	if err != nil {
 		opts.Registry.Counter("storage.checksum.failures").Inc()
 		return nil, err
@@ -231,16 +223,12 @@ func open(dir string, opts Options, kill func(step string) error) (*Store, error
 		redo:        make(map[string][]redoRecord),
 		redoFootOff: int64(len(rb)) - redoFooterSize,
 		redoCount:   uint32(len(recs)),
-		killCompact: kill,
 	}
 	for _, rec := range recs {
 		if man.Table(rec.Table) == nil {
 			return nil, fmt.Errorf("storage: redo log references unknown table %q", rec.Table)
 		}
 		s.redo[rec.Table] = append(s.redo[rec.Table], rec)
-	}
-	if err := s.convertLegacyLocked(version); err != nil {
-		return nil, err
 	}
 	opts.Registry.Gauge("storage.open.ms").Set(float64(time.Since(start).Nanoseconds()) / 1e6)
 	return s, nil
@@ -330,14 +318,8 @@ func (s *Store) Table(name string) (*rel.Table, error) {
 // other assembly, so whoever receives it owns it. It has no Close fence:
 // the background compaction Close waits out assembles during shutdown.
 func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
-	return s.assembleFrom(s.loadChunkedLocked, e, tail)
-}
-
-// assembleFrom is assembleLocked over a given segment loader; the only
-// other loader is the legacy one the conversion in Open passes.
-func (s *Store) assembleFrom(load func(*TableEntry) (*rel.Table, error), e *TableEntry, tail []redoRecord) (*rel.Table, error) {
 	start := time.Now()
-	t, err := load(e)
+	t, err := s.loadChunkedLocked(e)
 	if err != nil {
 		return nil, err
 	}
@@ -690,7 +672,7 @@ func (s *Store) compact(fence bool) error {
 	if folded == 0 {
 		return nil
 	}
-	if err := s.publishLocked(s.foldTailLocked); err != nil {
+	if err := s.publishLocked(); err != nil {
 		return err
 	}
 	s.reg.Counter("storage.compact.runs").Inc()
@@ -699,28 +681,18 @@ func (s *Store) compact(fence bool) error {
 	return nil
 }
 
-// foldTailLocked is compaction's rewrite rule for publishLocked: a table
-// with a redo tail is assembled with it, any other carries over.
-func (s *Store) foldTailLocked(e *TableEntry) (*rel.Table, error) {
-	if tail := s.redo[e.Name]; len(tail) > 0 {
-		return s.assembleLocked(e, tail)
-	}
-	return nil, nil
-}
-
-// publishLocked moves the store to its next epoch; compaction and the
-// legacy conversion in Open are its two callers. rewrite returns the
-// table an entry's new segment holds — its rows with the redo tail
-// folded in — or nil to carry the entry's file over unchanged. The new
-// segment files are written first, then a fresh empty redo log, then
-// the new manifest is published via temp-file+rename — the atomic
+// publishLocked moves the store to its next epoch for compaction: every
+// table with a redo tail is assembled with it and written to a new
+// segment file, and every other table's file carries over unchanged.
+// The new segment files are written first, then a fresh empty redo log,
+// then the new manifest is published via temp-file+rename — the atomic
 // switch-over. A crash anywhere before the rename leaves the old
 // manifest pointing at the old files, so the store reopens at the old
 // epoch with its full redo tail; a crash after it reopens at the new
 // one with an empty tail. Stray files from an unfinished epoch are
 // ignored by Open, which only reads what the manifest lists. Caller
-// holds flushMu and mu, or is Open, whose store nobody else has yet.
-func (s *Store) publishLocked(rewrite func(e *TableEntry) (*rel.Table, error)) error {
+// holds flushMu and mu.
+func (s *Store) publishLocked() error {
 	step := func(name string) error {
 		if s.killCompact != nil {
 			return s.killCompact(name)
@@ -740,13 +712,14 @@ func (s *Store) publishLocked(rewrite func(e *TableEntry) (*rel.Table, error)) e
 	var obsolete, rewritten []string
 	for i := range s.man.Tables {
 		e := s.man.Tables[i]
-		t, err := rewrite(&e)
-		if err != nil {
-			return err
-		}
-		if t == nil {
+		tail := s.redo[e.Name]
+		if len(tail) == 0 {
 			newMan.Tables = append(newMan.Tables, e)
 			continue
+		}
+		t, err := s.assembleLocked(&e, tail)
+		if err != nil {
+			return err
 		}
 		if err := step("segment:" + e.Name); err != nil {
 			return err

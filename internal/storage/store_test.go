@@ -577,3 +577,33 @@ func TestPostCloseOperationsFence(t *testing.T) {
 		}
 	}
 }
+
+// TestNegativeChunkRowsIsAnError: ChunkRows < 0 selects nothing — it is
+// an invalid chunk size wherever a segment would be written (Save,
+// Compact), and nothing is published.
+func TestNegativeChunkRowsIsAnError(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Save(dir, fixtureBuilt(t), Options{ChunkRows: -1}); err == nil || !strings.Contains(err.Error(), "chunk size -1") {
+		t.Fatalf("Save with ChunkRows -1: %v, want a chunk-size error", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
+		t.Fatal("failed Save published a manifest")
+	}
+	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{ChunkRows: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Append("book", bookRow(6)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Compact(); err == nil || !strings.Contains(err.Error(), "chunk size -1") {
+		t.Fatalf("Compact with ChunkRows -1: %v, want a chunk-size error", err)
+	}
+	if st.Manifest().Epoch != 0 || st.RedoRows() != 1 {
+		t.Fatalf("failed Compact moved the store: epoch %d, %d redo rows", st.Manifest().Epoch, st.RedoRows())
+	}
+}

@@ -50,8 +50,9 @@ func Translate(m *shred.Mapping, q *xpath.Query) (*sqlast.Query, error) {
 	}
 	if len(out.Branches) == 0 {
 		// All partitions pruned: the query provably returns nothing
-		// from this mapping; emit a single never-matching branch so the
-		// statement stays well-formed.
+		// from this mapping. That is reported as an error, not as an
+		// empty query; ROADMAP item 2(b) turns it into a query with
+		// zero branches.
 		return nil, fmt.Errorf("translate: query %s selects nothing under this mapping", q)
 	}
 	if err := out.Validate(); err != nil {
