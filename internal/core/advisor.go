@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -174,7 +173,7 @@ type Result struct {
 	Metrics Metrics
 }
 
-// Advisor runs the search algorithms.
+// Advisor runs the search algorithms. Create one with New.
 type Advisor struct {
 	// Base is the starting annotated schema (hybrid inlining).
 	Base *schema.Tree
@@ -185,17 +184,16 @@ type Advisor struct {
 	// Opts configures the run.
 	Opts Options
 
-	// svc is the shared evaluation service (worker pool + memoization
-	// cache), created lazily; it persists across strategy runs so
-	// Greedy, Naive-Greedy, and Two-Step on one advisor reuse each
-	// other's evaluations.
-	svcOnce sync.Once
-	svc     *evalService
+	// The shared evaluation service (worker pool + memoization caches),
+	// made by New from Opts.
+	*evalService
 }
 
 // New creates an advisor.
 func New(base *schema.Tree, col *stats.Collection, w *workload.Workload, opts Options) *Advisor {
-	return &Advisor{Base: base, Col: col, W: w, Opts: opts}
+	a := &Advisor{Base: base, Col: col, W: w, Opts: opts}
+	a.evalService = newEvalService(a)
+	return a
 }
 
 // physOpts derives the tool options, subtracting the data size of the
@@ -290,14 +288,6 @@ type evalResult struct {
 	sqls    []*sqlast.Query
 	rec     *physdesign.Recommendation
 	cost    float64
-}
-
-// evaluate returns the full evaluation of a mapping, memoized by its
-// canonical signature: the first request per distinct mapping pays one
-// physical design tool call, and every repeat — across rounds,
-// candidates, and search strategies — is a cache hit.
-func (a *Advisor) evaluate(tree *schema.Tree, met *Metrics) (*evalResult, error) {
-	return a.service().evaluate(tree, met)
 }
 
 // evaluateFull compiles, translates, derives statistics, and tunes a
@@ -416,26 +406,27 @@ func defaultConfig(m *shred.Mapping) *physical.Config {
 	return cfg
 }
 
-// costUnder estimates the workload cost under a fixed configuration
-// (no tuning) — Two-Step's phase-1 cost oracle.
-func (a *Advisor) costUnder(tree *schema.Tree, cfg func(*shred.Mapping) *physical.Config, met *Metrics) (*evalResult, float64, error) {
+// costUnder estimates the workload cost under defaultConfig (no
+// tuning) — Two-Step's phase-1 cost oracle, the cache-miss path of
+// costUnderDefault.
+func (a *Advisor) costUnder(tree *schema.Tree, met *Metrics) (float64, error) {
 	sp := a.Opts.Obs.StartSpan("advisor.cost-fixed")
 	defer sp.End()
 	ev, w, err := a.prepare(tree)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	opt := optimizer.New(ev.prov)
 	total := 0.0
-	c := cfg(ev.mapping)
+	cfg := defaultConfig(ev.mapping)
 	for _, wq := range w {
-		cost, err := opt.Cost(wq.Q, c)
+		cost, err := opt.Cost(wq.Q, cfg)
 		if err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 		total += wq.Weight * cost
 	}
 	met.OptimizerCalls += opt.Calls()
 	sp.SetAttr(obs.Float("cost", total))
-	return ev, total, nil
+	return total, nil
 }

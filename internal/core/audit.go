@@ -9,10 +9,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/optimizer"
 	"repro/internal/rel"
-	"repro/internal/stats"
-	"repro/internal/translate"
 	"repro/internal/xmlgen"
 )
 
@@ -48,8 +45,8 @@ type Audit struct {
 	MeasuredTotal time.Duration
 }
 
-// auditMinMeasure is the per-query measurement floor: queries faster
-// than this are repeated until the total is meaningful.
+// A query of CostAudit is repeated until its executions total
+// auditMinMeasure, at most auditMaxReps times.
 const (
 	auditMinMeasure = 5 * time.Millisecond
 	auditMaxReps    = 256
@@ -63,76 +60,43 @@ const (
 // re-plans against the loaded data's actual statistics, exactly like
 // MeasureExecution.
 func (a *Advisor) CostAudit(res *Result, docs ...*xmlgen.Doc) (*Audit, error) {
-	var audit *Audit
-	err := a.onBudgetedStore(res, docs, func(db *rel.Database, built *engine.Built) (err error) {
-		audit, err = a.audit(res, db, built)
-		return err
-	})
-	return audit, err
-}
-
-// audit is CostAudit over a loaded database and its Built.
-func (a *Advisor) audit(res *Result, db *rel.Database, built *engine.Built) (*Audit, error) {
-	sp := a.Opts.Obs.StartSpan("advisor.cost-audit",
-		obs.Int("queries", int64(len(a.W.Queries))))
-	defer sp.End()
-	prov := stats.FromDatabase(db)
-	opt := optimizer.New(prov)
-	audit := &Audit{}
 	ctx := context.TODO() // CostAudit's signature carries no context
-	for qi, wq := range a.W.Queries {
-		sql, err := translate.Translate(res.Mapping, wq.XPath)
-		if err != nil {
-			return nil, fmt.Errorf("core: translating %s: %w", wq.XPath, err)
-		}
-		plan, err := opt.PlanQuery(sql, res.Config)
-		if err != nil {
-			return nil, fmt.Errorf("core: planning %s: %w", wq.XPath, err)
-		}
-		pp, err := built.Prepared(plan)
-		if err != nil {
-			return nil, fmt.Errorf("core: preparing %s: %w", wq.XPath, err)
-		}
-		qa := QueryAudit{Tag: wq.XPath.String(), Weight: wq.Weight, Plan: plan.Explain()}
-		if qi < len(res.PerQueryCost) {
-			qa.EstCost = res.PerQueryCost[qi]
-		}
-		// First execution: result size and access counters.
-		out, err := pp.ExecuteContextWorkers(ctx, a.Opts.Workers)
-		if err != nil {
-			return nil, fmt.Errorf("core: executing %s: %w", wq.XPath, err)
-		}
-		qa.Rows = int64(len(out.Rows))
-		qa.RowsScanned = out.Stats.RowsScanned
-		qa.RowsSought = out.Stats.RowsSought
-		// Timed repetitions until the total is stable, reporting the
-		// per-execution average.
-		reps := 1
-		start := time.Now()
-		if _, err := pp.ExecuteContextWorkers(ctx, a.Opts.Workers); err != nil {
-			return nil, err
-		}
-		elapsed := time.Since(start)
-		if elapsed < auditMinMeasure && elapsed > 0 {
-			reps = int(auditMinMeasure/elapsed) + 1
-			if reps > auditMaxReps {
-				reps = auditMaxReps
+	audit := &Audit{}
+	err := a.onBudgetedStore(ctx, res, docs, func(_ *rel.Database, _ *engine.Built, qs []measuredQuery) error {
+		sp := a.Opts.Obs.StartSpan("advisor.cost-audit", obs.Int("queries", int64(len(qs))))
+		defer sp.End()
+		for qi, q := range qs {
+			wq := a.W.Queries[qi]
+			qa := QueryAudit{Tag: wq.XPath.String(), Weight: wq.Weight, Plan: q.plan.Explain()}
+			if qi < len(res.PerQueryCost) {
+				qa.EstCost = res.PerQueryCost[qi]
 			}
-			start = time.Now()
-			for i := 0; i < reps; i++ {
-				if _, err := pp.ExecuteContextWorkers(ctx, a.Opts.Workers); err != nil {
-					return nil, err
-				}
+			// First execution: result size and access counters.
+			out, err := q.pp.ExecuteContextWorkers(ctx, a.Opts.Workers)
+			if err != nil {
+				return fmt.Errorf("core: executing %s: %w", wq.XPath, err)
 			}
-			elapsed = time.Since(start)
+			qa.Rows = int64(len(out.Rows))
+			qa.RowsScanned = out.Stats.RowsScanned
+			qa.RowsSought = out.Stats.RowsSought
+			qa.Measured, err = timeRuns(auditMinMeasure, auditMaxReps, func() error {
+				_, err := q.pp.ExecuteContextWorkers(ctx, a.Opts.Workers)
+				return err
+			})
+			if err != nil {
+				return err
+			}
+			audit.Queries = append(audit.Queries, qa)
+			audit.EstTotal += qa.Weight * qa.EstCost
+			audit.MeasuredTotal += time.Duration(qa.Weight * float64(qa.Measured))
 		}
-		qa.Measured = elapsed / time.Duration(reps)
-		audit.Queries = append(audit.Queries, qa)
-		audit.EstTotal += qa.Weight * qa.EstCost
-		audit.MeasuredTotal += time.Duration(qa.Weight * float64(qa.Measured))
+		sp.SetAttr(obs.Float("est_total", audit.EstTotal),
+			obs.Int("measured_total_us", audit.MeasuredTotal.Microseconds()))
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	sp.SetAttr(obs.Float("est_total", audit.EstTotal),
-		obs.Int("measured_total_us", audit.MeasuredTotal.Microseconds()))
 	return audit, nil
 }
 

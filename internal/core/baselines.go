@@ -35,36 +35,26 @@ func (a *Advisor) NaiveGreedy() (*Result, error) {
 	for round := 0; round < rounds; round++ {
 		rsp := root.Child("search-round", obs.Int("round", int64(round)))
 		cands := transform.EnumerateAll(curEval.tree, a.Col)
-		outcomes := make([]candOutcome, len(cands))
-		a.service().forEach(len(cands), func(i int) {
-			next, err := cands[i].Apply(curEval.tree)
-			if err != nil {
-				return
-			}
-			o := &outcomes[i]
-			o.applied = true
-			o.met.Transformations++
-			if ev, err := a.evaluate(next, &o.met); err == nil {
-				o.ev = ev
-			}
-		})
-		var bestEval *evalResult
-		for i := range outcomes {
-			met.merge(outcomes[i].met)
-			if ev := outcomes[i].ev; ev != nil && (bestEval == nil || ev.cost < bestEval.cost) {
-				bestEval = ev
-			}
-		}
+		outs := a.round(len(cands), applyAll(cands, curEval.tree), a.exact, &met)
+		best := lowest(outs, curEval.cost)
 		rsp.SetAttr(obs.Int("candidates", int64(len(cands))))
 		rsp.End()
-		if bestEval == nil || bestEval.cost >= curEval.cost {
+		if best < 0 {
 			break
 		}
-		a.tracef("naive round %d: cost %.2f -> %.2f", round, curEval.cost, bestEval.cost)
-		curEval = bestEval
+		a.tracef("naive round %d: cost %.2f -> %.2f", round, curEval.cost, outs[best].cost)
+		curEval = outs[best].ev
 	}
 	met.Duration = time.Since(start)
 	return a.result("Naive-Greedy", curEval, met), nil
+}
+
+// applyAll is round's apply over single transformations of cur.
+func applyAll(ts []transform.Transformation, cur *schema.Tree) func(int) *schema.Tree {
+	return func(i int) *schema.Tree {
+		next, _ := ts[i].Apply(cur) // nil when it does not apply
+		return next
+	}
 }
 
 // TwoStep first searches the logical design alone — assuming only a
@@ -78,7 +68,7 @@ func (a *Advisor) TwoStep() (*Result, error) {
 	root := a.Opts.Obs.StartSpan("search", obs.String("algorithm", "two-step"))
 	defer root.End()
 	cur := a.Base.Clone()
-	curCost, err := a.service().costUnderDefault(cur, &met)
+	curCost, err := a.costUnderDefault(cur, &met)
 	if err != nil {
 		return nil, err
 	}
@@ -86,46 +76,20 @@ func (a *Advisor) TwoStep() (*Result, error) {
 	if rounds == 0 {
 		rounds = naiveMaxRounds
 	}
+	fixed := func(next *schema.Tree, m *Metrics) (*evalResult, float64, error) {
+		cost, err := a.costUnderDefault(next, m)
+		return nil, cost, err
+	}
 	for round := 0; round < rounds; round++ {
 		rsp := root.Child("search-round", obs.Int("round", int64(round)))
-		var bestTree *schema.Tree
-		bestCost := curCost
 		cands := transform.EnumerateAll(cur, a.Col)
-		outcomes := make([]candOutcome, len(cands))
-		a.service().forEach(len(cands), func(i int) {
-			next, err := cands[i].Apply(cur)
-			if err != nil {
-				return
-			}
-			o := &outcomes[i]
-			o.applied = true
-			o.tree = next
-			o.met.Transformations++
-			cost, err := a.service().costUnderDefault(next, &o.met)
-			if err != nil {
-				o.failed = true
-				return
-			}
-			o.cost = cost
-		})
-		for i := range outcomes {
-			o := &outcomes[i]
-			if !o.applied {
-				continue
-			}
-			met.merge(o.met)
-			if o.failed {
-				continue
-			}
-			if o.cost < bestCost {
-				bestTree, bestCost = o.tree, o.cost
-			}
-		}
+		outs := a.round(len(cands), applyAll(cands, cur), fixed, &met)
+		best := lowest(outs, curCost)
 		rsp.End()
-		if bestTree == nil {
+		if best < 0 {
 			break
 		}
-		cur, curCost = bestTree, bestCost
+		cur, curCost = outs[best].tree, outs[best].cost
 	}
 	// Phase 2: physical design once, on the selected logical mapping.
 	ev, err := a.evaluate(cur, &met)

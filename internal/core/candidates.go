@@ -283,10 +283,17 @@ func (a *Advisor) mergeCandidates(tree *schema.Tree, sel *selected, met *Metrics
 	if len(singles) < 2 || a.Opts.Merge == MergeNone {
 		return nil
 	}
+	// Hosts go in ascending node ID, so candidate indices — and with
+	// them the search's lowest-index tie-break — do not follow map order.
 	byHost := make(map[int][][]int)
+	var hosts []int
 	for _, s := range singles {
+		if byHost[s.host] == nil {
+			hosts = append(hosts, s.host)
+		}
 		byHost[s.host] = append(byHost[s.host], s.opts)
 	}
+	sort.Ints(hosts)
 	var merged []*candidate
 	emit := func(host int, opts []int) {
 		sort.Ints(opts)
@@ -310,10 +317,10 @@ func (a *Advisor) mergeCandidates(tree *schema.Tree, sel *selected, met *Metrics
 	}
 	switch a.Opts.Merge {
 	case MergeExhaustive:
-		for host, sets := range byHost {
+		for _, host := range hosts {
 			var all []int
 			seen := make(map[int]bool)
-			for _, s := range sets {
+			for _, s := range byHost[host] {
 				for _, o := range s {
 					if !seen[o] {
 						seen[o] = true
@@ -340,9 +347,8 @@ func (a *Advisor) mergeCandidates(tree *schema.Tree, sel *selected, met *Metrics
 			}
 		}
 	default: // MergeGreedy
-		for host, sets := range byHost {
-			cur := make([][]int, len(sets))
-			copy(cur, sets)
+		for _, host := range hosts {
+			cur := byHost[host]
 			for {
 				bi, bj, bBenefit := -1, -1, 0.0
 				for i := 0; i < len(cur); i++ {
@@ -423,7 +429,7 @@ func (a *Advisor) mergedBenefit(tree *schema.Tree, hostID int, opts []int, met *
 			}
 		}
 		if applies {
-			total += wq.Weight * a.queryCostEstimate(tree, wq, met) * pNone
+			total += wq.Weight * a.queryCost(tree, wq, met) * pNone
 		}
 	}
 	return total
@@ -444,15 +450,8 @@ func projectionLeavesOf(ctx *schema.Node, q *xpath.Query) []*schema.Node {
 	return out
 }
 
-// queryCostEstimate costs one query under the current mapping with a
-// bare configuration (cheap ranking oracle for merging), memoized per
-// (mapping, query): the pairwise merge loop re-asks for the same costs
-// once per candidate union.
-func (a *Advisor) queryCostEstimate(tree *schema.Tree, wq workload.Query, met *Metrics) float64 {
-	return a.service().queryCost(tree, wq, met)
-}
-
-// queryCostFull is the cache-miss path of queryCostEstimate.
+// queryCostFull costs one query under a mapping with a bare
+// configuration: the cache-miss path of queryCost.
 func (a *Advisor) queryCostFull(tree *schema.Tree, wq workload.Query, met *Metrics) float64 {
 	m, err := shred.Compile(tree)
 	if err != nil {

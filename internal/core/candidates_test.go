@@ -176,6 +176,41 @@ func TestMergeCandidatesExhaustiveSuperset(t *testing.T) {
 	}
 }
 
+// TestMergeCandidatesDeterministicOrder: candidate indices decide
+// Greedy's ties (lowest index wins), so merging must emit its merged
+// candidates in one order on every call. LP-HS-20 over quarter-scale
+// DBLP merges implicit unions on more than one host; visiting hosts in
+// map order returned them in varying orders.
+func TestMergeCandidatesDeterministicOrder(t *testing.T) {
+	fx := pinnedFixtures(t, 20)[0]
+	adv := advisorFor(t, fx)
+	tree := schema.ApplyFullInlining(fx.base.Clone())
+	sel := adv.selectCandidates(tree)
+	for _, c := range sel.splits {
+		if next, err := c.apply(tree); err == nil {
+			tree = next
+		}
+	}
+	order := func() string {
+		var met Metrics
+		return strings.Join(describeAll(adv.mergeCandidates(tree, sel, &met)), "; ")
+	}
+	want := order()
+	hosts := make(map[string]bool)
+	for _, d := range strings.Split(want, "; ") {
+		host, _, _ := strings.Cut(d, ":")
+		hosts[host] = true
+	}
+	if len(hosts) < 2 {
+		t.Fatalf("%s merges on %d host(s), want several: %s", fx.w.Name, len(hosts), want)
+	}
+	for i := 0; i < 100; i++ {
+		if got := order(); got != want {
+			t.Fatalf("call %d merged in another order:\n got  %s\n want %s", i, got, want)
+		}
+	}
+}
+
 func TestInvertSplitShapes(t *testing.T) {
 	tree := schema.ApplyFullInlining(schema.DBLP().Clone())
 	for _, tf := range transform.EnumerateNonSubsumed(tree, nil) {

@@ -13,8 +13,10 @@ import (
 // signature (schema-tree serialization + physical-design options).
 // Every search path — Greedy's per-round ranking and exact fallback
 // sweep, Naive-Greedy's enumeration, and Two-Step's phase-1 loop —
-// evaluates through it, so a mapping costed in one round, by one
-// candidate, or by one strategy is never re-costed by another.
+// costs its candidates through one round on it, so a mapping costed in
+// one round, by one candidate, or by one strategy is never re-costed by
+// another. The Advisor embeds it: a.evaluate is the memo itself, with
+// no forwarding layer in between.
 //
 // Evaluations are pure (they only read the advisor's base tree,
 // statistics, and workload), so concurrent calls are safe; identical
@@ -74,25 +76,26 @@ func memo[V any](s *evalService, cache map[string]*flight[V], key string, met *M
 	return f.val, f.err
 }
 
-// service returns the advisor's evaluation service, creating it on
-// first use (searches may run concurrently on one advisor).
-func (a *Advisor) service() *evalService {
-	a.svcOnce.Do(func() {
-		a.svc = &evalService{
-			a: a,
-			optsKey: physdesign.Options{
-				StorageBytes:      a.Opts.StorageBytes,
-				DisableViews:      a.Opts.DisableViews,
-				EnableVPartitions: a.Opts.EnableVPartitions,
-			}.Key(),
-			evals:   make(map[string]*flight[*evalResult]),
-			derives: make(map[string]*flight[float64]),
-			fixed:   make(map[string]*flight[float64]),
-			qcosts:  make(map[string]*flight[float64]),
-		}
-	})
-	return a.svc
+// newEvalService creates the advisor's evaluation service; it persists
+// across strategy runs, so Greedy, Naive-Greedy, and Two-Step on one
+// advisor reuse each other's evaluations.
+func newEvalService(a *Advisor) *evalService {
+	return &evalService{
+		a: a,
+		optsKey: physdesign.Options{
+			StorageBytes:      a.Opts.StorageBytes,
+			DisableViews:      a.Opts.DisableViews,
+			EnableVPartitions: a.Opts.EnableVPartitions,
+		}.Key(),
+		evals:   make(map[string]*flight[*evalResult]),
+		derives: make(map[string]*flight[float64]),
+		fixed:   make(map[string]*flight[float64]),
+		qcosts:  make(map[string]*flight[float64]),
+	}
 }
+
+// service returns the advisor's evaluation service.
+func (a *Advisor) service() *evalService { return a.evalService }
 
 // key builds a full cache key from a tree signature.
 func (s *evalService) key(treeSig string) string {
@@ -101,10 +104,7 @@ func (s *evalService) key(treeSig string) string {
 
 // forEach runs fn(i) for every i in [0, n) on the bounded worker pool:
 // min(Options.Parallelism, n) workers pull indices from a channel.
-// With Parallelism <= 1 it runs inline. Callers collect results into
-// index-addressed slices and reduce them sequentially in index order,
-// which keeps selection (lowest candidate index wins ties) and Metrics
-// aggregation deterministic at any parallelism.
+// With Parallelism <= 1 it runs inline. Its one caller is round.
 func (s *evalService) forEach(n int, fn func(i int)) {
 	par := s.a.Opts.Parallelism
 	if par > n {
@@ -134,8 +134,69 @@ func (s *evalService) forEach(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// evaluate returns the memoized full evaluation of a tree, computing it
-// once per canonical signature.
+// candOutcome is one candidate's result in a round.
+type candOutcome struct {
+	tree   *schema.Tree // the applied mapping; nil when the candidate does not apply
+	ev     *evalResult  // exact evaluation, when the cost function produced one
+	cost   float64
+	met    Metrics
+	failed bool // costing error: the candidate has no cost this round
+}
+
+// costFunc costs one applied candidate, returning its exact evaluation
+// when it computed one.
+type costFunc func(tree *schema.Tree, met *Metrics) (*evalResult, float64, error)
+
+// round is the one candidate round every search runs: apply(i) returns
+// candidate i applied to the current mapping (nil when it does not
+// apply), and each applied candidate counts one transformation and is
+// costed on the worker pool. Effort merges into met in candidate order
+// afterwards, and callers reduce the outcomes in candidate order, so
+// selection (lowest index wins ties) and Metrics totals match a
+// sequential run at any parallelism.
+func (a *Advisor) round(n int, apply func(i int) *schema.Tree, cost costFunc, met *Metrics) []candOutcome {
+	outs := make([]candOutcome, n)
+	a.forEach(n, func(i int) {
+		o := &outs[i]
+		if o.tree = apply(i); o.tree == nil {
+			return
+		}
+		o.met.Transformations++
+		var err error
+		o.ev, o.cost, err = cost(o.tree, &o.met)
+		o.failed = err != nil
+	})
+	for i := range outs {
+		met.merge(outs[i].met)
+	}
+	return outs
+}
+
+// lowest returns the index of the cheapest costed outcome strictly
+// below bound, the first index winning ties; -1 when none is.
+func lowest(outs []candOutcome, bound float64) int {
+	best := -1
+	for i := range outs {
+		if o := &outs[i]; o.tree != nil && !o.failed && o.cost < bound {
+			best, bound = i, o.cost
+		}
+	}
+	return best
+}
+
+// exact is the costFunc of a full, memoized tool evaluation.
+func (a *Advisor) exact(tree *schema.Tree, met *Metrics) (*evalResult, float64, error) {
+	ev, err := a.evaluate(tree, met)
+	if err != nil {
+		return nil, 0, err
+	}
+	return ev, ev.cost, nil
+}
+
+// evaluate returns the full evaluation of a mapping, memoized by its
+// canonical signature: the first request per distinct mapping pays one
+// physical design tool call, and every repeat — across rounds,
+// candidates, and search strategies — is a cache hit.
 func (s *evalService) evaluate(tree *schema.Tree, met *Metrics) (*evalResult, error) {
 	return memo(s, s.evals, s.key(tree.Signature()), met, func(m *Metrics) (*evalResult, error) {
 		return s.a.evaluateFull(tree, m)
@@ -156,8 +217,7 @@ func (s *evalService) deriveCost(cur *evalResult, next *schema.Tree, met *Metric
 // Two-Step's phase-1 default configuration (no tuning).
 func (s *evalService) costUnderDefault(tree *schema.Tree, met *Metrics) (float64, error) {
 	return memo(s, s.fixed, s.key("2step:"+tree.Signature()), met, func(m *Metrics) (float64, error) {
-		_, cost, err := s.a.costUnder(tree, defaultConfig, m)
-		return cost, err
+		return s.a.costUnder(tree, m)
 	})
 }
 

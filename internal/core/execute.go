@@ -46,85 +46,62 @@ func (a *Advisor) MeasureExecution(res *Result, docs ...*xmlgen.Doc) (*Execution
 // caller's goroutine alone.
 func (a *Advisor) MeasureExecutionContext(ctx context.Context, res *Result, docs ...*xmlgen.Doc) (*Execution, error) {
 	var ex *Execution
-	err := a.onBudgetedStore(res, docs, func(db *rel.Database, built *engine.Built) (err error) {
-		ex, err = a.measure(ctx, res, db, built)
-		return err
+	err := a.onBudgetedStore(ctx, res, docs, func(db *rel.Database, built *engine.Built, qs []measuredQuery) error {
+		weights := make([]float64, len(a.W.Queries))
+		for i, wq := range a.W.Queries {
+			weights[i] = wq.Weight
+		}
+		reps := executionReps(weights)
+		var rows int64
+		elapsed, err := timeRuns(measureFloor, measureMaxPasses, func() error {
+			rows = 0
+			for i, q := range qs {
+				for r := 0; r < reps[i]; r++ {
+					out, err := q.pp.ExecuteContextWorkers(ctx, a.Opts.Workers)
+					if err != nil {
+						return fmt.Errorf("core: executing workload: %w", err)
+					}
+					rows += int64(len(out.Rows))
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return err
+		}
+		ex = &Execution{Elapsed: elapsed, Rows: rows, DataBytes: db.Bytes(), StructBytes: built.StructBytes}
+		return nil
 	})
 	return ex, err
 }
 
-// measure is MeasureExecutionContext over a loaded database and its
-// Built.
-func (a *Advisor) measure(ctx context.Context, res *Result, db *rel.Database, built *engine.Built) (*Execution, error) {
-	prov := stats.FromDatabase(db)
-	opt := optimizer.New(prov)
-	type prepared struct {
-		pp     *engine.PreparedPlan
-		weight float64
-	}
-	var plans []prepared
-	for _, wq := range a.W.Queries {
-		sql, err := translate.Translate(res.Mapping, wq.XPath)
-		if err != nil {
-			return nil, fmt.Errorf("core: translating %s: %w", wq.XPath, err)
-		}
-		plan, err := opt.PlanQuery(sql, res.Config)
-		if err != nil {
-			return nil, fmt.Errorf("core: planning %s: %w", wq.XPath, err)
-		}
-		// Prepare once per query: repeated executions below (and the
-		// stability passes) reuse the compiled pipeline and the Built's
-		// cached probe structures instead of recompiling per run.
-		pp, err := built.PreparedContext(ctx, plan)
-		if err != nil {
-			return nil, fmt.Errorf("core: preparing %s: %w", wq.XPath, err)
-		}
-		plans = append(plans, prepared{pp: pp, weight: wq.Weight})
-	}
-	weights := make([]float64, len(plans))
-	for i, p := range plans {
-		weights[i] = p.weight
-	}
-	reps := executionReps(weights)
-	ex := &Execution{DataBytes: db.Bytes(), StructBytes: built.StructBytes}
-	runOnce := func(count bool) error {
-		for pi, p := range plans {
-			for r := 0; r < reps[pi]; r++ {
-				out, err := p.pp.ExecuteContextWorkers(ctx, a.Opts.Workers)
-				if err != nil {
-					return fmt.Errorf("core: executing workload: %w", err)
-				}
-				if count {
-					ex.Rows += int64(len(out.Rows))
-				}
-			}
-		}
-		return nil
-	}
-	// Wall-clock stability: repeat short workloads until the total
-	// measured time is long enough to be meaningful, and report the
-	// per-pass average.
+// A workload pass of MeasureExecution is repeated until the passes
+// total measureFloor, at most measureMaxPasses times.
+const (
+	measureFloor     = 30 * time.Millisecond
+	measureMaxPasses = 50
+)
+
+// timeRuns times run and reports the per-run average: a run faster
+// than floor is repeated until the repetitions total floor, at most
+// maxRuns times (the first, calibrating run is not counted).
+func timeRuns(floor time.Duration, maxRuns int, run func() error) (time.Duration, error) {
 	start := time.Now()
-	if err := runOnce(true); err != nil {
-		return nil, err
+	if err := run(); err != nil {
+		return 0, err
 	}
 	elapsed := time.Since(start)
-	const minMeasure = 30 * time.Millisecond
-	if elapsed < minMeasure && elapsed > 0 {
-		passes := int(minMeasure/elapsed) + 1
-		if passes > 50 {
-			passes = 50
-		}
-		start = time.Now()
-		for i := 0; i < passes; i++ {
-			if err := runOnce(false); err != nil {
-				return nil, err
-			}
-		}
-		elapsed = time.Since(start) / time.Duration(passes)
+	if elapsed >= floor || elapsed <= 0 {
+		return elapsed, nil
 	}
-	ex.Elapsed = elapsed
-	return ex, nil
+	n := min(int(floor/elapsed)+1, maxRuns)
+	start = time.Now()
+	for i := 0; i < n; i++ {
+		if err := run(); err != nil {
+			return 0, err
+		}
+	}
+	return time.Since(start) / time.Duration(n), nil
 }
 
 // maxExecReps caps per-query repetitions so scaled-up fractional
@@ -175,10 +152,11 @@ const measureBudgetDivisor = 4
 // onBudgetedStore is the substrate of the measured runs (MeasureExecution,
 // CostAudit). It loads the documents under the result's mapping, saves
 // the recommended design to a temporary directory, reopens it with a
-// pager budget of a quarter of the data, and calls run with the shredded
-// database (the optimizer's statistics) and the store's PagedBuilt. The
-// store is closed and the directory removed on every return.
-func (a *Advisor) onBudgetedStore(res *Result, docs []*xmlgen.Doc, run func(*rel.Database, *engine.Built) error) error {
+// pager budget of a quarter of the data, prepares the workload on the
+// store's PagedBuilt (prepareWorkload), and calls run with the shredded
+// database, the PagedBuilt and the prepared queries. The store is closed
+// and the directory removed on every return.
+func (a *Advisor) onBudgetedStore(ctx context.Context, res *Result, docs []*xmlgen.Doc, run func(*rel.Database, *engine.Built, []measuredQuery) error) error {
 	db, resident, err := a.BuildFor(res, docs...)
 	if err != nil {
 		return err
@@ -206,7 +184,43 @@ func (a *Advisor) onBudgetedStore(res *Result, docs []*xmlgen.Doc, run func(*rel
 		return fmt.Errorf("core: building configuration on the measurement store: %w", err)
 	}
 	built.AttachObs(a.Opts.Obs, a.Opts.Registry)
-	return run(db, built)
+	qs, err := a.prepareWorkload(ctx, res, db, built)
+	if err != nil {
+		return err
+	}
+	return run(db, built, qs)
+}
+
+// measuredQuery is one workload query of a measured run.
+type measuredQuery struct {
+	plan *optimizer.Plan
+	pp   *engine.PreparedPlan
+}
+
+// prepareWorkload is the measured runs' translate → plan → prepare
+// step: every workload query is translated under the result's mapping,
+// planned under its configuration against the loaded data's actual
+// statistics, and prepared once on built, so every repetition reuses
+// the compiled pipeline and the Built's cached probe structures.
+func (a *Advisor) prepareWorkload(ctx context.Context, res *Result, db *rel.Database, built *engine.Built) ([]measuredQuery, error) {
+	opt := optimizer.New(stats.FromDatabase(db))
+	qs := make([]measuredQuery, len(a.W.Queries))
+	for i, wq := range a.W.Queries {
+		sql, err := translate.Translate(res.Mapping, wq.XPath)
+		if err != nil {
+			return nil, fmt.Errorf("core: translating %s: %w", wq.XPath, err)
+		}
+		plan, err := opt.PlanQuery(sql, res.Config)
+		if err != nil {
+			return nil, fmt.Errorf("core: planning %s: %w", wq.XPath, err)
+		}
+		pp, err := built.PreparedContext(ctx, plan)
+		if err != nil {
+			return nil, fmt.Errorf("core: preparing %s: %w", wq.XPath, err)
+		}
+		qs[i] = measuredQuery{plan: plan, pp: pp}
+	}
+	return qs, nil
 }
 
 // BuildFor loads the documents under the result's recommended mapping

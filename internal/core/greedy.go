@@ -12,7 +12,6 @@ import (
 	"repro/internal/physdesign"
 	"repro/internal/rel"
 	"repro/internal/schema"
-	"repro/internal/stats"
 	"repro/internal/transform"
 )
 
@@ -93,70 +92,37 @@ func (a *Advisor) Greedy() (*Result, error) {
 	}
 	for round := 0; a.Opts.MaxRounds == 0 || round < a.Opts.MaxRounds; round++ {
 		rsp := root.Child("search-round", obs.Int("round", int64(round)))
-		bestIdx := -1
-		var bestTree *schema.Tree
-		var bestEv *evalResult // exact evaluation, when already available
-		bestCost := curEval.cost
-		// Derivation ranks candidates cheaply; the few best-ranked are
-		// re-estimated exactly below, so a pessimistic derivation
-		// cannot steer the round to the wrong winner.
-		type rankedCand struct {
-			idx  int
-			tree *schema.Tree
-			cost float64
-		}
-		var ranked []rankedCand
-		// Rank every surviving candidate on the shared worker pool:
-		// each evaluation is pure and memoized, and the reduction below
-		// runs sequentially in candidate order, so strike bookkeeping,
-		// tie-breaking (lowest index wins), and Metrics totals match a
-		// sequential run exactly.
-		outcomes := make([]candOutcome, len(cands))
-		a.service().forEach(len(cands), func(ci int) {
-			c := cands[ci]
-			if c == nil {
-				return
-			}
-			o := &outcomes[ci]
-			next, err := c.apply(curEval.tree)
-			if err != nil {
-				return // not applicable this round; may apply later
-			}
-			o.applied = true
-			o.tree = next
-			o.met.Transformations++
-			if a.Opts.DisableCostDerivation {
-				ev, err := a.evaluate(next, &o.met)
-				if err != nil {
-					o.failed = true
-					return
-				}
-				o.cost = ev.cost
-			} else {
-				cost, err := a.deriveCost(curEval, next, &o.met)
-				if err != nil {
-					o.failed = true
-					return
-				}
-				o.cost = cost
-			}
-		})
-		for ci := range cands {
+		from := curEval.tree
+		apply := func(ci int) *schema.Tree {
 			if cands[ci] == nil {
+				return nil
+			}
+			next, _ := cands[ci].apply(from) // nil: not applicable this round; may apply later
+			return next
+		}
+		// Rank every surviving candidate: derivation ranks cheaply and
+		// the few best-ranked are re-estimated exactly below, so a
+		// pessimistic derivation cannot steer the round to the wrong
+		// winner.
+		rank := a.exact
+		if !a.Opts.DisableCostDerivation {
+			rank = func(next *schema.Tree, m *Metrics) (*evalResult, float64, error) {
+				cost, err := a.deriveCost(curEval, next, m)
+				return nil, cost, err
+			}
+		}
+		outs := a.round(len(cands), apply, rank, &met)
+		var ranked []int
+		for ci := range outs {
+			o := &outs[ci]
+			if o.tree == nil {
 				continue
 			}
-			o := &outcomes[ci]
-			if !o.applied {
-				continue
-			}
-			met.merge(o.met)
 			if o.failed {
 				cands[ci] = nil
 				continue
 			}
-			if !a.Opts.DisableCostDerivation {
-				ranked = append(ranked, rankedCand{ci, o.tree, o.cost})
-			}
+			ranked = append(ranked, ci)
 			if o.cost < curEval.cost {
 				strikes[ci] = 0
 			} else {
@@ -165,97 +131,71 @@ func (a *Advisor) Greedy() (*Result, error) {
 					cands[ci] = nil
 				}
 			}
-			if o.cost < bestCost {
-				bestIdx, bestTree, bestCost = ci, o.tree, o.cost
-			}
 		}
-		if !a.Opts.DisableCostDerivation && len(ranked) > 0 {
+		bestIdx := -1
+		var bestEv *evalResult // exact evaluation, when already available
+		if a.Opts.DisableCostDerivation {
+			// bestEv stays nil: line 18 asks the memo for the winner's
+			// evaluation again, and that cache hit is counted.
+			bestIdx = lowest(outs, curEval.cost)
+		} else {
 			// Walk the derived ranking and accept the first candidate
 			// whose exact re-estimation improves the cost. Usually the
 			// derived winner confirms on the first try (one exact
 			// estimation per round, the paper's line 18); only when a
 			// pessimistic derivation misranks do further candidates
 			// get an exact look.
-			sort.Slice(ranked, func(i, j int) bool { return ranked[i].cost < ranked[j].cost })
+			sort.Slice(ranked, func(i, j int) bool { return outs[ranked[i]].cost < outs[ranked[j]].cost })
 			const escalateLimit = 3
-			bestIdx = -1
-			bestCost = curEval.cost
 			for i := 0; i < len(ranked) && i < escalateLimit; i++ {
-				if cands[ranked[i].idx] == nil {
+				ci := ranked[i]
+				if cands[ci] == nil {
 					continue // retired by strikes this round
 				}
-				ev, err := a.evaluate(ranked[i].tree, &met)
+				ev, err := a.evaluate(outs[ci].tree, &met)
 				if err != nil {
-					cands[ranked[i].idx] = nil
+					cands[ci] = nil
 					continue
 				}
 				a.tracef("greedy round %d: re-estimated %s, derived %.2f exact %.2f",
-					round, cands[ranked[i].idx].desc, ranked[i].cost, ev.cost)
-				if ev.cost < bestCost {
-					bestIdx, bestTree, bestCost, bestEv = ranked[i].idx, ranked[i].tree, ev.cost, ev
+					round, cands[ci].desc, outs[ci].cost, ev.cost)
+				if ev.cost < curEval.cost {
+					bestIdx, bestEv = ci, ev
 					break
+				}
+			}
+			if bestIdx < 0 {
+				// Derived costs are heuristic; before stopping, sweep the
+				// surviving candidates once with exact estimation so a
+				// candidate hidden by a pessimistic derivation cannot end
+				// the search prematurely (this bounds the quality loss of
+				// §4.8 the way the paper's line 18 re-estimation intends).
+				fsp := rsp.Child("fallback-sweep")
+				sweep := a.round(len(cands), apply, a.exact, &met)
+				for ci := range sweep {
+					if sweep[ci].failed {
+						cands[ci] = nil
+					}
+				}
+				if bestIdx = lowest(sweep, curEval.cost); bestIdx >= 0 {
+					bestEv = sweep[bestIdx].ev
+				}
+				fsp.End()
+				if bestIdx >= 0 {
+					a.tracef("greedy round %d: exact fallback sweep found %s", round, cands[bestIdx].desc)
 				}
 			}
 		}
 		if bestIdx < 0 {
-			// Derived costs are heuristic; before stopping, sweep the
-			// surviving candidates once with exact estimation so a
-			// candidate hidden by a pessimistic derivation cannot end
-			// the search prematurely (this bounds the quality loss of
-			// §4.8 the way the paper's line 18 re-estimation intends).
-			if a.Opts.DisableCostDerivation {
-				rsp.End()
-				break
-			}
-			fsp := rsp.Child("fallback-sweep")
-			sweep := make([]candOutcome, len(cands))
-			a.service().forEach(len(cands), func(ci int) {
-				c := cands[ci]
-				if c == nil {
-					return
-				}
-				o := &sweep[ci]
-				next, err := c.apply(curEval.tree)
-				if err != nil {
-					return
-				}
-				o.applied = true
-				o.tree = next
-				o.met.Transformations++
-				ev, err := a.evaluate(next, &o.met)
-				if err != nil {
-					o.failed = true
-					return
-				}
-				o.ev, o.cost = ev, ev.cost
-			})
-			for ci := range cands {
-				if cands[ci] == nil || !sweep[ci].applied {
-					continue
-				}
-				o := &sweep[ci]
-				met.merge(o.met)
-				if o.failed {
-					cands[ci] = nil
-					continue
-				}
-				if o.cost < bestCost {
-					bestIdx, bestTree, bestCost, bestEv = ci, o.tree, o.cost, o.ev
-				}
-			}
-			fsp.End()
-			if bestIdx < 0 {
-				rsp.End()
-				break
-			}
-			a.tracef("greedy round %d: exact fallback sweep found %s", round, cands[bestIdx].desc)
+			rsp.End()
+			break
 		}
 		// Line 18: re-estimate the winner exactly and advance (reusing
 		// the exact evaluation when one was already produced above).
 		ev := bestEv
 		if ev == nil {
 			var err error
-			ev, err = a.evaluate(bestTree, &met)
+			ev, err = a.evaluate(outs[bestIdx].tree, &met)
 			if err != nil {
 				rsp.End()
 				return nil, err
@@ -295,18 +235,6 @@ func (a *Advisor) Greedy() (*Result, error) {
 	return a.result("Greedy", curEval, met), nil
 }
 
-// candOutcome carries one candidate's evaluation out of a parallel
-// ranking or sweep phase; results are reduced sequentially in candidate
-// order afterwards.
-type candOutcome struct {
-	tree    *schema.Tree
-	ev      *evalResult // exact evaluation, when one was produced
-	cost    float64
-	met     Metrics
-	applied bool // the candidate applied to the current tree
-	failed  bool // evaluation/derivation error: retire the candidate
-}
-
 // invertCandidate builds the reverse of an applied candidate where a
 // clean inverse exists (distribution/factorization and repetition
 // split/merge sequences); nil otherwise.
@@ -332,13 +260,6 @@ func invertCandidate(c *candidate) *candidate {
 		}
 	}
 	return inv
-}
-
-// deriveCost returns the Section 4.8 derived cost of moving from cur
-// to next, memoized by the pair of mapping signatures (rejected-winner
-// rounds re-derive identical pairs).
-func (a *Advisor) deriveCost(cur *evalResult, next *schema.Tree, met *Metrics) (float64, error) {
-	return a.service().deriveCost(cur, next, met)
 }
 
 // deriveCostFull estimates the workload cost of a transformed mapping
@@ -532,5 +453,3 @@ func indexSurvives(cur *evalResult, obj string, next *evalResult) bool {
 	}
 	return false
 }
-
-var _ stats.Provider = stats.MapProvider(nil)

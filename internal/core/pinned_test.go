@@ -19,9 +19,9 @@ var updatePinned = flag.Bool("update", false, "rewrite testdata/search_pinned.go
 const pinnedGolden = "search_pinned.golden"
 
 // pinnedFixtures are the four DBLP workload classes of bench/'s
-// advise_greedy: scale 0.25, data seed 1, shape seed 7, five queries a
-// class.
-func pinnedFixtures(t *testing.T) []*fixture {
+// advise_greedy: scale 0.25, data seed 1, shape seed 7, n queries a
+// class (the golden file pins five).
+func pinnedFixtures(t *testing.T, n int) []*fixture {
 	t.Helper()
 	base := schema.DBLP()
 	opts := xmlgen.DefaultDBLPOptions()
@@ -30,7 +30,7 @@ func pinnedFixtures(t *testing.T) []*fixture {
 	opts.Seed = 1
 	col := xmlgen.CollectStats(base, xmlgen.GenerateDBLP(base, opts))
 	var out []*fixture
-	for _, p := range workload.StandardParams(5, 7) {
+	for _, p := range workload.StandardParams(n, 7) {
 		w, err := workload.Generate(base, col, p)
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func pinnedRuns(fxs []*fixture) (names []string, run []func(par int) (*Result, e
 // may get faster; cost bits, chosen design, plans and every effort
 // counter may not move.
 func TestGreedyResultPinned(t *testing.T) {
-	names, run := pinnedRuns(pinnedFixtures(t))
+	names, run := pinnedRuns(pinnedFixtures(t, 5))
 	path := filepath.Join("testdata", pinnedGolden)
 	if *updatePinned {
 		var b strings.Builder

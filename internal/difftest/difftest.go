@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -249,11 +250,15 @@ func Run(c Case) (RunStats, *Mismatch) {
 		}
 		sql, terr := translate.Translate(m, q)
 		if terr != nil {
-			switch classifyTranslateErr(terr) {
-			case skipClass:
-				st.Skipped++
-				continue
-			case emptyClass:
+			// A shape the mapping legitimately cannot express is skipped,
+			// a query the translator proves empty is checked against the
+			// evaluator, and any other error is a failure.
+			var un *translate.Unsupported
+			if !errors.As(terr, &un) {
+				return st, fail("translate", i, q.String(), "%v (applied %v)", terr, applied)
+			}
+			switch un.Kind {
+			case translate.ProvablyEmpty:
 				// The translator pruned every branch: the query must
 				// really be empty on the document.
 				gold, gerr := xmlgen.Evaluate(base, doc, q)
@@ -265,10 +270,10 @@ func Run(c Case) (RunStats, *Mismatch) {
 						"translator proved the query empty but the evaluator returns %d non-empty groups (applied %v)", n, applied)
 				}
 				st.ProvenEmpty++
-				continue
 			default:
-				return st, fail("translate", i, q.String(), "%v (applied %v)", terr, applied)
+				st.Skipped++
 			}
+			continue
 		}
 		translated = append(translated, tq{i, q, sql})
 	}
@@ -667,34 +672,6 @@ func diffGroups(got, want []string) string {
 		}
 	}
 	return ""
-}
-
-type errClass int
-
-const (
-	failClass errClass = iota
-	skipClass
-	emptyClass
-)
-
-// classifyTranslateErr sorts translator errors into three bins: shapes
-// a mapping legitimately cannot express (skipped), queries the
-// translator proves return nothing (verified against the evaluator),
-// and everything else (a failure).
-func classifyTranslateErr(err error) errClass {
-	msg := err.Error()
-	switch {
-	case strings.Contains(msg, "selects nothing under this mapping"):
-		return emptyClass
-	case strings.Contains(msg, "resolves to"),
-		strings.Contains(msg, "crosses more than one relation level"),
-		strings.Contains(msg, "selection on partitioned child relation"),
-		strings.Contains(msg, "split selection with partitioned overflow"),
-		strings.Contains(msg, "ambiguous with incompatible projections"):
-		return skipClass
-	default:
-		return failClass
-	}
 }
 
 // Cost-model invariant bounds. The derived cost comes from document

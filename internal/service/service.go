@@ -101,9 +101,6 @@ type Config struct {
 	// SetTenantQuota. Zero fields default to MaxConcurrent 4,
 	// MaxQueued 16, MemBytes unlimited.
 	DefaultQuota TenantQuota
-	// MemEstimate is the per-request in-flight memory charge when the
-	// request does not declare one. Default 1 MiB.
-	MemEstimate int64
 	// Registry receives the admission counters and gauges; nil
 	// disables them (metrics no-op). Tracer receives service.query
 	// spans; nil disables tracing.
@@ -124,10 +121,14 @@ type Request struct {
 	// milliseconds; 0 keeps the default, negative (or more than a
 	// time.Duration holds) means no deadline.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
-	// MemEstimate is the in-flight memory charge in bytes; 0 takes the
-	// service default.
+	// MemEstimate is the in-flight memory charge in bytes; 0 or less
+	// charges defaultMemEstimate.
 	MemEstimate int64 `json:"mem_estimate,omitempty"`
 }
+
+// defaultMemEstimate is the in-flight memory charge of a request that
+// declares none.
+const defaultMemEstimate = 1 << 20
 
 // Response is a completed query: the result plus what admission did
 // with the request.
@@ -227,8 +228,8 @@ type Service struct {
 
 // New creates a Service. The zero Config is usable: GOMAXPROCS pool
 // workers, 4 workers per query, no default deadline, default tenant
-// quota {4 concurrent, 16 queued, unlimited memory}, 1 MiB memory
-// estimate, metrics and tracing disabled.
+// quota {4 concurrent, 16 queued, unlimited memory}, metrics and
+// tracing disabled.
 func New(cfg Config) *Service {
 	if cfg.PoolWorkers == 0 {
 		cfg.PoolWorkers = runtime.GOMAXPROCS(0)
@@ -238,9 +239,6 @@ func New(cfg Config) *Service {
 	}
 	if cfg.MaxWorkersPerQuery <= 0 {
 		cfg.MaxWorkersPerQuery = 4
-	}
-	if cfg.MemEstimate <= 0 {
-		cfg.MemEstimate = 1 << 20
 	}
 	cfg.DefaultQuota = cfg.DefaultQuota.withDefaults(TenantQuota{MaxConcurrent: 4, MaxQueued: 16})
 	s := &Service{
@@ -455,7 +453,7 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 
 	mem := req.MemEstimate
 	if mem <= 0 {
-		mem = s.cfg.MemEstimate
+		mem = defaultMemEstimate
 	}
 	t := s.tenant(req.Tenant)
 	if err := ctx.Err(); err != nil {

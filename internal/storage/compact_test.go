@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -62,15 +61,15 @@ func TestGroupCommitSingleFsync(t *testing.T) {
 }
 
 // TestGroupCommitConcurrentAppends drives appenders from many
-// goroutines under a commit delay so batches coalesce, then checks the
-// live table and a reopen agree row for row.
+// goroutines, whose batches coalesce when they queue behind a flush,
+// then checks the live table and a reopen agree row for row.
 func TestGroupCommitConcurrentAppends(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
-	st, err := Open(dir, Options{Registry: reg, GroupCommitDelay: 2 * time.Millisecond})
+	st, err := Open(dir, Options{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,11 +50,6 @@ type Options struct {
 	// background once the redo log holds at least this many rows. Zero
 	// means compaction only runs when Compact is called.
 	CompactRecords int
-	// GroupCommitDelay is how long an appender waits before flushing
-	// the open commit batch, giving concurrent appenders time to join
-	// the same fsync. Zero flushes immediately (still batching
-	// whatever queued in the meantime).
-	GroupCommitDelay time.Duration
 }
 
 // chunkRowsOrDefault resolves the ChunkRows knob.
@@ -576,10 +571,6 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 		b.recs = append(b.recs, redoRecord{Table: table, Row: append([]rel.Value(nil), row...)})
 	}
 	s.mu.Unlock()
-
-	if d := s.opts.GroupCommitDelay; d > 0 {
-		time.Sleep(d)
-	}
 
 	s.flushMu.Lock()
 	if !b.flushed {

@@ -23,6 +23,44 @@ import (
 // OutputID is the output column name of the context element's ID.
 const OutputID = "ID"
 
+// UnsupportedKind names a query shape Translate refuses under a mapping.
+type UnsupportedKind int
+
+const (
+	// PathNotUnique: a selection or projection path resolves to no
+	// element, or to several, under the context.
+	PathNotUnique UnsupportedKind = iota + 1
+	// MultiLevelPath: a selection or projection leaf lives in a relation
+	// more than one level below the context's.
+	MultiLevelPath
+	// PartitionedChildSelection: the selection leaf lives in a child
+	// relation that is partitioned.
+	PartitionedChildSelection
+	// PartitionedOverflowSelection: the selection is on a
+	// repetition-split leaf whose overflow relation is partitioned.
+	PartitionedOverflowSelection
+	// IncompatibleContexts: the context resolves to several elements
+	// whose projections differ.
+	IncompatibleContexts
+	// ProvablyEmpty: every partition is pruned, so the query returns
+	// nothing under the mapping. It is refused until a query with zero
+	// branches can express it.
+	ProvablyEmpty
+)
+
+// Unsupported is Translate's refusal of a query shape; every other
+// translation error is a malformed query or a bug.
+type Unsupported struct {
+	Kind UnsupportedKind
+	msg  string
+}
+
+func (e *Unsupported) Error() string { return e.msg }
+
+func unsupported(kind UnsupportedKind, format string, args ...any) error {
+	return &Unsupported{Kind: kind, msg: fmt.Sprintf(format, args...)}
+}
+
 // Translate compiles an XPath query against a mapping.
 func Translate(m *shred.Mapping, q *xpath.Query) (*sqlast.Query, error) {
 	ctxNodes := ResolveContext(m.Tree, q.Context)
@@ -41,7 +79,7 @@ func Translate(m *shred.Mapping, q *xpath.Query) (*sqlast.Query, error) {
 		if i == 0 {
 			outNames = names
 		} else if strings.Join(names, ",") != strings.Join(outNames, ",") {
-			return nil, fmt.Errorf("translate: context %v is ambiguous with incompatible projections", q.Context)
+			return nil, unsupported(IncompatibleContexts, "translate: context %v is ambiguous with incompatible projections", q.Context)
 		}
 		out.Branches = append(out.Branches, branches...)
 	}
@@ -53,7 +91,7 @@ func Translate(m *shred.Mapping, q *xpath.Query) (*sqlast.Query, error) {
 		// from this mapping. That is reported as an error, not as an
 		// empty query; ROADMAP item 2(b) turns it into a query with
 		// zero branches.
-		return nil, fmt.Errorf("translate: query %s selects nothing under this mapping", q)
+		return nil, unsupported(ProvablyEmpty, "translate: query %s selects nothing under this mapping", q)
 	}
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("translate: internal error: %w (SQL: %s)", err, out.SQL())
@@ -106,7 +144,7 @@ func translateContext(m *shred.Mapping, ctx *schema.Node, q *xpath.Query) ([]*sq
 	if q.Pred != nil {
 		leaves := resolveRelPath(ctx, q.Pred.Path)
 		if len(leaves) != 1 {
-			return nil, nil, fmt.Errorf("translate: selection path %s resolves to %d elements under %s",
+			return nil, nil, unsupported(PathNotUnique, "translate: selection path %s resolves to %d elements under %s",
 				q.Pred.Path, len(leaves), ctx.Path())
 		}
 		selLeaf = leaves[0]
@@ -124,7 +162,7 @@ func translateContext(m *shred.Mapping, ctx *schema.Node, q *xpath.Query) ([]*sq
 	for _, p := range proj {
 		leaves := resolveRelPath(ctx, p)
 		if len(leaves) != 1 {
-			return nil, nil, fmt.Errorf("translate: projection %s resolves to %d elements under %s",
+			return nil, nil, unsupported(PathNotUnique, "translate: projection %s resolves to %d elements under %s",
 				p, len(leaves), ctx.Path())
 		}
 		leaf := leaves[0]
@@ -143,7 +181,7 @@ func translateContext(m *shred.Mapping, ctx *schema.Node, q *xpath.Query) ([]*sq
 				return nil, nil, fmt.Errorf("translate: projection %s has no hosting relation", p)
 			}
 			if !relationChildOf(prels[0], hostAnn) {
-				return nil, nil, fmt.Errorf("translate: projection %s crosses more than one relation level", p)
+				return nil, nil, unsupported(MultiLevelPath, "translate: projection %s crosses more than one relation level", p)
 			}
 			pp.childRels = prels
 		}
@@ -291,7 +329,7 @@ func selectionPreds(m *shred.Mapping, host *shred.Relation, hostAnn string,
 		}
 		overflow := m.RelationsOf(selLeaf.Annotation)
 		if len(overflow) != 1 {
-			return nil, false, fmt.Errorf("translate: split selection with partitioned overflow relation")
+			return nil, false, unsupported(PartitionedOverflowSelection, "translate: split selection with partitioned overflow relation")
 		}
 		oci := overflow[0].ColumnFor(selLeaf.ID, 0)
 		return []sqlast.Pred{{
@@ -323,10 +361,10 @@ func selectionPreds(m *shred.Mapping, host *shred.Relation, hostAnn string,
 			return nil, false, fmt.Errorf("translate: selection %s has no hosting relation", selLeaf.Path())
 		}
 		if len(prels) != 1 {
-			return nil, false, fmt.Errorf("translate: selection on partitioned child relation is unsupported")
+			return nil, false, unsupported(PartitionedChildSelection, "translate: selection on partitioned child relation is unsupported")
 		}
 		if !relationChildOf(prels[0], hostAnn) {
-			return nil, false, fmt.Errorf("translate: selection %s crosses more than one relation level", selLeaf.Path())
+			return nil, false, unsupported(MultiLevelPath, "translate: selection %s crosses more than one relation level", selLeaf.Path())
 		}
 		ci := prels[0].ColumnFor(selLeaf.ID, 0)
 		if ci < 0 {

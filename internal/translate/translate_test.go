@@ -1,6 +1,7 @@
 package translate
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -206,6 +207,92 @@ func TestTranslateErrors(t *testing.T) {
 		if _, err := Translate(m, xpath.MustParse(qs)); err == nil {
 			t.Errorf("%s: want error", qs)
 		}
+	}
+}
+
+// TestTranslateUnsupportedKinds reaches every refusal Kind and checks
+// the refusal is an *Unsupported carrying it.
+func TestTranslateUnsupportedKinds(t *testing.T) {
+	orders := func(t *testing.T) *schema.Tree {
+		tree, err := schema.ParseXSDString(`<xs:schema xmlns:xs="http://www.w3.org/2001/XMLSchema">
+		 <xs:element name="orders"><xs:complexType><xs:sequence>
+		  <xs:element name="order" minOccurs="0" maxOccurs="unbounded"><xs:complexType><xs:sequence>
+		   <xs:element name="customer" type="xs:string"/>
+		   <xs:element name="item" minOccurs="0" maxOccurs="unbounded"><xs:complexType><xs:sequence>
+		    <xs:element name="sku" type="xs:string"/>
+		    <xs:element name="note" type="xs:string" minOccurs="0"/>
+		   </xs:sequence></xs:complexType></xs:element>
+		  </xs:sequence></xs:complexType></xs:element>
+		  <xs:element name="shipment" minOccurs="0" maxOccurs="unbounded"><xs:complexType><xs:sequence>
+		   <xs:element name="order" minOccurs="0"><xs:complexType><xs:sequence>
+		    <xs:element name="carrier" type="xs:string"/>
+		   </xs:sequence></xs:complexType></xs:element>
+		  </xs:sequence></xs:complexType></xs:element>
+		 </xs:sequence></xs:complexType></xs:element>
+		</xs:schema>`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tree
+	}
+	cases := []struct {
+		name  string
+		tree  func(t *testing.T) *schema.Tree
+		query string
+		want  UnsupportedKind
+	}{
+		{"projection resolves to nothing", func(*testing.T) *schema.Tree { return schema.Movie() },
+			`//movie/nonexistent`, PathNotUnique},
+		{"selection resolves to nothing", func(*testing.T) *schema.Tree { return schema.Movie() },
+			`//movie[nonexistent = "x"]/title`, PathNotUnique},
+		{"projection two levels down", orders, `//orders/(order/item/sku)`, MultiLevelPath},
+		{"selection two levels down", orders, `//orders[order/item/sku = "x"]/(order/customer)`, MultiLevelPath},
+		{"selection on a partitioned child", func(t *testing.T) *schema.Tree {
+			tree := orders(t)
+			item := tree.ElementsNamed("item")[0]
+			item.Distributions = []schema.Distribution{{Optionals: []int{tree.ElementsNamed("note")[0].ID}}}
+			return tree
+		}, `//order[item/sku = "x"]/customer`, PartitionedChildSelection},
+		{"contexts with different projections", orders, `//order`, IncompatibleContexts},
+		{"every partition pruned", func(*testing.T) *schema.Tree {
+			tree := schema.Movie()
+			choice := tree.ElementsNamed("box_office")[0].UnderChoice()
+			tree.ElementsNamed("movie")[0].Distributions = []schema.Distribution{{Choice: choice.ID}}
+			return tree
+		}, `//movie[box_office >= 1000]/seasons`, ProvablyEmpty},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Translate(compile(t, tc.tree(t)), xpath.MustParse(tc.query))
+			var un *Unsupported
+			if !errors.As(err, &un) || un.Kind != tc.want {
+				t.Fatalf("%s: error %v, want an Unsupported of kind %d", tc.query, err, tc.want)
+			}
+		})
+	}
+
+	// No tree Compile accepts partitions the overflow relation of a
+	// repetition split (a leaf carries no distribution), so the guard is
+	// reached by re-annotating the split leaf after compiling: its
+	// overflow relations become the two movie partitions.
+	t.Run("split selection with partitioned overflow", func(t *testing.T) {
+		tree := schema.Movie()
+		aka := tree.ElementsNamed("aka_title")[0]
+		aka.SplitCount = 2
+		rating := tree.ElementsNamed("avg_rating")[0]
+		tree.ElementsNamed("movie")[0].Distributions = []schema.Distribution{{Optionals: []int{rating.ID}}}
+		m := compile(t, tree)
+		aka.Annotation = "movie"
+		_, err := Translate(m, xpath.MustParse(`//movie[aka_title = "x"]/title`))
+		var un *Unsupported
+		if !errors.As(err, &un) || un.Kind != PartitionedOverflowSelection {
+			t.Fatalf("error %v, want an Unsupported of kind %d", err, PartitionedOverflowSelection)
+		}
+	})
+
+	// Malformed queries are not refusals of a shape.
+	if _, err := Translate(compile(t, schema.Movie()), xpath.MustParse(`//nonexistent/title`)); err == nil || errors.As(err, new(*Unsupported)) {
+		t.Errorf("unknown context: error %v, want a plain error", err)
 	}
 }
 
