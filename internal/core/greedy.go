@@ -280,13 +280,15 @@ func (a *Advisor) deriveCostFull(cur *evalResult, next *schema.Tree, met *Metric
 	total := 0.0
 	var retune physdesign.Workload
 	retained := make(map[string]bool)
+	derived := make([]bool, len(a.W.Queries))
 	for i := range a.W.Queries {
-		if derivable(cur, i, changed, ev) {
+		if objs, ok := derivable(cur, i, changed, ev); ok {
 			total += a.W.Queries[i].Weight * cur.rec.PerQuery[i]
 			met.CostsDerived++
-			for _, obj := range cur.rec.Plans[i].Objects() {
+			for _, obj := range objs {
 				retained[obj] = true
 			}
+			derived[i] = true
 			continue
 		}
 		retune = append(retune, w[i])
@@ -316,7 +318,7 @@ func (a *Advisor) deriveCostFull(cur *evalResult, next *schema.Tree, met *Metric
 	met.OptimizerCalls += rec.OptimizerCalls
 	ri := 0
 	for i := range a.W.Queries {
-		if derivable(cur, i, changed, ev) {
+		if derived[i] {
 			continue
 		}
 		total += a.W.Queries[i].Weight * rec.PerQuery[ri]
@@ -385,13 +387,15 @@ func changedTables(cur, next *evalResult) map[string]bool {
 // derivable implements the I(Q,M') = I(Q,M) heuristics: the plan under
 // the current mapping must not read any changed table directly, and
 // any index it uses on a changed table must remain definable (all its
-// columns survive in the new mapping).
-func derivable(cur *evalResult, qi int, changed map[string]bool, next *evalResult) bool {
+// columns survive in the new mapping). A derivable query's objects are
+// returned with it: the structures its derived cost keeps using.
+func derivable(cur *evalResult, qi int, changed map[string]bool, next *evalResult) ([]string, bool) {
 	plan := cur.rec.Plans[qi]
 	if plan == nil {
-		return false
+		return nil, false
 	}
-	for _, obj := range plan.Objects() {
+	objs := plan.Objects()
+	for _, obj := range objs {
 		switch {
 		case strings.HasPrefix(obj, "idx:"):
 			table := indexObjectTable(obj)
@@ -399,12 +403,12 @@ func derivable(cur *evalResult, qi int, changed map[string]bool, next *evalResul
 				continue
 			}
 			if !indexSurvives(cur, obj, next) {
-				return false
+				return nil, false
 			}
 		case strings.HasPrefix(obj, "view:"):
 			v := cur.rec.Config.View(strings.TrimPrefix(obj, "view:"))
 			if v == nil || changed[v.Outer] || changed[v.Inner] {
-				return false
+				return nil, false
 			}
 		default:
 			t := obj
@@ -412,11 +416,11 @@ func derivable(cur *evalResult, qi int, changed map[string]bool, next *evalResul
 				t = t[:i]
 			}
 			if changed[t] {
-				return false
+				return nil, false
 			}
 		}
 	}
-	return true
+	return objs, true
 }
 
 // indexObjectTable extracts the table from "idx:table(cols)inc(...)".

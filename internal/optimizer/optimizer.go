@@ -879,7 +879,10 @@ func sargablePred(s *sqlast.Select, table, col string) *sqlast.Pred {
 }
 
 // RewriteOverView rewrites a two-table join branch over a matching
-// materialized view; ok is false when the view does not apply.
+// materialized view; ok is false when the view does not apply. It
+// decides that before allocating anything, so a candidate view that does
+// not apply costs no garbage, and then allocates the rewrite at its
+// exact size.
 func RewriteOverView(s *sqlast.Select, v *physical.View) (*sqlast.Select, bool) {
 	if len(s.From) != 2 {
 		return nil, false
@@ -913,65 +916,100 @@ func RewriteOverView(s *sqlast.Select, v *physical.View) (*sqlast.Select, bool) 
 	if !joinOK {
 		return nil, false
 	}
-	// Every referenced column must be carried by the view.
-	mapCol := func(c sqlast.ColRef) (sqlast.ColRef, bool) {
-		if c.Table != v.Outer && c.Table != v.Inner {
-			return c, true // e.g. EXISTS inner table columns
-		}
-		vc := v.ViewColumn(c.Table, c.Column)
-		if vc == "" {
-			return c, false
-		}
-		return sqlast.ColRef{Table: v.Name, Column: vc}, true
-	}
-	out := &sqlast.Select{From: []string{v.Name}}
+	// Every referenced column must be carried by the view. Count what the
+	// rewrite holds on the way: item columns, kept predicates and their
+	// column lists.
+	itemCols, preds, predCols := 0, 0, 0
 	for _, it := range s.Items {
-		ni := it
 		if it.Col != nil {
-			c, ok := mapCol(*it.Col)
-			if !ok {
+			if !carries(v, *it.Col) {
 				return nil, false
 			}
-			ni.Col = &c
+			itemCols++
 		}
-		out.Items = append(out.Items, ni)
 	}
-	for _, p := range s.Where {
-		np := p
+	for i := range s.Where {
+		p := &s.Where[i]
 		switch p.Kind {
 		case sqlast.PredJoin:
 			continue // absorbed by the view
 		case sqlast.PredCompare:
-			c, ok := mapCol(p.Col)
-			if !ok {
+			if !carries(v, p.Col) {
 				return nil, false
 			}
-			np.Col = c
-		case sqlast.PredOr:
-			np.Cols = nil
+		case sqlast.PredOr, sqlast.PredExists, sqlast.PredOrExists:
+			if p.Kind != sqlast.PredOr && !carries(v, p.OuterCol) {
+				return nil, false
+			}
 			for _, c := range p.Cols {
-				nc, ok := mapCol(c)
-				if !ok {
+				if !carries(v, c) {
 					return nil, false
 				}
-				np.Cols = append(np.Cols, nc)
 			}
-		case sqlast.PredExists, sqlast.PredOrExists:
-			c, ok := mapCol(p.OuterCol)
-			if !ok {
-				return nil, false
+			predCols += len(p.Cols)
+		}
+		preds++
+	}
+	out := &sqlast.Select{From: []string{v.Name}}
+	if len(s.Items) > 0 {
+		out.Items = make([]sqlast.SelectItem, len(s.Items))
+	}
+	// The mapped item columns share one block, as do the predicates'
+	// column lists, each cut with its capacity at its length.
+	itemBlock := make([]sqlast.ColRef, itemCols)
+	for i, it := range s.Items {
+		if it.Col != nil {
+			itemBlock[0] = viewCol(v, *it.Col)
+			it.Col, itemBlock = &itemBlock[0], itemBlock[1:]
+		}
+		out.Items[i] = it
+	}
+	if preds > 0 {
+		out.Where = make([]sqlast.Pred, 0, preds)
+	}
+	predBlock := make([]sqlast.ColRef, predCols)
+	for _, p := range s.Where {
+		switch p.Kind {
+		case sqlast.PredJoin:
+			continue
+		case sqlast.PredCompare:
+			p.Col = viewCol(v, p.Col)
+		case sqlast.PredOr, sqlast.PredExists, sqlast.PredOrExists:
+			if p.Kind != sqlast.PredOr {
+				p.OuterCol = viewCol(v, p.OuterCol)
 			}
-			np.OuterCol = c
-			np.Cols = nil
-			for _, oc := range p.Cols {
-				nc, ok := mapCol(oc)
-				if !ok {
-					return nil, false
+			cols := p.Cols
+			p.Cols = nil
+			if n := len(cols); n > 0 {
+				p.Cols, predBlock = predBlock[:n:n], predBlock[n:]
+				for j, c := range cols {
+					p.Cols[j] = viewCol(v, c)
 				}
-				np.Cols = append(np.Cols, nc)
 			}
 		}
-		out.Where = append(out.Where, np)
+		out.Where = append(out.Where, p)
 	}
 	return out, true
+}
+
+// carries reports whether the view carries the column, or the column is
+// of neither of its tables (e.g. an EXISTS inner table column) and
+// passes through unchanged. It is View.ViewColumn's lookup without the
+// name it builds.
+func carries(v *physical.View, c sqlast.ColRef) bool {
+	switch c.Table {
+	case v.Inner:
+		return slices.Contains(v.InnerCols, c.Column)
+	case v.Outer:
+		return slices.Contains(v.OuterCols, c.Column)
+	}
+	return true
+}
+
+// viewCol maps a column carries accepts to the view's column.
+func viewCol(v *physical.View, c sqlast.ColRef) sqlast.ColRef {
+	if c.Table != v.Outer && c.Table != v.Inner {
+		return c
+	}
+	return sqlast.ColRef{Table: v.Name, Column: v.ViewColumn(c.Table, c.Column)}
 }

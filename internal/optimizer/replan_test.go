@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -24,11 +25,110 @@ import (
 
 // The reference planner: the planner as it stood before branches were
 // analysed once — every left-deep order materialized by permutations and
-// planned from the SQL with a joined-set map, views rewritten per call.
-// It shares only the per-table costing (bestTableAccess, bestJoin,
-// applyExists) with the planner under test, fed from ColumnsOf and
-// localRows directly, so it pins order sequence, tie-breaks, join
-// predicate choice and the float operations of the sums.
+// planned from the SQL with a joined-set map, views rewritten per call
+// by the reference rewrite. It shares only the per-table costing
+// (bestTableAccess, bestJoin, applyExists) with the planner under test,
+// fed from ColumnsOf and localRows directly, so it pins order sequence,
+// tie-breaks, join predicate choice and the float operations of the
+// sums.
+
+// refRewriteOverView is RewriteOverView as it stood before it decided
+// whether a view applies ahead of allocating: it maps and appends item
+// by item and predicate by predicate, and gives up at the first column
+// the view does not carry.
+func refRewriteOverView(s *sqlast.Select, v *physical.View) (*sqlast.Select, bool) {
+	if len(s.From) != 2 {
+		return nil, false
+	}
+	hasOuter, hasInner := false, false
+	for _, t := range s.From {
+		if t == v.Outer {
+			hasOuter = true
+		}
+		if t == v.Inner {
+			hasInner = true
+		}
+	}
+	if !hasOuter || !hasInner {
+		return nil, false
+	}
+	joinOK := false
+	for _, p := range s.Where {
+		if p.Kind != sqlast.PredJoin {
+			continue
+		}
+		l, r := p.Left, p.Right
+		if l.Table == v.Outer {
+			l, r = r, l
+		}
+		if l.Table == v.Inner && l.Column == rel.PIDColumn && r.Table == v.Outer && r.Column == rel.IDColumn {
+			joinOK = true
+		}
+	}
+	if !joinOK {
+		return nil, false
+	}
+	mapCol := func(c sqlast.ColRef) (sqlast.ColRef, bool) {
+		if c.Table != v.Outer && c.Table != v.Inner {
+			return c, true
+		}
+		vc := v.ViewColumn(c.Table, c.Column)
+		if vc == "" {
+			return c, false
+		}
+		return sqlast.ColRef{Table: v.Name, Column: vc}, true
+	}
+	out := &sqlast.Select{From: []string{v.Name}}
+	for _, it := range s.Items {
+		ni := it
+		if it.Col != nil {
+			c, ok := mapCol(*it.Col)
+			if !ok {
+				return nil, false
+			}
+			ni.Col = &c
+		}
+		out.Items = append(out.Items, ni)
+	}
+	for _, p := range s.Where {
+		np := p
+		switch p.Kind {
+		case sqlast.PredJoin:
+			continue
+		case sqlast.PredCompare:
+			c, ok := mapCol(p.Col)
+			if !ok {
+				return nil, false
+			}
+			np.Col = c
+		case sqlast.PredOr:
+			np.Cols = nil
+			for _, c := range p.Cols {
+				nc, ok := mapCol(c)
+				if !ok {
+					return nil, false
+				}
+				np.Cols = append(np.Cols, nc)
+			}
+		case sqlast.PredExists, sqlast.PredOrExists:
+			c, ok := mapCol(p.OuterCol)
+			if !ok {
+				return nil, false
+			}
+			np.OuterCol = c
+			np.Cols = nil
+			for _, oc := range p.Cols {
+				nc, ok := mapCol(oc)
+				if !ok {
+					return nil, false
+				}
+				np.Cols = append(np.Cols, nc)
+			}
+		}
+		out.Where = append(out.Where, np)
+	}
+	return out, true
+}
 
 func permutations(items []string) [][]string {
 	if len(items) <= 1 {
@@ -117,7 +217,7 @@ func (o *Optimizer) refPlanBranch(s *sqlast.Select, cfg *physical.Config) (*Bran
 		return nil, fmt.Errorf("reference: no joinable order for branch %s", s.SQL())
 	}
 	for _, v := range cfg.Views {
-		rs, ok := RewriteOverView(s, v)
+		rs, ok := refRewriteOverView(s, v)
 		if !ok {
 			continue
 		}
@@ -746,5 +846,179 @@ func TestJoinOrderEnumerationBounds(t *testing.T) {
 	s2.Where = nil
 	if _, err := New(prov2).PlanQuery(&sqlast.Query{Branches: []*sqlast.Select{s2}}, nil); err == nil {
 		t.Error("unjoinable branch planned")
+	}
+}
+
+// sameRewrite fails unless RewriteOverView and the reference agree on a
+// branch and view: in ok, in SQL and in every column reference, nil
+// slices included. A rewrite must also share no item column with the
+// branch, and each predicate's column list must end at its capacity, so
+// appending to one cannot overwrite the next.
+func sameRewrite(t *testing.T, label string, s *sqlast.Select, v *physical.View) bool {
+	t.Helper()
+	got, ok := RewriteOverView(s, v)
+	want, wantOK := refRewriteOverView(s, v)
+	if ok != wantOK {
+		t.Fatalf("%s: applies %v, reference %v:\n%s", label, ok, wantOK, s.SQL())
+	}
+	if !ok {
+		return false
+	}
+	if g, w := got.SQL(), want.SQL(); g != w {
+		t.Fatalf("%s: SQL\n%s\nwant\n%s", label, g, w)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: rewrite %#v\nwant %#v", label, got, want)
+	}
+	for i, it := range got.Items {
+		if it.Col != nil && it.Col == s.Items[i].Col {
+			t.Fatalf("%s: item %d shares its column with the branch", label, i)
+		}
+	}
+	for i, p := range got.Where {
+		if cap(p.Cols) != len(p.Cols) && p.Kind != sqlast.PredCompare {
+			t.Fatalf("%s: predicate %d columns %d of capacity %d", label, i, len(p.Cols), cap(p.Cols))
+		}
+	}
+	return true
+}
+
+// tunerView is the join view physdesign's joinViewCandidate proposes for
+// a two-table branch: over its first PID = ID join, the outer side's
+// columns plus ID and the inner side's columns.
+func tunerView(s *sqlast.Select, name string) *physical.View {
+	for _, p := range s.Where {
+		if p.Kind != sqlast.PredJoin {
+			continue
+		}
+		l, r := p.Left, p.Right
+		if l.Column == rel.IDColumn && r.Column == rel.PIDColumn {
+			l, r = r, l
+		}
+		if l.Column != rel.PIDColumn || r.Column != rel.IDColumn {
+			continue
+		}
+		oc, ic := s.ColumnsOf(r.Table), s.ColumnsOf(l.Table)
+		if !slices.Contains(oc, rel.IDColumn) {
+			oc = append(oc, rel.IDColumn)
+		}
+		sort.Strings(oc)
+		return &physical.View{Name: name, Outer: r.Table, Inner: l.Table, OuterCols: oc, InnerCols: ic}
+	}
+	return nil
+}
+
+// rewriteCase is movie ⋈ actor with a column of its own in each place a
+// rewrite maps: actor.actor only in an item, movie.genre only in a
+// compare, movie.year only in an OR, actor.ID only as an EXISTS outer
+// column; award is the EXISTS inner table and passes through.
+func rewriteCase() (*sqlast.Select, func(drop string) *physical.View) {
+	s := &sqlast.Select{
+		Items: []sqlast.SelectItem{{Col: &sqlast.ColRef{Table: "movie", Column: "ID"}, As: "ID"},
+			{Col: &sqlast.ColRef{Table: "actor", Column: "actor"}, As: "actor"}, {As: "prize"}},
+		From: []string{"movie", "actor"},
+		Where: []sqlast.Pred{joinPred("actor", "movie"),
+			{Kind: sqlast.PredCompare, Op: sqlast.OpEq, Col: col("movie", "genre"), Value: rel.Str("g")},
+			{Kind: sqlast.PredOr, Op: sqlast.OpGe, Value: rel.Int(2000),
+				Cols: []sqlast.ColRef{col("movie", "title"), col("movie", "year")}},
+			{Kind: sqlast.PredExists, Op: sqlast.OpEq, Value: rel.Int(3), Table: "award", JoinCol: "PID",
+				InnerCol: "prize", OuterCol: col("actor", "ID")},
+			{Kind: sqlast.PredOrExists, Op: sqlast.OpEq, Value: rel.Str("t"), Cols: []sqlast.ColRef{col("movie", "title")},
+				Table: "award", JoinCol: "PID", OuterCol: col("movie", "ID")}},
+	}
+	view := func(drop string) *physical.View {
+		keep := func(table string, cols ...string) []string {
+			return slices.DeleteFunc(cols, func(c string) bool { return table+"."+c == drop })
+		}
+		return &physical.View{Name: "v", Outer: "movie", Inner: "actor",
+			OuterCols: keep("movie", "ID", "genre", "title", "year"), InnerCols: keep("actor", "ID", "PID", "actor")}
+	}
+	return s, view
+}
+
+// TestRewriteOverViewMatchesReference runs RewriteOverView and the
+// reference over hand cases that fail in each place a column is mapped,
+// and over every view a tuner proposes for the Fig. 5 workloads under
+// four mappings against every branch of the same mapping.
+func TestRewriteOverViewMatchesReference(t *testing.T) {
+	s, view := rewriteCase()
+	for _, c := range []struct {
+		name  string
+		drop  string
+		apply bool
+	}{
+		{"every column carried", "", true},
+		{"fails at an item", "actor.actor", false},
+		{"fails at a compare", "movie.genre", false},
+		{"fails at an OR column", "movie.year", false},
+		{"fails at an EXISTS outer column", "actor.ID", false},
+		{"join column not carried", "actor.PID", true}, // the view absorbs the join
+	} {
+		if got := sameRewrite(t, c.name, s, view(c.drop)); got != c.apply {
+			t.Errorf("%s: applies %v, want %v", c.name, got, c.apply)
+		}
+	}
+	swapped := view("")
+	swapped.Outer, swapped.Inner = swapped.Inner, swapped.Outer
+	if sameRewrite(t, "view the other way round", s, swapped) {
+		t.Error("a view joining the other way round applies")
+	}
+
+	provs, queries := fig5Fixture(t)
+	for mi := range provs {
+		var views []*physical.View
+		seen := map[string]bool{}
+		addView := func(v *physical.View) {
+			if v != nil && !seen[v.ID()] {
+				seen[v.ID()] = true
+				views = append(views, v)
+			}
+		}
+		seq := 0
+		var branches []*sqlast.Select
+		for _, q := range queries[mi] {
+			for _, s := range q.Branches {
+				branches = append(branches, s)
+				if len(s.From) == 2 {
+					addView(tunerView(s, fmt.Sprintf("v_%d", len(views))))
+				}
+				for _, st := range branchStructures(s, provs[mi], &seq) {
+					addView(st.view)
+				}
+			}
+		}
+		applied, refused := 0, 0
+		for vi, v := range views {
+			for bi, s := range branches {
+				label := fmt.Sprintf("mapping %d view %d branch %d", mi, vi, bi)
+				switch {
+				case sameRewrite(t, label, s, v):
+					applied++
+				case viewOf(s.From, v):
+					refused++
+				}
+			}
+		}
+		t.Logf("mapping %d: %d views, %d rewrites, %d refused by a view of the branch's tables", mi, len(views), applied, refused)
+		if applied == 0 || refused == 0 {
+			t.Errorf("mapping %d: %d rewrites and %d refusals by a view of the branch's tables; the sweep needs both", mi, applied, refused)
+		}
+	}
+}
+
+// TestRewriteOverViewRefusesWithoutAllocating pins what a candidate view
+// that does not apply costs the what-if path: nothing.
+func TestRewriteOverViewRefusesWithoutAllocating(t *testing.T) {
+	s, view := rewriteCase()
+	for _, drop := range []string{"actor.actor", "movie.genre", "movie.year", "actor.ID"} {
+		v := view(drop)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, ok := RewriteOverView(s, v); ok {
+				t.Fatalf("view without %s applies", drop)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("view without %s: refusing allocates %v objects, want 0", drop, allocs)
+		}
 	}
 }

@@ -215,6 +215,74 @@ func dblpWorkloads(t *testing.T) (ws []Workload, provs []stats.MapProvider) {
 	return ws, provs
 }
 
+// TestTuneFinalPlansAreFull: the final pass re-plans every query from
+// its base plan with Replan, and what it returns must be what planning
+// each query from nothing under the chosen configuration on a fresh
+// optimizer returns — cost bits and Explain. The workloads are the four
+// DBLP classes core's pinned searches tune (scale 0.25, data seed 1,
+// shape seed 7, five queries a class) under the hybrid mapping, with
+// the tool's options of the pinned "default" and "vpart+storage" runs.
+func TestTuneFinalPlansAreFull(t *testing.T) {
+	base := schema.DBLP()
+	gen := xmlgen.DefaultDBLPOptions()
+	gen.Inproceedings /= 4
+	gen.Books /= 4
+	gen.Seed = 1
+	col := xmlgen.CollectStats(base, xmlgen.GenerateDBLP(base, gen))
+	m, err := shred.Compile(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prov := shred.DeriveStats(m, col)
+	// The pinned storage bound is 2 MiB including the data, as core's
+	// physOpts hands it to the tool.
+	storage := int64(2 << 20)
+	for _, r := range m.Relations {
+		storage -= prov.TableStats(r.Name).Bytes()
+	}
+	if storage < 1 {
+		t.Fatalf("the data fills the 2 MiB bound: %d bytes left", storage)
+	}
+	for _, p := range workload.StandardParams(5, 7) {
+		xw, err := workload.Generate(base, col, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var w Workload
+		for _, q := range xw.Queries {
+			sql, err := translate.Translate(m, q.XPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w = append(w, WeightedQuery{Q: sql, Weight: q.Weight})
+		}
+		for _, opts := range []Options{{}, {EnableVPartitions: true, StorageBytes: storage}} {
+			label := fmt.Sprintf("%s options %s", xw.Name, opts.Key())
+			rec, err := Tune(w, prov, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if len(rec.Config.Indexes)+len(rec.Config.Views)+len(rec.Config.Partitions) == 0 {
+				t.Fatalf("%s: nothing recommended", label)
+			}
+			fresh := optimizer.New(prov)
+			for i, wq := range w {
+				want, err := fresh.PlanQuery(wq.Q, rec.Config)
+				if err != nil {
+					t.Fatalf("%s: query %d: %v", label, i, err)
+				}
+				got := rec.Plans[i]
+				if bits := math.Float64bits; bits(got.Cost) != bits(want.Cost) || bits(rec.PerQuery[i]) != bits(want.Cost) {
+					t.Errorf("%s: query %d cost %v (per query %v), planned from nothing %v", label, i, got.Cost, rec.PerQuery[i], want.Cost)
+				}
+				if g, w := got.Explain(), want.Explain(); g != w {
+					t.Errorf("%s: query %d plan\n%swant\n%s", label, i, g, w)
+				}
+			}
+		}
+	}
+}
+
 // TestTuneMatchesFullReplanning: incremental what-if costing is an
 // implementation detail of Tune — configuration, every cost to the bit,
 // sizes and the optimizer-call count equal the full re-planning loop's.

@@ -11,6 +11,7 @@ package physdesign
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -170,20 +171,23 @@ func (c *candidate) addTo(cfg *physical.Config) bool {
 func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error) {
 	opt := optimizer.New(prov)
 	cfg := &physical.Config{}
-	// plans are the workload's plans under cfg. A what-if call re-plans
-	// from them the branches a candidate's structure can serve; a query
-	// naming none of its tables keeps plan and cost without a call.
-	plans := make([]*optimizer.Plan, len(w))
+	// base are the workload's plans under the empty configuration: the
+	// prefilter and the final pass re-plan from them.
+	base := make([]*optimizer.Plan, len(w))
 	tables := make([][]string, len(w))
 	for i, wq := range w {
 		p, err := opt.PlanQuery(wq.Q, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("physdesign: base cost of query %d: %w", i, err)
 		}
-		plans[i], tables[i] = p, wq.Q.Tables()
+		base[i], tables[i] = p, wq.Q.Tables()
 	}
+	// plans are the workload's plans under cfg. A what-if call re-plans
+	// from them the branches a candidate's structure can serve; a query
+	// naming none of its tables keeps plan and cost without a call.
+	plans := base
 	cands := generateCandidates(w, prov, opts)
-	cands = prefilterCandidates(cands, w, opt, plans, opts)
+	cands = prefilterCandidates(cands, w, opt, base, opts)
 	// Lazy greedy selection: scores only go down as structures are
 	// added, so a stale-score heap avoids re-evaluating every candidate
 	// every round (the classic lazy submodular trick).
@@ -263,17 +267,19 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		plans = s.plans
 		pool[selected] = nil
 	}
-	// Final pass: every query planned from nothing under the chosen
-	// configuration, so the recommendation's plans and costs owe nothing
-	// to the incremental ones and share no branch with them.
+	// Final pass: every query re-planned from its base plan under the
+	// chosen configuration, one call each. By Replan's contract that is
+	// PlanQuery(q, cfg) bit for bit, and it reuses the base plans'
+	// analyses and the view rewrites memoized in them.
 	total := 0.0
 	costs := make([]float64, len(w))
+	final := make([]*optimizer.Plan, len(w))
 	for i, wq := range w {
-		p, err := opt.PlanQuery(wq.Q, cfg)
+		p, err := opt.Replan(base[i], cfg, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("physdesign: final cost of query %d: %w", i, err)
 		}
-		plans[i] = p
+		final[i] = p
 		costs[i] = p.Cost
 		total += wq.Weight * p.Cost
 	}
@@ -287,7 +293,7 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 	return &Recommendation{
 		Config:          cfg,
 		PerQuery:        costs,
-		Plans:           plans,
+		Plans:           final,
 		TotalCost:       total + maint,
 		StructBytes:     cfg.EstBytes(prov),
 		MaintenanceCost: maint,
@@ -422,6 +428,18 @@ func prefilterCandidates(cands []*candidate, w Workload, opt *optimizer.Optimize
 func branchCandidates(s *sqlast.Select, prov stats.Provider, opts Options,
 	name func(string) string) []*candidate {
 	var out []*candidate
+	// columnsOf is s.ColumnsOf, computed once per table: mkIndex and
+	// dedupe copy what they keep, so the lists are shared.
+	var colTables []string
+	var colLists [][]string
+	columnsOf := func(table string) []string {
+		if i := slices.Index(colTables, table); i >= 0 {
+			return colLists[i]
+		}
+		cols := s.ColumnsOf(table)
+		colTables, colLists = append(colTables, table), append(colLists, cols)
+		return cols
+	}
 	mkIndex := func(table string, key []string, include []string) {
 		ts := prov.TableStats(table)
 		if ts == nil {
@@ -437,7 +455,7 @@ func branchCandidates(s *sqlast.Select, prov stats.Provider, opts Options,
 		}
 		t := p.Col.Table
 		mkIndex(t, []string{p.Col.Column}, nil)
-		mkIndex(t, []string{p.Col.Column}, s.ColumnsOf(t))
+		mkIndex(t, []string{p.Col.Column}, columnsOf(t))
 	}
 	// Join and EXISTS probe indexes (plain and covering).
 	for _, p := range s.Where {
@@ -446,7 +464,7 @@ func branchCandidates(s *sqlast.Select, prov stats.Provider, opts Options,
 			for _, side := range []sqlast.ColRef{p.Left, p.Right} {
 				if side.Column == rel.PIDColumn {
 					mkIndex(side.Table, []string{rel.PIDColumn}, nil)
-					mkIndex(side.Table, []string{rel.PIDColumn}, s.ColumnsOf(side.Table))
+					mkIndex(side.Table, []string{rel.PIDColumn}, columnsOf(side.Table))
 				}
 				if side.Column == rel.IDColumn {
 					mkIndex(side.Table, []string{rel.IDColumn}, nil)
@@ -477,7 +495,7 @@ func branchCandidates(s *sqlast.Select, prov stats.Provider, opts Options,
 			if ts == nil {
 				continue
 			}
-			refd := dedupe(s.ColumnsOf(t), []string{rel.IDColumn, rel.PIDColumn})
+			refd := dedupe(columnsOf(t), []string{rel.IDColumn, rel.PIDColumn})
 			var rest []string
 			for c := range ts.Cols {
 				if c == rel.IDColumn || c == rel.PIDColumn || containsStr(refd, c) {

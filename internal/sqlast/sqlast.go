@@ -8,6 +8,7 @@ package sqlast
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -224,51 +225,52 @@ func (s *Select) Tables() []string {
 }
 
 // ColumnsOf returns the columns of the given table referenced anywhere
-// in the branch (output, predicates, joins), sorted.
+// in the branch (output, predicates, joins), sorted, unique and never
+// nil.
 func (s *Select) ColumnsOf(table string) []string {
-	seen := make(map[string]bool)
-	add := func(c ColRef) {
-		if c.Table == table && c.Column != "" {
-			seen[c.Column] = true
+	// A branch names a handful of columns: collect them deduplicated by
+	// scan in a stack buffer, then copy them out at their exact count.
+	var buf [16]string
+	seen := buf[:0]
+	add := func(column string) {
+		if column != "" && !slices.Contains(seen, column) {
+			seen = append(seen, column)
+		}
+	}
+	addCol := func(c ColRef) {
+		if c.Table == table {
+			add(c.Column)
 		}
 	}
 	for _, it := range s.Items {
 		if it.Col != nil {
-			add(*it.Col)
+			addCol(*it.Col)
 		}
 	}
-	for _, p := range s.Where {
-		switch p.Kind {
+	for i := range s.Where {
+		switch p := &s.Where[i]; p.Kind {
 		case PredCompare:
-			add(p.Col)
+			addCol(p.Col)
 		case PredOr:
 			for _, c := range p.Cols {
-				add(c)
+				addCol(c)
 			}
 		case PredJoin:
-			add(p.Left)
-			add(p.Right)
+			addCol(p.Left)
+			addCol(p.Right)
 		case PredExists, PredOrExists:
-			add(p.OuterCol)
+			addCol(p.OuterCol)
 			for _, c := range p.Cols {
-				add(c)
+				addCol(c)
 			}
 			if p.Table == table {
-				if p.JoinCol != "" {
-					seen[p.JoinCol] = true
-				}
-				if p.InnerCol != "" {
-					seen[p.InnerCol] = true
-				}
+				add(p.JoinCol)
+				add(p.InnerCol)
 			}
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
+	sort.Strings(seen)
+	return append(make([]string, 0, len(seen)), seen...)
 }
 
 // Query is a sorted outer-union query: UNION ALL over branches, ordered

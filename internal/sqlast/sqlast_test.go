@@ -1,6 +1,10 @@
 package sqlast
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 
@@ -141,6 +145,126 @@ func TestTablesAndColumnsOf(t *testing.T) {
 	}
 	if len(want) > 0 {
 		t.Errorf("missing columns %v", want)
+	}
+}
+
+// refColumnsOf is ColumnsOf deduplicated through a map, as it stood
+// before it collected into a slice.
+func refColumnsOf(s *Select, table string) []string {
+	seen := make(map[string]bool)
+	add := func(c ColRef) {
+		if c.Table == table && c.Column != "" {
+			seen[c.Column] = true
+		}
+	}
+	for _, it := range s.Items {
+		if it.Col != nil {
+			add(*it.Col)
+		}
+	}
+	for _, p := range s.Where {
+		switch p.Kind {
+		case PredCompare:
+			add(p.Col)
+		case PredOr:
+			for _, c := range p.Cols {
+				add(c)
+			}
+		case PredJoin:
+			add(p.Left)
+			add(p.Right)
+		case PredExists, PredOrExists:
+			add(p.OuterCol)
+			for _, c := range p.Cols {
+				add(c)
+			}
+			if p.Table == table {
+				if p.JoinCol != "" {
+					seen[p.JoinCol] = true
+				}
+				if p.InnerCol != "" {
+					seen[p.InnerCol] = true
+				}
+			}
+		}
+	}
+	out := make([]string, 0, len(seen))
+	for c := range seen {
+		out = append(out, c)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestColumnsOfMatchesMapReference compares ColumnsOf with the map-based
+// reference over random selects that reach every predicate kind, empty
+// column names, a table the select never names (a non-nil empty
+// result), and more distinct columns than ColumnsOf's stack buffer.
+func TestColumnsOfMatchesMapReference(t *testing.T) {
+	tables := []string{"a", "b", "c"}
+	cols := []string{"", "ID", "PID"}
+	for i := 0; i < 20; i++ {
+		cols = append(cols, fmt.Sprintf("c%d", i))
+	}
+	r := rand.New(rand.NewSource(3))
+	ref := func() ColRef {
+		return ColRef{Table: tables[r.Intn(len(tables))], Column: cols[r.Intn(len(cols))]}
+	}
+	refs := func() []ColRef {
+		out := make([]ColRef, r.Intn(4))
+		for i := range out {
+			out[i] = ref()
+		}
+		return out
+	}
+	// Fixed cases first: nothing on the table, and a column that is both
+	// an EXISTS join column and its inner column.
+	selects := []*Select{
+		{From: []string{"a"}},
+		{From: []string{"a"}, Where: []Pred{{Kind: PredExists, Table: "b", JoinCol: "PID", InnerCol: "PID",
+			OuterCol: ColRef{Table: "a", Column: "ID"}}}},
+	}
+	for len(selects) < 500 {
+		s := &Select{From: tables}
+		for i := r.Intn(40); i > 0; i-- {
+			it := SelectItem{As: "x"}
+			if r.Intn(3) > 0 {
+				c := ref()
+				it.Col = &c
+			}
+			s.Items = append(s.Items, it)
+		}
+		for i := r.Intn(12); i > 0; i-- {
+			p := Pred{Kind: PredKind(r.Intn(5)), Col: ref(), Cols: refs(), Left: ref(), Right: ref(), OuterCol: ref(),
+				Table: tables[r.Intn(len(tables))], JoinCol: ref().Column, InnerCol: ref().Column}
+			s.Where = append(s.Where, p)
+		}
+		selects = append(selects, s)
+	}
+	wide := 0
+	for si, s := range selects {
+		for _, table := range append(tables, "d") {
+			got, want := s.ColumnsOf(table), refColumnsOf(s, table)
+			if got == nil {
+				t.Fatalf("select %d table %s: nil result", si, table)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("select %d table %s: %v, want %v\n%s", si, table, got, want, s.SQL())
+			}
+			if len(got) > 16 {
+				wide++
+			}
+		}
+	}
+	if got := selects[1].ColumnsOf("b"); !slices.Equal(got, []string{"PID"}) {
+		t.Errorf("EXISTS join column that is also its inner column: %v, want [PID]", got)
+	}
+	if wide == 0 {
+		t.Error("no select names more columns of one table than the stack buffer holds")
+	}
+	s := sampleQuery().Branches[1]
+	if allocs := testing.AllocsPerRun(100, func() { s.ColumnsOf("inproc") }); allocs != 1 {
+		t.Errorf("ColumnsOf allocates %v objects, want 1 (the result)", allocs)
 	}
 }
 

@@ -283,7 +283,11 @@ func childBranch(m *shred.Mapping, host, child *shred.Relation, pp *projPlan,
 		return nil, fmt.Errorf("translate: relation %s lacks value column for %s", child.Name, pp.leaf.Path())
 	}
 	valCol := child.Columns[ci].Name
-	b := &sqlast.Select{From: []string{host.Name, child.Name}}
+	b := &sqlast.Select{
+		Items: make([]sqlast.SelectItem, 0, len(outNames)),
+		From:  []string{host.Name, child.Name},
+		Where: make([]sqlast.Pred, 0, 1+len(selPreds)),
+	}
 	b.Where = append(b.Where, sqlast.Pred{
 		Kind:  sqlast.PredJoin,
 		Left:  sqlast.ColRef{Table: child.Name, Column: rel.PIDColumn},
