@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"math"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -109,6 +113,137 @@ func TestIndexBuildMatchesRowSort(t *testing.T) {
 		}
 		if len(b.Config.Views)+len(b.Config.Partitions) == 0 && b.StructBytes != total {
 			t.Errorf("%s: StructBytes %d, the indexes add up to %d", name, b.StructBytes, total)
+		}
+	}
+}
+
+// seekIndex builds a one-column index over keys, stored in a seeded
+// shuffle of the given order so that row ids and index order differ.
+func seekIndex(t *testing.T, rng *rand.Rand, keys []rel.Value) *builtIndex {
+	t.Helper()
+	typ := rel.TInt
+	for _, k := range keys {
+		if !k.Null {
+			typ = k.Typ
+			break
+		}
+	}
+	tb := rel.NewTable("t", []rel.Column{{Name: rel.IDColumn, Typ: rel.TInt}, {Name: "k", Typ: typ, Nullable: true}})
+	for i, j := range rng.Perm(len(keys)) {
+		tb.AppendRow([]rel.Value{rel.Int(int64(i)), keys[j]})
+	}
+	db := rel.NewDatabase()
+	db.Add(tb)
+	idx := &physical.Index{Name: "ix_k", Table: "t", Key: []string{"k"}}
+	b, err := Build(db, &physical.Config{Indexes: []*physical.Index{idx}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Index(idx)
+}
+
+// linearEqual is seekEqual by a linear scan of leadKeys: the row ids, in
+// index order, of every non-NULL leading key that compares equal to v.
+func linearEqual(bi *builtIndex, v rel.Value) []int {
+	var out []int
+	for i, k := range bi.leadKeys {
+		if !k.Null && k.Compare(v) == 0 {
+			out = append(out, bi.order[i])
+		}
+	}
+	return out
+}
+
+// TestIndexSeekEqualMatchesLinearScan checks the INL probe's gallop
+// against a linear scan of leadKeys, and against the two binary searches
+// ExecuteReference runs: equal-key runs of 1, 2, 3 and 2^k+1 rows behind
+// an all-NULL prefix, probes below the first key, between keys and above
+// the last, a one-row and an all-NULL index, float keys probed with ints
+// and int keys with floats (−0.0 equals 0), a column that mixes ints and
+// floats, string keys, and seeded random runs. A string probe into int
+// keys, which Compare orders as text, must take the reference's path.
+// The gallop must also stay right for int probes into string keys.
+func TestIndexSeekEqualMatchesLinearScan(t *testing.T) {
+	rng := rand.New(rand.NewSource(34))
+	null := rel.NullOf(rel.TInt)
+	runs := func(mk func(int) rel.Value, nulls int, lens ...int) []rel.Value {
+		var keys []rel.Value
+		for range nulls {
+			keys = append(keys, null)
+		}
+		for i, n := range lens {
+			for range n {
+				keys = append(keys, mk(i))
+			}
+		}
+		return keys
+	}
+	intKey := func(i int) rel.Value { return rel.Int(int64(10 * (i + 1))) }
+	ints := func(vs ...int64) []rel.Value {
+		var out []rel.Value
+		for _, v := range vs {
+			out = append(out, rel.Int(v))
+		}
+		return out
+	}
+	floats := func(vs ...float64) []rel.Value {
+		var out []rel.Value
+		for _, v := range vs {
+			out = append(out, rel.Float(v))
+		}
+		return out
+	}
+	type tc struct {
+		name   string
+		keys   []rel.Value
+		probes []rel.Value
+		mixed  bool // the keys mix types, so seekEqual takes the reference's path
+	}
+	cases := []tc{
+		{"runs of 1,2,3,2^k+1 after NULLs", runs(intKey, 8, 1, 2, 3, 5, 9, 17, 33, 65, 129, 1),
+			append(ints(-5, 0, 9, 10, 11, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100, 101, 1e6),
+				append(floats(20, 20.5, 90, math.NaN(), math.Inf(1)), rel.Str("20"))...), false},
+		{"one row", ints(7), append(ints(6, 7, 8), floats(7, 7.5)...), false},
+		{"all NULL", runs(intKey, 5), ints(0, 10), false},
+		{"float keys", floats(-1, math.Copysign(0, -1), 0, 0, 2.5, 2.5, 2.5, 3, 3, 3, 3, 3, math.NaN()),
+			append(ints(-1, 0, 2, 3, 4), floats(math.Copysign(0, -1), 2.5, 2.75, math.NaN())...), false},
+		{"mixed int and float keys", append(ints(1, 2, 2, 3, 3, 3), floats(1, 2, 2.5, 3, 4)...),
+			append(ints(0, 1, 2, 3, 4, 5), floats(1, 2.5, 3)...), true},
+		// As text "2" sorts after "10", so the two searches return the rows
+		// keyed 2 and 10 for "10" where a gallop would return none.
+		{"string probes into int keys", ints(2, 10, 10, 10, 20), []rel.Value{rel.Str("10"), rel.Str("2")}, false},
+		{"string keys", []rel.Value{rel.Str("1"), rel.Str("10"), rel.Str("2"), rel.Str("2"), rel.Str("2"), rel.Str("b"), rel.NullOf(rel.TString)},
+			[]rel.Value{rel.Str("0"), rel.Str("2"), rel.Str("b"), rel.Str("c"), rel.Int(2), rel.Int(10)}, false},
+	}
+	for r := range 50 {
+		var lens []int
+		for range 1 + rng.Intn(20) {
+			lens = append(lens, 1+rng.Intn(40))
+		}
+		probes := ints(int64(rng.Intn(300) - 20))
+		for i := range lens {
+			probes = append(probes, intKey(i))
+		}
+		cases = append(cases, tc{fmt.Sprintf("random %d", r), runs(intKey, rng.Intn(4), lens...), probes, false})
+	}
+	for _, c := range cases {
+		bi := seekIndex(t, rng, c.keys)
+		if bi.mixed != c.mixed {
+			t.Fatalf("%s: mixed = %v, want %v", c.name, bi.mixed, c.mixed)
+		}
+		stringKeys := slices.ContainsFunc(c.keys, func(k rel.Value) bool { return !k.Null && k.Typ == rel.TString })
+		for _, v := range c.probes {
+			label := fmt.Sprintf("%s: probe %v (type %d)", c.name, v, v.Typ)
+			got, ref := bi.seekEqual(v), bi.seekRange(opEq, v)
+			if !slices.Equal(got, ref) {
+				t.Fatalf("%s: seekEqual %v, the reference's two searches %v", label, got, ref)
+			}
+			if v.Typ == rel.TString && !stringKeys {
+				continue // Compare orders a string against numbers as text: there is no run to scan for
+			}
+			if want := linearEqual(bi, v); !slices.Equal(got, want) {
+				t.Fatalf("%s: seekEqual %v, a linear scan %v", label, got, want)
+			}
 		}
 	}
 }

@@ -342,7 +342,7 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 			if v.Null {
 				continue
 			}
-			for _, rid := range bi.seekEqual(v) {
+			for _, rid := range bi.seekRange(opEq, v) {
 				if st != nil {
 					st.RowsSought++
 				}

@@ -323,25 +323,63 @@ func (r *wireReader) cols() []string {
 	return cols
 }
 
-// rows reads the row arrays, each into a slice of capacity width (the
-// column count when "cols" came first, else the widest row so far).
+// rows reads the row arrays. Rows are cut from a value arena with
+// cap == len, so appending to one row never reaches the next. The first
+// arena holds width values (the column count when "cols" came first);
+// when one fills mid-row, the next is sized by estimate from the values
+// read so far and the row's first values move over. The row headers
+// grow the same way, from the rows read so far.
 func (r *wireReader) rows(width int) [][]rel.Value {
 	if r.null() {
 		return nil
 	}
+	start := r.i
 	rows := [][]rel.Value{}
+	var (
+		arena []rel.Value
+		nv    int // values read so far
+	)
 	for more := r.enter('['); more; more = r.next(']') {
 		var row []rel.Value
 		if !r.null() {
-			row = make([]rel.Value, 0, width)
+			lo := len(arena)
 			for more := r.enter('['); more; more = r.next(']') {
-				row = append(row, r.value())
+				if len(arena) == cap(arena) {
+					n := max(r.estimate(nv, start), 16)
+					if nv == 0 && width > 0 {
+						n = width
+					}
+					fresh := make([]rel.Value, len(arena)-lo, len(arena)-lo+n)
+					copy(fresh, arena[lo:])
+					arena, lo = fresh, 0
+				}
+				v, ok := r.canonValue()
+				if !ok {
+					v = r.anyValue()
+				}
+				arena = append(arena, v)
+				nv++
 			}
-			width = max(width, len(row))
+			row = arena[lo:len(arena):len(arena)]
+		}
+		if len(rows) == cap(rows) {
+			rows = slices.Grow(rows, 1+r.estimate(len(rows)+1, start))
 		}
 		rows = append(rows, row)
 	}
 	return rows
+}
+
+// estimate returns how many more items the rest of the body holds if
+// they are as long as the n items read since byte start, but at most 2n:
+// short items first and long ones after would otherwise reserve room for
+// several times the items there are, so the guess grows geometrically
+// instead of betting the body on the first items.
+func (r *wireReader) estimate(n, start int) int {
+	if n == 0 || r.i <= start {
+		return 0
+	}
+	return int(min(int64(n)*int64(len(r.b)-r.i)/int64(r.i-start), 2*int64(n)))
 }
 
 func (r *wireReader) stats(s *engine.ExecStats) {
@@ -367,9 +405,9 @@ func (r *wireReader) stats(s *engine.ExecStats) {
 	}
 }
 
-// value reads one {"type":…} object; null reads as an object with no
-// members, which names no type.
-func (r *wireReader) value() rel.Value {
+// anyValue reads one {"type":…} object with the general member loop;
+// null reads as an object with no members, which names no type.
+func (r *wireReader) anyValue() rel.Value {
 	var (
 		v      rel.Value
 		typ    string
@@ -425,6 +463,84 @@ func (r *wireReader) value() rel.Value {
 	}
 	r.err = fmt.Errorf("service: bad wire type %q", typ)
 	return rel.Value{}
+}
+
+// canonValue reads a value in the exact bytes appendValue writes for an
+// int or a string: `{`, an optional `"null":true,`, then `"type":"int"`
+// with an optional `,"int":` and at most 18 digits with no leading zero,
+// or `"type":"string"` with an optional `,"str":"…"` of ASCII bytes
+// that need no escape, then `}`. On any other byte it consumes nothing
+// and reports false, and anyValue reads the value: the input picks the
+// path.
+func (r *wireReader) canonValue() (rel.Value, bool) {
+	if r.err != nil {
+		return rel.Value{}, false
+	}
+	b, i := r.b, r.i
+	var v rel.Value
+	switch {
+	case hasAt(b, i, `{"null":true,"type":"`):
+		v.Null = true
+		i += len(`{"null":true,"type":"`)
+	case hasAt(b, i, `{"type":"`):
+		i += len(`{"type":"`)
+	default:
+		return rel.Value{}, false
+	}
+	switch {
+	case hasAt(b, i, `int"`):
+		v.Typ = rel.TInt
+		i += len(`int"`)
+		if hasAt(b, i, `,"int":`) {
+			i += len(`,"int":`)
+			neg := i < len(b) && b[i] == '-'
+			if neg {
+				i++
+			}
+			j := i
+			for j < len(b) && j-i <= 18 && '0' <= b[j] && b[j] <= '9' {
+				v.I = v.I*10 + int64(b[j]-'0')
+				j++
+			}
+			if j == i || j-i > 18 || b[i] == '0' {
+				return rel.Value{}, false
+			}
+			if neg {
+				v.I = -v.I
+			}
+			i = j
+		}
+	case hasAt(b, i, `string"`):
+		v.Typ = rel.TString
+		i += len(`string"`)
+		if hasAt(b, i, `,"str":"`) {
+			i += len(`,"str":"`)
+			j := i
+			for j < len(b) && b[j] != '"' {
+				if c := b[j]; c < 0x20 || c == '\\' || c >= utf8.RuneSelf {
+					return rel.Value{}, false
+				}
+				j++
+			}
+			if j == len(b) {
+				return rel.Value{}, false
+			}
+			v.S = string(b[i:j])
+			i = j + 1
+		}
+	default:
+		return rel.Value{}, false
+	}
+	if i == len(b) || b[i] != '}' {
+		return rel.Value{}, false
+	}
+	r.i = i + 1
+	return v, true
+}
+
+// hasAt reports whether b holds s at i.
+func hasAt(b []byte, i int, s string) bool {
+	return len(b)-i >= len(s) && string(b[i:i+len(s)]) == s
 }
 
 // wireType returns a "type" member as a string, without allocating for

@@ -10,10 +10,14 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/engine"
 	"repro/internal/rel"
@@ -321,6 +325,104 @@ func TestWireStatsFields(t *testing.T) {
 	}
 }
 
+// TestDecodedRowsDoNotAlias: decodeResponse cuts rows from a value arena
+// with cap == len, so appending to one row never writes into the next.
+// The bodies cover rows of unequal width, "cols" null and "cols" after
+// "rows" (no column count to size the first arena by), null and empty
+// rows, and rows that widen down the body, so that an arena sized from
+// the rows read so far fills mid-row again and again.
+func TestDecodedRowsDoNotAlias(t *testing.T) {
+	ragged := &Response{Cols: []string{"a", "b", "c"}}
+	widening := &Response{Cols: []string{"a"}}
+	for i := range 300 {
+		row := make([]rel.Value, i%5)
+		for j := range row {
+			row[j] = rel.Int(int64(100*i + j))
+		}
+		ragged.Rows = append(ragged.Rows, row)
+		wide := make([]rel.Value, 1+i/8)
+		for j := range wide {
+			wide[j] = rel.Str(fmt.Sprint(i, ".", j))
+		}
+		widening.Rows = append(widening.Rows, wide)
+	}
+	raggedBody := appendResponse(nil, ragged)
+	cut := bytes.Index(raggedBody, []byte(`,"rows":`))
+	colsLast := slices.Concat([]byte("{"), raggedBody[cut+1:len(raggedBody)-2], []byte(","), raggedBody[1:cut], []byte("}\n"))
+	bodies := map[string][]byte{
+		"ragged":         raggedBody,
+		"cols null":      appendResponse(nil, &Response{Rows: ragged.Rows}),
+		"cols last":      colsLast,
+		"widening":       appendResponse(nil, widening),
+		"null and empty": []byte(`{"rows":[null,[{"type":"int","int":1}],[],null,[{"type":"int","int":2},{"type":"int","int":3}]]}`),
+	}
+	for name, body := range bodies {
+		resp, err := decodeResponse(body)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		want, err := oracleDecode(body)
+		if err != nil {
+			t.Fatalf("%s: reference decode: %v", name, err)
+		}
+		if d := diffResponses(resp, want); d != "" {
+			t.Fatalf("%s: %s", name, d)
+		}
+		for i := range resp.Rows {
+			if len(resp.Rows[i]) != cap(resp.Rows[i]) {
+				t.Fatalf("%s: row %d has len %d, cap %d", name, i, len(resp.Rows[i]), cap(resp.Rows[i]))
+			}
+			resp.Rows[i] = append(resp.Rows[i], rel.Str("appended"))
+			if i+1 < len(resp.Rows) && !slices.EqualFunc(resp.Rows[i+1], want.Rows[i+1], rel.Value.BitEqual) {
+				t.Fatalf("%s: appending to row %d made row %d %v, want %v", name, i, i+1, resp.Rows[i+1], want.Rows[i+1])
+			}
+		}
+	}
+}
+
+// TestDecodeArenaFollowsSkewedRows: a body whose first rows hold short
+// values (ints and NULLs, ≈ 20 wire bytes each) and whose later rows
+// hold 256-byte strings must not size its arenas or row headers for the
+// rest of the body at the first rows' bytes per value. It decodes such a
+// body with the GC off and bounds what decodeResponse allocates beyond
+// the strings (256 B each, an exact size class) against the value slots
+// and row headers the rows fill: ≈ 1.3× with geometric growth, ≈ 11×
+// when the arena and headers were sized from the first row alone.
+func TestDecodeArenaFollowsSkewedRows(t *testing.T) {
+	const short, long, strLen = 8, 500, 256
+	resp := &Response{Cols: []string{"a", "b", "c", "d"}}
+	for i := range short {
+		resp.Rows = append(resp.Rows, []rel.Value{rel.Int(int64(i)), rel.NullOf(rel.TInt), rel.Int(7), rel.NullOf(rel.TString)})
+	}
+	for i := range long {
+		row := make([]rel.Value, 4)
+		for j := range row {
+			row[j] = rel.Str(fmt.Sprintf("%0*d", strLen, 4*i+j))
+		}
+		resp.Rows = append(resp.Rows, row)
+	}
+	body := appendResponse(nil, resp)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := decodeResponse(body)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := diffResponses(got, resp); d != "" {
+		t.Fatal(d)
+	}
+	rows := short + long
+	filled := 4*rows*int(unsafe.Sizeof(rel.Value{})) + rows*int(unsafe.Sizeof([]rel.Value{}))
+	beyond := int(after.TotalAlloc-before.TotalAlloc) - 4*long*strLen
+	t.Logf("%d B allocated beyond the strings for %d B of filled value slots and row headers (%.2f×)",
+		beyond, filled, float64(beyond)/float64(filled))
+	if beyond > 2*filled {
+		t.Fatalf("decode allocated %d B beyond the strings, more than 2× the %d B its rows fill", beyond, filled)
+	}
+}
+
 // TestWireRequestEncoding pins appendRequest to json.Marshal.
 func TestWireRequestEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
@@ -428,6 +530,29 @@ var wireSeeds = []string{
 	`{"cols":["a"],"cols":["b"]}`,
 	`[]`,
 	``,
+	// Values that start as appendValue writes them and then deviate, so
+	// canonValue must hand them to the general loop.
+	`{"rows":[[{"type":"int","int":01}]]}`,
+	`{"rows":[[{"type":"int","int":-0}]]}`,
+	`{"rows":[[{"null":true,"type":"int","int":1.5}]]}`,
+	`{"rows":[[{"type":"int","int":1e3}]]}`,
+	`{"rows":[[{"type":"int","int":1234567890123456789},{"type":"int","int":-999999999999999999}]]}`,
+	`{"rows":[[{"type":"int","int":0}]]}`,
+	`{"rows":[[{"type":"string","str":"a\"b"}]]}`,
+	"{\"rows\":[[{\"type\":\"string\",\"str\":\"\\u0041\\u00e9\"}]]}",
+	`{"rows":[[{"type":"string","str":"caf` + "é" + `"}]]}`,
+	"{\"rows\":[[{\"type\":\"string\",\"str\":\"a\xffb\"}]]}",
+	"{\"rows\":[[{\"type\":\"string\",\"str\":\"a\tb\"}]]}",
+	`{"rows":[[{"type":"string","str":""},{"type":"string","str":"<&>` + "\x7f" + `"}]]}`,
+	`{"rows":[[{"type":"string","str":"unterminated}]]}`,
+	`{"rows":[[{"type":"int", "int":5},{ "type":"int"},{"type":"string","str":"x" }]]}`,
+	`{"rows":[[{"type":"int","int":5,"int":6}]]}`,
+	`{"rows":[[{"type":"int","int":5,"str":"x"},{"type":"int","int":5,"other":[1]}]]}`,
+	`{"rows":[[{"type":"string","str":"x","str":"y"}]]}`,
+	`{"rows":[[{"null":false,"type":"int","int":5},{"null":true,"type":"int","int":5}]]}`,
+	`{"rows":[[{"type":"int","int":5},{"type":"string","str":"a"}],[{"type":"int"}],[]],"cols":["a","b"]}`,
+	`{"rows":[[{"type":"integer","int":5}]]}`,
+	`{"rows":[[{"type":"int"`,
 }
 
 // realBodies returns /query 200 bodies the server writes for the
@@ -516,6 +641,43 @@ func TestResponseBodyLimit(t *testing.T) {
 			t.Errorf("chunked=%v: body one byte over a %d-byte cap: got %v, want an error naming the cap", chunked, len(body)-1, err)
 		}
 		ts.Close()
+	}
+}
+
+// seekBody is a body shaped like a serve_seek_http answer: 1 000 rows of
+// an outer-union result, an int key, a string, a NULL string and a small
+// int, ≈ 120 bytes a row.
+func seekBody() []byte {
+	resp := &Response{Cols: []string{"ID", "title", "aka_title", "year"}}
+	for i := range 1000 {
+		resp.Rows = append(resp.Rows, []rel.Value{
+			rel.Int(int64(100000 + 7*i)),
+			rel.Str(fmt.Sprintf("Movie Title %05d", i)),
+			rel.NullOf(rel.TString),
+			rel.Int(int64(1950 + i%70)),
+		})
+	}
+	return appendResponse(nil, resp)
+}
+
+// BenchmarkDecodeResponse decodes the server's bodies for the battery's
+// queries and one seek-shaped body; b.SetBytes counts the bytes of all
+// of them per iteration.
+func BenchmarkDecodeResponse(b *testing.B) {
+	bodies := append(realBodies(b), seekBody())
+	n := 0
+	for _, body := range bodies {
+		n += len(body)
+	}
+	b.SetBytes(int64(n))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for _, body := range bodies {
+			if _, err := decodeResponse(body); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 
