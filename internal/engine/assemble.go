@@ -1,6 +1,10 @@
 package engine
 
-import "repro/internal/rel"
+import (
+	"cmp"
+
+	"repro/internal/rel"
+)
 
 // outSlot is the fixed output slot of one morsel of pipeline work. The
 // pipeline does not build rows: it fills one exactly-sized value arena
@@ -28,10 +32,10 @@ var noCols = []rel.Value{}
 // order, so each branch — and usually the whole concatenation — arrives
 // as a few long non-decreasing runs of the key. The cutting pass finds
 // the maximal runs; one run is already the answer, and k runs are merged
-// pairwise with ties going to the earlier run. That is a stable merge
-// sort whose leaves are the runs, so the rows come out in exactly the
-// order a stable sort of the concatenation gives (what sortResult does
-// for ExecuteReference), in O(n log k) compares.
+// in one more pass straight from their arenas into the header slice,
+// ties going to the earlier run (see mergeRuns). That is exactly the order a stable sort
+// of the concatenation gives (what sortResult does for
+// ExecuteReference), in O(n log k) compares and no scratch rows.
 func assemble(slots []outSlot, orderPos int) [][]rel.Value {
 	n := 0
 	for i := range slots {
@@ -41,7 +45,7 @@ func assemble(slots []outSlot, orderPos int) [][]rel.Value {
 		return nil // like ExecuteReference's: an empty result has nil Rows
 	}
 	rows := make([][]rel.Value, n)
-	var ends []int // end offset of every run but the last
+	var runs []run
 	var prev *rel.Value
 	i := 0
 	for si := range slots {
@@ -53,13 +57,18 @@ func assemble(slots []outSlot, orderPos int) [][]rel.Value {
 			}
 			continue
 		}
-		for _, arena := range s.arenas {
+		for ai, arena := range s.arenas {
 			for k := 0; k < len(arena); k += w {
 				row := arena[k : k+w : k+w]
 				if orderPos >= 0 {
 					key := &row[orderPos]
-					if prev != nil && keyBefore(key, prev) {
-						ends = append(ends, i)
+					if prev == nil || keyCmp(key, prev) < 0 {
+						// A run's left holds its first row's index until
+						// the next run starts.
+						if len(runs) > 0 {
+							runs[len(runs)-1].left = i - runs[len(runs)-1].left
+						}
+						runs = append(runs, run{si: si, ai: ai, k: k, left: i})
 					}
 					prev = key
 				}
@@ -68,59 +77,93 @@ func assemble(slots []outSlot, orderPos int) [][]rel.Value {
 			}
 		}
 	}
-	if len(ends) == 0 {
-		return rows
-	}
-	return mergeRuns(rows, append(ends, n), orderPos)
-}
-
-// mergeRuns merges the sorted runs of rows — run r ends at ends[r] and
-// starts where run r-1 ended — bottom-up, adjacent pairs first, between
-// rows and one scratch slice of the same length, and returns whichever
-// of the two holds the final pass.
-func mergeRuns(rows [][]rel.Value, ends []int, pos int) [][]rel.Value {
-	scratch := make([][]rel.Value, len(rows))
-	for len(ends) > 1 {
-		merged := ends[:0] // written behind the read position
-		lo := 0
-		for r := 0; r < len(ends); r += 2 {
-			mid, hi := ends[r], ends[r]
-			if r+1 < len(ends) {
-				hi = ends[r+1]
-			}
-			mergeInto(scratch[lo:hi], rows[lo:mid], rows[mid:hi], pos)
-			merged = append(merged, hi)
-			lo = hi
-		}
-		ends = merged
-		rows, scratch = scratch, rows
+	if len(runs) > 1 {
+		runs[len(runs)-1].left = n - runs[len(runs)-1].left
+		mergeRuns(rows, slots, runs, orderPos)
 	}
 	return rows
 }
 
-// mergeInto merges sorted a and b into dst (len(a)+len(b) long); on
-// equal keys a's row goes first.
-func mergeInto(dst, a, b [][]rel.Value, pos int) {
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		if keyBefore(&b[j][pos], &a[i][pos]) {
-			dst[i+j] = b[j]
-			j++
-		} else {
-			dst[i+j] = a[i]
-			i++
-		}
-	}
-	copy(dst[i+j:], a[i:])
-	copy(dst[len(a)+j:], b[j:])
+// run is a cursor over one sorted run of rows: the row at offset k of
+// arena ai of slot si, the rows the run has left, and the current row's
+// key.
+type run struct {
+	si, ai, k, left int
+	key             *rel.Value
 }
 
-// keyBefore reports whether a orders strictly before b under
-// rel.Value.Compare. The key of a sorted outer union is a non-NULL int
-// id, which is compared without the call.
-func keyBefore(a, b *rel.Value) bool {
-	if a.Typ == rel.TInt && b.Typ == rel.TInt && !a.Null && !b.Null {
-		return a.I < b.I
+// mergeRuns writes the rows of runs into rows in merged order through a
+// tournament tree over the runs' current keys: each internal node holds
+// the run that lost the match there, so a row costs one replay from its
+// run's leaf to the root — ceil(log2 k) compares — and ties go to the
+// earlier run.
+func mergeRuns(rows [][]rel.Value, slots []outSlot, runs []run, pos int) {
+	k := len(runs)
+	for r := range runs {
+		c := &runs[r]
+		c.key = &slots[c.si].arenas[c.ai][c.k+pos]
 	}
-	return a.Compare(*b) < 0
+	// before reports whether run a's row comes before run b's; an
+	// exhausted run comes last.
+	before := func(a, b int) bool {
+		ra, rb := &runs[a], &runs[b]
+		if ra.left == 0 || rb.left == 0 {
+			return rb.left == 0 && ra.left != 0
+		}
+		c := keyCmp(ra.key, rb.key)
+		return c < 0 || c == 0 && a < b
+	}
+	// Leaves k..2k-1 are the runs; node n's children are 2n and 2n+1.
+	losers := make([]int, k)
+	win := make([]int, 2*k)
+	for r := range runs {
+		win[k+r] = r
+	}
+	for n := k - 1; n >= 1; n-- {
+		a, b := win[2*n], win[2*n+1]
+		if before(b, a) {
+			a, b = b, a
+		}
+		win[n], losers[n] = a, b
+	}
+	w := win[1]
+	for i := range rows {
+		c := &runs[w]
+		s := &slots[c.si]
+		rows[i] = s.arenas[c.ai][c.k : c.k+s.width : c.k+s.width]
+		if c.left--; c.left > 0 {
+			c.k += s.width
+			c.settle(slots)
+			c.key = &slots[c.si].arenas[c.ai][c.k+pos]
+		}
+		for n := (k + w) / 2; n >= 1; n /= 2 {
+			if before(losers[n], w) {
+				w, losers[n] = losers[n], w
+			}
+		}
+	}
+}
+
+// settle moves a cursor that has stepped off the end of an arena to the
+// next row, past empty arenas and slots; the run has one.
+func (c *run) settle(slots []outSlot) {
+	for {
+		as := slots[c.si].arenas
+		if c.ai < len(as) && c.k < len(as[c.ai]) {
+			return
+		}
+		c.k = 0
+		if c.ai++; c.ai >= len(as) {
+			c.ai, c.si = 0, c.si+1
+		}
+	}
+}
+
+// keyCmp orders a and b as rel.Value.Compare does. The key of a sorted
+// outer union is a non-NULL int id, which is compared without the call.
+func keyCmp(a, b *rel.Value) int {
+	if a.Typ == rel.TInt && b.Typ == rel.TInt && !a.Null && !b.Null {
+		return cmp.Compare(a.I, b.I)
+	}
+	return a.Compare(*b)
 }

@@ -180,46 +180,144 @@ func (b *Built) PreparedContext(ctx context.Context, plan *optimizer.Plan) (*Pre
 	})
 }
 
-// joinTable is a cached hash-join build side: the key column's hash
-// chains over build positions, and nothing else. The build side is
-// always a whole source, so build position i is the source's row i,
-// the row id the probe emits. The probe fills the
-// inner columns a query references from the source's column vectors (see
-// colFill), so the table holds no rows. Integer keys (the common ID/PID
-// case) use the chained head/next layout of the reference executor —
-// probing walks the chain in the same (reverse-build) order, so join
-// output ordering is bit-identical. String keys map to build positions
-// in build order, likewise matching the reference.
+// joinTable is a cached hash-join build side: the key column's chains
+// over build positions, and nothing else. The build side is always a
+// whole source, so build position i is the source's row i, the row id
+// the probe emits; the pipeline carries row ids, so the table holds no
+// rows. Two cells join when their string forms are equal. A key column
+// whose every non-NULL cell is an int (the ID/PID case) keys by the int
+// itself, in the chained head/next layout of the reference executor —
+// probing walks a chain in the same (reverse-build) order, so join
+// output ordering is bit-identical. Shredded IDs come from one
+// document-order counter, so such a column is dense: when its value
+// span is at most denseSpan × its row count, head is a []int32 indexed
+// by key − lo (dense); otherwise a map. Any other column keys by string
+// form and maps each key to its build positions in build order,
+// likewise matching the reference.
 type joinTable struct {
 	intKeys bool
+	lo      int64
+	dense   []int32
 	head    map[int64]int32
 	next    []int32
 	str     map[string][]int32
 }
 
-// buildJoinTable hashes the n build positions by key(i), the join
+// denseSpan bounds the key span, in multiples of the row count, up to
+// which an int-keyed join table indexes its chain heads by offset.
+const denseSpan = 8
+
+// first returns the build position that heads key k's chain, -1 when
+// no row has k. An offset taken in uint64 wraps any k below lo past
+// the end, so keys at the int64 extremes cannot overflow.
+func (jt *joinTable) first(k int64) int32 {
+	if jt.dense != nil {
+		if off := uint64(k) - uint64(jt.lo); off < uint64(len(jt.dense)) {
+			return jt.dense[off]
+		}
+		return -1
+	}
+	if i, ok := jt.head[k]; ok {
+		return i
+	}
+	return -1
+}
+
+// chainOf returns the head of the chain of build positions v joins in
+// an int-keyed table, -1 when it joins none.
+func (jt *joinTable) chainOf(v rel.Value) int32 {
+	if v.Null {
+		return -1
+	}
+	k, ok := intKey(v)
+	if !ok {
+		return -1
+	}
+	return jt.first(k)
+}
+
+// intKey returns the int a non-NULL value equals under string-form
+// matching: the value itself for an int, otherwise the number whose
+// canonical decimal rendering is the value's string form, if any.
+func intKey(v rel.Value) (int64, bool) {
+	if v.Typ == rel.TInt {
+		return v.I, true
+	}
+	s := v.String()
+	i, err := strconv.ParseInt(s, 10, 64)
+	if err != nil || strconv.FormatInt(i, 10) != s {
+		return 0, false
+	}
+	return i, true
+}
+
+// buildJoinTable indexes the n build positions by key(i), the join
 // column's value at position i.
 func buildJoinTable(n int, key func(i int) rel.Value) *joinTable {
-	jt := &joinTable{}
-	jt.intKeys = n == 0 || key(0).Typ == rel.TInt
-	if jt.intKeys {
-		jt.head = make(map[int64]int32, n)
-		jt.next = make([]int32, n)
-		for i := 0; i < n; i++ {
-			v := key(i)
-			if v.Null {
-				jt.next[i] = -1
-				continue
-			}
-			if prev, ok := jt.head[v.I]; ok {
-				jt.next[i] = prev
-			} else {
-				jt.next[i] = -1
-			}
-			jt.head[v.I] = int32(i)
-		}
-		return jt
+	if lo, hi, ok := intKeyRange(n, key); ok {
+		return buildIntJoinTable(n, key, lo, hi, uint64(hi)-uint64(lo) <= denseSpan*uint64(n))
 	}
+	return buildStrJoinTable(n, key)
+}
+
+// intKeyRange reports whether every non-NULL key is an int, and their
+// least and greatest (both 0 when every key is NULL).
+func intKeyRange(n int, key func(i int) rel.Value) (lo, hi int64, ok bool) {
+	seen := false
+	for i := 0; i < n; i++ {
+		v := key(i)
+		if v.Null {
+			continue
+		}
+		if v.Typ != rel.TInt {
+			return 0, 0, false
+		}
+		if !seen || v.I < lo {
+			lo = v.I
+		}
+		if !seen || v.I > hi {
+			hi = v.I
+		}
+		seen = true
+	}
+	return lo, hi, true
+}
+
+// buildIntJoinTable chains the build positions of an int key column
+// whose keys lie in [lo, hi], heads indexed by offset when dense.
+func buildIntJoinTable(n int, key func(i int) rel.Value, lo, hi int64, dense bool) *joinTable {
+	jt := &joinTable{intKeys: true, lo: lo, next: make([]int32, n)}
+	if dense {
+		jt.dense = make([]int32, uint64(hi)-uint64(lo)+1)
+		for i := range jt.dense {
+			jt.dense[i] = -1
+		}
+	} else {
+		jt.head = make(map[int64]int32, n)
+	}
+	for i := 0; i < n; i++ {
+		v := key(i)
+		jt.next[i] = -1
+		if v.Null {
+			continue
+		}
+		if dense {
+			off := uint64(v.I) - uint64(lo)
+			jt.next[i] = jt.dense[off]
+			jt.dense[off] = int32(i)
+			continue
+		}
+		if prev, ok := jt.head[v.I]; ok {
+			jt.next[i] = prev
+		}
+		jt.head[v.I] = int32(i)
+	}
+	return jt
+}
+
+// buildStrJoinTable maps each key's string form to its build positions.
+func buildStrJoinTable(n int, key func(i int) rel.Value) *joinTable {
+	jt := &joinTable{}
 	jt.str = make(map[string][]int32, n)
 	for i := 0; i < n; i++ {
 		v := key(i)
@@ -255,24 +353,10 @@ func (e *existsSet) match(v rel.Value) bool {
 		return false
 	}
 	if e.ints != nil {
-		if v.Typ == rel.TInt {
-			return e.ints[v.I]
-		}
-		return matchIntSetString(e.ints, v)
+		k, ok := intKey(v)
+		return ok && e.ints[k]
 	}
 	return e.strs[v.String()]
-}
-
-// matchIntSetString resolves a non-integer probe against an int-keyed
-// set: it matches exactly when the probe's string form is the
-// canonical decimal rendering of a present key.
-func matchIntSetString(set map[int64]bool, v rel.Value) bool {
-	s := v.String()
-	i, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || strconv.FormatInt(i, 10) != s {
-		return false
-	}
-	return set[i]
 }
 
 // existsProbeSet returns the cached probe set for an EXISTS predicate.

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/optimizer"
@@ -65,39 +66,41 @@ func ExecuteContext(ctx context.Context, b *Built, plan *optimizer.Plan) (*Resul
 // scope tracks the tables a branch has in scope and resolves column
 // references against them, one way per executor. The reference executor
 // builds combined tuples — every column of every table, concatenated in
-// join order — and reads them at pos. The batch executor builds narrow
-// tuples: slot hands out one tuple slot per distinct column, at its
-// first reference, so a branch's tuples are as wide as the set of
-// columns something after the scan reads (join keys, post-driver
-// predicates, the projection) and every table's refs list says which of
-// its columns to fill and where. Driver-stage kernels read column
-// vectors at col and take no slot. slot is the only method that writes:
-// it runs during Prepare, on one goroutine; executions only call col.
+// join order — and reads them at pos. The batch executor builds no
+// tuples: it carries one row-id vector per table, numbered by the
+// table's idx, and ref resolves a column to (table idx, column index),
+// recording it in the table's refs — the columns an execution reads, so
+// a scan fetches exactly those. ref is the only method that writes: it
+// runs during Prepare, on one goroutine; executions only call col and
+// at.
 type scope struct {
 	tables map[string]*scopeTable
 	width  int // combined tuple width (reference executor)
-	slots  int // narrow tuple slots handed out (batch executor)
+	n      int // tables added
 }
 
 // scopeTable is one table in scope.
 type scopeTable struct {
+	idx  int            // the table's number: the driver 0, join j's inner j+1
 	base int            // combined-tuple offset of the table's first column
 	cols map[string]int // column name -> column index
-	refs []colRef       // the columns a narrow tuple carries, in slot order
+	refs []int          // the columns something reads, first reference first
 }
 
-// colRef places one referenced column in the narrow tuple.
-type colRef struct{ col, slot int }
+// tabCol is a column reference of the batch executor: the table's idx
+// and the column's index in the table.
+type tabCol struct{ tab, col int }
 
 func newScope() *scope { return &scope{tables: make(map[string]*scopeTable)} }
 
 func (sc *scope) add(table string, cols []string) *scopeTable {
-	st := &scopeTable{base: sc.width, cols: make(map[string]int, len(cols))}
+	st := &scopeTable{idx: sc.n, base: sc.width, cols: make(map[string]int, len(cols))}
 	for i, c := range cols {
 		st.cols[c] = i
 	}
 	sc.tables[table] = st
 	sc.width += len(cols)
+	sc.n++
 	return st
 }
 
@@ -129,21 +132,26 @@ func (sc *scope) pos(c sqlast.ColRef) (int, error) {
 	return st.base + i, nil
 }
 
-// slot returns the column's slot in the narrow tuple, handing out the
-// next free one at the column's first reference.
-func (sc *scope) slot(c sqlast.ColRef) (int, error) {
+// ref resolves the column for the batch executor and records that an
+// execution reads it.
+func (sc *scope) ref(c sqlast.ColRef) (tabCol, error) {
 	st, i, err := sc.resolve(c)
 	if err != nil {
-		return 0, err
+		return tabCol{}, err
 	}
-	for _, r := range st.refs {
-		if r.col == i {
-			return r.slot, nil
-		}
+	if !slices.Contains(st.refs, i) {
+		st.refs = append(st.refs, i)
 	}
-	st.refs = append(st.refs, colRef{col: i, slot: sc.slots})
-	sc.slots++
-	return sc.slots - 1, nil
+	return tabCol{tab: st.idx, col: i}, nil
+}
+
+// at is ref without the recording, for compiles after Prepare.
+func (sc *scope) at(c sqlast.ColRef) (tabCol, error) {
+	st, i, err := sc.resolve(c)
+	if err != nil {
+		return tabCol{}, err
+	}
+	return tabCol{tab: st.idx, col: i}, nil
 }
 
 func (sc *scope) has(table string) bool { _, ok := sc.tables[table]; return ok }
@@ -169,9 +177,9 @@ func predInScope(p *sqlast.Pred, sc *scope) bool {
 }
 
 // colPositions resolves every column through one of the scope's
-// resolvers (col, pos or slot).
-func colPositions(resolve func(sqlast.ColRef) (int, error), cols []sqlast.ColRef) ([]int, error) {
-	out := make([]int, len(cols))
+// resolvers (col, pos or ref).
+func colPositions[P any](resolve func(sqlast.ColRef) (P, error), cols []sqlast.ColRef) ([]P, error) {
+	out := make([]P, len(cols))
 	for i, c := range cols {
 		pos, err := resolve(c)
 		if err != nil {

@@ -16,7 +16,8 @@ import (
 // vector alone: columns with exception values — wrong-typed appends and
 // NULLs that carry a payload — on a driver table and on a join inner,
 // join keys among them, and a string column that is NULL in every row
-// (an empty dictionary under a full code vector).
+// (an empty dictionary under a full code vector). g is c's child, for
+// plans with two joins.
 func fillDB() *rel.Database {
 	const np, nc = 150, 260
 	p := rel.NewTable("p", []rel.Column{
@@ -74,18 +75,37 @@ func fillDB() *rel.Database {
 		}
 		c.AppendRow([]rel.Value{rel.Int(int64(1000 + i)), pid, w, rel.NullOf(rel.TString)})
 	}
+	g := rel.NewTable("g", []rel.Column{
+		{Name: "ID", Typ: rel.TInt},
+		{Name: "PID", Typ: rel.TInt},
+		{Name: "v", Typ: rel.TFloat, Nullable: true},
+	})
+	g.Parent = "c"
+	for i := 0; i < 2*nc; i++ {
+		v := rel.Float(float64(i%13) / 2)
+		if i%9 == 4 {
+			v = rel.Str("nine")
+		}
+		g.AppendRow([]rel.Value{rel.Int(int64(5000 + i)), rel.Int(int64(1000 + (i*7)%nc)), v})
+	}
 	db := rel.NewDatabase()
 	db.Add(p)
 	db.Add(c)
+	db.Add(g)
 	return db
 }
 
-// TestFillMatchesReference runs every tuple source of the batch
+// TestFillMatchesReference runs every table source of the batch
 // executor — scan fragments (resident and chunked), a seek driver, hash
 // joins keyed by int and by string, an INL join, and
 // zips of partition groups as a driver and as a hash-join inner — over
 // fillDB, projecting and filtering on the exception-bearing and all-NULL
 // columns, and wants the reference executor's rows bit for bit. The
+// post-join cases filter a join's output with the driver-stage kernels
+// over the row ids of the table they read: a string range on the host
+// after a child-to-parent join (Q7's third branch), a filter on an
+// exception-bearing column, filters between and after two joins, and an
+// OR whose columns lie in two tables, one of them a chunked driver. The
 // plans are written by hand so each access path is certain to run. Both
 // tables are partitioned, so the zip cases check the claim the executor
 // rests on: it fills a zip from the base table, the reference zips the
@@ -102,13 +122,16 @@ func TestFillMatchesReference(t *testing.T) {
 	cfg.AddIndex(ixPK)
 	cfg.AddIndex(ixCPID)
 	cfg.AddIndex(ixCID)
+	ixGPID := &physical.Index{Name: "ix_g_pid", Table: "g", Key: []string{"PID"}}
+	cfg.AddIndex(ixGPID)
 	// Every group replicates ID and PID; x and f hold exception values
 	// and NULLs, allnull an empty dictionary.
 	cfg.AddPartition(&physical.VPartition{Table: "p", Groups: [][]string{{"k", "allnull", "x"}, {"f", "tag"}}})
 	cfg.AddPartition(&physical.VPartition{Table: "c", Groups: [][]string{{"w"}, {"allnull"}}})
 
-	scanP := optimizer.Access{Table: "p"}
+	scanP, scanC := optimizer.Access{Table: "p"}, optimizer.Access{Table: "c"}
 	joinPred := sqlast.Pred{Kind: sqlast.PredJoin, Left: *col("c", "PID"), Right: *col("p", "ID")}
+	gJoinPred := sqlast.Pred{Kind: sqlast.PredJoin, Left: *col("g", "PID"), Right: *col("c", "ID")}
 	pItems := []sqlast.SelectItem{item("p", "ID"), item("p", "allnull"), item("p", "x"), item("p", "f")}
 	joinItems := []sqlast.SelectItem{item("p", "ID"), item("p", "x"), item("c", "w"), item("c", "allnull"), item("c", "PID")}
 
@@ -153,6 +176,25 @@ func TestFillMatchesReference(t *testing.T) {
 		"inl-join": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred}}, scanP,
 			optimizer.Join{Method: optimizer.JoinINL, Inner: optimizer.Access{Table: "c", Kind: optimizer.AccessSeek, Index: ixCPID},
 				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
+		"post-join-string-range-on-host": plan(&sqlast.Select{Items: []sqlast.SelectItem{item("c", "ID"), item("p", "tag"), item("p", "ID"), item("c", "w")},
+			From: []string{"c", "p"}, Where: []sqlast.Pred{joinPred, cmpPred("p", "tag", sqlast.OpGe, rel.Str("t2"))}}, scanC,
+			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "p"},
+				OuterCol: *col("c", "PID"), InnerCol: *col("p", "ID")}),
+		"post-join-on-exceptions": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred,
+			cmpPred("c", "w", sqlast.OpGe, rel.Str("t1")), cmpPred("c", "PID", sqlast.OpLe, rel.Int(120))}}, scanP,
+			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c"},
+				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
+		"two-joins-filter-between": plan(&sqlast.Select{Items: []sqlast.SelectItem{item("p", "ID"), item("c", "w"), item("g", "v"), item("g", "ID"), {As: "none"}},
+			From: []string{"p", "c", "g"}, Where: []sqlast.Pred{joinPred, gJoinPred,
+				cmpPred("c", "w", sqlast.OpNe, rel.Str("t1")), cmpPred("g", "v", sqlast.OpLt, rel.Float(4))}}, scanP,
+			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c"},
+				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")},
+			optimizer.Join{Method: optimizer.JoinINL, Inner: optimizer.Access{Table: "g", Kind: optimizer.AccessSeek, Index: ixGPID},
+				OuterCol: *col("c", "ID"), InnerCol: *col("g", "PID")}),
+		"post-join-or-across-tables": plan(&sqlast.Select{Items: joinItems, From: []string{"c", "p"}, Where: []sqlast.Pred{joinPred,
+			{Kind: sqlast.PredOr, Op: sqlast.OpEq, Value: rel.Str("t1"), Cols: []sqlast.ColRef{*col("p", "tag"), *col("c", "w")}}}}, scanC,
+			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "p"},
+				OuterCol: *col("c", "PID"), InnerCol: *col("p", "ID")}),
 	}
 
 	defer func(old int) { morselRows = old }(morselRows)
@@ -165,6 +207,7 @@ func TestFillMatchesReference(t *testing.T) {
 		}
 		if chunked {
 			built.SetScanSource("p", newSliceSource(t, db.Table("p"), 64))
+			built.SetScanSource("c", newSliceSource(t, db.Table("c"), 64))
 		}
 		for name, pl := range plans {
 			label := fmt.Sprintf("chunked=%v %s", chunked, name)
@@ -186,14 +229,14 @@ func TestFillMatchesReference(t *testing.T) {
 				}
 				requireIdentical(t, label, got, want)
 			}
-			if pb := pp.branches[0]; name == "zip-driver-kernels" && (len(pb.kerns) != 2 || len(pb.ops) != 0) {
-				t.Errorf("%s: %d kernels and %d pipeline operators; both driver-stage predicates should be kernels", label, len(pb.kerns), len(pb.ops))
+			if pb := pp.branches[0]; name == "zip-driver-kernels" && (len(pb.kernPreds) != 2 || len(pb.ops) != 0) {
+				t.Errorf("%s: %d kernels and %d pipeline operators; both driver-stage predicates should be kernels", label, len(pb.kernPreds), len(pb.ops))
 			}
 		}
 		// A join on a zip of c and a join on c itself have one build
 		// side: c's PID column, cached once ("c.w" is the string-keyed
-		// join's).
-		if keys := built.CacheKeys(); fmt.Sprint(keys) != "[t:c|c:PID t:c|c:w]" {
+		// join's, "p.ID" the child-to-parent joins').
+		if keys := built.CacheKeys(); fmt.Sprint(keys) != "[t:c|c:PID t:c|c:w t:p|c:ID]" {
 			t.Errorf("chunked=%v: join-table cache holds %v", chunked, keys)
 		}
 		// A hash join's build side is a scan: the optimizer never feeds

@@ -1,0 +1,166 @@
+package engine
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"repro/internal/optimizer"
+	"repro/internal/physical"
+	"repro/internal/rel"
+	"repro/internal/sqlast"
+)
+
+// chainAll walks the chain a probe of v heads.
+func chainAll(jt *joinTable, v rel.Value) []int32 {
+	var out []int32
+	for m := jt.chainOf(v); m >= 0; m = jt.next[m] {
+		out = append(out, m)
+	}
+	return out
+}
+
+// TestJoinTableDenseMatchesMap builds the dense and the map arm of an
+// int-keyed join table over the same keys and wants the same chains
+// from both — each the build positions holding the probe's key in
+// reverse build order, the order the reference executor emits — for
+// every key present and for probes below lo, above hi, at the int64
+// extremes, as strings, and NULL. buildJoinTable must pick the dense
+// arm up to a span of 8 × rows and the map arm past it, and the map arm
+// for keys at both extremes, whose span only uint64 holds.
+func TestJoinTableDenseMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewSource(engineTestSeed(t)))
+	ints := func(ks ...int64) []rel.Value {
+		vs := make([]rel.Value, len(ks))
+		for i, k := range ks {
+			vs[i] = rel.Int(k)
+		}
+		return vs
+	}
+	dupHeavy := make([]rel.Value, 600)
+	for i := range dupHeavy {
+		if rng.Intn(9) == 0 {
+			dupHeavy[i] = rel.Value{Null: true, Typ: rel.TInt, I: int64(i)}
+		} else {
+			dupHeavy[i] = rel.Int(100 + rng.Int63n(12))
+		}
+	}
+	spanAt := func(n int, span int64) []rel.Value {
+		vs := ints(0, span)
+		for len(vs) < n {
+			vs = append(vs, rel.Int(rng.Int63n(span+1)))
+		}
+		return vs
+	}
+	const n = 50
+	cases := []struct {
+		name  string
+		keys  []rel.Value
+		dense bool // the arm buildJoinTable picks
+	}{
+		{"duplicate-heavy", dupHeavy, true},
+		{"near-min", ints(math.MinInt64, math.MinInt64+3, math.MinInt64, math.MinInt64+1), true},
+		{"near-max", ints(math.MaxInt64, math.MaxInt64-2, math.MaxInt64, math.MaxInt64-7), true},
+		{"both-extremes", ints(math.MaxInt64, 0, math.MinInt64, math.MaxInt64, -1), false},
+		{"span-8x-rows", spanAt(n, 8*n), true},
+		{"span-just-above-8x-rows", spanAt(n, 8*n+1), false},
+		{"all-null", []rel.Value{rel.NullOf(rel.TInt), rel.NullOf(rel.TString)}, true},
+		{"empty", nil, true},
+	}
+	for _, tc := range cases {
+		key := func(i int) rel.Value { return tc.keys[i] }
+		nk := len(tc.keys)
+		jt := buildJoinTable(nk, key)
+		if !jt.intKeys || (jt.dense != nil) != tc.dense {
+			t.Fatalf("%s: intKeys %v, dense arm %v, want dense %v", tc.name, jt.intKeys, jt.dense != nil, tc.dense)
+		}
+		lo, hi, ok := intKeyRange(nk, key)
+		if !ok {
+			t.Fatalf("%s: keys are not all ints", tc.name)
+		}
+		arms := []*joinTable{buildIntJoinTable(nk, key, lo, hi, false)}
+		if uint64(hi)-uint64(lo) <= 8*uint64(nk) {
+			arms = append(arms, buildIntJoinTable(nk, key, lo, hi, true))
+		}
+		probes := []rel.Value{rel.Int(lo - 1), rel.Int(hi + 1), rel.Int(math.MinInt64), rel.Int(math.MaxInt64),
+			rel.NullOf(rel.TInt), rel.Value{Null: true, Typ: rel.TInt, I: lo}, rel.Str("x"), rel.Float(0.5)}
+		for _, v := range tc.keys {
+			if !v.Null {
+				probes = append(probes, v, rel.Str(fmt.Sprint(v.I)), rel.Str(fmt.Sprint(v.I)+" "))
+			}
+		}
+		for _, p := range probes {
+			var want []int32
+			if k, ok := intKey(p); ok && !p.Null {
+				for i := nk - 1; i >= 0; i-- {
+					if v := tc.keys[i]; !v.Null && v.I == k {
+						want = append(want, int32(i))
+					}
+				}
+			}
+			for _, arm := range append(arms, jt) {
+				if got := chainAll(arm, p); !slices.Equal(got, want) {
+					t.Fatalf("%s: dense=%v probe %#v: chain %v, want %v", tc.name, arm.dense != nil, p, got, want)
+				}
+			}
+		}
+		if len(arms) == 2 && !slices.Equal(arms[0].next, arms[1].next) {
+			t.Fatalf("%s: the arms chain differently: %v vs %v", tc.name, arms[0].next, arms[1].next)
+		}
+	}
+}
+
+// TestJoinKeysMatchByStringForm: a join matches two cells when their
+// string forms are equal, in both executors and from either side. An
+// int key column holding the exception "zz" keys by string, so "zz"
+// joins no ID — keying it by its zero int payload joined it to ID 0 —
+// while the exception "1" joins ID 1, and a string probe into a clean
+// int column joins the int it renders.
+func TestJoinKeysMatchByStringForm(t *testing.T) {
+	h := rel.NewTable("h", []rel.Column{{Name: "ID", Typ: rel.TInt}})
+	for i := 0; i < 4; i++ {
+		h.AppendRow([]rel.Value{rel.Int(int64(i))})
+	}
+	k := rel.NewTable("k", []rel.Column{{Name: "ID", Typ: rel.TInt}, {Name: "PID", Typ: rel.TInt, Nullable: true}})
+	for i, pid := range []rel.Value{rel.Str("zz"), rel.Str("1"), rel.Int(2), rel.NullOf(rel.TInt), rel.Str("03"), rel.Int(3)} {
+		k.AppendRow([]rel.Value{rel.Int(int64(10 + i)), pid})
+	}
+	db := rel.NewDatabase()
+	db.Add(h)
+	db.Add(k)
+	built, err := Build(db, &physical.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := func(tbl, c string) sqlast.ColRef { return sqlast.ColRef{Table: tbl, Column: c} }
+	items := []sqlast.SelectItem{{Col: &sqlast.ColRef{Table: "h", Column: "ID"}, As: "h_ID"}, {Col: &sqlast.ColRef{Table: "k", Column: "ID"}, As: "k_ID"}}
+	sel := &sqlast.Select{Items: items, From: []string{"h", "k"},
+		Where: []sqlast.Pred{{Kind: sqlast.PredJoin, Left: col("k", "PID"), Right: col("h", "ID")}}}
+	q := &sqlast.Query{Branches: []*sqlast.Select{sel}, OrderBy: "h_ID"}
+	plan := func(driver, inner string, outer, innerCol sqlast.ColRef) *optimizer.Plan {
+		return &optimizer.Plan{Query: q, Branches: []*optimizer.Branch{{Sel: sel, Driver: optimizer.Access{Table: driver},
+			Joins: []optimizer.Join{{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: inner}, OuterCol: outer, InnerCol: innerCol}}}}}
+	}
+	const want = "[[1 11] [2 12] [3 15]]"
+	for name, pl := range map[string]*optimizer.Plan{
+		"exceptions-on-the-build-side": plan("h", "k", col("h", "ID"), col("k", "PID")),
+		"exceptions-on-the-probe-side": plan("k", "h", col("k", "PID"), col("h", "ID")),
+	} {
+		ref, err := ExecuteReference(built, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Execute(built, pl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, res := range []*Result{ref, got} {
+			if s := fmt.Sprint(res.Rows); s != want {
+				t.Errorf("%s: rows %s, want %s", name, s, want)
+			}
+		}
+		requireIdentical(t, name, got, ref)
+	}
+}

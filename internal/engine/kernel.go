@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/rel"
@@ -8,25 +9,120 @@ import (
 )
 
 // This file holds the columnar filter kernels of the batch executor.
-// Driver-stage predicates (everything before the first join) on table
-// scans and index range scans compile to colKernels: tight loops over
-// one typed column vector that compact a selection vector of row ids
-// in place, without boxing a rel.Value per cell. Every kernel is
-// bit-equivalent to matchCompare over the materialized row — the
-// specialized paths delegate to rel.CompareInts/CompareFloats (the
-// scalar orders Value.Compare is built on) and the generic fallback
+// Every predicate on one table compiles to a colKernel: a tight loop
+// over one typed column vector that compacts a list of the table's row
+// ids in place, without boxing a rel.Value per cell. Driver-stage
+// predicates (everything before the first join) run on the driver's
+// row-id vector directly; a predicate after a join runs the same kernel
+// over the row ids in its table's vector of the batch (see rowFilter).
+// Every kernel is bit-equivalent to matchCompare over the materialized
+// row — the specialized paths delegate to rel.CompareInts/CompareFloats
+// (the scalar orders Value.Compare is built on) and the generic fallback
 // materializes single cells through Table.ValueAt.
 
-// colKernel compacts a selection vector of driver row ids in place,
-// returning the surviving prefix.
+// colKernel compacts a list of row ids in place, returning the
+// surviving prefix.
 type colKernel func(sel []int32) []int32
 
+// rowFilter compacts a batch — one row-id vector per table in scope,
+// all of one length — to the rows a predicate keeps. scratch is a
+// batchSize-capacity buffer it may overwrite.
+type rowFilter func(vecs [][]int32, scratch []int32)
+
+// compileRowFilter compiles a predicate after a join against srcs, the
+// source of each table in scope. A predicate on table tab runs that
+// table's kernel; one reading several tables (tab < 0) compares cell by
+// cell.
+func compileRowFilter(b *Built, p *sqlast.Pred, tab int, srcs []*rel.Table, sc *scope) (rowFilter, error) {
+	if tab < 0 {
+		return cellFilter(b, p, srcs, sc)
+	}
+	k, err := compileColKernel(b, p, srcs[tab], sc)
+	if err != nil {
+		return nil, err
+	}
+	if k == nil {
+		return nil, fmt.Errorf("engine: cannot compile predicate %s", p)
+	}
+	return func(vecs [][]int32, scratch []int32) {
+		ids := vecs[tab]
+		live := k(append(scratch[:0], ids...))
+		if len(live) == len(ids) {
+			return
+		}
+		// live is the subsequence of ids the kernel kept, and whether a
+		// row survives depends on its id alone, so position i survives
+		// exactly when ids[i] is the next survivor.
+		n := 0
+		for i, r := range ids {
+			if n < len(live) && live[n] == r {
+				for _, v := range vecs {
+					v[n] = v[i]
+				}
+				n++
+			}
+		}
+		truncate(vecs, n)
+	}, nil
+}
+
+// cellFilter compiles an OR or EXISTS predicate whose columns lie in
+// several tables: each row reads its cells through ValueAt.
+func cellFilter(b *Built, p *sqlast.Pred, srcs []*rel.Table, sc *scope) (rowFilter, error) {
+	cols, err := colPositions(sc.at, p.Cols)
+	if err != nil {
+		return nil, err
+	}
+	var outer tabCol
+	var set *existsSet
+	switch p.Kind {
+	case sqlast.PredOr:
+	case sqlast.PredExists, sqlast.PredOrExists:
+		if outer, err = sc.at(p.OuterCol); err != nil {
+			return nil, err
+		}
+		if set, err = b.existsProbeSet(p); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("engine: cannot compile predicate %s", p)
+	}
+	return func(vecs [][]int32, _ []int32) {
+		cell := func(c tabCol, i int) rel.Value { return srcs[c.tab].ValueAt(int(vecs[c.tab][i]), c.col) }
+		keep := func(i int) bool {
+			for _, c := range cols {
+				if matchCompare(cell(c, i), p.Op, p.Value) {
+					return true
+				}
+			}
+			return set != nil && set.match(cell(outer, i))
+		}
+		n := 0
+		for i := range vecs[0] {
+			if keep(i) {
+				for _, v := range vecs {
+					v[n] = v[i]
+				}
+				n++
+			}
+		}
+		truncate(vecs, n)
+	}, nil
+}
+
+// truncate cuts every vector of a batch to its first n rows.
+func truncate(vecs [][]int32, n int) {
+	for t := range vecs {
+		vecs[t] = vecs[t][:n]
+	}
+}
+
 // compileColKernel compiles one predicate into a columnar kernel over
-// the driver table, or over a fragment of it: column references resolve
-// to column indices (scope.col), not tuple slots — a kernel runs before
-// any tuple exists. It never fails to produce a kernel for a supported
-// predicate kind: unsupported column/literal shapes fall back to a
-// per-cell ValueAt kernel.
+// one table's row ids — the driver table, a fragment of it, or a join's
+// inner table: column references resolve to column indices (scope.col).
+// It never fails to produce a kernel for a supported predicate kind:
+// unsupported column/literal shapes fall back to a per-cell ValueAt
+// kernel.
 func compileColKernel(b *Built, p *sqlast.Pred, t *rel.Table, sc *scope) (colKernel, error) {
 	switch p.Kind {
 	case sqlast.PredCompare:

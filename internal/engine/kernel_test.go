@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/rel"
@@ -147,6 +148,66 @@ func TestOrKernelEquivalence(t *testing.T) {
 		for i := range got {
 			if got[i] != want[i] {
 				t.Fatalf("op %v: survivor %d = %d, want %d", op, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestPostJoinFilterMatchesNaive: a post-join filter compacts a batch —
+// one row-id vector per table, ids repeating as joins repeat them — to
+// exactly the positions whose rows match, every vector in step, in
+// order. Single-table predicates run the table's kernel over a copy of
+// its vector; an OR across two tables compares cell by cell.
+func TestPostJoinFilterMatchesNaive(t *testing.T) {
+	r := rand.New(rand.NewSource(engineTestSeed(t)))
+	srcs := []*rel.Table{kernelTable(r, 300), kernelTable(r, 40)}
+	cols := []string{"i", "f", "s", "dirty"}
+	sc := newScope()
+	sc.add("K", cols)
+	sc.add("L", cols)
+	cmp := func(tbl, c string, op sqlast.CmpOp, v rel.Value) *sqlast.Pred {
+		return &sqlast.Pred{Kind: sqlast.PredCompare, Op: op, Value: v, Col: sqlast.ColRef{Table: tbl, Column: c}}
+	}
+	preds := []*sqlast.Pred{
+		cmp("K", "i", sqlast.OpGe, rel.Int(0)),
+		cmp("L", "s", sqlast.OpLt, rel.Str("v-05")),
+		cmp("L", "f", sqlast.OpNe, rel.Float(1)),
+		cmp("K", "dirty", sqlast.OpEq, rel.Str("3")),
+		{Kind: sqlast.PredOr, Op: sqlast.OpEq, Value: rel.Int(2),
+			Cols: []sqlast.ColRef{{Table: "L", Column: "dirty"}, {Table: "K", Column: "i"}}},
+	}
+	for iter := 0; iter < 200; iter++ {
+		n := r.Intn(batchSize + 1)
+		vecs := make([][]int32, 2)
+		for k := range vecs {
+			for i := 0; i < n; i++ {
+				vecs[k] = append(vecs[k], int32(r.Intn(srcs[k].RowCount())))
+			}
+		}
+		for _, p := range preds {
+			tab := -1
+			if p.Kind == sqlast.PredCompare {
+				tab = sc.tables[p.Col.Table].idx
+			}
+			f, err := compileRowFilter(nil, p, tab, srcs, sc)
+			if err != nil {
+				t.Fatalf("%s: %v", p, err)
+			}
+			var want [2][]int32
+			for i := 0; i < n; i++ {
+				keep := false
+				for _, c := range predCols(p) {
+					st := sc.tables[c.Table]
+					keep = keep || matchCompare(srcs[st.idx].ValueAt(int(vecs[st.idx][i]), st.cols[c.Column]), p.Op, p.Value)
+				}
+				if keep {
+					want[0], want[1] = append(want[0], vecs[0][i]), append(want[1], vecs[1][i])
+				}
+			}
+			got := [][]int32{slices.Clone(vecs[0]), slices.Clone(vecs[1])}
+			f(got, make([]int32, 0, batchSize))
+			if !slices.Equal(got[0], want[0]) || !slices.Equal(got[1], want[1]) {
+				t.Fatalf("iter %d %s: kept %d rows, want %d\ngot  %v\nwant %v", iter, p, len(got[0]), len(want[0]), got, want)
 			}
 		}
 	}

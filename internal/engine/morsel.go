@@ -6,14 +6,13 @@ import (
 	"sync/atomic"
 
 	"repro/internal/obs"
-	"repro/internal/rel"
 )
 
 // morselRows is the number of driver rows per morsel: four pipeline
 // batches, enough to amortize dispatch without starving small worker
 // pools. A package variable (not a const) so boundary tests can shrink
 // it and exercise partial/straddling morsels on small fixtures.
-var morselRows = 4 * rel.BatchSize
+var morselRows = 4 * batchSize
 
 // executeMorsels is the one scheduler every execution goes through.
 // Every branch's driver — a table scan (a partition scan among them) or

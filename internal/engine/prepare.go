@@ -15,21 +15,24 @@ import (
 
 // PreparedPlan is the compiled, reusable form of an optimizer plan
 // over one Built: a pipelined batch executor per union branch, with
-// predicate closures, projection layouts, and probe structures (join
-// hash tables, EXISTS sets) resolved once at compile time against the
-// Built's plan-lifetime caches. Executing a
-// PreparedPlan allocates no per-row intermediates: operators pass
-// fixed-size rel.Batch blocks with selection vectors, scans and joins
-// fill pooled batch arenas with narrow tuples — only the columns the
-// branch references, copied from column vectors (see colFill) — and only
-// the projected output is freshly allocated: one value arena per batch,
-// plus the result's row headers, cut once at their exact count (see
-// assemble).
+// predicate kernels, projection fills, and probe structures (join
+// tables, EXISTS sets) resolved once at compile time against the
+// Built's plan-lifetime caches. The pipeline carries row ids, not
+// values: a batch is one []int32 row-id vector per table in scope — the
+// driver is table 0, join j's inner table j+1 (scopeTable.idx) — of at
+// most batchSize rows. Kernels compact the driver's vector, joins read
+// their outer key straight from the outer table's column vector and
+// append row ids to their output vectors, and post-join filters run
+// the same columnar kernels over the row ids of the table they read.
+// The only rel.Value an execution writes is a result cell: the sink
+// copies each projected column from its column vector into one fresh,
+// exactly-sized arena per batch (see colFill), and assemble cuts the
+// result's row headers once, at their exact count.
 //
 // A PreparedPlan is safe for concurrent ExecuteContextWorkers calls —
 // a plan cached on a Built is shared by every session that prepares the
 // same plan, so the worker count travels with each call, not on the
-// plan; per-execution operator state comes from a pool.
+// plan; per-execution operator state (row-id vectors) comes from a pool.
 type PreparedPlan struct {
 	built *Built
 	plan  *optimizer.Plan
@@ -39,6 +42,10 @@ type PreparedPlan struct {
 	orderPos int
 	branches []*preparedBranch
 }
+
+// batchSize is the number of rows a pipeline batch holds: driver row
+// ids per kernel pass, join matches per output batch.
+const batchSize = 1024
 
 // Prepare compiles a plan for the batch executor. All plan-shape
 // errors the row-at-a-time executor reported during execution (unknown
@@ -65,7 +72,7 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 		}
 		pp.branches = append(pp.branches, pb)
 		if pb.src.kind == srcScan {
-			need[pb.src.table] = append(need[pb.src.table], pb.scanColumns()...)
+			need[pb.src.table] = append(need[pb.src.table], pb.src.refs...)
 		}
 	}
 	for t, cols := range need {
@@ -83,30 +90,6 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 		}
 	}
 	return pp, nil
-}
-
-// scanColumns lists the driver columns a scan branch reads: every column
-// its kernels and fills read.
-func (pb *preparedBranch) scanColumns() []int {
-	var cols []int
-	for _, r := range pb.src.refs {
-		cols = append(cols, r.col)
-	}
-	for _, p := range pb.kernPreds {
-		refs := p.Cols
-		switch p.Kind {
-		case sqlast.PredCompare:
-			refs = []sqlast.ColRef{p.Col}
-		case sqlast.PredExists, sqlast.PredOrExists:
-			refs = append(refs[:len(refs):len(refs)], p.OuterCol)
-		}
-		for _, c := range refs {
-			if ci, err := pb.scope.col(c); err == nil { // compiling the kernel resolved it
-				cols = append(cols, ci)
-			}
-		}
-	}
-	return cols
 }
 
 // ExecuteContextWorkers runs the prepared plan on exactly `workers`
@@ -193,15 +176,12 @@ type driverSrc struct {
 	// the source's paging budget. A resident table is its own single
 	// chunk (see tableSource).
 	chunks ScanSource
-	// need is the column set a srcScan driver fetches (ScanSource's
-	// ChunkColumns): ascending, the union of what every branch of the
-	// plan scanning this table reads (see Prepare).
+	// refs are the driver columns the branch reads (scope.ref), kernels
+	// included; need is the column set a srcScan driver fetches
+	// (ScanSource's ChunkColumns): ascending, the union of the refs of
+	// every branch of the plan scanning this table (see Prepare).
+	refs []int
 	need []int
-	// refs are the driver columns the branch's tuples carry. fills lands
-	// them for a seek driver, whose table is fixed at Prepare; a scan
-	// compiles its fills against each fragment it acquires.
-	refs  []colRef
-	fills []colFill
 }
 
 // pipeKind discriminates pipeline operators.
@@ -213,23 +193,21 @@ const (
 	pipeINLJoin
 )
 
-// pipeOp is one compiled pipeline operator.
+// pipeOp is one compiled pipeline operator. What it reads from column
+// vectors — a filter's kernel, a join's outer-key reader — is compiled
+// into readers, per source.
 type pipeOp struct {
 	kind pipeKind
 
-	// pred filters tuples in place on the selection vector (pipeFilter).
-	pred func([]rel.Value) bool
+	// Filter: the predicate and the one table it reads, -1 when it reads
+	// several.
+	pred *sqlast.Pred
+	tab  int
 
-	// Join fields: the outer key's tuple slot, the operator's output
-	// batch in branchState, and the fills that land the referenced inner
-	// columns for the matched inner row ids. inner and innerTable name
-	// the inner source until prepareBranch has compiled everything that
-	// can reference it and resolves fills.
-	outerSlot  int
-	out        int
-	fills      []colFill
-	inner      *scopeTable
-	innerTable *rel.Table
+	// Join fields: the outer key column and the operator's index among
+	// the branch's joins (its output buffers in branchState).
+	outer tabCol
+	out   int
 
 	// Hash join: cached build side, plus the per-execution scan
 	// accounting its inner source incurs (the reference executor
@@ -242,56 +220,73 @@ type pipeOp struct {
 	bi *builtIndex
 }
 
-// proj is one projection slot.
-type proj struct {
-	pos  int
-	null bool
+// outCol is one projected column: the column it reads and its output
+// position.
+type outCol struct {
+	tabCol
+	pos int
 }
 
 // preparedBranch is one compiled union branch.
 type preparedBranch struct {
 	src driverSrc
-	// kerns are the driver-stage columnar filter kernels: every
-	// predicate applied before the first join, compiled against
-	// src.table's column vectors whatever the driver kind. They run over
-	// the selection vector of driver row ids before any tuple is filled,
-	// in the same WHERE order the reference executor applies.
-	kerns []colKernel
-	ops   []pipeOp
-	projs []proj
-	// width is the branch's tuple width: the number of distinct columns
-	// referenced after the driver stage (scope.slots). Every batch of the
-	// branch is this wide; a join copies its outer tuple and fills the
-	// inner table's slots.
-	width  int
-	nJoins int
-	// kernPreds are the predicates kerns was compiled from, in the same
-	// order. A scan recompiles them against each acquired fragment that
-	// is not src.table itself (see fragKernels) — every kernel is
-	// bit-equivalent to matchCompare, so recompilation cannot change
-	// results, and chunk-local structures (string dictionaries) get
-	// chunk-local kernels.
+	// kernPreds are the driver-stage predicates: every one applied before
+	// the first join, in WHERE order. They compile to columnar kernels
+	// over the driver table's vectors (readers.kerns) that compact the
+	// vector of driver row ids before anything downstream sees a row.
 	kernPreds []*sqlast.Pred
-	// scope is the branch scope, kept for fragKernels, which only reads
-	// it (scope.col).
+	ops       []pipeOp
+	nJoins    int
+	// outs are the projected columns; nulls the output positions of NULL
+	// items. A result row is len(outs)+len(nulls) values wide.
+	outs  []outCol
+	nulls []int
+	// srcs is the source of every table in scope, by idx: the driver
+	// table (which each acquired scan fragment stands in for), then each
+	// join's inner table. rd is compiled against srcs.
+	srcs []*rel.Table
+	rd   readers
+	// scope is the branch scope, kept for readersFor, which only reads
+	// it (scope.col, scope.at).
 	scope *scope
-	// built backs fragKernels (EXISTS probe-set lookups go through its
+	// built backs readersFor (EXISTS probe-set lookups go through its
 	// single-flighted cache).
 	built *Built
-	// pool recycles per-execution operator state (batch buffers) across
+	// pool recycles per-execution operator state (row-id vectors) across
 	// executions of this branch.
 	pool sync.Pool
 }
 
-// branchState is the per-execution operator state: the driver batch the
-// scan fills, the driver selection vector the columnar kernels compact,
-// and per join operator one output batch plus the matched inner row ids
-// of the tuples in it.
+// readers are everything a branch reads from its tables' column
+// vectors, compiled against one set of sources: the driver-stage
+// kernels, per pipeline operator a filter (nil for a join) or a join's
+// outer-key reader, and the sink's fills, one per outs entry.
+type readers struct {
+	kerns    []colKernel
+	filters  []rowFilter
+	joinKeys []colFill
+	fills    []colFill
+}
+
+// branchState is the per-execution operator state, row-id vectors
+// only: the driver vector the kernels compact (drv holds it as the
+// driver-stage batch), a filter's scratch vector, and per join its
+// output buffers.
 type branchState struct {
-	in      *rel.Batch
 	sel     []int32
-	joinOut []*rel.Batch
-	rids    [][]int32
+	drv     [][]int32
+	scratch []int32
+	joins   []joinBuf
+}
+
+// joinBuf buffers one join's matches: for each, the outer row's
+// position in the batch being probed and the inner row id. A full
+// buffer gathers the outer rows' ids into out, after which inner is
+// the last vector, and moves on as a batch.
+type joinBuf struct {
+	pos   []int32
+	inner []int32
+	out   [][]int32
 }
 
 func resolveTable(b *Built, name string) *rel.Table {
@@ -371,17 +366,18 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 		}
 		pb.src = driverSrc{kind: srcScan, table: t, chunks: src, groups: max(1, len(a.Groups))}
 	}
+	pb.srcs = []*rel.Table{t}
 	applied := make(map[int]bool)
-	// Driver-stage filters compile to columnar kernels over the driver
-	// table; everything after the first join filters filled tuples.
-	if err := pb.appendFilters(b, br, sc, applied, pb.src.table); err != nil {
+	// Filters before the first join are driver-stage kernels; each later
+	// one filters the batches of the join before it.
+	if err := pb.appendFilters(br, sc, applied); err != nil {
 		return nil, err
 	}
 	for _, j := range br.Joins {
-		if err := pb.appendJoin(b, br, sc, j); err != nil {
+		if err := pb.appendJoin(b, sc, j); err != nil {
 			return nil, err
 		}
-		if err := pb.appendFilters(b, br, sc, applied, nil); err != nil {
+		if err := pb.appendFilters(br, sc, applied); err != nil {
 			return nil, err
 		}
 	}
@@ -394,40 +390,35 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 		}
 		return nil, fmt.Errorf("engine: predicate %s left unapplied", p)
 	}
-	for _, it := range br.Sel.Items {
+	for pos, it := range br.Sel.Items {
 		if it.Col == nil {
-			pb.projs = append(pb.projs, proj{null: true})
+			pb.nulls = append(pb.nulls, pos)
 			continue
 		}
-		pos, err := sc.slot(*it.Col)
+		c, err := sc.ref(*it.Col)
 		if err != nil {
 			return nil, err
 		}
-		pb.projs = append(pb.projs, proj{pos: pos})
+		pb.outs = append(pb.outs, outCol{tabCol: c, pos: pos})
 	}
-	// Every reference is resolved: the referenced set of each table in
-	// scope is final, and so are the tuple width and the fills.
-	pb.width = sc.slots
+	// Every reference is resolved: the driver's read set is final, and
+	// everything reading the tables' vectors compiles against them.
 	pb.src.refs = driver.refs
-	if pb.src.kind == srcSeek {
-		pb.src.fills = tableFills(pb.src.table, driver.refs)
+	rd, err := pb.compileReaders(pb.srcs, nil)
+	if err != nil {
+		return nil, err
 	}
-	for i := range pb.ops {
-		if op := &pb.ops[i]; op.innerTable != nil {
-			op.fills = tableFills(op.innerTable, op.inner.refs)
-		}
-	}
+	pb.rd = *rd
 	pb.initPool()
 	return pb, nil
 }
 
-// appendFilters compiles every not-yet-applied predicate whose
-// referenced tables are in scope, in WHERE order — the same
-// application order as the reference executor's applyPreds passes.
-// When kt is non-nil (the driver-stage pass) each predicate compiles to
-// a columnar kernel over kt's vectors instead of a row closure; kernels
-// run in the same order the closures would have.
-func (pb *preparedBranch) appendFilters(b *Built, br *optimizer.Branch, sc *scope, applied map[int]bool, kt *rel.Table) error {
+// appendFilters records every not-yet-applied predicate whose
+// referenced tables are in scope, in WHERE order — the same application
+// order as the reference executor's applyPreds passes. Before the first
+// join a predicate is a driver-stage kernel; after it, a filter
+// operator.
+func (pb *preparedBranch) appendFilters(br *optimizer.Branch, sc *scope, applied map[int]bool) error {
 	s := br.Sel
 	for i := range s.Where {
 		p := &s.Where[i]
@@ -437,44 +428,56 @@ func (pb *preparedBranch) appendFilters(b *Built, br *optimizer.Branch, sc *scop
 		if !predInScope(p, sc) {
 			continue
 		}
-		if kt != nil {
-			k, err := compileColKernel(b, p, kt, sc)
+		tab := -1 // the one table p reads, -1 when it reads several
+		for k, c := range predCols(p) {
+			tc, err := sc.ref(c)
 			if err != nil {
 				return err
 			}
-			if k != nil {
-				pb.kerns = append(pb.kerns, k)
-				pb.kernPreds = append(pb.kernPreds, p)
-				applied[i] = true
-				continue
+			if k == 0 {
+				tab = tc.tab
+			} else if tc.tab != tab {
+				tab = -1
 			}
 		}
-		f, err := compileBatchPred(b, p, sc)
-		if err != nil {
-			return err
+		if pb.nJoins == 0 {
+			pb.kernPreds = append(pb.kernPreds, p)
+		} else {
+			pb.ops = append(pb.ops, pipeOp{kind: pipeFilter, pred: p, tab: tab})
 		}
-		pb.ops = append(pb.ops, pipeOp{kind: pipeFilter, pred: f})
 		applied[i] = true
 	}
 	return nil
 }
 
+// predCols lists the columns a filter predicate reads.
+func predCols(p *sqlast.Pred) []sqlast.ColRef {
+	switch p.Kind {
+	case sqlast.PredCompare:
+		return []sqlast.ColRef{p.Col}
+	case sqlast.PredExists, sqlast.PredOrExists:
+		return append(p.Cols[:len(p.Cols):len(p.Cols)], p.OuterCol)
+	}
+	return p.Cols
+}
+
 // appendJoin compiles one join step, resolving the build side through
 // the Built's structure caches.
-func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, j optimizer.Join) error {
-	outerSlot, err := sc.slot(j.OuterCol)
+func (pb *preparedBranch) appendJoin(b *Built, sc *scope, j optimizer.Join) error {
+	outer, err := sc.ref(j.OuterCol)
 	if err != nil {
 		return err
 	}
-	op := pipeOp{kind: pipeHashJoin, outerSlot: outerSlot, out: pb.nJoins}
+	op := pipeOp{kind: pipeHashJoin, outer: outer, out: pb.nJoins}
 	pb.nJoins++
 	if j.Method == optimizer.JoinINL {
 		bi := b.Index(j.Inner.Index)
 		if bi == nil {
 			return fmt.Errorf("engine: INL index %s not built", j.Inner.Index.Name)
 		}
-		op.kind, op.bi, op.innerTable = pipeINLJoin, bi, bi.table
-		op.inner = sc.add(j.Inner.Table, colNames(bi.table))
+		op.kind, op.bi = pipeINLJoin, bi
+		sc.add(j.Inner.Table, colNames(bi.table))
+		pb.srcs = append(pb.srcs, bi.table)
 		pb.ops = append(pb.ops, op)
 		return nil
 	}
@@ -487,12 +490,13 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 		return fmt.Errorf("engine: hash join on %s fed by a seek; a hash join's build side is a scan", a.Table)
 	}
 	var t *rel.Table
+	var inner *scopeTable
 	var srcKey string
 	var n int
 	if len(a.Groups) > 0 {
 		// A partition's build side is its base table's: both share one
 		// cached join table, and only the per-run scan accounting differs.
-		if t, op.inner, err = addPartition(b, sc, a); err != nil {
+		if t, inner, err = addPartition(b, sc, a); err != nil {
 			return err
 		}
 		if err := t.Hydrate(); err != nil {
@@ -507,15 +511,15 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 		if err := t.Hydrate(); err != nil {
 			return err
 		}
-		op.inner = sc.add(a.Table, colNames(t))
+		inner = sc.add(a.Table, colNames(t))
 		n, srcKey = t.RowCount(), "t:"+a.Table
 		if b.ViewTable(a.Table) != nil {
 			srcKey = "v:" + a.Table
 		}
 		op.scanCount = int64(n)
 	}
-	op.innerTable = t
-	ji, ok := op.inner.cols[j.InnerCol.Column]
+	pb.srcs = append(pb.srcs, t)
+	ji, ok := inner.cols[j.InnerCol.Column]
 	if !ok {
 		return fmt.Errorf("engine: join column %s missing from %s", j.InnerCol, j.Inner.Table)
 	}
@@ -527,65 +531,87 @@ func (pb *preparedBranch) appendJoin(b *Built, br *optimizer.Branch, sc *scope, 
 	return nil
 }
 
-// compileBatchPred builds a boolean tuple predicate with every column's
-// tuple slot and every probe structure resolved at compile time.
-func compileBatchPred(b *Built, p *sqlast.Pred, sc *scope) (func([]rel.Value) bool, error) {
-	switch p.Kind {
-	case sqlast.PredCompare:
-		pos, err := sc.slot(p.Col)
-		if err != nil {
-			return nil, err
-		}
-		return func(r []rel.Value) bool {
-			return matchCompare(r[pos], p.Op, p.Value)
-		}, nil
-	case sqlast.PredOr:
-		positions, err := colPositions(sc.slot, p.Cols)
-		if err != nil {
-			return nil, err
-		}
-		return func(r []rel.Value) bool {
-			for _, pos := range positions {
-				if matchCompare(r[pos], p.Op, p.Value) {
-					return true
-				}
-			}
-			return false
-		}, nil
-	case sqlast.PredExists, sqlast.PredOrExists:
-		positions, err := colPositions(sc.slot, p.Cols)
-		if err != nil {
-			return nil, err
-		}
-		outerPos, err := sc.slot(p.OuterCol)
-		if err != nil {
-			return nil, err
-		}
-		set, err := b.existsProbeSet(p)
-		if err != nil {
-			return nil, err
-		}
-		return func(r []rel.Value) bool {
-			for _, pos := range positions {
-				if matchCompare(r[pos], p.Op, p.Value) {
-					return true
-				}
-			}
-			return set.match(r[outerPos])
-		}, nil
+// compileReaders compiles everything the branch reads from column
+// vectors against srcs, the source of each table in scope. When base
+// holds readers compiled against the same sources but for table 0, only
+// what reads table 0 is compiled again.
+func (pb *preparedBranch) compileReaders(srcs []*rel.Table, base *readers) (*readers, error) {
+	b, sc := pb.built, pb.scope
+	rd := &readers{
+		kerns:    make([]colKernel, len(pb.kernPreds)),
+		filters:  make([]rowFilter, len(pb.ops)),
+		joinKeys: make([]colFill, len(pb.ops)),
+		fills:    make([]colFill, len(pb.outs)),
 	}
-	return nil, fmt.Errorf("engine: cannot compile predicate %s", p)
+	for i, p := range pb.kernPreds {
+		k, err := compileColKernel(b, p, srcs[0], sc)
+		if err != nil {
+			return nil, err
+		}
+		if k == nil {
+			return nil, fmt.Errorf("engine: cannot compile predicate %s", p)
+		}
+		rd.kerns[i] = k
+	}
+	for i := range pb.ops {
+		op := &pb.ops[i]
+		switch {
+		case op.kind != pipeFilter:
+			if base != nil && op.outer.tab != 0 {
+				rd.joinKeys[i] = base.joinKeys[i]
+			} else {
+				rd.joinKeys[i] = newColFill(srcs[op.outer.tab], op.outer.col, 0)
+			}
+		case base != nil && op.tab > 0:
+			rd.filters[i] = base.filters[i]
+		default:
+			f, err := compileRowFilter(b, op.pred, op.tab, srcs, sc)
+			if err != nil {
+				return nil, err
+			}
+			rd.filters[i] = f
+		}
+	}
+	for i, o := range pb.outs {
+		if base != nil && o.tab != 0 {
+			rd.fills[i] = base.fills[i]
+		} else {
+			rd.fills[i] = newColFill(srcs[o.tab], o.col, o.pos)
+		}
+	}
+	return rd, nil
 }
 
-// initPool wires the per-execution state pool: the driver batch and one
-// output batch per join operator, all as wide as the branch's tuples.
+// readersFor returns the readers for one acquired scan fragment. A
+// resident table is its own fragment, so the readers compiled against
+// it at Prepare serve as they are; any other fragment gets what reads
+// table 0 compiled against its own vectors. The compile is cheap (scope
+// positions resolve in a two-level map, EXISTS probe sets come from the
+// Built's single-flighted cache) and chunk-local: a string range
+// predicate precomputes its match table against the chunk's own
+// dictionary. Readers of table 0 take fragment-local row ids.
+func (pb *preparedBranch) readersFor(frag *rel.Table) (*readers, error) {
+	if frag == pb.srcs[0] {
+		return &pb.rd, nil
+	}
+	srcs := slices.Clone(pb.srcs)
+	srcs[0] = frag
+	return pb.compileReaders(srcs, &pb.rd)
+}
+
+// initPool wires the per-execution state pool: the driver vector and
+// each join's buffers, every vector batchSize row ids long.
 func (pb *preparedBranch) initPool() {
+	vec := func() []int32 { return make([]int32, 0, batchSize) }
 	pb.pool.New = func() any {
-		st := &branchState{in: rel.NewBatch(pb.width), sel: make([]int32, 0, rel.BatchSize),
-			joinOut: make([]*rel.Batch, pb.nJoins), rids: make([][]int32, pb.nJoins)}
-		for i := range st.joinOut {
-			st.joinOut[i] = rel.NewBatch(pb.width)
-			st.rids[i] = make([]int32, 0, rel.BatchSize)
+		st := &branchState{sel: vec(), drv: make([][]int32, 1), scratch: vec(), joins: make([]joinBuf, pb.nJoins)}
+		for j := range st.joins {
+			// Join j's output holds tables 0..j+1; the last is inner.
+			jb := &st.joins[j]
+			jb.pos, jb.inner, jb.out = vec(), vec(), make([][]int32, j+2)
+			for t := 0; t <= j; t++ {
+				jb.out[t] = vec()
+			}
 		}
 		return st
 	}
@@ -616,29 +642,6 @@ func (pb *preparedBranch) resolveDriver(st *ExecStats) (int, []int) {
 		return len(ids), ids
 	}
 	return pb.src.chunks.RowCount(), nil
-}
-
-// fragKernels returns the driver-stage kernels for one acquired scan
-// fragment. A resident table is its own fragment, so the kernels
-// compiled against it at Prepare serve as they are; any other fragment
-// gets kernels compiled against its own vectors. The compile is cheap
-// (scope positions resolve in a two-level map, EXISTS probe sets come
-// from the Built's single-flighted cache) and chunk-local: a string
-// range predicate precomputes its match table against the chunk's own
-// dictionary. Kernels operate on fragment-local row ids.
-func (pb *preparedBranch) fragKernels(frag *rel.Table) ([]colKernel, error) {
-	if frag == pb.src.table {
-		return pb.kerns, nil
-	}
-	ks := make([]colKernel, 0, len(pb.kernPreds))
-	for _, p := range pb.kernPreds {
-		k, err := compileColKernel(pb.built, p, frag, pb.scope)
-		if err != nil {
-			return nil, err
-		}
-		ks = append(ks, k)
-	}
-	return ks, nil
 }
 
 // morselRanges splits the branch's n driver rows into morsel ranges.
@@ -682,9 +685,9 @@ func morselRanges(nc int, span func(k int) (lo, hi int)) [][2]int {
 // operators keep no state across rows, and batch boundaries never split
 // a row's join expansion out of order — so reading adjacent ranges'
 // slots back to back equals one big run, which is what makes results
-// bit-identical however the driver is cut into morsels. ctx is polled once per driver
-// batch; on cancellation the pipeline stops promptly, pooled state is
-// still returned for reuse, and ctx's error is reported.
+// bit-identical however the driver is cut into morsels. ctx is polled
+// once per driver batch; on cancellation the pipeline stops promptly,
+// pooled state is still returned for reuse, and ctx's error is reported.
 func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int, lo, hi int) error {
 	done := ctx.Done()
 	cancelled := func() bool {
@@ -700,160 +703,64 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 	}
 	state := pb.pool.Get().(*branchState)
 	defer pb.pool.Put(state)
-	st := &out.st
-	np, w := len(pb.projs), pb.width
-	out.width = np
+	out.width = len(pb.outs) + len(pb.nulls)
+	r := &pipeRun{pb: pb, st: state, out: out}
 
-	// sink projects a batch's live tuples into one fresh, exactly-sized
-	// arena; the rows themselves are cut later, once (see assemble).
-	sink := func(bt *rel.Batch) {
-		n := bt.Len()
-		out.rows += n
-		if n == 0 || np == 0 {
-			return
-		}
-		arena := make([]rel.Value, n*np)
-		k := 0
-		for _, si := range bt.Sel {
-			r := bt.Row(si)
-			for _, pr := range pb.projs {
-				if pr.null {
-					arena[k] = rel.NullOf(rel.TString)
-				} else {
-					arena[k] = r[pr.pos]
-				}
-				k++
-			}
-		}
-		out.arenas = append(out.arenas, arena)
-	}
-
-	// process pushes a batch through the operators starting at oi.
-	var process func(oi int, bt *rel.Batch)
-	process = func(oi int, bt *rel.Batch) {
-		for ; oi < len(pb.ops); oi++ {
-			op := &pb.ops[oi]
-			if op.kind == pipeFilter {
-				bt.FilterSel(op.pred)
-				if bt.Len() == 0 {
-					return
-				}
-				continue
-			}
-			// A join copies each outer tuple once per match into its output
-			// batch and remembers the matched inner row; a full batch has
-			// its inner columns filled, column by column, and moves on.
-			ob, rids := state.joinOut[op.out], state.rids[op.out][:0]
-			ob.Reset()
-			flush := func() {
-				for i := range op.fills {
-					op.fills[i].fill(ob.Arena(), w, rids)
-				}
-				process(oi+1, ob)
-				ob.Reset()
-				rids = rids[:0]
-			}
-			emit := func(orow []rel.Value, rid int32) {
-				copy(ob.AppendArena(1), orow)
-				rids = append(rids, rid)
-				if ob.Full() {
-					flush()
-				}
-			}
-			jt := op.jt
-			for _, si := range bt.Sel {
-				orow := bt.Row(si)
-				v := orow[op.outerSlot]
-				switch {
-				case v.Null:
-				case op.kind == pipeINLJoin:
-					for _, rid := range op.bi.seekEqual(v) {
-						st.RowsSought++
-						emit(orow, int32(rid))
-					}
-				case !jt.intKeys:
-					for _, i := range jt.str[v.String()] {
-						emit(orow, i)
-					}
-				case v.Typ == rel.TInt:
-					i, ok := jt.head[v.I]
-					for ok && i >= 0 {
-						emit(orow, i)
-						i = jt.next[i]
-					}
-				}
-			}
-			if ob.Len() > 0 {
-				flush()
-			}
-			return
-		}
-		sink(bt)
-	}
-
-	// feedSel compacts a selection vector of driver row ids with the
-	// driver-stage kernels, fills the survivors' referenced columns into
-	// the driver batch, and pushes it through the remaining (join and
-	// post-join) operators.
-	feedSel := func(kerns []colKernel, fills []colFill, sel []int32) {
-		for _, k := range kerns {
-			sel = k(sel)
-			if len(sel) == 0 {
+	// feed compacts a vector of driver row ids with the driver-stage
+	// kernels and pushes the survivors through the pipeline.
+	feed := func(sel []int32) {
+		for _, k := range r.rd.kerns {
+			if sel = k(sel); len(sel) == 0 {
 				return
 			}
 		}
-		bt := state.in
-		bt.Reset()
-		region := bt.AppendArena(len(sel))
-		for i := range fills {
-			fills[i].fill(region, w, sel)
+		state.drv[0] = sel
+		r.push(0, state.drv)
+	}
+	if pb.src.kind == srcSeek {
+		// One span of driver positions, indexing the seek's id list.
+		r.rd = &pb.rd
+		for start := lo; start < hi; start += batchSize {
+			if cancelled() {
+				return ctx.Err()
+			}
+			sel := state.sel[:0]
+			for _, id := range ids[start:min(start+batchSize, hi)] {
+				sel = append(sel, int32(id))
+			}
+			feed(sel)
 		}
-		process(0, bt)
+		return nil
 	}
 	// scanChunk scans rows [s0, e0) of chunk k (chunk-local ids): acquire
-	// the fragment with the columns the scan reads from the source, filter
-	// it with kernels and fill from it with fills compiled for that
-	// fragment, and release it before returning — a paged fragment is
-	// resident only between the fetch and release, so peak scan memory
-	// follows the source's budget, and nothing is cached on a fragment (a
-	// pager-cached chunk is shared and budgeted by its columns' encoded
-	// bytes).
+	// the fragment with the columns the scan reads from the source, read
+	// it through readers compiled for that fragment, and release it
+	// before returning. Every batch reaches the sink — the only place a
+	// row id becomes a value — before the release, so no row id outlives
+	// its fragment: a paged fragment is resident only between the fetch
+	// and release, peak scan memory follows the source's budget, and
+	// nothing is cached on a fragment (a pager-cached chunk is shared and
+	// budgeted by its columns' encoded bytes).
 	scanChunk := func(k, s0, e0 int) error {
 		frag, release, err := pb.src.chunks.ChunkColumns(k, pb.src.need)
 		if err != nil {
 			return err
 		}
 		defer release()
-		kerns, err := pb.fragKernels(frag)
-		if err != nil {
+		if r.rd, err = pb.readersFor(frag); err != nil {
 			return err
 		}
-		fills := tableFills(frag, pb.src.refs)
-		for start := s0; start < e0; start += rel.BatchSize {
+		for start := s0; start < e0; start += batchSize {
 			if cancelled() {
 				return ctx.Err()
 			}
-			end := min(start+rel.BatchSize, e0)
-			st.RowsScanned += int64((end - start) * pb.src.groups)
+			end := min(start+batchSize, e0)
+			out.st.RowsScanned += int64((end - start) * pb.src.groups)
 			sel := state.sel[:0]
-			for r := start; r < end; r++ {
-				sel = append(sel, int32(r))
+			for row := start; row < end; row++ {
+				sel = append(sel, int32(row))
 			}
-			feedSel(kerns, fills, sel)
-		}
-		return nil
-	}
-	if pb.src.kind == srcSeek {
-		// One span of driver positions, indexing the seek's id list.
-		for start := lo; start < hi; start += rel.BatchSize {
-			if cancelled() {
-				return ctx.Err()
-			}
-			sel := state.sel[:0]
-			for _, id := range ids[start:min(start+rel.BatchSize, hi)] {
-				sel = append(sel, int32(id))
-			}
-			feedSel(pb.kerns, pb.src.fills, sel)
+			feed(sel)
 		}
 		return nil
 	}
@@ -874,4 +781,134 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 		}
 	}
 	return nil
+}
+
+// pipeRun is one runRange call's pipeline: the branch, the readers of
+// the source being read, the pooled state, and the output slot.
+type pipeRun struct {
+	pb  *preparedBranch
+	rd  *readers
+	st  *branchState
+	out *outSlot
+}
+
+// push runs a batch — one row-id vector per table in scope — through
+// the operators from oi on and into the sink.
+func (r *pipeRun) push(oi int, vecs [][]int32) {
+	for ops := r.pb.ops; oi < len(ops); oi++ {
+		op := &ops[oi]
+		if op.kind != pipeFilter {
+			r.join(oi, op, vecs)
+			return
+		}
+		r.rd.filters[oi](vecs, r.st.scratch)
+		if len(vecs[0]) == 0 {
+			return
+		}
+	}
+	r.sink(vecs)
+}
+
+// join probes the inner table once per row of vecs, reading the outer
+// key from its column vector, and buffers each match's outer position
+// and inner row id; full buffers move on as batches (see flush).
+func (r *pipeRun) join(oi int, op *pipeOp, vecs [][]int32) {
+	jb := &r.st.joins[op.out]
+	jb.pos, jb.inner = jb.pos[:0], jb.inner[:0]
+	key := &r.rd.joinKeys[oi]
+	outer := vecs[op.outer.tab]
+	jt := op.jt
+	switch {
+	case op.kind == pipeINLJoin:
+		for i, row := range outer {
+			v := key.value(row)
+			if v.Null {
+				continue
+			}
+			for _, rid := range op.bi.seekEqual(v) {
+				r.out.st.RowsSought++
+				if jb.add(i, int32(rid)) {
+					r.flush(oi, jb, vecs)
+				}
+			}
+		}
+	case jt.intKeys && key.kind == fillInts:
+		for i, row := range outer {
+			if key.null(row) {
+				continue
+			}
+			for m := jt.first(key.ints[row]); m >= 0; m = jt.next[m] {
+				if jb.add(i, m) {
+					r.flush(oi, jb, vecs)
+				}
+			}
+		}
+	case jt.intKeys:
+		for i, row := range outer {
+			for m := jt.chainOf(key.value(row)); m >= 0; m = jt.next[m] {
+				if jb.add(i, m) {
+					r.flush(oi, jb, vecs)
+				}
+			}
+		}
+	default:
+		for i, row := range outer {
+			if v := key.value(row); !v.Null {
+				for _, m := range jt.str[v.String()] {
+					if jb.add(i, m) {
+						r.flush(oi, jb, vecs)
+					}
+				}
+			}
+		}
+	}
+	if len(jb.pos) > 0 {
+		r.flush(oi, jb, vecs)
+	}
+}
+
+// add buffers one match, outer row i and inner row m, and reports
+// whether the buffer is full.
+func (jb *joinBuf) add(i int, m int32) bool {
+	jb.pos = append(jb.pos, int32(i))
+	jb.inner = append(jb.inner, m)
+	return len(jb.pos) == batchSize
+}
+
+// flush gathers the outer row ids of join oi's buffered matches from
+// the batch being probed, one vector per outer table, and pushes them
+// on with the inner row ids.
+func (r *pipeRun) flush(oi int, jb *joinBuf, in [][]int32) {
+	for t, ids := range in {
+		v := jb.out[t][:len(jb.pos)]
+		for k, p := range jb.pos {
+			v[k] = ids[p]
+		}
+		jb.out[t] = v
+	}
+	jb.out[len(in)] = jb.inner
+	r.push(oi+1, jb.out)
+	jb.pos, jb.inner = jb.pos[:0], jb.inner[:0]
+}
+
+// sink projects a batch into one fresh, exactly-sized arena: one fill
+// per projected column, straight from its column vector, and NULL
+// items as constants. The rows themselves are cut later, once (see
+// assemble).
+func (r *pipeRun) sink(vecs [][]int32) {
+	n, w := len(vecs[0]), r.out.width
+	r.out.rows += n
+	if n == 0 || w == 0 {
+		return
+	}
+	arena := make([]rel.Value, n*w)
+	for i, o := range r.pb.outs {
+		r.rd.fills[i].fill(arena, w, vecs[o.tab])
+	}
+	for _, p := range r.pb.nulls {
+		for k := p; k < len(arena); k += w {
+			arena[k].Null, arena[k].Typ = true, rel.TString // rel.NullOf(rel.TString) over a zero cell
+		}
+	}
+	r.out.arenas = append(r.out.arenas, arena)
 }

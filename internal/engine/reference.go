@@ -370,9 +370,16 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 			return nil, fmt.Errorf("engine: join column %s missing from %s", j.InnerCol, j.Inner.Table)
 		}
 		sc.add(j.Inner.Table, cols)
-		// Integer join keys (the common ID/PID case) use an int-keyed
-		// hash table; everything else falls back to string keys.
-		intKeys := len(innerRows) == 0 || innerRows[0][ji].Typ == rel.TInt
+		// Two cells join when their string forms are equal. A key column
+		// of ints (the common ID/PID case) uses an int-keyed hash table
+		// and probes it with intKey; any other falls back to string keys.
+		intKeys := true
+		for _, ir := range innerRows {
+			if v := ir[ji]; !v.Null && v.Typ != rel.TInt {
+				intKeys = false
+				break
+			}
+		}
 		var out [][]rel.Value
 		if intKeys {
 			// Chained hash table: head map plus a next-pointer array,
@@ -394,10 +401,14 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 			}
 			for _, orow := range outer {
 				v := orow[outerPos]
-				if v.Null || v.Typ != rel.TInt {
+				if v.Null {
 					continue
 				}
-				i, ok := head[v.I]
+				k, ok := intKey(v)
+				if !ok {
+					continue
+				}
+				i, ok := head[k]
 				for ok && i >= 0 {
 					out = append(out, concatRows(orow, innerRows[i]))
 					i = next[i]

@@ -22,11 +22,11 @@ import (
 // columns the scan reads, plus a release callback; the fragment is only
 // valid until release, which lets the source unpin or evict it, and may
 // be shared with other scans — the executor reads the columns it asked
-// for in place (kernels over a batch of row ids, then the referenced
-// columns of the survivors copied into its own batch arena) and no
-// others, so a source may leave the rest absent (rel.NewFragment), and
-// nothing row-shaped hangs off a fragment and no reference to its
-// vectors outlives the release. Fetches must be safe for concurrent
+// for in place (kernels over a batch of row ids, then the projected
+// columns of the rows that reach the sink copied into the result) and
+// no others, so a source may leave the rest absent (rel.NewFragment),
+// and nothing row-shaped hangs off a fragment and no row id or
+// reference to its vectors outlives the release. Fetches must be safe for concurrent
 // calls (morsel workers pull chunks independently) and should return an
 // error — not stale data — when the backing store has moved on.
 type ScanSource interface {

@@ -43,8 +43,8 @@ func (t Type) String() string {
 
 // Value is a nullable typed value. Null and Typ pack into the first
 // word, so a Value is 40 bytes on a 64-bit platform (TestValueSize);
-// result arenas, index lead keys and batch arenas are all []Value, so a field
-// added here is paid for per cell everywhere.
+// result arenas and index lead keys are []Value, so a field added here
+// is paid for per cell everywhere.
 type Value struct {
 	Null bool
 	Typ  Type
