@@ -8,7 +8,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/physical"
@@ -95,8 +94,9 @@ func Build(db *rel.Database, cfg *physical.Config) (*Built, error) {
 		views:   make(map[string]*rel.Table),
 		caches:  newBuiltCaches(),
 	}
+	ranks := rankTables{}
 	for _, idx := range cfg.Indexes {
-		bi, err := buildIndex(db, idx)
+		bi, err := buildIndex(db, idx, ranks)
 		if err != nil {
 			return nil, err
 		}
@@ -168,166 +168,6 @@ func partitionColumns(db *rel.Database, vp *physical.VPartition) (*rel.Table, []
 	return t, groups, nil
 }
 
-// builtIndex is a sorted permutation of a table's rows by key columns.
-type builtIndex struct {
-	idx    *physical.Index
-	table  *rel.Table
-	keyIdx []int
-	order  []int
-	bytes  int64
-	// leadKeys materializes the leading key in index order, so the
-	// binary searches of per-execution seeks read a flat vector instead
-	// of chasing a row pointer per probe step.
-	leadKeys []rel.Value
-	// firstNonNull is the first position whose leading key is non-NULL.
-	firstNonNull int
-	// mixed reports that the non-NULL leading keys have more than one type.
-	mixed bool
-}
-
-func buildIndex(db *rel.Database, idx *physical.Index) (*builtIndex, error) {
-	t := db.Table(idx.Table)
-	if t == nil {
-		return nil, fmt.Errorf("engine: index %s on unknown table %s", idx.Name, idx.Table)
-	}
-	if len(idx.Key) == 0 {
-		return nil, fmt.Errorf("engine: index %s on %s has no key column", idx.Name, idx.Table)
-	}
-	if err := t.Hydrate(); err != nil {
-		return nil, err
-	}
-	bi := &builtIndex{idx: idx, table: t}
-	for _, k := range idx.Key {
-		ci := t.ColIndex(k)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: index %s references unknown column %s.%s", idx.Name, idx.Table, k)
-		}
-		bi.keyIdx = append(bi.keyIdx, ci)
-	}
-	for _, k := range idx.Include {
-		if t.ColIndex(k) < 0 {
-			return nil, fmt.Errorf("engine: index %s includes unknown column %s.%s", idx.Name, idx.Table, k)
-		}
-	}
-	bi.order = make([]int, t.RowCount())
-	for i := range bi.order {
-		bi.order[i] = i
-	}
-	slices.SortStableFunc(bi.order, t.RowComparator(bi.keyIdx))
-	lead := bi.keyIdx[0]
-	bi.leadKeys = make([]rel.Value, len(bi.order))
-	for i, rid := range bi.order {
-		bi.leadKeys[i] = t.ValueAt(rid, lead)
-	}
-	bi.firstNonNull = sort.Search(len(bi.order), func(i int) bool {
-		return !bi.leadKeys[i].Null
-	})
-	keys := bi.leadKeys[bi.firstNonNull:]
-	bi.mixed = slices.ContainsFunc(keys, func(k rel.Value) bool { return k.Typ != keys[0].Typ })
-	bi.bytes = 12 * int64(t.RowCount())
-	for _, c := range append(append([]string(nil), idx.Key...), idx.Include...) {
-		ci := t.ColIndex(c)
-		for r, n := 0, t.RowCount(); r < n; r++ {
-			bi.bytes += int64(t.ValueAt(r, ci).Width())
-		}
-	}
-	return bi, nil
-}
-
-// lowerBound returns the first position with leading key >= v (among
-// non-NULL keys).
-func (bi *builtIndex) lowerBound(v rel.Value) int {
-	i := sort.Search(len(bi.order)-bi.firstNonNull, func(i int) bool {
-		return bi.leadKeys[bi.firstNonNull+i].Compare(v) >= 0
-	})
-	return bi.firstNonNull + i
-}
-
-// upperBound returns the first position with leading key > v.
-func (bi *builtIndex) upperBound(v rel.Value) int {
-	i := sort.Search(len(bi.order)-bi.firstNonNull, func(i int) bool {
-		return bi.leadKeys[bi.firstNonNull+i].Compare(v) > 0
-	})
-	return bi.firstNonNull + i
-}
-
-// seekEqual returns the row ids whose leading key equals v, for the
-// batch executor's INL probe of a non-NULL v. An equal-key run is the
-// few children one parent has (on serve_seek_http, 1–7 rows for 99 % of
-// probes into indexes of ≈ 54 000 keys), so after the lower bound it
-// gallops — steps of 1, 2, 4, … — to the first greater key and
-// binary-searches only the last step, rather than running a second full
-// binary search.
-//
-// Both ways find the same run only when the keys compare with v as
-// below, then equal, then above, in index order. Compare orders a string
-// against a number as text, so a leading column that mixes types, or a
-// string probe into numbers, breaks that. The joins translate emits
-// probe with int ids, so every string probe, like every probe into a
-// mixed column, runs the two binary searches, as ExecuteReference does,
-// and the executors agree on every input.
-func (bi *builtIndex) seekEqual(v rel.Value) []int {
-	if bi.mixed || v.Typ == rel.TString {
-		return bi.seekRange(opEq, v)
-	}
-	keys := bi.leadKeys
-	lo := bi.lowerBound(v)
-	if lo == len(keys) || keys[lo].Compare(v) != 0 {
-		return bi.order[lo:lo]
-	}
-	// keys[last] equals v; the run ends at or before lo+step.
-	last, step := lo, 1
-	for lo+step < len(keys) && keys[lo+step].Compare(v) == 0 {
-		last, step = lo+step, step*2
-	}
-	hi := min(lo+step, len(keys))
-	for last+1 < hi {
-		mid := int(uint(last+hi) >> 1)
-		if keys[mid].Compare(v) == 0 {
-			last = mid
-		} else {
-			hi = mid
-		}
-	}
-	return bi.order[lo:hi]
-}
-
-// seekRange returns row ids for "leading key op v"; NULL keys never
-// match, and a NULL probe value matches nothing (NULL sorts before all
-// keys, so bounding against it would otherwise admit every non-NULL
-// row for > and >=). Equality runs both binary searches: seek drivers
-// call it once per branch, and ExecuteReference calls it for its INL
-// probes, so the reference shares no code with seekEqual's gallop.
-func (bi *builtIndex) seekRange(op opKind, v rel.Value) []int {
-	if v.Null {
-		return nil
-	}
-	n := len(bi.order)
-	switch op {
-	case opEq:
-		return bi.order[bi.lowerBound(v):bi.upperBound(v)]
-	case opLt:
-		return bi.order[bi.firstNonNull:bi.lowerBound(v)]
-	case opLe:
-		return bi.order[bi.firstNonNull:bi.upperBound(v)]
-	case opGt:
-		return bi.order[bi.upperBound(v):n]
-	case opGe:
-		return bi.order[bi.lowerBound(v):n]
-	}
-	return nil
-}
-
-type opKind int
-
-const (
-	opEq opKind = iota
-	opLt
-	opLe
-	opGt
-	opGe
-)
-
 // newStructTable is rel.NewTable for a view, whose columns a
 // configuration names: a column listed twice is the configuration's
 // error, where NewTable would panic.
@@ -387,28 +227,21 @@ func buildView(db *rel.Database, v *physical.View) (*rel.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	byID := make(map[int64]int, outer.RowCount()) // outer ID -> row id
-	for r, n := 0, outer.RowCount(); r < n; r++ {
-		byID[outer.ValueAt(r, oid).I] = r
-	}
+	// The view holds what the hash join it replaces returns: each inner row
+	// matched to every outer row its PID joins, by the join's own table.
+	jt := buildJoinTable(outer.RowCount(), func(i int) rel.Value { return outer.ValueAt(i, oid) })
 	out := make([]rel.Value, 0, len(cols)) // AppendRow copies, so one scratch row suffices
 	for ir, n := 0, inner.RowCount(); ir < n; ir++ {
-		p := inner.ValueAt(ir, pid)
-		if p.Null {
-			continue
-		}
-		or, ok := byID[p.I]
-		if !ok {
-			continue
-		}
-		out = out[:0]
-		for _, ci := range outerIdx {
-			out = append(out, outer.ValueAt(or, ci))
-		}
-		for _, ci := range innerIdx {
-			out = append(out, inner.ValueAt(ir, ci))
-		}
-		vt.AppendRow(out)
+		jt.probe(inner.ValueAt(ir, pid), func(or int32) {
+			out = out[:0]
+			for _, ci := range outerIdx {
+				out = append(out, outer.ValueAt(int(or), ci))
+			}
+			for _, ci := range innerIdx {
+				out = append(out, inner.ValueAt(ir, ci))
+			}
+			vt.AppendRow(out)
+		})
 	}
 	return vt, nil
 }

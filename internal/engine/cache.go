@@ -236,6 +236,22 @@ func (jt *joinTable) chainOf(v rel.Value) int32 {
 	return jt.first(k)
 }
 
+// probe calls yield with every build position v joins, in the order the
+// reference executor's hash join emits them.
+func (jt *joinTable) probe(v rel.Value, yield func(m int32)) {
+	if jt.intKeys {
+		for m := jt.chainOf(v); m >= 0; m = jt.next[m] {
+			yield(m)
+		}
+		return
+	}
+	if !v.Null {
+		for _, m := range jt.str[v.String()] {
+			yield(m)
+		}
+	}
+}
+
 // intKey returns the int a non-NULL value equals under string-form
 // matching: the value itself for an int, otherwise the number whose
 // canonical decimal rendering is the value's string form, if any.

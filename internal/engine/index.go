@@ -1,0 +1,407 @@
+package engine
+
+import (
+	"cmp"
+	"fmt"
+	"slices"
+	"sort"
+	"strings"
+
+	"repro/internal/physical"
+	"repro/internal/rel"
+)
+
+// builtIndex is a sorted permutation of a table's rows by key columns:
+// the row ids in index order plus the leading key of every non-NULL
+// position, held as one typed vector. A clean column — one whose every
+// cell round-trips through its typed vector — keeps its leading keys as
+// int64s, float64s or string ranks, so a seek compares scalars and never
+// builds a rel.Value per probe step. Only a column holding exception
+// values keeps them as rel.Values.
+type builtIndex struct {
+	idx    *physical.Index
+	table  *rel.Table
+	keyIdx []int
+	// order is the table's row ids in index order: rows whose leading key
+	// is NULL first, then by leading key, ties broken by the remaining key
+	// columns and then by row id — the stable sort of the row ids by
+	// Value.Compare over the key columns.
+	order []int32
+	bytes int64
+	// firstNonNull is the first position whose leading key is non-NULL.
+	firstNonNull int
+
+	// lead says which vector holds the leading keys, and typ is the
+	// leading column's type. ints, floats and ranks hold the keys of
+	// positions firstNonNull onward, so the key at position i is at
+	// i-firstNonNull; vals holds the key of every position.
+	lead   leadKind
+	typ    rel.Type
+	ints   []int64
+	floats []float64
+	// ranks are string keys as positions in strs, the column's distinct
+	// strings in ascending order, so ranks order as their strings do.
+	ranks []uint32
+	strs  []string
+	vals  []rel.Value
+	// mixed reports that the non-NULL leading keys in vals have more than
+	// one type.
+	mixed bool
+}
+
+// leadKind selects the vector a builtIndex keeps its leading keys in.
+type leadKind uint8
+
+const (
+	leadInts   leadKind = iota // a clean TInt column
+	leadFloats                 // a clean TFloat column
+	leadRanks                  // a clean TString column
+	leadValues                 // a column holding exception values
+)
+
+// rankTable orders a string column's dictionary: strs holds its distinct
+// strings in ascending order, and rank maps a dictionary code to the
+// position of its string in strs.
+type rankTable struct {
+	strs []string
+	rank []uint32
+}
+
+// rankTables memoizes one rankTable per dictionary — per string column —
+// for one Build, so the indexes that lead on one column sort its
+// dictionary once and share the sorted strings.
+type rankTables map[*rel.Dict]*rankTable
+
+func (rt rankTables) of(dict *rel.Dict) *rankTable {
+	if r, ok := rt[dict]; ok {
+		return r
+	}
+	src := dict.Strs()
+	sorted := make([]uint32, len(src))
+	for c := range sorted {
+		sorted[c] = uint32(c)
+	}
+	// Dictionary entries are distinct, so no two codes tie.
+	slices.SortFunc(sorted, func(a, b uint32) int { return strings.Compare(src[a], src[b]) })
+	r := &rankTable{strs: make([]string, len(src)), rank: make([]uint32, len(src))}
+	for pos, c := range sorted {
+		r.rank[c] = uint32(pos)
+		r.strs[pos] = src[c]
+	}
+	rt[dict] = r
+	return r
+}
+
+func buildIndex(db *rel.Database, idx *physical.Index, ranks rankTables) (*builtIndex, error) {
+	t := db.Table(idx.Table)
+	if t == nil {
+		return nil, fmt.Errorf("engine: index %s on unknown table %s", idx.Name, idx.Table)
+	}
+	if len(idx.Key) == 0 {
+		return nil, fmt.Errorf("engine: index %s on %s has no key column", idx.Name, idx.Table)
+	}
+	if err := t.Hydrate(); err != nil {
+		return nil, err
+	}
+	bi := &builtIndex{idx: idx, table: t}
+	for _, k := range idx.Key {
+		ci := t.ColIndex(k)
+		if ci < 0 {
+			return nil, fmt.Errorf("engine: index %s references unknown column %s.%s", idx.Name, idx.Table, k)
+		}
+		bi.keyIdx = append(bi.keyIdx, ci)
+	}
+	for _, k := range idx.Include {
+		if t.ColIndex(k) < 0 {
+			return nil, fmt.Errorf("engine: index %s includes unknown column %s.%s", idx.Name, idx.Table, k)
+		}
+	}
+	n := t.RowCount()
+	lead := bi.keyIdx[0]
+	bi.typ = t.Columns[lead].Typ
+	bi.order = make([]int32, n)
+	var rest func(a, b int) int
+	if len(bi.keyIdx) > 1 {
+		rest = t.RowComparator(bi.keyIdx[1:])
+	}
+	if ints, nulls, ok := t.IntCol(lead); ok {
+		bi.lead = leadInts
+		bi.firstNonNull = sortRows(bi.order, nulls, ints, cmp.Compare[int64], rest)
+		bi.ints = gather(ints, bi.order[bi.firstNonNull:])
+	} else if floats, nulls, ok := t.FloatCol(lead); ok {
+		bi.lead = leadFloats
+		bi.firstNonNull = sortRows(bi.order, nulls, floats, cmp.Compare[float64], rest)
+		bi.floats = gather(floats, bi.order[bi.firstNonNull:])
+	} else if codes, dict, nulls, ok := t.StrCol(lead); ok {
+		bi.lead = leadRanks
+		rt := ranks.of(dict)
+		rank := rt.rank
+		bi.firstNonNull = sortRows(bi.order, nulls, codes, func(a, b uint32) int { return cmp.Compare(rank[a], rank[b]) }, rest)
+		bi.ranks = make([]uint32, n-bi.firstNonNull)
+		for i, r := range bi.order[bi.firstNonNull:] {
+			bi.ranks[i] = rank[codes[r]]
+		}
+		bi.strs = rt.strs
+	} else {
+		bi.lead = leadValues
+		for i := range bi.order {
+			bi.order[i] = int32(i)
+		}
+		cmpRows := t.RowComparator(bi.keyIdx)
+		slices.SortStableFunc(bi.order, func(a, b int32) int { return cmpRows(int(a), int(b)) })
+		bi.vals = make([]rel.Value, n)
+		for i, rid := range bi.order {
+			bi.vals[i] = t.ValueAt(int(rid), lead)
+		}
+		bi.firstNonNull = sort.Search(n, func(i int) bool { return !bi.vals[i].Null })
+		keys := bi.vals[bi.firstNonNull:]
+		bi.mixed = slices.ContainsFunc(keys, func(k rel.Value) bool { return k.Typ != keys[0].Typ })
+	}
+	bi.bytes = 12 * int64(n)
+	for _, c := range idx.Key {
+		bi.bytes += t.WidthSum(t.ColIndex(c))
+	}
+	for _, c := range idx.Include {
+		bi.bytes += t.WidthSum(t.ColIndex(c))
+	}
+	return bi, nil
+}
+
+// sortRows fills order with a clean column's row ids in index order and
+// returns how many lead with NULL. The NULL-led rows come first, ordered
+// by rest and then by row id; the others follow, ordered by cmpKey over
+// their keys, then by rest, then by row id. rest compares the remaining
+// key columns (nil when there are none). Breaking the last ties by row id
+// makes the order that of a stable sort.
+func sortRows[K any](order []int32, nulls *rel.Bitmap, keys []K, cmpKey func(a, b K) int, rest func(a, b int) int) int {
+	nn := nulls.SetCount()
+	i, j := 0, nn
+	for r := range order {
+		if nn > 0 && nulls.Get(r) {
+			order[i] = int32(r)
+			i++
+		} else {
+			order[j] = int32(r)
+			j++
+		}
+	}
+	tie := cmp.Compare[int32]
+	if rest != nil {
+		tie = func(a, b int32) int {
+			if c := rest(int(a), int(b)); c != 0 {
+				return c
+			}
+			return cmp.Compare(a, b)
+		}
+		slices.SortFunc(order[:nn], tie)
+	}
+	slices.SortFunc(order[nn:], func(a, b int32) int {
+		if c := cmpKey(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return tie(a, b)
+	})
+	return nn
+}
+
+// gather returns vals[id] for every id, in order.
+func gather[K any](vals []K, ids []int32) []K {
+	out := make([]K, len(ids))
+	for i, id := range ids {
+		out[i] = vals[id]
+	}
+	return out
+}
+
+// keyAt returns the leading key at index position i.
+func (bi *builtIndex) keyAt(i int) rel.Value {
+	if bi.lead == leadValues {
+		return bi.vals[i]
+	}
+	if i < bi.firstNonNull {
+		return rel.NullOf(bi.typ)
+	}
+	i -= bi.firstNonNull
+	switch bi.lead {
+	case leadInts:
+		return rel.Int(bi.ints[i])
+	case leadFloats:
+		return rel.Float(bi.floats[i])
+	}
+	return rel.Str(bi.strs[bi.ranks[i]])
+}
+
+// rankRange returns the ranks of the keys equal to s: [lo, lo+1) when s
+// is one of the column's strings, else the empty [lo, lo) where the keys
+// above s begin.
+func (bi *builtIndex) rankRange(s string) (lo, hi uint32) {
+	p := sort.SearchStrings(bi.strs, s)
+	if p < len(bi.strs) && bi.strs[p] == s {
+		return uint32(p), uint32(p + 1)
+	}
+	return uint32(p), uint32(p)
+}
+
+// bound returns the first position with leading key >= v, or > v when
+// upper, among the non-NULL keys. v must be non-NULL. A probe of the
+// leading column's own type searches the typed vector (a string probe by
+// its rank range); any other pairing, and a column holding exception
+// values, compares keyAt(i) with v.
+func (bi *builtIndex) bound(v rel.Value, upper bool) int {
+	f := bi.firstNonNull
+	switch {
+	case bi.lead == leadInts && v.Typ == rel.TInt:
+		return f + search(bi.ints, v.I, upper)
+	case bi.lead == leadFloats && v.Typ == rel.TFloat:
+		return f + search(bi.floats, v.F, upper)
+	case bi.lead == leadRanks && v.Typ == rel.TString:
+		lo, hi := bi.rankRange(v.S)
+		if upper {
+			lo = hi
+		}
+		return f + search(bi.ranks, lo, false)
+	}
+	return f + sort.Search(len(bi.order)-f, func(i int) bool {
+		c := bi.keyAt(f + i).Compare(v)
+		return c > 0 || !upper && c == 0
+	})
+}
+
+// lowerBound returns the first position with leading key >= v (among
+// non-NULL keys).
+func (bi *builtIndex) lowerBound(v rel.Value) int { return bi.bound(v, false) }
+
+// upperBound returns the first position with leading key > v.
+func (bi *builtIndex) upperBound(v rel.Value) int { return bi.bound(v, true) }
+
+// typedKey is a typed lead vector's element type. cmp.Less and
+// cmp.Compare order float64s as rel.CompareFloats does: NaN before every
+// other float and equal to itself, -0.0 equal to +0.0.
+type typedKey interface{ int64 | float64 | uint32 }
+
+// search returns the first i with keys[i] >= v, or > v when upper, in
+// ascending keys.
+func search[K typedKey](keys []K, v K, upper bool) int {
+	lo, hi := 0, len(keys)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if cmp.Less(keys[m], v) || upper && !cmp.Less(v, keys[m]) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// gallop returns the end of the run of positions from lo on that eq
+// accepts, or lo when eq(lo) fails: it steps 1, 2, 4, … past lo until eq
+// fails or n is reached, then binary-searches only the last step.
+func gallop(lo, n int, eq func(i int) bool) int {
+	if lo == n || !eq(lo) {
+		return lo
+	}
+	last, step := lo, 1
+	for lo+step < n && eq(lo+step) {
+		last, step = lo+step, step*2
+	}
+	hi := min(lo+step, n)
+	for last+1 < hi {
+		mid := int(uint(last+hi) >> 1)
+		if eq(mid) {
+			last = mid
+		} else {
+			hi = mid
+		}
+	}
+	return hi
+}
+
+// equalRun returns the positions [lo, hi) of the keys equal to k. The
+// keys from lo on are >= k, so one of them equals k unless it is above.
+func equalRun[K typedKey](keys []K, k K) (lo, hi int) {
+	lo = search(keys, k, false)
+	return lo, gallop(lo, len(keys), func(i int) bool { return !cmp.Less(k, keys[i]) })
+}
+
+// seekInt is seekEqual for an int probe into an int leading column: the
+// INL probe calls it with the outer key read straight off its vector.
+func (bi *builtIndex) seekInt(k int64) []int32 {
+	lo, hi := equalRun(bi.ints, k)
+	return bi.order[bi.firstNonNull+lo : bi.firstNonNull+hi]
+}
+
+// seekEqual returns the row ids whose leading key equals v, for the
+// batch executor's INL probe. An equal-key run is the few children one
+// parent has (on serve_seek_http, 1–7 rows for 99 % of probes into
+// indexes of ≈ 54 000 keys), so after the lower bound it gallops to the
+// first greater key rather than running a second full binary search.
+// A probe of the leading column's own type gallops over the typed
+// vector; a string probe first resolves to its rank range.
+//
+// Both ways find the same run only when the keys compare with v as
+// below, then equal, then above, in index order. Compare orders a string
+// against a number as text, so a leading column whose exception values
+// mix types, or a string probe into numbers, breaks that. The joins
+// translate emits probe with int ids, so those probes run the two binary
+// searches, as ExecuteReference does, and the executors agree on every
+// input.
+func (bi *builtIndex) seekEqual(v rel.Value) []int32 {
+	f := bi.firstNonNull
+	switch {
+	case v.Null:
+		return nil
+	case bi.lead == leadInts && v.Typ == rel.TInt:
+		return bi.seekInt(v.I)
+	case bi.lead == leadFloats && v.Typ == rel.TFloat:
+		lo, hi := equalRun(bi.floats, v.F)
+		return bi.order[f+lo : f+hi]
+	case bi.lead == leadRanks && v.Typ == rel.TString:
+		r, end := bi.rankRange(v.S)
+		if r == end {
+			return nil
+		}
+		lo, hi := equalRun(bi.ranks, r)
+		return bi.order[f+lo : f+hi]
+	case bi.mixed || v.Typ == rel.TString:
+		return bi.seekRange(opEq, v)
+	}
+	lo := bi.lowerBound(v)
+	return bi.order[lo:gallop(lo, len(bi.order), func(i int) bool { return bi.keyAt(i).Compare(v) == 0 })]
+}
+
+// seekRange returns row ids for "leading key op v"; NULL keys never
+// match, and a NULL probe value matches nothing (NULL sorts before all
+// keys, so bounding against it would otherwise admit every non-NULL
+// row for > and >=). Equality runs both binary searches: seek drivers
+// call it once per branch, and ExecuteReference calls it for its INL
+// probes, so the reference shares no code with seekEqual's gallop.
+func (bi *builtIndex) seekRange(op opKind, v rel.Value) []int32 {
+	if v.Null {
+		return nil
+	}
+	n := len(bi.order)
+	switch op {
+	case opEq:
+		return bi.order[bi.lowerBound(v):bi.upperBound(v)]
+	case opLt:
+		return bi.order[bi.firstNonNull:bi.lowerBound(v)]
+	case opLe:
+		return bi.order[bi.firstNonNull:bi.upperBound(v)]
+	case opGt:
+		return bi.order[bi.upperBound(v):n]
+	case opGe:
+		return bi.order[bi.lowerBound(v):n]
+	}
+	return nil
+}
+
+type opKind int
+
+const (
+	opEq opKind = iota
+	opLt
+	opLe
+	opGt
+	opGe
+)

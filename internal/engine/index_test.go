@@ -8,6 +8,8 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"slices"
 	"sort"
 	"strings"
@@ -95,15 +97,15 @@ func TestIndexBuildMatchesRowSort(t *testing.T) {
 			bi := b.Index(idx)
 			order, leadKeys, firstNonNull, bytes := rowSortIndex(b.DB.Table(idx.Table), idx)
 			label := name + " " + idx.Name
-			if len(bi.order) != len(order) || len(bi.leadKeys) != len(order) {
-				t.Fatalf("%s: %d order entries and %d lead keys over %d rows", label, len(bi.order), len(bi.leadKeys), len(order))
+			if len(bi.order) != len(order) {
+				t.Fatalf("%s: %d order entries over %d rows", label, len(bi.order), len(order))
 			}
 			for i := range order {
-				if bi.order[i] != order[i] {
+				if int(bi.order[i]) != order[i] {
 					t.Fatalf("%s: order[%d] = row %d, the row sort has row %d", label, i, bi.order[i], order[i])
 				}
-				if !bi.leadKeys[i].BitEqual(leadKeys[i]) {
-					t.Fatalf("%s: leadKeys[%d] = %v, want %v", label, i, bi.leadKeys[i], leadKeys[i])
+				if !bi.keyAt(i).BitEqual(leadKeys[i]) {
+					t.Fatalf("%s: keyAt(%d) = %v, want %v", label, i, bi.keyAt(i), leadKeys[i])
 				}
 			}
 			if bi.firstNonNull != firstNonNull || bi.bytes != bytes {
@@ -142,12 +144,12 @@ func seekIndex(t *testing.T, rng *rand.Rand, keys []rel.Value) *builtIndex {
 	return b.Index(idx)
 }
 
-// linearEqual is seekEqual by a linear scan of leadKeys: the row ids, in
+// linearEqual is seekEqual by a linear scan of keyAt: the row ids, in
 // index order, of every non-NULL leading key that compares equal to v.
-func linearEqual(bi *builtIndex, v rel.Value) []int {
-	var out []int
-	for i, k := range bi.leadKeys {
-		if !k.Null && k.Compare(v) == 0 {
+func linearEqual(bi *builtIndex, v rel.Value) []int32 {
+	var out []int32
+	for i := range bi.order {
+		if k := bi.keyAt(i); !k.Null && k.Compare(v) == 0 {
 			out = append(out, bi.order[i])
 		}
 	}
@@ -155,7 +157,7 @@ func linearEqual(bi *builtIndex, v rel.Value) []int {
 }
 
 // TestIndexSeekEqualMatchesLinearScan checks the INL probe's gallop
-// against a linear scan of leadKeys, and against the two binary searches
+// against a linear scan of keyAt, and against the two binary searches
 // ExecuteReference runs: equal-key runs of 1, 2, 3 and 2^k+1 rows behind
 // an all-NULL prefix, probes below the first key, between keys and above
 // the last, a one-row and an all-NULL index, float keys probed with ints
@@ -283,5 +285,166 @@ func TestRowsCalledOnlyByReference(t *testing.T) {
 	}
 	if parsed == 0 {
 		t.Fatal("no product file parsed; the test is looking in the wrong directory")
+	}
+}
+
+// Palettes FuzzIndexSeek draws keys and probes from: the int64 extremes,
+// NaN, both zeros and both infinities, the empty string and shared
+// prefixes, each small enough that duplicate runs are common.
+var (
+	fuzzInts    = []int64{math.MinInt64, math.MinInt64 + 1, -7, -1, 0, 1, 2, 3, 10, math.MaxInt64 - 1, math.MaxInt64}
+	fuzzFloats  = []float64{math.NaN(), math.Inf(-1), -2.5, math.Copysign(0, -1), 0, 0.5, 1, 2, 3, 1e300, math.Inf(1)}
+	fuzzStrings = []string{"", "0", "1", "10", "2", "a", "ab", "abc", "abd", "b", "ba", "zz"}
+)
+
+// fuzzKey decodes one fuzz byte as a key of the given column kind: 0 int,
+// 1 float, 2 string, and 3 an int column holding exception values —
+// floats and NULLs that carry a payload. Every kind yields NULLs.
+func fuzzKey(kind uint8, b byte) rel.Value {
+	if b%9 == 0 {
+		return rel.NullOf([]rel.Type{rel.TInt, rel.TFloat, rel.TString, rel.TInt}[kind])
+	}
+	i := int(b / 9)
+	switch kind {
+	case 0:
+		return rel.Int(fuzzInts[i%len(fuzzInts)])
+	case 1:
+		return rel.Float(fuzzFloats[i%len(fuzzFloats)])
+	case 2:
+		return rel.Str(fuzzStrings[i%len(fuzzStrings)])
+	}
+	switch i % 4 {
+	case 0:
+		return rel.Float(float64(i%7) / 2)
+	case 1:
+		return rel.Value{Null: true, Typ: rel.TInt, I: int64(i)}
+	}
+	return rel.Int(int64(i % 5))
+}
+
+// fuzzProbe decodes one fuzz byte as a probe of any type, NULL included.
+func fuzzProbe(b byte) rel.Value {
+	i := int(b / 4)
+	switch b % 4 {
+	case 0:
+		return rel.Int(fuzzInts[i%len(fuzzInts)])
+	case 1:
+		return rel.Float(fuzzFloats[i%len(fuzzFloats)])
+	case 2:
+		return rel.Str(fuzzStrings[i%len(fuzzStrings)])
+	}
+	return rel.NullOf(rel.Type(i % 3))
+}
+
+// FuzzIndexSeek builds a one-column index over fuzzed keys of one kind
+// (see fuzzKey) and probes it with fuzzed values of every type: seekEqual
+// must equal seekRange(opEq), and seekRange under each of the five
+// operators must equal a linear filter by Value.Compare over keyAt in
+// index order. Compare orders a string against numbers as text, so a
+// string probe into numeric keys has no run to filter for, and only the
+// first check applies to it.
+func FuzzIndexSeek(f *testing.F) {
+	f.Add(uint8(0), []byte{0, 9, 18, 18, 27, 90, 99, 36, 36, 36}, []byte{0, 4, 8, 12, 40, 1, 2, 3})
+	f.Add(uint8(1), []byte{0, 9, 18, 27, 36, 36, 45, 90, 99}, []byte{1, 5, 13, 17, 21, 0, 4, 6})
+	f.Add(uint8(2), []byte{0, 9, 18, 27, 36, 45, 45, 63, 72, 81}, []byte{2, 6, 10, 14, 30, 0, 1, 3})
+	f.Add(uint8(3), []byte{0, 9, 18, 27, 36, 45, 54, 63}, []byte{0, 4, 8, 1, 5, 2, 3})
+	ops := []opKind{opEq, opLt, opLe, opGt, opGe}
+	f.Fuzz(func(t *testing.T, kind uint8, keyBytes, probeBytes []byte) {
+		kind %= 4
+		if len(keyBytes) > 512 || len(probeBytes) > 64 {
+			return
+		}
+		keys := make([]rel.Value, len(keyBytes))
+		for i, b := range keyBytes {
+			keys[i] = fuzzKey(kind, b)
+		}
+		bi := seekIndex(t, rand.New(rand.NewSource(int64(len(keyBytes)))), keys)
+		numeric := !slices.ContainsFunc(keys, func(k rel.Value) bool { return !k.Null && k.Typ == rel.TString })
+		for _, b := range probeBytes {
+			v := fuzzProbe(b)
+			if got, ref := bi.seekEqual(v), bi.seekRange(opEq, v); !slices.Equal(got, ref) {
+				t.Fatalf("probe %#v: seekEqual %v, seekRange(opEq) %v", v, got, ref)
+			}
+			if v.Typ == rel.TString && !v.Null && numeric {
+				continue
+			}
+			for _, op := range ops {
+				var want []int32
+				for i := range bi.order {
+					k := bi.keyAt(i)
+					if v.Null || k.Null {
+						continue
+					}
+					c := k.Compare(v)
+					if op == opEq && c == 0 || op == opLt && c < 0 || op == opLe && c <= 0 || op == opGt && c > 0 || op == opGe && c >= 0 {
+						want = append(want, bi.order[i])
+					}
+				}
+				if got := bi.seekRange(op, v); !slices.Equal(got, want) {
+					t.Fatalf("probe %#v op %d: seekRange %v, a linear filter %v", v, op, got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestIndexBytesStayTyped pins what an index over a clean column costs to
+// build: its typed lead vector plus int32 row ids, 12 bytes a row, and
+// for a string lead the sorted distinct strings — at most 1.15 × rows ×
+// 12 bytes plus 16 bytes per distinct string of allocation, where the
+// []rel.Value lead and []int order it replaces took 48 a row. A column
+// holding exception values keeps the []rel.Value lead.
+func TestIndexBytesStayTyped(t *testing.T) {
+	const rows = 50_000
+	rng := rand.New(rand.NewSource(36))
+	cols := []rel.Column{{Name: rel.IDColumn, Typ: rel.TInt}, {Name: "i", Typ: rel.TInt, Nullable: true},
+		{Name: "f", Typ: rel.TFloat}, {Name: "s", Typ: rel.TString}, {Name: "x", Typ: rel.TInt}}
+	tb := rel.NewTable("t", cols)
+	distinct := map[string]bool{}
+	for r := 0; r < rows; r++ {
+		i := rel.Int(rng.Int63n(rows / 4))
+		if r%10 == 0 {
+			i = rel.NullOf(rel.TInt)
+		}
+		s := fmt.Sprintf("conf/%05d", rng.Intn(rows))
+		distinct[s] = true
+		x := rel.Int(int64(r % 100))
+		if r%1000 == 0 {
+			x = rel.Float(0.5)
+		}
+		tb.AppendRow([]rel.Value{rel.Int(int64(r)), i, rel.Float(rng.NormFloat64()), rel.Str(s), x})
+	}
+	db := rel.NewDatabase()
+	db.Add(tb)
+	for _, c := range []struct {
+		col  string
+		lead leadKind
+		strs int // distinct strings the bound allows for
+	}{{"i", leadInts, 0}, {"f", leadFloats, 0}, {"s", leadRanks, len(distinct)}, {"x", leadValues, 0}} {
+		idx := &physical.Index{Name: "ix_" + c.col, Table: "t", Key: []string{c.col}}
+		var bi *builtIndex
+		got := func() uint64 {
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			var err error
+			if bi, err = buildIndex(db, idx, rankTables{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}()
+		if bi.lead != c.lead || (bi.vals != nil) != (c.lead == leadValues) {
+			t.Fatalf("%s: lead %d with %d rel.Value keys, want lead %d", c.col, bi.lead, len(bi.vals), c.lead)
+		}
+		if c.lead == leadValues {
+			continue
+		}
+		bound := 1.15*rows*12 + 16*float64(c.strs)
+		t.Logf("%s: %d bytes allocated (bound %.0f)", c.col, got, bound)
+		if float64(got) > bound && !raceEnabled {
+			t.Errorf("%s: building the index allocated %d bytes, more than 1.15 × %d rows × 12 + 16 × %d strings = %.0f",
+				c.col, got, rows, c.strs, bound)
+		}
 	}
 }

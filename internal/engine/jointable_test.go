@@ -164,3 +164,64 @@ func TestJoinKeysMatchByStringForm(t *testing.T) {
 		requireIdentical(t, name, got, ref)
 	}
 }
+
+// TestViewMatchesJoin: a materialized view holds exactly the rows of the
+// hash join it replaces — the inner table driving, each row joined to
+// every outer row its PID matches by string form, in the join table's
+// chain order — on fillDB, whose child PIDs hold a string exception and
+// NULLs that carry a payload, and on a fixture whose outer IDs repeat
+// and whose child PIDs include "zz", which joins no ID, and "1", which
+// joins both outer rows with ID 1.
+func TestViewMatchesJoin(t *testing.T) {
+	h := rel.NewTable("h", []rel.Column{{Name: "ID", Typ: rel.TInt}, {Name: "name", Typ: rel.TString}})
+	for i, id := range []int64{0, 1, 1, 2} {
+		h.AppendRow([]rel.Value{rel.Int(id), rel.Str(fmt.Sprintf("h%d", i))})
+	}
+	k := rel.NewTable("k", []rel.Column{{Name: "ID", Typ: rel.TInt}, {Name: "PID", Typ: rel.TInt, Nullable: true}, {Name: "v", Typ: rel.TString}})
+	for i, pid := range []rel.Value{rel.Str("zz"), rel.Int(1), rel.Str("1"), rel.NullOf(rel.TInt), rel.Int(2), rel.Int(7), rel.Int(0)} {
+		k.AppendRow([]rel.Value{rel.Int(int64(10 + i)), pid, rel.Str(fmt.Sprintf("k%d", i))})
+	}
+	dups := rel.NewDatabase()
+	dups.Add(h)
+	dups.Add(k)
+	cases := []struct {
+		name string
+		db   *rel.Database
+		view *physical.View
+		rows int
+	}{
+		{"fillDB", fillDB(), &physical.View{Name: "v_pc", Outer: "p", Inner: "c",
+			OuterCols: []string{"ID", "x", "tag"}, InnerCols: []string{"ID", "PID", "w"}}, 0},
+		{"duplicate-ids", dups, &physical.View{Name: "v_hk", Outer: "h", Inner: "k",
+			OuterCols: []string{"ID", "name"}, InnerCols: []string{"ID", "PID", "v"}}, 6},
+	}
+	for _, tc := range cases {
+		v := tc.view
+		built, err := Build(tc.db, &physical.Config{Views: []*physical.View{v}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var items []sqlast.SelectItem
+		for _, c := range v.OuterCols {
+			items = append(items, sqlast.SelectItem{Col: &sqlast.ColRef{Table: v.Outer, Column: c}, As: v.Outer + "__" + c})
+		}
+		for _, c := range v.InnerCols {
+			items = append(items, sqlast.SelectItem{Col: &sqlast.ColRef{Table: v.Inner, Column: c}, As: v.Inner + "__" + c})
+		}
+		pidCol, idCol := sqlast.ColRef{Table: v.Inner, Column: rel.PIDColumn}, sqlast.ColRef{Table: v.Outer, Column: rel.IDColumn}
+		sel := &sqlast.Select{Items: items, From: []string{v.Inner, v.Outer},
+			Where: []sqlast.Pred{{Kind: sqlast.PredJoin, Left: pidCol, Right: idCol}}}
+		plan := &optimizer.Plan{Query: &sqlast.Query{Branches: []*sqlast.Select{sel}}, Branches: []*optimizer.Branch{{
+			Sel: sel, Driver: optimizer.Access{Table: v.Inner},
+			Joins: []optimizer.Join{{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: v.Outer}, OuterCol: pidCol, InnerCol: idCol}}}}}
+		want, err := ExecuteReference(built, plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Rows) == 0 || tc.rows > 0 && len(want.Rows) != tc.rows {
+			t.Fatalf("%s: the join returns %d rows; the fixture lost its point", tc.name, len(want.Rows))
+		}
+		vt := built.ViewTable(v.Name)
+		requireIdentical(t, tc.name, &Result{Cols: want.Cols, Rows: vt.Rows(), Stats: want.Stats}, want)
+	}
+}

@@ -41,7 +41,7 @@ var morselRows = 4 * batchSize
 func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *obs.Registry, workers int) (*Result, error) {
 	type branchRun struct {
 		st     ExecStats // precharge + driver-resolution stats
-		ids    []int     // seek drivers: matching row ids
+		ids    []int32   // seek drivers: matching row ids
 		lo, hi int       // the branch's morsels are tasks and slots [lo, hi)
 		span   *obs.Span
 	}

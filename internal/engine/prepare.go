@@ -635,7 +635,7 @@ func (pb *preparedBranch) precharge(st *ExecStats) {
 // driver rows, plus — for index range seeks — the matching row ids (in
 // index order), whose seek cost is charged here, once per branch. Scans
 // drive off row positions and return nil ids.
-func (pb *preparedBranch) resolveDriver(st *ExecStats) (int, []int) {
+func (pb *preparedBranch) resolveDriver(st *ExecStats) (int, []int32) {
 	if pb.src.kind == srcSeek {
 		ids := pb.src.bi.seekRange(pb.src.seekOp, pb.src.seekVal)
 		st.RowsSought += int64(len(ids))
@@ -688,7 +688,7 @@ func morselRanges(nc int, span func(k int) (lo, hi int)) [][2]int {
 // bit-identical however the driver is cut into morsels. ctx is polled
 // once per driver batch; on cancellation the pipeline stops promptly,
 // pooled state is still returned for reuse, and ctx's error is reported.
-func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int, lo, hi int) error {
+func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int32, lo, hi int) error {
 	done := ctx.Done()
 	cancelled := func() bool {
 		if done == nil {
@@ -724,11 +724,8 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int,
 			if cancelled() {
 				return ctx.Err()
 			}
-			sel := state.sel[:0]
-			for _, id := range ids[start:min(start+batchSize, hi)] {
-				sel = append(sel, int32(id))
-			}
-			feed(sel)
+			// The kernels compact in place, so they get a copy.
+			feed(append(state.sel[:0], ids[start:min(start+batchSize, hi)]...))
 		}
 		return nil
 	}
@@ -820,14 +817,19 @@ func (r *pipeRun) join(oi int, op *pipeOp, vecs [][]int32) {
 	jt := op.jt
 	switch {
 	case op.kind == pipeINLJoin:
+		// An int key into an int lead is probed as the int64 itself.
+		bi := op.bi
+		ints := key.kind == fillInts && bi.lead == leadInts
 		for i, row := range outer {
-			v := key.value(row)
-			if v.Null {
-				continue
+			var rids []int32
+			if !ints {
+				rids = bi.seekEqual(key.value(row))
+			} else if !key.null(row) {
+				rids = bi.seekInt(key.ints[row])
 			}
-			for _, rid := range op.bi.seekEqual(v) {
-				r.out.st.RowsSought++
-				if jb.add(i, int32(rid)) {
+			r.out.st.RowsSought += int64(len(rids))
+			for _, rid := range rids {
+				if jb.add(i, rid) {
 					r.flush(oi, jb, vecs)
 				}
 			}
@@ -843,23 +845,13 @@ func (r *pipeRun) join(oi int, op *pipeOp, vecs [][]int32) {
 				}
 			}
 		}
-	case jt.intKeys:
+	default:
 		for i, row := range outer {
-			for m := jt.chainOf(key.value(row)); m >= 0; m = jt.next[m] {
+			jt.probe(key.value(row), func(m int32) {
 				if jb.add(i, m) {
 					r.flush(oi, jb, vecs)
 				}
-			}
-		}
-	default:
-		for i, row := range outer {
-			if v := key.value(row); !v.Null {
-				for _, m := range jt.str[v.String()] {
-					if jb.add(i, m) {
-						r.flush(oi, jb, vecs)
-					}
-				}
-			}
+			})
 		}
 	}
 	if len(jb.pos) > 0 {

@@ -130,7 +130,7 @@ func fetchAccess(b *Built, s *sqlast.Select, a optimizer.Access, st *ExecStats) 
 		rows := make([][]rel.Value, len(ids))
 		for i, id := range ids {
 			rows[i] = make([]rel.Value, len(cols))
-			t.ReadRowInto(rows[i], id)
+			t.ReadRowInto(rows[i], int(id))
 		}
 		if st != nil {
 			st.RowsSought += int64(len(rows))
@@ -348,7 +348,7 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 				}
 				row := make([]rel.Value, len(orow)+len(cols))
 				copy(row, orow)
-				t.ReadRowInto(row[len(orow):], rid)
+				t.ReadRowInto(row[len(orow):], int(rid))
 				out = append(out, row)
 			}
 		}

@@ -447,7 +447,8 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 // widthSum returns the accounting width of every value in the column,
 // what AppendRow's running total holds for it: 1 per NULL, 8 per
 // numeric, the string length (min 1) per string, with each exception
-// row patched from its vector value's width to its exact value's.
+// row patched from its vector value's width to its exact value's. Table
+// byte accounting and index sizes (Table.WidthSum) both come from here.
 func (cv *colVec) widthSum() int64 {
 	rows, nulls := int64(cv.nulls.n), int64(cv.nulls.set)
 	var b int64

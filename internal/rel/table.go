@@ -335,6 +335,15 @@ func (t *Table) IsNullAt(row, col int) bool {
 	return cv.nulls.Get(row)
 }
 
+// WidthSum returns Value.Width summed over the cells of column ci, read
+// off its vectors: 8 per number and 1 per NULL from the null bitmap's
+// count, one length per string, and the exact value only for exception
+// rows.
+func (t *Table) WidthSum(ci int) int64 {
+	t.requireColumn(ci)
+	return t.cols[ci].widthSum()
+}
+
 // ReadRowInto materializes row rid into dst, which must have exactly
 // one slot per column.
 func (t *Table) ReadRowInto(dst []Value, rid int) {
