@@ -15,13 +15,9 @@ import (
 	"strings"
 	"time"
 
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/obs"
-	"repro/internal/service"
-	"repro/internal/service/loadgen"
 	"repro/internal/workload"
 )
 
@@ -35,25 +31,8 @@ func main() {
 		seedBase  = flag.Int64("seed", 7, "workload generation seed")
 		parallel  = flag.Int("parallel", 1, "concurrent candidate evaluations per search (all strategies; results are identical at any setting)")
 		debugAddr = flag.String("debug-addr", "", "serve /debug/vars, /debug/metrics, and /debug/pprof on this address while experiments run")
-
-		serviceURL  = flag.String("service-url", "", "client mode: drive a running xmlserved at this base URL instead of running experiments")
-		svcCorpus   = flag.String("service-corpus", "movie", "client mode: corpus to query")
-		svcTenants  = flag.String("service-tenants", "t0,t1", "client mode: comma-separated tenants to spread requests over")
-		svcQueries  = flag.String("service-queries", "", "client mode: semicolon-separated XPath mix (default: a movie-corpus mix)")
-		svcConc     = flag.Int("service-concurrency", 4, "client mode: concurrent sessions")
-		svcOps      = flag.Int("service-ops", 0, "client mode: total requests (0 = run for -service-duration)")
-		svcDuration = flag.Duration("service-duration", 5*time.Second, "client mode: run length when -service-ops is 0")
-		svcWorkers  = flag.Int("service-workers", 0, "client mode: requested per-query workers (0 = server default)")
 	)
 	flag.Parse()
-	if *serviceURL != "" {
-		if err := runClient(*serviceURL, *svcCorpus, *svcTenants, *svcQueries,
-			*svcConc, *svcOps, *svcDuration, *svcWorkers); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	want := map[string]bool{}
 	if *only != "" {
 		for _, s := range strings.Split(*only, ",") {
@@ -65,48 +44,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-}
-
-// runClient is the load-generator front end: it drives a running
-// xmlserved with a mixed-tenant query mix at fixed concurrency and
-// prints sustained QPS, outcome counts, and tail latencies.
-func runClient(url, corpus, tenants, queries string, conc, ops int, duration time.Duration, workers int) error {
-	mixTexts := []string{
-		`//movie[year >= 2000]/(title | box_office)`,
-		`//movie[genre = "genre-03"]/(title | year | actor)`,
-		`//movie/year`,
-		`//movie/(title | aka_title)`,
-	}
-	if queries != "" {
-		mixTexts = strings.Split(queries, ";")
-	}
-	tenantList := strings.Split(tenants, ",")
-	var mix []service.Request
-	for i, q := range mixTexts {
-		mix = append(mix, service.Request{
-			Corpus:  corpus,
-			Tenant:  strings.TrimSpace(tenantList[i%len(tenantList)]),
-			XPath:   strings.TrimSpace(q),
-			Workers: workers,
-		})
-	}
-	cl := service.NewClient(url, nil)
-	if infos, err := cl.Corpora(context.Background()); err != nil {
-		return fmt.Errorf("connecting to %s: %w", url, err)
-	} else {
-		fmt.Printf("connected to %s: %d corpora\n", url, len(infos))
-	}
-	res := loadgen.Run(context.Background(), cl.Query, mix, loadgen.Options{
-		Concurrency: conc, Ops: ops, Duration: duration,
-	})
-	fmt.Printf("ops %d  completed %d  rejected %d  timed-out %d  errors %d  rows %d\n",
-		res.Ops, res.Completed, res.Rejected, res.TimedOut, res.Errors, res.Rows)
-	fmt.Printf("elapsed %v  qps %.1f\n", res.Elapsed.Round(time.Millisecond), res.QPS)
-	fmt.Printf("latency p50 %v  p95 %v  p99 %v  max %v\n", res.P50, res.P95, res.P99, res.Max)
-	if res.Errors > 0 {
-		return fmt.Errorf("%d requests failed", res.Errors)
-	}
-	return nil
 }
 
 func run(scale float64, quick bool, sel func(string) bool, naive, naive20 bool, seed int64, parallel int, debugAddr string) error {

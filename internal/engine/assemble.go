@@ -1,7 +1,8 @@
 package engine
 
 import (
-	"cmp"
+	"sort"
+	"sync"
 
 	"repro/internal/rel"
 )
@@ -12,11 +13,36 @@ import (
 // pipeline order) and counts them. Row headers are cut once, by
 // assemble. A width-0 projection has nothing to store, so it keeps no
 // arenas and only the count.
+//
+// keys holds the ORDER BY keys of the slot's arenas, one block per
+// arena and one key per row, as long as every arena so far had a key
+// column of clean ints (see pipeRun.sink): the slot is keyed exactly
+// when len(keys) == len(arenas). Blocks are pooled (see releaseKeys).
 type outSlot struct {
 	arenas [][]rel.Value
+	keys   []*keyBlock
 	rows   int
 	width  int
 	st     ExecStats
+}
+
+// keyBlock holds the ORDER BY keys of one sink batch, which never
+// exceeds batchSize rows.
+type keyBlock [batchSize]int64
+
+// keyBlocks recycles key blocks across executions: a block is written
+// by the sink, read by assemble, and returned by releaseKeys.
+var keyBlocks = sync.Pool{New: func() any { return new(keyBlock) }}
+
+// releaseKeys returns the slots' key blocks to their pool.
+func releaseKeys(slots []outSlot) {
+	for i := range slots {
+		s := &slots[i]
+		for _, kb := range s.keys {
+			keyBlocks.Put(kb)
+		}
+		s.keys = nil
+	}
 }
 
 // noCols is the row of a width-0 projection.
@@ -30,23 +56,37 @@ var noCols = []rel.Value{}
 // orderPos >= 0 applies the ORDER BY of the sorted outer union on that
 // output position while assembling. Shredded tables are in document
 // order, so each branch — and usually the whole concatenation — arrives
-// as a few long non-decreasing runs of the key. The cutting pass finds
-// the maximal runs; one run is already the answer, and k runs are merged
-// in one more pass straight from their arenas into the header slice,
-// ties going to the earlier run (see mergeRuns). That is exactly the order a stable sort
-// of the concatenation gives (what sortResult does for
-// ExecuteReference), in O(n log k) compares and no scratch rows.
-func assemble(slots []outSlot, orderPos int) [][]rel.Value {
+// as a few long non-decreasing runs of the key. When every slot is
+// keyed, one sequential pass over the key blocks finds the maximal runs;
+// one run is already the answer and is cut in plan order, and k runs
+// are merged through a tournament tree over the blocks' int64 keys (see
+// mergeKeyRuns), ties going to the earlier run. Either way each row
+// header is written once and no result cell is read. That is exactly the
+// order a stable sort of the concatenation gives (what sortResult does
+// for ExecuteReference), in O(n log k) compares and no scratch rows.
+//
+// A slot is unkeyed only when its key column holds exception values or
+// NULLs, which shredded and stored ID columns never do; then the rows
+// are cut in plan order and stably sorted by Value.Compare, sortResult's
+// order, and sorted reports it.
+func assemble(slots []outSlot, orderPos int) (rows [][]rel.Value, sorted bool) {
 	n := 0
+	keyed := orderPos >= 0
 	for i := range slots {
-		n += slots[i].rows
+		s := &slots[i]
+		n += s.rows
+		keyed = keyed && len(s.keys) == len(s.arenas)
 	}
 	if n == 0 {
-		return nil // like ExecuteReference's: an empty result has nil Rows
+		return nil, false // like ExecuteReference's: an empty result has nil Rows
 	}
-	rows := make([][]rel.Value, n)
-	var runs []run
-	var prev *rel.Value
+	rows = make([][]rel.Value, n)
+	if keyed {
+		if runs := keyRuns(slots); len(runs) > 1 {
+			mergeKeyRuns(rows, slots, runs)
+			return rows, false
+		}
+	}
 	i := 0
 	for si := range slots {
 		s := &slots[si]
@@ -57,52 +97,72 @@ func assemble(slots []outSlot, orderPos int) [][]rel.Value {
 			}
 			continue
 		}
-		for ai, arena := range s.arenas {
+		for _, arena := range s.arenas {
 			for k := 0; k < len(arena); k += w {
-				row := arena[k : k+w : k+w]
-				if orderPos >= 0 {
-					key := &row[orderPos]
-					if prev == nil || keyCmp(key, prev) < 0 {
-						// A run's left holds its first row's index until
-						// the next run starts.
-						if len(runs) > 0 {
-							runs[len(runs)-1].left = i - runs[len(runs)-1].left
-						}
-						runs = append(runs, run{si: si, ai: ai, k: k, left: i})
-					}
-					prev = key
-				}
-				rows[i] = row
+				rows[i] = arena[k : k+w : k+w]
 				i++
 			}
 		}
 	}
-	if len(runs) > 1 {
-		runs[len(runs)-1].left = n - runs[len(runs)-1].left
-		mergeRuns(rows, slots, runs, orderPos)
+	if orderPos < 0 || keyed {
+		return rows, false
 	}
-	return rows
+	sort.SliceStable(rows, func(a, b int) bool {
+		return rows[a][orderPos].Compare(rows[b][orderPos]) < 0
+	})
+	return rows, true
 }
 
-// run is a cursor over one sorted run of rows: the row at offset k of
-// arena ai of slot si, the rows the run has left, and the current row's
-// key.
-type run struct {
-	si, ai, k, left int
-	key             *rel.Value
+// keyCursor is a cursor over one sorted run of rows: the current row's
+// slot and arena, its index in the arena (and in the arena's key block),
+// the arena's row count, the rows the run has left (the current one
+// included), and the current key. A seek-driven union can arrive as n/2
+// runs, so the cursor is kept small.
+type keyCursor struct {
+	si, ai int32
+	ki, n  int32
+	left   int
+	key    int64
 }
 
-// mergeRuns writes the rows of runs into rows in merged order through a
-// tournament tree over the runs' current keys: each internal node holds
-// the run that lost the match there, so a row costs one replay from its
-// run's leaf to the root — ceil(log2 k) compares — and ties go to the
-// earlier run.
-func mergeRuns(rows [][]rel.Value, slots []outSlot, runs []run, pos int) {
+// keyRuns finds the maximal non-decreasing runs of keyed slots in one
+// sequential pass over their key blocks, each returned as a cursor on
+// its first row.
+func keyRuns(slots []outSlot) []keyCursor {
+	var runs []keyCursor
+	var prev int64
+	i := 0
+	for si := range slots {
+		s := &slots[si]
+		for ai, arena := range s.arenas {
+			n := len(arena) / s.width
+			for ki, key := range s.keys[ai][:n] {
+				if len(runs) == 0 || key < prev {
+					// A run's left holds its first row's index until the
+					// next run starts.
+					if len(runs) > 0 {
+						runs[len(runs)-1].left = i - runs[len(runs)-1].left
+					}
+					runs = append(runs, keyCursor{si: int32(si), ai: int32(ai), ki: int32(ki), n: int32(n), left: i, key: key})
+				}
+				prev = key
+				i++
+			}
+		}
+	}
+	if len(runs) > 0 {
+		runs[len(runs)-1].left = i - runs[len(runs)-1].left
+	}
+	return runs
+}
+
+// mergeKeyRuns writes the rows of runs into rows in merged order
+// through a tournament tree over the runs' current keys: each internal
+// node holds the run that lost the match there, so a row costs one
+// replay from its run's leaf to the root — ceil(log2 k) int64 compares
+// — and ties go to the earlier run.
+func mergeKeyRuns(rows [][]rel.Value, slots []outSlot, runs []keyCursor) {
 	k := len(runs)
-	for r := range runs {
-		c := &runs[r]
-		c.key = &slots[c.si].arenas[c.ai][c.k+pos]
-	}
 	// before reports whether run a's row comes before run b's; an
 	// exhausted run comes last.
 	before := func(a, b int) bool {
@@ -110,8 +170,7 @@ func mergeRuns(rows [][]rel.Value, slots []outSlot, runs []run, pos int) {
 		if ra.left == 0 || rb.left == 0 {
 			return rb.left == 0 && ra.left != 0
 		}
-		c := keyCmp(ra.key, rb.key)
-		return c < 0 || c == 0 && a < b
+		return ra.key < rb.key || ra.key == rb.key && a < b
 	}
 	// Leaves k..2k-1 are the runs; node n's children are 2n and 2n+1.
 	losers := make([]int, k)
@@ -130,11 +189,10 @@ func mergeRuns(rows [][]rel.Value, slots []outSlot, runs []run, pos int) {
 	for i := range rows {
 		c := &runs[w]
 		s := &slots[c.si]
-		rows[i] = s.arenas[c.ai][c.k : c.k+s.width : c.k+s.width]
+		off := int(c.ki) * s.width
+		rows[i] = s.arenas[c.ai][off : off+s.width : off+s.width]
 		if c.left--; c.left > 0 {
-			c.k += s.width
-			c.settle(slots)
-			c.key = &slots[c.si].arenas[c.ai][c.k+pos]
+			c.advance(slots)
 		}
 		for n := (k + w) / 2; n >= 1; n /= 2 {
 			if before(losers[n], w) {
@@ -144,26 +202,21 @@ func mergeRuns(rows [][]rel.Value, slots []outSlot, runs []run, pos int) {
 	}
 }
 
-// settle moves a cursor that has stepped off the end of an arena to the
-// next row, past empty arenas and slots; the run has one.
-func (c *run) settle(slots []outSlot) {
-	for {
-		as := slots[c.si].arenas
-		if c.ai < len(as) && c.k < len(as[c.ai]) {
-			return
-		}
-		c.k = 0
-		if c.ai++; c.ai >= len(as) {
-			c.ai, c.si = 0, c.si+1
+// advance moves a cursor to the run's next row, past the end of its
+// arena and past empty arenas and slots when it must; the run has one.
+func (c *keyCursor) advance(slots []outSlot) {
+	if c.ki++; c.ki == c.n {
+		c.ki = 0
+		for {
+			s := &slots[c.si]
+			if c.ai++; int(c.ai) >= len(s.arenas) {
+				c.ai, c.si = -1, c.si+1
+				continue
+			}
+			if c.n = int32(len(s.arenas[c.ai]) / s.width); c.n > 0 {
+				break
+			}
 		}
 	}
-}
-
-// keyCmp orders a and b as rel.Value.Compare does. The key of a sorted
-// outer union is a non-NULL int id, which is compared without the call.
-func keyCmp(a, b *rel.Value) int {
-	if a.Typ == rel.TInt && b.Typ == rel.TInt && !a.Null && !b.Null {
-		return cmp.Compare(a.I, b.I)
-	}
-	return a.Compare(*b)
+	c.key = slots[c.si].keys[c.ai][c.ki]
 }

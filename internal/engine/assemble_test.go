@@ -11,9 +11,12 @@ import (
 	"testing"
 	"unsafe"
 
+	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/physical"
 	"repro/internal/rel"
 	"repro/internal/schema"
+	"repro/internal/sqlast"
 	"repro/internal/xmlgen"
 )
 
@@ -37,17 +40,20 @@ func randomKey(rng *rand.Rand, around int) rel.Value {
 // randomSlots builds a slot list the way pipelines fill one: each slot
 // holds arenas of whole rows, width values each. The key column follows
 // one of several shapes — globally ascending (one run), ascending per
-// slot (one run per slot, interleaving with its neighbours), descending
-// (every row its own run), or random — and the column after the key, if
-// there is one, numbers the rows so a row is recognisable by value too.
+// slot with mixed-type keys, or with clean ints (one run per slot,
+// interleaving with its neighbours, the shape of a sorted union's
+// branches), descending (every row its own run), seek-shaped (rows in
+// pairs, each pair a run: n/2 runs), or random — and the column after
+// the key, if there is one, numbers the rows so a row is recognisable
+// by value too. The slots carry no key blocks (see withKeys).
 func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
 	slots := make([]outSlot, rng.Intn(7))
-	shape := rng.Intn(4)
+	shape := rng.Intn(6)
 	serial, asc := 0, 0
 	for si := range slots {
 		s := &slots[si]
 		s.width = width
-		if shape == 1 {
+		if shape == 1 || shape == 4 {
 			asc = rng.Intn(3)
 		}
 		for a := rng.Intn(4); a > 0; a-- {
@@ -72,8 +78,21 @@ func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
 						row[orderPos] = randomKey(rng, asc)
 					case 2:
 						row[orderPos] = rel.Int(int64(1000 - serial))
-					default:
+					case 3:
 						row[orderPos] = randomKey(rng, rng.Intn(5))
+					case 4:
+						asc += rng.Intn(2)
+						row[orderPos] = rel.Int(int64(asc))
+					default:
+						// Pair p starts at 1000-3p+{0,1} and its second key
+						// is the first or one more, so every key of a pair
+						// lies above every later pair's.
+						if serial%2 == 0 {
+							asc = 1000 - 3*(serial/2) + rng.Intn(2)
+						} else {
+							asc += rng.Intn(2)
+						}
+						row[orderPos] = rel.Int(int64(asc))
 					}
 				}
 				if width > 1 {
@@ -87,15 +106,46 @@ func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
 	return slots
 }
 
+// withKeys gives every slot of slots except skip one key block per
+// arena from the arena's key cells, the way the sink fills them, and
+// reports whether every key is a clean int — the only keys a block can
+// hold. The blocks come from the sink's pool and go back to it through
+// releaseKeys.
+func withKeys(slots []outSlot, orderPos, skip int) bool {
+	for si := range slots {
+		s := &slots[si]
+		if si == skip {
+			continue
+		}
+		for _, arena := range s.arenas {
+			kb := keyBlocks.Get().(*keyBlock)
+			s.keys = append(s.keys, kb)
+			for k, r := orderPos, 0; k < len(arena); k, r = k+s.width, r+1 {
+				v := arena[k]
+				if v.Typ != rel.TInt || v.Null {
+					return false
+				}
+				kb[r] = v.I
+			}
+		}
+	}
+	return true
+}
+
 // TestAssembleMatchesStableSort is the merge's differential: for random
 // slot lists — no slots, empty slots, width 0, one run to one run per
-// row, keys duplicated across runs, NULL, NaN and mixed int/float keys,
-// and no ORDER BY at all — assemble must return exactly the row
-// sequence sort.SliceStable gives on the plain concatenation (the very
-// same rows, by address), every row with cap == len.
+// row, seek-shaped lists of n/2 runs, keys duplicated across runs, NULL,
+// NaN and mixed int/float keys, and no ORDER BY at all — assemble must
+// return exactly the row sequence sort.SliceStable gives on the plain
+// concatenation (the very same rows, by address), every row with
+// cap == len. Every list is assembled without key blocks, which takes
+// the sort fallback whenever there is an ORDER BY; a list whose keys
+// are all clean ints is assembled again with a key block per arena,
+// which must merge on the blocks, and once more with a single non-empty
+// slot left unkeyed, which must fall back.
 func TestAssembleMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(engineTestSeed(t)))
-	multiRun := 0
+	multiRun, keyedMerges, oneUnkeyed := 0, 0, 0
 	for iter := 0; iter < 3000; iter++ {
 		width := rng.Intn(4)
 		orderPos := rng.Intn(width+1) - 1
@@ -114,33 +164,62 @@ func TestAssembleMatchesStableSort(t *testing.T) {
 				}
 			}
 		}
+		several := false
 		if orderPos >= 0 {
-			if !sort.SliceIsSorted(want, func(i, j int) bool {
-				return want[i][orderPos].Compare(want[j][orderPos]) < 0
-			}) {
+			less := func(i, j int) bool { return want[i][orderPos].Compare(want[j][orderPos]) < 0 }
+			if several = !sort.SliceIsSorted(want, less); several {
 				multiRun++
 			}
-			sort.SliceStable(want, func(i, j int) bool {
-				return want[i][orderPos].Compare(want[j][orderPos]) < 0
-			})
+			sort.SliceStable(want, less)
 		}
-
-		got := assemble(slots, orderPos)
-		if len(got) != len(want) {
-			t.Fatalf("iter %d: %d rows, want %d", iter, len(got), len(want))
+		check := func(label string, wantSorted bool) {
+			t.Helper()
+			got, sorted := assemble(slots, orderPos)
+			if len(got) != len(want) {
+				t.Fatalf("iter %d %s: %d rows, want %d", iter, label, len(got), len(want))
+			}
+			if sorted != wantSorted {
+				t.Fatalf("iter %d %s: sort fallback taken = %v, want %v", iter, label, sorted, wantSorted)
+			}
+			for i := range got {
+				if len(got[i]) != width || cap(got[i]) != width {
+					t.Fatalf("iter %d %s row %d: len %d cap %d, want both %d", iter, label, i, len(got[i]), cap(got[i]), width)
+				}
+				if width > 0 && &got[i][0] != &want[i][0] {
+					t.Fatalf("iter %d %s (width %d, order by %d): row %d is %v, want %v",
+						iter, label, width, orderPos, i, got[i], want[i])
+				}
+			}
 		}
-		for i := range got {
-			if len(got[i]) != width || cap(got[i]) != width {
-				t.Fatalf("iter %d row %d: len %d cap %d, want both %d", iter, i, len(got[i]), cap(got[i]), width)
+		check("without key blocks", orderPos >= 0 && len(want) > 0)
+		if orderPos < 0 {
+			continue
+		}
+		clean := withKeys(slots, orderPos, -1)
+		if clean {
+			check("with key blocks", false)
+			if several {
+				keyedMerges++
 			}
-			if width > 0 && &got[i][0] != &want[i][0] {
-				t.Fatalf("iter %d (width %d, order by %d): row %d is %v, want %v",
-					iter, width, orderPos, i, got[i], want[i])
+		}
+		releaseKeys(slots)
+		var nonEmpty []int
+		for si := range slots {
+			if len(slots[si].arenas) > 0 {
+				nonEmpty = append(nonEmpty, si)
 			}
+		}
+		if clean && len(nonEmpty) > 1 {
+			withKeys(slots, orderPos, nonEmpty[rng.Intn(len(nonEmpty))])
+			check("with one slot unkeyed", len(want) > 0)
+			releaseKeys(slots)
+			oneUnkeyed++
 		}
 	}
-	if multiRun < 500 {
-		t.Fatalf("only %d of 3000 cases had more than one run: the generator no longer exercises the merge", multiRun)
+	t.Logf("%d multi-run cases, %d keyed merges, %d with one slot unkeyed", multiRun, keyedMerges, oneUnkeyed)
+	if multiRun < 500 || keyedMerges < 300 || oneUnkeyed < 300 {
+		t.Fatalf("of 3000 cases %d had more than one run, %d merged key blocks and %d had one slot unkeyed: the generator no longer exercises the merge",
+			multiRun, keyedMerges, oneUnkeyed)
 	}
 }
 
@@ -149,7 +228,7 @@ func TestAssembleMatchesStableSort(t *testing.T) {
 // value of the next.
 func TestAssembledRowsDoNotShareCapacity(t *testing.T) {
 	arena := []rel.Value{rel.Int(1), rel.Str("a"), rel.Int(2), rel.Str("b"), rel.Int(3), rel.Str("c")}
-	rows := assemble([]outSlot{{arenas: [][]rel.Value{arena}, rows: 3, width: 2}}, 0)
+	rows, _ := assemble([]outSlot{{arenas: [][]rel.Value{arena}, rows: 3, width: 2}}, 0)
 	for i := range rows {
 		_ = append(rows[i], rel.Str("overflow"))
 	}
@@ -189,6 +268,82 @@ func TestPrepareRejectsOrderByMissingFromOutput(t *testing.T) {
 	}
 }
 
+// resultBytesDoc and resultBytesQueries are TestResultBytesStayGone's
+// fixture: a Movie document of one and a half morsels of movies, and a
+// sorted union that arrives as one run, another, and one of several
+// runs.
+func resultBytesDoc() *xmlgen.Doc {
+	return xmlgen.GenerateMovie(schema.Movie(), xmlgen.MovieOptions{Movies: 3 * morselRows / 2, Seed: 77})
+}
+
+var resultBytesQueries = []string{`//movie/year`, `//movie/title`, `//movie/(title | actor)`}
+
+// TestOrderSortsCountsFallback: engine.exec.order_sorts counts the
+// executions whose ORDER BY key column was not a clean int vector, so
+// assemble sorted instead of merging key blocks. Shredded ID columns
+// never take it — the Movie queries of TestResultBytesStayGone and the
+// DBLP integration queries, at one worker and two, read 0 — and a scan
+// ordered by an ID column holding an exception value takes it once per
+// execution, with the reference executor's rows.
+func TestOrderSortsCountsFallback(t *testing.T) {
+	ctx := context.Background()
+	run := func(label string, built *Built, plans []*optimizer.Plan, want int64) {
+		t.Helper()
+		reg := obs.NewRegistry()
+		built.AttachObs(nil, reg)
+		ordered := 0
+		for _, plan := range plans {
+			pp, err := built.Prepared(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pp.orderPos >= 0 {
+				ordered++
+			}
+			for _, workers := range []int{1, 2} {
+				res, err := pp.ExecuteContextWorkers(ctx, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := ExecuteReference(built, plan)
+				if err != nil {
+					t.Fatal(err)
+				}
+				requireIdentical(t, label, res, ref)
+			}
+		}
+		if ordered == 0 {
+			t.Fatalf("%s: no plan has an ORDER BY", label)
+		}
+		if got := reg.Counter("engine.exec.order_sorts").Value(); got != want {
+			t.Errorf("%s: engine.exec.order_sorts = %d, want %d", label, got, want)
+		}
+	}
+	built, plans := buildPlans(t, schema.Movie(), resultBytesDoc(), resultBytesQueries, nil)
+	run("movie", built, plans, 0)
+	dblp := xmlgen.GenerateDBLP(schema.DBLP(), xmlgen.DBLPOptions{Inproceedings: 300, Books: 40, Seed: 21})
+	built, plans = buildPlans(t, schema.DBLP(), dblp, dblpQueries, nil)
+	run("dblp", built, plans, 0)
+
+	// Two runs of IDs, the second holding the exception "x".
+	p := rel.NewTable("p", []rel.Column{{Name: "ID", Typ: rel.TInt}, {Name: "v", Typ: rel.TInt}})
+	for i, id := range []rel.Value{rel.Int(3), rel.Int(5), rel.Int(1), rel.Str("x"), rel.Int(4)} {
+		p.AppendRow([]rel.Value{id, rel.Int(int64(i))})
+	}
+	db := rel.NewDatabase()
+	db.Add(p)
+	if built, err := Build(db, &physical.Config{}); err != nil {
+		t.Fatal(err)
+	} else {
+		sel := &sqlast.Select{From: []string{"p"}, Items: []sqlast.SelectItem{
+			{Col: &sqlast.ColRef{Table: "p", Column: "v"}, As: "p_v"},
+			{Col: &sqlast.ColRef{Table: "p", Column: "ID"}, As: "p_ID"}}}
+		plan := &optimizer.Plan{Query: &sqlast.Query{Branches: []*sqlast.Select{sel}, OrderBy: "p_ID"},
+			Branches: []*optimizer.Branch{{Sel: sel, Driver: optimizer.Access{Table: "p"}}}}
+		run("exception id", built, []*optimizer.Plan{plan}, 2)
+	}
+}
+
 // TestResultBytesStayGone bounds what one prepared execution allocates:
 // on a resident fixture, the result costs one 24-byte header and width
 // 40-byte values per row, and everything else an execution allocates
@@ -204,10 +359,9 @@ func TestResultBytesStayGone(t *testing.T) {
 	if size := unsafe.Sizeof(rel.Value{}); size != 40 {
 		t.Skipf("rel.Value is %d bytes on this platform; the bound is stated for 64-bit", size)
 	}
-	doc := xmlgen.GenerateMovie(schema.Movie(), xmlgen.MovieOptions{Movies: 3 * morselRows / 2, Seed: 77})
-	queries := []string{`//movie/year`, `//movie/title`, `//movie/(title | actor)`}
+	queries := resultBytesQueries
 	multiRun := []bool{false, false, true}
-	built, plans := buildPlans(t, schema.Movie(), doc, queries, nil)
+	built, plans := buildPlans(t, schema.Movie(), resultBytesDoc(), queries, nil)
 	ctx := context.Background()
 	for pi, plan := range plans {
 		pp, err := built.Prepared(plan)

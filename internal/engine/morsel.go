@@ -141,10 +141,14 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 			obs.Int("rows_sought", bst.RowsSought))
 		r.span.End()
 	}
+	defer releaseKeys(slots)
 	if firstErr != nil {
 		return nil, firstErr
 	}
-	res.Rows = assemble(slots, pp.orderPos)
+	var sorted bool
+	if res.Rows, sorted = assemble(slots, pp.orderPos); sorted {
+		reg.Counter("engine.exec.order_sorts").Inc()
+	}
 	return res, nil
 }
 

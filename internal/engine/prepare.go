@@ -88,6 +88,7 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 		if pb.src.kind == srcScan {
 			pb.src.need = need[pb.src.table]
 		}
+		pb.orderOut = slices.IndexFunc(pb.outs, func(o outCol) bool { return o.pos == pp.orderPos })
 	}
 	return pp, nil
 }
@@ -241,6 +242,10 @@ type preparedBranch struct {
 	// items. A result row is len(outs)+len(nulls) values wide.
 	outs  []outCol
 	nulls []int
+	// orderOut is the outs entry at the plan's ORDER BY position, -1
+	// when there is none: its fill also writes the batch's key block
+	// (see sink).
+	orderOut int
 	// srcs is the source of every table in scope, by idx: the driver
 	// table (which each acquired scan fragment stands in for), then each
 	// join's inner table. rd is compiled against srcs.
@@ -886,10 +891,15 @@ func (r *pipeRun) flush(oi int, jb *joinBuf, in [][]int32) {
 // sink projects a batch into one fresh, exactly-sized arena: one fill
 // per projected column, straight from its column vector, and NULL
 // items as constants. The rows themselves are cut later, once (see
-// assemble).
+// assemble). While the slot is keyed and the ORDER BY column reads a
+// clean int vector with no NULL, the batch's keys are also copied into
+// a pooled block beside the arena, so assemble merges on int64s and
+// never reads a cell back; any other key column leaves the slot
+// unkeyed for good.
 func (r *pipeRun) sink(vecs [][]int32) {
-	n, w := len(vecs[0]), r.out.width
-	r.out.rows += n
+	out := r.out
+	n, w := len(vecs[0]), out.width
+	out.rows += n
 	if n == 0 || w == 0 {
 		return
 	}
@@ -902,5 +912,14 @@ func (r *pipeRun) sink(vecs [][]int32) {
 			arena[k].Null, arena[k].Typ = true, rel.TString // rel.NullOf(rel.TString) over a zero cell
 		}
 	}
-	r.out.arenas = append(r.out.arenas, arena)
+	if ko := r.pb.orderOut; ko >= 0 && len(out.keys) == len(out.arenas) {
+		if f := &r.rd.fills[ko]; f.kind == fillInts && f.nulls == nil {
+			kb := keyBlocks.Get().(*keyBlock)
+			for i, id := range vecs[r.pb.outs[ko].tab] {
+				kb[i] = f.ints[id]
+			}
+			out.keys = append(out.keys, kb)
+		}
+	}
+	out.arenas = append(out.arenas, arena)
 }

@@ -398,6 +398,17 @@ func decodeXMLTree(dec *xml.Decoder) (*rawNode, error) {
 	return root, nil
 }
 
+// xmlAttr quotes v as an XML attribute value. Go's %q is not XML
+// quoting: a backslash or a control character in a name or an
+// annotation would read back changed.
+func xmlAttr(v string) string {
+	var b strings.Builder
+	b.WriteByte('"')
+	xml.EscapeText(&b, []byte(v)) // writing to a strings.Builder cannot fail
+	b.WriteByte('"')
+	return b.String()
+}
+
 // WriteXSD serializes the schema tree back to an XSD document,
 // including annotation extension attributes so ParseXSD round-trips the
 // logical design. Shared types are emitted as named complex types.
@@ -416,11 +427,11 @@ func WriteXSD(w io.Writer, t *Tree) error {
 		if min == 0 && max == 1 {
 			occ = ` minOccurs="0"`
 		} else if max != 1 {
-			occ = fmt.Sprintf(` minOccurs="%d" maxOccurs=%q`, min, maxStr(max))
+			occ = fmt.Sprintf(` minOccurs="%d" maxOccurs="%s"`, min, maxStr(max))
 		}
 		ann := ""
 		if n.Annotation != "" {
-			ann = fmt.Sprintf(" annotation=%q", n.Annotation)
+			ann = " annotation=" + xmlAttr(n.Annotation)
 		}
 		if n.IsLeaf() {
 			typ := n.LeafBase().String()
@@ -430,17 +441,17 @@ func WriteXSD(w io.Writer, t *Tree) error {
 				}
 				typ = n.TypeName
 			}
-			fmt.Fprintf(&b, "%s<xs:element name=%q type=%q%s%s/>\n", indent, n.Name, typ, occ, ann)
+			fmt.Fprintf(&b, "%s<xs:element name=%s type=%s%s%s/>\n", indent, xmlAttr(n.Name), xmlAttr(typ), occ, ann)
 			return nil
 		}
 		if n.TypeName != "" {
 			if err := emitType(n); err != nil {
 				return err
 			}
-			fmt.Fprintf(&b, "%s<xs:element name=%q type=%q%s%s/>\n", indent, n.Name, n.TypeName, occ, ann)
+			fmt.Fprintf(&b, "%s<xs:element name=%s type=%s%s%s/>\n", indent, xmlAttr(n.Name), xmlAttr(n.TypeName), occ, ann)
 			return nil
 		}
-		fmt.Fprintf(&b, "%s<xs:element name=%q%s%s>\n%s <xs:complexType>\n", indent, n.Name, occ, ann, indent)
+		fmt.Fprintf(&b, "%s<xs:element name=%s%s%s>\n%s <xs:complexType>\n", indent, xmlAttr(n.Name), occ, ann, indent)
 		content, attrs := splitAttributes(n.Children[0])
 		inner := indent + "  "
 		if content != nil {
@@ -464,8 +475,8 @@ func WriteXSD(w io.Writer, t *Tree) error {
 			} else {
 				use = ` use="required"`
 			}
-			fmt.Fprintf(&b, "%s<xs:attribute name=%q type=%q%s/>\n",
-				inner, strings.TrimPrefix(at.leaf.Name, "@"), at.leaf.LeafBase().String(), use)
+			fmt.Fprintf(&b, "%s<xs:attribute name=%s type=%s%s/>\n",
+				inner, xmlAttr(strings.TrimPrefix(at.leaf.Name, "@")), xmlAttr(at.leaf.LeafBase().String()), use)
 		}
 		fmt.Fprintf(&b, "%s </xs:complexType>\n%s</xs:element>\n", indent, indent)
 		return nil
@@ -503,11 +514,11 @@ func WriteXSD(w io.Writer, t *Tree) error {
 		}
 		emitted[n.TypeName] = true
 		if n.IsLeaf() {
-			fmt.Fprintf(&b, " <xs:simpleType name=%q>\n  <xs:restriction base=%q/>\n </xs:simpleType>\n",
-				n.TypeName, n.LeafBase().String())
+			fmt.Fprintf(&b, " <xs:simpleType name=%s>\n  <xs:restriction base=%s/>\n </xs:simpleType>\n",
+				xmlAttr(n.TypeName), xmlAttr(n.LeafBase().String()))
 			return nil
 		}
-		fmt.Fprintf(&b, " <xs:complexType name=%q>\n", n.TypeName)
+		fmt.Fprintf(&b, " <xs:complexType name=%s>\n", xmlAttr(n.TypeName))
 		if err := emitParticle(n.Children[0], "  "); err != nil {
 			return err
 		}

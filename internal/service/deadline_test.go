@@ -241,9 +241,9 @@ func TestServiceDeadlineLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// Compile-time check that both query paths satisfy the loadgen target
-// signature contract (kept here so a signature drift fails the build,
-// not the benchmark).
+// Compile-time check that both query paths keep one signature, so code
+// written against Service.Query runs unchanged against a Client (a
+// signature drift fails the build here).
 var _ = func() bool {
 	var svc *Service
 	var c *Client

@@ -183,7 +183,7 @@ const maxResponseBody = 64 << 20
 // Client is the HTTP counterpart of Service.Query: it submits requests
 // to a remote xmlserved and folds wire errors back into the sentinel
 // taxonomy, so code written against Query works unchanged against a
-// remote service (loadgen targets either through QueryFunc).
+// remote service.
 type Client struct {
 	base    string
 	hc      *http.Client

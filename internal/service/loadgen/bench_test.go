@@ -11,7 +11,6 @@ import (
 	"repro/internal/rel"
 	"repro/internal/schema"
 	"repro/internal/service"
-	"repro/internal/service/loadgen"
 	"repro/internal/shred"
 	"repro/internal/stats"
 	"repro/internal/translate"
@@ -104,7 +103,7 @@ func benchMix(workers int) []service.Request {
 func runQPS(b *testing.B, svc *service.Service, workers int) {
 	b.Helper()
 	b.ResetTimer()
-	res := loadgen.Run(context.Background(), svc.Query, benchMix(workers), loadgen.Options{
+	res := Run(context.Background(), svc.Query, benchMix(workers), Options{
 		Concurrency: benchSessions, Ops: b.N,
 	})
 	b.StopTimer()

@@ -42,7 +42,9 @@ func writeElem(w *bufio.Writer, e *Elem, depth int) error {
 			if err := xml.EscapeText(&esc, []byte(c.Value.String())); err != nil {
 				return err
 			}
-			fmt.Fprintf(w, " %s=%q", strings.TrimPrefix(c.Node.Name, "@"), esc.String())
+			// Escaped, then quoted as XML: Go's %q would add backslash
+			// escapes that read back as part of the value.
+			fmt.Fprintf(w, " %s=\"%s\"", strings.TrimPrefix(c.Node.Name, "@"), esc.String())
 		}
 	}
 	w.WriteString(">\n")
