@@ -16,7 +16,7 @@ import (
 //
 // keys holds the ORDER BY keys of the slot's arenas, one block per
 // arena and one key per row, as long as every arena so far had a key
-// column of clean ints (see pipeRun.sink): the slot is keyed exactly
+// column of ints with no NULL (see pipeRun.sink): the slot is keyed exactly
 // when len(keys) == len(arenas). Blocks are pooled (see releaseKeys).
 type outSlot struct {
 	arenas [][]rel.Value
@@ -65,10 +65,11 @@ var noCols = []rel.Value{}
 // order a stable sort of the concatenation gives (what sortResult does
 // for ExecuteReference), in O(n log k) compares and no scratch rows.
 //
-// A slot is unkeyed only when its key column holds exception values or
-// NULLs, which shredded and stored ID columns never do; then the rows
-// are cut in plan order and stably sorted by Value.Compare, sortResult's
-// order, and sorted reports it.
+// A slot is unkeyed only when its key column holds a NULL or is not an
+// INT column, which a translated query's ID column never is; a plan
+// built by hand may still order by a nullable PID, a leaf of any type or
+// a branch's NULL item. Then the rows are cut in plan order and stably
+// sorted by Value.Compare, sortResult's order, and sorted reports it.
 func assemble(slots []outSlot, orderPos int) (rows [][]rel.Value, sorted bool) {
 	n := 0
 	keyed := orderPos >= 0

@@ -279,12 +279,13 @@ func resultBytesDoc() *xmlgen.Doc {
 var resultBytesQueries = []string{`//movie/year`, `//movie/title`, `//movie/(title | actor)`}
 
 // TestOrderSortsCountsFallback: engine.exec.order_sorts counts the
-// executions whose ORDER BY key column was not a clean int vector, so
-// assemble sorted instead of merging key blocks. Shredded ID columns
-// never take it — the Movie queries of TestResultBytesStayGone and the
-// DBLP integration queries, at one worker and two, read 0 — and a scan
-// ordered by an ID column holding an exception value takes it once per
-// execution, with the reference executor's rows.
+// executions whose ORDER BY key column was not an int vector without a
+// NULL, so assemble sorted instead of merging key blocks. Shredded ID
+// columns never take it — the Movie queries of TestResultBytesStayGone
+// and the DBLP integration queries, at one worker and two, read 0 — and
+// a scan ordered by a nullable ID column holding a NULL, or by a VARCHAR
+// column, takes it once per execution, with the reference executor's
+// rows.
 func TestOrderSortsCountsFallback(t *testing.T) {
 	ctx := context.Background()
 	run := func(label string, built *Built, plans []*optimizer.Plan, want int64) {
@@ -325,22 +326,25 @@ func TestOrderSortsCountsFallback(t *testing.T) {
 	built, plans = buildPlans(t, schema.DBLP(), dblp, dblpQueries, nil)
 	run("dblp", built, plans, 0)
 
-	// Two runs of IDs, the second holding the exception "x".
-	p := rel.NewTable("p", []rel.Column{{Name: "ID", Typ: rel.TInt}, {Name: "v", Typ: rel.TInt}})
-	for i, id := range []rel.Value{rel.Int(3), rel.Int(5), rel.Int(1), rel.Str("x"), rel.Int(4)} {
-		p.AppendRow([]rel.Value{id, rel.Int(int64(i))})
+	// Two runs of IDs, the second holding a NULL; and the same order by
+	// a VARCHAR column.
+	p := rel.NewTable("p", []rel.Column{{Name: "ID", Typ: rel.TInt, Nullable: true}, {Name: "v", Typ: rel.TInt}, {Name: "s", Typ: rel.TString}})
+	for i, id := range []rel.Value{rel.Int(3), rel.Int(5), rel.Int(1), rel.NullOf(rel.TInt), rel.Int(4)} {
+		p.AppendRow([]rel.Value{id, rel.Int(int64(i)), rel.Str("k" + strconv.Itoa(5-i))})
 	}
 	db := rel.NewDatabase()
 	db.Add(p)
 	if built, err := Build(db, &physical.Config{}); err != nil {
 		t.Fatal(err)
 	} else {
-		sel := &sqlast.Select{From: []string{"p"}, Items: []sqlast.SelectItem{
-			{Col: &sqlast.ColRef{Table: "p", Column: "v"}, As: "p_v"},
-			{Col: &sqlast.ColRef{Table: "p", Column: "ID"}, As: "p_ID"}}}
-		plan := &optimizer.Plan{Query: &sqlast.Query{Branches: []*sqlast.Select{sel}, OrderBy: "p_ID"},
-			Branches: []*optimizer.Branch{{Sel: sel, Driver: optimizer.Access{Table: "p"}}}}
-		run("exception id", built, []*optimizer.Plan{plan}, 2)
+		for _, key := range []string{"ID", "s"} {
+			sel := &sqlast.Select{From: []string{"p"}, Items: []sqlast.SelectItem{
+				{Col: &sqlast.ColRef{Table: "p", Column: "v"}, As: "p_v"},
+				{Col: &sqlast.ColRef{Table: "p", Column: key}, As: "p_key"}}}
+			plan := &optimizer.Plan{Query: &sqlast.Query{Branches: []*sqlast.Select{sel}, OrderBy: "p_key"},
+				Branches: []*optimizer.Branch{{Sel: sel, Driver: optimizer.Access{Table: "p"}}}}
+			run("ordered by "+key, built, []*optimizer.Plan{plan}, 2)
+		}
 	}
 }
 

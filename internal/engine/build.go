@@ -229,7 +229,7 @@ func buildView(db *rel.Database, v *physical.View) (*rel.Table, error) {
 	}
 	// The view holds what the hash join it replaces returns: each inner row
 	// matched to every outer row its PID joins, by the join's own table.
-	jt := buildJoinTable(outer.RowCount(), func(i int) rel.Value { return outer.ValueAt(i, oid) })
+	jt := buildJoinTable(outer, oid, outer.Columns[oid].Typ == rel.TInt && inner.Columns[pid].Typ == rel.TInt)
 	out := make([]rel.Value, 0, len(cols)) // AppendRow copies, so one scratch row suffices
 	for ir, n := 0, inner.RowCount(); ir < n; ir++ {
 		jt.probe(inner.ValueAt(ir, pid), func(or int32) {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -184,16 +183,17 @@ func (b *Built) PreparedContext(ctx context.Context, plan *optimizer.Plan) (*Pre
 // over build positions, and nothing else. The build side is always a
 // whole source, so build position i is the source's row i, the row id
 // the probe emits; the pipeline carries row ids, so the table holds no
-// rows. Two cells join when their string forms are equal. A key column
-// whose every non-NULL cell is an int (the ID/PID case) keys by the int
-// itself, in the chained head/next layout of the reference executor —
-// probing walks a chain in the same (reverse-build) order, so join
-// output ordering is bit-identical. Shredded IDs come from one
-// document-order counter, so such a column is dense: when its value
-// span is at most denseSpan × its row count, head is a []int32 indexed
-// by key − lo (dense); otherwise a map. Any other column keys by string
-// form and maps each key to its build positions in build order,
-// likewise matching the reference.
+// rows. Two cells join when their string forms are equal. When both key
+// columns are declared INT (the ID/PID case, see intJoin) that is int
+// equality, and the table keys by the int itself, in the chained
+// head/next layout of the reference executor — probing walks a chain in
+// the same (reverse-build) order, so join output ordering is
+// bit-identical. Shredded IDs come from one document-order counter, so
+// such a column is dense: when its value span is at most denseSpan × its
+// row count, head is a []int32 indexed by key − lo (dense); otherwise a
+// map. Any other pair of columns keys by string form and maps each key
+// to its build positions in build order, likewise matching the
+// reference.
 type joinTable struct {
 	intKeys bool
 	lo      int64
@@ -223,142 +223,128 @@ func (jt *joinTable) first(k int64) int32 {
 	return -1
 }
 
-// chainOf returns the head of the chain of build positions v joins in
-// an int-keyed table, -1 when it joins none.
-func (jt *joinTable) chainOf(v rel.Value) int32 {
-	if v.Null {
-		return -1
-	}
-	k, ok := intKey(v)
-	if !ok {
-		return -1
-	}
-	return jt.first(k)
-}
-
 // probe calls yield with every build position v joins, in the order the
-// reference executor's hash join emits them.
+// reference executor's hash join emits them. v is a cell of the probe
+// side's key column, so an int-keyed table is probed with an int.
 func (jt *joinTable) probe(v rel.Value, yield func(m int32)) {
+	if v.Null {
+		return
+	}
 	if jt.intKeys {
-		for m := jt.chainOf(v); m >= 0; m = jt.next[m] {
+		for m := jt.first(v.I); m >= 0; m = jt.next[m] {
 			yield(m)
 		}
 		return
 	}
-	if !v.Null {
-		for _, m := range jt.str[v.String()] {
-			yield(m)
+	for _, m := range jt.str[v.String()] {
+		yield(m)
+	}
+}
+
+// intJoin reports whether join key columns match as ints: each names a
+// column of a table or view of b declared INT. Any other pair matches by
+// string form.
+func intJoin(b *Built, cols ...sqlast.ColRef) bool {
+	for _, c := range cols {
+		t := resolveTable(b, c.Table)
+		if t == nil {
+			return false
+		}
+		if col := t.Column(c.Column); col == nil || col.Typ != rel.TInt {
+			return false
 		}
 	}
+	return true
 }
 
-// intKey returns the int a non-NULL value equals under string-form
-// matching: the value itself for an int, otherwise the number whose
-// canonical decimal rendering is the value's string form, if any.
-func intKey(v rel.Value) (int64, bool) {
-	if v.Typ == rel.TInt {
-		return v.I, true
+// buildJoinTable indexes the rows of column col of t, which is resident,
+// by int when intKeys (the column is then INT) and by string form
+// otherwise.
+func buildJoinTable(t *rel.Table, col int, intKeys bool) *joinTable {
+	if intKeys {
+		ints, nulls, _ := t.IntCol(col)
+		lo, hi := intSpan(ints, nulls)
+		return buildIntJoinTable(ints, nulls, lo, hi, uint64(hi)-uint64(lo) <= denseSpan*uint64(len(ints)))
 	}
-	s := v.String()
-	i, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || strconv.FormatInt(i, 10) != s {
-		return 0, false
-	}
-	return i, true
-}
-
-// buildJoinTable indexes the n build positions by key(i), the join
-// column's value at position i.
-func buildJoinTable(n int, key func(i int) rel.Value) *joinTable {
-	if lo, hi, ok := intKeyRange(n, key); ok {
-		return buildIntJoinTable(n, key, lo, hi, uint64(hi)-uint64(lo) <= denseSpan*uint64(n))
-	}
-	return buildStrJoinTable(n, key)
-}
-
-// intKeyRange reports whether every non-NULL key is an int, and their
-// least and greatest (both 0 when every key is NULL).
-func intKeyRange(n int, key func(i int) rel.Value) (lo, hi int64, ok bool) {
-	seen := false
+	n := t.RowCount()
+	jt := &joinTable{str: make(map[string][]int32, n)}
 	for i := 0; i < n; i++ {
-		v := key(i)
-		if v.Null {
+		if v := t.ValueAt(i, col); !v.Null {
+			k := v.String()
+			jt.str[k] = append(jt.str[k], int32(i))
+		}
+	}
+	return jt
+}
+
+// intSpan returns the least and the greatest non-NULL key of an int
+// column's vector, both 0 when every key is NULL.
+func intSpan(ints []int64, nulls *rel.Bitmap) (lo, hi int64) {
+	seen := false
+	for i, k := range ints {
+		if nulls.Any() && nulls.Get(i) {
 			continue
 		}
-		if v.Typ != rel.TInt {
-			return 0, 0, false
+		if !seen || k < lo {
+			lo = k
 		}
-		if !seen || v.I < lo {
-			lo = v.I
-		}
-		if !seen || v.I > hi {
-			hi = v.I
+		if !seen || k > hi {
+			hi = k
 		}
 		seen = true
 	}
-	return lo, hi, true
+	return lo, hi
 }
 
-// buildIntJoinTable chains the build positions of an int key column
-// whose keys lie in [lo, hi], heads indexed by offset when dense.
-func buildIntJoinTable(n int, key func(i int) rel.Value, lo, hi int64, dense bool) *joinTable {
-	jt := &joinTable{intKeys: true, lo: lo, next: make([]int32, n)}
+// buildIntJoinTable chains the rows of an int column whose non-NULL keys
+// lie in [lo, hi], heads indexed by offset when dense.
+func buildIntJoinTable(ints []int64, nulls *rel.Bitmap, lo, hi int64, dense bool) *joinTable {
+	jt := &joinTable{intKeys: true, lo: lo, next: make([]int32, len(ints))}
 	if dense {
 		jt.dense = make([]int32, uint64(hi)-uint64(lo)+1)
 		for i := range jt.dense {
 			jt.dense[i] = -1
 		}
 	} else {
-		jt.head = make(map[int64]int32, n)
+		jt.head = make(map[int64]int32, len(ints))
 	}
-	for i := 0; i < n; i++ {
-		v := key(i)
+	for i, k := range ints {
 		jt.next[i] = -1
-		if v.Null {
+		if nulls.Any() && nulls.Get(i) {
 			continue
 		}
 		if dense {
-			off := uint64(v.I) - uint64(lo)
+			off := uint64(k) - uint64(lo)
 			jt.next[i] = jt.dense[off]
 			jt.dense[off] = int32(i)
 			continue
 		}
-		if prev, ok := jt.head[v.I]; ok {
+		if prev, ok := jt.head[k]; ok {
 			jt.next[i] = prev
 		}
-		jt.head[v.I] = int32(i)
+		jt.head[k] = int32(i)
 	}
 	return jt
 }
 
-// buildStrJoinTable maps each key's string form to its build positions.
-func buildStrJoinTable(n int, key func(i int) rel.Value) *joinTable {
-	jt := &joinTable{}
-	jt.str = make(map[string][]int32, n)
-	for i := 0; i < n; i++ {
-		v := key(i)
-		if v.Null {
-			continue
-		}
-		k := v.String()
-		jt.str[k] = append(jt.str[k], int32(i))
+// hashJoinTable returns the cached build side for joining against
+// column col of the named row source, keyed by int when intKeys. srcKey
+// identifies the row source (base table or view; a partition is its base
+// table) within the Built, and t is its resident table.
+func (b *Built) hashJoinTable(srcKey string, t *rel.Table, col int, intKeys bool) (*joinTable, error) {
+	key := srcKey + "|c:" + t.Columns[col].Name
+	if !intKeys && t.Columns[col].Typ == rel.TInt {
+		key += "|str" // an INT column joined to a column of another type
 	}
-	return jt
-}
-
-// hashJoinTable returns the cached build side for joining against the
-// named row source on the given column. srcKey identifies the row
-// source (base table or view; a partition is its base table) within the
-// Built; n and key describe its join column.
-func (b *Built) hashJoinTable(srcKey, col string, n int, key func(i int) rel.Value) (*joinTable, error) {
-	return cacheGet(context.Background(), b, b.caches.joins, ckindJoin, srcKey+"|c:"+col, func() (*joinTable, error) {
-		return buildJoinTable(n, key), nil
+	return cacheGet(context.Background(), b, b.caches.joins, ckindJoin, key, func() (*joinTable, error) {
+		return buildJoinTable(t, col, intKeys), nil
 	})
 }
 
 // existsSet is a cached EXISTS semi-join probe set with the same
-// int-keyed fast path as the hash join: declared-integer join columns
-// probe a map[int64] directly instead of stringifying every value.
+// int-keyed fast path as the hash join: when the inner join column and
+// the outer column are both declared INT, it probes a map[int64]
+// directly instead of stringifying every value.
 type existsSet struct {
 	ints map[int64]bool
 	strs map[string]bool
@@ -369,8 +355,7 @@ func (e *existsSet) match(v rel.Value) bool {
 		return false
 	}
 	if e.ints != nil {
-		k, ok := intKey(v)
-		return ok && e.ints[k]
+		return e.ints[v.I]
 	}
 	return e.strs[v.String()]
 }
@@ -407,50 +392,24 @@ func buildExistsSet(b *Built, p *sqlast.Pred) (*existsSet, error) {
 			return nil, fmt.Errorf("engine: EXISTS value column %s.%s missing", p.Table, p.InnerCol)
 		}
 	}
-	if t.Columns[ji].Typ == rel.TInt {
-		if ints, ok := buildIntExists(t, ji, vi, p); ok {
-			return &existsSet{ints: ints}, nil
-		}
+	e := &existsSet{}
+	if intJoin(b, sqlast.ColRef{Table: p.Table, Column: p.JoinCol}, p.OuterCol) {
+		e.ints = make(map[int64]bool)
+	} else {
+		e.strs = make(map[string]bool)
 	}
-	return &existsSet{strs: buildStrExists(t, ji, vi, p)}, nil
-}
-
-// buildIntExists builds an int-keyed EXISTS probe set over join column
-// ji of t, restricted by p on value column vi when vi >= 0; ok is false
-// when a non-integer value appears in the declared-int join column (the
-// caller then falls back to string keys, preserving the exact
-// stringified-key semantics).
-func buildIntExists(t *rel.Table, ji, vi int, p *sqlast.Pred) (map[int64]bool, bool) {
-	set := make(map[int64]bool)
 	for r, n := 0, t.RowCount(); r < n; r++ {
 		k := t.ValueAt(r, ji)
-		if k.Null {
+		if k.Null || vi >= 0 && !matchCompare(t.ValueAt(r, vi), p.Op, p.Value) {
 			continue
 		}
-		if k.Typ != rel.TInt {
-			return nil, false
+		if e.ints != nil {
+			e.ints[k.I] = true
+		} else {
+			e.strs[k.String()] = true
 		}
-		if vi >= 0 && !matchCompare(t.ValueAt(r, vi), p.Op, p.Value) {
-			continue
-		}
-		set[k.I] = true
 	}
-	return set, true
-}
-
-func buildStrExists(t *rel.Table, ji, vi int, p *sqlast.Pred) map[string]bool {
-	set := make(map[string]bool)
-	for r, n := 0, t.RowCount(); r < n; r++ {
-		k := t.ValueAt(r, ji)
-		if k.Null {
-			continue
-		}
-		if vi >= 0 && !matchCompare(t.ValueAt(r, vi), p.Op, p.Value) {
-			continue
-		}
-		set[k.String()] = true
-	}
-	return set
+	return e, nil
 }
 
 // CachedStructures reports the cache population (join tables, exists

@@ -16,18 +16,16 @@ import "repro/internal/rel"
 type fillKind uint8
 
 const (
-	fillInts   fillKind = iota // clean TInt vector
-	fillFloats                 // clean TFloat vector
-	fillStrs                   // clean dictionary-coded TString vector
-	fillCells                  // a column holding exception values: per-cell ValueAt
+	fillInts   fillKind = iota // TInt vector
+	fillFloats                 // TFloat vector
+	fillStrs                   // dictionary-coded TString vector
 )
 
-// colFill reads column col of a table source; fill lands it in slot
+// colFill reads one column of a table source; fill lands it in slot
 // slot of every row of a result arena.
 type colFill struct {
 	kind fillKind
 	slot int
-	col  int
 
 	ints   []int64
 	floats []float64
@@ -36,22 +34,30 @@ type colFill struct {
 	// nulls is nil when the vector has no NULL, so the common all-valid
 	// column skips the per-row bitmap probe.
 	nulls *rel.Bitmap
-
-	table *rel.Table // fillCells
 }
 
 // newColFill compiles the reader of column col of t, landing in slot.
-// t must be resident and must not change while the fill is in use: a
-// hydrated table of the Built, or a scan fragment until its release.
+// t must not change while the fill is in use: a hydrated table of the
+// Built, or a scan fragment until its release. A virtual shell's column
+// or a fragment's absent one has no vectors, so its fill holds none and
+// must not run: a scan recompiles table 0's readers against each
+// fragment it acquires (see readersFor).
 func newColFill(t *rel.Table, col, slot int) colFill {
-	f := colFill{kind: fillCells, slot: slot, col: col, table: t}
+	f := colFill{slot: slot}
 	var nulls *rel.Bitmap
-	if ints, nb, ok := t.IntCol(col); ok {
-		f.kind, f.ints, nulls = fillInts, ints, nb
-	} else if floats, nb, ok := t.FloatCol(col); ok {
-		f.kind, f.floats, nulls = fillFloats, floats, nb
-	} else if codes, dict, nb, ok := t.StrCol(col); ok {
-		f.kind, f.codes, f.strs, nulls = fillStrs, codes, dict.Strs(), nb
+	switch t.Columns[col].Typ {
+	case rel.TInt:
+		f.kind = fillInts
+		f.ints, nulls, _ = t.IntCol(col)
+	case rel.TFloat:
+		f.kind = fillFloats
+		f.floats, nulls, _ = t.FloatCol(col)
+	default:
+		var dict *rel.Dict
+		f.kind = fillStrs
+		if f.codes, dict, nulls, _ = t.StrCol(col); dict != nil {
+			f.strs = dict.Strs()
+		}
 	}
 	if nulls != nil && nulls.Any() {
 		f.nulls = nulls
@@ -75,13 +81,11 @@ func (f *colFill) value(r int32) rel.Value {
 			return rel.NullOf(rel.TFloat)
 		}
 		return rel.Float(f.floats[r])
-	case fillStrs:
-		if f.null(r) {
-			return rel.NullOf(rel.TString)
-		}
-		return rel.Str(f.strs[f.codes[r]])
 	}
-	return f.table.ValueAt(int(r), f.col)
+	if f.null(r) {
+		return rel.NullOf(rel.TString)
+	}
+	return rel.Str(f.strs[f.codes[r]])
 }
 
 // fill writes the column's value of source row ids[i] into the fill's
@@ -122,11 +126,6 @@ func (f *colFill) fill(arena []rel.Value, w int, ids []int32) {
 			} else {
 				c.S = f.strs[f.codes[r]]
 			}
-			k += w
-		}
-	case fillCells:
-		for _, r := range ids {
-			arena[k] = f.table.ValueAt(int(r), f.col)
 			k += w
 		}
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -12,12 +13,12 @@ import (
 	"repro/internal/sqlast"
 )
 
-// fillDB holds the value shapes a typed fill cannot serve from the
-// vector alone: columns with exception values — wrong-typed appends and
-// NULLs that carry a payload — on a driver table and on a join inner,
-// join keys among them, and a string column that is NULL in every row
-// (an empty dictionary under a full code vector). g is c's child, for
-// plans with two joins.
+// fillDB holds the value shapes a typed fill must get right besides
+// plain values: NULLs in every column type on a driver table and on a
+// join inner, join keys among them, negative and integral floats, NaN,
+// strings that read as numbers, and a string column that is NULL in
+// every row (an empty dictionary under a full code vector). g is c's
+// child, for plans with two joins.
 func fillDB() *rel.Database {
 	const np, nc = 150, 260
 	p := rel.NewTable("p", []rel.Column{
@@ -33,20 +34,18 @@ func fillDB() *rel.Database {
 		x := rel.Int(int64(i * 10))
 		switch i % 7 {
 		case 0:
-			x = rel.Str("seven")
-		case 1:
-			x = rel.Value{Null: true, Typ: rel.TInt, I: int64(i)}
-		case 2:
-			x = rel.Float(1.5)
-		case 3:
+			x = rel.Int(-7)
+		case 1, 3:
 			x = rel.NullOf(rel.TInt)
+		case 2:
+			x = rel.Int(1)
 		}
 		f := rel.Float(float64(i) / 4)
 		switch i % 6 {
 		case 0:
-			f = rel.Int(int64(i))
+			f = rel.Float(float64(-i))
 		case 1:
-			f = rel.Value{Null: true, Typ: rel.TFloat, F: 2.5}
+			f = rel.NullOf(rel.TFloat)
 		}
 		p.AppendRow([]rel.Value{rel.Int(int64(i)), rel.NullOf(rel.TInt), rel.Int(int64(i % 5)),
 			rel.NullOf(rel.TString), x, f, rel.Str(fmt.Sprintf("t%d", i%4))})
@@ -62,16 +61,16 @@ func fillDB() *rel.Database {
 		pid := rel.Int(int64(i % np))
 		switch i % 11 {
 		case 1:
-			pid = rel.Value{Null: true, Typ: rel.TInt, I: 3}
+			pid = rel.NullOf(rel.TInt)
 		case 2:
-			pid = rel.Str("2")
+			pid = rel.Int(2)
 		}
 		w := rel.Str(fmt.Sprintf("t%d", i%4))
 		switch i % 5 {
 		case 3:
-			w = rel.Value{Null: true, Typ: rel.TString, S: "ghost"}
+			w = rel.NullOf(rel.TString)
 		case 4:
-			w = rel.Int(int64(i))
+			w = rel.Str(fmt.Sprint(i))
 		}
 		c.AppendRow([]rel.Value{rel.Int(int64(1000 + i)), pid, w, rel.NullOf(rel.TString)})
 	}
@@ -83,8 +82,11 @@ func fillDB() *rel.Database {
 	g.Parent = "c"
 	for i := 0; i < 2*nc; i++ {
 		v := rel.Float(float64(i%13) / 2)
-		if i%9 == 4 {
-			v = rel.Str("nine")
+		switch i % 9 {
+		case 4:
+			v = rel.NullOf(rel.TFloat)
+		case 7:
+			v = rel.Float(math.NaN())
 		}
 		g.AppendRow([]rel.Value{rel.Int(int64(5000 + i)), rel.Int(int64(1000 + (i*7)%nc)), v})
 	}
@@ -99,12 +101,12 @@ func fillDB() *rel.Database {
 // executor — scan fragments (resident and chunked), a seek driver, hash
 // joins keyed by int and by string, an INL join, and
 // zips of partition groups as a driver and as a hash-join inner — over
-// fillDB, projecting and filtering on the exception-bearing and all-NULL
+// fillDB, projecting and filtering on the NULL-bearing and all-NULL
 // columns, and wants the reference executor's rows bit for bit. The
 // post-join cases filter a join's output with the driver-stage kernels
 // over the row ids of the table they read: a string range on the host
-// after a child-to-parent join (Q7's third branch), a filter on an
-// exception-bearing column, filters between and after two joins, and an
+// after a child-to-parent join (Q7's third branch), a filter on a
+// NULL-bearing column, filters between and after two joins, and an
 // OR whose columns lie in two tables, one of them a chunked driver. The
 // plans are written by hand so each access path is certain to run. Both
 // tables are partitioned, so the zip cases check the claim the executor
@@ -124,8 +126,8 @@ func TestFillMatchesReference(t *testing.T) {
 	cfg.AddIndex(ixCID)
 	ixGPID := &physical.Index{Name: "ix_g_pid", Table: "g", Key: []string{"PID"}}
 	cfg.AddIndex(ixGPID)
-	// Every group replicates ID and PID; x and f hold exception values
-	// and NULLs, allnull an empty dictionary.
+	// Every group replicates ID and PID; x and f hold NULLs, allnull an
+	// empty dictionary.
 	cfg.AddPartition(&physical.VPartition{Table: "p", Groups: [][]string{{"k", "allnull", "x"}, {"f", "tag"}}})
 	cfg.AddPartition(&physical.VPartition{Table: "c", Groups: [][]string{{"w"}, {"allnull"}}})
 
@@ -149,7 +151,7 @@ func TestFillMatchesReference(t *testing.T) {
 	seekFedSel := &sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred, *seekCID}}
 	plans := map[string]*optimizer.Plan{
 		"scan": plan(&sqlast.Select{Items: pItems, From: []string{"p"}}, scanP),
-		"scan-filter-on-exceptions": plan(&sqlast.Select{Items: pItems, From: []string{"p"},
+		"scan-filter-on-nulls": plan(&sqlast.Select{Items: pItems, From: []string{"p"},
 			Where: []sqlast.Pred{{Kind: sqlast.PredCompare, Op: sqlast.OpGe, Col: *col("p", "x"), Value: rel.Int(100)}}}, scanP),
 		"seek-driver": plan(seekSel,
 			optimizer.Access{Table: "p", Kind: optimizer.AccessSeek, Index: ixPK, SeekPred: &seekSel.Where[0]}),
@@ -180,7 +182,7 @@ func TestFillMatchesReference(t *testing.T) {
 			From: []string{"c", "p"}, Where: []sqlast.Pred{joinPred, cmpPred("p", "tag", sqlast.OpGe, rel.Str("t2"))}}, scanC,
 			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "p"},
 				OuterCol: *col("c", "PID"), InnerCol: *col("p", "ID")}),
-		"post-join-on-exceptions": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred,
+		"post-join-on-nulls": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred,
 			cmpPred("c", "w", sqlast.OpGe, rel.Str("t1")), cmpPred("c", "PID", sqlast.OpLe, rel.Int(120))}}, scanP,
 			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c"},
 				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),

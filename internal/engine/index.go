@@ -13,11 +13,9 @@ import (
 
 // builtIndex is a sorted permutation of a table's rows by key columns:
 // the row ids in index order plus the leading key of every non-NULL
-// position, held as one typed vector. A clean column — one whose every
-// cell round-trips through its typed vector — keeps its leading keys as
-// int64s, float64s or string ranks, so a seek compares scalars and never
-// builds a rel.Value per probe step. Only a column holding exception
-// values keeps them as rel.Values.
+// position, held as one typed vector — int64s, float64s or string ranks
+// — so a seek compares scalars and never builds a rel.Value per probe
+// step.
 type builtIndex struct {
 	idx    *physical.Index
 	table  *rel.Table
@@ -31,11 +29,10 @@ type builtIndex struct {
 	// firstNonNull is the first position whose leading key is non-NULL.
 	firstNonNull int
 
-	// lead says which vector holds the leading keys, and typ is the
-	// leading column's type. ints, floats and ranks hold the keys of
+	// typ is the leading column's type, which says which vector holds
+	// the leading keys. ints, floats and ranks hold the keys of
 	// positions firstNonNull onward, so the key at position i is at
-	// i-firstNonNull; vals holds the key of every position.
-	lead   leadKind
+	// i-firstNonNull.
 	typ    rel.Type
 	ints   []int64
 	floats []float64
@@ -43,21 +40,7 @@ type builtIndex struct {
 	// strings in ascending order, so ranks order as their strings do.
 	ranks []uint32
 	strs  []string
-	vals  []rel.Value
-	// mixed reports that the non-NULL leading keys in vals have more than
-	// one type.
-	mixed bool
 }
-
-// leadKind selects the vector a builtIndex keeps its leading keys in.
-type leadKind uint8
-
-const (
-	leadInts   leadKind = iota // a clean TInt column
-	leadFloats                 // a clean TFloat column
-	leadRanks                  // a clean TString column
-	leadValues                 // a column holding exception values
-)
 
 // rankTable orders a string column's dictionary: strs holds its distinct
 // strings in ascending order, and rank maps a dictionary code to the
@@ -124,16 +107,17 @@ func buildIndex(db *rel.Database, idx *physical.Index, ranks rankTables) (*built
 	if len(bi.keyIdx) > 1 {
 		rest = t.RowComparator(bi.keyIdx[1:])
 	}
-	if ints, nulls, ok := t.IntCol(lead); ok {
-		bi.lead = leadInts
+	switch bi.typ {
+	case rel.TInt:
+		ints, nulls, _ := t.IntCol(lead)
 		bi.firstNonNull = sortRows(bi.order, nulls, ints, cmp.Compare[int64], rest)
 		bi.ints = gather(ints, bi.order[bi.firstNonNull:])
-	} else if floats, nulls, ok := t.FloatCol(lead); ok {
-		bi.lead = leadFloats
+	case rel.TFloat:
+		floats, nulls, _ := t.FloatCol(lead)
 		bi.firstNonNull = sortRows(bi.order, nulls, floats, cmp.Compare[float64], rest)
 		bi.floats = gather(floats, bi.order[bi.firstNonNull:])
-	} else if codes, dict, nulls, ok := t.StrCol(lead); ok {
-		bi.lead = leadRanks
+	default:
+		codes, dict, nulls, _ := t.StrCol(lead)
 		rt := ranks.of(dict)
 		rank := rt.rank
 		bi.firstNonNull = sortRows(bi.order, nulls, codes, func(a, b uint32) int { return cmp.Compare(rank[a], rank[b]) }, rest)
@@ -142,20 +126,6 @@ func buildIndex(db *rel.Database, idx *physical.Index, ranks rankTables) (*built
 			bi.ranks[i] = rank[codes[r]]
 		}
 		bi.strs = rt.strs
-	} else {
-		bi.lead = leadValues
-		for i := range bi.order {
-			bi.order[i] = int32(i)
-		}
-		cmpRows := t.RowComparator(bi.keyIdx)
-		slices.SortStableFunc(bi.order, func(a, b int32) int { return cmpRows(int(a), int(b)) })
-		bi.vals = make([]rel.Value, n)
-		for i, rid := range bi.order {
-			bi.vals[i] = t.ValueAt(int(rid), lead)
-		}
-		bi.firstNonNull = sort.Search(n, func(i int) bool { return !bi.vals[i].Null })
-		keys := bi.vals[bi.firstNonNull:]
-		bi.mixed = slices.ContainsFunc(keys, func(k rel.Value) bool { return k.Typ != keys[0].Typ })
 	}
 	bi.bytes = 12 * int64(n)
 	for _, c := range idx.Key {
@@ -167,7 +137,7 @@ func buildIndex(db *rel.Database, idx *physical.Index, ranks rankTables) (*built
 	return bi, nil
 }
 
-// sortRows fills order with a clean column's row ids in index order and
+// sortRows fills order with a column's row ids in index order and
 // returns how many lead with NULL. The NULL-led rows come first, ordered
 // by rest and then by row id; the others follow, ordered by cmpKey over
 // their keys, then by rest, then by row id. rest compares the remaining
@@ -215,17 +185,14 @@ func gather[K any](vals []K, ids []int32) []K {
 
 // keyAt returns the leading key at index position i.
 func (bi *builtIndex) keyAt(i int) rel.Value {
-	if bi.lead == leadValues {
-		return bi.vals[i]
-	}
 	if i < bi.firstNonNull {
 		return rel.NullOf(bi.typ)
 	}
 	i -= bi.firstNonNull
-	switch bi.lead {
-	case leadInts:
+	switch bi.typ {
+	case rel.TInt:
 		return rel.Int(bi.ints[i])
-	case leadFloats:
+	case rel.TFloat:
 		return rel.Float(bi.floats[i])
 	}
 	return rel.Str(bi.strs[bi.ranks[i]])
@@ -245,16 +212,16 @@ func (bi *builtIndex) rankRange(s string) (lo, hi uint32) {
 // bound returns the first position with leading key >= v, or > v when
 // upper, among the non-NULL keys. v must be non-NULL. A probe of the
 // leading column's own type searches the typed vector (a string probe by
-// its rank range); any other pairing, and a column holding exception
-// values, compares keyAt(i) with v.
+// its rank range); a probe of another type compares keyAt(i) with v.
 func (bi *builtIndex) bound(v rel.Value, upper bool) int {
 	f := bi.firstNonNull
-	switch {
-	case bi.lead == leadInts && v.Typ == rel.TInt:
-		return f + search(bi.ints, v.I, upper)
-	case bi.lead == leadFloats && v.Typ == rel.TFloat:
-		return f + search(bi.floats, v.F, upper)
-	case bi.lead == leadRanks && v.Typ == rel.TString:
+	if v.Typ == bi.typ {
+		switch v.Typ {
+		case rel.TInt:
+			return f + search(bi.ints, v.I, upper)
+		case rel.TFloat:
+			return f + search(bi.floats, v.F, upper)
+		}
 		lo, hi := bi.rankRange(v.S)
 		if upper {
 			lo = hi
@@ -341,29 +308,29 @@ func (bi *builtIndex) seekInt(k int64) []int32 {
 //
 // Both ways find the same run only when the keys compare with v as
 // below, then equal, then above, in index order. Compare orders a string
-// against a number as text, so a leading column whose exception values
-// mix types, or a string probe into numbers, breaks that. The joins
-// translate emits probe with int ids, so those probes run the two binary
-// searches, as ExecuteReference does, and the executors agree on every
-// input.
+// against a number as text, so a string probe into numbers breaks that
+// and runs the two binary searches, as ExecuteReference does, so the
+// executors agree on every input.
 func (bi *builtIndex) seekEqual(v rel.Value) []int32 {
 	f := bi.firstNonNull
 	switch {
 	case v.Null:
 		return nil
-	case bi.lead == leadInts && v.Typ == rel.TInt:
-		return bi.seekInt(v.I)
-	case bi.lead == leadFloats && v.Typ == rel.TFloat:
-		lo, hi := equalRun(bi.floats, v.F)
-		return bi.order[f+lo : f+hi]
-	case bi.lead == leadRanks && v.Typ == rel.TString:
+	case v.Typ == bi.typ:
+		switch v.Typ {
+		case rel.TInt:
+			return bi.seekInt(v.I)
+		case rel.TFloat:
+			lo, hi := equalRun(bi.floats, v.F)
+			return bi.order[f+lo : f+hi]
+		}
 		r, end := bi.rankRange(v.S)
 		if r == end {
 			return nil
 		}
 		lo, hi := equalRun(bi.ranks, r)
 		return bi.order[f+lo : f+hi]
-	case bi.mixed || v.Typ == rel.TString:
+	case v.Typ == rel.TString:
 		return bi.seekRange(opEq, v)
 	}
 	lo := bi.lowerBound(v)

@@ -59,7 +59,7 @@ func rowSortIndex(t *rel.Table, idx *physical.Index) (order []int, leadKeys []re
 
 // TestIndexBuildMatchesRowSort: every index of the equivalence fixtures,
 // plus multi-column keys over the movie data and keys over fillDB's
-// exception-bearing and NULL-heavy columns, comes out of buildIndex with
+// NULL-heavy columns, comes out of buildIndex with
 // the order, leadKeys, firstNonNull and size the row-sorting build
 // produced — duplicate keys in row-id order — and StructBytes adds up to
 // the same total.
@@ -82,12 +82,12 @@ func TestIndexBuildMatchesRowSort(t *testing.T) {
 	if builts["movie-multi"], err = Build(movie.DB, multi); err != nil {
 		t.Fatal(err)
 	}
-	dirty := &physical.Config{}
-	dirty.AddIndex(&physical.Index{Name: "ix_p_x", Table: "p", Key: []string{"x"}, Include: []string{"f"}})
-	dirty.AddIndex(&physical.Index{Name: "ix_p_k_x", Table: "p", Key: []string{"k", "x"}})
-	dirty.AddIndex(&physical.Index{Name: "ix_p_allnull_f", Table: "p", Key: []string{"allnull", "f"}})
-	dirty.AddIndex(&physical.Index{Name: "ix_c_w_pid", Table: "c", Key: []string{"w", "PID"}, Include: []string{"allnull"}})
-	if builts["fill-exceptions"], err = Build(fillDB(), dirty); err != nil {
+	nulls := &physical.Config{}
+	nulls.AddIndex(&physical.Index{Name: "ix_p_x", Table: "p", Key: []string{"x"}, Include: []string{"f"}})
+	nulls.AddIndex(&physical.Index{Name: "ix_p_k_x", Table: "p", Key: []string{"k", "x"}})
+	nulls.AddIndex(&physical.Index{Name: "ix_p_allnull_f", Table: "p", Key: []string{"allnull", "f"}})
+	nulls.AddIndex(&physical.Index{Name: "ix_c_w_pid", Table: "c", Key: []string{"w", "PID"}, Include: []string{"allnull"}})
+	if builts["fill-nulls"], err = Build(fillDB(), nulls); err != nil {
 		t.Fatal(err)
 	}
 
@@ -124,11 +124,8 @@ func TestIndexBuildMatchesRowSort(t *testing.T) {
 func seekIndex(t *testing.T, rng *rand.Rand, keys []rel.Value) *builtIndex {
 	t.Helper()
 	typ := rel.TInt
-	for _, k := range keys {
-		if !k.Null {
-			typ = k.Typ
-			break
-		}
+	if len(keys) > 0 {
+		typ = keys[0].Typ // the keys are all of one type, NULLs included
 	}
 	tb := rel.NewTable("t", []rel.Column{{Name: rel.IDColumn, Typ: rel.TInt}, {Name: "k", Typ: typ, Nullable: true}})
 	for i, j := range rng.Perm(len(keys)) {
@@ -161,10 +158,10 @@ func linearEqual(bi *builtIndex, v rel.Value) []int32 {
 // ExecuteReference runs: equal-key runs of 1, 2, 3 and 2^k+1 rows behind
 // an all-NULL prefix, probes below the first key, between keys and above
 // the last, a one-row and an all-NULL index, float keys probed with ints
-// and int keys with floats (−0.0 equals 0), a column that mixes ints and
-// floats, string keys, and seeded random runs. A string probe into int
-// keys, which Compare orders as text, must take the reference's path.
-// The gallop must also stay right for int probes into string keys.
+// and int keys with floats (−0.0 equals 0), string keys, and seeded
+// random runs. A string probe into int keys, which Compare orders as
+// text, must take the reference's path. The gallop must also stay right
+// for int probes into string keys.
 func TestIndexSeekEqualMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	null := rel.NullOf(rel.TInt)
@@ -199,23 +196,20 @@ func TestIndexSeekEqualMatchesLinearScan(t *testing.T) {
 		name   string
 		keys   []rel.Value
 		probes []rel.Value
-		mixed  bool // the keys mix types, so seekEqual takes the reference's path
 	}
 	cases := []tc{
 		{"runs of 1,2,3,2^k+1 after NULLs", runs(intKey, 8, 1, 2, 3, 5, 9, 17, 33, 65, 129, 1),
 			append(ints(-5, 0, 9, 10, 11, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100, 101, 1e6),
-				append(floats(20, 20.5, 90, math.NaN(), math.Inf(1)), rel.Str("20"))...), false},
-		{"one row", ints(7), append(ints(6, 7, 8), floats(7, 7.5)...), false},
-		{"all NULL", runs(intKey, 5), ints(0, 10), false},
+				append(floats(20, 20.5, 90, math.NaN(), math.Inf(1)), rel.Str("20"))...)},
+		{"one row", ints(7), append(ints(6, 7, 8), floats(7, 7.5)...)},
+		{"all NULL", runs(intKey, 5), ints(0, 10)},
 		{"float keys", floats(-1, math.Copysign(0, -1), 0, 0, 2.5, 2.5, 2.5, 3, 3, 3, 3, 3, math.NaN()),
-			append(ints(-1, 0, 2, 3, 4), floats(math.Copysign(0, -1), 2.5, 2.75, math.NaN())...), false},
-		{"mixed int and float keys", append(ints(1, 2, 2, 3, 3, 3), floats(1, 2, 2.5, 3, 4)...),
-			append(ints(0, 1, 2, 3, 4, 5), floats(1, 2.5, 3)...), true},
+			append(ints(-1, 0, 2, 3, 4), floats(math.Copysign(0, -1), 2.5, 2.75, math.NaN())...)},
 		// As text "2" sorts after "10", so the two searches return the rows
 		// keyed 2 and 10 for "10" where a gallop would return none.
-		{"string probes into int keys", ints(2, 10, 10, 10, 20), []rel.Value{rel.Str("10"), rel.Str("2")}, false},
+		{"string probes into int keys", ints(2, 10, 10, 10, 20), []rel.Value{rel.Str("10"), rel.Str("2")}},
 		{"string keys", []rel.Value{rel.Str("1"), rel.Str("10"), rel.Str("2"), rel.Str("2"), rel.Str("2"), rel.Str("b"), rel.NullOf(rel.TString)},
-			[]rel.Value{rel.Str("0"), rel.Str("2"), rel.Str("b"), rel.Str("c"), rel.Int(2), rel.Int(10)}, false},
+			[]rel.Value{rel.Str("0"), rel.Str("2"), rel.Str("b"), rel.Str("c"), rel.Int(2), rel.Int(10)}},
 	}
 	for r := range 50 {
 		var lens []int
@@ -226,13 +220,10 @@ func TestIndexSeekEqualMatchesLinearScan(t *testing.T) {
 		for i := range lens {
 			probes = append(probes, intKey(i))
 		}
-		cases = append(cases, tc{fmt.Sprintf("random %d", r), runs(intKey, rng.Intn(4), lens...), probes, false})
+		cases = append(cases, tc{fmt.Sprintf("random %d", r), runs(intKey, rng.Intn(4), lens...), probes})
 	}
 	for _, c := range cases {
 		bi := seekIndex(t, rng, c.keys)
-		if bi.mixed != c.mixed {
-			t.Fatalf("%s: mixed = %v, want %v", c.name, bi.mixed, c.mixed)
-		}
 		stringKeys := slices.ContainsFunc(c.keys, func(k rel.Value) bool { return !k.Null && k.Typ == rel.TString })
 		for _, v := range c.probes {
 			label := fmt.Sprintf("%s: probe %v (type %d)", c.name, v, v.Typ)
@@ -298,11 +289,10 @@ var (
 )
 
 // fuzzKey decodes one fuzz byte as a key of the given column kind: 0 int,
-// 1 float, 2 string, and 3 an int column holding exception values —
-// floats and NULLs that carry a payload. Every kind yields NULLs.
+// 1 float, 2 string. Every kind yields NULLs.
 func fuzzKey(kind uint8, b byte) rel.Value {
 	if b%9 == 0 {
-		return rel.NullOf([]rel.Type{rel.TInt, rel.TFloat, rel.TString, rel.TInt}[kind])
+		return rel.NullOf(rel.Type(kind))
 	}
 	i := int(b / 9)
 	switch kind {
@@ -310,16 +300,8 @@ func fuzzKey(kind uint8, b byte) rel.Value {
 		return rel.Int(fuzzInts[i%len(fuzzInts)])
 	case 1:
 		return rel.Float(fuzzFloats[i%len(fuzzFloats)])
-	case 2:
-		return rel.Str(fuzzStrings[i%len(fuzzStrings)])
 	}
-	switch i % 4 {
-	case 0:
-		return rel.Float(float64(i%7) / 2)
-	case 1:
-		return rel.Value{Null: true, Typ: rel.TInt, I: int64(i)}
-	}
-	return rel.Int(int64(i % 5))
+	return rel.Str(fuzzStrings[i%len(fuzzStrings)])
 }
 
 // fuzzProbe decodes one fuzz byte as a probe of any type, NULL included.
@@ -350,7 +332,7 @@ func FuzzIndexSeek(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 9, 18, 27, 36, 45, 54, 63}, []byte{0, 4, 8, 1, 5, 2, 3})
 	ops := []opKind{opEq, opLt, opLe, opGt, opGe}
 	f.Fuzz(func(t *testing.T, kind uint8, keyBytes, probeBytes []byte) {
-		kind %= 4
+		kind %= 3
 		if len(keyBytes) > 512 || len(probeBytes) > 64 {
 			return
 		}
@@ -388,17 +370,16 @@ func FuzzIndexSeek(f *testing.F) {
 	})
 }
 
-// TestIndexBytesStayTyped pins what an index over a clean column costs to
-// build: its typed lead vector plus int32 row ids, 12 bytes a row, and
-// for a string lead the sorted distinct strings — at most 1.15 × rows ×
-// 12 bytes plus 16 bytes per distinct string of allocation, where the
-// []rel.Value lead and []int order it replaces took 48 a row. A column
-// holding exception values keeps the []rel.Value lead.
+// TestIndexBytesStayTyped pins what an index costs to build: its typed
+// lead vector plus int32 row ids, 12 bytes a row, and for a string lead
+// the sorted distinct strings — at most 1.15 × rows × 12 bytes plus 16
+// bytes per distinct string of allocation, where the []rel.Value lead
+// and []int order it replaces took 48 a row.
 func TestIndexBytesStayTyped(t *testing.T) {
 	const rows = 50_000
 	rng := rand.New(rand.NewSource(36))
 	cols := []rel.Column{{Name: rel.IDColumn, Typ: rel.TInt}, {Name: "i", Typ: rel.TInt, Nullable: true},
-		{Name: "f", Typ: rel.TFloat}, {Name: "s", Typ: rel.TString}, {Name: "x", Typ: rel.TInt}}
+		{Name: "f", Typ: rel.TFloat}, {Name: "s", Typ: rel.TString}}
 	tb := rel.NewTable("t", cols)
 	distinct := map[string]bool{}
 	for r := 0; r < rows; r++ {
@@ -408,19 +389,14 @@ func TestIndexBytesStayTyped(t *testing.T) {
 		}
 		s := fmt.Sprintf("conf/%05d", rng.Intn(rows))
 		distinct[s] = true
-		x := rel.Int(int64(r % 100))
-		if r%1000 == 0 {
-			x = rel.Float(0.5)
-		}
-		tb.AppendRow([]rel.Value{rel.Int(int64(r)), i, rel.Float(rng.NormFloat64()), rel.Str(s), x})
+		tb.AppendRow([]rel.Value{rel.Int(int64(r)), i, rel.Float(rng.NormFloat64()), rel.Str(s)})
 	}
 	db := rel.NewDatabase()
 	db.Add(tb)
 	for _, c := range []struct {
 		col  string
-		lead leadKind
 		strs int // distinct strings the bound allows for
-	}{{"i", leadInts, 0}, {"f", leadFloats, 0}, {"s", leadRanks, len(distinct)}, {"x", leadValues, 0}} {
+	}{{"i", 0}, {"f", 0}, {"s", len(distinct)}} {
 		idx := &physical.Index{Name: "ix_" + c.col, Table: "t", Key: []string{c.col}}
 		var bi *builtIndex
 		got := func() uint64 {
@@ -434,11 +410,8 @@ func TestIndexBytesStayTyped(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			return after.TotalAlloc - before.TotalAlloc
 		}()
-		if bi.lead != c.lead || (bi.vals != nil) != (c.lead == leadValues) {
-			t.Fatalf("%s: lead %d with %d rel.Value keys, want lead %d", c.col, bi.lead, len(bi.vals), c.lead)
-		}
-		if c.lead == leadValues {
-			continue
+		if n := len(bi.ints) + len(bi.floats) + len(bi.ranks); n != rows-bi.firstNonNull {
+			t.Fatalf("%s: %d typed lead keys over %d non-NULL rows", c.col, n, rows-bi.firstNonNull)
 		}
 		bound := 1.15*rows*12 + 16*float64(c.strs)
 		t.Logf("%s: %d bytes allocated (bound %.0f)", c.col, got, bound)

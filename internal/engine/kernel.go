@@ -197,7 +197,7 @@ func compileColKernel(b *Built, p *sqlast.Pred, t *rel.Table, sc *scope) (colKer
 
 // compareKernel builds the typed fast path for a PredCompare over
 // column ci, or nil when the column/literal shape needs the generic
-// fallback (a column with exception values, or a literal whose
+// fallback (a column with no resident vector, or a literal whose
 // comparison against the column type crosses into string space).
 func compareKernel(t *rel.Table, ci int, op sqlast.CmpOp, lit rel.Value) colKernel {
 	if lit.Null {

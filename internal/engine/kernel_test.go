@@ -12,14 +12,15 @@ import (
 )
 
 // kernelTable builds a table whose columns exercise every kernel shape:
-// clean int/float/string vectors with NULLs and special floats, plus a
-// dirty column holding wrong-typed exception values.
+// int/float/string vectors with NULLs and special floats, plus a string
+// column of digits, which int literals compare with as text (the
+// generic per-cell fallback).
 func kernelTable(r *rand.Rand, rows int) *rel.Table {
 	t := rel.NewTable("K", []rel.Column{
 		{Name: "i", Typ: rel.TInt, Nullable: true},
 		{Name: "f", Typ: rel.TFloat, Nullable: true},
 		{Name: "s", Typ: rel.TString, Nullable: true},
-		{Name: "dirty", Typ: rel.TInt, Nullable: true},
+		{Name: "digits", Typ: rel.TString, Nullable: true},
 	})
 	for n := 0; n < rows; n++ {
 		var iv, fv, sv, dv rel.Value
@@ -45,10 +46,10 @@ func kernelTable(r *rand.Rand, rows int) *rel.Table {
 		} else {
 			sv = rel.Str(fmt.Sprintf("v-%02d", r.Intn(10)))
 		}
-		if r.Intn(4) == 0 {
-			dv = rel.Str(fmt.Sprintf("%d", r.Intn(5))) // exception cell
+		if r.Intn(8) == 0 {
+			dv = rel.NullOf(rel.TString)
 		} else {
-			dv = rel.Int(r.Int63n(5))
+			dv = rel.Str(fmt.Sprint(r.Intn(5)))
 		}
 		t.AppendRow([]rel.Value{iv, fv, sv, dv})
 	}
@@ -65,14 +66,14 @@ func TestCompareKernelEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	tbl := kernelTable(r, 700)
 	sc := newScope()
-	sc.add("K", []string{"i", "f", "s", "dirty"})
+	sc.add("K", []string{"i", "f", "s", "digits"})
 	ops := []sqlast.CmpOp{sqlast.OpEq, sqlast.OpNe, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe}
 	lits := map[string][]rel.Value{
 		"i": {rel.Int(0), rel.Int(-3), rel.Float(1.5), rel.Str("2"), rel.Str("zz"), rel.NullOf(rel.TInt)},
 		"f": {rel.Float(2.5), rel.Float(math.NaN()), rel.Float(math.Inf(1)), rel.Float(math.Copysign(0, -1)),
 			rel.Int(1), rel.Str("1"), rel.NullOf(rel.TFloat)},
-		"s":     {rel.Str("v-03"), rel.Str("absent"), rel.Str(""), rel.Int(7), rel.NullOf(rel.TString)},
-		"dirty": {rel.Int(2), rel.Str("3"), rel.NullOf(rel.TInt)},
+		"s":      {rel.Str("v-03"), rel.Str("absent"), rel.Str(""), rel.Int(7), rel.NullOf(rel.TString)},
+		"digits": {rel.Int(2), rel.Str("3"), rel.Float(2.5), rel.NullOf(rel.TString)},
 	}
 	all := make([]int32, tbl.RowCount())
 	for i := range all {
@@ -120,8 +121,8 @@ func TestOrKernelEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	tbl := kernelTable(r, 400)
 	sc := newScope()
-	sc.add("K", []string{"i", "f", "s", "dirty"})
-	cols := []sqlast.ColRef{{Table: "K", Column: "i"}, {Table: "K", Column: "dirty"}}
+	sc.add("K", []string{"i", "f", "s", "digits"})
+	cols := []sqlast.ColRef{{Table: "K", Column: "i"}, {Table: "K", Column: "digits"}}
 	for _, op := range []sqlast.CmpOp{sqlast.OpEq, sqlast.OpGt} {
 		p := &sqlast.Pred{Kind: sqlast.PredOr, Op: op, Value: rel.Int(2), Cols: cols}
 		k, err := compileColKernel(nil, p, tbl, sc)
@@ -161,7 +162,7 @@ func TestOrKernelEquivalence(t *testing.T) {
 func TestPostJoinFilterMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(engineTestSeed(t)))
 	srcs := []*rel.Table{kernelTable(r, 300), kernelTable(r, 40)}
-	cols := []string{"i", "f", "s", "dirty"}
+	cols := []string{"i", "f", "s", "digits"}
 	sc := newScope()
 	sc.add("K", cols)
 	sc.add("L", cols)
@@ -172,9 +173,9 @@ func TestPostJoinFilterMatchesNaive(t *testing.T) {
 		cmp("K", "i", sqlast.OpGe, rel.Int(0)),
 		cmp("L", "s", sqlast.OpLt, rel.Str("v-05")),
 		cmp("L", "f", sqlast.OpNe, rel.Float(1)),
-		cmp("K", "dirty", sqlast.OpEq, rel.Str("3")),
+		cmp("K", "digits", sqlast.OpEq, rel.Str("3")),
 		{Kind: sqlast.PredOr, Op: sqlast.OpEq, Value: rel.Int(2),
-			Cols: []sqlast.ColRef{{Table: "L", Column: "dirty"}, {Table: "K", Column: "i"}}},
+			Cols: []sqlast.ColRef{{Table: "L", Column: "digits"}, {Table: "K", Column: "i"}}},
 	}
 	for iter := 0; iter < 200; iter++ {
 		n := r.Intn(batchSize + 1)

@@ -528,7 +528,7 @@ func (pb *preparedBranch) appendJoin(b *Built, sc *scope, j optimizer.Join) erro
 	if !ok {
 		return fmt.Errorf("engine: join column %s missing from %s", j.InnerCol, j.Inner.Table)
 	}
-	op.jt, err = b.hashJoinTable(srcKey, j.InnerCol.Column, n, func(i int) rel.Value { return t.ValueAt(i, ji) })
+	op.jt, err = b.hashJoinTable(srcKey, t, ji, intJoin(b, j.OuterCol, j.InnerCol))
 	if err != nil {
 		return err
 	}
@@ -824,7 +824,7 @@ func (r *pipeRun) join(oi int, op *pipeOp, vecs [][]int32) {
 	case op.kind == pipeINLJoin:
 		// An int key into an int lead is probed as the int64 itself.
 		bi := op.bi
-		ints := key.kind == fillInts && bi.lead == leadInts
+		ints := key.kind == fillInts && bi.typ == rel.TInt
 		for i, row := range outer {
 			var rids []int32
 			if !ints {
@@ -839,7 +839,7 @@ func (r *pipeRun) join(oi int, op *pipeOp, vecs [][]int32) {
 				}
 			}
 		}
-	case jt.intKeys && key.kind == fillInts:
+	case jt.intKeys: // both key columns are INT (intJoin), so key reads ints
 		for i, row := range outer {
 			if key.null(row) {
 				continue
@@ -891,8 +891,8 @@ func (r *pipeRun) flush(oi int, jb *joinBuf, in [][]int32) {
 // sink projects a batch into one fresh, exactly-sized arena: one fill
 // per projected column, straight from its column vector, and NULL
 // items as constants. The rows themselves are cut later, once (see
-// assemble). While the slot is keyed and the ORDER BY column reads a
-// clean int vector with no NULL, the batch's keys are also copied into
+// assemble). While the slot is keyed and the ORDER BY column reads an
+// int vector with no NULL, the batch's keys are also copied into
 // a pooled block beside the arena, so assemble merges on int64s and
 // never reads a cell back; any other key column leaves the slot
 // unkeyed for good.

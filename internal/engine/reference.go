@@ -370,18 +370,11 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 			return nil, fmt.Errorf("engine: join column %s missing from %s", j.InnerCol, j.Inner.Table)
 		}
 		sc.add(j.Inner.Table, cols)
-		// Two cells join when their string forms are equal. A key column
-		// of ints (the common ID/PID case) uses an int-keyed hash table
-		// and probes it with intKey; any other falls back to string keys.
-		intKeys := true
-		for _, ir := range innerRows {
-			if v := ir[ji]; !v.Null && v.Typ != rel.TInt {
-				intKeys = false
-				break
-			}
-		}
+		// Two cells join when their string forms are equal. Two INT key
+		// columns (the common ID/PID case) use an int-keyed hash table;
+		// any other pair keys by string form.
 		var out [][]rel.Value
-		if intKeys {
+		if intJoin(b, j.OuterCol, j.InnerCol) {
 			// Chained hash table: head map plus a next-pointer array,
 			// avoiding per-key slice allocations on the build side.
 			head := make(map[int64]int32, len(innerRows))
@@ -404,11 +397,7 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 				if v.Null {
 					continue
 				}
-				k, ok := intKey(v)
-				if !ok {
-					continue
-				}
-				i, ok := head[k]
+				i, ok := head[v.I]
 				for ok && i >= 0 {
 					out = append(out, concatRows(orow, innerRows[i]))
 					i = next[i]

@@ -109,9 +109,8 @@ func (s *sliceSource) ChunkColumns(k int, _ []int) (*rel.Table, func(), error) {
 
 // chunkDB builds a parent/child database big enough to span many
 // chunks, with the value shapes that stress kernels: repeated strings,
-// NULLs, non-finite floats, and wrong-typed exception rows (which force
-// the generic per-cell kernel fallback on the chunks that contain them
-// while other chunks keep the typed fast path).
+// strings that read as numbers in a few chunks only (so chunk
+// dictionaries differ), NULLs, and non-finite floats.
 func chunkDB(nrows int) *rel.Database {
 	db := rel.NewDatabase()
 	big := rel.NewTable("big", []rel.Column{
@@ -127,7 +126,7 @@ func chunkDB(nrows int) *rel.Database {
 		case i%13 == 0:
 			tag = rel.NullOf(rel.TString)
 		case i%97 == 0:
-			tag = rel.Int(int64(i)) // exception: int in a string column
+			tag = rel.Str(fmt.Sprint(i))
 		}
 		val := rel.Float(float64(i) / 3)
 		switch {
@@ -162,8 +161,8 @@ func chunkDB(nrows int) *rel.Database {
 }
 
 // chunkQueries exercise the scan driver: a pure filtered scan (typed
-// int + dictionary string kernels), a scan over the exception-bearing
-// float column (generic fallback kernel), a hash-join with a
+// int + dictionary string kernels), a scan over the float column with
+// its NaNs and NULLs, a hash-join with a
 // driver-stage filter, and a union of two filtered scans of the same
 // table (the shape every split or inlined mapping translates to).
 func chunkQueries() []*sqlast.Query {

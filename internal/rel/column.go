@@ -7,9 +7,8 @@ import (
 
 // This file is the columnar storage layer under Table: one typed vector
 // per column (int64, float64, or dictionary-coded strings) plus a null
-// bitmap, with a sparse exception slot for the rare value whose
-// representation does not round-trip through the vector (e.g. a value
-// appended with a type different from the declared column type). The
+// bitmap. A column holds one type: AppendRow takes only values its
+// vector holds exactly (Value.Fits), so every cell round-trips. The
 // executor's hot loops read the vectors directly; everything else goes
 // through the row-materializing accessors on Table.
 
@@ -125,13 +124,6 @@ type colVec struct {
 	floats []float64 // TFloat
 	codes  []uint32  // TString: dictionary codes
 	dict   *Dict
-	// exc holds, by row, the exact appended Value for rows whose value
-	// does not round-trip through the typed vector (wrong-typed values,
-	// NULLs carrying a payload, ...). In practice the shredder coerces
-	// everything to the declared type and this map stays nil; it exists
-	// so columnar storage is bit-faithful to the row store for any
-	// caller.
-	exc map[int]Value
 	// absent marks a column of a fragment whose vectors are not resident
 	// (see NewFragment); its other fields but typ are zero.
 	absent bool
@@ -145,41 +137,26 @@ func newColVec(t Type) colVec {
 	return cv
 }
 
-// append stores v as the next row of the column.
+// append stores v, which fits the column's type (Value.Fits), as the
+// next row of the column.
 func (cv *colVec) append(v Value) {
-	row := cv.nulls.Len()
 	cv.nulls.Append(v.Null)
 	switch cv.typ {
 	case TInt:
-		if !v.Null && v.Typ == TInt {
-			cv.ints = append(cv.ints, v.I)
-		} else {
-			cv.ints = append(cv.ints, 0)
-		}
+		cv.ints = append(cv.ints, v.I)
 	case TFloat:
-		if !v.Null && v.Typ == TFloat {
-			cv.floats = append(cv.floats, v.F)
-		} else {
-			cv.floats = append(cv.floats, 0)
-		}
+		cv.floats = append(cv.floats, v.F)
 	case TString:
-		if !v.Null && v.Typ == TString {
-			cv.codes = append(cv.codes, cv.dict.Intern(v.S))
-		} else {
+		if v.Null {
 			cv.codes = append(cv.codes, 0)
+		} else {
+			cv.codes = append(cv.codes, cv.dict.Intern(v.S))
 		}
-	}
-	if !v.BitEqual(cv.materialize(row)) {
-		if cv.exc == nil {
-			cv.exc = make(map[int]Value)
-		}
-		cv.exc[row] = v
 	}
 }
 
-// materialize rebuilds the canonical Value of one row from the vectors,
-// ignoring the exception slot.
-func (cv *colVec) materialize(row int) Value {
+// value rebuilds the Value of one row from the vectors.
+func (cv *colVec) value(row int) Value {
 	if cv.nulls.Get(row) {
 		return NullOf(cv.typ)
 	}
@@ -189,42 +166,15 @@ func (cv *colVec) materialize(row int) Value {
 	case TFloat:
 		return Float(cv.floats[row])
 	default:
-		// A non-null, non-string value appended to a string column
-		// stores code 0 without interning anything; with an empty
-		// dictionary there is nothing to decode, so return a
-		// placeholder. The appended value's type differs, so BitEqual
-		// still fails and the row lands in the exception slot — the
-		// placeholder is never served through value().
-		if int(cv.codes[row]) >= cv.dict.Len() {
-			return Str("")
-		}
 		return Str(cv.dict.Str(cv.codes[row]))
 	}
 }
 
-// value returns the exact Value appended at row.
-func (cv *colVec) value(row int) Value {
-	if cv.exc != nil {
-		if v, ok := cv.exc[row]; ok {
-			return v
-		}
-	}
-	return cv.materialize(row)
-}
-
-// clean reports whether every row round-trips through the typed vector;
-// kernels require it before reading the vectors directly.
-func (cv *colVec) clean() bool { return len(cv.exc) == 0 }
-
 // comparator orders two rows of the column as Value.Compare orders their
-// values. A clean column holds only NULLs and values of its own type, for
+// values. A column holds only NULLs and values of its own type, for
 // which Compare is NULLs first and then the scalar order of the payload,
-// so it is read off the typed vector; a column with exception values
-// compares materialized cells.
+// so it is read off the typed vector.
 func (cv *colVec) comparator() func(a, b int) int {
-	if !cv.clean() {
-		return func(a, b int) int { return cv.value(a).Compare(cv.value(b)) }
-	}
 	var payload func(a, b int) int
 	switch cv.typ {
 	case TInt:
@@ -282,17 +232,6 @@ func (cv *colVec) permute(perm []int) {
 		cv.codes = nc
 	}
 	cv.nulls.permute(perm)
-	if cv.exc != nil {
-		inv := make(map[int]int, len(perm)) // old row -> new row
-		for i, p := range perm {
-			inv[p] = i
-		}
-		ne := make(map[int]Value, len(cv.exc))
-		for old, v := range cv.exc {
-			ne[inv[old]] = v
-		}
-		cv.exc = ne
-	}
 }
 
 // sanity check used by tests.

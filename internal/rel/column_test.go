@@ -102,23 +102,12 @@ func TestDictCodeAgreesWithIntern(t *testing.T) {
 	}
 }
 
-// randomValue draws a value for column type ct, sometimes of the wrong
-// type or with special float payloads, so the exception slot and the
-// bit-faithfulness contract are exercised together.
+// randomValue draws a value of column type ct, sometimes NULL and for
+// floats sometimes NaN, an infinity or -0.0, the payloads whose bits a
+// comparison with == would not pin.
 func randomValue(r *rand.Rand, ct Type) Value {
-	switch r.Intn(10) {
-	case 0:
+	if r.Intn(10) == 0 {
 		return NullOf(ct)
-	case 1:
-		// Wrong-typed value: lands in the exception slot.
-		switch ct {
-		case TInt:
-			return Str("7")
-		case TFloat:
-			return Int(3)
-		default:
-			return Float(1.5)
-		}
 	}
 	switch ct {
 	case TInt:
@@ -139,10 +128,10 @@ func randomValue(r *rand.Rand, ct Type) Value {
 	}
 }
 
-// TestTableBitFaithful: whatever mix of values a table ingests —
-// wrong-typed cells, NaN, -0.0, NULLs — ValueAt, ReadRowInto and Rows
-// return values bit-identical to what AppendRow stored, and the typed
-// accessors refuse (ok=false) exactly the columns that hold exceptions.
+// TestTableBitFaithful: whatever mix of values a table ingests — NaN,
+// -0.0, both infinities, NULLs — ValueAt, ReadRowInto and Rows return
+// values bit-identical to what AppendRow stored, and the typed accessors
+// serve every column of its own type.
 func TestTableBitFaithful(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	cols := []Column{
@@ -178,16 +167,14 @@ func TestTableBitFaithful(t *testing.T) {
 			}
 		}
 	}
-	// Columns 1 and 2 received wrong-typed values, so the typed
-	// accessors must refuse them; column 0 is clean.
 	if _, _, ok := tb.IntCol(0); !ok {
-		t.Error("IntCol(0) refused a clean column")
+		t.Error("IntCol(0) refused an INT column")
 	}
-	if _, _, ok := tb.FloatCol(1); ok {
-		t.Error("FloatCol(1) served a column with exceptions")
+	if _, _, ok := tb.FloatCol(1); !ok {
+		t.Error("FloatCol(1) refused a FLOAT column")
 	}
-	if _, _, _, ok := tb.StrCol(2); ok {
-		t.Error("StrCol(2) served a column with exceptions")
+	if _, _, _, ok := tb.StrCol(2); !ok {
+		t.Error("StrCol(2) refused a VARCHAR column")
 	}
 	if _, _, ok := tb.IntCol(1); ok {
 		t.Error("IntCol(1) served a TFloat column")
@@ -195,6 +182,48 @@ func TestTableBitFaithful(t *testing.T) {
 	for ci := range cols {
 		if err := tb.cols[ci].lenCheck(tb.RowCount()); err != nil {
 			t.Error(err)
+		}
+	}
+}
+
+// TestAppendRowRefusesValuesThatDoNotFit: AppendRow panics on every
+// value its column's vector cannot hold exactly — another type, a NULL
+// of another type, a NULL or a number carrying a stray payload — and the
+// table is left as it was, so a half-appended row is never visible.
+func TestAppendRowRefusesValuesThatDoNotFit(t *testing.T) {
+	cols := []Column{
+		{Name: "ID", Typ: TInt},
+		{Name: "f", Typ: TFloat, Nullable: true},
+		{Name: "s", Typ: TString, Nullable: true},
+	}
+	for _, tc := range []struct {
+		name string
+		row  []Value
+	}{
+		{"string in an INT column", []Value{Str("7"), Float(1), Str("a")}},
+		{"int in a FLOAT column", []Value{Int(1), Int(3), Str("a")}},
+		{"float in a VARCHAR column", []Value{Int(1), Float(1), Float(1.5)}},
+		{"NULL of another type", []Value{Int(1), NullOf(TInt), Str("a")}},
+		{"NULL carrying a payload", []Value{Int(1), Float(1), {Null: true, Typ: TString, S: "ghost"}}},
+		{"number carrying a string", []Value{Int(1), {Typ: TFloat, F: 2, S: "2"}, Str("a")}},
+	} {
+		tb := NewTable("strict", cols)
+		tb.AppendRow([]Value{Int(0), Float(0.5), Str("z")})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AppendRow(%v) did not panic", tc.name, tc.row)
+				}
+			}()
+			tb.AppendRow(tc.row)
+		}()
+		if tb.RowCount() != 1 || tb.Generation() != 1 {
+			t.Errorf("%s: the refused row changed the table: %d rows, generation %d", tc.name, tb.RowCount(), tb.Generation())
+		}
+		for ci := range cols {
+			if err := tb.cols[ci].lenCheck(1); err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
 		}
 	}
 }
@@ -227,8 +256,8 @@ func TestTableBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestSortByIDPermutes: sorting by ID moves whole rows — exception
-// cells, NULL bits and dictionary codes travel with their row — and
+// TestSortByIDPermutes: sorting by ID moves whole rows — special float
+// payloads, NULL bits and dictionary codes travel with their row — and
 // bumps the generation.
 func TestSortByIDPermutes(t *testing.T) {
 	r := rand.New(rand.NewSource(43))
@@ -284,11 +313,10 @@ func TestRowsMaterializesPerCall(t *testing.T) {
 }
 
 // comparatorTable holds one column of every storage shape RowComparator
-// reads: clean typed vectors with and without NULLs (the floats with NaN,
-// -0.0 and both infinities), and columns pushed onto the exception path
-// by a wrong-typed append or a NULL that carries a payload. Values repeat
-// so ties are common, and ID repeats and goes NULL so a stable sort by
-// it has something to keep in place.
+// reads: typed vectors with and without NULLs (the floats with NaN,
+// -0.0 and both infinities). Values repeat so ties are common, and ID
+// repeats and goes NULL so a stable sort by it has something to keep in
+// place.
 func comparatorTable() *Table {
 	tb := NewTable("cmp", []Column{
 		{Name: "ID", Typ: TInt, Nullable: true},
@@ -296,9 +324,6 @@ func comparatorTable() *Table {
 		{Name: "f", Typ: TFloat, Nullable: true},
 		{Name: "s", Typ: TString, Nullable: true},
 		{Name: "sfull", Typ: TString},
-		{Name: "xi", Typ: TInt, Nullable: true},
-		{Name: "xf", Typ: TFloat, Nullable: true},
-		{Name: "xs", Typ: TString, Nullable: true},
 	})
 	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1.5, -2.25, 1.5}
 	r := rand.New(rand.NewSource(97))
@@ -315,48 +340,18 @@ func comparatorTable() *Table {
 		if n%5 == 2 {
 			s = NullOf(TString)
 		}
-		xi := Int(int64(r.Intn(6)))
-		switch n % 8 {
-		case 1:
-			xi = Str("3") // compares as a string against the ints
-		case 2:
-			xi = Float(2.5)
-		case 3:
-			xi = Value{Null: true, Typ: TInt, I: 4}
-		}
-		xf := Float(floats[r.Intn(len(floats))])
-		switch n % 6 {
-		case 1:
-			xf = Int(1)
-		case 2:
-			xf = Value{Null: true, Typ: TFloat, F: math.NaN()}
-		}
-		xs := Str(fmt.Sprintf("%d", r.Intn(5)))
-		switch n % 6 {
-		case 0:
-			xs = Int(int64(r.Intn(5)))
-		case 1:
-			xs = Value{Null: true, Typ: TString, S: "ghost"}
-		}
-		tb.AppendRow([]Value{id, Int(int64(r.Intn(11) - 5)), f, s, Str(fmt.Sprintf("w%d", r.Intn(7))), xi, xf, xs})
+		tb.AppendRow([]Value{id, Int(int64(r.Intn(11) - 5)), f, s, Str(fmt.Sprintf("w%d", r.Intn(7)))})
 	}
 	return tb
 }
 
 // TestRowComparatorMatchesValueCompare: over every column of
 // comparatorTable and every pair of rows, the comparator returns what
-// Value.Compare returns for the two cells — on the typed paths and on the
-// exception path — and a multi-column comparator is the lexicographic
-// combination, first difference wins.
+// Value.Compare returns for the two cells, and a multi-column comparator
+// is the lexicographic combination, first difference wins.
 func TestRowComparatorMatchesValueCompare(t *testing.T) {
 	tb := comparatorTable()
 	for ci, c := range tb.Columns {
-		_, _, cleanInt := tb.IntCol(ci)
-		_, _, cleanFloat := tb.FloatCol(ci)
-		_, _, _, cleanStr := tb.StrCol(ci)
-		if clean, wantClean := cleanInt || cleanFloat || cleanStr, c.Name[0] != 'x'; clean != wantClean {
-			t.Fatalf("column %s: clean = %v, the fixture wants %v", c.Name, clean, wantClean)
-		}
 		cmp := tb.RowComparator([]int{ci})
 		for a := 0; a < tb.RowCount(); a++ {
 			for b := 0; b < tb.RowCount(); b++ {
@@ -367,7 +362,7 @@ func TestRowComparatorMatchesValueCompare(t *testing.T) {
 			}
 		}
 	}
-	for _, cols := range [][]int{{1, 2}, {3, 0, 1}, {5, 3}, {4, 7, 6}} {
+	for _, cols := range [][]int{{1, 2}, {3, 0, 1}, {0, 3}, {4, 3, 2}} {
 		cmp := tb.RowComparator(cols)
 		for a := 0; a < tb.RowCount(); a++ {
 			for b := 0; b < tb.RowCount(); b++ {
@@ -387,15 +382,13 @@ func TestRowComparatorMatchesValueCompare(t *testing.T) {
 
 // TestSortByIDMatchesRowSort: SortByID lands every row where a stable
 // sort of the materialized rows by Value.Compare on ID puts it — the
-// algorithm it replaced — with a clean ID column (repeats and NULLs keep
-// their relative order) and with one on the exception path.
+// algorithm it replaced — repeats and NULLs keep their relative order.
 func TestSortByIDMatchesRowSort(t *testing.T) {
-	clean := comparatorTable()
-	dirty := NewTable("dirty", []Column{{Name: "ID", Typ: TInt, Nullable: true}, {Name: "n", Typ: TInt}})
-	for n, id := range []Value{Int(5), Str("4"), Int(3), NullOf(TInt), Float(3), Int(5), {Null: true, Typ: TInt, I: 9}, Int(1)} {
-		dirty.AppendRow([]Value{id, Int(int64(n))})
+	short := NewTable("short", []Column{{Name: "ID", Typ: TInt, Nullable: true}, {Name: "n", Typ: TInt}})
+	for n, id := range []Value{Int(5), Int(4), Int(3), NullOf(TInt), Int(3), Int(5), NullOf(TInt), Int(1)} {
+		short.AppendRow([]Value{id, Int(int64(n))})
 	}
-	for _, tb := range []*Table{clean, dirty} {
+	for _, tb := range []*Table{comparatorTable(), short} {
 		want := tb.Rows()
 		sort.SliceStable(want, func(i, j int) bool { return want[i][0].Compare(want[j][0]) < 0 })
 		tb.SortByID()

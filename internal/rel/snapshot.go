@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // This file is the snapshot/restore boundary of the columnar store: an
@@ -15,15 +14,6 @@ import (
 // goes through full structural validation and returns errors — never
 // panics — because the bytes may come from a truncated or corrupted
 // file.
-
-// ExcEntry is one bit-faithfulness exception: the exact Value appended
-// at Row, kept because it does not round-trip through the typed vector.
-type ExcEntry struct {
-	// Row is the row index the exception covers.
-	Row int
-	// Val is the exact appended value.
-	Val Value
-}
 
 // ColumnSnapshot is the columnar state of one column. The slices alias
 // the table's backing store when produced by Snapshot — callers must
@@ -43,8 +33,6 @@ type ColumnSnapshot struct {
 	Codes []uint32
 	// Dict holds the string dictionary in code order (TString only).
 	Dict []string
-	// Exc lists the exception entries sorted by ascending Row.
-	Exc []ExcEntry
 }
 
 // TableSnapshot is the complete columnar state of a Table.
@@ -63,9 +51,8 @@ type TableSnapshot struct {
 }
 
 // Snapshot returns the table's columnar state. The returned slices
-// alias the table's storage (exceptions excepted, which are copied into
-// a sorted slice): the snapshot is valid as long as the table is not
-// mutated, and must not be written through.
+// alias the table's storage: the snapshot is valid as long as the table
+// is not mutated, and must not be written through.
 func (t *Table) Snapshot() *TableSnapshot {
 	t.requireWhole()
 	s := &TableSnapshot{
@@ -87,13 +74,6 @@ func (t *Table) Snapshot() *TableSnapshot {
 		if cv.dict != nil {
 			cs.Dict = cv.dict.strs
 		}
-		if len(cv.exc) > 0 {
-			cs.Exc = make([]ExcEntry, 0, len(cv.exc))
-			for row, v := range cv.exc {
-				cs.Exc = append(cs.Exc, ExcEntry{Row: row, Val: v})
-			}
-			sort.Slice(cs.Exc, func(a, b int) bool { return cs.Exc[a].Row < cs.Exc[b].Row })
-		}
 		s.Columns[i] = cs
 	}
 	return s
@@ -104,9 +84,8 @@ func (t *Table) Snapshot() *TableSnapshot {
 // bitmap words can be sliced without shifting (the chunked segment
 // format fixes its chunk size to a multiple of 64 rows for exactly
 // this reason). String columns are re-coded against a fresh local
-// dictionary in first-appearance order within the slice, and exception
-// rows are rebased to the slice, so the result satisfies every
-// invariant TableFromSnapshot checks: a chunk is a valid table in its
+// dictionary in first-appearance order within the slice, so the result
+// satisfies every invariant TableFromSnapshot checks: a chunk is a valid table in its
 // own right. Generation is 0 — a chunk has no mutation history of its
 // own; the chunked segment directory carries the table's generation.
 func (s *TableSnapshot) SliceSnapshot(lo, hi int) (*TableSnapshot, error) {
@@ -140,31 +119,18 @@ func (s *TableSnapshot) SliceSnapshot(lo, hi int) (*TableSnapshot, error) {
 		nullAt := func(r int) bool { // r is slice-local
 			return words[r/64]&(1<<uint(r%64)) != 0
 		}
-		// Exceptions in range, rebased to the slice.
-		excAt := make(map[int]Value)
-		for _, e := range cs.Exc {
-			if e.Row >= lo && e.Row < hi {
-				oc.Exc = append(oc.Exc, ExcEntry{Row: e.Row - lo, Val: e.Val})
-				excAt[e.Row-lo] = e.Val
-			}
-		}
 		switch cs.Col.Typ {
 		case TInt:
 			oc.Ints = cs.Ints[lo:hi]
 		case TFloat:
 			oc.Floats = cs.Floats[lo:hi]
 		case TString:
-			// Re-code against a local dictionary. Rows that store no
-			// payload (NULL, or an exception of another type) keep code
-			// 0 without interning, mirroring colVec.append.
+			// Re-code against a local dictionary. NULL rows keep code 0
+			// without interning, mirroring colVec.append.
 			oc.Codes = make([]uint32, rows)
 			local := make(map[string]uint32)
 			for r := 0; r < rows; r++ {
-				zero := nullAt(r)
-				if e, ok := excAt[r]; ok {
-					zero = e.Null || e.Typ != TString
-				}
-				if zero {
+				if nullAt(r) {
 					continue
 				}
 				gc := cs.Codes[lo+r]
@@ -190,7 +156,7 @@ func (s *TableSnapshot) SliceSnapshot(lo, hi int) (*TableSnapshot, error) {
 // TableFromSnapshot rebuilds a Table from a snapshot, adopting the
 // snapshot's slices as the table's backing store. Every structural
 // invariant the append path maintains is re-checked — vector lengths,
-// bitmap shape, dictionary canonicality, exception faithfulness — so a
+// bitmap shape, dictionary canonicality — so a
 // snapshot decoded from an untrusted byte stream either yields a table
 // bit-identical to the one that produced it or a descriptive error,
 // never a panic and never a silently wrong table. Byte accounting is
@@ -316,41 +282,15 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 		}
 	}
 
-	// Exceptions: strictly ascending rows in range, null bit agreeing
-	// with the exception value, zeroed payload slot underneath, and a
-	// value that genuinely does not round-trip (otherwise append would
-	// not have recorded it, and re-encoding would not be stable).
-	prev := -1
-	for _, e := range cs.Exc {
-		if e.Row <= prev {
-			return bad("exception rows not strictly ascending (%d after %d)", e.Row, prev)
-		}
-		if e.Row < 0 || e.Row >= rows {
-			return bad("exception row %d out of range [0,%d)", e.Row, rows)
-		}
-		prev = e.Row
-		if nulls.Get(e.Row) != e.Val.Null {
-			return bad("exception at row %d: null bit %v disagrees with value nullness %v",
-				e.Row, nulls.Get(e.Row), e.Val.Null)
-		}
-	}
-
 	// Dictionary canonicality and per-row payload invariants, modeled
-	// exactly on colVec.append: a row stores its payload in the vector
-	// when the appended value is non-NULL and of the declared type
-	// (even exception rows — an exception whose Typ matches carries
-	// extra fields, not a different payload), and a zero slot
-	// otherwise; dictionary entries appear in first-appearance order
-	// with no unused or duplicate entries. Enforcing the same shape
-	// here makes snapshot->table->snapshot the identity, which the
-	// golden-format and fuzz round-trip tests rely on.
-	//
-	// A NULL row holds a zero slot whether or not it carries an
-	// exception (the null bits agree, checked above), so the numeric
-	// columns walk the set bits of the bitmap word by word and then
-	// patch in the handful of exception rows; plain non-NULL rows put no
-	// constraint on a numeric vector and are never visited.
-	typed := func(e *ExcEntry) bool { return !e.Val.Null && e.Val.Typ == cs.Col.Typ }
+	// exactly on colVec.append: a NULL row holds a zero payload slot and
+	// every other row its value; dictionary entries appear in
+	// first-appearance order with no unused or duplicate entries.
+	// Enforcing the same shape here makes snapshot->table->snapshot the
+	// identity, which the golden-format and fuzz round-trip tests rely
+	// on. Non-NULL rows put no constraint on a numeric vector, so the
+	// numeric columns visit only the set bits of the bitmap, word by
+	// word.
 	var dict *Dict
 	switch cs.Col.Typ {
 	case TInt:
@@ -361,15 +301,6 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 				}
 			}
 		}
-		for i := range cs.Exc {
-			e, want := &cs.Exc[i], int64(0)
-			if typed(e) {
-				want = e.Val.I
-			}
-			if cs.Ints[e.Row] != want {
-				return bad("row %d payload slot is %d, want %d", e.Row, cs.Ints[e.Row], want)
-			}
-		}
 	case TFloat:
 		for wi, w := range cs.NullWords {
 			for ; w != 0; w &= w - 1 {
@@ -378,40 +309,19 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 				}
 			}
 		}
-		for i := range cs.Exc {
-			e, want := &cs.Exc[i], uint64(0)
-			if typed(e) {
-				want = math.Float64bits(e.Val.F)
-			}
-			if math.Float64bits(cs.Floats[e.Row]) != want {
-				return bad("row %d payload slot is %v, want bits %x", e.Row, cs.Floats[e.Row], want)
-			}
-		}
 	case TString:
 		dict = &Dict{strs: cs.Dict}
 		if ds, dup := firstDuplicate(cs.Dict); dup {
 			return bad("dictionary entry %q duplicated", ds)
 		}
 		next := uint32(0) // next first-appearance code expected
-		ei := 0           // cursor over cs.Exc, which ascends with r
 		for r, c := range cs.Codes {
-			var e *ExcEntry
-			if ei < len(cs.Exc) && cs.Exc[ei].Row == r {
-				e = &cs.Exc[ei]
-				ei++
-			}
-			zero := nulls.set > 0 && nulls.Get(r)
-			if e != nil {
-				zero = !typed(e)
-			}
-			if zero {
+			if nulls.set > 0 && nulls.Get(r) {
 				if c != 0 {
-					return bad("row %d is NULL or type-mismatched but code slot is %d, want 0", r, c)
+					return bad("row %d is NULL but code slot is %d, want 0", r, c)
 				}
 				continue
 			}
-			// Plain rows and string-typed exception rows both intern
-			// their string, so both participate in dictionary order.
 			if c > next || int(c) >= len(cs.Dict) {
 				return bad("row %d has code %d out of first-appearance order (next new code %d, dict size %d)",
 					r, c, next, len(cs.Dict))
@@ -419,60 +329,30 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 			if c == next {
 				next++
 			}
-			if e != nil && cs.Dict[c] != e.Val.S {
-				return bad("row %d exception string %q disagrees with dictionary entry %q", r, e.Val.S, cs.Dict[c])
-			}
 		}
 		if int(next) != len(cs.Dict) {
 			return bad("dictionary has %d entries but only %d are referenced", len(cs.Dict), next)
 		}
 	}
 
-	cv := colVec{typ: cs.Col.Typ, nulls: nulls, ints: cs.Ints, floats: cs.Floats, codes: cs.Codes, dict: dict}
-	if len(cs.Exc) > 0 {
-		cv.exc = make(map[int]Value, len(cs.Exc))
-	}
-	// Faithfulness: an exception value must differ from what the
-	// vectors materialize. A round-tripping "exception" would re-encode
-	// differently than the append path produces.
-	for _, e := range cs.Exc {
-		if e.Val.BitEqual(cv.materialize(e.Row)) {
-			return bad("exception at row %d is bit-equal to the vector value %v; append would not have recorded it", e.Row, e.Val)
-		}
-		cv.exc[e.Row] = e.Val
-	}
-	return cv, nil
+	return colVec{typ: cs.Col.Typ, nulls: nulls, ints: cs.Ints, floats: cs.Floats, codes: cs.Codes, dict: dict}, nil
 }
 
 // widthSum returns the accounting width of every value in the column,
 // what AppendRow's running total holds for it: 1 per NULL, 8 per
-// numeric, the string length (min 1) per string, with each exception
-// row patched from its vector value's width to its exact value's. Table
-// byte accounting and index sizes (Table.WidthSum) both come from here.
+// numeric, the string length (min 1) per string. Table byte accounting
+// and index sizes (Table.WidthSum) both come from here.
 func (cv *colVec) widthSum() int64 {
 	rows, nulls := int64(cv.nulls.n), int64(cv.nulls.set)
-	var b int64
-	switch {
-	case cv.typ != TString:
-		b = nulls + 8*(rows-nulls)
-	case cv.dict.Len() == 0:
-		// Every row materializes as NULL or the empty-string placeholder.
-		b = rows
-	default:
-		b = nulls
-		for r, c := range cv.codes {
-			if nulls > 0 && cv.nulls.Get(r) {
-				continue
-			}
-			if n := len(cv.dict.strs[c]); n > 0 {
-				b += int64(n)
-			} else {
-				b++
-			}
-		}
+	if cv.typ != TString {
+		return nulls + 8*(rows-nulls)
 	}
-	for row, v := range cv.exc {
-		b += int64(v.Width() - cv.materialize(row).Width())
+	b := nulls
+	for r, c := range cv.codes {
+		if nulls > 0 && cv.nulls.Get(r) {
+			continue
+		}
+		b += int64(max(len(cv.dict.strs[c]), 1))
 	}
 	return b
 }

@@ -7,9 +7,8 @@ import (
 )
 
 // snapshotTable builds a table exercising every storage shape: all
-// three types, NULLs, duplicate strings, non-finite floats, and
-// bit-faithfulness exceptions (values appended with a type other than
-// the declared column type).
+// three types, NULLs, duplicate strings, the empty string, and
+// non-finite and negative-zero floats.
 func snapshotTable(t *testing.T) *Table {
 	t.Helper()
 	tbl := NewTable("snap", []Column{
@@ -24,10 +23,8 @@ func snapshotTable(t *testing.T) *Table {
 		{Int(3), Int(1), Str("alpha"), Float(math.Copysign(0, -1))},
 		{Int(4), Int(2), NullOf(TString), Float(math.Inf(1))},
 		{Int(5), Int(2), Str(""), NullOf(TFloat)},
-		// Exceptions: wrong-typed appends that the vectors cannot
-		// represent bit-faithfully.
-		{Int(6), Int(1), Int(42), Str("4.25")},
-		{Int(7), Int(3), Str("gamma"), NullOf(TString)},
+		{Int(6), Int(1), Str("42"), Float(4.25)},
+		{Int(7), Int(3), Str("gamma"), NullOf(TFloat)},
 	}
 	for _, r := range rows {
 		tbl.AppendRow(r)
@@ -79,12 +76,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	tablesBitEqual(t, tbl, got)
 	// The restored table must keep working as a live table: typed
-	// accessors refuse dirty columns, appends continue the generation.
+	// accessors serve its columns, appends continue the generation.
 	if _, _, ok := got.IntCol(0); !ok {
-		t.Error("restored clean INT column not servable by IntCol")
+		t.Error("restored INT column not servable by IntCol")
 	}
-	if _, _, _, ok := got.StrCol(2); ok {
-		t.Error("restored column with exceptions must not be servable by StrCol")
+	if _, _, _, ok := got.StrCol(2); !ok {
+		t.Error("restored VARCHAR column not servable by StrCol")
 	}
 	gen := got.Generation()
 	got.AppendRow([]Value{Int(8), Int(1), Str("delta"), Float(2)})
@@ -112,9 +109,6 @@ func TestSnapshotRoundTripRandom(t *testing.T) {
 				switch {
 				case rng.Intn(8) == 0:
 					row[c] = NullOf(col.Typ)
-				case rng.Intn(16) == 0:
-					// Wrong-typed append: lands in the exception slot.
-					row[c] = Value{Typ: Type(rng.Intn(3)), I: int64(rng.Intn(9)), F: rng.Float64(), S: words[rng.Intn(len(words))]}
 				default:
 					switch col.Typ {
 					case TInt:
@@ -168,23 +162,8 @@ func TestTableFromSnapshotRejects(t *testing.T) {
 			c.Dict[1] = c.Dict[0]
 		}},
 		{"null row with payload", func(s *TableSnapshot) { s.Columns[1].Ints[0] = 5 }},
-		{"exception row out of range", func(s *TableSnapshot) { s.Columns[2].Exc[0].Row = 99 }},
-		{"exception rows unsorted", func(s *TableSnapshot) {
-			c := &s.Columns[2]
-			c.Exc = append(c.Exc, ExcEntry{Row: c.Exc[0].Row, Val: c.Exc[0].Val})
-		}},
-		{"exception null bit disagrees", func(s *TableSnapshot) {
-			c := &s.Columns[2]
-			v := c.Exc[0].Val
-			v.Null = !v.Null
-			c.Exc[0].Val = v
-		}},
-		{"round-tripping exception", func(s *TableSnapshot) {
-			// Claim an exception whose value is exactly what the
-			// vectors materialize: append would never record it.
-			c := &s.Columns[0]
-			c.Exc = []ExcEntry{{Row: 0, Val: Int(c.Ints[0])}}
-		}},
+		{"null float with payload", func(s *TableSnapshot) { s.Columns[3].Floats[4] = math.Copysign(0, -1) }},
+		{"null string with code", func(s *TableSnapshot) { s.Columns[2].Codes[3] = 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -109,7 +109,7 @@ func mustIndexColumns(table string, cols []Column) map[string]int {
 // require a prior Hydrate call, which resolves the resident form
 // through load and must land on exactly the declared shape. Typed
 // kernel accessors (IntCol/FloatCol/StrCol) report ok=false while
-// unhydrated, matching their "no clean vector available" contract.
+// unhydrated, matching their "no vector available" contract.
 func NewVirtualTable(name, parent string, cols []Column, rows int, gen, bytes int64, load func() (*Table, error)) *Table {
 	t := &Table{Name: name, Parent: parent, Columns: cols,
 		nrows: rows, gen: gen, bytes: bytes,
@@ -278,13 +278,20 @@ func RowBytes(row []Value) int64 {
 	return b
 }
 
-// AppendRow adds a row; it must have exactly one value per column. The
-// values are decomposed into the column vectors — the slice is not
-// retained, so callers may reuse it.
+// AppendRow adds a row; it must have exactly one value per column, and
+// each must fit its column's type (Value.Fits) — a loader coerces at the
+// door, so any other value is a programmer error and panics. The values
+// are decomposed into the column vectors — the slice is not retained, so
+// callers may reuse it.
 func (t *Table) AppendRow(row []Value) {
 	t.requireWhole()
 	if len(row) != len(t.Columns) {
 		panic(fmt.Sprintf("rel: row width %d != %d columns in %s", len(row), len(t.Columns), t.Name))
+	}
+	for i, v := range row {
+		if c := &t.Columns[i]; !v.Fits(c.Typ) {
+			panic(fmt.Sprintf("rel: %#v does not fit %s.%s, a %v column", v, t.Name, c.Name, c.Typ))
+		}
 	}
 	for i, v := range row {
 		t.cols[i].append(v)
@@ -326,19 +333,12 @@ func (t *Table) ValueAt(row, col int) Value {
 // IsNullAt reports whether the value at (row, col) is NULL.
 func (t *Table) IsNullAt(row, col int) bool {
 	t.requireColumn(col)
-	cv := &t.cols[col]
-	if cv.exc != nil {
-		if v, ok := cv.exc[row]; ok {
-			return v.Null
-		}
-	}
-	return cv.nulls.Get(row)
+	return t.cols[col].nulls.Get(row)
 }
 
 // WidthSum returns Value.Width summed over the cells of column ci, read
 // off its vectors: 8 per number and 1 per NULL from the null bitmap's
-// count, one length per string, and the exact value only for exception
-// rows.
+// count, and one length per string.
 func (t *Table) WidthSum(ci int) int64 {
 	t.requireColumn(ci)
 	return t.cols[ci].widthSum()
@@ -357,16 +357,15 @@ func (t *Table) ReadRowInto(dst []Value, rid int) {
 }
 
 // IntCol returns the int64 vector and null bitmap of column ci, with
-// ok=true only when the column is TInt and every stored value
-// round-trips through the vector (no type-mismatched exceptions) — the
-// precondition for the executor's typed kernels. The vector includes
-// rows whose bit is set in the bitmap (their payload slot is 0).
+// ok=false only when the column is not TInt, is absent, or the table is
+// a virtual shell. The vector includes rows whose bit is set in the
+// bitmap (their payload slot is 0).
 func (t *Table) IntCol(ci int) (vals []int64, nulls *Bitmap, ok bool) {
 	if t.virtual.Load() {
 		return nil, nil, false
 	}
 	cv := &t.cols[ci]
-	if cv.typ != TInt || cv.absent || !cv.clean() {
+	if cv.typ != TInt || cv.absent {
 		return nil, nil, false
 	}
 	return cv.ints, &cv.nulls, true
@@ -378,20 +377,20 @@ func (t *Table) FloatCol(ci int) (vals []float64, nulls *Bitmap, ok bool) {
 		return nil, nil, false
 	}
 	cv := &t.cols[ci]
-	if cv.typ != TFloat || cv.absent || !cv.clean() {
+	if cv.typ != TFloat || cv.absent {
 		return nil, nil, false
 	}
 	return cv.floats, &cv.nulls, true
 }
 
 // StrCol returns the dictionary codes, dictionary, and null bitmap of
-// a TString column under the same cleanliness precondition as IntCol.
+// a TString column, under IntCol's conditions.
 func (t *Table) StrCol(ci int) (codes []uint32, dict *Dict, nulls *Bitmap, ok bool) {
 	if t.virtual.Load() {
 		return nil, nil, nil, false
 	}
 	cv := &t.cols[ci]
-	if cv.typ != TString || cv.absent || !cv.clean() {
+	if cv.typ != TString || cv.absent {
 		return nil, nil, nil, false
 	}
 	return cv.codes, cv.dict, &cv.nulls, true
@@ -424,8 +423,7 @@ func (t *Table) Rows() [][]Value {
 // RowComparator returns the order of the table's rows by the given
 // columns, most significant first: cmp(a, b) compares rows a and b cell
 // by cell exactly as Value.Compare does (NULLs first, the NaN total
-// order), reading clean columns straight off their typed vectors and
-// only a column that holds exception values through ValueAt. The
+// order), reading the columns straight off their typed vectors. The
 // function reads the table as it is when called, so build it after the
 // last mutation.
 func (t *Table) RowComparator(cols []int) func(a, b int) int {

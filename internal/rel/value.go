@@ -171,11 +171,47 @@ func (v Value) SQLLiteral() string {
 	return v.String()
 }
 
+// Fits reports whether a column of type t holds v exactly: v is
+// NullOf(t), or a non-NULL value of type t with no payload in the other
+// fields. AppendRow takes exactly these values.
+func (v Value) Fits(t Type) bool {
+	if v.Typ != t {
+		return false
+	}
+	i, f, s := v.I != 0, math.Float64bits(v.F) != 0, v.S != ""
+	switch {
+	case v.Null:
+		return !i && !f && !s
+	case t == TInt:
+		return !f && !s
+	case t == TFloat:
+		return !i && !s
+	}
+	return t == TString && !i && !f
+}
+
+// CoerceExact converts v to a value that fits type t (see Fits) when
+// that loses nothing, and reports whether it could: a NULL becomes
+// NullOf(t), and a non-NULL value converts when converting the result
+// back gives v again (the int 7 and the string "7" convert both ways,
+// the string "07" and the float 7.5 do not convert to an int).
+func (v Value) CoerceExact(t Type) (Value, bool) {
+	if v.Fits(t) {
+		return v, true
+	}
+	c := v.Coerce(t)
+	return c, c.Fits(t) && (v.Null || !c.Null && c.Coerce(v.Typ).BitEqual(v))
+}
+
 // Coerce converts the value to the given column type where a sensible
 // conversion exists (e.g. the paper's quoted numbers: year = "1998").
+// Any NULL becomes NullOf(t): a coerced NULL carries no payload.
 func (v Value) Coerce(t Type) Value {
-	if v.Null || v.Typ == t {
-		return Value{Null: v.Null, Typ: t, I: v.I, F: v.F, S: v.S}
+	if v.Null {
+		return NullOf(t)
+	}
+	if v.Typ == t {
+		return v
 	}
 	switch t {
 	case TInt:

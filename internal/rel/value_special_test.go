@@ -118,4 +118,47 @@ func TestCoerceLexicalForms(t *testing.T) {
 	if v := Str("not-a-number").Coerce(TFloat); !v.Null {
 		t.Errorf("Coerce(\"not-a-number\", TFloat) = %v, want NULL", v)
 	}
+	// Any NULL coerces to NullOf(t): whatever payload it carried is gone,
+	// so the result fits a column of type t.
+	for _, v := range []Value{{Null: true, Typ: TString, S: "ghost"}, {Null: true, Typ: TInt, I: 4}, NullOf(TFloat)} {
+		for _, typ := range []Type{TInt, TFloat, TString} {
+			if c := v.Coerce(typ); !c.BitEqual(NullOf(typ)) || !c.Fits(typ) {
+				t.Errorf("Coerce(%#v, %v) = %#v, want NullOf(%v)", v, typ, c, typ)
+			}
+		}
+	}
+}
+
+// TestCoerceExact: a value converts for a column only when converting
+// back gives it again, bit for bit; a NULL always converts, to NullOf.
+func TestCoerceExact(t *testing.T) {
+	for _, tc := range []struct {
+		in   Value
+		typ  Type
+		want Value
+		ok   bool
+	}{
+		{Int(7), TInt, Int(7), true},
+		{Str("7"), TInt, Int(7), true},
+		{Int(7), TString, Str("7"), true},
+		{Int(7), TFloat, Float(7), true},
+		{Float(7), TInt, Int(7), true},
+		{Float(2.5), TString, Str("2.5"), true},
+		{Float(math.Copysign(0, -1)), TString, Str("-0"), true},
+		{Value{Null: true, Typ: TString, S: "ghost"}, TInt, NullOf(TInt), true},
+		{Str("07"), TInt, Int(7), false},
+		{Str(" 7"), TInt, Int(7), false},
+		{Str("x"), TInt, NullOf(TInt), false},
+		{Float(7.5), TInt, Int(7), false},
+		{Int(1<<53 + 1), TFloat, Float(1 << 53), false},
+		{Value{Typ: TInt, I: 7, S: "7"}, TInt, Value{Typ: TInt, I: 7, S: "7"}, false},
+	} {
+		got, ok := tc.in.CoerceExact(tc.typ)
+		if ok != tc.ok || ok && !got.BitEqual(tc.want) {
+			t.Errorf("CoerceExact(%#v, %v) = %#v, %v; want %#v, %v", tc.in, tc.typ, got, ok, tc.want, tc.ok)
+		}
+		if ok && !got.Fits(tc.typ) {
+			t.Errorf("CoerceExact(%#v, %v) = %#v, which does not fit", tc.in, tc.typ, got)
+		}
+	}
 }

@@ -230,8 +230,8 @@ func (s *shredder) buildRow(r *Relation, id, parentID int64, values map[int][]re
 			default:
 				v = rel.NullOf(c.Typ)
 			}
-			if !v.Null && v.Typ != c.Typ {
-				v = v.Coerce(c.Typ)
+			if v.Typ != c.Typ {
+				v = v.Coerce(c.Typ) // a NULL becomes NullOf(c.Typ)
 			}
 			if v.Null && !c.Nullable {
 				return nil, fmt.Errorf("shred: missing value for NOT NULL column %s.%s of %s",

@@ -84,8 +84,8 @@ type chunkedDir struct {
 // EncodeChunkedSegment serializes a snapshot into the chunked format
 // with chunkRows rows per chunk (must be a positive multiple of 64).
 // The encoding is deterministic: the same snapshot always yields the
-// same bytes (exceptions are sorted, dictionaries are in
-// first-appearance order), which the golden-format tests pin.
+// same bytes (dictionaries are in first-appearance order), which the
+// golden-format tests pin.
 func EncodeChunkedSegment(s *rel.TableSnapshot, chunkRows int) ([]byte, error) {
 	if chunkRows <= 0 || chunkRows%64 != 0 {
 		return nil, fmt.Errorf("storage: chunk size %d is not a positive multiple of 64", chunkRows)
@@ -134,7 +134,8 @@ func EncodeChunkedSegment(s *rel.TableSnapshot, chunkRows int) ([]byte, error) {
 }
 
 // encodeChunkPayload writes one chunk's column vectors. part is a
-// self-contained slice snapshot (local dictionary, rebased exceptions).
+// self-contained slice snapshot (local dictionary). Every column ends
+// with an empty exception section, which the reader requires.
 func encodeChunkPayload(part *rel.TableSnapshot) []byte {
 	var p []byte
 	for i := range part.Columns {
@@ -161,11 +162,7 @@ func encodeChunkPayload(part *rel.TableSnapshot) []byte {
 				p = binary.AppendUvarint(p, uint64(c))
 			}
 		}
-		p = binary.AppendUvarint(p, uint64(len(cs.Exc)))
-		for _, e := range cs.Exc {
-			p = binary.AppendUvarint(p, uint64(e.Row))
-			p = appendValue(p, e.Val)
-		}
+		p = binary.AppendUvarint(p, 0) // exception count
 	}
 	return p
 }
@@ -329,7 +326,7 @@ func (d *chunkedDir) fileSize() int64 {
 // TableFromSnapshot runs). A column outside cols is walked
 // with the same bounds checks and nothing is allocated for it. The
 // returned fragment holds exactly the columns in cols, self-contained
-// (local dictionary, local exception rows, generation 0) and ready to
+// (local dictionary, generation 0) and ready to
 // scan: it is what the pager caches. Nothing in it points into blob.
 // regions, when not nil, has one slot per column and receives the
 // length of every column's encoded region, the bytes the pager charges
@@ -366,7 +363,7 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte, cols []int, regions []int64
 		next++
 		// Structural validation: a column must be a valid column of the
 		// fragment in its own right (bitmap shape, dictionary
-		// canonicality, exception faithfulness) before any of its rows
+		// canonicality, zero payload under NULL) before any of its rows
 		// are served or merged.
 		if err := t.AdoptColumn(ci, &cs); err != nil {
 			return nil, fmt.Errorf("storage: chunk %d of %s: %w", k, d.Name, err)
@@ -385,8 +382,8 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte, cols []int, regions []int64
 // snapshots in order. Numeric vectors and bitmap words concatenate
 // directly (every chunk but the last holds a multiple of 64 rows);
 // string columns re-intern each chunk's local dictionary in row order,
-// which reproduces the original global first-appearance dictionary;
-// exception rows are rebased onto the table. The caller validates the
+// which reproduces the original global first-appearance dictionary.
+// The caller validates the
 // result through rel.TableFromSnapshot.
 func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot, error) {
 	if len(parts) != len(d.Chunks) {
@@ -399,19 +396,13 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 		RowCount:   d.RowCount,
 		Columns:    make([]rel.ColumnSnapshot, len(d.Cols)),
 	}
-	type strState struct {
-		dict  []string
-		codes map[string]uint32
-	}
-	states := make([]strState, len(d.Cols))
+	dicts := make([]rel.Dict, len(d.Cols)) // the TString columns' global dictionaries
 	for ci, col := range d.Cols {
 		out.Columns[ci].Col = col
 		if col.Typ == rel.TString {
-			states[ci].codes = make(map[string]uint32)
 			out.Columns[ci].Codes = make([]uint32, 0, d.RowCount)
 		}
 	}
-	base := 0
 	for pi, part := range parts {
 		if part.RowCount != d.Chunks[pi].Rows || len(part.Columns) != len(d.Cols) {
 			return nil, fmt.Errorf("storage: chunk %d of %s has shape %d rows / %d cols, directory says %d / %d",
@@ -420,11 +411,6 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 		for ci := range d.Cols {
 			cs := &part.Columns[ci]
 			oc := &out.Columns[ci]
-			excAt := make(map[int]rel.Value, len(cs.Exc))
-			for _, e := range cs.Exc {
-				excAt[e.Row] = e.Val
-				oc.Exc = append(oc.Exc, rel.ExcEntry{Row: e.Row + base, Val: e.Val})
-			}
 			oc.NullWords = append(oc.NullWords, cs.NullWords...)
 			switch d.Cols[ci].Typ {
 			case rel.TInt:
@@ -432,16 +418,10 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 			case rel.TFloat:
 				oc.Floats = append(oc.Floats, cs.Floats...)
 			case rel.TString:
-				st := &states[ci]
 				for r := 0; r < part.RowCount; r++ {
-					// Rows that store no payload (NULL, or an exception
-					// of another type) keep code 0 without interning,
+					// NULL rows keep code 0 without interning,
 					// mirroring colVec.append.
-					zero := cs.NullWords[r/64]&(1<<uint(r%64)) != 0
-					if e, ok := excAt[r]; ok {
-						zero = e.Null || e.Typ != rel.TString
-					}
-					if zero {
+					if cs.NullWords[r/64]&(1<<uint(r%64)) != 0 {
 						oc.Codes = append(oc.Codes, 0)
 						continue
 					}
@@ -450,22 +430,14 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 						return nil, fmt.Errorf("storage: chunk %d of %s: row %d code %d exceeds local dictionary %d",
 							pi, d.Name, r, lc, len(cs.Dict))
 					}
-					str := cs.Dict[lc]
-					gc, ok := st.codes[str]
-					if !ok {
-						gc = uint32(len(st.dict))
-						st.dict = append(st.dict, str)
-						st.codes[str] = gc
-					}
-					oc.Codes = append(oc.Codes, gc)
+					oc.Codes = append(oc.Codes, dicts[ci].Intern(cs.Dict[lc]))
 				}
 			}
 		}
-		base += part.RowCount
 	}
 	for ci := range d.Cols {
 		if d.Cols[ci].Typ == rel.TString {
-			out.Columns[ci].Dict = states[ci].dict
+			out.Columns[ci].Dict = dicts[ci].Strs()
 		}
 	}
 	return out, nil

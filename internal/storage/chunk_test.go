@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -15,8 +16,8 @@ import (
 // multiChunkDB builds a database whose tables span several chunks at
 // 64 rows/chunk, with every storage shape crossing chunk boundaries:
 // NULLs, duplicate strings (some repeating across chunks, some local),
-// non-finite floats, and wrong-typed appends (exception slots) placed
-// on both sides of boundary rows.
+// strings that read as numbers, and non-finite and negative-zero floats,
+// placed on both sides of boundary rows.
 func multiChunkDB(rows int) *rel.Database {
 	t := rel.NewTable("fact", []rel.Column{
 		{Name: rel.IDColumn, Typ: rel.TInt},
@@ -32,7 +33,7 @@ func multiChunkDB(rows int) *rel.Database {
 		case 1:
 			row[2] = rel.NullOf(rel.TString)
 		case 2:
-			row[2] = rel.Int(int64(1900 + i)) // wrong type: exception slot
+			row[2] = rel.Str(fmt.Sprint(1900 + i))
 		default:
 			row[2] = rel.Str(fmt.Sprintf("tag-%d", i/7)) // spans boundaries
 		}
@@ -44,7 +45,7 @@ func multiChunkDB(rows int) *rel.Database {
 		case 2:
 			row[3] = rel.NullOf(rel.TFloat)
 		case 3:
-			row[3] = rel.Str(fmt.Sprintf("%d.5", i)) // wrong type
+			row[3] = rel.Float(float64(i) + 0.5)
 		default:
 			row[3] = rel.Float(float64(i) / 3)
 		}
@@ -210,8 +211,9 @@ func TestSliceSnapshotSelfContained(t *testing.T) {
 // the checksum does not see — and the links behind it must still refuse
 // everything that is not a well-formed chunk: the envelope's magic,
 // version and length, the bounds-checked decode, and structural
-// validation. Two regions have nothing behind the checksum, and the
-// test says so: a live numeric value (any 64 bits are a value) and the
+// validation, and a non-empty exception section, which no build writes
+// any more, is refused as an unsupported format. Two regions have
+// nothing behind the checksum, and the test says so: a live numeric value (any 64 bits are a value) and the
 // envelope's own CRC field, which the decoder no longer hashes against
 // because the directory CRC already covers it.
 func TestChunkVerificationChainByRegion(t *testing.T) {
@@ -226,7 +228,7 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 		case 1:
 			n = rel.NullOf(rel.TInt)
 		case 2:
-			tag = rel.Int(5) // wrong-typed: the column's one exception
+			tag = rel.NullOf(rel.TString)
 		}
 		tb.AppendRow([]rel.Value{n, tag})
 	}
@@ -265,10 +267,11 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 	}
 	codes := at()
 	r.take(rows, "codes")
+	excCount := at()
 	r.uvarint("nexc")
-	excRow := at()
-	if r.err != nil || dn != 2 || blob[excRow] != 2 || blob[dictBytes] != '0' {
-		t.Fatalf("fixture layout drifted: err %v, dict %d, exception row byte %d, dict byte %q", r.err, dn, blob[excRow], blob[dictBytes])
+	if r.err != nil || dn != 2 || blob[excCount] != 0 || at() != len(blob) || blob[dictBytes] != '0' {
+		t.Fatalf("fixture layout drifted: err %v, dict %d, exception count byte %d at %d of %d, dict byte %q",
+			r.err, dn, blob[excCount], excCount, len(blob), blob[dictBytes])
 	}
 
 	flip := func(off int, mask byte) func([]byte) []byte {
@@ -291,7 +294,14 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 		{"dictionary length", flip(dictLen, 0x01), true},
 		{"dictionary bytes: entry becomes a duplicate", flip(dictBytes, 0x01), true},
 		{"code varint", flip(codes, 0x01), true},
-		{"exception row", func(b []byte) []byte { b[excRow] = rows; return b }, true},
+		{"exception row", func(b []byte) []byte {
+			// One well-formed entry: row 2, a non-NULL INT 0 in the
+			// VARCHAR column, which the envelope admits to.
+			entry := []byte{2, 0, byte(rel.TInt), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
+			b[excCount] = 1
+			b[8] += byte(len(entry))
+			return append(b, entry...)
+		}, true},
 		{"trailing byte", func(b []byte) []byte {
 			b = append(b, 0)
 			b[8]++ // the envelope admits to the extra byte
@@ -312,6 +322,9 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 			}
 			if !tc.behindCRC && err != nil {
 				t.Fatalf("expected only the directory CRC to guard this region, but a later link refused it: %v", err)
+			}
+			if tc.name == "exception row" && !errors.Is(err, ErrUnsupportedFormat) {
+				t.Fatalf("%v, want ErrUnsupportedFormat", err)
 			}
 		})
 	}

@@ -437,7 +437,7 @@ func mustReadFrame(t *testing.T, p *pager, d *chunkedDir, k int) []byte {
 // points into the frame it came from. Each chunk is decoded from a
 // private copy of its frame, the copy is scribbled over, and the
 // fragment must still read bit-equal to the source rows — strings,
-// dictionary entries and exception payloads included.
+// and dictionary entries included.
 func TestChunkDecodeCopiesOutOfFrame(t *testing.T) {
 	tb := multiChunkDB(200).Table("fact")
 	enc, err := EncodeChunkedSegment(tb.Snapshot(), 64)

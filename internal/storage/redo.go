@@ -177,7 +177,7 @@ func decodeRedoBatchBody(body []byte) ([]redoRecord, error) {
 		}
 		row := make([]rel.Value, nvals)
 		for j := range row {
-			row[j] = r.value(true)
+			row[j] = r.value()
 		}
 		if r.err != nil {
 			return nil, r.err

@@ -75,7 +75,7 @@ func (s *Store) chunkScanLocked(e *TableEntry, tail []redoRecord) (*ChunkScan, e
 	if len(tail) > 0 {
 		ov := rel.NewTable(e.Name, d.Cols)
 		ov.Parent = e.Parent
-		if err := replayRedo(e.Name, len(d.Cols), tail, ov.AppendRow); err != nil {
+		if err := replayRedo(e.Name, d.Cols, tail, ov.AppendRow); err != nil {
 			return nil, err
 		}
 		cs.overlay = ov

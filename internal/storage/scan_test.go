@@ -23,9 +23,9 @@ import (
 
 // scanDB builds a parent/child database big enough to span many chunks
 // at 64 rows/chunk, with the value shapes that stress chunk-local
-// kernels: repeated strings, NULLs, non-finite floats, and wrong-typed
-// exception rows (which force the generic per-cell kernel fallback on
-// the chunks containing them while other chunks keep the typed paths).
+// kernels: repeated strings, strings that read as numbers in a few
+// chunks only (so chunk dictionaries differ), NULLs, and non-finite
+// floats.
 func scanDB(nrows int) *rel.Database {
 	db := rel.NewDatabase()
 	big := rel.NewTable("big", []rel.Column{
@@ -41,7 +41,7 @@ func scanDB(nrows int) *rel.Database {
 		case i%13 == 0:
 			tag = rel.NullOf(rel.TString)
 		case i%97 == 0:
-			tag = rel.Int(int64(i)) // exception: int in a string column
+			tag = rel.Str(fmt.Sprintf("%08d", i))
 		}
 		val := rel.Float(float64(i) / 3)
 		switch {
@@ -76,8 +76,8 @@ func scanDB(nrows int) *rel.Database {
 }
 
 // scanQueries drive the chunk-scan path end to end: a filtered scan
-// with typed int + dictionary string kernels, a scan over the
-// exception-bearing float column (generic fallback), a hash-join whose
+// with typed int + dictionary string kernels, a scan over the float
+// column with its NaNs and NULLs, a hash-join whose
 // probe side is a driver-stage chunk scan, and — last — a union of two
 // filtered scans of the same table.
 func scanQueries() []*sqlast.Query {

@@ -1,6 +1,6 @@
 // Package storage is the durable layer under internal/rel: it
 // serializes each table's columnar state (typed vectors, null bitmaps,
-// string dictionaries, bit-faithfulness exceptions) into versioned,
+// string dictionaries) into versioned,
 // checksummed chunked segment files, records the schema and the chosen
 // physical design in a manifest, and reopens the whole store with lazy
 // chunk-by-chunk loading plus a redo log so generation counters replay
@@ -101,9 +101,9 @@ func appendString(p []byte, s string) []byte {
 }
 
 // appendValue writes a full rel.Value: null flag, type, and all three
-// payload fields. Exceptions and redo records may carry values whose
-// payload fields are populated beyond the declared type (e.g. after
-// Coerce), so all of I, F, and S are preserved bit-for-bit.
+// payload fields, so a redo record's values are preserved bit for bit
+// and a record that does not fit its column reads back as exactly what
+// was written, for replay to refuse by name.
 func appendValue(p []byte, v rel.Value) []byte {
 	p = append(p, boolByte(v.Null), byte(v.Typ))
 	p = binary.AppendVarint(p, v.I)
@@ -201,7 +201,8 @@ func (r *reader) fixed(n uint64, what string) []byte {
 }
 
 // columnData decodes one column's data region — null bitmap, typed
-// payload vector, exceptions — into cs, whose Col is already set.
+// payload vector, and an exception section that must be empty — into
+// cs, whose Col is already set.
 // Every allocation is sized by a count already checked against the
 // remaining payload. With keep false the region is only walked: every
 // bounds check runs, nothing is allocated, and cs is left as it was —
@@ -239,24 +240,12 @@ func (r *reader) columnData(cs *rel.ColumnSnapshot, rows uint64, keep bool) {
 	default:
 		r.failf("unknown column type %d", cs.Col.Typ)
 	}
-	nexc := r.uvarint("exception count")
-	if nexc > rows {
-		r.failf("exception count %d exceeds row count %d", nexc, rows)
-	}
-	if r.err != nil || nexc == 0 {
-		return
-	}
-	if !keep {
-		for ei := uint64(0); ei < nexc && r.err == nil; ei++ {
-			r.uvarint("exception row")
-			r.value(false)
-		}
-		return
-	}
-	cs.Exc = make([]rel.ExcEntry, nexc)
-	for ei := range cs.Exc {
-		cs.Exc[ei].Row = int(r.uvarint("exception row"))
-		cs.Exc[ei].Val = r.value(true)
+	// A column holds one type, so the writer emits an empty exception
+	// section. Entries would be cells of another type, which only an
+	// older build could have stored and which no column can hold.
+	if nexc := r.uvarint("exception count"); r.err == nil && nexc != 0 {
+		r.err = fmt.Errorf("%w: %s column %q at offset %d carries %d exception entries; a column holds values of its own type only",
+			ErrUnsupportedFormat, r.kind, cs.Col.Name, r.off, nexc)
 	}
 }
 
@@ -354,17 +343,14 @@ func (r *reader) str(what string) string {
 	return string(r.take(r.uvarint(what+" length"), what))
 }
 
-// value decodes a full rel.Value. With keep false it runs the same
-// checks and returns the zero Value without allocating its string.
-func (r *reader) value(keep bool) rel.Value {
+// value decodes a full rel.Value.
+func (r *reader) value() rel.Value {
 	var v rel.Value
 	null := r.byte("value null flag")
 	typ := r.byte("value type")
 	v.I = r.varint("value int payload")
 	v.F = math.Float64frombits(r.u64("value float payload"))
-	if s := r.take(r.uvarint("value string payload length"), "value string payload"); keep {
-		v.S = string(s)
-	}
+	v.S = r.str("value string payload")
 	if r.err != nil {
 		return rel.Value{}
 	}
@@ -376,9 +362,6 @@ func (r *reader) value(keep bool) rel.Value {
 	case rel.TInt, rel.TFloat, rel.TString:
 	default:
 		r.failf("value has unknown type %d", typ)
-		return rel.Value{}
-	}
-	if !keep {
 		return rel.Value{}
 	}
 	v.Null = null == 1

@@ -26,6 +26,21 @@ var ErrClosed = errors.New("storage: store is closed")
 // the one this build reads.
 var ErrUnsupportedFormat = errors.New("storage: unsupported format")
 
+// TypeError refuses a value that does not fit column Column of Table,
+// of type Type: in an append, one that does not convert losslessly to
+// Type; in a redo record, one not of Type (see rel.Value.Fits). Row is
+// the row's index in the appended batch or the record's in the redo tail.
+type TypeError struct {
+	Table, Column string
+	Row           int
+	Value         rel.Value
+	Type          rel.Type
+}
+
+func (e *TypeError) Error() string {
+	return fmt.Sprintf("storage: row %d of %q: %#v does not fit column %s, a %v column", e.Row, e.Table, e.Value, e.Column, e.Type)
+}
+
 // Options configures Save and Open.
 type Options struct {
 	// Registry receives storage metrics (segment loads, bytes, latency,
@@ -322,7 +337,7 @@ func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, er
 		return nil, fmt.Errorf("storage: segment %s decodes to %d rows / generation %d / %d bytes, manifest says %d / %d / %d",
 			e.File, t.RowCount(), t.Generation(), t.Bytes(), e.Rows, e.Generation, e.Bytes)
 	}
-	if err := replayRedo(e.Name, len(t.Columns), tail, t.AppendRow); err != nil {
+	if err := replayRedo(e.Name, t.Columns, tail, t.AppendRow); err != nil {
 		return nil, err
 	}
 	s.reg.Counter("storage.segment.loads").Inc()
@@ -330,13 +345,20 @@ func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, er
 	return t, nil
 }
 
-// replayRedo applies a table's redo tail in commit order, rejecting any
-// record whose width disagrees with the table's ncols columns.
-func replayRedo(table string, ncols int, tail []redoRecord, apply func(row []rel.Value)) error {
-	for _, rec := range tail {
-		if len(rec.Row) != ncols {
+// replayRedo applies a table's redo tail in commit order. AppendBatch
+// logs only values that fit their columns, so it refuses a record whose
+// width disagrees with cols or whose value does not fit its column (a
+// *TypeError): apply never sees a row AppendRow would panic on.
+func replayRedo(table string, cols []rel.Column, tail []redoRecord, apply func(row []rel.Value)) error {
+	for i, rec := range tail {
+		if len(rec.Row) != len(cols) {
 			return fmt.Errorf("storage: redo record for table %q has %d values, table has %d columns",
-				table, len(rec.Row), ncols)
+				table, len(rec.Row), len(cols))
+		}
+		for ci, v := range rec.Row {
+			if !v.Fits(cols[ci].Typ) {
+				return &TypeError{Table: table, Column: cols[ci].Name, Row: i, Value: v, Type: cols[ci].Typ}
+			}
 		}
 		apply(rec.Row)
 	}
@@ -540,13 +562,16 @@ func (s *Store) Append(table string, row []rel.Value) error {
 
 // AppendBatch durably logs a batch of row appends under a single
 // fsync. Batches from concurrent appenders that queue while a flush is
-// in progress coalesce into the next fsync.
+// in progress coalesce into the next fsync. Each value is logged as its
+// column's type: one that converts losslessly is converted (see
+// rel.Value.CoerceExact), and any other refuses the whole batch with a
+// *TypeError before anything is logged.
 func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	if len(rows) == 0 {
 		return nil
 	}
 	// The verified segment directory carries the columns, so checking a
-	// row's width never assembles the table.
+	// row never assembles the table.
 	s.mu.Lock()
 	var cd *chunkedDir
 	e, err := s.entryLocked(table)
@@ -567,8 +592,18 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 		s.gcCur = &commitBatch{}
 	}
 	b := s.gcCur
-	for _, row := range rows {
-		b.recs = append(b.recs, redoRecord{Table: table, Row: append([]rel.Value(nil), row...)})
+	n := len(b.recs)
+	for i, row := range rows {
+		rec := redoRecord{Table: table, Row: make([]rel.Value, len(row))}
+		for ci, v := range row {
+			ok := false
+			if rec.Row[ci], ok = v.CoerceExact(cd.Cols[ci].Typ); !ok {
+				b.recs = b.recs[:n] // the open batch holds nothing of this one
+				s.mu.Unlock()
+				return &TypeError{Table: table, Column: cd.Cols[ci].Name, Row: i, Value: v, Type: cd.Cols[ci].Typ}
+			}
+		}
+		b.recs = append(b.recs, rec)
 	}
 	s.mu.Unlock()
 

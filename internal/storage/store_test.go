@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -18,8 +20,8 @@ import (
 )
 
 // fixtureDB builds a two-table parent/child database exercising every
-// storage shape: all three types, NULLs, duplicate strings, non-finite
-// floats, and bit-faithfulness exceptions (wrong-typed appends).
+// storage shape: all three types, NULLs, duplicate strings, strings that
+// read as numbers, and non-finite and negative-zero floats.
 func fixtureDB() *rel.Database {
 	book := rel.NewTable("book", []rel.Column{
 		{Name: rel.IDColumn, Typ: rel.TInt},
@@ -32,8 +34,7 @@ func fixtureDB() *rel.Database {
 		{rel.Int(2), rel.NullOf(rel.TInt), rel.Str("Data on the Web"), rel.Float(math.NaN())},
 		{rel.Int(3), rel.NullOf(rel.TInt), rel.Str("TCP/IP Illustrated"), rel.Float(math.Copysign(0, -1))},
 		{rel.Int(4), rel.NullOf(rel.TInt), rel.NullOf(rel.TString), rel.Float(math.Inf(1))},
-		// Wrong-typed appends: exception-slot rows.
-		{rel.Int(5), rel.NullOf(rel.TInt), rel.Int(1998), rel.Str("39.95")},
+		{rel.Int(5), rel.NullOf(rel.TInt), rel.Str("1998"), rel.Float(39.95)},
 	}
 	for _, r := range bookRows {
 		book.AppendRow(r)
@@ -245,8 +246,8 @@ func TestRedoReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Appends cover the exception path too: a wrong-typed value must
-	// survive the redo log bit-for-bit.
+	// An append is logged as its columns' types: the int -1 converts
+	// losslessly to the VARCHAR "-1", and a reopen replays it as that.
 	appends := [][]rel.Value{
 		{rel.Int(6), rel.NullOf(rel.TInt), rel.Str("New Book"), rel.Float(12.5)},
 		{rel.Int(7), rel.NullOf(rel.TInt), rel.Int(-1), rel.Float(math.NaN())},
@@ -262,6 +263,9 @@ func TestRedoReplay(t *testing.T) {
 	}
 	if live.RowCount() != 7 {
 		t.Fatalf("live table has %d rows after appends, want 7", live.RowCount())
+	}
+	if v := live.ValueAt(6, 2); !v.BitEqual(rel.Str("-1")) {
+		t.Fatalf("appended title %#v, want the string -1", v)
 	}
 
 	again, err := Open(dir, Options{})
@@ -280,6 +284,101 @@ func TestRedoReplay(t *testing.T) {
 	}
 	if err := st.Append("ghost", appends[0]); err == nil {
 		t.Fatal("append to unknown table accepted")
+	}
+}
+
+// TestAppendRefusesValuesThatDoNotFit: AppendBatch refuses a batch
+// holding a value that does not convert losslessly to its column's type
+// with a *TypeError naming the table, column and row, before anything
+// is logged — the rows of the batch that did convert included. The redo
+// log's bytes stay as they were, and a reopen serves exactly the rows
+// from before.
+func TestAppendRefusesValuesThatDoNotFit(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Append("book", []rel.Value{rel.Int(6), rel.NullOf(rel.TInt), rel.Str("Logged"), rel.Float(1)}); err != nil {
+		t.Fatal(err)
+	}
+	before, err := st.Table("book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	redo := filepath.Join(dir, st.man.RedoFile)
+	logged, err := os.ReadFile(redo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		col  string
+		row  int
+		rows [][]rel.Value
+	}{
+		{"price", 1, [][]rel.Value{
+			{rel.Int(7), rel.NullOf(rel.TInt), rel.Int(1998), rel.Str("39.95")}, // converts: "1998", 39.95
+			{rel.Int(8), rel.NullOf(rel.TInt), rel.Str("Cheap"), rel.Str("cheap")},
+		}},
+		{"ID", 0, [][]rel.Value{{rel.Float(8.5), rel.NullOf(rel.TInt), rel.Str("Half"), rel.Float(1)}}},
+		{"title", 0, [][]rel.Value{{rel.Int(9), rel.NullOf(rel.TInt), {Typ: rel.TString, S: "Stray", I: 1}, rel.Float(1)}}},
+		{"PID", 0, [][]rel.Value{{rel.Int(9), rel.Str("01"), rel.Str("Padded"), rel.Float(1)}}},
+	} {
+		err := st.AppendBatch("book", tc.rows)
+		var te *TypeError
+		if !errors.As(err, &te) || te.Table != "book" || te.Column != tc.col || te.Row != tc.row {
+			t.Fatalf("%s: AppendBatch: %v, want a *TypeError for book.%s row %d", tc.col, err, tc.col, tc.row)
+		}
+		if after, err := os.ReadFile(redo); err != nil || !bytes.Equal(after, logged) {
+			t.Fatalf("%s: the refused batch changed the redo log (%d bytes, was %d; %v)", tc.col, len(after), len(logged), err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened, err := again.Table("book")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablesBitEqual(t, before, reopened)
+}
+
+// TestReplayRefusesRecordsThatDoNotFit: a redo record whose value is not
+// its column's type — which AppendBatch never logs — is refused by name
+// with a *TypeError instead of being applied, so a foreign or corrupt
+// log never reaches AppendRow's panic. A NULL carrying a payload does
+// not fit either.
+func TestReplayRefusesRecordsThatDoNotFit(t *testing.T) {
+	cols := fixtureDB().Table("book").Columns
+	good := redoRecord{Table: "book", Row: []rel.Value{rel.Int(6), rel.NullOf(rel.TInt), rel.Str("ok"), rel.Float(1)}}
+	for _, tc := range []struct {
+		col string
+		row []rel.Value
+	}{
+		{"title", []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Int(1998), rel.Float(1)}},
+		{"price", []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Str("ok"), rel.NullOf(rel.TInt)}},
+		{"PID", []rel.Value{rel.Int(7), {Null: true, Typ: rel.TInt, I: 3}, rel.Str("ok"), rel.Float(1)}},
+	} {
+		applied := 0
+		err := replayRedo("book", cols, []redoRecord{good, {Table: "book", Row: tc.row}}, func([]rel.Value) { applied++ })
+		var te *TypeError
+		ci := slices.IndexFunc(cols, func(c rel.Column) bool { return c.Name == tc.col })
+		if !errors.As(err, &te) || te.Table != "book" || te.Column != tc.col || te.Row != 1 || !te.Value.BitEqual(tc.row[ci]) {
+			t.Fatalf("%s: replay: %v, want a *TypeError for book.%s record 1", tc.col, err, tc.col)
+		}
+		if applied != 1 {
+			t.Fatalf("%s: %d records applied, want only the one before the refusal", tc.col, applied)
+		}
+	}
+	if err := replayRedo("book", cols, []redoRecord{good}, func([]rel.Value) {}); err != nil {
+		t.Fatalf("a record that fits: %v", err)
 	}
 }
 
