@@ -96,7 +96,11 @@ func Build(db *rel.Database, cfg *physical.Config) (*Built, error) {
 	}
 	ranks := rankTables{}
 	for _, idx := range cfg.Indexes {
-		bi, err := buildIndex(db, idx, ranks)
+		t := db.Table(idx.Table)
+		if t == nil {
+			return nil, fmt.Errorf("engine: index %s on unknown table %s", idx.Name, idx.Table)
+		}
+		bi, err := buildIndex(t, idx, ranks)
 		if err != nil {
 			return nil, err
 		}
@@ -228,11 +232,26 @@ func buildView(db *rel.Database, v *physical.View) (*rel.Table, error) {
 		return nil, err
 	}
 	// The view holds what the hash join it replaces returns: each inner row
-	// matched to every outer row its PID joins, by the join's own table.
-	jt := buildJoinTable(outer, oid, outer.Columns[oid].Typ == rel.TInt && inner.Columns[pid].Typ == rel.TInt)
+	// matched to every outer row its PID joins, through the join's own key
+	// index, in document order.
+	if err := intKey(outer, rel.IDColumn); err != nil {
+		return nil, err
+	}
+	if err := intKey(inner, rel.PIDColumn); err != nil {
+		return nil, err
+	}
+	bi, err := buildIndex(outer, &physical.Index{Name: v.Name, Table: v.Outer, Key: []string{rel.IDColumn}}, rankTables{})
+	if err != nil {
+		return nil, err
+	}
+	pids, nulls, _ := inner.IntCol(pid)
 	out := make([]rel.Value, 0, len(cols)) // AppendRow copies, so one scratch row suffices
-	for ir, n := 0, inner.RowCount(); ir < n; ir++ {
-		jt.probe(inner.ValueAt(ir, pid), func(or int32) {
+	finger := 0
+	for ir := range pids {
+		if nulls.Any() && nulls.Get(ir) {
+			continue
+		}
+		for _, or := range bi.seekInt(pids[ir], &finger) {
 			out = out[:0]
 			for _, ci := range outerIdx {
 				out = append(out, outer.ValueAt(int(or), ci))
@@ -241,7 +260,7 @@ func buildView(db *rel.Database, v *physical.View) (*rel.Table, error) {
 				out = append(out, inner.ValueAt(ir, ci))
 			}
 			vt.AppendRow(out)
-		})
+		}
 	}
 	return vt, nil
 }

@@ -9,13 +9,15 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/physical"
 	"repro/internal/rel"
 	"repro/internal/sqlast"
 )
 
 // builtCaches holds the plan-lifetime execution structures of a Built:
-// join hash tables keyed by (source, column), EXISTS probe sets keyed
-// by predicate, and compiled PreparedPlans keyed by plan fingerprint (a
+// key indexes of hash joins and unrestricted EXISTS keyed by (source,
+// column), the indexes of restricted EXISTS keyed by predicate, and
+// compiled PreparedPlans keyed by plan fingerprint (a
 // partition holds nothing: it is a column set of its base table, see
 // addPartition). Everything is built lazily on first use and shared
 // across repeated executions and across plans over the same Built — the
@@ -38,8 +40,8 @@ import (
 // row-at-a-time reference executor.
 type builtCaches struct {
 	mu       sync.Mutex
-	joins    map[string]*centry[*joinTable]
-	exists   map[string]*centry[*existsSet]
+	joins    map[string]*centry[*builtIndex]
+	exists   map[string]*centry[*builtIndex]
 	prepared map[string]*centry[*PreparedPlan]
 
 	stats [ckindCount]cacheStat
@@ -72,8 +74,8 @@ type cacheStat struct {
 
 func newBuiltCaches() *builtCaches {
 	return &builtCaches{
-		joins:    make(map[string]*centry[*joinTable]),
-		exists:   make(map[string]*centry[*existsSet]),
+		joins:    make(map[string]*centry[*builtIndex]),
+		exists:   make(map[string]*centry[*builtIndex]),
 		prepared: make(map[string]*centry[*PreparedPlan]),
 	}
 }
@@ -97,7 +99,7 @@ type centry[T any] struct {
 // caches the result regardless of ctx, so a cancelled query leaves
 // either no entry or a finished one — never a broken or abandoned
 // entry — and the next caller gets a warm hit. Internal structure
-// lookups during execution (join tables, EXISTS sets) pass
+// lookups during execution (key indexes) pass
 // context.Background() for the same reason: a build already in the
 // middle of a pipeline is cheaper to finish than to redo.
 func cacheGet[T any](ctx context.Context, b *Built, m map[string]*centry[T], kind ckind, key string, build func() (T, error)) (T, error) {
@@ -179,241 +181,109 @@ func (b *Built) PreparedContext(ctx context.Context, plan *optimizer.Plan) (*Pre
 	})
 }
 
-// joinTable is a cached hash-join build side: the key column's chains
-// over build positions, and nothing else. The build side is always a
-// whole source, so build position i is the source's row i, the row id
-// the probe emits; the pipeline carries row ids, so the table holds no
-// rows. Two cells join when their string forms are equal. When both key
-// columns are declared INT (the ID/PID case, see intJoin) that is int
-// equality, and the table keys by the int itself, in the chained
-// head/next layout of the reference executor — probing walks a chain in
-// the same (reverse-build) order, so join output ordering is
-// bit-identical. Shredded IDs come from one document-order counter, so
-// such a column is dense: when its value span is at most denseSpan × its
-// row count, head is a []int32 indexed by key − lo (dense); otherwise a
-// map. Any other pair of columns keys by string form and maps each key
-// to its build positions in build order, likewise matching the
-// reference.
-type joinTable struct {
-	intKeys bool
-	lo      int64
-	dense   []int32
-	head    map[int64]int32
-	next    []int32
-	str     map[string][]int32
+// intKey refuses a join or EXISTS key column c of t that is not INT.
+// Every join translate, physdesign and views emit is PID = ID, and a
+// column holds one type, so both executors match keys as int64s alone
+// and refuse any other pair with this one error. A column t lacks is
+// left to the caller's own check.
+func intKey(t *rel.Table, c string) error {
+	if col := t.Column(c); col != nil && col.Typ != rel.TInt {
+		return fmt.Errorf("engine: join key %s.%s is %s; join and EXISTS keys must be INT on both sides", t.Name, c, col.Typ)
+	}
+	return nil
 }
 
-// denseSpan bounds the key span, in multiples of the row count, up to
-// which an int-keyed join table indexes its chain heads by offset.
-const denseSpan = 8
-
-// first returns the build position that heads key k's chain, -1 when
-// no row has k. An offset taken in uint64 wraps any k below lo past
-// the end, so keys at the int64 extremes cannot overflow.
-func (jt *joinTable) first(k int64) int32 {
-	if jt.dense != nil {
-		if off := uint64(k) - uint64(jt.lo); off < uint64(len(jt.dense)) {
-			return jt.dense[off]
-		}
-		return -1
-	}
-	if i, ok := jt.head[k]; ok {
-		return i
-	}
-	return -1
-}
-
-// probe calls yield with every build position v joins, in the order the
-// reference executor's hash join emits them. v is a cell of the probe
-// side's key column, so an int-keyed table is probed with an int.
-func (jt *joinTable) probe(v rel.Value, yield func(m int32)) {
-	if v.Null {
-		return
-	}
-	if jt.intKeys {
-		for m := jt.first(v.I); m >= 0; m = jt.next[m] {
-			yield(m)
-		}
-		return
-	}
-	for _, m := range jt.str[v.String()] {
-		yield(m)
-	}
-}
-
-// intJoin reports whether join key columns match as ints: each names a
-// column of a table or view of b declared INT. Any other pair matches by
-// string form.
-func intJoin(b *Built, cols ...sqlast.ColRef) bool {
+// joinKeys is intKey for the key columns of a join or an EXISTS, each
+// naming a table or view of b.
+func joinKeys(b *Built, cols ...sqlast.ColRef) error {
 	for _, c := range cols {
-		t := resolveTable(b, c.Table)
-		if t == nil {
-			return false
-		}
-		if col := t.Column(c.Column); col == nil || col.Typ != rel.TInt {
-			return false
+		if t := resolveTable(b, c.Table); t != nil {
+			if err := intKey(t, c.Column); err != nil {
+				return err
+			}
 		}
 	}
-	return true
+	return nil
 }
 
-// buildJoinTable indexes the rows of column col of t, which is resident,
-// by int when intKeys (the column is then INT) and by string form
-// otherwise.
-func buildJoinTable(t *rel.Table, col int, intKeys bool) *joinTable {
-	if intKeys {
-		ints, nulls, _ := t.IntCol(col)
-		lo, hi := intSpan(ints, nulls)
-		return buildIntJoinTable(ints, nulls, lo, hi, uint64(hi)-uint64(lo) <= denseSpan*uint64(len(ints)))
+// inlIndex returns the index an INL join probes, which must lead on the
+// join's inner column.
+func inlIndex(b *Built, j optimizer.Join) (*builtIndex, error) {
+	bi := b.Index(j.Inner.Index)
+	if bi == nil {
+		return nil, fmt.Errorf("engine: INL index %s not built", j.Inner.Index.Name)
 	}
-	n := t.RowCount()
-	jt := &joinTable{str: make(map[string][]int32, n)}
-	for i := 0; i < n; i++ {
-		if v := t.ValueAt(i, col); !v.Null {
-			k := v.String()
-			jt.str[k] = append(jt.str[k], int32(i))
-		}
+	if lead := j.Inner.Index.Key[0]; lead != j.InnerCol.Column {
+		return nil, fmt.Errorf("engine: INL index %s leads on %s, not on the join column %s", j.Inner.Index.Name, lead, j.InnerCol)
 	}
-	return jt
+	return bi, nil
 }
 
-// intSpan returns the least and the greatest non-NULL key of an int
-// column's vector, both 0 when every key is NULL.
-func intSpan(ints []int64, nulls *rel.Bitmap) (lo, hi int64) {
-	seen := false
-	for i, k := range ints {
-		if nulls.Any() && nulls.Get(i) {
-			continue
-		}
-		if !seen || k < lo {
-			lo = k
-		}
-		if !seen || k > hi {
-			hi = k
-		}
-		seen = true
-	}
-	return lo, hi
-}
-
-// buildIntJoinTable chains the rows of an int column whose non-NULL keys
-// lie in [lo, hi], heads indexed by offset when dense.
-func buildIntJoinTable(ints []int64, nulls *rel.Bitmap, lo, hi int64, dense bool) *joinTable {
-	jt := &joinTable{intKeys: true, lo: lo, next: make([]int32, len(ints))}
-	if dense {
-		jt.dense = make([]int32, uint64(hi)-uint64(lo)+1)
-		for i := range jt.dense {
-			jt.dense[i] = -1
-		}
-	} else {
-		jt.head = make(map[int64]int32, len(ints))
-	}
-	for i, k := range ints {
-		jt.next[i] = -1
-		if nulls.Any() && nulls.Get(i) {
-			continue
-		}
-		if dense {
-			off := uint64(k) - uint64(lo)
-			jt.next[i] = jt.dense[off]
-			jt.dense[off] = int32(i)
-			continue
-		}
-		if prev, ok := jt.head[k]; ok {
-			jt.next[i] = prev
-		}
-		jt.head[k] = int32(i)
-	}
-	return jt
-}
-
-// hashJoinTable returns the cached build side for joining against
-// column col of the named row source, keyed by int when intKeys. srcKey
-// identifies the row source (base table or view; a partition is its base
-// table) within the Built, and t is its resident table.
-func (b *Built) hashJoinTable(srcKey string, t *rel.Table, col int, intKeys bool) (*joinTable, error) {
+// keyIndex returns the cached one-column index over column col of the
+// named row source: a hash join's build side, and the probe set of an
+// EXISTS without a restriction. srcKey identifies the row source (base
+// table or view; a partition is its base table) within the Built, and t
+// is its resident table. The column is INT (see joinKeys), and a
+// key's rows come out in row id order: document order, as an INL join's
+// index returns them.
+func (b *Built) keyIndex(srcKey string, t *rel.Table, col int) (*builtIndex, error) {
 	key := srcKey + "|c:" + t.Columns[col].Name
-	if !intKeys && t.Columns[col].Typ == rel.TInt {
-		key += "|str" // an INT column joined to a column of another type
-	}
-	return cacheGet(context.Background(), b, b.caches.joins, ckindJoin, key, func() (*joinTable, error) {
-		return buildJoinTable(t, col, intKeys), nil
+	return cacheGet(context.Background(), b, b.caches.joins, ckindJoin, key, func() (*builtIndex, error) {
+		return buildIndex(t, &physical.Index{Name: key, Table: t.Name, Key: []string{t.Columns[col].Name}}, rankTables{})
 	})
 }
 
-// existsSet is a cached EXISTS semi-join probe set with the same
-// int-keyed fast path as the hash join: when the inner join column and
-// the outer column are both declared INT, it probes a map[int64]
-// directly instead of stringifying every value.
-type existsSet struct {
-	ints map[int64]bool
-	strs map[string]bool
-}
-
-func (e *existsSet) match(v rel.Value) bool {
-	if v.Null {
-		return false
-	}
-	if e.ints != nil {
-		return e.ints[v.I]
-	}
-	return e.strs[v.String()]
-}
-
-// existsProbeSet returns the cached probe set for an EXISTS predicate.
-// The key is the predicate's canonical SQL rendering, which pins the
-// inner table, join column, and any inner-value restriction — the same
-// identity the reference executor's per-execution cache uses.
-func (b *Built) existsProbeSet(p *sqlast.Pred) (*existsSet, error) {
-	return cacheGet(context.Background(), b, b.caches.exists, ckindExists, "exists:"+p.String(), func() (*existsSet, error) {
-		return buildExistsSet(b, p)
-	})
-}
-
-// buildExistsSet builds the probe set of an EXISTS predicate from the
-// one or two columns of the inner table it names; both executors build
-// theirs here.
-func buildExistsSet(b *Built, p *sqlast.Pred) (*existsSet, error) {
-	t := b.DB.Table(p.Table)
-	if t == nil {
-		return nil, fmt.Errorf("engine: EXISTS over unknown table %s", p.Table)
+// existsColumns resolves the inner table of an EXISTS predicate, the
+// index of its join column and of its value column (-1 for a bare
+// existence), and refuses keys that are not INT; both executors read
+// their EXISTS here.
+func existsColumns(b *Built, p *sqlast.Pred) (t *rel.Table, ji, vi int, err error) {
+	if t = b.DB.Table(p.Table); t == nil {
+		return nil, 0, 0, fmt.Errorf("engine: EXISTS over unknown table %s", p.Table)
 	}
 	if err := t.Hydrate(); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	ji := t.ColIndex(p.JoinCol)
-	if ji < 0 {
-		return nil, fmt.Errorf("engine: EXISTS join column %s.%s missing", p.Table, p.JoinCol)
+	if ji = t.ColIndex(p.JoinCol); ji < 0 {
+		return nil, 0, 0, fmt.Errorf("engine: EXISTS join column %s.%s missing", p.Table, p.JoinCol)
 	}
-	vi := -1
+	vi = -1
 	if p.InnerCol != "" {
-		vi = t.ColIndex(p.InnerCol)
-		if vi < 0 {
-			return nil, fmt.Errorf("engine: EXISTS value column %s.%s missing", p.Table, p.InnerCol)
+		if vi = t.ColIndex(p.InnerCol); vi < 0 {
+			return nil, 0, 0, fmt.Errorf("engine: EXISTS value column %s.%s missing", p.Table, p.InnerCol)
 		}
 	}
-	e := &existsSet{}
-	if intJoin(b, sqlast.ColRef{Table: p.Table, Column: p.JoinCol}, p.OuterCol) {
-		e.ints = make(map[int64]bool)
-	} else {
-		e.strs = make(map[string]bool)
+	if err := joinKeys(b, sqlast.ColRef{Table: p.Table, Column: p.JoinCol}, p.OuterCol); err != nil {
+		return nil, 0, 0, err
 	}
-	for r, n := 0, t.RowCount(); r < n; r++ {
-		k := t.ValueAt(r, ji)
-		if k.Null || vi >= 0 && !matchCompare(t.ValueAt(r, vi), p.Op, p.Value) {
-			continue
-		}
-		if e.ints != nil {
-			e.ints[k.I] = true
-		} else {
-			e.strs[k.String()] = true
-		}
-	}
-	return e, nil
+	return t, ji, vi, nil
 }
 
-// CachedStructures reports the cache population (join tables, exists
-// sets, prepared plans) — observability for tests and tools.
+// existsIndex returns the cached probe index of an EXISTS predicate: the
+// hash join's key index on the inner join column when the EXISTS has no
+// restriction, else an index of only the inner rows that pass it, keyed
+// by the predicate's canonical SQL rendering (which pins the inner
+// table, join column and restriction).
+func (b *Built) existsIndex(p *sqlast.Pred) (*builtIndex, error) {
+	t, ji, vi, err := existsColumns(b, p)
+	if err != nil {
+		return nil, err
+	}
+	if vi < 0 {
+		return b.keyIndex("t:"+p.Table, t, ji)
+	}
+	return cacheGet(context.Background(), b, b.caches.exists, ckindExists, "exists:"+p.String(), func() (*builtIndex, error) {
+		bi, err := buildIndex(t, &physical.Index{Name: p.String(), Table: p.Table, Key: []string{p.JoinCol}}, rankTables{})
+		if err == nil {
+			bi.restrict(func(r int) bool { return matchCompare(t.ValueAt(r, vi), p.Op, p.Value) })
+		}
+		return bi, err
+	})
+}
+
+// CachedStructures reports the cache population (join key indexes,
+// restricted EXISTS indexes, prepared plans) — observability for tests
+// and tools.
 func (b *Built) CachedStructures() map[string]int {
 	b.caches.mu.Lock()
 	defer b.caches.mu.Unlock()
@@ -424,7 +294,7 @@ func (b *Built) CachedStructures() map[string]int {
 	}
 }
 
-// CacheKeys returns the sorted join-table cache keys (test hook).
+// CacheKeys returns the sorted join key index cache keys (test hook).
 func (b *Built) CacheKeys() []string {
 	b.caches.mu.Lock()
 	defer b.caches.mu.Unlock()

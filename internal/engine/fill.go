@@ -68,24 +68,10 @@ func newColFill(t *rel.Table, col, slot int) colFill {
 // null reports whether row r of a typed vector is NULL.
 func (f *colFill) null(r int32) bool { return f.nulls != nil && f.nulls.Get(int(r)) }
 
-// value returns the cell of row r.
-func (f *colFill) value(r int32) rel.Value {
-	switch f.kind {
-	case fillInts:
-		if f.null(r) {
-			return rel.NullOf(rel.TInt)
-		}
-		return rel.Int(f.ints[r])
-	case fillFloats:
-		if f.null(r) {
-			return rel.NullOf(rel.TFloat)
-		}
-		return rel.Float(f.floats[r])
-	}
-	if f.null(r) {
-		return rel.NullOf(rel.TString)
-	}
-	return rel.Str(f.strs[f.codes[r]])
+// exists reports whether the INT key of row r is non-NULL and in bi, an
+// EXISTS probe index; finger is the caller's seekInt finger.
+func (f *colFill) exists(bi *builtIndex, r int32, finger *int) bool {
+	return !f.null(r) && len(bi.seekInt(f.ints[r], finger)) > 0
 }
 
 // fill writes the column's value of source row ids[i] into the fill's

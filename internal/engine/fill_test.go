@@ -99,7 +99,7 @@ func fillDB() *rel.Database {
 
 // TestFillMatchesReference runs every table source of the batch
 // executor — scan fragments (resident and chunked), a seek driver, hash
-// joins keyed by int and by string, an INL join, and
+// joins, an INL join, and
 // zips of partition groups as a driver and as a hash-join inner — over
 // fillDB, projecting and filtering on the NULL-bearing and all-NULL
 // columns, and wants the reference executor's rows bit for bit. The
@@ -159,10 +159,6 @@ func TestFillMatchesReference(t *testing.T) {
 			{Kind: sqlast.PredCompare, Op: sqlast.OpNe, Col: *col("c", "w"), Value: rel.Str("t1")}}}, scanP,
 			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c"},
 				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
-		"hash-join-string-key": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"},
-			Where: []sqlast.Pred{{Kind: sqlast.PredJoin, Left: *col("c", "w"), Right: *col("p", "tag")}}}, scanP,
-			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c"},
-				OuterCol: *col("p", "tag"), InnerCol: *col("c", "w")}),
 		"zip-driver-kernels": plan(&sqlast.Select{Items: []sqlast.SelectItem{item("p", "ID"), item("p", "allnull"), item("p", "x"), item("p", "PID")},
 			From: []string{"p"}, Where: []sqlast.Pred{cmpPred("p", "k", sqlast.OpGe, rel.Int(1)), cmpPred("p", "x", sqlast.OpGe, rel.Int(100))}}, zipP(0)),
 		"zip-two-groups": plan(&sqlast.Select{Items: append([]sqlast.SelectItem{item("p", "tag"), item("p", "k")}, pItems...),
@@ -236,9 +232,9 @@ func TestFillMatchesReference(t *testing.T) {
 			}
 		}
 		// A join on a zip of c and a join on c itself have one build
-		// side: c's PID column, cached once ("c.w" is the string-keyed
-		// join's, "p.ID" the child-to-parent joins').
-		if keys := built.CacheKeys(); fmt.Sprint(keys) != "[t:c|c:PID t:c|c:w t:p|c:ID]" {
+		// side: c's PID column, cached once ("p.ID" is the child-to-parent
+		// joins').
+		if keys := built.CacheKeys(); fmt.Sprint(keys) != "[t:c|c:PID t:p|c:ID]" {
 			t.Errorf("chunked=%v: join-table cache holds %v", chunked, keys)
 		}
 		// A hash join's build side is a scan: the optimizer never feeds

@@ -75,11 +75,10 @@ func (rt rankTables) of(dict *rel.Dict) *rankTable {
 	return r
 }
 
-func buildIndex(db *rel.Database, idx *physical.Index, ranks rankTables) (*builtIndex, error) {
-	t := db.Table(idx.Table)
-	if t == nil {
-		return nil, fmt.Errorf("engine: index %s on unknown table %s", idx.Name, idx.Table)
-	}
+// buildIndex sorts the rows of t, the table idx names (a base table, or
+// a view or table a join or EXISTS indexes its key column of), by idx's
+// key columns.
+func buildIndex(t *rel.Table, idx *physical.Index, ranks rankTables) (*builtIndex, error) {
 	if len(idx.Key) == 0 {
 		return nil, fmt.Errorf("engine: index %s on %s has no key column", idx.Name, idx.Table)
 	}
@@ -261,80 +260,59 @@ func search[K typedKey](keys []K, v K, upper bool) int {
 	return lo
 }
 
-// gallop returns the end of the run of positions from lo on that eq
-// accepts, or lo when eq(lo) fails: it steps 1, 2, 4, … past lo until eq
-// fails or n is reached, then binary-searches only the last step.
-func gallop(lo, n int, eq func(i int) bool) int {
-	if lo == n || !eq(lo) {
-		return lo
-	}
-	last, step := lo, 1
-	for lo+step < n && eq(lo+step) {
-		last, step = lo+step, step*2
-	}
-	hi := min(lo+step, n)
-	for last+1 < hi {
-		mid := int(uint(last+hi) >> 1)
-		if eq(mid) {
-			last = mid
-		} else {
-			hi = mid
+// seekInt returns the row ids whose leading key, an INT, equals k: the
+// probe of every hash join, INL join and EXISTS. finger is the position
+// the caller's previous probe found, and seekInt moves it to this one's.
+// Probe keys mostly arrive non-decreasing — a driver scanned in document
+// order probes its children's PIDs, children probe their parents' IDs —
+// and move the finger by a few keys, so the search steps forward from
+// the finger, gallops once it has passed fingerWindow keys, and runs a
+// binary search of the keys before the finger only when k is below
+// them. The equal-key run, the few children one parent has, is walked.
+// Any finger from 0 to the number of non-NULL keys is valid; a new probe
+// sequence starts at 0.
+func (bi *builtIndex) seekInt(k int64, finger *int) []int32 {
+	keys, lo := bi.ints, *finger
+	if lo > 0 && keys[lo-1] >= k {
+		lo = search(keys[:lo], k, false)
+	} else {
+		end := min(lo+fingerWindow, len(keys))
+		for lo < end && keys[lo] < k {
+			lo++
+		}
+		if lo == end && lo < len(keys) && keys[lo] < k {
+			// Step 1, 2, 4, … on while the keys are below k, then
+			// binary-search the last step.
+			hi, step := lo, 1
+			for hi < len(keys) && keys[hi] < k {
+				lo, hi, step = hi+1, hi+step, step*2
+			}
+			lo += search(keys[lo:min(hi, len(keys))], k, false)
 		}
 	}
-	return hi
-}
-
-// equalRun returns the positions [lo, hi) of the keys equal to k. The
-// keys from lo on are >= k, so one of them equals k unless it is above.
-func equalRun[K typedKey](keys []K, k K) (lo, hi int) {
-	lo = search(keys, k, false)
-	return lo, gallop(lo, len(keys), func(i int) bool { return !cmp.Less(k, keys[i]) })
-}
-
-// seekInt is seekEqual for an int probe into an int leading column: the
-// INL probe calls it with the outer key read straight off its vector.
-func (bi *builtIndex) seekInt(k int64) []int32 {
-	lo, hi := equalRun(bi.ints, k)
+	*finger = lo
+	hi := lo
+	for hi < len(keys) && keys[hi] == k {
+		hi++
+	}
 	return bi.order[bi.firstNonNull+lo : bi.firstNonNull+hi]
 }
 
-// seekEqual returns the row ids whose leading key equals v, for the
-// batch executor's INL probe. An equal-key run is the few children one
-// parent has (on serve_seek_http, 1–7 rows for 99 % of probes into
-// indexes of ≈ 54 000 keys), so after the lower bound it gallops to the
-// first greater key rather than running a second full binary search.
-// A probe of the leading column's own type gallops over the typed
-// vector; a string probe first resolves to its rank range.
-//
-// Both ways find the same run only when the keys compare with v as
-// below, then equal, then above, in index order. Compare orders a string
-// against a number as text, so a string probe into numbers breaks that
-// and runs the two binary searches, as ExecuteReference does, so the
-// executors agree on every input.
-func (bi *builtIndex) seekEqual(v rel.Value) []int32 {
-	f := bi.firstNonNull
-	switch {
-	case v.Null:
-		return nil
-	case v.Typ == bi.typ:
-		switch v.Typ {
-		case rel.TInt:
-			return bi.seekInt(v.I)
-		case rel.TFloat:
-			lo, hi := equalRun(bi.floats, v.F)
-			return bi.order[f+lo : f+hi]
+// fingerWindow is how many keys seekInt steps past its finger before it
+// gallops.
+const fingerWindow = 8
+
+// restrict keeps in the index only the rows keep accepts whose leading
+// key, an INT, is non-NULL: a restricted EXISTS probes the inner rows
+// that pass its restriction.
+func (bi *builtIndex) restrict(keep func(r int) bool) {
+	order, ints := bi.order[:0], bi.ints[:0]
+	for i, r := range bi.order[bi.firstNonNull:] {
+		if keep(int(r)) {
+			order, ints = append(order, r), append(ints, bi.ints[i])
 		}
-		r, end := bi.rankRange(v.S)
-		if r == end {
-			return nil
-		}
-		lo, hi := equalRun(bi.ranks, r)
-		return bi.order[f+lo : f+hi]
-	case v.Typ == rel.TString:
-		return bi.seekRange(opEq, v)
 	}
-	lo := bi.lowerBound(v)
-	return bi.order[lo:gallop(lo, len(bi.order), func(i int) bool { return bi.keyAt(i).Compare(v) == 0 })]
+	bi.order, bi.ints, bi.firstNonNull = order, ints, 0
 }
 
 // seekRange returns row ids for "leading key op v"; NULL keys never
@@ -342,7 +320,7 @@ func (bi *builtIndex) seekEqual(v rel.Value) []int32 {
 // keys, so bounding against it would otherwise admit every non-NULL
 // row for > and >=). Equality runs both binary searches: seek drivers
 // call it once per branch, and ExecuteReference calls it for its INL
-// probes, so the reference shares no code with seekEqual's gallop.
+// probes, so the reference shares no code with seekInt's finger search.
 func (bi *builtIndex) seekRange(op opKind, v rel.Value) []int32 {
 	if v.Null {
 		return nil

@@ -141,8 +141,9 @@ func seekIndex(t *testing.T, rng *rand.Rand, keys []rel.Value) *builtIndex {
 	return b.Index(idx)
 }
 
-// linearEqual is seekEqual by a linear scan of keyAt: the row ids, in
-// index order, of every non-NULL leading key that compares equal to v.
+// linearEqual is an equality seek by a linear scan of keyAt: the row
+// ids, in index order, of every non-NULL leading key that compares equal
+// to v.
 func linearEqual(bi *builtIndex, v rel.Value) []int32 {
 	var out []int32
 	for i := range bi.order {
@@ -153,31 +154,71 @@ func linearEqual(bi *builtIndex, v rel.Value) []int32 {
 	return out
 }
 
-// TestIndexSeekEqualMatchesLinearScan checks the INL probe's gallop
-// against a linear scan of keyAt, and against the two binary searches
-// ExecuteReference runs: equal-key runs of 1, 2, 3 and 2^k+1 rows behind
-// an all-NULL prefix, probes below the first key, between keys and above
-// the last, a one-row and an all-NULL index, float keys probed with ints
-// and int keys with floats (−0.0 equals 0), string keys, and seeded
-// random runs. A string probe into int keys, which Compare orders as
-// text, must take the reference's path. The gallop must also stay right
-// for int probes into string keys.
+// fingerSeq orders int probes the ways a probe sequence can move a
+// seekInt finger: ascending, each repeated, descending (every step
+// backward), then in a seeded shuffle.
+func fingerSeq(rng *rand.Rand, probes []int64) []int64 {
+	up := slices.Clone(probes)
+	slices.Sort(up)
+	var seq []int64
+	for _, k := range up {
+		seq = append(seq, k, k)
+	}
+	for i := len(up) - 1; i >= 0; i-- {
+		seq = append(seq, up[i])
+	}
+	for _, i := range rng.Perm(len(up)) {
+		seq = append(seq, up[i])
+	}
+	return seq
+}
+
+// checkFinger runs seq through seekInt with one finger and wants each
+// answer to equal seekRange(opEq) — the reference's two binary searches
+// — and a linear scan, and the finger to stay within the keys.
+func checkFinger(t *testing.T, label string, bi *builtIndex, seq []int64) {
+	t.Helper()
+	finger := 0
+	for i, k := range seq {
+		got := bi.seekInt(k, &finger)
+		if ref := bi.seekRange(opEq, rel.Int(k)); !slices.Equal(got, ref) {
+			t.Fatalf("%s: probe %d (%d): seekInt %v, seekRange(opEq) %v", label, i, k, got, ref)
+		}
+		if want := linearEqual(bi, rel.Int(k)); !slices.Equal(got, want) {
+			t.Fatalf("%s: probe %d (%d): seekInt %v, a linear scan %v", label, i, k, got, want)
+		}
+		if finger < 0 || finger > len(bi.ints) {
+			t.Fatalf("%s: probe %d (%d) left the finger at %d of %d keys", label, i, k, finger, len(bi.ints))
+		}
+	}
+}
+
+// TestIndexSeekEqualMatchesLinearScan checks the finger search seekInt,
+// the probe of every join and EXISTS, against a linear scan of keyAt and
+// against the two binary searches ExecuteReference runs, over int leads:
+// equal-key runs of 1, 2, 3 and 2^k+1 rows behind an all-NULL prefix, a
+// one-row and an all-NULL index, keys at the int64 extremes, and seeded
+// random runs. Each index is probed in one fingerSeq, so the forward
+// gallop, repeated keys and the backward binary search all run, with
+// probes below the first key, between keys, above the last, and at the
+// int64 extremes. Float and string leads, which only seek drivers
+// search, keep the check of seekRange(opEq) against the linear scan,
+// probed with every type.
 func TestIndexSeekEqualMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	null := rel.NullOf(rel.TInt)
-	runs := func(mk func(int) rel.Value, nulls int, lens ...int) []rel.Value {
+	runs := func(nulls int, lens ...int) []rel.Value {
 		var keys []rel.Value
 		for range nulls {
 			keys = append(keys, null)
 		}
 		for i, n := range lens {
 			for range n {
-				keys = append(keys, mk(i))
+				keys = append(keys, rel.Int(int64(10*(i+1))))
 			}
 		}
 		return keys
 	}
-	intKey := func(i int) rel.Value { return rel.Int(int64(10 * (i + 1))) }
 	ints := func(vs ...int64) []rel.Value {
 		var out []rel.Value
 		for _, v := range vs {
@@ -185,6 +226,34 @@ func TestIndexSeekEqualMatchesLinearScan(t *testing.T) {
 		}
 		return out
 	}
+	extremes := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, math.MaxInt64 - 1, math.MaxInt64}
+	type tc struct {
+		name   string
+		keys   []rel.Value
+		probes []int64
+	}
+	cases := []tc{
+		{"runs of 1,2,3,2^k+1 after NULLs", runs(8, 1, 2, 3, 5, 9, 17, 33, 65, 129, 1),
+			[]int64{-5, 0, 9, 10, 11, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100, 101, 1e6}},
+		{"one row", ints(7), []int64{6, 7, 8}},
+		{"all NULL", runs(5), []int64{0, 10}},
+		{"int64 extremes", append(ints(math.MinInt64, math.MinInt64, 0, math.MaxInt64, math.MaxInt64, math.MaxInt64), null), nil},
+	}
+	for r := range 50 {
+		var lens []int
+		for range 1 + rng.Intn(20) {
+			lens = append(lens, 1+rng.Intn(40))
+		}
+		probes := []int64{int64(rng.Intn(300) - 20)}
+		for i := range lens {
+			probes = append(probes, int64(10*(i+1)), int64(10*(i+1)+rng.Intn(3)-1))
+		}
+		cases = append(cases, tc{fmt.Sprintf("random %d", r), runs(rng.Intn(4), lens...), probes})
+	}
+	for _, c := range cases {
+		checkFinger(t, c.name, seekIndex(t, rng, c.keys), fingerSeq(rng, append(c.probes, extremes...)))
+	}
+
 	floats := func(vs ...float64) []rel.Value {
 		var out []rel.Value
 		for _, v := range vs {
@@ -192,50 +261,19 @@ func TestIndexSeekEqualMatchesLinearScan(t *testing.T) {
 		}
 		return out
 	}
-	type tc struct {
-		name   string
-		keys   []rel.Value
-		probes []rel.Value
-	}
-	cases := []tc{
-		{"runs of 1,2,3,2^k+1 after NULLs", runs(intKey, 8, 1, 2, 3, 5, 9, 17, 33, 65, 129, 1),
-			append(ints(-5, 0, 9, 10, 11, 15, 20, 30, 40, 50, 60, 70, 80, 90, 100, 101, 1e6),
-				append(floats(20, 20.5, 90, math.NaN(), math.Inf(1)), rel.Str("20"))...)},
-		{"one row", ints(7), append(ints(6, 7, 8), floats(7, 7.5)...)},
-		{"all NULL", runs(intKey, 5), ints(0, 10)},
+	for _, c := range []struct {
+		name         string
+		keys, probes []rel.Value
+	}{
 		{"float keys", floats(-1, math.Copysign(0, -1), 0, 0, 2.5, 2.5, 2.5, 3, 3, 3, 3, 3, math.NaN()),
 			append(ints(-1, 0, 2, 3, 4), floats(math.Copysign(0, -1), 2.5, 2.75, math.NaN())...)},
-		// As text "2" sorts after "10", so the two searches return the rows
-		// keyed 2 and 10 for "10" where a gallop would return none.
-		{"string probes into int keys", ints(2, 10, 10, 10, 20), []rel.Value{rel.Str("10"), rel.Str("2")}},
 		{"string keys", []rel.Value{rel.Str("1"), rel.Str("10"), rel.Str("2"), rel.Str("2"), rel.Str("2"), rel.Str("b"), rel.NullOf(rel.TString)},
 			[]rel.Value{rel.Str("0"), rel.Str("2"), rel.Str("b"), rel.Str("c"), rel.Int(2), rel.Int(10)}},
-	}
-	for r := range 50 {
-		var lens []int
-		for range 1 + rng.Intn(20) {
-			lens = append(lens, 1+rng.Intn(40))
-		}
-		probes := ints(int64(rng.Intn(300) - 20))
-		for i := range lens {
-			probes = append(probes, intKey(i))
-		}
-		cases = append(cases, tc{fmt.Sprintf("random %d", r), runs(intKey, rng.Intn(4), lens...), probes})
-	}
-	for _, c := range cases {
+	} {
 		bi := seekIndex(t, rng, c.keys)
-		stringKeys := slices.ContainsFunc(c.keys, func(k rel.Value) bool { return !k.Null && k.Typ == rel.TString })
 		for _, v := range c.probes {
-			label := fmt.Sprintf("%s: probe %v (type %d)", c.name, v, v.Typ)
-			got, ref := bi.seekEqual(v), bi.seekRange(opEq, v)
-			if !slices.Equal(got, ref) {
-				t.Fatalf("%s: seekEqual %v, the reference's two searches %v", label, got, ref)
-			}
-			if v.Typ == rel.TString && !stringKeys {
-				continue // Compare orders a string against numbers as text: there is no run to scan for
-			}
-			if want := linearEqual(bi, v); !slices.Equal(got, want) {
-				t.Fatalf("%s: seekEqual %v, a linear scan %v", label, got, want)
+			if got, want := bi.seekRange(opEq, v), linearEqual(bi, v); !slices.Equal(got, want) {
+				t.Fatalf("%s: probe %v (type %d): seekRange(opEq) %v, a linear scan %v", c.name, v, v.Typ, got, want)
 			}
 		}
 	}
@@ -319,12 +357,14 @@ func fuzzProbe(b byte) rel.Value {
 }
 
 // FuzzIndexSeek builds a one-column index over fuzzed keys of one kind
-// (see fuzzKey) and probes it with fuzzed values of every type: seekEqual
-// must equal seekRange(opEq), and seekRange under each of the five
-// operators must equal a linear filter by Value.Compare over keyAt in
-// index order. Compare orders a string against numbers as text, so a
-// string probe into numeric keys has no run to filter for, and only the
-// first check applies to it.
+// (see fuzzKey). Over an int lead it first runs the probe bytes, each an
+// int from fuzzInts, through seekInt with one finger, in their fuzzed
+// order and then in fingerSeq's: each answer must equal seekRange(opEq)
+// and a linear scan. Over every lead it probes seekRange with fuzzed
+// values of every type: under each of the five operators it must equal
+// a linear filter by Value.Compare over keyAt in index order. Compare
+// orders a string against numbers as text, so a string probe into
+// numeric keys has no run to filter for and is skipped.
 func FuzzIndexSeek(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 9, 18, 18, 27, 90, 99, 36, 36, 36}, []byte{0, 4, 8, 12, 40, 1, 2, 3})
 	f.Add(uint8(1), []byte{0, 9, 18, 27, 36, 36, 45, 90, 99}, []byte{1, 5, 13, 17, 21, 0, 4, 6})
@@ -340,13 +380,19 @@ func FuzzIndexSeek(f *testing.F) {
 		for i, b := range keyBytes {
 			keys[i] = fuzzKey(kind, b)
 		}
-		bi := seekIndex(t, rand.New(rand.NewSource(int64(len(keyBytes)))), keys)
+		rng := rand.New(rand.NewSource(int64(len(keyBytes))))
+		bi := seekIndex(t, rng, keys)
+		if kind == 0 {
+			probes := make([]int64, len(probeBytes))
+			for i, b := range probeBytes {
+				probes[i] = fuzzInts[int(b)%len(fuzzInts)]
+			}
+			checkFinger(t, "fuzzed order", bi, probes)
+			checkFinger(t, "fingerSeq", bi, fingerSeq(rng, probes))
+		}
 		numeric := !slices.ContainsFunc(keys, func(k rel.Value) bool { return !k.Null && k.Typ == rel.TString })
 		for _, b := range probeBytes {
 			v := fuzzProbe(b)
-			if got, ref := bi.seekEqual(v), bi.seekRange(opEq, v); !slices.Equal(got, ref) {
-				t.Fatalf("probe %#v: seekEqual %v, seekRange(opEq) %v", v, got, ref)
-			}
 			if v.Typ == rel.TString && !v.Null && numeric {
 				continue
 			}
@@ -404,7 +450,7 @@ func TestIndexBytesStayTyped(t *testing.T) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			var err error
-			if bi, err = buildIndex(db, idx, rankTables{}); err != nil {
+			if bi, err = buildIndex(tb, idx, rankTables{}); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)

@@ -74,28 +74,30 @@ func cellFilter(b *Built, p *sqlast.Pred, srcs []*rel.Table, sc *scope) (rowFilt
 		return nil, err
 	}
 	var outer tabCol
-	var set *existsSet
+	var bi *builtIndex
+	var key colFill
 	switch p.Kind {
 	case sqlast.PredOr:
 	case sqlast.PredExists, sqlast.PredOrExists:
 		if outer, err = sc.at(p.OuterCol); err != nil {
 			return nil, err
 		}
-		if set, err = b.existsProbeSet(p); err != nil {
+		if bi, err = b.existsIndex(p); err != nil {
 			return nil, err
 		}
+		key = newColFill(srcs[outer.tab], outer.col, 0)
 	default:
 		return nil, fmt.Errorf("engine: cannot compile predicate %s", p)
 	}
 	return func(vecs [][]int32, _ []int32) {
-		cell := func(c tabCol, i int) rel.Value { return srcs[c.tab].ValueAt(int(vecs[c.tab][i]), c.col) }
+		finger := 0
 		keep := func(i int) bool {
 			for _, c := range cols {
-				if matchCompare(cell(c, i), p.Op, p.Value) {
+				if matchCompare(srcs[c.tab].ValueAt(int(vecs[c.tab][i]), c.col), p.Op, p.Value) {
 					return true
 				}
 			}
-			return set != nil && set.match(cell(outer, i))
+			return bi != nil && key.exists(bi, vecs[outer.tab][i], &finger)
 		}
 		n := 0
 		for i := range vecs[0] {
@@ -170,13 +172,15 @@ func compileColKernel(b *Built, p *sqlast.Pred, t *rel.Table, sc *scope) (colKer
 		if err != nil {
 			return nil, err
 		}
-		set, err := b.existsProbeSet(p)
+		bi, err := b.existsIndex(p)
 		if err != nil {
 			return nil, err
 		}
+		key := newColFill(t, outerPos, 0)
 		op, lit := p.Op, p.Value
 		return func(sel []int32) []int32 {
 			live := sel[:0]
+			finger := 0
 		rows:
 			for _, r := range sel {
 				for _, pos := range positions {
@@ -185,7 +189,7 @@ func compileColKernel(b *Built, p *sqlast.Pred, t *rel.Table, sc *scope) (colKer
 						continue rows
 					}
 				}
-				if set.match(t.ValueAt(int(r), outerPos)) {
+				if key.exists(bi, r, &finger) {
 					live = append(live, r)
 				}
 			}

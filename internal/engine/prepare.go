@@ -15,9 +15,9 @@ import (
 
 // PreparedPlan is the compiled, reusable form of an optimizer plan
 // over one Built: a pipelined batch executor per union branch, with
-// predicate kernels, projection fills, and probe structures (join
-// tables, EXISTS sets) resolved once at compile time against the
-// Built's plan-lifetime caches. The pipeline carries row ids, not
+// predicate kernels, projection fills, and the key indexes its joins and
+// EXISTS probe resolved once at compile time against the Built's
+// plan-lifetime caches. The pipeline carries row ids, not
 // values: a batch is one []int32 row-id vector per table in scope — the
 // driver is table 0, join j's inner table j+1 (scopeTable.idx) — of at
 // most batchSize rows. Kernels compact the driver's vector, joins read
@@ -205,20 +205,19 @@ type pipeOp struct {
 	pred *sqlast.Pred
 	tab  int
 
-	// Join fields: the outer key column and the operator's index among
-	// the branch's joins (its output buffers in branchState).
+	// Join fields: the outer key column, the operator's index among the
+	// branch's joins (its output buffers in branchState), and the index
+	// it probes — an INL join's own, a hash join's cached key index on
+	// its build side.
 	outer tabCol
 	out   int
+	bi    *builtIndex
 
-	// Hash join: cached build side, plus the per-execution scan
-	// accounting its inner source incurs (the reference executor
-	// re-scans the build side every execution; the batch executor
-	// charges the same counters but skips the rebuild).
-	jt        *joinTable
+	// Hash join: the per-execution scan accounting its inner source
+	// incurs (the reference executor re-scans the build side every
+	// execution; the batch executor charges the same counters but skips
+	// the rebuild).
 	scanCount int64 // RowsScanned per run
-
-	// INL join.
-	bi *builtIndex
 }
 
 // outCol is one projected column: the column it reads and its output
@@ -254,7 +253,7 @@ type preparedBranch struct {
 	// scope is the branch scope, kept for readersFor, which only reads
 	// it (scope.col, scope.at).
 	scope *scope
-	// built backs readersFor (EXISTS probe-set lookups go through its
+	// built backs readersFor (EXISTS index lookups go through its
 	// single-flighted cache).
 	built *Built
 	// pool recycles per-execution operator state (row-id vectors) across
@@ -287,11 +286,14 @@ type branchState struct {
 // joinBuf buffers one join's matches: for each, the outer row's
 // position in the batch being probed and the inner row id. A full
 // buffer gathers the outer rows' ids into out, after which inner is
-// the last vector, and moves on as a batch.
+// the last vector, and moves on as a batch. finger is the join's
+// position in its index (see seekInt), kept across batches and
+// executions: any position is a valid start.
 type joinBuf struct {
-	pos   []int32
-	inner []int32
-	out   [][]int32
+	pos    []int32
+	inner  []int32
+	out    [][]int32
+	finger int
 }
 
 func resolveTable(b *Built, name string) *rel.Table {
@@ -473,16 +475,18 @@ func (pb *preparedBranch) appendJoin(b *Built, sc *scope, j optimizer.Join) erro
 	if err != nil {
 		return err
 	}
+	if err := joinKeys(b, j.OuterCol, j.InnerCol); err != nil {
+		return err
+	}
 	op := pipeOp{kind: pipeHashJoin, outer: outer, out: pb.nJoins}
 	pb.nJoins++
 	if j.Method == optimizer.JoinINL {
-		bi := b.Index(j.Inner.Index)
-		if bi == nil {
-			return fmt.Errorf("engine: INL index %s not built", j.Inner.Index.Name)
+		if op.bi, err = inlIndex(b, j); err != nil {
+			return err
 		}
-		op.kind, op.bi = pipeINLJoin, bi
-		sc.add(j.Inner.Table, colNames(bi.table))
-		pb.srcs = append(pb.srcs, bi.table)
+		op.kind = pipeINLJoin
+		sc.add(j.Inner.Table, colNames(op.bi.table))
+		pb.srcs = append(pb.srcs, op.bi.table)
 		pb.ops = append(pb.ops, op)
 		return nil
 	}
@@ -500,7 +504,7 @@ func (pb *preparedBranch) appendJoin(b *Built, sc *scope, j optimizer.Join) erro
 	var n int
 	if len(a.Groups) > 0 {
 		// A partition's build side is its base table's: both share one
-		// cached join table, and only the per-run scan accounting differs.
+		// cached key index, and only the per-run scan accounting differs.
 		if t, inner, err = addPartition(b, sc, a); err != nil {
 			return err
 		}
@@ -528,8 +532,7 @@ func (pb *preparedBranch) appendJoin(b *Built, sc *scope, j optimizer.Join) erro
 	if !ok {
 		return fmt.Errorf("engine: join column %s missing from %s", j.InnerCol, j.Inner.Table)
 	}
-	op.jt, err = b.hashJoinTable(srcKey, t, ji, intJoin(b, j.OuterCol, j.InnerCol))
-	if err != nil {
+	if op.bi, err = b.keyIndex(srcKey, t, ji); err != nil {
 		return err
 	}
 	pb.ops = append(pb.ops, op)
@@ -591,7 +594,7 @@ func (pb *preparedBranch) compileReaders(srcs []*rel.Table, base *readers) (*rea
 // resident table is its own fragment, so the readers compiled against
 // it at Prepare serve as they are; any other fragment gets what reads
 // table 0 compiled against its own vectors. The compile is cheap (scope
-// positions resolve in a two-level map, EXISTS probe sets come from the
+// positions resolve in a two-level map, EXISTS indexes come from the
 // Built's single-flighted cache) and chunk-local: a string range
 // predicate precomputes its match table against the chunk's own
 // dictionary. Readers of table 0 take fragment-local row ids.
@@ -811,52 +814,27 @@ func (r *pipeRun) push(oi int, vecs [][]int32) {
 	r.sink(vecs)
 }
 
-// join probes the inner table once per row of vecs, reading the outer
-// key from its column vector, and buffers each match's outer position
-// and inner row id; full buffers move on as batches (see flush).
+// join probes the inner table's index once per row of vecs with the
+// outer key, an INT read straight from its column vector, and buffers
+// each match's outer position and inner row id; full buffers move on as
+// batches (see flush). An INL join charges its matches to RowsSought; a
+// hash join's build-side scan is charged up front (see precharge).
 func (r *pipeRun) join(oi int, op *pipeOp, vecs [][]int32) {
 	jb := &r.st.joins[op.out]
 	jb.pos, jb.inner = jb.pos[:0], jb.inner[:0]
 	key := &r.rd.joinKeys[oi]
-	outer := vecs[op.outer.tab]
-	jt := op.jt
-	switch {
-	case op.kind == pipeINLJoin:
-		// An int key into an int lead is probed as the int64 itself.
-		bi := op.bi
-		ints := key.kind == fillInts && bi.typ == rel.TInt
-		for i, row := range outer {
-			var rids []int32
-			if !ints {
-				rids = bi.seekEqual(key.value(row))
-			} else if !key.null(row) {
-				rids = bi.seekInt(key.ints[row])
-			}
+	for i, row := range vecs[op.outer.tab] {
+		if key.null(row) {
+			continue
+		}
+		rids := op.bi.seekInt(key.ints[row], &jb.finger)
+		if op.kind == pipeINLJoin {
 			r.out.st.RowsSought += int64(len(rids))
-			for _, rid := range rids {
-				if jb.add(i, rid) {
-					r.flush(oi, jb, vecs)
-				}
-			}
 		}
-	case jt.intKeys: // both key columns are INT (intJoin), so key reads ints
-		for i, row := range outer {
-			if key.null(row) {
-				continue
+		for _, rid := range rids {
+			if jb.add(i, rid) {
+				r.flush(oi, jb, vecs)
 			}
-			for m := jt.first(key.ints[row]); m >= 0; m = jt.next[m] {
-				if jb.add(i, m) {
-					r.flush(oi, jb, vecs)
-				}
-			}
-		}
-	default:
-		for i, row := range outer {
-			jt.probe(key.value(row), func(m int32) {
-				if jb.add(i, m) {
-					r.flush(oi, jb, vecs)
-				}
-			})
 		}
 	}
 	if len(jb.pos) > 0 {

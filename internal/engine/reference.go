@@ -296,26 +296,33 @@ func compilePred(b *Built, p *sqlast.Pred, sc *scope, ex *existsCache) (func([]r
 }
 
 // existsCache holds the semi-join probe sets one branch execution has
-// built, by predicate (see buildExistsSet).
+// built, by predicate: the INT keys of the inner rows that pass the
+// EXISTS's restriction.
 type existsCache struct {
 	b    *Built
-	sets map[string]*existsSet
+	sets map[string]map[int64]bool
 }
 
 func (e *existsCache) matcher(p *sqlast.Pred) (func(rel.Value) bool, error) {
 	key := p.String()
-	if set, ok := e.sets[key]; ok {
-		return set.match, nil
+	set, ok := e.sets[key]
+	if !ok {
+		t, ji, vi, err := existsColumns(e.b, p)
+		if err != nil {
+			return nil, err
+		}
+		set = make(map[int64]bool)
+		for r := range t.RowCount() {
+			if k := t.ValueAt(r, ji); !k.Null && (vi < 0 || matchCompare(t.ValueAt(r, vi), p.Op, p.Value)) {
+				set[k.I] = true
+			}
+		}
+		if e.sets == nil {
+			e.sets = make(map[string]map[int64]bool)
+		}
+		e.sets[key] = set
 	}
-	set, err := buildExistsSet(e.b, p)
-	if err != nil {
-		return nil, err
-	}
-	if e.sets == nil {
-		e.sets = make(map[string]*existsSet)
-	}
-	e.sets[key] = set
-	return set.match, nil
+	return func(v rel.Value) bool { return !v.Null && set[v.I] }, nil
 }
 
 // execJoin performs one join step, producing combined tuples.
@@ -324,11 +331,14 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 	if err != nil {
 		return nil, err
 	}
+	if err := joinKeys(b, j.OuterCol, j.InnerCol); err != nil {
+		return nil, err
+	}
 	switch j.Method {
 	case optimizer.JoinINL:
-		bi := b.Index(j.Inner.Index)
-		if bi == nil {
-			return nil, fmt.Errorf("engine: INL index %s not built", j.Inner.Index.Name)
+		bi, err := inlIndex(b, j)
+		if err != nil {
+			return nil, err
 		}
 		t := bi.table
 		cols := make([]string, len(t.Columns))
@@ -370,56 +380,31 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 			return nil, fmt.Errorf("engine: join column %s missing from %s", j.InnerCol, j.Inner.Table)
 		}
 		sc.add(j.Inner.Table, cols)
-		// Two cells join when their string forms are equal. Two INT key
-		// columns (the common ID/PID case) use an int-keyed hash table;
-		// any other pair keys by string form.
+		// Chained hash table over the INT keys (see joinKeys): head map
+		// plus a next-pointer array, avoiding per-key slice allocations.
+		// Chaining from the last row makes every chain ascend, so a key's
+		// matches come out in row id order, as from an index.
+		head := make(map[int64]int32, len(innerRows))
+		next := make([]int32, len(innerRows))
+		for i := len(innerRows) - 1; i >= 0; i-- {
+			next[i] = -1
+			if k := innerRows[i][ji]; !k.Null {
+				if m, ok := head[k.I]; ok {
+					next[i] = m
+				}
+				head[k.I] = int32(i)
+			}
+		}
 		var out [][]rel.Value
-		if intJoin(b, j.OuterCol, j.InnerCol) {
-			// Chained hash table: head map plus a next-pointer array,
-			// avoiding per-key slice allocations on the build side.
-			head := make(map[int64]int32, len(innerRows))
-			next := make([]int32, len(innerRows))
-			for i, ir := range innerRows {
-				if ir[ji].Null {
-					next[i] = -1
-					continue
-				}
-				k := ir[ji].I
-				if prev, ok := head[k]; ok {
-					next[i] = prev
-				} else {
-					next[i] = -1
-				}
-				head[k] = int32(i)
-			}
-			for _, orow := range outer {
-				v := orow[outerPos]
-				if v.Null {
-					continue
-				}
-				i, ok := head[v.I]
-				for ok && i >= 0 {
-					out = append(out, concatRows(orow, innerRows[i]))
-					i = next[i]
-				}
-			}
-			return out, nil
-		}
-		ht := make(map[string][][]rel.Value, len(innerRows))
-		for _, ir := range innerRows {
-			if ir[ji].Null {
-				continue
-			}
-			k := ir[ji].String()
-			ht[k] = append(ht[k], ir)
-		}
 		for _, orow := range outer {
 			v := orow[outerPos]
 			if v.Null {
 				continue
 			}
-			for _, ir := range ht[v.String()] {
-				out = append(out, concatRows(orow, ir))
+			m, ok := head[v.I]
+			for ok && m >= 0 {
+				out = append(out, concatRows(orow, innerRows[m]))
+				m = next[m]
 			}
 		}
 		return out, nil
