@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http/httptest"
 	"os"
 	"strconv"
 	"strings"
@@ -504,10 +505,13 @@ func Run(c Case) (RunStats, *Mismatch) {
 	// Service-equivalence stage: the same workload through an in-process
 	// multi-tenant service — concurrent sessions, seeded random quotas,
 	// pool size, and per-session worker asks — over the trial's Built with
-	// its warm caches as one corpus. Every response must be bit-identical
+	// its warm caches as one corpus. Each session asks every query twice:
+	// through Service.Query and through service.Client against the
+	// service's HTTP handler on a loopback test server, whose rows the
+	// engine writes as wire bytes. Every response must be bit-identical
 	// (rows, order, values, stats) to the direct reference execution, and
 	// the service's plan cache must have translated each query text
-	// exactly once across all sessions.
+	// exactly once across all sessions and both legs.
 	if c.Service && len(svcQueries) > 0 {
 		srand := rand.New(rand.NewSource(mix(c.Seed, 7)))
 		sessions := 2 + srand.Intn(3)
@@ -528,6 +532,15 @@ func Run(c Case) (RunStats, *Mismatch) {
 		if rerr := svc.RegisterBuilt(corpus, built, m, nil); rerr != nil {
 			return st, fail("service-equivalence", -1, "", "register %s: %v", corpus, rerr)
 		}
+		srv := httptest.NewServer(svc.Handler())
+		defer srv.Close()
+		legs := []struct {
+			name  string
+			query func(context.Context, service.Request) (*service.Response, error)
+		}{
+			{"in-process", svc.Query},
+			{"http", service.NewClient(srv.URL, nil).Query},
+		}
 		asks := make([]int, sessions)
 		for i := range asks {
 			asks[i] = 1 + srand.Intn(4)
@@ -540,19 +553,20 @@ func Run(c Case) (RunStats, *Mismatch) {
 				defer wg.Done()
 				tenant := fmt.Sprintf("tenant-%d", s%2)
 				for _, sq := range svcQueries {
-					resp, qerr := svc.Query(context.Background(), service.Request{
-						Corpus: corpus, Tenant: tenant, XPath: sq.query, Workers: asks[s],
-					})
-					if qerr != nil {
-						fails <- fail("service-equivalence", sq.idx, sq.query,
-							"session %d: %v (applied %v)", s, qerr, applied)
-						return
-					}
-					got := &engine.Result{Cols: resp.Cols, Rows: resp.Rows, Stats: resp.Stats}
-					if d := diffResults(got, sq.ref); d != "" {
-						fails <- fail("service-equivalence", sq.idx, sq.query,
-							"session %d workers %d: %s (applied %v)", s, asks[s], d, applied)
-						return
+					req := service.Request{Corpus: corpus, Tenant: tenant, XPath: sq.query, Workers: asks[s]}
+					for _, leg := range legs {
+						resp, qerr := leg.query(context.Background(), req)
+						if qerr != nil {
+							fails <- fail("service-equivalence", sq.idx, sq.query,
+								"session %d %s: %v (applied %v)", s, leg.name, qerr, applied)
+							return
+						}
+						got := &engine.Result{Cols: resp.Cols, Rows: resp.Rows, Stats: resp.Stats}
+						if d := diffResults(got, sq.ref); d != "" {
+							fails <- fail("service-equivalence", sq.idx, sq.query,
+								"session %d %s workers %d: %s (applied %v)", s, leg.name, asks[s], d, applied)
+							return
+						}
 					}
 				}
 			}(s)

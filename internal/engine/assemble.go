@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -8,40 +9,87 @@ import (
 )
 
 // outSlot is the fixed output slot of one morsel of pipeline work. The
-// pipeline does not build rows: it fills one exactly-sized value arena
-// per output batch (whole rows of width values, back to back, in
-// pipeline order) and counts them. Row headers are cut once, by
-// assemble. A width-0 projection has nothing to store, so it keeps no
-// arenas and only the count.
+// pipeline does not build rows. On the value target it fills one
+// exactly-sized value arena per output batch (whole rows of width
+// values, back to back, in pipeline order) and counts them; row headers
+// are cut once, by assemble. A width-0 projection has nothing to store,
+// so it keeps no arenas and only the count. On the byte target it
+// encodes each batch into a pooled rowBlock instead, width 0 included,
+// and keeps no arena (see PreparedPlan.AppendRows).
 //
-// keys holds the ORDER BY keys of the slot's arenas, one block per
-// arena and one key per row, as long as every arena so far had a key
-// column of ints with no NULL (see pipeRun.sink): the slot is keyed exactly
-// when len(keys) == len(arenas). Blocks are pooled (see releaseKeys).
+// keys holds the ORDER BY keys of the slot's batches, one block per
+// batch and one key per row, as long as every batch so far had a key
+// column of ints with no NULL (see pipeRun.sink): the slot is keyed
+// exactly when len(keys) == batches(). Key and row blocks are pooled
+// (see releaseSlots).
 type outSlot struct {
 	arenas [][]rel.Value
+	blocks []*rowBlock
 	keys   []*keyBlock
 	rows   int
 	width  int
 	st     ExecStats
 }
 
+// batches is the number of sink batches the slot holds.
+func (s *outSlot) batches() int { return len(s.arenas) + len(s.blocks) }
+
+// batchRows is the number of rows of batch b.
+func (s *outSlot) batchRows(b int) int {
+	if s.blocks != nil {
+		return s.blocks[b].n
+	}
+	return len(s.arenas[b]) / s.width
+}
+
 // keyBlock holds the ORDER BY keys of one sink batch, which never
 // exceeds batchSize rows.
 type keyBlock [batchSize]int64
 
-// keyBlocks recycles key blocks across executions: a block is written
-// by the sink, read by assemble, and returned by releaseKeys.
-var keyBlocks = sync.Pool{New: func() any { return new(keyBlock) }}
+// rowBlock holds the encoded rows of one sink batch on the byte target:
+// their encodings back to back in buf, row i ending at ends[i]. Nothing
+// in it but buf is a pointer, and buf holds none, so the collector never
+// scans the rows.
+type rowBlock struct {
+	n    int
+	ends [batchSize]int32
+	buf  []byte
+}
 
-// releaseKeys returns the slots' key blocks to their pool.
-func releaseKeys(slots []outSlot) {
+// row returns the encoding of row i.
+func (rb *rowBlock) row(i int) []byte {
+	start := int32(0)
+	if i > 0 {
+		start = rb.ends[i-1]
+	}
+	return rb.buf[start:rb.ends[i]]
+}
+
+// maxBlockBytes is the largest row buffer the pool keeps: a batch of
+// unusually wide rows allocates its own rather than pinning one.
+const maxBlockBytes = 1 << 20
+
+// keyBlocks and rowBlocks recycle blocks across executions: a block is
+// written by the sink, read by assemble, and returned by releaseSlots.
+var (
+	keyBlocks = sync.Pool{New: func() any { return new(keyBlock) }}
+	rowBlocks = sync.Pool{New: func() any { return new(rowBlock) }}
+)
+
+// releaseSlots returns the slots' key and row blocks to their pools.
+func releaseSlots(slots []outSlot) {
 	for i := range slots {
 		s := &slots[i]
 		for _, kb := range s.keys {
 			keyBlocks.Put(kb)
 		}
-		s.keys = nil
+		for _, rb := range s.blocks {
+			if cap(rb.buf) > maxBlockBytes {
+				rb.buf = nil
+			}
+			rowBlocks.Put(rb)
+		}
+		s.keys, s.blocks = nil, nil
 	}
 }
 
@@ -60,7 +108,7 @@ var noCols = []rel.Value{}
 // keyed, one sequential pass over the key blocks finds the maximal runs;
 // one run is already the answer and is cut in plan order, and k runs
 // are merged through a tournament tree over the blocks' int64 keys (see
-// mergeKeyRuns), ties going to the earlier run. Either way each row
+// keyMerge), ties going to the earlier run. Either way each row
 // header is written once and no result cell is read. That is exactly the
 // order a stable sort of the concatenation gives (what sortResult does
 // for ExecuteReference), in O(n log k) compares and no scratch rows.
@@ -84,7 +132,14 @@ func assemble(slots []outSlot, orderPos int) (rows [][]rel.Value, sorted bool) {
 	rows = make([][]rel.Value, n)
 	if keyed {
 		if runs := keyRuns(slots); len(runs) > 1 {
-			mergeKeyRuns(rows, slots, runs)
+			m := newKeyMerge(runs)
+			for i := range rows {
+				c := m.top()
+				s := &slots[c.si]
+				off := int(c.ki) * s.width
+				rows[i] = s.arenas[c.ai][off : off+s.width : off+s.width]
+				m.pop(slots)
+			}
 			return rows, false
 		}
 	}
@@ -114,9 +169,48 @@ func assemble(slots []outSlot, orderPos int) (rows [][]rel.Value, sorted bool) {
 	return rows, true
 }
 
+// assembleBytes is assemble for the byte target: it appends the slots'
+// row encodings to dst in result order and cuts no row header. Rows
+// come out in plan order, or — for an ORDER BY over keyed slots — in
+// the order assemble gives, each run's rows copied through the same
+// key merge. A byte cannot be compared as a value, so when orderPos >=
+// 0 and a slot is unkeyed it appends nothing and reports false, and the
+// caller answers through the value target (see AppendRows).
+func assembleBytes(dst []byte, slots []outSlot, orderPos int) ([]byte, bool) {
+	n, size := 0, 0
+	for i := range slots {
+		s := &slots[i]
+		if orderPos >= 0 && len(s.keys) != len(s.blocks) {
+			return dst, false
+		}
+		n += s.rows
+		for _, rb := range s.blocks {
+			size += len(rb.buf)
+		}
+	}
+	dst = slices.Grow(dst, size)
+	if orderPos >= 0 {
+		if runs := keyRuns(slots); len(runs) > 1 {
+			m := newKeyMerge(runs)
+			for ; n > 0; n-- {
+				c := m.top()
+				dst = append(dst, slots[c.si].blocks[c.ai].row(int(c.ki))...)
+				m.pop(slots)
+			}
+			return dst, true
+		}
+	}
+	for i := range slots {
+		for _, rb := range slots[i].blocks {
+			dst = append(dst, rb.buf...)
+		}
+	}
+	return dst, true
+}
+
 // keyCursor is a cursor over one sorted run of rows: the current row's
-// slot and arena, its index in the arena (and in the arena's key block),
-// the arena's row count, the rows the run has left (the current one
+// slot and batch, its index in the batch (and in the batch's key block),
+// the batch's row count, the rows the run has left (the current one
 // included), and the current key. A seek-driven union can arrive as n/2
 // runs, so the cursor is kept small.
 type keyCursor struct {
@@ -135,8 +229,8 @@ func keyRuns(slots []outSlot) []keyCursor {
 	i := 0
 	for si := range slots {
 		s := &slots[si]
-		for ai, arena := range s.arenas {
-			n := len(arena) / s.width
+		for ai := range s.keys {
+			n := s.batchRows(ai)
 			for ki, key := range s.keys[ai][:n] {
 				if len(runs) == 0 || key < prev {
 					// A run's left holds its first row's index until the
@@ -157,64 +251,80 @@ func keyRuns(slots []outSlot) []keyCursor {
 	return runs
 }
 
-// mergeKeyRuns writes the rows of runs into rows in merged order
-// through a tournament tree over the runs' current keys: each internal
-// node holds the run that lost the match there, so a row costs one
-// replay from its run's leaf to the root — ceil(log2 k) int64 compares
-// — and ties go to the earlier run.
-func mergeKeyRuns(rows [][]rel.Value, slots []outSlot, runs []keyCursor) {
+// keyMerge merges sorted runs through a tournament tree over the runs'
+// current keys: each internal node holds the run that lost the match
+// there, so a row costs one replay from its run's leaf to the root —
+// ceil(log2 k) int64 compares — and ties go to the earlier run. top is
+// the cursor of the next row in merged order, and pop moves past it;
+// both targets' loops call them directly, never through a func value.
+type keyMerge struct {
+	runs   []keyCursor
+	losers []int
+	w      int // the winning run
+}
+
+func newKeyMerge(runs []keyCursor) keyMerge {
 	k := len(runs)
-	// before reports whether run a's row comes before run b's; an
-	// exhausted run comes last.
-	before := func(a, b int) bool {
-		ra, rb := &runs[a], &runs[b]
-		if ra.left == 0 || rb.left == 0 {
-			return rb.left == 0 && ra.left != 0
-		}
-		return ra.key < rb.key || ra.key == rb.key && a < b
-	}
+	m := keyMerge{runs: runs, losers: make([]int, k)}
 	// Leaves k..2k-1 are the runs; node n's children are 2n and 2n+1.
-	losers := make([]int, k)
 	win := make([]int, 2*k)
 	for r := range runs {
 		win[k+r] = r
 	}
 	for n := k - 1; n >= 1; n-- {
 		a, b := win[2*n], win[2*n+1]
-		if before(b, a) {
+		if before(runs, b, a) {
 			a, b = b, a
 		}
-		win[n], losers[n] = a, b
+		win[n], m.losers[n] = a, b
 	}
-	w := win[1]
-	for i := range rows {
-		c := &runs[w]
-		s := &slots[c.si]
-		off := int(c.ki) * s.width
-		rows[i] = s.arenas[c.ai][off : off+s.width : off+s.width]
-		if c.left--; c.left > 0 {
-			c.advance(slots)
-		}
-		for n := (k + w) / 2; n >= 1; n /= 2 {
-			if before(losers[n], w) {
-				w, losers[n] = losers[n], w
-			}
+	m.w = win[1]
+	return m
+}
+
+// before reports whether run a's row comes before run b's; an
+// exhausted run comes last.
+func before(runs []keyCursor, a, b int) bool {
+	ra, rb := &runs[a], &runs[b]
+	if ra.left == 0 || rb.left == 0 {
+		return rb.left == 0 && ra.left != 0
+	}
+	return ra.key < rb.key || ra.key == rb.key && a < b
+}
+
+// top is the cursor on the next row in merged order.
+func (m *keyMerge) top() *keyCursor { return &m.runs[m.w] }
+
+// pop moves the winning run past its row and replays its leaf-to-root
+// path.
+func (m *keyMerge) pop(slots []outSlot) {
+	runs, losers, w := m.runs, m.losers, m.w
+	if c := &runs[w]; c.left > 1 {
+		c.left--
+		c.advance(slots)
+	} else {
+		c.left = 0
+	}
+	for n := (len(runs) + w) / 2; n >= 1; n /= 2 {
+		if l := losers[n]; before(runs, l, w) {
+			w, losers[n] = l, w
 		}
 	}
+	m.w = w
 }
 
 // advance moves a cursor to the run's next row, past the end of its
-// arena and past empty arenas and slots when it must; the run has one.
+// batch and past empty batches and slots when it must; the run has one.
 func (c *keyCursor) advance(slots []outSlot) {
 	if c.ki++; c.ki == c.n {
 		c.ki = 0
 		for {
 			s := &slots[c.si]
-			if c.ai++; int(c.ai) >= len(s.arenas) {
+			if c.ai++; int(c.ai) >= s.batches() {
 				c.ai, c.si = -1, c.si+1
 				continue
 			}
-			if c.n = int32(len(s.arenas[c.ai]) / s.width); c.n > 0 {
+			if c.n = int32(s.batchRows(int(c.ai))); c.n > 0 {
 				break
 			}
 		}

@@ -110,7 +110,7 @@ func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
 // arena from the arena's key cells, the way the sink fills them, and
 // reports whether every key is a clean int — the only keys a block can
 // hold. The blocks come from the sink's pool and go back to it through
-// releaseKeys.
+// releaseSlots.
 func withKeys(slots []outSlot, orderPos, skip int) bool {
 	for si := range slots {
 		s := &slots[si]
@@ -202,7 +202,7 @@ func TestAssembleMatchesStableSort(t *testing.T) {
 				keyedMerges++
 			}
 		}
-		releaseKeys(slots)
+		releaseSlots(slots)
 		var nonEmpty []int
 		for si := range slots {
 			if len(slots[si].arenas) > 0 {
@@ -212,7 +212,7 @@ func TestAssembleMatchesStableSort(t *testing.T) {
 		if clean && len(nonEmpty) > 1 {
 			withKeys(slots, orderPos, nonEmpty[rng.Intn(len(nonEmpty))])
 			check("with one slot unkeyed", len(want) > 0)
-			releaseKeys(slots)
+			releaseSlots(slots)
 			oneUnkeyed++
 		}
 	}

@@ -62,10 +62,10 @@ func (b *Built) snapshotGenerations() {
 }
 
 // checkGenerations fails if any table mutated after Build. The
-// plan-lifetime caches (hash tables, EXISTS probe sets, prepared
-// plans) are derived from Build-time rows; serving them
-// over mutated data would silently return stale results, so the stale
-// state is an error, not a refresh.
+// plan-lifetime caches (join and EXISTS key indexes, prepared plans)
+// are derived from Build-time rows; serving them over mutated data
+// would silently return stale results, so the stale state is an error,
+// not a refresh.
 func (b *Built) checkGenerations() error {
 	for t, g := range b.gens {
 		if cur := t.Generation(); cur != g {

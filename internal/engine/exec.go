@@ -42,8 +42,8 @@ type Result struct {
 
 // Execute runs an optimizer plan over the built database through the
 // pipelined batch executor. The compiled form of the plan and its
-// probe structures (join hash tables, EXISTS sets) are
-// cached on the Built, so repeated executions of the same plan — and
+// probe structures (the key indexes its joins and EXISTS probes search)
+// are cached on the Built, so repeated executions of the same plan — and
 // other plans touching the same tables — reuse them.
 func Execute(b *Built, plan *optimizer.Plan) (*Result, error) {
 	return ExecuteContext(context.Background(), b, plan)

@@ -8,8 +8,9 @@ import "repro/internal/rel"
 // or INL join's inner table (a partition's base table among them). A
 // colFill reads one column of one such table straight from its typed
 // vector: the sink's fills copy a projected column into the result arena
-// for a whole list of row ids at once — the only rel.Value an execution
-// writes — and a join reads its outer key through one. Values are
+// (or the byte target's scratch batch) for a whole list of row ids at
+// once — the only rel.Value an execution writes — and a join reads its
+// outer key through one. Values are
 // bit-identical to Table.ReadRowInto's.
 
 // fillKind selects a colFill's source representation.
@@ -76,8 +77,10 @@ func (f *colFill) exists(bi *builtIndex, r int32, finger *int) bool {
 
 // fill writes the column's value of source row ids[i] into the fill's
 // slot of row i of arena, whose rows are w values wide. The arena must
-// be freshly allocated: a cell's zero fields are left as they are, so a
-// number or a NULL writes no pointer and pays no GC write barrier.
+// be zeroed — freshly allocated, or the byte target's scratch, which the
+// sink clears after each batch: a cell's zero fields are left as they
+// are, so a number or a NULL writes no pointer and pays no GC write
+// barrier.
 func (f *colFill) fill(arena []rel.Value, w int, ids []int32) {
 	k := f.slot
 	switch f.kind {

@@ -25,10 +25,10 @@ var morselRows = 4 * batchSize
 // parallelizes end to end; hash-join build sides stay single-flighted
 // on the Built's cache.
 //
-// Determinism: each morsel writes its arenas and stats into a fixed
-// (branch, morsel) slot; the slots lie branch by branch in plan order
-// and morsel by morsel in driver order, which is the order assemble
-// reads them in. runRange output depends only on which driver rows a
+// Determinism: each morsel writes its arenas (or row blocks) and stats
+// into a fixed (branch, morsel) slot; the slots lie branch by branch in
+// plan order and morsel by morsel in driver order, which is the order
+// assemble reads them in. runRange output depends only on which driver rows a
 // morsel covers — never on timing or on which goroutine ran it — and
 // ExecStats are commutative sums, so results are bit-identical at any
 // worker count and under any claim order.
@@ -37,8 +37,9 @@ var morselRows = 4 * batchSize
 // claimOrder): morsel-major across branches, at every worker count.
 //
 // Hash-join build-side cost is charged once per branch, never per
-// morsel (see precharge), before any morsel is claimable.
-func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *obs.Registry, workers int) (*Result, error) {
+// morsel (see precharge), before any morsel is claimable. The slots are
+// returned for the caller to assemble and release, on error too.
+func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *obs.Registry, workers int, enc RowEncoder) ([]outSlot, ExecStats, error) {
 	type branchRun struct {
 		st     ExecStats // precharge + driver-resolution stats
 		ids    []int32   // seek drivers: matching row ids
@@ -105,7 +106,7 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 				obs.Int("morsel", int64(i-r.lo)),
 				obs.Int("rows_in", int64(t.hi-t.lo)))
 			slot := &slots[i]
-			if err := pp.branches[t.branch].runRange(ctx, slot, r.ids, t.lo, t.hi); err != nil {
+			if err := pp.branches[t.branch].runRange(ctx, slot, enc, r.ids, t.lo, t.hi); err != nil {
 				ms.SetAttr(obs.String("error", err.Error()))
 				ms.End()
 				fail(err)
@@ -127,7 +128,7 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 	wg.Wait()
 	reg.Counter("engine.exec.morsels").Add(int64(len(tasks)))
 
-	res := &Result{Cols: pp.cols}
+	var st ExecStats
 	for _, r := range runs {
 		bst := r.st
 		brows := 0
@@ -135,21 +136,13 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 			bst.add(slots[i].st)
 			brows += slots[i].rows
 		}
-		res.Stats.add(bst)
+		st.add(bst)
 		r.span.SetAttr(obs.Int("rows", int64(brows)),
 			obs.Int("rows_scanned", bst.RowsScanned),
 			obs.Int("rows_sought", bst.RowsSought))
 		r.span.End()
 	}
-	defer releaseKeys(slots)
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	var sorted bool
-	if res.Rows, sorted = assemble(slots, pp.orderPos); sorted {
-		reg.Counter("engine.exec.order_sorts").Inc()
-	}
-	return res, nil
+	return slots, st, firstErr
 }
 
 // claimOrder returns the order in which tasks are claimed, given each

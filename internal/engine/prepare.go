@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -27,12 +28,15 @@ import (
 // The only rel.Value an execution writes is a result cell: the sink
 // copies each projected column from its column vector into one fresh,
 // exactly-sized arena per batch (see colFill), and assemble cuts the
-// result's row headers once, at their exact count.
+// result's row headers once, at their exact count. The byte target
+// (AppendRows) fills a pooled scratch batch instead and keeps only each
+// row's encoding.
 //
-// A PreparedPlan is safe for concurrent ExecuteContextWorkers calls —
-// a plan cached on a Built is shared by every session that prepares the
-// same plan, so the worker count travels with each call, not on the
-// plan; per-execution operator state (row-id vectors) comes from a pool.
+// A PreparedPlan is safe for concurrent ExecuteContextWorkers and
+// AppendRows calls — a plan cached on a Built is shared by every session
+// that prepares the same plan, so the worker count travels with each
+// call, not on the plan; per-execution operator state (row-id vectors)
+// comes from a pool.
 type PreparedPlan struct {
 	built *Built
 	plan  *optimizer.Plan
@@ -40,6 +44,10 @@ type PreparedPlan struct {
 	// orderPos is the output position of the ORDER BY column, -1 when the
 	// query has none.
 	orderPos int
+	// intOrder is false when some branch orders by a NULL item or a
+	// column other than INT, which the byte target cannot merge on (see
+	// AppendRows).
+	intOrder bool
 	branches []*preparedBranch
 }
 
@@ -53,7 +61,7 @@ const batchSize = 1024
 // an ORDER BY column missing from the output) are reported here
 // instead, once.
 func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
-	pp := &PreparedPlan{built: b, plan: plan, cols: plan.Query.OutputColumns(), orderPos: -1}
+	pp := &PreparedPlan{built: b, plan: plan, cols: plan.Query.OutputColumns(), orderPos: -1, intOrder: true}
 	if ob := plan.Query.OrderBy; ob != "" {
 		pp.orderPos = slices.Index(pp.cols, ob)
 		if pp.orderPos < 0 {
@@ -89,6 +97,9 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 			pb.src.need = need[pb.src.table]
 		}
 		pb.orderOut = slices.IndexFunc(pb.outs, func(o outCol) bool { return o.pos == pp.orderPos })
+		if ko := pb.orderOut; pp.orderPos >= 0 {
+			pp.intOrder = pp.intOrder && ko >= 0 && pb.srcs[pb.outs[ko].tab].Columns[pb.outs[ko].col].Typ == rel.TInt
+		}
 	}
 	return pp, nil
 }
@@ -112,6 +123,80 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 // state for reuse, so a later call on the same PreparedPlan succeeds
 // with warm caches.
 func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) (*Result, error) {
+	res := &Result{Cols: pp.cols}
+	var err error
+	_, res.Stats, err = pp.execute(ctx, workers, nil, func(slots []outSlot, reg *obs.Registry) error {
+		var sorted bool
+		if res.Rows, sorted = assemble(slots, pp.orderPos); sorted {
+			reg.Counter("engine.exec.order_sorts").Inc()
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// RowEncoder appends the encoding of one result row to dst and returns
+// the extended buffer. The row's values are valid only during the call.
+type RowEncoder func(dst []byte, row []rel.Value) []byte
+
+// errUnkeyed is what the byte target reports when an ORDER BY key
+// column held something other than an int without a NULL, so its rows
+// can only be ordered as values (see AppendRows).
+var errUnkeyed = errors.New("engine: ORDER BY key is not an int vector without NULL; answered through result rows")
+
+// AppendRows runs the plan as ExecuteContextWorkers does — same
+// workers, cancellation, rows, order and stats — but builds no result
+// rows: it appends enc's encoding of every row to dst in result order
+// and returns the extended buffer with the row count and stats. This is
+// the byte target: the sink fills a pooled scratch batch through the
+// same column fills, encodes each row into a pooled row block beside
+// the batch's key block, and assembleBytes copies the blocks' bytes to
+// dst in plan order or through the same key merge, so an execution
+// writes no result cell, no arena and no row header of its own.
+//
+// Bytes cannot be ordered as values, so a plan that orders by a column
+// other than INT, and an execution that meets a NULL key (hand-built
+// plans only; a translated query's ID column has neither), answers
+// through ExecuteContextWorkers and encodes its rows in order — the
+// latter after its byte execution is discarded. Either way the bytes
+// equal encoding ExecuteContextWorkers's rows with enc.
+func (pp *PreparedPlan) AppendRows(ctx context.Context, workers int, dst []byte, enc RowEncoder) ([]byte, int, ExecStats, error) {
+	if pp.intOrder {
+		out := dst
+		n, st, err := pp.execute(ctx, workers, enc, func(slots []outSlot, _ *obs.Registry) error {
+			var ok bool
+			if out, ok = assembleBytes(dst, slots, pp.orderPos); !ok {
+				return errUnkeyed
+			}
+			return nil
+		})
+		if err != errUnkeyed {
+			return out, n, st, err
+		}
+	}
+	res, err := pp.ExecuteContextWorkers(ctx, workers)
+	if err != nil {
+		return dst, 0, ExecStats{}, err
+	}
+	for _, row := range res.Rows {
+		dst = enc(dst, row)
+	}
+	return dst, len(res.Rows), res.Stats, nil
+}
+
+// Cols are the output column names of the plan's result.
+func (pp *PreparedPlan) Cols() []string { return pp.cols }
+
+// execute is both targets' execution: resolve the worker count, run the
+// morsels into slots (value arenas when enc is nil, row blocks encoded
+// by enc otherwise), hand the slots to finish, which assembles them,
+// and return the pooled blocks. It reports the number of result rows and
+// the stats, and spans and counts the execution.
+func (pp *PreparedPlan) execute(ctx context.Context, workers int, enc RowEncoder,
+	finish func(slots []outSlot, reg *obs.Registry) error) (int, ExecStats, error) {
 	var tr *obs.Tracer
 	var reg *obs.Registry
 	if pp.built != nil {
@@ -119,7 +204,7 @@ func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) 
 	}
 	if err := ctx.Err(); err != nil {
 		reg.Counter("engine.exec.cancellations").Inc()
-		return nil, err
+		return 0, ExecStats{}, err
 	}
 	if workers < 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -130,24 +215,32 @@ func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) 
 	n := len(pp.branches)
 	sp := tr.StartSpan("executor.execute",
 		obs.Int("branches", int64(n)), obs.Int("workers", int64(workers)))
-	res, err := pp.executeMorsels(ctx, sp, reg, workers)
+	slots, st, err := pp.executeMorsels(ctx, sp, reg, workers, enc)
+	defer releaseSlots(slots)
+	rows := 0
+	if err == nil {
+		for i := range slots {
+			rows += slots[i].rows
+		}
+		err = finish(slots, reg)
+	}
 	if err != nil {
 		sp.SetAttr(obs.String("error", err.Error()))
 		sp.End()
 		if ctx.Err() != nil {
 			reg.Counter("engine.exec.cancellations").Inc()
 		}
-		return nil, err
+		return 0, ExecStats{}, err
 	}
-	sp.SetAttr(obs.Int("rows_out", int64(len(res.Rows))),
-		obs.Int("rows_scanned", res.Stats.RowsScanned),
-		obs.Int("rows_sought", res.Stats.RowsSought))
+	sp.SetAttr(obs.Int("rows_out", int64(rows)),
+		obs.Int("rows_scanned", st.RowsScanned),
+		obs.Int("rows_sought", st.RowsSought))
 	sp.End()
 	reg.Counter("engine.exec.executions").Inc()
-	reg.Counter("engine.exec.rows_out").Add(int64(len(res.Rows)))
-	reg.Counter("engine.exec.rows_scanned").Add(res.Stats.RowsScanned)
-	reg.Counter("engine.exec.rows_sought").Add(res.Stats.RowsSought)
-	return res, nil
+	reg.Counter("engine.exec.rows_out").Add(int64(rows))
+	reg.Counter("engine.exec.rows_scanned").Add(st.RowsScanned)
+	reg.Counter("engine.exec.rows_sought").Add(st.RowsSought)
+	return rows, st, nil
 }
 
 // srcKind discriminates driver sources.
@@ -688,15 +781,16 @@ func morselRanges(nc int, span func(k int) (lo, hi int)) [][2]int {
 }
 
 // runRange pushes driver rows [lo, hi) through the branch pipeline and
-// emits the projected rows into out (arenas, row count, stats) in
-// pipeline order. Output depends only on the driver rows' order —
-// operators keep no state across rows, and batch boundaries never split
-// a row's join expansion out of order — so reading adjacent ranges'
-// slots back to back equals one big run, which is what makes results
-// bit-identical however the driver is cut into morsels. ctx is polled
+// emits the projected rows into out (arenas, or row blocks encoded by
+// enc when it is not nil; row count, stats) in pipeline order. Output
+// depends only on the driver rows' order — operators keep no state
+// across rows, and batch boundaries never split a row's join expansion
+// out of order — so reading adjacent ranges' slots back to back equals
+// one big run, which is what makes results bit-identical however the
+// driver is cut into morsels. ctx is polled
 // once per driver batch; on cancellation the pipeline stops promptly,
 // pooled state is still returned for reuse, and ctx's error is reported.
-func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int32, lo, hi int) error {
+func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, enc RowEncoder, ids []int32, lo, hi int) error {
 	done := ctx.Done()
 	cancelled := func() bool {
 		if done == nil {
@@ -712,7 +806,7 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int3
 	state := pb.pool.Get().(*branchState)
 	defer pb.pool.Put(state)
 	out.width = len(pb.outs) + len(pb.nulls)
-	r := &pipeRun{pb: pb, st: state, out: out}
+	r := &pipeRun{pb: pb, st: state, out: out, enc: enc}
 
 	// feed compacts a vector of driver row ids with the driver-stage
 	// kernels and pushes the survivors through the pipeline.
@@ -789,12 +883,14 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, ids []int3
 }
 
 // pipeRun is one runRange call's pipeline: the branch, the readers of
-// the source being read, the pooled state, and the output slot.
+// the source being read, the pooled state, the output slot, and the
+// byte target's row encoder (nil on the value target).
 type pipeRun struct {
 	pb  *preparedBranch
 	rd  *readers
 	st  *branchState
 	out *outSlot
+	enc RowEncoder
 }
 
 // push runs a batch — one row-id vector per table in scope — through
@@ -866,22 +962,37 @@ func (r *pipeRun) flush(oi int, jb *joinBuf, in [][]int32) {
 	jb.pos, jb.inner = jb.pos[:0], jb.inner[:0]
 }
 
-// sink projects a batch into one fresh, exactly-sized arena: one fill
-// per projected column, straight from its column vector, and NULL
-// items as constants. The rows themselves are cut later, once (see
-// assemble). While the slot is keyed and the ORDER BY column reads an
-// int vector with no NULL, the batch's keys are also copied into
-// a pooled block beside the arena, so assemble merges on int64s and
-// never reads a cell back; any other key column leaves the slot
-// unkeyed for good.
+// sink projects a batch into one exactly-sized arena: one fill per
+// projected column, straight from its column vector, and NULL items as
+// constants. On the value target the arena is fresh and kept; the rows
+// themselves are cut later, once (see assemble). On the byte target it
+// is a pooled scratch batch: each row is encoded into a pooled row
+// block, recording where it ends, and the scratch is cleared before it
+// goes back, so it holds no pointer between batches and the fills find
+// it zeroed.
+// While the slot is keyed and the ORDER BY column reads an int vector
+// with no NULL, the batch's keys are also copied into a pooled block
+// beside the arena or row block, so assemble merges on int64s and never
+// reads a cell back; any other key column leaves the slot unkeyed for
+// good.
 func (r *pipeRun) sink(vecs [][]int32) {
 	out := r.out
 	n, w := len(vecs[0]), out.width
 	out.rows += n
-	if n == 0 || w == 0 {
+	if n == 0 || w == 0 && r.enc == nil {
 		return
 	}
-	arena := make([]rel.Value, n*w)
+	var arena []rel.Value
+	var scratch *[]rel.Value
+	if r.enc == nil {
+		arena = make([]rel.Value, n*w)
+	} else {
+		scratch = scratchCells.Get().(*[]rel.Value)
+		if cap(*scratch) < n*w {
+			*scratch = make([]rel.Value, n*w)
+		}
+		arena = (*scratch)[:n*w]
+	}
 	for i, o := range r.pb.outs {
 		r.rd.fills[i].fill(arena, w, vecs[o.tab])
 	}
@@ -890,7 +1001,7 @@ func (r *pipeRun) sink(vecs [][]int32) {
 			arena[k].Null, arena[k].Typ = true, rel.TString // rel.NullOf(rel.TString) over a zero cell
 		}
 	}
-	if ko := r.pb.orderOut; ko >= 0 && len(out.keys) == len(out.arenas) {
+	if ko := r.pb.orderOut; ko >= 0 && len(out.keys) == out.batches() {
 		if f := &r.rd.fills[ko]; f.kind == fillInts && f.nulls == nil {
 			kb := keyBlocks.Get().(*keyBlock)
 			for i, id := range vecs[r.pb.outs[ko].tab] {
@@ -899,5 +1010,23 @@ func (r *pipeRun) sink(vecs [][]int32) {
 			out.keys = append(out.keys, kb)
 		}
 	}
-	out.arenas = append(out.arenas, arena)
+	if r.enc == nil {
+		out.arenas = append(out.arenas, arena)
+		return
+	}
+	rb := rowBlocks.Get().(*rowBlock)
+	buf := rb.buf[:0]
+	for i := 0; i < n; i++ {
+		buf = r.enc(buf, arena[i*w:i*w+w:i*w+w])
+		rb.ends[i] = int32(len(buf))
+	}
+	rb.n, rb.buf = n, buf
+	out.blocks = append(out.blocks, rb)
+	clear(arena)
+	scratchCells.Put(scratch)
 }
+
+// scratchCells recycles the byte target's scratch batches. A batch is
+// taken for one sink call and returned zeroed, so only the batches being
+// encoded hold one, whatever the number of prepared branches.
+var scratchCells = sync.Pool{New: func() any { return new([]rel.Value) }}

@@ -303,7 +303,7 @@ func (t *Table) AppendRow(row []Value) {
 
 // Generation counts the mutations (appends, re-sorts) this table has
 // seen. Consumers that cache structures derived from the rows — the
-// engine's plan-lifetime hash tables, probe sets, and prepared plans —
+// engine's plan-lifetime key indexes and prepared plans —
 // snapshot it and refuse to serve the cache after the table moved on,
 // turning silent stale reads into loud errors.
 func (t *Table) Generation() int64 { return t.gen }

@@ -11,6 +11,8 @@ import (
 	"net/http"
 	"strconv"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // The wire protocol is JSON over HTTP:
@@ -19,9 +21,9 @@ import (
 //	GET  /corpora  → []CorpusInfo
 //	GET  /healthz  → "ok"
 //
-// The /query 200 body goes through the hand-rolled codec in wire.go;
-// everything else — request decoding, error bodies, /corpora — through
-// encoding/json.
+// The /query 200 body goes through the hand-rolled codec in wire.go,
+// its rows encoded by the engine's byte target; everything else —
+// request decoding, error bodies, /corpora — through encoding/json.
 //
 // Admission outcomes map onto status codes so generic HTTP tooling
 // does the right thing — 429 for overload (back off), 504 for
@@ -118,13 +120,24 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	resp, err := s.Query(r.Context(), req)
+	// The rows go onto the wire straight from the engine's byte target:
+	// the head is written before execution, each row is appended as its
+	// wire bytes from the column vectors, and the tail once the grant and
+	// timings are known. No result row is built.
+	bp := getBuf()
+	var resp Response
+	var rows int
+	err = s.serve(r.Context(), req, &resp, func(ctx context.Context, pp *engine.PreparedPlan, workers int) (int, error) {
+		var err error
+		*bp, rows, resp.Stats, err = pp.AppendRows(ctx, workers, appendHead(*bp, pp.Cols()), appendRow)
+		return rows, err
+	})
 	if err != nil {
+		putBuf(bp)
 		fail(err)
 		return
 	}
-	bp := getBuf()
-	*bp = appendResponse(*bp, resp)
+	*bp = appendTail(*bp, rows, &resp)
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
 	w.WriteHeader(http.StatusOK)

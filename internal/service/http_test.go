@@ -5,13 +5,17 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
+	"repro/internal/physical"
 	"repro/internal/rel"
 )
 
@@ -248,5 +252,120 @@ func FuzzHTTPQuery(f *testing.F) {
 		default:
 			t.Fatalf("%q: HTTP %d", body, rec.Code)
 		}
+	})
+}
+
+// timings matches the two members of a /query body that differ between
+// any two answers to one request.
+var timings = regexp.MustCompile(`"queued_us":\d+,"elapsed_us":\d+}`)
+
+// TestHandlerBodyMatchesQuery: the handler writes its rows through the
+// engine's byte target, never through Response, and its body must be
+// the bytes appendResponse writes for Query's answer to the same
+// request — byte for byte once queued_us and elapsed_us are zeroed — on
+// scans, joins, unions, a seek, an empty result and several grants.
+func TestHandlerBodyMatchesQuery(t *testing.T) {
+	m, db, _ := movieFixture(t, 120)
+	cfg := &physical.Config{}
+	cfg.AddIndex(&physical.Index{Name: "ix_movie_year", Table: "movie", Key: []string{"year"}, Include: []string{"ID", "title", "box_office"}})
+	built, err := engine.Build(db, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := New(Config{PoolWorkers: 4})
+	if err := svc.RegisterBuilt("movie", built, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	h := svc.Handler()
+	queries := append([]string{`//movie[year = 2001]/(title | box_office)`, `//movie[year = 1]/title`}, serviceQueries...)
+	zero := func(body []byte) string {
+		return timings.ReplaceAllString(string(body), `"queued_us":0,"elapsed_us":0}`)
+	}
+	for _, q := range queries {
+		for _, workers := range []int{1, 2, 4} {
+			req := Request{Corpus: "movie", Tenant: "t", XPath: q, Workers: workers}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(appendRequest(nil, req))))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("%s: HTTP %d: %s", q, rec.Code, rec.Body)
+			}
+			resp, err := svc.Query(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Queued, resp.Elapsed = 0, 0
+			if got, want := zero(rec.Body.Bytes()), string(appendResponse(nil, resp)); got != want {
+				t.Fatalf("%s workers %d: handler body\n%.400s\nwant appendResponse(Query)\n%.400s", q, workers, got, want)
+			}
+		}
+	}
+}
+
+// discardWriter is an http.ResponseWriter that keeps only the byte
+// count, so a benchmark of the handler measures the handler.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// BenchmarkHandleQuery is the server side of a seek-shaped /query: a
+// covering index on movie(year) turns the query into an index seek, so
+// what a request allocates is the handler's own — request decoding,
+// admission, the byte target's bookkeeping — and no result cell or row
+// header. "value-path" answers the same request the way the handler did
+// before the byte target, Query's result rows encoded by appendResponse,
+// for comparison. rows/op is reported beside the allocations.
+func BenchmarkHandleQuery(b *testing.B) {
+	m, db, _ := movieFixture(b, 2000)
+	cfg := &physical.Config{}
+	cfg.AddIndex(&physical.Index{Name: "ix_movie_year", Table: "movie", Key: []string{"year"}, Include: []string{"ID", "title", "box_office"}})
+	built, err := engine.Build(db, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	svc := New(Config{})
+	if err := svc.RegisterBuilt("movie", built, m, nil); err != nil {
+		b.Fatal(err)
+	}
+	req := Request{Corpus: "movie", Tenant: "t", XPath: `//movie[year >= 2001]/(title | box_office)`, Workers: 1}
+	warm, err := svc.Query(context.Background(), req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if warm.Stats.RowsScanned != 0 || len(warm.Rows) == 0 {
+		b.Fatalf("not a seek-shaped query: %d rows, stats %+v", len(warm.Rows), warm.Stats)
+	}
+	body := appendRequest(nil, req)
+	report := func(b *testing.B) {
+		b.ReportMetric(float64(len(warm.Rows)), "rows/op")
+	}
+	b.Run("handler", func(b *testing.B) {
+		h := svc.Handler()
+		w := &discardWriter{h: make(http.Header)}
+		hr := httptest.NewRequest(http.MethodPost, "/query", nil)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			hr.Body = io.NopCloser(bytes.NewReader(body))
+			h.ServeHTTP(w, hr)
+		}
+		report(b)
+	})
+	b.Run("value-path", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			resp, err := svc.Query(context.Background(), req)
+			if err != nil {
+				b.Fatal(err)
+			}
+			bp := getBuf()
+			*bp = appendResponse(*bp, resp)
+			putBuf(bp)
+		}
+		report(b)
 	})
 }

@@ -149,7 +149,7 @@ type Response struct {
 // corpus is one registered dataset: a shared Built, the mapping that
 // translates XPath against it, its optimizer, and the per-query-text
 // plan cache. The Built's own caches (prepared plans by fingerprint,
-// hash tables, probe sets) are shared across every
+// join and EXISTS key indexes) are shared across every
 // session automatically because the Built itself is shared; the plans
 // map adds the XPath-text → optimizer.Plan step on top, single-flighted
 // so concurrent first requests for the same text translate and plan
@@ -422,11 +422,36 @@ func (s *Service) timeout(req Request) time.Duration {
 // never poisons a shared cache entry (the engine's single-flight builds
 // run to completion regardless, see engine.cacheGet).
 func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
+	resp := &Response{}
+	err := s.serve(ctx, req, resp, func(ctx context.Context, pp *engine.PreparedPlan, workers int) (int, error) {
+		res, err := pp.ExecuteContextWorkers(ctx, workers)
+		if err != nil {
+			return 0, err
+		}
+		resp.Cols, resp.Rows, resp.Stats = res.Cols, res.Rows, res.Stats
+		return len(res.Rows), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// serve is a request's whole path but the execution itself: exec runs
+// the admitted request's prepared plan on workers goroutines under ctx,
+// records the result where its caller reads it, and reports the number
+// of result rows. Query runs the plan to result rows, the /query handler
+// to wire bytes (see handleQuery); both share the corpus lookup,
+// deadline, span, plan cache, admission, worker grant and error taxonomy
+// here. On success serve sets resp's Workers, Queued and Elapsed,
+// Elapsed taken when exec returns.
+func (s *Service) serve(ctx context.Context, req Request, resp *Response,
+	exec func(ctx context.Context, pp *engine.PreparedPlan, workers int) (rows int, err error)) error {
 	start := time.Now()
 	c, err := s.corpus(req.Corpus)
 	if err != nil {
 		s.errct.Inc()
-		return nil, err
+		return err
 	}
 	if d := s.timeout(req); d > 0 {
 		var cancel context.CancelFunc
@@ -437,10 +462,10 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 		obs.String("corpus", req.Corpus), obs.String("tenant", req.Tenant))
 	defer sp.End()
 
-	fail := func(phase string, err error) (*Response, error) {
+	fail := func(phase string, err error) error {
 		err = s.classify(phase, err)
 		sp.SetAttr(obs.String("error", err.Error()))
-		return nil, err
+		return err
 	}
 
 	// Plan before admission: a parse or translation error must not
@@ -480,20 +505,14 @@ func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 	if err != nil {
 		return fail("prepare", err)
 	}
-	res, err := pp.ExecuteContextWorkers(ctx, workers)
+	rows, err := exec(ctx, pp, workers)
 	if err != nil {
 		return fail("execute", err)
 	}
 	s.completed.Inc()
-	sp.SetAttr(obs.Int("rows", int64(len(res.Rows))))
-	return &Response{
-		Cols:    res.Cols,
-		Rows:    res.Rows,
-		Stats:   res.Stats,
-		Workers: workers,
-		Queued:  queued,
-		Elapsed: time.Since(start),
-	}, nil
+	sp.SetAttr(obs.Int("rows", int64(rows)))
+	resp.Workers, resp.Queued, resp.Elapsed = workers, queued, time.Since(start)
+	return nil
 }
 
 // classify folds an error into the admission taxonomy and counts it:

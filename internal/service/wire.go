@@ -38,8 +38,9 @@ import (
 // writes for the reference types in wire_test.go, and decodeResponse
 // reads any JSON that encoding/json would decode into them to the same
 // values; the differential tests and FuzzDecodeResponse pin both. Neither
-// uses reflection: the encoder appends straight from Response.Rows into a
-// pooled buffer, the decoder walks the body once.
+// uses reflection: on the server the engine appends each row's encoding
+// into a pooled buffer straight from the column vectors (see
+// Service.handleQuery), the decoder walks the body once.
 
 // maxPooledBuf is the largest buffer bufPool keeps. A rare huge response
 // allocates its own buffer rather than pinning one in the pool.
@@ -60,14 +61,27 @@ func putBuf(bp *[]byte) {
 }
 
 // appendResponse appends the wire form of resp, trailing newline
-// included.
+// included. The /query handler writes the same bytes in three parts
+// around the engine's byte target — appendHead, each row's appendRow,
+// appendTail — and this is the three parts over resp.Rows, the oracle
+// its tests compare with.
 func appendResponse(dst []byte, resp *Response) []byte {
+	dst = appendHead(dst, resp.Cols)
+	for _, row := range resp.Rows {
+		dst = appendRow(dst, row)
+	}
+	return appendTail(dst, len(resp.Rows), resp)
+}
+
+// appendHead appends the body up to the first row: the column list and
+// the opening of the row array.
+func appendHead(dst []byte, cols []string) []byte {
 	dst = append(dst, `{"cols":`...)
-	if resp.Cols == nil {
+	if cols == nil {
 		dst = append(dst, "null"...)
 	} else {
 		dst = append(dst, '[')
-		for i, c := range resp.Cols {
+		for i, c := range cols {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
@@ -75,19 +89,27 @@ func appendResponse(dst []byte, resp *Response) []byte {
 		}
 		dst = append(dst, ']')
 	}
-	dst = append(dst, `,"rows":[`...)
-	for i, row := range resp.Rows {
-		if i > 0 {
+	return append(dst, `,"rows":[`...)
+}
+
+// appendRow appends one row and the comma after it; appendTail drops
+// the last row's. It is the engine.RowEncoder of the /query handler.
+func appendRow(dst []byte, row []rel.Value) []byte {
+	dst = append(dst, '[')
+	for j, v := range row {
+		if j > 0 {
 			dst = append(dst, ',')
 		}
-		dst = append(dst, '[')
-		for j, v := range row {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			dst = appendValue(dst, v)
-		}
-		dst = append(dst, ']')
+		dst = appendValue(dst, v)
+	}
+	return append(dst, ']', ',')
+}
+
+// appendTail closes the row array after rows rows, dropping the last
+// one's comma, and appends resp's stats, grant and timings.
+func appendTail(dst []byte, rows int, resp *Response) []byte {
+	if rows > 0 {
+		dst = dst[:len(dst)-1]
 	}
 	dst = append(dst, `],"stats":{"RowsScanned":`...)
 	dst = strconv.AppendInt(dst, resp.Stats.RowsScanned, 10)
