@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -451,21 +452,23 @@ func projectionLeavesOf(ctx *schema.Node, q *xpath.Query) []*schema.Node {
 }
 
 // queryCostFull costs one query under a mapping with a bare
-// configuration: the cache-miss path of queryCost.
+// configuration: the cache-miss path of queryCost. A mapping that
+// cannot compile, translate or cost the query cannot answer it, so the
+// query costs +Inf there, never nothing.
 func (a *Advisor) queryCostFull(tree *schema.Tree, wq workload.Query, met *Metrics) float64 {
 	m, err := shred.Compile(tree)
 	if err != nil {
-		return 0
+		return math.Inf(1)
 	}
 	sql, err := translate.Translate(m, wq.XPath)
 	if err != nil {
-		return 0
+		return math.Inf(1)
 	}
 	opt := optimizer.New(shred.DeriveStats(m, a.Col))
 	cost, err := opt.Cost(sql, nil)
 	met.OptimizerCalls += opt.Calls()
 	if err != nil {
-		return 0
+		return math.Inf(1)
 	}
 	return cost
 }

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/schema"
 	"repro/internal/transform"
+	"repro/internal/workload"
 	"repro/internal/xpath"
 )
 
@@ -261,4 +263,30 @@ func describeAll(cs []*candidate) []string {
 		out[i] = c.desc
 	}
 	return out
+}
+
+// TestQueryCostRefusalIsNotFree: the merge oracle's per-query cost is
+// +Inf for a query the mapping cannot translate — it cannot answer it,
+// so the query is never free there — finite and positive for one it
+// answers, and exactly 0 for one it proves empty, a query of zero
+// branches.
+func TestQueryCostRefusalIsNotFree(t *testing.T) {
+	fx := movieFixture(t, movieTestQueries)
+	adv := advisorFor(t, fx)
+	tree := fx.base.Clone()
+	choice := tree.ElementsNamed("box_office")[0].UnderChoice()
+	tree.ElementsNamed("movie")[0].Distributions = []schema.Distribution{{Choice: choice.ID}}
+	for _, tc := range []struct {
+		query string
+		want  func(float64) bool
+	}{
+		{`//movie/nonexistent`, func(c float64) bool { return math.IsInf(c, 1) }},
+		{`//movie[year >= 2000]/(title | box_office)`, func(c float64) bool { return c > 0 && !math.IsInf(c, 0) }},
+		{`//movie[box_office >= 1000]/seasons`, func(c float64) bool { return c == 0 }},
+	} {
+		var met Metrics
+		if got := adv.queryCost(tree, workload.Query{XPath: xpath.MustParse(tc.query), Weight: 1}, &met); !tc.want(got) {
+			t.Errorf("%s: cost %v", tc.query, got)
+		}
+	}
 }

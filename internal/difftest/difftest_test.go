@@ -61,8 +61,8 @@ func TestDifferential(t *testing.T) {
 	for i := 0; i < iters; i++ {
 		total.Add(runCase(t, DefaultCase(base+int64(i))))
 	}
-	t.Logf("trials=%d queries=%d executed=%d skipped=%d provenEmpty=%d transforms=%d tuned=%d maxCostRatio=%.1f",
-		iters, total.Queries, total.Executed, total.Skipped, total.ProvenEmpty,
+	t.Logf("trials=%d queries=%d executed=%d skipped=%d transforms=%d tuned=%d maxCostRatio=%.1f",
+		iters, total.Queries, total.Executed, total.Skipped,
 		total.Transforms, total.Tuned, total.MaxCostRatio)
 	if total.Executed < iters {
 		t.Errorf("only %d queries executed end to end across %d trials; generator or skip classification degraded",
@@ -84,6 +84,20 @@ func TestRunDeterministic(t *testing.T) {
 	}
 	if st1.Executed == 0 {
 		t.Fatalf("case %s executed no queries: %+v", c.ReplaySpec(), st1)
+	}
+}
+
+// TestDifferentialZeroBranchQuery: query 3 of DefaultCase(1164),
+// //e14[e17 != 9]/e16, is one the trial's mapping proves empty, so it
+// translates to a query of zero branches. It runs every stage as any
+// other query does — plan, both executors, persistence, chunk scans, the
+// service over HTTP — and the compare stage checks its empty result
+// against the evaluator.
+func TestDifferentialZeroBranchQuery(t *testing.T) {
+	c := DefaultCase(1164)
+	c.Only = 3
+	if st := runCase(t, c); st.Executed != 1 || st.Skipped != 0 {
+		t.Fatalf("case %s: %+v, want the query executed", c.ReplaySpec(), st)
 	}
 }
 

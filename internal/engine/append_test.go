@@ -9,6 +9,7 @@ import (
 	"runtime/debug"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -66,12 +67,12 @@ func requireAppendMatches(t *testing.T, label string, pp *PreparedPlan, workers 
 }
 
 // handBuiltAppendFixture is a table of 300 rows, three runs of IDs, and
-// plans over it that the translated fixtures never produce: ORDER BY a
-// clean INT (merged on key blocks), a nullable INT holding one NULL
-// (the byte execution is discarded at the NULL's slot), a VARCHAR
-// column (Prepare already knows the byte target cannot merge), no ORDER
-// BY, a width-0 projection, and an empty result.
-func handBuiltAppendFixture(t *testing.T) (*Built, map[string]*optimizer.Plan) {
+// plans over it that the translated fixtures never produce: ORDER BY the
+// ID (merged on key blocks) beside a nullable INT holding one NULL, no
+// ORDER BY, a width-0 projection, and an empty result. refused are the
+// plans ordered by a column that is not INT NOT NULL: a nullable INT
+// holding that NULL, and a VARCHAR column.
+func handBuiltAppendFixture(t *testing.T) (built *Built, plans, refused map[string]*optimizer.Plan) {
 	t.Helper()
 	p := rel.NewTable("p", []rel.Column{{Name: "ID", Typ: rel.TInt}, {Name: "N", Typ: rel.TInt, Nullable: true},
 		{Name: "v", Typ: rel.TInt}, {Name: "s", Typ: rel.TString}})
@@ -98,13 +99,14 @@ func handBuiltAppendFixture(t *testing.T) (*Built, map[string]*optimizer.Plan) {
 	}
 	none := []sqlast.Pred{{Kind: sqlast.PredCompare, Col: sqlast.ColRef{Table: "p", Column: "v"}, Op: sqlast.OpLt, Value: rel.Int(0)}}
 	return built, map[string]*optimizer.Plan{
-		"order-by-int":      plan("p_ID", nil, col("v"), col("ID"), col("s")),
-		"order-by-nullable": plan("p_N", nil, col("v"), col("N")),
-		"order-by-varchar":  plan("p_s", nil, col("v"), col("s")),
-		"unordered":         plan("", nil, col("s"), col("v")),
-		"width-0":           plan("", nil),
-		"empty":             plan("p_ID", none, col("ID"), col("s")),
-	}
+			"order-by-int": plan("p_ID", nil, col("v"), col("ID"), col("N"), col("s")),
+			"unordered":    plan("", nil, col("s"), col("N"), col("v")),
+			"width-0":      plan("", nil),
+			"empty":        plan("p_ID", none, col("ID"), col("s")),
+		}, map[string]*optimizer.Plan{
+			"order-by-nullable": plan("p_N", nil, col("v"), col("N")),
+			"order-by-varchar":  plan("p_s", nil, col("v"), col("s")),
+		}
 }
 
 // TestAppendRowsMatchesEncodedRows is the byte target's differential:
@@ -113,9 +115,9 @@ func handBuiltAppendFixture(t *testing.T) (*Built, map[string]*optimizer.Plan) {
 // on the resident Built and on the same design reopened as a budgeted
 // paged store, AppendRows must return exactly the bytes of encoding
 // ExecuteContextWorkers's rows in order with the same encoder, after
-// the caller's prefix, with the same row count and stats. Of the
-// hand-built plans, only the two whose ORDER BY key is not a clean INT
-// vector may take the value path, which engine.exec.order_sorts counts.
+// the caller's prefix, with the same row count and stats. The hand-built
+// plans ordered by a nullable INT or a VARCHAR column are refused before
+// either target runs.
 func TestAppendRowsMatchesEncodedRows(t *testing.T) {
 	counts := workerCountsUnderTest(t)
 	type fixture struct {
@@ -132,8 +134,13 @@ func TestAppendRowsMatchesEncodedRows(t *testing.T) {
 	}
 	built, plans := buildPlans(t, schema.Movie(), resultBytesDoc(), resultBytesQueries, nil)
 	fixtures["movie-multi-morsel"] = fixture{built, map[string]*optimizer.Plan{"year": plans[0], "title": plans[1], "title|actor": plans[2]}}
-	hb, hbPlans := handBuiltAppendFixture(t)
+	hb, hbPlans, refused := handBuiltAppendFixture(t)
 	fixtures["hand-built"] = fixture{hb, hbPlans}
+	for label, plan := range refused {
+		if _, err := hb.Prepared(plan); err == nil || !strings.Contains(err.Error(), "INT NOT NULL column in every branch") {
+			t.Errorf("hand-built %s: prepare: %v, want the ORDER BY refused", label, err)
+		}
+	}
 	names := make([]string, 0, len(fixtures))
 	for name := range fixtures {
 		names = append(names, name)
@@ -152,22 +159,11 @@ func TestAppendRowsMatchesEncodedRows(t *testing.T) {
 							t.Fatalf("%s: prepare: %v", label, err)
 						}
 						for _, wk := range counts {
-							sorts := reg.Counter("engine.exec.order_sorts").Value()
 							want, err := pp.ExecuteContextWorkers(context.Background(), wk)
 							if err != nil {
 								t.Fatalf("%s workers %d: %v", label, wk, err)
 							}
-							sorted := reg.Counter("engine.exec.order_sorts").Value() - sorts
 							requireAppendMatches(t, label, pp, wk, want)
-							fallback := reg.Counter("engine.exec.order_sorts").Value() - sorts - sorted
-							wantFallback := int64(0)
-							if name == "hand-built" && (label == "order-by-nullable" || label == "order-by-varchar") {
-								wantFallback = 1
-							}
-							if sorted != wantFallback || fallback != wantFallback {
-								t.Fatalf("%s workers %d: order_sorts +%d by the value target and +%d by the byte target, want +%d each",
-									label, wk, sorted, fallback, wantFallback)
-							}
 						}
 					}
 				})
@@ -176,7 +172,7 @@ func TestAppendRowsMatchesEncodedRows(t *testing.T) {
 	}
 }
 
-// TestAppendRowsWritesNoResultRows bounds what a keyed byte execution
+// TestAppendRowsWritesNoResultRows bounds what an ordered byte execution
 // allocates into a buffer it does not outgrow: no result cell, arena or
 // row header, only the per-execution bookkeeping (slots, tasks, run
 // cursors, the merge tree), so at most a tenth of the row headers the

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"repro/internal/rel"
@@ -17,11 +16,9 @@ import (
 // encodes each batch into a pooled rowBlock instead, width 0 included,
 // and keeps no arena (see PreparedPlan.AppendRows).
 //
-// keys holds the ORDER BY keys of the slot's batches, one block per
-// batch and one key per row, as long as every batch so far had a key
-// column of ints with no NULL (see pipeRun.sink): the slot is keyed
-// exactly when len(keys) == batches(). Key and row blocks are pooled
-// (see releaseSlots).
+// keys holds the ORDER BY keys of the slot's batches when the plan has
+// an ORDER BY, one block per batch and one key per row (see
+// pipeRun.sink). Key and row blocks are pooled (see releaseSlots).
 type outSlot struct {
 	arenas [][]rel.Value
 	blocks []*rowBlock
@@ -102,35 +99,27 @@ var noCols = []rel.Value{}
 // to a returned row reallocates instead of reaching its neighbour.
 //
 // orderPos >= 0 applies the ORDER BY of the sorted outer union on that
-// output position while assembling. Shredded tables are in document
-// order, so each branch — and usually the whole concatenation — arrives
-// as a few long non-decreasing runs of the key. When every slot is
-// keyed, one sequential pass over the key blocks finds the maximal runs;
-// one run is already the answer and is cut in plan order, and k runs
-// are merged through a tournament tree over the blocks' int64 keys (see
-// keyMerge), ties going to the earlier run. Either way each row
-// header is written once and no result cell is read. That is exactly the
-// order a stable sort of the concatenation gives (what sortResult does
-// for ExecuteReference), in O(n log k) compares and no scratch rows.
-//
-// A slot is unkeyed only when its key column holds a NULL or is not an
-// INT column, which a translated query's ID column never is; a plan
-// built by hand may still order by a nullable PID, a leaf of any type or
-// a branch's NULL item. Then the rows are cut in plan order and stably
-// sorted by Value.Compare, sortResult's order, and sorted reports it.
-func assemble(slots []outSlot, orderPos int) (rows [][]rel.Value, sorted bool) {
+// output position while assembling; every slot then holds its batches'
+// key blocks. Shredded tables are in document order, so each branch —
+// and usually the whole concatenation — arrives as a few long
+// non-decreasing runs of the key. One sequential pass over the key
+// blocks finds the maximal runs; one run is already the answer and is
+// cut in plan order, and k runs are merged through a tournament tree
+// over the blocks' int64 keys (see keyMerge), ties going to the earlier
+// run. Either way each row header is written once and no result cell is
+// read. That is exactly the order a stable sort of the concatenation
+// gives (what sortResult does for ExecuteReference), in O(n log k)
+// compares and no scratch rows.
+func assemble(slots []outSlot, orderPos int) [][]rel.Value {
 	n := 0
-	keyed := orderPos >= 0
 	for i := range slots {
-		s := &slots[i]
-		n += s.rows
-		keyed = keyed && len(s.keys) == len(s.arenas)
+		n += slots[i].rows
 	}
 	if n == 0 {
-		return nil, false // like ExecuteReference's: an empty result has nil Rows
+		return nil // like ExecuteReference's: an empty result has nil Rows
 	}
-	rows = make([][]rel.Value, n)
-	if keyed {
+	rows := make([][]rel.Value, n)
+	if orderPos >= 0 {
 		if runs := keyRuns(slots); len(runs) > 1 {
 			m := newKeyMerge(runs)
 			for i := range rows {
@@ -140,7 +129,7 @@ func assemble(slots []outSlot, orderPos int) (rows [][]rel.Value, sorted bool) {
 				rows[i] = s.arenas[c.ai][off : off+s.width : off+s.width]
 				m.pop(slots)
 			}
-			return rows, false
+			return rows
 		}
 	}
 	i := 0
@@ -160,29 +149,17 @@ func assemble(slots []outSlot, orderPos int) (rows [][]rel.Value, sorted bool) {
 			}
 		}
 	}
-	if orderPos < 0 || keyed {
-		return rows, false
-	}
-	sort.SliceStable(rows, func(a, b int) bool {
-		return rows[a][orderPos].Compare(rows[b][orderPos]) < 0
-	})
-	return rows, true
+	return rows
 }
 
 // assembleBytes is assemble for the byte target: it appends the slots'
 // row encodings to dst in result order and cuts no row header. Rows
-// come out in plan order, or — for an ORDER BY over keyed slots — in
-// the order assemble gives, each run's rows copied through the same
-// key merge. A byte cannot be compared as a value, so when orderPos >=
-// 0 and a slot is unkeyed it appends nothing and reports false, and the
-// caller answers through the value target (see AppendRows).
-func assembleBytes(dst []byte, slots []outSlot, orderPos int) ([]byte, bool) {
+// come out in plan order, or — for an ORDER BY — in the order assemble
+// gives, each run's rows copied through the same key merge.
+func assembleBytes(dst []byte, slots []outSlot, orderPos int) []byte {
 	n, size := 0, 0
 	for i := range slots {
 		s := &slots[i]
-		if orderPos >= 0 && len(s.keys) != len(s.blocks) {
-			return dst, false
-		}
 		n += s.rows
 		for _, rb := range s.blocks {
 			size += len(rb.buf)
@@ -197,7 +174,7 @@ func assembleBytes(dst []byte, slots []outSlot, orderPos int) ([]byte, bool) {
 				dst = append(dst, slots[c.si].blocks[c.ai].row(int(c.ki))...)
 				m.pop(slots)
 			}
-			return dst, true
+			return dst
 		}
 	}
 	for i := range slots {
@@ -205,7 +182,7 @@ func assembleBytes(dst []byte, slots []outSlot, orderPos int) ([]byte, bool) {
 			dst = append(dst, rb.buf...)
 		}
 	}
-	return dst, true
+	return dst
 }
 
 // keyCursor is a cursor over one sorted run of rows: the current row's
@@ -220,9 +197,9 @@ type keyCursor struct {
 	key    int64
 }
 
-// keyRuns finds the maximal non-decreasing runs of keyed slots in one
-// sequential pass over their key blocks, each returned as a cursor on
-// its first row.
+// keyRuns finds the maximal non-decreasing runs of the slots' rows in
+// one sequential pass over their key blocks, each returned as a cursor
+// on its first row.
 func keyRuns(slots []outSlot) []keyCursor {
 	var runs []keyCursor
 	var prev int64

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"math"
 	"math/rand"
 	"runtime"
 	"runtime/debug"
@@ -11,49 +10,31 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/obs"
 	"repro/internal/optimizer"
-	"repro/internal/physical"
 	"repro/internal/rel"
 	"repro/internal/schema"
-	"repro/internal/sqlast"
 	"repro/internal/xmlgen"
 )
 
-// randomKey draws an ORDER BY key from a small domain, so keys repeat
-// across runs: ints, floats equal to those ints (mixed numeric types
-// compare numerically), NaN, and NULLs of either type.
-func randomKey(rng *rand.Rand, around int) rel.Value {
-	switch rng.Intn(12) {
-	case 0:
-		return rel.NullOf(rel.TInt)
-	case 1:
-		return rel.NullOf(rel.TFloat)
-	case 2:
-		return rel.Float(math.NaN())
-	case 3, 4:
-		return rel.Float(float64(around) + 0.5*float64(rng.Intn(2)))
-	}
-	return rel.Int(int64(around))
-}
-
 // randomSlots builds a slot list the way pipelines fill one: each slot
-// holds arenas of whole rows, width values each. The key column follows
-// one of several shapes — globally ascending (one run), ascending per
-// slot with mixed-type keys, or with clean ints (one run per slot,
-// interleaving with its neighbours, the shape of a sorted union's
-// branches), descending (every row its own run), seek-shaped (rows in
-// pairs, each pair a run: n/2 runs), or random — and the column after
-// the key, if there is one, numbers the rows so a row is recognisable
-// by value too. The slots carry no key blocks (see withKeys).
+// holds arenas of whole rows, width values each. The key column holds
+// INT keys from a small domain, so keys repeat across runs, in one of
+// several shapes — globally ascending (one run), ascending per slot (one
+// run per slot, interleaving with its neighbours, the shape of a sorted
+// union's branches), descending (every row its own run), seek-shaped
+// (rows in pairs, each pair a run: n/2 runs), or random — and the column
+// after the key, if there is one, numbers the rows so a row is
+// recognisable by value too. With an ORDER BY every arena gets its key
+// block, from the sink's pool, as the sink fills them; releaseSlots
+// returns them.
 func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
 	slots := make([]outSlot, rng.Intn(7))
-	shape := rng.Intn(6)
+	shape := rng.Intn(5)
 	serial, asc := 0, 0
 	for si := range slots {
 		s := &slots[si]
 		s.width = width
-		if shape == 1 || shape == 4 {
+		if shape == 1 {
 			asc = rng.Intn(3)
 		}
 		for a := rng.Intn(4); a > 0; a-- {
@@ -63,6 +44,11 @@ func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
 				continue
 			}
 			arena := make([]rel.Value, n*width)
+			var kb *keyBlock
+			if orderPos >= 0 {
+				kb = keyBlocks.Get().(*keyBlock)
+				s.keys = append(s.keys, kb)
+			}
 			for r := 0; r < n; r++ {
 				row := arena[r*width : (r+1)*width]
 				for c := range row {
@@ -70,19 +56,12 @@ func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
 				}
 				if orderPos >= 0 {
 					switch shape {
-					case 0:
+					case 0, 1:
 						asc += rng.Intn(2)
-						row[orderPos] = rel.Int(int64(asc))
-					case 1:
-						asc += rng.Intn(2)
-						row[orderPos] = randomKey(rng, asc)
 					case 2:
-						row[orderPos] = rel.Int(int64(1000 - serial))
+						asc = 1000 - serial
 					case 3:
-						row[orderPos] = randomKey(rng, rng.Intn(5))
-					case 4:
-						asc += rng.Intn(2)
-						row[orderPos] = rel.Int(int64(asc))
+						asc = rng.Intn(5)
 					default:
 						// Pair p starts at 1000-3p+{0,1} and its second key
 						// is the first or one more, so every key of a pair
@@ -92,8 +71,9 @@ func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
 						} else {
 							asc += rng.Intn(2)
 						}
-						row[orderPos] = rel.Int(int64(asc))
 					}
+					row[orderPos] = rel.Int(int64(asc))
+					kb[r] = int64(asc)
 				}
 				if width > 1 {
 					row[(orderPos+1+width)%width] = rel.Int(int64(serial))
@@ -106,46 +86,15 @@ func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
 	return slots
 }
 
-// withKeys gives every slot of slots except skip one key block per
-// arena from the arena's key cells, the way the sink fills them, and
-// reports whether every key is a clean int — the only keys a block can
-// hold. The blocks come from the sink's pool and go back to it through
-// releaseSlots.
-func withKeys(slots []outSlot, orderPos, skip int) bool {
-	for si := range slots {
-		s := &slots[si]
-		if si == skip {
-			continue
-		}
-		for _, arena := range s.arenas {
-			kb := keyBlocks.Get().(*keyBlock)
-			s.keys = append(s.keys, kb)
-			for k, r := orderPos, 0; k < len(arena); k, r = k+s.width, r+1 {
-				v := arena[k]
-				if v.Typ != rel.TInt || v.Null {
-					return false
-				}
-				kb[r] = v.I
-			}
-		}
-	}
-	return true
-}
-
 // TestAssembleMatchesStableSort is the merge's differential: for random
 // slot lists — no slots, empty slots, width 0, one run to one run per
-// row, seek-shaped lists of n/2 runs, keys duplicated across runs, NULL,
-// NaN and mixed int/float keys, and no ORDER BY at all — assemble must
-// return exactly the row sequence sort.SliceStable gives on the plain
-// concatenation (the very same rows, by address), every row with
-// cap == len. Every list is assembled without key blocks, which takes
-// the sort fallback whenever there is an ORDER BY; a list whose keys
-// are all clean ints is assembled again with a key block per arena,
-// which must merge on the blocks, and once more with a single non-empty
-// slot left unkeyed, which must fall back.
+// row, seek-shaped lists of n/2 runs, keys duplicated across runs, and
+// no ORDER BY at all — assemble must return exactly the row sequence
+// sort.SliceStable gives on the plain concatenation (the very same rows,
+// by address), every row with cap == len.
 func TestAssembleMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(engineTestSeed(t)))
-	multiRun, keyedMerges, oneUnkeyed := 0, 0, 0
+	multiRun := 0
 	for iter := 0; iter < 3000; iter++ {
 		width := rng.Intn(4)
 		orderPos := rng.Intn(width+1) - 1
@@ -164,62 +113,31 @@ func TestAssembleMatchesStableSort(t *testing.T) {
 				}
 			}
 		}
-		several := false
 		if orderPos >= 0 {
 			less := func(i, j int) bool { return want[i][orderPos].Compare(want[j][orderPos]) < 0 }
-			if several = !sort.SliceIsSorted(want, less); several {
+			if !sort.SliceIsSorted(want, less) {
 				multiRun++
 			}
 			sort.SliceStable(want, less)
 		}
-		check := func(label string, wantSorted bool) {
-			t.Helper()
-			got, sorted := assemble(slots, orderPos)
-			if len(got) != len(want) {
-				t.Fatalf("iter %d %s: %d rows, want %d", iter, label, len(got), len(want))
-			}
-			if sorted != wantSorted {
-				t.Fatalf("iter %d %s: sort fallback taken = %v, want %v", iter, label, sorted, wantSorted)
-			}
-			for i := range got {
-				if len(got[i]) != width || cap(got[i]) != width {
-					t.Fatalf("iter %d %s row %d: len %d cap %d, want both %d", iter, label, i, len(got[i]), cap(got[i]), width)
-				}
-				if width > 0 && &got[i][0] != &want[i][0] {
-					t.Fatalf("iter %d %s (width %d, order by %d): row %d is %v, want %v",
-						iter, label, width, orderPos, i, got[i], want[i])
-				}
-			}
-		}
-		check("without key blocks", orderPos >= 0 && len(want) > 0)
-		if orderPos < 0 {
-			continue
-		}
-		clean := withKeys(slots, orderPos, -1)
-		if clean {
-			check("with key blocks", false)
-			if several {
-				keyedMerges++
-			}
-		}
+		got := assemble(slots, orderPos)
 		releaseSlots(slots)
-		var nonEmpty []int
-		for si := range slots {
-			if len(slots[si].arenas) > 0 {
-				nonEmpty = append(nonEmpty, si)
-			}
+		if len(got) != len(want) {
+			t.Fatalf("iter %d: %d rows, want %d", iter, len(got), len(want))
 		}
-		if clean && len(nonEmpty) > 1 {
-			withKeys(slots, orderPos, nonEmpty[rng.Intn(len(nonEmpty))])
-			check("with one slot unkeyed", len(want) > 0)
-			releaseSlots(slots)
-			oneUnkeyed++
+		for i := range got {
+			if len(got[i]) != width || cap(got[i]) != width {
+				t.Fatalf("iter %d row %d: len %d cap %d, want both %d", iter, i, len(got[i]), cap(got[i]), width)
+			}
+			if width > 0 && &got[i][0] != &want[i][0] {
+				t.Fatalf("iter %d (width %d, order by %d): row %d is %v, want %v",
+					iter, width, orderPos, i, got[i], want[i])
+			}
 		}
 	}
-	t.Logf("%d multi-run cases, %d keyed merges, %d with one slot unkeyed", multiRun, keyedMerges, oneUnkeyed)
-	if multiRun < 500 || keyedMerges < 300 || oneUnkeyed < 300 {
-		t.Fatalf("of 3000 cases %d had more than one run, %d merged key blocks and %d had one slot unkeyed: the generator no longer exercises the merge",
-			multiRun, keyedMerges, oneUnkeyed)
+	t.Logf("%d multi-run cases", multiRun)
+	if multiRun < 500 {
+		t.Fatalf("of 3000 cases %d had more than one run: the generator no longer exercises the merge", multiRun)
 	}
 }
 
@@ -228,7 +146,8 @@ func TestAssembleMatchesStableSort(t *testing.T) {
 // value of the next.
 func TestAssembledRowsDoNotShareCapacity(t *testing.T) {
 	arena := []rel.Value{rel.Int(1), rel.Str("a"), rel.Int(2), rel.Str("b"), rel.Int(3), rel.Str("c")}
-	rows, _ := assemble([]outSlot{{arenas: [][]rel.Value{arena}, rows: 3, width: 2}}, 0)
+	kb := &keyBlock{1, 2, 3}
+	rows := assemble([]outSlot{{arenas: [][]rel.Value{arena}, keys: []*keyBlock{kb}, rows: 3, width: 2}}, 0)
 	for i := range rows {
 		_ = append(rows[i], rel.Str("overflow"))
 	}
@@ -277,76 +196,6 @@ func resultBytesDoc() *xmlgen.Doc {
 }
 
 var resultBytesQueries = []string{`//movie/year`, `//movie/title`, `//movie/(title | actor)`}
-
-// TestOrderSortsCountsFallback: engine.exec.order_sorts counts the
-// executions whose ORDER BY key column was not an int vector without a
-// NULL, so assemble sorted instead of merging key blocks. Shredded ID
-// columns never take it — the Movie queries of TestResultBytesStayGone
-// and the DBLP integration queries, at one worker and two, read 0 — and
-// a scan ordered by a nullable ID column holding a NULL, or by a VARCHAR
-// column, takes it once per execution, with the reference executor's
-// rows.
-func TestOrderSortsCountsFallback(t *testing.T) {
-	ctx := context.Background()
-	run := func(label string, built *Built, plans []*optimizer.Plan, want int64) {
-		t.Helper()
-		reg := obs.NewRegistry()
-		built.AttachObs(nil, reg)
-		ordered := 0
-		for _, plan := range plans {
-			pp, err := built.Prepared(plan)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if pp.orderPos >= 0 {
-				ordered++
-			}
-			for _, workers := range []int{1, 2} {
-				res, err := pp.ExecuteContextWorkers(ctx, workers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref, err := ExecuteReference(built, plan)
-				if err != nil {
-					t.Fatal(err)
-				}
-				requireIdentical(t, label, res, ref)
-			}
-		}
-		if ordered == 0 {
-			t.Fatalf("%s: no plan has an ORDER BY", label)
-		}
-		if got := reg.Counter("engine.exec.order_sorts").Value(); got != want {
-			t.Errorf("%s: engine.exec.order_sorts = %d, want %d", label, got, want)
-		}
-	}
-	built, plans := buildPlans(t, schema.Movie(), resultBytesDoc(), resultBytesQueries, nil)
-	run("movie", built, plans, 0)
-	dblp := xmlgen.GenerateDBLP(schema.DBLP(), xmlgen.DBLPOptions{Inproceedings: 300, Books: 40, Seed: 21})
-	built, plans = buildPlans(t, schema.DBLP(), dblp, dblpQueries, nil)
-	run("dblp", built, plans, 0)
-
-	// Two runs of IDs, the second holding a NULL; and the same order by
-	// a VARCHAR column.
-	p := rel.NewTable("p", []rel.Column{{Name: "ID", Typ: rel.TInt, Nullable: true}, {Name: "v", Typ: rel.TInt}, {Name: "s", Typ: rel.TString}})
-	for i, id := range []rel.Value{rel.Int(3), rel.Int(5), rel.Int(1), rel.NullOf(rel.TInt), rel.Int(4)} {
-		p.AppendRow([]rel.Value{id, rel.Int(int64(i)), rel.Str("k" + strconv.Itoa(5-i))})
-	}
-	db := rel.NewDatabase()
-	db.Add(p)
-	if built, err := Build(db, &physical.Config{}); err != nil {
-		t.Fatal(err)
-	} else {
-		for _, key := range []string{"ID", "s"} {
-			sel := &sqlast.Select{From: []string{"p"}, Items: []sqlast.SelectItem{
-				{Col: &sqlast.ColRef{Table: "p", Column: "v"}, As: "p_v"},
-				{Col: &sqlast.ColRef{Table: "p", Column: key}, As: "p_key"}}}
-			plan := &optimizer.Plan{Query: &sqlast.Query{Branches: []*sqlast.Select{sel}, OrderBy: "p_key"},
-				Branches: []*optimizer.Branch{{Sel: sel, Driver: optimizer.Access{Table: "p"}}}}
-			run("ordered by "+key, built, []*optimizer.Plan{plan}, 2)
-		}
-	}
-}
 
 // TestResultBytesStayGone bounds what one prepared execution allocates:
 // on a resident fixture, the result costs one 24-byte header and width

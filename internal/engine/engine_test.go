@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/optimizer"
@@ -78,22 +80,115 @@ func TestExecuteFilterNullSemantics(t *testing.T) {
 	}
 }
 
+// TestExecuteOrderByNullsFirst: ordering by the nullable score, where a
+// NULL would sort first, is not document order, so Execute refuses the
+// plan with the reference executor's error instead of sorting it.
 func TestExecuteOrderByNullsFirst(t *testing.T) {
 	q := &sqlast.Query{Branches: []*sqlast.Select{{
 		Items: []sqlast.SelectItem{{Col: &sqlast.ColRef{Table: "p", Column: "score"}, As: "ID"}},
 		From:  []string{"p"},
 	}}, OrderBy: "ID"}
 	built, plan := planFor(t, tinyDB(), q, nil)
-	res, err := Execute(built, plan)
+	_, err := Execute(built, plan)
+	_, refErr := ExecuteReference(built, plan)
+	if err == nil || refErr == nil || err.Error() != refErr.Error() {
+		t.Fatalf("ORDER BY a nullable column: Execute %v, ExecuteReference %v; want one refusal", err, refErr)
+	}
+}
+
+// TestOrderByRefusal: the sorted outer union is in document order, so
+// both executors accept an ORDER BY only when its position is an INT NOT
+// NULL column in every branch the plan runs, views and partition groups
+// included, and refuse every other — VARCHAR, FLOAT, a nullable INT, a
+// NULL item in one branch, a nullable INT beside an INT NOT NULL — with
+// one error, whichever entry point compiles the plan.
+func TestOrderByRefusal(t *testing.T) {
+	db := rel.NewDatabase()
+	p := rel.NewTable("p", []rel.Column{
+		{Name: "ID", Typ: rel.TInt},
+		{Name: "PID", Typ: rel.TInt, Nullable: true},
+		{Name: "n", Typ: rel.TInt, Nullable: true},
+		{Name: "s", Typ: rel.TString},
+		{Name: "f", Typ: rel.TFloat},
+	})
+	c := rel.NewTable("c", []rel.Column{
+		{Name: "ID", Typ: rel.TInt},
+		{Name: "PID", Typ: rel.TInt},
+		{Name: "n", Typ: rel.TInt, Nullable: true},
+	})
+	for i := int64(1); i <= 8; i++ {
+		p.AppendRow([]rel.Value{rel.Int(i), rel.NullOf(rel.TInt), rel.Int(9 - i), rel.Str("s" + rel.Int(i).String()), rel.Float(float64(i) / 2)})
+		c.AppendRow([]rel.Value{rel.Int(100 + i), rel.Int(9 - i), rel.NullOf(rel.TInt)})
+	}
+	db.Add(p)
+	db.Add(c)
+	cfg := &physical.Config{}
+	cfg.AddView(&physical.View{Name: "v", Outer: "p", Inner: "c", OuterCols: []string{"n"}, InnerCols: []string{"ID"}})
+	cfg.AddPartition(&physical.VPartition{Table: "p", Groups: [][]string{{"n"}, {"s", "f"}}})
+	built, err := Build(db, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Rows[0][0].Null {
-		t.Errorf("NULL should sort first, got %v", res.Rows[0][0])
+	branch := func(a optimizer.Access, key *sqlast.ColRef) *optimizer.Branch {
+		sel := &sqlast.Select{From: []string{a.Table}, Items: []sqlast.SelectItem{
+			{Col: &sqlast.ColRef{Table: a.Table, Column: "ID"}, As: "id"}, {Col: key, As: "k"}}}
+		if a.Table == "v" {
+			sel.Items[0].Col.Column = "c__ID"
+		}
+		return &optimizer.Branch{Sel: sel, Driver: a}
 	}
-	for i := 1; i < len(res.Rows)-1; i++ {
-		if res.Rows[i][0].Compare(res.Rows[i+1][0]) > 0 {
-			t.Errorf("rows out of order at %d", i)
+	plan := func(brs ...*optimizer.Branch) *optimizer.Plan {
+		q := &sqlast.Query{OrderBy: "k"}
+		for _, br := range brs {
+			q.Branches = append(q.Branches, br.Sel)
+		}
+		return &optimizer.Plan{Query: q, Branches: brs}
+	}
+	col := func(tbl, c string) *sqlast.ColRef { return &sqlast.ColRef{Table: tbl, Column: c} }
+	scan := func(tbl string, groups ...int) optimizer.Access { return optimizer.Access{Table: tbl, Groups: groups} }
+	refused := map[string]*optimizer.Plan{
+		"VARCHAR":               plan(branch(scan("p"), col("p", "s"))),
+		"FLOAT":                 plan(branch(scan("p"), col("p", "f"))),
+		"nullable INT":          plan(branch(scan("p"), col("p", "n"))),
+		"NULL item":             plan(branch(scan("p"), col("p", "ID")), branch(scan("c"), nil)),
+		"NOT NULL beside null":  plan(branch(scan("p"), col("p", "ID")), branch(scan("c"), col("c", "n"))),
+		"nullable view column":  plan(branch(scan("v"), col("v", "p__n"))),
+		"nullable group column": plan(branch(scan("p", 0), col("p", "n"))),
+	}
+	for name, pl := range refused {
+		_, perr := Prepare(built, pl)
+		_, cerr := built.PreparedContext(context.Background(), pl)
+		_, rerr := ExecuteReference(built, pl)
+		if perr == nil || cerr == nil || rerr == nil || perr.Error() != cerr.Error() || perr.Error() != rerr.Error() ||
+			!strings.Contains(perr.Error(), "INT NOT NULL column in every branch") {
+			t.Errorf("%s: Prepare %v, PreparedContext %v, ExecuteReference %v; want one refusal", name, perr, cerr, rerr)
+		}
+	}
+	unordered := plan(branch(scan("p"), col("p", "s")))
+	unordered.Query.OrderBy = ""
+	accepted := map[string]*optimizer.Plan{
+		"two branches":  plan(branch(scan("p"), col("p", "ID")), branch(scan("c"), col("c", "PID"))),
+		"view column":   plan(branch(scan("v"), col("v", "c__ID"))),
+		"group key":     plan(branch(scan("p", 1), col("p", "ID"))),
+		"no ORDER BY":   unordered,
+		"zero branches": plan(),
+	}
+	for name, pl := range accepted {
+		want, err := ExecuteReference(built, pl)
+		if err != nil {
+			t.Fatalf("%s: reference: %v", name, err)
+		}
+		pp, err := built.PreparedContext(context.Background(), pl)
+		if err != nil {
+			t.Fatalf("%s: prepare: %v", name, err)
+		}
+		for _, workers := range []int{1, 2} {
+			got, err := pp.ExecuteContextWorkers(context.Background(), workers)
+			if err != nil {
+				t.Fatalf("%s workers %d: %v", name, workers, err)
+			}
+			requireIdentical(t, name, got, want)
+			requireAppendMatches(t, name, pp, workers, want)
 		}
 	}
 }

@@ -197,25 +197,51 @@ func matchCompare(v rel.Value, op sqlast.CmpOp, lit rel.Value) bool {
 	return op.Matches(v.Compare(lit))
 }
 
-// sortResult applies the final ORDER BY of the sorted outer union.
-func sortResult(res *Result, orderBy string) error {
-	if orderBy == "" {
-		return nil
+// orderKey resolves the ORDER BY of a plan to its output position, -1
+// when the query has none or the plan no branch. The sorted outer union
+// is ordered by document order, the context element's ID, so both
+// executors refuse, with one error, an ORDER BY whose position in any
+// branch the plan runs is not a non-Nullable INT column: a NULL item, a
+// nullable column or a column of another type. A column that does not
+// resolve is left to the branch's own checks.
+func orderKey(b *Built, plan *optimizer.Plan) (int, error) {
+	ob := plan.Query.OrderBy
+	if ob == "" || len(plan.Branches) == 0 {
+		return -1, nil
 	}
-	oi := -1
-	for i, c := range res.Cols {
-		if c == orderBy {
-			oi = i
-			break
+	pos := slices.Index(plan.Query.OutputColumns(), ob)
+	if pos < 0 {
+		return -1, fmt.Errorf("engine: ORDER BY column %s missing from output", ob)
+	}
+	for bi, br := range plan.Branches {
+		if pos >= len(br.Sel.Items) {
+			return -1, fmt.Errorf("engine: ORDER BY column %s missing from branch %d", ob, bi)
+		}
+		it := br.Sel.Items[pos]
+		if it.Col == nil {
+			return -1, fmt.Errorf("engine: ORDER BY %s is a NULL item in branch %d; it must be an INT NOT NULL column in every branch", ob, bi)
+		}
+		t := resolveTable(b, it.Col.Table)
+		if t == nil {
+			continue
+		}
+		if c := t.Column(it.Col.Column); c != nil && (c.Typ != rel.TInt || c.Nullable) {
+			return -1, fmt.Errorf("engine: ORDER BY %s is %s, a %s column, in branch %d; it must be an INT NOT NULL column in every branch",
+				ob, it.Col, c.TypeDecl(), bi)
 		}
 	}
-	if oi < 0 {
-		return fmt.Errorf("engine: ORDER BY column %s missing from output", orderBy)
+	return pos, nil
+}
+
+// sortResult applies the final ORDER BY of the sorted outer union, on
+// output position pos (see orderKey).
+func sortResult(res *Result, pos int) {
+	if pos < 0 {
+		return
 	}
 	sort.SliceStable(res.Rows, func(i, j int) bool {
-		return res.Rows[i][oi].Compare(res.Rows[j][oi]) < 0
+		return res.Rows[i][pos].Compare(res.Rows[j][pos]) < 0
 	})
-	return nil
 }
 
 func opFromCmp(op sqlast.CmpOp) opKind {

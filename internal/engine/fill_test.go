@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -161,7 +162,7 @@ func TestFillMatchesReference(t *testing.T) {
 				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")}),
 		"zip-driver-kernels": plan(&sqlast.Select{Items: []sqlast.SelectItem{item("p", "ID"), item("p", "allnull"), item("p", "x"), item("p", "PID")},
 			From: []string{"p"}, Where: []sqlast.Pred{cmpPred("p", "k", sqlast.OpGe, rel.Int(1)), cmpPred("p", "x", sqlast.OpGe, rel.Int(100))}}, zipP(0)),
-		"zip-two-groups": plan(&sqlast.Select{Items: append([]sqlast.SelectItem{item("p", "tag"), item("p", "k")}, pItems...),
+		"zip-two-groups": plan(&sqlast.Select{Items: append(slices.Clip(pItems), item("p", "tag"), item("p", "k")),
 			From: []string{"p"}, Where: []sqlast.Pred{cmpPred("p", "tag", sqlast.OpNe, rel.Str("t2"))}}, zipP(0, 1)),
 		"zip-hash-join-inner": plan(&sqlast.Select{Items: joinItems, From: []string{"p", "c"}, Where: []sqlast.Pred{joinPred,
 			cmpPred("c", "w", sqlast.OpNe, rel.Str("t1"))}}, scanP,

@@ -29,8 +29,8 @@ func TestStaleCacheDetected(t *testing.T) {
 		t.Fatal("movie table missing")
 	}
 	row := make([]rel.Value, len(mt.Columns))
-	for i, c := range mt.Columns {
-		row[i] = rel.NullOf(c.Typ)
+	for i := range mt.Columns {
+		row[i] = mt.ValueAt(0, i)
 	}
 	mt.AppendRow(row)
 

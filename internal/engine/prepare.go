@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"runtime"
 	"slices"
@@ -42,12 +41,9 @@ type PreparedPlan struct {
 	plan  *optimizer.Plan
 	cols  []string
 	// orderPos is the output position of the ORDER BY column, -1 when the
-	// query has none.
+	// query has none; in every branch it is a non-nullable INT column
+	// (see orderKey).
 	orderPos int
-	// intOrder is false when some branch orders by a NULL item or a
-	// column other than INT, which the byte target cannot merge on (see
-	// AppendRows).
-	intOrder bool
 	branches []*preparedBranch
 }
 
@@ -58,16 +54,14 @@ const batchSize = 1024
 // Prepare compiles a plan for the batch executor. All plan-shape
 // errors the row-at-a-time executor reported during execution (unknown
 // tables, unbuilt indexes, out-of-scope columns, unapplied predicates,
-// an ORDER BY column missing from the output) are reported here
-// instead, once.
+// an ORDER BY that is not document order) are reported here instead,
+// once.
 func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
-	pp := &PreparedPlan{built: b, plan: plan, cols: plan.Query.OutputColumns(), orderPos: -1, intOrder: true}
-	if ob := plan.Query.OrderBy; ob != "" {
-		pp.orderPos = slices.Index(pp.cols, ob)
-		if pp.orderPos < 0 {
-			return nil, fmt.Errorf("engine: ORDER BY column %s missing from output", ob)
-		}
+	orderPos, err := orderKey(b, plan)
+	if err != nil {
+		return nil, err
 	}
+	pp := &PreparedPlan{built: b, plan: plan, cols: plan.Query.OutputColumns(), orderPos: orderPos}
 	// A scan asks its source for the columns it reads and no others, and
 	// every branch that scans one table asks for one set, their union: the
 	// first branch to reach a chunk faults what all of them read, so a
@@ -97,9 +91,6 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 			pb.src.need = need[pb.src.table]
 		}
 		pb.orderOut = slices.IndexFunc(pb.outs, func(o outCol) bool { return o.pos == pp.orderPos })
-		if ko := pb.orderOut; pp.orderPos >= 0 {
-			pp.intOrder = pp.intOrder && ko >= 0 && pb.srcs[pb.outs[ko].tab].Columns[pb.outs[ko].col].Typ == rel.TInt
-		}
 	}
 	return pp, nil
 }
@@ -125,12 +116,8 @@ func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
 func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) (*Result, error) {
 	res := &Result{Cols: pp.cols}
 	var err error
-	_, res.Stats, err = pp.execute(ctx, workers, nil, func(slots []outSlot, reg *obs.Registry) error {
-		var sorted bool
-		if res.Rows, sorted = assemble(slots, pp.orderPos); sorted {
-			reg.Counter("engine.exec.order_sorts").Inc()
-		}
-		return nil
+	_, res.Stats, err = pp.execute(ctx, workers, nil, func(slots []outSlot) {
+		res.Rows = assemble(slots, pp.orderPos)
 	})
 	if err != nil {
 		return nil, err
@@ -142,11 +129,6 @@ func (pp *PreparedPlan) ExecuteContextWorkers(ctx context.Context, workers int) 
 // the extended buffer. The row's values are valid only during the call.
 type RowEncoder func(dst []byte, row []rel.Value) []byte
 
-// errUnkeyed is what the byte target reports when an ORDER BY key
-// column held something other than an int without a NULL, so its rows
-// can only be ordered as values (see AppendRows).
-var errUnkeyed = errors.New("engine: ORDER BY key is not an int vector without NULL; answered through result rows")
-
 // AppendRows runs the plan as ExecuteContextWorkers does — same
 // workers, cancellation, rows, order and stats — but builds no result
 // rows: it appends enc's encoding of every row to dst in result order
@@ -155,36 +137,13 @@ var errUnkeyed = errors.New("engine: ORDER BY key is not an int vector without N
 // same column fills, encodes each row into a pooled row block beside
 // the batch's key block, and assembleBytes copies the blocks' bytes to
 // dst in plan order or through the same key merge, so an execution
-// writes no result cell, no arena and no row header of its own.
-//
-// Bytes cannot be ordered as values, so a plan that orders by a column
-// other than INT, and an execution that meets a NULL key (hand-built
-// plans only; a translated query's ID column has neither), answers
-// through ExecuteContextWorkers and encodes its rows in order — the
-// latter after its byte execution is discarded. Either way the bytes
-// equal encoding ExecuteContextWorkers's rows with enc.
+// writes no result cell, no arena and no row header of its own. The
+// bytes equal encoding ExecuteContextWorkers's rows with enc.
 func (pp *PreparedPlan) AppendRows(ctx context.Context, workers int, dst []byte, enc RowEncoder) ([]byte, int, ExecStats, error) {
-	if pp.intOrder {
-		out := dst
-		n, st, err := pp.execute(ctx, workers, enc, func(slots []outSlot, _ *obs.Registry) error {
-			var ok bool
-			if out, ok = assembleBytes(dst, slots, pp.orderPos); !ok {
-				return errUnkeyed
-			}
-			return nil
-		})
-		if err != errUnkeyed {
-			return out, n, st, err
-		}
-	}
-	res, err := pp.ExecuteContextWorkers(ctx, workers)
-	if err != nil {
-		return dst, 0, ExecStats{}, err
-	}
-	for _, row := range res.Rows {
-		dst = enc(dst, row)
-	}
-	return dst, len(res.Rows), res.Stats, nil
+	n, st, err := pp.execute(ctx, workers, enc, func(slots []outSlot) {
+		dst = assembleBytes(dst, slots, pp.orderPos)
+	})
+	return dst, n, st, err
 }
 
 // Cols are the output column names of the plan's result.
@@ -195,8 +154,7 @@ func (pp *PreparedPlan) Cols() []string { return pp.cols }
 // by enc otherwise), hand the slots to finish, which assembles them,
 // and return the pooled blocks. It reports the number of result rows and
 // the stats, and spans and counts the execution.
-func (pp *PreparedPlan) execute(ctx context.Context, workers int, enc RowEncoder,
-	finish func(slots []outSlot, reg *obs.Registry) error) (int, ExecStats, error) {
+func (pp *PreparedPlan) execute(ctx context.Context, workers int, enc RowEncoder, finish func(slots []outSlot)) (int, ExecStats, error) {
 	var tr *obs.Tracer
 	var reg *obs.Registry
 	if pp.built != nil {
@@ -217,13 +175,6 @@ func (pp *PreparedPlan) execute(ctx context.Context, workers int, enc RowEncoder
 		obs.Int("branches", int64(n)), obs.Int("workers", int64(workers)))
 	slots, st, err := pp.executeMorsels(ctx, sp, reg, workers, enc)
 	defer releaseSlots(slots)
-	rows := 0
-	if err == nil {
-		for i := range slots {
-			rows += slots[i].rows
-		}
-		err = finish(slots, reg)
-	}
 	if err != nil {
 		sp.SetAttr(obs.String("error", err.Error()))
 		sp.End()
@@ -232,6 +183,11 @@ func (pp *PreparedPlan) execute(ctx context.Context, workers int, enc RowEncoder
 		}
 		return 0, ExecStats{}, err
 	}
+	rows := 0
+	for i := range slots {
+		rows += slots[i].rows
+	}
+	finish(slots)
 	sp.SetAttr(obs.Int("rows_out", int64(rows)),
 		obs.Int("rows_scanned", st.RowsScanned),
 		obs.Int("rows_sought", st.RowsSought))
@@ -970,11 +926,10 @@ func (r *pipeRun) flush(oi int, jb *joinBuf, in [][]int32) {
 // block, recording where it ends, and the scratch is cleared before it
 // goes back, so it holds no pointer between batches and the fills find
 // it zeroed.
-// While the slot is keyed and the ORDER BY column reads an int vector
-// with no NULL, the batch's keys are also copied into a pooled block
-// beside the arena or row block, so assemble merges on int64s and never
-// reads a cell back; any other key column leaves the slot unkeyed for
-// good.
+// When the plan has an ORDER BY, the batch's keys — a non-nullable INT
+// column (see orderKey) — are also copied into a pooled block beside
+// the arena or row block, so assemble merges on int64s and never reads
+// a cell back.
 func (r *pipeRun) sink(vecs [][]int32) {
 	out := r.out
 	n, w := len(vecs[0]), out.width
@@ -1001,14 +956,12 @@ func (r *pipeRun) sink(vecs [][]int32) {
 			arena[k].Null, arena[k].Typ = true, rel.TString // rel.NullOf(rel.TString) over a zero cell
 		}
 	}
-	if ko := r.pb.orderOut; ko >= 0 && len(out.keys) == out.batches() {
-		if f := &r.rd.fills[ko]; f.kind == fillInts && f.nulls == nil {
-			kb := keyBlocks.Get().(*keyBlock)
-			for i, id := range vecs[r.pb.outs[ko].tab] {
-				kb[i] = f.ints[id]
-			}
-			out.keys = append(out.keys, kb)
+	if ko := r.pb.orderOut; ko >= 0 {
+		kb, ints := keyBlocks.Get().(*keyBlock), r.rd.fills[ko].ints
+		for i, id := range vecs[r.pb.outs[ko].tab] {
+			kb[i] = ints[id]
 		}
+		out.keys = append(out.keys, kb)
 	}
 	if r.enc == nil {
 		out.arenas = append(out.arenas, arena)

@@ -16,6 +16,10 @@ import (
 // equivalence tests assert that Execute produces bit-identical
 // Cols/Rows/Stats — and as the "seed" side of the executor benchmarks.
 func ExecuteReference(b *Built, plan *optimizer.Plan) (*Result, error) {
+	pos, err := orderKey(b, plan)
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{Cols: plan.Query.OutputColumns()}
 	for _, br := range plan.Branches {
 		res.Stats.Branches++
@@ -25,9 +29,7 @@ func ExecuteReference(b *Built, plan *optimizer.Plan) (*Result, error) {
 		}
 		res.Rows = append(res.Rows, rows...)
 	}
-	if err := sortResult(res, plan.Query.OrderBy); err != nil {
-		return nil, err
-	}
+	sortResult(res, pos)
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -204,5 +205,31 @@ func TestRunIntroExample(t *testing.T) {
 	PrintIntro(&sb, res)
 	if !strings.Contains(sb.String(), "mapping1") {
 		t.Error("PrintIntro output malformed")
+	}
+}
+
+// TestGreedyCompletesOnProvablyEmptyQueries: each of these Movie
+// workloads holds a query that selects on one arm of the
+// box_office|seasons choice and projects the other, which Greedy's
+// initial mapping proves empty. Such a query is a query of zero
+// branches, costing nothing, so the search completes instead of failing
+// on its initial mapping.
+func TestGreedyCompletesOnProvablyEmptyQueries(t *testing.T) {
+	d := LoadMovie(0.25)
+	for _, c := range []struct {
+		seed  int64
+		class int // index into StandardParams: 0 LP-HS, 1 LP-LS
+	}{{3, 1}, {7, 1}, {20, 1}, {4, 0}, {8, 0}} {
+		ws, err := d.Workloads(workload.StandardParams(20, c.seed)[c.class : c.class+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.New(d.Tree, d.Col, ws[0], core.Options{}).Greedy()
+		if err != nil {
+			t.Fatalf("seed %d %s: %v", c.seed, ws[0].Name, err)
+		}
+		if res.EstCost <= 0 || math.IsInf(res.EstCost, 0) {
+			t.Errorf("seed %d %s: estimated cost %v", c.seed, ws[0].Name, res.EstCost)
+		}
 	}
 }

@@ -187,9 +187,10 @@ func TestTableBitFaithful(t *testing.T) {
 }
 
 // TestAppendRowRefusesValuesThatDoNotFit: AppendRow panics on every
-// value its column's vector cannot hold exactly — another type, a NULL
-// of another type, a NULL or a number carrying a stray payload — and the
-// table is left as it was, so a half-appended row is never visible.
+// value its column does not admit — another type, a NULL of another
+// type, a NULL or a number carrying a stray payload, a NULL in a NOT
+// NULL column — and the table is left as it was, so a half-appended row
+// is never visible.
 func TestAppendRowRefusesValuesThatDoNotFit(t *testing.T) {
 	cols := []Column{
 		{Name: "ID", Typ: TInt},
@@ -206,6 +207,7 @@ func TestAppendRowRefusesValuesThatDoNotFit(t *testing.T) {
 		{"NULL of another type", []Value{Int(1), NullOf(TInt), Str("a")}},
 		{"NULL carrying a payload", []Value{Int(1), Float(1), {Null: true, Typ: TString, S: "ghost"}}},
 		{"number carrying a string", []Value{Int(1), {Typ: TFloat, F: 2, S: "2"}, Str("a")}},
+		{"NULL in a NOT NULL column", []Value{NullOf(TInt), Float(1), Str("a")}},
 	} {
 		tb := NewTable("strict", cols)
 		tb.AppendRow([]Value{Int(0), Float(0.5), Str("z")})

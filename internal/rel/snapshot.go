@@ -241,7 +241,7 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 	}
 
 	// Null bitmap: exact word count, zero trailing bits, recomputed
-	// set count.
+	// set count, and no set bit in a NOT NULL column (Column.Admits).
 	wantWords := (rows + 63) / 64
 	if len(cs.NullWords) != wantWords {
 		return bad("null bitmap has %d words, want %d for %d rows", len(cs.NullWords), wantWords, rows)
@@ -254,6 +254,9 @@ func colVecFromSnapshot(table string, cs *ColumnSnapshot, rows int) (colVec, err
 		if cs.NullWords[wantWords-1]>>uint(tail) != 0 {
 			return bad("null bitmap has bits set beyond row %d", rows)
 		}
+	}
+	if set > 0 && !cs.Col.Nullable {
+		return bad("NOT NULL column holds %d NULLs", set)
 	}
 	nulls := Bitmap{words: cs.NullWords, n: rows, set: set}
 

@@ -94,7 +94,7 @@ func TestSnapshotRoundTripRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	words := []string{"", "a", "bb", "ccc", "It's", "NaN", "1998", "  42 "}
 	for trial := 0; trial < 40; trial++ {
-		cols := []Column{{Name: IDColumn, Typ: TInt}}
+		cols := []Column{{Name: IDColumn, Typ: TInt, Nullable: true}}
 		ncols := 1 + rng.Intn(4)
 		for i := 0; i < ncols; i++ {
 			cols = append(cols, Column{
@@ -164,6 +164,7 @@ func TestTableFromSnapshotRejects(t *testing.T) {
 		{"null row with payload", func(s *TableSnapshot) { s.Columns[1].Ints[0] = 5 }},
 		{"null float with payload", func(s *TableSnapshot) { s.Columns[3].Floats[4] = math.Copysign(0, -1) }},
 		{"null string with code", func(s *TableSnapshot) { s.Columns[2].Codes[3] = 1 }},
+		{"null in a NOT NULL column", func(s *TableSnapshot) { s.Columns[1].Col.Nullable = false }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

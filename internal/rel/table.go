@@ -32,6 +32,20 @@ type Column struct {
 	Occurrence int
 }
 
+// Admits reports whether the column may hold v: v fits its type
+// (Value.Fits), and v is not NULL unless the column is Nullable. Every
+// way into a table checks values with it.
+func (c *Column) Admits(v Value) bool { return v.Fits(c.Typ) && (c.Nullable || !v.Null) }
+
+// TypeDecl renders the column's type as CREATE TABLE declares it: INT,
+// or INT NOT NULL when the column is not Nullable.
+func (c *Column) TypeDecl() string {
+	if c.Nullable {
+		return c.Typ.String()
+	}
+	return c.Typ.String() + " NOT NULL"
+}
+
 // Table is a columnar table, and the column vectors are the only form
 // it keeps its data in: one typed vector per column (int64, float64, or
 // dictionary-coded strings) plus a null bitmap. The executor's kernels
@@ -279,18 +293,18 @@ func RowBytes(row []Value) int64 {
 }
 
 // AppendRow adds a row; it must have exactly one value per column, and
-// each must fit its column's type (Value.Fits) — a loader coerces at the
-// door, so any other value is a programmer error and panics. The values
-// are decomposed into the column vectors — the slice is not retained, so
-// callers may reuse it.
+// each column must admit its value (Column.Admits) — a loader coerces at
+// the door and refuses a NULL in a NOT NULL column, so any other value
+// is a programmer error and panics. The values are decomposed into the
+// column vectors — the slice is not retained, so callers may reuse it.
 func (t *Table) AppendRow(row []Value) {
 	t.requireWhole()
 	if len(row) != len(t.Columns) {
 		panic(fmt.Sprintf("rel: row width %d != %d columns in %s", len(row), len(t.Columns), t.Name))
 	}
 	for i, v := range row {
-		if c := &t.Columns[i]; !v.Fits(c.Typ) {
-			panic(fmt.Sprintf("rel: %#v does not fit %s.%s, a %v column", v, t.Name, c.Name, c.Typ))
+		if c := &t.Columns[i]; !c.Admits(v) {
+			panic(fmt.Sprintf("rel: %#v does not fit %s.%s, a %s column", v, t.Name, c.Name, c.TypeDecl()))
 		}
 	}
 	for i, v := range row {

@@ -17,6 +17,9 @@ import (
 	"repro/internal/engine"
 	"repro/internal/physical"
 	"repro/internal/rel"
+	"repro/internal/schema"
+	"repro/internal/shred"
+	"repro/internal/xmlgen"
 )
 
 func TestHTTPRoundTrip(t *testing.T) {
@@ -263,7 +266,8 @@ var timings = regexp.MustCompile(`"queued_us":\d+,"elapsed_us":\d+}`)
 // engine's byte target, never through Response, and its body must be
 // the bytes appendResponse writes for Query's answer to the same
 // request — byte for byte once queued_us and elapsed_us are zeroed — on
-// scans, joins, unions, a seek, an empty result and several grants.
+// scans, joins, unions, a seek, an empty result, a query its mapping
+// proves empty (zero branches: no columns, no rows) and several grants.
 func TestHandlerBodyMatchesQuery(t *testing.T) {
 	m, db, _ := movieFixture(t, 120)
 	cfg := &physical.Config{}
@@ -276,14 +280,42 @@ func TestHandlerBodyMatchesQuery(t *testing.T) {
 	if err := svc.RegisterBuilt("movie", built, m, nil); err != nil {
 		t.Fatal(err)
 	}
+	// Distributing movie over the box_office|seasons choice puts the two
+	// arms in two partitions, so a selection on one arm projecting the
+	// other reads none.
+	tree := schema.Movie()
+	choice := tree.ElementsNamed("box_office")[0].UnderChoice()
+	tree.ElementsNamed("movie")[0].Distributions = []schema.Distribution{{Choice: choice.ID}}
+	sm, err := shred.Compile(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdb, err := shred.Shred(sm, xmlgen.GenerateMovie(tree, xmlgen.MovieOptions{Movies: 120, Seed: 21}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbuilt, err := engine.Build(sdb, &physical.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.RegisterBuilt("movie-split", sbuilt, sm, nil); err != nil {
+		t.Fatal(err)
+	}
+	const provablyEmpty = `//movie[box_office >= 1000]/seasons`
 	h := svc.Handler()
-	queries := append([]string{`//movie[year = 2001]/(title | box_office)`, `//movie[year = 1]/title`}, serviceQueries...)
+	type corpusQuery struct{ corpus, xpath string }
+	var queries []corpusQuery
+	for _, q := range append([]string{`//movie[year = 2001]/(title | box_office)`, `//movie[year = 1]/title`}, serviceQueries...) {
+		queries = append(queries, corpusQuery{"movie", q})
+	}
+	queries = append(queries, corpusQuery{"movie-split", `//movie[box_office >= 1000]/title`}, corpusQuery{"movie-split", provablyEmpty})
 	zero := func(body []byte) string {
 		return timings.ReplaceAllString(string(body), `"queued_us":0,"elapsed_us":0}`)
 	}
-	for _, q := range queries {
+	for _, cq := range queries {
+		q := cq.xpath
 		for _, workers := range []int{1, 2, 4} {
-			req := Request{Corpus: "movie", Tenant: "t", XPath: q, Workers: workers}
+			req := Request{Corpus: cq.corpus, Tenant: "t", XPath: q, Workers: workers}
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(appendRequest(nil, req))))
 			if rec.Code != http.StatusOK {
@@ -294,8 +326,12 @@ func TestHandlerBodyMatchesQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 			resp.Queued, resp.Elapsed = 0, 0
-			if got, want := zero(rec.Body.Bytes()), string(appendResponse(nil, resp)); got != want {
+			got := zero(rec.Body.Bytes())
+			if want := string(appendResponse(nil, resp)); got != want {
 				t.Fatalf("%s workers %d: handler body\n%.400s\nwant appendResponse(Query)\n%.400s", q, workers, got, want)
+			}
+			if empty := strings.HasPrefix(got, `{"cols":[],"rows":[],`); empty != (q == provablyEmpty) {
+				t.Fatalf("%s workers %d: body %.100s; only the provably empty query answers no columns and no rows", q, workers, got)
 			}
 		}
 	}

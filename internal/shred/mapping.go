@@ -148,10 +148,7 @@ func (m *Mapping) SQLSchema() string {
 			if i > 0 {
 				b.WriteString(", ")
 			}
-			fmt.Fprintf(&b, "%s %s", c.Name, c.Typ)
-			if !c.Nullable {
-				b.WriteString(" NOT NULL")
-			}
+			fmt.Fprintf(&b, "%s %s", c.Name, c.TypeDecl())
 		}
 		if len(r.ParentAnns) > 0 && r.ParentAnns[0] != "" {
 			fmt.Fprintf(&b, ", FOREIGN KEY (PID) REFERENCES %s(ID)", r.ParentAnns[0])

@@ -312,10 +312,11 @@ func (q *Query) Tables() []string {
 }
 
 // OutputColumns returns the output column names (from the first
-// branch; all branches are union-compatible).
+// branch; all branches are union-compatible). A query of no branch has
+// none: the list is empty, not nil.
 func (q *Query) OutputColumns() []string {
 	if len(q.Branches) == 0 {
-		return nil
+		return []string{}
 	}
 	out := make([]string, len(q.Branches[0].Items))
 	for i, it := range q.Branches[0].Items {
@@ -325,11 +326,9 @@ func (q *Query) OutputColumns() []string {
 }
 
 // Validate checks union compatibility across branches and that every
-// column reference names a table in scope.
+// column reference names a table in scope. A query with no branch is
+// valid: it returns no rows.
 func (q *Query) Validate() error {
-	if len(q.Branches) == 0 {
-		return fmt.Errorf("sqlast: query has no branches")
-	}
 	names := q.OutputColumns()
 	for bi, s := range q.Branches {
 		if len(s.Items) != len(names) {

@@ -66,12 +66,20 @@ func TestValidateAcceptsSample(t *testing.T) {
 	}
 }
 
+// TestValidateAcceptsZeroBranches: a query with no branch — what the
+// translator emits when a mapping proves it empty — is valid, ORDER BY
+// included, and has no output columns.
+func TestValidateAcceptsZeroBranches(t *testing.T) {
+	q := &Query{OrderBy: "ID"}
+	if err := q.Validate(); err != nil {
+		t.Errorf("Validate: %v", err)
+	}
+	if cols := q.OutputColumns(); cols == nil || len(cols) != 0 {
+		t.Errorf("OutputColumns = %#v, want an empty list", cols)
+	}
+}
+
 func TestValidateRejections(t *testing.T) {
-	t.Run("no branches", func(t *testing.T) {
-		if err := (&Query{}).Validate(); err == nil {
-			t.Error("want error")
-		}
-	})
 	t.Run("union incompatible widths", func(t *testing.T) {
 		q := sampleQuery()
 		q.Branches[1].Items = q.Branches[1].Items[:2]

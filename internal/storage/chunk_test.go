@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/rel"
@@ -327,5 +328,50 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 				t.Fatalf("%v, want ErrUnsupportedFormat", err)
 			}
 		})
+	}
+}
+
+// nullInNotNullSegment is a chunked segment of two chunks whose second
+// holds a NULL in the NOT NULL ID column: the declaration says one thing
+// and the bitmap another. The encoder does not validate, so it writes
+// what a foreign or damaged writer could.
+func nullInNotNullSegment(t testing.TB) []byte {
+	t.Helper()
+	tb := rel.NewTable("t", []rel.Column{
+		{Name: rel.IDColumn, Typ: rel.TInt, Nullable: true},
+		{Name: "tag", Typ: rel.TString, Nullable: true},
+	})
+	for r := 0; r < 70; r++ {
+		id := rel.Int(int64(r + 1))
+		if r == 66 {
+			id = rel.NullOf(rel.TInt)
+		}
+		tb.AppendRow([]rel.Value{id, rel.Str(fmt.Sprintf("a%d", r%3))})
+	}
+	s := tb.Snapshot()
+	s.Columns[0].Col.Nullable = false
+	enc, err := EncodeChunkedSegment(s, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc
+}
+
+// TestChunkRefusesNullInNotNullColumn: a chunk whose null bitmap sets a
+// bit in a column declared NOT NULL is refused by the chunk's own
+// verification chain (rel's AdoptColumn), so a store on disk cannot hand
+// the engine a NULL where its ORDER BY or join key is declared NOT NULL.
+func TestChunkRefusesNullInNotNullColumn(t *testing.T) {
+	enc := nullInNotNullSegment(t)
+	if _, err := DecodeChunkedSegment(enc); err == nil || !strings.Contains(err.Error(), "chunk 1 of t") || !strings.Contains(err.Error(), "NOT NULL") {
+		t.Fatalf("DecodeChunkedSegment: %v, want chunk 1's NOT NULL column refused", err)
+	}
+	d, err := decodeChunkedDir(enc[:chunkedDirLen(enc)])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := d.Chunks[0]
+	if _, err := d.decodeChunk(0, enc[ref.Off:ref.Off+ref.Size], d.all, nil); err != nil {
+		t.Fatalf("chunk 0, which holds no NULL: %v", err)
 	}
 }

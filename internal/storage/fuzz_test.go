@@ -150,6 +150,7 @@ func FuzzChunkDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(dupEnc)
+	f.Add(nullInNotNullSegment(f))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := DecodeChunkedSegment(data)

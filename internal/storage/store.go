@@ -26,19 +26,26 @@ var ErrClosed = errors.New("storage: store is closed")
 // the one this build reads.
 var ErrUnsupportedFormat = errors.New("storage: unsupported format")
 
-// TypeError refuses a value that does not fit column Column of Table,
-// of type Type: in an append, one that does not convert losslessly to
-// Type; in a redo record, one not of Type (see rel.Value.Fits). Row is
-// the row's index in the appended batch or the record's in the redo tail.
+// TypeError refuses a value that column Column of Table, of type Type,
+// does not admit (see rel.Column.Admits): in an append, one that does not
+// convert losslessly to Type; in a redo record, one not of Type; in
+// either, a NULL when the column is not Nullable. Row is the row's index
+// in the appended batch or the record's in the redo tail.
 type TypeError struct {
 	Table, Column string
 	Row           int
 	Value         rel.Value
 	Type          rel.Type
+	Nullable      bool
+}
+
+func typeError(table string, c *rel.Column, row int, v rel.Value) *TypeError {
+	return &TypeError{Table: table, Column: c.Name, Row: row, Value: v, Type: c.Typ, Nullable: c.Nullable}
 }
 
 func (e *TypeError) Error() string {
-	return fmt.Sprintf("storage: row %d of %q: %#v does not fit column %s, a %v column", e.Row, e.Table, e.Value, e.Column, e.Type)
+	decl := (&rel.Column{Typ: e.Type, Nullable: e.Nullable}).TypeDecl()
+	return fmt.Sprintf("storage: row %d of %q: %#v does not fit column %s, a %s column", e.Row, e.Table, e.Value, e.Column, decl)
 }
 
 // Options configures Save and Open.
@@ -346,8 +353,8 @@ func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, er
 }
 
 // replayRedo applies a table's redo tail in commit order. AppendBatch
-// logs only values that fit their columns, so it refuses a record whose
-// width disagrees with cols or whose value does not fit its column (a
+// logs only values their columns admit, so it refuses a record whose
+// width disagrees with cols or whose value its column does not admit (a
 // *TypeError): apply never sees a row AppendRow would panic on.
 func replayRedo(table string, cols []rel.Column, tail []redoRecord, apply func(row []rel.Value)) error {
 	for i, rec := range tail {
@@ -356,8 +363,8 @@ func replayRedo(table string, cols []rel.Column, tail []redoRecord, apply func(r
 				table, len(rec.Row), len(cols))
 		}
 		for ci, v := range rec.Row {
-			if !v.Fits(cols[ci].Typ) {
-				return &TypeError{Table: table, Column: cols[ci].Name, Row: i, Value: v, Type: cols[ci].Typ}
+			if c := &cols[ci]; !c.Admits(v) {
+				return typeError(table, c, i, v)
 			}
 		}
 		apply(rec.Row)
@@ -564,8 +571,8 @@ func (s *Store) Append(table string, row []rel.Value) error {
 // fsync. Batches from concurrent appenders that queue while a flush is
 // in progress coalesce into the next fsync. Each value is logged as its
 // column's type: one that converts losslessly is converted (see
-// rel.Value.CoerceExact), and any other refuses the whole batch with a
-// *TypeError before anything is logged.
+// rel.Value.CoerceExact), and any other, or a NULL in a NOT NULL column,
+// refuses the whole batch with a *TypeError before anything is logged.
 func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	if len(rows) == 0 {
 		return nil
@@ -596,11 +603,11 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	for i, row := range rows {
 		rec := redoRecord{Table: table, Row: make([]rel.Value, len(row))}
 		for ci, v := range row {
-			ok := false
-			if rec.Row[ci], ok = v.CoerceExact(cd.Cols[ci].Typ); !ok {
+			c, ok := &cd.Cols[ci], false
+			if rec.Row[ci], ok = v.CoerceExact(c.Typ); !ok || !c.Admits(rec.Row[ci]) {
 				b.recs = b.recs[:n] // the open batch holds nothing of this one
 				s.mu.Unlock()
-				return &TypeError{Table: table, Column: cd.Cols[ci].Name, Row: i, Value: v, Type: cd.Cols[ci].Typ}
+				return typeError(table, c, i, v)
 			}
 		}
 		b.recs = append(b.recs, rec)

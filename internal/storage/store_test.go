@@ -288,9 +288,9 @@ func TestRedoReplay(t *testing.T) {
 }
 
 // TestAppendRefusesValuesThatDoNotFit: AppendBatch refuses a batch
-// holding a value that does not convert losslessly to its column's type
-// with a *TypeError naming the table, column and row, before anything
-// is logged — the rows of the batch that did convert included. The redo
+// holding a value that does not convert losslessly to its column's type,
+// or a NULL of any type in a NOT NULL column, with a *TypeError naming
+// the table, column and row, before anything is logged — the rows of the batch that did convert included. The redo
 // log's bytes stay as they were, and a reopen serves exactly the rows
 // from before.
 func TestAppendRefusesValuesThatDoNotFit(t *testing.T) {
@@ -326,6 +326,11 @@ func TestAppendRefusesValuesThatDoNotFit(t *testing.T) {
 		{"ID", 0, [][]rel.Value{{rel.Float(8.5), rel.NullOf(rel.TInt), rel.Str("Half"), rel.Float(1)}}},
 		{"title", 0, [][]rel.Value{{rel.Int(9), rel.NullOf(rel.TInt), {Typ: rel.TString, S: "Stray", I: 1}, rel.Float(1)}}},
 		{"PID", 0, [][]rel.Value{{rel.Int(9), rel.Str("01"), rel.Str("Padded"), rel.Float(1)}}},
+		{"ID", 1, [][]rel.Value{
+			{rel.Int(9), rel.NullOf(rel.TInt), rel.Str("Fine"), rel.Float(1)},
+			{rel.NullOf(rel.TInt), rel.NullOf(rel.TInt), rel.Str("No ID"), rel.Float(1)},
+		}},
+		{"ID", 0, [][]rel.Value{{rel.NullOf(rel.TString), rel.NullOf(rel.TInt), rel.Str("No ID"), rel.Float(1)}}},
 	} {
 		err := st.AppendBatch("book", tc.rows)
 		var te *TypeError
@@ -354,7 +359,7 @@ func TestAppendRefusesValuesThatDoNotFit(t *testing.T) {
 // its column's type — which AppendBatch never logs — is refused by name
 // with a *TypeError instead of being applied, so a foreign or corrupt
 // log never reaches AppendRow's panic. A NULL carrying a payload does
-// not fit either.
+// not fit either, and a NULL in the NOT NULL ID column is refused too.
 func TestReplayRefusesRecordsThatDoNotFit(t *testing.T) {
 	cols := fixtureDB().Table("book").Columns
 	good := redoRecord{Table: "book", Row: []rel.Value{rel.Int(6), rel.NullOf(rel.TInt), rel.Str("ok"), rel.Float(1)}}
@@ -365,6 +370,7 @@ func TestReplayRefusesRecordsThatDoNotFit(t *testing.T) {
 		{"title", []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Int(1998), rel.Float(1)}},
 		{"price", []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Str("ok"), rel.NullOf(rel.TInt)}},
 		{"PID", []rel.Value{rel.Int(7), {Null: true, Typ: rel.TInt, I: 3}, rel.Str("ok"), rel.Float(1)}},
+		{"ID", []rel.Value{rel.NullOf(rel.TInt), rel.NullOf(rel.TInt), rel.Str("ok"), rel.Float(1)}},
 	} {
 		applied := 0
 		err := replayRedo("book", cols, []redoRecord{good, {Table: "book", Row: tc.row}}, func([]rel.Value) { applied++ })

@@ -42,10 +42,6 @@ const (
 	// IncompatibleContexts: the context resolves to several elements
 	// whose projections differ.
 	IncompatibleContexts
-	// ProvablyEmpty: every partition is pruned, so the query returns
-	// nothing under the mapping. It is refused until a query with zero
-	// branches can express it.
-	ProvablyEmpty
 )
 
 // Unsupported is Translate's refusal of a query shape; every other
@@ -86,13 +82,9 @@ func Translate(m *shred.Mapping, q *xpath.Query) (*sqlast.Query, error) {
 	if len(ctxNodes) > 1 {
 		out.Branches = dedupeBranches(out.Branches)
 	}
-	if len(out.Branches) == 0 {
-		// All partitions pruned: the query provably returns nothing
-		// from this mapping. That is reported as an error, not as an
-		// empty query; ROADMAP item 2(b) turns it into a query with
-		// zero branches.
-		return nil, unsupported(ProvablyEmpty, "translate: query %s selects nothing under this mapping", q)
-	}
+	// When every partition is pruned the query provably returns nothing
+	// under this mapping, and out has zero branches: it costs nothing and
+	// returns no rows.
 	if err := out.Validate(); err != nil {
 		return nil, fmt.Errorf("translate: internal error: %w (SQL: %s)", err, out.SQL())
 	}

@@ -254,12 +254,6 @@ func TestTranslateUnsupportedKinds(t *testing.T) {
 			return tree
 		}, `//order[item/sku = "x"]/customer`, PartitionedChildSelection},
 		{"contexts with different projections", orders, `//order`, IncompatibleContexts},
-		{"every partition pruned", func(*testing.T) *schema.Tree {
-			tree := schema.Movie()
-			choice := tree.ElementsNamed("box_office")[0].UnderChoice()
-			tree.ElementsNamed("movie")[0].Distributions = []schema.Distribution{{Choice: choice.ID}}
-			return tree
-		}, `//movie[box_office >= 1000]/seasons`, ProvablyEmpty},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -293,6 +287,29 @@ func TestTranslateUnsupportedKinds(t *testing.T) {
 	// Malformed queries are not refusals of a shape.
 	if _, err := Translate(compile(t, schema.Movie()), xpath.MustParse(`//nonexistent/title`)); err == nil || errors.As(err, new(*Unsupported)) {
 		t.Errorf("unknown context: error %v, want a plain error", err)
+	}
+}
+
+// TestTranslateProvablyEmptyIsZeroBranches: when the mapping prunes
+// every partition a query could read — a selection on one arm of a
+// distributed choice projecting the other — the query provably returns
+// nothing, and Translate says so with a valid query of zero branches,
+// not a refusal.
+func TestTranslateProvablyEmptyIsZeroBranches(t *testing.T) {
+	tree := schema.Movie()
+	choice := tree.ElementsNamed("box_office")[0].UnderChoice()
+	tree.ElementsNamed("movie")[0].Distributions = []schema.Distribution{{Choice: choice.ID}}
+	m := compile(t, tree)
+	sql, err := Translate(m, xpath.MustParse(`//movie[box_office >= 1000]/seasons`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sql.Branches) != 0 || sql.OrderBy != OutputID || sql.Validate() != nil {
+		t.Fatalf("got %d branches, ORDER BY %q:\n%s", len(sql.Branches), sql.OrderBy, sql.SQL())
+	}
+	// One arm alone keeps its partition.
+	if sql, err := Translate(m, xpath.MustParse(`//movie[box_office >= 1000]/title`)); err != nil || len(sql.Branches) == 0 {
+		t.Fatalf("a query of one arm: %v, %+v", err, sql)
 	}
 }
 
