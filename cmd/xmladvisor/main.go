@@ -177,8 +177,8 @@ func run(c cliConfig) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("\n-- measured execution --\nworkload time: %s (%d rows, data %d KB, structures %d KB)\n",
-			ex.Elapsed, ex.Rows, ex.DataBytes>>10, ex.StructBytes>>10)
+		fmt.Printf("\n-- measured execution --\nworkload time: %s (IQR %s, %d rows, data %d KB, structures %d KB)\n",
+			ex.Elapsed, ex.Spread, ex.Rows, ex.DataBytes>>10, ex.StructBytes>>10)
 		audit, err := adv.CostAudit(res, docs...)
 		if err != nil {
 			return err

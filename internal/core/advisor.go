@@ -129,6 +129,10 @@ type Metrics struct {
 	// counts evaluations computed and cached. Hits carry none of the
 	// tool/optimizer effort the other counters measure.
 	EvalCacheHits, EvalCacheMisses int
+	// Dropped counts the candidates a round costed and dropped because
+	// a workload query does not translate under them, indexed by the
+	// translator's refusal kind.
+	Dropped [translate.MaxUnsupportedKind + 1]int
 }
 
 // merge accumulates another run's effort counters (used when candidate
@@ -144,6 +148,21 @@ func (m *Metrics) merge(o Metrics) {
 	m.OptimizerCalls += o.OptimizerCalls
 	m.EvalCacheHits += o.EvalCacheHits
 	m.EvalCacheMisses += o.EvalCacheMisses
+	for k, n := range o.Dropped {
+		m.Dropped[k] += n
+	}
+}
+
+// droppedSummary renders the non-zero Dropped counts in kind order as
+// "kind=n …", empty when no candidate was dropped.
+func (m *Metrics) droppedSummary() string {
+	var parts []string
+	for k, n := range m.Dropped {
+		if n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%d", translate.UnsupportedKind(k), n))
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 // Result is a search outcome.
@@ -356,6 +375,9 @@ func (a *Advisor) HybridBaseline() (*Result, error) {
 }
 
 func (a *Advisor) result(alg string, ev *evalResult, met Metrics) *Result {
+	if s := met.droppedSummary(); s != "" {
+		a.tracef("%s: candidates dropped on a query that does not translate: %s", strings.ToLower(alg), s)
+	}
 	a.publishMetrics(alg, met, ev.cost)
 	return &Result{
 		Algorithm:    alg,
@@ -387,6 +409,11 @@ func (a *Advisor) publishMetrics(alg string, met Metrics, cost float64) {
 	reg.Counter("advisor.optimizer_calls").Add(met.OptimizerCalls)
 	reg.Counter("advisor.eval_cache_hits").Add(int64(met.EvalCacheHits))
 	reg.Counter("advisor.eval_cache_misses").Add(int64(met.EvalCacheMisses))
+	for k, n := range met.Dropped {
+		if n > 0 {
+			reg.Counter("advisor.dropped." + translate.UnsupportedKind(k).String()).Add(int64(n))
+		}
+	}
 	reg.Gauge("advisor.last_duration_ms").Set(float64(met.Duration) / float64(time.Millisecond))
 	reg.Gauge("advisor.last_est_cost").Set(cost)
 	reg.Gauge("advisor.est_cost." + strings.ToLower(alg)).Set(cost)

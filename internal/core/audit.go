@@ -22,9 +22,10 @@ type QueryAudit struct {
 	// EstCost is the advisor's estimated cost under the recommended
 	// configuration (the number the search optimized).
 	EstCost float64
-	// Measured is the wall-clock time of one execution (averaged over
-	// enough repetitions to be stable).
-	Measured time.Duration
+	// Measured is the wall-clock time of one execution: the median of
+	// enough repetitions to be stable. Spread is their interquartile
+	// range.
+	Measured, Spread time.Duration
 	// Rows is the result size; RowsScanned/RowsSought are the
 	// executor's access counters for one execution.
 	Rows, RowsScanned, RowsSought int64
@@ -79,7 +80,7 @@ func (a *Advisor) CostAudit(res *Result, docs ...*xmlgen.Doc) (*Audit, error) {
 			qa.Rows = int64(len(out.Rows))
 			qa.RowsScanned = out.Stats.RowsScanned
 			qa.RowsSought = out.Stats.RowsSought
-			qa.Measured, err = timeRuns(auditMinMeasure, auditMaxReps, func() error {
+			qa.Measured, qa.Spread, err = timeRuns(auditMinMeasure, auditMaxReps, func() error {
 				_, err := q.pp.ExecuteContextWorkers(ctx, a.Opts.Workers)
 				return err
 			})

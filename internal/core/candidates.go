@@ -429,8 +429,14 @@ func (a *Advisor) mergedBenefit(tree *schema.Tree, hostID int, opts []int, met *
 				applies = true
 			}
 		}
-		if applies {
-			total += wq.Weight * a.queryCost(tree, wq, met) * pNone
+		if !applies {
+			continue
+		}
+		// A query the mapping cannot answer costs +Inf (queryCostFull):
+		// its saving is unknown, and no merge makes it answerable, so it
+		// adds nothing rather than making this merge look best.
+		if c := a.queryCost(tree, wq, met); !math.IsInf(c, 0) && !math.IsNaN(c) {
+			total += wq.Weight * c * pNone
 		}
 	}
 	return total

@@ -290,3 +290,26 @@ func TestQueryCostRefusalIsNotFree(t *testing.T) {
 		}
 	}
 }
+
+// TestMergedBenefitSkipsUnanswerableQuery: a query whose projection lies
+// in the merge set but which the mapping cannot translate (its selection
+// resolves to no element) costs +Inf; it must add nothing to the merge's
+// benefit rather than make the merge look best.
+func TestMergedBenefitSkipsUnanswerableQuery(t *testing.T) {
+	answerable := `//movie[year >= 1960]/(avg_rating | language)`
+	benefit := func(queries ...string) float64 {
+		fx := movieFixture(t, queries)
+		adv := advisorFor(t, fx)
+		tree := schema.ApplyFullInlining(fx.base.Clone())
+		opts := []int{tree.ElementsNamed("avg_rating")[0].ID, tree.ElementsNamed("language")[0].ID}
+		var met Metrics
+		return adv.mergedBenefit(tree, tree.ElementsNamed("movie")[0].ID, opts, &met)
+	}
+	want := benefit(answerable)
+	if want <= 0 || math.IsInf(want, 0) {
+		t.Fatalf("benefit of the answerable query alone = %v, want finite and positive", want)
+	}
+	if got := benefit(answerable, `//movie[nonexistent = "x"]/(avg_rating | language)`); got != want {
+		t.Errorf("with an unanswerable query the benefit is %v, want the answerable query's %v", got, want)
+	}
+}

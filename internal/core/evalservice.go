@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"sync"
 
 	"repro/internal/physdesign"
 	"repro/internal/schema"
+	"repro/internal/translate"
 	"repro/internal/workload"
 )
 
@@ -165,6 +167,9 @@ func (a *Advisor) round(n int, apply func(i int) *schema.Tree, cost costFunc, me
 		var err error
 		o.ev, o.cost, err = cost(o.tree, &o.met)
 		o.failed = err != nil
+		if u := (*translate.Unsupported)(nil); errors.As(err, &u) {
+			o.met.Dropped[u.Kind]++
+		}
 	})
 	for i := range outs {
 		met.merge(outs[i].met)

@@ -1,10 +1,17 @@
 package core
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/obs"
+	"repro/internal/physdesign"
 	"repro/internal/schema"
+	"repro/internal/translate"
 )
 
 // TestEvaluateMemoized pins the cache contract: re-evaluating a mapping
@@ -189,5 +196,51 @@ func TestStrategiesShareCache(t *testing.T) {
 	if hy.Metrics.EvalCacheHits != 1 || hy.Metrics.PhysDesignCalls != 0 {
 		t.Errorf("hybrid after naive: hits=%d tool calls=%d, want 1 hit / 0 calls",
 			hy.Metrics.EvalCacheHits, hy.Metrics.PhysDesignCalls)
+	}
+}
+
+// TestRoundCountsDroppedCandidates: a round counts each failed candidate
+// whose error wraps a translator refusal under the refusal's kind, and
+// nothing for a candidate that does not apply, succeeds, or fails for
+// another reason; the counts reach the registry and the trace.
+func TestRoundCountsDroppedCandidates(t *testing.T) {
+	fx := movieFixture(t, movieTestQueries[:1])
+	reg := obs.NewRegistry()
+	var trace bytes.Buffer
+	adv := New(fx.base, fx.col, fx.w, Options{Parallelism: 3, Registry: reg, Trace: &trace})
+	refusal := func(k translate.UnsupportedKind) error {
+		return fmt.Errorf("core: translating q: %w", &translate.Unsupported{Kind: k})
+	}
+	errs := []error{nil, refusal(translate.MultiLevelPath), refusal(translate.PathNotUnique),
+		errors.New("not a refusal"), refusal(translate.MultiLevelPath), nil}
+	// Candidate i costs to errs[i]; the last one does not apply.
+	trees := make([]*schema.Tree, len(errs))
+	errOf := map[*schema.Tree]error{}
+	for i := range len(errs) - 1 {
+		trees[i] = fx.base.Clone()
+		errOf[trees[i]] = errs[i]
+	}
+	var met Metrics
+	adv.round(len(errs), func(i int) *schema.Tree { return trees[i] },
+		func(tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
+			if err := errOf[tree]; err != nil {
+				return nil, 0, err
+			}
+			return &evalResult{tree: tree}, 1, nil
+		}, &met)
+	want := map[translate.UnsupportedKind]int{translate.MultiLevelPath: 2, translate.PathNotUnique: 1}
+	for k := range met.Dropped {
+		if kind := translate.UnsupportedKind(k); met.Dropped[k] != want[kind] {
+			t.Errorf("Dropped[%s] = %d, want %d", kind, met.Dropped[k], want[kind])
+		}
+	}
+	adv.result("Greedy", &evalResult{tree: trees[0], rec: &physdesign.Recommendation{}}, met)
+	for k, n := range want {
+		if got := reg.Counter("advisor.dropped." + k.String()).Value(); got != int64(n) {
+			t.Errorf("advisor.dropped.%s = %d, want %d", k, got, n)
+		}
+	}
+	if line := "greedy: candidates dropped on a query that does not translate: path_not_unique=1 multi_level_path=2"; !strings.Contains(trace.String(), line) {
+		t.Errorf("trace %q lacks %q", trace.String(), line)
 	}
 }

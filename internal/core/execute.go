@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"runtime"
+	"slices"
 	"time"
 
 	"repro/internal/engine"
@@ -20,8 +22,9 @@ import (
 // Execution is the measured outcome of running the workload under a
 // recommended design on real data.
 type Execution struct {
-	// Elapsed is the total wall-clock execution time of the workload.
-	Elapsed time.Duration
+	// Elapsed is the wall-clock time of one pass over the workload: the
+	// median of the timed passes. Spread is their interquartile range.
+	Elapsed, Spread time.Duration
 	// Rows is the total number of result rows produced.
 	Rows int64
 	// DataBytes is the loaded data size; StructBytes the materialized
@@ -53,7 +56,7 @@ func (a *Advisor) MeasureExecutionContext(ctx context.Context, res *Result, docs
 		}
 		reps := executionReps(weights)
 		var rows int64
-		elapsed, err := timeRuns(measureFloor, measureMaxPasses, func() error {
+		elapsed, spread, err := timeRuns(measureFloor, measureMaxPasses, func() error {
 			rows = 0
 			for i, q := range qs {
 				for r := 0; r < reps[i]; r++ {
@@ -69,7 +72,7 @@ func (a *Advisor) MeasureExecutionContext(ctx context.Context, res *Result, docs
 		if err != nil {
 			return err
 		}
-		ex = &Execution{Elapsed: elapsed, Rows: rows, DataBytes: db.Bytes(), StructBytes: built.StructBytes}
+		ex = &Execution{Elapsed: elapsed, Spread: spread, Rows: rows, DataBytes: db.Bytes(), StructBytes: built.StructBytes}
 		return nil
 	})
 	return ex, err
@@ -82,26 +85,43 @@ const (
 	measureMaxPasses = 50
 )
 
-// timeRuns times run and reports the per-run average: a run faster
+// timeRuns times run and reports the median run with the
+// interquartile range of the runs. It collects garbage first, so no
+// earlier work's garbage is collected inside the timing. A run faster
 // than floor is repeated until the repetitions total floor, at most
-// maxRuns times (the first, calibrating run is not counted).
-func timeRuns(floor time.Duration, maxRuns int, run func() error) (time.Duration, error) {
+// maxRuns times, each timed on its own (the first, calibrating run is
+// not counted); a slower one is the only sample, with no spread.
+func timeRuns(floor time.Duration, maxRuns int, run func() error) (median, spread time.Duration, err error) {
+	runtime.GC()
 	start := time.Now()
 	if err := run(); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	elapsed := time.Since(start)
 	if elapsed >= floor || elapsed <= 0 {
-		return elapsed, nil
+		return elapsed, 0, nil
 	}
-	n := min(int(floor/elapsed)+1, maxRuns)
-	start = time.Now()
-	for i := 0; i < n; i++ {
+	samples := make([]time.Duration, min(int(floor/elapsed)+1, maxRuns))
+	for i := range samples {
+		start := time.Now()
 		if err := run(); err != nil {
-			return 0, err
+			return 0, 0, err
 		}
+		samples[i] = time.Since(start)
 	}
-	return time.Since(start) / time.Duration(n), nil
+	slices.Sort(samples)
+	return quantile(samples, 0.5), quantile(samples, 0.75) - quantile(samples, 0.25), nil
+}
+
+// quantile returns the q-quantile of sorted, interpolating linearly
+// between the two nearest samples.
+func quantile(sorted []time.Duration, q float64) time.Duration {
+	pos := q * float64(len(sorted)-1)
+	i := int(pos)
+	if i+1 == len(sorted) {
+		return sorted[i]
+	}
+	return sorted[i] + time.Duration((pos-float64(i))*float64(sorted[i+1]-sorted[i]))
 }
 
 // maxExecReps caps per-query repetitions so scaled-up fractional

@@ -174,3 +174,31 @@ func TestMeasuredRunsOnBudgetedStore(t *testing.T) {
 		t.Errorf("%d goroutines after the measured runs, %d before", n, goroutines)
 	}
 }
+
+// TestTimeRunsMedianIgnoresOutlier: one pass 100× slower than the rest
+// moves a mean by ≈ 10× but must move neither the median timeRuns
+// reports nor its interquartile range.
+func TestTimeRunsMedianIgnoresOutlier(t *testing.T) {
+	const pass, outlier = 2 * time.Millisecond, 200 * time.Millisecond
+	runs := 0
+	// A floor far above a pass: every run after the calibrating one is
+	// timed, nine of them, even when a loaded box stretches a pass.
+	median, spread, err := timeRuns(outlier, 9, func() error {
+		runs++
+		if runs == 4 {
+			time.Sleep(outlier)
+		} else {
+			time.Sleep(pass)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs != 10 {
+		t.Fatalf("%d runs, want the calibrating run and 9 timed ones", runs)
+	}
+	if median >= outlier/10 || spread >= outlier/10 {
+		t.Errorf("median %s, IQR %s over %d runs of %s and one of %s: the outlier moved them", median, spread, runs, pass, outlier)
+	}
+}

@@ -1,20 +1,21 @@
 package service
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 	"sync"
 	"time"
-	"unicode/utf16"
 	"unicode/utf8"
 
-	"repro/internal/engine"
 	"repro/internal/rel"
 )
 
-// The /query 200 body is one JSON object and a newline:
+// The /query 200 body is one JSON object and a newline, with no
+// whitespace and these members in this order:
 //
 //	{"cols":["title",…],"rows":[[value,…],…],
 //	 "stats":{"RowsScanned":n,"RowsSought":n,"Branches":n},
@@ -35,9 +36,11 @@ import (
 // byte written as the escape for U+FFFD.
 //
 // appendResponse writes exactly the bytes json.NewEncoder(w).Encode
-// writes for the reference types in wire_test.go, and decodeResponse
-// reads any JSON that encoding/json would decode into them to the same
-// values; the differential tests and FuzzDecodeResponse pin both. Neither
+// writes for the reference types in wire_test.go. decodeResponse reads
+// those bytes and no others, to the values encoding/json reads from
+// them: any other body is an error, even JSON encoding/json accepts. The
+// differential tests, TestDecodeRefusesNonCanonical and
+// FuzzDecodeResponse pin both. Neither
 // uses reflection: on the server the engine appends each row's encoding
 // into a pooled buffer straight from the column vectors (see
 // Service.handleQuery), the decoder walks the body once.
@@ -272,55 +275,41 @@ func readBody(r io.Reader, size, limit int64) (*[]byte, error) {
 	}
 }
 
-// maxDepth is encoding/json's nesting limit, kept so that both accept
-// the same inputs.
-const maxDepth = 10000
-
-// wireReader parses a /query body. Errors are sticky: after the first,
-// every method returns a zero result and every loop ends, so the parse
-// functions check err once at the end.
+// wireReader parses a /query body. Errors are sticky: the first one
+// moves i to the end of the body, so every later read fails to match and
+// every loop ends, and decodeResponse checks err once at the end.
 type wireReader struct {
 	b       []byte
 	i       int
-	depth   int
 	err     error
-	scratch []byte // unescaped string bytes, valid until the next str
+	scratch []byte // a string's unescaped bytes while str reads it
 }
 
-// decodeResponse parses a /query 200 body. Strings are copied out, so
-// the result does not alias body. As with encoding/json, a null member
-// leaves its field as it was, an unknown member is skipped, and members
-// may come in any order.
+// decodeResponse parses a /query 200 body. It accepts exactly the bytes
+// appendResponse writes and nothing else: the members in its order, no
+// whitespace, each value and string spelled as appendValue and
+// appendString spell it. Strings are copied out, so the result does not
+// alias body.
 func decodeResponse(body []byte) (*Response, error) {
 	r := &wireReader{b: body}
 	out := &Response{}
-	if !r.null() {
-		for more := r.enter('{'); more; more = r.next('}') {
-			switch string(r.key()) {
-			case "cols":
-				out.Cols = r.cols()
-			case "rows":
-				out.Rows = r.rows(len(out.Cols))
-			case "stats":
-				r.stats(&out.Stats)
-			case "workers":
-				if n, ok := r.integer(); ok {
-					out.Workers = int(n)
-				}
-			case "queued_us":
-				if n, ok := r.integer(); ok {
-					out.Queued = time.Duration(n) * time.Microsecond
-				}
-			case "elapsed_us":
-				if n, ok := r.integer(); ok {
-					out.Elapsed = time.Duration(n) * time.Microsecond
-				}
-			default:
-				r.skip()
-			}
-		}
-	}
-	r.ws()
+	r.lit(`{"cols":`)
+	out.Cols = r.cols()
+	r.lit(`,"rows":`)
+	out.Rows = r.rows(len(out.Cols))
+	r.lit(`,"stats":{"RowsScanned":`)
+	out.Stats.RowsScanned = r.integer()
+	r.lit(`,"RowsSought":`)
+	out.Stats.RowsSought = r.integer()
+	r.lit(`,"Branches":`)
+	out.Stats.Branches = r.integer()
+	r.lit(`},"workers":`)
+	out.Workers = int(r.integer())
+	r.lit(`,"queued_us":`)
+	out.Queued = r.micros()
+	r.lit(`,"elapsed_us":`)
+	out.Elapsed = r.micros()
+	r.lit("}\n")
 	if r.i < len(r.b) {
 		r.fail("data after the response")
 	}
@@ -331,63 +320,49 @@ func decodeResponse(body []byte) (*Response, error) {
 }
 
 func (r *wireReader) cols() []string {
-	if r.null() {
+	if r.has("null") {
 		return nil
 	}
 	cols := []string{}
-	for more := r.enter('['); more; more = r.next(']') {
-		var c string
-		if !r.null() {
-			c = string(r.str())
-		}
-		cols = append(cols, c)
+	for more := r.open(); more; more = r.next() {
+		cols = append(cols, r.str())
 	}
 	return cols
 }
 
 // rows reads the row arrays. Rows are cut from a value arena with
 // cap == len, so appending to one row never reaches the next. The first
-// arena holds width values (the column count when "cols" came first);
-// when one fills mid-row, the next is sized by estimate from the values
-// read so far and the row's first values move over. The row headers
-// grow the same way, from the rows read so far.
+// arena holds width values (the column count); when one fills mid-row,
+// the next is sized by estimate from the values read so far and the
+// row's first values move over. The row headers grow the same way, from
+// the rows read so far.
 func (r *wireReader) rows(width int) [][]rel.Value {
-	if r.null() {
-		return nil
-	}
 	start := r.i
 	rows := [][]rel.Value{}
 	var (
 		arena []rel.Value
 		nv    int // values read so far
 	)
-	for more := r.enter('['); more; more = r.next(']') {
-		var row []rel.Value
-		if !r.null() {
-			lo := len(arena)
-			for more := r.enter('['); more; more = r.next(']') {
-				if len(arena) == cap(arena) {
-					n := max(r.estimate(nv, start), 16)
-					if nv == 0 && width > 0 {
-						n = width
-					}
-					fresh := make([]rel.Value, len(arena)-lo, len(arena)-lo+n)
-					copy(fresh, arena[lo:])
-					arena, lo = fresh, 0
+	for more := r.open(); more; more = r.next() {
+		lo := len(arena)
+		for more := r.open(); more; more = r.next() {
+			if len(arena) == cap(arena) {
+				n := max(r.estimate(nv, start), 16)
+				if nv == 0 && width > 0 {
+					n = width
 				}
-				v, ok := r.canonValue()
-				if !ok {
-					v = r.anyValue()
-				}
-				arena = append(arena, v)
-				nv++
+				fresh := make([]rel.Value, len(arena)-lo, len(arena)-lo+n)
+				copy(fresh, arena[lo:])
+				arena, lo = fresh, 0
 			}
-			row = arena[lo:len(arena):len(arena)]
+			arena = arena[:len(arena)+1]
+			r.value(&arena[len(arena)-1])
+			nv++
 		}
 		if len(rows) == cap(rows) {
 			rows = slices.Grow(rows, 1+r.estimate(len(rows)+1, start))
 		}
-		rows = append(rows, row)
+		rows = append(rows, arena[lo:len(arena):len(arena)])
 	}
 	return rows
 }
@@ -404,529 +379,237 @@ func (r *wireReader) estimate(n, start int) int {
 	return int(min(int64(n)*int64(len(r.b)-r.i)/int64(r.i-start), 2*int64(n)))
 }
 
-func (r *wireReader) stats(s *engine.ExecStats) {
-	if r.null() {
-		return
-	}
-	for more := r.enter('{'); more; more = r.next('}') {
-		var p *int64
-		switch string(r.key()) {
-		case "RowsScanned":
-			p = &s.RowsScanned
-		case "RowsSought":
-			p = &s.RowsSought
-		case "Branches":
-			p = &s.Branches
-		default:
-			r.skip()
-			continue
-		}
-		if n, ok := r.integer(); ok {
-			*p = n
-		}
-	}
-}
-
-// anyValue reads one {"type":…} object with the general member loop;
-// null reads as an object with no members, which names no type.
-func (r *wireReader) anyValue() rel.Value {
-	var (
-		v      rel.Value
-		typ    string
-		fltErr error // a non-empty "float" ParseFloat rejects
-	)
-	if !r.null() {
-		for more := r.enter('{'); more; more = r.next('}') {
-			switch string(r.key()) {
-			case "null":
-				if !r.null() {
-					v.Null = r.boolean()
-				}
-			case "type":
-				if !r.null() {
-					typ = wireType(r.str())
-				}
-			case "int":
-				if n, ok := r.integer(); ok {
-					v.I = n
-				}
-			case "float":
-				if !r.null() {
-					s := r.str()
-					var err error
-					v.F, err = strconv.ParseFloat(string(s), 64)
-					fltErr = nil
-					if err != nil && len(s) > 0 {
-						fltErr = fmt.Errorf("service: bad float %q: %w", s, err)
-					}
-				}
-			case "str":
-				if !r.null() {
-					v.S = string(r.str())
-				}
-			default:
-				r.skip()
-			}
-		}
-	}
-	if r.err != nil {
-		return rel.Value{}
-	}
-	switch typ {
-	case "int":
-		return rel.Value{Null: v.Null, Typ: rel.TInt, I: v.I}
-	case "float":
-		if fltErr != nil {
-			r.err = fltErr
-		}
-		return rel.Value{Null: v.Null, Typ: rel.TFloat, F: v.F}
-	case "string":
-		return rel.Value{Null: v.Null, Typ: rel.TString, S: v.S}
-	}
-	r.err = fmt.Errorf("service: bad wire type %q", typ)
-	return rel.Value{}
-}
-
-// canonValue reads a value in the exact bytes appendValue writes for an
-// int or a string: `{`, an optional `"null":true,`, then `"type":"int"`
-// with an optional `,"int":` and at most 18 digits with no leading zero,
-// or `"type":"string"` with an optional `,"str":"…"` of ASCII bytes
-// that need no escape, then `}`. On any other byte it consumes nothing
-// and reports false, and anyValue reads the value: the input picks the
-// path.
-func (r *wireReader) canonValue() (rel.Value, bool) {
-	if r.err != nil {
-		return rel.Value{}, false
-	}
-	b, i := r.b, r.i
-	var v rel.Value
-	switch {
-	case hasAt(b, i, `{"null":true,"type":"`):
+// value reads one value as appendValue writes it into v, which is
+// zero: `{`, `"null":true,` only for a NULL, then `"type":"int"` with
+// `,"int":n` only when n is not 0, `"type":"float","float":"g"`, or
+// `"type":"string"` with `,"str":s` only when s is not empty, then `}`.
+// Only the fields the value sets are written, so an int or a NULL in a
+// fresh arena pays no write barrier.
+func (r *wireReader) value(v *rel.Value) {
+	if r.has(`{"null":true,"type":"`) {
 		v.Null = true
-		i += len(`{"null":true,"type":"`)
-	case hasAt(b, i, `{"type":"`):
-		i += len(`{"type":"`)
-	default:
-		return rel.Value{}, false
+	} else {
+		r.lit(`{"type":"`)
 	}
 	switch {
-	case hasAt(b, i, `int"`):
+	case r.has(`int","int":`):
 		v.Typ = rel.TInt
-		i += len(`int"`)
-		if hasAt(b, i, `,"int":`) {
-			i += len(`,"int":`)
-			neg := i < len(b) && b[i] == '-'
-			if neg {
-				i++
-			}
-			j := i
-			for j < len(b) && j-i <= 18 && '0' <= b[j] && b[j] <= '9' {
-				v.I = v.I*10 + int64(b[j]-'0')
-				j++
-			}
-			if j == i || j-i > 18 || b[i] == '0' {
-				return rel.Value{}, false
-			}
-			if neg {
-				v.I = -v.I
-			}
-			i = j
+		if v.I = r.integer(); v.I == 0 {
+			r.fail(`"int":0, which appendValue leaves out`)
 		}
-	case hasAt(b, i, `string"`):
+	case r.has(`int"`):
+		v.Typ = rel.TInt
+	case r.has(`float","float":"`):
+		v.Typ = rel.TFloat
+		v.F = r.float()
+	case r.has(`string","str":`):
 		v.Typ = rel.TString
-		i += len(`string"`)
-		if hasAt(b, i, `,"str":"`) {
-			i += len(`,"str":"`)
-			j := i
-			for j < len(b) && b[j] != '"' {
-				if c := b[j]; c < 0x20 || c == '\\' || c >= utf8.RuneSelf {
-					return rel.Value{}, false
-				}
-				j++
-			}
-			if j == len(b) {
-				return rel.Value{}, false
-			}
-			v.S = string(b[i:j])
-			i = j + 1
+		if v.S = r.str(); v.S == "" {
+			r.fail(`"str":"", which appendValue leaves out`)
 		}
+	case r.has(`string"`):
+		v.Typ = rel.TString
 	default:
-		return rel.Value{}, false
+		r.fail("expected a value type")
 	}
-	if i == len(b) || b[i] != '}' {
-		return rel.Value{}, false
-	}
-	r.i = i + 1
-	return v, true
-}
-
-// hasAt reports whether b holds s at i.
-func hasAt(b []byte, i int, s string) bool {
-	return len(b)-i >= len(s) && string(b[i:i+len(s)]) == s
-}
-
-// wireType returns a "type" member as a string, without allocating for
-// the three known ones.
-func wireType(b []byte) string {
-	switch string(b) {
-	case "int":
-		return "int"
-	case "float":
-		return "float"
-	case "string":
-		return "string"
-	}
-	return string(b)
-}
-
-func (r *wireReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("malformed JSON at byte %d: %s", r.i, what)
+	if !r.eat('}') {
+		r.fail("expected }")
 	}
 }
 
-func (r *wireReader) ws() {
-	for r.i < len(r.b) {
-		switch r.b[r.i] {
-		case ' ', '\t', '\n', '\r':
-			r.i++
-		default:
-			return
-		}
+// integer reads an int64 as strconv.AppendInt writes it: 0, or an
+// optional minus sign and up to 19 digits with no leading zero, within
+// the int64 range.
+func (r *wireReader) integer() int64 {
+	b, i := r.b, r.i
+	neg := i < len(b) && b[i] == '-'
+	if neg {
+		i++
 	}
-}
-
-// peek skips whitespace and returns the next byte, 0 at the end or
-// after an error.
-func (r *wireReader) peek() byte {
-	if r.err != nil {
+	j := i
+	var u uint64
+	for j < len(b) && j-i <= 19 && '0' <= b[j] && b[j] <= '9' {
+		u = u*10 + uint64(b[j]-'0')
+		j++
+	}
+	if j == i || j-i > 19 || b[i] == '0' && (j-i > 1 || neg) ||
+		u > math.MaxInt64 && !(neg && u == -math.MinInt64) {
+		r.fail("expected an integer as strconv.AppendInt writes it")
 		return 0
 	}
-	r.ws()
-	if r.i == len(r.b) {
+	r.i = j
+	if neg {
+		return -int64(u)
+	}
+	return int64(u)
+}
+
+// micros reads a duration in microseconds, as time.Duration.Microseconds
+// writes it: an integer no larger in magnitude than the largest Duration
+// in microseconds.
+func (r *wireReader) micros() time.Duration {
+	n := r.integer()
+	if n < math.MinInt64/1000 || n > math.MaxInt64/1000 {
+		r.fail("duration out of range")
 		return 0
 	}
-	return r.b[r.i]
+	return time.Duration(n) * time.Microsecond
 }
 
-// literal consumes word (true, false or null) or fails.
-func (r *wireReader) literal(word string) {
-	if r.err != nil {
-		return
+// float reads a float's text and its closing quote, where the text is
+// exactly what strconv.AppendFloat(f, 'g', -1, 64) writes for the f it
+// parses to.
+func (r *wireReader) float() float64 {
+	b := r.b[r.i:]
+	end := bytes.IndexByte(b, '"')
+	if end < 0 {
+		r.fail("unterminated float")
+		return 0
 	}
-	if len(r.b)-r.i < len(word) || string(r.b[r.i:r.i+len(word)]) != word {
-		r.fail("invalid literal")
-		return
+	f, err := strconv.ParseFloat(string(b[:end]), 64)
+	var g [32]byte
+	if err != nil || string(strconv.AppendFloat(g[:0], f, 'g', -1, 64)) != string(b[:end]) {
+		r.fail("expected a float as strconv.AppendFloat writes it")
+		return 0
 	}
-	r.i += len(word)
+	r.i += end + 1
+	return f
 }
 
-// null consumes a null literal if one is next.
-func (r *wireReader) null() bool {
-	if r.peek() != 'n' {
-		return false
+// plain marks the bytes appendString writes as themselves: the ASCII
+// bytes it does not escape. unescape maps each escape it writes to the
+// rune that escape stands for; `\ufffd` stands for one invalid UTF-8
+// byte. Both are read off appendString itself.
+var plain, unescape = func() (plain [256]bool, unescape map[string]rune) {
+	unescape = map[string]rune{`\ufffd`: utf8.RuneError}
+	for rn := range rune(utf8.RuneSelf) {
+		if s := string(appendString(nil, string(rn))); s[1:len(s)-1] != string(rn) {
+			unescape[s[1:len(s)-1]] = rn
+		} else {
+			plain[rn] = true
+		}
 	}
-	r.literal("null")
-	return r.err == nil
-}
+	for _, rn := range []rune{'\u2028', '\u2029'} {
+		s := string(appendString(nil, string(rn)))
+		unescape[s[1:len(s)-1]] = rn
+	}
+	return plain, unescape
+}()
 
-func (r *wireReader) boolean() bool {
-	switch r.peek() {
-	case 't':
-		r.literal("true")
-		return r.err == nil
-	case 'f':
-		r.literal("false")
-	default:
-		r.fail("expected a boolean")
-	}
-	return false
-}
-
-// enter consumes the open bracket of an object or array and reports
-// whether it has a first element; an empty one is consumed whole.
-func (r *wireReader) enter(open byte) bool {
-	if r.peek() != open {
-		r.fail("expected " + string(open))
-		return false
-	}
-	r.i++
-	if r.depth++; r.depth > maxDepth {
-		r.fail("nested too deeply")
-		return false
-	}
-	if c := r.peek(); c == '}' && open == '{' || c == ']' && open == '[' {
-		r.i++
-		r.depth--
-		return false
-	}
-	return true
-}
-
-// next consumes the separator after an element and reports whether
-// another follows; at the close bracket it consumes that and reports
-// false.
-func (r *wireReader) next(close byte) bool {
-	switch r.peek() {
-	case ',':
-		r.i++
-		return true
-	case close:
-		r.i++
-		r.depth--
-		return false
-	}
-	r.fail("expected , or " + string(close))
-	return false
-}
-
-// key reads an object member's name and its colon.
-func (r *wireReader) key() []byte {
-	k := r.str()
-	if r.peek() != ':' {
-		r.fail("expected :")
-		return nil
-	}
-	r.i++
-	return k
-}
-
-// str reads a string, unescaped and with each invalid UTF-8 byte
-// replaced by U+FFFD as encoding/json decodes it. The result aliases the
-// body or r.scratch, so a caller keeping it must copy it.
-func (r *wireReader) str() []byte {
-	if r.peek() != '"' {
+// str reads a string as appendString writes it: plain bytes, escapes
+// in unescape, and valid UTF-8 runes other than the two it escapes.
+// The result is a copy, not an alias of the body.
+func (r *wireReader) str() string {
+	if !r.eat('"') {
 		r.fail("expected a string")
-		return nil
+		return ""
 	}
-	r.i++
-	b, start, copied := r.b, r.i, false
-	r.scratch = r.scratch[:0]
-	for i := start; i < len(b); {
-		c := b[i]
-		switch {
+	b, start := r.b, r.i
+	i := start
+	for i < len(b) && plain[b[i]] {
+		i++
+	}
+	if i < len(b) && b[i] == '"' {
+		r.i = i + 1
+		return string(b[start:i])
+	}
+	r.scratch = append(r.scratch[:0], b[start:i]...)
+	for i < len(b) {
+		switch c := b[i]; {
+		case plain[c]:
+			r.scratch = append(r.scratch, c)
+			i++
 		case c == '"':
 			r.i = i + 1
-			if !copied {
-				return b[start:i]
-			}
-			r.scratch = append(r.scratch, b[start:i]...)
-			return r.scratch
-		case c < 0x20:
-			r.i = i
-			r.fail("control character in string")
-			return nil
+			return string(r.scratch)
 		case c == '\\':
-			r.scratch = append(r.scratch, b[start:i]...)
-			copied = true
-			n := r.escape(i)
-			if n == 0 {
-				return nil
+			n := 2
+			if i+1 < len(b) && b[i+1] == 'u' {
+				n = 6
 			}
-			i += n
-			start = i
-		case c < utf8.RuneSelf:
-			i++
-		default:
-			rn, size := utf8.DecodeRune(b[i:])
-			if rn == utf8.RuneError && size == 1 {
-				r.scratch = append(r.scratch, b[start:i]...)
-				r.scratch = utf8.AppendRune(r.scratch, utf8.RuneError)
-				copied = true
-				start = i + 1
-			}
-			i += size
-		}
-	}
-	r.i = len(b)
-	r.fail("unterminated string")
-	return nil
-}
-
-// escape appends the escape sequence at b[i] (a backslash) to r.scratch
-// and returns its length, or 0 after failing. A UTF-16 surrogate pair
-// spelled as two escapes is one rune; a lone surrogate is U+FFFD.
-func (r *wireReader) escape(i int) int {
-	b := r.b
-	if i+1 < len(b) {
-		switch c := b[i+1]; c {
-		case '"', '\\', '/':
-			r.scratch = append(r.scratch, c)
-			return 2
-		case 'b':
-			r.scratch = append(r.scratch, '\b')
-			return 2
-		case 'f':
-			r.scratch = append(r.scratch, '\f')
-			return 2
-		case 'n':
-			r.scratch = append(r.scratch, '\n')
-			return 2
-		case 'r':
-			r.scratch = append(r.scratch, '\r')
-			return 2
-		case 't':
-			r.scratch = append(r.scratch, '\t')
-			return 2
-		case 'u':
-			rn := hex4(b, i+2)
-			if rn < 0 {
-				break
-			}
-			n := 6
-			if utf16.IsSurrogate(rn) {
-				rn2 := rune(-1)
-				if i+n+1 < len(b) && b[i+n] == '\\' && b[i+n+1] == 'u' {
-					rn2 = hex4(b, i+n+2)
-				}
-				if dec := utf16.DecodeRune(rn, rn2); dec != utf8.RuneError {
-					rn, n = dec, n+6
-				} else {
-					rn = utf8.RuneError
-				}
+			rn, ok := unescape[string(b[i:min(i+n, len(b))])]
+			if !ok {
+				r.i = i
+				r.fail("an escape appendString does not write")
+				return ""
 			}
 			r.scratch = utf8.AppendRune(r.scratch, rn)
-			return n
-		}
-	}
-	r.i = i
-	r.fail("invalid escape")
-	return 0
-}
-
-// hex4 decodes the four hex digits at b[i:], or returns -1.
-func hex4(b []byte, i int) rune {
-	if i+4 > len(b) {
-		return -1
-	}
-	var rn rune
-	for _, c := range b[i : i+4] {
-		switch {
-		case '0' <= c && c <= '9':
-			c -= '0'
-		case 'a' <= c && c <= 'f':
-			c -= 'a' - 10
-		case 'A' <= c && c <= 'F':
-			c -= 'A' - 10
+			i += n
+		case c >= utf8.RuneSelf:
+			rn, size := utf8.DecodeRune(b[i:])
+			if rn == utf8.RuneError && size == 1 || rn == '\u2028' || rn == '\u2029' {
+				r.i = i
+				r.fail("invalid UTF-8 or an unescaped line separator")
+				return ""
+			}
+			r.scratch = append(r.scratch, b[i:i+size]...)
+			i += size
 		default:
-			return -1
-		}
-		rn = rn<<4 | rune(c)
-	}
-	return rn
-}
-
-// number reads a JSON number and returns its literal bytes.
-func (r *wireReader) number() []byte {
-	if r.peek(); r.err != nil {
-		return nil
-	}
-	b, i := r.b, r.i
-	digits := func() bool {
-		j := i
-		for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-			i++
-		}
-		return i > j
-	}
-	if i < len(b) && b[i] == '-' {
-		i++
-	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case !digits():
-		r.fail("invalid number")
-		return nil
-	}
-	if i < len(b) && b[i] == '.' {
-		i++
-		if !digits() {
-			r.fail("invalid number")
-			return nil
+			r.i = i
+			r.fail("a byte appendString escapes")
+			return ""
 		}
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		if !digits() {
-			r.fail("invalid number")
-			return nil
-		}
-	}
-	lit := b[r.i:i]
 	r.i = i
-	return lit
+	r.fail("unterminated string")
+	return ""
 }
 
-// integer reads an integer member: false for null, which leaves the
-// field as it was, and after an error. As in encoding/json, a number
-// with a fraction or exponent, or out of int64 range, is an error.
-func (r *wireReader) integer() (int64, bool) {
-	if r.null() {
-		return 0, false
+// open reads a '[' and reports whether an element follows; an empty
+// array is read whole.
+func (r *wireReader) open() bool {
+	if !r.eat('[') {
+		r.fail("expected [")
+		return false
 	}
-	lit := r.number()
-	if r.err != nil {
-		return 0, false
-	}
-	if n, ok := smallInt(lit); ok {
-		return n, true
-	}
-	n, err := strconv.ParseInt(string(lit), 10, 64)
-	if err != nil {
-		r.fail("number " + string(lit) + " is not an int64")
-		return 0, false
-	}
-	return n, true
+	return !r.eat(']')
 }
 
-// smallInt decodes an optionally negative run of at most 18 decimal
-// digits, which cannot overflow int64.
-func smallInt(lit []byte) (int64, bool) {
-	digits := lit
-	if len(digits) > 0 && digits[0] == '-' {
-		digits = digits[1:]
+// next reads the ',' between elements and reports true, or the closing
+// ']' and reports false.
+func (r *wireReader) next() bool {
+	if r.eat(',') {
+		return true
 	}
-	if len(digits) == 0 || len(digits) > 18 {
-		return 0, false
+	if !r.eat(']') {
+		r.fail("expected , or ]")
 	}
-	var n int64
-	for _, c := range digits {
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int64(c-'0')
-	}
-	if len(digits) < len(lit) {
-		n = -n
-	}
-	return n, true
+	return false
 }
 
-// skip reads and discards one value of any kind.
-func (r *wireReader) skip() {
-	switch r.peek() {
-	case '{':
-		for more := r.enter('{'); more; more = r.next('}') {
-			r.key()
-			r.skip()
-		}
-	case '[':
-		for more := r.enter('['); more; more = r.next(']') {
-			r.skip()
-		}
-	case '"':
-		r.str()
-	case 't':
-		r.literal("true")
-	case 'f':
-		r.literal("false")
-	case 'n':
-		r.literal("null")
-	default:
-		r.number()
+// eat reads c if the body holds it next.
+func (r *wireReader) eat(c byte) bool {
+	if r.i < len(r.b) && r.b[r.i] == c {
+		r.i++
+		return true
 	}
+	return false
+}
+
+// has reads s, which is not empty, if the body holds it next. Its first
+// and last bytes are compared on their own, so that most mismatches,
+// such as `{"null":true,"type":"` against a value that is not NULL, cost
+// no call to compare the rest.
+func (r *wireReader) has(s string) bool {
+	if len(r.b)-r.i >= len(s) && r.b[r.i] == s[0] && r.b[r.i+len(s)-1] == s[len(s)-1] &&
+		string(r.b[r.i:r.i+len(s)]) == s {
+		r.i += len(s)
+		return true
+	}
+	return false
+}
+
+// lit reads s, which the body must hold next.
+func (r *wireReader) lit(s string) {
+	if !r.has(s) {
+		r.fail("expected " + strconv.Quote(s))
+	}
+}
+
+// fail records the first error and moves to the end of the body.
+func (r *wireReader) fail(what string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("service: malformed /query body at byte %d: %s", r.i, what)
+	}
+	r.i = len(r.b)
 }

@@ -42,7 +42,26 @@ const (
 	// IncompatibleContexts: the context resolves to several elements
 	// whose projections differ.
 	IncompatibleContexts
+
+	// MaxUnsupportedKind is the largest kind, for arrays indexed by kind.
+	MaxUnsupportedKind = IncompatibleContexts
 )
+
+var unsupportedNames = [MaxUnsupportedKind + 1]string{
+	PathNotUnique:                "path_not_unique",
+	MultiLevelPath:               "multi_level_path",
+	PartitionedChildSelection:    "partitioned_child_selection",
+	PartitionedOverflowSelection: "partitioned_overflow_selection",
+	IncompatibleContexts:         "incompatible_contexts",
+}
+
+// String names the kind in snake case, the form metric names carry.
+func (k UnsupportedKind) String() string {
+	if k > 0 && k <= MaxUnsupportedKind {
+		return unsupportedNames[k]
+	}
+	return fmt.Sprintf("unsupported_kind_%d", int(k))
+}
 
 // Unsupported is Translate's refusal of a query shape; every other
 // translation error is a malformed query or a bug.
