@@ -261,3 +261,69 @@ func TestResultBytesStayGone(t *testing.T) {
 		}
 	}
 }
+
+// assembleSlots builds the slots an execution of n keyed rows leaves:
+// batches of batchSize rows, four to a slot, each with its key block.
+// Row i's key is i modulo n/runs, so the rows arrive as runs sorted runs
+// of n/runs rows each, every run starting below where the last ended.
+// Each row is three values wide — its key, a string and its number — and
+// on the byte target (encode) a rowBlock of its text instead.
+func assembleSlots(n, runs int, encode bool) []outSlot {
+	const width, perSlot = 3, 4 * batchSize
+	slots := make([]outSlot, (n+perSlot-1)/perSlot)
+	for i := 0; i < n; i += batchSize {
+		s := &slots[i/perSlot]
+		m := min(batchSize, n-i)
+		s.width, s.rows = width, s.rows+m
+		kb, rb, arena := new(keyBlock), new(rowBlock), make([]rel.Value, m*width)
+		for r := 0; r < m; r++ {
+			k := int64((i + r) % (n / runs))
+			kb[r] = k
+			arena[r*width], arena[r*width+1], arena[r*width+2] = rel.Int(k), rel.Str("title"), rel.Int(int64(i+r))
+			rb.buf = strconv.AppendInt(append(strconv.AppendInt(append(rb.buf, '['), k, 10), `,"title",`...), int64(i+r), 10)
+			rb.buf = append(rb.buf, ']')
+			rb.ends[r] = int32(len(rb.buf))
+		}
+		rb.n = m
+		s.keys = append(s.keys, kb)
+		if encode {
+			s.blocks = append(s.blocks, rb)
+		} else {
+			s.arenas = append(s.arenas, arena)
+		}
+	}
+	return slots
+}
+
+// assembledRows and assembledBytes keep BenchmarkAssemble's results.
+var (
+	assembledRows  [][]rel.Value
+	assembledBytes []byte
+)
+
+// BenchmarkAssemble times the ORDER BY half of assembling an execution
+// of 16 384 keyed rows on both targets — assemble's row headers and
+// assembleBytes' encoded rows — when they arrive as one sorted run (the
+// cut in plan order), two (a two-branch union: the merge) and n/2 (a
+// seek-shaped union, the merge's worst case).
+func BenchmarkAssemble(b *testing.B) {
+	const n = 16 * batchSize
+	for _, runs := range []int{1, 2, n / 2} {
+		b.Run("runs="+strconv.Itoa(runs)+"/value", func(b *testing.B) {
+			slots := assembleSlots(n, runs, false)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				assembledRows = assemble(slots, 0)
+			}
+		})
+		b.Run("runs="+strconv.Itoa(runs)+"/bytes", func(b *testing.B) {
+			slots := assembleSlots(n, runs, true)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				assembledBytes = assembleBytes(assembledBytes[:0], slots, 0)
+			}
+		})
+	}
+}

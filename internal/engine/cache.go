@@ -15,8 +15,8 @@ import (
 )
 
 // builtCaches holds the plan-lifetime execution structures of a Built:
-// key indexes of hash joins and unrestricted EXISTS keyed by (source,
-// column), the indexes of restricted EXISTS keyed by predicate, and
+// key indexes of hash joins keyed by (source, column), the indexes of
+// EXISTS keyed by predicate, and
 // compiled PreparedPlans keyed by plan fingerprint (a
 // partition holds nothing: it is a column set of its base table, see
 // addPartition). Everything is built lazily on first use and shared
@@ -220,10 +220,9 @@ func inlIndex(b *Built, j optimizer.Join) (*builtIndex, error) {
 }
 
 // keyIndex returns the cached one-column index over column col of the
-// named row source: a hash join's build side, and the probe set of an
-// EXISTS without a restriction. srcKey identifies the row source (base
-// table or view; a partition is its base table) within the Built, and t
-// is its resident table. The column is INT (see joinKeys), and a
+// named row source, a hash join's build side. srcKey identifies the row
+// source (base table or view; a partition is its base table) within the
+// Built, and t is its resident table. The column is INT (see joinKeys), and a
 // key's rows come out in row id order: document order, as an INL join's
 // index returns them.
 func (b *Built) keyIndex(srcKey string, t *rel.Table, col int) (*builtIndex, error) {
@@ -234,9 +233,8 @@ func (b *Built) keyIndex(srcKey string, t *rel.Table, col int) (*builtIndex, err
 }
 
 // existsColumns resolves the inner table of an EXISTS predicate, the
-// index of its join column and of its value column (-1 for a bare
-// existence), and refuses keys that are not INT; both executors read
-// their EXISTS here.
+// index of its join column and of its value column, and refuses keys
+// that are not INT; both executors read their EXISTS here.
 func existsColumns(b *Built, p *sqlast.Pred) (t *rel.Table, ji, vi int, err error) {
 	if t = b.DB.Table(p.Table); t == nil {
 		return nil, 0, 0, fmt.Errorf("engine: EXISTS over unknown table %s", p.Table)
@@ -247,11 +245,8 @@ func existsColumns(b *Built, p *sqlast.Pred) (t *rel.Table, ji, vi int, err erro
 	if ji = t.ColIndex(p.JoinCol); ji < 0 {
 		return nil, 0, 0, fmt.Errorf("engine: EXISTS join column %s.%s missing", p.Table, p.JoinCol)
 	}
-	vi = -1
-	if p.InnerCol != "" {
-		if vi = t.ColIndex(p.InnerCol); vi < 0 {
-			return nil, 0, 0, fmt.Errorf("engine: EXISTS value column %s.%s missing", p.Table, p.InnerCol)
-		}
+	if vi = t.ColIndex(p.InnerCol); vi < 0 {
+		return nil, 0, 0, fmt.Errorf("engine: EXISTS value column %s.%s missing", p.Table, p.InnerCol)
 	}
 	if err := joinKeys(b, sqlast.ColRef{Table: p.Table, Column: p.JoinCol}, p.OuterCol); err != nil {
 		return nil, 0, 0, err
@@ -259,18 +254,14 @@ func existsColumns(b *Built, p *sqlast.Pred) (t *rel.Table, ji, vi int, err erro
 	return t, ji, vi, nil
 }
 
-// existsIndex returns the cached probe index of an EXISTS predicate: the
-// hash join's key index on the inner join column when the EXISTS has no
-// restriction, else an index of only the inner rows that pass it, keyed
-// by the predicate's canonical SQL rendering (which pins the inner
-// table, join column and restriction).
+// existsIndex returns the cached probe index of an EXISTS predicate: an
+// index on the inner join column of only the inner rows that pass the
+// EXISTS's restriction, keyed by the predicate's canonical SQL rendering
+// (which pins the inner table, join column and restriction).
 func (b *Built) existsIndex(p *sqlast.Pred) (*builtIndex, error) {
-	t, ji, vi, err := existsColumns(b, p)
+	t, _, vi, err := existsColumns(b, p)
 	if err != nil {
 		return nil, err
-	}
-	if vi < 0 {
-		return b.keyIndex("t:"+p.Table, t, ji)
 	}
 	return cacheGet(context.Background(), b, b.caches.exists, ckindExists, "exists:"+p.String(), func() (*builtIndex, error) {
 		bi, err := buildIndex(t, &physical.Index{Name: p.String(), Table: p.Table, Key: []string{p.JoinCol}}, rankTables{})
@@ -282,7 +273,7 @@ func (b *Built) existsIndex(p *sqlast.Pred) (*builtIndex, error) {
 }
 
 // CachedStructures reports the cache population (join key indexes,
-// restricted EXISTS indexes, prepared plans) — observability for tests
+// EXISTS indexes, prepared plans) — observability for tests
 // and tools.
 func (b *Built) CachedStructures() map[string]int {
 	b.caches.mu.Lock()

@@ -247,13 +247,13 @@ func TestExecuteHashAndINLAgree(t *testing.T) {
 }
 
 func TestExecuteExistsSemantics(t *testing.T) {
-	// Parents with at least one child: i%3 != 0 -> 1,2,4,5 (i=3,6 have
-	// zero children).
+	// Parents with at least one child tagged "t", which every child is:
+	// i%3 != 0 -> 1,2,4,5 (i=3,6 have zero children).
 	q := &sqlast.Query{Branches: []*sqlast.Select{{
 		Items: []sqlast.SelectItem{{Col: &sqlast.ColRef{Table: "p", Column: "ID"}, As: "ID"}},
 		From:  []string{"p"},
-		Where: []sqlast.Pred{{Kind: sqlast.PredExists,
-			Table: "c", JoinCol: "PID",
+		Where: []sqlast.Pred{{Kind: sqlast.PredExists, Op: sqlast.OpEq, Value: rel.Str("t"),
+			Table: "c", JoinCol: "PID", InnerCol: "tag",
 			OuterCol: sqlast.ColRef{Table: "p", Column: "ID"}}},
 	}}, OrderBy: "ID"}
 	built, plan := planFor(t, tinyDB(), q, nil)
@@ -272,6 +272,8 @@ func TestBuildRejectsBadStructures(t *testing.T) {
 		{Indexes: []*physical.Index{{Name: "x", Table: "nope", Key: []string{"ID"}}}},
 		{Indexes: []*physical.Index{{Name: "x", Table: "p", Key: []string{"nope"}}}},
 		{Indexes: []*physical.Index{{Name: "x", Table: "p", Key: []string{"ID"}, Include: []string{"nope"}}}},
+		{Indexes: []*physical.Index{{Name: "x", Table: "p"}}},
+		{Indexes: []*physical.Index{{Name: "x", Table: "p", Key: []string{"name", "score"}}}},
 		{Views: []*physical.View{{Name: "v", Outer: "nope", Inner: "c", OuterCols: []string{"ID"}, InnerCols: []string{"tag"}}}},
 		{Views: []*physical.View{{Name: "v", Outer: "p", Inner: "c", OuterCols: []string{"nope"}, InnerCols: []string{"tag"}}}},
 		{Partitions: []*physical.VPartition{{Table: "p", Groups: [][]string{{"nope"}}}}},

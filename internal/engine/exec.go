@@ -71,8 +71,7 @@ func ExecuteContext(ctx context.Context, b *Built, plan *optimizer.Plan) (*Resul
 // table's idx, and ref resolves a column to (table idx, column index),
 // recording it in the table's refs — the columns an execution reads, so
 // a scan fetches exactly those. ref is the only method that writes: it
-// runs during Prepare, on one goroutine; executions only call col and
-// at.
+// runs during Prepare, on one goroutine; executions only call col.
 type scope struct {
 	tables map[string]*scopeTable
 	width  int // combined tuple width (reference executor)
@@ -145,39 +144,19 @@ func (sc *scope) ref(c sqlast.ColRef) (tabCol, error) {
 	return tabCol{tab: st.idx, col: i}, nil
 }
 
-// at is ref without the recording, for compiles after Prepare.
-func (sc *scope) at(c sqlast.ColRef) (tabCol, error) {
-	st, i, err := sc.resolve(c)
-	if err != nil {
-		return tabCol{}, err
-	}
-	return tabCol{tab: st.idx, col: i}, nil
-}
-
 func (sc *scope) has(table string) bool { _, ok := sc.tables[table]; return ok }
 
+// predInScope reports whether the one table a filter predicate reads
+// (see planShape) is in scope.
 func predInScope(p *sqlast.Pred, sc *scope) bool {
-	switch p.Kind {
-	case sqlast.PredCompare:
+	if p.Kind == sqlast.PredCompare {
 		return sc.has(p.Col.Table)
-	case sqlast.PredOr:
-		return len(p.Cols) > 0 && sc.has(p.Cols[0].Table)
-	case sqlast.PredExists, sqlast.PredOrExists:
-		if !sc.has(p.OuterCol.Table) {
-			return false
-		}
-		for _, c := range p.Cols {
-			if !sc.has(c.Table) {
-				return false
-			}
-		}
-		return true
 	}
-	return false
+	return sc.has(p.OuterCol.Table)
 }
 
 // colPositions resolves every column through one of the scope's
-// resolvers (col, pos or ref).
+// resolvers (col or pos).
 func colPositions[P any](resolve func(sqlast.ColRef) (P, error), cols []sqlast.ColRef) ([]P, error) {
 	out := make([]P, len(cols))
 	for i, c := range cols {
@@ -195,6 +174,82 @@ func matchCompare(v rel.Value, op sqlast.CmpOp, lit rel.Value) bool {
 		return false
 	}
 	return op.Matches(v.Compare(lit))
+}
+
+// planShape refuses, with one error per shape, every plan shape that
+// translate, the optimizer and physdesign never emit, so both executors
+// compile only the shapes they do: a seek that names partition groups,
+// has no predicate, seeks by <> or by anything but a compare on the
+// leading column of an index of its own table; a predicate of a kind
+// sqlast does not define; an EXISTS without a value column; an
+// OR-or-EXISTS reading a column off its outer column's table; and a
+// non-NULL literal typed unlike the column it is compared with
+// (translate coerces every literal to its column's type). A table or
+// column that does not resolve is left to the branch's own checks.
+func planShape(b *Built, plan *optimizer.Plan) error {
+	for bi, br := range plan.Branches {
+		if a := br.Driver; a.Kind == optimizer.AccessSeek {
+			sp := a.SeekPred
+			switch {
+			case len(a.Groups) > 0:
+				return fmt.Errorf("engine: seek on %s names partition groups %v in branch %d; a partition is scanned", a.Table, a.Groups, bi)
+			case sp == nil:
+				return fmt.Errorf("engine: seek access without predicate on %s in branch %d", a.Table, bi)
+			case sp.Kind != sqlast.PredCompare || sp.Op == sqlast.OpNe:
+				return fmt.Errorf("engine: seek on %s by %s in branch %d; a seek applies =, <, <=, > or >= to one column", a.Table, sp, bi)
+			case a.Index == nil || a.Index.Table != a.Table || len(a.Index.Key) == 0 ||
+				sp.Col != (sqlast.ColRef{Table: a.Table, Column: a.Index.Key[0]}):
+				return fmt.Errorf("engine: seek on %s by %s in branch %d is not on the leading column of an index of %s", a.Table, sp, bi, a.Table)
+			}
+			if err := literalFits(b, sp, sp.Col); err != nil {
+				return err
+			}
+		}
+		for i := range br.Sel.Where {
+			if err := predShape(b, &br.Sel.Where[i]); err != nil {
+				return fmt.Errorf("%w in branch %d", err, bi)
+			}
+		}
+	}
+	return nil
+}
+
+// predShape is planShape for one WHERE conjunct.
+func predShape(b *Built, p *sqlast.Pred) error {
+	switch p.Kind {
+	case sqlast.PredJoin:
+		return nil
+	case sqlast.PredCompare:
+		return literalFits(b, p, p.Col)
+	case sqlast.PredExists, sqlast.PredOrExists:
+		if p.InnerCol == "" {
+			return fmt.Errorf("engine: %s has no value column; an EXISTS compares one", p)
+		}
+		for _, c := range p.Cols {
+			if c.Table != p.OuterCol.Table {
+				return fmt.Errorf("engine: %s reads %s beside %s; an OR-or-EXISTS reads its outer column's table alone", p, c.Table, p.OuterCol.Table)
+			}
+			if err := literalFits(b, p, c); err != nil {
+				return err
+			}
+		}
+		return literalFits(b, p, sqlast.ColRef{Table: p.Table, Column: p.InnerCol})
+	}
+	return fmt.Errorf("engine: predicate %s is of kind %d, which sqlast does not define", p, p.Kind)
+}
+
+// literalFits refuses a non-NULL literal of p typed unlike column c,
+// which p compares it with.
+func literalFits(b *Built, p *sqlast.Pred, c sqlast.ColRef) error {
+	if p.Value.Null {
+		return nil
+	}
+	if t := resolveTable(b, c.Table); t != nil {
+		if col := t.Column(c.Column); col != nil && col.Typ != p.Value.Typ {
+			return fmt.Errorf("engine: %s compares %s (%s) with a literal of type %s; a literal has its column's type", p, c, col.Typ, p.Value.Typ)
+		}
+	}
+	return nil
 }
 
 // orderKey resolves the ORDER BY of a plan to its output position, -1
@@ -242,18 +297,4 @@ func sortResult(res *Result, pos int) {
 	sort.SliceStable(res.Rows, func(i, j int) bool {
 		return res.Rows[i][pos].Compare(res.Rows[j][pos]) < 0
 	})
-}
-
-func opFromCmp(op sqlast.CmpOp) opKind {
-	switch op {
-	case sqlast.OpEq:
-		return opEq
-	case sqlast.OpLt:
-		return opLt
-	case sqlast.OpLe:
-		return opLe
-	case sqlast.OpGt:
-		return opGt
-	}
-	return opGe
 }

@@ -40,9 +40,10 @@ type colFill struct {
 // newColFill compiles the reader of column col of t, landing in slot.
 // t must not change while the fill is in use: a hydrated table of the
 // Built, or a scan fragment until its release. A virtual shell's column
-// or a fragment's absent one has no vectors, so its fill holds none and
-// must not run: a scan recompiles table 0's readers against each
-// fragment it acquires (see readersFor).
+// or a fragment's absent one has no vectors, so no reader is compiled
+// against one: Prepare skips table 0 when the driver is not resident,
+// and a scan compiles table 0's readers against each fragment it
+// acquires, with the columns it reads (see readersFor).
 func newColFill(t *rel.Table, col, slot int) colFill {
 	f := colFill{slot: slot}
 	var nulls *rel.Bitmap

@@ -190,10 +190,6 @@ func TestFillMatchesReference(t *testing.T) {
 				OuterCol: *col("p", "ID"), InnerCol: *col("c", "PID")},
 			optimizer.Join{Method: optimizer.JoinINL, Inner: optimizer.Access{Table: "g", Kind: optimizer.AccessSeek, Index: ixGPID},
 				OuterCol: *col("c", "ID"), InnerCol: *col("g", "PID")}),
-		"post-join-or-across-tables": plan(&sqlast.Select{Items: joinItems, From: []string{"c", "p"}, Where: []sqlast.Pred{joinPred,
-			{Kind: sqlast.PredOr, Op: sqlast.OpEq, Value: rel.Str("t1"), Cols: []sqlast.ColRef{*col("p", "tag"), *col("c", "w")}}}}, scanC,
-			optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "p"},
-				OuterCol: *col("c", "PID"), InnerCol: *col("p", "ID")}),
 	}
 
 	defer func(old int) { morselRows = old }(morselRows)

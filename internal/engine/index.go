@@ -9,29 +9,29 @@ import (
 
 	"repro/internal/physical"
 	"repro/internal/rel"
+	"repro/internal/sqlast"
 )
 
-// builtIndex is a sorted permutation of a table's rows by key columns:
-// the row ids in index order plus the leading key of every non-NULL
+// builtIndex is a sorted permutation of a table's rows by its one key
+// column: the row ids in index order plus the key of every non-NULL
 // position, held as one typed vector — int64s, float64s or string ranks
 // — so a seek compares scalars and never builds a rel.Value per probe
 // step.
 type builtIndex struct {
-	idx    *physical.Index
-	table  *rel.Table
-	keyIdx []int
-	// order is the table's row ids in index order: rows whose leading key
-	// is NULL first, then by leading key, ties broken by the remaining key
-	// columns and then by row id — the stable sort of the row ids by
-	// Value.Compare over the key columns.
+	idx   *physical.Index
+	table *rel.Table
+	key   int // the key column's index in table
+	// order is the table's row ids in index order: rows whose key is NULL
+	// first, then by key, ties broken by row id — the stable sort of the
+	// row ids by Value.Compare over the key.
 	order []int32
 	bytes int64
-	// firstNonNull is the first position whose leading key is non-NULL.
+	// firstNonNull is the first position whose key is non-NULL.
 	firstNonNull int
 
-	// typ is the leading column's type, which says which vector holds
-	// the leading keys. ints, floats and ranks hold the keys of
-	// positions firstNonNull onward, so the key at position i is at
+	// typ is the key column's type, which says which vector holds the
+	// keys. ints, floats and ranks hold the keys of positions
+	// firstNonNull onward, so the key at position i is at
 	// i-firstNonNull.
 	typ    rel.Type
 	ints   []int64
@@ -77,21 +77,18 @@ func (rt rankTables) of(dict *rel.Dict) *rankTable {
 
 // buildIndex sorts the rows of t, the table idx names (a base table, or
 // a view or table a join or EXISTS indexes its key column of), by idx's
-// key columns.
+// key column. An index has exactly one: the tuner proposes no other, and
+// one that arrives from a manifest or a design file is refused.
 func buildIndex(t *rel.Table, idx *physical.Index, ranks rankTables) (*builtIndex, error) {
-	if len(idx.Key) == 0 {
-		return nil, fmt.Errorf("engine: index %s on %s has no key column", idx.Name, idx.Table)
+	if len(idx.Key) != 1 {
+		return nil, fmt.Errorf("engine: index %s on %s has %d key columns; an index has one", idx.Name, idx.Table, len(idx.Key))
 	}
 	if err := t.Hydrate(); err != nil {
 		return nil, err
 	}
-	bi := &builtIndex{idx: idx, table: t}
-	for _, k := range idx.Key {
-		ci := t.ColIndex(k)
-		if ci < 0 {
-			return nil, fmt.Errorf("engine: index %s references unknown column %s.%s", idx.Name, idx.Table, k)
-		}
-		bi.keyIdx = append(bi.keyIdx, ci)
+	bi := &builtIndex{idx: idx, table: t, key: t.ColIndex(idx.Key[0])}
+	if bi.key < 0 {
+		return nil, fmt.Errorf("engine: index %s references unknown column %s.%s", idx.Name, idx.Table, idx.Key[0])
 	}
 	for _, k := range idx.Include {
 		if t.ColIndex(k) < 0 {
@@ -99,37 +96,29 @@ func buildIndex(t *rel.Table, idx *physical.Index, ranks rankTables) (*builtInde
 		}
 	}
 	n := t.RowCount()
-	lead := bi.keyIdx[0]
-	bi.typ = t.Columns[lead].Typ
+	bi.typ = t.Columns[bi.key].Typ
 	bi.order = make([]int32, n)
-	var rest func(a, b int) int
-	if len(bi.keyIdx) > 1 {
-		rest = t.RowComparator(bi.keyIdx[1:])
-	}
 	switch bi.typ {
 	case rel.TInt:
-		ints, nulls, _ := t.IntCol(lead)
-		bi.firstNonNull = sortRows(bi.order, nulls, ints, cmp.Compare[int64], rest)
+		ints, nulls, _ := t.IntCol(bi.key)
+		bi.firstNonNull = sortRows(bi.order, nulls, ints, cmp.Compare[int64])
 		bi.ints = gather(ints, bi.order[bi.firstNonNull:])
 	case rel.TFloat:
-		floats, nulls, _ := t.FloatCol(lead)
-		bi.firstNonNull = sortRows(bi.order, nulls, floats, cmp.Compare[float64], rest)
+		floats, nulls, _ := t.FloatCol(bi.key)
+		bi.firstNonNull = sortRows(bi.order, nulls, floats, cmp.Compare[float64])
 		bi.floats = gather(floats, bi.order[bi.firstNonNull:])
 	default:
-		codes, dict, nulls, _ := t.StrCol(lead)
+		codes, dict, nulls, _ := t.StrCol(bi.key)
 		rt := ranks.of(dict)
 		rank := rt.rank
-		bi.firstNonNull = sortRows(bi.order, nulls, codes, func(a, b uint32) int { return cmp.Compare(rank[a], rank[b]) }, rest)
+		bi.firstNonNull = sortRows(bi.order, nulls, codes, func(a, b uint32) int { return cmp.Compare(rank[a], rank[b]) })
 		bi.ranks = make([]uint32, n-bi.firstNonNull)
 		for i, r := range bi.order[bi.firstNonNull:] {
 			bi.ranks[i] = rank[codes[r]]
 		}
 		bi.strs = rt.strs
 	}
-	bi.bytes = 12 * int64(n)
-	for _, c := range idx.Key {
-		bi.bytes += t.WidthSum(t.ColIndex(c))
-	}
+	bi.bytes = 12*int64(n) + t.WidthSum(bi.key)
 	for _, c := range idx.Include {
 		bi.bytes += t.WidthSum(t.ColIndex(c))
 	}
@@ -137,12 +126,10 @@ func buildIndex(t *rel.Table, idx *physical.Index, ranks rankTables) (*builtInde
 }
 
 // sortRows fills order with a column's row ids in index order and
-// returns how many lead with NULL. The NULL-led rows come first, ordered
-// by rest and then by row id; the others follow, ordered by cmpKey over
-// their keys, then by rest, then by row id. rest compares the remaining
-// key columns (nil when there are none). Breaking the last ties by row id
-// makes the order that of a stable sort.
-func sortRows[K any](order []int32, nulls *rel.Bitmap, keys []K, cmpKey func(a, b K) int, rest func(a, b int) int) int {
+// returns how many are NULL. The NULL rows come first, in row id order;
+// the others follow, ordered by cmpKey over their keys, then by row id.
+// Breaking ties by row id makes the order that of a stable sort.
+func sortRows[K any](order []int32, nulls *rel.Bitmap, keys []K, cmpKey func(a, b K) int) int {
 	nn := nulls.SetCount()
 	i, j := 0, nn
 	for r := range order {
@@ -154,21 +141,11 @@ func sortRows[K any](order []int32, nulls *rel.Bitmap, keys []K, cmpKey func(a, 
 			j++
 		}
 	}
-	tie := cmp.Compare[int32]
-	if rest != nil {
-		tie = func(a, b int32) int {
-			if c := rest(int(a), int(b)); c != 0 {
-				return c
-			}
-			return cmp.Compare(a, b)
-		}
-		slices.SortFunc(order[:nn], tie)
-	}
 	slices.SortFunc(order[nn:], func(a, b int32) int {
 		if c := cmpKey(keys[a], keys[b]); c != 0 {
 			return c
 		}
-		return tie(a, b)
+		return cmp.Compare(a, b)
 	})
 	return nn
 }
@@ -182,21 +159,6 @@ func gather[K any](vals []K, ids []int32) []K {
 	return out
 }
 
-// keyAt returns the leading key at index position i.
-func (bi *builtIndex) keyAt(i int) rel.Value {
-	if i < bi.firstNonNull {
-		return rel.NullOf(bi.typ)
-	}
-	i -= bi.firstNonNull
-	switch bi.typ {
-	case rel.TInt:
-		return rel.Int(bi.ints[i])
-	case rel.TFloat:
-		return rel.Float(bi.floats[i])
-	}
-	return rel.Str(bi.strs[bi.ranks[i]])
-}
-
 // rankRange returns the ranks of the keys equal to s: [lo, lo+1) when s
 // is one of the column's strings, else the empty [lo, lo) where the keys
 // above s begin.
@@ -208,37 +170,25 @@ func (bi *builtIndex) rankRange(s string) (lo, hi uint32) {
 	return uint32(p), uint32(p)
 }
 
-// bound returns the first position with leading key >= v, or > v when
-// upper, among the non-NULL keys. v must be non-NULL. A probe of the
-// leading column's own type searches the typed vector (a string probe by
-// its rank range); a probe of another type compares keyAt(i) with v.
+// bound returns the first position with key >= v, or > v when upper,
+// among the non-NULL keys, by a search of the typed vector (a string
+// probe by its rank range). v is non-NULL and of the key column's type:
+// planShape refuses a literal of any other, and join keys are INT on
+// both sides (joinKeys).
 func (bi *builtIndex) bound(v rel.Value, upper bool) int {
 	f := bi.firstNonNull
-	if v.Typ == bi.typ {
-		switch v.Typ {
-		case rel.TInt:
-			return f + search(bi.ints, v.I, upper)
-		case rel.TFloat:
-			return f + search(bi.floats, v.F, upper)
-		}
-		lo, hi := bi.rankRange(v.S)
-		if upper {
-			lo = hi
-		}
-		return f + search(bi.ranks, lo, false)
+	switch bi.typ {
+	case rel.TInt:
+		return f + search(bi.ints, v.I, upper)
+	case rel.TFloat:
+		return f + search(bi.floats, v.F, upper)
 	}
-	return f + sort.Search(len(bi.order)-f, func(i int) bool {
-		c := bi.keyAt(f + i).Compare(v)
-		return c > 0 || !upper && c == 0
-	})
+	lo, hi := bi.rankRange(v.S)
+	if upper {
+		lo = hi
+	}
+	return f + search(bi.ranks, lo, false)
 }
-
-// lowerBound returns the first position with leading key >= v (among
-// non-NULL keys).
-func (bi *builtIndex) lowerBound(v rel.Value) int { return bi.bound(v, false) }
-
-// upperBound returns the first position with leading key > v.
-func (bi *builtIndex) upperBound(v rel.Value) int { return bi.bound(v, true) }
 
 // typedKey is a typed lead vector's element type. cmp.Less and
 // cmp.Compare order float64s as rel.CompareFloats does: NaN before every
@@ -260,7 +210,7 @@ func search[K typedKey](keys []K, v K, upper bool) int {
 	return lo
 }
 
-// seekInt returns the row ids whose leading key, an INT, equals k: the
+// seekInt returns the row ids whose key, an INT, equals k: the
 // probe of every hash join, INL join and EXISTS. finger is the position
 // the caller's previous probe found, and seekInt moves it to this one's.
 // Probe keys mostly arrive non-decreasing — a driver scanned in document
@@ -302,7 +252,7 @@ func (bi *builtIndex) seekInt(k int64, finger *int) []int32 {
 // gallops.
 const fingerWindow = 8
 
-// restrict keeps in the index only the rows keep accepts whose leading
+// restrict keeps in the index only the rows keep accepts whose
 // key, an INT, is non-NULL: a restricted EXISTS probes the inner rows
 // that pass its restriction.
 func (bi *builtIndex) restrict(keep func(r int) bool) {
@@ -315,38 +265,29 @@ func (bi *builtIndex) restrict(keep func(r int) bool) {
 	bi.order, bi.ints, bi.firstNonNull = order, ints, 0
 }
 
-// seekRange returns row ids for "leading key op v"; NULL keys never
-// match, and a NULL probe value matches nothing (NULL sorts before all
-// keys, so bounding against it would otherwise admit every non-NULL
-// row for > and >=). Equality runs both binary searches: seek drivers
-// call it once per branch, and ExecuteReference calls it for its INL
-// probes, so the reference shares no code with seekInt's finger search.
-func (bi *builtIndex) seekRange(op opKind, v rel.Value) []int32 {
+// seekRange returns row ids for "key op v"; NULL keys never match, and
+// a NULL probe value matches nothing (NULL sorts before all keys, so
+// bounding against it would otherwise admit every non-NULL row for >
+// and >=). op is never <> (planShape). Equality runs both binary
+// searches: seek drivers call it once per branch, and ExecuteReference
+// calls it for its INL probes, so the reference shares no code with
+// seekInt's finger search.
+func (bi *builtIndex) seekRange(op sqlast.CmpOp, v rel.Value) []int32 {
 	if v.Null {
 		return nil
 	}
 	n := len(bi.order)
 	switch op {
-	case opEq:
-		return bi.order[bi.lowerBound(v):bi.upperBound(v)]
-	case opLt:
-		return bi.order[bi.firstNonNull:bi.lowerBound(v)]
-	case opLe:
-		return bi.order[bi.firstNonNull:bi.upperBound(v)]
-	case opGt:
-		return bi.order[bi.upperBound(v):n]
-	case opGe:
-		return bi.order[bi.lowerBound(v):n]
+	case sqlast.OpEq:
+		return bi.order[bi.bound(v, false):bi.bound(v, true)]
+	case sqlast.OpLt:
+		return bi.order[bi.firstNonNull:bi.bound(v, false)]
+	case sqlast.OpLe:
+		return bi.order[bi.firstNonNull:bi.bound(v, true)]
+	case sqlast.OpGt:
+		return bi.order[bi.bound(v, true):n]
+	case sqlast.OpGe:
+		return bi.order[bi.bound(v, false):n]
 	}
 	return nil
 }
-
-type opKind int
-
-const (
-	opEq opKind = iota
-	opLt
-	opLe
-	opGt
-	opGe
-)

@@ -17,34 +17,27 @@ import (
 
 	"repro/internal/physical"
 	"repro/internal/rel"
+	"repro/internal/sqlast"
 )
 
 // rowSortIndex is the index build this package had while rel.Table kept
 // a row view: a stable sort of the materialized rows by Value.Compare
-// over the key columns, the leading key copied out in index order, and
-// the size taken cell by cell off the rows. It stays as the oracle for
-// the build that reads column vectors.
+// over the key column, the key copied out in index order, and the size
+// taken cell by cell off the rows. It stays as the oracle for the build
+// that reads column vectors.
 func rowSortIndex(t *rel.Table, idx *physical.Index) (order []int, leadKeys []rel.Value, firstNonNull int, bytes int64) {
 	rows := t.Rows()
-	var keyIdx []int
-	for _, k := range idx.Key {
-		keyIdx = append(keyIdx, t.ColIndex(k))
-	}
+	key := t.ColIndex(idx.Key[0])
 	order = make([]int, len(rows))
 	for i := range order {
 		order[i] = i
 	}
 	sort.SliceStable(order, func(i, j int) bool {
-		for _, ki := range keyIdx {
-			if cmp := rows[order[i]][ki].Compare(rows[order[j]][ki]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
+		return rows[order[i]][key].Compare(rows[order[j]][key]) < 0
 	})
 	leadKeys = make([]rel.Value, len(order))
 	for i, rid := range order {
-		leadKeys[i] = rows[rid][keyIdx[0]]
+		leadKeys[i] = rows[rid][key]
 	}
 	firstNonNull = sort.Search(len(order), func(i int) bool { return !leadKeys[i].Null })
 	bytes = 12 * int64(len(rows))
@@ -58,11 +51,10 @@ func rowSortIndex(t *rel.Table, idx *physical.Index) (order []int, leadKeys []re
 }
 
 // TestIndexBuildMatchesRowSort: every index of the equivalence fixtures,
-// plus multi-column keys over the movie data and keys over fillDB's
-// NULL-heavy columns, comes out of buildIndex with
-// the order, leadKeys, firstNonNull and size the row-sorting build
-// produced — duplicate keys in row-id order — and StructBytes adds up to
-// the same total.
+// plus more keys over the movie data and keys over fillDB's NULL-heavy
+// columns, comes out of buildIndex with the order, keys, firstNonNull
+// and size the row-sorting build produced — duplicate keys in row-id
+// order — and StructBytes adds up to the same total.
 func TestIndexBuildMatchesRowSort(t *testing.T) {
 	builts := map[string]*Built{}
 	for name, fx := range equivalenceFixtures(t) {
@@ -75,18 +67,18 @@ func TestIndexBuildMatchesRowSort(t *testing.T) {
 		t.Fatal("the movie-indexes fixture is gone")
 	}
 	multi := &physical.Config{}
-	multi.AddIndex(&physical.Index{Name: "ix_genre_year", Table: "movie", Key: []string{"genre", "year"}, Include: []string{"title"}})
-	multi.AddIndex(&physical.Index{Name: "ix_year_rating_id", Table: "movie", Key: []string{"year", "avg_rating", "ID"}})
-	multi.AddIndex(&physical.Index{Name: "ix_actor_pid_actor", Table: "actor", Key: []string{"PID", "actor"}})
+	multi.AddIndex(&physical.Index{Name: "ix_genre", Table: "movie", Key: []string{"genre"}, Include: []string{"title"}})
+	multi.AddIndex(&physical.Index{Name: "ix_year", Table: "movie", Key: []string{"year"}})
+	multi.AddIndex(&physical.Index{Name: "ix_actor_pid", Table: "actor", Key: []string{"PID"}})
 	var err error
 	if builts["movie-multi"], err = Build(movie.DB, multi); err != nil {
 		t.Fatal(err)
 	}
 	nulls := &physical.Config{}
 	nulls.AddIndex(&physical.Index{Name: "ix_p_x", Table: "p", Key: []string{"x"}, Include: []string{"f"}})
-	nulls.AddIndex(&physical.Index{Name: "ix_p_k_x", Table: "p", Key: []string{"k", "x"}})
-	nulls.AddIndex(&physical.Index{Name: "ix_p_allnull_f", Table: "p", Key: []string{"allnull", "f"}})
-	nulls.AddIndex(&physical.Index{Name: "ix_c_w_pid", Table: "c", Key: []string{"w", "PID"}, Include: []string{"allnull"}})
+	nulls.AddIndex(&physical.Index{Name: "ix_p_k", Table: "p", Key: []string{"k"}})
+	nulls.AddIndex(&physical.Index{Name: "ix_p_allnull", Table: "p", Key: []string{"allnull"}})
+	nulls.AddIndex(&physical.Index{Name: "ix_c_w", Table: "c", Key: []string{"w"}, Include: []string{"allnull"}})
 	if builts["fill-nulls"], err = Build(fillDB(), nulls); err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +96,8 @@ func TestIndexBuildMatchesRowSort(t *testing.T) {
 				if int(bi.order[i]) != order[i] {
 					t.Fatalf("%s: order[%d] = row %d, the row sort has row %d", label, i, bi.order[i], order[i])
 				}
-				if !bi.keyAt(i).BitEqual(leadKeys[i]) {
-					t.Fatalf("%s: keyAt(%d) = %v, want %v", label, i, bi.keyAt(i), leadKeys[i])
+				if k := indexKey(bi, i); !k.BitEqual(leadKeys[i]) {
+					t.Fatalf("%s: key at %d = %v, want %v", label, i, k, leadKeys[i])
 				}
 			}
 			if bi.firstNonNull != firstNonNull || bi.bytes != bytes {
@@ -141,13 +133,15 @@ func seekIndex(t *testing.T, rng *rand.Rand, keys []rel.Value) *builtIndex {
 	return b.Index(idx)
 }
 
-// linearEqual is an equality seek by a linear scan of keyAt: the row
-// ids, in index order, of every non-NULL leading key that compares equal
-// to v.
+// indexKey reads the key at index position i off the indexed table.
+func indexKey(bi *builtIndex, i int) rel.Value { return bi.table.ValueAt(int(bi.order[i]), bi.key) }
+
+// linearEqual is an equality seek by a linear scan of the keys: the row
+// ids, in index order, of every non-NULL key that compares equal to v.
 func linearEqual(bi *builtIndex, v rel.Value) []int32 {
 	var out []int32
 	for i := range bi.order {
-		if k := bi.keyAt(i); !k.Null && k.Compare(v) == 0 {
+		if k := indexKey(bi, i); !k.Null && k.Compare(v) == 0 {
 			out = append(out, bi.order[i])
 		}
 	}
@@ -174,15 +168,15 @@ func fingerSeq(rng *rand.Rand, probes []int64) []int64 {
 }
 
 // checkFinger runs seq through seekInt with one finger and wants each
-// answer to equal seekRange(opEq) — the reference's two binary searches
+// answer to equal seekRange(OpEq) — the reference's two binary searches
 // — and a linear scan, and the finger to stay within the keys.
 func checkFinger(t *testing.T, label string, bi *builtIndex, seq []int64) {
 	t.Helper()
 	finger := 0
 	for i, k := range seq {
 		got := bi.seekInt(k, &finger)
-		if ref := bi.seekRange(opEq, rel.Int(k)); !slices.Equal(got, ref) {
-			t.Fatalf("%s: probe %d (%d): seekInt %v, seekRange(opEq) %v", label, i, k, got, ref)
+		if ref := bi.seekRange(sqlast.OpEq, rel.Int(k)); !slices.Equal(got, ref) {
+			t.Fatalf("%s: probe %d (%d): seekInt %v, seekRange(OpEq) %v", label, i, k, got, ref)
 		}
 		if want := linearEqual(bi, rel.Int(k)); !slices.Equal(got, want) {
 			t.Fatalf("%s: probe %d (%d): seekInt %v, a linear scan %v", label, i, k, got, want)
@@ -194,7 +188,7 @@ func checkFinger(t *testing.T, label string, bi *builtIndex, seq []int64) {
 }
 
 // TestIndexSeekEqualMatchesLinearScan checks the finger search seekInt,
-// the probe of every join and EXISTS, against a linear scan of keyAt and
+// the probe of every join and EXISTS, against a linear scan of the keys and
 // against the two binary searches ExecuteReference runs, over int leads:
 // equal-key runs of 1, 2, 3 and 2^k+1 rows behind an all-NULL prefix, a
 // one-row and an all-NULL index, keys at the int64 extremes, and seeded
@@ -202,8 +196,8 @@ func checkFinger(t *testing.T, label string, bi *builtIndex, seq []int64) {
 // gallop, repeated keys and the backward binary search all run, with
 // probes below the first key, between keys, above the last, and at the
 // int64 extremes. Float and string leads, which only seek drivers
-// search, keep the check of seekRange(opEq) against the linear scan,
-// probed with every type.
+// search, keep the check of seekRange(OpEq) against the linear scan,
+// probed with their own type.
 func TestIndexSeekEqualMatchesLinearScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	null := rel.NullOf(rel.TInt)
@@ -266,14 +260,14 @@ func TestIndexSeekEqualMatchesLinearScan(t *testing.T) {
 		keys, probes []rel.Value
 	}{
 		{"float keys", floats(-1, math.Copysign(0, -1), 0, 0, 2.5, 2.5, 2.5, 3, 3, 3, 3, 3, math.NaN()),
-			append(ints(-1, 0, 2, 3, 4), floats(math.Copysign(0, -1), 2.5, 2.75, math.NaN())...)},
+			floats(-1, 0, 2, 3, 4, math.Copysign(0, -1), 2.5, 2.75, math.NaN())},
 		{"string keys", []rel.Value{rel.Str("1"), rel.Str("10"), rel.Str("2"), rel.Str("2"), rel.Str("2"), rel.Str("b"), rel.NullOf(rel.TString)},
-			[]rel.Value{rel.Str("0"), rel.Str("2"), rel.Str("b"), rel.Str("c"), rel.Int(2), rel.Int(10)}},
+			[]rel.Value{rel.Str("0"), rel.Str("2"), rel.Str("b"), rel.Str("c")}},
 	} {
 		bi := seekIndex(t, rng, c.keys)
 		for _, v := range c.probes {
-			if got, want := bi.seekRange(opEq, v), linearEqual(bi, v); !slices.Equal(got, want) {
-				t.Fatalf("%s: probe %v (type %d): seekRange(opEq) %v, a linear scan %v", c.name, v, v.Typ, got, want)
+			if got, want := bi.seekRange(sqlast.OpEq, v), linearEqual(bi, v); !slices.Equal(got, want) {
+				t.Fatalf("%s: probe %v: seekRange(OpEq) %v, a linear scan %v", c.name, v, got, want)
 			}
 		}
 	}
@@ -359,18 +353,18 @@ func fuzzProbe(b byte) rel.Value {
 // FuzzIndexSeek builds a one-column index over fuzzed keys of one kind
 // (see fuzzKey). Over an int lead it first runs the probe bytes, each an
 // int from fuzzInts, through seekInt with one finger, in their fuzzed
-// order and then in fingerSeq's: each answer must equal seekRange(opEq)
-// and a linear scan. Over every lead it probes seekRange with fuzzed
-// values of every type: under each of the five operators it must equal
-// a linear filter by Value.Compare over keyAt in index order. Compare
-// orders a string against numbers as text, so a string probe into
-// numeric keys has no run to filter for and is skipped.
+// order and then in fingerSeq's: each answer must equal seekRange(OpEq)
+// and a linear scan. Over every lead it probes seekRange with the fuzzed
+// values of the lead's type and NULLs: under each of the five operators
+// it must equal a linear filter by Value.Compare over the keys in index
+// order. A probe of another type is a plan no executor runs (planShape)
+// and is skipped.
 func FuzzIndexSeek(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 9, 18, 18, 27, 90, 99, 36, 36, 36}, []byte{0, 4, 8, 12, 40, 1, 2, 3})
 	f.Add(uint8(1), []byte{0, 9, 18, 27, 36, 36, 45, 90, 99}, []byte{1, 5, 13, 17, 21, 0, 4, 6})
 	f.Add(uint8(2), []byte{0, 9, 18, 27, 36, 45, 45, 63, 72, 81}, []byte{2, 6, 10, 14, 30, 0, 1, 3})
 	f.Add(uint8(3), []byte{0, 9, 18, 27, 36, 45, 54, 63}, []byte{0, 4, 8, 1, 5, 2, 3})
-	ops := []opKind{opEq, opLt, opLe, opGt, opGe}
+	ops := []sqlast.CmpOp{sqlast.OpEq, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe}
 	f.Fuzz(func(t *testing.T, kind uint8, keyBytes, probeBytes []byte) {
 		kind %= 3
 		if len(keyBytes) > 512 || len(probeBytes) > 64 {
@@ -390,21 +384,16 @@ func FuzzIndexSeek(f *testing.F) {
 			checkFinger(t, "fuzzed order", bi, probes)
 			checkFinger(t, "fingerSeq", bi, fingerSeq(rng, probes))
 		}
-		numeric := !slices.ContainsFunc(keys, func(k rel.Value) bool { return !k.Null && k.Typ == rel.TString })
 		for _, b := range probeBytes {
 			v := fuzzProbe(b)
-			if v.Typ == rel.TString && !v.Null && numeric {
+			if !v.Null && v.Typ != rel.Type(kind) {
 				continue
 			}
 			for _, op := range ops {
 				var want []int32
 				for i := range bi.order {
-					k := bi.keyAt(i)
-					if v.Null || k.Null {
-						continue
-					}
-					c := k.Compare(v)
-					if op == opEq && c == 0 || op == opLt && c < 0 || op == opLe && c <= 0 || op == opGt && c > 0 || op == opGe && c >= 0 {
+					k := indexKey(bi, i)
+					if !v.Null && !k.Null && op.Matches(k.Compare(v)) {
 						want = append(want, bi.order[i])
 					}
 				}

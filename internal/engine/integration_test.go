@@ -10,6 +10,7 @@ import (
 	"repro/internal/rel"
 	"repro/internal/schema"
 	"repro/internal/shred"
+	"repro/internal/sqlast"
 	"repro/internal/stats"
 	"repro/internal/translate"
 	"repro/internal/xmlgen"
@@ -425,34 +426,17 @@ func TestIndexSeekMatchesFilter(t *testing.T) {
 	bi := built.Index(idx)
 	mt := db.Table("movie")
 	yi := mt.ColIndex("year")
-	for _, op := range []opKind{opEq, opLt, opLe, opGt, opGe} {
+	for _, op := range []sqlast.CmpOp{sqlast.OpEq, sqlast.OpLt, sqlast.OpLe, sqlast.OpGt, sqlast.OpGe} {
 		for _, year := range []int64{1950, 1984, 2004, 1900, 2050} {
 			got := len(bi.seekRange(op, rel.Int(year)))
 			want := 0
 			for _, row := range mt.Rows() {
-				if row[yi].Null {
-					continue
-				}
-				cmp := row[yi].Compare(rel.Int(year))
-				match := false
-				switch op {
-				case opEq:
-					match = cmp == 0
-				case opLt:
-					match = cmp < 0
-				case opLe:
-					match = cmp <= 0
-				case opGt:
-					match = cmp > 0
-				case opGe:
-					match = cmp >= 0
-				}
-				if match {
+				if !row[yi].Null && op.Matches(row[yi].Compare(rel.Int(year))) {
 					want++
 				}
 			}
 			if got != want {
-				t.Fatalf("seekRange(op=%d, %d) = %d rows, want %d", op, year, got, want)
+				t.Fatalf("seekRange(%s, %d) = %d rows, want %d", op, year, got, want)
 			}
 		}
 	}

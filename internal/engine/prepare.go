@@ -54,9 +54,12 @@ const batchSize = 1024
 // Prepare compiles a plan for the batch executor. All plan-shape
 // errors the row-at-a-time executor reported during execution (unknown
 // tables, unbuilt indexes, out-of-scope columns, unapplied predicates,
-// an ORDER BY that is not document order) are reported here instead,
-// once.
+// an ORDER BY that is not document order, a shape no plan carries) are
+// reported here instead, once.
 func Prepare(b *Built, plan *optimizer.Plan) (*PreparedPlan, error) {
+	if err := planShape(b, plan); err != nil {
+		return nil, err
+	}
 	orderPos, err := orderKey(b, plan)
 	if err != nil {
 		return nil, err
@@ -215,7 +218,7 @@ type driverSrc struct {
 	// (see addPartition).
 	table   *rel.Table
 	bi      *builtIndex
-	seekOp  opKind
+	seekOp  sqlast.CmpOp
 	seekVal rel.Value
 	// groups is what one scanned driver row charges to RowsScanned: the
 	// number of partition groups a partition scan reads, 1 for a plain
@@ -249,8 +252,7 @@ const (
 type pipeOp struct {
 	kind pipeKind
 
-	// Filter: the predicate and the one table it reads, -1 when it reads
-	// several.
+	// Filter: the predicate and the one table it reads.
 	pred *sqlast.Pred
 	tab  int
 
@@ -296,11 +298,12 @@ type preparedBranch struct {
 	orderOut int
 	// srcs is the source of every table in scope, by idx: the driver
 	// table (which each acquired scan fragment stands in for), then each
-	// join's inner table. rd is compiled against srcs.
+	// join's inner table. rd is compiled against srcs; what reads table 0
+	// only when the driver is resident (see readersFor).
 	srcs []*rel.Table
 	rd   readers
 	// scope is the branch scope, kept for readersFor, which only reads
-	// it (scope.col, scope.at).
+	// it (scope.col).
 	scope *scope
 	// built backs readersFor (EXISTS index lookups go through its
 	// single-flighted cache).
@@ -399,19 +402,15 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 	} else {
 		driver = sc.add(a.Table, colNames(t))
 	}
-	if a.Kind == optimizer.AccessSeek && len(a.Groups) == 0 {
+	if a.Kind == optimizer.AccessSeek {
 		bi := b.Index(a.Index)
 		if bi == nil {
 			return nil, fmt.Errorf("engine: index %s not built", a.Index.Name)
 		}
-		if a.SeekPred == nil {
-			return nil, fmt.Errorf("engine: seek access without predicate on %s", a.Table)
-		}
 		if err := t.Hydrate(); err != nil {
 			return nil, err
 		}
-		pb.src = driverSrc{kind: srcSeek, table: t, bi: bi,
-			seekOp: opFromCmp(a.SeekPred.Op), seekVal: a.SeekPred.Value}
+		pb.src = driverSrc{kind: srcSeek, table: t, bi: bi, seekOp: a.SeekPred.Op, seekVal: a.SeekPred.Value}
 	} else {
 		// A partition scan is a plain scan of its base table that reads
 		// only the columns of the groups it names and counts each row it
@@ -458,13 +457,20 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 		pb.outs = append(pb.outs, outCol{tabCol: c, pos: pos})
 	}
 	// Every reference is resolved: the driver's read set is final, and
-	// everything reading the tables' vectors compiles against them.
+	// everything reading the tables' vectors compiles against them — what
+	// reads table 0 only when the driver is resident: a table a source
+	// pages has no vectors until a scan acquires a fragment of it.
 	pb.src.refs = driver.refs
-	rd, err := pb.compileReaders(pb.srcs, nil)
-	if err != nil {
+	pb.rd = readers{
+		kerns:    make([]colKernel, len(pb.kernPreds)),
+		filters:  make([]rowFilter, len(pb.ops)),
+		joinKeys: make([]colFill, len(pb.ops)),
+		fills:    make([]colFill, len(pb.outs)),
+	}
+	resident := t.Resident()
+	if err := pb.compileReaders(&pb.rd, pb.srcs, func(tab int) bool { return tab > 0 || resident }); err != nil {
 		return nil, err
 	}
-	pb.rd = *rd
 	pb.initPool()
 	return pb, nil
 }
@@ -484,22 +490,17 @@ func (pb *preparedBranch) appendFilters(br *optimizer.Branch, sc *scope, applied
 		if !predInScope(p, sc) {
 			continue
 		}
-		tab := -1 // the one table p reads, -1 when it reads several
-		for k, c := range predCols(p) {
-			tc, err := sc.ref(c)
-			if err != nil {
+		var tc tabCol // every column p reads is on one table (planShape)
+		for _, c := range predCols(p) {
+			var err error
+			if tc, err = sc.ref(c); err != nil {
 				return err
-			}
-			if k == 0 {
-				tab = tc.tab
-			} else if tc.tab != tab {
-				tab = -1
 			}
 		}
 		if pb.nJoins == 0 {
 			pb.kernPreds = append(pb.kernPreds, p)
 		} else {
-			pb.ops = append(pb.ops, pipeOp{kind: pipeFilter, pred: p, tab: tab})
+			pb.ops = append(pb.ops, pipeOp{kind: pipeFilter, pred: p, tab: tc.tab})
 		}
 		applied[i] = true
 	}
@@ -508,13 +509,10 @@ func (pb *preparedBranch) appendFilters(br *optimizer.Branch, sc *scope, applied
 
 // predCols lists the columns a filter predicate reads.
 func predCols(p *sqlast.Pred) []sqlast.ColRef {
-	switch p.Kind {
-	case sqlast.PredCompare:
+	if p.Kind == sqlast.PredCompare {
 		return []sqlast.ColRef{p.Col}
-	case sqlast.PredExists, sqlast.PredOrExists:
-		return append(p.Cols[:len(p.Cols):len(p.Cols)], p.OuterCol)
 	}
-	return p.Cols
+	return append(p.Cols[:len(p.Cols):len(p.Cols)], p.OuterCol)
 }
 
 // appendJoin compiles one join step, resolving the build side through
@@ -588,72 +586,67 @@ func (pb *preparedBranch) appendJoin(b *Built, sc *scope, j optimizer.Join) erro
 	return nil
 }
 
-// compileReaders compiles everything the branch reads from column
-// vectors against srcs, the source of each table in scope. When base
-// holds readers compiled against the same sources but for table 0, only
-// what reads table 0 is compiled again.
-func (pb *preparedBranch) compileReaders(srcs []*rel.Table, base *readers) (*readers, error) {
+// compileReaders compiles into rd what the branch reads from the column
+// vectors of every table in scope that want accepts, by idx, against
+// srcs, the source of each table.
+func (pb *preparedBranch) compileReaders(rd *readers, srcs []*rel.Table, want func(tab int) bool) error {
 	b, sc := pb.built, pb.scope
-	rd := &readers{
-		kerns:    make([]colKernel, len(pb.kernPreds)),
-		filters:  make([]rowFilter, len(pb.ops)),
-		joinKeys: make([]colFill, len(pb.ops)),
-		fills:    make([]colFill, len(pb.outs)),
-	}
 	for i, p := range pb.kernPreds {
-		k, err := compileColKernel(b, p, srcs[0], sc)
-		if err != nil {
-			return nil, err
+		if want(0) {
+			k, err := compileColKernel(b, p, srcs[0], sc)
+			if err != nil {
+				return err
+			}
+			rd.kerns[i] = k
 		}
-		if k == nil {
-			return nil, fmt.Errorf("engine: cannot compile predicate %s", p)
-		}
-		rd.kerns[i] = k
 	}
 	for i := range pb.ops {
-		op := &pb.ops[i]
-		switch {
+		switch op := &pb.ops[i]; {
 		case op.kind != pipeFilter:
-			if base != nil && op.outer.tab != 0 {
-				rd.joinKeys[i] = base.joinKeys[i]
-			} else {
+			if want(op.outer.tab) {
 				rd.joinKeys[i] = newColFill(srcs[op.outer.tab], op.outer.col, 0)
 			}
-		case base != nil && op.tab > 0:
-			rd.filters[i] = base.filters[i]
-		default:
+		case want(op.tab):
 			f, err := compileRowFilter(b, op.pred, op.tab, srcs, sc)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			rd.filters[i] = f
 		}
 	}
 	for i, o := range pb.outs {
-		if base != nil && o.tab != 0 {
-			rd.fills[i] = base.fills[i]
-		} else {
+		if want(o.tab) {
 			rd.fills[i] = newColFill(srcs[o.tab], o.col, o.pos)
 		}
 	}
-	return rd, nil
+	return nil
 }
 
 // readersFor returns the readers for one acquired scan fragment. A
 // resident table is its own fragment, so the readers compiled against
 // it at Prepare serve as they are; any other fragment gets what reads
-// table 0 compiled against its own vectors. The compile is cheap (scope
-// positions resolve in a two-level map, EXISTS indexes come from the
-// Built's single-flighted cache) and chunk-local: a string range
-// predicate precomputes its match table against the chunk's own
-// dictionary. Readers of table 0 take fragment-local row ids.
+// table 0 compiled against its own vectors beside Prepare's readers of
+// the other tables. The compile is cheap (scope positions resolve in a
+// two-level map, EXISTS indexes come from the Built's single-flighted
+// cache) and chunk-local: a string range predicate precomputes its match
+// table against the chunk's own dictionary. Readers of table 0 take
+// fragment-local row ids.
 func (pb *preparedBranch) readersFor(frag *rel.Table) (*readers, error) {
 	if frag == pb.srcs[0] {
 		return &pb.rd, nil
 	}
 	srcs := slices.Clone(pb.srcs)
 	srcs[0] = frag
-	return pb.compileReaders(srcs, &pb.rd)
+	rd := &readers{
+		kerns:    make([]colKernel, len(pb.kernPreds)),
+		filters:  slices.Clone(pb.rd.filters),
+		joinKeys: slices.Clone(pb.rd.joinKeys),
+		fills:    slices.Clone(pb.rd.fills),
+	}
+	if err := pb.compileReaders(rd, srcs, func(tab int) bool { return tab == 0 }); err != nil {
+		return nil, err
+	}
+	return rd, nil
 }
 
 // initPool wires the per-execution state pool: the driver vector and

@@ -16,6 +16,9 @@ import (
 // equivalence tests assert that Execute produces bit-identical
 // Cols/Rows/Stats — and as the "seed" side of the executor benchmarks.
 func ExecuteReference(b *Built, plan *optimizer.Plan) (*Result, error) {
+	if err := planShape(b, plan); err != nil {
+		return nil, err
+	}
 	pos, err := orderKey(b, plan)
 	if err != nil {
 		return nil, err
@@ -125,10 +128,7 @@ func fetchAccess(b *Built, s *sqlast.Select, a optimizer.Access, st *ExecStats) 
 		if bi == nil {
 			return nil, nil, fmt.Errorf("engine: index %s not built", a.Index.Name)
 		}
-		if a.SeekPred == nil {
-			return nil, nil, fmt.Errorf("engine: seek access without predicate on %s", a.Table)
-		}
-		ids := bi.seekRange(opFromCmp(a.SeekPred.Op), a.SeekPred.Value)
+		ids := bi.seekRange(a.SeekPred.Op, a.SeekPred.Value)
 		rows := make([][]rel.Value, len(ids))
 		for i, id := range ids {
 			rows[i] = make([]rel.Value, len(cols))
@@ -259,19 +259,6 @@ func compilePred(b *Built, p *sqlast.Pred, sc *scope, ex *existsCache) (func([]r
 		return func(r []rel.Value) (bool, error) {
 			return matchCompare(r[pos], p.Op, p.Value), nil
 		}, nil
-	case sqlast.PredOr:
-		positions, err := colPositions(sc.pos, p.Cols)
-		if err != nil {
-			return nil, err
-		}
-		return func(r []rel.Value) (bool, error) {
-			for _, pos := range positions {
-				if matchCompare(r[pos], p.Op, p.Value) {
-					return true, nil
-				}
-			}
-			return false, nil
-		}, nil
 	case sqlast.PredExists, sqlast.PredOrExists:
 		positions, err := colPositions(sc.pos, p.Cols)
 		if err != nil {
@@ -315,7 +302,7 @@ func (e *existsCache) matcher(p *sqlast.Pred) (func(rel.Value) bool, error) {
 		}
 		set = make(map[int64]bool)
 		for r := range t.RowCount() {
-			if k := t.ValueAt(r, ji); !k.Null && (vi < 0 || matchCompare(t.ValueAt(r, vi), p.Op, p.Value)) {
+			if k := t.ValueAt(r, ji); !k.Null && matchCompare(t.ValueAt(r, vi), p.Op, p.Value) {
 				set[k.I] = true
 			}
 		}
@@ -354,7 +341,7 @@ func execJoin(b *Built, s *sqlast.Select, sc *scope, outer [][]rel.Value, j opti
 			if v.Null {
 				continue
 			}
-			for _, rid := range bi.seekRange(opEq, v) {
+			for _, rid := range bi.seekRange(sqlast.OpEq, v) {
 				if st != nil {
 					st.RowsSought++
 				}

@@ -235,6 +235,11 @@ func explainAccess(a Access) string {
 		if a.SeekPred != nil {
 			pred = " [" + a.SeekPred.String() + "]"
 		}
+		if len(a.Groups) > 0 {
+			// No search emits one, but a plan naming groups must not share a
+			// fingerprint with the seek it is not.
+			pred += fmt.Sprintf(" groups=%v", a.Groups)
+		}
 		return fmt.Sprintf("INDEX SEEK %s ON %s%s%s", a.Index.Name, a.Table, cover, pred)
 	case len(a.Groups) > 0:
 		return fmt.Sprintf("PARTITION SCAN %s groups=%v", a.Table, a.Groups)
@@ -754,9 +759,9 @@ func (o *Optimizer) applyExists(s *sqlast.Select, rows float64, cfg *physical.Co
 		} else {
 			cost += float64(ets.Pages()) + float64(ets.Rows)*CostHashTuple + rows*CostHashTuple
 		}
-		// Selectivity of the semi-join (the PredOr part of PredOrExists
-		// is already counted by localRows; keep the combined estimate
-		// simple by treating the exists arm as additive match mass).
+		// Selectivity of the semi-join (the OR part of PredOrExists is
+		// already counted by localRows; keep the combined estimate simple
+		// by treating the exists arm as additive match mass).
 		if p.Kind == sqlast.PredExists {
 			rows *= o.existsSelectivity(p, ets)
 		}
@@ -766,10 +771,8 @@ func (o *Optimizer) applyExists(s *sqlast.Select, rows float64, cfg *physical.Co
 
 func (o *Optimizer) existsSelectivity(p *sqlast.Pred, ets *stats.TableStats) float64 {
 	matching := float64(ets.Rows)
-	if p.InnerCol != "" {
-		if cs := ets.Col(p.InnerCol); cs != nil {
-			matching *= cs.Selectivity(p.Op, p.Value) * (1 - cs.NullFrac)
-		}
+	if cs := ets.Col(p.InnerCol); cs != nil {
+		matching *= cs.Selectivity(p.Op, p.Value) * (1 - cs.NullFrac)
 	}
 	var parents float64 = 1
 	if cs := ets.Col(p.JoinCol); cs != nil && cs.Distinct > 0 {
@@ -805,7 +808,7 @@ func (o *Optimizer) localRows(s *sqlast.Select, table string, ts *stats.TableSta
 			if cs := ts.Col(p.Col.Column); cs != nil {
 				sel *= cs.Selectivity(p.Op, p.Value) * (1 - cs.NullFrac)
 			}
-		case sqlast.PredOr, sqlast.PredOrExists:
+		case sqlast.PredOrExists:
 			if len(p.Cols) == 0 || p.Cols[0].Table != table {
 				continue
 			}
@@ -937,8 +940,8 @@ func RewriteOverView(s *sqlast.Select, v *physical.View) (*sqlast.Select, bool) 
 			if !carries(v, p.Col) {
 				return nil, false
 			}
-		case sqlast.PredOr, sqlast.PredExists, sqlast.PredOrExists:
-			if p.Kind != sqlast.PredOr && !carries(v, p.OuterCol) {
+		case sqlast.PredExists, sqlast.PredOrExists:
+			if !carries(v, p.OuterCol) {
 				return nil, false
 			}
 			for _, c := range p.Cols {
@@ -974,10 +977,8 @@ func RewriteOverView(s *sqlast.Select, v *physical.View) (*sqlast.Select, bool) 
 			continue
 		case sqlast.PredCompare:
 			p.Col = viewCol(v, p.Col)
-		case sqlast.PredOr, sqlast.PredExists, sqlast.PredOrExists:
-			if p.Kind != sqlast.PredOr {
-				p.OuterCol = viewCol(v, p.OuterCol)
-			}
+		case sqlast.PredExists, sqlast.PredOrExists:
+			p.OuterCol = viewCol(v, p.OuterCol)
 			cols := p.Cols
 			p.Cols = nil
 			if n := len(cols); n > 0 {

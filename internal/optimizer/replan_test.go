@@ -101,15 +101,6 @@ func refRewriteOverView(s *sqlast.Select, v *physical.View) (*sqlast.Select, boo
 				return nil, false
 			}
 			np.Col = c
-		case sqlast.PredOr:
-			np.Cols = nil
-			for _, c := range p.Cols {
-				nc, ok := mapCol(c)
-				if !ok {
-					return nil, false
-				}
-				np.Cols = append(np.Cols, nc)
-			}
 		case sqlast.PredExists, sqlast.PredOrExists:
 			c, ok := mapCol(p.OuterCol)
 			if !ok {
@@ -919,12 +910,13 @@ func rewriteCase() (*sqlast.Select, func(drop string) *physical.View) {
 		From: []string{"movie", "actor"},
 		Where: []sqlast.Pred{joinPred("actor", "movie"),
 			{Kind: sqlast.PredCompare, Op: sqlast.OpEq, Col: col("movie", "genre"), Value: rel.Str("g")},
-			{Kind: sqlast.PredOr, Op: sqlast.OpGe, Value: rel.Int(2000),
-				Cols: []sqlast.ColRef{col("movie", "title"), col("movie", "year")}},
+			{Kind: sqlast.PredOrExists, Op: sqlast.OpGe, Value: rel.Int(2000),
+				Cols:  []sqlast.ColRef{col("movie", "title"), col("movie", "year")},
+				Table: "award", JoinCol: "PID", InnerCol: "prize", OuterCol: col("movie", "ID")},
 			{Kind: sqlast.PredExists, Op: sqlast.OpEq, Value: rel.Int(3), Table: "award", JoinCol: "PID",
 				InnerCol: "prize", OuterCol: col("actor", "ID")},
 			{Kind: sqlast.PredOrExists, Op: sqlast.OpEq, Value: rel.Str("t"), Cols: []sqlast.ColRef{col("movie", "title")},
-				Table: "award", JoinCol: "PID", OuterCol: col("movie", "ID")}},
+				Table: "award", JoinCol: "PID", InnerCol: "prize", OuterCol: col("movie", "ID")}},
 	}
 	view := func(drop string) *physical.View {
 		keep := func(table string, cols ...string) []string {

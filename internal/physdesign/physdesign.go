@@ -471,11 +471,7 @@ func branchCandidates(s *sqlast.Select, prov stats.Provider, opts Options,
 				}
 			}
 		case sqlast.PredExists, sqlast.PredOrExists:
-			inc := []string{}
-			if p.InnerCol != "" {
-				inc = append(inc, p.InnerCol)
-			}
-			mkIndex(p.Table, []string{p.JoinCol}, inc)
+			mkIndex(p.Table, []string{p.JoinCol}, []string{p.InnerCol})
 		}
 	}
 	// Materialized join view for two-table branches.

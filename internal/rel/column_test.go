@@ -349,33 +349,16 @@ func comparatorTable() *Table {
 
 // TestRowComparatorMatchesValueCompare: over every column of
 // comparatorTable and every pair of rows, the comparator returns what
-// Value.Compare returns for the two cells, and a multi-column comparator
-// is the lexicographic combination, first difference wins.
+// Value.Compare returns for the two cells.
 func TestRowComparatorMatchesValueCompare(t *testing.T) {
 	tb := comparatorTable()
 	for ci, c := range tb.Columns {
-		cmp := tb.RowComparator([]int{ci})
+		cmp := tb.RowComparator(ci)
 		for a := 0; a < tb.RowCount(); a++ {
 			for b := 0; b < tb.RowCount(); b++ {
 				va, vb := tb.ValueAt(a, ci), tb.ValueAt(b, ci)
 				if got, want := cmp(a, b), va.Compare(vb); got != want {
 					t.Fatalf("column %s rows %d, %d: comparator %d, (%v).Compare(%v) = %d", c.Name, a, b, got, va, vb, want)
-				}
-			}
-		}
-	}
-	for _, cols := range [][]int{{1, 2}, {3, 0, 1}, {0, 3}, {4, 3, 2}} {
-		cmp := tb.RowComparator(cols)
-		for a := 0; a < tb.RowCount(); a++ {
-			for b := 0; b < tb.RowCount(); b++ {
-				want := 0
-				for _, ci := range cols {
-					if want = tb.ValueAt(a, ci).Compare(tb.ValueAt(b, ci)); want != 0 {
-						break
-					}
-				}
-				if got := cmp(a, b); got != want {
-					t.Fatalf("columns %v rows %d, %d: comparator %d, want %d", cols, a, b, got, want)
 				}
 			}
 		}

@@ -57,7 +57,7 @@ func TestFragmentColumnByColumn(t *testing.T) {
 	} {
 		mustPanicWith(t, name, "fragment", f)
 	}
-	mustPanicWith(t, "RowComparator", "absent", func() { frag.RowComparator([]int{0, 1}) })
+	mustPanicWith(t, "RowComparator", "absent", func() { frag.RowComparator(1) })
 
 	if err := frag.AdoptColumn(2, &snap.Columns[2]); err == nil || !strings.Contains(err.Error(), "already resident") {
 		t.Fatalf("adopting a resident column: %v", err)

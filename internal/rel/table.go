@@ -434,29 +434,14 @@ func (t *Table) Rows() [][]Value {
 	return rows
 }
 
-// RowComparator returns the order of the table's rows by the given
-// columns, most significant first: cmp(a, b) compares rows a and b cell
-// by cell exactly as Value.Compare does (NULLs first, the NaN total
-// order), reading the columns straight off their typed vectors. The
-// function reads the table as it is when called, so build it after the
-// last mutation.
-func (t *Table) RowComparator(cols []int) func(a, b int) int {
-	cmps := make([]func(a, b int) int, len(cols))
-	for i, ci := range cols {
-		t.requireColumn(ci)
-		cmps[i] = t.cols[ci].comparator()
-	}
-	if len(cmps) == 1 {
-		return cmps[0]
-	}
-	return func(a, b int) int {
-		for _, cmp := range cmps {
-			if c := cmp(a, b); c != 0 {
-				return c
-			}
-		}
-		return 0
-	}
+// RowComparator returns the order of the table's rows by column ci:
+// cmp(a, b) compares the cells of rows a and b exactly as Value.Compare
+// does (NULLs first, the NaN total order), reading the column straight
+// off its typed vector. The function reads the table as it is when
+// called, so build it after the last mutation.
+func (t *Table) RowComparator(ci int) func(a, b int) int {
+	t.requireColumn(ci)
+	return t.cols[ci].comparator()
 }
 
 // SortByID sorts rows by the ID column; shredding emits rows in
@@ -471,7 +456,7 @@ func (t *Table) SortByID() {
 	for i := range perm {
 		perm[i] = i
 	}
-	slices.SortStableFunc(perm, t.RowComparator([]int{id}))
+	slices.SortStableFunc(perm, t.RowComparator(id))
 	for ci := range t.cols {
 		t.cols[ci].permute(perm)
 	}

@@ -1,9 +1,10 @@
 // Package sqlast represents the SQL statements the translator produces:
 // sorted outer-union queries in the style of Shanmugasundaram et al.
 // [21] — a UNION ALL of select branches ordered by the context ID — with
-// conjunctive predicates, OR-lists over repetition-split columns, EXISTS
-// semi-joins, and equi-joins. A renderer produces SQL text for display
-// and logging; execution interprets the AST directly.
+// conjunctive predicates, EXISTS semi-joins (alone, or OR-ed with the
+// columns of a repetition-split leaf), and equi-joins. A renderer
+// produces SQL text for display and logging; execution interprets the
+// AST directly.
 package sqlast
 
 import (
@@ -100,15 +101,12 @@ const (
 	PredCompare PredKind = iota
 	// PredJoin is "left = right" across tables.
 	PredJoin
-	// PredOr is "(col1 op lit OR col2 op lit OR ...)" over columns of
-	// one table — produced for selections on repetition-split columns.
-	PredOr
 	// PredExists is "EXISTS (SELECT 1 FROM t WHERE t.joinCol = outer
 	// AND t.col op lit)" — semi-join for selections on set-valued
 	// elements stored in a child relation.
 	PredExists
-	// PredOrExists is the disjunction of PredOr and PredExists:
-	// "(col1 op lit OR ... OR EXISTS(...))" — selections on
+	// PredOrExists is "(col1 op lit OR ... OR EXISTS(...))" over
+	// columns of the outer column's table — selections on
 	// repetition-split elements match either an inlined occurrence
 	// column or an overflow row.
 	PredOrExists
@@ -117,10 +115,10 @@ const (
 // Pred is a conjunct of a WHERE clause.
 type Pred struct {
 	Kind PredKind
-	// PredCompare / PredOr / PredExists comparison:
+	// PredCompare / PredExists / PredOrExists comparison:
 	Op    CmpOp
 	Value rel.Value
-	// PredCompare column; PredOr columns:
+	// PredCompare column; PredOrExists occurrence columns:
 	Col  ColRef
 	Cols []ColRef
 	// PredJoin columns:
@@ -129,7 +127,7 @@ type Pred struct {
 	Table    string
 	JoinCol  string // inner column equated with OuterCol
 	OuterCol ColRef
-	InnerCol string // inner column compared with Value (empty: bare existence)
+	InnerCol string // inner column compared with Value
 }
 
 // String renders the predicate as SQL.
@@ -139,12 +137,6 @@ func (p Pred) String() string {
 		return fmt.Sprintf("%s %s %s", p.Col, p.Op, p.Value.SQLLiteral())
 	case PredJoin:
 		return fmt.Sprintf("%s = %s", p.Left, p.Right)
-	case PredOr:
-		parts := make([]string, len(p.Cols))
-		for i, c := range p.Cols {
-			parts[i] = fmt.Sprintf("%s %s %s", c, p.Op, p.Value.SQLLiteral())
-		}
-		return "(" + strings.Join(parts, " OR ") + ")"
 	case PredExists:
 		return p.existsSQL()
 	case PredOrExists:
@@ -159,11 +151,8 @@ func (p Pred) String() string {
 }
 
 func (p Pred) existsSQL() string {
-	inner := fmt.Sprintf("SELECT 1 FROM %s WHERE %s.%s = %s", p.Table, p.Table, p.JoinCol, p.OuterCol)
-	if p.InnerCol != "" {
-		inner += fmt.Sprintf(" AND %s.%s %s %s", p.Table, p.InnerCol, p.Op, p.Value.SQLLiteral())
-	}
-	return "EXISTS (" + inner + ")"
+	return fmt.Sprintf("EXISTS (SELECT 1 FROM %s WHERE %s.%s = %s AND %s.%s %s %s)",
+		p.Table, p.Table, p.JoinCol, p.OuterCol, p.Table, p.InnerCol, p.Op, p.Value.SQLLiteral())
 }
 
 // Select is one branch of a sorted outer-union query.
@@ -251,10 +240,6 @@ func (s *Select) ColumnsOf(table string) []string {
 		switch p := &s.Where[i]; p.Kind {
 		case PredCompare:
 			addCol(p.Col)
-		case PredOr:
-			for _, c := range p.Cols {
-				addCol(c)
-			}
 		case PredJoin:
 			addCol(p.Left)
 			addCol(p.Right)
@@ -364,15 +349,6 @@ func (q *Query) Validate() error {
 			case PredJoin:
 				if err = check(p.Left); err == nil {
 					err = check(p.Right)
-				}
-			case PredOr:
-				if len(p.Cols) == 0 {
-					err = fmt.Errorf("sqlast: branch %d has empty OR predicate", bi)
-				}
-				for _, c := range p.Cols {
-					if err == nil {
-						err = check(c)
-					}
 				}
 			case PredExists, PredOrExists:
 				err = check(p.OuterCol)

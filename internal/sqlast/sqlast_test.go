@@ -108,13 +108,6 @@ func TestValidateRejections(t *testing.T) {
 			t.Error("want error")
 		}
 	})
-	t.Run("empty OR predicate", func(t *testing.T) {
-		q := sampleQuery()
-		q.Branches[0].Where = append(q.Branches[0].Where, Pred{Kind: PredOr, Op: OpEq, Value: rel.Int(1)})
-		if err := q.Validate(); err == nil {
-			t.Error("want error")
-		}
-	})
 }
 
 func TestCmpOpMatches(t *testing.T) {
@@ -174,10 +167,6 @@ func refColumnsOf(s *Select, table string) []string {
 		switch p.Kind {
 		case PredCompare:
 			add(p.Col)
-		case PredOr:
-			for _, c := range p.Cols {
-				add(c)
-			}
 		case PredJoin:
 			add(p.Left)
 			add(p.Right)

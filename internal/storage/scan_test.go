@@ -737,19 +737,22 @@ func TestChunkScanNeverServesPreCompactionChunk(t *testing.T) {
 // TestMalformedDesignIsAnError: a physical design reaches engine.Build
 // from outside the program — Manifest.Design is JSON — so one that does
 // not fit the database is reported, never a panic: an index without a key
-// column, a view or a partition over a table without ID/PID, a partition
-// over an unknown table or naming an unknown column, a column listed
-// twice, a null entry. The keyless index is also driven the way it
-// would arrive, through a saved manifest and both store-backed Builts.
+// column or with two, a view or a partition over a table without ID/PID,
+// a partition over an unknown table or naming an unknown column, a column
+// listed twice, a null entry. The keyless and the two-key index are also
+// driven the way they would arrive, through a saved manifest and both
+// store-backed Builts.
 func TestMalformedDesignIsAnError(t *testing.T) {
 	db := scanDB(64)
 	db.Add(rel.NewTable("flat", []rel.Column{{Name: "a", Typ: rel.TInt}}))
 	keyless := &physical.Config{Indexes: []*physical.Index{{Name: "ix_none", Table: "big", Include: []string{"tag"}}}}
+	twoKey := &physical.Config{Indexes: []*physical.Index{{Name: "ix_two", Table: "big", Key: []string{"tag", rel.IDColumn}}}}
 	for name, tc := range map[string]struct {
 		cfg  *physical.Config
 		want string
 	}{
-		"keyless index": {keyless, "no key column"},
+		"keyless index": {keyless, "has 0 key columns"},
+		"two-key index": {twoKey, "has 2 key columns"},
 		"view outer without ID": {&physical.Config{Views: []*physical.View{{Name: "v", Outer: "flat", Inner: "kid",
 			OuterCols: []string{"a"}, InnerCols: []string{"word"}}}}, "missing"},
 		"view inner without PID": {&physical.Config{Views: []*physical.View{{Name: "v", Outer: "big", Inner: "flat",
@@ -772,30 +775,32 @@ func TestMalformedDesignIsAnError(t *testing.T) {
 		}
 	}
 
-	dir := savedScanStore(t, 64)
-	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := decodeManifest(mb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man.Design = keyless
-	if mb, err = encodeManifest(man); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), mb, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	for name, view := range map[string]func() (*engine.Built, error){"Built": s.Built, "PagedBuilt": s.PagedBuilt} {
-		if b, err := view(); err == nil || !strings.Contains(err.Error(), "no key column") {
-			t.Errorf("%s over a manifest with a keyless index = %v, %v; want an error", name, b, err)
+	for design, cfg := range map[string]*physical.Config{"keyless": keyless, "two-key": twoKey} {
+		dir := savedScanStore(t, 64)
+		mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
+		if err != nil {
+			t.Fatal(err)
 		}
+		man, err := decodeManifest(mb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		man.Design = cfg
+		if mb, err = encodeManifest(man); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, ManifestName), mb, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, view := range map[string]func() (*engine.Built, error){"Built": s.Built, "PagedBuilt": s.PagedBuilt} {
+			if b, err := view(); err == nil || !strings.Contains(err.Error(), "an index has one") {
+				t.Errorf("%s over a manifest with a %s index = %v, %v; want an error", name, design, b, err)
+			}
+		}
+		s.Close()
 	}
 }

@@ -347,10 +347,13 @@ func selectionPreds(m *shred.Mapping, host *shred.Relation, hostAnn string,
 			return nil, false, unsupported(PartitionedOverflowSelection, "translate: split selection with partitioned overflow relation")
 		}
 		oci := overflow[0].ColumnFor(selLeaf.ID, 0)
+		if oci < 0 {
+			return nil, false, fmt.Errorf("translate: relation %s lacks value column for %s", overflow[0].Name, selLeaf.Path())
+		}
 		return []sqlast.Pred{{
 			Kind:     sqlast.PredOrExists,
 			Op:       op,
-			Value:    lit.Coerce(leafRelType(selLeaf)),
+			Value:    lit.Coerce(overflow[0].Columns[oci].Typ),
 			Cols:     cols,
 			Table:    overflow[0].Name,
 			JoinCol:  rel.PIDColumn,
@@ -521,15 +524,4 @@ func cmpOp(op xpath.CmpOp) sqlast.CmpOp {
 		return sqlast.OpGt
 	}
 	return sqlast.OpGe
-}
-
-func leafRelType(n *schema.Node) rel.Type {
-	switch n.LeafBase() {
-	case schema.BaseInt:
-		return rel.TInt
-	case schema.BaseFloat:
-		return rel.TFloat
-	default:
-		return rel.TString
-	}
 }
