@@ -252,6 +252,9 @@ func openStore(c cliConfig) error {
 		redoBytes = fi.Size()
 	}
 	fmt.Printf("redo %s: %d rows, %d KB (generation %d)", man.RedoFile, st.RedoRows(), redoBytes>>10, man.Epoch)
+	if torn := reg.Counter("storage.redo.torn_tail_bytes").Value(); torn > 0 {
+		fmt.Printf(", torn tail %d bytes", torn)
+	}
 	if c.compactThreshold > 0 && st.RedoRows() >= c.compactThreshold {
 		fmt.Printf("  [compaction due: tail >= %d rows]", c.compactThreshold)
 	}

@@ -21,7 +21,8 @@ func corpusEntry(data []byte) []byte {
 // testdata/fuzz/: the interesting wire-format shapes are committed so
 // CI fuzz-smoke starts from real coverage instead of an empty corpus.
 // Regenerate with -update after a (version-bumped) format change; the
-// version-1 redo seeds stay as inputs FuzzRedoDecode must reject.
+// version-1 and version-2 redo seeds stay as inputs FuzzRedoDecode must
+// reject.
 func TestFuzzCorpusChecked(t *testing.T) {
 	chunked := func(tb *rel.Table, rows int) []byte {
 		enc, err := EncodeChunkedSegment(tb.Snapshot(), rows)
@@ -34,13 +35,7 @@ func TestFuzzCorpusChecked(t *testing.T) {
 	multi := multiChunkDB(200).Table("fact")
 	empty := rel.NewTable("e", []rel.Column{{Name: rel.IDColumn, Typ: rel.TInt}})
 
-	batched := emptyRedoLog()[:redoHeaderSize]
-	batched = append(batched, encodeRedoBatchRecord("book", [][]rel.Value{
-		{rel.Int(1), rel.Str("x")},
-		{rel.Int(2), rel.Str("y")},
-		{rel.NullOf(rel.TInt), rel.Str("z")},
-	})...)
-	batched = append(batched, encodeRedoFooter(3)...)
+	batched := redoLog(RedoBatchVersion, 0, batchedRecord(), batchedRecord())
 
 	corpora := map[string]map[string][]byte{
 		"FuzzChunkDecode": {
@@ -52,14 +47,19 @@ func TestFuzzCorpusChecked(t *testing.T) {
 		},
 		"FuzzRedoDecode": {
 			"empty-v1":   legacyRedoLog("book"),
-			"empty-v2":   emptyRedoLog(),
+			"empty-v2":   redoLog(2, 0),
 			"single-v1":  legacyRedoLog("book", []rel.Value{rel.Int(1), rel.Str("x")}),
-			"batched-v2": batched,
+			"batched-v2": redoLog(2, 3, legacyFrame(batchedRecord()[recordHeaderSize:])),
+			"empty-v3":   emptyRedoLog(),
+			"batched-v3": batched,
+			"torn-v3":    batched[:len(batched)-5],
+			"zeroed-v3":  append(batched[:len(batched):len(batched)], make([]byte, 13)...),
 		},
 	}
-	// The version-1 redo seeds are inputs the reader must refuse.
-	for _, name := range []string{"empty-v1", "single-v1"} {
-		if _, err := readRedo(corpora["FuzzRedoDecode"][name]); !errors.Is(err, ErrUnsupportedFormat) {
+	// The version-1 and version-2 redo seeds are inputs the reader must
+	// refuse.
+	for _, name := range []string{"empty-v1", "single-v1", "empty-v2", "batched-v2"} {
+		if _, _, err := readRedo(corpora["FuzzRedoDecode"][name]); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Errorf("redo seed %s: %v, want ErrUnsupportedFormat", name, err)
 		}
 	}

@@ -1,9 +1,13 @@
 package storage
 
 import (
+	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/engine"
@@ -121,12 +125,22 @@ func openAll(dir string) (map[string]*rel.Table, error) {
 	return out, nil
 }
 
-// corruptionTrial returns a trial runner over a pristine base store:
-// each call clones the store, applies one corruption, and requires the
-// clone to either fail cleanly or serve data bit-identical to the
-// original. A panic, a partial table, or a wrong row count is a test
+// corruptionTrial returns a trial runner over a pristine base store
+// whose committed redo prefixes are prefixes (prefixes[i] holds the
+// first i records; the last is the whole store): each call clones the
+// store, applies one corruption, and requires the clone to fail cleanly
+// or serve rows that are right. Damage to a segment or the manifest
+// must leave the data bit-identical to the original. Damage to the redo
+// log alone may instead serve the segments bit-identical plus exactly
+// the committed prefix tornPrefix names, or must be refused where it
+// names none. A panic, a partial table, or a wrong row is a test
 // failure.
-func corruptionTrial(t *testing.T, base string, want map[string]*rel.Table) func(name string, corrupt func(dir string)) {
+func corruptionTrial(t *testing.T, base string, prefixes []map[string]*rel.Table) func(name string, corrupt func(dir string)) {
+	redo := redoFile(t, base)
+	baseLog, err := os.ReadFile(filepath.Join(base, redo))
+	if err != nil {
+		t.Fatal(err)
+	}
 	return func(name string, corrupt func(dir string)) {
 		dir := copyStore(t, base)
 		corrupt(dir)
@@ -134,41 +148,151 @@ func corruptionTrial(t *testing.T, base string, want map[string]*rel.Table) func
 		if err != nil {
 			return // clean failure is a correct outcome
 		}
-		// The store opened despite the corruption: every served value
-		// must still be bit-identical (e.g. the corruption hit slack
-		// the formats do not have, which in practice cannot happen for
-		// checksummed payloads — but if it ever does, the data must be
-		// right).
+		// The store opened despite the corruption: the corruption hit
+		// a torn redo tail, or slack the formats do not have (which in
+		// practice cannot happen for checksummed payloads — but if it
+		// ever does, the data must be right).
+		allowed := prefixes[len(prefixes)-1:]
+		if onlyFileDiffers(t, base, dir, redo) {
+			log, err := os.ReadFile(filepath.Join(dir, redo))
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := tornPrefix(baseLog, log)
+			if k < 0 {
+				t.Fatalf("%s: the redo log is damaged before its last record, and Open accepted the store", name)
+			}
+			allowed = prefixes[k : k+1]
+		}
+		servesOneOf(t, name, got, allowed)
+	}
+}
+
+// recordEnds returns where the first i records of a well-formed redo
+// log end, for i from 0 to all of them.
+func recordEnds(log []byte) []int {
+	ends := []int{redoHeaderSize}
+	for end := redoHeaderSize; end < len(log); {
+		end += recordHeaderSize + int(binary.LittleEndian.Uint32(log[end:]))
+		ends = append(ends, end)
+	}
+	return ends
+}
+
+// tornPrefix returns how many records of the base redo log a store
+// whose log was changed to got may serve, or -1 if it must refuse: the
+// records that end at or before the first changed byte, when the change
+// cuts the file short or lies in its last record or past it. A torn
+// tail is only ever the last write, so damage to an earlier record,
+// its length included, must be refused.
+func tornPrefix(base, got []byte) int {
+	p := 0
+	for p < len(base) && p < len(got) && base[p] == got[p] {
+		p++
+	}
+	ends := recordEnds(base)
+	k := sort.SearchInts(ends, p+1) - 1
+	if cut := p == len(got) && len(got) < len(base); k < 0 || (!cut && k < len(ends)-2) {
+		return -1
+	}
+	return k
+}
+
+// servesOneOf requires the served tables to be bit-identical to exactly
+// one of the allowed states, told apart by their row counts.
+func servesOneOf(t *testing.T, name string, got map[string]*rel.Table, allowed []map[string]*rel.Table) {
+	t.Helper()
+	for _, want := range allowed {
 		if len(got) != len(want) {
 			t.Fatalf("%s: opened with %d tables, want %d", name, len(got), len(want))
 		}
+		match := true
 		for n, w := range want {
 			g, ok := got[n]
 			if !ok {
 				t.Fatalf("%s: table %q vanished", name, n)
 			}
-			tablesBitEqual(t, w, g)
+			match = match && g.RowCount() == w.RowCount()
+		}
+		if match {
+			for n, w := range want {
+				tablesBitEqual(t, w, got[n])
+			}
+			return
 		}
 	}
+	t.Fatalf("%s: served row counts match no allowed state", name)
 }
 
-// baseTables opens the pristine base store for the rows every trial is
-// held to.
-func baseTables(t *testing.T, base string) map[string]*rel.Table {
+// redoFile names the store's current redo log.
+func redoFile(t testing.TB, dir string) string {
 	t.Helper()
-	want, err := openAll(base)
+	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return want
+	man, err := decodeManifest(mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return man.RedoFile
+}
+
+// onlyFileDiffers reports whether dir holds the same files as base,
+// byte for byte, except possibly the one named file.
+func onlyFileDiffers(t *testing.T, base, dir, file string) bool {
+	t.Helper()
+	files := storeFiles(t, base)
+	if !slices.Equal(files, storeFiles(t, dir)) {
+		return false
+	}
+	for _, f := range files {
+		if f == file {
+			continue
+		}
+		a, err := os.ReadFile(filepath.Join(base, f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(filepath.Join(dir, f))
+		if err != nil || !bytes.Equal(a, b) {
+			return false
+		}
+	}
+	return true
+}
+
+// redoPrefixes opens the pristine base store once per committed prefix
+// of its redo log — none of the appends, the first record, ..., all of
+// them — for the rows every trial is held to.
+func redoPrefixes(t *testing.T, base string) []map[string]*rel.Table {
+	t.Helper()
+	redo := redoFile(t, base)
+	log, err := os.ReadFile(filepath.Join(base, redo))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []map[string]*rel.Table
+	for _, end := range recordEnds(log) {
+		dir := copyStore(t, base)
+		if err := os.WriteFile(filepath.Join(dir, redo), log[:end], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		tables, err := openAll(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, tables)
+	}
+	return out
 }
 
 // corruptionSweep runs the seeded flip/truncate battery over every
 // file of the base store, which it only reads.
-func corruptionSweep(t *testing.T, base string, want map[string]*rel.Table, trials int, seed int64) {
+func corruptionSweep(t *testing.T, base string, prefixes []map[string]*rel.Table, trials int, seed int64) {
 	files := storeFiles(t, base)
 	rng := rand.New(rand.NewSource(seed))
-	trial := corruptionTrial(t, base, want)
+	trial := corruptionTrial(t, base, prefixes)
 	for i := 0; i < trials; i++ {
 		f := files[rng.Intn(len(files))]
 		data, err := os.ReadFile(filepath.Join(base, f))
@@ -202,10 +326,10 @@ func corruptionSweep(t *testing.T, base string, want map[string]*rel.Table, tria
 func TestCorruptionNeverLies(t *testing.T) {
 	base := t.TempDir()
 	saveFixtureWithRedo(t, base, Options{})
-	want := baseTables(t, base)
-	corruptionSweep(t, base, want, 120, 23)
+	prefixes := redoPrefixes(t, base)
+	corruptionSweep(t, base, prefixes, 120, 23)
 
-	trial := corruptionTrial(t, base, want)
+	trial := corruptionTrial(t, base, prefixes)
 	trial("empty manifest", func(dir string) {
 		if err := os.WriteFile(filepath.Join(dir, ManifestName), nil, 0o644); err != nil {
 			t.Fatal(err)
@@ -246,16 +370,23 @@ func TestCorruptionNeverLies(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	trial("garbage appended to redo", func(dir string) {
-		f, err := os.OpenFile(filepath.Join(dir, RedoName), os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-	})
+
+	// Garbage after the last record is a torn tail: the store must
+	// open, with every row.
+	dir := copyStore(t, base)
+	f, err := os.OpenFile(filepath.Join(dir, RedoName), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write([]byte{0xde, 0xad, 0xbe}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	got, err := openAll(dir)
+	if err != nil {
+		t.Fatalf("garbage appended to redo: %v", err)
+	}
+	servesOneOf(t, "garbage appended to redo", got, prefixes[len(prefixes)-1:])
 }
 
 // TestCorruptionNeverLiesCompacted runs the battery over a compacted
@@ -266,10 +397,10 @@ func TestCorruptionNeverLies(t *testing.T) {
 func TestCorruptionNeverLiesCompacted(t *testing.T) {
 	base := t.TempDir()
 	saveCompactedMultiChunk(t, base)
-	want := baseTables(t, base)
-	corruptionSweep(t, base, want, 120, 31)
+	prefixes := redoPrefixes(t, base)
+	corruptionSweep(t, base, prefixes, 120, 31)
 
-	trial := corruptionTrial(t, base, want)
+	trial := corruptionTrial(t, base, prefixes)
 	trial("stray next-epoch files", func(dir string) {
 		// A crash mid-compaction leaves half-written epoch-2 files
 		// behind; Open reads only what the manifest lists.

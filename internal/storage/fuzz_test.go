@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"testing"
 
 	"repro/internal/rel"
@@ -44,73 +45,119 @@ func chunkedRoundTrip(t *testing.T, tb *rel.Table) {
 	}
 }
 
+// redoLog assembles a redo log of the given version from framed
+// records. Versions 1 and 2, which this package no longer reads, end in
+// the commit footer they carried: "XEND" | u32 row count | u32 CRC32-C
+// of those eight bytes; their records are framed by legacyFrame. They
+// exist so the fuzz seeds and the checked-in corpus keep inputs readRedo
+// must refuse.
+func redoLog(version uint32, rows int, records ...[]byte) []byte {
+	log := binary.LittleEndian.AppendUint32(append([]byte(nil), redoMagic[:]...), version)
+	for _, r := range records {
+		log = append(log, r...)
+	}
+	if version >= RedoBatchVersion {
+		return log
+	}
+	foot := binary.LittleEndian.AppendUint32([]byte("XEND"), uint32(rows))
+	foot = binary.LittleEndian.AppendUint32(foot, crc32.Checksum(foot, crcTable))
+	return append(log, foot...)
+}
+
+// legacyFrame wraps a record body the way versions 1 and 2 did: u32
+// body length | u32 CRC32-C of body | body.
+func legacyFrame(body []byte) []byte {
+	out := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
+	return append(out, body...)
+}
+
 // legacyRedoLog builds a version-1 redo log, the one-row-per-record
-// framing (a record body is a table name and one row's values) this
-// package no longer reads. It exists so the fuzz seeds and the checked-in
-// corpus keep inputs readRedo must refuse.
+// framing: a record body is a table name and one row's values.
 func legacyRedoLog(table string, rows ...[]rel.Value) []byte {
-	log := emptyRedoLog()[:redoHeaderSize]
-	binary.LittleEndian.PutUint32(log[4:8], 1)
+	var records [][]byte
 	for _, row := range rows {
 		body := appendString(nil, table)
 		body = binary.AppendUvarint(body, uint64(len(row)))
 		for _, v := range row {
 			body = appendValue(body, v)
 		}
-		log = append(log, frameRedoBody(body)...)
+		records = append(records, legacyFrame(body))
 	}
-	return append(log, encodeRedoFooter(uint32(len(rows)))...)
+	return redoLog(1, len(rows), records...)
 }
 
-// FuzzRedoDecode gives the redo log reader the same treatment: no
-// panics, every accepted log is batch-framed (a version-1 log is
-// refused, however well formed), and its rows re-encode faithfully.
-func FuzzRedoDecode(f *testing.F) {
-	f.Add(legacyRedoLog("book"))
-	f.Add(emptyRedoLog())
-	withRec := legacyRedoLog("book", []rel.Value{rel.Int(1), rel.Str("x")})
-	f.Add(withRec)
-	f.Add(withRec[:len(withRec)-redoFooterSize]) // committed record, missing footer
-	// A batched record: three rows to one table under one frame.
-	batched := emptyRedoLog()[:redoHeaderSize]
-	batched = append(batched, encodeRedoBatchRecord("book", [][]rel.Value{
+// batchedRecord is a batched record of three rows to one table, the
+// shape the fuzz seeds and the checked-in corpus share.
+func batchedRecord() []byte {
+	return encodeRedoBatchRecord("book", [][]rel.Value{
 		{rel.Int(1), rel.Str("x")},
 		{rel.Int(2), rel.Str("y")},
 		{rel.NullOf(rel.TInt), rel.Str("z")},
-	})...)
-	batched = append(batched, encodeRedoFooter(3)...)
+	})
+}
+
+// redoRowsEqual reports whether two decoded redo logs hold the same
+// rows, value for value under BitEqual.
+func redoRowsEqual(a, b []redoRecord) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Table != b[i].Table || len(a[i].Row) != len(b[i].Row) {
+			return false
+		}
+		for j := range a[i].Row {
+			if !a[i].Row[j].BitEqual(b[i].Row[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzRedoDecode gives the redo log reader the same treatment: no
+// panics, and every accepted log is of the current version (a version-1
+// or version-2 log is refused, however well formed). Its committed
+// prefix reads back alone to the same rows with no torn tail, and its
+// rows re-encode faithfully.
+func FuzzRedoDecode(f *testing.F) {
+	f.Add(legacyRedoLog("book"))
+	withRec := legacyRedoLog("book", []rel.Value{rel.Int(1), rel.Str("x")})
+	f.Add(withRec)
+	f.Add(redoLog(2, 3, legacyFrame(batchedRecord()[recordHeaderSize:])))
+	f.Add(emptyRedoLog())
+	batched := redoLog(RedoBatchVersion, 0, batchedRecord(), batchedRecord())
 	f.Add(batched)
+	f.Add(batched[:len(batched)-5])                                                           // torn tail
+	f.Add(append(batched[:len(batched):len(batched)], 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)) // zero-filled tail
 	f.Add([]byte("XRDO"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, err := readRedo(data)
+		recs, end, err := readRedo(data)
 		if err != nil {
 			return
 		}
 		if v := binary.LittleEndian.Uint32(data[4:8]); v != RedoBatchVersion {
 			t.Fatalf("accepted a redo log of version %d", v)
 		}
-		out := emptyRedoLog()[:redoHeaderSize]
+		if end > len(data) {
+			t.Fatalf("committed length %d exceeds the log's %d bytes", end, len(data))
+		}
+		recs2, end2, err := readRedo(data[:end])
+		if err != nil || end2 != end || !redoRowsEqual(recs, recs2) {
+			t.Fatalf("committed prefix of %d bytes does not read back alone: end %d, %v", end, end2, err)
+		}
+		out := emptyRedoLog()
 		for _, r := range recs {
 			out = append(out, encodeRedoBatchRecord(r.Table, [][]rel.Value{r.Row})...)
 		}
-		out = append(out, encodeRedoFooter(uint32(len(recs)))...)
-		recs2, err := readRedo(out)
-		if err != nil {
-			t.Fatalf("re-encoding of accepted redo log rejected: %v", err)
+		recs3, end3, err := readRedo(out)
+		if err != nil || end3 != len(out) {
+			t.Fatalf("re-encoding of accepted redo log rejected: end %d of %d, %v", end3, len(out), err)
 		}
-		if len(recs2) != len(recs) {
-			t.Fatalf("round trip drifted: %d records vs %d", len(recs2), len(recs))
-		}
-		for i := range recs {
-			if recs[i].Table != recs2[i].Table || len(recs[i].Row) != len(recs2[i].Row) {
-				t.Fatalf("record %d drifted", i)
-			}
-			for j := range recs[i].Row {
-				if !recs[i].Row[j].BitEqual(recs2[i].Row[j]) {
-					t.Fatalf("record %d value %d drifted", i, j)
-				}
-			}
+		if !redoRowsEqual(recs, recs3) {
+			t.Fatalf("round trip drifted: %d records vs %d", len(recs3), len(recs))
 		}
 	})
 }

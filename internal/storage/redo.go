@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -13,42 +14,38 @@ import (
 // store replays them deterministically and generation counters land
 // exactly where they were before the restart. Layout:
 //
-//	"XRDO" | u32 version | record... | footer
-//	record := u32 body length | u32 CRC32-C of body | body
+//	"XRDO" | u32 version | record...
+//	record := u32 body length | u32 CRC32-C of the length |
+//	          u32 CRC32-C of body | body
 //	body   := string table name | uvarint row count |
 //	          (uvarint value count | value...)...
-//	footer := "XEND" | u32 row count | u32 CRC32-C of footer prefix
 //
 // Each record is one batch of rows appended to the same table under a
-// single fsync (group commit). Records are self-checksummed, and the
-// footer pins the row count: an append overwrites the old footer with
-// the new record and writes a fresh footer after it. Truncating the
-// file anywhere — even exactly at a record boundary — removes or
-// damages the footer, so readRedo reports an error instead of silently
-// replaying a prefix.
+// single fsync (group commit). The log is only ever extended, and a
+// record's checksums are its commit point: the log is committed up to
+// its last record that verifies. The rest is a torn tail — the write of
+// an append that was never acknowledged — and is ignored if it starts
+// with a record header cut short by end-of-file, a verified header
+// whose body runs past end-of-file, or a header or body that fails its
+// checksum with only zero bytes after it (a machine crash can extend
+// the file before its pages reach disk); the next append cuts it off.
+// A header or body that fails with a non-zero byte after it is damage,
+// and readRedo refuses it: every record written has a non-empty body.
 //
-// The overwrite is also the log's weak point: a crash in the middle of
-// an append leaves no valid footer, and Open then refuses the whole
-// store — every batch acknowledged before the crash included — rather
-// than replaying the last commit (ROADMAP item 1 moves the commit point
-// past the old footer so only the torn append is lost).
+// The price: a truncation exactly at a record boundary reads as an
+// earlier commit, not as damage.
 
 // RedoBatchVersion is the redo log format: one record per
-// group-committed batch. Version 1 framed one row per record; readRedo
-// refuses it, like any other version, with ErrUnsupportedFormat.
-const RedoBatchVersion = 2
+// group-committed batch, no commit footer. Version 1 framed one row per
+// record and version 2 ended in an overwritten commit footer; readRedo
+// refuses both, like any other version, with ErrUnsupportedFormat.
+const RedoBatchVersion = 3
 
-var (
-	redoMagic    = [4]byte{'X', 'R', 'D', 'O'}
-	redoEndMagic = [4]byte{'X', 'E', 'N', 'D'}
-)
+var redoMagic = [4]byte{'X', 'R', 'D', 'O'}
 
-// redoHeaderSize is the fixed file header: magic + version.
-// redoFooterSize is the commit marker: magic + record count + CRC.
-const (
-	redoHeaderSize = 4 + 4
-	redoFooterSize = 4 + 4 + 4
-)
+// redoHeaderSize is the fixed file header: magic + version;
+// recordHeaderSize a record's: length + its CRC + the body's CRC.
+const redoHeaderSize, recordHeaderSize = 4 + 4, 4 + 4 + 4
 
 // redoRecord is one replayable append.
 type redoRecord struct {
@@ -56,97 +53,74 @@ type redoRecord struct {
 	Row   []rel.Value
 }
 
-// encodeRedoFooter returns the commit marker for a log holding count
-// records.
-func encodeRedoFooter(count uint32) []byte {
-	out := make([]byte, 0, redoFooterSize)
-	out = append(out, redoEndMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, count)
-	return binary.LittleEndian.AppendUint32(out, crc32.Checksum(out, crcTable))
-}
-
 // emptyRedoLog is the initial file Save and every epoch publish write:
-// the header plus a zero-record footer.
+// the header alone.
 func emptyRedoLog() []byte {
-	out := binary.LittleEndian.AppendUint32(append([]byte(nil), redoMagic[:]...), RedoBatchVersion)
-	return append(out, encodeRedoFooter(0)...)
-}
-
-// frameRedoBody wraps a record body with its length and checksum.
-func frameRedoBody(body []byte) []byte {
-	out := make([]byte, 0, 8+len(body))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(body)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
-	return append(out, body...)
+	return binary.LittleEndian.AppendUint32(append([]byte(nil), redoMagic[:]...), RedoBatchVersion)
 }
 
 // encodeRedoBatchRecord frames a batch of rows appended to one table
 // as a single checksummed record.
 func encodeRedoBatchRecord(table string, rows [][]rel.Value) []byte {
-	var body []byte
-	body = appendString(body, table)
-	body = binary.AppendUvarint(body, uint64(len(rows)))
+	rec := appendString(make([]byte, recordHeaderSize), table)
+	rec = binary.AppendUvarint(rec, uint64(len(rows)))
 	for _, row := range rows {
-		body = binary.AppendUvarint(body, uint64(len(row)))
+		rec = binary.AppendUvarint(rec, uint64(len(row)))
 		for _, v := range row {
-			body = appendValue(body, v)
+			rec = appendValue(rec, v)
 		}
 	}
-	return frameRedoBody(body)
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-recordHeaderSize))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[:4], crcTable))
+	binary.LittleEndian.PutUint32(rec[8:], crc32.Checksum(rec[recordHeaderSize:], crcTable))
+	return rec
 }
 
-// readRedo parses a redo log file's full contents. Any structural
-// damage — bad magic, truncated record, checksum mismatch, missing or
-// disagreeing footer, garbage body — is an error, and a version other
-// than RedoBatchVersion is ErrUnsupportedFormat; the caller treats the
-// store as unopenable rather than replaying a prefix silently. Batched
-// records are flattened to one redoRecord per row, in order.
-func readRedo(data []byte) ([]redoRecord, error) {
-	if len(data) < redoHeaderSize+redoFooterSize {
-		return nil, fmt.Errorf("storage: redo log truncated: %d bytes, need at least %d", len(data), redoHeaderSize+redoFooterSize)
+// readRedo parses a redo log file's full contents and returns its rows
+// and end, the committed length: the offset just past the last record
+// that verifies. Bytes past end are a torn tail. Bad magic, damage (see
+// the layout above), or a body that does not decode is an error, and a
+// version other than RedoBatchVersion is ErrUnsupportedFormat; the
+// caller treats the store as unopenable.
+// Batched records are flattened to one redoRecord per row, in order.
+func readRedo(data []byte) (recs []redoRecord, end int, err error) {
+	if len(data) < redoHeaderSize {
+		return nil, 0, fmt.Errorf("storage: redo log truncated: %d bytes, need at least %d", len(data), redoHeaderSize)
 	}
 	if [4]byte(data[:4]) != redoMagic {
-		return nil, fmt.Errorf("storage: not a redo log (magic %q)", data[:4])
+		return nil, 0, fmt.Errorf("storage: not a redo log (magic %q)", data[:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != RedoBatchVersion {
-		return nil, fmt.Errorf("%w: redo log version %d, this build reads version %d", ErrUnsupportedFormat, v, RedoBatchVersion)
+		return nil, 0, fmt.Errorf("%w: redo log version %d, this build reads version %d", ErrUnsupportedFormat, v, RedoBatchVersion)
 	}
-	foot := data[len(data)-redoFooterSize:]
-	if [4]byte(foot[:4]) != redoEndMagic {
-		return nil, fmt.Errorf("storage: redo log has no commit footer (truncated or crashed mid-append)")
-	}
-	if got, want := crc32.Checksum(foot[:8], crcTable), binary.LittleEndian.Uint32(foot[8:]); got != want {
-		return nil, fmt.Errorf("storage: redo log footer checksum mismatch: footer says %08x, hashes to %08x", want, got)
-	}
-	count := binary.LittleEndian.Uint32(foot[4:8])
-	var recs []redoRecord
-	off := redoHeaderSize
-	end := len(data) - redoFooterSize
-	for off < end {
-		if end-off < 8 {
-			return nil, fmt.Errorf("storage: redo log truncated at offset %d: partial record header", off)
+	end = redoHeaderSize
+	for len(data)-end >= recordHeaderSize {
+		rec := data[end:]
+		if crc32.Checksum(rec[:4], crcTable) != binary.LittleEndian.Uint32(rec[4:]) {
+			if len(bytes.TrimLeft(rec[recordHeaderSize:], "\x00")) == 0 {
+				break // only zero bytes after it: torn tail
+			}
+			return nil, 0, fmt.Errorf("storage: redo record at offset %d: length fails its checksum", end)
 		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		want := binary.LittleEndian.Uint32(data[off+4:])
-		off += 8
-		if n < 0 || n > end-off {
-			return nil, fmt.Errorf("storage: redo log truncated at offset %d: record body of %d bytes exceeds file", off, n)
+		n := uint64(binary.LittleEndian.Uint32(rec))
+		if n > uint64(len(rec)-recordHeaderSize) {
+			break // cut short by end-of-file: torn tail
 		}
-		body := data[off : off+n]
-		if got := crc32.Checksum(body, crcTable); got != want {
-			return nil, fmt.Errorf("storage: redo record at offset %d checksum mismatch: record says %08x, body hashes to %08x", off, want, got)
+		body, after := rec[recordHeaderSize:recordHeaderSize+n], rec[recordHeaderSize+n:]
+		if got, want := crc32.Checksum(body, crcTable), binary.LittleEndian.Uint32(rec[8:]); got != want {
+			if len(bytes.TrimLeft(after, "\x00")) == 0 {
+				break // only zero bytes after it: torn tail
+			}
+			return nil, 0, fmt.Errorf("storage: redo record at offset %d checksum mismatch: record says %08x, body hashes to %08x", end, want, got)
 		}
 		batch, err := decodeRedoBatchBody(body)
 		if err != nil {
-			return nil, fmt.Errorf("storage: redo record at offset %d: %w", off, err)
+			return nil, 0, fmt.Errorf("storage: redo record at offset %d: %w", end, err)
 		}
 		recs = append(recs, batch...)
-		off += n
+		end = len(data) - len(after)
 	}
-	if uint32(len(recs)) != count {
-		return nil, fmt.Errorf("storage: redo log holds %d rows, footer says %d", len(recs), count)
-	}
-	return recs, nil
+	return recs, end, nil
 }
 
 // decodeRedoBatchBody parses one checksum-verified record body into
@@ -190,13 +164,13 @@ func decodeRedoBatchBody(body []byte) ([]redoRecord, error) {
 	return recs, nil
 }
 
-// appendRedoBatch writes a batch of appends over the old footer at
-// footOff, follows it with the footer for count total rows, truncates
-// any stale bytes from an earlier failed write, and fsyncs once — the
-// group commit. Consecutive rows to the same table fold into one
-// batched record. The footer write is the commit: a crash before it
-// leaves a footer-less tail that readRedo rejects.
-func appendRedoBatch(path string, recs []redoRecord, footOff int64, count uint32) (newFootOff int64, err error) {
+// appendRedoBatch cuts the log back to end, its committed length,
+// so that no torn tail or bytes of a failed write stay between two
+// commits; writes the batch at end; and fsyncs once — the group commit.
+// Consecutive rows to the same table fold into one batched record. The
+// records' checksums are the commit: a crash in the write leaves a torn
+// tail that readRedo ignores.
+func appendRedoBatch(path string, recs []redoRecord, end int64) (newEnd int64, err error) {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("storage: opening redo log: %w", err)
@@ -215,16 +189,14 @@ func appendRedoBatch(path string, recs []redoRecord, footOff int64, count uint32
 		buf = append(buf, encodeRedoBatchRecord(recs[i].Table, rows)...)
 		i = j
 	}
-	recLen := int64(len(buf))
-	buf = append(buf, encodeRedoFooter(count)...)
-	if _, err := f.WriteAt(buf, footOff); err != nil {
-		return 0, fmt.Errorf("storage: appending redo batch: %w", err)
-	}
-	if err := f.Truncate(footOff + int64(len(buf))); err != nil {
+	if err := f.Truncate(end); err != nil {
 		return 0, fmt.Errorf("storage: truncating redo log: %w", err)
+	}
+	if _, err := f.WriteAt(buf, end); err != nil {
+		return 0, fmt.Errorf("storage: appending redo batch: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		return 0, fmt.Errorf("storage: syncing redo log: %w", err)
 	}
-	return footOff + recLen, nil
+	return end + int64(len(buf)), nil
 }

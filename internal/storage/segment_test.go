@@ -57,11 +57,11 @@ func TestSegmentVersionBump(t *testing.T) {
 	_, err = decodeManifest(encode(whole))
 	requireUnsupported(t, "whole-table manifest entry", err, `table "book" is a whole-table segment`)
 
-	for _, v := range []uint32{1, RedoBatchVersion + 1} {
+	for _, v := range []uint32{1, 2, RedoBatchVersion + 1} {
 		log := emptyRedoLog()
 		binary.LittleEndian.PutUint32(log[4:8], v)
-		_, err := readRedo(log)
-		requireUnsupported(t, "redo log of another version", err, fmt.Sprintf("redo log version %d, this build reads version 2", v))
+		_, _, err := readRedo(log)
+		requireUnsupported(t, "redo log of another version", err, fmt.Sprintf("redo log version %d, this build reads version 3", v))
 	}
 
 	chunked, err := EncodeChunkedSegment(fixtureDB().Tables()[0].Snapshot(), 64)

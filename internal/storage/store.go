@@ -107,11 +107,11 @@ type Store struct {
 	dirs  map[string]*chunkedDir
 	pager *pager
 	redo  map[string][]redoRecord
-	// redoFootOff is the file offset of the redo log's commit footer
-	// (where the next record goes); redoCount the committed row count.
-	// Both advance under mu as batches commit.
-	redoFootOff int64
-	redoCount   uint32
+	// redoEnd is the redo log's committed length (where the next
+	// record goes); redoCount the committed row count. Both advance
+	// under mu as batches commit.
+	redoEnd   int64
+	redoCount uint32
 	// gcCur is the open group-commit batch appenders join until a
 	// leader detaches and flushes it.
 	gcCur *commitBatch
@@ -207,9 +207,11 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 // Open reads and verifies the manifest and the redo log. Table
 // segments are not read yet — Table, Database, and Built load them
 // when called, chunk by chunk under the memory budget. Open writes
-// nothing. A store in any format other than the one Save writes — a
-// whole-table (version-1) segment, a one-row-per-record redo log, or a
-// version from a later build — fails with ErrUnsupportedFormat.
+// nothing: a torn redo tail is ignored, counted in
+// storage.redo.torn_tail_bytes, and cut off by the next append. A store
+// in any format other than the one Save writes — a whole-table
+// (version-1) segment, a redo log of another version, or a version from
+// a later build — fails with ErrUnsupportedFormat.
 func Open(dir string, opts Options) (*Store, error) {
 	start := time.Now()
 	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -225,21 +227,22 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening redo log: %w", err)
 	}
-	recs, err := readRedo(rb)
+	recs, end, err := readRedo(rb)
 	if err != nil {
 		opts.Registry.Counter("storage.checksum.failures").Inc()
 		return nil, err
 	}
+	opts.Registry.Counter("storage.redo.torn_tail_bytes").Add(int64(len(rb) - end))
 	s := &Store{
-		dir:         dir,
-		man:         man,
-		reg:         opts.Registry,
-		opts:        opts,
-		dirs:        make(map[string]*chunkedDir),
-		pager:       newPager(dir, opts.MemBudgetBytes, opts.Registry),
-		redo:        make(map[string][]redoRecord),
-		redoFootOff: int64(len(rb)) - redoFooterSize,
-		redoCount:   uint32(len(recs)),
+		dir:       dir,
+		man:       man,
+		reg:       opts.Registry,
+		opts:      opts,
+		dirs:      make(map[string]*chunkedDir),
+		pager:     newPager(dir, opts.MemBudgetBytes, opts.Registry),
+		redo:      make(map[string][]redoRecord),
+		redoEnd:   int64(end),
+		redoCount: uint32(len(recs)),
 	}
 	for _, rec := range recs {
 		if man.Table(rec.Table) == nil {
@@ -633,12 +636,12 @@ func (s *Store) flushBatchLocked(b *commitBatch) {
 	if s.gcCur == b {
 		s.gcCur = nil
 	}
-	footOff, count := s.redoFootOff, s.redoCount
+	end := s.redoEnd
 	path := filepath.Join(s.dir, s.man.RedoFile)
 	s.mu.Unlock()
 
 	nrows := uint32(len(b.recs))
-	newFoot, err := appendRedoBatch(path, b.recs, footOff, count+nrows)
+	newEnd, err := appendRedoBatch(path, b.recs, end)
 	b.flushed = true
 	b.err = err
 	if err != nil {
@@ -648,7 +651,7 @@ func (s *Store) flushBatchLocked(b *commitBatch) {
 	s.reg.Counter("storage.redo.records_appended").Add(int64(nrows))
 
 	s.mu.Lock()
-	s.redoFootOff = newFoot
+	s.redoEnd = newEnd
 	s.redoCount += nrows
 	for _, rec := range b.recs {
 		s.redo[rec.Table] = append(s.redo[rec.Table], rec)
@@ -796,7 +799,7 @@ func (s *Store) publishLocked() error {
 	s.man = newMan
 	s.redo = make(map[string][]redoRecord)
 	s.redoCount = 0
-	s.redoFootOff = redoHeaderSize
+	s.redoEnd = redoHeaderSize
 	for _, name := range rewritten {
 		delete(s.dirs, name)
 		s.pager.invalidate(name)
