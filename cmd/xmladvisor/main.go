@@ -243,15 +243,15 @@ func openStore(c cliConfig) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%-20s %10s %12s %12s %10s  %s\n", "table", "rows", "generation", "bytes", "chunk", "segment")
+	fmt.Printf("%-20s %10s %12s %10s  %s\n", "table", "rows", "bytes", "chunk", "segment")
 	for _, e := range man.Tables {
-		fmt.Printf("%-20s %10d %12d %12d %10d  %s\n", e.Name, e.Rows, e.Generation, e.Bytes, e.ChunkRows, e.File)
+		fmt.Printf("%-20s %10d %12d %10d  %s\n", e.Name, e.Rows, e.Bytes, e.ChunkRows, e.File)
 	}
 	var redoBytes int64
 	if fi, err := os.Stat(filepath.Join(c.openDir, man.RedoFile)); err == nil {
 		redoBytes = fi.Size()
 	}
-	fmt.Printf("redo %s: %d rows, %d KB (generation %d)", man.RedoFile, st.RedoRows(), redoBytes>>10, man.Epoch)
+	fmt.Printf("redo %s: %d rows, %d KB", man.RedoFile, st.RedoRows(), redoBytes>>10)
 	if torn := reg.Counter("storage.redo.torn_tail_bytes").Value(); torn > 0 {
 		fmt.Printf(", torn tail %d bytes", torn)
 	}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -161,6 +162,10 @@ func TestRunSaveOpen(t *testing.T) {
 
 	if strings.Contains(out, "paged view:") {
 		t.Errorf("unbudgeted open summary claims a paged view:\n%s", out)
+	}
+	// The redo line reports the log alone: the epoch is the header's.
+	if !slices.Contains(strings.Split(out, "\n"), "redo redo.log: 0 rows, 0 KB") {
+		t.Errorf("open summary has no redo line \"redo redo.log: 0 rows, 0 KB\":\n%s", out)
 	}
 
 	// A budgeted reopen is paged: it rebuilds through chunk-scan shells,

@@ -622,7 +622,7 @@ func diffResults(got, want *engine.Result) string {
 }
 
 // diffTables compares a reopened table against the original down to
-// the bit level: schema, row count, generation, byte accounting, and
+// the bit level: schema, row count, byte accounting, and
 // every value under Value.BitEqual.
 func diffTables(want, got *rel.Table) string {
 	if got == nil {
@@ -641,9 +641,6 @@ func diffTables(want, got *rel.Table) string {
 	}
 	if got.RowCount() != want.RowCount() {
 		return fmt.Sprintf("%d rows, original %d", got.RowCount(), want.RowCount())
-	}
-	if got.Generation() != want.Generation() {
-		return fmt.Sprintf("generation %d, original %d", got.Generation(), want.Generation())
 	}
 	if got.Bytes() != want.Bytes() || got.Pages() != want.Pages() {
 		return fmt.Sprintf("accounting %d bytes/%d pages, original %d/%d",

@@ -28,10 +28,11 @@ type Built struct {
 	caches  *builtCaches          // plan-lifetime execution structures
 	sources map[string]ScanSource // driver-stage chunk sources by table
 
-	// gens snapshots every reachable table's mutation generation at
-	// Build time; the structure caches refuse to serve after any table
-	// moves past its snapshot (see checkGenerations).
-	gens map[*rel.Table]int64
+	// gens snapshots every reachable table's row count at Build time: a
+	// table only grows, so its row count is its generation, and the
+	// structure caches refuse to serve after any table grows past its
+	// snapshot (see checkGenerations).
+	gens map[*rel.Table]int
 
 	// obsTracer and obsReg are the optional observability sinks set by
 	// AttachObs; both are nil-safe no-ops when unset.
@@ -49,27 +50,27 @@ func (b *Built) AttachObs(tr *obs.Tracer, reg *obs.Registry) {
 	b.obsReg = reg
 }
 
-// snapshotGenerations records the Build-time generation of every table
+// snapshotGenerations records the Build-time row count of every table
 // the executor can read: base tables and materialized views.
 func (b *Built) snapshotGenerations() {
-	b.gens = make(map[*rel.Table]int64)
+	b.gens = make(map[*rel.Table]int)
 	for _, t := range b.DB.Tables() {
-		b.gens[t] = t.Generation()
+		b.gens[t] = t.RowCount()
 	}
 	for _, vt := range b.views {
-		b.gens[vt] = vt.Generation()
+		b.gens[vt] = vt.RowCount()
 	}
 }
 
-// checkGenerations fails if any table mutated after Build. The
+// checkGenerations fails if any table grew after Build. The
 // plan-lifetime caches (join and EXISTS key indexes, prepared plans)
 // are derived from Build-time rows; serving them over mutated data
 // would silently return stale results, so the stale state is an error,
 // not a refresh.
 func (b *Built) checkGenerations() error {
 	for t, g := range b.gens {
-		if cur := t.Generation(); cur != g {
-			return fmt.Errorf("engine: table %s mutated after Build (generation %d, snapshot %d); cached execution structures would be stale — rebuild the configuration", t.Name, cur, g)
+		if cur := t.RowCount(); cur != g {
+			return fmt.Errorf("engine: table %s mutated after Build (%d rows, snapshot %d); cached execution structures would be stale — rebuild the configuration", t.Name, cur, g)
 		}
 	}
 	return nil

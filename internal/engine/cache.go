@@ -28,8 +28,9 @@ import (
 // Caching is safe because a Built's data is immutable after Build;
 // that used to be an unchecked convention, and mutating a table after
 // a structure was cached silently served stale results. Every cache
-// access now verifies the generation snapshot taken at Build time and
-// fails loudly on post-build mutation (see Built.checkGenerations).
+// access now verifies the row counts snapshotted at Build time (a table
+// only grows) and fails loudly on a post-build append (see
+// Built.checkGenerations).
 // Hit/miss traffic per cache kind is counted unconditionally (plain
 // atomics, one add per access) and surfaces through CacheCounters,
 // the obs registry, and execution spans. Driver scans and the ExecStats

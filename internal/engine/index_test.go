@@ -301,7 +301,7 @@ func TestRowsCalledOnlyByReference(t *testing.T) {
 				return true
 			}
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Rows" {
-				t.Errorf("%s calls .Rows(): read the column vectors (ValueAt, the typed accessors, RowComparator) instead", fset.Position(call.Pos()))
+				t.Errorf("%s calls .Rows(): read the column vectors (ValueAt, the typed accessors) instead", fset.Position(call.Pos()))
 			}
 			return true
 		})

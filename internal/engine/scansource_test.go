@@ -316,7 +316,7 @@ func TestScanSourceOverVirtualShells(t *testing.T) {
 	for _, src := range db.Tables() {
 		src := src
 		sh := rel.NewVirtualTable(src.Name, src.Parent, src.Columns,
-			src.RowCount(), src.Generation(), src.Bytes(),
+			src.RowCount(), src.Bytes(),
 			func() (*rel.Table, error) { return src, nil })
 		shellDB.Add(sh)
 		shells = append(shells, sh)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -235,37 +234,6 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// WriteText renders the span tree as indented text with durations and
-// attributes — the human-readable form of WriteJSON.
-func (t *Tracer) WriteText(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var b strings.Builder
-	var walk func(s *Span, depth int)
-	walk = func(s *Span, depth int) {
-		fmt.Fprintf(&b, "%s%s %s", strings.Repeat("  ", depth), s.Name,
-			(s.end - s.start).Round(time.Microsecond))
-		for _, a := range s.attrs {
-			fmt.Fprintf(&b, " %s=%v", a.Key, a.Value)
-		}
-		b.WriteByte('\n')
-		for _, c := range s.children {
-			walk(c, depth+1)
-		}
-	}
-	for _, r := range t.roots {
-		walk(r, 0)
-	}
-	if t.dropped > 0 {
-		fmt.Fprintf(&b, "(%d spans dropped by retention cap)\n", t.dropped)
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
 }
 
 // Validate checks span-tree well-formedness: every span is ended, ends

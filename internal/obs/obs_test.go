@@ -79,22 +79,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteText(t *testing.T) {
-	tr := New()
-	root := tr.StartSpan("outer")
-	root.Child("inner", Int("rows", 42)).End()
-	root.End()
-	var b strings.Builder
-	if err := tr.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, "outer") || !strings.Contains(out, "  inner") ||
-		!strings.Contains(out, "rows=42") {
-		t.Errorf("text rendering missing pieces:\n%s", out)
-	}
-}
-
 func TestNilTracerAndSpanNoop(t *testing.T) {
 	var tr *Tracer
 	if tr.Enabled() {
@@ -117,9 +101,6 @@ func TestNilTracerAndSpanNoop(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `"spans":[]`) {
 		t.Errorf("nil tracer JSON = %s", b.String())
-	}
-	if err := tr.WriteText(io.Discard); err != nil {
-		t.Fatal(err)
 	}
 }
 

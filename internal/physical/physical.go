@@ -336,17 +336,6 @@ func (c *Config) AddPartition(vp *VPartition) bool {
 	return true
 }
 
-// IndexesOn returns the indexes on a table.
-func (c *Config) IndexesOn(table string) []*Index {
-	var out []*Index
-	for _, i := range c.Indexes {
-		if i.Table == table {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
 // PartitionOf returns the vertical partitioning of a table, or nil.
 func (c *Config) PartitionOf(table string) *VPartition {
 	for _, vp := range c.Partitions {

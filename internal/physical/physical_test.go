@@ -106,8 +106,8 @@ func TestConfigDedupAndLookup(t *testing.T) {
 	if cfg.AddIndex(i2) {
 		t.Error("duplicate index added")
 	}
-	if len(cfg.IndexesOn("movie")) != 1 || len(cfg.IndexesOn("actor")) != 0 {
-		t.Error("IndexesOn wrong")
+	if len(cfg.Indexes) != 1 {
+		t.Errorf("%d indexes after adding one twice, want 1", len(cfg.Indexes))
 	}
 	v := &View{Name: "v", Outer: "movie", Inner: "actor", OuterCols: []string{"ID"}, InnerCols: []string{"actor"}}
 	if !cfg.AddView(v) || cfg.AddView(v) {

@@ -1,9 +1,6 @@
 package rel
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // This file is the columnar storage layer under Table: one typed vector
 // per column (int64, float64, or dictionary-coded strings) plus a null
@@ -45,15 +42,6 @@ func (b *Bitmap) SetCount() int { return b.set }
 // Any reports whether any bit is set; filter kernels skip the per-row
 // null check entirely on all-valid columns.
 func (b *Bitmap) Any() bool { return b.set > 0 }
-
-// permute rebuilds the bitmap so that new bit i = old bit perm[i].
-func (b *Bitmap) permute(perm []int) {
-	nb := Bitmap{words: make([]uint64, 0, len(b.words))}
-	for _, p := range perm {
-		nb.Append(b.Get(p))
-	}
-	*b = nb
-}
 
 // Dict is a per-column string dictionary: distinct strings in first-
 // appearance order, so codes are stable as the column grows and
@@ -168,70 +156,6 @@ func (cv *colVec) value(row int) Value {
 	default:
 		return Str(cv.dict.Str(cv.codes[row]))
 	}
-}
-
-// comparator orders two rows of the column as Value.Compare orders their
-// values. A column holds only NULLs and values of its own type, for
-// which Compare is NULLs first and then the scalar order of the payload,
-// so it is read off the typed vector.
-func (cv *colVec) comparator() func(a, b int) int {
-	var payload func(a, b int) int
-	switch cv.typ {
-	case TInt:
-		ints := cv.ints
-		payload = func(a, b int) int { return cmpInt(ints[a], ints[b]) }
-	case TFloat:
-		floats := cv.floats
-		payload = func(a, b int) int { return cmpFloat(floats[a], floats[b]) }
-	default:
-		codes, strs := cv.codes, cv.dict.strs
-		payload = func(a, b int) int {
-			if codes[a] == codes[b] {
-				return 0
-			}
-			return strings.Compare(strs[codes[a]], strs[codes[b]])
-		}
-	}
-	if !cv.nulls.Any() {
-		return payload
-	}
-	nulls := &cv.nulls
-	return func(a, b int) int {
-		switch an, bn := nulls.Get(a), nulls.Get(b); {
-		case an && bn:
-			return 0
-		case an:
-			return -1
-		case bn:
-			return 1
-		}
-		return payload(a, b)
-	}
-}
-
-// permute reorders the column so that new row i = old row perm[i].
-func (cv *colVec) permute(perm []int) {
-	switch cv.typ {
-	case TInt:
-		ni := make([]int64, len(perm))
-		for i, p := range perm {
-			ni[i] = cv.ints[p]
-		}
-		cv.ints = ni
-	case TFloat:
-		nf := make([]float64, len(perm))
-		for i, p := range perm {
-			nf[i] = cv.floats[p]
-		}
-		cv.floats = nf
-	case TString:
-		nc := make([]uint32, len(perm))
-		for i, p := range perm {
-			nc[i] = cv.codes[p]
-		}
-		cv.codes = nc
-	}
-	cv.nulls.permute(perm)
 }
 
 // sanity check used by tests.

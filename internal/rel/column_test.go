@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -219,8 +218,8 @@ func TestAppendRowRefusesValuesThatDoNotFit(t *testing.T) {
 			}()
 			tb.AppendRow(tc.row)
 		}()
-		if tb.RowCount() != 1 || tb.Generation() != 1 {
-			t.Errorf("%s: the refused row changed the table: %d rows, generation %d", tc.name, tb.RowCount(), tb.Generation())
+		if tb.RowCount() != 1 {
+			t.Errorf("%s: the refused row changed the table: %d rows", tc.name, tb.RowCount())
 		}
 		for ci := range cols {
 			if err := tb.cols[ci].lenCheck(1); err != nil {
@@ -258,42 +257,6 @@ func TestTableBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestSortByIDPermutes: sorting by ID moves whole rows — special float
-// payloads, NULL bits and dictionary codes travel with their row — and
-// bumps the generation.
-func TestSortByIDPermutes(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	cols := []Column{
-		{Name: "ID", Typ: TInt},
-		{Name: "f", Typ: TFloat, Nullable: true},
-		{Name: "s", Typ: TString, Nullable: true},
-	}
-	tb := NewTable("sorted", cols)
-	byID := make(map[int64][]Value)
-	perm := rand.New(rand.NewSource(7)).Perm(200)
-	for _, id := range perm {
-		row := []Value{Int(int64(id)), randomValue(r, TFloat), randomValue(r, TString)}
-		byID[int64(id)] = append([]Value(nil), row...)
-		tb.AppendRow(row)
-	}
-	genBefore := tb.Generation()
-	tb.SortByID()
-	if tb.Generation() == genBefore {
-		t.Fatal("SortByID did not bump the generation")
-	}
-	rows := tb.Rows()
-	for i, row := range rows {
-		if row[0].I != int64(i) {
-			t.Fatalf("row %d has ID %d after sort", i, row[0].I)
-		}
-		for j, v := range byID[row[0].I] {
-			if !row[j].BitEqual(v) {
-				t.Fatalf("row ID %d col %d = %v, want %v", row[0].I, j, row[j], v)
-			}
-		}
-	}
-}
-
 // TestRowsMaterializesPerCall: Rows() keeps nothing on the table — every
 // call hands out fresh rows the caller owns, and rows taken before a
 // mutation still describe the table as it was.
@@ -311,79 +274,5 @@ func TestRowsMaterializesPerCall(t *testing.T) {
 	}
 	if len(r3) != 2 {
 		t.Fatalf("after the append Rows() has %d rows, want 2", len(r3))
-	}
-}
-
-// comparatorTable holds one column of every storage shape RowComparator
-// reads: typed vectors with and without NULLs (the floats with NaN,
-// -0.0 and both infinities). Values repeat so ties are common, and ID
-// repeats and goes NULL so a stable sort by it has something to keep in
-// place.
-func comparatorTable() *Table {
-	tb := NewTable("cmp", []Column{
-		{Name: "ID", Typ: TInt, Nullable: true},
-		{Name: "i", Typ: TInt},
-		{Name: "f", Typ: TFloat, Nullable: true},
-		{Name: "s", Typ: TString, Nullable: true},
-		{Name: "sfull", Typ: TString},
-	})
-	floats := []float64{math.NaN(), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1), 1.5, -2.25, 1.5}
-	r := rand.New(rand.NewSource(97))
-	for n := 0; n < 120; n++ {
-		id := Int(int64(r.Intn(30)))
-		if n%9 == 4 {
-			id = NullOf(TInt)
-		}
-		f := Float(floats[r.Intn(len(floats))])
-		if n%7 == 3 {
-			f = NullOf(TFloat)
-		}
-		s := Str(fmt.Sprintf("s-%d", r.Intn(9)))
-		if n%5 == 2 {
-			s = NullOf(TString)
-		}
-		tb.AppendRow([]Value{id, Int(int64(r.Intn(11) - 5)), f, s, Str(fmt.Sprintf("w%d", r.Intn(7)))})
-	}
-	return tb
-}
-
-// TestRowComparatorMatchesValueCompare: over every column of
-// comparatorTable and every pair of rows, the comparator returns what
-// Value.Compare returns for the two cells.
-func TestRowComparatorMatchesValueCompare(t *testing.T) {
-	tb := comparatorTable()
-	for ci, c := range tb.Columns {
-		cmp := tb.RowComparator(ci)
-		for a := 0; a < tb.RowCount(); a++ {
-			for b := 0; b < tb.RowCount(); b++ {
-				va, vb := tb.ValueAt(a, ci), tb.ValueAt(b, ci)
-				if got, want := cmp(a, b), va.Compare(vb); got != want {
-					t.Fatalf("column %s rows %d, %d: comparator %d, (%v).Compare(%v) = %d", c.Name, a, b, got, va, vb, want)
-				}
-			}
-		}
-	}
-}
-
-// TestSortByIDMatchesRowSort: SortByID lands every row where a stable
-// sort of the materialized rows by Value.Compare on ID puts it — the
-// algorithm it replaced — repeats and NULLs keep their relative order.
-func TestSortByIDMatchesRowSort(t *testing.T) {
-	short := NewTable("short", []Column{{Name: "ID", Typ: TInt, Nullable: true}, {Name: "n", Typ: TInt}})
-	for n, id := range []Value{Int(5), Int(4), Int(3), NullOf(TInt), Int(3), Int(5), NullOf(TInt), Int(1)} {
-		short.AppendRow([]Value{id, Int(int64(n))})
-	}
-	for _, tb := range []*Table{comparatorTable(), short} {
-		want := tb.Rows()
-		sort.SliceStable(want, func(i, j int) bool { return want[i][0].Compare(want[j][0]) < 0 })
-		tb.SortByID()
-		got := tb.Rows()
-		for i := range want {
-			for j := range want[i] {
-				if !got[i][j].BitEqual(want[i][j]) {
-					t.Fatalf("%s row %d col %d = %v after SortByID, the row sort puts %v there", tb.Name, i, j, got[i][j], want[i][j])
-				}
-			}
-		}
 	}
 }

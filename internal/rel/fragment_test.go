@@ -53,11 +53,10 @@ func TestFragmentColumnByColumn(t *testing.T) {
 		"Snapshot":    func() { frag.Snapshot() },
 		"ReadRowInto": func() { frag.ReadRowInto(make([]Value, len(frag.Columns)), 0) },
 		"AppendRow":   func() { frag.AppendRow(make([]Value, len(frag.Columns))) },
-		"SortByID":    func() { frag.SortByID() },
 	} {
 		mustPanicWith(t, name, "fragment", f)
 	}
-	mustPanicWith(t, "RowComparator", "absent", func() { frag.RowComparator(1) })
+	mustPanicWith(t, "WidthSum", "absent", func() { frag.WidthSum(1) })
 
 	if err := frag.AdoptColumn(2, &snap.Columns[2]); err == nil || !strings.Contains(err.Error(), "already resident") {
 		t.Fatalf("adopting a resident column: %v", err)

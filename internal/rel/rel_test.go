@@ -163,20 +163,6 @@ func TestTableAppendRowWidthPanics(t *testing.T) {
 	newTestTable().AppendRow([]Value{Int(1)})
 }
 
-func TestTableSortByID(t *testing.T) {
-	tb := newTestTable()
-	tb.AppendRow([]Value{Int(3), Int(1), Str("c"), Int(1)})
-	tb.AppendRow([]Value{Int(1), Int(1), Str("a"), Int(1)})
-	tb.AppendRow([]Value{Int(2), Int(1), Str("b"), Int(1)})
-	tb.SortByID()
-	rows := tb.Rows()
-	for i, want := range []int64{1, 2, 3} {
-		if rows[i][0].I != want {
-			t.Fatalf("row %d ID = %d, want %d", i, rows[i][0].I, want)
-		}
-	}
-}
-
 func TestDatabase(t *testing.T) {
 	db := NewDatabase()
 	tb := newTestTable()
@@ -222,7 +208,7 @@ func TestDuplicateColumnPanics(t *testing.T) {
 // TestRowBytesMatchesAppendRow pins the shared accounting contract
 // consumers that predict a table's bookkeeping without appending rely
 // on (storage's paged shells): one AppendRow moves Bytes() by exactly
-// RowBytes(row) and Generation() by exactly one, across every value
+// RowBytes(row) and RowCount() by exactly one, across every value
 // shape including NULLs, the empty string and negative zero.
 func TestRowBytesMatchesAppendRow(t *testing.T) {
 	tb := NewTable("acct", []Column{
@@ -238,14 +224,14 @@ func TestRowBytesMatchesAppendRow(t *testing.T) {
 		{Int(5), Str(""), Float(-0.0)},
 	}
 	for i, row := range rows {
-		genBefore, bytesBefore := tb.Generation(), tb.Bytes()
+		rowsBefore, bytesBefore := tb.RowCount(), tb.Bytes()
 		want := RowBytes(row)
 		tb.AppendRow(row)
 		if got := tb.Bytes() - bytesBefore; got != want {
 			t.Errorf("row %d: AppendRow moved Bytes by %d, RowBytes predicts %d", i, got, want)
 		}
-		if got := tb.Generation() - genBefore; got != 1 {
-			t.Errorf("row %d: AppendRow moved Generation by %d, want 1", i, got)
+		if got := tb.RowCount() - rowsBefore; got != 1 {
+			t.Errorf("row %d: AppendRow moved RowCount by %d, want 1", i, got)
 		}
 	}
 	restored, err := TableFromSnapshot(tb.Snapshot())

@@ -42,10 +42,6 @@ type TableSnapshot struct {
 	Parent string
 	// RowCount is the number of rows.
 	RowCount int
-	// Generation is the table's mutation counter at snapshot time; a
-	// restored table resumes from it, so Build-time generation guards
-	// survive a save/reopen cycle.
-	Generation int64
 	// Columns has one entry per column, in column order.
 	Columns []ColumnSnapshot
 }
@@ -56,11 +52,10 @@ type TableSnapshot struct {
 func (t *Table) Snapshot() *TableSnapshot {
 	t.requireWhole()
 	s := &TableSnapshot{
-		Name:       t.Name,
-		Parent:     t.Parent,
-		RowCount:   t.nrows,
-		Generation: t.gen,
-		Columns:    make([]ColumnSnapshot, len(t.Columns)),
+		Name:     t.Name,
+		Parent:   t.Parent,
+		RowCount: t.nrows,
+		Columns:  make([]ColumnSnapshot, len(t.Columns)),
 	}
 	for i := range t.Columns {
 		cv := &t.cols[i]
@@ -86,8 +81,7 @@ func (t *Table) Snapshot() *TableSnapshot {
 // this reason). String columns are re-coded against a fresh local
 // dictionary in first-appearance order within the slice, so the result
 // satisfies every invariant TableFromSnapshot checks: a chunk is a valid table in its
-// own right. Generation is 0 — a chunk has no mutation history of its
-// own; the chunked segment directory carries the table's generation.
+// own right.
 func (s *TableSnapshot) SliceSnapshot(lo, hi int) (*TableSnapshot, error) {
 	if lo < 0 || hi < lo || hi > s.RowCount {
 		return nil, fmt.Errorf("rel: slice [%d,%d) out of range for %d rows", lo, hi, s.RowCount)
@@ -173,9 +167,6 @@ func TableFromSnapshot(s *TableSnapshot) (*Table, error) {
 	if s.RowCount < 0 {
 		return nil, fmt.Errorf("rel: snapshot of %s has negative row count %d", s.Name, s.RowCount)
 	}
-	if s.Generation < 0 {
-		return nil, fmt.Errorf("rel: snapshot of %s has negative generation %d", s.Name, s.Generation)
-	}
 	cols := make([]Column, len(s.Columns))
 	for i := range s.Columns {
 		if cols[i] = s.Columns[i].Col; cols[i].Name == "" {
@@ -187,7 +178,6 @@ func TableFromSnapshot(s *TableSnapshot) (*Table, error) {
 		return nil, err
 	}
 	t := newFragment(s.Name, s.Parent, cols, s.RowCount, idx)
-	t.gen = s.Generation
 	for i := range s.Columns {
 		if err := t.AdoptColumn(i, &s.Columns[i]); err != nil {
 			return nil, err

@@ -48,9 +48,6 @@ func tablesBitEqual(t *testing.T, a, b *Table) {
 	if a.RowCount() != b.RowCount() {
 		t.Fatalf("row count %d vs %d", a.RowCount(), b.RowCount())
 	}
-	if a.Generation() != b.Generation() {
-		t.Fatalf("generation %d vs %d", a.Generation(), b.Generation())
-	}
 	if a.Bytes() != b.Bytes() {
 		t.Fatalf("bytes %d vs %d", a.Bytes(), b.Bytes())
 	}
@@ -76,17 +73,17 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	tablesBitEqual(t, tbl, got)
 	// The restored table must keep working as a live table: typed
-	// accessors serve its columns, appends continue the generation.
+	// accessors serve its columns, appends extend it.
 	if _, _, ok := got.IntCol(0); !ok {
 		t.Error("restored INT column not servable by IntCol")
 	}
 	if _, _, _, ok := got.StrCol(2); !ok {
 		t.Error("restored VARCHAR column not servable by StrCol")
 	}
-	gen := got.Generation()
+	rows := got.RowCount()
 	got.AppendRow([]Value{Int(8), Int(1), Str("delta"), Float(2)})
-	if got.Generation() != gen+1 {
-		t.Errorf("append after restore: generation %d, want %d", got.Generation(), gen+1)
+	if got.RowCount() != rows+1 || got.ValueAt(rows, 2).S != "delta" {
+		t.Errorf("append after restore: %d rows, want %d", got.RowCount(), rows+1)
 	}
 }
 
@@ -143,7 +140,6 @@ func TestTableFromSnapshotRejects(t *testing.T) {
 		{"nil snapshot", nil},
 		{"empty name", func(s *TableSnapshot) { s.Name = "" }},
 		{"negative rows", func(s *TableSnapshot) { s.RowCount = -1 }},
-		{"negative generation", func(s *TableSnapshot) { s.Generation = -3 }},
 		{"duplicate column", func(s *TableSnapshot) { s.Columns[1].Col.Name = s.Columns[0].Col.Name }},
 		{"empty column name", func(s *TableSnapshot) { s.Columns[2].Col.Name = "" }},
 		{"bad type", func(s *TableSnapshot) { s.Columns[0].Col.Typ = Type(9) }},

@@ -50,8 +50,9 @@ func (c *Column) TypeDecl() string {
 // it keeps its data in: one typed vector per column (int64, float64, or
 // dictionary-coded strings) plus a null bitmap. The executor's kernels
 // and tuple fills read the vectors through the typed accessors
-// (IntCol/FloatCol/StrCol), structure builds through ValueAt and
-// RowComparator. Rows and ReadRowInto rebuild bit-identical rows for a
+// (IntCol/FloatCol/StrCol), structure builds through ValueAt. A table
+// only grows: AppendRow is its one mutation, so its row count is also
+// its version. Rows and ReadRowInto rebuild bit-identical rows for a
 // caller that wants them — the reference executor, the ingest benchmark's
 // read-back, tests — and nothing of what they return stays on the table.
 type Table struct {
@@ -68,7 +69,6 @@ type Table struct {
 	nrows  int
 	colIdx map[string]int
 	bytes  int64
-	gen    int64
 	// absent counts the columns whose vectors are not resident; nonzero
 	// only on a fragment (NewFragment).
 	absent int
@@ -117,16 +117,16 @@ func mustIndexColumns(table string, cols []Column) map[string]int {
 }
 
 // NewVirtualTable creates a schema-only shell that reports the name,
-// columns, parent, row count, generation, and byte accounting of a real
-// table whose data is not resident. Metadata accessors (RowCount,
-// Generation, Bytes, ColIndex, ...) work immediately; data accessors
+// columns, parent, row count, and byte accounting of a real table whose
+// data is not resident. Metadata accessors (RowCount, Bytes, ColIndex,
+// ...) work immediately; data accessors
 // require a prior Hydrate call, which resolves the resident form
 // through load and must land on exactly the declared shape. Typed
 // kernel accessors (IntCol/FloatCol/StrCol) report ok=false while
 // unhydrated, matching their "no vector available" contract.
-func NewVirtualTable(name, parent string, cols []Column, rows int, gen, bytes int64, load func() (*Table, error)) *Table {
+func NewVirtualTable(name, parent string, cols []Column, rows int, bytes int64, load func() (*Table, error)) *Table {
 	t := &Table{Name: name, Parent: parent, Columns: cols,
-		nrows: rows, gen: gen, bytes: bytes,
+		nrows: rows, bytes: bytes,
 		colIdx: mustIndexColumns(name, cols), load: load}
 	t.virtual.Store(true)
 	return t
@@ -137,7 +137,7 @@ func NewVirtualTable(name, parent string, cols []Column, rows int, gen, bytes in
 // AdoptColumn makes its columns resident one at a time. While a column is
 // absent, the typed accessors report ok=false for it and ValueAt and
 // IsNullAt panic on it; every accessor that reads whole rows (Rows,
-// ReadRowInto, Snapshot, AppendRow, SortByID) panics while any column is
+// ReadRowInto, Snapshot, AppendRow) panics while any column is
 // absent. Those panics are programming errors, as on a virtual shell: a
 // reader of a fragment reads only the columns it asked for. A fragment
 // keeps no byte accounting (Bytes is 0); whoever caches it budgets it.
@@ -190,7 +190,7 @@ func (t *Table) WithoutColumn(ci int) *Table {
 func (t *Table) derive() *Table {
 	t.requireResident()
 	return &Table{Name: t.Name, Parent: t.Parent, Columns: t.Columns, nrows: t.nrows,
-		colIdx: t.colIdx, gen: t.gen, absent: t.absent, cols: slices.Clone(t.cols)}
+		colIdx: t.colIdx, absent: t.absent, cols: slices.Clone(t.cols)}
 }
 
 // Resident reports whether the table's data is readable: always true
@@ -199,7 +199,7 @@ func (t *Table) Resident() bool { return !t.virtual.Load() }
 
 // Hydrate resolves a virtual shell to its resident form; it is a no-op
 // on a resident table. The loaded table must match the shell's declared
-// schema, row count, generation, and byte accounting exactly — a
+// schema, row count, and byte accounting exactly — a
 // mismatch means the backing store moved on since the shell was created
 // and is reported as an error, never served.
 func (t *Table) Hydrate() error {
@@ -218,9 +218,9 @@ func (t *Table) Hydrate() error {
 	if src.absent > 0 {
 		return fmt.Errorf("rel: hydrating %s: loaded a fragment with %d columns absent", t.Name, src.absent)
 	}
-	if src.nrows != t.nrows || src.gen != t.gen || src.bytes != t.bytes || len(src.Columns) != len(t.Columns) {
-		return fmt.Errorf("rel: hydrating %s: loaded %d rows / generation %d / %d bytes, shell declares %d / %d / %d",
-			t.Name, src.nrows, src.gen, src.bytes, t.nrows, t.gen, t.bytes)
+	if src.nrows != t.nrows || src.bytes != t.bytes || len(src.Columns) != len(t.Columns) {
+		return fmt.Errorf("rel: hydrating %s: loaded %d rows / %d bytes, shell declares %d / %d",
+			t.Name, src.nrows, src.bytes, t.nrows, t.bytes)
 	}
 	for i := range t.Columns {
 		if src.Columns[i] != t.Columns[i] {
@@ -282,8 +282,7 @@ func (t *Table) HasColumn(name string) bool { return t.ColIndex(name) >= 0 }
 // RowBytes returns the byte-accounting delta one AppendRow of row
 // applies: the per-row overhead plus each value's width. AppendRow
 // itself uses it, so consumers that predict a table's accounting
-// without appending cannot drift from the real bookkeeping (the
-// matching Generation() delta is one per appended row).
+// without appending cannot drift from the real bookkeeping.
 func RowBytes(row []Value) int64 {
 	b := int64(8) // per-row overhead
 	for _, v := range row {
@@ -312,17 +311,12 @@ func (t *Table) AppendRow(row []Value) {
 	}
 	t.nrows++
 	t.bytes += RowBytes(row)
-	t.gen++
 }
 
-// Generation counts the mutations (appends, re-sorts) this table has
-// seen. Consumers that cache structures derived from the rows — the
-// engine's plan-lifetime key indexes and prepared plans —
-// snapshot it and refuse to serve the cache after the table moved on,
-// turning silent stale reads into loud errors.
-func (t *Table) Generation() int64 { return t.gen }
-
-// RowCount returns the number of rows.
+// RowCount returns the number of rows. A table changes only by
+// AppendRow, so consumers that cache structures derived from the rows —
+// the engine's plan-lifetime key indexes and prepared plans — snapshot
+// it and refuse to serve the cache after the table grew past it.
 func (t *Table) RowCount() int { return t.nrows }
 
 // Bytes returns the accounted data size in bytes.
@@ -432,35 +426,6 @@ func (t *Table) Rows() [][]Value {
 		}
 	}
 	return rows
-}
-
-// RowComparator returns the order of the table's rows by column ci:
-// cmp(a, b) compares the cells of rows a and b exactly as Value.Compare
-// does (NULLs first, the NaN total order), reading the column straight
-// off its typed vector. The function reads the table as it is when
-// called, so build it after the last mutation.
-func (t *Table) RowComparator(ci int) func(a, b int) int {
-	t.requireColumn(ci)
-	return t.cols[ci].comparator()
-}
-
-// SortByID sorts rows by the ID column; shredding emits rows in
-// document order so this is normally already true.
-func (t *Table) SortByID() {
-	t.requireWhole()
-	id := t.ColIndex(IDColumn)
-	if id < 0 {
-		return
-	}
-	perm := make([]int, t.nrows)
-	for i := range perm {
-		perm[i] = i
-	}
-	slices.SortStableFunc(perm, t.RowComparator(id))
-	for ci := range t.cols {
-		t.cols[ci].permute(perm)
-	}
-	t.gen++
 }
 
 // Database is a named collection of tables.

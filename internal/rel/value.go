@@ -65,9 +65,6 @@ func Str(s string) Value { return Value{Typ: TString, S: s} }
 // NullOf builds a NULL of the given type.
 func NullOf(t Type) Value { return Value{Typ: t, Null: true} }
 
-// IsNull reports whether the value is NULL.
-func (v Value) IsNull() bool { return v.Null }
-
 // Compare orders two values; NULL sorts before every non-NULL, and NaN
 // sorts after NULL but before every other float (see cmpFloat), so the
 // order is total. Values of different numeric types compare

@@ -14,14 +14,14 @@ func TestVirtualTableMetadataAndGuards(t *testing.T) {
 	src := snapshotTable(t)
 	src.Parent = "root"
 	v := NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount(),
-		src.Generation(), src.Bytes(), func() (*Table, error) { return src, nil })
+		src.Bytes(), func() (*Table, error) { return src, nil })
 
 	if v.Resident() {
 		t.Fatal("fresh shell reports resident")
 	}
-	if v.RowCount() != src.RowCount() || v.Generation() != src.Generation() || v.Bytes() != src.Bytes() {
-		t.Fatalf("shell metadata %d/%d/%d, want %d/%d/%d",
-			v.RowCount(), v.Generation(), v.Bytes(), src.RowCount(), src.Generation(), src.Bytes())
+	if v.RowCount() != src.RowCount() || v.Bytes() != src.Bytes() {
+		t.Fatalf("shell metadata %d/%d, want %d/%d",
+			v.RowCount(), v.Bytes(), src.RowCount(), src.Bytes())
 	}
 	if v.ColIndex("title") != src.ColIndex("title") || !v.HasColumn(IDColumn) {
 		t.Fatal("shell column metadata differs from source")
@@ -53,7 +53,6 @@ func TestVirtualTableMetadataAndGuards(t *testing.T) {
 	mustPanic("IsNullAt", func() { v.IsNullAt(0, 0) })
 	mustPanic("ReadRowInto", func() { v.ReadRowInto(make([]Value, len(v.Columns)), 0) })
 	mustPanic("AppendRow", func() { v.AppendRow(make([]Value, len(v.Columns))) })
-	mustPanic("SortByID", func() { v.SortByID() })
 	mustPanic("Snapshot", func() { v.Snapshot() })
 }
 
@@ -64,7 +63,7 @@ func TestVirtualTableHydrate(t *testing.T) {
 	src := snapshotTable(t)
 	loads := 0
 	v := NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount(),
-		src.Generation(), src.Bytes(), func() (*Table, error) { loads++; return src, nil })
+		src.Bytes(), func() (*Table, error) { loads++; return src, nil })
 
 	if err := v.Hydrate(); err != nil {
 		t.Fatal(err)
@@ -88,7 +87,7 @@ func TestVirtualTableHydrate(t *testing.T) {
 }
 
 // TestVirtualTableHydrateMismatch covers every declared-shape check:
-// the loader returning a table that moved on (rows, generation, bytes,
+// the loader returning a table that moved on (rows, bytes,
 // columns) must be reported, never served.
 func TestVirtualTableHydrateMismatch(t *testing.T) {
 	src := snapshotTable(t)
@@ -99,24 +98,20 @@ func TestVirtualTableHydrateMismatch(t *testing.T) {
 		want string
 	}{
 		{"load error",
-			NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount(), src.Generation(), src.Bytes(),
+			NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount(), src.Bytes(),
 				func() (*Table, error) { return nil, loadErr }),
 			"segment vanished"},
 		{"row mismatch",
-			NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount()+1, src.Generation(), src.Bytes(),
-				func() (*Table, error) { return src, nil }),
-			"shell declares"},
-		{"generation mismatch",
-			NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount(), src.Generation()+5, src.Bytes(),
+			NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount()+1, src.Bytes(),
 				func() (*Table, error) { return src, nil }),
 			"shell declares"},
 		{"bytes mismatch",
-			NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount(), src.Generation(), src.Bytes()-1,
+			NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount(), src.Bytes()-1,
 				func() (*Table, error) { return src, nil }),
 			"shell declares"},
 		{"column mismatch",
 			NewVirtualTable(src.Name, src.Parent, append([]Column{{Name: IDColumn, Typ: TString}}, src.Columns[1:]...),
-				src.RowCount(), src.Generation(), src.Bytes(),
+				src.RowCount(), src.Bytes(),
 				func() (*Table, error) { return src, nil }),
 			"column 0"},
 	}

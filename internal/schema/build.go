@@ -13,13 +13,6 @@ func Elem(name string, children ...*Node) *Node {
 	return &Node{Kind: KindElement, Name: name, Children: children}
 }
 
-// TypedElem constructs an element node carrying a shared type name.
-func TypedElem(name, typeName string, children ...*Node) *Node {
-	n := Elem(name, children...)
-	n.TypeName = typeName
-	return n
-}
-
 // Leaf constructs a leaf element with simple content of the given base
 // type.
 func Leaf(name string, base BaseType) *Node {

@@ -146,9 +146,6 @@ type Node struct {
 	Parent *Node
 }
 
-// IsElement reports whether the node is a tagname node.
-func (n *Node) IsElement() bool { return n.Kind == KindElement }
-
 // IsLeaf reports whether the node is a leaf element: an element whose
 // entire content is a single simple type. Leaf elements map to columns.
 func (n *Node) IsLeaf() bool {

@@ -288,8 +288,8 @@ func (s *Service) tenant(name string) *tenant {
 // RegisterBuilt registers a corpus over an already materialized Built.
 // The mapping must be the one the data was shredded under (it drives
 // XPath translation); cfg nil takes the Built's own configuration. The
-// Built is shared by every session from here on and must not be
-// mutated (its generation guard fails queries loudly if it is).
+// Built is shared by every session from here on and its tables must not
+// grow (its Build-time row counts fail queries loudly if they do).
 func (s *Service) RegisterBuilt(name string, b *engine.Built, m *shred.Mapping, cfg *physical.Config) error {
 	if cfg == nil {
 		cfg = b.Config

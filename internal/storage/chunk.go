@@ -40,7 +40,9 @@ import (
 // per-chunk CRC, then bounds-checked decode, then full
 // rel.TableFromSnapshot structural validation. Version 1 was a
 // whole-table blob; Open refuses a store that still holds one with
-// ErrUnsupportedFormat.
+// ErrUnsupportedFormat. The directory's generation is always its row
+// count (a table only grows); a directory where it is not is refused,
+// and the field stays until the next format version drops it.
 const ChunkSegmentVersion = 2
 
 // DefaultChunkRows is the chunk size Save uses when Options.ChunkRows
@@ -66,13 +68,12 @@ type chunkRef struct {
 
 // chunkedDir is the parsed directory of a chunked segment.
 type chunkedDir struct {
-	Name       string
-	Parent     string
-	Generation int64
-	RowCount   int
-	ChunkRows  int
-	Cols       []rel.Column
-	Chunks     []chunkRef
+	Name      string
+	Parent    string
+	RowCount  int
+	ChunkRows int
+	Cols      []rel.Column
+	Chunks    []chunkRef
 	// DirLen is the framed directory length — the file offset where
 	// the first chunk starts.
 	DirLen int64
@@ -113,7 +114,7 @@ func EncodeChunkedSegment(s *rel.TableSnapshot, chunkRows int) ([]byte, error) {
 	var p []byte
 	p = appendString(p, s.Name)
 	p = appendString(p, s.Parent)
-	p = binary.AppendUvarint(p, uint64(s.Generation))
+	p = binary.AppendUvarint(p, uint64(s.RowCount)) // generation: a table only grows
 	p = binary.AppendUvarint(p, uint64(s.RowCount))
 	p = binary.AppendUvarint(p, uint64(chunkRows))
 	p = binary.AppendUvarint(p, uint64(len(s.Columns)))
@@ -199,7 +200,7 @@ func decodeChunkedDir(data []byte) (*chunkedDir, error) {
 	d := &chunkedDir{DirLen: consumed}
 	d.Name = r.str("table name")
 	d.Parent = r.str("parent name")
-	d.Generation = int64(r.uvarint("generation"))
+	gen := r.uvarint("generation")
 	rows := r.uvarint("row count")
 	chunkRows := r.uvarint("chunk size")
 	ncols := r.uvarint("column count")
@@ -208,6 +209,9 @@ func decodeChunkedDir(data []byte) (*chunkedDir, error) {
 	}
 	if rows > math.MaxInt32 {
 		return nil, r.failf("row count %d is implausible", rows)
+	}
+	if gen != rows {
+		return nil, r.failf("generation %d is not the row count %d", gen, rows)
 	}
 	d.RowCount = int(rows)
 	if chunkRows == 0 || chunkRows%64 != 0 || chunkRows > math.MaxInt32 {
@@ -326,7 +330,7 @@ func (d *chunkedDir) fileSize() int64 {
 // TableFromSnapshot runs). A column outside cols is walked
 // with the same bounds checks and nothing is allocated for it. The
 // returned fragment holds exactly the columns in cols, self-contained
-// (local dictionary, generation 0) and ready to
+// (local dictionary) and ready to
 // scan: it is what the pager caches. Nothing in it points into blob.
 // regions, when not nil, has one slot per column and receives the
 // length of every column's encoded region, the bytes the pager charges
@@ -390,11 +394,10 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 		return nil, fmt.Errorf("storage: merging %d chunks of %s, directory says %d", len(parts), d.Name, len(d.Chunks))
 	}
 	out := &rel.TableSnapshot{
-		Name:       d.Name,
-		Parent:     d.Parent,
-		Generation: d.Generation,
-		RowCount:   d.RowCount,
-		Columns:    make([]rel.ColumnSnapshot, len(d.Cols)),
+		Name:     d.Name,
+		Parent:   d.Parent,
+		RowCount: d.RowCount,
+		Columns:  make([]rel.ColumnSnapshot, len(d.Cols)),
 	}
 	dicts := make([]rel.Dict, len(d.Cols)) // the TString columns' global dictionaries
 	for ci, col := range d.Cols {

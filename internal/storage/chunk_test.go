@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -373,5 +374,73 @@ func TestChunkRefusesNullInNotNullColumn(t *testing.T) {
 	ref := d.Chunks[0]
 	if _, err := d.decodeChunk(0, enc[ref.Off:ref.Off+ref.Size], d.all, nil); err != nil {
 		t.Fatalf("chunk 0, which holds no NULL: %v", err)
+	}
+}
+
+// driftedGeneration returns a copy of a chunked segment whose directory
+// generation field is one past its row count, the directory checksum
+// re-sealed: a well-framed segment from a writer that let the two
+// disagree. Both fields stay one byte for the fixtures here (counts
+// under 127), so nothing else in the file moves.
+func driftedGeneration(t testing.TB, seg []byte) []byte {
+	t.Helper()
+	out := append([]byte(nil), seg...)
+	payload := out[envelopeSize:chunkedDirLen(out)]
+	r := &reader{buf: payload, kind: "chunked segment directory"}
+	r.str("table name")
+	r.str("parent name")
+	if r.err != nil || r.off+1 >= len(payload) || payload[r.off] != payload[r.off+1] || payload[r.off] >= 0x7f {
+		t.Fatalf("fixture directory does not start with a one-byte generation equal to its row count (err %v)", r.err)
+	}
+	payload[r.off]++
+	binary.LittleEndian.PutUint32(out[16:20], crc32.Checksum(payload, crcTable))
+	return out
+}
+
+// TestChunkedDirRefusesGenerationDrift: a table only grows, so the
+// generation a directory records is its row count. A segment whose
+// directory records another is refused by DecodeChunkedSegment and, in
+// a store whose manifest checksums that directory, by Store.Table.
+func TestChunkedDirRefusesGenerationDrift(t *testing.T) {
+	book := fixtureDB().Table("book")
+	enc, err := EncodeChunkedSegment(book.Snapshot(), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("generation %d is not the row count %d", book.RowCount()+1, book.RowCount())
+	if _, err := DecodeChunkedSegment(driftedGeneration(t, enc)); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("DecodeChunkedSegment: %v, want %q", err, want)
+	}
+
+	dir := t.TempDir()
+	man, err := Save(dir, fixtureBuilt(t), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := man.Table("book")
+	path := filepath.Join(dir, e.File)
+	seg, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg = driftedGeneration(t, seg)
+	if err := os.WriteFile(path, seg, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e.CRC = crc32.Checksum(seg[:e.Dir], crcTable)
+	mb, err := encodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), mb, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Table("book"); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Store.Table: %v, want %q", err, want)
 	}
 }

@@ -43,10 +43,11 @@ type TableEntry struct {
 	// version-1 whole-table segment, which Open refuses.
 	ChunkRows int   `json:"chunkRows,omitempty"`
 	Dir       int64 `json:"dir,omitempty"`
-	// Rows, Generation, and Bytes pin the decoded table's shape: a
-	// segment that decodes to anything else is rejected. Generation
-	// is the save-time mutation counter, so PR4's stale-Built guard
-	// resumes exactly where it left off after a restart.
+	// Rows and Bytes pin the decoded table's shape: a segment that
+	// decodes to anything else is rejected. Generation is always Rows
+	// (a table only grows, so its row count is its version); an entry
+	// where it is not is refused. The field stays until the next format
+	// version drops it.
 	Rows       int   `json:"rows"`
 	Generation int64 `json:"generation"`
 	Bytes      int64 `json:"bytes"`

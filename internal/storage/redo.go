@@ -11,8 +11,8 @@ import (
 )
 
 // The redo log records row appends made after Save, so a reopened
-// store replays them deterministically and generation counters land
-// exactly where they were before the restart. Layout:
+// store replays them deterministically and every table lands on exactly
+// the rows it had before the restart. Layout:
 //
 //	"XRDO" | u32 version | record...
 //	record := u32 body length | u32 CRC32-C of the length |

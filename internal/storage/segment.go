@@ -3,7 +3,7 @@
 // string dictionaries) into versioned,
 // checksummed chunked segment files, records the schema and the chosen
 // physical design in a manifest, and reopens the whole store with lazy
-// chunk-by-chunk loading plus a redo log so generation counters replay
+// chunk-by-chunk loading plus a redo log so appends replay
 // deterministically across restarts. Open reads exactly the formats
 // Save writes; any other version is ErrUnsupportedFormat.
 //

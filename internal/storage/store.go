@@ -143,7 +143,7 @@ func encodeTableFile(t *rel.Table, file string, chunkRows int) ([]byte, TableEnt
 		Parent:     t.Parent,
 		File:       file,
 		Rows:       t.RowCount(),
-		Generation: t.Generation(),
+		Generation: int64(t.RowCount()), // a table only grows
 		Bytes:      t.Bytes(),
 	}
 	seg, err := EncodeChunkedSegment(t.Snapshot(), chunkRows)
@@ -338,14 +338,17 @@ func (s *Store) Table(name string) (*rel.Table, error) {
 // other assembly, so whoever receives it owns it. It has no Close fence:
 // the background compaction Close waits out assembles during shutdown.
 func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
+	if e.Generation != int64(e.Rows) {
+		return nil, fmt.Errorf("storage: manifest entry for %s has generation %d, not its row count %d", e.File, e.Generation, e.Rows)
+	}
 	start := time.Now()
 	t, err := s.loadChunkedLocked(e)
 	if err != nil {
 		return nil, err
 	}
-	if t.RowCount() != e.Rows || t.Generation() != e.Generation || t.Bytes() != e.Bytes {
-		return nil, fmt.Errorf("storage: segment %s decodes to %d rows / generation %d / %d bytes, manifest says %d / %d / %d",
-			e.File, t.RowCount(), t.Generation(), t.Bytes(), e.Rows, e.Generation, e.Bytes)
+	if t.RowCount() != e.Rows || t.Bytes() != e.Bytes {
+		return nil, fmt.Errorf("storage: segment %s decodes to %d rows / %d bytes, manifest says %d / %d",
+			e.File, t.RowCount(), t.Bytes(), e.Rows, e.Bytes)
 	}
 	if err := replayRedo(e.Name, t.Columns, tail, t.AppendRow); err != nil {
 		return nil, err
@@ -479,15 +482,14 @@ func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan,
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		// The overlay started empty, so its generation and bytes are
-		// exactly what replaying the tail adds to the segment's — the
-		// shape Hydrate's assembly lands on.
-		gen, bytes := e.Generation, e.Bytes
+		// The overlay started empty, so its bytes are exactly what
+		// replaying the tail adds to the segment's — the shape Hydrate's
+		// assembly lands on.
+		bytes := e.Bytes
 		if ov := cs.overlay; ov != nil {
-			gen += ov.Generation()
 			bytes += ov.Bytes()
 		}
-		db.Add(rel.NewVirtualTable(e.Name, e.Parent, cs.d.Cols, cs.rows, gen, bytes, func() (*rel.Table, error) {
+		db.Add(rel.NewVirtualTable(e.Name, e.Parent, cs.d.Cols, cs.rows, bytes, func() (*rel.Table, error) {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			if s.closed {
@@ -532,7 +534,7 @@ func (s *Store) Built() (*engine.Built, error) {
 // Unlike Built, the view keeps reading from the store: after an append
 // or a compaction, chunk scans fail with a staleness error (and
 // hydrations fail once the segment file is gone) rather than serving
-// rows the Built's generation snapshot does not cover — call PagedBuilt
+// rows the Built's row-count snapshot does not cover — call PagedBuilt
 // again for a fresh view. Results are bit-identical to Built over the
 // same store state: both run the engine's one scan driver, Built over
 // resident one-chunk sources, and engine.ExecuteReference is the oracle
@@ -564,7 +566,7 @@ func (s *Store) built(paged bool, gauge string) (*engine.Built, error) {
 
 // Append durably logs one row append, so tables assembled from here on
 // — and a later Open of the same directory — replay it and land on the
-// same row count and generation. Concurrent appenders share one fsync
+// same row count. Concurrent appenders share one fsync
 // (group commit).
 func (s *Store) Append(table string, row []rel.Value) error {
 	return s.AppendBatch(table, [][]rel.Value{row})

@@ -89,7 +89,7 @@ func fixtureBuilt(t *testing.T) *engine.Built {
 }
 
 // tablesBitEqual compares two tables through the public API down to the
-// bit level: schema, row count, generation, byte accounting, and every
+// bit level: schema, row count, byte accounting, and every
 // value under Value.BitEqual.
 func tablesBitEqual(t *testing.T, a, b *rel.Table) {
 	t.Helper()
@@ -106,9 +106,6 @@ func tablesBitEqual(t *testing.T, a, b *rel.Table) {
 	}
 	if a.RowCount() != b.RowCount() {
 		t.Fatalf("row count %d vs %d", a.RowCount(), b.RowCount())
-	}
-	if a.Generation() != b.Generation() {
-		t.Fatalf("generation %d vs %d", a.Generation(), b.Generation())
 	}
 	if a.Bytes() != b.Bytes() || a.Pages() != b.Pages() {
 		t.Fatalf("accounting %d bytes/%d pages vs %d/%d", a.Bytes(), a.Pages(), b.Bytes(), b.Pages())
@@ -450,7 +447,7 @@ func TestBuiltIsUnaffectedByAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	book := b.DB.Table("book")
-	rows, gen := book.RowCount(), book.Generation()
+	rows := book.RowCount()
 
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -476,9 +473,8 @@ func TestBuiltIsUnaffectedByAppends(t *testing.T) {
 	close(stop)
 	<-done
 
-	if book.RowCount() != rows || book.Generation() != gen {
-		t.Fatalf("Built's book moved to %d rows / generation %d under appends, was %d / %d",
-			book.RowCount(), book.Generation(), rows, gen)
+	if book.RowCount() != rows {
+		t.Fatalf("Built's book moved to %d rows under appends, was %d", book.RowCount(), rows)
 	}
 	fresh, err := st.Table("book")
 	if err != nil {

@@ -210,9 +210,6 @@ func baseToType(b schema.BaseType) rel.Type {
 	}
 }
 
-// BaseToType exposes the base-type mapping to other packages.
-func BaseToType(b schema.BaseType) rel.Type { return baseToType(b) }
-
 // ParseValue parses leaf text into a typed value.
 func ParseValue(b schema.BaseType, text string) (rel.Value, error) {
 	switch b {
