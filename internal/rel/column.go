@@ -1,7 +1,5 @@
 package rel
 
-import "fmt"
-
 // This file is the columnar storage layer under Table: one typed vector
 // per column (int64, float64, or dictionary-coded strings) plus a null
 // bitmap. A column holds one type: AppendRow takes only values its
@@ -156,21 +154,4 @@ func (cv *colVec) value(row int) Value {
 	default:
 		return Str(cv.dict.Str(cv.codes[row]))
 	}
-}
-
-// sanity check used by tests.
-func (cv *colVec) lenCheck(n int) error {
-	var dn int
-	switch cv.typ {
-	case TInt:
-		dn = len(cv.ints)
-	case TFloat:
-		dn = len(cv.floats)
-	default:
-		dn = len(cv.codes)
-	}
-	if dn != n || cv.nulls.Len() != n {
-		return fmt.Errorf("rel: column vector length %d / bitmap %d, want %d", dn, cv.nulls.Len(), n)
-	}
-	return nil
 }

@@ -276,3 +276,21 @@ func TestRowsMaterializesPerCall(t *testing.T) {
 		t.Fatalf("after the append Rows() has %d rows, want 2", len(r3))
 	}
 }
+
+// lenCheck reports whether a column's vector and null bitmap both
+// hold n rows.
+func (cv *colVec) lenCheck(n int) error {
+	var dn int
+	switch cv.typ {
+	case TInt:
+		dn = len(cv.ints)
+	case TFloat:
+		dn = len(cv.floats)
+	default:
+		dn = len(cv.codes)
+	}
+	if dn != n || cv.nulls.Len() != n {
+		return fmt.Errorf("rel: column vector length %d / bitmap %d, want %d", dn, cv.nulls.Len(), n)
+	}
+	return nil
+}

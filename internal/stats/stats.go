@@ -8,8 +8,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/rel"
@@ -175,32 +177,41 @@ func clamp01(f float64) float64 {
 	return f
 }
 
-// ColumnCollector accumulates ColumnStats from a value stream using a
-// deterministic reservoir sample and exact value counts (capped).
+// maxDistinct caps the distinct count a collector reports; a column
+// with more distinct values gets no MCVs, since its counts are not
+// taken as exact.
+const maxDistinct = 100000
+
+// ColumnCollector accumulates ColumnStats from a stream of values of
+// one type using a deterministic reservoir sample and exact value
+// counts. It keeps every value's key — an int's value, a float's bits
+// with every NaN on one key, a string itself — and Stats sorts the keys
+// and counts their runs, so a value costs a slice append, not a
+// rendered string and a map insert.
 type ColumnCollector struct {
 	typ      rel.Type
 	count    int64
 	finite   int64 // values eligible for min/max and the sample
 	widthSum int64
 	min, max rel.Value
-	counts   map[string]int64
-	rep      map[string]rel.Value
-	overflow bool
+	nums     []int64   // TInt values, TFloat bits
+	strs     []string  // TString values
+	nan      rel.Value // the first NaN seen: the NaN key's MCV value
 	sample   []rel.Value
 	rng      uint64
 }
 
+// nanKey is the one key every NaN payload counts under, as all NaNs
+// render as "NaN".
+var nanKey = int64(math.Float64bits(math.NaN()))
+
 // NewColumnCollector creates a collector for values of type t.
 func NewColumnCollector(t rel.Type) *ColumnCollector {
-	return &ColumnCollector{
-		typ:    t,
-		counts: make(map[string]int64),
-		rep:    make(map[string]rel.Value),
-		rng:    0x9e3779b97f4a7c15,
-	}
+	return &ColumnCollector{typ: t, rng: 0x9e3779b97f4a7c15}
 }
 
-// Add accumulates one non-NULL value. Non-finite floats (NaN, ±Inf)
+// Add accumulates one value, which is NULL or of the collector's type
+// (a value of another type panics). Non-finite floats (NaN, ±Inf)
 // are counted and tracked for distinct/MCV purposes but excluded from
 // min/max and the histogram sample: range selectivity over [NaN, +Inf]
 // bounds would swallow every predicate, and the estimator's arithmetic
@@ -209,19 +220,28 @@ func (cc *ColumnCollector) Add(v rel.Value) {
 	if v.Null {
 		return
 	}
+	if v.Typ != cc.typ {
+		panic(fmt.Sprintf("stats: %s value added to a %s collector", v.Typ, cc.typ))
+	}
 	cc.count++
 	cc.widthSum += int64(v.Width())
-	key := v.String()
-	if n, ok := cc.counts[key]; ok {
-		cc.counts[key] = n + 1
-	} else if len(cc.counts) < 100000 {
-		cc.counts[key] = 1
-		cc.rep[key] = v
-	} else {
-		cc.overflow = true
-	}
-	if v.Typ == rel.TFloat && (math.IsNaN(v.F) || math.IsInf(v.F, 0)) {
-		return
+	switch v.Typ {
+	case rel.TInt:
+		cc.nums = append(cc.nums, v.I)
+	case rel.TString:
+		cc.strs = append(cc.strs, v.S)
+	default:
+		if math.IsNaN(v.F) {
+			if !math.IsNaN(cc.nan.F) {
+				cc.nan = v
+			}
+			cc.nums = append(cc.nums, nanKey)
+			return
+		}
+		cc.nums = append(cc.nums, int64(math.Float64bits(v.F)))
+		if math.IsInf(v.F, 0) {
+			return
+		}
 	}
 	if cc.finite == 0 || v.Compare(cc.min) < 0 {
 		cc.min = v
@@ -246,11 +266,10 @@ func (cc *ColumnCollector) Add(v rel.Value) {
 // Stats finalizes the collected statistics.
 func (cc *ColumnCollector) Stats() *ColumnStats {
 	cs := &ColumnStats{
-		Count:    cc.count,
-		Distinct: int64(len(cc.counts)),
-		Min:      cc.min,
-		Max:      cc.max,
-		Typ:      cc.typ,
+		Count: cc.count,
+		Min:   cc.min,
+		Max:   cc.max,
+		Typ:   cc.typ,
 	}
 	if cc.count > 0 {
 		cs.AvgWidth = float64(cc.widthSum) / float64(cc.count)
@@ -259,36 +278,67 @@ func (cc *ColumnCollector) Stats() *ColumnStats {
 		cs.Min, cs.Max = rel.NullOf(cc.typ), rel.NullOf(cc.typ)
 	}
 	cs.Hist = NewHistogram(cc.sample)
-	// Most-common values: only meaningful when the counts are exact
-	// and the value is genuinely frequent (above twice the uniform
-	// share).
-	if !cc.overflow && cc.count > 0 && len(cc.counts) > 0 {
-		type kv struct {
-			key string
-			n   int64
-		}
-		top := make([]kv, 0, len(cc.counts))
-		for k, n := range cc.counts {
-			top = append(top, kv{k, n})
-		}
-		sort.Slice(top, func(i, j int) bool {
-			if top[i].n != top[j].n {
-				return top[i].n > top[j].n
+	switch cc.typ {
+	case rel.TString:
+		cs.Distinct, cs.MCVs = countRuns(cc.strs, cc.count, rel.Str)
+	case rel.TInt:
+		cs.Distinct, cs.MCVs = countRuns(cc.nums, cc.count, rel.Int)
+	default:
+		cs.Distinct, cs.MCVs = countRuns(cc.nums, cc.count, func(k int64) rel.Value {
+			if k == nanKey {
+				return cc.nan
 			}
-			return top[i].key < top[j].key
+			return rel.Float(math.Float64frombits(uint64(k)))
 		})
-		uniform := float64(cc.count) / float64(len(cc.counts))
-		for i := 0; i < len(top) && i < mcvCount; i++ {
-			if float64(top[i].n) < 2*uniform {
-				break
-			}
-			cs.MCVs = append(cs.MCVs, MCV{
-				Value: cc.rep[top[i].key],
-				Frac:  float64(top[i].n) / float64(cc.count),
-			})
-		}
 	}
 	return cs
+}
+
+// countRuns sorts keys and counts their runs of equal keys, returning
+// the distinct count (capped at maxDistinct) and the most-common
+// values. Those are only meaningful when the counts are exact and the
+// value is genuinely frequent (above twice the uniform share); at most
+// mcvCount of them are kept, by count descending, then by String.
+func countRuns[K cmp.Ordered](keys []K, count int64, value func(K) rel.Value) (int64, []MCV) {
+	slices.Sort(keys)
+	runs := 0
+	for i := range keys {
+		if i == 0 || keys[i] != keys[i-1] {
+			runs++
+		}
+	}
+	if runs > maxDistinct {
+		return maxDistinct, nil
+	}
+	type heavy struct {
+		n   int64
+		v   rel.Value
+		str string
+	}
+	var top []heavy
+	uniform := float64(count) / float64(runs)
+	for i := 0; i < len(keys); {
+		j := i + 1
+		for j < len(keys) && keys[j] == keys[i] {
+			j++
+		}
+		if n := int64(j - i); float64(n) >= 2*uniform {
+			v := value(keys[i])
+			top = append(top, heavy{n, v, v.String()})
+		}
+		i = j
+	}
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].n != top[j].n {
+			return top[i].n > top[j].n
+		}
+		return top[i].str < top[j].str
+	})
+	var mcvs []MCV
+	for i := 0; i < len(top) && i < mcvCount; i++ {
+		mcvs = append(mcvs, MCV{Value: top[i].v, Frac: float64(top[i].n) / float64(count)})
+	}
+	return int64(runs), mcvs
 }
 
 // CardHist is a cardinality histogram for a set-valued element: how
@@ -471,32 +521,74 @@ func FromDatabase(db *rel.Database) MapProvider {
 	return out
 }
 
-// FromTable computes one table's exact TableStats. Callers that cannot
-// hold a whole database resident (a paged store corpus) collect table
-// by table.
+// FromTable computes one table's exact TableStats from its column
+// vectors. Callers that cannot hold a whole database resident (a paged
+// store corpus) collect table by table. Like ValueAt, it panics on a
+// non-empty virtual shell or absent column.
 func FromTable(t *rel.Table) *TableStats {
-	ts := &TableStats{Name: t.Name, Rows: int64(t.RowCount()), Cols: make(map[string]*ColumnStats)}
-	if t.RowCount() > 0 {
-		ts.RowBytes = float64(t.Bytes())/float64(t.RowCount()) - 8
+	n := t.RowCount()
+	ts := &TableStats{Name: t.Name, Rows: int64(n), Cols: make(map[string]*ColumnStats)}
+	if n > 0 {
+		ts.RowBytes = float64(t.Bytes())/float64(n) - 8
 	}
 	for ci, col := range t.Columns {
 		cc := NewColumnCollector(col.Typ)
-		nulls := int64(0)
-		for r := 0; r < t.RowCount(); r++ {
-			v := t.ValueAt(r, ci)
-			if v.Null {
-				nulls++
-				continue
-			}
-			cc.Add(v)
+		nulls := 0
+		if n > 0 {
+			nulls = cc.addColumn(t, ci)
 		}
 		cs := cc.Stats()
-		if t.RowCount() > 0 {
-			cs.NullFrac = float64(nulls) / float64(t.RowCount())
+		if n > 0 {
+			cs.NullFrac = float64(nulls) / float64(n)
 		}
 		ts.Cols[col.Name] = cs
 	}
 	return ts
+}
+
+// addColumn adds every non-NULL cell of column ci, read off its typed
+// vector, to a fresh collector and returns the column's NULL count.
+func (cc *ColumnCollector) addColumn(t *rel.Table, ci int) int {
+	var nulls *rel.Bitmap
+	ok := false
+	valid := func(r int) bool { return !nulls.Any() || !nulls.Get(r) }
+	switch cc.typ {
+	case rel.TInt:
+		var vals []int64
+		if vals, nulls, ok = t.IntCol(ci); ok {
+			cc.nums = make([]int64, 0, len(vals)-nulls.SetCount())
+			for r, x := range vals {
+				if valid(r) {
+					cc.Add(rel.Int(x))
+				}
+			}
+		}
+	case rel.TFloat:
+		var vals []float64
+		if vals, nulls, ok = t.FloatCol(ci); ok {
+			cc.nums = make([]int64, 0, len(vals)-nulls.SetCount())
+			for r, x := range vals {
+				if valid(r) {
+					cc.Add(rel.Float(x))
+				}
+			}
+		}
+	default:
+		var codes []uint32
+		var dict *rel.Dict
+		if codes, dict, nulls, ok = t.StrCol(ci); ok {
+			cc.strs = make([]string, 0, len(codes)-nulls.SetCount())
+			for r, c := range codes {
+				if valid(r) {
+					cc.Add(rel.Str(dict.Str(c)))
+				}
+			}
+		}
+	}
+	if !ok {
+		panic(fmt.Sprintf("stats: column %s.%s is not resident", t.Name, t.Columns[ci].Name))
+	}
+	return nulls.SetCount()
 }
 
 // String summarizes a collection for diagnostics.

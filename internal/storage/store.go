@@ -408,7 +408,9 @@ func (s *Store) loadChunkedLocked(e *TableEntry) (*rel.Table, error) {
 }
 
 // chunkedDirLocked returns the verified directory of a chunked
-// segment, reading only the directory region of the file.
+// segment, reading only the directory region of the file. The
+// directory must agree with the manifest entry on its row count and
+// layout, so a chunk scan refuses a row count an assembly refuses.
 func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 	if d, ok := s.dirs[e.Name]; ok {
 		return d, nil
@@ -443,9 +445,9 @@ func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 	if d.Name != e.Name {
 		return nil, fmt.Errorf("storage: segment %s holds table %q, manifest says %q", e.File, d.Name, e.Name)
 	}
-	if d.ChunkRows != e.ChunkRows || d.DirLen != e.Dir || d.fileSize() != e.Size {
-		return nil, fmt.Errorf("storage: segment %s directory (chunk size %d, directory %d, file %d bytes) disagrees with manifest (%d, %d, %d)",
-			e.File, d.ChunkRows, d.DirLen, d.fileSize(), e.ChunkRows, e.Dir, e.Size)
+	if d.RowCount != e.Rows || d.ChunkRows != e.ChunkRows || d.DirLen != e.Dir || d.fileSize() != e.Size {
+		return nil, fmt.Errorf("storage: segment %s directory (%d rows, chunk size %d, directory %d, file %d bytes) disagrees with manifest (%d, %d, %d, %d)",
+			e.File, d.RowCount, d.ChunkRows, d.DirLen, d.fileSize(), e.Rows, e.ChunkRows, e.Dir, e.Size)
 	}
 	s.reg.Counter("storage.segment.bytes_read").Add(int64(len(hdr)))
 	s.dirs[e.Name] = d

@@ -606,6 +606,53 @@ func TestOpenRejectsGenerationDrift(t *testing.T) {
 	}
 }
 
+// TestChunkScanRefusesRowDrift: a manifest whose every entry claims
+// one row more than its segment holds (Generation kept equal to Rows,
+// so only the row count disagrees) is refused by the chunk-scan paths
+// as it is by assembly: Store.ChunkScan and Store.PagedBuilt return an
+// error, as Store.Built does, instead of serving the segment's rows.
+func TestChunkScanRefusesRowDrift(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	man, err := decodeManifest(mb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range man.Tables {
+		man.Tables[i].Rows++
+		man.Tables[i].Generation++
+	}
+	drifted, err := encodeManifest(man)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, ManifestName), drifted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if _, err := st.Built(); err == nil {
+		t.Fatal("Built served segments disagreeing with the manifest's row counts")
+	}
+	for _, e := range man.Tables {
+		if cs, err := st.ChunkScan(e.Name); err == nil {
+			t.Fatalf("ChunkScan(%s) served %d rows, manifest says %d", e.Name, cs.RowCount(), e.Rows)
+		}
+	}
+	if _, err := st.PagedBuilt(); err == nil {
+		t.Fatal("PagedBuilt served segments disagreeing with the manifest's row counts")
+	}
+}
+
 // TestCloseFlushesPendingBatch: an appender that joined the open
 // group-commit batch but has not yet flushed (it is waiting out the
 // group-commit window) must not lose its rows when the store closes —
