@@ -61,7 +61,7 @@ func (s *countedSource) ChunkColumns(k int, cols []int) (*rel.Table, func(), err
 }
 
 // sliceSource is an in-memory ScanSource: chunk-granular slices of a
-// resident table, each validated into a table of its own once and
+// resident table, each copied into a table of its own once and
 // served as is at Chunk time — the same shape the storage pager
 // serves, without the disk.
 type sliceSource struct {
@@ -76,17 +76,18 @@ func newSliceSource(t *testing.T, tbl *rel.Table, chunkRows int) *countedSource 
 	if chunkRows%64 != 0 {
 		t.Fatalf("chunkRows %d must be a multiple of 64", chunkRows)
 	}
-	snap := tbl.Snapshot()
 	s := &sliceSource{cols: tbl.Columns, rows: tbl.RowCount()}
+	row := make([]rel.Value, len(tbl.Columns))
 	for lo := 0; lo < s.rows; lo += chunkRows {
 		hi := min(lo+chunkRows, s.rows)
-		cs, err := snap.SliceSnapshot(lo, hi)
-		if err != nil {
-			t.Fatalf("SliceSnapshot(%d,%d): %v", lo, hi, err)
-		}
-		chunk, err := rel.TableFromSnapshot(cs)
-		if err != nil {
-			t.Fatalf("TableFromSnapshot(rows %d..%d): %v", lo, hi, err)
+		// A chunk is its rows appended to a table of their own, so its
+		// dictionaries are local and in first-appearance order, as in a
+		// chunk the storage encoder writes.
+		chunk := rel.NewTable(tbl.Name, tbl.Columns)
+		chunk.Parent = tbl.Parent
+		for r := lo; r < hi; r++ {
+			tbl.ReadRowInto(row, r)
+			chunk.AppendRow(row)
 		}
 		s.spans = append(s.spans, [2]int{lo, hi})
 		s.chunks = append(s.chunks, chunk)

@@ -244,10 +244,10 @@ func TestRowBytesMatchesAppendRow(t *testing.T) {
 }
 
 // TestSnapshotBytesMatchAppendRow holds TableFromSnapshot's column-wise
-// byte accounting to AppendRow's running total, on whole tables and on
-// every 64-row slice of them (the chunks the segment format stores,
-// the last one short): NULLs, empty strings, and a string column that
-// never interns anything.
+// byte accounting to AppendRow's running total on whole tables: NULLs,
+// empty strings, and a string column that never interns anything. (The
+// same accounting over the chunks a segment stores is storage's
+// TestEncodedChunkBytesMatchRowBytes.)
 func TestSnapshotBytesMatchAppendRow(t *testing.T) {
 	words := []string{"", "a", "bb", "a considerably longer string value", "1998"}
 	for seed := int64(1); seed <= 8; seed++ {
@@ -259,11 +259,7 @@ func TestSnapshotBytesMatchAppendRow(t *testing.T) {
 			{Name: "n", Typ: TInt, Nullable: true},
 			{Name: "odd", Typ: TString, Nullable: true}, // only NULLs
 		})
-		nrows := 130 + rng.Intn(120) // never a multiple of 64
-		if nrows%64 == 0 {
-			nrows++
-		}
-		rowBytes := make([]int64, nrows)
+		nrows := 130 + rng.Intn(120)
 		for r := 0; r < nrows; r++ {
 			row := []Value{Int(int64(r)), Str(words[rng.Intn(len(words))]), Float(rng.NormFloat64()),
 				Int(int64(rng.Intn(50))), NullOf(TString)}
@@ -272,34 +268,14 @@ func TestSnapshotBytesMatchAppendRow(t *testing.T) {
 					row[c] = NullOf(tb.Columns[c].Typ)
 				}
 			}
-			rowBytes[r] = RowBytes(row)
 			tb.AppendRow(row)
 		}
-		snap := tb.Snapshot()
-		whole, err := TableFromSnapshot(snap)
+		whole, err := TableFromSnapshot(tb.Snapshot())
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if whole.Bytes() != tb.Bytes() {
 			t.Fatalf("seed %d: TableFromSnapshot accounts %d bytes, AppendRow accumulated %d", seed, whole.Bytes(), tb.Bytes())
-		}
-		for lo := 0; lo < nrows; lo += 64 {
-			hi := min(lo+64, nrows)
-			part, err := snap.SliceSnapshot(lo, hi)
-			if err != nil {
-				t.Fatalf("seed %d: %v", seed, err)
-			}
-			chunk, err := TableFromSnapshot(part)
-			if err != nil {
-				t.Fatalf("seed %d rows [%d,%d): %v", seed, lo, hi, err)
-			}
-			var want int64
-			for _, b := range rowBytes[lo:hi] {
-				want += b
-			}
-			if chunk.Bytes() != want {
-				t.Fatalf("seed %d rows [%d,%d): chunk accounts %d bytes, its rows' RowBytes sum to %d", seed, lo, hi, chunk.Bytes(), want)
-			}
 		}
 	}
 }

@@ -74,79 +74,6 @@ func (t *Table) Snapshot() *TableSnapshot {
 	return s
 }
 
-// SliceSnapshot returns a self-contained snapshot of rows [lo, hi).
-// The slice is chunk-granular: lo must be a multiple of 64 so the null
-// bitmap words can be sliced without shifting (the chunked segment
-// format fixes its chunk size to a multiple of 64 rows for exactly
-// this reason). String columns are re-coded against a fresh local
-// dictionary in first-appearance order within the slice, so the result
-// satisfies every invariant TableFromSnapshot checks: a chunk is a valid table in its
-// own right.
-func (s *TableSnapshot) SliceSnapshot(lo, hi int) (*TableSnapshot, error) {
-	if lo < 0 || hi < lo || hi > s.RowCount {
-		return nil, fmt.Errorf("rel: slice [%d,%d) out of range for %d rows", lo, hi, s.RowCount)
-	}
-	if lo%64 != 0 {
-		return nil, fmt.Errorf("rel: slice start %d is not a multiple of 64", lo)
-	}
-	rows := hi - lo
-	out := &TableSnapshot{
-		Name:     s.Name,
-		Parent:   s.Parent,
-		RowCount: rows,
-		Columns:  make([]ColumnSnapshot, len(s.Columns)),
-	}
-	wantWords := (rows + 63) / 64
-	for i := range s.Columns {
-		cs := &s.Columns[i]
-		oc := ColumnSnapshot{Col: cs.Col}
-		// Bitmap: word-aligned slice, with the tail word masked so no
-		// bits are set beyond the slice's last row.
-		words := cs.NullWords[lo/64 : lo/64+wantWords]
-		if tail := rows % 64; tail != 0 && wantWords > 0 {
-			masked := make([]uint64, wantWords)
-			copy(masked, words)
-			masked[wantWords-1] &= (uint64(1) << uint(tail)) - 1
-			words = masked
-		}
-		oc.NullWords = words
-		nullAt := func(r int) bool { // r is slice-local
-			return words[r/64]&(1<<uint(r%64)) != 0
-		}
-		switch cs.Col.Typ {
-		case TInt:
-			oc.Ints = cs.Ints[lo:hi]
-		case TFloat:
-			oc.Floats = cs.Floats[lo:hi]
-		case TString:
-			// Re-code against a local dictionary. NULL rows keep code 0
-			// without interning, mirroring colVec.append.
-			oc.Codes = make([]uint32, rows)
-			local := make(map[string]uint32)
-			for r := 0; r < rows; r++ {
-				if nullAt(r) {
-					continue
-				}
-				gc := cs.Codes[lo+r]
-				if int(gc) >= len(cs.Dict) {
-					return nil, fmt.Errorf("rel: slice of %s.%s: row %d code %d exceeds dictionary size %d",
-						s.Name, cs.Col.Name, lo+r, gc, len(cs.Dict))
-				}
-				str := cs.Dict[gc]
-				c, ok := local[str]
-				if !ok {
-					c = uint32(len(oc.Dict))
-					oc.Dict = append(oc.Dict, str)
-					local[str] = c
-				}
-				oc.Codes[r] = c
-			}
-		}
-		out.Columns[i] = oc
-	}
-	return out, nil
-}
-
 // TableFromSnapshot rebuilds a Table from a snapshot, adopting the
 // snapshot's slices as the table's backing store. Every structural
 // invariant the append path maintains is re-checked — vector lengths,

@@ -4,12 +4,16 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/optimizer"
 	"repro/internal/physical"
 	"repro/internal/rel"
+	"repro/internal/schema"
+	"repro/internal/shred"
+	"repro/internal/xmlgen"
 )
 
 // benchDB is the table the append benchmarks append to: 20 000 rows of
@@ -210,5 +214,144 @@ func BenchmarkChunkFault(b *testing.B) {
 			b.Fatal(err)
 		}
 		release()
+	}
+}
+
+// dblpBuilt is DBLP at scale 1 (20 000 inproceedings, 2 000 books)
+// shredded under hybrid inlining with no physical structures: the load
+// the write-path benchmarks save, fold into, and assemble.
+var dblpBuilt = sync.OnceValues(func() (*engine.Built, error) {
+	tree := schema.DBLP()
+	m, err := shred.Compile(tree)
+	if err != nil {
+		return nil, err
+	}
+	db, err := shred.Shred(m, xmlgen.GenerateDBLP(tree, xmlgen.DefaultDBLPOptions()))
+	if err != nil {
+		return nil, err
+	}
+	return engine.Build(db, nil)
+})
+
+// benchDBLPStore saves dblpBuilt into a fresh directory.
+func benchDBLPStore(b *testing.B) string {
+	b.Helper()
+	built, err := dblpBuilt()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	if _, err := Save(dir, built, Options{}); err != nil {
+		b.Fatal(err)
+	}
+	return dir
+}
+
+// tailRow is row i of a deterministic append stream for a table with
+// these columns: ids past any generated one, numbers and strings drawn
+// from small ranges so the strings repeat within a chunk.
+func tailRow(cols []rel.Column, i int) []rel.Value {
+	row := make([]rel.Value, len(cols))
+	x := uint64(i)*0x9E3779B97F4A7C15 + 1
+	for c, col := range cols {
+		x ^= x >> 31
+		x *= 0x94D049BB133111EB
+		switch {
+		case col.Name == rel.IDColumn:
+			row[c] = rel.Int(1<<40 + int64(i))
+		case col.Typ == rel.TInt:
+			row[c] = rel.Int(int64(x % 20_000))
+		case col.Typ == rel.TFloat:
+			row[c] = rel.Float(float64(x%100_000) / 100)
+		default:
+			row[c] = rel.Str(fmt.Sprintf("appended %d", x%50_000))
+		}
+	}
+	return row
+}
+
+// BenchmarkSave is the bulk load's write: every DBLP table encoded and
+// written (and fsynced) as a chunked segment, into one directory that
+// each op overwrites.
+func BenchmarkSave(b *testing.B) {
+	built, err := dblpBuilt()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Save(dir, built, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCompact folds a 50 000-row redo tail into DBLP's author
+// table. Each op saves a fresh store and appends the tail untimed; the
+// timed part is the one Compact.
+func BenchmarkCompact(b *testing.B) {
+	const tail, batch = 50_000, 1_000
+	built, err := dblpBuilt()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := built.DB.Table("author").Columns
+	b.ReportAllocs()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(benchDBLPStore(b), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := make([][]rel.Value, batch)
+		for lo := 0; lo < tail; lo += batch {
+			for j := range rows {
+				rows[j] = tailRow(cols, lo+j)
+			}
+			if err := st.AppendBatch("author", rows); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		if err := st.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkStoreTable assembles every DBLP table from a freshly opened
+// store under a budget of a quarter of the data: each op faults, decodes
+// and validates every chunk through the pager and merges the fragments
+// into whole tables.
+func BenchmarkStoreTable(b *testing.B) {
+	dir := benchDBLPStore(b)
+	probe, err := Open(dir, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var data int64
+	for _, e := range probe.Manifest().Tables {
+		data += e.Bytes
+	}
+	probe.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(dir, Options{MemBudgetBytes: data / 4})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, e := range st.Manifest().Tables {
+			if _, err := st.Table(e.Name); err != nil {
+				b.Fatal(err)
+			}
+		}
+		st.Close()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"repro/internal/rel"
 )
@@ -88,38 +89,35 @@ type chunkedDir struct {
 // same bytes (dictionaries are in first-appearance order), which the
 // golden-format tests pin.
 func EncodeChunkedSegment(s *rel.TableSnapshot, chunkRows int) ([]byte, error) {
-	if chunkRows <= 0 || chunkRows%64 != 0 {
-		return nil, fmt.Errorf("storage: chunk size %d is not a positive multiple of 64", chunkRows)
+	refs, chunks, err := encodeChunks(s, chunkRows)
+	if err != nil {
+		return nil, err
 	}
-	var refs []chunkRef
-	var blobs []byte
-	for lo := 0; lo < s.RowCount; lo += chunkRows {
-		hi := lo + chunkRows
-		if hi > s.RowCount {
-			hi = s.RowCount
-		}
-		part, err := s.SliceSnapshot(lo, hi)
-		if err != nil {
-			return nil, fmt.Errorf("storage: slicing chunk at row %d: %w", lo, err)
-		}
-		blob := wrapEnvelope(chunkMagic, ChunkSegmentVersion, encodeChunkPayload(part))
-		refs = append(refs, chunkRef{
-			Rows: hi - lo,
-			Size: int64(len(blob)),
-			CRC:  crc32.Checksum(blob, crcTable),
-		})
-		blobs = append(blobs, blob...)
-	}
+	return append(encodeChunkedDir(s.Name, s.Parent, s.RowCount, chunkRows, snapshotColumns(s), refs), chunks...), nil
+}
 
-	var p []byte
-	p = appendString(p, s.Name)
-	p = appendString(p, s.Parent)
-	p = binary.AppendUvarint(p, uint64(s.RowCount)) // generation: a table only grows
-	p = binary.AppendUvarint(p, uint64(s.RowCount))
-	p = binary.AppendUvarint(p, uint64(chunkRows))
-	p = binary.AppendUvarint(p, uint64(len(s.Columns)))
+// snapshotColumns lists a snapshot's column descriptors.
+func snapshotColumns(s *rel.TableSnapshot) []rel.Column {
+	cols := make([]rel.Column, len(s.Columns))
 	for i := range s.Columns {
-		c := &s.Columns[i].Col
+		cols[i] = s.Columns[i].Col
+	}
+	return cols
+}
+
+// encodeChunkedDir frames a segment directory over chunks laid out back
+// to back in refs order. The generation field is the row count: a table
+// only grows.
+func encodeChunkedDir(name, parent string, rows, chunkRows int, cols []rel.Column, refs []chunkRef) []byte {
+	p := beginEnvelope(nil, chunkDirMagic, ChunkSegmentVersion)
+	p = appendString(p, name)
+	p = appendString(p, parent)
+	p = binary.AppendUvarint(p, uint64(rows)) // generation
+	p = binary.AppendUvarint(p, uint64(rows))
+	p = binary.AppendUvarint(p, uint64(chunkRows))
+	p = binary.AppendUvarint(p, uint64(len(cols)))
+	for i := range cols {
+		c := &cols[i]
 		p = appendString(p, c.Name)
 		p = append(p, byte(c.Typ), boolByte(c.Nullable))
 		p = binary.AppendVarint(p, int64(c.LeafID))
@@ -131,41 +129,162 @@ func EncodeChunkedSegment(s *rel.TableSnapshot, chunkRows int) ([]byte, error) {
 		p = binary.AppendUvarint(p, uint64(r.Size))
 		p = binary.LittleEndian.AppendUint32(p, r.CRC)
 	}
-	return append(wrapEnvelope(chunkDirMagic, ChunkSegmentVersion, p), blobs...), nil
+	endEnvelope(p, 0)
+	return p
 }
 
-// encodeChunkPayload writes one chunk's column vectors. part is a
-// self-contained slice snapshot (local dictionary). Every column ends
-// with an empty exception section, which the reader requires.
-func encodeChunkPayload(part *rel.TableSnapshot) []byte {
-	var p []byte
-	for i := range part.Columns {
-		cs := &part.Columns[i]
-		p = binary.AppendUvarint(p, uint64(len(cs.NullWords)))
-		for _, w := range cs.NullWords {
-			p = binary.LittleEndian.AppendUint64(p, w)
-		}
-		switch cs.Col.Typ {
-		case rel.TInt:
-			for _, v := range cs.Ints {
-				p = binary.LittleEndian.AppendUint64(p, uint64(v))
-			}
-		case rel.TFloat:
-			for _, v := range cs.Floats {
-				p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
-			}
-		case rel.TString:
-			p = binary.AppendUvarint(p, uint64(len(cs.Dict)))
-			for _, ds := range cs.Dict {
-				p = appendString(p, ds)
-			}
-			for _, c := range cs.Codes {
-				p = binary.AppendUvarint(p, uint64(c))
-			}
-		}
-		p = binary.AppendUvarint(p, 0) // exception count
+// encodeChunks writes the snapshot's rows as framed chunks of chunkRows
+// rows, back to back into one buffer sized up front by chunksBound, and
+// returns the buffer with one ref per chunk (Off left zero). Each chunk
+// is written straight from the snapshot's column vectors: a chunk's
+// null bitmap is its word-aligned run of the table's words, the last
+// one masked as it is written, and a string column carries a local
+// dictionary in first-appearance order within the chunk, which makes
+// each chunk a self-contained table fragment.
+func encodeChunks(s *rel.TableSnapshot, chunkRows int) ([]chunkRef, []byte, error) {
+	if chunkRows <= 0 || chunkRows%64 != 0 {
+		return nil, nil, fmt.Errorf("storage: chunk size %d is not a positive multiple of 64", chunkRows)
 	}
-	return p
+	dictMax := 0
+	for i := range s.Columns {
+		dictMax = max(dictMax, len(s.Columns[i].Dict))
+	}
+	e := &chunkEncoder{local: make([]localCode, dictMax)}
+	refs := make([]chunkRef, 0, (s.RowCount+chunkRows-1)/chunkRows)
+	out := make([]byte, 0, chunksBound(s, chunkRows))
+	for lo := 0; lo < s.RowCount; lo += chunkRows {
+		hi := min(lo+chunkRows, s.RowCount)
+		start := len(out)
+		out = beginEnvelope(out, chunkMagic, ChunkSegmentVersion)
+		for i := range s.Columns {
+			var err error
+			if out, err = e.appendColumn(out, s, i, lo, hi); err != nil {
+				return nil, nil, err
+			}
+		}
+		endEnvelope(out, start)
+		refs = append(refs, chunkRef{
+			Rows: hi - lo,
+			Size: int64(len(out) - start),
+			CRC:  crc32.Checksum(out[start:], crcTable),
+		})
+	}
+	return refs, out, nil
+}
+
+// chunksBound is an upper bound on the bytes encodeChunks writes for s:
+// every varint at its widest for its value, and a chunk's local
+// dictionary no longer than either its rows' strings or the whole
+// global dictionary.
+func chunksBound(s *rel.TableSnapshot, chunkRows int) int {
+	n := 0
+	for lo := 0; lo < s.RowCount; lo += chunkRows {
+		rows := min(chunkRows, s.RowCount-lo)
+		words := (rows + 63) / 64
+		n += envelopeSize + len(s.Columns)*(uvarintLen(uint64(words))+8*words+1) // bitmaps, exception counts
+	}
+	for i := range s.Columns {
+		cs := &s.Columns[i]
+		if cs.Col.Typ != rel.TString {
+			n += 8 * s.RowCount
+			continue
+		}
+		dict := 0
+		for _, ds := range cs.Dict {
+			dict += uvarintLen(uint64(len(ds))) + len(ds)
+		}
+		for lo := 0; lo < s.RowCount; lo += chunkRows {
+			hi := min(lo+chunkRows, s.RowCount)
+			strs := 0
+			for _, c := range cs.Codes[lo:hi] {
+				if int(c) < len(cs.Dict) {
+					strs += uvarintLen(uint64(len(cs.Dict[c]))) + len(cs.Dict[c])
+				}
+			}
+			rows := hi - lo
+			n += uvarintLen(uint64(rows)) + min(dict, strs) + rows*uvarintLen(uint64(rows))
+		}
+	}
+	return n
+}
+
+// uvarintLen is the length of v's uvarint encoding.
+func uvarintLen(v uint64) int {
+	n := 1
+	for ; v >= 0x80; v >>= 7 {
+		n++
+	}
+	return n
+}
+
+// chunkEncoder holds what encodeChunks reuses from chunk to chunk: a
+// global-code to local-code array, whose entry is current only when its
+// epoch is the encoder's (a new epoch resets the whole array at once),
+// and the global codes of the chunk's local dictionary in local order.
+type chunkEncoder struct {
+	local []localCode
+	epoch uint32
+	order []uint32
+}
+
+type localCode struct{ epoch, code uint32 }
+
+// appendColumn writes rows [lo, hi) of column ci — lo a multiple of 64
+// — as one chunk column region.
+func (e *chunkEncoder) appendColumn(p []byte, s *rel.TableSnapshot, ci, lo, hi int) ([]byte, error) {
+	cs := &s.Columns[ci]
+	rows := hi - lo
+	words := cs.NullWords[lo/64 : lo/64+(rows+63)/64]
+	p = binary.AppendUvarint(p, uint64(len(words)))
+	for i, w := range words {
+		if i == len(words)-1 && rows%64 != 0 {
+			w &= 1<<uint(rows%64) - 1 // no bit past the chunk's last row
+		}
+		p = binary.LittleEndian.AppendUint64(p, w)
+	}
+	switch cs.Col.Typ {
+	case rel.TInt:
+		for _, v := range cs.Ints[lo:hi] {
+			p = binary.LittleEndian.AppendUint64(p, uint64(v))
+		}
+	case rel.TFloat:
+		for _, v := range cs.Floats[lo:hi] {
+			p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v))
+		}
+	case rel.TString:
+		if e.epoch++; e.epoch == 0 { // wrapped: no stale entry may look current
+			clear(e.local)
+			e.epoch = 1
+		}
+		// NULL rows keep code 0 without interning, mirroring colVec.append.
+		order := e.order[:0]
+		for r, gc := range cs.Codes[lo:hi] {
+			if words[r/64]&(1<<uint(r%64)) != 0 {
+				continue
+			}
+			if int(gc) >= len(cs.Dict) {
+				return nil, fmt.Errorf("storage: row %d of %s.%s has code %d, dictionary size %d",
+					lo+r, s.Name, cs.Col.Name, gc, len(cs.Dict))
+			}
+			if l := &e.local[gc]; l.epoch != e.epoch {
+				*l = localCode{epoch: e.epoch, code: uint32(len(order))}
+				order = append(order, gc)
+			}
+		}
+		p = binary.AppendUvarint(p, uint64(len(order)))
+		for _, gc := range order {
+			p = appendString(p, cs.Dict[gc])
+		}
+		for r, gc := range cs.Codes[lo:hi] {
+			c := uint32(0)
+			if words[r/64]&(1<<uint(r%64)) == 0 {
+				c = e.local[gc].code
+			}
+			p = binary.AppendUvarint(p, uint64(c))
+		}
+		e.order = order
+	}
+	return binary.AppendUvarint(p, 0), nil // exception count
 }
 
 // openEnvelopePrefix verifies an envelope that may be followed by more
@@ -383,12 +502,14 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte, cols []int, regions []int64
 }
 
 // mergeChunks reassembles a full-table snapshot from per-chunk
-// snapshots in order. Numeric vectors and bitmap words concatenate
-// directly (every chunk but the last holds a multiple of 64 rows);
-// string columns re-intern each chunk's local dictionary in row order,
-// which reproduces the original global first-appearance dictionary.
-// The caller validates the
-// result through rel.TableFromSnapshot.
+// snapshots in order, into vectors sized once for the directory's row
+// count. Numeric vectors and bitmap words concatenate directly (every
+// chunk but the last holds a multiple of 64 rows). A string column
+// interns each chunk's local dictionary once, in local-code order —
+// which, a local dictionary being in first-appearance order within its
+// chunk, reproduces the global first-appearance dictionary — and maps
+// the chunk's codes through the resulting local-to-global array. The
+// caller validates the result through rel.TableFromSnapshot.
 func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot, error) {
 	if len(parts) != len(d.Chunks) {
 		return nil, fmt.Errorf("storage: merging %d chunks of %s, directory says %d", len(parts), d.Name, len(d.Chunks))
@@ -399,13 +520,36 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 		RowCount: d.RowCount,
 		Columns:  make([]rel.ColumnSnapshot, len(d.Cols)),
 	}
-	dicts := make([]rel.Dict, len(d.Cols)) // the TString columns' global dictionaries
+	// The TString columns' global dictionaries: entries in code order and
+	// an index sized for every local entry, an upper bound on the global
+	// count, so neither regrows.
+	dicts := make([][]string, len(d.Cols))
+	idx := make([]map[string]uint32, len(d.Cols))
 	for ci, col := range d.Cols {
-		out.Columns[ci].Col = col
-		if col.Typ == rel.TString {
-			out.Columns[ci].Codes = make([]uint32, 0, d.RowCount)
+		oc := &out.Columns[ci]
+		oc.Col = col
+		if d.RowCount == 0 {
+			continue
+		}
+		oc.NullWords = make([]uint64, 0, (d.RowCount+63)/64)
+		switch col.Typ {
+		case rel.TInt:
+			oc.Ints = make([]int64, 0, d.RowCount)
+		case rel.TFloat:
+			oc.Floats = make([]float64, 0, d.RowCount)
+		case rel.TString:
+			oc.Codes = make([]uint32, 0, d.RowCount)
+			n := 0
+			for _, part := range parts {
+				if ci < len(part.Columns) {
+					n += len(part.Columns[ci].Dict)
+				}
+			}
+			dicts[ci] = make([]string, 0, n)
+			idx[ci] = make(map[string]uint32, n)
 		}
 	}
+	var global []uint32 // a chunk column's local code -> global code
 	for pi, part := range parts {
 		if part.RowCount != d.Chunks[pi].Rows || len(part.Columns) != len(d.Cols) {
 			return nil, fmt.Errorf("storage: chunk %d of %s has shape %d rows / %d cols, directory says %d / %d",
@@ -421,27 +565,34 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 			case rel.TFloat:
 				oc.Floats = append(oc.Floats, cs.Floats...)
 			case rel.TString:
-				for r := 0; r < part.RowCount; r++ {
-					// NULL rows keep code 0 without interning,
-					// mirroring colVec.append.
+				global = global[:0]
+				for _, ds := range cs.Dict {
+					gc, ok := idx[ci][ds]
+					if !ok {
+						gc = uint32(len(dicts[ci]))
+						dicts[ci] = append(dicts[ci], ds)
+						idx[ci][ds] = gc
+					}
+					global = append(global, gc)
+				}
+				for r, lc := range cs.Codes[:part.RowCount] {
+					// NULL rows keep code 0 without interning, mirroring
+					// colVec.append.
 					if cs.NullWords[r/64]&(1<<uint(r%64)) != 0 {
 						oc.Codes = append(oc.Codes, 0)
 						continue
 					}
-					lc := cs.Codes[r]
-					if int(lc) >= len(cs.Dict) {
+					if int(lc) >= len(global) {
 						return nil, fmt.Errorf("storage: chunk %d of %s: row %d code %d exceeds local dictionary %d",
 							pi, d.Name, r, lc, len(cs.Dict))
 					}
-					oc.Codes = append(oc.Codes, dicts[ci].Intern(cs.Dict[lc]))
+					oc.Codes = append(oc.Codes, global[lc])
 				}
 			}
 		}
 	}
 	for ci := range d.Cols {
-		if d.Cols[ci].Typ == rel.TString {
-			out.Columns[ci].Dict = dicts[ci].Strs()
-		}
+		out.Columns[ci].Dict = slices.Clone(dicts[ci]) // the table keeps no spare capacity
 	}
 	return out, nil
 }

@@ -171,40 +171,6 @@ func TestChunkedFlipsNeverLie(t *testing.T) {
 	}
 }
 
-// TestSliceSnapshotSelfContained checks the chunk-granular slicing
-// contract in internal/rel: every 64-aligned slice is a valid table in
-// its own right, bit-identical to the source rows.
-func TestSliceSnapshotSelfContained(t *testing.T) {
-	tb := multiChunkDB(300).Table("fact")
-	snap := tb.Snapshot()
-	for _, span := range [][2]int{{0, 64}, {64, 128}, {256, 300}, {0, 300}, {128, 129}, {192, 192}} {
-		part, err := snap.SliceSnapshot(span[0], span[1])
-		if err != nil {
-			t.Fatalf("slice [%d,%d): %v", span[0], span[1], err)
-		}
-		pt, err := rel.TableFromSnapshot(part)
-		if err != nil {
-			t.Fatalf("slice [%d,%d) does not validate: %v", span[0], span[1], err)
-		}
-		if pt.RowCount() != span[1]-span[0] {
-			t.Fatalf("slice [%d,%d) has %d rows", span[0], span[1], pt.RowCount())
-		}
-		for r := 0; r < pt.RowCount(); r++ {
-			for c := range tb.Columns {
-				if !tb.ValueAt(span[0]+r, c).BitEqual(pt.ValueAt(r, c)) {
-					t.Fatalf("slice [%d,%d) drifted at (%d,%d)", span[0], span[1], r, c)
-				}
-			}
-		}
-	}
-	// Misaligned or out-of-range slices are refused.
-	for _, span := range [][2]int{{1, 65}, {32, 64}, {0, 301}, {-64, 0}, {128, 64}} {
-		if _, err := snap.SliceSnapshot(span[0], span[1]); err == nil {
-			t.Fatalf("slice [%d,%d) accepted", span[0], span[1])
-		}
-	}
-}
-
 // TestChunkVerificationChainByRegion corrupts one encoded chunk region
 // by region and holds every link of the verification chain to its job.
 // Each corruption must be refused against the directory entry as

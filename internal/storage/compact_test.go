@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -509,5 +510,174 @@ func TestStoreServesDatasetLargerThanBudget(t *testing.T) {
 	if tables+chunks > budget+maxChunk {
 		t.Fatalf("store holds %d table + %d chunk bytes resident, over budget %d + one chunk %d",
 			tables, chunks, budget, maxChunk)
+	}
+}
+
+// compactOracleStore saves the first base rows of multiChunkDB(base+tail)
+// at 64 rows per chunk, appends the other tail rows through the redo
+// log, and returns the store, its directory and the whole table.
+func compactOracleStore(t *testing.T, base, tail int) (*Store, string, *rel.Table) {
+	t.Helper()
+	whole := multiChunkDB(base + tail).Table("fact")
+	rowAt := func(r int) []rel.Value {
+		row := make([]rel.Value, len(whole.Columns))
+		for c := range row {
+			row[c] = whole.ValueAt(r, c)
+		}
+		return row
+	}
+	saved := rel.NewTable("fact", whole.Columns)
+	for r := 0; r < base; r++ {
+		saved.AppendRow(rowAt(r))
+	}
+	db := rel.NewDatabase()
+	db.Add(saved)
+	built, err := engine.Build(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if _, err := Save(dir, built, Options{ChunkRows: 64}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	var rows [][]rel.Value
+	for r := base; r < base+tail; r++ {
+		rows = append(rows, rowAt(r))
+	}
+	if err := st.AppendBatch("fact", rows); err != nil {
+		t.Fatal(err)
+	}
+	return st, dir, whole
+}
+
+// TestCompactMatchesEncode is the compaction oracle: the segment file a
+// compaction writes is byte for byte EncodeChunkedSegment of the table
+// assembled from the old segment and its redo tail, and the manifest
+// entry pins that table's rows and bytes — whether the tail stays
+// inside the last partial chunk, fills it exactly, spans several
+// chunks, lands on an empty table, or follows a base of whole chunks.
+// A second compaction copies chunks the first one wrote.
+func TestCompactMatchesEncode(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		base, tail int
+	}{
+		{"inside-partial", 100, 10},
+		{"fills-partial", 100, 28},
+		{"spans-chunks", 100, 300},
+		{"empty-base", 0, 150},
+		{"whole-chunks-base", 128, 70},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, dir, whole := compactOracleStore(t, tc.base, tc.tail)
+			check := func(want *rel.Table) {
+				t.Helper()
+				live, err := st.Table("fact")
+				if err != nil {
+					t.Fatal(err)
+				}
+				tablesBitEqual(t, want, live)
+				if err := st.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				e := st.Manifest().Table("fact")
+				got, err := os.ReadFile(filepath.Join(dir, e.File))
+				if err != nil {
+					t.Fatal(err)
+				}
+				enc, err := EncodeChunkedSegment(live.Snapshot(), 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, enc) {
+					t.Fatalf("compacted file is %d bytes, an encoding of the assembled table %d; first difference at %d",
+						len(got), len(enc), firstDiff(got, enc))
+				}
+				if e.Rows != live.RowCount() || e.Bytes != live.Bytes() || e.ChunkRows != 64 {
+					t.Fatalf("manifest entry says %d rows / %d bytes / %d rows per chunk, table has %d / %d / 64",
+						e.Rows, e.Bytes, e.ChunkRows, live.RowCount(), live.Bytes())
+				}
+				after, err := st.Table("fact")
+				if err != nil {
+					t.Fatal(err)
+				}
+				tablesBitEqual(t, live, after)
+			}
+			check(whole)
+			more := multiChunkDB(tc.base + tc.tail + 90).Table("fact")
+			var rows [][]rel.Value
+			for r := tc.base + tc.tail; r < more.RowCount(); r++ {
+				row := make([]rel.Value, len(more.Columns))
+				for c := range row {
+					row[c] = more.ValueAt(r, c)
+				}
+				rows = append(rows, row)
+			}
+			if err := st.AppendBatch("fact", rows); err != nil {
+				t.Fatal(err)
+			}
+			check(more)
+		})
+	}
+}
+
+// TestCompactRefusesDamagedChunk: a byte flipped in a chunk the fold
+// copies, or in the partial chunk it decodes, fails Compact with
+// nothing published — the old epoch, its redo tail, and no new segment
+// file.
+func TestCompactRefusesDamagedChunk(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		chunk int
+	}{{"copied", 1}, {"partial", 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, dir, _ := compactOracleStore(t, 200, 10) // chunks 0-2 full, chunk 3 holds 8 rows
+			e := st.Manifest().Table("fact")
+			st.mu.Lock()
+			d, err := st.chunkedDirLocked(e)
+			st.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(dir, e.File)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := d.Chunks[tc.chunk]
+			data[ref.Off+ref.Size/2] ^= 0x40
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			err = st.Compact()
+			if err == nil || !strings.Contains(err.Error(), "checksum mismatch") {
+				t.Fatalf("Compact over a damaged %s chunk: %v, want a checksum mismatch", tc.name, err)
+			}
+			if man := st.Manifest(); man.Epoch != 0 || man.Table("fact").File != e.File || st.RedoRows() != 10 {
+				t.Fatalf("failed Compact moved the store: epoch %d, file %s, %d redo rows", man.Epoch, man.Table("fact").File, st.RedoRows())
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, f := range entries {
+				if strings.Contains(f.Name(), "e0001") {
+					t.Fatalf("failed Compact left %s behind", f.Name())
+				}
+			}
+			re, err := Open(dir, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			if re.Manifest().Epoch != 0 || re.RedoRows() != 10 {
+				t.Fatalf("reopen after failed Compact: epoch %d, %d redo rows", re.Manifest().Epoch, re.RedoRows())
+			}
+		})
 	}
 }

@@ -55,6 +55,7 @@ func TestFuzzCorpusChecked(t *testing.T) {
 			"torn-v3":    batched[:len(batched)-5],
 			"zeroed-v3":  append(batched[:len(batched):len(batched)], make([]byte, 13)...),
 		},
+		"FuzzEncodeChunkedSegment": fuzzEncodeSeeds(),
 	}
 	// The version-1 and version-2 redo seeds are inputs the reader must
 	// refuse.

@@ -88,10 +88,10 @@ func legacyRedoLog(table string, rows ...[]rel.Value) []byte {
 // batchedRecord is a batched record of three rows to one table, the
 // shape the fuzz seeds and the checked-in corpus share.
 func batchedRecord() []byte {
-	return encodeRedoBatchRecord("book", [][]rel.Value{
-		{rel.Int(1), rel.Str("x")},
-		{rel.Int(2), rel.Str("y")},
-		{rel.NullOf(rel.TInt), rel.Str("z")},
+	return appendRedoBatchRecord(nil, []redoRecord{
+		{Table: "book", Row: []rel.Value{rel.Int(1), rel.Str("x")}},
+		{Table: "book", Row: []rel.Value{rel.Int(2), rel.Str("y")}},
+		{Table: "book", Row: []rel.Value{rel.NullOf(rel.TInt), rel.Str("z")}},
 	})
 }
 
@@ -148,7 +148,7 @@ func FuzzRedoDecode(f *testing.F) {
 		}
 		out := emptyRedoLog()
 		for _, r := range recs {
-			out = append(out, encodeRedoBatchRecord(r.Table, [][]rel.Value{r.Row})...)
+			out = appendRedoBatchRecord(out, []redoRecord{r})
 		}
 		recs3, end3, err := readRedo(out)
 		if err != nil || end3 != len(out) {

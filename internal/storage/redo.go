@@ -59,21 +59,25 @@ func emptyRedoLog() []byte {
 	return binary.LittleEndian.AppendUint32(append([]byte(nil), redoMagic[:]...), RedoBatchVersion)
 }
 
-// encodeRedoBatchRecord frames a batch of rows appended to one table
-// as a single checksummed record.
-func encodeRedoBatchRecord(table string, rows [][]rel.Value) []byte {
-	rec := appendString(make([]byte, recordHeaderSize), table)
-	rec = binary.AppendUvarint(rec, uint64(len(rows)))
-	for _, row := range rows {
-		rec = binary.AppendUvarint(rec, uint64(len(row)))
-		for _, v := range row {
-			rec = appendValue(rec, v)
+// appendRedoBatchRecord appends recs, a non-empty run of rows appended
+// to the table recs[0] names, to p as a single checksummed record: the
+// header is written zero and filled in once the body follows it.
+func appendRedoBatchRecord(p []byte, recs []redoRecord) []byte {
+	start := len(p)
+	p = append(p, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	p = appendString(p, recs[0].Table)
+	p = binary.AppendUvarint(p, uint64(len(recs)))
+	for _, rec := range recs {
+		p = binary.AppendUvarint(p, uint64(len(rec.Row)))
+		for _, v := range rec.Row {
+			p = appendValue(p, v)
 		}
 	}
+	rec := p[start:]
 	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-recordHeaderSize))
 	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[:4], crcTable))
 	binary.LittleEndian.PutUint32(rec[8:], crc32.Checksum(rec[recordHeaderSize:], crcTable))
-	return rec
+	return p
 }
 
 // readRedo parses a redo log file's full contents and returns its rows
@@ -182,11 +186,7 @@ func appendRedoBatch(path string, recs []redoRecord, end int64) (newEnd int64, e
 		for j < len(recs) && recs[j].Table == recs[i].Table {
 			j++
 		}
-		rows := make([][]rel.Value, 0, j-i)
-		for k := i; k < j; k++ {
-			rows = append(rows, recs[k].Row)
-		}
-		buf = append(buf, encodeRedoBatchRecord(recs[i].Table, rows)...)
+		buf = appendRedoBatchRecord(buf, recs[i:j])
 		i = j
 	}
 	if err := f.Truncate(end); err != nil {

@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -326,5 +327,64 @@ func TestTornTailCutByNextAppend(t *testing.T) {
 			tablesBitEqual(t, live, again["book"])
 			tablesBitEqual(t, states[2]["author"], again["author"])
 		})
+	}
+}
+
+// refRedoBatchRecord is the redo record encoder as it was written first,
+// a record built in a buffer of its own from a header slice of rows:
+// the oracle that pins appendRedoBatchRecord's bytes.
+func refRedoBatchRecord(table string, rows [][]rel.Value) []byte {
+	rec := appendString(make([]byte, recordHeaderSize), table)
+	rec = binary.AppendUvarint(rec, uint64(len(rows)))
+	for _, row := range rows {
+		rec = binary.AppendUvarint(rec, uint64(len(row)))
+		for _, v := range row {
+			rec = appendValue(rec, v)
+		}
+	}
+	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-recordHeaderSize))
+	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(rec[:4], crcTable))
+	binary.LittleEndian.PutUint32(rec[8:], crc32.Checksum(rec[recordHeaderSize:], crcTable))
+	return rec
+}
+
+// TestRedoBatchBytesPinned: a group commit of rows to two tables,
+// interleaved, writes exactly the reference encoder's records — one per
+// run of rows to the same table, in commit order — after the header.
+func TestRedoBatchBytesPinned(t *testing.T) {
+	author := []rel.Value{rel.Int(6), rel.Int(1), rel.Str("Lamport"), rel.Int(1941)}
+	nulls := []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Str(""), rel.NullOf(rel.TInt)}
+	recs := []redoRecord{
+		{Table: "book", Row: bookRow(100)},
+		{Table: "book", Row: bookRow(101)},
+		{Table: "author", Row: author},
+		{Table: "book", Row: bookRow(102)},
+		{Table: "author", Row: nulls},
+		{Table: "author", Row: author},
+	}
+	want := emptyRedoLog()
+	want = append(want, refRedoBatchRecord("book", [][]rel.Value{bookRow(100), bookRow(101)})...)
+	want = append(want, refRedoBatchRecord("author", [][]rel.Value{author})...)
+	want = append(want, refRedoBatchRecord("book", [][]rel.Value{bookRow(102)})...)
+	want = append(want, refRedoBatchRecord("author", [][]rel.Value{nulls, author})...)
+
+	path := filepath.Join(t.TempDir(), RedoName)
+	if err := os.WriteFile(path, emptyRedoLog(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	end, err := appendRedoBatch(path, recs, redoHeaderSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) || end != int64(len(want)) {
+		t.Fatalf("redo log is %d bytes (end %d), reference encoding %d bytes", len(got), end, len(want))
+	}
+	back, _, err := readRedo(got)
+	if err != nil || !redoRowsEqual(back, recs) {
+		t.Fatalf("pinned log reads back to %d rows, want %d: %v", len(back), len(recs), err)
 	}
 }

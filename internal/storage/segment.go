@@ -37,12 +37,25 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // wrapEnvelope frames a payload with magic, version, length, and
 // checksum.
 func wrapEnvelope(magic [4]byte, version uint32, payload []byte) []byte {
-	out := make([]byte, 0, envelopeSize+len(payload))
-	out = append(out, magic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, version)
-	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-	return append(out, payload...)
+	out := append(beginEnvelope(make([]byte, 0, envelopeSize+len(payload)), magic, version), payload...)
+	endEnvelope(out, 0)
+	return out
+}
+
+// beginEnvelope appends an envelope header whose length and checksum
+// are left zero, for endEnvelope to fill in once the payload follows it.
+func beginEnvelope(p []byte, magic [4]byte, version uint32) []byte {
+	p = append(p, magic[:]...)
+	p = binary.LittleEndian.AppendUint32(p, version)
+	return append(p, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+}
+
+// endEnvelope completes the envelope that begins at p[start]: its
+// payload is everything after the header.
+func endEnvelope(p []byte, start int) {
+	payload := p[start+envelopeSize:]
+	binary.LittleEndian.PutUint64(p[start+8:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(p[start+16:], crc32.Checksum(payload, crcTable))
 }
 
 // envelopeLen checks a frame's size, magic, and version and returns the

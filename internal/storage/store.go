@@ -1,12 +1,13 @@
 package storage
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,9 +65,10 @@ type Options struct {
 	// to their callers and are not counted. Zero or less means
 	// unlimited — every chunk stays resident once faulted.
 	MemBudgetBytes int64
-	// ChunkRows is the rows-per-chunk for segments written by Save and
-	// Compact: a positive multiple of 64, or zero for DefaultChunkRows.
-	// Anything else is an error from whichever of them writes a segment.
+	// ChunkRows is the rows-per-chunk for segments written by Save: a
+	// positive multiple of 64, or zero for DefaultChunkRows; anything
+	// else fails Save. Only Save reads it: a segment keeps the chunk size
+	// it was saved with, through every compaction.
 	ChunkRows int
 	// CompactRecords, when positive, auto-compacts the store in the
 	// background once the redo log holds at least this many rows. Zero
@@ -136,26 +138,32 @@ type commitBatch struct {
 }
 
 // encodeTableFile serializes one table as a chunked segment and returns
-// the file bytes plus the manifest entry pinning its facts.
-func encodeTableFile(t *rel.Table, file string, chunkRows int) ([]byte, TableEntry, error) {
-	e := TableEntry{
-		Name:       t.Name,
-		Parent:     t.Parent,
-		File:       file,
-		Rows:       t.RowCount(),
-		Generation: int64(t.RowCount()), // a table only grows
-		Bytes:      t.Bytes(),
-	}
-	seg, err := EncodeChunkedSegment(t.Snapshot(), chunkRows)
+// the file's directory and chunk bytes, which the file holds back to
+// back, plus the manifest entry pinning its facts.
+func encodeTableFile(t *rel.Table, file string, chunkRows int) (dir, chunks []byte, e TableEntry, err error) {
+	refs, chunks, err := encodeChunks(t.Snapshot(), chunkRows)
 	if err != nil {
-		return nil, e, err
+		return nil, nil, e, err
 	}
-	dirLen := int64(envelopeSize) + int64(binary.LittleEndian.Uint64(seg[8:16]))
-	e.Size = int64(len(seg))
-	e.CRC = crc32.Checksum(seg[:dirLen], crcTable)
-	e.ChunkRows = chunkRows
-	e.Dir = dirLen
-	return seg, e, nil
+	dir = encodeChunkedDir(t.Name, t.Parent, t.RowCount(), chunkRows, t.Columns, refs)
+	return dir, chunks, segmentEntry(t.Name, t.Parent, file, t.RowCount(), t.Bytes(), chunkRows, dir, int64(len(chunks))), nil
+}
+
+// segmentEntry is the manifest entry of a segment file made of dir and
+// chunkBytes bytes of chunks after it.
+func segmentEntry(name, parent, file string, rows int, bytes int64, chunkRows int, dir []byte, chunkBytes int64) TableEntry {
+	return TableEntry{
+		Name:       name,
+		Parent:     parent,
+		File:       file,
+		Rows:       rows,
+		Generation: int64(rows), // a table only grows
+		Bytes:      bytes,
+		Size:       int64(len(dir)) + chunkBytes,
+		CRC:        crc32.Checksum(dir, crcTable),
+		ChunkRows:  chunkRows,
+		Dir:        int64(len(dir)),
+	}
 }
 
 // Save writes the built database's base tables, an empty redo log, and
@@ -178,14 +186,14 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 		RedoFile:      RedoName,
 	}
 	for i, t := range b.DB.Tables() {
-		seg, entry, err := encodeTableFile(t, fmt.Sprintf("t%04d.seg", i), cr)
+		segDir, chunks, entry, err := encodeTableFile(t, fmt.Sprintf("t%04d.seg", i), cr)
 		if err != nil {
 			return nil, err
 		}
-		if err := writeFileSync(filepath.Join(dir, entry.File), seg); err != nil {
+		if err := writeFileSync(filepath.Join(dir, entry.File), segDir, chunks); err != nil {
 			return nil, err
 		}
-		written.Add(int64(len(seg)))
+		written.Add(entry.Size)
 		man.Tables = append(man.Tables, entry)
 	}
 	redo := emptyRedoLog()
@@ -692,7 +700,8 @@ func (s *Store) maybeCompactAsync() {
 
 // Compact folds the redo log back into fresh segments: every table
 // with a redo tail is rewritten (with its replayed rows) into the next
-// epoch's segment file and the epoch is published by publishLocked.
+// epoch's segment file, at the chunk size it was saved with, and the
+// epoch is published by publishLocked.
 func (s *Store) Compact() error { return s.compact(true) }
 
 // compact is Compact; without the Close fence it is the background
@@ -722,8 +731,8 @@ func (s *Store) compact(fence bool) error {
 }
 
 // publishLocked moves the store to its next epoch for compaction: every
-// table with a redo tail is assembled with it and written to a new
-// segment file, and every other table's file carries over unchanged.
+// table with a redo tail is written with it to a new segment file by
+// foldTailLocked, and every other table's file carries over unchanged.
 // The new segment files are written first, then a fresh empty redo log,
 // then the new manifest is published via temp-file+rename — the atomic
 // switch-over. A crash anywhere before the rename leaves the old
@@ -740,7 +749,6 @@ func (s *Store) publishLocked() error {
 		return nil
 	}
 	epoch := s.man.Epoch + 1
-	cr := s.opts.chunkRowsOrDefault()
 	newMan := &Manifest{
 		FormatVersion: ChunkSegmentVersion,
 		Epoch:         epoch,
@@ -757,21 +765,11 @@ func (s *Store) publishLocked() error {
 			newMan.Tables = append(newMan.Tables, e)
 			continue
 		}
-		t, err := s.assembleLocked(&e, tail)
+		entry, err := s.foldTailLocked(&e, tail, fmt.Sprintf("t%04d.e%04d.seg", i, epoch), step)
 		if err != nil {
 			return err
 		}
-		if err := step("segment:" + e.Name); err != nil {
-			return err
-		}
-		seg, entry, err := encodeTableFile(t, fmt.Sprintf("t%04d.e%04d.seg", i, epoch), cr)
-		if err != nil {
-			return err
-		}
-		if err := writeFileSync(filepath.Join(s.dir, entry.File), seg); err != nil {
-			return err
-		}
-		written.Add(int64(len(seg)))
+		written.Add(entry.Size)
 		obsolete = append(obsolete, e.File)
 		rewritten = append(rewritten, e.Name)
 		newMan.Tables = append(newMan.Tables, entry)
@@ -820,13 +818,144 @@ func (s *Store) publishLocked() error {
 	return nil
 }
 
-// writeFileSync writes a file and fsyncs it before close.
-func writeFileSync(path string, data []byte) error {
+// foldTailLocked writes table e with its redo tail folded in to the
+// segment file named file and returns the file's manifest entry. The
+// segment keeps e's chunk size, so every full chunk of e's file is
+// already what an encoding of the folded table would write there: those
+// bytes are copied from the old file through a small buffer, each
+// checked against the manifest-verified directory's CRC on the way, so
+// a damaged chunk fails the fold. Only the last, partial chunk is
+// decoded — read from the file, not through the pager, so no cached
+// fragment is appended to — and it is replayed with the tail and
+// encoded from its first row on. step is publishLocked's killpoint
+// hook. Caller holds mu; on error no file is left behind.
+func (s *Store) foldTailLocked(e *TableEntry, tail []redoRecord, file string, step func(string) error) (TableEntry, error) {
+	d, err := s.chunkedDirLocked(e)
+	if err != nil {
+		return TableEntry{}, err
+	}
+	f, err := os.Open(filepath.Join(s.dir, e.File))
+	if err != nil {
+		return TableEntry{}, fmt.Errorf("storage: reading segment for table %q: %w", e.Name, err)
+	}
+	defer f.Close()
+	full := e.Rows / d.ChunkRows
+	last, err := s.partialChunk(f, e, d, full)
+	if err != nil {
+		return TableEntry{}, err
+	}
+	lastBytes := last.Bytes()
+	if err := replayRedo(e.Name, last.Columns, tail, last.AppendRow); err != nil {
+		return TableEntry{}, err
+	}
+	if err := step("segment:" + e.Name); err != nil {
+		return TableEntry{}, err
+	}
+	refs, chunks, err := encodeChunks(last.Snapshot(), d.ChunkRows)
+	if err != nil {
+		return TableEntry{}, err
+	}
+	kept := d.Chunks[:full]
+	rows := e.Rows + len(tail)
+	dir := encodeChunkedDir(d.Name, d.Parent, rows, d.ChunkRows, d.Cols, slices.Concat(kept, refs))
+	var keptBytes int64
+	for _, ref := range kept {
+		keptBytes += ref.Size
+	}
+	path := filepath.Join(s.dir, file)
+	err = writeSync(path, func(w *os.File) error {
+		if _, err := w.Write(dir); err != nil {
+			return err
+		}
+		if err := s.copyChunks(w, f, e.File, kept); err != nil {
+			return err
+		}
+		_, err := w.Write(chunks)
+		return err
+	})
+	if err != nil {
+		os.Remove(path)
+		return TableEntry{}, err
+	}
+	s.reg.Counter("storage.segment.bytes_read").Add(keptBytes)
+	return segmentEntry(e.Name, e.Parent, file, rows, e.Bytes-lastBytes+last.Bytes(), d.ChunkRows, dir, keptBytes+int64(len(chunks))), nil
+}
+
+// partialChunk returns chunk k of e's segment, read from f and
+// verified, as a table the caller owns and may append to; when k is past
+// the last chunk (every chunk is full) it is an empty table of e's
+// columns.
+func (s *Store) partialChunk(f *os.File, e *TableEntry, d *chunkedDir, k int) (*rel.Table, error) {
+	if k == len(d.Chunks) {
+		t := rel.NewTable(d.Name, d.Cols)
+		t.Parent = d.Parent
+		return t, nil
+	}
+	ref := &d.Chunks[k]
+	blob := make([]byte, ref.Size)
+	if _, err := f.ReadAt(blob, ref.Off); err != nil {
+		return nil, fmt.Errorf("storage: reading chunk %d of %s: %w", k, e.File, err)
+	}
+	s.reg.Counter("storage.segment.bytes_read").Add(ref.Size)
+	frag, err := d.decodeChunk(k, blob, d.all, nil)
+	if err != nil {
+		s.reg.Counter("storage.checksum.failures").Inc()
+		return nil, err
+	}
+	t, err := rel.TableFromSnapshot(frag.Snapshot())
+	if err != nil {
+		return nil, fmt.Errorf("storage: segment %s: %w", e.File, err)
+	}
+	return t, nil
+}
+
+// copyChunks copies the chunks refs, which lie back to back in src, to
+// w through one small buffer, and fails on the first chunk whose bytes
+// do not hash to its directory CRC or cannot be read whole.
+func (s *Store) copyChunks(w io.Writer, src io.ReaderAt, file string, refs []chunkRef) error {
+	buf := make([]byte, 64<<10)
+	for k, ref := range refs {
+		crc := uint32(0)
+		for off := int64(0); off < ref.Size; {
+			part := buf[:min(int64(len(buf)), ref.Size-off)]
+			if _, err := src.ReadAt(part, ref.Off+off); err != nil {
+				return fmt.Errorf("storage: reading chunk %d of %s: %w", k, file, err)
+			}
+			crc = crc32.Update(crc, crcTable, part)
+			if _, err := w.Write(part); err != nil {
+				return err
+			}
+			off += int64(len(part))
+		}
+		if crc != ref.CRC {
+			s.reg.Counter("storage.checksum.failures").Inc()
+			return fmt.Errorf("storage: chunk %d of %s checksum mismatch: directory says %08x, copied bytes hash to %08x", k, file, ref.CRC, crc)
+		}
+	}
+	return nil
+}
+
+// writeFileSync writes parts to a new file back to back and fsyncs it
+// before close.
+func writeFileSync(path string, parts ...[]byte) error {
+	return writeSync(path, func(f *os.File) error {
+		for _, p := range parts {
+			if _, err := f.Write(p); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+}
+
+// writeSync creates path, lets write fill it, and fsyncs it before
+// close.
+func writeSync(path string, write func(*os.File) error) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("storage: creating %s: %w", path, err)
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return fmt.Errorf("storage: writing %s: %w", path, err)
 	}

@@ -726,9 +726,8 @@ func TestPostCloseOperationsFence(t *testing.T) {
 	}
 }
 
-// TestNegativeChunkRowsIsAnError: ChunkRows < 0 selects nothing — it is
-// an invalid chunk size wherever a segment would be written (Save,
-// Compact), and nothing is published.
+// TestNegativeChunkRowsIsAnError: ChunkRows < 0 selects nothing — Save
+// refuses it as an invalid chunk size and publishes nothing.
 func TestNegativeChunkRowsIsAnError(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Save(dir, fixtureBuilt(t), Options{ChunkRows: -1}); err == nil || !strings.Contains(err.Error(), "chunk size -1") {
@@ -737,21 +736,43 @@ func TestNegativeChunkRowsIsAnError(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, ManifestName)); err == nil {
 		t.Fatal("failed Save published a manifest")
 	}
-	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
+}
+
+// TestCompactKeepsSavedChunkRows: only Save reads Options.ChunkRows. A
+// segment saved at 64 rows per chunk is still at 64 after compactions
+// under another chunk size and under an invalid one.
+func TestCompactKeepsSavedChunkRows(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Save(dir, fixtureBuilt(t), Options{ChunkRows: 64}); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir, Options{ChunkRows: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Append("book", bookRow(6)); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Compact(); err == nil || !strings.Contains(err.Error(), "chunk size -1") {
-		t.Fatalf("Compact with ChunkRows -1: %v, want a chunk-size error", err)
-	}
-	if st.Manifest().Epoch != 0 || st.RedoRows() != 1 {
-		t.Fatalf("failed Compact moved the store: epoch %d, %d redo rows", st.Manifest().Epoch, st.RedoRows())
+	for round, cr := range []int{128, -1, 0} {
+		st, err := Open(dir, Options{ChunkRows: cr})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rows [][]rel.Value
+		for i := 0; i < 100; i++ {
+			rows = append(rows, bookRow(1000*(round+1)+i))
+		}
+		if err := st.AppendBatch("book", rows); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Compact(); err != nil {
+			t.Fatalf("Compact under ChunkRows %d: %v", cr, err)
+		}
+		e := st.Manifest().Table("book")
+		st.mu.Lock()
+		d, err := st.chunkedDirLocked(e)
+		st.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.ChunkRows != 64 || d.ChunkRows != 64 {
+			t.Fatalf("after compacting under ChunkRows %d: manifest says %d rows/chunk, directory %d, want 64", cr, e.ChunkRows, d.ChunkRows)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
