@@ -163,6 +163,11 @@ func TestRunSaveOpen(t *testing.T) {
 	if strings.Contains(out, "paged view:") {
 		t.Errorf("unbudgeted open summary claims a paged view:\n%s", out)
 	}
+	// Assembly reads the segment files, not the pager: an unbudgeted
+	// reopen leaves the chunk cache empty.
+	if !slices.Contains(strings.Split(out, "\n"), "resident: chunk cache 0 KB") {
+		t.Errorf("unbudgeted open summary has no line \"resident: chunk cache 0 KB\":\n%s", out)
+	}
 	// The redo line reports the log alone: the epoch is the header's.
 	if !slices.Contains(strings.Split(out, "\n"), "redo redo.log: 0 rows, 0 KB") {
 		t.Errorf("open summary has no redo line \"redo redo.log: 0 rows, 0 KB\":\n%s", out)

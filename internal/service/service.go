@@ -312,9 +312,10 @@ func (s *Service) RegisterBuilt(name string, b *engine.Built, m *shred.Mapping, 
 // it was built over whatever the store does next; a paged one turns
 // stale (typed errors, never wrong rows) once the store moves on.
 // Optimizer statistics are collected once at registration: from the
-// Built's own tables when resident, and table by table when paged, so
-// registration holds one assembled table at a time, never a resident
-// copy of the corpus.
+// Built's own tables when resident, and table by table when paged, so a
+// paged registration holds one assembled table at a time, never a copy
+// of the corpus. Assembly reads the segment files, not the pager, so
+// registration leaves the chunk cache as it found it: the scans fill it.
 func (s *Service) RegisterStore(name string, st *storage.Store, m *shred.Mapping, paged bool) error {
 	if !paged {
 		b, err := st.Built()

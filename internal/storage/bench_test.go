@@ -139,11 +139,11 @@ func benchScanPlan(b *testing.B, dir string) *optimizer.Plan {
 		b.Fatal(err)
 	}
 	defer oracle.Close()
-	db, err := oracle.Database()
+	built, err := oracle.Built()
 	if err != nil {
 		b.Fatal(err)
 	}
-	return scanPlan(b, db, scanQueries()[0])
+	return scanPlan(b, built.DB, scanQueries()[0])
 }
 
 // BenchmarkChunkScanQuery executes a driver-stage scan query through
@@ -234,7 +234,7 @@ var dblpBuilt = sync.OnceValues(func() (*engine.Built, error) {
 })
 
 // benchDBLPStore saves dblpBuilt into a fresh directory.
-func benchDBLPStore(b *testing.B) string {
+func benchDBLPStore(b testing.TB) string {
 	b.Helper()
 	built, err := dblpBuilt()
 	if err != nil {
@@ -326,8 +326,9 @@ func BenchmarkCompact(b *testing.B) {
 }
 
 // BenchmarkStoreTable assembles every DBLP table from a freshly opened
-// store under a budget of a quarter of the data: each op faults, decodes
-// and validates every chunk through the pager and merges the fragments
+// store under a budget of a quarter of the data: each op reads, decodes
+// and validates every chunk straight from the segment files (the pager,
+// which the budget governs, is not involved) and merges the fragments
 // into whole tables.
 func BenchmarkStoreTable(b *testing.B) {
 	dir := benchDBLPStore(b)

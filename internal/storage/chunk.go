@@ -1,12 +1,15 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"slices"
 
+	"repro/internal/obs"
 	"repro/internal/rel"
 )
 
@@ -501,23 +504,29 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte, cols []int, regions []int64
 	return t, nil
 }
 
-// mergeChunks reassembles a full-table snapshot from per-chunk
-// snapshots in order, into vectors sized once for the directory's row
-// count. Numeric vectors and bitmap words concatenate directly (every
-// chunk but the last holds a multiple of 64 rows). A string column
-// interns each chunk's local dictionary once, in local-code order —
-// which, a local dictionary being in first-appearance order within its
-// chunk, reproduces the global first-appearance dictionary — and maps
-// the chunk's codes through the resulting local-to-global array. The
-// caller validates the result through rel.TableFromSnapshot.
-func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot, error) {
-	if len(parts) != len(d.Chunks) {
-		return nil, fmt.Errorf("storage: merging %d chunks of %s, directory says %d", len(parts), d.Name, len(d.Chunks))
+// mergeChunks reassembles the snapshot of chunks from.. out of their
+// per-chunk snapshots in order, into vectors sized once for those
+// chunks' row count. Numeric vectors and bitmap words concatenate
+// directly (every chunk but the last holds a multiple of 64 rows). A
+// string column interns each chunk's local dictionary once, in
+// local-code order — which, a local dictionary being in first-appearance
+// order within its chunk, reproduces the global first-appearance
+// dictionary — and maps the chunk's codes through the resulting
+// local-to-global array. The caller validates the result through
+// rel.TableFromSnapshot.
+func (d *chunkedDir) mergeChunks(from int, parts []*rel.TableSnapshot) (*rel.TableSnapshot, error) {
+	refs := d.Chunks[from:]
+	if len(parts) != len(refs) {
+		return nil, fmt.Errorf("storage: merging %d chunks of %s from chunk %d, directory says %d", len(parts), d.Name, from, len(refs))
+	}
+	rows := 0
+	for _, ref := range refs {
+		rows += ref.Rows
 	}
 	out := &rel.TableSnapshot{
 		Name:     d.Name,
 		Parent:   d.Parent,
-		RowCount: d.RowCount,
+		RowCount: rows,
 		Columns:  make([]rel.ColumnSnapshot, len(d.Cols)),
 	}
 	// The TString columns' global dictionaries: entries in code order and
@@ -528,17 +537,17 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 	for ci, col := range d.Cols {
 		oc := &out.Columns[ci]
 		oc.Col = col
-		if d.RowCount == 0 {
+		if rows == 0 {
 			continue
 		}
-		oc.NullWords = make([]uint64, 0, (d.RowCount+63)/64)
+		oc.NullWords = make([]uint64, 0, (rows+63)/64)
 		switch col.Typ {
 		case rel.TInt:
-			oc.Ints = make([]int64, 0, d.RowCount)
+			oc.Ints = make([]int64, 0, rows)
 		case rel.TFloat:
-			oc.Floats = make([]float64, 0, d.RowCount)
+			oc.Floats = make([]float64, 0, rows)
 		case rel.TString:
-			oc.Codes = make([]uint32, 0, d.RowCount)
+			oc.Codes = make([]uint32, 0, rows)
 			n := 0
 			for _, part := range parts {
 				if ci < len(part.Columns) {
@@ -551,9 +560,10 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 	}
 	var global []uint32 // a chunk column's local code -> global code
 	for pi, part := range parts {
-		if part.RowCount != d.Chunks[pi].Rows || len(part.Columns) != len(d.Cols) {
+		k := from + pi
+		if part.RowCount != refs[pi].Rows || len(part.Columns) != len(d.Cols) {
 			return nil, fmt.Errorf("storage: chunk %d of %s has shape %d rows / %d cols, directory says %d / %d",
-				pi, d.Name, part.RowCount, len(part.Columns), d.Chunks[pi].Rows, len(d.Cols))
+				k, d.Name, part.RowCount, len(part.Columns), refs[pi].Rows, len(d.Cols))
 		}
 		for ci := range d.Cols {
 			cs := &part.Columns[ci]
@@ -584,7 +594,7 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 					}
 					if int(lc) >= len(global) {
 						return nil, fmt.Errorf("storage: chunk %d of %s: row %d code %d exceeds local dictionary %d",
-							pi, d.Name, r, lc, len(cs.Dict))
+							k, d.Name, r, lc, len(cs.Dict))
 					}
 					oc.Codes = append(oc.Codes, global[lc])
 				}
@@ -597,11 +607,48 @@ func (d *chunkedDir) mergeChunks(parts []*rel.TableSnapshot) (*rel.TableSnapshot
 	return out, nil
 }
 
+// readChunks reads chunks from.. of the segment d describes through
+// src, one ReadAt per chunk into one pooled frame buffer, verifies each
+// through decodeChunk and merges them (mergeChunks) into one snapshot,
+// which the caller still validates through rel.TableFromSnapshot. A
+// failed or short read counts under storage.read.errors; a chunk that
+// was read but does not verify, or chunks that do not merge, count under
+// storage.checksum.failures. src is not touched when from is the chunk
+// count.
+func (d *chunkedDir) readChunks(src io.ReaderAt, from int, reg *obs.Registry) (*rel.TableSnapshot, error) {
+	parts := make([]*rel.TableSnapshot, 0, len(d.Chunks)-from)
+	fr := frames.Get().(*frame)
+	defer frames.Put(fr)
+	for k := from; k < len(d.Chunks); k++ {
+		ref := &d.Chunks[k]
+		if int64(cap(fr.buf)) < ref.Size {
+			fr.buf = make([]byte, ref.Size)
+		}
+		blob := fr.buf[:ref.Size]
+		if _, err := src.ReadAt(blob, ref.Off); err != nil {
+			reg.Counter("storage.read.errors").Inc()
+			return nil, fmt.Errorf("storage: reading chunk %d of %s at offset %d: %w", k, d.Name, ref.Off, err)
+		}
+		reg.Counter("storage.segment.bytes_read").Add(ref.Size)
+		frag, err := d.decodeChunk(k, blob, d.all, nil)
+		if err != nil {
+			reg.Counter("storage.checksum.failures").Inc()
+			return nil, err
+		}
+		parts = append(parts, frag.Snapshot())
+	}
+	merged, err := d.mergeChunks(from, parts)
+	if err != nil {
+		reg.Counter("storage.checksum.failures").Inc()
+		return nil, err
+	}
+	return merged, nil
+}
+
 // DecodeChunkedSegment parses a whole chunked segment file back into a
-// full-table snapshot: directory, every chunk through the per-chunk
-// verification chain, then reassembly. Callers must still run the
-// result through rel.TableFromSnapshot; the native fuzz target
-// FuzzChunkDecode hammers this entry point.
+// full-table snapshot: the directory, then readChunks over the file's
+// bytes. Callers must still run the result through rel.TableFromSnapshot;
+// the native fuzz target FuzzChunkDecode hammers this entry point.
 func DecodeChunkedSegment(data []byte) (*rel.TableSnapshot, error) {
 	d, err := decodeChunkedDir(data)
 	if err != nil {
@@ -610,14 +657,5 @@ func DecodeChunkedSegment(data []byte) (*rel.TableSnapshot, error) {
 	if int64(len(data)) != d.fileSize() {
 		return nil, fmt.Errorf("storage: chunked segment %s is %d bytes, directory implies %d", d.Name, len(data), d.fileSize())
 	}
-	parts := make([]*rel.TableSnapshot, len(d.Chunks))
-	for k := range d.Chunks {
-		ref := &d.Chunks[k]
-		part, err := d.decodeChunk(k, data[ref.Off:ref.Off+ref.Size], d.all, nil)
-		if err != nil {
-			return nil, err
-		}
-		parts[k] = part.Snapshot()
-	}
-	return d.mergeChunks(parts)
+	return d.readChunks(bytes.NewReader(data), 0, nil)
 }

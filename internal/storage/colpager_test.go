@@ -241,7 +241,7 @@ func TestChunkColumnsConcurrentOverlap(t *testing.T) {
 		if read != (faults+dups)*ref.Size {
 			t.Fatalf("chunk %d: %d bytes read, want (%d faults + %d duplicate loads) × %d-byte frame", k, read, faults, dups, ref.Size)
 		}
-		frag, err := p.chunk("fact.seg", d, k)
+		frag, err := fetch(p, "fact.seg", d, k, d.all)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,10 +327,10 @@ func TestPagerInvalidatePinnedSweepsColumns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.chunk("fact.seg", d, 1); err != nil {
+	if _, err := fetch(p, "fact.seg", d, 1, d.all); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.acquire("fact.seg", d, 2, []int{2}, false); err != nil {
+	if _, err := fetch(p, "fact.seg", d, 2, []int{2}); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
@@ -384,7 +384,7 @@ func TestPagerClockKeepsPinnedColumns(t *testing.T) {
 	key := chunkKey{"fact", "fact.seg", 0}
 	for pass := 0; pass < 3; pass++ {
 		for k := 1; k < len(d.Chunks); k++ {
-			if _, err := p.chunk("fact.seg", d, k); err != nil {
+			if _, err := fetch(p, "fact.seg", d, k, d.all); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -408,7 +408,7 @@ func TestPagerClockKeepsPinnedColumns(t *testing.T) {
 	release()
 	for pass := 0; pass < 3; pass++ {
 		for k := 1; k < len(d.Chunks); k++ {
-			if _, err := p.chunk("fact.seg", d, k); err != nil {
+			if _, err := fetch(p, "fact.seg", d, k, d.all); err != nil {
 				t.Fatal(err)
 			}
 		}

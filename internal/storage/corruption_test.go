@@ -103,23 +103,34 @@ func storeFiles(t testing.TB, dir string) []string {
 	return out
 }
 
-// openAll fully opens a store: Open, every table, and the physical
-// rebuild. Any of these may fail; none may panic. A tiny memory budget
-// forces the chunk pager through eviction on corrupted inputs too.
+// openAll fully opens a store: Open, a chunk scan of every chunk of
+// every table, and the physical rebuild over every table. Any of these
+// may fail; none may panic. A tiny memory budget forces the chunk pager
+// through eviction on corrupted inputs too.
 func openAll(dir string) (map[string]*rel.Table, error) {
 	st, err := Open(dir, Options{MemBudgetBytes: 8 << 10})
 	if err != nil {
 		return nil, err
 	}
-	db, err := st.Database()
+	for _, e := range st.Manifest().Tables {
+		cs, err := st.ChunkScan(e.Name)
+		if err != nil {
+			return nil, err
+		}
+		for k := 0; k < cs.NumChunks(); k++ {
+			_, release, err := cs.Chunk(k)
+			if err != nil {
+				return nil, err
+			}
+			release()
+		}
+	}
+	b, err := st.Built()
 	if err != nil {
 		return nil, err
 	}
-	if _, err := st.Built(); err != nil {
-		return nil, err
-	}
 	out := make(map[string]*rel.Table)
-	for _, tb := range db.Tables() {
+	for _, tb := range b.DB.Tables() {
 		out[tb.Name] = tb
 	}
 	return out, nil

@@ -11,13 +11,15 @@ import (
 	"repro/internal/rel"
 )
 
-// pager is a memory-budgeted cache of decoded, validated chunk columns.
-// Its unit is one column of one chunk: a scan faults, keeps and is
-// charged for only the columns it reads, so a query that filters one
-// column and projects two holds three of a chunk's columns, not all of
-// them. An entry is one chunk; it holds a *rel.Table fragment with the
-// chunk's resident columns, as the verification chain produced them and
-// ready to scan, so a hit hands it out as is and allocates nothing. The
+// pager is a memory-budgeted cache of decoded, validated chunk columns,
+// and ChunkScan is its one client: assembling a table reads the segment
+// file and leaves the cache alone. Its unit is one column of one chunk:
+// a scan faults, keeps and is charged for only the columns it reads, so
+// a query that filters one column and projects two holds three of a
+// chunk's columns, not all of them. An entry is one chunk; it holds a
+// *rel.Table fragment with the chunk's resident columns, as the
+// verification chain produced them and ready to scan, so a hit hands it
+// out as is and allocates nothing. The
 // fragment is never written: admitting or evicting a column replaces it
 // with a new fragment sharing the other columns' vectors (rel's
 // WithColumns and WithoutColumn), so a fragment a reader already holds
@@ -86,9 +88,9 @@ type colSlot struct {
 	ref  bool  // CLOCK reference bit
 }
 
-// frame is a fault's scratch: the chunk's framed bytes, read once, and
-// every column region's length. Frames are pooled, since decode copies
-// out everything it keeps.
+// frame is a fault's scratch, and readChunks': the chunk's framed bytes,
+// read once, and every column region's length. Frames are pooled, since
+// decode copies out everything it keeps.
 type frame struct {
 	buf     []byte
 	regions []int64
@@ -103,14 +105,6 @@ func newPager(dir string, budget int64, reg *obs.Registry) *pager {
 		reg:     reg,
 		entries: make(map[chunkKey]*pageEntry),
 	}
-}
-
-// chunk returns chunk k of the table described by d with every column
-// resident, unpinned: the fragment stays valid, but its bytes may leave
-// the residency account while the caller still holds it.
-func (p *pager) chunk(file string, d *chunkedDir, k int) (*rel.Table, error) {
-	tab, _, err := p.acquire(file, d, k, d.all, false)
-	return tab, err
 }
 
 // chunkPinned returns chunk k with at least the columns cols (ascending
@@ -128,32 +122,27 @@ func (p *pager) chunk(file string, d *chunkedDir, k int) (*rel.Table, error) {
 // entry's bytes stranded in the account. A repeated release while
 // another reader holds the same chunk does drop that reader's pin;
 // callers release once.
-func (p *pager) chunkPinned(file string, d *chunkedDir, k int, cols []int) (*rel.Table, func(), error) {
-	return p.acquire(file, d, k, cols, true)
-}
-
-// acquire serves columns cols of one chunk, pinned when pin is set; the
-// release is nil when it is not. Every call increments exactly one of
-// storage.pager.hits or storage.pager.faults. A hit finds every column
-// resident. A miss reads the chunk's frame once and decodes the columns
-// it lacked; it is a fault when it admits at least one of them, and a
-// load raced out by concurrent admissions of all of them counts as a
-// hit plus storage.pager.dup_loads — so frames read = faults +
-// dup_loads, and bytes_read stays honest without double-counting
-// admissions.
+//
+// Every call increments exactly one of storage.pager.hits or
+// storage.pager.faults. A hit finds every column resident. A miss reads
+// the chunk's frame once and decodes the columns it lacked; it is a
+// fault when it admits at least one of them, and a load raced out by
+// concurrent admissions of all of them counts as a hit plus
+// storage.pager.dup_loads — so frames read = faults + dup_loads, and
+// bytes_read stays honest without double-counting admissions.
 //
 // A miss holds no pin while it reads, so what it holds beyond the
 // budget is its frame alone; a column that was resident when it began
 // may be evicted meanwhile, and is then decoded from the frame it still
 // holds, under the lock, so the admission stays one step.
-func (p *pager) acquire(file string, d *chunkedDir, k int, cols []int, pin bool) (*rel.Table, func(), error) {
+func (p *pager) chunkPinned(file string, d *chunkedDir, k int, cols []int) (*rel.Table, func(), error) {
 	key := chunkKey{table: d.Name, file: file, idx: k}
 	ref := &d.Chunks[k]
 	p.mu.Lock()
 	e := p.entries[key]
 	missing := absentLocked(e, cols)
 	if e != nil && missing == nil {
-		tab, release := p.hitLocked(e, cols, pin)
+		tab, release := p.hitLocked(e, cols)
 		p.mu.Unlock()
 		p.reg.Counter("storage.pager.hits").Inc()
 		return tab, release, nil
@@ -191,7 +180,7 @@ func (p *pager) acquire(file string, d *chunkedDir, k int, cols []int, pin bool)
 		}
 		admitted = p.admitLocked(e, frag, lost, fr.regions) || admitted
 	}
-	tab, release := p.hitLocked(e, cols, pin)
+	tab, release := p.hitLocked(e, cols)
 	if admitted {
 		p.reg.Counter("storage.pager.faults").Inc()
 	} else {
@@ -262,15 +251,11 @@ func (p *pager) admitLocked(e *pageEntry, frag *rel.Table, cols []int, regions [
 	return true
 }
 
-// hitLocked marks the columns cols of e referenced, takes a pin when pin
-// is set, and returns e's fragment and, when pinned, its release.
-// Caller holds p.mu.
-func (p *pager) hitLocked(e *pageEntry, cols []int, pin bool) (*rel.Table, func()) {
+// hitLocked marks the columns cols of e referenced, takes a pin, and
+// returns e's fragment and its release. Caller holds p.mu.
+func (p *pager) hitLocked(e *pageEntry, cols []int) (*rel.Table, func()) {
 	for _, c := range cols {
 		e.slots[c].ref = true
-	}
-	if !pin {
-		return e.tab, nil
 	}
 	e.pins++
 	return e.tab, e.unpin

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/rel"
 )
 
 // pagerFixture writes a multi-chunk segment file and returns a pager
@@ -48,6 +49,17 @@ func chunkedDirLen(enc []byte) int64 {
 		uint64(enc[12])<<32|uint64(enc[13])<<40|uint64(enc[14])<<48|uint64(enc[15])<<56)
 }
 
+// fetch serves columns cols of chunk k through chunkPinned and releases
+// the pin at once, as a reader done with the chunk does.
+func fetch(p *pager, file string, d *chunkedDir, k int, cols []int) (*rel.Table, error) {
+	tab, release, err := p.chunkPinned(file, d, k, cols)
+	if err != nil {
+		return nil, err
+	}
+	release()
+	return tab, nil
+}
+
 // TestPagerBudgetNeverExceeded pins the acceptance property: resident
 // bytes (the storage.pager.resident_bytes gauge) never exceed the
 // budget, and the high-water mark of resident + in-flight bytes never
@@ -67,7 +79,7 @@ func TestPagerBudgetNeverExceeded(t *testing.T) {
 	gauge := reg.Gauge("storage.pager.resident_bytes")
 	for pass := 0; pass < 3; pass++ {
 		for k := range d.Chunks {
-			if _, err := p.chunk("fact.seg", d, k); err != nil {
+			if _, err := fetch(p, "fact.seg", d, k, d.all); err != nil {
 				t.Fatal(err)
 			}
 			if g := int64(gauge.Value()); g > budget {
@@ -100,7 +112,7 @@ func TestPagerUnlimitedKeepsEverything(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for k := range d.Chunks {
-			if _, err := p.chunk("fact.seg", d, k); err != nil {
+			if _, err := fetch(p, "fact.seg", d, k, d.all); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -126,14 +138,14 @@ func TestPagerClockPrefersCold(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, d, maxChunk := pagerFixture(t, 640, 0, reg)
 	p.budget = 3 * maxChunk
-	if _, err := p.chunk("fact.seg", d, 0); err != nil {
+	if _, err := fetch(p, "fact.seg", d, 0, d.all); err != nil {
 		t.Fatal(err)
 	}
 	for k := 1; k < len(d.Chunks); k++ {
-		if _, err := p.chunk("fact.seg", d, k); err != nil {
+		if _, err := fetch(p, "fact.seg", d, k, d.all); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := p.chunk("fact.seg", d, 0); err != nil { // keep chunk 0 hot
+		if _, err := fetch(p, "fact.seg", d, 0, d.all); err != nil { // keep chunk 0 hot
 			t.Fatal(err)
 		}
 	}
@@ -163,7 +175,7 @@ func TestPagerConcurrentLoads(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 50; i++ {
 				k := rng.Intn(len(d.Chunks))
-				snap, err := p.chunk("fact.seg", d, k)
+				snap, err := fetch(p, "fact.seg", d, k, d.all)
 				if err != nil {
 					errs <- err
 					return
@@ -198,7 +210,7 @@ func TestPagerInvalidate(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, d, _ := pagerFixture(t, 320, 0, reg)
 	for k := range d.Chunks {
-		if _, err := p.chunk("fact.seg", d, k); err != nil {
+		if _, err := fetch(p, "fact.seg", d, k, d.all); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -207,7 +219,7 @@ func TestPagerInvalidate(t *testing.T) {
 		t.Fatalf("resident %d after invalidate", p.residentBytes())
 	}
 	before := reg.Counter("storage.pager.faults").Value()
-	if _, err := p.chunk("fact.seg", d, 0); err != nil {
+	if _, err := fetch(p, "fact.seg", d, 0, d.all); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter("storage.pager.faults").Value() != before+1 {
@@ -233,7 +245,7 @@ func TestPagerMetricsCompleteUnderRace(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				<-start
-				if _, err := p.chunk("fact.seg", d, k); err != nil {
+				if _, err := fetch(p, "fact.seg", d, k, d.all); err != nil {
 					t.Error(err)
 				}
 			}()
@@ -285,7 +297,7 @@ func TestPagerInvalidateKeepsClockOrder(t *testing.T) {
 		dir  *chunkedDir
 		k    int
 	}{{"fact.seg", d, 0}, {"dim.seg", dd, 0}, {"fact.seg", d, 1}} {
-		if _, _, err := p.acquire(ld.file, ld.dir, ld.k, id, false); err != nil {
+		if _, err := fetch(p, ld.file, ld.dir, ld.k, id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -307,7 +319,7 @@ func TestPagerInvalidateKeepsClockOrder(t *testing.T) {
 	// reset-to-zero bug swept f0 → f1 → f0 and evicted the recently
 	// referenced f0.
 	p.budget = p.residentBytes() + idBytes - 1
-	if _, _, err := p.acquire("fact.seg", d, 2, id, false); err != nil {
+	if _, err := fetch(p, "fact.seg", d, 2, id); err != nil {
 		t.Fatal(err)
 	}
 	p.mu.Lock()
@@ -345,7 +357,7 @@ func TestPagerInvalidatePinnedAccounting(t *testing.T) {
 	if snap.RowCount() != d.ChunkRows {
 		t.Fatalf("pinned chunk served %d rows, want %d", snap.RowCount(), d.ChunkRows)
 	}
-	if _, err := p.chunk("fact.seg", d, 1); err != nil {
+	if _, err := fetch(p, "fact.seg", d, 1, d.all); err != nil {
 		t.Fatal(err)
 	}
 	size := charged(d.Chunks[0])
@@ -361,7 +373,7 @@ func TestPagerInvalidatePinnedAccounting(t *testing.T) {
 	// The dead entry is unmapped: a new reader of the same chunk faults
 	// a fresh copy instead of hitting the invalidated one.
 	faults := reg.Counter("storage.pager.faults").Value()
-	if _, err := p.chunk("fact.seg", d, 0); err != nil {
+	if _, err := fetch(p, "fact.seg", d, 0, d.all); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter("storage.pager.faults").Value() != faults+1 {
@@ -376,7 +388,7 @@ func TestPagerInvalidatePinnedAccounting(t *testing.T) {
 		t.Fatalf("resident %d after last unpin, want the fresh admission's %d", got, size)
 	}
 	hits := reg.Counter("storage.pager.hits").Value()
-	if _, err := p.chunk("fact.seg", d, 0); err != nil {
+	if _, err := fetch(p, "fact.seg", d, 0, d.all); err != nil {
 		t.Fatal(err)
 	}
 	if reg.Counter("storage.pager.hits").Value() != hits+1 {
@@ -399,7 +411,7 @@ func TestPagerPinnedChunkSurvivesPressure(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for k := 1; k < len(d.Chunks); k++ {
-			if _, err := p.chunk("fact.seg", d, k); err != nil {
+			if _, err := fetch(p, "fact.seg", d, k, d.all); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -420,7 +432,7 @@ func TestPagerPinnedChunkSurvivesPressure(t *testing.T) {
 	}
 	for pass := 0; pass < 3; pass++ {
 		for k := 1; k < len(d.Chunks); k++ {
-			if _, err := p.chunk("fact.seg", d, k); err != nil {
+			if _, err := fetch(p, "fact.seg", d, k, d.all); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -472,7 +484,7 @@ func TestPagerReleaseNeverUnderflows(t *testing.T) {
 	}
 	for pass := 0; pass < 2; pass++ {
 		for k := 1; k < len(d.Chunks); k++ {
-			if _, err := p.chunk("fact.seg", d, k); err != nil {
+			if _, err := fetch(p, "fact.seg", d, k, d.all); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -520,7 +532,7 @@ func TestPagerTellsReadErrorsFromChecksumFailures(t *testing.T) {
 	if err := os.Truncate(path, d.Chunks[last].Off+d.Chunks[last].Size/2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.chunk("fact.seg", d, last); err == nil {
+	if _, err := fetch(p, "fact.seg", d, last, d.all); err == nil {
 		t.Fatal("chunk past the end of a truncated file loaded")
 	}
 	if r, c := readErrs.Value(), crcFails.Value(); r != 1 || c != 0 {
@@ -535,14 +547,14 @@ func TestPagerTellsReadErrorsFromChecksumFailures(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.chunk("fact.seg", d, 0); err == nil {
+	if _, err := fetch(p, "fact.seg", d, 0, d.all); err == nil {
 		t.Fatal("chunk with a flipped payload bit loaded")
 	}
 	if r, c := readErrs.Value(), crcFails.Value(); r != 1 || c != 1 {
 		t.Fatalf("flipped bit: read.errors %d checksum.failures %d, want 1 and 1", r, c)
 	}
 
-	if _, err := p.chunk("fact.seg", d, 1); err != nil {
+	if _, err := fetch(p, "fact.seg", d, 1, d.all); err != nil {
 		t.Fatalf("intact chunk: %v", err)
 	}
 	if r, c := readErrs.Value(), crcFails.Value(); r != 1 || c != 1 {

@@ -30,12 +30,12 @@ func ackedAppends(t *testing.T, dir string, n int) (logs [][]byte, states []map[
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := st.Database()
+		b, err := st.Built()
 		if err != nil {
 			t.Fatal(err)
 		}
 		tables := make(map[string]*rel.Table)
-		for _, tb := range db.Tables() {
+		for _, tb := range b.DB.Tables() {
 			tables[tb.Name] = tb
 		}
 		logs, states = append(logs, log), append(states, tables)
@@ -58,12 +58,12 @@ func openTorn(t *testing.T, dir string) (map[string]*rel.Table, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	db, err := st.Database()
+	b, err := st.Built()
 	if err != nil {
 		return nil, 0, err
 	}
 	tables := make(map[string]*rel.Table)
-	for _, tb := range db.Tables() {
+	for _, tb := range b.DB.Tables() {
 		tables[tb.Name] = tb
 	}
 	return tables, reg.Counter("storage.redo.torn_tail_bytes").Value(), nil
@@ -136,11 +136,11 @@ func TestTornGroupCommitSecondRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := st.Database()
+	b, err := st.Built()
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]*rel.Table{"book": db.Table("book"), "author": db.Table("author")}
+	want := map[string]*rel.Table{"book": b.DB.Table("book"), "author": b.DB.Table("author")}
 	want["book"].AppendRow(bookRow(100))
 
 	path := filepath.Join(dir, RedoName)

@@ -73,9 +73,8 @@ func (s *Store) chunkScanLocked(e *TableEntry, tail []redoRecord) (*ChunkScan, e
 		lo += ref.Rows
 	}
 	if len(tail) > 0 {
-		ov := rel.NewTable(e.Name, d.Cols)
-		ov.Parent = e.Parent
-		if err := replayRedo(e.Name, d.Cols, tail, ov.AppendRow); err != nil {
+		ov, err := s.readLocked(e, len(d.Chunks), tail) // no chunk: the tail alone
+		if err != nil {
 			return nil, err
 		}
 		cs.overlay = ov

@@ -221,6 +221,21 @@ func maxChunkBytes(t testing.TB, s *Store) int64 {
 	return max
 }
 
+// storeTables assembles every table of s, one Table call each, into a
+// database the test owns.
+func storeTables(t *testing.T, s *Store) *rel.Database {
+	t.Helper()
+	db := rel.NewDatabase()
+	for _, e := range s.Manifest().Tables {
+		tb, err := s.Table(e.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.Add(tb)
+	}
+	return db
+}
+
 // TestChunkHitAllocatesNothing: on a warm pager, acquiring and
 // releasing a chunk is a lock, a map lookup and a pin — the cached
 // table is handed out as is.
@@ -257,6 +272,95 @@ func TestChunkHitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestAssemblyBypassesPager: assembling tables reads the segment files
+// and leaves the pager, the scans' cache, untouched. On an unbudgeted
+// store, where every faulted chunk would stay resident, Built and a
+// Table of every table leave no chunk resident and count no pager hit
+// or fault, while storage.segment.bytes_read counts each directory once
+// and every chunk byte once per assembly.
+func TestAssemblyBypassesPager(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := Open(savedScanStore(t, 640), Options{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.Built(); err != nil {
+		t.Fatal(err)
+	}
+	storeTables(t, s)
+	if _, chunks := s.ResidentBytes(); chunks != 0 {
+		t.Errorf("assembly left %d bytes of chunks resident, want 0", chunks)
+	}
+	for _, name := range []string{"storage.pager.faults", "storage.pager.hits"} {
+		if v := reg.Counter(name).Value(); v != 0 {
+			t.Errorf("assembly counted %s %d, want 0", name, v)
+		}
+	}
+	var want int64
+	for _, e := range s.Manifest().Tables {
+		want += e.Dir + 2*(e.Size-e.Dir)
+	}
+	if got := reg.Counter("storage.segment.bytes_read").Value(); got != want {
+		t.Errorf("storage.segment.bytes_read %d, want %d (each directory once, every chunk twice)", got, want)
+	}
+}
+
+// TestAssemblyKeepsScanWorkingSet: under a budget, assembling tables
+// evicts nothing a scan keeps resident. Over DBLP at scale 1 under a
+// quarter of its data, a chunk scan of the one-chunk editor table, then
+// a Table of every other table, then the same scan again: the second
+// scan faults nothing.
+func TestAssemblyKeepsScanWorkingSet(t *testing.T) {
+	dir := benchDBLPStore(t)
+	reg := obs.NewRegistry()
+	probe, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data int64
+	for _, e := range probe.Manifest().Tables {
+		data += e.Bytes
+	}
+	probe.Close()
+	s, err := Open(dir, Options{MemBudgetBytes: data / 4, Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pass := func() int {
+		cs, err := s.ChunkScan("editor")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := 0; k < cs.NumChunks(); k++ {
+			_, release, err := cs.Chunk(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			release()
+		}
+		return cs.NumChunks()
+	}
+	if n := pass(); n != 1 {
+		t.Fatalf("fixture: editor has %d chunks, want 1", n)
+	}
+	faults := reg.Counter("storage.pager.faults")
+	for _, e := range s.Manifest().Tables {
+		if e.Name == "editor" {
+			continue
+		}
+		if _, err := s.Table(e.Name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := faults.Value()
+	pass()
+	if f := faults.Value() - before; f != 0 {
+		t.Fatalf("the second scan of editor faulted %d times after assembling the other tables, want 0", f)
+	}
+}
+
 // TestPagedBuiltMatchesAssembledUnderBudget is the PR's acceptance
 // test: over a dataset at least 4x the memory budget, driver-stage
 // scan queries through PagedBuilt return results bit-identical to the
@@ -272,14 +376,11 @@ func TestPagedBuiltMatchesAssembledUnderBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer oracleStore.Close()
-	db, err := oracleStore.Database()
-	if err != nil {
-		t.Fatal(err)
-	}
 	oracle, err := oracleStore.Built()
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := oracle.DB
 
 	var dataBytes int64
 	for i := range oracleStore.Manifest().Tables {
@@ -360,10 +461,7 @@ func TestStoreBuiltsMatchReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	db, err := s.Database()
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := storeTables(t, s)
 	oracle, err := engine.Build(db, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -511,14 +609,11 @@ func TestPagedBuiltIncludesRedoTail(t *testing.T) {
 		t.Fatal("appends did not land in the redo log")
 	}
 
-	db, err := s.Database()
-	if err != nil {
-		t.Fatal(err)
-	}
 	oracle, err := s.Built()
 	if err != nil {
 		t.Fatal(err)
 	}
+	db := oracle.DB
 	paged, err := s.PagedBuilt()
 	if err != nil {
 		t.Fatal(err)
@@ -707,8 +802,10 @@ func TestChunkScanNeverServesPreCompactionChunk(t *testing.T) {
 
 	// The raced loader completes now, admitting a dead-file chunk after
 	// invalidate already swept the table.
-	if _, err := s.pager.chunk(oldEntry.File, oldDir, last); err != nil {
+	if _, release, err := s.pager.chunkPinned(oldEntry.File, oldDir, last, oldDir.all); err != nil {
 		t.Fatal(err)
+	} else {
+		release()
 	}
 
 	cs, err := s.ChunkScan("big")

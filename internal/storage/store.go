@@ -60,10 +60,12 @@ type Options struct {
 	MappingSQL string
 	// MemBudgetBytes caps how many bytes of columnar data the store
 	// keeps resident. The store's only cache is the chunk pager, which
-	// evicts down to this by CLOCK (overshooting by at most one pinned
-	// chunk per concurrent reader); tables the store assembles belong
-	// to their callers and are not counted. Zero or less means
-	// unlimited — every chunk stays resident once faulted.
+	// holds what chunk scans fault and evicts down to this by CLOCK
+	// (overshooting by at most one pinned chunk per concurrent reader).
+	// Tables the store assembles are read from the segment files, never
+	// through the pager, and belong to their callers: they are neither
+	// cached nor counted. Zero or less means unlimited — every chunk a
+	// scan faults stays resident.
 	MemBudgetBytes int64
 	// ChunkRows is the rows-per-chunk for segments written by Save: a
 	// positive multiple of 64, or zero for DefaultChunkRows; anything
@@ -85,16 +87,17 @@ func (o Options) chunkRowsOrDefault() int {
 }
 
 // Store is an opened on-disk store: the verified manifest, the redo
-// tail, and a budgeted cache of verified chunks (the pager). Segments
-// are read, checksum-verified, and structurally validated chunk by
-// chunk when a caller asks for rows. Every manifest entry is a chunked
+// tail, and a budgeted cache of the chunks scans read (the pager).
+// Segments are read, checksum-verified, and structurally validated chunk
+// by chunk when a caller asks for rows. Every manifest entry is a chunked
 // segment and the redo log is batch-framed: Open refuses anything else.
 //
 // The store keeps no assembled table. Every *rel.Table it hands out —
-// from Table, Database, Built, or a PagedBuilt shell's hydration — is
-// assembled for that caller from pager chunks plus the redo tail
+// from Table, Built, or a PagedBuilt shell's hydration — is read for that
+// caller by readLocked straight from the segment file plus the redo tail
 // committed at that moment, belongs to the caller, and is never touched
 // by the store again: later appends and compactions do not show in it.
+// Only ChunkScan reads through the pager.
 type Store struct {
 	dir  string
 	reg  *obs.Registry
@@ -213,8 +216,8 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 }
 
 // Open reads and verifies the manifest and the redo log. Table
-// segments are not read yet — Table, Database, and Built load them
-// when called, chunk by chunk under the memory budget. Open writes
+// segments are not read yet — Table, Built, and chunk scans read them
+// when called, chunk by chunk. Open writes
 // nothing: a torn redo tail is ignored, counted in
 // storage.redo.torn_tail_bytes, and cut off by the next append. A store
 // in any format other than the one Save writes — a whole-table
@@ -325,8 +328,8 @@ func (s *Store) entryLocked(name string) (*TableEntry, error) {
 	return e, nil
 }
 
-// Table assembles the named table as of now: its segment, loaded and
-// verified through the pager, plus the committed redo tail. Each call
+// Table assembles the named table as of now: its segment, read and
+// verified chunk by chunk, plus the committed redo tail. Each call
 // returns a fresh table the caller owns.
 func (s *Store) Table(name string) (*rel.Table, error) {
 	s.mu.Lock()
@@ -339,30 +342,61 @@ func (s *Store) Table(name string) (*rel.Table, error) {
 }
 
 // assembleLocked is the only way a live store's manifest entry becomes
-// a *rel.Table: the chunked segment through its verification chain
-// (chunks faulting through the pager), a check that it decodes to the
-// shape the manifest pins, then the given redo tail replayed in commit
-// order. The result shares nothing with the pager's chunks or with any
-// other assembly, so whoever receives it owns it. It has no Close fence:
+// a whole *rel.Table: readLocked from chunk 0 with the given redo tail,
+// timed under storage.segment.loads and load_ns. It has no Close fence:
 // the background compaction Close waits out assembles during shutdown.
 func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
 	if e.Generation != int64(e.Rows) {
 		return nil, fmt.Errorf("storage: manifest entry for %s has generation %d, not its row count %d", e.File, e.Generation, e.Rows)
 	}
 	start := time.Now()
-	t, err := s.loadChunkedLocked(e)
+	t, err := s.readLocked(e, 0, tail)
 	if err != nil {
-		return nil, err
-	}
-	if t.RowCount() != e.Rows || t.Bytes() != e.Bytes {
-		return nil, fmt.Errorf("storage: segment %s decodes to %d rows / %d bytes, manifest says %d / %d",
-			e.File, t.RowCount(), t.Bytes(), e.Rows, e.Bytes)
-	}
-	if err := replayRedo(e.Name, t.Columns, tail, t.AppendRow); err != nil {
 		return nil, err
 	}
 	s.reg.Counter("storage.segment.loads").Inc()
 	s.reg.Counter("storage.segment.load_ns").Add(time.Since(start).Nanoseconds())
+	return t, nil
+}
+
+// readLocked turns chunks from.. of e's segment plus a redo tail into a
+// table the caller owns: the chunks are read straight from the segment
+// file, not through the pager, and go through readChunks' verification
+// chain; the merge passes rel's structural validation and, when it is
+// the whole segment, must carry the bytes the manifest pins; then the
+// tail is replayed in commit order. With from at the chunk count it
+// opens no file, and the table is the tail alone. The result shares
+// nothing with the pager or with any other read.
+func (s *Store) readLocked(e *TableEntry, from int, tail []redoRecord) (*rel.Table, error) {
+	d, err := s.chunkedDirLocked(e)
+	if err != nil {
+		return nil, err
+	}
+	var src io.ReaderAt
+	if from < len(d.Chunks) {
+		f, err := os.Open(filepath.Join(s.dir, e.File))
+		if err != nil {
+			s.reg.Counter("storage.read.errors").Inc()
+			return nil, fmt.Errorf("storage: reading segment for table %q: %w", e.Name, err)
+		}
+		defer f.Close()
+		src = f
+	}
+	merged, err := d.readChunks(src, from, s.reg)
+	if err != nil {
+		return nil, err
+	}
+	t, err := rel.TableFromSnapshot(merged)
+	if err != nil {
+		s.reg.Counter("storage.checksum.failures").Inc()
+		return nil, fmt.Errorf("storage: segment %s: %w", e.File, err)
+	}
+	if from == 0 && t.Bytes() != e.Bytes {
+		return nil, fmt.Errorf("storage: segment %s decodes to %d bytes, manifest says %d", e.File, t.Bytes(), e.Bytes)
+	}
+	if err := replayRedo(e.Name, t.Columns, tail, t.AppendRow); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
@@ -386,35 +420,6 @@ func replayRedo(table string, cols []rel.Column, tail []redoRecord, apply func(r
 	return nil
 }
 
-// loadChunkedLocked assembles a table from its chunked segment: the
-// directory is read and verified once (then cached), each chunk loads
-// through the pager's verification chain under the memory budget, and
-// the merged snapshot passes full structural validation.
-func (s *Store) loadChunkedLocked(e *TableEntry) (*rel.Table, error) {
-	d, err := s.chunkedDirLocked(e)
-	if err != nil {
-		return nil, err
-	}
-	parts := make([]*rel.TableSnapshot, len(d.Chunks))
-	for k := range d.Chunks {
-		tab, err := s.pager.chunk(e.File, d, k)
-		if err != nil {
-			return nil, err
-		}
-		parts[k] = tab.Snapshot()
-	}
-	merged, err := d.mergeChunks(parts)
-	if err != nil {
-		s.reg.Counter("storage.checksum.failures").Inc()
-		return nil, err
-	}
-	t, err := rel.TableFromSnapshot(merged)
-	if err != nil {
-		return nil, fmt.Errorf("storage: segment %s: %w", e.File, err)
-	}
-	return t, nil
-}
-
 // chunkedDirLocked returns the verified directory of a chunked
 // segment, reading only the directory region of the file. The
 // directory must agree with the manifest entry on its row count and
@@ -425,11 +430,13 @@ func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 	}
 	f, err := os.Open(filepath.Join(s.dir, e.File))
 	if err != nil {
+		s.reg.Counter("storage.read.errors").Inc()
 		return nil, fmt.Errorf("storage: reading segment for table %q: %w", e.Name, err)
 	}
 	defer f.Close()
 	st, err := f.Stat()
 	if err != nil {
+		s.reg.Counter("storage.read.errors").Inc()
 		return nil, fmt.Errorf("storage: reading segment for table %q: %w", e.Name, err)
 	}
 	if st.Size() != e.Size {
@@ -438,7 +445,7 @@ func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 	}
 	hdr := make([]byte, e.Dir)
 	if _, err := f.ReadAt(hdr, 0); err != nil {
-		s.reg.Counter("storage.checksum.failures").Inc()
+		s.reg.Counter("storage.read.errors").Inc()
 		return nil, fmt.Errorf("storage: reading segment directory of %s: %w", e.File, err)
 	}
 	if got := crc32.Checksum(hdr, crcTable); got != e.CRC {
@@ -462,7 +469,7 @@ func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 	return d, nil
 }
 
-// view is the one constructor behind Database, Built, and PagedBuilt:
+// view is the one constructor behind Built and PagedBuilt:
 // a single walk over the manifest under s.mu that captures every
 // table's entry and the redo prefix committed at that instant, and
 // turns each pair into an assembled table — or, when paged, into a
@@ -510,13 +517,6 @@ func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan,
 		scans = append(scans, cs)
 	}
 	return db, s.man.Design, scans, nil
-}
-
-// Database assembles every table in manifest order and returns them as
-// a database the caller owns.
-func (s *Store) Database() (*rel.Database, error) {
-	db, _, _, err := s.view(false)
-	return db, err
 }
 
 // Built assembles the full database and rebuilds the physical design
@@ -822,30 +822,19 @@ func (s *Store) publishLocked() error {
 // segment file named file and returns the file's manifest entry. The
 // segment keeps e's chunk size, so every full chunk of e's file is
 // already what an encoding of the folded table would write there: those
-// bytes are copied from the old file through a small buffer, each
-// checked against the manifest-verified directory's CRC on the way, so
-// a damaged chunk fails the fold. Only the last, partial chunk is
-// decoded — read from the file, not through the pager, so no cached
-// fragment is appended to — and it is replayed with the tail and
-// encoded from its first row on. step is publishLocked's killpoint
-// hook. Caller holds mu; on error no file is left behind.
+// bytes are copied from the old file by copyChunks. Only the last,
+// partial chunk is read (readLocked from the first chunk that is not
+// full, so with the tail replayed onto it) and encoded from its first
+// row on. step is publishLocked's killpoint hook. Caller holds mu; on
+// error no file is left behind.
 func (s *Store) foldTailLocked(e *TableEntry, tail []redoRecord, file string, step func(string) error) (TableEntry, error) {
 	d, err := s.chunkedDirLocked(e)
 	if err != nil {
 		return TableEntry{}, err
 	}
-	f, err := os.Open(filepath.Join(s.dir, e.File))
-	if err != nil {
-		return TableEntry{}, fmt.Errorf("storage: reading segment for table %q: %w", e.Name, err)
-	}
-	defer f.Close()
 	full := e.Rows / d.ChunkRows
-	last, err := s.partialChunk(f, e, d, full)
+	last, err := s.readLocked(e, full, tail)
 	if err != nil {
-		return TableEntry{}, err
-	}
-	lastBytes := last.Bytes()
-	if err := replayRedo(e.Name, last.Columns, tail, last.AppendRow); err != nil {
 		return TableEntry{}, err
 	}
 	if err := step("segment:" + e.Name); err != nil {
@@ -862,12 +851,16 @@ func (s *Store) foldTailLocked(e *TableEntry, tail []redoRecord, file string, st
 	for _, ref := range kept {
 		keptBytes += ref.Size
 	}
+	bytes := e.Bytes // a table's bytes are the sum of its rows'
+	for _, rec := range tail {
+		bytes += rel.RowBytes(rec.Row)
+	}
 	path := filepath.Join(s.dir, file)
 	err = writeSync(path, func(w *os.File) error {
 		if _, err := w.Write(dir); err != nil {
 			return err
 		}
-		if err := s.copyChunks(w, f, e.File, kept); err != nil {
+		if err := s.copyChunks(w, e, kept); err != nil {
 			return err
 		}
 		_, err := w.Write(chunks)
@@ -878,48 +871,29 @@ func (s *Store) foldTailLocked(e *TableEntry, tail []redoRecord, file string, st
 		return TableEntry{}, err
 	}
 	s.reg.Counter("storage.segment.bytes_read").Add(keptBytes)
-	return segmentEntry(e.Name, e.Parent, file, rows, e.Bytes-lastBytes+last.Bytes(), d.ChunkRows, dir, keptBytes+int64(len(chunks))), nil
+	return segmentEntry(e.Name, e.Parent, file, rows, bytes, d.ChunkRows, dir, keptBytes+int64(len(chunks))), nil
 }
 
-// partialChunk returns chunk k of e's segment, read from f and
-// verified, as a table the caller owns and may append to; when k is past
-// the last chunk (every chunk is full) it is an empty table of e's
-// columns.
-func (s *Store) partialChunk(f *os.File, e *TableEntry, d *chunkedDir, k int) (*rel.Table, error) {
-	if k == len(d.Chunks) {
-		t := rel.NewTable(d.Name, d.Cols)
-		t.Parent = d.Parent
-		return t, nil
-	}
-	ref := &d.Chunks[k]
-	blob := make([]byte, ref.Size)
-	if _, err := f.ReadAt(blob, ref.Off); err != nil {
-		return nil, fmt.Errorf("storage: reading chunk %d of %s: %w", k, e.File, err)
-	}
-	s.reg.Counter("storage.segment.bytes_read").Add(ref.Size)
-	frag, err := d.decodeChunk(k, blob, d.all, nil)
+// copyChunks copies the chunks refs of e's segment, which lie back to
+// back in the file, to w through one small buffer, and fails on the
+// first chunk whose bytes do not hash to its directory CRC (counted
+// under storage.checksum.failures) or cannot be read whole (under
+// storage.read.errors).
+func (s *Store) copyChunks(w io.Writer, e *TableEntry, refs []chunkRef) error {
+	src, err := os.Open(filepath.Join(s.dir, e.File))
 	if err != nil {
-		s.reg.Counter("storage.checksum.failures").Inc()
-		return nil, err
+		s.reg.Counter("storage.read.errors").Inc()
+		return fmt.Errorf("storage: reading segment for table %q: %w", e.Name, err)
 	}
-	t, err := rel.TableFromSnapshot(frag.Snapshot())
-	if err != nil {
-		return nil, fmt.Errorf("storage: segment %s: %w", e.File, err)
-	}
-	return t, nil
-}
-
-// copyChunks copies the chunks refs, which lie back to back in src, to
-// w through one small buffer, and fails on the first chunk whose bytes
-// do not hash to its directory CRC or cannot be read whole.
-func (s *Store) copyChunks(w io.Writer, src io.ReaderAt, file string, refs []chunkRef) error {
+	defer src.Close()
 	buf := make([]byte, 64<<10)
 	for k, ref := range refs {
 		crc := uint32(0)
 		for off := int64(0); off < ref.Size; {
 			part := buf[:min(int64(len(buf)), ref.Size-off)]
 			if _, err := src.ReadAt(part, ref.Off+off); err != nil {
-				return fmt.Errorf("storage: reading chunk %d of %s: %w", k, file, err)
+				s.reg.Counter("storage.read.errors").Inc()
+				return fmt.Errorf("storage: reading chunk %d of %s: %w", k, e.File, err)
 			}
 			crc = crc32.Update(crc, crcTable, part)
 			if _, err := w.Write(part); err != nil {
@@ -929,7 +903,7 @@ func (s *Store) copyChunks(w io.Writer, src io.ReaderAt, file string, refs []chu
 		}
 		if crc != ref.CRC {
 			s.reg.Counter("storage.checksum.failures").Inc()
-			return fmt.Errorf("storage: chunk %d of %s checksum mismatch: directory says %08x, copied bytes hash to %08x", k, file, ref.CRC, crc)
+			return fmt.Errorf("storage: chunk %d of %s checksum mismatch: directory says %08x, copied bytes hash to %08x", k, e.File, ref.CRC, crc)
 		}
 	}
 	return nil

@@ -220,11 +220,11 @@ func TestLazyLoadingAndMetrics(t *testing.T) {
 	if loads.Value() != 2 {
 		t.Fatalf("after two Table calls: %d loads, want 2", loads.Value())
 	}
-	if _, err := st.Database(); err != nil {
+	if _, err := st.Built(); err != nil {
 		t.Fatal(err)
 	}
 	if loads.Value() != 4 {
-		t.Fatalf("after Database over two tables: %d loads, want 4", loads.Value())
+		t.Fatalf("after Built over two tables: %d loads, want 4", loads.Value())
 	}
 	if reg.Counter("storage.segment.bytes_read").Value() <= 0 {
 		t.Fatal("no segment bytes accounted")
@@ -712,8 +712,6 @@ func TestPostCloseOperationsFence(t *testing.T) {
 	checks := map[string]error{}
 	_, e := st.Table("book")
 	checks["Table"] = e
-	_, e = st.Database()
-	checks["Database"] = e
 	_, e = st.Built()
 	checks["Built"] = e
 	checks["Append"] = st.Append("book", row)
@@ -774,5 +772,76 @@ func TestCompactKeepsSavedChunkRows(t *testing.T) {
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestStoreTellsReadErrorsFromChecksumFailures holds Table and Compact
+// to the pager's counting rule: a segment that cannot be read (the file
+// ends inside its last chunk) counts one storage.read.errors and no
+// storage.checksum.failures; a segment that reads but does not verify (a
+// flipped payload bit) counts the reverse. The fact table is saved at 64
+// rows a chunk with a partial last chunk, which Compact reads, and with
+// only full chunks, which Compact copies.
+func TestStoreTellsReadErrorsFromChecksumFailures(t *testing.T) {
+	for _, rows := range []int{200, 256} {
+		dir := t.TempDir()
+		built, err := engine.Build(multiChunkDB(rows), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Save(dir, built, Options{ChunkRows: 64}); err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		st, err := Open(dir, Options{Registry: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The append verifies and caches the directory, so the damage
+		// below is met by the chunk reads alone, and gives Compact a tail.
+		if err := st.Append("fact", []rel.Value{rel.Int(int64(rows)), rel.NullOf(rel.TInt), rel.Str("x"), rel.Float(1)}); err != nil {
+			t.Fatal(err)
+		}
+		e := st.Manifest().Table("fact")
+		path := filepath.Join(dir, e.File)
+		pristine, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		readErrs := reg.Counter("storage.read.errors")
+		crcFails := reg.Counter("storage.checksum.failures")
+		expect := func(label string, op func() error, wantRead, wantCRC int64) {
+			t.Helper()
+			r0, c0 := readErrs.Value(), crcFails.Value()
+			if err := op(); err == nil {
+				t.Fatalf("%d rows, %s: succeeded", rows, label)
+			}
+			if r, c := readErrs.Value()-r0, crcFails.Value()-c0; r != wantRead || c != wantCRC {
+				t.Errorf("%d rows, %s: read.errors +%d checksum.failures +%d, want +%d and +%d", rows, label, r, c, wantRead, wantCRC)
+			}
+		}
+		table := func() error { _, err := st.Table("fact"); return err }
+
+		if err := os.WriteFile(path, pristine[:len(pristine)-10], 0o644); err != nil { // inside the last chunk
+			t.Fatal(err)
+		}
+		expect("truncated Table", table, 1, 0)
+		expect("truncated Compact", st.Compact, 1, 0)
+
+		flipped := slices.Clone(pristine)
+		flipped[e.Dir+envelopeSize+3] ^= 1
+		if err := os.WriteFile(path, flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		expect("flipped Table", table, 0, 1)
+		expect("flipped Compact", st.Compact, 0, 1)
+
+		if err := os.WriteFile(path, pristine, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Compact(); err != nil {
+			t.Fatalf("%d rows: Compact of the restored segment: %v", rows, err)
+		}
+		st.Close()
 	}
 }
