@@ -8,6 +8,7 @@ package shred
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/rel"
@@ -70,7 +71,8 @@ func (r *Relation) ColumnFor(leafID, occurrence int) int {
 }
 
 // LeafIDsFor returns all leaf node IDs whose values land in the given
-// column index: one per anchor for type-merged relations.
+// column index, in ascending order: one per anchor for type-merged
+// relations.
 func (r *Relation) LeafIDsFor(colIdx int) []int {
 	var out []int
 	for k, i := range r.colByLeaf {
@@ -78,6 +80,7 @@ func (r *Relation) LeafIDsFor(colIdx int) []int {
 			out = append(out, k.leafID)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 

@@ -15,6 +15,12 @@ import (
 // same node IDs as the mapping's tree (any transformed clone of the
 // tree the documents were generated or parsed against qualifies,
 // because logical transformations preserve node identity).
+//
+// The mapping is first compiled into a plan (see shredder): everything
+// a row needs that depends on the mapping alone is looked up once, and
+// the state of the open element instances lives in arrays indexed by
+// schema node ID, so shredding allocates nothing per row beyond what
+// AppendRow keeps.
 func Shred(m *Mapping, docs ...*xmlgen.Doc) (*rel.Database, error) {
 	db := rel.NewDatabase()
 	for _, r := range m.Relations {
@@ -24,7 +30,7 @@ func Shred(m *Mapping, docs ...*xmlgen.Doc) (*rel.Database, error) {
 		}
 		db.Add(t)
 	}
-	s := &shredder{m: m, db: db}
+	s := newShredder(m, db)
 	for _, d := range docs {
 		if err := s.instance(d.Root, 0); err != nil {
 			return nil, err
@@ -33,11 +39,101 @@ func Shred(m *Mapping, docs ...*xmlgen.Doc) (*rel.Database, error) {
 	return db, nil
 }
 
+// planNode is what shredding needs of one schema node.
+type planNode struct {
+	node *schema.Node // nil where the tree has no node of this ID
+	leaf bool
+	// anc is the nearest annotated proper ancestor (AnnotatedAncestor).
+	anc *schema.Node
+	// rels are the partition relations of an annotated node's
+	// annotation, in RelationsOf order, as rows of this node's
+	// instances fill them.
+	rels []relPlan
+}
+
+// relPlan is one relation as rows of one anchor's instances fill it.
+type relPlan struct {
+	r     *Relation
+	table *rel.Table
+	// leaves[i] is the leaf node whose values fill value column i: the
+	// anchor's own leaf among the column's LeafIDsFor (a type-merged
+	// column has one per anchor). Unused for ID and PID.
+	leaves []int
+}
+
+// shredder is the plan of one Shred call and the state of the element
+// instances open on the way down the document. values and present are
+// indexed by schema node ID and hold what the open instances collected;
+// valSet and presSet list, innermost instance last, the IDs whose entry
+// an open instance set, and each instance resets exactly its own
+// entries when it ends. That is sound because a tree node is never its
+// own descendant: an instance nested in another collects only nodes at
+// or below its own anchor, which the enclosing instance never sets. The
+// two lists are separate because the entries are: a parent marks an
+// annotated child present before the child's instance adds a value
+// under the same ID.
 type shredder struct {
-	m       *Mapping
-	db      *rel.Database
+	nodes   []planNode // by schema node ID
 	nextID  int64
-	scratch []rel.Value // reused across rows; AppendRow copies, never retains
+	values  [][]rel.Value
+	present []bool
+	valSet  []int
+	presSet []int
+	scratch []rel.Value  // reused across rows; AppendRow copies, never retains
+	over    [1]rel.Value // an overflow row's one value
+}
+
+func newShredder(m *Mapping, db *rel.Database) *shredder {
+	maxID := 0
+	m.Tree.Walk(func(n *schema.Node) { maxID = max(maxID, n.ID) })
+	s := &shredder{
+		nodes:   make([]planNode, maxID+1),
+		values:  make([][]rel.Value, maxID+1),
+		present: make([]bool, maxID+1),
+	}
+	var walk func(n, anc *schema.Node)
+	walk = func(n, anc *schema.Node) {
+		p := &s.nodes[n.ID]
+		p.node, p.leaf, p.anc = n, n.IsLeaf(), anc
+		if n.Kind == schema.KindElement && n.Annotation != "" {
+			for _, r := range m.RelationsOf(n.Annotation) {
+				p.rels = append(p.rels, relPlan{r: r, table: db.Table(r.Name), leaves: anchorLeaves(m, r, n)})
+			}
+			anc = n
+		}
+		for _, c := range n.Children {
+			walk(c, anc)
+		}
+	}
+	walk(m.Tree.Root, nil)
+	return s
+}
+
+// anchorLeaves returns, per column of r, the leaf whose values fill it
+// in rows of the anchor's instances: the column's LeafID unless another
+// of its LeafIDsFor lies in the anchor's reach (the anchor itself for a
+// leaf anchor, else a leaf whose nearest annotated ancestor it is).
+func anchorLeaves(m *Mapping, r *Relation, anchor *schema.Node) []int {
+	leaves := make([]int, len(r.Columns))
+	for i, c := range r.Columns {
+		leaves[i] = c.LeafID
+		for _, lid := range r.LeafIDsFor(i) {
+			if n := m.Tree.Node(lid); n == anchor || n.AnnotatedAncestor() == anchor {
+				leaves[i] = lid
+				break
+			}
+		}
+	}
+	return leaves
+}
+
+// plan returns the plan node of a document element's schema node, or
+// nil when the mapping's tree has no node of that ID.
+func (s *shredder) plan(e *xmlgen.Elem) *planNode {
+	if id := e.Node.ID; id >= 0 && id < len(s.nodes) && s.nodes[id].node != nil {
+		return &s.nodes[id]
+	}
+	return nil
 }
 
 func (s *shredder) newID() int64 {
@@ -45,63 +141,84 @@ func (s *shredder) newID() int64 {
 	return s.nextID
 }
 
+func (s *shredder) addValue(id int, v rel.Value) {
+	if len(s.values[id]) == 0 {
+		s.valSet = append(s.valSet, id)
+	}
+	s.values[id] = append(s.values[id], v)
+}
+
+func (s *shredder) markPresent(id int) {
+	if !s.present[id] {
+		s.present[id] = true
+		s.presSet = append(s.presSet, id)
+	}
+}
+
 // instance shreds one instance of an annotated element.
 func (s *shredder) instance(e *xmlgen.Elem, parentID int64) error {
-	node := s.m.Tree.Node(e.Node.ID)
-	if node == nil {
+	p := s.plan(e)
+	if p == nil {
 		return fmt.Errorf("shred: document node %s (id %d) not in mapping tree", e.Node.Name, e.Node.ID)
 	}
+	node := p.node
 	if node.Annotation == "" {
 		return fmt.Errorf("shred: instance() on unannotated element %s", node.Path())
 	}
 	id := s.newID()
-	values := make(map[int][]rel.Value)
-	presence := make(map[int]bool)
-	if node.IsLeaf() {
-		values[node.ID] = append(values[node.ID], e.Value)
-	} else if err := s.collect(e, node, id, values, presence); err != nil {
+	valMark, presMark := len(s.valSet), len(s.presSet)
+	if p.leaf {
+		s.addValue(node.ID, e.Value)
+	} else if err := s.collect(e, node, id); err != nil {
 		return err
 	}
-	r, err := s.pickPartition(node, presence)
+	rp, err := s.pickPartition(p)
 	if err != nil {
 		return err
 	}
-	row, err := s.buildRow(r, id, parentID, values, node)
+	row, err := s.buildRow(rp, id, parentID, node, nil)
 	if err != nil {
 		return err
 	}
-	s.db.Table(r.Name).AppendRow(row)
+	rp.table.AppendRow(row)
+	for _, lid := range s.valSet[valMark:] {
+		s.values[lid] = s.values[lid][:0]
+	}
+	for _, nid := range s.presSet[presMark:] {
+		s.present[nid] = false
+	}
+	s.valSet, s.presSet = s.valSet[:valMark], s.presSet[:presMark]
 	return nil
 }
 
 // collect walks the instance subtree gathering inlined leaf values and
 // element presence, recursing into annotated children as separate
 // relation instances and routing repetition-split overflow.
-func (s *shredder) collect(e *xmlgen.Elem, anchor *schema.Node, id int64,
-	values map[int][]rel.Value, presence map[int]bool) error {
+func (s *shredder) collect(e *xmlgen.Elem, anchor *schema.Node, id int64) error {
 	for _, c := range e.Children {
-		cn := s.m.Tree.Node(c.Node.ID)
-		if cn == nil {
+		cp := s.plan(c)
+		if cp == nil {
 			return fmt.Errorf("shred: document node %s not in mapping tree", c.Node.Name)
 		}
-		presence[cn.ID] = true
+		cn := cp.node
+		s.markPresent(cn.ID)
 		switch {
-		case cn.Annotation != "" && cn.SplitCount > 0 && cn.AnnotatedAncestorIs(anchor):
+		case cn.Annotation != "" && cn.SplitCount > 0 && cp.anc == anchor:
 			// Repetition split: the first k occurrences become columns
 			// of the anchor's row; the rest go to the overflow table.
-			if len(values[cn.ID]) < cn.SplitCount {
-				values[cn.ID] = append(values[cn.ID], c.Value)
-			} else if err := s.overflow(cn, c, id); err != nil {
+			if len(s.values[cn.ID]) < cn.SplitCount {
+				s.addValue(cn.ID, c.Value)
+			} else if err := s.overflow(cp, c, id); err != nil {
 				return err
 			}
 		case cn.Annotation != "":
 			if err := s.instance(c, id); err != nil {
 				return err
 			}
-		case cn.IsLeaf():
-			values[cn.ID] = append(values[cn.ID], c.Value)
+		case cp.leaf:
+			s.addValue(cn.ID, c.Value)
 		default:
-			if err := s.collect(c, anchor, id, values, presence); err != nil {
+			if err := s.collect(c, anchor, id); err != nil {
 				return err
 			}
 		}
@@ -109,60 +226,60 @@ func (s *shredder) collect(e *xmlgen.Elem, anchor *schema.Node, id int64,
 	return nil
 }
 
-// overflow emits an overflow row for a repetition-split occurrence.
-func (s *shredder) overflow(leaf *schema.Node, e *xmlgen.Elem, parentID int64) error {
-	rels := s.m.RelationsOf(leaf.Annotation)
-	if len(rels) != 1 {
-		return fmt.Errorf("shred: overflow relation for %s is partitioned", leaf.Path())
+// overflow emits an overflow row for a repetition-split occurrence. Its
+// relation's anchors are leaves, so the occurrence's value fills its one
+// value column directly.
+func (s *shredder) overflow(leaf *planNode, e *xmlgen.Elem, parentID int64) error {
+	if len(leaf.rels) != 1 {
+		return fmt.Errorf("shred: overflow relation for %s is partitioned", leaf.node.Path())
 	}
-	r := rels[0]
+	rp := &leaf.rels[0]
 	oid := s.newID()
-	row, err := s.buildRow(r, oid, parentID, map[int][]rel.Value{leaf.ID: {e.Value}}, leaf)
+	s.over[0] = e.Value
+	row, err := s.buildRow(rp, oid, parentID, leaf.node, s.over[:])
 	if err != nil {
 		return err
 	}
-	s.db.Table(r.Name).AppendRow(row)
+	rp.table.AppendRow(row)
 	return nil
 }
 
 // pickPartition selects the partition relation an instance belongs to.
-func (s *shredder) pickPartition(node *schema.Node, presence map[int]bool) (*Relation, error) {
-	rels := s.m.RelationsOf(node.Annotation)
-	if len(rels) == 0 {
-		return nil, fmt.Errorf("shred: no relation for annotation %q", node.Annotation)
+func (s *shredder) pickPartition(p *planNode) (*relPlan, error) {
+	if len(p.rels) == 0 {
+		return nil, fmt.Errorf("shred: no relation for annotation %q", p.node.Annotation)
 	}
-	if len(rels) == 1 && rels[0].Part == nil {
-		return rels[0], nil
+	if len(p.rels) == 1 && p.rels[0].r.Part == nil {
+		return &p.rels[0], nil
 	}
-	for _, r := range rels {
-		if s.partitionMatches(r.Part, presence) {
-			return r, nil
+	for i := range p.rels {
+		if s.partitionMatches(p.rels[i].r.Part) {
+			return &p.rels[i], nil
 		}
 	}
-	return nil, fmt.Errorf("shred: no partition of %q matches instance of %s", node.Annotation, node.Path())
+	return nil, fmt.Errorf("shred: no partition of %q matches instance of %s", p.node.Annotation, p.node.Path())
 }
 
-func (s *shredder) partitionMatches(p *Partition, presence map[int]bool) bool {
+func (s *shredder) partitionMatches(p *Partition) bool {
 	if p == nil {
 		return false
 	}
 	for _, cond := range p.Conds {
-		if !s.condMatches(cond, presence) {
+		if !s.condMatches(cond) {
 			return false
 		}
 	}
 	return true
 }
 
-func (s *shredder) condMatches(cond PartCond, presence map[int]bool) bool {
+func (s *shredder) condMatches(cond PartCond) bool {
 	if cond.Dist.Choice != 0 {
-		choice := s.m.Tree.Node(cond.Dist.Choice)
-		branch := choice.Children[cond.Branch]
-		return branchPresent(branch, presence)
+		choice := s.nodes[cond.Dist.Choice].node
+		return s.branchPresent(choice.Children[cond.Branch])
 	}
 	any := false
 	for _, id := range cond.Dist.Optionals {
-		if presence[id] {
+		if s.present[id] {
 			any = true
 			break
 		}
@@ -175,12 +292,12 @@ func (s *shredder) condMatches(cond PartCond, presence map[int]bool) bool {
 
 // branchPresent reports whether any element of the branch subtree is
 // present in the instance.
-func branchPresent(branch *schema.Node, presence map[int]bool) bool {
+func (s *shredder) branchPresent(branch *schema.Node) bool {
 	if branch.Kind == schema.KindElement {
-		return presence[branch.ID]
+		return s.present[branch.ID]
 	}
 	for _, c := range branch.Children {
-		if branchPresent(c, presence) {
+		if s.branchPresent(c) {
 			return true
 		}
 	}
@@ -190,8 +307,10 @@ func branchPresent(branch *schema.Node, presence map[int]bool) bool {
 // buildRow materializes a relation row from collected leaf values into
 // the shredder's scratch buffer. Every column index is assigned below,
 // and AppendRow copies the slice into column vectors, so one buffer per
-// shredder suffices for the whole load.
-func (s *shredder) buildRow(r *Relation, id, parentID int64, values map[int][]rel.Value, node *schema.Node) ([]rel.Value, error) {
+// shredder suffices for the whole load. A non-nil over holds an
+// overflow row's values, which fill every value column.
+func (s *shredder) buildRow(rp *relPlan, id, parentID int64, node *schema.Node, over []rel.Value) ([]rel.Value, error) {
+	r := rp.r
 	if cap(s.scratch) < len(r.Columns) {
 		s.scratch = make([]rel.Value, len(r.Columns))
 	}
@@ -207,16 +326,9 @@ func (s *shredder) buildRow(r *Relation, id, parentID int64, values map[int][]re
 				row[i] = rel.Int(parentID)
 			}
 		default:
-			vs := values[c.LeafID]
-			if len(vs) == 0 {
-				// Type-merged relations: the column may host several
-				// anchors' leaves; find the one this instance carries.
-				for _, lid := range r.LeafIDsFor(i) {
-					if len(values[lid]) > 0 {
-						vs = values[lid]
-						break
-					}
-				}
+			vs := over
+			if vs == nil {
+				vs = s.values[rp.leaves[i]]
 			}
 			var v rel.Value
 			switch {

@@ -168,27 +168,39 @@ func decodeRedoBatchBody(body []byte) ([]redoRecord, error) {
 	return recs, nil
 }
 
-// appendRedoBatch cuts the log back to end, its committed length,
+// encodeRedoBatch appends the records of one group commit to p:
+// consecutive rows to the same table fold into one batched record.
+func encodeRedoBatch(p []byte, recs []redoRecord) []byte {
+	for i := 0; i < len(recs); {
+		j := tableRunEnd(recs, i)
+		p = appendRedoBatchRecord(p, recs[i:j])
+		i = j
+	}
+	return p
+}
+
+// tableRunEnd returns the end of the run of records to recs[i]'s table
+// that starts at i.
+func tableRunEnd(recs []redoRecord, i int) int {
+	j := i + 1
+	for j < len(recs) && recs[j].Table == recs[i].Table {
+		j++
+	}
+	return j
+}
+
+// writeRedoBatch cuts the log back to end, its committed length,
 // so that no torn tail or bytes of a failed write stay between two
-// commits; writes the batch at end; and fsyncs once — the group commit.
-// Consecutive rows to the same table fold into one batched record. The
-// records' checksums are the commit: a crash in the write leaves a torn
-// tail that readRedo ignores.
-func appendRedoBatch(path string, recs []redoRecord, end int64) (newEnd int64, err error) {
+// commits; writes buf, a group commit's encodeRedoBatch, at end; and
+// fsyncs once — the group commit. The records' checksums are the
+// commit: a crash in the write leaves a torn tail that readRedo
+// ignores.
+func writeRedoBatch(path string, buf []byte, end int64) (newEnd int64, err error) {
 	f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
 	if err != nil {
 		return 0, fmt.Errorf("storage: opening redo log: %w", err)
 	}
 	defer f.Close()
-	var buf []byte
-	for i := 0; i < len(recs); {
-		j := i + 1
-		for j < len(recs) && recs[j].Table == recs[i].Table {
-			j++
-		}
-		buf = appendRedoBatchRecord(buf, recs[i:j])
-		i = j
-	}
 	if err := f.Truncate(end); err != nil {
 		return 0, fmt.Errorf("storage: truncating redo log: %w", err)
 	}

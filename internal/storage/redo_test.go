@@ -348,6 +348,12 @@ func refRedoBatchRecord(table string, rows [][]rel.Value) []byte {
 	return rec
 }
 
+// appendRedoBatch writes recs as one group commit at end, encoded into
+// a fresh buffer: a store's flush without the buffer it keeps.
+func appendRedoBatch(path string, recs []redoRecord, end int64) (int64, error) {
+	return writeRedoBatch(path, encodeRedoBatch(nil, recs), end)
+}
+
 // TestRedoBatchBytesPinned: a group commit of rows to two tables,
 // interleaved, writes exactly the reference encoder's records — one per
 // run of rows to the same table, in commit order — after the header.

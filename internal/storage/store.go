@@ -27,6 +27,10 @@ var ErrClosed = errors.New("storage: store is closed")
 // the one this build reads.
 var ErrUnsupportedFormat = errors.New("storage: unsupported format")
 
+// maxRedoBuf is the largest flush buffer a store keeps for the next
+// flush; a rare huge group commit encodes into its own.
+const maxRedoBuf = 1 << 20
+
 // TypeError refuses a value that column Column of Table, of type Type,
 // does not admit (see rel.Column.Admits): in an append, one that does not
 // convert losslessly to Type; in a redo record, one not of Type; in
@@ -106,6 +110,9 @@ type Store struct {
 	// flushMu serializes redo flushes and compaction. Lock order is
 	// always flushMu before mu.
 	flushMu sync.Mutex
+	// redoBuf is the buffer each flush encodes its records into, kept
+	// across flushes under flushMu and dropped past maxRedoBuf.
+	redoBuf []byte
 
 	mu    sync.Mutex
 	man   *Manifest
@@ -653,7 +660,11 @@ func (s *Store) flushBatchLocked(b *commitBatch) {
 	s.mu.Unlock()
 
 	nrows := uint32(len(b.recs))
-	newEnd, err := appendRedoBatch(path, b.recs, end)
+	s.redoBuf = encodeRedoBatch(s.redoBuf[:0], b.recs)
+	newEnd, err := writeRedoBatch(path, s.redoBuf, end)
+	if cap(s.redoBuf) > maxRedoBuf {
+		s.redoBuf = nil
+	}
 	b.flushed = true
 	b.err = err
 	if err != nil {
@@ -665,8 +676,10 @@ func (s *Store) flushBatchLocked(b *commitBatch) {
 	s.mu.Lock()
 	s.redoEnd = newEnd
 	s.redoCount += nrows
-	for _, rec := range b.recs {
-		s.redo[rec.Table] = append(s.redo[rec.Table], rec)
+	for i := 0; i < len(b.recs); {
+		j := tableRunEnd(b.recs, i)
+		s.redo[b.recs[i].Table] = append(s.redo[b.recs[i].Table], b.recs[i:j]...)
+		i = j
 	}
 	s.mu.Unlock()
 }
