@@ -7,6 +7,11 @@ package rel
 // executor's hot loops read the vectors directly; everything else goes
 // through the row-materializing accessors on Table.
 
+import (
+	"math/bits"
+	"slices"
+)
+
 // Bitmap is an append-only bitmap with one bit per row (set = NULL).
 type Bitmap struct {
 	words []uint64
@@ -139,6 +144,46 @@ func (cv *colVec) append(v Value) {
 			cv.codes = append(cv.codes, cv.dict.Intern(v.S))
 		}
 	}
+}
+
+// prefix returns the column's first n rows for Table.Prefix. whole says
+// n is every row, so the set count and dictionary carry over as they are:
+// the prefix a reader takes under the writer's lock then costs no pass
+// over the rows.
+func (cv *colVec) prefix(n int, whole bool) colVec {
+	k := (n + 63) / 64
+	p := colVec{typ: cv.typ, nulls: Bitmap{words: cv.nulls.words[:k:k], n: n, set: cv.nulls.set}}
+	if n%64 != 0 {
+		p.nulls.words = slices.Clone(p.nulls.words)
+		p.nulls.words[k-1] &= 1<<uint(n%64) - 1
+	}
+	if !whole {
+		p.nulls.set = 0
+		for _, w := range p.nulls.words {
+			p.nulls.set += bits.OnesCount64(w)
+		}
+	}
+	switch cv.typ {
+	case TInt:
+		p.ints = cv.ints[:n:n]
+	case TFloat:
+		p.floats = cv.floats[:n:n]
+	case TString:
+		p.codes = cv.codes[:n:n]
+		// Codes are in first-appearance order, so the rows use exactly
+		// the entries below their largest non-NULL code.
+		used := len(cv.dict.strs)
+		if !whole {
+			used = 0
+			for r, c := range p.codes {
+				if int(c) >= used && !p.nulls.Get(r) {
+					used = int(c) + 1
+				}
+			}
+		}
+		p.dict = &Dict{strs: cv.dict.strs[:used:used]}
+	}
+	return p
 }
 
 // value rebuilds the Value of one row from the vectors.

@@ -313,6 +313,34 @@ func (t *Table) AppendRow(row []Value) {
 	t.bytes += RowBytes(row)
 }
 
+// Prefix returns a table of t's first n rows (0 ≤ n ≤ RowCount),
+// snapshot-equal to one that appended just those rows. It shares t's
+// typed vectors and dictionary entries, cut to the entries the n rows
+// use, and copies only the null bitmaps whose last word is partial,
+// since AppendRow rewrites that word in place. Prefix reads t, so like
+// every reader it must be exclusive with AppendRow; afterwards t may
+// grow while the prefix is read, because AppendRow writes only past row
+// n. Appending to the prefix leaves t unchanged.
+func (t *Table) Prefix(n int) *Table {
+	t.requireWhole()
+	if n < 0 || n > t.nrows {
+		panic(fmt.Sprintf("rel: prefix of %d rows of %s, which has %d", n, t.Name, t.nrows))
+	}
+	p := &Table{Name: t.Name, Parent: t.Parent, Columns: t.Columns, colIdx: t.colIdx,
+		nrows: n, bytes: t.bytes, cols: make([]colVec, len(t.cols))}
+	whole := n == t.nrows
+	if !whole {
+		p.bytes = 8 * int64(n)
+	}
+	for i := range t.cols {
+		p.cols[i] = t.cols[i].prefix(n, whole)
+		if !whole {
+			p.bytes += p.cols[i].widthSum()
+		}
+	}
+	return p
+}
+
 // RowCount returns the number of rows. A table changes only by
 // AppendRow, so consumers that cache structures derived from the rows —
 // the engine's plan-lifetime key indexes and prepared plans — snapshot

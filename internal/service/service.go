@@ -309,8 +309,9 @@ func (s *Service) RegisterBuilt(name string, b *engine.Built, m *shred.Mapping, 
 // budgeted pager (Store.PagedBuilt), so every session's scans share one
 // CLOCK-managed chunk cache and the corpus serves data larger than RAM.
 // A resident Built owns its tables — it keeps answering with the rows
-// it was built over whatever the store does next; a paged one turns
-// stale (typed errors, never wrong rows) once the store moves on.
+// it was built over whatever the store does next. A paged one keeps
+// answering with the rows committed at registration across appends, and
+// turns stale (errors, never wrong rows) once the store compacts.
 // Optimizer statistics are collected once at registration: from the
 // Built's own tables when resident, and table by table when paged, so a
 // paged registration holds one assembled table at a time, never a copy

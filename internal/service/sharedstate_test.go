@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
 	"testing"
 
@@ -216,6 +217,66 @@ func TestResidentStoreCorpusSurvivesAppendAndCompact(t *testing.T) {
 		t.Fatalf("compact: %v", err)
 	}
 	pass("after compact")
+}
+
+// TestPagedStoreCorpusSurvivesAppendStalesOnCompact: a corpus registered
+// paged (paged=true) reads its chunks from the store, and its view pins
+// the rows committed at registration. After an Append it keeps answering
+// bit-identically to the registration-time reference; after a Compact,
+// which rewrites the segment files under it, every query fails with the
+// store's staleness error and none returns rows.
+func TestPagedStoreCorpusSurvivesAppendStalesOnCompact(t *testing.T) {
+	m, db, built := movieFixture(t, 200)
+	want := refResults(t, m, db, serviceQueries)
+
+	dir := t.TempDir()
+	if _, err := storage.Save(dir, built, storage.Options{ChunkRows: 64}); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	store, err := storage.Open(dir, storage.Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	t.Cleanup(func() { store.Close() })
+
+	svc := New(Config{PoolWorkers: 2})
+	if err := svc.RegisterStore("movie", store, m, true); err != nil {
+		t.Fatal(err)
+	}
+	query := func(qs string) (*Response, error) {
+		return svc.Query(context.Background(), Request{Corpus: "movie", Tenant: "t0", XPath: qs})
+	}
+	pass := func(label string) {
+		t.Helper()
+		for i, qs := range serviceQueries {
+			resp, err := query(qs)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", label, qs, err)
+			}
+			requireSameResult(t, label+": "+qs, resp, want[i])
+		}
+	}
+	pass("before append")
+
+	movie := db.Table("movie")
+	row := make([]rel.Value, len(movie.Columns))
+	movie.ReadRowInto(row, 0)
+	if err := store.Append("movie", row); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	pass("after append")
+	if err := store.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
+	for _, qs := range serviceQueries {
+		resp, err := query(qs)
+		if err == nil {
+			t.Fatalf("after compact: %s answered %d rows from a view the compaction staled", qs, len(resp.Rows))
+		}
+		if !strings.Contains(err.Error(), "stale") {
+			t.Fatalf("after compact: %s: %v, want the staleness error", qs, err)
+		}
+	}
 }
 
 // TestConcurrentPlanMissesShareOptimizer: plan-cache misses for distinct

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -315,6 +316,102 @@ func BenchmarkCompact(b *testing.B) {
 			}
 		}
 		b.StartTimer()
+		if err := st.Compact(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// appendAuthorTail appends rows rows to DBLP's author table in 1 000-row
+// AppendBatch calls and returns the heap the store holds for them, as
+// the live heap after a GC grew over the appends.
+func appendAuthorTail(b *testing.B, st *Store, cols []rel.Column, rows int) uint64 {
+	b.Helper()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	batch := make([][]rel.Value, 1_000)
+	for lo := 0; lo < rows; lo += len(batch) {
+		for j := range batch {
+			batch[j] = tailRow(cols, lo+j)
+		}
+		if err := st.AppendBatch("author", batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	clear(batch)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	return after.HeapAlloc - min(before.HeapAlloc, after.HeapAlloc)
+}
+
+// BenchmarkChunkScanTail is one ChunkScan creation over DBLP's author
+// table with a redo tail of 5 000 or 50 000 rows, appended untimed. It
+// also reports the heap the tail holds (tail_heap_MB).
+func BenchmarkChunkScanTail(b *testing.B) {
+	built, err := dblpBuilt()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := built.DB.Table("author").Columns
+	for _, rows := range []int{5_000, 50_000} {
+		b.Run(fmt.Sprintf("rows=%d", rows), func(b *testing.B) {
+			st, err := Open(benchDBLPStore(b), Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			heap := appendAuthorTail(b, st, cols, rows)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := st.ChunkScan("author"); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(heap)/1e6, "tail_heap_MB")
+		})
+	}
+}
+
+// BenchmarkAppendCompactCycle is the write path of an ingest cycle on
+// DBLP's author table: 50 AppendBatch calls of 1 000 rows, then the
+// Compact that folds them, timed together so that work moved from the
+// fold into the commits still counts. Each op starts from a freshly
+// saved store, untimed.
+func BenchmarkAppendCompactCycle(b *testing.B) {
+	const tail, batch = 50_000, 1_000
+	built, err := dblpBuilt()
+	if err != nil {
+		b.Fatal(err)
+	}
+	cols := built.DB.Table("author").Columns
+	batches := make([][][]rel.Value, tail/batch)
+	for k := range batches {
+		batches[k] = make([][]rel.Value, batch)
+		for j := range batches[k] {
+			batches[k][j] = tailRow(cols, k*batch+j)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.StopTimer()
+	for i := 0; i < b.N; i++ {
+		st, err := Open(benchDBLPStore(b), Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, rows := range batches {
+			if err := st.AppendBatch("author", rows); err != nil {
+				b.Fatal(err)
+			}
+		}
 		if err := st.Compact(); err != nil {
 			b.Fatal(err)
 		}

@@ -505,23 +505,25 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte, cols []int, regions []int64
 }
 
 // mergeChunks reassembles the snapshot of chunks from.. out of their
-// per-chunk snapshots in order, into vectors sized once for those
-// chunks' row count. Numeric vectors and bitmap words concatenate
-// directly (every chunk but the last holds a multiple of 64 rows). A
-// string column interns each chunk's local dictionary once, in
+// per-chunk snapshots in order, plus, when parts holds one more, a last
+// part of any row count (the redo tail), into vectors sized once for the
+// parts' row count. Numeric vectors concatenate directly, and so do
+// bitmap words up to the last part (every chunk but the last holds a
+// multiple of 64 rows), whose words appendBits shifts in. A
+// string column interns each part's local dictionary once, in
 // local-code order — which, a local dictionary being in first-appearance
-// order within its chunk, reproduces the global first-appearance
-// dictionary — and maps the chunk's codes through the resulting
+// order within its part, reproduces the global first-appearance
+// dictionary — and maps the part's codes through the resulting
 // local-to-global array. The caller validates the result through
 // rel.TableFromSnapshot.
 func (d *chunkedDir) mergeChunks(from int, parts []*rel.TableSnapshot) (*rel.TableSnapshot, error) {
 	refs := d.Chunks[from:]
-	if len(parts) != len(refs) {
+	if len(parts) != len(refs) && len(parts) != len(refs)+1 {
 		return nil, fmt.Errorf("storage: merging %d chunks of %s from chunk %d, directory says %d", len(parts), d.Name, from, len(refs))
 	}
 	rows := 0
-	for _, ref := range refs {
-		rows += ref.Rows
+	for _, part := range parts {
+		rows += part.RowCount
 	}
 	out := &rel.TableSnapshot{
 		Name:     d.Name,
@@ -558,17 +560,18 @@ func (d *chunkedDir) mergeChunks(from int, parts []*rel.TableSnapshot) (*rel.Tab
 			idx[ci] = make(map[string]uint32, n)
 		}
 	}
-	var global []uint32 // a chunk column's local code -> global code
+	var global []uint32 // a part column's local code -> global code
+	at := 0             // rows merged so far
 	for pi, part := range parts {
 		k := from + pi
-		if part.RowCount != refs[pi].Rows || len(part.Columns) != len(d.Cols) {
-			return nil, fmt.Errorf("storage: chunk %d of %s has shape %d rows / %d cols, directory says %d / %d",
-				k, d.Name, part.RowCount, len(part.Columns), refs[pi].Rows, len(d.Cols))
+		if len(part.Columns) != len(d.Cols) || pi < len(refs) && part.RowCount != refs[pi].Rows {
+			return nil, fmt.Errorf("storage: part %d of %s from chunk %d has shape %d rows / %d cols, not the directory's",
+				pi, d.Name, from, part.RowCount, len(part.Columns))
 		}
 		for ci := range d.Cols {
 			cs := &part.Columns[ci]
 			oc := &out.Columns[ci]
-			oc.NullWords = append(oc.NullWords, cs.NullWords...)
+			oc.NullWords = appendBits(oc.NullWords, at, cs.NullWords, part.RowCount)
 			switch d.Cols[ci].Typ {
 			case rel.TInt:
 				oc.Ints = append(oc.Ints, cs.Ints...)
@@ -600,6 +603,7 @@ func (d *chunkedDir) mergeChunks(from int, parts []*rel.TableSnapshot) (*rel.Tab
 				}
 			}
 		}
+		at += part.RowCount
 	}
 	for ci := range d.Cols {
 		out.Columns[ci].Dict = slices.Clone(dicts[ci]) // the table keeps no spare capacity
@@ -607,16 +611,33 @@ func (d *chunkedDir) mergeChunks(from int, parts []*rel.TableSnapshot) (*rel.Tab
 	return out, nil
 }
 
+// appendBits appends the n bits of src, a bitmap's words with no bit set
+// past n, to dst, the words of a bitmap of at bits.
+func appendBits(dst []uint64, at int, src []uint64, n int) []uint64 {
+	sh := uint(at % 64)
+	if sh == 0 {
+		return append(dst, src...)
+	}
+	for i, w := range src {
+		dst[len(dst)-1] |= w << sh
+		if n-64*i > int(64-sh) { // word i's bits spill into the next word
+			dst = append(dst, w>>(64-sh))
+		}
+	}
+	return dst
+}
+
 // readChunks reads chunks from.. of the segment d describes through
 // src, one ReadAt per chunk into one pooled frame buffer, verifies each
-// through decodeChunk and merges them (mergeChunks) into one snapshot,
+// through decodeChunk and merges them (mergeChunks), with tail as the
+// last part unless it is nil, into one snapshot,
 // which the caller still validates through rel.TableFromSnapshot. A
 // failed or short read counts under storage.read.errors; a chunk that
 // was read but does not verify, or chunks that do not merge, count under
 // storage.checksum.failures. src is not touched when from is the chunk
 // count.
-func (d *chunkedDir) readChunks(src io.ReaderAt, from int, reg *obs.Registry) (*rel.TableSnapshot, error) {
-	parts := make([]*rel.TableSnapshot, 0, len(d.Chunks)-from)
+func (d *chunkedDir) readChunks(src io.ReaderAt, from int, tail *rel.TableSnapshot, reg *obs.Registry) (*rel.TableSnapshot, error) {
+	parts := make([]*rel.TableSnapshot, 0, len(d.Chunks)-from+1)
 	fr := frames.Get().(*frame)
 	defer frames.Put(fr)
 	for k := from; k < len(d.Chunks); k++ {
@@ -636,6 +657,9 @@ func (d *chunkedDir) readChunks(src io.ReaderAt, from int, reg *obs.Registry) (*
 			return nil, err
 		}
 		parts = append(parts, frag.Snapshot())
+	}
+	if tail != nil {
+		parts = append(parts, tail)
 	}
 	merged, err := d.mergeChunks(from, parts)
 	if err != nil {
@@ -657,5 +681,5 @@ func DecodeChunkedSegment(data []byte) (*rel.TableSnapshot, error) {
 	if int64(len(data)) != d.fileSize() {
 		return nil, fmt.Errorf("storage: chunked segment %s is %d bytes, directory implies %d", d.Name, len(data), d.fileSize())
 	}
-	return d.readChunks(bytes.NewReader(data), 0, nil)
+	return d.readChunks(bytes.NewReader(data), 0, nil, nil)
 }

@@ -172,21 +172,14 @@ func decodeRedoBatchBody(body []byte) ([]redoRecord, error) {
 // consecutive rows to the same table fold into one batched record.
 func encodeRedoBatch(p []byte, recs []redoRecord) []byte {
 	for i := 0; i < len(recs); {
-		j := tableRunEnd(recs, i)
+		j := i + 1
+		for j < len(recs) && recs[j].Table == recs[i].Table {
+			j++
+		}
 		p = appendRedoBatchRecord(p, recs[i:j])
 		i = j
 	}
 	return p
-}
-
-// tableRunEnd returns the end of the run of records to recs[i]'s table
-// that starts at i.
-func tableRunEnd(recs []redoRecord, i int) int {
-	j := i + 1
-	for j < len(recs) && recs[j].Table == recs[i].Table {
-		j++
-	}
-	return j
 }
 
 // writeRedoBatch cuts the log back to end, its committed length,

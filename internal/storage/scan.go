@@ -12,29 +12,29 @@ import (
 // time instead of assembling the table — peak scan memory follows
 // Options.MemBudgetBytes (plus one pinned chunk per worker), not table
 // size. The redo tail committed at creation time is overlaid as a
-// final in-memory chunk, so the scanned row set is bit-identical to
-// the assembled table: segment rows in chunk order, then replayed
-// appends in commit order.
+// final in-memory chunk, a prefix of the store's tail table that pins
+// those rows, so the scanned row set is bit-identical to the assembled
+// table: segment rows in chunk order, then appends in commit order.
 //
-// A ChunkScan is a point-in-time view. Every fetch re-checks the store
-// under its lock and fails — never serves stale rows — once the store
-// has moved on: Close fences with ErrClosed, and an append to the table
-// or a compaction (which rewrites the segment file) makes the scan
-// stale. Fetches are safe for concurrent use by morsel workers; each
+// A ChunkScan is a point-in-time view: later appends do not show in it,
+// and it keeps serving its creation-time rows. It turns stale once the
+// store compacts (which rewrites the segment file): every fetch
+// re-checks the store under its lock and fails — never serves stale
+// rows — after a compaction, and Close fences with ErrClosed. Fetches
+// are safe for concurrent use by morsel workers; each
 // acquired chunk is pinned against eviction until its release runs,
 // which is what keeps the budget overshoot bounded to one chunk per
 // worker.
 type ChunkScan struct {
 	s     *Store
 	man   *Manifest // staleness fence: the manifest epoch at creation
-	redoN int       // committed redo rows for this table at creation
 	table string
 	file  string
 	d     *chunkedDir
 	spans [][2]int
 	rows  int
-	// overlay is the redo tail replayed into a private in-memory table,
-	// served as the final chunk; nil when the tail is empty.
+	// overlay is the pinned prefix of the redo tail, served as the final
+	// chunk; nil when the tail is empty.
 	overlay *rel.Table
 }
 
@@ -48,38 +48,33 @@ func (s *Store) ChunkScan(name string) (*ChunkScan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.chunkScanLocked(e, s.redo[name])
+	return s.chunkScanLocked(e, s.tailLocked(name))
 }
 
-// chunkScanLocked builds the scan of an entry and its current redo
-// tail: the staleness fence, the chunk spans, and the tail as an
-// overlay.
-func (s *Store) chunkScanLocked(e *TableEntry, tail []redoRecord) (*ChunkScan, error) {
+// chunkScanLocked builds the scan of an entry and a pinned redo tail
+// (nil for none): the staleness fence, the chunk spans, and the tail as
+// an overlay.
+func (s *Store) chunkScanLocked(e *TableEntry, tail *rel.Table) (*ChunkScan, error) {
 	d, err := s.chunkedDirLocked(e)
 	if err != nil {
 		return nil, err
 	}
 	cs := &ChunkScan{
-		s:     s,
-		man:   s.man,
-		redoN: len(tail),
-		table: e.Name,
-		file:  e.File,
-		d:     d,
+		s:       s,
+		man:     s.man,
+		table:   e.Name,
+		file:    e.File,
+		d:       d,
+		overlay: tail,
 	}
 	lo := 0
 	for _, ref := range d.Chunks {
 		cs.spans = append(cs.spans, [2]int{lo, lo + ref.Rows})
 		lo += ref.Rows
 	}
-	if len(tail) > 0 {
-		ov, err := s.readLocked(e, len(d.Chunks), tail) // no chunk: the tail alone
-		if err != nil {
-			return nil, err
-		}
-		cs.overlay = ov
-		cs.spans = append(cs.spans, [2]int{lo, lo + ov.RowCount()})
-		lo += ov.RowCount()
+	if tail != nil {
+		cs.spans = append(cs.spans, [2]int{lo, lo + tail.RowCount()})
+		lo += tail.RowCount()
 	}
 	cs.rows = lo
 	return cs, nil
@@ -98,15 +93,16 @@ func (cs *ChunkScan) NumChunks() int { return len(cs.spans) }
 // ChunkSpan returns the global row range [lo, hi) chunk k covers.
 func (cs *ChunkScan) ChunkSpan(k int) (int, int) { return cs.spans[k][0], cs.spans[k][1] }
 
-// check fails once the store has moved past the scan's point in time.
+// check fails once the store has closed or compacted since the scan was
+// created.
 func (cs *ChunkScan) check() error {
 	cs.s.mu.Lock()
 	defer cs.s.mu.Unlock()
 	if cs.s.closed {
 		return ErrClosed
 	}
-	if cs.s.man != cs.man || len(cs.s.redo[cs.table]) != cs.redoN {
-		return fmt.Errorf("storage: chunk scan of %q is stale: the store moved on (append or compaction); create a new scan", cs.table)
+	if cs.s.man != cs.man {
+		return fmt.Errorf("storage: chunk scan of %q is stale: the store compacted; create a new scan", cs.table)
 	}
 	return nil
 }

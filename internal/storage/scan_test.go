@@ -10,6 +10,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/engine"
@@ -219,6 +220,28 @@ func maxChunkBytes(t testing.TB, s *Store) int64 {
 		}
 	}
 	return max
+}
+
+// scanRows reads every chunk of cs in order into a table the caller
+// owns, with the name, parent and columns of the scanned table.
+func scanRows(cs *ChunkScan) (*rel.Table, error) {
+	out := rel.NewTable(cs.table, cs.Columns())
+	out.Parent = cs.d.Parent
+	row := make([]rel.Value, len(cs.Columns()))
+	for k := 0; k < cs.NumChunks(); k++ {
+		frag, release, err := cs.Chunk(k)
+		if err != nil {
+			return nil, err
+		}
+		for r := 0; r < frag.RowCount(); r++ {
+			for c := range row {
+				row[c] = frag.ValueAt(r, c)
+			}
+			out.AppendRow(row)
+		}
+		release()
+	}
+	return out, nil
 }
 
 // storeTables assembles every table of s, one Table call each, into a
@@ -662,9 +685,10 @@ func TestPagedBuiltIncludesRedoTail(t *testing.T) {
 	}
 }
 
-// TestChunkScanStaleness pins the point-in-time contract: a scan fails
-// — never serves stale rows — after an append to its table, after a
-// compaction, and after Close.
+// TestChunkScanStaleness pins the point-in-time contract: after an
+// append to its table a scan serves exactly its creation-time rows, and
+// it fails — never serves stale rows — after a compaction and after
+// Close.
 func TestChunkScanStaleness(t *testing.T) {
 	dir := savedScanStore(t, 320)
 	s, err := Open(dir, Options{})
@@ -690,6 +714,10 @@ func TestChunkScanStaleness(t *testing.T) {
 	}
 	release()
 	release() // no pin outstanding: a no-op
+	atCreation, err := s.Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// An append to an unrelated table must not invalidate this scan.
 	if err := s.Append("kid", []rel.Value{rel.Int(9000), rel.Int(1), rel.Str("x")}); err != nil {
@@ -701,17 +729,20 @@ func TestChunkScanStaleness(t *testing.T) {
 		rel2()
 	}
 
-	// An append to the scanned table makes it stale.
+	// An append to the scanned table does not show in the scan: it
+	// serves exactly the rows of a Table taken at its creation.
 	if err := s.Append("big", []rel.Value{
 		rel.Int(9001), rel.NullOf(rel.TInt), rel.Str("t"), rel.Float(1), rel.Int(1),
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cs.Chunk(0); err == nil || !strings.Contains(err.Error(), "stale") {
-		t.Fatalf("chunk after append: %v, want staleness error", err)
+	scanned, err := scanRows(cs)
+	if err != nil {
+		t.Fatalf("scan after append: %v", err)
 	}
+	tablesBitEqual(t, scanned, atCreation)
 
-	// A fresh scan sees the new row set; compaction stales it in turn.
+	// A fresh scan sees the new row; compaction stales it in turn.
 	cs2, err := s.ChunkScan("big")
 	if err != nil {
 		t.Fatal(err)
@@ -719,6 +750,14 @@ func TestChunkScanStaleness(t *testing.T) {
 	if cs2.RowCount() != 321 {
 		t.Fatalf("fresh scan covers %d rows, want 321", cs2.RowCount())
 	}
+	now, err := s.Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if scanned, err = scanRows(cs2); err != nil {
+		t.Fatal(err)
+	}
+	tablesBitEqual(t, scanned, now)
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
@@ -748,6 +787,137 @@ func TestChunkScanStaleness(t *testing.T) {
 	if _, err := s.PagedBuilt(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("PagedBuilt after close: %v, want ErrClosed", err)
 	}
+}
+
+// tailAppendRow is row i of the stream TestChunkScanPinsPrefixUnderAppends
+// appends to big: NULL-heavy, with strings both new and already in the
+// segment's dictionaries.
+func tailAppendRow(i int) []rel.Value {
+	row := []rel.Value{rel.Int(int64(100000 + i)), rel.NullOf(rel.TInt),
+		rel.NullOf(rel.TString), rel.NullOf(rel.TFloat), rel.NullOf(rel.TInt)}
+	if i%3 != 0 {
+		row[2] = rel.Str(fmt.Sprintf("tag-%02d", i%11))
+	}
+	if i%2 == 0 {
+		row[3] = rel.Float(float64(i) / 7)
+	}
+	if i%5 != 0 {
+		row[4] = rel.Int(int64(i % 100))
+	}
+	return row
+}
+
+// prefixMismatch describes how tb fails to be oracle's first rows, at
+// least base of them, or returns nil when it is.
+func prefixMismatch(tb, oracle *rel.Table, base int) error {
+	n := tb.RowCount()
+	if n < base || n > oracle.RowCount() {
+		return fmt.Errorf("%d rows, want %d to %d", n, base, oracle.RowCount())
+	}
+	if want := oracle.Prefix(n).Bytes(); tb.Bytes() != want {
+		return fmt.Errorf("%d rows account %d bytes, want %d", n, tb.Bytes(), want)
+	}
+	for r := 0; r < n; r++ {
+		for c := range tb.Columns {
+			if got, want := tb.ValueAt(r, c), oracle.ValueAt(r, c); !got.BitEqual(want) {
+				return fmt.Errorf("%d rows: value (%d,%d) is %v, want %v", n, r, c, got, want)
+			}
+		}
+	}
+	return nil
+}
+
+// TestChunkScanPinsPrefixUnderAppends: while one appender commits small
+// batches to big, readers create ChunkScans and call Table. Every scan
+// and every table must equal the oracle at some prefix of the append
+// history: the saved rows, then the first k appended rows. The segment
+// ends in a partial chunk, so the tail merges at a row offset that is no
+// multiple of 64.
+func TestChunkScanPinsPrefixUnderAppends(t *testing.T) {
+	const base, appends, readers = 300, 240, 3
+	s, err := Open(savedScanStore(t, base), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	oracle, err := s.Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < appends; i++ {
+		oracle.AppendRow(tailAppendRow(i))
+	}
+
+	done := make(chan struct{})
+	results := make(chan *rel.Table)
+	errs := make(chan error, readers)
+	var wg sync.WaitGroup
+	for w := 0; w < readers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				cs, err := s.ChunkScan("big")
+				if err == nil {
+					var tb *rel.Table
+					if tb, err = scanRows(cs); err == nil {
+						results <- tb
+						tb, err = s.Table("big")
+						results <- tb
+					}
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	var bad []error
+	seen := make(map[int]bool)
+	collect := make(chan struct{})
+	go func() {
+		defer close(collect)
+		for tb := range results {
+			seen[tb.RowCount()] = true
+			if err := prefixMismatch(tb, oracle, base); err != nil {
+				bad = append(bad, err)
+			}
+		}
+	}()
+	var appendErr error
+	for i := 0; i < appends && appendErr == nil; {
+		batch := make([][]rel.Value, 0, 1+i%9)
+		for ; len(batch) < cap(batch) && i < appends; i++ {
+			batch = append(batch, tailAppendRow(i))
+		}
+		appendErr = s.AppendBatch("big", batch)
+	}
+	close(done)
+	wg.Wait()
+	close(results)
+	<-collect
+	close(errs)
+	if appendErr != nil {
+		t.Fatalf("append: %v", appendErr)
+	}
+	for err := range errs {
+		t.Fatalf("reader: %v", err)
+	}
+	if len(bad) > 0 {
+		t.Fatalf("%d of the reads are no prefix of the append history; first: %v", len(bad), bad[0])
+	}
+	t.Logf("reads saw %d distinct prefixes", len(seen))
+	final, err := s.Table("big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tablesBitEqual(t, final, oracle)
 }
 
 // TestChunkScanNeverServesPreCompactionChunk pins the cache-key epoch

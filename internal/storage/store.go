@@ -91,7 +91,8 @@ func (o Options) chunkRowsOrDefault() int {
 }
 
 // Store is an opened on-disk store: the verified manifest, the redo
-// tail, and a budgeted cache of the chunks scans read (the pager).
+// tail as one columnar table per relation, and a budgeted cache of the
+// chunks scans read (the pager).
 // Segments are read, checksum-verified, and structurally validated chunk
 // by chunk when a caller asks for rows. Every manifest entry is a chunked
 // segment and the redo log is batch-framed: Open refuses anything else.
@@ -102,6 +103,12 @@ func (o Options) chunkRowsOrDefault() int {
 // committed at that moment, belongs to the caller, and is never touched
 // by the store again: later appends and compactions do not show in it.
 // Only ChunkScan reads through the pager.
+//
+// The redo tail is held once, in columnar form: per table, the rows
+// committed since the last compaction are one append-only *rel.Table.
+// Open fills it from the redo log and each commit extends it, under mu,
+// after its fsync. A reader pins the rows committed so far as a prefix
+// of it (tailLocked), which later commits do not touch.
 type Store struct {
 	dir  string
 	reg  *obs.Registry
@@ -118,12 +125,13 @@ type Store struct {
 	man   *Manifest
 	dirs  map[string]*chunkedDir
 	pager *pager
-	redo  map[string][]redoRecord
+	// tail holds each table's committed redo rows. A table keeps its
+	// entry once it has one, emptied by compaction, so a commit never
+	// needs the segment directory to extend it.
+	tail map[string]*rel.Table
 	// redoEnd is the redo log's committed length (where the next
-	// record goes); redoCount the committed row count. Both advance
-	// under mu as batches commit.
-	redoEnd   int64
-	redoCount uint32
+	// record goes); it advances under mu as batches commit.
+	redoEnd int64
 	// gcCur is the open group-commit batch appenders join until a
 	// leader detaches and flushes it.
 	gcCur *commitBatch
@@ -222,9 +230,11 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 	return man, nil
 }
 
-// Open reads and verifies the manifest and the redo log. Table
-// segments are not read yet — Table, Built, and chunk scans read them
-// when called, chunk by chunk. Open writes
+// Open reads and verifies the manifest and the redo log, and replays the
+// log into the tail tables: each record must fit its table's columns, as
+// the verified segment directory declares them, or Open refuses the
+// store. Table data is not read yet — Table, Built, and chunk scans read
+// it when called, chunk by chunk. Open writes
 // nothing: a torn redo tail is ignored, counted in
 // storage.redo.torn_tail_bytes, and cut off by the next append. A store
 // in any format other than the one Save writes — a whole-table
@@ -252,21 +262,34 @@ func Open(dir string, opts Options) (*Store, error) {
 	}
 	opts.Registry.Counter("storage.redo.torn_tail_bytes").Add(int64(len(rb) - end))
 	s := &Store{
-		dir:       dir,
-		man:       man,
-		reg:       opts.Registry,
-		opts:      opts,
-		dirs:      make(map[string]*chunkedDir),
-		pager:     newPager(dir, opts.MemBudgetBytes, opts.Registry),
-		redo:      make(map[string][]redoRecord),
-		redoEnd:   int64(end),
-		redoCount: uint32(len(recs)),
+		dir:     dir,
+		man:     man,
+		reg:     opts.Registry,
+		opts:    opts,
+		dirs:    make(map[string]*chunkedDir),
+		pager:   newPager(dir, opts.MemBudgetBytes, opts.Registry),
+		tail:    make(map[string]*rel.Table),
+		redoEnd: int64(end),
 	}
+	byTable := make(map[string][]redoRecord)
 	for _, rec := range recs {
 		if man.Table(rec.Table) == nil {
 			return nil, fmt.Errorf("storage: redo log references unknown table %q", rec.Table)
 		}
-		s.redo[rec.Table] = append(s.redo[rec.Table], rec)
+		byTable[rec.Table] = append(byTable[rec.Table], rec)
+	}
+	for i := range man.Tables {
+		e := &man.Tables[i]
+		if len(byTable[e.Name]) == 0 {
+			continue
+		}
+		t, err := s.tailTableLocked(e)
+		if err != nil {
+			return nil, err
+		}
+		if err := replayRedo(e.Name, t.Columns, byTable[e.Name], t.AppendRow); err != nil {
+			return nil, err
+		}
 	}
 	opts.Registry.Gauge("storage.open.ms").Set(float64(time.Since(start).Nanoseconds()) / 1e6)
 	return s, nil
@@ -311,7 +334,43 @@ func (s *Store) Manifest() *Manifest {
 func (s *Store) RedoRows() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return int(s.redoCount)
+	return s.redoRowsLocked()
+}
+
+// redoRowsLocked sums the tail tables' row counts.
+func (s *Store) redoRowsLocked() int {
+	n := 0
+	for _, t := range s.tail {
+		n += t.RowCount()
+	}
+	return n
+}
+
+// tailLocked pins the rows committed to the named table's tail so far:
+// a prefix of its tail table that later commits do not touch, or nil
+// when the tail is empty.
+func (s *Store) tailLocked(name string) *rel.Table {
+	t := s.tail[name]
+	if t == nil || t.RowCount() == 0 {
+		return nil
+	}
+	return t.Prefix(t.RowCount())
+}
+
+// tailTableLocked returns e's tail table, made empty over the columns of
+// e's verified segment directory if the table has none yet.
+func (s *Store) tailTableLocked(e *TableEntry) (*rel.Table, error) {
+	if t := s.tail[e.Name]; t != nil {
+		return t, nil
+	}
+	d, err := s.chunkedDirLocked(e)
+	if err != nil {
+		return nil, err
+	}
+	t := rel.NewTable(e.Name, d.Cols)
+	t.Parent = e.Parent
+	s.tail[e.Name] = t
+	return t, nil
 }
 
 // ResidentBytes reports the bytes of columnar data the store keeps
@@ -345,14 +404,14 @@ func (s *Store) Table(name string) (*rel.Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.assembleLocked(e, s.redo[name])
+	return s.assembleLocked(e, s.tailLocked(name))
 }
 
 // assembleLocked is the only way a live store's manifest entry becomes
 // a whole *rel.Table: readLocked from chunk 0 with the given redo tail,
 // timed under storage.segment.loads and load_ns. It has no Close fence:
 // the background compaction Close waits out assembles during shutdown.
-func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, error) {
+func (s *Store) assembleLocked(e *TableEntry, tail *rel.Table) (*rel.Table, error) {
 	if e.Generation != int64(e.Rows) {
 		return nil, fmt.Errorf("storage: manifest entry for %s has generation %d, not its row count %d", e.File, e.Generation, e.Rows)
 	}
@@ -366,15 +425,15 @@ func (s *Store) assembleLocked(e *TableEntry, tail []redoRecord) (*rel.Table, er
 	return t, nil
 }
 
-// readLocked turns chunks from.. of e's segment plus a redo tail into a
-// table the caller owns: the chunks are read straight from the segment
-// file, not through the pager, and go through readChunks' verification
-// chain; the merge passes rel's structural validation and, when it is
-// the whole segment, must carry the bytes the manifest pins; then the
-// tail is replayed in commit order. With from at the chunk count it
-// opens no file, and the table is the tail alone. The result shares
-// nothing with the pager or with any other read.
-func (s *Store) readLocked(e *TableEntry, from int, tail []redoRecord) (*rel.Table, error) {
+// readLocked turns chunks from.. of e's segment plus a redo tail (nil
+// for none) into a table the caller owns: the chunks are read straight
+// from the segment file, not through the pager, and go through
+// readChunks' verification chain, which merges the tail in as the last
+// part; the merge passes rel's structural validation and, when it is the
+// whole segment, must carry the bytes the manifest pins plus the tail's.
+// With from at the chunk count it opens no file. The result shares
+// nothing with the pager, the tail, or any other read.
+func (s *Store) readLocked(e *TableEntry, from int, tail *rel.Table) (*rel.Table, error) {
 	d, err := s.chunkedDirLocked(e)
 	if err != nil {
 		return nil, err
@@ -389,7 +448,12 @@ func (s *Store) readLocked(e *TableEntry, from int, tail []redoRecord) (*rel.Tab
 		defer f.Close()
 		src = f
 	}
-	merged, err := d.readChunks(src, from, s.reg)
+	var tailSnap *rel.TableSnapshot
+	var tailBytes int64
+	if tail != nil {
+		tailSnap, tailBytes = tail.Snapshot(), tail.Bytes()
+	}
+	merged, err := d.readChunks(src, from, tailSnap, s.reg)
 	if err != nil {
 		return nil, err
 	}
@@ -398,19 +462,18 @@ func (s *Store) readLocked(e *TableEntry, from int, tail []redoRecord) (*rel.Tab
 		s.reg.Counter("storage.checksum.failures").Inc()
 		return nil, fmt.Errorf("storage: segment %s: %w", e.File, err)
 	}
-	if from == 0 && t.Bytes() != e.Bytes {
-		return nil, fmt.Errorf("storage: segment %s decodes to %d bytes, manifest says %d", e.File, t.Bytes(), e.Bytes)
-	}
-	if err := replayRedo(e.Name, t.Columns, tail, t.AppendRow); err != nil {
-		return nil, err
+	if from == 0 && t.Bytes() != e.Bytes+tailBytes {
+		return nil, fmt.Errorf("storage: segment %s decodes to %d bytes, manifest says %d", e.File, t.Bytes()-tailBytes, e.Bytes)
 	}
 	return t, nil
 }
 
-// replayRedo applies a table's redo tail in commit order. AppendBatch
-// logs only values their columns admit, so it refuses a record whose
-// width disagrees with cols or whose value its column does not admit (a
-// *TypeError): apply never sees a row AppendRow would panic on.
+// replayRedo applies a table's redo records in commit order; Open is its
+// one caller, filling the tail tables. AppendBatch logs only values
+// their columns admit, so it refuses a record whose width disagrees with
+// cols or whose value its column does not admit (a *TypeError): apply
+// never sees a row AppendRow would panic on, and no store opens with a
+// tail that a read would refuse.
 func replayRedo(table string, cols []rel.Column, tail []redoRecord, apply func(row []rel.Value)) error {
 	for i, rec := range tail {
 		if len(rec.Row) != len(cols) {
@@ -478,7 +541,7 @@ func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 
 // view is the one constructor behind Built and PagedBuilt:
 // a single walk over the manifest under s.mu that captures every
-// table's entry and the redo prefix committed at that instant, and
+// table's entry and pins the redo prefix committed at that instant, and
 // turns each pair into an assembled table — or, when paged, into a
 // schema-only shell plus the ChunkScan that serves its driver-stage
 // scans. A shell hydrates through assembleLocked over the same captured
@@ -492,8 +555,8 @@ func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan,
 	db := rel.NewDatabase()
 	var scans []*ChunkScan
 	for i := range s.man.Tables {
-		e := s.man.Tables[i]   // copy: a shell's loader must survive manifest swaps
-		tail := s.redo[e.Name] // appends only ever extend; the slice header pins our prefix
+		e := s.man.Tables[i] // copy: a shell's loader must survive manifest swaps
+		tail := s.tailLocked(e.Name)
 		if !paged {
 			t, err := s.assembleLocked(&e, tail)
 			if err != nil {
@@ -506,12 +569,11 @@ func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan,
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		// The overlay started empty, so its bytes are exactly what
-		// replaying the tail adds to the segment's — the shape Hydrate's
+		// A table's bytes are the sum of its rows', the shape Hydrate's
 		// assembly lands on.
 		bytes := e.Bytes
-		if ov := cs.overlay; ov != nil {
-			bytes += ov.Bytes()
+		if tail != nil {
+			bytes += tail.Bytes()
 		}
 		db.Add(rel.NewVirtualTable(e.Name, e.Parent, cs.d.Cols, cs.rows, bytes, func() (*rel.Table, error) {
 			s.mu.Lock()
@@ -548,11 +610,13 @@ func (s *Store) Built() (*engine.Built, error) {
 // (segment + the redo tail committed when PagedBuilt ran); the hydrated
 // table belongs to the Built, outside the budget.
 //
-// Unlike Built, the view keeps reading from the store: after an append
-// or a compaction, chunk scans fail with a staleness error (and
-// hydrations fail once the segment file is gone) rather than serving
-// rows the Built's row-count snapshot does not cover — call PagedBuilt
-// again for a fresh view. Results are bit-identical to Built over the
+// Unlike Built, the view keeps reading from the store, and it turns
+// stale once the store compacts: its chunk scans then fail with a
+// staleness error (and hydrations fail once the segment file is gone)
+// rather than serving rows the Built's row-count snapshot does not
+// cover — call PagedBuilt again for a fresh view. Appends do not stale
+// it: it keeps serving the rows it was created over, and a fresh view
+// sees the new ones. Results are bit-identical to Built over the
 // same store state: both run the engine's one scan driver, Built over
 // resident one-chunk sources, and engine.ExecuteReference is the oracle
 // for both.
@@ -582,8 +646,8 @@ func (s *Store) built(paged bool, gauge string) (*engine.Built, error) {
 }
 
 // Append durably logs one row append, so tables assembled from here on
-// — and a later Open of the same directory — replay it and land on the
-// same row count. Concurrent appenders share one fsync
+// — and a later Open of the same directory, which replays it — land on
+// the same row count. Concurrent appenders share one fsync
 // (group commit).
 func (s *Store) Append(table string, row []rel.Value) error {
 	return s.AppendBatch(table, [][]rel.Value{row})
@@ -599,22 +663,24 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	// The verified segment directory carries the columns, so checking a
-	// row never assembles the table.
+	// The tail table carries the columns of the verified segment
+	// directory, so checking a row never assembles the table; and it
+	// exists from here on, so the commit can extend it after its fsync.
 	s.mu.Lock()
-	var cd *chunkedDir
+	var tail *rel.Table
 	e, err := s.entryLocked(table)
 	if err == nil {
-		cd, err = s.chunkedDirLocked(e)
+		tail, err = s.tailTableLocked(e)
 	}
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
+	cols := tail.Columns
 	for _, row := range rows {
-		if len(row) != len(cd.Cols) {
+		if len(row) != len(cols) {
 			s.mu.Unlock()
-			return fmt.Errorf("storage: append to %q has %d values, table has %d columns", table, len(row), len(cd.Cols))
+			return fmt.Errorf("storage: append to %q has %d values, table has %d columns", table, len(row), len(cols))
 		}
 	}
 	if s.gcCur == nil {
@@ -625,7 +691,7 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	for i, row := range rows {
 		rec := redoRecord{Table: table, Row: make([]rel.Value, len(row))}
 		for ci, v := range row {
-			c, ok := &cd.Cols[ci], false
+			c, ok := &cols[ci], false
 			if rec.Row[ci], ok = v.CoerceExact(c.Typ); !ok || !c.Admits(rec.Row[ci]) {
 				b.recs = b.recs[:n] // the open batch holds nothing of this one
 				s.mu.Unlock()
@@ -675,11 +741,8 @@ func (s *Store) flushBatchLocked(b *commitBatch) {
 
 	s.mu.Lock()
 	s.redoEnd = newEnd
-	s.redoCount += nrows
-	for i := 0; i < len(b.recs); {
-		j := tableRunEnd(b.recs, i)
-		s.redo[b.recs[i].Table] = append(s.redo[b.recs[i].Table], b.recs[i:j]...)
-		i = j
+	for _, rec := range b.recs {
+		s.tail[rec.Table].AppendRow(rec.Row)
 	}
 	s.mu.Unlock()
 }
@@ -695,7 +758,7 @@ func (s *Store) maybeCompactAsync() {
 		return
 	}
 	s.mu.Lock()
-	due := int(s.redoCount) >= s.opts.CompactRecords && !s.closed
+	due := s.redoRowsLocked() >= s.opts.CompactRecords && !s.closed
 	if !due || !s.compacting.CompareAndSwap(false, true) {
 		s.mu.Unlock()
 		return
@@ -712,7 +775,7 @@ func (s *Store) maybeCompactAsync() {
 }
 
 // Compact folds the redo log back into fresh segments: every table
-// with a redo tail is rewritten (with its replayed rows) into the next
+// with a redo tail is rewritten (with its tail's rows) into the next
 // epoch's segment file, at the chunk size it was saved with, and the
 // epoch is published by publishLocked.
 func (s *Store) Compact() error { return s.compact(true) }
@@ -730,7 +793,7 @@ func (s *Store) compact(fence bool) error {
 		return ErrClosed
 	}
 	start := time.Now()
-	folded := s.redoCount
+	folded := s.redoRowsLocked()
 	if folded == 0 {
 		return nil
 	}
@@ -773,8 +836,8 @@ func (s *Store) publishLocked() error {
 	var obsolete, rewritten []string
 	for i := range s.man.Tables {
 		e := s.man.Tables[i]
-		tail := s.redo[e.Name]
-		if len(tail) == 0 {
+		tail := s.tail[e.Name]
+		if tail == nil || tail.RowCount() == 0 {
 			newMan.Tables = append(newMan.Tables, e)
 			continue
 		}
@@ -812,10 +875,11 @@ func (s *Store) publishLocked() error {
 	// epochs.
 	obsolete = append(obsolete, s.man.RedoFile)
 	s.man = newMan
-	s.redo = make(map[string][]redoRecord)
-	s.redoCount = 0
 	s.redoEnd = redoHeaderSize
 	for _, name := range rewritten {
+		old := s.tail[name] // pinned prefixes keep its rows
+		s.tail[name] = rel.NewTable(name, old.Columns)
+		s.tail[name].Parent = old.Parent
 		delete(s.dirs, name)
 		s.pager.invalidate(name)
 	}
@@ -837,10 +901,11 @@ func (s *Store) publishLocked() error {
 // already what an encoding of the folded table would write there: those
 // bytes are copied from the old file by copyChunks. Only the last,
 // partial chunk is read (readLocked from the first chunk that is not
-// full, so with the tail replayed onto it) and encoded from its first
-// row on. step is publishLocked's killpoint hook. Caller holds mu; on
-// error no file is left behind.
-func (s *Store) foldTailLocked(e *TableEntry, tail []redoRecord, file string, step func(string) error) (TableEntry, error) {
+// full, so merged with the tail) and encoded from its first row on. The
+// entry's rows and bytes are e's plus the tail's. step is
+// publishLocked's killpoint hook. Caller holds mu; on error no file is
+// left behind.
+func (s *Store) foldTailLocked(e *TableEntry, tail *rel.Table, file string, step func(string) error) (TableEntry, error) {
 	d, err := s.chunkedDirLocked(e)
 	if err != nil {
 		return TableEntry{}, err
@@ -858,16 +923,13 @@ func (s *Store) foldTailLocked(e *TableEntry, tail []redoRecord, file string, st
 		return TableEntry{}, err
 	}
 	kept := d.Chunks[:full]
-	rows := e.Rows + len(tail)
+	rows := e.Rows + tail.RowCount()
 	dir := encodeChunkedDir(d.Name, d.Parent, rows, d.ChunkRows, d.Cols, slices.Concat(kept, refs))
 	var keptBytes int64
 	for _, ref := range kept {
 		keptBytes += ref.Size
 	}
-	bytes := e.Bytes // a table's bytes are the sum of its rows'
-	for _, rec := range tail {
-		bytes += rel.RowBytes(rec.Row)
-	}
+	bytes := e.Bytes + tail.Bytes() // a table's bytes are the sum of its rows'
 	path := filepath.Join(s.dir, file)
 	err = writeSync(path, func(w *os.File) error {
 		if _, err := w.Write(dir); err != nil {

@@ -385,6 +385,47 @@ func TestReplayRefusesRecordsThatDoNotFit(t *testing.T) {
 	}
 }
 
+// TestOpenRefusesRecordsThatDoNotFit: Open replays the redo log into the
+// tail tables, so a logged record that does not fit its table — too few
+// values, a value of another type, or a NULL in a NOT NULL column —
+// refuses the store at Open, naming the table (and, for a value, the
+// column and the record's place in the table's tail), instead of
+// opening a store whose every read of that table fails.
+func TestOpenRefusesRecordsThatDoNotFit(t *testing.T) {
+	good := redoRecord{Table: "book", Row: []rel.Value{rel.Int(6), rel.NullOf(rel.TInt), rel.Str("ok"), rel.Float(1)}}
+	for _, tc := range []struct {
+		col string // "" for a width error
+		row []rel.Value
+	}{
+		{"", []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Str("ok")}},
+		{"title", []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Int(1998), rel.Float(1)}},
+		{"ID", []rel.Value{rel.NullOf(rel.TInt), rel.NullOf(rel.TInt), rel.Str("ok"), rel.Float(1)}},
+	} {
+		dir := t.TempDir()
+		if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(dir, RedoName)
+		log := appendRedoBatchRecord(emptyRedoLog(), []redoRecord{good, {Table: "book", Row: tc.row}})
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := Open(dir, Options{})
+		var te *TypeError
+		switch {
+		case tc.col == "":
+			if err == nil || !strings.Contains(err.Error(), `table "book" has 3 values, table has 4 columns`) {
+				t.Fatalf("short record: Open: %v, want a width error naming book", err)
+			}
+		case !errors.As(err, &te) || te.Table != "book" || te.Column != tc.col || te.Row != 1:
+			t.Fatalf("%s: Open: %v, want a *TypeError for book.%s record 1", tc.col, err, tc.col)
+		}
+		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, log) {
+			t.Fatalf("%s: the refusing Open changed the redo log (%v)", tc.col, err)
+		}
+	}
+}
+
 // TestAppendDoesNotAssembleColdTable is the regression test for the
 // write path of a budgeted store: AppendBatch used to load (and cache)
 // the whole table just to compare row widths. A chunked table's verified
@@ -668,8 +709,12 @@ func TestCloseFlushesPendingBatch(t *testing.T) {
 	}
 	row := []rel.Value{rel.Int(6), rel.NullOf(rel.TInt), rel.Str("Closing Time"), rel.Float(9.5)}
 	// The state an appender leaves mid group-commit window: records
-	// joined to the open batch, nothing flushed yet.
+	// joined to the open batch and the table's tail table ready for the
+	// commit to extend, nothing flushed yet.
 	st.mu.Lock()
+	if _, err := st.tailTableLocked(st.man.Table("book")); err != nil {
+		t.Fatal(err)
+	}
 	st.gcCur = &commitBatch{recs: []redoRecord{{Table: "book", Row: row}}}
 	st.mu.Unlock()
 	if err := st.Close(); err != nil {
