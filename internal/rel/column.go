@@ -8,6 +8,7 @@ package rel
 // through the row-materializing accessors on Table.
 
 import (
+	"hash/maphash"
 	"math/bits"
 	"slices"
 )
@@ -55,29 +56,92 @@ func (b *Bitmap) Any() bool { return b.set > 0 }
 // column.
 type Dict struct {
 	strs []string
-	// idx is Intern's private string -> code index; no reader touches
-	// it. A dictionary restored from a snapshot has none until its first
-	// Intern: restored tables are mostly read and chunk fragments only
-	// ever read, and the index costs several times the memory of the
-	// strings it points at.
-	idx map[string]uint32
+	// idx is Intern's private index over strs; no reader touches it. It
+	// is an open-addressing table of 2^k slots, at most 3/4 full and
+	// probed linearly. A slot holds the high 32 bits of its string's
+	// hash above the string's code + 1, and 0 marks an empty slot, so the
+	// index holds no pointer for the collector to scan, and regrowth
+	// moves slots without hashing a string again. The hash only places
+	// slots: codes follow first appearance whatever the seed. A
+	// dictionary restored from a snapshot, or cut by Table.Prefix, has no
+	// index until its first Intern or Reserve: restored tables are mostly
+	// read and chunk fragments only ever read.
+	idx []uint64
 }
+
+// dictSeed seeds every dictionary's hash; only slot positions depend on it.
+var dictSeed = maphash.MakeSeed()
+
+// dictHash is the hash half of s's slot.
+func dictHash(s string) uint64 { return maphash.String(dictSeed, s) >> 32 }
 
 // Intern returns the code for s, adding it to the dictionary if new.
 func (d *Dict) Intern(s string) uint32 {
 	if d.idx == nil {
-		d.idx = make(map[string]uint32, len(d.strs))
-		for c, ds := range d.strs {
-			d.idx[ds] = uint32(c)
-		}
+		d.Reserve(len(d.strs) + 1)
 	}
-	if c, ok := d.idx[s]; ok {
-		return c
+	h := dictHash(s)
+	mask := uint64(len(d.idx) - 1)
+	i := h & mask
+	for ; d.idx[i] != 0; i = (i + 1) & mask {
+		if e := d.idx[i]; e>>32 == h && d.strs[uint32(e)-1] == s {
+			return uint32(e) - 1
+		}
 	}
 	c := uint32(len(d.strs))
 	d.strs = append(d.strs, s)
-	d.idx[s] = c
+	slot := h<<32 | (uint64(c) + 1)
+	if 4*len(d.strs) > 3*len(d.idx) {
+		d.rehash(2 * len(d.idx))
+		d.place(slot)
+	} else {
+		d.idx[i] = slot
+	}
 	return c
+}
+
+// Reserve makes room for n entries in all, so that interning up to n
+// distinct strings regrows neither the entries nor the index. It builds
+// the index of a dictionary that has none.
+func (d *Dict) Reserve(n int) {
+	n = max(n, len(d.strs))
+	d.strs = slices.Grow(d.strs, n-len(d.strs))
+	size := 8 // the smallest index
+	for 3*size < 4*n {
+		size *= 2
+	}
+	if size > len(d.idx) {
+		d.rehash(size)
+	}
+}
+
+// rehash rebuilds the index at size slots, a power of two that holds
+// every entry at most 3/4 full: from the old slots' hash halves if there
+// is an index, from the entries if there is none.
+func (d *Dict) rehash(size int) {
+	old := d.idx
+	d.idx = make([]uint64, size)
+	if old == nil {
+		for c, s := range d.strs {
+			d.place(dictHash(s)<<32 | (uint64(c) + 1))
+		}
+		return
+	}
+	for _, e := range old {
+		if e != 0 {
+			d.place(e)
+		}
+	}
+}
+
+// place stores slot e in the first empty slot from its hash position.
+func (d *Dict) place(e uint64) {
+	mask := uint64(len(d.idx) - 1)
+	i := e >> 32 & mask
+	for d.idx[i] != 0 {
+		i = (i + 1) & mask
+	}
+	d.idx[i] = e
 }
 
 // Code looks up the code for s without interning, by scanning the
@@ -86,8 +150,9 @@ func (d *Dict) Intern(s string) uint32 {
 // row. The scan compares lengths before bytes and costs under 1 ns an
 // entry: 7-13 us over the widest dictionary the benchmark corpus has
 // (20 000 titles, table-wide after a hydrate) and under 2 us over a
-// 4096-row chunk's, against the 1.2 ms and 0.36 ms of building an index
-// that the compile would use once.
+// 4096-row chunk's, against the 0.6-0.8 ms and 0.12-0.14 ms (2-vCPU
+// Xeon) of building Intern's index over those entries, which the
+// compile would use once.
 func (d *Dict) Code(s string) (uint32, bool) {
 	for c, ds := range d.strs {
 		if ds == s {

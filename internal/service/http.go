@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/storage"
 )
 
 // The wire protocol is JSON over HTTP:
@@ -54,6 +55,10 @@ func errKind(err error) (status int, kind string) {
 		return http.StatusServiceUnavailable, "closed"
 	case errors.Is(err, ErrRequestTooLarge):
 		return http.StatusRequestEntityTooLarge, "request_too_large"
+	case errors.Is(err, storage.ErrStale):
+		// A compaction staled the corpus's paged view: a server-side
+		// condition, which registering the corpus again clears.
+		return http.StatusServiceUnavailable, "stale_corpus"
 	default:
 		return http.StatusBadRequest, ""
 	}
@@ -71,6 +76,8 @@ func kindErr(kind, msg string) error {
 		return fmt.Errorf("%w (server: %s)", ErrClosed, msg)
 	case "request_too_large":
 		return fmt.Errorf("%w (server: %s)", ErrRequestTooLarge, msg)
+	case "stale_corpus":
+		return fmt.Errorf("%w (server: %s)", storage.ErrStale, msg)
 	default:
 		return errors.New(msg)
 	}

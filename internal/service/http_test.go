@@ -19,6 +19,7 @@ import (
 	"repro/internal/rel"
 	"repro/internal/schema"
 	"repro/internal/shred"
+	"repro/internal/storage"
 	"repro/internal/xmlgen"
 )
 
@@ -91,7 +92,7 @@ func TestWireValueRoundTrip(t *testing.T) {
 }
 
 func TestErrKindMapping(t *testing.T) {
-	for _, sentinel := range []error{ErrOverloaded, ErrDeadline, ErrUnknownCorpus, ErrClosed, ErrRequestTooLarge} {
+	for _, sentinel := range []error{ErrOverloaded, ErrDeadline, ErrUnknownCorpus, ErrClosed, ErrRequestTooLarge, storage.ErrStale} {
 		status, kind := errKind(sentinel)
 		if kind == "" {
 			t.Fatalf("%v: no kind", sentinel)

@@ -1,8 +1,13 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"strings"
 	"sync"
@@ -273,9 +278,21 @@ func TestPagedStoreCorpusSurvivesAppendStalesOnCompact(t *testing.T) {
 		if err == nil {
 			t.Fatalf("after compact: %s answered %d rows from a view the compaction staled", qs, len(resp.Rows))
 		}
-		if !strings.Contains(err.Error(), "stale") {
+		if !strings.Contains(err.Error(), "stale") || !errors.Is(err, storage.ErrStale) {
 			t.Fatalf("after compact: %s: %v, want the staleness error", qs, err)
 		}
+	}
+	// Over HTTP the staled corpus is a server-side condition: 503 with
+	// its own kind, which the client maps back to the sentinel.
+	rec := httptest.NewRecorder()
+	body := appendRequest(nil, Request{Corpus: "movie", Tenant: "t0", XPath: serviceQueries[0]})
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(body)))
+	var we wireError
+	if err := json.Unmarshal(rec.Body.Bytes(), &we); err != nil || rec.Code != http.StatusServiceUnavailable || we.Kind != "stale_corpus" {
+		t.Fatalf("after compact: /query answered HTTP %d %q (%v), want 503 kind stale_corpus", rec.Code, rec.Body, err)
+	}
+	if err := kindErr(we.Kind, we.Error); !errors.Is(err, storage.ErrStale) {
+		t.Fatalf("kind stale_corpus maps back to %v, want storage.ErrStale", err)
 	}
 }
 

@@ -531,11 +531,9 @@ func (d *chunkedDir) mergeChunks(from int, parts []*rel.TableSnapshot) (*rel.Tab
 		RowCount: rows,
 		Columns:  make([]rel.ColumnSnapshot, len(d.Cols)),
 	}
-	// The TString columns' global dictionaries: entries in code order and
-	// an index sized for every local entry, an upper bound on the global
-	// count, so neither regrows.
-	dicts := make([][]string, len(d.Cols))
-	idx := make([]map[string]uint32, len(d.Cols))
+	// The TString columns' global dictionaries, each reserved for every
+	// local entry, an upper bound on the global count, so none regrows.
+	dicts := make([]rel.Dict, len(d.Cols))
 	for ci, col := range d.Cols {
 		oc := &out.Columns[ci]
 		oc.Col = col
@@ -556,8 +554,7 @@ func (d *chunkedDir) mergeChunks(from int, parts []*rel.TableSnapshot) (*rel.Tab
 					n += len(part.Columns[ci].Dict)
 				}
 			}
-			dicts[ci] = make([]string, 0, n)
-			idx[ci] = make(map[string]uint32, n)
+			dicts[ci].Reserve(n)
 		}
 	}
 	var global []uint32 // a part column's local code -> global code
@@ -580,13 +577,7 @@ func (d *chunkedDir) mergeChunks(from int, parts []*rel.TableSnapshot) (*rel.Tab
 			case rel.TString:
 				global = global[:0]
 				for _, ds := range cs.Dict {
-					gc, ok := idx[ci][ds]
-					if !ok {
-						gc = uint32(len(dicts[ci]))
-						dicts[ci] = append(dicts[ci], ds)
-						idx[ci][ds] = gc
-					}
-					global = append(global, gc)
+					global = append(global, dicts[ci].Intern(ds))
 				}
 				for r, lc := range cs.Codes[:part.RowCount] {
 					// NULL rows keep code 0 without interning, mirroring
@@ -606,7 +597,7 @@ func (d *chunkedDir) mergeChunks(from int, parts []*rel.TableSnapshot) (*rel.Tab
 		at += part.RowCount
 	}
 	for ci := range d.Cols {
-		out.Columns[ci].Dict = slices.Clone(dicts[ci]) // the table keeps no spare capacity
+		out.Columns[ci].Dict = slices.Clone(dicts[ci].Strs()) // the table keeps no spare capacity
 	}
 	return out, nil
 }

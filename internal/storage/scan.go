@@ -102,7 +102,7 @@ func (cs *ChunkScan) check() error {
 		return ErrClosed
 	}
 	if cs.s.man != cs.man {
-		return fmt.Errorf("storage: chunk scan of %q is stale: the store compacted; create a new scan", cs.table)
+		return fmt.Errorf("%w: chunk scan of %q: the store compacted; create a new scan", ErrStale, cs.table)
 	}
 	return nil
 }

@@ -21,6 +21,11 @@ import (
 // ErrClosed is returned by every Store operation after Close.
 var ErrClosed = errors.New("storage: store is closed")
 
+// ErrStale is wrapped by the error of every read through a ChunkScan,
+// and so through a PagedBuilt view, after the store compacted past it.
+// The data is still there: a fresh view reads it.
+var ErrStale = errors.New("storage: stale view")
+
 // ErrUnsupportedFormat is wrapped by every error that refuses a file for
 // its format version: a manifest, segment, chunk, or redo log written by
 // an older or a newer build. The message names the version found and
@@ -659,6 +664,10 @@ func (s *Store) Append(table string, row []rel.Value) error {
 // column's type: one that converts losslessly is converted (see
 // rel.Value.CoerceExact), and any other, or a NULL in a NOT NULL column,
 // refuses the whole batch with a *TypeError before anything is logged.
+// The rows are read in place until the batch is flushed, which happens
+// before AppendBatch returns: the caller must not modify them during the
+// call, and may reuse them afterwards, since none is retained (a
+// converted value goes into a copy of its row).
 func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	if len(rows) == 0 {
 		return nil
@@ -689,13 +698,21 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	b := s.gcCur
 	n := len(b.recs)
 	for i, row := range rows {
-		rec := redoRecord{Table: table, Row: make([]rel.Value, len(row))}
+		rec := redoRecord{Table: table, Row: row}
+		copied := false
 		for ci, v := range row {
-			c, ok := &cols[ci], false
-			if rec.Row[ci], ok = v.CoerceExact(c.Typ); !ok || !c.Admits(rec.Row[ci]) {
+			c := &cols[ci]
+			cv, ok := v.CoerceExact(c.Typ)
+			if !ok || !c.Admits(cv) {
 				b.recs = b.recs[:n] // the open batch holds nothing of this one
 				s.mu.Unlock()
 				return typeError(table, c, i, v)
+			}
+			if !v.Fits(c.Typ) {
+				if !copied {
+					rec.Row, copied = slices.Clone(row), true
+				}
+				rec.Row[ci] = cv
 			}
 		}
 		b.recs = append(b.recs, rec)

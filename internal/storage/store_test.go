@@ -352,6 +352,66 @@ func TestAppendRefusesValuesThatDoNotFit(t *testing.T) {
 	tablesBitEqual(t, before, reopened)
 }
 
+// TestAppendConvertsIntoACopy: a value that converts losslessly is
+// logged and replayed as its column's type — the VARCHAR "1998" in the
+// INT column born comes back as Int(1998), before and after a reopen —
+// while the caller's rows, which AppendBatch reads in place, are left
+// as they were.
+func TestAppendConvertsIntoACopy(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := [][]rel.Value{
+		{rel.Int(6), rel.Int(3), rel.Str("Knuth"), rel.Str("1998")},
+		{rel.Int(7), rel.Int(3), rel.Str("Gray"), rel.Int(1944)},
+	}
+	want := [][]rel.Value{
+		{rel.Int(6), rel.Int(3), rel.Str("Knuth"), rel.Int(1998)},
+		rows[1],
+	}
+	given := [][]rel.Value{slices.Clone(rows[0]), slices.Clone(rows[1])}
+	if err := st.AppendBatch("author", rows); err != nil {
+		t.Fatal(err)
+	}
+	for i := range rows {
+		for ci, v := range rows[i] {
+			if !v.BitEqual(given[i][ci]) {
+				t.Fatalf("row %d column %d is %#v after AppendBatch, was %#v", i, ci, v, given[i][ci])
+			}
+		}
+	}
+	check := func(label string, st *Store) {
+		t.Helper()
+		author, err := st.Table("author")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := author.Rows()[author.RowCount()-len(want):]
+		for i := range want {
+			for ci, v := range want[i] {
+				if !got[i][ci].BitEqual(v) {
+					t.Fatalf("%s: appended row %d column %d is %#v, want %#v", label, i, ci, got[i][ci], v)
+				}
+			}
+		}
+	}
+	check("before reopen", st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	check("replayed", again)
+}
+
 // TestReplayRefusesRecordsThatDoNotFit: a redo record whose value is not
 // its column's type — which AppendBatch never logs — is refused by name
 // with a *TypeError instead of being applied, so a foreign or corrupt

@@ -14,12 +14,18 @@
 # out). It exits non-zero when a row is worse than its BENCHMARK.json
 # bound.
 #
+# Each run's lines that give a metric as measured, before the memory
+# calibration's correction, are echoed beside its metric lines, and
+# before the table the script prints, per side, the address mod 64 of
+# the calibration loop main.(*memSpeed).sample in that side's binary:
+# a function's alignment can move a measured rate by itself.
+#
 # Defaults: 10 pairs, every workload of BENCHMARK.json. The run length
 # is the benchmark's run_seconds on both sides.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,19p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+	sed -n '2,24p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
 	exit 2
 fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -65,8 +71,17 @@ run_side() {
 		;;
 	esac
 	grep -E "^$wl (ops_per_s|lat_tail_ms|alloc_kb_per_op|mem_inuse_p95_mb) " <<<"$log" | sed "s/^/#   /" >&2 || true
+	grep -F "as measured, before the correction" <<<"$log" | sed "s/^# */#   /" >&2 || true
 	local rec="{\"workload\":\"$wl\",\"seed\":$seed,\"trace\":false,${line#\{}"
 	if [ "$side" = parent ]; then recs_parent+=("$rec"); else recs_change+=("$rec"); fi
+}
+
+# sample_phase <dir>: the address mod 64 of main.(*memSpeed).sample in
+# the benchmark binary that <dir>/bench/run.sh built, or "?" if none.
+sample_phase() {
+	local addr
+	addr="$(go tool nm "$1/.bench_build/xmlbench" 2>/dev/null | awk '$3 == "main.(*memSpeed).sample" { print $1; exit }')"
+	if [ -n "$addr" ]; then echo "$((16#$addr % 64))"; else echo "?"; fi
 }
 
 # write_results <file> <commit> <record...>
@@ -107,6 +122,7 @@ if [ -z "$table" ]; then
 	echo "benchpair: --compare printed no table" >&2
 	exit 1
 fi
+echo "# main.(*memSpeed).sample mod 64: parent $(sample_phase "$parent"), change $(sample_phase "$root")"
 echo "$table"
 if grep -Eq ' worse( |$)' <<<"$table"; then
 	echo "benchpair: at least one row is worse than its bound" >&2
