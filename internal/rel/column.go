@@ -251,6 +251,75 @@ func (cv *colVec) prefix(n int, whole bool) colVec {
 	return p
 }
 
+// concatCol is column ci of Concat's result over parts, rows rows in all.
+func concatCol(typ Type, ci, rows int, parts []*Table) colVec {
+	if rows == 0 {
+		return newColVec(typ)
+	}
+	cv := colVec{typ: typ, nulls: Bitmap{words: make([]uint64, 0, (rows+63)/64)}}
+	var dict Dict
+	switch typ {
+	case TInt:
+		cv.ints = make([]int64, 0, rows)
+	case TFloat:
+		cv.floats = make([]float64, 0, rows)
+	case TString:
+		cv.codes = make([]uint32, 0, rows)
+		n := 0
+		for _, p := range parts {
+			n += p.cols[ci].dict.Len()
+		}
+		dict.Reserve(n)
+	}
+	var global []uint32 // a part's code -> the result's code
+	for _, p := range parts {
+		pv := &p.cols[ci]
+		cv.nulls.appendBits(&pv.nulls)
+		switch typ {
+		case TInt:
+			cv.ints = append(cv.ints, pv.ints[:p.nrows]...)
+		case TFloat:
+			cv.floats = append(cv.floats, pv.floats[:p.nrows]...)
+		case TString:
+			global = global[:0]
+			for _, s := range pv.dict.strs {
+				global = append(global, dict.Intern(s))
+			}
+			for r, c := range pv.codes[:p.nrows] {
+				if pv.nulls.set > 0 && pv.nulls.Get(r) {
+					c = 0
+				} else {
+					c = global[c]
+				}
+				cv.codes = append(cv.codes, c)
+			}
+		}
+	}
+	if typ == TString {
+		cv.dict = &Dict{strs: slices.Clip(slices.Clone(dict.strs))}
+	}
+	return cv
+}
+
+// appendBits appends src's bits behind b's, shifting src's words by b's
+// bit count within its last word. Neither bitmap has a bit set past its
+// length, so neither has the result.
+func (b *Bitmap) appendBits(src *Bitmap) {
+	sh := uint(b.n % 64)
+	if sh == 0 {
+		b.words = append(b.words, src.words...)
+	} else {
+		for i, w := range src.words {
+			b.words[len(b.words)-1] |= w << sh
+			if src.n-64*i > int(64-sh) { // word i's bits spill into the next word
+				b.words = append(b.words, w>>(64-sh))
+			}
+		}
+	}
+	b.n += src.n
+	b.set += src.set
+}
+
 // value rebuilds the Value of one row from the vectors.
 func (cv *colVec) value(row int) Value {
 	if cv.nulls.Get(row) {

@@ -341,6 +341,36 @@ func (t *Table) Prefix(n int) *Table {
 	return p
 }
 
+// Concat returns the table over cols of parts' rows in order,
+// snapshot-equal to one that appended those rows, and sharing nothing
+// with the parts, each a whole resident table over exactly cols (any
+// other part panics). Every vector is sized once for the rows; each
+// part's null bitmap shifts in behind the rows before it. A string
+// column reserves its dictionary for every part's entries, interns each
+// part's dictionary in code order — first-appearance order over the
+// part, so over the whole result too — and remaps the part's non-NULL
+// codes through it; a NULL row keeps code 0. The result's dictionaries
+// keep no index and no spare capacity, and its bytes are recomputed as
+// AppendRow would have accumulated them. Zero parts give NewTable's
+// empty table.
+func Concat(name, parent string, cols []Column, parts ...*Table) *Table {
+	rows := 0
+	for _, p := range parts {
+		p.requireWhole()
+		if !slices.Equal(p.Columns, cols) {
+			panic(fmt.Sprintf("rel: concatenating table %s over %v into %s over %v", p.Name, p.Columns, name, cols))
+		}
+		rows += p.nrows
+	}
+	t := &Table{Name: name, Parent: parent, Columns: cols, nrows: rows,
+		colIdx: mustIndexColumns(name, cols), cols: make([]colVec, len(cols)), bytes: 8 * int64(rows)}
+	for ci, c := range cols {
+		t.cols[ci] = concatCol(c.Typ, ci, rows, parts)
+		t.bytes += t.cols[ci].widthSum()
+	}
+	return t
+}
+
 // RowCount returns the number of rows. A table changes only by
 // AppendRow, so consumers that cache structures derived from the rows —
 // the engine's plan-lifetime key indexes and prepared plans — snapshot

@@ -425,8 +425,8 @@ func BenchmarkAppendCompactCycle(b *testing.B) {
 // BenchmarkStoreTable assembles every DBLP table from a freshly opened
 // store under a budget of a quarter of the data: each op reads, decodes
 // and validates every chunk straight from the segment files (the pager,
-// which the budget governs, is not involved) and merges the fragments
-// into whole tables.
+// which the budget governs, is not involved) and concatenates the
+// fragments into whole tables (rel.Concat).
 func BenchmarkStoreTable(b *testing.B) {
 	dir := benchDBLPStore(b)
 	probe, err := Open(dir, Options{})

@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"slices"
 
 	"repro/internal/obs"
 	"repro/internal/rel"
@@ -41,8 +40,8 @@ import (
 // concatenate without shifting. String columns carry a local
 // dictionary in first-appearance order within the chunk, making each
 // chunk a self-contained, independently verifiable table fragment:
-// per-chunk CRC, then bounds-checked decode, then full
-// rel.TableFromSnapshot structural validation. Version 1 was a
+// per-chunk CRC, then bounds-checked decode, then rel's structural
+// validation of each column (AdoptColumn). Version 1 was a
 // whole-table blob; Open refuses a store that still holds one with
 // ErrUnsupportedFormat. The directory's generation is always its row
 // count (a table only grows); a directory where it is not is refused,
@@ -329,6 +328,9 @@ func decodeChunkedDir(data []byte) (*chunkedDir, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
+	if d.Name == "" {
+		return nil, r.failf("table name is empty")
+	}
 	if rows > math.MaxInt32 {
 		return nil, r.failf("row count %d is implausible", rows)
 	}
@@ -490,7 +492,7 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte, cols []int, regions []int64
 		// Structural validation: a column must be a valid column of the
 		// fragment in its own right (bitmap shape, dictionary
 		// canonicality, zero payload under NULL) before any of its rows
-		// are served or merged.
+		// are served or concatenated.
 		if err := t.AdoptColumn(ci, &cs); err != nil {
 			return nil, fmt.Errorf("storage: chunk %d of %s: %w", k, d.Name, err)
 		}
@@ -504,131 +506,15 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte, cols []int, regions []int64
 	return t, nil
 }
 
-// mergeChunks reassembles the snapshot of chunks from.. out of their
-// per-chunk snapshots in order, plus, when parts holds one more, a last
-// part of any row count (the redo tail), into vectors sized once for the
-// parts' row count. Numeric vectors concatenate directly, and so do
-// bitmap words up to the last part (every chunk but the last holds a
-// multiple of 64 rows), whose words appendBits shifts in. A
-// string column interns each part's local dictionary once, in
-// local-code order — which, a local dictionary being in first-appearance
-// order within its part, reproduces the global first-appearance
-// dictionary — and maps the part's codes through the resulting
-// local-to-global array. The caller validates the result through
-// rel.TableFromSnapshot.
-func (d *chunkedDir) mergeChunks(from int, parts []*rel.TableSnapshot) (*rel.TableSnapshot, error) {
-	refs := d.Chunks[from:]
-	if len(parts) != len(refs) && len(parts) != len(refs)+1 {
-		return nil, fmt.Errorf("storage: merging %d chunks of %s from chunk %d, directory says %d", len(parts), d.Name, from, len(refs))
-	}
-	rows := 0
-	for _, part := range parts {
-		rows += part.RowCount
-	}
-	out := &rel.TableSnapshot{
-		Name:     d.Name,
-		Parent:   d.Parent,
-		RowCount: rows,
-		Columns:  make([]rel.ColumnSnapshot, len(d.Cols)),
-	}
-	// The TString columns' global dictionaries, each reserved for every
-	// local entry, an upper bound on the global count, so none regrows.
-	dicts := make([]rel.Dict, len(d.Cols))
-	for ci, col := range d.Cols {
-		oc := &out.Columns[ci]
-		oc.Col = col
-		if rows == 0 {
-			continue
-		}
-		oc.NullWords = make([]uint64, 0, (rows+63)/64)
-		switch col.Typ {
-		case rel.TInt:
-			oc.Ints = make([]int64, 0, rows)
-		case rel.TFloat:
-			oc.Floats = make([]float64, 0, rows)
-		case rel.TString:
-			oc.Codes = make([]uint32, 0, rows)
-			n := 0
-			for _, part := range parts {
-				if ci < len(part.Columns) {
-					n += len(part.Columns[ci].Dict)
-				}
-			}
-			dicts[ci].Reserve(n)
-		}
-	}
-	var global []uint32 // a part column's local code -> global code
-	at := 0             // rows merged so far
-	for pi, part := range parts {
-		k := from + pi
-		if len(part.Columns) != len(d.Cols) || pi < len(refs) && part.RowCount != refs[pi].Rows {
-			return nil, fmt.Errorf("storage: part %d of %s from chunk %d has shape %d rows / %d cols, not the directory's",
-				pi, d.Name, from, part.RowCount, len(part.Columns))
-		}
-		for ci := range d.Cols {
-			cs := &part.Columns[ci]
-			oc := &out.Columns[ci]
-			oc.NullWords = appendBits(oc.NullWords, at, cs.NullWords, part.RowCount)
-			switch d.Cols[ci].Typ {
-			case rel.TInt:
-				oc.Ints = append(oc.Ints, cs.Ints...)
-			case rel.TFloat:
-				oc.Floats = append(oc.Floats, cs.Floats...)
-			case rel.TString:
-				global = global[:0]
-				for _, ds := range cs.Dict {
-					global = append(global, dicts[ci].Intern(ds))
-				}
-				for r, lc := range cs.Codes[:part.RowCount] {
-					// NULL rows keep code 0 without interning, mirroring
-					// colVec.append.
-					if cs.NullWords[r/64]&(1<<uint(r%64)) != 0 {
-						oc.Codes = append(oc.Codes, 0)
-						continue
-					}
-					if int(lc) >= len(global) {
-						return nil, fmt.Errorf("storage: chunk %d of %s: row %d code %d exceeds local dictionary %d",
-							k, d.Name, r, lc, len(cs.Dict))
-					}
-					oc.Codes = append(oc.Codes, global[lc])
-				}
-			}
-		}
-		at += part.RowCount
-	}
-	for ci := range d.Cols {
-		out.Columns[ci].Dict = slices.Clone(dicts[ci].Strs()) // the table keeps no spare capacity
-	}
-	return out, nil
-}
-
-// appendBits appends the n bits of src, a bitmap's words with no bit set
-// past n, to dst, the words of a bitmap of at bits.
-func appendBits(dst []uint64, at int, src []uint64, n int) []uint64 {
-	sh := uint(at % 64)
-	if sh == 0 {
-		return append(dst, src...)
-	}
-	for i, w := range src {
-		dst[len(dst)-1] |= w << sh
-		if n-64*i > int(64-sh) { // word i's bits spill into the next word
-			dst = append(dst, w>>(64-sh))
-		}
-	}
-	return dst
-}
-
 // readChunks reads chunks from.. of the segment d describes through
 // src, one ReadAt per chunk into one pooled frame buffer, verifies each
-// through decodeChunk and merges them (mergeChunks), with tail as the
-// last part unless it is nil, into one snapshot,
-// which the caller still validates through rel.TableFromSnapshot. A
-// failed or short read counts under storage.read.errors; a chunk that
-// was read but does not verify, or chunks that do not merge, count under
-// storage.checksum.failures. src is not touched when from is the chunk
-// count.
-func (d *chunkedDir) readChunks(src io.ReaderAt, from int, tail *rel.TableSnapshot, reg *obs.Registry) (*rel.TableSnapshot, error) {
-	parts := make([]*rel.TableSnapshot, 0, len(d.Chunks)-from+1)
+// through decodeChunk, and joins the chunk fragments, with tail as the
+// last part unless it is nil, into one table by rel.Concat. A failed or
+// short read counts under storage.read.errors, a chunk that was read but
+// does not verify under storage.checksum.failures. src is not touched
+// when from is the chunk count.
+func (d *chunkedDir) readChunks(src io.ReaderAt, from int, tail *rel.Table, reg *obs.Registry) (*rel.Table, error) {
+	parts := make([]*rel.Table, 0, len(d.Chunks)-from+1)
 	fr := frames.Get().(*frame)
 	defer frames.Put(fr)
 	for k := from; k < len(d.Chunks); k++ {
@@ -647,24 +533,19 @@ func (d *chunkedDir) readChunks(src io.ReaderAt, from int, tail *rel.TableSnapsh
 			reg.Counter("storage.checksum.failures").Inc()
 			return nil, err
 		}
-		parts = append(parts, frag.Snapshot())
+		parts = append(parts, frag)
 	}
 	if tail != nil {
 		parts = append(parts, tail)
 	}
-	merged, err := d.mergeChunks(from, parts)
-	if err != nil {
-		reg.Counter("storage.checksum.failures").Inc()
-		return nil, err
-	}
-	return merged, nil
+	return rel.Concat(d.Name, d.Parent, d.Cols, parts...), nil
 }
 
-// DecodeChunkedSegment parses a whole chunked segment file back into a
-// full-table snapshot: the directory, then readChunks over the file's
-// bytes. Callers must still run the result through rel.TableFromSnapshot;
-// the native fuzz target FuzzChunkDecode hammers this entry point.
-func DecodeChunkedSegment(data []byte) (*rel.TableSnapshot, error) {
+// DecodeChunkedSegment parses a whole chunked segment file back into
+// the table it holds: the directory, then readChunks over the file's
+// bytes. The native fuzz target FuzzChunkDecode hammers this entry
+// point.
+func DecodeChunkedSegment(data []byte) (*rel.Table, error) {
 	d, err := decodeChunkedDir(data)
 	if err != nil {
 		return nil, err

@@ -83,11 +83,7 @@ func TestChunkedRoundTrip(t *testing.T) {
 				if err != nil {
 					t.Fatalf("table %q chunk %d: %v", tb.Name, chunkRows, err)
 				}
-				snap, err := DecodeChunkedSegment(enc)
-				if err != nil {
-					t.Fatalf("table %q chunk %d: %v", tb.Name, chunkRows, err)
-				}
-				got, err := rel.TableFromSnapshot(snap)
+				got, err := DecodeChunkedSegment(enc)
 				if err != nil {
 					t.Fatalf("table %q chunk %d: %v", tb.Name, chunkRows, err)
 				}
@@ -135,11 +131,7 @@ func TestChunkedGolden(t *testing.T) {
 			t.Fatalf("table %q: chunked encoding differs from golden file %s (%d vs %d bytes) — format drifted without a version bump",
 				tb.Name, path, len(enc), len(want))
 		}
-		snap, err := DecodeChunkedSegment(want)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := rel.TableFromSnapshot(snap)
+		got, err := DecodeChunkedSegment(want)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,11 +151,7 @@ func TestChunkedFlipsNeverLie(t *testing.T) {
 	for off := 0; off < len(enc); off += 17 {
 		d := append([]byte(nil), enc...)
 		d[off] ^= 0x10
-		snap, err := DecodeChunkedSegment(d)
-		if err != nil {
-			continue
-		}
-		got, err := rel.TableFromSnapshot(snap)
+		got, err := DecodeChunkedSegment(d)
 		if err != nil {
 			continue
 		}

@@ -132,9 +132,12 @@ func decodeManifest(data []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("storage: corrupt manifest: segment file %q listed twice", e.File)
 		}
 		files[e.File] = true
-		if e.Rows < 0 || e.Size < envelopeSize || e.Bytes < 0 || e.Generation < 0 {
-			return nil, fmt.Errorf("storage: corrupt manifest: table %q has impossible shape (rows %d, size %d, bytes %d, generation %d)",
-				e.Name, e.Rows, e.Size, e.Bytes, e.Generation)
+		if e.Rows < 0 || e.Size < envelopeSize || e.Bytes < 0 {
+			return nil, fmt.Errorf("storage: corrupt manifest: table %q has impossible shape (rows %d, size %d, bytes %d)",
+				e.Name, e.Rows, e.Size, e.Bytes)
+		}
+		if e.Generation != int64(e.Rows) {
+			return nil, fmt.Errorf("storage: corrupt manifest: table %q has generation %d, not its row count %d", e.Name, e.Generation, e.Rows)
 		}
 		if e.ChunkRows == 0 {
 			return nil, fmt.Errorf("%w: table %q is a whole-table segment (segment format 1), this build reads format %d", ErrUnsupportedFormat, e.Name, ChunkSegmentVersion)

@@ -789,6 +789,46 @@ func TestChunkScanStaleness(t *testing.T) {
 	}
 }
 
+// TestPagedBuiltShellStalesOnCompact: a PagedBuilt shell hydrates after
+// an append, with its creation-time rows, and once the store compacted
+// it fails as its chunk scans do — with ErrStale, before reading
+// anything, so storage.read.errors does not move.
+func TestPagedBuiltShellStalesOnCompact(t *testing.T) {
+	dir := savedScanStore(t, 320)
+	reg := obs.NewRegistry()
+	s, err := Open(dir, Options{Registry: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	paged, err := s.PagedBuilt()
+	if err != nil {
+		t.Fatal(err)
+	}
+	kid, big := paged.DB.Table("kid"), paged.DB.Table("big")
+	if kid.Resident() || big.Resident() {
+		t.Fatal("PagedBuilt hydrated a shell before any query")
+	}
+	if err := s.Append("big", []rel.Value{
+		rel.Int(9001), rel.NullOf(rel.TInt), rel.Str("t"), rel.Float(1), rel.Int(1),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := kid.Hydrate(); err != nil {
+		t.Fatalf("hydrating after an append: %v", err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	readErrs := reg.Counter("storage.read.errors").Value()
+	if err := big.Hydrate(); !errors.Is(err, ErrStale) {
+		t.Fatalf("hydrating after a compaction: %v, want ErrStale", err)
+	}
+	if n := reg.Counter("storage.read.errors").Value(); n != readErrs {
+		t.Fatalf("stale hydration moved storage.read.errors %d -> %d", readErrs, n)
+	}
+}
+
 // tailAppendRow is row i of the stream TestChunkScanPinsPrefixUnderAppends
 // appends to big: NULL-heavy, with strings both new and already in the
 // segment's dictionaries.

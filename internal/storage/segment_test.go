@@ -133,11 +133,7 @@ func TestSegmentAccounting(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		decSnap, err := DecodeChunkedSegment(enc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := rel.TableFromSnapshot(decSnap)
+		dec, err := DecodeChunkedSegment(enc)
 		if err != nil {
 			t.Fatal(err)
 		}

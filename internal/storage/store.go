@@ -417,9 +417,6 @@ func (s *Store) Table(name string) (*rel.Table, error) {
 // timed under storage.segment.loads and load_ns. It has no Close fence:
 // the background compaction Close waits out assembles during shutdown.
 func (s *Store) assembleLocked(e *TableEntry, tail *rel.Table) (*rel.Table, error) {
-	if e.Generation != int64(e.Rows) {
-		return nil, fmt.Errorf("storage: manifest entry for %s has generation %d, not its row count %d", e.File, e.Generation, e.Rows)
-	}
 	start := time.Now()
 	t, err := s.readLocked(e, 0, tail)
 	if err != nil {
@@ -433,11 +430,11 @@ func (s *Store) assembleLocked(e *TableEntry, tail *rel.Table) (*rel.Table, erro
 // readLocked turns chunks from.. of e's segment plus a redo tail (nil
 // for none) into a table the caller owns: the chunks are read straight
 // from the segment file, not through the pager, and go through
-// readChunks' verification chain, which merges the tail in as the last
-// part; the merge passes rel's structural validation and, when it is the
-// whole segment, must carry the bytes the manifest pins plus the tail's.
-// With from at the chunk count it opens no file. The result shares
-// nothing with the pager, the tail, or any other read.
+// readChunks' verification chain, which joins the tail in as the last
+// part; when it is the whole segment, the table must carry the bytes the
+// manifest pins plus the tail's. With from at the chunk count it opens
+// no file. The result shares nothing with the pager, the tail, or any
+// other read.
 func (s *Store) readLocked(e *TableEntry, from int, tail *rel.Table) (*rel.Table, error) {
 	d, err := s.chunkedDirLocked(e)
 	if err != nil {
@@ -453,19 +450,13 @@ func (s *Store) readLocked(e *TableEntry, from int, tail *rel.Table) (*rel.Table
 		defer f.Close()
 		src = f
 	}
-	var tailSnap *rel.TableSnapshot
-	var tailBytes int64
-	if tail != nil {
-		tailSnap, tailBytes = tail.Snapshot(), tail.Bytes()
-	}
-	merged, err := d.readChunks(src, from, tailSnap, s.reg)
+	t, err := d.readChunks(src, from, tail, s.reg)
 	if err != nil {
 		return nil, err
 	}
-	t, err := rel.TableFromSnapshot(merged)
-	if err != nil {
-		s.reg.Counter("storage.checksum.failures").Inc()
-		return nil, fmt.Errorf("storage: segment %s: %w", e.File, err)
+	var tailBytes int64
+	if tail != nil {
+		tailBytes = tail.Bytes()
 	}
 	if from == 0 && t.Bytes() != e.Bytes+tailBytes {
 		return nil, fmt.Errorf("storage: segment %s decodes to %d bytes, manifest says %d", e.File, t.Bytes()-tailBytes, e.Bytes)
@@ -550,7 +541,9 @@ func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 // turns each pair into an assembled table — or, when paged, into a
 // schema-only shell plus the ChunkScan that serves its driver-stage
 // scans. A shell hydrates through assembleLocked over the same captured
-// pair, so all the tables of one view describe one point in time.
+// pair, so all the tables of one view describe one point in time, and
+// fails with ErrStale once a compaction replaced the manifest it was
+// captured from.
 func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -559,8 +552,9 @@ func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan,
 	}
 	db := rel.NewDatabase()
 	var scans []*ChunkScan
-	for i := range s.man.Tables {
-		e := s.man.Tables[i] // copy: a shell's loader must survive manifest swaps
+	man := s.man // the shells' staleness fence, as a ChunkScan's
+	for i := range man.Tables {
+		e := man.Tables[i] // copy: a shell's loader outlives this call
 		tail := s.tailLocked(e.Name)
 		if !paged {
 			t, err := s.assembleLocked(&e, tail)
@@ -586,11 +580,14 @@ func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan,
 			if s.closed {
 				return nil, ErrClosed
 			}
+			if s.man != man {
+				return nil, fmt.Errorf("%w: hydrating %q: the store compacted; create a new view", ErrStale, e.Name)
+			}
 			return s.assembleLocked(&e, tail)
 		}))
 		scans = append(scans, cs)
 	}
-	return db, s.man.Design, scans, nil
+	return db, man.Design, scans, nil
 }
 
 // Built assembles the full database and rebuilds the physical design
@@ -616,9 +613,8 @@ func (s *Store) Built() (*engine.Built, error) {
 // table belongs to the Built, outside the budget.
 //
 // Unlike Built, the view keeps reading from the store, and it turns
-// stale once the store compacts: its chunk scans then fail with a
-// staleness error (and hydrations fail once the segment file is gone)
-// rather than serving rows the Built's row-count snapshot does not
+// stale once the store compacts: its chunk scans and hydrations then
+// fail with an error wrapping ErrStale rather than serving rows the Built's row-count snapshot does not
 // cover — call PagedBuilt again for a fresh view. Appends do not stale
 // it: it keeps serving the rows it was created over, and a fresh view
 // sees the new ones. Results are bit-identical to Built over the
@@ -918,8 +914,8 @@ func (s *Store) publishLocked() error {
 // already what an encoding of the folded table would write there: those
 // bytes are copied from the old file by copyChunks. Only the last,
 // partial chunk is read (readLocked from the first chunk that is not
-// full, so merged with the tail) and encoded from its first row on. The
-// entry's rows and bytes are e's plus the tail's. step is
+// full, so concatenated with the tail) and encoded from its first row
+// on. The entry's rows and bytes are e's plus the tail's. step is
 // publishLocked's killpoint hook. Caller holds mu; on error no file is
 // left behind.
 func (s *Store) foldTailLocked(e *TableEntry, tail *rel.Table, file string, step func(string) error) (TableEntry, error) {

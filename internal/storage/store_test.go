@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -677,6 +678,10 @@ func TestOpenRejectsEscapingFileNames(t *testing.T) {
 	}
 }
 
+// TestOpenRejectsGenerationDrift: a manifest entry whose generation is
+// not its row count is refused by Open itself, as corruption (counted
+// under storage.checksum.failures), so no read path can serve the table:
+// not Table, and not a chunk scan either.
 func TestOpenRejectsGenerationDrift(t *testing.T) {
 	dir := t.TempDir()
 	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
@@ -698,12 +703,18 @@ func TestOpenRejectsGenerationDrift(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, ManifestName), drifted, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
+	reg := obs.NewRegistry()
+	st, err := Open(dir, Options{Registry: reg})
+	if err == nil {
+		st.Close()
+		t.Fatal("Open accepted a manifest entry whose generation is not its row count")
 	}
-	if _, err := st.Table(man.Tables[0].Name); err == nil {
-		t.Fatal("segment disagreeing with manifest generation served")
+	want := fmt.Sprintf("generation %d, not its row count %d", man.Tables[0].Generation, man.Tables[0].Rows)
+	if !strings.Contains(err.Error(), want) {
+		t.Fatalf("Open: %v, want %q", err, want)
+	}
+	if n := reg.Counter("storage.checksum.failures").Value(); n != 1 {
+		t.Fatalf("storage.checksum.failures = %d, want 1", n)
 	}
 }
 
