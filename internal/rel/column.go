@@ -11,6 +11,7 @@ import (
 	"hash/maphash"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // Bitmap is an append-only bitmap with one bit per row (set = NULL).
@@ -106,13 +107,19 @@ func (d *Dict) Intern(s string) uint32 {
 func (d *Dict) Reserve(n int) {
 	n = max(n, len(d.strs))
 	d.strs = slices.Grow(d.strs, n-len(d.strs))
+	if size := indexSize(n); size > len(d.idx) {
+		d.rehash(size)
+	}
+}
+
+// indexSize is the number of index slots that holds n entries at most
+// 3/4 full.
+func indexSize(n int) int {
 	size := 8 // the smallest index
 	for 3*size < 4*n {
 		size *= 2
 	}
-	if size > len(d.idx) {
-		d.rehash(size)
-	}
+	return size
 }
 
 // rehash rebuilds the index at size slots, a power of two that holds
@@ -251,6 +258,11 @@ func (cv *colVec) prefix(n int, whole bool) colVec {
 	return p
 }
 
+// concatIdx pools the index concatCol interns a column's parts through
+// and drops when Concat returns. The slots hold no pointer, so a pooled
+// index keeps no dictionary alive.
+var concatIdx = sync.Pool{New: func() any { return new([]uint64) }}
+
 // concatCol is column ci of Concat's result over parts, rows rows in all.
 func concatCol(typ Type, ci, rows int, parts []*Table) colVec {
 	if rows == 0 {
@@ -269,7 +281,16 @@ func concatCol(typ Type, ci, rows int, parts []*Table) colVec {
 		for _, p := range parts {
 			n += p.cols[ci].dict.Len()
 		}
-		dict.Reserve(n)
+		// An empty index of room for n entries, from the pool: Intern
+		// never regrows it, and it goes back before concatCol returns.
+		idx := concatIdx.Get().(*[]uint64)
+		size := indexSize(n)
+		if cap(*idx) < size {
+			*idx = make([]uint64, size)
+		}
+		dict.strs, dict.idx = make([]string, 0, n), (*idx)[:size]
+		clear(dict.idx)
+		defer func() { *idx = dict.idx; concatIdx.Put(idx) }()
 	}
 	var global []uint32 // a part's code -> the result's code
 	for _, p := range parts {

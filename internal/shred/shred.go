@@ -2,7 +2,10 @@ package shred
 
 import (
 	"fmt"
+	"runtime"
+	"sort"
 
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/schema"
 	"repro/internal/xmlgen"
@@ -21,22 +24,95 @@ import (
 // the state of the open element instances lives in arrays indexed by
 // schema node ID, so shredding allocates nothing per row beyond what
 // AppendRow keeps.
+//
+// The load runs on min(GOMAXPROCS, relations) workers, each of which
+// owns a disjoint set of tables (owners). Every worker walks every
+// document with its own shredder and ID counter, so all of them assign
+// the same IDs and pick the same partitions, but a worker builds and
+// appends only the rows of the tables it owns. Each table therefore gets
+// exactly the rows, in exactly the order, of a one-worker load, and the
+// worker count changes nothing but speed. A worker sees only its own
+// tables' row errors, so when any worker fails the load is walked again
+// by one worker owning every table, and Shred returns that walk's error:
+// the first the documents meet in order. A worker's panic is raised
+// again on the caller's goroutine (par.Do).
 func Shred(m *Mapping, docs ...*xmlgen.Doc) (*rel.Database, error) {
+	for i, d := range docs {
+		if d == nil || d.Root == nil {
+			return nil, fmt.Errorf("shred: document %d has no root", i)
+		}
+	}
+	k := max(1, min(runtime.GOMAXPROCS(0), len(m.Relations)))
+	db, err := shredOn(m, docs, k)
+	if err != nil && k > 1 {
+		db, err = shredOn(m, docs, 1)
+	}
+	return db, err
+}
+
+// shredOn loads docs into a fresh database on k ≥ 1 workers.
+func shredOn(m *Mapping, docs []*xmlgen.Doc, k int) (*rel.Database, error) {
 	db := rel.NewDatabase()
-	for _, r := range m.Relations {
+	owned := make([]map[*Relation]*rel.Table, k)
+	for w := range owned {
+		owned[w] = make(map[*Relation]*rel.Table)
+	}
+	for i, w := range owners(m, k) {
+		r := m.Relations[i]
 		t := rel.NewTable(r.Name, r.Columns)
 		if r.ParentAnns[0] != "" {
 			t.Parent = r.ParentAnns[0]
 		}
 		db.Add(t)
+		owned[w][r] = t
 	}
-	s := newShredder(m, db)
-	for _, d := range docs {
-		if err := s.instance(d.Root, 0); err != nil {
-			return nil, err
+	err := par.Do(k, k, func(w int) error {
+		s := newShredder(m, owned[w])
+		for _, d := range docs {
+			if err := s.instance(d.Root, 0); err != nil {
+				return err
+			}
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return db, nil
+}
+
+// owners assigns each of the mapping's relations, by index, to one of k
+// workers: heaviest first, each to the least-loaded worker (the lowest
+// on a tie). A relation weighs its column count with string columns
+// counted twice, since a string cell also pays for Dict.Intern. The
+// weight is static, so the assignment is a function of the mapping and
+// k alone, and it affects only how evenly the workers share the load.
+func owners(m *Mapping, k int) []int {
+	order := make([]int, len(m.Relations))
+	weight := make([]int, len(m.Relations))
+	for i, r := range m.Relations {
+		order[i] = i
+		for _, c := range r.Columns {
+			weight[i]++
+			if c.Typ == rel.TString {
+				weight[i]++
+			}
+		}
+	}
+	sort.SliceStable(order, func(a, b int) bool { return weight[order[a]] > weight[order[b]] })
+	owner := make([]int, len(m.Relations))
+	load := make([]int, k)
+	for _, i := range order {
+		w := 0
+		for v := range load {
+			if load[v] < load[w] {
+				w = v
+			}
+		}
+		owner[i] = w
+		load[w] += weight[i]
+	}
+	return owner
 }
 
 // planNode is what shredding needs of one schema node.
@@ -53,7 +129,9 @@ type planNode struct {
 
 // relPlan is one relation as rows of one anchor's instances fill it.
 type relPlan struct {
-	r     *Relation
+	r *Relation
+	// table is the relation's table if this shredder owns it, else nil:
+	// the rows of a table another worker owns are walked, not built.
 	table *rel.Table
 	// leaves[i] is the leaf node whose values fill value column i: the
 	// anchor's own leaf among the column's LeafIDsFor (a type-merged
@@ -61,7 +139,7 @@ type relPlan struct {
 	leaves []int
 }
 
-// shredder is the plan of one Shred call and the state of the element
+// shredder is the plan of one Shred worker and the state of the element
 // instances open on the way down the document. values and present are
 // indexed by schema node ID and hold what the open instances collected;
 // valSet and presSet list, innermost instance last, the IDs whose entry
@@ -83,7 +161,9 @@ type shredder struct {
 	over    [1]rel.Value // an overflow row's one value
 }
 
-func newShredder(m *Mapping, db *rel.Database) *shredder {
+// newShredder compiles the plan of a worker that writes the tables of
+// owned, keyed by relation.
+func newShredder(m *Mapping, owned map[*Relation]*rel.Table) *shredder {
 	maxID := 0
 	m.Tree.Walk(func(n *schema.Node) { maxID = max(maxID, n.ID) })
 	s := &shredder{
@@ -97,7 +177,7 @@ func newShredder(m *Mapping, db *rel.Database) *shredder {
 		p.node, p.leaf, p.anc = n, n.IsLeaf(), anc
 		if n.Kind == schema.KindElement && n.Annotation != "" {
 			for _, r := range m.RelationsOf(n.Annotation) {
-				p.rels = append(p.rels, relPlan{r: r, table: db.Table(r.Name), leaves: anchorLeaves(m, r, n)})
+				p.rels = append(p.rels, relPlan{r: r, table: owned[r], leaves: anchorLeaves(m, r, n)})
 			}
 			anc = n
 		}
@@ -176,11 +256,13 @@ func (s *shredder) instance(e *xmlgen.Elem, parentID int64) error {
 	if err != nil {
 		return err
 	}
-	row, err := s.buildRow(rp, id, parentID, node, nil)
-	if err != nil {
-		return err
+	if rp.table != nil {
+		row, err := s.buildRow(rp, id, parentID, node, nil)
+		if err != nil {
+			return err
+		}
+		rp.table.AppendRow(row)
 	}
-	rp.table.AppendRow(row)
 	for _, lid := range s.valSet[valMark:] {
 		s.values[lid] = s.values[lid][:0]
 	}
@@ -235,6 +317,9 @@ func (s *shredder) overflow(leaf *planNode, e *xmlgen.Elem, parentID int64) erro
 	}
 	rp := &leaf.rels[0]
 	oid := s.newID()
+	if rp.table == nil {
+		return nil
+	}
 	s.over[0] = e.Value
 	row, err := s.buildRow(rp, oid, parentID, leaf.node, s.over[:])
 	if err != nil {

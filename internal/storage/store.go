@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/physical"
 	"repro/internal/rel"
 )
@@ -193,6 +195,13 @@ func segmentEntry(name, parent, file string, rows int, bytes int64, chunkRows in
 // the manifest into dir (created if needed). The manifest is written
 // last via rename: a crash mid-save leaves no readable manifest, so a
 // later Open fails cleanly instead of serving a partial store.
+//
+// Up to GOMAXPROCS tables are encoded and fsynced at once, each by one
+// goroutine, and the manifest lists them in table order. Save returns
+// only after every table write it started has ended; when tables fail,
+// it returns the error of the lowest-numbered one and writes neither the
+// redo log nor the manifest, and a panic (a virtual shell in the build)
+// is raised again on the caller's goroutine (par.Do).
 func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 	if b == nil || b.DB == nil {
 		return nil, fmt.Errorf("storage: nothing to save (nil build)")
@@ -208,17 +217,23 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 		MappingSQL:    opts.MappingSQL,
 		RedoFile:      RedoName,
 	}
-	for i, t := range b.DB.Tables() {
-		segDir, chunks, entry, err := encodeTableFile(t, fmt.Sprintf("t%04d.seg", i), cr)
+	tables := b.DB.Tables()
+	entries := make([]TableEntry, len(tables))
+	if err := par.Do(len(tables), runtime.GOMAXPROCS(0), func(i int) error {
+		segDir, chunks, entry, err := encodeTableFile(tables[i], fmt.Sprintf("t%04d.seg", i), cr)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if err := writeFileSync(filepath.Join(dir, entry.File), segDir, chunks); err != nil {
-			return nil, err
+			return err
 		}
 		written.Add(entry.Size)
-		man.Tables = append(man.Tables, entry)
+		entries[i] = entry
+		return nil
+	}); err != nil {
+		return nil, err
 	}
+	man.Tables = append(man.Tables, entries...)
 	redo := emptyRedoLog()
 	if err := writeFileSync(filepath.Join(dir, RedoName), redo); err != nil {
 		return nil, err

@@ -7,9 +7,11 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -637,6 +639,102 @@ func TestManifestIsCommitPoint(t *testing.T) {
 	}
 	if _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("store without manifest opened")
+	}
+}
+
+// manyTablesBuilt is a build of n small tables t0 … t(n-1) with no
+// physical design.
+func manyTablesBuilt(t *testing.T, n int) *engine.Built {
+	t.Helper()
+	db := rel.NewDatabase()
+	for i := range n {
+		tb := rel.NewTable(fmt.Sprintf("t%d", i), []rel.Column{
+			{Name: rel.IDColumn, Typ: rel.TInt},
+			{Name: "v", Typ: rel.TString, Nullable: true, LeafID: 1},
+		})
+		for r := range 10 * (i + 1) {
+			tb.AppendRow([]rel.Value{rel.Int(int64(r + 1)), rel.Str(fmt.Sprint(r % 7))})
+		}
+		db.Add(tb)
+	}
+	b, err := engine.Build(db, &physical.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// waitGoroutines fails unless the goroutine count falls back to want
+// within a second: a worker that has signalled its end may still be
+// exiting when its caller returns.
+func waitGoroutines(t *testing.T, want int) {
+	t.Helper()
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > want; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the call, %d before", runtime.NumGoroutine(), want)
+		}
+	}
+}
+
+// TestSaveFailsAtLowestFailingTable: when the segment files of tables 1
+// and 3 cannot be created, Save returns table 1's error at every
+// GOMAXPROCS, as a sequential save would, writes neither the redo log
+// nor the manifest, and leaves no goroutine behind.
+func TestSaveFailsAtLowestFailingTable(t *testing.T) {
+	built := manyTablesBuilt(t, 6)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, k := range []int{1, 2, 3, 8} {
+		runtime.GOMAXPROCS(k)
+		dir := t.TempDir()
+		for _, f := range []string{"t0001.seg", "t0003.seg"} {
+			if err := os.Mkdir(filepath.Join(dir, f), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := runtime.NumGoroutine()
+		_, err := Save(dir, built, Options{})
+		if err == nil || !strings.Contains(err.Error(), "t0001.seg") {
+			t.Fatalf("GOMAXPROCS %d: Save error %v, want table 1's", k, err)
+		}
+		waitGoroutines(t, before)
+		for _, f := range []string{ManifestName, RedoName} {
+			if _, err := os.Stat(filepath.Join(dir, f)); !errors.Is(err, os.ErrNotExist) {
+				t.Fatalf("GOMAXPROCS %d: failed Save left %s (stat: %v)", k, f, err)
+			}
+		}
+	}
+}
+
+// TestSaveRaisesShellPanicOnCaller: saving a paged view, whose tables
+// are virtual shells, panics on the caller's goroutine, where it can be
+// recovered, and writes no manifest.
+func TestSaveRaisesShellPanicOnCaller(t *testing.T) {
+	src := t.TempDir()
+	if _, err := Save(src, manyTablesBuilt(t, 4), Options{}); err != nil {
+		t.Fatal(err)
+	}
+	s, err := Open(src, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	paged, err := s.PagedBuilt()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	before := runtime.NumGoroutine()
+	p := func() (p any) {
+		defer func() { p = recover() }()
+		Save(dir, paged, Options{})
+		return nil
+	}()
+	if msg, _ := p.(string); !strings.Contains(msg, "virtual shell") {
+		t.Fatalf("Save raised %v, want the virtual-shell panic", p)
+	}
+	waitGoroutines(t, before)
+	if _, err := os.Stat(filepath.Join(dir, ManifestName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("panicking Save left a manifest (stat: %v)", err)
 	}
 }
 

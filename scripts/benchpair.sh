@@ -18,14 +18,17 @@
 # calibration's correction, are echoed beside its metric lines, and
 # before the table the script prints, per side, the address mod 64 of
 # the calibration loop main.(*memSpeed).sample in that side's binary:
-# a function's alignment can move a measured rate by itself.
+# a function's alignment can move a measured rate by itself. After the
+# table it prints, per workload, the median of each side's ops_per_s as
+# measured, their ratio (change over parent) and in how many pairs the
+# change's rate was the higher.
 #
 # Defaults: 10 pairs, every workload of BENCHMARK.json. The run length
 # is the benchmark's run_seconds on both sides.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,24p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+	sed -n '2,27p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
 	exit 2
 fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -52,6 +55,9 @@ out_parent="bench/out/pair-parent.json"
 out_change="bench/out/pair-change.json"
 recs_parent=()
 recs_change=()
+# raw_<side>[workload] lists that side's as-measured ops_per_s, one per
+# pair in pair order ("nan" where a run printed none).
+declare -A raw_parent=() raw_change=()
 
 # run_side <side> <dir> <workload> <seed>: one untraced run; the result
 # line (the last line run.sh prints) becomes one record of that side's
@@ -73,7 +79,43 @@ run_side() {
 	grep -E "^$wl (ops_per_s|lat_tail_ms|alloc_kb_per_op|mem_inuse_p95_mb) " <<<"$log" | sed "s/^/#   /" >&2 || true
 	grep -F "as measured, before the correction" <<<"$log" | sed "s/^# */#   /" >&2 || true
 	local rec="{\"workload\":\"$wl\",\"seed\":$seed,\"trace\":false,${line#\{}"
-	if [ "$side" = parent ]; then recs_parent+=("$rec"); else recs_change+=("$rec"); fi
+	local raw
+	raw="$(sed -n 's/.*as measured, before the correction: ops_per_s \([^,]*\),.*/\1/p' <<<"$log" | head -n 1)"
+	if [ "$side" = parent ]; then
+		recs_parent+=("$rec")
+		raw_parent[$wl]+="${raw:-nan} "
+	else
+		recs_change+=("$rec")
+		raw_change[$wl]+="${raw:-nan} "
+	fi
+}
+
+# raw_summary <workload>: one line with the median of each side's
+# as-measured ops_per_s, their ratio, and how many pairs the change won
+# (a pair counts only if both of its runs printed a rate).
+raw_summary() {
+	awk -v wl="$1" -v p="${raw_parent[$1]:-}" -v c="${raw_change[$1]:-}" '
+	function median(a, n, i, j, t) {
+		for (i = 2; i <= n; i++)
+			for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
+				t = a[j]; a[j] = a[j - 1]; a[j - 1] = t
+			}
+		return n % 2 ? a[(n + 1) / 2] : (a[n / 2] + a[n / 2 + 1]) / 2
+	}
+	BEGIN {
+		np = split(p, pa, " "); nc = split(c, ca, " ")
+		for (i = 1; i <= np && i <= nc; i++) {
+			if (pa[i] == "nan" || ca[i] == "nan") continue
+			n++; ps[n] = pa[i] + 0; cs[n] = ca[i] + 0
+			if (cs[n] > ps[n]) won++
+		}
+		if (n == 0) {
+			printf "# %s ops_per_s as measured: no pair printed a rate on both sides\n", wl
+			exit
+		}
+		mp = median(ps, n); mc = median(cs, n)
+		printf "# %s ops_per_s as measured, before the correction: parent median %.4g, change median %.4g, ratio %.3f, change higher in %d of %d pairs\n", wl, mp, mc, mc / mp, won + 0, n
+	}'
 }
 
 # sample_phase <dir>: the address mod 64 of main.(*memSpeed).sample in
@@ -124,6 +166,9 @@ if [ -z "$table" ]; then
 fi
 echo "# main.(*memSpeed).sample mod 64: parent $(sample_phase "$parent"), change $(sample_phase "$root")"
 echo "$table"
+for wl in "${workloads[@]}"; do
+	raw_summary "$wl"
+done
 if grep -Eq ' worse( |$)' <<<"$table"; then
 	echo "benchpair: at least one row is worse than its bound" >&2
 	exit 1

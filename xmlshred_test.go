@@ -47,6 +47,9 @@ func TestPublicAPILowLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := xmlshred.ShredDocuments(m, doc, &xmlshred.Document{}); err == nil {
+		t.Error("ShredDocuments accepted a document with no root")
+	}
 	q, err := xmlshred.ParseQuery(`//movie[year >= 2000]/title`)
 	if err != nil {
 		t.Fatal(err)
