@@ -203,7 +203,7 @@ type Advisor struct {
 	// Opts configures the run.
 	Opts Options
 
-	// The shared evaluation service (worker pool + memoization caches),
+	// The shared evaluation service (memoization caches),
 	// made by New from Opts.
 	*evalService
 }

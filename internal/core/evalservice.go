@@ -4,15 +4,16 @@ import (
 	"errors"
 	"sync"
 
+	"repro/internal/par"
 	"repro/internal/physdesign"
 	"repro/internal/schema"
 	"repro/internal/translate"
 	"repro/internal/workload"
 )
 
-// evalService is the shared candidate-evaluation service: a bounded
-// worker pool plus memoization caches keyed by the canonical mapping
-// signature (schema-tree serialization + physical-design options).
+// evalService is the shared candidate-evaluation service: memoization
+// caches keyed by the canonical mapping signature (schema-tree
+// serialization + physical-design options).
 // Every search path — Greedy's per-round ranking and exact fallback
 // sweep, Naive-Greedy's enumeration, and Two-Step's phase-1 loop —
 // costs its candidates through one round on it, so a mapping costed in
@@ -60,6 +61,12 @@ type flight[V any] struct {
 // the caller still holds the map lock, so exactly one miss per key is
 // structural: the decision and the tick cannot be separated by a
 // concurrent requester (TestEvalCacheAccountingUnderRace pins this).
+//
+// A computation that panics still completes its flight, with
+// errEvalPanicked, before the panic goes on up the computing caller: a
+// request waiting on the key (another worker of the same round) returns
+// that error instead of waiting forever, so the round can end and raise
+// the panic on its caller.
 func memo[V any](s *evalService, cache map[string]*flight[V], key string, met *Metrics, compute func(*Metrics) (V, error)) (V, error) {
 	s.mu.Lock()
 	if f, ok := cache[key]; ok {
@@ -68,15 +75,19 @@ func memo[V any](s *evalService, cache map[string]*flight[V], key string, met *M
 		met.EvalCacheHits++
 		return f.val, f.err
 	}
-	f := &flight[V]{done: make(chan struct{})}
+	f := &flight[V]{done: make(chan struct{}), err: errEvalPanicked}
 	cache[key] = f
 	met.EvalCacheMisses++
 	s.mu.Unlock()
+	defer close(f.done)
 	f.val, f.err = compute(&f.met)
-	close(f.done)
 	met.merge(f.met)
 	return f.val, f.err
 }
+
+// errEvalPanicked is the memoized outcome of a computation that
+// panicked.
+var errEvalPanicked = errors.New("core: evaluation panicked")
 
 // newEvalService creates the advisor's evaluation service; it persists
 // across strategy runs, so Greedy, Naive-Greedy, and Two-Step on one
@@ -104,38 +115,6 @@ func (s *evalService) key(treeSig string) string {
 	return treeSig + "|" + s.optsKey
 }
 
-// forEach runs fn(i) for every i in [0, n) on the bounded worker pool:
-// min(Options.Parallelism, n) workers pull indices from a channel.
-// With Parallelism <= 1 it runs inline. Its one caller is round.
-func (s *evalService) forEach(n int, fn func(i int)) {
-	par := s.a.Opts.Parallelism
-	if par > n {
-		par = n
-	}
-	if par <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(par)
-	for w := 0; w < par; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-}
-
 // candOutcome is one candidate's result in a round.
 type candOutcome struct {
 	tree   *schema.Tree // the applied mapping; nil when the candidate does not apply
@@ -152,16 +131,19 @@ type costFunc func(tree *schema.Tree, met *Metrics) (*evalResult, float64, error
 // round is the one candidate round every search runs: apply(i) returns
 // candidate i applied to the current mapping (nil when it does not
 // apply), and each applied candidate counts one transformation and is
-// costed on the worker pool. Effort merges into met in candidate order
-// afterwards, and callers reduce the outcomes in candidate order, so
-// selection (lowest index wins ties) and Metrics totals match a
-// sequential run at any parallelism.
+// costed on up to Options.Parallelism goroutines (par.Do: the caller's
+// among them, so Parallelism <= 1 runs inline). Effort merges into met
+// in candidate order afterwards, and callers reduce the outcomes in
+// candidate order, so selection (lowest index wins ties) and Metrics
+// totals match a sequential run at any parallelism. A costing error is
+// the candidate's outcome, never the round's, so par.Do returns no
+// error here; a panic in apply or cost is raised again on the caller.
 func (a *Advisor) round(n int, apply func(i int) *schema.Tree, cost costFunc, met *Metrics) []candOutcome {
 	outs := make([]candOutcome, n)
-	a.forEach(n, func(i int) {
+	_ = par.Do(n, a.Opts.Parallelism, func(i int) error {
 		o := &outs[i]
 		if o.tree = apply(i); o.tree == nil {
-			return
+			return nil
 		}
 		o.met.Transformations++
 		var err error
@@ -170,6 +152,7 @@ func (a *Advisor) round(n int, apply func(i int) *schema.Tree, cost costFunc, me
 		if u := (*translate.Unsupported)(nil); errors.As(err, &u) {
 			o.met.Dropped[u.Kind]++
 		}
+		return nil
 	})
 	for i := range outs {
 		met.merge(outs[i].met)

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/physdesign"
@@ -242,5 +244,77 @@ func TestRoundCountsDroppedCandidates(t *testing.T) {
 	}
 	if line := "greedy: candidates dropped on a query that does not translate: path_not_unique=1 multi_level_path=2"; !strings.Contains(trace.String(), line) {
 		t.Errorf("trace %q lacks %q", trace.String(), line)
+	}
+}
+
+// TestRoundRaisesCostPanicOnCaller: a cost function that panics on one
+// candidate raises that panic on round's caller at every parallelism,
+// only after every other costing the round started has returned, and
+// never from a worker, where it would end the process.
+func TestRoundRaisesCostPanicOnCaller(t *testing.T) {
+	fx := movieFixture(t, movieTestQueries[:2])
+	trees := make([]*schema.Tree, 12)
+	for i := range trees {
+		trees[i] = fx.base.Clone()
+	}
+	for _, parallelism := range []int{1, 2, 8} {
+		adv := New(fx.base, fx.col, fx.w, Options{Parallelism: parallelism})
+		var running atomic.Int32
+		cost := func(tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
+			if tree == trees[3] {
+				panic(errors.ErrUnsupported)
+			}
+			running.Add(1)
+			defer running.Add(-1)
+			time.Sleep(time.Millisecond)
+			return nil, 1, nil
+		}
+		p := func() (p any) {
+			defer func() { p = recover() }()
+			var met Metrics
+			adv.round(len(trees), func(i int) *schema.Tree { return trees[i] }, cost, &met)
+			return nil
+		}()
+		if p != errors.ErrUnsupported {
+			t.Fatalf("parallelism %d: round raised %v, want the cost function's panic", parallelism, p)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("parallelism %d: %d costings still running after round", parallelism, n)
+		}
+	}
+}
+
+// TestRoundRaisesPanicOfAWaitedEvaluation: when a memoized computation
+// panics while another candidate of the round waits on its key, the
+// waiter gets errEvalPanicked instead of waiting forever, and the round
+// ends by raising the panic on its caller.
+func TestRoundRaisesPanicOfAWaitedEvaluation(t *testing.T) {
+	fx := movieFixture(t, movieTestQueries[:2])
+	adv := New(fx.base, fx.col, fx.w, Options{Parallelism: 2})
+	var waiterErr error
+	cost := func(_ *schema.Tree, met *Metrics) (*evalResult, float64, error) {
+		c, err := memo(adv.service(), adv.fixed, "k", met, func(*Metrics) (float64, error) {
+			time.Sleep(10 * time.Millisecond) // the other candidate arrives and waits
+			panic(errors.ErrUnsupported)
+		})
+		waiterErr = err // only the waiter returns
+		return nil, c, err
+	}
+	done := make(chan any, 1)
+	go func() {
+		defer func() { done <- recover() }()
+		var met Metrics
+		adv.round(2, func(int) *schema.Tree { return fx.base }, cost, &met)
+	}()
+	select {
+	case p := <-done:
+		if p != errors.ErrUnsupported {
+			t.Fatalf("round raised %v, want the computation's panic", p)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("round hangs: the waiter never saw the panicked computation end")
+	}
+	if !errors.Is(waiterErr, errEvalPanicked) {
+		t.Fatalf("waiter got %v, want errEvalPanicked", waiterErr)
 	}
 }

@@ -10,11 +10,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/par"
 	"repro/internal/physdesign"
 	"repro/internal/physical"
 	"repro/internal/rel"
@@ -529,36 +529,28 @@ func Run(c Case) (RunStats, *Mismatch) {
 		for i := range asks {
 			asks[i] = 1 + srand.Intn(4)
 		}
-		fails := make(chan *Mismatch, sessions)
-		var wg sync.WaitGroup
-		for s := 0; s < sessions; s++ {
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				tenant := fmt.Sprintf("tenant-%d", s%2)
-				for _, sq := range svcQueries {
-					req := service.Request{Corpus: corpus, Tenant: tenant, XPath: sq.query, Workers: asks[s]}
-					for _, leg := range legs {
-						resp, qerr := leg.query(context.Background(), req)
-						if qerr != nil {
-							fails <- fail("service-equivalence", sq.idx, sq.query,
-								"session %d %s: %v (applied %v)", s, leg.name, qerr, applied)
-							return
-						}
-						got := &engine.Result{Cols: resp.Cols, Rows: resp.Rows, Stats: resp.Stats}
-						if d := diffResults(got, sq.ref); d != "" {
-							fails <- fail("service-equivalence", sq.idx, sq.query,
-								"session %d %s workers %d: %s (applied %v)", s, leg.name, asks[s], d, applied)
-							return
-						}
+		// One worker per session, so the sessions run concurrently; the
+		// lowest failing session's mismatch is reported.
+		if err := par.Do(sessions, sessions, func(s int) error {
+			tenant := fmt.Sprintf("tenant-%d", s%2)
+			for _, sq := range svcQueries {
+				req := service.Request{Corpus: corpus, Tenant: tenant, XPath: sq.query, Workers: asks[s]}
+				for _, leg := range legs {
+					resp, qerr := leg.query(context.Background(), req)
+					if qerr != nil {
+						return fail("service-equivalence", sq.idx, sq.query,
+							"session %d %s: %v (applied %v)", s, leg.name, qerr, applied)
+					}
+					got := &engine.Result{Cols: resp.Cols, Rows: resp.Rows, Stats: resp.Stats}
+					if d := diffResults(got, sq.ref); d != "" {
+						return fail("service-equivalence", sq.idx, sq.query,
+							"session %d %s workers %d: %s (applied %v)", s, leg.name, asks[s], d, applied)
 					}
 				}
-			}(s)
-		}
-		wg.Wait()
-		close(fails)
-		for sm := range fails {
-			return st, sm
+			}
+			return nil
+		}); err != nil {
+			return st, err.(*Mismatch)
 		}
 		distinct := make(map[string]bool, len(svcQueries))
 		for _, sq := range svcQueries {

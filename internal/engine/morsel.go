@@ -2,10 +2,9 @@ package engine
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 )
 
 // morselRows is the number of driver rows per morsel: four pipeline
@@ -18,8 +17,9 @@ var morselRows = 4 * batchSize
 // Every branch's driver — a table scan (a partition scan among them) or
 // an index range scan — is split into fixed-size morsels of driver
 // rows, and the morsels of all branches form one task list that exactly
-// `workers` goroutines claim from: the caller's own plus workers-1
-// spawned here, so one worker is the same loop with nothing spawned.
+// `workers` goroutines claim from through par.Do: the caller's own plus
+// workers-1 spawned, so one worker is the same loop with nothing
+// spawned.
 // Downstream operators (filters, hash-join probes, index-nested-loop
 // joins) run inside the morsel that feeds them, so one wide scan
 // parallelizes end to end; hash-join build sides stay single-flighted
@@ -39,6 +39,12 @@ var morselRows = 4 * batchSize
 // Hash-join build-side cost is charged once per branch, never per
 // morsel (see precharge), before any morsel is claimable. The slots are
 // returned for the caller to assemble and release, on error too.
+//
+// Failure has the outcome of one worker too: once a morsel fails no
+// further one is claimed, and the error returned is that of the failing
+// morsel lowest in claim order. A morsel's panic is raised again on the
+// caller's goroutine after every started morsel has returned, never
+// left to end the process from a worker.
 func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *obs.Registry, workers int, enc RowEncoder) ([]outSlot, ExecStats, error) {
 	type branchRun struct {
 		st     ExecStats // precharge + driver-resolution stats
@@ -81,51 +87,22 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 	slots := make([]outSlot, len(tasks))
 	order := claimOrder(counts)
 
-	var next atomic.Int64
-	var stop atomic.Bool
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	err := par.Do(len(order), workers, func(c int) error {
+		i := order[c]
+		t := tasks[i]
+		r := runs[t.branch]
+		ms := r.span.Child("executor.morsel",
+			obs.Int("morsel", int64(i-r.lo)),
+			obs.Int("rows_in", int64(t.hi-t.lo)))
+		defer ms.End()
+		slot := &slots[i]
+		if err := pp.branches[t.branch].runRange(ctx, slot, enc, r.ids, t.lo, t.hi); err != nil {
+			ms.SetAttr(obs.String("error", err.Error()))
+			return err
 		}
-		errMu.Unlock()
-		stop.Store(true)
-	}
-	claim := func() {
-		for {
-			c := int(next.Add(1)) - 1
-			if c >= len(order) || stop.Load() {
-				return
-			}
-			i := order[c]
-			t := tasks[i]
-			r := runs[t.branch]
-			ms := r.span.Child("executor.morsel",
-				obs.Int("morsel", int64(i-r.lo)),
-				obs.Int("rows_in", int64(t.hi-t.lo)))
-			slot := &slots[i]
-			if err := pp.branches[t.branch].runRange(ctx, slot, enc, r.ids, t.lo, t.hi); err != nil {
-				ms.SetAttr(obs.String("error", err.Error()))
-				ms.End()
-				fail(err)
-				return
-			}
-			ms.SetAttr(obs.Int("rows", int64(slot.rows)))
-			ms.End()
-		}
-	}
-	var wg sync.WaitGroup
-	for w := min(workers, len(tasks)); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			claim()
-		}()
-	}
-	claim()
-	wg.Wait()
+		ms.SetAttr(obs.Int("rows", int64(slot.rows)))
+		return nil
+	})
 	reg.Counter("engine.exec.morsels").Add(int64(len(tasks)))
 
 	var st ExecStats
@@ -142,7 +119,7 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 			obs.Int("rows_sought", bst.RowsSought))
 		r.span.End()
 	}
-	return slots, st, firstErr
+	return slots, st, err
 }
 
 // claimOrder returns the order in which tasks are claimed, given each

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 	"repro/internal/optimizer"
@@ -572,5 +573,135 @@ func TestPartitionScanPagesThroughStore(t *testing.T) {
 	}
 	if faults.Value() <= before {
 		t.Fatal("partition scans faulted no chunk; they did not page through the store")
+	}
+}
+
+// hookedSource runs before ahead of every fetch: an error it returns is
+// the fetch's, and a panic in it is the fetch's panic. A nil before
+// serves every fetch. Tests set it only between executions.
+type hookedSource struct {
+	ScanSource
+	before func(k int) error
+}
+
+func (s *hookedSource) ChunkColumns(k int, cols []int) (*rel.Table, func(), error) {
+	if s.before != nil {
+		if err := s.before(k); err != nil {
+			return nil, nil, err
+		}
+	}
+	return s.ScanSource.ChunkColumns(k, cols)
+}
+
+// hookedFixture registers a hooked 128-row chunk source for big on a
+// Built of chunkDB(1600), with one morsel per chunk, and prepares q.
+func hookedFixture(t *testing.T, q *sqlast.Query) (src *hookedSource, counted *countedSource, pp *PreparedPlan, want *Result) {
+	t.Helper()
+	old := morselRows
+	morselRows = 128
+	t.Cleanup(func() { morselRows = old })
+	db := chunkDB(1600)
+	built, err := Build(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted = newSliceSource(t, db.Table("big"), 128)
+	src = &hookedSource{ScanSource: counted}
+	built.SetScanSource("big", src)
+	plan := planQuery(t, db, q)
+	if want, err = ExecuteReference(built, plan); err != nil {
+		t.Fatal(err)
+	}
+	if pp, err = built.Prepared(plan); err != nil {
+		t.Fatal(err)
+	}
+	return src, counted, pp, want
+}
+
+// execTargets are the executor's two output targets, each run to its
+// error.
+var execTargets = []struct {
+	name string
+	run  func(pp *PreparedPlan, workers int) error
+}{
+	{"ExecuteContextWorkers", func(pp *PreparedPlan, workers int) error {
+		_, err := pp.ExecuteContextWorkers(context.Background(), workers)
+		return err
+	}},
+	{"AppendRows", func(pp *PreparedPlan, workers int) error {
+		_, _, _, err := pp.AppendRows(context.Background(), workers, nil, encodeRow)
+		return err
+	}},
+}
+
+// chunkPanic is the value a hooked source panics with.
+type chunkPanic struct{ k int }
+
+// TestExecuteRaisesSourcePanicOnCaller: a source whose fetch of chunk 5
+// panics, under a union of two scans of it, raises that panic on the
+// executing caller at every worker count and through both targets —
+// never from a worker, where it would end the process — and only after
+// every started morsel has released its chunk; the same PreparedPlan
+// then answers a healthy source bit-identically to the reference.
+func TestExecuteRaisesSourcePanicOnCaller(t *testing.T) {
+	src, counted, pp, want := hookedFixture(t, chunkQueries()[0])
+	for _, target := range execTargets {
+		for _, workers := range []int{1, 2, 3, 8} {
+			label := fmt.Sprintf("%s workers %d", target.name, workers)
+			src.before = func(k int) error {
+				if k == 5 {
+					panic(chunkPanic{k})
+				}
+				return nil
+			}
+			p := func() (p any) {
+				defer func() { p = recover() }()
+				target.run(pp, workers)
+				return nil
+			}()
+			if p != (chunkPanic{5}) {
+				t.Fatalf("%s: caller recovered %v, want the source's panic", label, p)
+			}
+			if h := counted.held.Load(); h != 0 {
+				t.Fatalf("%s: %d chunks still held after the panic", label, h)
+			}
+			src.before = nil
+			got, err := pp.ExecuteContextWorkers(context.Background(), workers)
+			if err != nil {
+				t.Fatalf("%s: healthy rerun: %v", label, err)
+			}
+			requireIdentical(t, label+" healthy rerun", got, want)
+			requireAppendMatches(t, label+" healthy rerun", pp, workers, want)
+		}
+	}
+}
+
+// TestExecuteErrorIsLowestFailingMorsel: every fetch from chunk 1 on
+// fails, chunk 1's last in time, and the execution reports chunk 1's
+// error — what one worker meets first — at every worker count and
+// through both targets, with every chunk released.
+func TestExecuteErrorIsLowestFailingMorsel(t *testing.T) {
+	src, counted, pp, _ := hookedFixture(t, chunkQueries()[1])
+	src.before = func(k int) error {
+		switch k {
+		case 0:
+			return nil
+		case 1:
+			time.Sleep(2 * time.Millisecond)
+		}
+		return fmt.Errorf("chunk %d failed", k)
+	}
+	for _, target := range execTargets {
+		for workers := 1; workers <= 8; workers++ {
+			for run := 0; run < 3; run++ {
+				err := target.run(pp, workers)
+				if err == nil || err.Error() != "chunk 1 failed" {
+					t.Fatalf("%s workers %d: %v, want chunk 1's error", target.name, workers, err)
+				}
+				if h := counted.held.Load(); h != 0 {
+					t.Fatalf("%s workers %d: %d chunks still held", target.name, workers, h)
+				}
+			}
+		}
 	}
 }

@@ -59,6 +59,10 @@ func errKind(err error) (status int, kind string) {
 		// A compaction staled the corpus's paged view: a server-side
 		// condition, which registering the corpus again clears.
 		return http.StatusServiceUnavailable, "stale_corpus"
+	case errors.Is(err, storage.ErrClosed):
+		// The store under a corpus was closed: a server-side condition
+		// too, not a malformed request.
+		return http.StatusServiceUnavailable, "store_closed"
 	default:
 		return http.StatusBadRequest, ""
 	}
@@ -78,6 +82,8 @@ func kindErr(kind, msg string) error {
 		return fmt.Errorf("%w (server: %s)", ErrRequestTooLarge, msg)
 	case "stale_corpus":
 		return fmt.Errorf("%w (server: %s)", storage.ErrStale, msg)
+	case "store_closed":
+		return fmt.Errorf("%w (server: %s)", storage.ErrClosed, msg)
 	default:
 		return errors.New(msg)
 	}

@@ -92,7 +92,7 @@ func TestWireValueRoundTrip(t *testing.T) {
 }
 
 func TestErrKindMapping(t *testing.T) {
-	for _, sentinel := range []error{ErrOverloaded, ErrDeadline, ErrUnknownCorpus, ErrClosed, ErrRequestTooLarge, storage.ErrStale} {
+	for _, sentinel := range []error{ErrOverloaded, ErrDeadline, ErrUnknownCorpus, ErrClosed, ErrRequestTooLarge, storage.ErrStale, storage.ErrClosed} {
 		status, kind := errKind(sentinel)
 		if kind == "" {
 			t.Fatalf("%v: no kind", sentinel)

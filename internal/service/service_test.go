@@ -193,3 +193,58 @@ func TestDeadlineErrorTaxonomy(t *testing.T) {
 		t.Errorf("phase not preserved: %v", err)
 	}
 }
+
+// panicSource serves a table as one chunk whose every fetch panics.
+type panicSource struct{ t *rel.Table }
+
+func (s panicSource) Columns() []rel.Column    { return s.t.Columns }
+func (s panicSource) RowCount() int            { return s.t.RowCount() }
+func (s panicSource) NumChunks() int           { return 1 }
+func (s panicSource) ChunkSpan(int) (int, int) { return 0, s.t.RowCount() }
+func (s panicSource) Chunk(k int) (*rel.Table, func(), error) {
+	panic(fmt.Sprintf("chunk %d of %s", k, s.t.Name))
+}
+func (s panicSource) ChunkColumns(k int, _ []int) (*rel.Table, func(), error) { return s.Chunk(k) }
+
+// TestQueryRaisesScanPanicOnCaller: a query on four workers over a
+// corpus whose scan sources panic raises the first branch's panic on
+// Query's caller — the query's two branches scan two tables, so a
+// spawned worker panics too, which must not end the process — and
+// leaves no admission state behind: the tenant's and the pool's gauges
+// read 0, and the next query, on a healthy corpus, answers.
+func TestQueryRaisesScanPanicOnCaller(t *testing.T) {
+	m, db, built := movieFixture(t, 200)
+	want := refResults(t, m, db, serviceQueries)
+	_, _, bad := movieFixture(t, 200)
+	for _, tbl := range bad.DB.Tables() {
+		bad.SetScanSource(tbl.Name, panicSource{tbl})
+	}
+	reg := obs.NewRegistry()
+	svc := New(Config{Registry: reg, PoolWorkers: 4})
+	if err := svc.RegisterBuilt("bad", bad, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.RegisterBuilt("movie", built, m, nil); err != nil {
+		t.Fatal(err)
+	}
+	q := serviceQueries[3] // two branches: scans of movie and aka_title
+	p := func() (p any) {
+		defer func() { p = recover() }()
+		svc.Query(context.Background(), Request{Corpus: "bad", Tenant: "t0", XPath: q, Workers: 4})
+		return nil
+	}()
+	if p != "chunk 0 of movie" {
+		t.Fatalf("Query raised %v, want the scan source's panic", p)
+	}
+	snap := reg.Snapshot()
+	for _, g := range []string{"service.tenant.t0.inflight", "service.tenant.t0.queued", "service.tenant.t0.mem_bytes", "service.pool.busy", "service.queue_depth"} {
+		if v, ok := snap[g]; !ok || v != 0 {
+			t.Errorf("after the panic %s = %v (present %v), want 0", g, v, ok)
+		}
+	}
+	resp, err := svc.Query(context.Background(), Request{Corpus: "movie", Tenant: "t0", XPath: q, Workers: 4})
+	if err != nil {
+		t.Fatalf("healthy corpus after the panic: %v", err)
+	}
+	requireSameResult(t, q, resp, want[3])
+}

@@ -331,3 +331,48 @@ func TestConcurrentPlanMissesShareOptimizer(t *testing.T) {
 		t.Errorf("optimizer counted %d calls for %d distinct query texts", calls, sessions*texts)
 	}
 }
+
+// TestClosedStoreCorpusAnswersStoreClosed: a paged corpus whose store
+// was closed under it fails every query with storage.ErrClosed in
+// process, and over HTTP with 503 kind store_closed — a server-side
+// condition, not a malformed request — which the client maps back to
+// the sentinel.
+func TestClosedStoreCorpusAnswersStoreClosed(t *testing.T) {
+	m, _, built := movieFixture(t, 100)
+	dir := t.TempDir()
+	if _, err := storage.Save(dir, built, storage.Options{ChunkRows: 64}); err != nil {
+		t.Fatalf("save: %v", err)
+	}
+	store, err := storage.Open(dir, storage.Options{})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	svc := New(Config{PoolWorkers: 2})
+	if err := svc.RegisterStore("movie", store, m, true); err != nil {
+		t.Fatal(err)
+	}
+	req := Request{Corpus: "movie", Tenant: "t0", XPath: serviceQueries[0]}
+	if _, err := svc.Query(context.Background(), req); err != nil {
+		t.Fatalf("before close: %v", err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, qs := range serviceQueries {
+		req.XPath = qs
+		if resp, err := svc.Query(context.Background(), req); !errors.Is(err, storage.ErrClosed) {
+			t.Fatalf("after close: %s answered %v, %v; want storage.ErrClosed", qs, resp, err)
+		}
+	}
+	rec := httptest.NewRecorder()
+	svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/query", bytes.NewReader(appendRequest(nil, req))))
+	var we wireError
+	if err := json.Unmarshal(rec.Body.Bytes(), &we); err != nil || rec.Code != http.StatusServiceUnavailable || we.Kind != "store_closed" {
+		t.Fatalf("after close: /query answered HTTP %d %q (%v), want 503 kind store_closed", rec.Code, rec.Body, err)
+	}
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	if _, err := NewClient(ts.URL, nil).Query(context.Background(), req); !errors.Is(err, storage.ErrClosed) {
+		t.Fatalf("after close: client got %v, want storage.ErrClosed", err)
+	}
+}
