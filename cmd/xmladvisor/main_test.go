@@ -153,7 +153,7 @@ func TestRunSaveOpen(t *testing.T) {
 	out = captureStdout(t, func() error {
 		return run(cliConfig{openDir: store})
 	})
-	for _, want := range []string{"segment format v2, epoch 0", "reopened warm",
+	for _, want := range []string{"segment format v3, epoch 0", "reopened warm",
 		"logical design (SQL schema)", "CREATE TABLE", "redo redo.log: 0 rows", "resident: chunk cache"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("open summary missing %q:\n%s", want, out)

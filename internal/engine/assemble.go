@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/rel"
 )
@@ -67,16 +68,31 @@ func (rb *rowBlock) row(i int) []byte {
 const maxBlockBytes = 1 << 20
 
 // keyBlocks and rowBlocks recycle blocks across executions: a block is
-// written by the sink, read by assemble, and returned by releaseSlots.
+// taken by the sink (takeKeyBlock, takeRowBlock), read by assemble, and
+// returned by releaseSlots. blocksOut counts the blocks taken and not
+// yet returned, which every execution, whatever its outcome, brings
+// back to where it found it.
 var (
 	keyBlocks = sync.Pool{New: func() any { return new(keyBlock) }}
 	rowBlocks = sync.Pool{New: func() any { return new(rowBlock) }}
+	blocksOut atomic.Int64
 )
+
+func takeKeyBlock() *keyBlock {
+	blocksOut.Add(1)
+	return keyBlocks.Get().(*keyBlock)
+}
+
+func takeRowBlock() *rowBlock {
+	blocksOut.Add(1)
+	return rowBlocks.Get().(*rowBlock)
+}
 
 // releaseSlots returns the slots' key and row blocks to their pools.
 func releaseSlots(slots []outSlot) {
 	for i := range slots {
 		s := &slots[i]
+		blocksOut.Add(-int64(len(s.keys) + len(s.blocks)))
 		for _, kb := range s.keys {
 			keyBlocks.Put(kb)
 		}

@@ -46,7 +46,7 @@ func randomSlots(rng *rand.Rand, width, orderPos int) []outSlot {
 			arena := make([]rel.Value, n*width)
 			var kb *keyBlock
 			if orderPos >= 0 {
-				kb = keyBlocks.Get().(*keyBlock)
+				kb = takeKeyBlock()
 				s.keys = append(s.keys, kb)
 			}
 			for r := 0; r < n; r++ {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -89,6 +90,10 @@ type centry[T any] struct {
 	err  error
 }
 
+// errBuildPanicked is what the callers waiting on a structure build
+// get when the build panicked.
+var errBuildPanicked = errors.New("engine: structure build panicked")
+
 // cacheGet serves one single-flighted lookup: exactly one miss is
 // counted per key (recorded at reservation, under the lock — waiters
 // that raced the builder count as hits), the stale-data guard runs on
@@ -103,6 +108,10 @@ type centry[T any] struct {
 // lookups during execution (key indexes) pass
 // context.Background() for the same reason: a build already in the
 // middle of a pipeline is cheaper to finish than to redo.
+//
+// A build that panics leaves no entry: before the panic goes on up the
+// building caller, the entry leaves the map, so the next lookup builds
+// again, and the callers waiting on it return errBuildPanicked.
 func cacheGet[T any](ctx context.Context, b *Built, m map[string]*centry[T], kind ckind, key string, build func() (T, error)) (T, error) {
 	var zero T
 	if err := b.checkGenerations(); err != nil {
@@ -124,20 +133,30 @@ func cacheGet[T any](ctx context.Context, b *Built, m map[string]*centry[T], kin
 			return zero, ctx.Err()
 		}
 	}
-	e := &centry[T]{done: make(chan struct{})}
+	e := &centry[T]{done: make(chan struct{}), err: errBuildPanicked}
 	m[key] = e
 	c.stats[kind].misses.Add(1)
 	c.mu.Unlock()
 	b.obsReg.Counter("engine.cache." + kind.String() + ".misses").Inc()
 	sp := b.obsTracer.StartSpan("executor.cache.build",
 		obs.String("kind", kind.String()), obs.String("key", key))
-	e.v, e.err = build()
-	if e.err != nil {
-		sp.SetAttr(obs.String("error", e.err.Error()))
+	built := false
+	defer func() {
+		if !built {
+			c.mu.Lock()
+			delete(m, key)
+			c.mu.Unlock()
+			sp.SetAttr(obs.String("error", errBuildPanicked.Error()))
+		}
+		sp.End()
+		close(e.done)
+	}()
+	v, err := build()
+	e.v, e.err, built = v, err, true
+	if err != nil {
+		sp.SetAttr(obs.String("error", err.Error()))
 	}
-	sp.End()
-	close(e.done)
-	return e.v, e.err
+	return v, err
 }
 
 // CacheCounters reports hit/miss traffic per cache kind (keys like

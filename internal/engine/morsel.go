@@ -37,15 +37,18 @@ var morselRows = 4 * batchSize
 // claimOrder): morsel-major across branches, at every worker count.
 //
 // Hash-join build-side cost is charged once per branch, never per
-// morsel (see precharge), before any morsel is claimable. The slots are
-// returned for the caller to assemble and release, on error too.
+// morsel (see precharge), before any morsel is claimable. When every
+// morsel succeeded the slots go to finish, which assembles them, and
+// the result rows are counted; the slots' pooled blocks are released
+// on every way out.
 //
 // Failure has the outcome of one worker too: once a morsel fails no
 // further one is claimed, and the error returned is that of the failing
 // morsel lowest in claim order. A morsel's panic is raised again on the
 // caller's goroutine after every started morsel has returned, never
-// left to end the process from a worker.
-func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *obs.Registry, workers int, enc RowEncoder) ([]outSlot, ExecStats, error) {
+// left to end the process from a worker, and after the branch spans
+// have ended and the slots' blocks have gone back to their pools.
+func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *obs.Registry, workers int, enc RowEncoder, finish func(slots []outSlot)) (int, ExecStats, error) {
 	type branchRun struct {
 		st     ExecStats // precharge + driver-resolution stats
 		ids    []int32   // seek drivers: matching row ids
@@ -85,6 +88,12 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 		counts[bi] = len(ranges)
 	}
 	slots := make([]outSlot, len(tasks))
+	defer releaseSlots(slots)
+	defer func() {
+		for _, r := range runs {
+			r.span.End() // already ended unless a morsel panicked
+		}
+	}()
 	order := claimOrder(counts)
 
 	err := par.Do(len(order), workers, func(c int) error {
@@ -106,6 +115,7 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 	reg.Counter("engine.exec.morsels").Add(int64(len(tasks)))
 
 	var st ExecStats
+	rows := 0
 	for _, r := range runs {
 		bst := r.st
 		brows := 0
@@ -114,12 +124,17 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 			brows += slots[i].rows
 		}
 		st.add(bst)
+		rows += brows
 		r.span.SetAttr(obs.Int("rows", int64(brows)),
 			obs.Int("rows_scanned", bst.RowsScanned),
 			obs.Int("rows_sought", bst.RowsSought))
 		r.span.End()
 	}
-	return slots, st, err
+	if err != nil {
+		return 0, st, err
+	}
+	finish(slots)
+	return rows, st, nil
 }
 
 // claimOrder returns the order in which tasks are claimed, given each

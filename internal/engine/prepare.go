@@ -154,8 +154,8 @@ func (pp *PreparedPlan) Cols() []string { return pp.cols }
 
 // execute is both targets' execution: resolve the worker count, run the
 // morsels into slots (value arenas when enc is nil, row blocks encoded
-// by enc otherwise), hand the slots to finish, which assembles them,
-// and return the pooled blocks. It reports the number of result rows and
+// by enc otherwise) and hand the slots to finish, which assembles them
+// (see executeMorsels). It reports the number of result rows and
 // the stats, and spans and counts the execution.
 func (pp *PreparedPlan) execute(ctx context.Context, workers int, enc RowEncoder, finish func(slots []outSlot)) (int, ExecStats, error) {
 	var tr *obs.Tracer
@@ -176,25 +176,18 @@ func (pp *PreparedPlan) execute(ctx context.Context, workers int, enc RowEncoder
 	n := len(pp.branches)
 	sp := tr.StartSpan("executor.execute",
 		obs.Int("branches", int64(n)), obs.Int("workers", int64(workers)))
-	slots, st, err := pp.executeMorsels(ctx, sp, reg, workers, enc)
-	defer releaseSlots(slots)
+	defer sp.End() // also when a morsel panicked
+	rows, st, err := pp.executeMorsels(ctx, sp, reg, workers, enc, finish)
 	if err != nil {
 		sp.SetAttr(obs.String("error", err.Error()))
-		sp.End()
 		if ctx.Err() != nil {
 			reg.Counter("engine.exec.cancellations").Inc()
 		}
 		return 0, ExecStats{}, err
 	}
-	rows := 0
-	for i := range slots {
-		rows += slots[i].rows
-	}
-	finish(slots)
 	sp.SetAttr(obs.Int("rows_out", int64(rows)),
 		obs.Int("rows_scanned", st.RowsScanned),
 		obs.Int("rows_sought", st.RowsSought))
-	sp.End()
 	reg.Counter("engine.exec.executions").Inc()
 	reg.Counter("engine.exec.rows_out").Add(int64(rows))
 	reg.Counter("engine.exec.rows_scanned").Add(st.RowsScanned)
@@ -950,7 +943,7 @@ func (r *pipeRun) sink(vecs [][]int32) {
 		}
 	}
 	if ko := r.pb.orderOut; ko >= 0 {
-		kb, ints := keyBlocks.Get().(*keyBlock), r.rd.fills[ko].ints
+		kb, ints := takeKeyBlock(), r.rd.fills[ko].ints
 		for i, id := range vecs[r.pb.outs[ko].tab] {
 			kb[i] = ints[id]
 		}
@@ -960,7 +953,7 @@ func (r *pipeRun) sink(vecs [][]int32) {
 		out.arenas = append(out.arenas, arena)
 		return
 	}
-	rb := rowBlocks.Get().(*rowBlock)
+	rb := takeRowBlock()
 	buf := rb.buf[:0]
 	for i := 0; i < n; i++ {
 		buf = r.enc(buf, arena[i*w:i*w+w:i*w+w])

@@ -641,10 +641,15 @@ type chunkPanic struct{ k int }
 // panics, under a union of two scans of it, raises that panic on the
 // executing caller at every worker count and through both targets —
 // never from a worker, where it would end the process — and only after
-// every started morsel has released its chunk; the same PreparedPlan
-// then answers a healthy source bit-identically to the reference.
+// every started morsel has released its chunk, every span of the traced
+// execution has ended, and every pooled block has gone back to its
+// pool; the same PreparedPlan then answers a healthy source
+// bit-identically to the reference.
 func TestExecuteRaisesSourcePanicOnCaller(t *testing.T) {
 	src, counted, pp, want := hookedFixture(t, chunkQueries()[0])
+	if pp.orderPos < 0 {
+		t.Fatal("the query has no ORDER BY: its executions take no key block")
+	}
 	for _, target := range execTargets {
 		for _, workers := range []int{1, 2, 3, 8} {
 			label := fmt.Sprintf("%s workers %d", target.name, workers)
@@ -654,16 +659,26 @@ func TestExecuteRaisesSourcePanicOnCaller(t *testing.T) {
 				}
 				return nil
 			}
+			tr := obs.New()
+			pp.built.AttachObs(tr, nil)
+			out := blocksOut.Load()
 			p := func() (p any) {
 				defer func() { p = recover() }()
 				target.run(pp, workers)
 				return nil
 			}()
+			pp.built.AttachObs(nil, nil)
 			if p != (chunkPanic{5}) {
 				t.Fatalf("%s: caller recovered %v, want the source's panic", label, p)
 			}
 			if h := counted.held.Load(); h != 0 {
 				t.Fatalf("%s: %d chunks still held after the panic", label, h)
+			}
+			if err := tr.Validate(); err != nil || len(tr.FindAll("executor.branch")) == 0 {
+				t.Fatalf("%s: the trace of the panicked execution (%d branch spans): %v", label, len(tr.FindAll("executor.branch")), err)
+			}
+			if n := blocksOut.Load() - out; n != 0 {
+				t.Fatalf("%s: %d pooled blocks not returned after the panic", label, n)
 			}
 			src.before = nil
 			got, err := pp.ExecuteContextWorkers(context.Background(), workers)
@@ -673,6 +688,83 @@ func TestExecuteRaisesSourcePanicOnCaller(t *testing.T) {
 			requireIdentical(t, label+" healthy rerun", got, want)
 			requireAppendMatches(t, label+" healthy rerun", pp, workers, want)
 		}
+	}
+}
+
+// TestStructureBuildPanicLeavesNoEntry: a structure build that panics
+// — a hash join's key index over a shell whose loader panics — raises
+// the panic on the building caller and leaves no entry behind, so the
+// next lookup of the key builds again instead of waiting forever on the
+// dead build. A caller that was waiting on the build when it panicked
+// returns errBuildPanicked, and a build that returns fills the key.
+func TestStructureBuildPanicLeavesNoEntry(t *testing.T) {
+	src := chunkDB(128).Table("big")
+	sh := rel.NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount(), src.Bytes(),
+		func() (*rel.Table, error) { panic("loader") })
+	db := rel.NewDatabase()
+	db.Add(sh)
+	b, err := Build(db, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// within runs f on a goroutine of its own and returns what it
+	// panicked with, failing the test if it has not returned in time.
+	within := func(label string, f func()) any {
+		t.Helper()
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			f()
+		}()
+		select {
+		case p := <-done:
+			return p
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: still blocked after 5 s", label)
+			return nil
+		}
+	}
+	col := sh.ColIndex("PID")
+	for i := 1; i <= 2; i++ {
+		if p := within(fmt.Sprintf("key index lookup %d", i), func() { b.keyIndex("big", sh, col) }); p != "loader" {
+			t.Fatalf("key index lookup %d raised %v, want the loader's panic", i, p)
+		}
+	}
+
+	joins := b.caches.joins
+	hits := &b.caches.stats[ckindJoin].hits
+	building := make(chan struct{})
+	builder := make(chan any, 1)
+	go func() {
+		defer func() { builder <- recover() }()
+		cacheGet(context.Background(), b, joins, ckindJoin, "k", func() (*builtIndex, error) {
+			close(building)
+			for hits.Load() == 0 { // until the waiter has joined
+				runtime.Gosched()
+			}
+			panic("build")
+		})
+	}()
+	<-building
+	var waited error
+	if p := within("waiter", func() {
+		_, waited = cacheGet(context.Background(), b, joins, ckindJoin, "k", func() (*builtIndex, error) {
+			t.Error("the waiter built the entry it was waiting on")
+			return nil, nil
+		})
+	}); p != nil {
+		t.Fatalf("the waiter panicked: %v", p)
+	}
+	if p := <-builder; p != "build" {
+		t.Fatalf("the builder raised %v, want its build's panic", p)
+	}
+	if waited != errBuildPanicked {
+		t.Fatalf("the waiter returned %v, want errBuildPanicked", waited)
+	}
+	want := &builtIndex{}
+	got, err := cacheGet(context.Background(), b, joins, ckindJoin, "k", func() (*builtIndex, error) { return want, nil })
+	if err != nil || got != want || b.CachedStructures()["joinTables"] != 1 {
+		t.Fatalf("the build after the panic: %p, %v, %d entries; want its own index cached", got, err, b.CachedStructures()["joinTables"])
 	}
 }
 

@@ -29,7 +29,8 @@ import (
 // Admission outcomes map onto status codes so generic HTTP tooling
 // does the right thing — 429 for overload (back off), 504 for
 // deadline, 404 for an unknown corpus, 413 for a request body over
-// maxRequestBody — and the body carries a "kind" tag so Client can
+// maxRequestBody, 500 for an execution that panicked — and the body
+// carries a "kind" tag so Client can
 // recover the exact sentinel error, keeping local and remote callers on
 // one error taxonomy.
 
@@ -55,6 +56,8 @@ func errKind(err error) (status int, kind string) {
 		return http.StatusServiceUnavailable, "closed"
 	case errors.Is(err, ErrRequestTooLarge):
 		return http.StatusRequestEntityTooLarge, "request_too_large"
+	case errors.Is(err, ErrInternal):
+		return http.StatusInternalServerError, "internal"
 	case errors.Is(err, storage.ErrStale):
 		// A compaction staled the corpus's paged view: a server-side
 		// condition, which registering the corpus again clears.
@@ -80,6 +83,8 @@ func kindErr(kind, msg string) error {
 		return fmt.Errorf("%w (server: %s)", ErrClosed, msg)
 	case "request_too_large":
 		return fmt.Errorf("%w (server: %s)", ErrRequestTooLarge, msg)
+	case "internal":
+		return fmt.Errorf("%w (server: %s)", ErrInternal, msg)
 	case "stale_corpus":
 		return fmt.Errorf("%w (server: %s)", storage.ErrStale, msg)
 	case "store_closed":
@@ -133,6 +138,14 @@ func (s *Service) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// A panic in the execution is answered with ErrInternal and counted;
+	// raised on, it would cost the client its connection and answer.
+	defer func() {
+		if p := recover(); p != nil {
+			s.reg.Counter("service.http.panics").Inc()
+			fail(fmt.Errorf("%w: the query panicked: %v", ErrInternal, p))
+		}
+	}()
 	// The rows go onto the wire straight from the engine's byte target:
 	// the head is written before execution, each row is appended as its
 	// wire bytes from the column vectors, and the tail once the grant and

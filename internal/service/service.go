@@ -58,6 +58,9 @@ var (
 	// ErrRequestTooLarge reports an HTTP request body over the server's
 	// limit (maxRequestBody); the request was not decoded.
 	ErrRequestTooLarge = errors.New("service: request body too large")
+	// ErrInternal reports a /query whose execution panicked on the
+	// server: the panic is answered, not raised on the connection.
+	ErrInternal = errors.New("service: internal error")
 )
 
 // DeadlineError is the concrete error for a request that ran out of

@@ -1,9 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -211,7 +216,9 @@ func (s panicSource) ChunkColumns(k int, _ []int) (*rel.Table, func(), error) { 
 // Query's caller — the query's two branches scan two tables, so a
 // spawned worker panics too, which must not end the process — and
 // leaves no admission state behind: the tenant's and the pool's gauges
-// read 0, and the next query, on a healthy corpus, answers.
+// read 0, and the next query, on a healthy corpus, answers. Over HTTP
+// the same query is answered 500 with kind "internal", which Client
+// maps back to ErrInternal, and again leaves every gauge at 0.
 func TestQueryRaisesScanPanicOnCaller(t *testing.T) {
 	m, db, built := movieFixture(t, 200)
 	want := refResults(t, m, db, serviceQueries)
@@ -236,12 +243,41 @@ func TestQueryRaisesScanPanicOnCaller(t *testing.T) {
 	if p != "chunk 0 of movie" {
 		t.Fatalf("Query raised %v, want the scan source's panic", p)
 	}
-	snap := reg.Snapshot()
-	for _, g := range []string{"service.tenant.t0.inflight", "service.tenant.t0.queued", "service.tenant.t0.mem_bytes", "service.pool.busy", "service.queue_depth"} {
-		if v, ok := snap[g]; !ok || v != 0 {
-			t.Errorf("after the panic %s = %v (present %v), want 0", g, v, ok)
+	drained := func(label string) {
+		t.Helper()
+		snap := reg.Snapshot()
+		for _, g := range []string{"service.tenant.t0.inflight", "service.tenant.t0.queued", "service.tenant.t0.mem_bytes", "service.pool.busy", "service.queue_depth"} {
+			if v, ok := snap[g]; !ok || v != 0 {
+				t.Errorf("after the %s %s = %v (present %v), want 0", label, g, v, ok)
+			}
 		}
 	}
+	drained("panic")
+
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	body, err := json.Marshal(Request{Corpus: "bad", Tenant: "t0", XPath: q, Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST /query: %v", err)
+	}
+	var we wireError
+	err = json.NewDecoder(hr.Body).Decode(&we)
+	hr.Body.Close()
+	if err != nil || hr.StatusCode != http.StatusInternalServerError || we.Kind != "internal" || !strings.Contains(we.Error, "chunk 0 of movie") {
+		t.Fatalf("POST /query: HTTP %d, kind %q, error %q (%v); want 500, kind internal, naming the panic", hr.StatusCode, we.Kind, we.Error, err)
+	}
+	if _, err := NewClient(ts.URL, nil).Query(context.Background(), Request{Corpus: "bad", Tenant: "t0", XPath: q, Workers: 4}); !errors.Is(err, ErrInternal) {
+		t.Fatalf("Client.Query: %v, want ErrInternal", err)
+	}
+	drained("HTTP panics")
+	if n := reg.Counter("service.http.panics").Value(); n != 2 {
+		t.Fatalf("service.http.panics = %d, want 2", n)
+	}
+
 	resp, err := svc.Query(context.Background(), Request{Corpus: "movie", Tenant: "t0", XPath: q, Workers: 4})
 	if err != nil {
 		t.Fatalf("healthy corpus after the panic: %v", err)

@@ -4,6 +4,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
 	"sync"
 	"testing"
@@ -89,9 +91,11 @@ func BenchmarkAppendSingle(b *testing.B) {
 
 // BenchmarkAppendBatch100 is 100 durable rows per op under one group
 // commit; benchguard divides by 100 and requires the per-row cost to
-// stay under 0.80 of the single-append path's.
+// stay under 0.80 of the single-append path's. redo_B/row is the redo
+// log's size after the run, less its header, per appended row.
 func BenchmarkAppendBatch100(b *testing.B) {
-	st, err := Open(benchStore(b), Options{})
+	dir := benchStore(b)
+	st, err := Open(dir, Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -108,6 +112,12 @@ func BenchmarkAppendBatch100(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	b.StopTimer()
+	fi, err := os.Stat(filepath.Join(dir, RedoName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportMetric(float64(fi.Size()-redoHeaderSize)/float64(len(rows)*b.N), "redo_B/row")
 }
 
 // benchScanStore saves the scanDB fixture once and returns its dir plus

@@ -12,14 +12,14 @@ import (
 	"repro/internal/rel"
 )
 
-// Chunked segment format (version 2), the only segment format this
+// Chunked segment format (version 3), the only segment format this
 // package reads or writes. It splits a table's rows into fixed-size
 // chunks so the pager can load, verify, and evict them independently
 // under a memory budget:
 //
 //	file      := directory | chunk...
 //	directory := "XCSG" | u32 version | u64 len | u32 CRC | dirPayload
-//	dirPayload:= str name | str parent | uvarint generation |
+//	dirPayload:= str name | str parent |
 //	             uvarint rowCount | uvarint chunkRows |
 //	             uvarint ncols | colDesc... |
 //	             uvarint nchunks | chunkRef...
@@ -30,8 +30,7 @@ import (
 //	chunkPayload, per column in table order :=
 //	             uvarint nullWords | u64 words... |
 //	             typed vector (u64 ints/floats; TString:
-//	               uvarint dictLen | str... | uvarint codes...) |
-//	             uvarint nexc | (uvarint row | value)...
+//	               uvarint dictLen | str... | uvarint codes...)
 //
 // Chunks are laid out back to back immediately after the directory, so
 // a chunkRef needs only rows, size, and CRC — offsets are running sums.
@@ -41,12 +40,9 @@ import (
 // dictionary in first-appearance order within the chunk, making each
 // chunk a self-contained, independently verifiable table fragment:
 // per-chunk CRC, then bounds-checked decode, then rel's structural
-// validation of each column (AdoptColumn). Version 1 was a
-// whole-table blob; Open refuses a store that still holds one with
-// ErrUnsupportedFormat. The directory's generation is always its row
-// count (a table only grows); a directory where it is not is refused,
-// and the field stays until the next format version drops it.
-const ChunkSegmentVersion = 2
+// validation of each column (AdoptColumn). Open refuses a store of any
+// other version with ErrUnsupportedFormat.
+const ChunkSegmentVersion = 3
 
 // DefaultChunkRows is the chunk size Save uses when Options.ChunkRows
 // is zero. Must be a multiple of 64.
@@ -108,13 +104,11 @@ func snapshotColumns(s *rel.TableSnapshot) []rel.Column {
 }
 
 // encodeChunkedDir frames a segment directory over chunks laid out back
-// to back in refs order. The generation field is the row count: a table
-// only grows.
+// to back in refs order.
 func encodeChunkedDir(name, parent string, rows, chunkRows int, cols []rel.Column, refs []chunkRef) []byte {
 	p := beginEnvelope(nil, chunkDirMagic, ChunkSegmentVersion)
 	p = appendString(p, name)
 	p = appendString(p, parent)
-	p = binary.AppendUvarint(p, uint64(rows)) // generation
 	p = binary.AppendUvarint(p, uint64(rows))
 	p = binary.AppendUvarint(p, uint64(chunkRows))
 	p = binary.AppendUvarint(p, uint64(len(cols)))
@@ -183,7 +177,7 @@ func chunksBound(s *rel.TableSnapshot, chunkRows int) int {
 	for lo := 0; lo < s.RowCount; lo += chunkRows {
 		rows := min(chunkRows, s.RowCount-lo)
 		words := (rows + 63) / 64
-		n += envelopeSize + len(s.Columns)*(uvarintLen(uint64(words))+8*words+1) // bitmaps, exception counts
+		n += envelopeSize + len(s.Columns)*(uvarintLen(uint64(words))+8*words) // bitmaps
 	}
 	for i := range s.Columns {
 		cs := &s.Columns[i]
@@ -286,7 +280,7 @@ func (e *chunkEncoder) appendColumn(p []byte, s *rel.TableSnapshot, ci, lo, hi i
 		}
 		e.order = order
 	}
-	return binary.AppendUvarint(p, 0), nil // exception count
+	return p, nil
 }
 
 // openEnvelopePrefix verifies an envelope that may be followed by more
@@ -321,7 +315,6 @@ func decodeChunkedDir(data []byte) (*chunkedDir, error) {
 	d := &chunkedDir{DirLen: consumed}
 	d.Name = r.str("table name")
 	d.Parent = r.str("parent name")
-	gen := r.uvarint("generation")
 	rows := r.uvarint("row count")
 	chunkRows := r.uvarint("chunk size")
 	ncols := r.uvarint("column count")
@@ -333,9 +326,6 @@ func decodeChunkedDir(data []byte) (*chunkedDir, error) {
 	}
 	if rows > math.MaxInt32 {
 		return nil, r.failf("row count %d is implausible", rows)
-	}
-	if gen != rows {
-		return nil, r.failf("generation %d is not the row count %d", gen, rows)
 	}
 	d.RowCount = int(rows)
 	if chunkRows == 0 || chunkRows%64 != 0 || chunkRows > math.MaxInt32 {
@@ -506,31 +496,47 @@ func (d *chunkedDir) decodeChunk(k int, blob []byte, cols []int, regions []int64
 	return t, nil
 }
 
+// readChunk reads chunk k's frame from src into fr, one ReadAt, and
+// decodes the columns cols of it through decodeChunk, recording every
+// column region's length in fr.regions. A failed or short read counts
+// under storage.read.errors, the bytes read under
+// storage.segment.bytes_read, and a chunk that was read but does not
+// verify (CRC, decode, structural validation) under
+// storage.checksum.failures.
+func (d *chunkedDir) readChunk(src io.ReaderAt, k int, cols []int, fr *frame, reg *obs.Registry) (*rel.Table, error) {
+	ref := &d.Chunks[k]
+	if int64(cap(fr.buf)) < ref.Size {
+		fr.buf = make([]byte, ref.Size)
+	}
+	blob := fr.buf[:ref.Size]
+	if _, err := src.ReadAt(blob, ref.Off); err != nil {
+		reg.Counter("storage.read.errors").Inc()
+		return nil, fmt.Errorf("storage: reading chunk %d of %s at offset %d: %w", k, d.Name, ref.Off, err)
+	}
+	reg.Counter("storage.segment.bytes_read").Add(ref.Size)
+	if cap(fr.regions) < len(d.Cols) {
+		fr.regions = make([]int64, len(d.Cols))
+	}
+	fr.regions = fr.regions[:len(d.Cols)]
+	tab, err := d.decodeChunk(k, blob, cols, fr.regions)
+	if err != nil {
+		reg.Counter("storage.checksum.failures").Inc()
+		return nil, err
+	}
+	return tab, nil
+}
+
 // readChunks reads chunks from.. of the segment d describes through
-// src, one ReadAt per chunk into one pooled frame buffer, verifies each
-// through decodeChunk, and joins the chunk fragments, with tail as the
-// last part unless it is nil, into one table by rel.Concat. A failed or
-// short read counts under storage.read.errors, a chunk that was read but
-// does not verify under storage.checksum.failures. src is not touched
-// when from is the chunk count.
+// src, each by readChunk into one pooled frame, and joins the chunk
+// fragments, with tail as the last part unless it is nil, into one
+// table by rel.Concat. src is not touched when from is the chunk count.
 func (d *chunkedDir) readChunks(src io.ReaderAt, from int, tail *rel.Table, reg *obs.Registry) (*rel.Table, error) {
 	parts := make([]*rel.Table, 0, len(d.Chunks)-from+1)
 	fr := frames.Get().(*frame)
 	defer frames.Put(fr)
 	for k := from; k < len(d.Chunks); k++ {
-		ref := &d.Chunks[k]
-		if int64(cap(fr.buf)) < ref.Size {
-			fr.buf = make([]byte, ref.Size)
-		}
-		blob := fr.buf[:ref.Size]
-		if _, err := src.ReadAt(blob, ref.Off); err != nil {
-			reg.Counter("storage.read.errors").Inc()
-			return nil, fmt.Errorf("storage: reading chunk %d of %s at offset %d: %w", k, d.Name, ref.Off, err)
-		}
-		reg.Counter("storage.segment.bytes_read").Add(ref.Size)
-		frag, err := d.decodeChunk(k, blob, d.all, nil)
+		frag, err := d.readChunk(src, k, d.all, fr, reg)
 		if err != nil {
-			reg.Counter("storage.checksum.failures").Inc()
 			return nil, err
 		}
 		parts = append(parts, frag)

@@ -2,8 +2,6 @@ package storage
 
 import (
 	"bytes"
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -167,8 +165,7 @@ func TestChunkedFlipsNeverLie(t *testing.T) {
 // the checksum does not see — and the links behind it must still refuse
 // everything that is not a well-formed chunk: the envelope's magic,
 // version and length, the bounds-checked decode, and structural
-// validation, and a non-empty exception section, which no build writes
-// any more, is refused as an unsupported format. Two regions have
+// validation. Two regions have
 // nothing behind the checksum, and the test says so: a live numeric value (any 64 bits are a value) and the
 // envelope's own CRC field, which the decoder no longer hashes against
 // because the directory CRC already covers it.
@@ -213,7 +210,6 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 	bitmap := at() - 16 // first word of column n's bitmap
 	ints := at()
 	r.take(8*rows, "ints")
-	r.uvarint("nexc")
 	r.take(8*r.uvarint("words"), "bitmap")
 	dictLen := at()
 	dn := r.uvarint("dict size")
@@ -223,11 +219,9 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 	}
 	codes := at()
 	r.take(rows, "codes")
-	excCount := at()
-	r.uvarint("nexc")
-	if r.err != nil || dn != 2 || blob[excCount] != 0 || at() != len(blob) || blob[dictBytes] != '0' {
-		t.Fatalf("fixture layout drifted: err %v, dict %d, exception count byte %d at %d of %d, dict byte %q",
-			r.err, dn, blob[excCount], excCount, len(blob), blob[dictBytes])
+	if r.err != nil || dn != 2 || at() != len(blob) || blob[dictBytes] != '0' {
+		t.Fatalf("fixture layout drifted: err %v, dict %d, end %d of %d, dict byte %q",
+			r.err, dn, at(), len(blob), blob[dictBytes])
 	}
 
 	flip := func(off int, mask byte) func([]byte) []byte {
@@ -250,14 +244,6 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 		{"dictionary length", flip(dictLen, 0x01), true},
 		{"dictionary bytes: entry becomes a duplicate", flip(dictBytes, 0x01), true},
 		{"code varint", flip(codes, 0x01), true},
-		{"exception row", func(b []byte) []byte {
-			// One well-formed entry: row 2, a non-NULL INT 0 in the
-			// VARCHAR column, which the envelope admits to.
-			entry := []byte{2, 0, byte(rel.TInt), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}
-			b[excCount] = 1
-			b[8] += byte(len(entry))
-			return append(b, entry...)
-		}, true},
 		{"trailing byte", func(b []byte) []byte {
 			b = append(b, 0)
 			b[8]++ // the envelope admits to the extra byte
@@ -278,9 +264,6 @@ func TestChunkVerificationChainByRegion(t *testing.T) {
 			}
 			if !tc.behindCRC && err != nil {
 				t.Fatalf("expected only the directory CRC to guard this region, but a later link refused it: %v", err)
-			}
-			if tc.name == "exception row" && !errors.Is(err, ErrUnsupportedFormat) {
-				t.Fatalf("%v, want ErrUnsupportedFormat", err)
 			}
 		})
 	}
@@ -328,73 +311,5 @@ func TestChunkRefusesNullInNotNullColumn(t *testing.T) {
 	ref := d.Chunks[0]
 	if _, err := d.decodeChunk(0, enc[ref.Off:ref.Off+ref.Size], d.all, nil); err != nil {
 		t.Fatalf("chunk 0, which holds no NULL: %v", err)
-	}
-}
-
-// driftedGeneration returns a copy of a chunked segment whose directory
-// generation field is one past its row count, the directory checksum
-// re-sealed: a well-framed segment from a writer that let the two
-// disagree. Both fields stay one byte for the fixtures here (counts
-// under 127), so nothing else in the file moves.
-func driftedGeneration(t testing.TB, seg []byte) []byte {
-	t.Helper()
-	out := append([]byte(nil), seg...)
-	payload := out[envelopeSize:chunkedDirLen(out)]
-	r := &reader{buf: payload, kind: "chunked segment directory"}
-	r.str("table name")
-	r.str("parent name")
-	if r.err != nil || r.off+1 >= len(payload) || payload[r.off] != payload[r.off+1] || payload[r.off] >= 0x7f {
-		t.Fatalf("fixture directory does not start with a one-byte generation equal to its row count (err %v)", r.err)
-	}
-	payload[r.off]++
-	binary.LittleEndian.PutUint32(out[16:20], crc32.Checksum(payload, crcTable))
-	return out
-}
-
-// TestChunkedDirRefusesGenerationDrift: a table only grows, so the
-// generation a directory records is its row count. A segment whose
-// directory records another is refused by DecodeChunkedSegment and, in
-// a store whose manifest checksums that directory, by Store.Table.
-func TestChunkedDirRefusesGenerationDrift(t *testing.T) {
-	book := fixtureDB().Table("book")
-	enc, err := EncodeChunkedSegment(book.Snapshot(), 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := fmt.Sprintf("generation %d is not the row count %d", book.RowCount()+1, book.RowCount())
-	if _, err := DecodeChunkedSegment(driftedGeneration(t, enc)); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("DecodeChunkedSegment: %v, want %q", err, want)
-	}
-
-	dir := t.TempDir()
-	man, err := Save(dir, fixtureBuilt(t), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := man.Table("book")
-	path := filepath.Join(dir, e.File)
-	seg, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seg = driftedGeneration(t, seg)
-	if err := os.WriteFile(path, seg, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e.CRC = crc32.Checksum(seg[:e.Dir], crcTable)
-	mb, err := encodeManifest(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), mb, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if _, err := st.Table("book"); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("Store.Table: %v, want %q", err, want)
 	}
 }

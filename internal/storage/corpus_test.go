@@ -21,7 +21,7 @@ func corpusEntry(data []byte) []byte {
 // testdata/fuzz/: the interesting wire-format shapes are committed so
 // CI fuzz-smoke starts from real coverage instead of an empty corpus.
 // Regenerate with -update after a (version-bumped) format change; the
-// version-1 and version-2 redo seeds stay as inputs FuzzRedoDecode must
+// redo seeds of versions 1 to 3 stay as inputs FuzzRedoDecode must
 // reject.
 func TestFuzzCorpusChecked(t *testing.T) {
 	chunked := func(tb *rel.Table, rows int) []byte {
@@ -36,6 +36,8 @@ func TestFuzzCorpusChecked(t *testing.T) {
 	empty := rel.NewTable("e", []rel.Column{{Name: rel.IDColumn, Typ: rel.TInt}})
 
 	batched := redoLog(RedoBatchVersion, 0, batchedRecord(), batchedRecord())
+	tagged := frameRecord(taggedBody("book", legacyRows...))
+	batchedV3 := redoLog(3, 0, tagged, tagged)
 
 	corpora := map[string]map[string][]byte{
 		"FuzzChunkDecode": {
@@ -48,19 +50,23 @@ func TestFuzzCorpusChecked(t *testing.T) {
 		"FuzzRedoDecode": {
 			"empty-v1":   legacyRedoLog("book"),
 			"empty-v2":   redoLog(2, 0),
-			"single-v1":  legacyRedoLog("book", []rel.Value{rel.Int(1), rel.Str("x")}),
-			"batched-v2": redoLog(2, 3, legacyFrame(batchedRecord()[recordHeaderSize:])),
-			"empty-v3":   emptyRedoLog(),
-			"batched-v3": batched,
-			"torn-v3":    batched[:len(batched)-5],
-			"zeroed-v3":  append(batched[:len(batched):len(batched)], make([]byte, 13)...),
+			"single-v1":  legacyRedoLog("book", legacyRows[0]),
+			"batched-v2": redoLog(2, 3, legacyFrame(taggedBody("book", legacyRows...))),
+			"empty-v3":   redoLog(3, 0),
+			"batched-v3": batchedV3,
+			"torn-v3":    batchedV3[:len(batchedV3)-5],
+			"zeroed-v3":  append(batchedV3[:len(batchedV3):len(batchedV3)], make([]byte, 13)...),
+			"empty-v4":   emptyRedoLog(),
+			"batched-v4": batched,
+			"torn-v4":    batched[:len(batched)-5],
+			"zeroed-v4":  append(batched[:len(batched):len(batched)], make([]byte, 13)...),
 		},
 		"FuzzEncodeChunkedSegment": fuzzEncodeSeeds(),
 	}
-	// The version-1 and version-2 redo seeds are inputs the reader must
+	// The redo seeds of earlier versions are inputs the reader must
 	// refuse.
-	for _, name := range []string{"empty-v1", "single-v1", "empty-v2", "batched-v2"} {
-		if _, _, err := readRedo(corpora["FuzzRedoDecode"][name]); !errors.Is(err, ErrUnsupportedFormat) {
+	for _, name := range []string{"empty-v1", "single-v1", "empty-v2", "batched-v2", "empty-v3", "batched-v3", "torn-v3", "zeroed-v3"} {
+		if _, _, err := fixtureTails(corpora["FuzzRedoDecode"][name]); !errors.Is(err, ErrUnsupportedFormat) {
 			t.Errorf("redo seed %s: %v, want ErrUnsupportedFormat", name, err)
 		}
 	}

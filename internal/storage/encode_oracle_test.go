@@ -40,7 +40,6 @@ func refEncode(s *rel.TableSnapshot, chunkRows int) ([]byte, error) {
 	p = appendString(p, s.Name)
 	p = appendString(p, s.Parent)
 	p = binary.AppendUvarint(p, uint64(s.RowCount))
-	p = binary.AppendUvarint(p, uint64(s.RowCount))
 	p = binary.AppendUvarint(p, uint64(chunkRows))
 	p = binary.AppendUvarint(p, uint64(len(s.Columns)))
 	for i := range s.Columns {
@@ -134,7 +133,6 @@ func refChunkPayload(part *rel.TableSnapshot) []byte {
 				p = binary.AppendUvarint(p, uint64(c))
 			}
 		}
-		p = binary.AppendUvarint(p, 0)
 	}
 	return p
 }

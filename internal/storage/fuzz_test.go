@@ -3,7 +3,11 @@ package storage
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"hash/crc32"
+	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/rel"
@@ -50,7 +54,7 @@ func redoLog(version uint32, rows int, records ...[]byte) []byte {
 	for _, r := range records {
 		log = append(log, r...)
 	}
-	if version >= RedoBatchVersion {
+	if version > 2 {
 		return log
 	}
 	foot := binary.LittleEndian.AppendUint32([]byte("XEND"), uint32(rows))
@@ -66,6 +70,38 @@ func legacyFrame(body []byte) []byte {
 	return append(out, body...)
 }
 
+// appendTaggedValue writes a value the way redo versions 1 to 3 did:
+// null flag, type, and all three payload fields.
+func appendTaggedValue(p []byte, v rel.Value) []byte {
+	p = append(p, boolByte(v.Null), byte(v.Typ))
+	p = binary.AppendVarint(p, v.I)
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v.F))
+	return appendString(p, v.S)
+}
+
+// taggedBody is a record body of versions 2 and 3: the table name, the
+// row count, and per row its value count and tagged values.
+func taggedBody(table string, rows ...[]rel.Value) []byte {
+	body := appendString(nil, table)
+	body = binary.AppendUvarint(body, uint64(len(rows)))
+	for _, row := range rows {
+		body = binary.AppendUvarint(body, uint64(len(row)))
+		for _, v := range row {
+			body = appendTaggedValue(body, v)
+		}
+	}
+	return body
+}
+
+// frameRecord frames a record body with the header of versions 3 and
+// 4: length | CRC of length | CRC of body | body.
+func frameRecord(body []byte) []byte {
+	rec := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(rec, crcTable))
+	rec = binary.LittleEndian.AppendUint32(rec, crc32.Checksum(body, crcTable))
+	return append(rec, body...)
+}
+
 // legacyRedoLog builds a version-1 redo log, the one-row-per-record
 // framing: a record body is a table name and one row's values.
 func legacyRedoLog(table string, rows ...[]rel.Value) []byte {
@@ -74,52 +110,85 @@ func legacyRedoLog(table string, rows ...[]rel.Value) []byte {
 		body := appendString(nil, table)
 		body = binary.AppendUvarint(body, uint64(len(row)))
 		for _, v := range row {
-			body = appendValue(body, v)
+			body = appendTaggedValue(body, v)
 		}
 		records = append(records, legacyFrame(body))
 	}
 	return redoLog(1, len(rows), records...)
 }
 
-// batchedRecord is a batched record of three rows to one table, the
-// shape the fuzz seeds and the checked-in corpus share.
-func batchedRecord() []byte {
-	return appendRedoBatchRecord(nil, []redoRecord{
-		{Table: "book", Row: []rel.Value{rel.Int(1), rel.Str("x")}},
-		{Table: "book", Row: []rel.Value{rel.Int(2), rel.Str("y")}},
-		{Table: "book", Row: []rel.Value{rel.NullOf(rel.TInt), rel.Str("z")}},
-	})
+// legacyRows are the rows of the version-2 and version-3 seeds.
+var legacyRows = [][]rel.Value{
+	{rel.Int(1), rel.Str("x")},
+	{rel.Int(2), rel.Str("y")},
+	{rel.NullOf(rel.TInt), rel.Str("z")},
 }
 
-// redoRowsEqual reports whether two decoded redo logs hold the same
+// batchedRecord is a batched record of three rows to the fixture's
+// book table, the shape the fuzz seeds and the checked-in corpus share:
+// a NULL and a non-NULL in every nullable column.
+func batchedRecord() []byte {
+	return appendRedoRecord(nil, []redoRun{{table: "book", cols: fixtureDB().Table("book").Columns, rows: [][]rel.Value{
+		bookRow(6),
+		{rel.Int(7), rel.Int(1), rel.NullOf(rel.TString), rel.NullOf(rel.TFloat)},
+		bookRow(8),
+	}}})
+}
+
+// fixtureTails decodes a redo log as Open does, into fresh tail tables
+// over the columns of the fixture's tables, and returns the tails that
+// received a record with the committed length.
+func fixtureTails(data []byte) (map[string]*rel.Table, int, error) {
+	db := fixtureDB()
+	tails := make(map[string]*rel.Table)
+	end, err := readRedo(data, func(body []byte) error {
+		return decodeRedoRecord(body, func(name string) (*rel.Table, error) {
+			if t := tails[name]; t != nil {
+				return t, nil
+			}
+			tb := db.Table(name)
+			if tb == nil {
+				return nil, fmt.Errorf("unknown table %q", name)
+			}
+			tails[name] = rel.NewTable(name, tb.Columns)
+			return tails[name], nil
+		})
+	})
+	return tails, end, err
+}
+
+// tailsEqual reports whether two sets of decoded tails hold the same
 // rows, value for value under BitEqual.
-func redoRowsEqual(a, b []redoRecord) bool {
+func tailsEqual(a, b map[string]*rel.Table) bool {
 	if len(a) != len(b) {
 		return false
 	}
-	for i := range a {
-		if a[i].Table != b[i].Table || len(a[i].Row) != len(b[i].Row) {
+	for name, ta := range a {
+		tb := b[name]
+		if tb == nil || ta.RowCount() != tb.RowCount() {
 			return false
 		}
-		for j := range a[i].Row {
-			if !a[i].Row[j].BitEqual(b[i].Row[j]) {
-				return false
+		for r := 0; r < ta.RowCount(); r++ {
+			for c := range ta.Columns {
+				if !ta.ValueAt(r, c).BitEqual(tb.ValueAt(r, c)) {
+					return false
+				}
 			}
 		}
 	}
 	return true
 }
 
-// FuzzRedoDecode gives the redo log reader the same treatment: no
-// panics, and every accepted log is of the current version (a version-1
-// or version-2 log is refused, however well formed). Its committed
-// prefix reads back alone to the same rows with no torn tail, and its
-// rows re-encode faithfully.
+// FuzzRedoDecode gives the redo log reader the same treatment, decoding
+// into the fixture's tables: no panics, and every accepted log is of the
+// current version (a log of an earlier version is refused, however well
+// formed). Its committed prefix reads back alone to the same rows with
+// no torn tail, and its rows re-encode faithfully.
 func FuzzRedoDecode(f *testing.F) {
 	f.Add(legacyRedoLog("book"))
-	withRec := legacyRedoLog("book", []rel.Value{rel.Int(1), rel.Str("x")})
-	f.Add(withRec)
-	f.Add(redoLog(2, 3, legacyFrame(batchedRecord()[recordHeaderSize:])))
+	f.Add(legacyRedoLog("book", legacyRows[0]))
+	f.Add(redoLog(2, 3, legacyFrame(taggedBody("book", legacyRows...))))
+	f.Add(redoLog(3, 0, frameRecord(taggedBody("book", legacyRows...))))
 	f.Add(emptyRedoLog())
 	batched := redoLog(RedoBatchVersion, 0, batchedRecord(), batchedRecord())
 	f.Add(batched)
@@ -128,7 +197,7 @@ func FuzzRedoDecode(f *testing.F) {
 	f.Add([]byte("XRDO"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, end, err := readRedo(data)
+		tails, end, err := fixtureTails(data)
 		if err != nil {
 			return
 		}
@@ -138,20 +207,20 @@ func FuzzRedoDecode(f *testing.F) {
 		if end > len(data) {
 			t.Fatalf("committed length %d exceeds the log's %d bytes", end, len(data))
 		}
-		recs2, end2, err := readRedo(data[:end])
-		if err != nil || end2 != end || !redoRowsEqual(recs, recs2) {
+		tails2, end2, err := fixtureTails(data[:end])
+		if err != nil || end2 != end || !tailsEqual(tails, tails2) {
 			t.Fatalf("committed prefix of %d bytes does not read back alone: end %d, %v", end, end2, err)
 		}
 		out := emptyRedoLog()
-		for _, r := range recs {
-			out = appendRedoBatchRecord(out, []redoRecord{r})
+		for name, tb := range tails {
+			out = appendRedoRecord(out, []redoRun{{table: name, cols: tb.Columns, rows: tb.Rows()}})
 		}
-		recs3, end3, err := readRedo(out)
+		tails3, end3, err := fixtureTails(out)
 		if err != nil || end3 != len(out) {
 			t.Fatalf("re-encoding of accepted redo log rejected: end %d of %d, %v", end3, len(out), err)
 		}
-		if !redoRowsEqual(recs, recs3) {
-			t.Fatalf("round trip drifted: %d records vs %d", len(recs3), len(recs))
+		if !tailsEqual(tails, tails3) {
+			t.Fatal("round trip drifted")
 		}
 	})
 }
@@ -201,11 +270,11 @@ func FuzzChunkDecode(f *testing.F) {
 	}
 	f.Add(anonEnc)
 	f.Add(nullInNotNullSegment(f))
-	book, err := EncodeChunkedSegment(fixtureDB().Table("book").Snapshot(), 64)
+	v2, err := os.ReadFile(filepath.Join("testdata", "golden", "v2", "t0000.seg"))
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(driftedGeneration(f, book))
+	f.Add(v2) // a segment of format 2, which must be refused
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tb, err := DecodeChunkedSegment(data)

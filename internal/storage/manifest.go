@@ -39,18 +39,13 @@ type TableEntry struct {
 	Size int64  `json:"size"`
 	CRC  uint32 `json:"crc"`
 	// ChunkRows and Dir describe the chunked segment: rows per chunk
-	// and the framed directory length. A zero ChunkRows marks a
-	// version-1 whole-table segment, which Open refuses.
+	// and the framed directory length.
 	ChunkRows int   `json:"chunkRows,omitempty"`
 	Dir       int64 `json:"dir,omitempty"`
 	// Rows and Bytes pin the decoded table's shape: a segment that
-	// decodes to anything else is rejected. Generation is always Rows
-	// (a table only grows, so its row count is its version); an entry
-	// where it is not is refused. The field stays until the next format
-	// version drops it.
-	Rows       int   `json:"rows"`
-	Generation int64 `json:"generation"`
-	Bytes      int64 `json:"bytes"`
+	// decodes to anything else is rejected.
+	Rows  int   `json:"rows"`
+	Bytes int64 `json:"bytes"`
 }
 
 // Manifest is the store's root metadata: the table list (in database
@@ -61,7 +56,7 @@ type Manifest struct {
 	// Open reads only ChunkSegmentVersion.
 	FormatVersion int `json:"formatVersion"`
 	// Epoch counts compactions: each redo-log fold writes a new
-	// generation of segment files named for the epoch and bumps it.
+	// set of segment files named for the epoch and bumps it.
 	// The manifest rename is the atomic switch between epochs.
 	Epoch int `json:"epoch,omitempty"`
 	// Tables lists every saved base table in creation order.
@@ -136,13 +131,7 @@ func decodeManifest(data []byte) (*Manifest, error) {
 			return nil, fmt.Errorf("storage: corrupt manifest: table %q has impossible shape (rows %d, size %d, bytes %d)",
 				e.Name, e.Rows, e.Size, e.Bytes)
 		}
-		if e.Generation != int64(e.Rows) {
-			return nil, fmt.Errorf("storage: corrupt manifest: table %q has generation %d, not its row count %d", e.Name, e.Generation, e.Rows)
-		}
-		if e.ChunkRows == 0 {
-			return nil, fmt.Errorf("%w: table %q is a whole-table segment (segment format 1), this build reads format %d", ErrUnsupportedFormat, e.Name, ChunkSegmentVersion)
-		}
-		if e.ChunkRows < 0 || e.ChunkRows%64 != 0 {
+		if e.ChunkRows <= 0 || e.ChunkRows%64 != 0 {
 			return nil, fmt.Errorf("storage: corrupt manifest: table %q chunk size %d is not a positive multiple of 64", e.Name, e.ChunkRows)
 		}
 		if e.Dir < envelopeSize || e.Dir > e.Size {

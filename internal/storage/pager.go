@@ -300,38 +300,17 @@ func (p *pager) dropDeadLocked(e *pageEntry) {
 	p.reg.Gauge("storage.pager.resident_bytes").Set(float64(p.resident))
 }
 
-// load reads one chunk's frame from disk into fr and decodes the columns
-// cols of it (no cache interaction), recording every column region's
-// length in fr.regions. A failed or short read counts under
-// storage.read.errors; a chunk that was read but does not verify (CRC,
-// decode, structural validation) counts under storage.checksum.failures.
+// load opens file and reads chunk k of it through readChunk (no cache
+// interaction). Failing to open the file counts under
+// storage.read.errors.
 func (p *pager) load(file string, d *chunkedDir, k int, cols []int, fr *frame) (*rel.Table, error) {
-	ref := &d.Chunks[k]
 	f, err := os.Open(filepath.Join(p.dir, file))
 	if err != nil {
 		p.reg.Counter("storage.read.errors").Inc()
 		return nil, fmt.Errorf("storage: reading chunk %d of %s: %w", k, d.Name, err)
 	}
 	defer f.Close()
-	if int64(cap(fr.buf)) < ref.Size {
-		fr.buf = make([]byte, ref.Size)
-	}
-	blob := fr.buf[:ref.Size]
-	if _, err := f.ReadAt(blob, ref.Off); err != nil {
-		p.reg.Counter("storage.read.errors").Inc()
-		return nil, fmt.Errorf("storage: reading chunk %d of %s at offset %d: %w", k, d.Name, ref.Off, err)
-	}
-	if cap(fr.regions) < len(d.Cols) {
-		fr.regions = make([]int64, len(d.Cols))
-	}
-	fr.regions = fr.regions[:len(d.Cols)]
-	tab, err := d.decodeChunk(k, blob, cols, fr.regions)
-	if err != nil {
-		p.reg.Counter("storage.checksum.failures").Inc()
-		return nil, err
-	}
-	p.reg.Counter("storage.segment.bytes_read").Add(ref.Size)
-	return tab, nil
+	return d.readChunk(f, k, cols, fr, p.reg)
 }
 
 // evictFor makes room for need bytes under the budget. Caller holds

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 
 	"repro/internal/rel"
@@ -17,9 +18,14 @@ import (
 //	"XRDO" | u32 version | record...
 //	record := u32 body length | u32 CRC32-C of the length |
 //	          u32 CRC32-C of body | body
-//	body   := string table name | uvarint row count |
-//	          (uvarint value count | value...)...
+//	body   := string table name | uvarint row count | row...
+//	row    := cell per column, in the table's column order
+//	cell   := null flag byte (nullable columns only) | the value unless
+//	          NULL, as its column's type: INT varint, FLOAT u64,
+//	          VARCHAR string
 //
+// A row carries no width or type of its own: a record decodes only
+// against its table's columns, which AppendBatch logged it under.
 // Each record is one batch of rows appended to the same table under a
 // single fsync (group commit). The log is only ever extended, and a
 // record's checksums are its commit point: the log is committed up to
@@ -36,10 +42,12 @@ import (
 // earlier commit, not as damage.
 
 // RedoBatchVersion is the redo log format: one record per
-// group-committed batch, no commit footer. Version 1 framed one row per
-// record and version 2 ended in an overwritten commit footer; readRedo
-// refuses both, like any other version, with ErrUnsupportedFormat.
-const RedoBatchVersion = 3
+// group-committed batch, each value written as its column's type.
+// Version 1 framed one row per record, version 2 ended in an
+// overwritten commit footer, and version 3 tagged every value with its
+// own null flag, type and three payload fields; readRedo refuses them,
+// like any other version, with ErrUnsupportedFormat.
+const RedoBatchVersion = 4
 
 var redoMagic = [4]byte{'X', 'R', 'D', 'O'}
 
@@ -47,10 +55,12 @@ var redoMagic = [4]byte{'X', 'R', 'D', 'O'}
 // recordHeaderSize a record's: length + its CRC + the body's CRC.
 const redoHeaderSize, recordHeaderSize = 4 + 4, 4 + 4 + 4
 
-// redoRecord is one replayable append.
-type redoRecord struct {
-	Table string
-	Row   []rel.Value
+// redoRun is the rows of one AppendBatch call as they are logged: every
+// value is of its column's type and admitted by it.
+type redoRun struct {
+	table string
+	cols  []rel.Column
+	rows  [][]rel.Value
 }
 
 // emptyRedoLog is the initial file Save and every epoch publish write:
@@ -59,18 +69,37 @@ func emptyRedoLog() []byte {
 	return binary.LittleEndian.AppendUint32(append([]byte(nil), redoMagic[:]...), RedoBatchVersion)
 }
 
-// appendRedoBatchRecord appends recs, a non-empty run of rows appended
-// to the table recs[0] names, to p as a single checksummed record: the
-// header is written zero and filled in once the body follows it.
-func appendRedoBatchRecord(p []byte, recs []redoRecord) []byte {
+// encodeRedoBatch appends the runs of one group commit to p, one record
+// per stretch of consecutive runs to the same table.
+func encodeRedoBatch(p []byte, runs []redoRun) []byte {
+	for i := 0; i < len(runs); {
+		j := i + 1
+		for j < len(runs) && runs[j].table == runs[i].table {
+			j++
+		}
+		p = appendRedoRecord(p, runs[i:j])
+		i = j
+	}
+	return p
+}
+
+// appendRedoRecord appends runs, all to the table runs[0] names, to p
+// as a single checksummed record: the header is written zero and
+// filled in once the body follows it.
+func appendRedoRecord(p []byte, runs []redoRun) []byte {
 	start := len(p)
 	p = append(p, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
-	p = appendString(p, recs[0].Table)
-	p = binary.AppendUvarint(p, uint64(len(recs)))
-	for _, rec := range recs {
-		p = binary.AppendUvarint(p, uint64(len(rec.Row)))
-		for _, v := range rec.Row {
-			p = appendValue(p, v)
+	p = appendString(p, runs[0].table)
+	n := 0
+	for _, run := range runs {
+		n += len(run.rows)
+	}
+	p = binary.AppendUvarint(p, uint64(n))
+	for _, run := range runs {
+		for _, row := range run.rows {
+			for ci, v := range row {
+				p = appendCell(p, &run.cols[ci], v)
+			}
 		}
 	}
 	rec := p[start:]
@@ -80,22 +109,40 @@ func appendRedoBatchRecord(p []byte, recs []redoRecord) []byte {
 	return p
 }
 
-// readRedo parses a redo log file's full contents and returns its rows
-// and end, the committed length: the offset just past the last record
-// that verifies. Bytes past end are a torn tail. Bad magic, damage (see
-// the layout above), or a body that does not decode is an error, and a
-// version other than RedoBatchVersion is ErrUnsupportedFormat; the
-// caller treats the store as unopenable.
-// Batched records are flattened to one redoRecord per row, in order.
-func readRedo(data []byte) (recs []redoRecord, end int, err error) {
+// appendCell writes v, which c admits, as c's type: a null flag when c
+// is nullable, then the value unless it is NULL.
+func appendCell(p []byte, c *rel.Column, v rel.Value) []byte {
+	if c.Nullable {
+		p = append(p, boolByte(v.Null))
+	}
+	if v.Null {
+		return p
+	}
+	switch c.Typ {
+	case rel.TInt:
+		return binary.AppendVarint(p, v.I)
+	case rel.TFloat:
+		return binary.LittleEndian.AppendUint64(p, math.Float64bits(v.F))
+	}
+	return appendString(p, v.S)
+}
+
+// readRedo parses a redo log file's full contents, hands the body of
+// every record that verifies to apply in log order, and returns end, the
+// committed length: the offset just past the last record that verifies.
+// Bytes past end are a torn tail. Bad magic, damage (see the layout
+// above), or an error from apply is an error, and a version other than
+// RedoBatchVersion is ErrUnsupportedFormat; the caller treats the store
+// as unopenable.
+func readRedo(data []byte, apply func(body []byte) error) (end int, err error) {
 	if len(data) < redoHeaderSize {
-		return nil, 0, fmt.Errorf("storage: redo log truncated: %d bytes, need at least %d", len(data), redoHeaderSize)
+		return 0, fmt.Errorf("storage: redo log truncated: %d bytes, need at least %d", len(data), redoHeaderSize)
 	}
 	if [4]byte(data[:4]) != redoMagic {
-		return nil, 0, fmt.Errorf("storage: not a redo log (magic %q)", data[:4])
+		return 0, fmt.Errorf("storage: not a redo log (magic %q)", data[:4])
 	}
 	if v := binary.LittleEndian.Uint32(data[4:8]); v != RedoBatchVersion {
-		return nil, 0, fmt.Errorf("%w: redo log version %d, this build reads version %d", ErrUnsupportedFormat, v, RedoBatchVersion)
+		return 0, fmt.Errorf("%w: redo log version %d, this build reads version %d", ErrUnsupportedFormat, v, RedoBatchVersion)
 	}
 	end = redoHeaderSize
 	for len(data)-end >= recordHeaderSize {
@@ -104,7 +151,7 @@ func readRedo(data []byte) (recs []redoRecord, end int, err error) {
 			if len(bytes.TrimLeft(rec[recordHeaderSize:], "\x00")) == 0 {
 				break // only zero bytes after it: torn tail
 			}
-			return nil, 0, fmt.Errorf("storage: redo record at offset %d: length fails its checksum", end)
+			return 0, fmt.Errorf("storage: redo record at offset %d: length fails its checksum", end)
 		}
 		n := uint64(binary.LittleEndian.Uint32(rec))
 		if n > uint64(len(rec)-recordHeaderSize) {
@@ -115,71 +162,52 @@ func readRedo(data []byte) (recs []redoRecord, end int, err error) {
 			if len(bytes.TrimLeft(after, "\x00")) == 0 {
 				break // only zero bytes after it: torn tail
 			}
-			return nil, 0, fmt.Errorf("storage: redo record at offset %d checksum mismatch: record says %08x, body hashes to %08x", end, want, got)
+			return 0, fmt.Errorf("storage: redo record at offset %d checksum mismatch: record says %08x, body hashes to %08x", end, want, got)
 		}
-		batch, err := decodeRedoBatchBody(body)
-		if err != nil {
-			return nil, 0, fmt.Errorf("storage: redo record at offset %d: %w", end, err)
+		if err := apply(body); err != nil {
+			return 0, fmt.Errorf("storage: redo record at offset %d: %w", end, err)
 		}
-		recs = append(recs, batch...)
 		end = len(data) - len(after)
 	}
-	return recs, end, nil
+	return end, nil
 }
 
-// decodeRedoBatchBody parses one checksum-verified record body into
-// one redoRecord per row.
-func decodeRedoBatchBody(body []byte) ([]redoRecord, error) {
+// decodeRedoRecord decodes one verified record body straight into the
+// tail table tailOf returns for the table the record names, each row as
+// that table's columns declare it. A null flag other than 0 or 1, or a
+// body that does not decode under the columns, is damage. On an error
+// the tail may hold some of the record's rows: the caller refuses the
+// store.
+func decodeRedoRecord(body []byte, tailOf func(table string) (*rel.Table, error)) error {
 	r := &reader{buf: body, kind: "redo record"}
-	table := r.str("table name")
-	if r.err == nil && table == "" {
-		r.failf("empty table name")
-	}
+	name := r.str("table name")
 	nrows := r.uvarint("row count")
 	if r.err == nil && nrows > uint64(r.remaining()) {
-		// Each row costs at least one body byte; cheap sanity bound
-		// before allocating.
+		// Every column writes at least one byte a row; a cheap bound
+		// before the loop.
 		r.failf("row count %d exceeds remaining body %d", nrows, r.remaining())
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
-	recs := make([]redoRecord, 0, nrows)
+	t, err := tailOf(name)
+	if err != nil {
+		return err
+	}
+	row := make([]rel.Value, len(t.Columns))
 	for i := uint64(0); i < nrows; i++ {
-		nvals := r.uvarint("value count")
-		if r.err == nil && nvals > uint64(r.remaining()) {
-			r.failf("value count %d exceeds remaining body %d", nvals, r.remaining())
+		for ci := range row {
+			row[ci] = r.cell(&t.Columns[ci])
 		}
 		if r.err != nil {
-			return nil, r.err
+			return r.err
 		}
-		row := make([]rel.Value, nvals)
-		for j := range row {
-			row[j] = r.value()
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		recs = append(recs, redoRecord{Table: table, Row: row})
+		t.AppendRow(row)
 	}
 	if r.remaining() != 0 {
-		return nil, r.failf("%d trailing bytes after batch rows", r.remaining())
+		return r.failf("%d trailing bytes after batch rows", r.remaining())
 	}
-	return recs, nil
-}
-
-// encodeRedoBatch appends the records of one group commit to p:
-// consecutive rows to the same table fold into one batched record.
-func encodeRedoBatch(p []byte, recs []redoRecord) []byte {
-	for i := 0; i < len(recs); {
-		j := i + 1
-		for j < len(recs) && recs[j].Table == recs[i].Table {
-			j++
-		}
-		p = appendRedoBatchRecord(p, recs[i:j])
-		i = j
-	}
-	return p
+	return nil
 }
 
 // writeRedoBatch cuts the log back to end, its committed length,

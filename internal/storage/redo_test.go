@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -144,11 +145,12 @@ func TestTornGroupCommitSecondRecord(t *testing.T) {
 	want["book"].AppendRow(bookRow(100))
 
 	path := filepath.Join(dir, RedoName)
-	recs := []redoRecord{
-		{Table: "book", Row: bookRow(100)},
-		{Table: "author", Row: []rel.Value{rel.Int(6), rel.Int(1), rel.Str("Lamport"), rel.Int(1941)}},
+	db := fixtureDB()
+	runs := []redoRun{
+		{table: "book", cols: db.Table("book").Columns, rows: [][]rel.Value{bookRow(100)}},
+		{table: "author", cols: db.Table("author").Columns, rows: [][]rel.Value{{rel.Int(6), rel.Int(1), rel.Str("Lamport"), rel.Int(1941)}}},
 	}
-	if _, err := appendRedoBatch(path, recs, redoHeaderSize); err != nil {
+	if _, err := appendRedoBatch(path, runs, redoHeaderSize); err != nil {
 		t.Fatal(err)
 	}
 	log, err := os.ReadFile(path)
@@ -311,7 +313,7 @@ func TestTornTailCutByNextAppend(t *testing.T) {
 			if !bytes.HasPrefix(log, prev) {
 				t.Fatal("the append rewrote committed bytes of the redo log")
 			}
-			if _, end, err := readRedo(log); err != nil || end != len(log) {
+			if _, end, err := fixtureTails(log); err != nil || end != len(log) {
 				t.Fatalf("after the append the log is committed to %d of %d bytes: %v", end, len(log), err)
 			}
 			again, torn, err := openTorn(t, dir)
@@ -330,16 +332,26 @@ func TestTornTailCutByNextAppend(t *testing.T) {
 	}
 }
 
-// refRedoBatchRecord is the redo record encoder as it was written first,
-// a record built in a buffer of its own from a header slice of rows:
-// the oracle that pins appendRedoBatchRecord's bytes.
-func refRedoBatchRecord(table string, rows [][]rel.Value) []byte {
+// refRedoBatchRecord is a redo record built in a buffer of its own
+// from a header slice of rows, each value written as its column's type
+// by a switch of its own: the oracle that pins appendRedoRecord's bytes.
+func refRedoBatchRecord(table string, cols []rel.Column, rows [][]rel.Value) []byte {
 	rec := appendString(make([]byte, recordHeaderSize), table)
 	rec = binary.AppendUvarint(rec, uint64(len(rows)))
 	for _, row := range rows {
-		rec = binary.AppendUvarint(rec, uint64(len(row)))
-		for _, v := range row {
-			rec = appendValue(rec, v)
+		for ci, v := range row {
+			if cols[ci].Nullable {
+				rec = append(rec, boolByte(v.Null))
+			}
+			switch {
+			case v.Null:
+			case cols[ci].Typ == rel.TInt:
+				rec = binary.AppendVarint(rec, v.I)
+			case cols[ci].Typ == rel.TFloat:
+				rec = binary.LittleEndian.AppendUint64(rec, math.Float64bits(v.F))
+			default:
+				rec = appendString(rec, v.S)
+			}
 		}
 	}
 	binary.LittleEndian.PutUint32(rec, uint32(len(rec)-recordHeaderSize))
@@ -348,37 +360,43 @@ func refRedoBatchRecord(table string, rows [][]rel.Value) []byte {
 	return rec
 }
 
-// appendRedoBatch writes recs as one group commit at end, encoded into
+// appendRedoBatch writes runs as one group commit at end, encoded into
 // a fresh buffer: a store's flush without the buffer it keeps.
-func appendRedoBatch(path string, recs []redoRecord, end int64) (int64, error) {
-	return writeRedoBatch(path, encodeRedoBatch(nil, recs), end)
+func appendRedoBatch(path string, runs []redoRun, end int64) (int64, error) {
+	return writeRedoBatch(path, encodeRedoBatch(nil, runs), end)
 }
 
 // TestRedoBatchBytesPinned: a group commit of rows to two tables,
 // interleaved, writes exactly the reference encoder's records — one per
-// run of rows to the same table, in commit order — after the header.
+// stretch of runs to the same table, in commit order — after the
+// header, and reads back to the rows appended.
 func TestRedoBatchBytesPinned(t *testing.T) {
+	db := fixtureDB()
+	bookCols, authorCols := db.Table("book").Columns, db.Table("author").Columns
 	author := []rel.Value{rel.Int(6), rel.Int(1), rel.Str("Lamport"), rel.Int(1941)}
-	nulls := []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Str(""), rel.NullOf(rel.TInt)}
-	recs := []redoRecord{
-		{Table: "book", Row: bookRow(100)},
-		{Table: "book", Row: bookRow(101)},
-		{Table: "author", Row: author},
-		{Table: "book", Row: bookRow(102)},
-		{Table: "author", Row: nulls},
-		{Table: "author", Row: author},
+	nulls := []rel.Value{rel.Int(7), rel.Int(1), rel.Str(""), rel.NullOf(rel.TInt)}
+	sparse := []rel.Value{rel.Int(103), rel.Int(-1), rel.NullOf(rel.TString), rel.NullOf(rel.TFloat)}
+	book := func(rows ...[]rel.Value) redoRun { return redoRun{table: "book", cols: bookCols, rows: rows} }
+	auth := func(rows ...[]rel.Value) redoRun { return redoRun{table: "author", cols: authorCols, rows: rows} }
+	runs := []redoRun{
+		book(bookRow(100)),
+		book(bookRow(101), sparse),
+		auth(author),
+		book(bookRow(102)),
+		auth(nulls),
+		auth(author),
 	}
 	want := emptyRedoLog()
-	want = append(want, refRedoBatchRecord("book", [][]rel.Value{bookRow(100), bookRow(101)})...)
-	want = append(want, refRedoBatchRecord("author", [][]rel.Value{author})...)
-	want = append(want, refRedoBatchRecord("book", [][]rel.Value{bookRow(102)})...)
-	want = append(want, refRedoBatchRecord("author", [][]rel.Value{nulls, author})...)
+	want = append(want, refRedoBatchRecord("book", bookCols, [][]rel.Value{bookRow(100), bookRow(101), sparse})...)
+	want = append(want, refRedoBatchRecord("author", authorCols, [][]rel.Value{author})...)
+	want = append(want, refRedoBatchRecord("book", bookCols, [][]rel.Value{bookRow(102)})...)
+	want = append(want, refRedoBatchRecord("author", authorCols, [][]rel.Value{nulls, author})...)
 
 	path := filepath.Join(t.TempDir(), RedoName)
 	if err := os.WriteFile(path, emptyRedoLog(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	end, err := appendRedoBatch(path, recs, redoHeaderSize)
+	end, err := appendRedoBatch(path, runs, redoHeaderSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,8 +407,14 @@ func TestRedoBatchBytesPinned(t *testing.T) {
 	if !bytes.Equal(got, want) || end != int64(len(want)) {
 		t.Fatalf("redo log is %d bytes (end %d), reference encoding %d bytes", len(got), end, len(want))
 	}
-	back, _, err := readRedo(got)
-	if err != nil || !redoRowsEqual(back, recs) {
-		t.Fatalf("pinned log reads back to %d rows, want %d: %v", len(back), len(recs), err)
+	appended := map[string]*rel.Table{"book": rel.NewTable("book", bookCols), "author": rel.NewTable("author", authorCols)}
+	for _, run := range runs {
+		for _, row := range run.rows {
+			appended[run.table].AppendRow(row)
+		}
+	}
+	back, _, err := fixtureTails(got)
+	if err != nil || !tailsEqual(back, appended) {
+		t.Fatalf("pinned log does not read back to the rows appended: %v", err)
 	}
 }

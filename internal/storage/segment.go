@@ -113,17 +113,6 @@ func appendString(p []byte, s string) []byte {
 	return append(p, s...)
 }
 
-// appendValue writes a full rel.Value: null flag, type, and all three
-// payload fields, so a redo record's values are preserved bit for bit
-// and a record that does not fit its column reads back as exactly what
-// was written, for replay to refuse by name.
-func appendValue(p []byte, v rel.Value) []byte {
-	p = append(p, boolByte(v.Null), byte(v.Typ))
-	p = binary.AppendVarint(p, v.I)
-	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(v.F))
-	return appendString(p, v.S)
-}
-
 func boolByte(b bool) byte {
 	if b {
 		return 1
@@ -213,9 +202,8 @@ func (r *reader) fixed(n uint64, what string) []byte {
 	return r.take(n*8, what)
 }
 
-// columnData decodes one column's data region — null bitmap, typed
-// payload vector, and an exception section that must be empty — into
-// cs, whose Col is already set.
+// columnData decodes one column's data region — null bitmap and typed
+// payload vector — into cs, whose Col is already set.
 // Every allocation is sized by a count already checked against the
 // remaining payload. With keep false the region is only walked: every
 // bounds check runs, nothing is allocated, and cs is left as it was —
@@ -252,13 +240,6 @@ func (r *reader) columnData(cs *rel.ColumnSnapshot, rows uint64, keep bool) {
 		}
 	default:
 		r.failf("unknown column type %d", cs.Col.Typ)
-	}
-	// A column holds one type, so the writer emits an empty exception
-	// section. Entries would be cells of another type, which only an
-	// older build could have stored and which no column can hold.
-	if nexc := r.uvarint("exception count"); r.err == nil && nexc != 0 {
-		r.err = fmt.Errorf("%w: %s column %q at offset %d carries %d exception entries; a column holds values of its own type only",
-			ErrUnsupportedFormat, r.kind, cs.Col.Name, r.off, nexc)
 	}
 }
 
@@ -356,28 +337,23 @@ func (r *reader) str(what string) string {
 	return string(r.take(r.uvarint(what+" length"), what))
 }
 
-// value decodes a full rel.Value.
-func (r *reader) value() rel.Value {
-	var v rel.Value
-	null := r.byte("value null flag")
-	typ := r.byte("value type")
-	v.I = r.varint("value int payload")
-	v.F = math.Float64frombits(r.u64("value float payload"))
-	v.S = r.str("value string payload")
-	if r.err != nil {
-		return rel.Value{}
+// cell decodes one redo row's value of column c (see appendCell).
+func (r *reader) cell(c *rel.Column) rel.Value {
+	if c.Nullable {
+		switch flag := r.byte("null flag"); flag {
+		case 0:
+		case 1:
+			return rel.NullOf(c.Typ)
+		default:
+			r.failf("null flag %d of column %q is not a boolean", flag, c.Name)
+			return rel.Value{}
+		}
 	}
-	if null > 1 {
-		r.failf("value null flag %d is not a boolean", null)
-		return rel.Value{}
+	switch c.Typ {
+	case rel.TInt:
+		return rel.Int(r.varint("int value"))
+	case rel.TFloat:
+		return rel.Float(math.Float64frombits(r.u64("float value")))
 	}
-	switch rel.Type(typ) {
-	case rel.TInt, rel.TFloat, rel.TString:
-	default:
-		r.failf("value has unknown type %d", typ)
-		return rel.Value{}
-	}
-	v.Null = null == 1
-	v.Typ = rel.Type(typ)
-	return v
+	return rel.Str(r.str("string value"))
 }

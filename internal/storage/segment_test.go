@@ -45,23 +45,25 @@ func TestSegmentVersionBump(t *testing.T) {
 	_, err := decodeManifest(mb)
 	requireUnsupported(t, "future-version manifest", err, "manifest version 2, this build reads version 1")
 
-	for _, v := range []int{1, ChunkSegmentVersion + 1} {
+	for _, v := range []int{1, 2, ChunkSegmentVersion + 1} {
 		_, err := decodeManifest(encode(&Manifest{FormatVersion: v, RedoFile: RedoName}))
-		requireUnsupported(t, "manifest of another segment format", err, fmt.Sprintf("segment format %d, this build reads format 2", v))
+		requireUnsupported(t, "manifest of another segment format", err, fmt.Sprintf("segment format %d, this build reads format %d", v, ChunkSegmentVersion))
 	}
-	// A whole-table entry in a manifest that otherwise claims the chunked
-	// format: the refusal names the table.
+	// An entry without a chunk size in a manifest of the current format
+	// is corrupt, not a format of its own.
 	whole := &Manifest{FormatVersion: ChunkSegmentVersion, RedoFile: RedoName, Tables: []TableEntry{
-		{Name: "book", File: "t0000.seg", Size: 297, Rows: 5, Generation: 5, Bytes: 182},
+		{Name: "book", File: "t0000.seg", Size: 297, Rows: 5, Bytes: 182},
 	}}
 	_, err = decodeManifest(encode(whole))
-	requireUnsupported(t, "whole-table manifest entry", err, `table "book" is a whole-table segment`)
+	if want := `table "book" chunk size 0 is not a positive multiple of 64`; err == nil || errors.Is(err, ErrUnsupportedFormat) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("entry without a chunk size: %v, want corruption naming %q", err, want)
+	}
 
-	for _, v := range []uint32{1, 2, RedoBatchVersion + 1} {
+	for _, v := range []uint32{1, 2, 3, RedoBatchVersion + 1} {
 		log := emptyRedoLog()
 		binary.LittleEndian.PutUint32(log[4:8], v)
-		_, _, err := readRedo(log)
-		requireUnsupported(t, "redo log of another version", err, fmt.Sprintf("redo log version %d, this build reads version 3", v))
+		_, _, err := fixtureTails(log)
+		requireUnsupported(t, "redo log of another version", err, fmt.Sprintf("redo log version %d, this build reads version %d", v, RedoBatchVersion))
 	}
 
 	chunked, err := EncodeChunkedSegment(fixtureDB().Tables()[0].Snapshot(), 64)
@@ -70,19 +72,21 @@ func TestSegmentVersionBump(t *testing.T) {
 	}
 	binary.LittleEndian.PutUint32(chunked[4:8], ChunkSegmentVersion+1)
 	_, err = DecodeChunkedSegment(chunked)
-	requireUnsupported(t, "future-version chunked segment", err, "chunked segment directory version 3, this build reads version 2")
+	requireUnsupported(t, "future-version chunked segment", err, fmt.Sprintf("chunked segment directory version %d, this build reads version %d", ChunkSegmentVersion+1, ChunkSegmentVersion))
 }
 
-// TestOpenRefusesLegacyStore: a store from before the chunked format is
-// refused, not converted. "legacy" holds whole-table segments under a
+// TestOpenRefusesLegacyStore: a store of an earlier format is refused,
+// not converted. "legacy" holds whole-table segments under a
 // one-row-per-record redo log; "legacy-mixed" is that store after a
-// compaction chunked book and left author whole-table. Open fails with
-// ErrUnsupportedFormat naming the segment format or the table, and
-// writes nothing: every byte of the directory stays as it was.
+// compaction chunked book and left author whole-table; "v2" is a store
+// of segment format 2 with redo rows of version 3. Open fails with
+// ErrUnsupportedFormat naming the segment format, and writes nothing:
+// every byte of the directory stays as it was.
 func TestOpenRefusesLegacyStore(t *testing.T) {
 	for name, wantSub := range map[string]string{
 		"legacy":       "segment format 1",
-		"legacy-mixed": `table "author"`,
+		"legacy-mixed": "segment format 2",
+		"v2":           "segment format 2",
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := copyStore(t, filepath.Join("testdata", "golden", name))
@@ -146,8 +150,8 @@ func TestSegmentAccounting(t *testing.T) {
 		// column descriptor per column, one reference per chunk), then per
 		// chunk an envelope and per column a region header, bitmap words,
 		// vectors (8 bytes per numeric row, <=5 bytes per string code),
-		// the chunk-local dictionary (at worst the whole dictionary in
-		// every chunk), and the empty exception section.
+		// and the chunk-local dictionary (at worst the whole dictionary in
+		// every chunk).
 		chunks := (snap.RowCount + chunkRows - 1) / chunkRows
 		bound := envelopeSize + 64 + len(snap.Name) + len(snap.Parent) + chunks*(envelopeSize+24)
 		for i := range snap.Columns {

@@ -39,10 +39,9 @@ var ErrUnsupportedFormat = errors.New("storage: unsupported format")
 const maxRedoBuf = 1 << 20
 
 // TypeError refuses a value that column Column of Table, of type Type,
-// does not admit (see rel.Column.Admits): in an append, one that does not
-// convert losslessly to Type; in a redo record, one not of Type; in
-// either, a NULL when the column is not Nullable. Row is the row's index
-// in the appended batch or the record's in the redo tail.
+// does not admit (see rel.Column.Admits) in an append: one that does not
+// convert losslessly to Type, or a NULL when the column is not Nullable.
+// Row is the row's index in the appended batch.
 type TypeError struct {
 	Table, Column string
 	Row           int
@@ -157,7 +156,7 @@ type Store struct {
 // under mu; the first to reach flushMu flushes everyone. flushed and
 // err are written and read only under flushMu.
 type commitBatch struct {
-	recs    []redoRecord
+	runs    []redoRun
 	flushed bool
 	err     error
 }
@@ -178,16 +177,15 @@ func encodeTableFile(t *rel.Table, file string, chunkRows int) (dir, chunks []by
 // chunkBytes bytes of chunks after it.
 func segmentEntry(name, parent, file string, rows int, bytes int64, chunkRows int, dir []byte, chunkBytes int64) TableEntry {
 	return TableEntry{
-		Name:       name,
-		Parent:     parent,
-		File:       file,
-		Rows:       rows,
-		Generation: int64(rows), // a table only grows
-		Bytes:      bytes,
-		Size:       int64(len(dir)) + chunkBytes,
-		CRC:        crc32.Checksum(dir, crcTable),
-		ChunkRows:  chunkRows,
-		Dir:        int64(len(dir)),
+		Name:      name,
+		Parent:    parent,
+		File:      file,
+		Rows:      rows,
+		Bytes:     bytes,
+		Size:      int64(len(dir)) + chunkBytes,
+		CRC:       crc32.Checksum(dir, crcTable),
+		ChunkRows: chunkRows,
+		Dir:       int64(len(dir)),
 	}
 }
 
@@ -250,16 +248,16 @@ func Save(dir string, b *engine.Built, opts Options) (*Manifest, error) {
 	return man, nil
 }
 
-// Open reads and verifies the manifest and the redo log, and replays the
-// log into the tail tables: each record must fit its table's columns, as
-// the verified segment directory declares them, or Open refuses the
-// store. Table data is not read yet — Table, Built, and chunk scans read
-// it when called, chunk by chunk. Open writes
-// nothing: a torn redo tail is ignored, counted in
+// Open reads and verifies the manifest and the redo log, and decodes
+// every verified record straight into its table's tail, under the
+// columns of the table's verified segment directory: a record that does
+// not decode under them refuses the store. Table data is not read yet —
+// Table, Built, and chunk scans read it when called, chunk by chunk.
+// Open writes nothing: a torn redo tail is ignored, counted in
 // storage.redo.torn_tail_bytes, and cut off by the next append. A store
-// in any format other than the one Save writes — a whole-table
-// (version-1) segment, a redo log of another version, or a version from
-// a later build — fails with ErrUnsupportedFormat.
+// in any format other than the one Save writes — a segment format or a
+// redo log version of an earlier or a later build — fails with
+// ErrUnsupportedFormat.
 func Open(dir string, opts Options) (*Store, error) {
 	start := time.Now()
 	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
@@ -275,42 +273,34 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("storage: opening redo log: %w", err)
 	}
-	recs, end, err := readRedo(rb)
+	s := &Store{
+		dir:   dir,
+		man:   man,
+		reg:   opts.Registry,
+		opts:  opts,
+		dirs:  make(map[string]*chunkedDir),
+		pager: newPager(dir, opts.MemBudgetBytes, opts.Registry),
+		tail:  make(map[string]*rel.Table),
+	}
+	var dirErr error // a segment directory counts its own failure
+	tailOf := func(name string) (*rel.Table, error) {
+		e := man.Table(name)
+		if e == nil {
+			return nil, fmt.Errorf("storage: redo log references unknown table %q", name)
+		}
+		var t *rel.Table
+		t, dirErr = s.tailTableLocked(e)
+		return t, dirErr
+	}
+	end, err := readRedo(rb, func(body []byte) error { return decodeRedoRecord(body, tailOf) })
 	if err != nil {
-		opts.Registry.Counter("storage.checksum.failures").Inc()
+		if dirErr == nil {
+			opts.Registry.Counter("storage.checksum.failures").Inc()
+		}
 		return nil, err
 	}
+	s.redoEnd = int64(end)
 	opts.Registry.Counter("storage.redo.torn_tail_bytes").Add(int64(len(rb) - end))
-	s := &Store{
-		dir:     dir,
-		man:     man,
-		reg:     opts.Registry,
-		opts:    opts,
-		dirs:    make(map[string]*chunkedDir),
-		pager:   newPager(dir, opts.MemBudgetBytes, opts.Registry),
-		tail:    make(map[string]*rel.Table),
-		redoEnd: int64(end),
-	}
-	byTable := make(map[string][]redoRecord)
-	for _, rec := range recs {
-		if man.Table(rec.Table) == nil {
-			return nil, fmt.Errorf("storage: redo log references unknown table %q", rec.Table)
-		}
-		byTable[rec.Table] = append(byTable[rec.Table], rec)
-	}
-	for i := range man.Tables {
-		e := &man.Tables[i]
-		if len(byTable[e.Name]) == 0 {
-			continue
-		}
-		t, err := s.tailTableLocked(e)
-		if err != nil {
-			return nil, err
-		}
-		if err := replayRedo(e.Name, t.Columns, byTable[e.Name], t.AppendRow); err != nil {
-			return nil, err
-		}
-	}
 	opts.Registry.Gauge("storage.open.ms").Set(float64(time.Since(start).Nanoseconds()) / 1e6)
 	return s, nil
 }
@@ -477,28 +467,6 @@ func (s *Store) readLocked(e *TableEntry, from int, tail *rel.Table) (*rel.Table
 		return nil, fmt.Errorf("storage: segment %s decodes to %d bytes, manifest says %d", e.File, t.Bytes()-tailBytes, e.Bytes)
 	}
 	return t, nil
-}
-
-// replayRedo applies a table's redo records in commit order; Open is its
-// one caller, filling the tail tables. AppendBatch logs only values
-// their columns admit, so it refuses a record whose width disagrees with
-// cols or whose value its column does not admit (a *TypeError): apply
-// never sees a row AppendRow would panic on, and no store opens with a
-// tail that a read would refuse.
-func replayRedo(table string, cols []rel.Column, tail []redoRecord, apply func(row []rel.Value)) error {
-	for i, rec := range tail {
-		if len(rec.Row) != len(cols) {
-			return fmt.Errorf("storage: redo record for table %q has %d values, table has %d columns",
-				table, len(rec.Row), len(cols))
-		}
-		for ci, v := range rec.Row {
-			if c := &cols[ci]; !c.Admits(v) {
-				return typeError(table, c, i, v)
-			}
-		}
-		apply(rec.Row)
-	}
-	return nil
 }
 
 // chunkedDirLocked returns the verified directory of a chunked
@@ -678,7 +646,7 @@ func (s *Store) Append(table string, row []rel.Value) error {
 // The rows are read in place until the batch is flushed, which happens
 // before AppendBatch returns: the caller must not modify them during the
 // call, and may reuse them afterwards, since none is retained (a
-// converted value goes into a copy of its row).
+// converted value goes into a copy of its row, and of the batch).
 func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 	if len(rows) == 0 {
 		return nil
@@ -696,38 +664,37 @@ func (s *Store) AppendBatch(table string, rows [][]rel.Value) error {
 		s.mu.Unlock()
 		return err
 	}
-	cols := tail.Columns
-	for _, row := range rows {
-		if len(row) != len(cols) {
+	run := redoRun{table: table, cols: tail.Columns, rows: rows}
+	cloned := false // run.rows is a copy of rows
+	for i, row := range rows {
+		if len(row) != len(run.cols) {
 			s.mu.Unlock()
-			return fmt.Errorf("storage: append to %q has %d values, table has %d columns", table, len(row), len(cols))
+			return fmt.Errorf("storage: append to %q has %d values, table has %d columns", table, len(row), len(run.cols))
+		}
+		copied := false
+		for ci, v := range row {
+			c := &run.cols[ci]
+			cv, ok := v.CoerceExact(c.Typ)
+			if !ok || !c.Admits(cv) {
+				s.mu.Unlock()
+				return typeError(table, c, i, v)
+			}
+			if !v.Fits(c.Typ) {
+				if !copied {
+					if !cloned {
+						run.rows, cloned = slices.Clone(rows), true
+					}
+					run.rows[i], copied = slices.Clone(row), true
+				}
+				run.rows[i][ci] = cv
+			}
 		}
 	}
 	if s.gcCur == nil {
 		s.gcCur = &commitBatch{}
 	}
 	b := s.gcCur
-	n := len(b.recs)
-	for i, row := range rows {
-		rec := redoRecord{Table: table, Row: row}
-		copied := false
-		for ci, v := range row {
-			c := &cols[ci]
-			cv, ok := v.CoerceExact(c.Typ)
-			if !ok || !c.Admits(cv) {
-				b.recs = b.recs[:n] // the open batch holds nothing of this one
-				s.mu.Unlock()
-				return typeError(table, c, i, v)
-			}
-			if !v.Fits(c.Typ) {
-				if !copied {
-					rec.Row, copied = slices.Clone(row), true
-				}
-				rec.Row[ci] = cv
-			}
-		}
-		b.recs = append(b.recs, rec)
-	}
+	b.runs = append(b.runs, run)
 	s.mu.Unlock()
 
 	s.flushMu.Lock()
@@ -753,8 +720,11 @@ func (s *Store) flushBatchLocked(b *commitBatch) {
 	path := filepath.Join(s.dir, s.man.RedoFile)
 	s.mu.Unlock()
 
-	nrows := uint32(len(b.recs))
-	s.redoBuf = encodeRedoBatch(s.redoBuf[:0], b.recs)
+	nrows := 0
+	for _, run := range b.runs {
+		nrows += len(run.rows)
+	}
+	s.redoBuf = encodeRedoBatch(s.redoBuf[:0], b.runs)
 	newEnd, err := writeRedoBatch(path, s.redoBuf, end)
 	if cap(s.redoBuf) > maxRedoBuf {
 		s.redoBuf = nil
@@ -769,8 +739,11 @@ func (s *Store) flushBatchLocked(b *commitBatch) {
 
 	s.mu.Lock()
 	s.redoEnd = newEnd
-	for _, rec := range b.recs {
-		s.tail[rec.Table].AppendRow(rec.Row)
+	for _, run := range b.runs {
+		t := s.tail[run.table]
+		for _, row := range run.rows {
+			t.AppendRow(row)
+		}
 	}
 	s.mu.Unlock()
 }

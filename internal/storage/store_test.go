@@ -415,76 +415,49 @@ func TestAppendConvertsIntoACopy(t *testing.T) {
 	check("replayed", again)
 }
 
-// TestReplayRefusesRecordsThatDoNotFit: a redo record whose value is not
-// its column's type — which AppendBatch never logs — is refused by name
-// with a *TypeError instead of being applied, so a foreign or corrupt
-// log never reaches AppendRow's panic. A NULL carrying a payload does
-// not fit either, and a NULL in the NOT NULL ID column is refused too.
-func TestReplayRefusesRecordsThatDoNotFit(t *testing.T) {
-	cols := fixtureDB().Table("book").Columns
-	good := redoRecord{Table: "book", Row: []rel.Value{rel.Int(6), rel.NullOf(rel.TInt), rel.Str("ok"), rel.Float(1)}}
-	for _, tc := range []struct {
-		col string
-		row []rel.Value
-	}{
-		{"title", []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Int(1998), rel.Float(1)}},
-		{"price", []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Str("ok"), rel.NullOf(rel.TInt)}},
-		{"PID", []rel.Value{rel.Int(7), {Null: true, Typ: rel.TInt, I: 3}, rel.Str("ok"), rel.Float(1)}},
-		{"ID", []rel.Value{rel.NullOf(rel.TInt), rel.NullOf(rel.TInt), rel.Str("ok"), rel.Float(1)}},
-	} {
-		applied := 0
-		err := replayRedo("book", cols, []redoRecord{good, {Table: "book", Row: tc.row}}, func([]rel.Value) { applied++ })
-		var te *TypeError
-		ci := slices.IndexFunc(cols, func(c rel.Column) bool { return c.Name == tc.col })
-		if !errors.As(err, &te) || te.Table != "book" || te.Column != tc.col || te.Row != 1 || !te.Value.BitEqual(tc.row[ci]) {
-			t.Fatalf("%s: replay: %v, want a *TypeError for book.%s record 1", tc.col, err, tc.col)
-		}
-		if applied != 1 {
-			t.Fatalf("%s: %d records applied, want only the one before the refusal", tc.col, applied)
-		}
-	}
-	if err := replayRedo("book", cols, []redoRecord{good}, func([]rel.Value) {}); err != nil {
-		t.Fatalf("a record that fits: %v", err)
-	}
-}
-
-// TestOpenRefusesRecordsThatDoNotFit: Open replays the redo log into the
-// tail tables, so a logged record that does not fit its table — too few
-// values, a value of another type, or a NULL in a NOT NULL column —
-// refuses the store at Open, naming the table (and, for a value, the
-// column and the record's place in the table's tail), instead of
-// opening a store whose every read of that table fails.
+// TestOpenRefusesRecordsThatDoNotFit: Open decodes the redo log into
+// the tail tables under each table's columns, so a checksummed record
+// whose body does not decode under them — a row cut short, a null flag
+// that is not 0 or 1, a row longer than the table, or a table the store
+// does not have — refuses the store at Open instead of opening a store
+// whose every read of that table fails. The refusing Open writes
+// nothing.
 func TestOpenRefusesRecordsThatDoNotFit(t *testing.T) {
-	good := redoRecord{Table: "book", Row: []rel.Value{rel.Int(6), rel.NullOf(rel.TInt), rel.Str("ok"), rel.Float(1)}}
+	cols := fixtureDB().Table("book").Columns
+	good := appendRedoRecord(nil, []redoRun{{table: "book", cols: cols, rows: [][]rel.Value{bookRow(6), bookRow(7)}}})[recordHeaderSize:]
+	// good's body: name, row count, then bookRow(6)'s ID varint (one
+	// byte) and PID null flag (1, NULL).
+	pid := len(appendString(nil, "book")) + 2
+	if good[pid] != 1 {
+		t.Fatalf("fixture layout drifted: PID null flag %d", good[pid])
+	}
 	for _, tc := range []struct {
-		col string // "" for a width error
-		row []rel.Value
+		name, want string
+		body       []byte
 	}{
-		{"", []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Str("ok")}},
-		{"title", []rel.Value{rel.Int(7), rel.NullOf(rel.TInt), rel.Int(1998), rel.Float(1)}},
-		{"ID", []rel.Value{rel.NullOf(rel.TInt), rel.NullOf(rel.TInt), rel.Str("ok"), rel.Float(1)}},
+		{"row cut short", "truncated", good[:len(good)-3]},
+		{"null flag 2", "null flag 2 of column \"PID\" is not a boolean", func() []byte {
+			b := slices.Clone(good)
+			b[pid] = 2
+			return b
+		}()},
+		{"trailing bytes", "trailing bytes", append(slices.Clone(good), 0)},
+		{"unknown table", `unknown table "ghost"`, appendRedoRecord(nil, []redoRun{{table: "ghost", cols: cols, rows: [][]rel.Value{bookRow(6)}}})[recordHeaderSize:]},
 	} {
 		dir := t.TempDir()
 		if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
 			t.Fatal(err)
 		}
 		path := filepath.Join(dir, RedoName)
-		log := appendRedoBatchRecord(emptyRedoLog(), []redoRecord{good, {Table: "book", Row: tc.row}})
+		log := append(emptyRedoLog(), frameRecord(tc.body)...)
 		if err := os.WriteFile(path, log, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		_, err := Open(dir, Options{})
-		var te *TypeError
-		switch {
-		case tc.col == "":
-			if err == nil || !strings.Contains(err.Error(), `table "book" has 3 values, table has 4 columns`) {
-				t.Fatalf("short record: Open: %v, want a width error naming book", err)
-			}
-		case !errors.As(err, &te) || te.Table != "book" || te.Column != tc.col || te.Row != 1:
-			t.Fatalf("%s: Open: %v, want a *TypeError for book.%s record 1", tc.col, err, tc.col)
+		if _, err := Open(dir, Options{}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: Open: %v, want an error naming %q", tc.name, err, tc.want)
 		}
 		if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, log) {
-			t.Fatalf("%s: the refusing Open changed the redo log (%v)", tc.col, err)
+			t.Fatalf("%s: the refusing Open changed the redo log (%v)", tc.name, err)
 		}
 	}
 }
@@ -776,49 +749,8 @@ func TestOpenRejectsEscapingFileNames(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsGenerationDrift: a manifest entry whose generation is
-// not its row count is refused by Open itself, as corruption (counted
-// under storage.checksum.failures), so no read path can serve the table:
-// not Table, and not a chunk scan either.
-func TestOpenRejectsGenerationDrift(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Save(dir, fixtureBuilt(t), Options{}); err != nil {
-		t.Fatal(err)
-	}
-	mb, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	man, err := decodeManifest(mb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	man.Tables[0].Generation++
-	drifted, err := encodeManifest(man)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, ManifestName), drifted, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	st, err := Open(dir, Options{Registry: reg})
-	if err == nil {
-		st.Close()
-		t.Fatal("Open accepted a manifest entry whose generation is not its row count")
-	}
-	want := fmt.Sprintf("generation %d, not its row count %d", man.Tables[0].Generation, man.Tables[0].Rows)
-	if !strings.Contains(err.Error(), want) {
-		t.Fatalf("Open: %v, want %q", err, want)
-	}
-	if n := reg.Counter("storage.checksum.failures").Value(); n != 1 {
-		t.Fatalf("storage.checksum.failures = %d, want 1", n)
-	}
-}
-
 // TestChunkScanRefusesRowDrift: a manifest whose every entry claims
-// one row more than its segment holds (Generation kept equal to Rows,
-// so only the row count disagrees) is refused by the chunk-scan paths
+// one row more than its segment holds is refused by the chunk-scan paths
 // as it is by assembly: Store.ChunkScan and Store.PagedBuilt return an
 // error, as Store.Built does, instead of serving the segment's rows.
 func TestChunkScanRefusesRowDrift(t *testing.T) {
@@ -836,7 +768,6 @@ func TestChunkScanRefusesRowDrift(t *testing.T) {
 	}
 	for i := range man.Tables {
 		man.Tables[i].Rows++
-		man.Tables[i].Generation++
 	}
 	drifted, err := encodeManifest(man)
 	if err != nil {
@@ -881,10 +812,11 @@ func TestCloseFlushesPendingBatch(t *testing.T) {
 	// joined to the open batch and the table's tail table ready for the
 	// commit to extend, nothing flushed yet.
 	st.mu.Lock()
-	if _, err := st.tailTableLocked(st.man.Table("book")); err != nil {
+	tail, err := st.tailTableLocked(st.man.Table("book"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	st.gcCur = &commitBatch{recs: []redoRecord{{Table: "book", Row: row}}}
+	st.gcCur = &commitBatch{runs: []redoRun{{table: "book", cols: tail.Columns, rows: [][]rel.Value{row}}}}
 	st.mu.Unlock()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
