@@ -315,11 +315,12 @@ func (s *Service) RegisterBuilt(name string, b *engine.Built, m *shred.Mapping, 
 // it was built over whatever the store does next. A paged one keeps
 // answering with the rows committed at registration across appends, and
 // turns stale (errors, never wrong rows) once the store compacts.
-// Optimizer statistics are collected once at registration: from the
-// Built's own tables when resident, and table by table when paged, so a
-// paged registration holds one assembled table at a time, never a copy
-// of the corpus. Assembly reads the segment files, not the pager, so
-// registration leaves the chunk cache as it found it: the scans fill it.
+// Optimizer statistics are collected once at registration, on up to
+// GOMAXPROCS workers: from the Built's own tables when resident, and
+// table by table when paged (stats.FromTables), so a paged registration
+// holds one assembled table per worker, never a copy of the corpus.
+// Assembly reads the segment files, not the pager, so registration
+// leaves the chunk cache as it found it: the scans fill it.
 func (s *Service) RegisterStore(name string, st *storage.Store, m *shred.Mapping, paged bool) error {
 	if !paged {
 		b, err := st.Built()
@@ -328,13 +329,12 @@ func (s *Service) RegisterStore(name string, st *storage.Store, m *shred.Mapping
 		}
 		return s.RegisterBuilt(name, b, m, nil)
 	}
-	prov := make(stats.MapProvider)
-	for _, e := range st.Manifest().Tables {
-		t, err := st.Table(e.Name)
-		if err != nil {
-			return fmt.Errorf("service: register %s: %w", name, err)
-		}
-		prov[e.Name] = stats.FromTable(t)
+	tables := st.Manifest().Tables
+	prov, err := stats.FromTables(len(tables), func(i int) (*rel.Table, error) {
+		return st.Table(tables[i].Name)
+	})
+	if err != nil {
+		return fmt.Errorf("service: register %s: %w", name, err)
 	}
 	b, err := st.PagedBuilt()
 	if err != nil {

@@ -8,12 +8,13 @@
 package stats
 
 import (
-	"cmp"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sort"
 
+	"repro/internal/par"
 	"repro/internal/rel"
 	"repro/internal/sqlast"
 )
@@ -184,10 +185,11 @@ const maxDistinct = 100000
 
 // ColumnCollector accumulates ColumnStats from a stream of values of
 // one type using a deterministic reservoir sample and exact value
-// counts. It keeps every value's key — an int's value, a float's bits
-// with every NaN on one key, a string itself — and Stats sorts the keys
-// and counts their runs, so a value costs a slice append, not a
-// rendered string and a map insert.
+// counts. A string costs a dictionary code and one count per value: Add
+// interns it into the collector's own rel.Dict, and a table's column is
+// counted by the codes it already holds. An int or a float keeps its
+// key — the value, or its bits with every NaN on one key — and Stats
+// sorts the keys and counts their runs.
 type ColumnCollector struct {
 	typ      rel.Type
 	count    int64
@@ -195,7 +197,8 @@ type ColumnCollector struct {
 	widthSum int64
 	min, max rel.Value
 	nums     []int64   // TInt values, TFloat bits
-	strs     []string  // TString values
+	dict     *rel.Dict // TString: the strings counted, one code each
+	counts   []int64   // TString: occurrences per code of dict
 	nan      rel.Value // the first NaN seen: the NaN key's MCV value
 	sample   []rel.Value
 	rng      uint64
@@ -207,7 +210,11 @@ var nanKey = int64(math.Float64bits(math.NaN()))
 
 // NewColumnCollector creates a collector for values of type t.
 func NewColumnCollector(t rel.Type) *ColumnCollector {
-	return &ColumnCollector{typ: t, rng: 0x9e3779b97f4a7c15}
+	cc := &ColumnCollector{typ: t, rng: 0x9e3779b97f4a7c15}
+	if t == rel.TString {
+		cc.dict = new(rel.Dict)
+	}
+	return cc
 }
 
 // Add accumulates one value, which is NULL or of the collector's type
@@ -224,20 +231,28 @@ func (cc *ColumnCollector) Add(v rel.Value) {
 		panic(fmt.Sprintf("stats: %s value added to a %s collector", v.Typ, cc.typ))
 	}
 	cc.count++
-	cc.widthSum += int64(v.Width())
-	switch v.Typ {
-	case rel.TInt:
-		cc.nums = append(cc.nums, v.I)
-	case rel.TString:
-		cc.strs = append(cc.strs, v.S)
-	default:
-		if math.IsNaN(v.F) {
-			if !math.IsNaN(cc.nan.F) {
-				cc.nan = v
-			}
-			cc.nums = append(cc.nums, nanKey)
-			return
+	if v.Typ == rel.TString {
+		c := cc.dict.Intern(v.S)
+		if int(c) == len(cc.counts) {
+			cc.counts = append(cc.counts, 0)
 		}
+		cc.counts[c]++
+		if i := cc.slot(); i >= 0 {
+			cc.sample[i] = v
+		}
+		return
+	}
+	cc.widthSum += int64(v.Width())
+	switch {
+	case v.Typ == rel.TInt:
+		cc.nums = append(cc.nums, v.I)
+	case math.IsNaN(v.F):
+		if !math.IsNaN(cc.nan.F) {
+			cc.nan = v
+		}
+		cc.nums = append(cc.nums, nanKey)
+		return
+	default:
 		cc.nums = append(cc.nums, int64(math.Float64bits(v.F)))
 		if math.IsInf(v.F, 0) {
 			return
@@ -249,38 +264,35 @@ func (cc *ColumnCollector) Add(v rel.Value) {
 	if cc.finite == 0 || v.Compare(cc.max) > 0 {
 		cc.max = v
 	}
+	if i := cc.slot(); i >= 0 {
+		cc.sample[i] = v
+	}
+}
+
+// slot advances the deterministic xorshift reservoir by one finite
+// value and returns the sample index the value goes to, or -1 when it
+// is not sampled.
+func (cc *ColumnCollector) slot() int {
 	cc.finite++
 	if len(cc.sample) < sampleCap {
-		cc.sample = append(cc.sample, v)
-		return
+		cc.sample = append(cc.sample, rel.Value{})
+		return len(cc.sample) - 1
 	}
-	// Deterministic xorshift reservoir.
 	cc.rng ^= cc.rng << 13
 	cc.rng ^= cc.rng >> 7
 	cc.rng ^= cc.rng << 17
 	if idx := cc.rng % uint64(cc.finite); idx < uint64(sampleCap) {
-		cc.sample[idx] = v
+		return int(idx)
 	}
+	return -1
 }
 
 // Stats finalizes the collected statistics.
 func (cc *ColumnCollector) Stats() *ColumnStats {
-	cs := &ColumnStats{
-		Count: cc.count,
-		Min:   cc.min,
-		Max:   cc.max,
-		Typ:   cc.typ,
-	}
-	if cc.count > 0 {
-		cs.AvgWidth = float64(cc.widthSum) / float64(cc.count)
-	}
-	if cc.finite == 0 {
-		cs.Min, cs.Max = rel.NullOf(cc.typ), rel.NullOf(cc.typ)
-	}
-	cs.Hist = NewHistogram(cc.sample)
+	cs := &ColumnStats{Count: cc.count, Typ: cc.typ}
 	switch cc.typ {
 	case rel.TString:
-		cs.Distinct, cs.MCVs = countRuns(cc.strs, cc.count, rel.Str)
+		cs.Distinct, cs.MCVs = cc.countCodes()
 	case rel.TInt:
 		cs.Distinct, cs.MCVs = countRuns(cc.nums, cc.count, rel.Int)
 	default:
@@ -291,15 +303,55 @@ func (cc *ColumnCollector) Stats() *ColumnStats {
 			return rel.Float(math.Float64frombits(uint64(k)))
 		})
 	}
+	cs.Min, cs.Max = cc.min, cc.max
+	if cc.count > 0 {
+		cs.AvgWidth = float64(cc.widthSum) / float64(cc.count)
+	}
+	if cc.finite == 0 {
+		cs.Min, cs.Max = rel.NullOf(cc.typ), rel.NullOf(cc.typ)
+	}
+	cs.Hist = NewHistogram(cc.sample)
 	return cs
+}
+
+// countCodes finalizes a string column from its count per dictionary
+// code: the width sum and the bounds over the entries in use, and the
+// distinct count and the most-common values as countRuns gives them.
+func (cc *ColumnCollector) countCodes() (int64, []MCV) {
+	strs := cc.dict.Strs()
+	used := 0
+	cc.widthSum = 0
+	for c, n := range cc.counts {
+		if n == 0 {
+			continue
+		}
+		v := rel.Str(strs[c])
+		cc.widthSum += n * int64(v.Width())
+		if used == 0 || v.S < cc.min.S {
+			cc.min = v
+		}
+		if used == 0 || v.S > cc.max.S {
+			cc.max = v
+		}
+		used++
+	}
+	if used > maxDistinct {
+		return maxDistinct, nil
+	}
+	var top []heavy
+	uniform := float64(cc.count) / float64(used)
+	for c, n := range cc.counts {
+		if n > 0 && float64(n) >= 2*uniform {
+			top = append(top, heavy{n, rel.Str(strs[c]), strs[c]})
+		}
+	}
+	return int64(used), mostCommon(top, cc.count)
 }
 
 // countRuns sorts keys and counts their runs of equal keys, returning
 // the distinct count (capped at maxDistinct) and the most-common
-// values. Those are only meaningful when the counts are exact and the
-// value is genuinely frequent (above twice the uniform share); at most
-// mcvCount of them are kept, by count descending, then by String.
-func countRuns[K cmp.Ordered](keys []K, count int64, value func(K) rel.Value) (int64, []MCV) {
+// values.
+func countRuns(keys []int64, count int64, value func(int64) rel.Value) (int64, []MCV) {
 	slices.Sort(keys)
 	runs := 0
 	for i := range keys {
@@ -309,11 +361,6 @@ func countRuns[K cmp.Ordered](keys []K, count int64, value func(K) rel.Value) (i
 	}
 	if runs > maxDistinct {
 		return maxDistinct, nil
-	}
-	type heavy struct {
-		n   int64
-		v   rel.Value
-		str string
 	}
 	var top []heavy
 	uniform := float64(count) / float64(runs)
@@ -328,6 +375,21 @@ func countRuns[K cmp.Ordered](keys []K, count int64, value func(K) rel.Value) (i
 		}
 		i = j
 	}
+	return int64(runs), mostCommon(top, count)
+}
+
+// heavy is a value counted n times, at least twice the uniform share.
+type heavy struct {
+	n   int64
+	v   rel.Value
+	str string // v.String(), the tie-break
+}
+
+// mostCommon turns a column's heavy values into its MCVs. Those are
+// only meaningful when the counts are exact and the value is genuinely
+// frequent (above twice the uniform share); at most mcvCount of them are
+// kept, by count descending, then by String.
+func mostCommon(top []heavy, count int64) []MCV {
 	sort.Slice(top, func(i, j int) bool {
 		if top[i].n != top[j].n {
 			return top[i].n > top[j].n
@@ -338,7 +400,7 @@ func countRuns[K cmp.Ordered](keys []K, count int64, value func(K) rel.Value) (i
 	for i := 0; i < len(top) && i < mcvCount; i++ {
 		mcvs = append(mcvs, MCV{Value: top[i].v, Frac: float64(top[i].n) / float64(count)})
 	}
-	return int64(runs), mcvs
+	return mcvs
 }
 
 // CardHist is a cardinality histogram for a set-valued element: how
@@ -512,19 +574,44 @@ type MapProvider map[string]*TableStats
 func (m MapProvider) TableStats(name string) *TableStats { return m[name] }
 
 // FromDatabase computes exact TableStats from loaded relational data;
-// used when planning execution over real tables.
+// used when planning execution over real tables. It is FromTables over
+// the database's tables, and raises a FromTable panic on its caller.
 func FromDatabase(db *rel.Database) MapProvider {
-	out := make(MapProvider)
-	for _, t := range db.Tables() {
-		out[t.Name] = FromTable(t)
-	}
+	tables := db.Tables()
+	out, _ := FromTables(len(tables), func(i int) (*rel.Table, error) { return tables[i], nil })
 	return out
 }
 
+// FromTables computes the exact TableStats of n tables, table i as
+// table(i) supplies it, on up to GOMAXPROCS workers (par.Do): a worker
+// asks for one table, collects it and lets it go before it asks for the
+// next, so a caller that assembles each table (a paged store corpus)
+// holds one per worker, never a copy of the corpus. It fails with the
+// error of the lowest-numbered table that fails, as a sequential loop
+// would, and raises a panic on its caller.
+func FromTables(n int, table func(i int) (*rel.Table, error)) (MapProvider, error) {
+	ts := make([]*TableStats, n)
+	if err := par.Do(n, runtime.GOMAXPROCS(0), func(i int) error {
+		t, err := table(i)
+		if err != nil {
+			return err
+		}
+		ts[i] = FromTable(t)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	out := make(MapProvider, n)
+	for _, t := range ts {
+		out[t.Name] = t
+	}
+	return out, nil
+}
+
 // FromTable computes one table's exact TableStats from its column
-// vectors. Callers that cannot hold a whole database resident (a paged
-// store corpus) collect table by table. Like ValueAt, it panics on a
-// non-empty virtual shell or absent column.
+// vectors. It only reads the table, so FromTables collects tables side
+// by side. Like ValueAt, it panics on a non-empty virtual shell or
+// absent column.
 func FromTable(t *rel.Table) *TableStats {
 	n := t.RowCount()
 	ts := &TableStats{Name: t.Name, Rows: int64(n), Cols: make(map[string]*ColumnStats)}
@@ -577,10 +664,17 @@ func (cc *ColumnCollector) addColumn(t *rel.Table, ci int) int {
 		var codes []uint32
 		var dict *rel.Dict
 		if codes, dict, nulls, ok = t.StrCol(ci); ok {
-			cc.strs = make([]string, 0, len(codes)-nulls.SetCount())
+			// The column's own dictionary: the collector only reads it,
+			// as nothing is added to it after addColumn.
+			cc.dict, cc.counts = dict, make([]int64, dict.Len())
+			strs := dict.Strs()
 			for r, c := range codes {
 				if valid(r) {
-					cc.Add(rel.Str(dict.Str(c)))
+					cc.count++
+					cc.counts[c]++
+					if i := cc.slot(); i >= 0 {
+						cc.sample[i] = rel.Str(strs[c])
+					}
 				}
 			}
 		}

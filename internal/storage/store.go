@@ -105,8 +105,8 @@ func (o Options) chunkRowsOrDefault() int {
 //
 // The store keeps no assembled table. Every *rel.Table it hands out —
 // from Table, Built, or a PagedBuilt shell's hydration — is read for that
-// caller by readLocked straight from the segment file plus the redo tail
-// committed at that moment, belongs to the caller, and is never touched
+// caller by a segmentRead straight from the segment file plus the redo
+// tail committed at that moment, belongs to the caller, and is never touched
 // by the store again: later appends and compactions do not show in it.
 // Only ChunkScan reads through the pager.
 //
@@ -406,24 +406,42 @@ func (s *Store) entryLocked(name string) (*TableEntry, error) {
 
 // Table assembles the named table as of now: its segment, read and
 // verified chunk by chunk, plus the committed redo tail. Each call
-// returns a fresh table the caller owns.
+// returns a fresh table the caller owns. The store lock is held only to
+// pin the read (pinLocked); the chunks are read and decoded outside it,
+// so calls for several tables assemble side by side.
 func (s *Store) Table(name string) (*rel.Table, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, err := s.entryLocked(name)
+	r, err := func() (*segmentRead, error) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		e, err := s.entryLocked(name)
+		if err != nil {
+			return nil, err
+		}
+		return s.pinLocked(e, 0, s.tailLocked(name))
+	}()
 	if err != nil {
 		return nil, err
 	}
-	return s.assembleLocked(e, s.tailLocked(name))
+	return s.assemble(r)
 }
 
-// assembleLocked is the only way a live store's manifest entry becomes
-// a whole *rel.Table: readLocked from chunk 0 with the given redo tail,
-// timed under storage.segment.loads and load_ns. It has no Close fence:
-// the background compaction Close waits out assembles during shutdown.
+// assembleLocked is assemble over a read pinned now. It has no Close
+// fence: the background compaction Close waits out assembles during
+// shutdown.
 func (s *Store) assembleLocked(e *TableEntry, tail *rel.Table) (*rel.Table, error) {
+	r, err := s.pinLocked(e, 0, tail)
+	if err != nil {
+		return nil, err
+	}
+	return s.assemble(r)
+}
+
+// assemble is the only way a live store's manifest entry becomes a
+// whole *rel.Table: a pinned read from chunk 0, timed under
+// storage.segment.loads and load_ns.
+func (s *Store) assemble(r *segmentRead) (*rel.Table, error) {
 	start := time.Now()
-	t, err := s.readLocked(e, 0, tail)
+	t, err := r.read(s.reg)
 	if err != nil {
 		return nil, err
 	}
@@ -432,39 +450,60 @@ func (s *Store) assembleLocked(e *TableEntry, tail *rel.Table) (*rel.Table, erro
 	return t, nil
 }
 
-// readLocked turns chunks from.. of e's segment plus a redo tail (nil
-// for none) into a table the caller owns: the chunks are read straight
-// from the segment file, not through the pager, and go through
-// readChunks' verification chain, which joins the tail in as the last
-// part; when it is the whole segment, the table must carry the bytes the
-// manifest pins plus the tail's. With from at the chunk count it opens
-// no file. The result shares nothing with the pager, the tail, or any
-// other read.
-func (s *Store) readLocked(e *TableEntry, from int, tail *rel.Table) (*rel.Table, error) {
+// segmentRead is a read of chunks from.. of a segment plus a redo tail,
+// pinned under the store lock: the manifest entry, its verified
+// directory, and the segment file opened while the manifest lists it.
+// A compaction removes the files it replaces under the lock, and an
+// open file stays readable after its removal, so the read itself needs
+// no lock.
+type segmentRead struct {
+	e    *TableEntry
+	d    *chunkedDir
+	f    *os.File // nil when from is the chunk count
+	from int
+	tail *rel.Table
+}
+
+// pinLocked pins a read of chunks from.. of e's segment plus tail. With
+// from at the chunk count it opens no file.
+func (s *Store) pinLocked(e *TableEntry, from int, tail *rel.Table) (*segmentRead, error) {
 	d, err := s.chunkedDirLocked(e)
 	if err != nil {
 		return nil, err
 	}
-	var src io.ReaderAt
+	r := &segmentRead{e: e, d: d, from: from, tail: tail}
 	if from < len(d.Chunks) {
-		f, err := os.Open(filepath.Join(s.dir, e.File))
-		if err != nil {
+		if r.f, err = os.Open(filepath.Join(s.dir, e.File)); err != nil {
 			s.reg.Counter("storage.read.errors").Inc()
 			return nil, fmt.Errorf("storage: reading segment for table %q: %w", e.Name, err)
 		}
-		defer f.Close()
-		src = f
 	}
-	t, err := d.readChunks(src, from, tail, s.reg)
+	return r, nil
+}
+
+// read turns the pinned chunks plus the redo tail into a table the
+// caller owns, and closes the file: the chunks are read straight from
+// the segment file, not through the pager, and go through readChunks'
+// verification chain, which joins the tail in as the last part; when it
+// is the whole segment, the table must carry the bytes the manifest pins
+// plus the tail's. The result shares nothing with the pager, the tail,
+// or any other read.
+func (r *segmentRead) read(reg *obs.Registry) (*rel.Table, error) {
+	var src io.ReaderAt
+	if r.f != nil {
+		defer r.f.Close()
+		src = r.f
+	}
+	t, err := r.d.readChunks(src, r.from, r.tail, reg)
 	if err != nil {
 		return nil, err
 	}
 	var tailBytes int64
-	if tail != nil {
-		tailBytes = tail.Bytes()
+	if r.tail != nil {
+		tailBytes = r.tail.Bytes()
 	}
-	if from == 0 && t.Bytes() != e.Bytes+tailBytes {
-		return nil, fmt.Errorf("storage: segment %s decodes to %d bytes, manifest says %d", e.File, t.Bytes()-tailBytes, e.Bytes)
+	if r.from == 0 && t.Bytes() != r.e.Bytes+tailBytes {
+		return nil, fmt.Errorf("storage: segment %s decodes to %d bytes, manifest says %d", r.e.File, t.Bytes()-tailBytes, r.e.Bytes)
 	}
 	return t, nil
 }
@@ -534,19 +573,42 @@ func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan,
 		return nil, nil, nil, ErrClosed
 	}
 	db := rel.NewDatabase()
-	var scans []*ChunkScan
 	man := s.man // the shells' staleness fence, as a ChunkScan's
+	if !paged {
+		// Up to GOMAXPROCS tables assemble at once (par.Do). The workers
+		// find every directory they read resolved and every tail pinned,
+		// since chunkedDirLocked writes s.dirs. The tables before the
+		// first directory that fails still assemble, so the error is the
+		// lowest-numbered table's, as in a sequential loop.
+		n := len(man.Tables)
+		tails := make([]*rel.Table, n)
+		var dirErr error
+		for i := range man.Tables {
+			if _, dirErr = s.chunkedDirLocked(&man.Tables[i]); dirErr != nil {
+				n = i
+				break
+			}
+			tails[i] = s.tailLocked(man.Tables[i].Name)
+		}
+		tables := make([]*rel.Table, n)
+		if err := par.Do(n, runtime.GOMAXPROCS(0), func(i int) (err error) {
+			tables[i], err = s.assembleLocked(&man.Tables[i], tails[i])
+			return err
+		}); err != nil {
+			return nil, nil, nil, err
+		}
+		if dirErr != nil {
+			return nil, nil, nil, dirErr
+		}
+		for _, t := range tables {
+			db.Add(t)
+		}
+		return db, man.Design, nil, nil
+	}
+	var scans []*ChunkScan
 	for i := range man.Tables {
 		e := man.Tables[i] // copy: a shell's loader outlives this call
 		tail := s.tailLocked(e.Name)
-		if !paged {
-			t, err := s.assembleLocked(&e, tail)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			db.Add(t)
-			continue
-		}
 		cs, err := s.chunkScanLocked(&e, tail)
 		if err != nil {
 			return nil, nil, nil, err
@@ -901,7 +963,7 @@ func (s *Store) publishLocked() error {
 // segment keeps e's chunk size, so every full chunk of e's file is
 // already what an encoding of the folded table would write there: those
 // bytes are copied from the old file by copyChunks. Only the last,
-// partial chunk is read (readLocked from the first chunk that is not
+// partial chunk is read (a segmentRead from the first chunk that is not
 // full, so concatenated with the tail) and encoded from its first row
 // on. The entry's rows and bytes are e's plus the tail's. step is
 // publishLocked's killpoint hook. Caller holds mu; on error no file is
@@ -912,7 +974,11 @@ func (s *Store) foldTailLocked(e *TableEntry, tail *rel.Table, file string, step
 		return TableEntry{}, err
 	}
 	full := e.Rows / d.ChunkRows
-	last, err := s.readLocked(e, full, tail)
+	r, err := s.pinLocked(e, full, tail)
+	if err != nil {
+		return TableEntry{}, err
+	}
+	last, err := r.read(s.reg)
 	if err != nil {
 		return TableEntry{}, err
 	}
