@@ -9,9 +9,11 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -21,26 +23,81 @@ import (
 	"repro/internal/workload"
 )
 
-func main() {
+// experimentNames are the experiments -only selects, in run order.
+var experimentNames = []string{"table1", "intro", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9"}
+
+// config is the parsed command line.
+type config struct {
+	scale          float64
+	quick          bool
+	sel            func(string) bool
+	naive, naive20 bool
+	seed           int64
+	parallel       int
+	debugAddr      string
+}
+
+// parseArgs parses the command line. It refuses an -only name that is
+// not an experiment and a scale that is not positive, before any data
+// is loaded.
+func parseArgs(args []string) (*config, error) {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
-		scale     = flag.Float64("scale", 0.25, "dataset scale factor (1.0 = 20k publications / 10k movies)")
-		quick     = flag.Bool("quick", false, "smaller workloads and round caps for a fast pass")
-		only      = flag.String("only", "", "comma-separated subset: table1,intro,fig4,fig5,fig6,fig7,fig8,fig9")
-		naive     = flag.Bool("naive", true, "include Naive-Greedy on the 10-query workloads (slow)")
-		naive20   = flag.Bool("naive20", false, "also run Naive-Greedy on 20-query workloads (very slow)")
-		seedBase  = flag.Int64("seed", 7, "workload generation seed")
-		parallel  = flag.Int("parallel", 1, "concurrent candidate evaluations per search (all strategies; results are identical at any setting)")
-		debugAddr = flag.String("debug-addr", "", "serve /debug/vars, /debug/metrics, and /debug/pprof on this address while experiments run")
+		scale     = fs.Float64("scale", 0.25, "dataset scale factor (1.0 = 20k publications / 10k movies)")
+		quick     = fs.Bool("quick", false, "smaller workloads and round caps for a fast pass")
+		only      = fs.String("only", "", "comma-separated subset: "+strings.Join(experimentNames, ","))
+		naive     = fs.Bool("naive", true, "include Naive-Greedy on the 10-query workloads (slow)")
+		naive20   = fs.Bool("naive20", false, "also run Naive-Greedy on 20-query workloads (very slow)")
+		seedBase  = fs.Int64("seed", 7, "workload generation seed")
+		parallel  = fs.Int("parallel", 1, "concurrent candidate evaluations per search (all strategies; results are identical at any setting)")
+		debugAddr = fs.String("debug-addr", "", "serve /debug/vars, /debug/metrics, and /debug/pprof on this address while experiments run")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return nil, parseError{err}
+	}
+	if !(*scale > 0) {
+		return nil, fmt.Errorf("-scale %v: the scale must be positive", *scale)
+	}
 	want := map[string]bool{}
 	if *only != "" {
 		for _, s := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(s)] = true
+			name := strings.TrimSpace(s)
+			if !slices.Contains(experimentNames, name) {
+				return nil, fmt.Errorf("-only: unknown experiment %q (valid: %s)", name, strings.Join(experimentNames, ", "))
+			}
+			want[name] = true
 		}
 	}
-	sel := func(name string) bool { return len(want) == 0 || want[name] }
-	if err := run(*scale, *quick, sel, *naive, *naive20, *seedBase, *parallel, *debugAddr); err != nil {
+	return &config{
+		scale:     *scale,
+		quick:     *quick,
+		sel:       func(name string) bool { return len(want) == 0 || want[name] },
+		naive:     *naive,
+		naive20:   *naive20,
+		seed:      *seedBase,
+		parallel:  *parallel,
+		debugAddr: *debugAddr,
+	}, nil
+}
+
+// parseError is an error the flag package has already printed, with
+// the usage.
+type parseError struct{ error }
+
+func (e parseError) Unwrap() error { return e.error }
+
+func main() {
+	c, err := parseArgs(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		if !errors.As(err, new(parseError)) {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+		}
+		os.Exit(2)
+	}
+	if err := run(c.scale, c.quick, c.sel, c.naive, c.naive20, c.seed, c.parallel, c.debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}

@@ -299,9 +299,11 @@ func descendantOrSelf(n, elem *schema.Node) bool {
 	return false
 }
 
-// evalResult is a fully costed mapping.
+// evalResult is a fully costed mapping, or, with rec nil, one only
+// prepared (compiled, translated, statistics derived).
 type evalResult struct {
 	tree    *schema.Tree
+	sig     string // tree's Signature, set on every evaluation evaluate returns
 	mapping *shred.Mapping
 	prov    stats.MapProvider
 	sqls    []*sqlast.Query
@@ -311,16 +313,23 @@ type evalResult struct {
 
 // evaluateFull compiles, translates, derives statistics, and tunes a
 // mapping — one full physical design tool call (the cache-miss path of
-// evaluate). Each call is one per-candidate-evaluation span with a
-// nested tuner-call span.
-func (a *Advisor) evaluateFull(tree *schema.Tree, met *Metrics) (*evalResult, error) {
+// evaluate) — starting from prep, the tree already prepared, when it is
+// not nil. sig is the tree's Signature. Each call is one
+// per-candidate-evaluation span with a nested tuner-call span.
+func (a *Advisor) evaluateFull(tree *schema.Tree, sig string, prep *evalResult, met *Metrics) (*evalResult, error) {
 	sp := a.Opts.Obs.StartSpan("advisor.evaluate")
 	defer sp.End()
-	ev, w, err := a.prepare(tree)
-	if err != nil {
+	var ev *evalResult
+	var w physdesign.Workload
+	var err error
+	if prep != nil {
+		ev = &evalResult{tree: prep.tree, mapping: prep.mapping, prov: prep.prov, sqls: prep.sqls}
+		w = a.workloadOf(ev.sqls)
+	} else if ev, w, err = a.prepare(tree); err != nil {
 		sp.SetAttr(obs.String("error", err.Error()))
 		return nil, err
 	}
+	ev.sig = sig
 	sp.SetAttr(obs.Int("relations", int64(len(ev.mapping.Relations))))
 	tsp := sp.Child("physdesign.tune")
 	popts := a.physOpts(ev.prov, ev.mapping)
@@ -340,24 +349,37 @@ func (a *Advisor) evaluateFull(tree *schema.Tree, met *Metrics) (*evalResult, er
 	return ev, nil
 }
 
-// prepare compiles and translates a mapping without tuning.
+// prepare compiles and translates a mapping without tuning. The
+// search's memos supply every relation, statistic and translation the
+// tree shares with a mapping prepared before.
 func (a *Advisor) prepare(tree *schema.Tree) (*evalResult, physdesign.Workload, error) {
-	m, err := shred.Compile(tree)
+	m, err := a.shreds.Compile(tree)
 	if err != nil {
 		return nil, nil, err
 	}
-	prov := shred.DeriveStats(m, a.Col)
-	ev := &evalResult{tree: tree, mapping: m, prov: prov}
-	var w physdesign.Workload
-	for _, q := range a.W.Queries {
-		sql, err := translate.Translate(m, q.XPath)
+	prov := a.shreds.DeriveStats(m)
+	ev := &evalResult{tree: tree, mapping: m, prov: prov, sqls: make([]*sqlast.Query, len(a.W.Queries))}
+	for i, q := range a.W.Queries {
+		sql, err := a.sqls.Translate(m, q.XPath)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: translating %s: %w", q.XPath, err)
 		}
-		ev.sqls = append(ev.sqls, sql)
-		w = append(w, physdesign.WeightedQuery{Q: sql, Weight: q.Weight, Tag: q.XPath.String()})
+		ev.sqls[i] = sql
 	}
-	return ev, w, nil
+	if a.observe != nil {
+		a.observe(ev)
+	}
+	return ev, a.workloadOf(ev.sqls), nil
+}
+
+// workloadOf is the tuner's workload of the queries translated as sqls.
+func (a *Advisor) workloadOf(sqls []*sqlast.Query) physdesign.Workload {
+	w := make(physdesign.Workload, len(sqls))
+	for i, sql := range sqls {
+		q := a.W.Queries[i]
+		w[i] = physdesign.WeightedQuery{Q: sql, Weight: q.Weight, Tag: a.tags[i]}
+	}
+	return w
 }
 
 // HybridBaseline tunes the physical design of the hybrid-inlining

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/optimizer"
 	"repro/internal/schema"
-	"repro/internal/shred"
+	"repro/internal/sqlast"
 	"repro/internal/transform"
 	"repro/internal/translate"
 	"repro/internal/workload"
@@ -462,15 +462,25 @@ func projectionLeavesOf(ctx *schema.Node, q *xpath.Query) []*schema.Node {
 // cannot compile, translate or cost the query cannot answer it, so the
 // query costs +Inf there, never nothing.
 func (a *Advisor) queryCostFull(tree *schema.Tree, wq workload.Query, met *Metrics) float64 {
-	m, err := shred.Compile(tree)
+	m, err := a.shreds.Compile(tree)
 	if err != nil {
 		return math.Inf(1)
 	}
-	sql, err := translate.Translate(m, wq.XPath)
+	sql, err := a.sqls.Translate(m, wq.XPath)
 	if err != nil {
 		return math.Inf(1)
 	}
-	opt := optimizer.New(shred.DeriveStats(m, a.Col))
+	prov := a.shreds.DeriveStats(m)
+	if a.observe != nil {
+		ev := &evalResult{tree: tree, mapping: m, prov: prov, sqls: make([]*sqlast.Query, len(a.W.Queries))}
+		for i := range a.W.Queries {
+			if a.W.Queries[i].XPath == wq.XPath {
+				ev.sqls[i] = sql
+			}
+		}
+		a.observe(ev)
+	}
+	opt := optimizer.New(prov)
 	cost, err := opt.Cost(sql, nil)
 	met.OptimizerCalls += opt.Calls()
 	if err != nil {

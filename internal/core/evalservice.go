@@ -7,6 +7,7 @@ import (
 	"repro/internal/par"
 	"repro/internal/physdesign"
 	"repro/internal/schema"
+	"repro/internal/shred"
 	"repro/internal/translate"
 	"repro/internal/workload"
 )
@@ -20,6 +21,10 @@ import (
 // one round, by one candidate, or by one strategy is never re-costed by
 // another. The Advisor embeds it: a.evaluate is the memo itself, with
 // no forwarding layer in between.
+//
+// Below the caches, every mapping is prepared from the search's memos
+// (shreds, sqls), which hand concurrent evaluations shared read-only
+// relations, statistics and SQL.
 //
 // Evaluations are pure (they only read the advisor's base tree,
 // statistics, and workload), so concurrent calls are safe; identical
@@ -35,6 +40,18 @@ type evalService struct {
 	// every cache key (per-mapping options such as insert rates are a
 	// function of the tree and need not be keyed separately).
 	optsKey string
+
+	// shreds and sqls are the search's memos of compiled relations,
+	// derived statistics and translations (DESIGN.md, "The advisor"):
+	// a mapping prepares only what its transformation changed.
+	shreds *shred.Memo
+	sqls   *translate.Memo
+	// tags are the workload queries' texts, the tuner's query tags.
+	tags []string
+	// observe, when set (by tests), sees every mapping prepared from the
+	// memos: the tree, mapping and statistics, and the SQL of each
+	// query translated (nil where a query was not).
+	observe func(*evalResult)
 
 	mu      sync.Mutex
 	evals   map[string]*flight[*evalResult] // full tool evaluations, by tree signature
@@ -93,6 +110,10 @@ var errEvalPanicked = errors.New("core: evaluation panicked")
 // across strategy runs, so Greedy, Naive-Greedy, and Two-Step on one
 // advisor reuse each other's evaluations.
 func newEvalService(a *Advisor) *evalService {
+	tags := make([]string, len(a.W.Queries))
+	for i, q := range a.W.Queries {
+		tags[i] = q.XPath.String()
+	}
 	return &evalService{
 		a: a,
 		optsKey: physdesign.Options{
@@ -100,6 +121,9 @@ func newEvalService(a *Advisor) *evalService {
 			DisableViews:      a.Opts.DisableViews,
 			EnableVPartitions: a.Opts.EnableVPartitions,
 		}.Key(),
+		shreds:  shred.NewMemo(a.Col, a.Opts.Registry),
+		sqls:    translate.NewMemo(a.Opts.Registry),
+		tags:    tags,
 		evals:   make(map[string]*flight[*evalResult]),
 		derives: make(map[string]*flight[float64]),
 		fixed:   make(map[string]*flight[float64]),
@@ -117,16 +141,20 @@ func (s *evalService) key(treeSig string) string {
 
 // candOutcome is one candidate's result in a round.
 type candOutcome struct {
-	tree   *schema.Tree // the applied mapping; nil when the candidate does not apply
-	ev     *evalResult  // exact evaluation, when the cost function produced one
+	tree *schema.Tree // the applied mapping; nil when the candidate does not apply
+	// ev is the candidate's evaluation when the cost function produced
+	// one: tuned for an exact cost, or only prepared (rec nil) for a
+	// derived cost, which an exact evaluation of the same tree then
+	// starts from (evaluateFrom).
+	ev     *evalResult
 	cost   float64
 	met    Metrics
 	failed bool // costing error: the candidate has no cost this round
 }
 
-// costFunc costs one applied candidate, returning its exact evaluation
-// when it computed one.
-type costFunc func(tree *schema.Tree, met *Metrics) (*evalResult, float64, error)
+// costFunc costs candidate i, applied as tree, returning its evaluation
+// when it produced one (candOutcome.ev).
+type costFunc func(i int, tree *schema.Tree, met *Metrics) (*evalResult, float64, error)
 
 // round is the one candidate round every search runs: apply(i) returns
 // candidate i applied to the current mapping (nil when it does not
@@ -147,7 +175,7 @@ func (a *Advisor) round(n int, apply func(i int) *schema.Tree, cost costFunc, me
 		}
 		o.met.Transformations++
 		var err error
-		o.ev, o.cost, err = cost(o.tree, &o.met)
+		o.ev, o.cost, err = cost(i, o.tree, &o.met)
 		o.failed = err != nil
 		if u := (*translate.Unsupported)(nil); errors.As(err, &u) {
 			o.met.Dropped[u.Kind]++
@@ -173,8 +201,14 @@ func lowest(outs []candOutcome, bound float64) int {
 }
 
 // exact is the costFunc of a full, memoized tool evaluation.
-func (a *Advisor) exact(tree *schema.Tree, met *Metrics) (*evalResult, float64, error) {
-	ev, err := a.evaluate(tree, met)
+func (a *Advisor) exact(_ int, tree *schema.Tree, met *Metrics) (*evalResult, float64, error) {
+	return a.exactFrom(tree, nil, met)
+}
+
+// exactFrom is exact for a tree already prepared as prep (nil: not
+// prepared).
+func (a *Advisor) exactFrom(tree *schema.Tree, prep *evalResult, met *Metrics) (*evalResult, float64, error) {
+	ev, err := a.evaluateFrom(tree, prep, met)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -186,19 +220,34 @@ func (a *Advisor) exact(tree *schema.Tree, met *Metrics) (*evalResult, float64, 
 // physical design tool call, and every repeat — across rounds,
 // candidates, and search strategies — is a cache hit.
 func (s *evalService) evaluate(tree *schema.Tree, met *Metrics) (*evalResult, error) {
-	return memo(s, s.evals, s.key(tree.Signature()), met, func(m *Metrics) (*evalResult, error) {
-		return s.a.evaluateFull(tree, m)
+	return s.evaluateFrom(tree, nil, met)
+}
+
+// evaluateFrom is evaluate for a tree already prepared as prep (nil:
+// not prepared); a miss then tunes prep instead of preparing the tree
+// again.
+func (s *evalService) evaluateFrom(tree *schema.Tree, prep *evalResult, met *Metrics) (*evalResult, error) {
+	sig := tree.Signature()
+	return memo(s, s.evals, s.key(sig), met, func(m *Metrics) (*evalResult, error) {
+		return s.a.evaluateFull(tree, sig, prep, m)
 	})
 }
 
 // deriveCost returns the memoized Section 4.8 derived cost of moving
 // from cur to next. Rounds that reject their winner re-rank the same
 // candidates against an unchanged current mapping, so derivations
-// repeat across rounds; the cache answers the repeats.
-func (s *evalService) deriveCost(cur *evalResult, next *schema.Tree, met *Metrics) (float64, error) {
-	return memo(s, s.derives, s.key(cur.tree.Signature()+"->"+next.Signature()), met, func(m *Metrics) (float64, error) {
-		return s.a.deriveCostFull(cur, next, m)
+// repeat across rounds; the cache answers the repeats. On a miss it
+// also returns next prepared, for an exact evaluation of next to start
+// from; the memo does not keep it.
+func (s *evalService) deriveCost(cur *evalResult, next *schema.Tree, met *Metrics) (float64, *evalResult, error) {
+	var prep *evalResult
+	cost, err := memo(s, s.derives, s.key(cur.sig+"->"+next.Signature()), met, func(m *Metrics) (float64, error) {
+		var cost float64
+		var err error
+		cost, prep, err = s.a.deriveCostFull(cur, next, m)
+		return cost, err
 	})
+	return cost, prep, err
 }
 
 // costUnderDefault returns the memoized workload cost of a tree under

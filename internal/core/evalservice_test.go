@@ -128,7 +128,7 @@ func TestEvalCacheAccountingUnderRace(t *testing.T) {
 					t.Error(err)
 				}
 				adv.service().queryCost(fx.base.Clone(), fx.w.Queries[0], m)
-				if _, err := adv.deriveCost(curEv, alt.Clone(), m); err != nil {
+				if _, _, err := adv.deriveCost(curEv, alt.Clone(), m); err != nil {
 					t.Error(err)
 				}
 			}
@@ -224,7 +224,7 @@ func TestRoundCountsDroppedCandidates(t *testing.T) {
 	}
 	var met Metrics
 	adv.round(len(errs), func(i int) *schema.Tree { return trees[i] },
-		func(tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
+		func(_ int, tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
 			if err := errOf[tree]; err != nil {
 				return nil, 0, err
 			}
@@ -260,7 +260,7 @@ func TestRoundRaisesCostPanicOnCaller(t *testing.T) {
 	for _, parallelism := range []int{1, 2, 8} {
 		adv := New(fx.base, fx.col, fx.w, Options{Parallelism: parallelism})
 		var running atomic.Int32
-		cost := func(tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
+		cost := func(_ int, tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
 			if tree == trees[3] {
 				panic(errors.ErrUnsupported)
 			}
@@ -292,7 +292,7 @@ func TestRoundRaisesPanicOfAWaitedEvaluation(t *testing.T) {
 	fx := movieFixture(t, movieTestQueries[:2])
 	adv := New(fx.base, fx.col, fx.w, Options{Parallelism: 2})
 	var waiterErr error
-	cost := func(_ *schema.Tree, met *Metrics) (*evalResult, float64, error) {
+	cost := func(_ int, _ *schema.Tree, met *Metrics) (*evalResult, float64, error) {
 		c, err := memo(adv.service(), adv.fixed, "k", met, func(*Metrics) (float64, error) {
 			time.Sleep(10 * time.Millisecond) // the other candidate arrives and waits
 			panic(errors.ErrUnsupported)

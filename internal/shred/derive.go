@@ -1,6 +1,8 @@
 package shred
 
 import (
+	"slices"
+
 	"repro/internal/rel"
 	"repro/internal/schema"
 	"repro/internal/stats"
@@ -19,30 +21,77 @@ import (
 // cardinality histogram; value distributions of the fully split leaves
 // carry over with counts rescaled.
 func DeriveStats(m *Mapping, col *stats.Collection) stats.MapProvider {
+	return deriveStats(m, col, nil)
+}
+
+// deriveStats derives the statistics group by group: a group's
+// relations read only their own rows, their anchors' content and their
+// parent annotations' anchors. With a memo, a group a memo over the same
+// Collection compiled keeps its statistics per parent anchors, and
+// derives them only the first time.
+func deriveStats(m *Mapping, col *stats.Collection, memo *Memo) stats.MapProvider {
 	out := make(stats.MapProvider, len(m.Relations))
-	rows := make(map[string]float64, len(m.Relations))
-	for _, r := range m.Relations {
-		rows[r.Name] = deriveRows(m, r, col)
+	var parents []int
+	off := 0
+	for _, g := range m.groups {
+		rels := m.Relations[off : off+len(g.rels)]
+		off += len(g.rels)
+		var tables []*stats.TableStats
+		if memo != nil && g.col == col {
+			parents = parentAnchors(parents[:0], m, rels[0])
+			tables = memo.stats(g, parents, func() []*stats.TableStats { return deriveGroup(m, rels, col) })
+		} else {
+			tables = deriveGroup(m, rels, col)
+		}
+		for i, r := range rels {
+			out[r.Name] = tables[i]
+		}
 	}
-	// Total rows per annotation containing each leaf, for distributing
-	// leaf instances across partitions.
-	for _, r := range m.Relations {
+	return out
+}
+
+// deriveGroup derives the statistics of one annotation's relations.
+func deriveGroup(m *Mapping, group []*Relation, col *stats.Collection) []*stats.TableStats {
+	rows := make([]float64, len(group))
+	for i, r := range group {
+		rows[i] = deriveRows(m, r, col)
+	}
+	out := make([]*stats.TableStats, len(group))
+	for i, r := range group {
 		ts := &stats.TableStats{
 			Name: r.Name,
-			Rows: int64(rows[r.Name] + 0.5),
+			Rows: int64(rows[i] + 0.5),
 			Cols: make(map[string]*stats.ColumnStats, len(r.Columns)),
 		}
-		nr := rows[r.Name]
+		nr := rows[i]
 		var rowBytes float64 = 0
 		for _, c := range r.Columns {
-			cs := deriveColumn(m, r, c, col, nr, rows)
+			cs := deriveColumn(m, r, c, col, nr, group, rows)
 			ts.Cols[c.Name] = cs
 			rowBytes += (1-cs.NullFrac)*avgWidth(cs) + cs.NullFrac*1
 		}
 		ts.RowBytes = rowBytes
-		out[r.Name] = ts
+		out[i] = ts
 	}
 	return out
+}
+
+// parentAnchors appends, per distinct parent annotation of r in order,
+// a -1 separator and the IDs of that annotation's anchors: what
+// parentInstanceCount reads beyond the group.
+func parentAnchors(b []int, m *Mapping, r *Relation) []int {
+	for i, pa := range r.ParentAnns {
+		if pa == "" || slices.Contains(r.ParentAnns[:i], pa) {
+			continue
+		}
+		b = append(b, -1)
+		if prs := m.RelationsOf(pa); len(prs) > 0 {
+			for _, a := range prs[0].Anchors {
+				b = append(b, a.ID)
+			}
+		}
+	}
+	return b
 }
 
 func avgWidth(cs *stats.ColumnStats) float64 {
@@ -130,8 +179,10 @@ func presenceOf(m *Mapping, id int, anchor *schema.Node, col *stats.Collection) 
 }
 
 // deriveColumn builds column statistics for one relation column.
+// group is r's annotation group (m.RelationsOf(r.Ann)) and rows its
+// relations' row counts.
 func deriveColumn(m *Mapping, r *Relation, c rel.Column, col *stats.Collection,
-	relRows float64, allRows map[string]float64) *stats.ColumnStats {
+	relRows float64, group []*Relation, rows []float64) *stats.ColumnStats {
 	switch c.Name {
 	case rel.IDColumn:
 		return keyStats(int64(relRows), int64(relRows))
@@ -166,9 +217,9 @@ func deriveColumn(m *Mapping, r *Relation, c rel.Column, col *stats.Collection,
 		// Scalar inlined leaf: distribute the leaf's instances over the
 		// partitions that contain it, proportionally to their sizes.
 		var hostRows float64
-		for _, pr := range m.RelationsOf(r.Ann) {
+		for i, pr := range group {
 			if pr.HasLeaf(c.LeafID) {
-				hostRows += allRows[pr.Name]
+				hostRows += rows[i]
 			}
 		}
 		leafCount := float64(col.InstanceCount(c.LeafID))

@@ -10,9 +10,11 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 
 	"repro/internal/rel"
 	"repro/internal/schema"
+	"repro/internal/stats"
 )
 
 // Relation is one relational table of a mapping. A partitioned
@@ -35,6 +37,7 @@ type Relation struct {
 	Part *Partition
 
 	colByLeaf map[leafKey]int
+	leaves    []int // the leaf IDs of colByLeaf, ascending
 }
 
 type leafKey struct {
@@ -86,12 +89,8 @@ func (r *Relation) LeafIDsFor(colIdx int) []int {
 
 // HasLeaf reports whether the relation stores the leaf at all.
 func (r *Relation) HasLeaf(leafID int) bool {
-	for k := range r.colByLeaf {
-		if k.leafID == leafID {
-			return true
-		}
-	}
-	return false
+	_, ok := slices.BinarySearch(r.leaves, leafID)
+	return ok
 }
 
 // Home locates one column holding a leaf element's values.
@@ -114,6 +113,9 @@ type Mapping struct {
 	// Relations lists all relations in document order of their anchors.
 	Relations []*Relation
 
+	// groups are the compiled annotation groups, in the order of
+	// Relations: each contributes len(rels) consecutive relations.
+	groups []*group
 	byName map[string]*Relation
 	byAnn  map[string][]*Relation
 	homes  map[int][]Home
@@ -164,15 +166,13 @@ func (m *Mapping) SQLSchema() string {
 // Compile builds the relational mapping for an annotated schema tree
 // per the mapping rules of Section 2, including partition relations for
 // distributed unions and inline columns for repetition splits.
-func Compile(t *schema.Tree) (*Mapping, error) {
+func Compile(t *schema.Tree) (*Mapping, error) { return compile(t, nil) }
+
+// compile is Compile, taking each annotation's relations from memo
+// when it holds them (nil: compile every annotation).
+func compile(t *schema.Tree, memo *Memo) (*Mapping, error) {
 	if err := t.Validate(); err != nil {
 		return nil, fmt.Errorf("shred: %w", err)
-	}
-	m := &Mapping{
-		Tree:   t,
-		byName: make(map[string]*Relation),
-		byAnn:  make(map[string][]*Relation),
-		homes:  make(map[int][]Home),
 	}
 	// Group anchors by annotation in document order.
 	var anns []string
@@ -186,80 +186,194 @@ func Compile(t *schema.Tree) (*Mapping, error) {
 		}
 		anchors[n.Annotation] = append(anchors[n.Annotation], n)
 	})
+	m := &Mapping{
+		Tree:   t,
+		groups: make([]*group, 0, len(anns)),
+		byName: make(map[string]*Relation),
+		byAnn:  make(map[string][]*Relation, len(anns)),
+	}
+	// Compile (or look up) every group, checking relation names as
+	// they come; byName holds the templates until bind.
+	var key []byte
+	nrels, nhomes := 0, 0
 	for _, ann := range anns {
-		group := anchors[ann]
-		if err := m.compileAnnotation(ann, group); err != nil {
+		var g *group
+		var err error
+		if memo != nil {
+			g, key, err = memo.group(t, ann, anchors[ann], key)
+		} else {
+			g, err = compileGroup(t, ann, anchors[ann])
+		}
+		if err != nil {
 			return nil, err
 		}
+		for _, tmpl := range g.rels {
+			if _, dup := m.byName[tmpl.Name]; dup {
+				return nil, fmt.Errorf("shred: duplicate relation name %q", tmpl.Name)
+			}
+			m.byName[tmpl.Name] = tmpl
+		}
+		m.groups = append(m.groups, g)
+		nrels += len(g.rels)
+		nhomes += len(g.homes)
+	}
+	// Bind them: the relations and the column homes each come from one
+	// block.
+	m.Relations = make([]*Relation, 0, nrels)
+	m.homes = make(map[int][]Home, nhomes)
+	rels := make([]Relation, nrels)
+	homes := make([]Home, nhomes)
+	for _, g := range m.groups {
+		n := len(g.rels)
+		m.bind(g, rels[:n:n], homes[:len(g.homes):len(g.homes)])
+		rels, homes = rels[n:], homes[len(g.homes):]
 	}
 	return m, nil
 }
 
-func (m *Mapping) compileAnnotation(ann string, group []*schema.Node) error {
-	if len(group) > 1 {
+// group is one annotation's compiled relations, held apart from any
+// tree: its anchors are node IDs, and its relations are templates whose
+// Anchors are nil. bind gives a mapping its own Relations, re-bound to
+// the mapping's tree by ID; they share the template's Columns,
+// ParentAnns, Part and column index, which nothing writes after
+// compileGroup. A group a Memo holds is shared by every mapping of the
+// search and by concurrent compilations.
+type group struct {
+	anchors []int
+	rels    []*Relation
+	// homes are the relations' column homes, leaf by leaf in the order
+	// of each leaf's first home, and each leaf's in registration order.
+	homes []leafHome
+	// col is the Collection of the Memo that holds the group (nil for a
+	// plain Compile): derived statistics are kept with the group only
+	// for it. A mapping keeps its groups, so a group must not point back
+	// at the Memo, which holds every group of the search.
+	col *stats.Collection
+
+	mu      sync.Mutex
+	derived []derivedStats
+}
+
+// leafHome is a column home of a group: home's Rel is nil, and rel is
+// the index of its relation in the group.
+type leafHome struct {
+	leafID int
+	rel    int
+	home   Home
+	first  int // compileGroup's sort key: the index of the leaf's first home
+}
+
+// bind appends the group's relations to the mapping, rels and homes
+// being the blocks to build them in: each relation is a copy of its
+// template with Anchors taken from the mapping's tree by ID.
+func (m *Mapping) bind(g *group, rels []Relation, homes []Home) {
+	anchors := make([]*schema.Node, len(g.anchors))
+	for i, id := range g.anchors {
+		anchors[i] = m.Tree.Node(id)
+	}
+	for i, tmpl := range g.rels {
+		r := &rels[i]
+		*r = *tmpl
+		r.Anchors = anchors
+		m.Relations = append(m.Relations, r)
+		m.byName[r.Name] = r
+		m.byAnn[r.Ann] = append(m.byAnn[r.Ann], r)
+	}
+	for i, lh := range g.homes {
+		homes[i] = lh.home
+		homes[i].Rel = &rels[lh.rel]
+	}
+	for i := 0; i < len(g.homes); {
+		j := i + 1
+		for j < len(g.homes) && g.homes[j].leafID == g.homes[i].leafID {
+			j++
+		}
+		leaf := g.homes[i].leafID
+		if prev := m.homes[leaf]; prev != nil {
+			// Homes in an earlier group too (a split leaf's occurrence
+			// columns precede its overflow relation's): prev is cut
+			// from the block with its capacity at its length, so append
+			// copies it.
+			m.homes[leaf] = append(prev, homes[i:j]...)
+		} else {
+			m.homes[leaf] = homes[i:j:j]
+		}
+		i = j
+	}
+}
+
+// compileGroup compiles one annotation's relations from its anchors, in
+// document order. It reads the anchors and their content down to the
+// annotated elements below them (the frontier), each anchor's nearest
+// annotated ancestor, and the anchors' distributions in order (the
+// partition names follow that order); groupKey covers exactly these.
+func compileGroup(t *schema.Tree, ann string, anchors []*schema.Node) (*group, error) {
+	if len(anchors) > 1 {
 		parents := make(map[*schema.Node]bool)
-		for _, a := range group {
+		for _, a := range anchors {
 			if len(a.Distributions) > 0 {
-				return fmt.Errorf("shred: distribution on type-merged annotation %q is not supported", ann)
+				return nil, fmt.Errorf("shred: distribution on type-merged annotation %q is not supported", ann)
 			}
 			anc := a.AnnotatedAncestor()
 			if parents[anc] {
-				return fmt.Errorf("shred: annotation %q merges siblings of one parent; rows would be indistinguishable", ann)
+				return nil, fmt.Errorf("shred: annotation %q merges siblings of one parent; rows would be indistinguishable", ann)
 			}
 			parents[anc] = true
 		}
 	}
-	anchor := group[0]
-	parts, err := expandPartitions(m.Tree, anchor)
+	anchor := anchors[0]
+	parts, err := expandPartitions(t, anchor)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	parentAnns := make([]string, len(group))
-	for i, a := range group {
+	parentAnns := make([]string, len(anchors))
+	g := &group{anchors: make([]int, len(anchors))}
+	for i, a := range anchors {
+		g.anchors[i] = a.ID
 		if anc := a.AnnotatedAncestor(); anc != nil {
 			parentAnns[i] = anc.Annotation
 		}
 	}
 	var sig string
+	var homes []leafHome
 	for _, part := range parts {
 		name := ann
 		if part != nil {
-			name = ann + partitionSuffix(m.Tree, part)
+			name = ann + partitionSuffix(t, part)
 		}
 		r := &Relation{
 			Name:       name,
 			Ann:        ann,
-			Anchors:    group,
 			ParentAnns: parentAnns,
 			Part:       part,
 			colByLeaf:  make(map[leafKey]int),
 		}
-		if _, dup := m.byName[name]; dup {
-			return fmt.Errorf("shred: duplicate relation name %q", name)
-		}
+		ri := len(g.rels)
 		r.Columns = append(r.Columns,
 			rel.Column{Name: rel.IDColumn, Typ: rel.TInt},
 			rel.Column{Name: rel.PIDColumn, Typ: rel.TInt, Nullable: parentAnns[0] == ""},
 		)
 		// Columns from each anchor must agree for merged types.
-		for ai, a := range group {
-			cols, err := inlineColumns(m.Tree, a, part)
+		for ai, a := range anchors {
+			cols, err := inlineColumns(t, a, part)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if ai == 0 {
 				for _, c := range cols {
 					idx := len(r.Columns)
 					r.Columns = append(r.Columns, c.col)
 					r.colByLeaf[leafKey{c.leafID, c.col.Occurrence}] = idx
-					m.addHome(c.leafID, Home{Rel: r, Column: c.col.Name, Occurrence: c.col.Occurrence,
-						Overflow: overflowHome(a, c)})
+					homes = append(homes, leafHome{leafID: c.leafID, rel: ri, home: Home{Column: c.col.Name, Occurrence: c.col.Occurrence,
+						Overflow: overflowHome(a, c)}})
 				}
-				sig = columnSignature(cols, a)
+				if len(anchors) > 1 {
+					sig = columnSignature(cols, a)
+				}
 			} else {
 				if columnSignature(cols, a) != sig {
-					return fmt.Errorf("shred: annotation %q merges structurally different types (%s vs %s)",
-						ann, group[0].Path(), a.Path())
+					return nil, fmt.Errorf("shred: annotation %q merges structurally different types (%s vs %s)",
+						ann, anchors[0].Path(), a.Path())
 				}
 				// Columns align positionally (guaranteed by the
 				// signature check); register homes for this anchor's
@@ -267,16 +381,33 @@ func (m *Mapping) compileAnnotation(ann string, group []*schema.Node) error {
 				for i, c := range cols {
 					ci := 2 + i // after ID and PID
 					r.colByLeaf[leafKey{c.leafID, c.col.Occurrence}] = ci
-					m.addHome(c.leafID, Home{Rel: r, Column: r.Columns[ci].Name, Occurrence: c.col.Occurrence,
-						Overflow: overflowHome(a, c)})
+					homes = append(homes, leafHome{leafID: c.leafID, rel: ri, home: Home{Column: r.Columns[ci].Name, Occurrence: c.col.Occurrence,
+						Overflow: overflowHome(a, c)}})
 				}
 			}
 		}
-		m.Relations = append(m.Relations, r)
-		m.byName[name] = r
-		m.byAnn[ann] = append(m.byAnn[ann], r)
+		for k := range r.colByLeaf {
+			r.leaves = append(r.leaves, k.leafID)
+		}
+		slices.Sort(r.leaves)
+		r.leaves = slices.Compact(r.leaves)
+		g.rels = append(g.rels, r)
 	}
-	return nil
+	g.homes = homes
+	if len(parts) > 1 {
+		// Runs of one leaf, leaves in order of first home; one
+		// relation registers a leaf's homes one after another.
+		first := make(map[int]int)
+		for i := range homes {
+			h := &homes[i]
+			if _, ok := first[h.leafID]; !ok {
+				first[h.leafID] = i
+			}
+			h.first = first[h.leafID]
+		}
+		slices.SortStableFunc(g.homes, func(a, b leafHome) int { return a.first - b.first })
+	}
+	return g, nil
 }
 
 // overflowHome reports whether a column home is the overflow value
@@ -284,10 +415,6 @@ func (m *Mapping) compileAnnotation(ann string, group []*schema.Node) error {
 // itself and the column is its scalar value column.
 func overflowHome(anchor *schema.Node, c inlineCol) bool {
 	return anchor.IsLeaf() && c.leafID == anchor.ID && anchor.SplitCount > 0 && c.col.Occurrence == 0
-}
-
-func (m *Mapping) addHome(leafID int, h Home) {
-	m.homes[leafID] = append(m.homes[leafID], h)
 }
 
 type inlineCol struct {
@@ -429,6 +556,8 @@ func expandPartitions(t *schema.Tree, anchor *schema.Node) ([]*Partition, error)
 	}
 	parts := []*Partition{{Excluded: make(map[int]bool)}}
 	for _, d := range anchor.Distributions {
+		// The partition keeps its own copy: it outlives the tree.
+		d := schema.Distribution{Choice: d.Choice, Optionals: slices.Clone(d.Optionals)}
 		var next []*Partition
 		if d.Choice != 0 {
 			choice := t.Node(d.Choice)

@@ -10,6 +10,7 @@ package translate
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/rel"
@@ -78,7 +79,21 @@ func unsupported(kind UnsupportedKind, format string, args ...any) error {
 
 // Translate compiles an XPath query against a mapping.
 func Translate(m *shred.Mapping, q *xpath.Query) (*sqlast.Query, error) {
-	ctxNodes := ResolveContext(m.Tree, q.Context)
+	return (&translator{m: m}).translate(q)
+}
+
+// translator is one translation. It reads the mapping and its tree only
+// through its read methods (reads.go), which log every answer when
+// record is set, so that a Memo can tell whether another mapping gives
+// the same answers and so the same SQL.
+type translator struct {
+	m      *shred.Mapping
+	record bool
+	reads  []read
+}
+
+func (t *translator) translate(q *xpath.Query) (*sqlast.Query, error) {
+	ctxNodes := t.context(q.Context)
 	if len(ctxNodes) == 0 {
 		return nil, fmt.Errorf("translate: no schema element matches context %v", q.Context)
 	}
@@ -87,7 +102,7 @@ func Translate(m *shred.Mapping, q *xpath.Query) (*sqlast.Query, error) {
 	out := &sqlast.Query{OrderBy: OutputID}
 	var outNames []string
 	for i, ctx := range ctxNodes {
-		branches, names, err := translateContext(m, ctx, q)
+		branches, names, err := t.translateContext(ctx, q)
 		if err != nil {
 			return nil, err
 		}
@@ -132,69 +147,110 @@ func dedupeBranches(in []*sqlast.Select) []*sqlast.Select {
 // projection classification results
 type projPlan struct {
 	name string // output column base name
-	leaf *schema.Node
+	leaf leafNode
 	// inline: column of the host relation (may be absent in some
 	// partitions).
 	inline bool
-	// split: repetition-split leaf; k occurrence columns inline plus an
-	// overflow relation.
-	split bool
-	// child: hosted by relations whose parent is the host annotation.
+	// split: repetition-split leaf; k occurrence columns inline (named
+	// occNames) plus the overflow relations childRels.
+	split    bool
+	occNames []string
+	// childRels: the child relations holding the leaf, whose parent is
+	// the host annotation, or the split leaf's overflow relations.
 	childRels []*shred.Relation
+	// childCols are childRels' value columns of the leaf, read at the
+	// first branch that needs them.
+	childCols []rel.Column
 }
 
-func translateContext(m *shred.Mapping, ctx *schema.Node, q *xpath.Query) ([]*sqlast.Select, []string, error) {
-	hosts := m.HostRelations(ctx)
+// selPlan is a context's selection, classified once for all its host
+// partitions.
+type selPlan struct {
+	leaf leafNode // node nil: no selection
+	op   sqlast.CmpOp
+	lit  rel.Value
+	// split: a repetition-split leaf with occurrence columns in the host
+	// annotation; overflow is its overflow relation and column, read at
+	// the first host that has occurrence columns (overflowErr when that
+	// read failed).
+	split       bool
+	overflow    *shred.Relation
+	overflowCol rel.Column
+	overflowErr error
+	// inline: a column of the host annotation.
+	inline bool
+	// child: a leaf of a child relation, tested by EXISTS.
+	child    *shred.Relation
+	childCol rel.Column
+}
+
+func (t *translator) translateContext(ctx *schema.Node, q *xpath.Query) ([]*sqlast.Select, []string, error) {
+	hosts, hostAnn := t.hostRelations(ctx)
 	if len(hosts) == 0 {
 		return nil, nil, fmt.Errorf("translate: context %s has no hosting relation", ctx.Path())
 	}
-	hostAnn := hosts[0].Ann
 
 	// --- selection classification ---
-	var selLeaf *schema.Node
+	var sel selPlan
 	if q.Pred != nil {
-		leaves := resolveRelPath(ctx, q.Pred.Path)
+		leaves := t.relPath(ctx, q.Pred.Path)
 		if len(leaves) != 1 {
 			return nil, nil, unsupported(PathNotUnique, "translate: selection path %s resolves to %d elements under %s",
 				q.Pred.Path, len(leaves), ctx.Path())
 		}
-		selLeaf = leaves[0]
-		if !selLeaf.IsLeaf() {
+		sel.leaf = t.leaf(leaves[0])
+		if !sel.leaf.isLeaf {
 			return nil, nil, fmt.Errorf("translate: selection path %s is not a leaf element", q.Pred.Path)
+		}
+		sel.op, sel.lit = cmpOp(q.Pred.Op), xmlgen.LiteralValue(q.Pred.Value)
+		switch {
+		case sel.leaf.split > 0 && t.hostsInline(hostAnn, sel.leaf.id, 1):
+			sel.split = true
+		case t.hostsInline(hostAnn, sel.leaf.id, 0):
+			sel.inline = true
 		}
 	}
 
 	// --- projection classification ---
 	proj := q.Proj
 	if len(proj) == 0 {
-		proj = bareContextProjections(ctx)
+		proj = t.bareProjections(ctx)
 	}
 	plans := make([]*projPlan, 0, len(proj))
 	for _, p := range proj {
-		leaves := resolveRelPath(ctx, p)
+		leaves := t.relPath(ctx, p)
 		if len(leaves) != 1 {
 			return nil, nil, unsupported(PathNotUnique, "translate: projection %s resolves to %d elements under %s",
 				p, len(leaves), ctx.Path())
 		}
-		leaf := leaves[0]
-		if !leaf.IsLeaf() {
+		leaf := t.leaf(leaves[0])
+		if !leaf.isLeaf {
 			return nil, nil, fmt.Errorf("translate: projection %s is not a leaf element", p)
 		}
 		pp := &projPlan{name: strings.Join(p, "_"), leaf: leaf}
 		switch {
-		case leaf.SplitCount > 0 && hostsLeafInline(m, hostAnn, leaf, 1):
+		case leaf.split > 0 && t.hostsInline(hostAnn, leaf.id, 1):
 			pp.split = true
-		case hostsLeafInline(m, hostAnn, leaf, 0):
+			pp.occNames = make([]string, leaf.split)
+			for i := range pp.occNames {
+				pp.occNames[i] = pp.name + "__" + strconv.Itoa(i+1)
+			}
+			pp.childRels = t.m.RelationsOf(leaf.ann) // not a Memo read: one relation, named leaf.ann
+		case t.hostsInline(hostAnn, leaf.id, 0):
 			pp.inline = true
 		default:
-			prels := m.HostRelations(leaf)
+			prels, _ := t.hostRelations(leaf.node)
 			if len(prels) == 0 {
 				return nil, nil, fmt.Errorf("translate: projection %s has no hosting relation", p)
 			}
-			if !relationChildOf(prels[0], hostAnn) {
+			if !t.childOf(prels[0], hostAnn) {
 				return nil, nil, unsupported(MultiLevelPath, "translate: projection %s crosses more than one relation level", p)
 			}
-			pp.childRels = prels
+			for _, crel := range prels {
+				if t.hasLeaf(crel, leaf.id) {
+					pp.childRels = append(pp.childRels, crel)
+				} // else a child partition without the leaf
+			}
 		}
 		plans = append(plans, pp)
 	}
@@ -203,18 +259,19 @@ func translateContext(m *shred.Mapping, ctx *schema.Node, q *xpath.Query) ([]*sq
 	// (for split) k occurrence columns plus the overflow column.
 	outNames := []string{OutputID}
 	for _, pp := range plans {
-		if pp.split {
-			for i := 1; i <= pp.leaf.SplitCount; i++ {
-				outNames = append(outNames, fmt.Sprintf("%s__%d", pp.name, i))
-			}
-		}
+		outNames = append(outNames, pp.occNames...)
 		outNames = append(outNames, pp.name)
 	}
 
+	if sel.leaf.node != nil && !sel.split && !sel.inline {
+		if err := t.childSelection(&sel, hostAnn); err != nil {
+			return nil, nil, err
+		}
+	}
 	var branches []*sqlast.Select
 	for _, host := range hosts {
 		// Partition pruning on the selection column.
-		selPreds, ok, err := selectionPreds(m, host, hostAnn, ctx, selLeaf, q.Pred)
+		selPreds, ok, err := t.selectionPreds(host, &sel)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -223,17 +280,17 @@ func translateContext(m *shred.Mapping, ctx *schema.Node, q *xpath.Query) ([]*sq
 		}
 		// Main branch: inlined single-valued and split occurrence
 		// columns present in this partition.
-		main := &sqlast.Select{From: []string{host.Name}, Where: selPreds}
+		main := &sqlast.Select{From: []string{host.Name}, Where: selPreds,
+			Items: make([]sqlast.SelectItem, 0, len(outNames))}
 		main.Items = append(main.Items, sqlast.SelectItem{
 			Col: &sqlast.ColRef{Table: host.Name, Column: rel.IDColumn}, As: OutputID})
 		nonNull := 0
 		for _, pp := range plans {
 			if pp.split {
-				for i := 1; i <= pp.leaf.SplitCount; i++ {
-					name := fmt.Sprintf("%s__%d", pp.name, i)
-					if ci := host.ColumnFor(pp.leaf.ID, i); ci >= 0 {
+				for i, name := range pp.occNames {
+					if c, ok := t.column(host, pp.leaf.id, i+1); ok {
 						main.Items = append(main.Items, sqlast.SelectItem{
-							Col: &sqlast.ColRef{Table: host.Name, Column: host.Columns[ci].Name}, As: name})
+							Col: &sqlast.ColRef{Table: host.Name, Column: c.Name}, As: name})
 						nonNull++
 					} else {
 						main.Items = append(main.Items, sqlast.SelectItem{As: name})
@@ -243,9 +300,9 @@ func translateContext(m *shred.Mapping, ctx *schema.Node, q *xpath.Query) ([]*sq
 				continue
 			}
 			if pp.inline {
-				if ci := host.ColumnFor(pp.leaf.ID, 0); ci >= 0 {
+				if c, ok := t.column(host, pp.leaf.id, 0); ok {
 					main.Items = append(main.Items, sqlast.SelectItem{
-						Col: &sqlast.ColRef{Table: host.Name, Column: host.Columns[ci].Name}, As: pp.name})
+						Col: &sqlast.ColRef{Table: host.Name, Column: c.Name}, As: pp.name})
 					nonNull++
 					continue
 				}
@@ -255,45 +312,35 @@ func translateContext(m *shred.Mapping, ctx *schema.Node, q *xpath.Query) ([]*sq
 		if nonNull > 0 {
 			branches = append(branches, main)
 		}
-		// Child branches: one per (projection, child partition) plus
-		// overflow branches for split projections.
+		// Child branches: one per (projection, child partition),
+		// overflow relations of split projections included.
 		for _, pp := range plans {
-			switch {
-			case pp.split:
-				overflow := m.RelationsOf(pp.leaf.Annotation)
-				for _, orel := range overflow {
-					b, err := childBranch(m, host, orel, pp, outNames, selPreds)
-					if err != nil {
-						return nil, nil, err
-					}
-					branches = append(branches, b)
+			for ci := range pp.childRels {
+				b, err := t.childBranch(host, pp, ci, outNames, selPreds)
+				if err != nil {
+					return nil, nil, err
 				}
-			case len(pp.childRels) > 0:
-				for _, crel := range pp.childRels {
-					if !crel.HasLeaf(pp.leaf.ID) {
-						continue // child partition without the leaf
-					}
-					b, err := childBranch(m, host, crel, pp, outNames, selPreds)
-					if err != nil {
-						return nil, nil, err
-					}
-					branches = append(branches, b)
-				}
+				branches = append(branches, b)
 			}
 		}
 	}
 	return branches, outNames, nil
 }
 
-// childBranch builds a branch joining the host to a child relation and
-// emitting the child's value column into the projection slot.
-func childBranch(m *shred.Mapping, host, child *shred.Relation, pp *projPlan,
+// childBranch builds a branch joining the host to child relation ci of
+// the projection and emitting the child's value column into the
+// projection slot.
+func (t *translator) childBranch(host *shred.Relation, pp *projPlan, ci int,
 	outNames []string, selPreds []sqlast.Pred) (*sqlast.Select, error) {
-	ci := child.ColumnFor(pp.leaf.ID, 0)
-	if ci < 0 {
-		return nil, fmt.Errorf("translate: relation %s lacks value column for %s", child.Name, pp.leaf.Path())
+	child := pp.childRels[ci]
+	if ci == len(pp.childCols) {
+		c, ok := t.column(child, pp.leaf.id, 0)
+		if !ok {
+			return nil, fmt.Errorf("translate: relation %s lacks value column for %s", child.Name, pp.leaf.node.Path())
+		}
+		pp.childCols = append(pp.childCols, c)
 	}
-	valCol := child.Columns[ci].Name
+	valCol := pp.childCols[ci].Name
 	b := &sqlast.Select{
 		Items: make([]sqlast.SelectItem, 0, len(outNames)),
 		From:  []string{host.Name, child.Name},
@@ -320,91 +367,107 @@ func childBranch(m *shred.Mapping, host, child *shred.Relation, pp *projPlan,
 	return b, nil
 }
 
+// childSelection resolves a selection on a leaf of a child relation:
+// the relation and its value column, the same for every host.
+func (t *translator) childSelection(sel *selPlan, hostAnn string) error {
+	prels, _ := t.hostRelations(sel.leaf.node)
+	if len(prels) == 0 {
+		return fmt.Errorf("translate: selection %s has no hosting relation", sel.leaf.node.Path())
+	}
+	if len(prels) != 1 {
+		return unsupported(PartitionedChildSelection, "translate: selection on partitioned child relation is unsupported")
+	}
+	if !t.childOf(prels[0], hostAnn) {
+		return unsupported(MultiLevelPath, "translate: selection %s crosses more than one relation level", sel.leaf.node.Path())
+	}
+	c, ok := t.column(prels[0], sel.leaf.id, 0)
+	if !ok {
+		return fmt.Errorf("translate: relation %s lacks value column for %s", prels[0].Name, sel.leaf.node.Path())
+	}
+	sel.child, sel.childCol = prels[0], c
+	return nil
+}
+
 // selectionPreds builds the WHERE conjuncts implementing the selection
 // for one host partition; ok=false prunes the partition entirely.
-func selectionPreds(m *shred.Mapping, host *shred.Relation, hostAnn string,
-	ctx, selLeaf *schema.Node, pred *xpath.Predicate) ([]sqlast.Pred, bool, error) {
-	if selLeaf == nil {
-		return nil, true, nil
-	}
-	op := cmpOp(pred.Op)
-	lit := xmlgen.LiteralValue(pred.Value)
+func (t *translator) selectionPreds(host *shred.Relation, sel *selPlan) ([]sqlast.Pred, bool, error) {
 	switch {
-	case selLeaf.SplitCount > 0 && hostsLeafInline(m, hostAnn, selLeaf, 1):
+	case sel.leaf.node == nil:
+		return nil, true, nil
+	case sel.split:
 		// Repetition-split selection: OR over the occurrence columns
 		// plus EXISTS on the overflow relation.
 		var cols []sqlast.ColRef
-		for i := 1; i <= selLeaf.SplitCount; i++ {
-			if ci := host.ColumnFor(selLeaf.ID, i); ci >= 0 {
-				cols = append(cols, sqlast.ColRef{Table: host.Name, Column: host.Columns[ci].Name})
+		for i := 1; i <= sel.leaf.split; i++ {
+			if c, ok := t.column(host, sel.leaf.id, i); ok {
+				cols = append(cols, sqlast.ColRef{Table: host.Name, Column: c.Name})
 			}
 		}
 		if len(cols) == 0 {
 			return nil, false, nil
 		}
-		overflow := m.RelationsOf(selLeaf.Annotation)
-		if len(overflow) != 1 {
-			return nil, false, unsupported(PartitionedOverflowSelection, "translate: split selection with partitioned overflow relation")
+		if sel.overflow == nil && sel.overflowErr == nil {
+			sel.overflowErr = t.overflowSelection(sel)
 		}
-		oci := overflow[0].ColumnFor(selLeaf.ID, 0)
-		if oci < 0 {
-			return nil, false, fmt.Errorf("translate: relation %s lacks value column for %s", overflow[0].Name, selLeaf.Path())
+		if sel.overflowErr != nil {
+			return nil, false, sel.overflowErr
 		}
 		return []sqlast.Pred{{
 			Kind:     sqlast.PredOrExists,
-			Op:       op,
-			Value:    lit.Coerce(overflow[0].Columns[oci].Typ),
+			Op:       sel.op,
+			Value:    sel.lit.Coerce(sel.overflowCol.Typ),
 			Cols:     cols,
-			Table:    overflow[0].Name,
+			Table:    sel.overflow.Name,
 			JoinCol:  rel.PIDColumn,
 			OuterCol: sqlast.ColRef{Table: host.Name, Column: rel.IDColumn},
-			InnerCol: overflow[0].Columns[oci].Name,
+			InnerCol: sel.overflowCol.Name,
 		}}, true, nil
-	case hostsLeafInline(m, hostAnn, selLeaf, 0):
-		ci := host.ColumnFor(selLeaf.ID, 0)
-		if ci < 0 {
+	case sel.inline:
+		c, ok := t.column(host, sel.leaf.id, 0)
+		if !ok {
 			// This partition cannot contain the selection element:
 			// prune it (union-distribution benefit).
 			return nil, false, nil
 		}
 		return []sqlast.Pred{{
 			Kind:  sqlast.PredCompare,
-			Op:    op,
-			Col:   sqlast.ColRef{Table: host.Name, Column: host.Columns[ci].Name},
-			Value: lit.Coerce(host.Columns[ci].Typ),
+			Op:    sel.op,
+			Col:   sqlast.ColRef{Table: host.Name, Column: c.Name},
+			Value: sel.lit.Coerce(c.Typ),
 		}}, true, nil
 	default:
-		prels := m.HostRelations(selLeaf)
-		if len(prels) == 0 {
-			return nil, false, fmt.Errorf("translate: selection %s has no hosting relation", selLeaf.Path())
-		}
-		if len(prels) != 1 {
-			return nil, false, unsupported(PartitionedChildSelection, "translate: selection on partitioned child relation is unsupported")
-		}
-		if !relationChildOf(prels[0], hostAnn) {
-			return nil, false, unsupported(MultiLevelPath, "translate: selection %s crosses more than one relation level", selLeaf.Path())
-		}
-		ci := prels[0].ColumnFor(selLeaf.ID, 0)
-		if ci < 0 {
-			return nil, false, fmt.Errorf("translate: relation %s lacks value column for %s", prels[0].Name, selLeaf.Path())
-		}
 		return []sqlast.Pred{{
 			Kind:     sqlast.PredExists,
-			Op:       op,
-			Value:    lit.Coerce(prels[0].Columns[ci].Typ),
-			Table:    prels[0].Name,
+			Op:       sel.op,
+			Value:    sel.lit.Coerce(sel.childCol.Typ),
+			Table:    sel.child.Name,
 			JoinCol:  rel.PIDColumn,
 			OuterCol: sqlast.ColRef{Table: host.Name, Column: rel.IDColumn},
-			InnerCol: prels[0].Columns[ci].Name,
+			InnerCol: sel.childCol.Name,
 		}}, true, nil
 	}
+}
+
+// overflowSelection resolves a split selection's overflow relation and
+// value column.
+func (t *translator) overflowSelection(sel *selPlan) error {
+	overflow := t.m.RelationsOf(sel.leaf.ann) // not a Memo read: one relation, named leaf.ann
+	if len(overflow) != 1 {
+		return unsupported(PartitionedOverflowSelection, "translate: split selection with partitioned overflow relation")
+	}
+	c, ok := t.column(overflow[0], sel.leaf.id, 0)
+	if !ok {
+		return fmt.Errorf("translate: relation %s lacks value column for %s", overflow[0].Name, sel.leaf.node.Path())
+	}
+	sel.overflow, sel.overflowCol = overflow[0], c
+	return nil
 }
 
 // hostsLeafInline reports whether the leaf has an inline column home
 // (at the given occurrence level: 0 scalar, 1 first split column) in
 // the relations of the host annotation.
-func hostsLeafInline(m *shred.Mapping, hostAnn string, leaf *schema.Node, occ int) bool {
-	for _, h := range m.Homes(leaf.ID) {
+func hostsLeafInline(m *shred.Mapping, hostAnn string, leafID, occ int) bool {
+	for _, h := range m.Homes(leafID) {
 		if h.Rel.Ann == hostAnn && h.Occurrence == occ && !h.Overflow {
 			return true
 		}
@@ -490,24 +553,48 @@ func ResolveContext(t *schema.Tree, steps []xpath.Step) []*schema.Node {
 // resolveRelPath resolves a relative child path from a context element
 // to element nodes.
 func resolveRelPath(ctx *schema.Node, p xpath.Path) []*schema.Node {
+	var out []*schema.Node
+	eachRelPath(ctx, p, func(n *schema.Node) bool {
+		out = append(out, n)
+		return true
+	})
+	return out
+}
+
+// eachRelPath calls f on each node a relative child path resolves to
+// under a context element, in document order, until f returns false;
+// it reports whether f never did.
+func eachRelPath(ctx *schema.Node, p xpath.Path, f func(*schema.Node) bool) bool {
 	// A path naming the leaf context itself resolves to the context
 	// (bare leaf contexts).
 	if len(p) == 1 && ctx.IsLeaf() && p[0] == ctx.Name {
-		return []*schema.Node{ctx}
+		return f(ctx)
 	}
-	cur := []*schema.Node{ctx}
-	for _, name := range p {
-		var next []*schema.Node
-		for _, n := range cur {
-			for _, c := range n.ElementChildren() {
-				if c.Name == name {
-					next = append(next, c)
-				}
+	return relPathFrom(ctx, p, f)
+}
+
+func relPathFrom(n *schema.Node, p xpath.Path, f func(*schema.Node) bool) bool {
+	if len(p) == 0 {
+		return f(n)
+	}
+	return childrenNamed(n, p, f)
+}
+
+// childrenNamed resolves the rest of p under each element child of n
+// (through constructors) named p[0].
+func childrenNamed(n *schema.Node, p xpath.Path, f func(*schema.Node) bool) bool {
+	for _, c := range n.Children {
+		if c.Kind == schema.KindElement {
+			if c.Name == p[0] && !relPathFrom(c, p[1:], f) {
+				return false
 			}
+			continue
 		}
-		cur = next
+		if !childrenNamed(c, p, f) {
+			return false
+		}
 	}
-	return cur
+	return true
 }
 
 func cmpOp(op xpath.CmpOp) sqlast.CmpOp {

@@ -21,14 +21,16 @@
 # a function's alignment can move a measured rate by itself. After the
 # table it prints, per workload, the median of each side's ops_per_s as
 # measured, their ratio (change over parent) and in how many pairs the
-# change's rate was the higher.
+# change's rate was the higher; then the same for alloc_kb_per_op (no
+# memory-speed correction applies to it), counting the pairs in which
+# the change allocated less.
 #
 # Defaults: 10 pairs, every workload of BENCHMARK.json. The run length
 # is the benchmark's run_seconds on both sides.
 set -euo pipefail
 
 if [ $# -lt 1 ]; then
-	sed -n '2,27p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
+	sed -n '2,29p' "${BASH_SOURCE[0]}" | sed 's/^# \{0,1\}//' >&2
 	exit 2
 fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -55,9 +57,10 @@ out_parent="bench/out/pair-parent.json"
 out_change="bench/out/pair-change.json"
 recs_parent=()
 recs_change=()
-# raw_<side>[workload] lists that side's as-measured ops_per_s, one per
-# pair in pair order ("nan" where a run printed none).
-declare -A raw_parent=() raw_change=()
+# raw_<side>[workload] lists that side's as-measured ops_per_s, and
+# alloc_<side>[workload] its alloc_kb_per_op, one per pair in pair order
+# ("nan" where a run printed none).
+declare -A raw_parent=() raw_change=() alloc_parent=() alloc_change=()
 
 # run_side <side> <dir> <workload> <seed>: one untraced run; the result
 # line (the last line run.sh prints) becomes one record of that side's
@@ -79,22 +82,26 @@ run_side() {
 	grep -E "^$wl (ops_per_s|lat_tail_ms|alloc_kb_per_op|mem_inuse_p95_mb) " <<<"$log" | sed "s/^/#   /" >&2 || true
 	grep -F "as measured, before the correction" <<<"$log" | sed "s/^# */#   /" >&2 || true
 	local rec="{\"workload\":\"$wl\",\"seed\":$seed,\"trace\":false,${line#\{}"
-	local raw
+	local raw alloc
 	raw="$(sed -n 's/.*as measured, before the correction: ops_per_s \([^,]*\),.*/\1/p' <<<"$log" | head -n 1)"
+	alloc="$(awk -v wl="$wl" '$1 == wl && $2 == "alloc_kb_per_op" { print $3; exit }' <<<"$log")"
 	if [ "$side" = parent ]; then
 		recs_parent+=("$rec")
 		raw_parent[$wl]+="${raw:-nan} "
+		alloc_parent[$wl]+="${alloc:-nan} "
 	else
 		recs_change+=("$rec")
 		raw_change[$wl]+="${raw:-nan} "
+		alloc_change[$wl]+="${alloc:-nan} "
 	fi
 }
 
-# raw_summary <workload>: one line with the median of each side's
-# as-measured ops_per_s, their ratio, and how many pairs the change won
-# (a pair counts only if both of its runs printed a rate).
-raw_summary() {
-	awk -v wl="$1" -v p="${raw_parent[$1]:-}" -v c="${raw_change[$1]:-}" '
+# pair_summary <workload> <what> <higher|lower> <parent values>
+# <change values>: one line with the median of each side's values, their
+# ratio (change over parent), and in how many pairs the change was better
+# (a pair counts only if both of its runs printed a value).
+pair_summary() {
+	awk -v wl="$1" -v what="$2" -v better="$3" -v p="$4" -v c="$5" '
 	function median(a, n, i, j, t) {
 		for (i = 2; i <= n; i++)
 			for (j = i; j > 1 && a[j - 1] > a[j]; j--) {
@@ -107,14 +114,14 @@ raw_summary() {
 		for (i = 1; i <= np && i <= nc; i++) {
 			if (pa[i] == "nan" || ca[i] == "nan") continue
 			n++; ps[n] = pa[i] + 0; cs[n] = ca[i] + 0
-			if (cs[n] > ps[n]) won++
+			if (better == "higher" ? cs[n] > ps[n] : cs[n] < ps[n]) won++
 		}
 		if (n == 0) {
-			printf "# %s ops_per_s as measured: no pair printed a rate on both sides\n", wl
+			printf "# %s %s: no pair printed a value on both sides\n", wl, what
 			exit
 		}
 		mp = median(ps, n); mc = median(cs, n)
-		printf "# %s ops_per_s as measured, before the correction: parent median %.4g, change median %.4g, ratio %.3f, change higher in %d of %d pairs\n", wl, mp, mc, mc / mp, won + 0, n
+		printf "# %s %s: parent median %.6g, change median %.6g, ratio %.3f, change %s in %d of %d pairs\n", wl, what, mp, mc, mc / mp, better, won + 0, n
 	}'
 }
 
@@ -167,7 +174,8 @@ fi
 echo "# main.(*memSpeed).sample mod 64: parent $(sample_phase "$parent"), change $(sample_phase "$root")"
 echo "$table"
 for wl in "${workloads[@]}"; do
-	raw_summary "$wl"
+	pair_summary "$wl" "ops_per_s as measured, before the correction" higher "${raw_parent[$wl]:-}" "${raw_change[$wl]:-}"
+	pair_summary "$wl" alloc_kb_per_op lower "${alloc_parent[$wl]:-}" "${alloc_change[$wl]:-}"
 done
 if grep -Eq ' worse( |$)' <<<"$table"; then
 	echo "benchpair: at least one row is worse than its bound" >&2
