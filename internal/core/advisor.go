@@ -299,8 +299,7 @@ func descendantOrSelf(n, elem *schema.Node) bool {
 	return false
 }
 
-// evalResult is a fully costed mapping, or, with rec nil, one only
-// prepared (compiled, translated, statistics derived).
+// evalResult is a fully costed mapping.
 type evalResult struct {
 	tree    *schema.Tree
 	sig     string // tree's Signature, set on every evaluation evaluate returns
@@ -313,19 +312,13 @@ type evalResult struct {
 
 // evaluateFull compiles, translates, derives statistics, and tunes a
 // mapping — one full physical design tool call (the cache-miss path of
-// evaluate) — starting from prep, the tree already prepared, when it is
-// not nil. sig is the tree's Signature. Each call is one
+// evaluate). sig is the tree's Signature. Each call is one
 // per-candidate-evaluation span with a nested tuner-call span.
-func (a *Advisor) evaluateFull(tree *schema.Tree, sig string, prep *evalResult, met *Metrics) (*evalResult, error) {
+func (a *Advisor) evaluateFull(tree *schema.Tree, sig string, met *Metrics) (*evalResult, error) {
 	sp := a.Opts.Obs.StartSpan("advisor.evaluate")
 	defer sp.End()
-	var ev *evalResult
-	var w physdesign.Workload
-	var err error
-	if prep != nil {
-		ev = &evalResult{tree: prep.tree, mapping: prep.mapping, prov: prep.prov, sqls: prep.sqls}
-		w = a.workloadOf(ev.sqls)
-	} else if ev, w, err = a.prepare(tree); err != nil {
+	ev, w, err := a.prepare(tree)
+	if err != nil {
 		sp.SetAttr(obs.String("error", err.Error()))
 		return nil, err
 	}

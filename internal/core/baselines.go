@@ -76,7 +76,7 @@ func (a *Advisor) TwoStep() (*Result, error) {
 	if rounds == 0 {
 		rounds = naiveMaxRounds
 	}
-	fixed := func(_ int, next *schema.Tree, m *Metrics) (*evalResult, float64, error) {
+	fixed := func(next *schema.Tree, m *Metrics) (*evalResult, float64, error) {
 		cost, err := a.costUnderDefault(next, m)
 		return nil, cost, err
 	}

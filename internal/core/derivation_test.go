@@ -89,7 +89,7 @@ func TestDeriveCostMatchesExactForIrrelevantChange(t *testing.T) {
 		n.SplitCount = 2
 	}
 	var met Metrics
-	derived, _, err := adv.deriveCost(cur, next, &met)
+	derived, err := adv.deriveCost(cur, next, &met)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,10 @@
 package core
 
 import (
+	"context"
 	"errors"
-	"sync"
 
 	"repro/internal/par"
-	"repro/internal/physdesign"
 	"repro/internal/schema"
 	"repro/internal/shred"
 	"repro/internal/translate"
@@ -13,8 +12,9 @@ import (
 )
 
 // evalService is the shared candidate-evaluation service: memoization
-// caches keyed by the canonical mapping signature (schema-tree
-// serialization + physical-design options).
+// caches keyed by the canonical mapping signature. The caches belong to
+// one advisor, whose options never change after New, so the options
+// need no place in a key.
 // Every search path — Greedy's per-round ranking and exact fallback
 // sweep, Naive-Greedy's enumeration, and Two-Step's phase-1 loop —
 // costs its candidates through one round on it, so a mapping costed in
@@ -27,19 +27,15 @@ import (
 // relations, statistics and SQL.
 //
 // Evaluations are pure (they only read the advisor's base tree,
-// statistics, and workload), so concurrent calls are safe; identical
-// keys are single-flighted so a mapping is computed exactly once no
-// matter how many workers request it simultaneously. Because a cache
-// with no eviction makes the set of computed keys a function of the set
-// of requested keys (not of request order), hit/miss counts — and with
-// them every Metrics counter — are bit-identical between sequential and
-// parallel runs.
+// statistics, and workload), so concurrent calls are safe; each cache is
+// a par.Memo, so a mapping is computed exactly once no matter how many
+// workers request it simultaneously. Because a cache with no eviction
+// makes the set of computed keys a function of the set of requested
+// keys (not of request order), hit/miss counts — and with them every
+// Metrics counter — are bit-identical between sequential and parallel
+// runs.
 type evalService struct {
 	a *Advisor
-	// optsKey folds the advisor-level physical-design options into
-	// every cache key (per-mapping options such as insert rates are a
-	// function of the tree and need not be keyed separately).
-	optsKey string
 
 	// shreds and sqls are the search's memos of compiled relations,
 	// derived statistics and translations (DESIGN.md, "The advisor"):
@@ -53,58 +49,30 @@ type evalService struct {
 	// query translated (nil where a query was not).
 	observe func(*evalResult)
 
-	mu      sync.Mutex
-	evals   map[string]*flight[*evalResult] // full tool evaluations, by tree signature
-	derives map[string]*flight[float64]     // cost derivations, by (cur, next) signatures
-	fixed   map[string]*flight[float64]     // fixed-config costings (Two-Step phase 1)
-	qcosts  map[string]*flight[float64]     // bare single-query costs (merging oracle)
-}
-
-// flight is one memoized computation. done is closed when val, err and
-// the effort metrics are final.
-type flight[V any] struct {
-	done chan struct{}
-	val  V
-	err  error
-	met  Metrics
+	evals   par.Memo[string, *evalResult] // full tool evaluations, by tree signature
+	derives par.Memo[string, float64]     // cost derivations, by (cur, next) signatures
+	fixed   par.Memo[string, float64]     // fixed-config costings (Two-Step phase 1)
+	qcosts  par.Memo[string, float64]     // bare single-query costs (merging oracle)
 }
 
 // memo returns the value cache holds for key, computing it once per key
-// however many callers ask at the same time. On a miss the computing
+// however many callers ask at the same time (par.Memo). The computing
 // caller's metrics absorb the computation's effort plus an
 // EvalCacheMisses tick; every other caller — including callers that
-// arrive while the computation is still in flight — records only an
-// EvalCacheHits tick. The miss is recorded at reservation time, while
-// the caller still holds the map lock, so exactly one miss per key is
-// structural: the decision and the tick cannot be separated by a
-// concurrent requester (TestEvalCacheAccountingUnderRace pins this).
-//
-// A computation that panics still completes its flight, with
-// errEvalPanicked, before the panic goes on up the computing caller: a
-// request waiting on the key (another worker of the same round) returns
-// that error instead of waiting forever, so the round can end and raise
-// the panic on its caller.
-func memo[V any](s *evalService, cache map[string]*flight[V], key string, met *Metrics, compute func(*Metrics) (V, error)) (V, error) {
-	s.mu.Lock()
-	if f, ok := cache[key]; ok {
-		s.mu.Unlock()
-		<-f.done
+// waited on the computation — records only an EvalCacheHits tick
+// (TestEvalCacheAccountingUnderRace pins this). A computation that
+// panics leaves no entry, and a request that was waiting on it returns
+// par.ErrPanicked, so the round can end and raise the panic on its
+// caller.
+func memo[V any](cache *par.Memo[string, V], key string, met *Metrics, compute func(*Metrics) (V, error)) (V, error) {
+	v, computed, err := cache.Do(context.Background(), key, func() (V, error) { return compute(met) })
+	if computed {
+		met.EvalCacheMisses++
+	} else {
 		met.EvalCacheHits++
-		return f.val, f.err
 	}
-	f := &flight[V]{done: make(chan struct{}), err: errEvalPanicked}
-	cache[key] = f
-	met.EvalCacheMisses++
-	s.mu.Unlock()
-	defer close(f.done)
-	f.val, f.err = compute(&f.met)
-	met.merge(f.met)
-	return f.val, f.err
+	return v, err
 }
-
-// errEvalPanicked is the memoized outcome of a computation that
-// panicked.
-var errEvalPanicked = errors.New("core: evaluation panicked")
 
 // newEvalService creates the advisor's evaluation service; it persists
 // across strategy runs, so Greedy, Naive-Greedy, and Two-Step on one
@@ -115,46 +83,25 @@ func newEvalService(a *Advisor) *evalService {
 		tags[i] = q.XPath.String()
 	}
 	return &evalService{
-		a: a,
-		optsKey: physdesign.Options{
-			StorageBytes:      a.Opts.StorageBytes,
-			DisableViews:      a.Opts.DisableViews,
-			EnableVPartitions: a.Opts.EnableVPartitions,
-		}.Key(),
-		shreds:  shred.NewMemo(a.Col, a.Opts.Registry),
-		sqls:    translate.NewMemo(a.Opts.Registry),
-		tags:    tags,
-		evals:   make(map[string]*flight[*evalResult]),
-		derives: make(map[string]*flight[float64]),
-		fixed:   make(map[string]*flight[float64]),
-		qcosts:  make(map[string]*flight[float64]),
+		a:      a,
+		shreds: shred.NewMemo(a.Col, a.Opts.Registry),
+		sqls:   translate.NewMemo(a.Opts.Registry),
+		tags:   tags,
 	}
-}
-
-// service returns the advisor's evaluation service.
-func (a *Advisor) service() *evalService { return a.evalService }
-
-// key builds a full cache key from a tree signature.
-func (s *evalService) key(treeSig string) string {
-	return treeSig + "|" + s.optsKey
 }
 
 // candOutcome is one candidate's result in a round.
 type candOutcome struct {
-	tree *schema.Tree // the applied mapping; nil when the candidate does not apply
-	// ev is the candidate's evaluation when the cost function produced
-	// one: tuned for an exact cost, or only prepared (rec nil) for a
-	// derived cost, which an exact evaluation of the same tree then
-	// starts from (evaluateFrom).
-	ev     *evalResult
+	tree   *schema.Tree // the applied mapping; nil when the candidate does not apply
+	ev     *evalResult  // exact evaluation, when the cost function produced one
 	cost   float64
 	met    Metrics
 	failed bool // costing error: the candidate has no cost this round
 }
 
-// costFunc costs candidate i, applied as tree, returning its evaluation
-// when it produced one (candOutcome.ev).
-type costFunc func(i int, tree *schema.Tree, met *Metrics) (*evalResult, float64, error)
+// costFunc costs one applied candidate, returning its exact evaluation
+// when it computed one.
+type costFunc func(tree *schema.Tree, met *Metrics) (*evalResult, float64, error)
 
 // round is the one candidate round every search runs: apply(i) returns
 // candidate i applied to the current mapping (nil when it does not
@@ -175,7 +122,7 @@ func (a *Advisor) round(n int, apply func(i int) *schema.Tree, cost costFunc, me
 		}
 		o.met.Transformations++
 		var err error
-		o.ev, o.cost, err = cost(i, o.tree, &o.met)
+		o.ev, o.cost, err = cost(o.tree, &o.met)
 		o.failed = err != nil
 		if u := (*translate.Unsupported)(nil); errors.As(err, &u) {
 			o.met.Dropped[u.Kind]++
@@ -201,14 +148,8 @@ func lowest(outs []candOutcome, bound float64) int {
 }
 
 // exact is the costFunc of a full, memoized tool evaluation.
-func (a *Advisor) exact(_ int, tree *schema.Tree, met *Metrics) (*evalResult, float64, error) {
-	return a.exactFrom(tree, nil, met)
-}
-
-// exactFrom is exact for a tree already prepared as prep (nil: not
-// prepared).
-func (a *Advisor) exactFrom(tree *schema.Tree, prep *evalResult, met *Metrics) (*evalResult, float64, error) {
-	ev, err := a.evaluateFrom(tree, prep, met)
+func (a *Advisor) exact(tree *schema.Tree, met *Metrics) (*evalResult, float64, error) {
+	ev, err := a.evaluate(tree, met)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -220,40 +161,26 @@ func (a *Advisor) exactFrom(tree *schema.Tree, prep *evalResult, met *Metrics) (
 // physical design tool call, and every repeat — across rounds,
 // candidates, and search strategies — is a cache hit.
 func (s *evalService) evaluate(tree *schema.Tree, met *Metrics) (*evalResult, error) {
-	return s.evaluateFrom(tree, nil, met)
-}
-
-// evaluateFrom is evaluate for a tree already prepared as prep (nil:
-// not prepared); a miss then tunes prep instead of preparing the tree
-// again.
-func (s *evalService) evaluateFrom(tree *schema.Tree, prep *evalResult, met *Metrics) (*evalResult, error) {
 	sig := tree.Signature()
-	return memo(s, s.evals, s.key(sig), met, func(m *Metrics) (*evalResult, error) {
-		return s.a.evaluateFull(tree, sig, prep, m)
+	return memo(&s.evals, sig, met, func(m *Metrics) (*evalResult, error) {
+		return s.a.evaluateFull(tree, sig, m)
 	})
 }
 
 // deriveCost returns the memoized Section 4.8 derived cost of moving
 // from cur to next. Rounds that reject their winner re-rank the same
 // candidates against an unchanged current mapping, so derivations
-// repeat across rounds; the cache answers the repeats. On a miss it
-// also returns next prepared, for an exact evaluation of next to start
-// from; the memo does not keep it.
-func (s *evalService) deriveCost(cur *evalResult, next *schema.Tree, met *Metrics) (float64, *evalResult, error) {
-	var prep *evalResult
-	cost, err := memo(s, s.derives, s.key(cur.sig+"->"+next.Signature()), met, func(m *Metrics) (float64, error) {
-		var cost float64
-		var err error
-		cost, prep, err = s.a.deriveCostFull(cur, next, m)
-		return cost, err
+// repeat across rounds; the cache answers the repeats.
+func (s *evalService) deriveCost(cur *evalResult, next *schema.Tree, met *Metrics) (float64, error) {
+	return memo(&s.derives, cur.sig+"->"+next.Signature(), met, func(m *Metrics) (float64, error) {
+		return s.a.deriveCostFull(cur, next, m)
 	})
-	return cost, prep, err
 }
 
 // costUnderDefault returns the memoized workload cost of a tree under
 // Two-Step's phase-1 default configuration (no tuning).
 func (s *evalService) costUnderDefault(tree *schema.Tree, met *Metrics) (float64, error) {
-	return memo(s, s.fixed, s.key("2step:"+tree.Signature()), met, func(m *Metrics) (float64, error) {
+	return memo(&s.fixed, tree.Signature(), met, func(m *Metrics) (float64, error) {
 		return s.a.costUnder(tree, m)
 	})
 }
@@ -262,7 +189,7 @@ func (s *evalService) costUnderDefault(tree *schema.Tree, met *Metrics) (float64
 // under a tree (the candidate-merging ranking oracle of Section 4.7,
 // which re-costs the same queries for every pairwise merge).
 func (s *evalService) queryCost(tree *schema.Tree, wq workload.Query, met *Metrics) float64 {
-	cost, _ := memo(s, s.qcosts, s.key(tree.Signature()+"|q:"+wq.XPath.String()), met, func(m *Metrics) (float64, error) {
+	cost, _ := memo(&s.qcosts, tree.Signature()+"|q:"+wq.XPath.String(), met, func(m *Metrics) (float64, error) {
 		return s.a.queryCostFull(tree, wq, m), nil
 	})
 	return cost

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/obs"
+	"repro/internal/par"
 	"repro/internal/physdesign"
 	"repro/internal/schema"
 	"repro/internal/translate"
@@ -121,14 +123,14 @@ func TestEvalCacheAccountingUnderRace(t *testing.T) {
 				if _, err := adv.evaluate(alt.Clone(), m); err != nil {
 					t.Error(err)
 				}
-				if _, err := adv.service().costUnderDefault(fx.base.Clone(), m); err != nil {
+				if _, err := adv.costUnderDefault(fx.base.Clone(), m); err != nil {
 					t.Error(err)
 				}
-				if _, err := adv.service().costUnderDefault(alt.Clone(), m); err != nil {
+				if _, err := adv.costUnderDefault(alt.Clone(), m); err != nil {
 					t.Error(err)
 				}
-				adv.service().queryCost(fx.base.Clone(), fx.w.Queries[0], m)
-				if _, _, err := adv.deriveCost(curEv, alt.Clone(), m); err != nil {
+				adv.queryCost(fx.base.Clone(), fx.w.Queries[0], m)
+				if _, err := adv.deriveCost(curEv, alt.Clone(), m); err != nil {
 					t.Error(err)
 				}
 			}
@@ -224,7 +226,7 @@ func TestRoundCountsDroppedCandidates(t *testing.T) {
 	}
 	var met Metrics
 	adv.round(len(errs), func(i int) *schema.Tree { return trees[i] },
-		func(_ int, tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
+		func(tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
 			if err := errOf[tree]; err != nil {
 				return nil, 0, err
 			}
@@ -260,7 +262,7 @@ func TestRoundRaisesCostPanicOnCaller(t *testing.T) {
 	for _, parallelism := range []int{1, 2, 8} {
 		adv := New(fx.base, fx.col, fx.w, Options{Parallelism: parallelism})
 		var running atomic.Int32
-		cost := func(_ int, tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
+		cost := func(tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
 			if tree == trees[3] {
 				panic(errors.ErrUnsupported)
 			}
@@ -286,15 +288,20 @@ func TestRoundRaisesCostPanicOnCaller(t *testing.T) {
 
 // TestRoundRaisesPanicOfAWaitedEvaluation: when a memoized computation
 // panics while another candidate of the round waits on its key, the
-// waiter gets errEvalPanicked instead of waiting forever, and the round
+// waiter gets par.ErrPanicked instead of waiting forever, and the round
 // ends by raising the panic on its caller.
 func TestRoundRaisesPanicOfAWaitedEvaluation(t *testing.T) {
 	fx := movieFixture(t, movieTestQueries[:2])
 	adv := New(fx.base, fx.col, fx.w, Options{Parallelism: 2})
 	var waiterErr error
-	cost := func(_ int, _ *schema.Tree, met *Metrics) (*evalResult, float64, error) {
-		c, err := memo(adv.service(), adv.fixed, "k", met, func(*Metrics) (float64, error) {
-			time.Sleep(10 * time.Millisecond) // the other candidate arrives and waits
+	var arrived atomic.Int32
+	cost := func(_ *schema.Tree, met *Metrics) (*evalResult, float64, error) {
+		arrived.Add(1)
+		c, err := memo(&adv.fixed, "k", met, func(*Metrics) (float64, error) {
+			for arrived.Load() < 2 { // until the other candidate has started
+				runtime.Gosched()
+			}
+			time.Sleep(10 * time.Millisecond) // the other candidate reaches the key and waits
 			panic(errors.ErrUnsupported)
 		})
 		waiterErr = err // only the waiter returns
@@ -314,7 +321,7 @@ func TestRoundRaisesPanicOfAWaitedEvaluation(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("round hangs: the waiter never saw the panicked computation end")
 	}
-	if !errors.Is(waiterErr, errEvalPanicked) {
-		t.Fatalf("waiter got %v, want errEvalPanicked", waiterErr)
+	if !errors.Is(waiterErr, par.ErrPanicked) {
+		t.Fatalf("waiter got %v, want par.ErrPanicked", waiterErr)
 	}
 }

@@ -106,9 +106,9 @@ func (a *Advisor) Greedy() (*Result, error) {
 		// winner.
 		rank := a.exact
 		if !a.Opts.DisableCostDerivation {
-			rank = func(_ int, next *schema.Tree, m *Metrics) (*evalResult, float64, error) {
-				cost, prep, err := a.deriveCost(curEval, next, m)
-				return prep, cost, err
+			rank = func(next *schema.Tree, m *Metrics) (*evalResult, float64, error) {
+				cost, err := a.deriveCost(curEval, next, m)
+				return nil, cost, err
 			}
 		}
 		outs := a.round(len(cands), apply, rank, &met)
@@ -152,7 +152,7 @@ func (a *Advisor) Greedy() (*Result, error) {
 				if cands[ci] == nil {
 					continue // retired by strikes this round
 				}
-				ev, err := a.evaluateFrom(outs[ci].tree, outs[ci].ev, &met)
+				ev, err := a.evaluate(outs[ci].tree, &met)
 				if err != nil {
 					cands[ci] = nil
 					continue
@@ -170,8 +170,7 @@ func (a *Advisor) Greedy() (*Result, error) {
 				// candidate hidden by a pessimistic derivation cannot end
 				// the search prematurely (this bounds the quality loss of
 				// §4.8 the way the paper's line 18 re-estimation intends).
-				// The sweep costs the trees the ranking applied, starting
-				// from their prepared mappings.
+				// The sweep costs the trees the ranking applied.
 				fsp := rsp.Child("fallback-sweep")
 				applied := func(ci int) *schema.Tree {
 					if cands[ci] == nil {
@@ -179,10 +178,7 @@ func (a *Advisor) Greedy() (*Result, error) {
 					}
 					return outs[ci].tree
 				}
-				tune := func(ci int, tree *schema.Tree, m *Metrics) (*evalResult, float64, error) {
-					return a.exactFrom(tree, outs[ci].ev, m)
-				}
-				sweep := a.round(len(cands), applied, tune, &met)
+				sweep := a.round(len(cands), applied, a.exact, &met)
 				for ci := range sweep {
 					if sweep[ci].failed {
 						cands[ci] = nil
@@ -279,13 +275,13 @@ func invertCandidate(c *candidate) *candidate {
 // repetition-split rule falls out because covering-index-only plans do
 // not list the base table among their objects), and only the remaining
 // queries are re-tuned with the space left after the retained
-// structures. It returns next prepared as well.
-func (a *Advisor) deriveCostFull(cur *evalResult, next *schema.Tree, met *Metrics) (float64, *evalResult, error) {
+// structures.
+func (a *Advisor) deriveCostFull(cur *evalResult, next *schema.Tree, met *Metrics) (float64, error) {
 	sp := a.Opts.Obs.StartSpan("advisor.derive-cost")
 	defer sp.End()
 	ev, w, err := a.prepare(next)
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	changed := changedTables(cur, ev)
 	total := 0.0
@@ -307,7 +303,7 @@ func (a *Advisor) deriveCostFull(cur *evalResult, next *schema.Tree, met *Metric
 	sp.SetAttr(obs.Int("derived_queries", int64(len(a.W.Queries)-len(retune))),
 		obs.Int("retuned_queries", int64(len(retune))))
 	if len(retune) == 0 {
-		return total, ev, nil
+		return total, nil
 	}
 	// Reduce the tool's budget by the structures the derived queries
 	// keep using.
@@ -323,7 +319,7 @@ func (a *Advisor) deriveCostFull(cur *evalResult, next *schema.Tree, met *Metric
 	rec, err := physdesign.Tune(retune, ev.prov, opts)
 	tsp.End()
 	if err != nil {
-		return 0, nil, err
+		return 0, err
 	}
 	met.PhysDesignCalls++
 	met.OptimizerCalls += rec.OptimizerCalls
@@ -335,7 +331,7 @@ func (a *Advisor) deriveCostFull(cur *evalResult, next *schema.Tree, met *Metric
 		total += a.W.Queries[i].Weight * rec.PerQuery[ri]
 		ri++
 	}
-	return total, ev, nil
+	return total, nil
 }
 
 // retainedStructBytes sums the sizes of the current configuration's

@@ -93,7 +93,7 @@ func Build(db *rel.Database, cfg *physical.Config) (*Built, error) {
 		Config:  cfg,
 		indexes: make(map[string]*builtIndex),
 		views:   make(map[string]*rel.Table),
-		caches:  newBuiltCaches(),
+		caches:  new(builtCaches),
 	}
 	ranks := rankTables{}
 	for _, idx := range cfg.Indexes {

@@ -2,14 +2,13 @@ package engine
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/par"
 	"repro/internal/physical"
 	"repro/internal/rel"
 	"repro/internal/sqlast"
@@ -22,9 +21,9 @@ import (
 // partition holds nothing: it is a column set of its base table, see
 // addPartition). Everything is built lazily on first use and shared
 // across repeated executions and across plans over the same Built — the
-// operator-state reuse half of the batch executor. Entries are
-// single-flighted so parallel union branches never build the same
-// structure twice.
+// operator-state reuse half of the batch executor. Each cache is a
+// par.Memo, so parallel union branches never build the same structure
+// twice.
 //
 // Caching is safe because a Built's data is immutable after Build;
 // that used to be an unchecked convention, and mutating a table after
@@ -41,10 +40,9 @@ import (
 // ratio of the substrate and Stats stay bit-identical to the
 // row-at-a-time reference executor.
 type builtCaches struct {
-	mu       sync.Mutex
-	joins    map[string]*centry[*builtIndex]
-	exists   map[string]*centry[*builtIndex]
-	prepared map[string]*centry[*PreparedPlan]
+	joins    par.Memo[string, *builtIndex]
+	exists   par.Memo[string, *builtIndex]
+	prepared par.Memo[string, *PreparedPlan]
 
 	stats [ckindCount]cacheStat
 }
@@ -74,45 +72,20 @@ type cacheStat struct {
 	hits, misses atomic.Int64
 }
 
-func newBuiltCaches() *builtCaches {
-	return &builtCaches{
-		joins:    make(map[string]*centry[*builtIndex]),
-		exists:   make(map[string]*centry[*builtIndex]),
-		prepared: make(map[string]*centry[*PreparedPlan]),
-	}
-}
-
-// centry is a single-flighted cache entry: the first requester builds,
-// everyone else waits on done.
-type centry[T any] struct {
-	done chan struct{}
-	v    T
-	err  error
-}
-
-// errBuildPanicked is what the callers waiting on a structure build
-// get when the build panicked.
-var errBuildPanicked = errors.New("engine: structure build panicked")
-
-// cacheGet serves one single-flighted lookup: exactly one miss is
-// counted per key (recorded at reservation, under the lock — waiters
-// that raced the builder count as hits), the stale-data guard runs on
-// every access, and a miss optionally emits a cache.build span.
+// cacheGet serves one lookup of a structure cache, a par.Memo (whose
+// rules a build follows, panics included): the stale-data guard runs on
+// every access, a miss is counted when its build starts and emits an
+// executor.cache.build span, and every other lookup — callers that
+// waited on the build among them — counts a hit.
 //
-// Cancellation never poisons an entry: ctx is checked only before an
-// entry is reserved and while *waiting* on someone else's build. Once
-// this caller has reserved the entry it builds to completion and
-// caches the result regardless of ctx, so a cancelled query leaves
-// either no entry or a finished one — never a broken or abandoned
-// entry — and the next caller gets a warm hit. Internal structure
-// lookups during execution (key indexes) pass
-// context.Background() for the same reason: a build already in the
-// middle of a pipeline is cheaper to finish than to redo.
-//
-// A build that panics leaves no entry: before the panic goes on up the
-// building caller, the entry leaves the map, so the next lookup builds
-// again, and the callers waiting on it return errBuildPanicked.
-func cacheGet[T any](ctx context.Context, b *Built, m map[string]*centry[T], kind ckind, key string, build func() (T, error)) (T, error) {
+// ctx is checked before the lookup and while waiting on another
+// caller's build, never during this caller's own build, so a cancelled
+// query leaves either no entry or a finished one and the next caller
+// gets a warm hit. Internal structure lookups during execution (key
+// indexes) pass context.Background() for the same reason: a build
+// already in the middle of a pipeline is cheaper to finish than to
+// redo.
+func cacheGet[T any](ctx context.Context, b *Built, m *par.Memo[string, T], kind ckind, key string, build func() (T, error)) (T, error) {
 	var zero T
 	if err := b.checkGenerations(); err != nil {
 		return zero, err
@@ -120,41 +93,23 @@ func cacheGet[T any](ctx context.Context, b *Built, m map[string]*centry[T], kin
 	if err := ctx.Err(); err != nil {
 		return zero, err
 	}
-	c := b.caches
-	c.mu.Lock()
-	if e, ok := m[key]; ok {
-		c.mu.Unlock()
-		c.stats[kind].hits.Add(1)
+	v, computed, err := m.Do(ctx, key, func() (v T, err error) {
+		b.caches.stats[kind].misses.Add(1)
+		b.obsReg.Counter("engine.cache." + kind.String() + ".misses").Inc()
+		sp := b.obsTracer.StartSpan("executor.cache.build",
+			obs.String("kind", kind.String()), obs.String("key", key))
+		err = par.ErrPanicked // what the span records if build panics
+		defer func() {
+			if err != nil {
+				sp.SetAttr(obs.String("error", err.Error()))
+			}
+			sp.End()
+		}()
+		return build()
+	})
+	if !computed {
+		b.caches.stats[kind].hits.Add(1)
 		b.obsReg.Counter("engine.cache." + kind.String() + ".hits").Inc()
-		select {
-		case <-e.done:
-			return e.v, e.err
-		case <-ctx.Done():
-			return zero, ctx.Err()
-		}
-	}
-	e := &centry[T]{done: make(chan struct{}), err: errBuildPanicked}
-	m[key] = e
-	c.stats[kind].misses.Add(1)
-	c.mu.Unlock()
-	b.obsReg.Counter("engine.cache." + kind.String() + ".misses").Inc()
-	sp := b.obsTracer.StartSpan("executor.cache.build",
-		obs.String("kind", kind.String()), obs.String("key", key))
-	built := false
-	defer func() {
-		if !built {
-			c.mu.Lock()
-			delete(m, key)
-			c.mu.Unlock()
-			sp.SetAttr(obs.String("error", errBuildPanicked.Error()))
-		}
-		sp.End()
-		close(e.done)
-	}()
-	v, err := build()
-	e.v, e.err, built = v, err, true
-	if err != nil {
-		sp.SetAttr(obs.String("error", err.Error()))
 	}
 	return v, err
 }
@@ -182,7 +137,7 @@ func (b *Built) Prepared(plan *optimizer.Plan) (*PreparedPlan, error) {
 // in-flight compilation, but never abandons a compilation this caller
 // started (see cacheGet).
 func (b *Built) PreparedContext(ctx context.Context, plan *optimizer.Plan) (*PreparedPlan, error) {
-	return cacheGet(ctx, b, b.caches.prepared, ckindPrepared, plan.Fingerprint(), func() (*PreparedPlan, error) {
+	return cacheGet(ctx, b, &b.caches.prepared, ckindPrepared, plan.Fingerprint(), func() (*PreparedPlan, error) {
 		sp := b.obsTracer.StartSpan("executor.prepare",
 			obs.String("fingerprint", plan.Fingerprint()),
 			obs.Int("branches", int64(len(plan.Branches))))
@@ -247,7 +202,7 @@ func inlIndex(b *Built, j optimizer.Join) (*builtIndex, error) {
 // index returns them.
 func (b *Built) keyIndex(srcKey string, t *rel.Table, col int) (*builtIndex, error) {
 	key := srcKey + "|c:" + t.Columns[col].Name
-	return cacheGet(context.Background(), b, b.caches.joins, ckindJoin, key, func() (*builtIndex, error) {
+	return cacheGet(context.Background(), b, &b.caches.joins, ckindJoin, key, func() (*builtIndex, error) {
 		return buildIndex(t, &physical.Index{Name: key, Table: t.Name, Key: []string{t.Columns[col].Name}}, rankTables{})
 	})
 }
@@ -283,7 +238,7 @@ func (b *Built) existsIndex(p *sqlast.Pred) (*builtIndex, error) {
 	if err != nil {
 		return nil, err
 	}
-	return cacheGet(context.Background(), b, b.caches.exists, ckindExists, "exists:"+p.String(), func() (*builtIndex, error) {
+	return cacheGet(context.Background(), b, &b.caches.exists, ckindExists, "exists:"+p.String(), func() (*builtIndex, error) {
 		bi, err := buildIndex(t, &physical.Index{Name: p.String(), Table: p.Table, Key: []string{p.JoinCol}}, rankTables{})
 		if err == nil {
 			bi.restrict(func(r int) bool { return matchCompare(t.ValueAt(r, vi), p.Op, p.Value) })
@@ -296,23 +251,16 @@ func (b *Built) existsIndex(p *sqlast.Pred) (*builtIndex, error) {
 // EXISTS indexes, prepared plans) — observability for tests
 // and tools.
 func (b *Built) CachedStructures() map[string]int {
-	b.caches.mu.Lock()
-	defer b.caches.mu.Unlock()
 	return map[string]int{
-		"joinTables": len(b.caches.joins),
-		"existsSets": len(b.caches.exists),
-		"prepared":   len(b.caches.prepared),
+		"joinTables": b.caches.joins.Len(),
+		"existsSets": b.caches.exists.Len(),
+		"prepared":   b.caches.prepared.Len(),
 	}
 }
 
 // CacheKeys returns the sorted join key index cache keys (test hook).
 func (b *Built) CacheKeys() []string {
-	b.caches.mu.Lock()
-	defer b.caches.mu.Unlock()
-	keys := make([]string, 0, len(b.caches.joins))
-	for k := range b.caches.joins {
-		keys = append(keys, k)
-	}
+	keys := b.caches.joins.Keys()
 	sort.Strings(keys)
 	return keys
 }

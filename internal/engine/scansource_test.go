@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/par"
 	"repro/internal/physical"
 	"repro/internal/rel"
 	"repro/internal/sqlast"
@@ -696,7 +697,8 @@ func TestExecuteRaisesSourcePanicOnCaller(t *testing.T) {
 // the panic on the building caller and leaves no entry behind, so the
 // next lookup of the key builds again instead of waiting forever on the
 // dead build. A caller that was waiting on the build when it panicked
-// returns errBuildPanicked, and a build that returns fills the key.
+// returns par.ErrPanicked and counts a hit, and a build that returns
+// fills the key.
 func TestStructureBuildPanicLeavesNoEntry(t *testing.T) {
 	src := chunkDB(128).Table("big")
 	sh := rel.NewVirtualTable(src.Name, src.Parent, src.Columns, src.RowCount(), src.Bytes(),
@@ -731,24 +733,23 @@ func TestStructureBuildPanicLeavesNoEntry(t *testing.T) {
 		}
 	}
 
-	joins := b.caches.joins
+	joins := &b.caches.joins
 	hits := &b.caches.stats[ckindJoin].hits
+	waiting := &joinCtx{Context: context.Background(), joined: make(chan struct{})}
 	building := make(chan struct{})
 	builder := make(chan any, 1)
 	go func() {
 		defer func() { builder <- recover() }()
 		cacheGet(context.Background(), b, joins, ckindJoin, "k", func() (*builtIndex, error) {
 			close(building)
-			for hits.Load() == 0 { // until the waiter has joined
-				runtime.Gosched()
-			}
+			<-waiting.joined // until the waiter waits on this build
 			panic("build")
 		})
 	}()
 	<-building
 	var waited error
 	if p := within("waiter", func() {
-		_, waited = cacheGet(context.Background(), b, joins, ckindJoin, "k", func() (*builtIndex, error) {
+		_, waited = cacheGet(waiting, b, joins, ckindJoin, "k", func() (*builtIndex, error) {
 			t.Error("the waiter built the entry it was waiting on")
 			return nil, nil
 		})
@@ -758,8 +759,8 @@ func TestStructureBuildPanicLeavesNoEntry(t *testing.T) {
 	if p := <-builder; p != "build" {
 		t.Fatalf("the builder raised %v, want its build's panic", p)
 	}
-	if waited != errBuildPanicked {
-		t.Fatalf("the waiter returned %v, want errBuildPanicked", waited)
+	if waited != par.ErrPanicked || hits.Load() != 1 {
+		t.Fatalf("the waiter returned %v with %d hits, want par.ErrPanicked and 1", waited, hits.Load())
 	}
 	want := &builtIndex{}
 	got, err := cacheGet(context.Background(), b, joins, ckindJoin, "k", func() (*builtIndex, error) { return want, nil })
@@ -796,4 +797,18 @@ func TestExecuteErrorIsLowestFailingMorsel(t *testing.T) {
 			}
 		}
 	}
+}
+
+// joinCtx is a context that closes joined the first time a caller asks
+// for its Done channel: a structure lookup asks only when it is about
+// to wait on another caller's build (par.Memo).
+type joinCtx struct {
+	context.Context
+	joined chan struct{}
+	once   sync.Once
+}
+
+func (c *joinCtx) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.joined) })
+	return c.Context.Done()
 }

@@ -257,7 +257,7 @@ func TestTuneFinalPlansAreFull(t *testing.T) {
 			w = append(w, WeightedQuery{Q: sql, Weight: q.Weight})
 		}
 		for _, opts := range []Options{{}, {EnableVPartitions: true, StorageBytes: storage}} {
-			label := fmt.Sprintf("%s options %s", xw.Name, opts.Key())
+			label := fmt.Sprintf("%s options %+v", xw.Name, opts)
 			rec, err := Tune(w, prov, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -310,9 +310,8 @@ func TestTuneMatchesFullReplanning(t *testing.T) {
 			{EnableVPartitions: true, StorageBytes: bound},
 			{DisableViews: true, StorageBytes: bound},
 			{InsertRates: rates},
-			{MaxCandidatesPerQuery: 3},
 		} {
-			label := fmt.Sprintf("workload %d options %s", wi, opts.Key())
+			label := fmt.Sprintf("workload %d options %+v", wi, opts)
 			want, err := tuneFull(w, prov, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)

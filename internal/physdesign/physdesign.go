@@ -14,7 +14,6 @@ import (
 	"slices"
 	"sort"
 	"strconv"
-	"strings"
 
 	"repro/internal/obs"
 	"repro/internal/optimizer"
@@ -48,8 +47,6 @@ type Options struct {
 	// default, like the Index Tuning Wizard; Section 3.1 shows they are
 	// subsumed by covering indexes when space allows).
 	EnableVPartitions bool
-	// MaxCandidatesPerQuery caps candidate generation per query.
-	MaxCandidatesPerQuery int
 	// InsertRates gives the number of rows inserted per workload
 	// execution, per table. Every structure on a table pays a
 	// maintenance cost proportional to its insert rate, so
@@ -58,29 +55,7 @@ type Options struct {
 	InsertRates map[string]float64
 	// Obs, when non-nil, is the caller's tuner-call span; Tune reports
 	// candidate counts, chosen structures, and optimizer effort on it.
-	// Deliberately excluded from Key(): observability must not fork the
-	// advisor's memoization.
 	Obs *obs.Span
-}
-
-// Key returns a canonical string identity for the options, so advisor
-// caches can include the physical-design configuration in their
-// memoization keys. InsertRates are serialized in sorted table order.
-func (o Options) Key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "s=%d;dv=%t;vp=%t;mc=%d", o.StorageBytes, o.DisableViews,
-		o.EnableVPartitions, o.MaxCandidatesPerQuery)
-	if len(o.InsertRates) > 0 {
-		tables := make([]string, 0, len(o.InsertRates))
-		for t := range o.InsertRates {
-			tables = append(tables, t)
-		}
-		sort.Strings(tables)
-		for _, t := range tables {
-			fmt.Fprintf(&b, ";ir:%s=%g", t, o.InsertRates[t])
-		}
-	}
-	return b.String()
 }
 
 // Recommendation is the tool's output.
@@ -366,14 +341,9 @@ func generateCandidates(w Workload, prov stats.Provider, opts Options) []*candid
 	}
 	for i, wq := range w {
 		qi = i
-		n := 0
 		for _, s := range wq.Q.Branches {
-			if opts.MaxCandidatesPerQuery > 0 && n >= opts.MaxCandidatesPerQuery {
-				break
-			}
 			for _, c := range branchCandidates(s, prov, opts, name) {
 				add(c)
-				n++
 			}
 		}
 	}

@@ -182,30 +182,3 @@ func TestCandidateGenerationShapes(t *testing.T) {
 		seen[c.id] = true
 	}
 }
-
-// TestOptionsKey pins the canonical options identity used in advisor
-// memoization keys: every tuning-relevant field must be distinguished,
-// and InsertRates must serialize in sorted order so map iteration
-// cannot produce two keys for the same options.
-func TestOptionsKey(t *testing.T) {
-	base := Options{StorageBytes: 1 << 20}
-	variants := []Options{
-		{},
-		{StorageBytes: 1 << 20, DisableViews: true},
-		{StorageBytes: 1 << 20, EnableVPartitions: true},
-		{StorageBytes: 1 << 20, MaxCandidatesPerQuery: 3},
-		{StorageBytes: 1 << 20, InsertRates: map[string]float64{"t": 0.5}},
-	}
-	for i, v := range variants {
-		if v.Key() == base.Key() {
-			t.Errorf("variant %d has same key as base: %s", i, v.Key())
-		}
-	}
-	a := Options{InsertRates: map[string]float64{"a": 1, "b": 2, "c": 3}}
-	b := Options{InsertRates: map[string]float64{"c": 3, "b": 2, "a": 1}}
-	for i := 0; i < 20; i++ {
-		if a.Key() != b.Key() {
-			t.Fatalf("InsertRates serialization is order-dependent:\n%s\n%s", a.Key(), b.Key())
-		}
-	}
-}

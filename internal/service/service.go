@@ -30,6 +30,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/optimizer"
+	"repro/internal/par"
 	"repro/internal/physical"
 	"repro/internal/rel"
 	"repro/internal/shred"
@@ -153,10 +154,9 @@ type Response struct {
 // translates XPath against it, its optimizer, and the per-query-text
 // plan cache. The Built's own caches (prepared plans by fingerprint,
 // join and EXISTS key indexes) are shared across every
-// session automatically because the Built itself is shared; the plans
-// map adds the XPath-text → optimizer.Plan step on top, single-flighted
-// so concurrent first requests for the same text translate and plan
-// once.
+// session automatically because the Built itself is shared; plans adds
+// the XPath-text → optimizer.Plan step on top, a par.Memo, so
+// concurrent first requests for the same text translate and plan once.
 type corpus struct {
 	name    string
 	built   *engine.Built
@@ -164,41 +164,24 @@ type corpus struct {
 	cfg     *physical.Config
 	opt     *optimizer.Optimizer
 
-	mu    sync.Mutex
-	plans map[string]*planEntry
-
+	plans        par.Memo[string, *optimizer.Plan]
 	hits, misses *obs.Counter
-}
-
-type planEntry struct {
-	done chan struct{}
-	plan *optimizer.Plan
-	err  error
 }
 
 // plan returns the cached optimizer plan for the query text,
 // translating and planning it on first use. Errors are cached too:
 // translation failure is a property of (mapping, query), so every
-// session sees the same answer without re-parsing.
+// session sees the same answer without re-parsing. A miss is counted
+// when planning starts, and every other lookup counts a hit.
 func (c *corpus) plan(ctx context.Context, query string) (*optimizer.Plan, error) {
-	c.mu.Lock()
-	if e, ok := c.plans[query]; ok {
-		c.mu.Unlock()
+	plan, computed, err := c.plans.Do(ctx, query, func() (*optimizer.Plan, error) {
+		c.misses.Inc()
+		return c.buildPlan(query)
+	})
+	if !computed {
 		c.hits.Inc()
-		select {
-		case <-e.done:
-			return e.plan, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
 	}
-	e := &planEntry{done: make(chan struct{})}
-	c.plans[query] = e
-	c.mu.Unlock()
-	c.misses.Inc()
-	e.plan, e.err = c.buildPlan(query)
-	close(e.done)
-	return e.plan, e.err
+	return plan, err
 }
 
 func (c *corpus) buildPlan(query string) (*optimizer.Plan, error) {
@@ -350,7 +333,6 @@ func (s *Service) RegisterStore(name string, st *storage.Store, m *shred.Mapping
 }
 
 func (s *Service) register(c *corpus) error {
-	c.plans = make(map[string]*planEntry)
 	c.hits = s.reg.Counter("service.plan.hits")
 	c.misses = s.reg.Counter("service.plan.misses")
 	c.built.AttachObs(s.tr, s.reg)
@@ -424,8 +406,7 @@ func (s *Service) timeout(req Request) time.Duration {
 // deadline govern every phase; a request past its deadline returns a
 // DeadlineError promptly — from the queue without ever occupying quota,
 // or from execution via the engine's per-batch cancellation polls — and
-// never poisons a shared cache entry (the engine's single-flight builds
-// run to completion regardless, see engine.cacheGet).
+// never poisons a shared cache entry (see par.Memo).
 func (s *Service) Query(ctx context.Context, req Request) (*Response, error) {
 	resp := &Response{}
 	err := s.serve(ctx, req, resp, func(ctx context.Context, pp *engine.PreparedPlan, workers int) (int, error) {

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -210,6 +211,59 @@ func (s panicSource) Chunk(k int) (*rel.Table, func(), error) {
 	panic(fmt.Sprintf("chunk %d of %s", k, s.t.Name))
 }
 func (s panicSource) ChunkColumns(k int, _ []int) (*rel.Table, func(), error) { return s.Chunk(k) }
+
+// TestPlanPanicDoesNotHang: planning that panics — a corpus registered
+// with no mapping — raises the panic on every request for the text and
+// leaves no plan entry behind, so the next request plans again instead
+// of waiting on the dead one; over HTTP each such request is a 500.
+func TestPlanPanicDoesNotHang(t *testing.T) {
+	_, _, built := movieFixture(t, 20)
+	reg := obs.NewRegistry()
+	svc := New(Config{Registry: reg})
+	if err := svc.RegisterBuilt("broken", built, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	c, err := svc.corpus("broken")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		var err error
+		p := func() (p any) {
+			defer func() { p = recover() }()
+			_, err = c.plan(ctx, serviceQueries[2])
+			return nil
+		}()
+		cancel()
+		if p == nil {
+			t.Fatalf("plan %d returned %v, want the planning panic", i, err)
+		}
+	}
+
+	ts := httptest.NewServer(svc.Handler())
+	defer ts.Close()
+	client := &http.Client{Timeout: 5 * time.Second}
+	body, err := json.Marshal(Request{Corpus: "broken", Tenant: "t", XPath: serviceQueries[2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		hr, err := client.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatalf("POST /query %d: %v", i, err)
+		}
+		var we wireError
+		err = json.NewDecoder(hr.Body).Decode(&we)
+		hr.Body.Close()
+		if err != nil || hr.StatusCode != http.StatusInternalServerError || we.Kind != "internal" {
+			t.Fatalf("POST /query %d: HTTP %d, kind %q, error %q (%v); want 500, kind internal", i, hr.StatusCode, we.Kind, we.Error, err)
+		}
+	}
+	if snap := reg.Snapshot(); snap["service.plan.misses"] != 4 || snap["service.plan.hits"] != 0 {
+		t.Errorf("plan misses=%v hits=%v, want 4/0: every request plans again", snap["service.plan.misses"], snap["service.plan.hits"])
+	}
+}
 
 // TestQueryRaisesScanPanicOnCaller: a query on four workers over a
 // corpus whose scan sources panic raises the first branch's panic on
