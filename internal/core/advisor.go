@@ -343,8 +343,8 @@ func (a *Advisor) evaluateFull(tree *schema.Tree, sig string, met *Metrics) (*ev
 }
 
 // prepare compiles and translates a mapping without tuning. The
-// search's memos supply every relation, statistic and translation the
-// tree shares with a mapping prepared before.
+// search's shred memo supplies every relation and statistic the tree
+// shares with a mapping prepared before.
 func (a *Advisor) prepare(tree *schema.Tree) (*evalResult, physdesign.Workload, error) {
 	m, err := a.shreds.Compile(tree)
 	if err != nil {
@@ -353,7 +353,7 @@ func (a *Advisor) prepare(tree *schema.Tree) (*evalResult, physdesign.Workload, 
 	prov := a.shreds.DeriveStats(m)
 	ev := &evalResult{tree: tree, mapping: m, prov: prov, sqls: make([]*sqlast.Query, len(a.W.Queries))}
 	for i, q := range a.W.Queries {
-		sql, err := a.sqls.Translate(m, q.XPath)
+		sql, err := translate.Translate(m, q.XPath)
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: translating %s: %w", q.XPath, err)
 		}

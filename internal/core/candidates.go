@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/optimizer"
 	"repro/internal/schema"
-	"repro/internal/sqlast"
 	"repro/internal/transform"
 	"repro/internal/translate"
 	"repro/internal/workload"
@@ -466,19 +465,13 @@ func (a *Advisor) queryCostFull(tree *schema.Tree, wq workload.Query, met *Metri
 	if err != nil {
 		return math.Inf(1)
 	}
-	sql, err := a.sqls.Translate(m, wq.XPath)
+	sql, err := translate.Translate(m, wq.XPath)
 	if err != nil {
 		return math.Inf(1)
 	}
 	prov := a.shreds.DeriveStats(m)
 	if a.observe != nil {
-		ev := &evalResult{tree: tree, mapping: m, prov: prov, sqls: make([]*sqlast.Query, len(a.W.Queries))}
-		for i := range a.W.Queries {
-			if a.W.Queries[i].XPath == wq.XPath {
-				ev.sqls[i] = sql
-			}
-		}
-		a.observe(ev)
+		a.observe(&evalResult{tree: tree, mapping: m, prov: prov})
 	}
 	opt := optimizer.New(prov)
 	cost, err := opt.Cost(sql, nil)

@@ -22,9 +22,10 @@ import (
 // another. The Advisor embeds it: a.evaluate is the memo itself, with
 // no forwarding layer in between.
 //
-// Below the caches, every mapping is prepared from the search's memos
-// (shreds, sqls), which hand concurrent evaluations shared read-only
-// relations, statistics and SQL.
+// Below the caches, every mapping is compiled and its statistics derived
+// through the search's shred memo, which hands concurrent evaluations
+// shared read-only relations and statistics; the workload queries are
+// translated afresh for every mapping.
 //
 // Evaluations are pure (they only read the advisor's base tree,
 // statistics, and workload), so concurrent calls are safe; each cache is
@@ -37,16 +38,14 @@ import (
 type evalService struct {
 	a *Advisor
 
-	// shreds and sqls are the search's memos of compiled relations,
-	// derived statistics and translations (DESIGN.md, "The advisor"):
-	// a mapping prepares only what its transformation changed.
+	// shreds is the search's memo of compiled relations and derived
+	// statistics (DESIGN.md, "The advisor"): a mapping compiles and
+	// derives only what its transformation changed.
 	shreds *shred.Memo
-	sqls   *translate.Memo
 	// tags are the workload queries' texts, the tuner's query tags.
 	tags []string
 	// observe, when set (by tests), sees every mapping prepared from the
-	// memos: the tree, mapping and statistics, and the SQL of each
-	// query translated (nil where a query was not).
+	// memo: the tree, mapping and statistics.
 	observe func(*evalResult)
 
 	evals   par.Memo[string, *evalResult] // full tool evaluations, by tree signature
@@ -85,7 +84,6 @@ func newEvalService(a *Advisor) *evalService {
 	return &evalService{
 		a:      a,
 		shreds: shred.NewMemo(a.Col, a.Opts.Registry),
-		sqls:   translate.NewMemo(a.Opts.Registry),
 		tags:   tags,
 	}
 }

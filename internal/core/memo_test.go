@@ -13,7 +13,6 @@ import (
 	"repro/internal/schema"
 	"repro/internal/shred"
 	"repro/internal/stats"
-	"repro/internal/translate"
 	"repro/internal/workload"
 	"repro/internal/xmlgen"
 )
@@ -38,10 +37,10 @@ func memoFixtures(t *testing.T) []*fixture {
 	return out
 }
 
-// checkMemoAnswers compares what the memos answered for a tree with a
-// fresh Compile, DeriveStats and Translate of it, and returns the first
+// checkMemoAnswers compares what the shred memo answered for a tree with
+// a fresh Compile and DeriveStats of it, and returns the first
 // difference ("" when none).
-func checkMemoAnswers(ev *evalResult, col *stats.Collection, w *workload.Workload) string {
+func checkMemoAnswers(ev *evalResult, col *stats.Collection) string {
 	fresh, err := shred.Compile(ev.tree)
 	if err != nil {
 		return fmt.Sprintf("fresh compile fails (%v) where the memo compiled", err)
@@ -118,18 +117,6 @@ func checkMemoAnswers(ev *evalResult, col *stats.Collection, w *workload.Workloa
 		}
 		return fmt.Sprintf("statistics name %d tables, fresh %d", len(ev.prov), len(fp))
 	}
-	for i, sql := range ev.sqls {
-		if sql == nil {
-			continue
-		}
-		f, err := translate.Translate(fresh, w.Queries[i].XPath)
-		if err != nil {
-			return fmt.Sprintf("query %d: fresh translation fails (%v) where the memo translated", i, err)
-		}
-		if sql.SQL() != f.SQL() {
-			return fmt.Sprintf("query %d (%s):\n memo  %s\n fresh %s", i, w.Queries[i].XPath, sql.SQL(), f.SQL())
-		}
-	}
 	return ""
 }
 
@@ -150,11 +137,11 @@ func aliasesTree(ids []int, t *schema.Tree) bool {
 	return aliased
 }
 
-// TestMemoMatchesFreshPreparation: every compiled relation, derived
-// statistic and translation the search's memos hand a candidate equals
-// what a fresh Compile, DeriveStats and Translate of the candidate's
-// tree give, for every tree Greedy, Two-Step and a quick Naive-Greedy
-// prepare on DBLP and Movie in all four workload classes.
+// TestMemoMatchesFreshPreparation: every compiled relation and derived
+// statistic the search's shred memo hands a candidate equals what a
+// fresh Compile and DeriveStats of the candidate's tree give, for every
+// tree Greedy, Two-Step and a quick Naive-Greedy prepare on DBLP and
+// Movie in all four workload classes.
 func TestMemoMatchesFreshPreparation(t *testing.T) {
 	for _, fx := range memoFixtures(t) {
 		for _, alg := range []string{"greedy", "two-step", "naive"} {
@@ -168,7 +155,7 @@ func TestMemoMatchesFreshPreparation(t *testing.T) {
 			var checked int
 			var diffs []string
 			adv.observe = func(ev *evalResult) {
-				d := checkMemoAnswers(ev, fx.col, fx.w)
+				d := checkMemoAnswers(ev, fx.col)
 				mu.Lock()
 				defer mu.Unlock()
 				checked++
@@ -201,29 +188,24 @@ func TestMemoMatchesFreshPreparation(t *testing.T) {
 	}
 }
 
-// TestMemoEntriesAreReadOnly: round workers share the memos' SQL,
+// TestMemoEntriesAreReadOnly: round workers share the shred memo's
 // statistics and relation templates. Every shared entry a Two-Step
-// search leaves in the memos is dumped deeply, a Greedy search on the
+// search leaves in the memo is dumped deeply, a Greedy search on the
 // same advisor reuses them on GOMAXPROCS workers, and the dumps must not
 // change (run with -race to also catch a write racing a read).
 func TestMemoEntriesAreReadOnly(t *testing.T) {
-	fx := pinnedFixtures(t, 5)[1] // LP-LS: 879 shared entries, quick under -race
+	fx := pinnedFixtures(t, 5)[1] // LP-LS: 806 shared entries, quick under -race
 	for _, procs := range []int{1, 2, 8} {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 			adv := New(fx.base, fx.col, fx.w, Options{Parallelism: procs})
-			// shared dumps each entry, keyed by its identity: the SQL, the
+			// shared dumps each entry, keyed by its identity: the
 			// statistics, and a relation's columns, partition and parents.
 			var mu sync.Mutex
 			shared := map[any]func() string{}
 			adv.observe = func(ev *evalResult) {
 				mu.Lock()
 				defer mu.Unlock()
-				for _, sql := range ev.sqls {
-					if sql != nil {
-						shared[sql] = func() string { return deepDump(sql) }
-					}
-				}
 				for _, ts := range ev.prov {
 					shared[ts] = func() string { return deepDump(ts) }
 				}

@@ -48,6 +48,11 @@ type Built struct {
 func (b *Built) AttachObs(tr *obs.Tracer, reg *obs.Registry) {
 	b.obsTracer = tr
 	b.obsReg = reg
+	for k := ckind(0); k < ckindCount; k++ {
+		st := &b.caches.stats[k]
+		st.regHits = reg.Counter("engine.cache." + k.String() + ".hits")
+		st.regMisses = reg.Counter("engine.cache." + k.String() + ".misses")
+	}
 }
 
 // snapshotGenerations records the Build-time row count of every table

@@ -67,9 +67,11 @@ func (k ckind) String() string {
 	return "prepared"
 }
 
-// cacheStat is one cache kind's traffic counters.
+// cacheStat is one cache kind's traffic counters: always-on atomics,
+// and their registry mirrors, resolved once by AttachObs (nil: none).
 type cacheStat struct {
-	hits, misses atomic.Int64
+	hits, misses       atomic.Int64
+	regHits, regMisses *obs.Counter
 }
 
 // cacheGet serves one lookup of a structure cache, a par.Memo (whose
@@ -93,9 +95,10 @@ func cacheGet[T any](ctx context.Context, b *Built, m *par.Memo[string, T], kind
 	if err := ctx.Err(); err != nil {
 		return zero, err
 	}
+	st := &b.caches.stats[kind]
 	v, computed, err := m.Do(ctx, key, func() (v T, err error) {
-		b.caches.stats[kind].misses.Add(1)
-		b.obsReg.Counter("engine.cache." + kind.String() + ".misses").Inc()
+		st.misses.Add(1)
+		st.regMisses.Inc()
 		sp := b.obsTracer.StartSpan("executor.cache.build",
 			obs.String("kind", kind.String()), obs.String("key", key))
 		err = par.ErrPanicked // what the span records if build panics
@@ -108,8 +111,8 @@ func cacheGet[T any](ctx context.Context, b *Built, m *par.Memo[string, T], kind
 		return build()
 	})
 	if !computed {
-		b.caches.stats[kind].hits.Add(1)
-		b.obsReg.Counter("engine.cache." + kind.String() + ".hits").Inc()
+		st.hits.Add(1)
+		st.regHits.Inc()
 	}
 	return v, err
 }

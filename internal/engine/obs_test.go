@@ -89,6 +89,35 @@ func TestCacheCounters(t *testing.T) {
 	}
 }
 
+// TestWarmPreparedAllocatesNothing: a prepared-plan hit counts itself
+// without allocating, with no registry attached and with one (whose
+// counters AttachObs resolves once).
+func TestWarmPreparedAllocatesNothing(t *testing.T) {
+	movieDoc := xmlgen.GenerateMovie(schema.Movie(), xmlgen.MovieOptions{Movies: 50, Seed: 8})
+	built, plans := buildPlans(t, schema.Movie(), movieDoc, []string{
+		`//movie[genre = "genre-03"]/(title | year | actor)`,
+	}, nil)
+	if _, err := built.Prepared(plans[0]); err != nil {
+		t.Fatal(err)
+	}
+	warm := func() {
+		if _, err := built.Prepared(plans[0]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(100, warm); n != 0 {
+		t.Errorf("warm Prepared without a registry: %v allocations, want 0", n)
+	}
+	reg := obs.NewRegistry()
+	built.AttachObs(nil, reg)
+	if n := testing.AllocsPerRun(100, warm); n != 0 {
+		t.Errorf("warm Prepared with a registry: %v allocations, want 0", n)
+	}
+	if got := reg.Counter("engine.cache.prepared.hits").Value(); got != 101 {
+		t.Errorf("engine.cache.prepared.hits = %d, want 101 (AllocsPerRun's warm-up run and 100 runs)", got)
+	}
+}
+
 // TestExecutorObs attaches a tracer and registry and checks the span
 // tree covers prepare, structure builds, and executions — and stays
 // well-formed — and that registry counters mirror the cache and

@@ -82,18 +82,13 @@ func Translate(m *shred.Mapping, q *xpath.Query) (*sqlast.Query, error) {
 	return (&translator{m: m}).translate(q)
 }
 
-// translator is one translation. It reads the mapping and its tree only
-// through its read methods (reads.go), which log every answer when
-// record is set, so that a Memo can tell whether another mapping gives
-// the same answers and so the same SQL.
+// translator is one translation under a mapping.
 type translator struct {
-	m      *shred.Mapping
-	record bool
-	reads  []read
+	m *shred.Mapping
 }
 
 func (t *translator) translate(q *xpath.Query) (*sqlast.Query, error) {
-	ctxNodes := t.context(q.Context)
+	ctxNodes := ResolveContext(t.m.Tree, q.Context)
 	if len(ctxNodes) == 0 {
 		return nil, fmt.Errorf("translate: no schema element matches context %v", q.Context)
 	}
@@ -147,7 +142,7 @@ func dedupeBranches(in []*sqlast.Select) []*sqlast.Select {
 // projection classification results
 type projPlan struct {
 	name string // output column base name
-	leaf leafNode
+	leaf *schema.Node
 	// inline: column of the host relation (may be absent in some
 	// partitions).
 	inline bool
@@ -166,7 +161,7 @@ type projPlan struct {
 // selPlan is a context's selection, classified once for all its host
 // partitions.
 type selPlan struct {
-	leaf leafNode // node nil: no selection
+	leaf *schema.Node // nil: no selection
 	op   sqlast.CmpOp
 	lit  rel.Value
 	// split: a repetition-split leaf with occurrence columns in the host
@@ -185,28 +180,29 @@ type selPlan struct {
 }
 
 func (t *translator) translateContext(ctx *schema.Node, q *xpath.Query) ([]*sqlast.Select, []string, error) {
-	hosts, hostAnn := t.hostRelations(ctx)
+	hosts := t.m.HostRelations(ctx)
 	if len(hosts) == 0 {
 		return nil, nil, fmt.Errorf("translate: context %s has no hosting relation", ctx.Path())
 	}
+	hostAnn := hosts[0].Ann
 
 	// --- selection classification ---
 	var sel selPlan
 	if q.Pred != nil {
-		leaves := t.relPath(ctx, q.Pred.Path)
+		leaves := resolveRelPath(ctx, q.Pred.Path)
 		if len(leaves) != 1 {
 			return nil, nil, unsupported(PathNotUnique, "translate: selection path %s resolves to %d elements under %s",
 				q.Pred.Path, len(leaves), ctx.Path())
 		}
-		sel.leaf = t.leaf(leaves[0])
-		if !sel.leaf.isLeaf {
+		sel.leaf = leaves[0]
+		if !sel.leaf.IsLeaf() {
 			return nil, nil, fmt.Errorf("translate: selection path %s is not a leaf element", q.Pred.Path)
 		}
 		sel.op, sel.lit = cmpOp(q.Pred.Op), xmlgen.LiteralValue(q.Pred.Value)
 		switch {
-		case sel.leaf.split > 0 && t.hostsInline(hostAnn, sel.leaf.id, 1):
+		case sel.leaf.SplitCount > 0 && hostsLeafInline(t.m, hostAnn, sel.leaf.ID, 1):
 			sel.split = true
-		case t.hostsInline(hostAnn, sel.leaf.id, 0):
+		case hostsLeafInline(t.m, hostAnn, sel.leaf.ID, 0):
 			sel.inline = true
 		}
 	}
@@ -214,40 +210,40 @@ func (t *translator) translateContext(ctx *schema.Node, q *xpath.Query) ([]*sqla
 	// --- projection classification ---
 	proj := q.Proj
 	if len(proj) == 0 {
-		proj = t.bareProjections(ctx)
+		proj = bareContextProjections(ctx)
 	}
 	plans := make([]*projPlan, 0, len(proj))
 	for _, p := range proj {
-		leaves := t.relPath(ctx, p)
+		leaves := resolveRelPath(ctx, p)
 		if len(leaves) != 1 {
 			return nil, nil, unsupported(PathNotUnique, "translate: projection %s resolves to %d elements under %s",
 				p, len(leaves), ctx.Path())
 		}
-		leaf := t.leaf(leaves[0])
-		if !leaf.isLeaf {
+		leaf := leaves[0]
+		if !leaf.IsLeaf() {
 			return nil, nil, fmt.Errorf("translate: projection %s is not a leaf element", p)
 		}
 		pp := &projPlan{name: strings.Join(p, "_"), leaf: leaf}
 		switch {
-		case leaf.split > 0 && t.hostsInline(hostAnn, leaf.id, 1):
+		case leaf.SplitCount > 0 && hostsLeafInline(t.m, hostAnn, leaf.ID, 1):
 			pp.split = true
-			pp.occNames = make([]string, leaf.split)
+			pp.occNames = make([]string, leaf.SplitCount)
 			for i := range pp.occNames {
 				pp.occNames[i] = pp.name + "__" + strconv.Itoa(i+1)
 			}
-			pp.childRels = t.m.RelationsOf(leaf.ann) // not a Memo read: one relation, named leaf.ann
-		case t.hostsInline(hostAnn, leaf.id, 0):
+			pp.childRels = t.m.RelationsOf(leaf.Annotation)
+		case hostsLeafInline(t.m, hostAnn, leaf.ID, 0):
 			pp.inline = true
 		default:
-			prels, _ := t.hostRelations(leaf.node)
+			prels := t.m.HostRelations(leaf)
 			if len(prels) == 0 {
 				return nil, nil, fmt.Errorf("translate: projection %s has no hosting relation", p)
 			}
-			if !t.childOf(prels[0], hostAnn) {
+			if !relationChildOf(prels[0], hostAnn) {
 				return nil, nil, unsupported(MultiLevelPath, "translate: projection %s crosses more than one relation level", p)
 			}
 			for _, crel := range prels {
-				if t.hasLeaf(crel, leaf.id) {
+				if crel.HasLeaf(leaf.ID) {
 					pp.childRels = append(pp.childRels, crel)
 				} // else a child partition without the leaf
 			}
@@ -263,7 +259,7 @@ func (t *translator) translateContext(ctx *schema.Node, q *xpath.Query) ([]*sqla
 		outNames = append(outNames, pp.name)
 	}
 
-	if sel.leaf.node != nil && !sel.split && !sel.inline {
+	if sel.leaf != nil && !sel.split && !sel.inline {
 		if err := t.childSelection(&sel, hostAnn); err != nil {
 			return nil, nil, err
 		}
@@ -288,7 +284,7 @@ func (t *translator) translateContext(ctx *schema.Node, q *xpath.Query) ([]*sqla
 		for _, pp := range plans {
 			if pp.split {
 				for i, name := range pp.occNames {
-					if c, ok := t.column(host, pp.leaf.id, i+1); ok {
+					if c, ok := columnFor(host, pp.leaf.ID, i+1); ok {
 						main.Items = append(main.Items, sqlast.SelectItem{
 							Col: &sqlast.ColRef{Table: host.Name, Column: c.Name}, As: name})
 						nonNull++
@@ -300,7 +296,7 @@ func (t *translator) translateContext(ctx *schema.Node, q *xpath.Query) ([]*sqla
 				continue
 			}
 			if pp.inline {
-				if c, ok := t.column(host, pp.leaf.id, 0); ok {
+				if c, ok := columnFor(host, pp.leaf.ID, 0); ok {
 					main.Items = append(main.Items, sqlast.SelectItem{
 						Col: &sqlast.ColRef{Table: host.Name, Column: c.Name}, As: pp.name})
 					nonNull++
@@ -334,9 +330,9 @@ func (t *translator) childBranch(host *shred.Relation, pp *projPlan, ci int,
 	outNames []string, selPreds []sqlast.Pred) (*sqlast.Select, error) {
 	child := pp.childRels[ci]
 	if ci == len(pp.childCols) {
-		c, ok := t.column(child, pp.leaf.id, 0)
+		c, ok := columnFor(child, pp.leaf.ID, 0)
 		if !ok {
-			return nil, fmt.Errorf("translate: relation %s lacks value column for %s", child.Name, pp.leaf.node.Path())
+			return nil, fmt.Errorf("translate: relation %s lacks value column for %s", child.Name, pp.leaf.Path())
 		}
 		pp.childCols = append(pp.childCols, c)
 	}
@@ -370,19 +366,19 @@ func (t *translator) childBranch(host *shred.Relation, pp *projPlan, ci int,
 // childSelection resolves a selection on a leaf of a child relation:
 // the relation and its value column, the same for every host.
 func (t *translator) childSelection(sel *selPlan, hostAnn string) error {
-	prels, _ := t.hostRelations(sel.leaf.node)
+	prels := t.m.HostRelations(sel.leaf)
 	if len(prels) == 0 {
-		return fmt.Errorf("translate: selection %s has no hosting relation", sel.leaf.node.Path())
+		return fmt.Errorf("translate: selection %s has no hosting relation", sel.leaf.Path())
 	}
 	if len(prels) != 1 {
 		return unsupported(PartitionedChildSelection, "translate: selection on partitioned child relation is unsupported")
 	}
-	if !t.childOf(prels[0], hostAnn) {
-		return unsupported(MultiLevelPath, "translate: selection %s crosses more than one relation level", sel.leaf.node.Path())
+	if !relationChildOf(prels[0], hostAnn) {
+		return unsupported(MultiLevelPath, "translate: selection %s crosses more than one relation level", sel.leaf.Path())
 	}
-	c, ok := t.column(prels[0], sel.leaf.id, 0)
+	c, ok := columnFor(prels[0], sel.leaf.ID, 0)
 	if !ok {
-		return fmt.Errorf("translate: relation %s lacks value column for %s", prels[0].Name, sel.leaf.node.Path())
+		return fmt.Errorf("translate: relation %s lacks value column for %s", prels[0].Name, sel.leaf.Path())
 	}
 	sel.child, sel.childCol = prels[0], c
 	return nil
@@ -392,14 +388,14 @@ func (t *translator) childSelection(sel *selPlan, hostAnn string) error {
 // for one host partition; ok=false prunes the partition entirely.
 func (t *translator) selectionPreds(host *shred.Relation, sel *selPlan) ([]sqlast.Pred, bool, error) {
 	switch {
-	case sel.leaf.node == nil:
+	case sel.leaf == nil:
 		return nil, true, nil
 	case sel.split:
 		// Repetition-split selection: OR over the occurrence columns
 		// plus EXISTS on the overflow relation.
 		var cols []sqlast.ColRef
-		for i := 1; i <= sel.leaf.split; i++ {
-			if c, ok := t.column(host, sel.leaf.id, i); ok {
+		for i := 1; i <= sel.leaf.SplitCount; i++ {
+			if c, ok := columnFor(host, sel.leaf.ID, i); ok {
 				cols = append(cols, sqlast.ColRef{Table: host.Name, Column: c.Name})
 			}
 		}
@@ -423,7 +419,7 @@ func (t *translator) selectionPreds(host *shred.Relation, sel *selPlan) ([]sqlas
 			InnerCol: sel.overflowCol.Name,
 		}}, true, nil
 	case sel.inline:
-		c, ok := t.column(host, sel.leaf.id, 0)
+		c, ok := columnFor(host, sel.leaf.ID, 0)
 		if !ok {
 			// This partition cannot contain the selection element:
 			// prune it (union-distribution benefit).
@@ -451,13 +447,13 @@ func (t *translator) selectionPreds(host *shred.Relation, sel *selPlan) ([]sqlas
 // overflowSelection resolves a split selection's overflow relation and
 // value column.
 func (t *translator) overflowSelection(sel *selPlan) error {
-	overflow := t.m.RelationsOf(sel.leaf.ann) // not a Memo read: one relation, named leaf.ann
+	overflow := t.m.RelationsOf(sel.leaf.Annotation)
 	if len(overflow) != 1 {
 		return unsupported(PartitionedOverflowSelection, "translate: split selection with partitioned overflow relation")
 	}
-	c, ok := t.column(overflow[0], sel.leaf.id, 0)
+	c, ok := columnFor(overflow[0], sel.leaf.ID, 0)
 	if !ok {
-		return fmt.Errorf("translate: relation %s lacks value column for %s", overflow[0].Name, sel.leaf.node.Path())
+		return fmt.Errorf("translate: relation %s lacks value column for %s", overflow[0].Name, sel.leaf.Path())
 	}
 	sel.overflow, sel.overflowCol = overflow[0], c
 	return nil
@@ -473,6 +469,14 @@ func hostsLeafInline(m *shred.Mapping, hostAnn string, leafID, occ int) bool {
 		}
 	}
 	return false
+}
+
+// columnFor returns the column of r holding the leaf at the occurrence.
+func columnFor(r *shred.Relation, leafID, occ int) (rel.Column, bool) {
+	if ci := r.ColumnFor(leafID, occ); ci >= 0 {
+		return r.Columns[ci], true
+	}
+	return rel.Column{}, false
 }
 
 // relationChildOf reports whether r's PID references the given
@@ -551,50 +555,31 @@ func ResolveContext(t *schema.Tree, steps []xpath.Step) []*schema.Node {
 }
 
 // resolveRelPath resolves a relative child path from a context element
-// to element nodes.
+// to element nodes, in document order.
 func resolveRelPath(ctx *schema.Node, p xpath.Path) []*schema.Node {
-	var out []*schema.Node
-	eachRelPath(ctx, p, func(n *schema.Node) bool {
-		out = append(out, n)
-		return true
-	})
-	return out
-}
-
-// eachRelPath calls f on each node a relative child path resolves to
-// under a context element, in document order, until f returns false;
-// it reports whether f never did.
-func eachRelPath(ctx *schema.Node, p xpath.Path, f func(*schema.Node) bool) bool {
 	// A path naming the leaf context itself resolves to the context
 	// (bare leaf contexts).
 	if len(p) == 1 && ctx.IsLeaf() && p[0] == ctx.Name {
-		return f(ctx)
+		return []*schema.Node{ctx}
 	}
-	return relPathFrom(ctx, p, f)
+	return appendRelPath(nil, ctx, p)
 }
 
-func relPathFrom(n *schema.Node, p xpath.Path, f func(*schema.Node) bool) bool {
+// appendRelPath appends to out the nodes the rest of p resolves to
+// under n, looking through constructors for element children.
+func appendRelPath(out []*schema.Node, n *schema.Node, p xpath.Path) []*schema.Node {
 	if len(p) == 0 {
-		return f(n)
+		return append(out, n)
 	}
-	return childrenNamed(n, p, f)
-}
-
-// childrenNamed resolves the rest of p under each element child of n
-// (through constructors) named p[0].
-func childrenNamed(n *schema.Node, p xpath.Path, f func(*schema.Node) bool) bool {
 	for _, c := range n.Children {
-		if c.Kind == schema.KindElement {
-			if c.Name == p[0] && !relPathFrom(c, p[1:], f) {
-				return false
-			}
-			continue
-		}
-		if !childrenNamed(c, p, f) {
-			return false
+		switch {
+		case c.Kind != schema.KindElement:
+			out = appendRelPath(out, c, p)
+		case c.Name == p[0]:
+			out = appendRelPath(out, c, p[1:])
 		}
 	}
-	return true
+	return out
 }
 
 func cmpOp(op xpath.CmpOp) sqlast.CmpOp {
