@@ -381,7 +381,7 @@ func (a *Advisor) workloadOf(sqls []*sqlast.Query) physdesign.Workload {
 func (a *Advisor) HybridBaseline() (*Result, error) {
 	start := time.Now()
 	var met Metrics
-	ev, err := a.evaluate(a.Base.Clone(), &met)
+	ev, err := a.evaluate(sign(a.Base.Clone()), &met)
 	if err != nil {
 		return nil, err
 	}

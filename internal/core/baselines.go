@@ -24,7 +24,7 @@ func (a *Advisor) NaiveGreedy() (*Result, error) {
 	var met Metrics
 	root := a.Opts.Obs.StartSpan("search", obs.String("algorithm", "naive-greedy"))
 	defer root.End()
-	curEval, err := a.evaluate(a.Base.Clone(), &met)
+	curEval, err := a.evaluate(sign(a.Base.Clone()), &met)
 	if err != nil {
 		return nil, fmt.Errorf("core: costing initial mapping: %w", err)
 	}
@@ -50,10 +50,10 @@ func (a *Advisor) NaiveGreedy() (*Result, error) {
 }
 
 // applyAll is round's apply over single transformations of cur.
-func applyAll(ts []transform.Transformation, cur *schema.Tree) func(int) *schema.Tree {
-	return func(i int) *schema.Tree {
+func applyAll(ts []transform.Transformation, cur *schema.Tree) func(int) signed {
+	return func(i int) signed {
 		next, _ := ts[i].Apply(cur) // nil when it does not apply
-		return next
+		return sign(next)
 	}
 }
 
@@ -67,7 +67,7 @@ func (a *Advisor) TwoStep() (*Result, error) {
 	var met Metrics
 	root := a.Opts.Obs.StartSpan("search", obs.String("algorithm", "two-step"))
 	defer root.End()
-	cur := a.Base.Clone()
+	cur := sign(a.Base.Clone())
 	curCost, err := a.costUnderDefault(cur, &met)
 	if err != nil {
 		return nil, err
@@ -76,20 +76,20 @@ func (a *Advisor) TwoStep() (*Result, error) {
 	if rounds == 0 {
 		rounds = naiveMaxRounds
 	}
-	fixed := func(next *schema.Tree, m *Metrics) (*evalResult, float64, error) {
+	fixed := func(next signed, m *Metrics) (*evalResult, float64, error) {
 		cost, err := a.costUnderDefault(next, m)
 		return nil, cost, err
 	}
 	for round := 0; round < rounds; round++ {
 		rsp := root.Child("search-round", obs.Int("round", int64(round)))
-		cands := transform.EnumerateAll(cur, a.Col)
-		outs := a.round(len(cands), applyAll(cands, cur), fixed, &met)
+		cands := transform.EnumerateAll(cur.tree, a.Col)
+		outs := a.round(len(cands), applyAll(cands, cur.tree), fixed, &met)
 		best := lowest(outs, curCost)
 		rsp.End()
 		if best < 0 {
 			break
 		}
-		cur, curCost = outs[best].tree, outs[best].cost
+		cur, curCost = outs[best].signed, outs[best].cost
 	}
 	// Phase 2: physical design once, on the selected logical mapping.
 	ev, err := a.evaluate(cur, &met)
@@ -107,7 +107,7 @@ func (a *Advisor) FullySplitBaseline() (*Result, error) {
 	start := time.Now()
 	var met Metrics
 	tree := schema.ApplyFullySplit(a.Base.Clone())
-	ev, err := a.evaluate(tree, &met)
+	ev, err := a.evaluate(sign(tree), &met)
 	if err != nil {
 		return nil, err
 	}

@@ -14,7 +14,7 @@ import (
 func evalFor(t *testing.T, adv *Advisor, tree *schema.Tree) *evalResult {
 	t.Helper()
 	var met Metrics
-	ev, err := adv.evaluate(tree, &met)
+	ev, err := adv.evaluate(sign(tree), &met)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestDeriveCostMatchesExactForIrrelevantChange(t *testing.T) {
 		n.SplitCount = 2
 	}
 	var met Metrics
-	derived, err := adv.deriveCost(cur, next, &met)
+	derived, err := adv.deriveCost(cur, sign(next), &met)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,10 +88,26 @@ func newEvalService(a *Advisor) *evalService {
 	}
 }
 
+// signed is a mapping with its canonical Signature, the key of every
+// evaluation cache. A search signs each tree once and hands the pair on,
+// so a tree that is ranked and then re-estimated is not signed again.
+type signed struct {
+	tree *schema.Tree
+	sig  string
+}
+
+// sign pairs a tree with its Signature; a nil tree is the zero signed.
+func sign(tree *schema.Tree) signed {
+	if tree == nil {
+		return signed{}
+	}
+	return signed{tree: tree, sig: tree.Signature()}
+}
+
 // candOutcome is one candidate's result in a round.
 type candOutcome struct {
-	tree   *schema.Tree // the applied mapping; nil when the candidate does not apply
-	ev     *evalResult  // exact evaluation, when the cost function produced one
+	signed             // the applied mapping; tree nil when the candidate does not apply
+	ev     *evalResult // exact evaluation, when the cost function produced one
 	cost   float64
 	met    Metrics
 	failed bool // costing error: the candidate has no cost this round
@@ -99,11 +115,11 @@ type candOutcome struct {
 
 // costFunc costs one applied candidate, returning its exact evaluation
 // when it computed one.
-type costFunc func(tree *schema.Tree, met *Metrics) (*evalResult, float64, error)
+type costFunc func(next signed, met *Metrics) (*evalResult, float64, error)
 
 // round is the one candidate round every search runs: apply(i) returns
-// candidate i applied to the current mapping (nil when it does not
-// apply), and each applied candidate counts one transformation and is
+// candidate i applied to the current mapping and signed (the zero signed
+// when it does not apply), and each applied candidate counts one transformation and is
 // costed on up to Options.Parallelism goroutines (par.Do: the caller's
 // among them, so Parallelism <= 1 runs inline). Effort merges into met
 // in candidate order afterwards, and callers reduce the outcomes in
@@ -111,16 +127,16 @@ type costFunc func(tree *schema.Tree, met *Metrics) (*evalResult, float64, error
 // totals match a sequential run at any parallelism. A costing error is
 // the candidate's outcome, never the round's, so par.Do returns no
 // error here; a panic in apply or cost is raised again on the caller.
-func (a *Advisor) round(n int, apply func(i int) *schema.Tree, cost costFunc, met *Metrics) []candOutcome {
+func (a *Advisor) round(n int, apply func(i int) signed, cost costFunc, met *Metrics) []candOutcome {
 	outs := make([]candOutcome, n)
 	_ = par.Do(n, a.Opts.Parallelism, func(i int) error {
 		o := &outs[i]
-		if o.tree = apply(i); o.tree == nil {
+		if o.signed = apply(i); o.tree == nil {
 			return nil
 		}
 		o.met.Transformations++
 		var err error
-		o.ev, o.cost, err = cost(o.tree, &o.met)
+		o.ev, o.cost, err = cost(o.signed, &o.met)
 		o.failed = err != nil
 		if u := (*translate.Unsupported)(nil); errors.As(err, &u) {
 			o.met.Dropped[u.Kind]++
@@ -146,8 +162,8 @@ func lowest(outs []candOutcome, bound float64) int {
 }
 
 // exact is the costFunc of a full, memoized tool evaluation.
-func (a *Advisor) exact(tree *schema.Tree, met *Metrics) (*evalResult, float64, error) {
-	ev, err := a.evaluate(tree, met)
+func (a *Advisor) exact(next signed, met *Metrics) (*evalResult, float64, error) {
+	ev, err := a.evaluate(next, met)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -158,10 +174,9 @@ func (a *Advisor) exact(tree *schema.Tree, met *Metrics) (*evalResult, float64, 
 // canonical signature: the first request per distinct mapping pays one
 // physical design tool call, and every repeat — across rounds,
 // candidates, and search strategies — is a cache hit.
-func (s *evalService) evaluate(tree *schema.Tree, met *Metrics) (*evalResult, error) {
-	sig := tree.Signature()
-	return memo(&s.evals, sig, met, func(m *Metrics) (*evalResult, error) {
-		return s.a.evaluateFull(tree, sig, m)
+func (s *evalService) evaluate(t signed, met *Metrics) (*evalResult, error) {
+	return memo(&s.evals, t.sig, met, func(m *Metrics) (*evalResult, error) {
+		return s.a.evaluateFull(t.tree, t.sig, m)
 	})
 }
 
@@ -169,17 +184,17 @@ func (s *evalService) evaluate(tree *schema.Tree, met *Metrics) (*evalResult, er
 // from cur to next. Rounds that reject their winner re-rank the same
 // candidates against an unchanged current mapping, so derivations
 // repeat across rounds; the cache answers the repeats.
-func (s *evalService) deriveCost(cur *evalResult, next *schema.Tree, met *Metrics) (float64, error) {
-	return memo(&s.derives, cur.sig+"->"+next.Signature(), met, func(m *Metrics) (float64, error) {
-		return s.a.deriveCostFull(cur, next, m)
+func (s *evalService) deriveCost(cur *evalResult, next signed, met *Metrics) (float64, error) {
+	return memo(&s.derives, cur.sig+"->"+next.sig, met, func(m *Metrics) (float64, error) {
+		return s.a.deriveCostFull(cur, next.tree, m)
 	})
 }
 
 // costUnderDefault returns the memoized workload cost of a tree under
 // Two-Step's phase-1 default configuration (no tuning).
-func (s *evalService) costUnderDefault(tree *schema.Tree, met *Metrics) (float64, error) {
-	return memo(&s.fixed, tree.Signature(), met, func(m *Metrics) (float64, error) {
-		return s.a.costUnder(tree, m)
+func (s *evalService) costUnderDefault(t signed, met *Metrics) (float64, error) {
+	return memo(&s.fixed, t.sig, met, func(m *Metrics) (float64, error) {
+		return s.a.costUnder(t.tree, m)
 	})
 }
 

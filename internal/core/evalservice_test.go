@@ -26,7 +26,7 @@ func TestEvaluateMemoized(t *testing.T) {
 	fx := movieFixture(t, movieTestQueries[:2])
 	adv := New(fx.base, fx.col, fx.w, Options{})
 	var met Metrics
-	ev1, err := adv.evaluate(fx.base.Clone(), &met)
+	ev1, err := adv.evaluate(sign(fx.base.Clone()), &met)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestEvaluateMemoized(t *testing.T) {
 		t.Fatalf("first evaluation: %+v", met)
 	}
 	before := met.PhysDesignCalls
-	ev2, err := adv.evaluate(fx.base.Clone(), &met)
+	ev2, err := adv.evaluate(sign(fx.base.Clone()), &met)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestEvaluateSingleFlight(t *testing.T) {
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer wg.Done()
-			ev, err := adv.evaluate(fx.base.Clone(), &mets[i])
+			ev, err := adv.evaluate(sign(fx.base.Clone()), &mets[i])
 			if err != nil {
 				t.Error(err)
 				return
@@ -102,7 +102,7 @@ func TestEvalCacheAccountingUnderRace(t *testing.T) {
 	// Seed one full evaluation so deriveCost below has a costed current
 	// mapping to derive from. This is distinct key #1.
 	var seed Metrics
-	curEv, err := adv.evaluate(fx.base.Clone(), &seed)
+	curEv, err := adv.evaluate(sign(fx.base.Clone()), &seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,20 +117,20 @@ func TestEvalCacheAccountingUnderRace(t *testing.T) {
 			defer wg.Done()
 			m := &mets[w]
 			for i := 0; i < iters; i++ {
-				if _, err := adv.evaluate(fx.base.Clone(), m); err != nil {
+				if _, err := adv.evaluate(sign(fx.base.Clone()), m); err != nil {
 					t.Error(err)
 				}
-				if _, err := adv.evaluate(alt.Clone(), m); err != nil {
+				if _, err := adv.evaluate(sign(alt.Clone()), m); err != nil {
 					t.Error(err)
 				}
-				if _, err := adv.costUnderDefault(fx.base.Clone(), m); err != nil {
+				if _, err := adv.costUnderDefault(sign(fx.base.Clone()), m); err != nil {
 					t.Error(err)
 				}
-				if _, err := adv.costUnderDefault(alt.Clone(), m); err != nil {
+				if _, err := adv.costUnderDefault(sign(alt.Clone()), m); err != nil {
 					t.Error(err)
 				}
 				adv.queryCost(fx.base.Clone(), fx.w.Queries[0], m)
-				if _, err := adv.deriveCost(curEv, alt.Clone(), m); err != nil {
+				if _, err := adv.deriveCost(curEv, sign(alt.Clone()), m); err != nil {
 					t.Error(err)
 				}
 			}
@@ -225,12 +225,12 @@ func TestRoundCountsDroppedCandidates(t *testing.T) {
 		errOf[trees[i]] = errs[i]
 	}
 	var met Metrics
-	adv.round(len(errs), func(i int) *schema.Tree { return trees[i] },
-		func(tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
-			if err := errOf[tree]; err != nil {
+	adv.round(len(errs), func(i int) signed { return signed{tree: trees[i]} },
+		func(next signed, _ *Metrics) (*evalResult, float64, error) {
+			if err := errOf[next.tree]; err != nil {
 				return nil, 0, err
 			}
-			return &evalResult{tree: tree}, 1, nil
+			return &evalResult{tree: next.tree}, 1, nil
 		}, &met)
 	want := map[translate.UnsupportedKind]int{translate.MultiLevelPath: 2, translate.PathNotUnique: 1}
 	for k := range met.Dropped {
@@ -262,8 +262,8 @@ func TestRoundRaisesCostPanicOnCaller(t *testing.T) {
 	for _, parallelism := range []int{1, 2, 8} {
 		adv := New(fx.base, fx.col, fx.w, Options{Parallelism: parallelism})
 		var running atomic.Int32
-		cost := func(tree *schema.Tree, _ *Metrics) (*evalResult, float64, error) {
-			if tree == trees[3] {
+		cost := func(next signed, _ *Metrics) (*evalResult, float64, error) {
+			if next.tree == trees[3] {
 				panic(errors.ErrUnsupported)
 			}
 			running.Add(1)
@@ -274,7 +274,7 @@ func TestRoundRaisesCostPanicOnCaller(t *testing.T) {
 		p := func() (p any) {
 			defer func() { p = recover() }()
 			var met Metrics
-			adv.round(len(trees), func(i int) *schema.Tree { return trees[i] }, cost, &met)
+			adv.round(len(trees), func(i int) signed { return signed{tree: trees[i]} }, cost, &met)
 			return nil
 		}()
 		if p != errors.ErrUnsupported {
@@ -295,7 +295,7 @@ func TestRoundRaisesPanicOfAWaitedEvaluation(t *testing.T) {
 	adv := New(fx.base, fx.col, fx.w, Options{Parallelism: 2})
 	var waiterErr error
 	var arrived atomic.Int32
-	cost := func(_ *schema.Tree, met *Metrics) (*evalResult, float64, error) {
+	cost := func(_ signed, met *Metrics) (*evalResult, float64, error) {
 		arrived.Add(1)
 		c, err := memo(&adv.fixed, "k", met, func(*Metrics) (float64, error) {
 			for arrived.Load() < 2 { // until the other candidate has started
@@ -311,7 +311,7 @@ func TestRoundRaisesPanicOfAWaitedEvaluation(t *testing.T) {
 	go func() {
 		defer func() { done <- recover() }()
 		var met Metrics
-		adv.round(2, func(int) *schema.Tree { return fx.base }, cost, &met)
+		adv.round(2, func(int) signed { return signed{tree: fx.base} }, cost, &met)
 	}()
 	select {
 	case p := <-done:

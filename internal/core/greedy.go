@@ -72,7 +72,7 @@ func (a *Advisor) Greedy() (*Result, error) {
 	msp.End()
 
 	// Line 5: tool call on M0.
-	curEval, err := a.evaluate(cur, &met)
+	curEval, err := a.evaluate(sign(cur), &met)
 	if err != nil {
 		return nil, fmt.Errorf("core: costing initial mapping: %w", err)
 	}
@@ -93,12 +93,12 @@ func (a *Advisor) Greedy() (*Result, error) {
 	for round := 0; a.Opts.MaxRounds == 0 || round < a.Opts.MaxRounds; round++ {
 		rsp := root.Child("search-round", obs.Int("round", int64(round)))
 		from := curEval.tree
-		apply := func(ci int) *schema.Tree {
+		apply := func(ci int) signed {
 			if cands[ci] == nil {
-				return nil
+				return signed{}
 			}
 			next, _ := cands[ci].apply(from) // nil: not applicable this round; may apply later
-			return next
+			return sign(next)
 		}
 		// Rank every surviving candidate: derivation ranks cheaply and
 		// the few best-ranked are re-estimated exactly below, so a
@@ -106,7 +106,7 @@ func (a *Advisor) Greedy() (*Result, error) {
 		// winner.
 		rank := a.exact
 		if !a.Opts.DisableCostDerivation {
-			rank = func(next *schema.Tree, m *Metrics) (*evalResult, float64, error) {
+			rank = func(next signed, m *Metrics) (*evalResult, float64, error) {
 				cost, err := a.deriveCost(curEval, next, m)
 				return nil, cost, err
 			}
@@ -152,7 +152,7 @@ func (a *Advisor) Greedy() (*Result, error) {
 				if cands[ci] == nil {
 					continue // retired by strikes this round
 				}
-				ev, err := a.evaluate(outs[ci].tree, &met)
+				ev, err := a.evaluate(outs[ci].signed, &met)
 				if err != nil {
 					cands[ci] = nil
 					continue
@@ -170,13 +170,13 @@ func (a *Advisor) Greedy() (*Result, error) {
 				// candidate hidden by a pessimistic derivation cannot end
 				// the search prematurely (this bounds the quality loss of
 				// §4.8 the way the paper's line 18 re-estimation intends).
-				// The sweep costs the trees the ranking applied.
+				// The sweep costs the trees the ranking applied and signed.
 				fsp := rsp.Child("fallback-sweep")
-				applied := func(ci int) *schema.Tree {
+				applied := func(ci int) signed {
 					if cands[ci] == nil {
-						return nil
+						return signed{}
 					}
-					return outs[ci].tree
+					return outs[ci].signed
 				}
 				sweep := a.round(len(cands), applied, a.exact, &met)
 				for ci := range sweep {
@@ -202,7 +202,7 @@ func (a *Advisor) Greedy() (*Result, error) {
 		ev := bestEv
 		if ev == nil {
 			var err error
-			ev, err = a.evaluate(outs[bestIdx].tree, &met)
+			ev, err = a.evaluate(outs[bestIdx].signed, &met)
 			if err != nil {
 				rsp.End()
 				return nil, err
@@ -235,7 +235,7 @@ func (a *Advisor) Greedy() (*Result, error) {
 	// Safety net: the fully inlined schema (the hybrid-inlining
 	// default) is always in the search space; never return a design
 	// that costs more than it.
-	if baseEval, err := a.evaluate(schema.ApplyFullInlining(a.Base.Clone()), &met); err == nil && baseEval.cost < curEval.cost {
+	if baseEval, err := a.evaluate(sign(schema.ApplyFullInlining(a.Base.Clone())), &met); err == nil && baseEval.cost < curEval.cost {
 		curEval = baseEval
 	}
 	met.Duration = time.Since(start)

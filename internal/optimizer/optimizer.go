@@ -137,6 +137,34 @@ type Plan struct {
 	fp     string
 }
 
+// Costs is a plan's estimates without its operators: per branch the
+// analysis and the rows and cost of the branch's plan, and the query's
+// totals. It is the what-if state of a caller that reads only costs:
+// ReplanCosts derives one from another the way Replan derives plans,
+// builds no Branch, and keeps no configuration.
+type Costs struct {
+	Query *sqlast.Query
+	// Rows and Cost are the totals of the plan these estimates are of.
+	Rows, Cost float64
+
+	branches []branchCost
+}
+
+// branchCost is one branch's analysis and estimates.
+type branchCost struct {
+	an         *analysis
+	rows, cost float64
+}
+
+// Costs returns the plan's estimates, for ReplanCosts to start from.
+func (p *Plan) Costs() *Costs {
+	c := &Costs{Query: p.Query, Rows: p.Rows, Cost: p.Cost, branches: make([]branchCost, len(p.Branches))}
+	for i, b := range p.Branches {
+		c.branches[i] = branchCost{an: b.an, rows: b.Rows, cost: b.Cost}
+	}
+	return c
+}
+
 // Fingerprint returns a canonical identity for the physical plan: the
 // rendered operator tree plus each branch's SQL text. Two plans with
 // equal fingerprints describe the same execution, so engines key
@@ -253,17 +281,18 @@ type Optimizer struct {
 	// Provider supplies table statistics (derived during search, exact
 	// when planning execution).
 	Provider stats.Provider
-	// calls counts PlanQuery and Replan invocations. Atomic: a service
-	// corpus plans concurrent plan-cache misses on one Optimizer.
+	// calls counts PlanQuery, Replan and ReplanCosts invocations. Atomic:
+	// a service corpus plans concurrent plan-cache misses on one
+	// Optimizer.
 	calls atomic.Int64
 }
 
 // New creates an optimizer over the given statistics.
 func New(p stats.Provider) *Optimizer { return &Optimizer{Provider: p} }
 
-// Calls returns the number of PlanQuery and Replan invocations so far —
-// the experiments report optimizer-call counts like the paper reports
-// tool running time.
+// Calls returns the number of PlanQuery, Replan and ReplanCosts
+// invocations so far — the experiments report optimizer-call counts like
+// the paper reports tool running time.
 func (o *Optimizer) Calls() int64 { return o.calls.Load() }
 
 // PlanQuery builds the minimum-estimated-cost physical plan for the
@@ -288,6 +317,47 @@ func (o *Optimizer) Replan(prev *Plan, cfg, added *physical.Config) (*Plan, erro
 	return o.plan(prev.Query, cfg, prev, added)
 }
 
+// ReplanCosts is Replan for a caller that reads only costs: prev's
+// estimates under cfg, where cfg is the configuration prev was costed
+// under plus the structures of added. It applies Replan's serve rule and
+// runs the same join-order enumeration and view comparison for every
+// served branch, but builds no Branch, so its Rows and Cost are Replan's
+// on the plan prev stands for, to the bit, and it counts as one call like
+// it. When no branch's estimates change it returns prev itself and
+// allocates nothing; otherwise a fresh Costs. prev must come from
+// Plan.Costs of a plan of this optimizer or from ReplanCosts, and
+// Replan's rule on concurrent calls holds for it too.
+func (o *Optimizer) ReplanCosts(prev *Costs, cfg, added *physical.Config) (*Costs, error) {
+	o.calls.Add(1)
+	if cfg == nil {
+		cfg = &physical.Config{}
+	}
+	next := prev
+	for i, b := range prev.branches {
+		if !o.serves(b.an, added) {
+			continue
+		}
+		e := orderEnum{o: o, an: b.an, cfg: cfg}
+		_, rows, cost, err := e.choose()
+		if err != nil {
+			return nil, err
+		}
+		if sameFloat(rows, b.rows) && sameFloat(cost, b.cost) {
+			continue
+		}
+		if next == prev {
+			next = &Costs{Query: prev.Query, branches: slices.Clone(prev.branches)}
+		}
+		next.branches[i].rows, next.branches[i].cost = rows, cost
+	}
+	if next != prev {
+		next.Rows, next.Cost = totals(next.Query, len(next.branches), func(i int) (float64, float64) {
+			return next.branches[i].rows, next.branches[i].cost
+		})
+	}
+	return next, nil
+}
+
 // plan is the one planning loop: every branch from nothing (prev nil),
 // or only the branches of prev that a structure of added serves.
 func (o *Optimizer) plan(q *sqlast.Query, cfg *physical.Config, prev *Plan, added *physical.Config) (*Plan, error) {
@@ -308,13 +378,26 @@ func (o *Optimizer) plan(q *sqlast.Query, cfg *physical.Config, prev *Plan, adde
 			return nil, err
 		}
 		plan.Branches[i] = b
-		plan.Rows += b.Rows
-		plan.Cost += b.Cost + CostBranch
 	}
-	if q.OrderBy != "" && plan.Rows > 1 {
-		plan.Cost += plan.Rows * math.Log2(plan.Rows+2) * CostSortTuple
-	}
+	plan.Rows, plan.Cost = totals(q, len(plan.Branches), func(i int) (float64, float64) {
+		return plan.Branches[i].Rows, plan.Branches[i].Cost
+	})
 	return plan, nil
+}
+
+// totals sums a query's branch estimates in branch order, each branch's
+// startup cost and the final sort included. plan and ReplanCosts both
+// sum through it, so their costs agree to the bit.
+func totals(q *sqlast.Query, n int, branch func(i int) (rows, cost float64)) (rows, cost float64) {
+	for i := 0; i < n; i++ {
+		r, c := branch(i)
+		rows += r
+		cost += c + CostBranch
+	}
+	if q.OrderBy != "" && rows > 1 {
+		cost += rows * math.Log2(rows+2) * CostSortTuple
+	}
+	return rows, cost
 }
 
 // Cost returns only the estimated cost.
@@ -495,42 +578,15 @@ func (o *Optimizer) rewriteOver(an *analysis, v *physical.View) *viewRewrite {
 	return r
 }
 
-// planBranch picks the cheaper of the base-table plan and any
-// view-rewritten plan; of equal costs the base plan, then the view
-// earlier in cfg.Views, wins. A winner equal to prev field for field
-// is prev itself, so a re-plan that comes out the same allocates
-// nothing.
+// planBranch plans a branch in two halves: choose, then build the
+// winner.
 func (o *Optimizer) planBranch(an *analysis, cfg *physical.Config, prev *Branch) (*Branch, error) {
 	e := orderEnum{o: o, an: an, cfg: cfg}
-	if err := e.run(); err != nil {
+	view, rows, cost, err := e.choose()
+	if err != nil {
 		return nil, err
 	}
-	var view *viewRewrite
-	rows, cost := e.bestRows, e.bestCost
-	for _, v := range cfg.Views {
-		if !viewOf(an.sel.From, v) {
-			continue
-		}
-		r := o.rewriteOver(an, v)
-		if r.sel == nil {
-			continue
-		}
-		vrows, ecost, err := o.applyExists(r.sel, r.scan.Rows, cfg)
-		if err != nil {
-			return nil, err
-		}
-		if vcost := r.scan.Cost + (ecost + vrows*CostTuple); vcost < cost {
-			view, rows, cost = r, vrows, vcost
-		}
-	}
-	if view == nil {
-		return e.branch(prev), nil
-	}
-	if prev != nil && prev.View == view.view && sameFloat(prev.Rows, rows) && sameFloat(prev.Cost, cost) {
-		return prev, nil // Sel and Driver are view's memoized rewrite
-	}
-	// Sel is the rewritten select: it is what executes.
-	return &Branch{Sel: view.sel, View: view.view, Driver: view.scan, Rows: rows, Cost: cost, an: an}, nil
+	return e.build(view, rows, cost, prev), nil
 }
 
 // orderEnum enumerates the left-deep orders of a branch in place:
@@ -569,17 +625,53 @@ func (e *orderEnum) run() error {
 	return nil
 }
 
-// branch returns the cheapest order as a Branch: prev itself when prev
-// is that base plan field for field, indexes and seek predicates by
-// pointer.
-func (e *orderEnum) branch(prev *Branch) *Branch {
+// choose picks the cheaper of the base-table plan and any view-rewritten
+// plan without building either: the enumeration leaves the cheapest
+// order in e, and view is the winning rewrite, nil when the base plan
+// wins; rows and cost are the winner's. Of equal costs the base plan,
+// then the view earlier in cfg.Views, wins.
+func (e *orderEnum) choose() (view *viewRewrite, rows, cost float64, err error) {
+	if err := e.run(); err != nil {
+		return nil, 0, 0, err
+	}
+	rows, cost = e.bestRows, e.bestCost
+	for _, v := range e.cfg.Views {
+		if !viewOf(e.an.sel.From, v) {
+			continue
+		}
+		r := e.o.rewriteOver(e.an, v)
+		if r.sel == nil {
+			continue
+		}
+		vrows, ecost, err := e.o.applyExists(r.sel, r.scan.Rows, e.cfg)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if vcost := r.scan.Cost + (ecost + vrows*CostTuple); vcost < cost {
+			view, rows, cost = r, vrows, vcost
+		}
+	}
+	return view, rows, cost, nil
+}
+
+// build makes choose's winner a Branch. A winner equal to prev field for
+// field — indexes and seek predicates by pointer — is prev itself, so a
+// re-plan that comes out the same allocates nothing.
+func (e *orderEnum) build(view *viewRewrite, rows, cost float64, prev *Branch) *Branch {
+	if view != nil {
+		if prev != nil && prev.View == view.view && sameFloat(prev.Rows, rows) && sameFloat(prev.Cost, cost) {
+			return prev // Sel and Driver are view's memoized rewrite
+		}
+		// Sel is the rewritten select: it is what executes.
+		return &Branch{Sel: view.sel, View: view.view, Driver: view.scan, Rows: rows, Cost: cost, an: e.an}
+	}
 	joins := e.bestJoins[:len(e.an.from)-1]
-	if prev != nil && prev.View == nil && sameFloat(prev.Rows, e.bestRows) && sameFloat(prev.Cost, e.bestCost) &&
+	if prev != nil && prev.View == nil && sameFloat(prev.Rows, rows) && sameFloat(prev.Cost, cost) &&
 		prev.Driver.same(e.bestDriver) && slices.EqualFunc(prev.Joins, joins, Join.same) {
 		return prev
 	}
 	return &Branch{Sel: e.an.sel, Driver: e.bestDriver, Joins: append([]Join(nil), joins...),
-		Rows: e.bestRows, Cost: e.bestCost, an: e.an}
+		Rows: rows, Cost: cost, an: e.an}
 }
 
 func (a Access) same(b Access) bool {

@@ -417,6 +417,49 @@ func fig5Fixture(t *testing.T) (provs []stats.Provider, queries [][]*sqlast.Quer
 	return provs, queries
 }
 
+// growthWalk grows a configuration one random structure at a time from
+// the structures of the queries' branches, seeded by the mapping index,
+// and calls visit after every step with the grown configuration and the
+// structure alone as a configuration (what Replan takes as added).
+func growthWalk(mi int, prov stats.Provider, queries []*sqlast.Query, visit func(step int, st structure, cfg, added *physical.Config)) {
+	seq := 0
+	var pool []structure
+	for _, q := range queries {
+		for _, s := range q.Branches {
+			pool = append(pool, branchStructures(s, prov, &seq)...)
+		}
+	}
+	r := rand.New(rand.NewSource(int64(mi) + 1))
+	cfg := &physical.Config{}
+	for step := 0; step < 40; step++ {
+		st := pool[r.Intn(len(pool))]
+		// Partitions come last: a partitioned table takes no index, so
+		// early ones would leave seeks and INL joins unexercised.
+		if st.vpart != nil && step < 30 {
+			continue
+		}
+		next := st.with(cfg)
+		if next == nil {
+			continue
+		}
+		cfg = next
+		visit(step, st, cfg, st.added())
+	}
+}
+
+// basePlans plans every query under the empty configuration.
+func basePlans(t *testing.T, o *Optimizer, queries []*sqlast.Query) []*Plan {
+	t.Helper()
+	plans := make([]*Plan, len(queries))
+	for i, q := range queries {
+		var err error
+		if plans[i], err = o.PlanQuery(q, &physical.Config{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return plans
+}
+
 // TestReplanMatchesPlanQuery grows configurations one random structure
 // at a time and after every step compares, for every query, the plan
 // Replan derives from the previous step's plan with the plan PlanQuery
@@ -428,37 +471,9 @@ func TestReplanMatchesPlanQuery(t *testing.T) {
 	provs, queries := fig5Fixture(t)
 	for mi, prov := range provs {
 		o := New(prov)
-		seq := 0
-		var pool []structure
-		for _, q := range queries[mi] {
-			for _, s := range q.Branches {
-				pool = append(pool, branchStructures(s, prov, &seq)...)
-			}
-		}
-		r := rand.New(rand.NewSource(int64(mi) + 1))
-		cfg := &physical.Config{}
-		prev := make([]*Plan, len(queries[mi]))
-		for i, q := range queries[mi] {
-			var err error
-			if prev[i], err = o.PlanQuery(q, cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
+		prev := basePlans(t, o, queries[mi])
 		replanned, gated, same := 0, 0, 0
-		for step := 0; step < 40; step++ {
-			st := pool[r.Intn(len(pool))]
-			// Partitions come last: a partitioned table takes no
-			// index, so early ones would leave seeks and INL joins
-			// unexercised.
-			if st.vpart != nil && step < 30 {
-				continue
-			}
-			next := st.with(cfg)
-			if next == nil {
-				continue
-			}
-			cfg = next
-			added := st.added()
+		growthWalk(mi, prov, queries[mi], func(step int, st structure, cfg, added *physical.Config) {
 			for i, q := range queries[mi] {
 				label := fmt.Sprintf("mapping %d step %d query %d", mi, step, i)
 				serves := make([]bool, len(q.Branches))
@@ -501,11 +516,90 @@ func TestReplanMatchesPlanQuery(t *testing.T) {
 			if t.Failed() {
 				t.FailNow()
 			}
-		}
+		})
 		t.Logf("mapping %d: %d re-planned, %d gated, %d re-planned to the same plan", mi, replanned, gated, same)
 		if replanned == 0 || gated == 0 || same == 0 {
 			t.Errorf("mapping %d: %d branches re-planned, %d on the structure's tables kept by the gate, %d re-planned to the same plan; the walk must do all three",
 				mi, replanned, gated, same)
+		}
+	}
+}
+
+// sameCosts fails unless the two cost states are the same to the bit:
+// query, totals, and every branch's analysis and estimates.
+func sameCosts(t *testing.T, label string, got, want *Costs) {
+	t.Helper()
+	bits := math.Float64bits
+	if got.Query != want.Query || bits(got.Cost) != bits(want.Cost) || bits(got.Rows) != bits(want.Rows) {
+		t.Errorf("%s: cost/rows %x/%x, want %x/%x", label, bits(got.Cost), bits(got.Rows), bits(want.Cost), bits(want.Rows))
+	}
+	if len(got.branches) != len(want.branches) {
+		t.Fatalf("%s: %d branches, want %d", label, len(got.branches), len(want.branches))
+	}
+	for i, b := range got.branches {
+		if w := want.branches[i]; b.an != w.an || bits(b.rows) != bits(w.rows) || bits(b.cost) != bits(w.cost) {
+			t.Errorf("%s: branch %d rows/cost %x/%x, want %x/%x", label, i, bits(b.rows), bits(b.cost), bits(w.rows), bits(w.cost))
+		}
+	}
+}
+
+// TestReplanCostsMatchesReplan walks TestReplanMatchesPlanQuery's growth
+// and after every step requires, for every query, that ReplanCosts from
+// the previous step's plan's estimates equals the estimates of the plan
+// Replan derives from that plan, to the bit, and counts one call. A
+// chain of ReplanCosts calls from the base plans' estimates, which is
+// how Tune uses it, must stay equal to them too. When Replan keeps every
+// branch, ReplanCosts must return its prev.
+func TestReplanCostsMatchesReplan(t *testing.T) {
+	provs, queries := fig5Fixture(t)
+	for mi, prov := range provs {
+		o := New(prov)
+		prev := basePlans(t, o, queries[mi])
+		chain := make([]*Costs, len(prev))
+		for i, p := range prev {
+			chain[i] = p.Costs()
+		}
+		kept, changed := 0, 0
+		growthWalk(mi, prov, queries[mi], func(step int, _ structure, cfg, added *physical.Config) {
+			for i := range queries[mi] {
+				label := fmt.Sprintf("mapping %d step %d query %d", mi, step, i)
+				from := prev[i].Costs()
+				calls := o.Calls()
+				got, err := o.ReplanCosts(from, cfg, added)
+				if err != nil {
+					t.Fatalf("%s: ReplanCosts: %v", label, err)
+				}
+				if d := o.Calls() - calls; d != 1 {
+					t.Errorf("%s: ReplanCosts counted %d calls, want 1", label, d)
+				}
+				inc, err := o.Replan(prev[i], cfg, added)
+				if err != nil {
+					t.Fatalf("%s: Replan: %v", label, err)
+				}
+				want := inc.Costs()
+				sameCosts(t, label+" ReplanCosts vs Replan", got, want)
+				if chain[i], err = o.ReplanCosts(chain[i], cfg, added); err != nil {
+					t.Fatalf("%s: chained ReplanCosts: %v", label, err)
+				}
+				sameCosts(t, label+" chained ReplanCosts vs Replan", chain[i], want)
+				switch {
+				case slices.Equal(inc.Branches, prev[i].Branches):
+					if got != from {
+						t.Errorf("%s: Replan kept every branch, but ReplanCosts returned a new Costs", label)
+					}
+					kept++
+				case got != from:
+					changed++
+				}
+				prev[i] = inc
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+		})
+		t.Logf("mapping %d: %d calls kept every branch, %d changed an estimate", mi, kept, changed)
+		if kept == 0 || changed == 0 {
+			t.Errorf("mapping %d: %d calls kept every branch, %d changed an estimate; the walk must do both", mi, kept, changed)
 		}
 	}
 }
@@ -704,6 +798,64 @@ func TestReplanSamePlanKeepsBranch(t *testing.T) {
 	})
 	if allocs != 2 {
 		t.Errorf("Replan to the same plan allocates %v objects, want 2 (the Plan and its branch slice)", allocs)
+	}
+}
+
+// TestReplanCostsUntouchedAllocatesNothing pins what a cost-only
+// what-if call allocates: nothing when it changes no estimate, whether
+// the serve rule skips every branch or every served branch's re-plan
+// loses, and two objects (the Costs and its branch slice) when it
+// changes one branch's estimates.
+func TestReplanCostsUntouchedAllocatesNothing(t *testing.T) {
+	o := New(caseStats())
+	// As in TestReplanSamePlanKeepsBranch: year >= 0 matches every movie,
+	// so a non-covering seek on year or genre loses to the scan.
+	unselective := sqlast.Pred{Kind: sqlast.PredCompare, Op: sqlast.OpGe, Col: col("movie", "year"), Value: rel.Int(0)}
+	q := &sqlast.Query{OrderBy: "ID", Branches: []*sqlast.Select{selectMovie(unselective), joinBranch()}}
+	p, err := o.PlanQuery(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := p.Costs()
+	for _, tc := range []struct {
+		name    string
+		cfg     *physical.Config
+		served  int
+		changed bool
+		allocs  float64
+	}{
+		{"no branch served", &physical.Config{Indexes: []*physical.Index{
+			{Name: "w", Table: "award", Key: []string{"PID"}}}}, 0, false, 0},
+		{"every re-plan loses", &physical.Config{Indexes: []*physical.Index{
+			{Name: "m_year", Table: "movie", Key: []string{"year"}},
+			{Name: "m_genre", Table: "movie", Key: []string{"genre"}}}}, 2, false, 0},
+		{"one branch changes", &physical.Config{Indexes: []*physical.Index{
+			{Name: "a_pid", Table: "actor", Key: []string{"PID"}, Include: []string{"actor"}}}}, 1, true, 2},
+	} {
+		served := 0
+		for _, b := range p.Branches {
+			if o.serves(b.an, tc.cfg) {
+				served++
+			}
+		}
+		if served != tc.served {
+			t.Fatalf("%s: %d branches served, want %d", tc.name, served, tc.served)
+		}
+		got, err := o.ReplanCosts(prev, tc.cfg, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (got != prev) != tc.changed {
+			t.Fatalf("%s: estimates changed %v, want %v", tc.name, got != prev, tc.changed)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := o.ReplanCosts(prev, tc.cfg, tc.cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != tc.allocs {
+			t.Errorf("%s: ReplanCosts allocates %v objects, want %v", tc.name, allocs, tc.allocs)
+		}
 	}
 }
 

@@ -3,7 +3,9 @@ package physdesign
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strconv"
 	"testing"
 
 	"repro/internal/optimizer"
@@ -23,8 +25,16 @@ import (
 // with PlanQuery, a query is skipped when Query.Tables() misses the
 // candidate's tables, and structures enter a configuration through
 // AddIndex/AddView/AddPartition. It shares candidate generation with
-// Tune.
+// Tune, and selects by lazy greedy as Tune does.
 func tuneFull(w Workload, prov stats.Provider, opts Options) (*Recommendation, error) {
+	return tuneOracle(w, prov, opts, false)
+}
+
+// tuneOracle is tuneFull with a switch: eager re-evaluates every
+// remaining candidate at the start of every round, so each round picks
+// the candidate of the highest fresh score (eager greedy); lazy
+// re-evaluates only the highest stale score until the highest is fresh.
+func tuneOracle(w Workload, prov stats.Provider, opts Options, eager bool) (*Recommendation, error) {
 	addTo := func(c *candidate, cfg *physical.Config) bool {
 		switch {
 		case c.idx != nil:
@@ -122,6 +132,32 @@ func tuneFull(w Workload, prov stats.Provider, opts Options) (*Recommendation, e
 	}
 	for round := 0; round < defaultMaxStructures && len(pool) > 0; round++ {
 		used := cfg.EstBytes(prov)
+		fits := func(s *scored) bool { return opts.StorageBytes <= 0 || used+s.c.bytes <= opts.StorageBytes }
+		refresh := func(i int) {
+			s := pool[i]
+			benefit, trialCosts, ok := evaluate(s.c)
+			if !ok {
+				pool[i] = nil
+				return
+			}
+			s.costs, s.round = trialCosts, round
+			s.score = benefit / math.Max(float64(s.c.bytes), 1)
+			if benefit <= 1e-9 {
+				pool[i] = nil
+			}
+		}
+		if eager {
+			for i, s := range pool {
+				if s == nil {
+					continue
+				}
+				if !fits(s) {
+					pool[i] = nil
+					continue
+				}
+				refresh(i)
+			}
+		}
 		selected := -1
 		for {
 			best := -1
@@ -134,7 +170,7 @@ func tuneFull(w Workload, prov stats.Provider, opts Options) (*Recommendation, e
 				break
 			}
 			s := pool[best]
-			if opts.StorageBytes > 0 && used+s.c.bytes > opts.StorageBytes {
+			if !fits(s) {
 				pool[best] = nil
 				continue
 			}
@@ -142,16 +178,7 @@ func tuneFull(w Workload, prov stats.Provider, opts Options) (*Recommendation, e
 				selected = best
 				break
 			}
-			benefit, trialCosts, ok := evaluate(s.c)
-			if !ok {
-				pool[best] = nil
-				continue
-			}
-			s.costs, s.round = trialCosts, round
-			s.score = benefit / math.Max(float64(s.c.bytes), 1)
-			if benefit <= 1e-9 {
-				pool[best] = nil
-			}
+			refresh(best)
 		}
 		if selected < 0 {
 			break
@@ -215,14 +242,20 @@ func dblpWorkloads(t *testing.T) (ws []Workload, provs []stats.MapProvider) {
 	return ws, provs
 }
 
-// TestTuneFinalPlansAreFull: the final pass re-plans every query from
-// its base plan with Replan, and what it returns must be what planning
-// each query from nothing under the chosen configuration on a fresh
-// optimizer returns — cost bits and Explain. The workloads are the four
-// DBLP classes core's pinned searches tune (scale 0.25, data seed 1,
-// shape seed 7, five queries a class) under the hybrid mapping, with
-// the tool's options of the pinned "default" and "vpart+storage" runs.
-func TestTuneFinalPlansAreFull(t *testing.T) {
+// pinnedFixture is what core's pinned searches tune first: the four
+// DBLP classes (scale 0.25, data seed 1, shape seed 7, five queries a
+// class) under the hybrid mapping, and the tool's storage bound of the
+// pinned "vpart+storage" run (2 MiB including the data, as core's
+// physOpts hands it to the tool).
+type pinnedFixture struct {
+	names   []string
+	ws      []Workload
+	prov    stats.Provider
+	storage int64
+}
+
+func newPinnedFixture(tb testing.TB) pinnedFixture {
+	tb.Helper()
 	base := schema.DBLP()
 	gen := xmlgen.DefaultDBLPOptions()
 	gen.Inproceedings /= 4
@@ -231,41 +264,60 @@ func TestTuneFinalPlansAreFull(t *testing.T) {
 	col := xmlgen.CollectStats(base, xmlgen.GenerateDBLP(base, gen))
 	m, err := shred.Compile(base)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	prov := shred.DeriveStats(m, col)
-	// The pinned storage bound is 2 MiB including the data, as core's
-	// physOpts hands it to the tool.
-	storage := int64(2 << 20)
+	fx := pinnedFixture{prov: shred.DeriveStats(m, col), storage: 2 << 20}
 	for _, r := range m.Relations {
-		storage -= prov.TableStats(r.Name).Bytes()
+		fx.storage -= fx.prov.TableStats(r.Name).Bytes()
 	}
-	if storage < 1 {
-		t.Fatalf("the data fills the 2 MiB bound: %d bytes left", storage)
+	if fx.storage < 1 {
+		tb.Fatalf("the data fills the 2 MiB bound: %d bytes left", fx.storage)
 	}
 	for _, p := range workload.StandardParams(5, 7) {
 		xw, err := workload.Generate(base, col, p)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		var w Workload
 		for _, q := range xw.Queries {
 			sql, err := translate.Translate(m, q.XPath)
 			if err != nil {
-				t.Fatal(err)
+				tb.Fatal(err)
 			}
 			w = append(w, WeightedQuery{Q: sql, Weight: q.Weight})
 		}
-		for _, opts := range []Options{{}, {EnableVPartitions: true, StorageBytes: storage}} {
-			label := fmt.Sprintf("%s options %+v", xw.Name, opts)
-			rec, err := Tune(w, prov, opts)
+		fx.names, fx.ws = append(fx.names, xw.Name), append(fx.ws, w)
+	}
+	return fx
+}
+
+// pinnedRuns names the pinned runs fixture.options returns the options
+// of, in order.
+var pinnedRuns = []string{"default", "vpart+storage"}
+
+// options are the tool's options of the pinned runs.
+func (fx pinnedFixture) options() []Options {
+	return []Options{{}, {EnableVPartitions: true, StorageBytes: fx.storage}}
+}
+
+// TestTuneFinalPlansAreFull: the final pass re-plans every query from
+// its base plan with Replan, and what it returns must be what planning
+// each query from nothing under the chosen configuration on a fresh
+// optimizer returns — cost bits and Explain — over the pinned fixture
+// under both pinned options.
+func TestTuneFinalPlansAreFull(t *testing.T) {
+	fx := newPinnedFixture(t)
+	for wi, w := range fx.ws {
+		for _, opts := range fx.options() {
+			label := fmt.Sprintf("%s options %+v", fx.names[wi], opts)
+			rec, err := Tune(w, fx.prov, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
 			if len(rec.Config.Indexes)+len(rec.Config.Views)+len(rec.Config.Partitions) == 0 {
 				t.Fatalf("%s: nothing recommended", label)
 			}
-			fresh := optimizer.New(prov)
+			fresh := optimizer.New(fx.prov)
 			for i, wq := range w {
 				want, err := fresh.PlanQuery(wq.Q, rec.Config)
 				if err != nil {
@@ -280,6 +332,143 @@ func TestTuneFinalPlansAreFull(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// unusedStructures names the chosen structures no final plan uses: an
+// index, view or partition that no plan's Objects lists, where an EXISTS
+// or OR-EXISTS probe counts as using the first chosen index leading with
+// its join column (plan text names no index for a probe).
+func unusedStructures(rec *Recommendation) []string {
+	used := make(map[string]bool)
+	for _, p := range rec.Plans {
+		for _, o := range p.Objects() {
+			used[o] = true
+		}
+		for _, b := range p.Branches {
+			for _, pr := range b.Sel.Where {
+				if pr.Kind != sqlast.PredExists && pr.Kind != sqlast.PredOrExists {
+					continue
+				}
+				for _, idx := range rec.Config.Indexes {
+					if idx.Table == pr.Table && idx.Key[0] == pr.JoinCol {
+						used[idx.ID()] = true
+						break
+					}
+				}
+			}
+		}
+	}
+	var out []string
+	for _, idx := range rec.Config.Indexes {
+		if !used[idx.ID()] {
+			out = append(out, idx.Name)
+		}
+	}
+	for _, v := range rec.Config.Views {
+		if !used["view:"+v.Name] {
+			out = append(out, v.Name)
+		}
+	}
+	for _, vp := range rec.Config.Partitions {
+		usedGroup := false
+		for g := range vp.Groups {
+			usedGroup = usedGroup || used[vp.Table+"#g"+strconv.Itoa(g)]
+		}
+		if !usedGroup {
+			out = append(out, vp.ID())
+		}
+	}
+	return out
+}
+
+// structureIDs lists the IDs of a configuration's structures, sorted:
+// the set it chose, whatever the order.
+func structureIDs(cfg *physical.Config) []string {
+	var ids []string
+	for _, idx := range cfg.Indexes {
+		ids = append(ids, idx.ID())
+	}
+	for _, v := range cfg.Views {
+		ids = append(ids, v.ID())
+	}
+	for _, vp := range cfg.Partitions {
+		ids = append(ids, vp.ID())
+	}
+	sort.Strings(ids)
+	return ids
+}
+
+// TestTuneLazyAgainstEager is a report, not a gate: it runs Tune (lazy
+// greedy) and the oracle's eager greedy over the pinned fixture under
+// both pinned options, and over TestTuneMatchesFullReplanning's DBLP and
+// Movie workloads under the default options. It logs each call whose two
+// sets of structures differ with both costs, then in how many calls they
+// differ and how many chosen structures no final plan uses.
+func TestTuneLazyAgainstEager(t *testing.T) {
+	type call struct {
+		label string
+		w     Workload
+		prov  stats.Provider
+		opts  Options
+	}
+	var calls []call
+	fx := newPinnedFixture(t)
+	for oi, opts := range fx.options() {
+		for wi, w := range fx.ws {
+			calls = append(calls, call{fx.names[wi] + " " + pinnedRuns[oi], w, fx.prov, opts})
+		}
+	}
+	ws, provs := dblpWorkloads(t)
+	mw, mprov, _ := movieWorkload(t)
+	ws, provs = append(ws, mw), append(provs, mprov)
+	for wi, w := range ws {
+		calls = append(calls, call{fmt.Sprintf("workload %d", wi), w, provs[wi], Options{}})
+	}
+	differ, lazyCheaper, eagerCheaper := 0, 0, 0
+	var chosen, unused [2]int // lazy, eager
+	for _, c := range calls {
+		lazy, err := Tune(c.w, c.prov, c.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.label, err)
+		}
+		eager, err := tuneOracle(c.w, c.prov, c.opts, true)
+		if err != nil {
+			t.Fatalf("%s: eager: %v", c.label, err)
+		}
+		for i, rec := range []*Recommendation{lazy, eager} {
+			chosen[i] += len(rec.Config.Indexes) + len(rec.Config.Views) + len(rec.Config.Partitions)
+			unused[i] += len(unusedStructures(rec))
+		}
+		if !slices.Equal(structureIDs(lazy.Config), structureIDs(eager.Config)) {
+			differ++
+			switch {
+			case lazy.TotalCost < eager.TotalCost:
+				lazyCheaper++
+			case eager.TotalCost < lazy.TotalCost:
+				eagerCheaper++
+			}
+			t.Logf("%s: lazy and eager differ: cost %v lazy, %v eager; optimizer calls %d lazy, %d eager",
+				c.label, lazy.TotalCost, eager.TotalCost, lazy.OptimizerCalls, eager.OptimizerCalls)
+		}
+	}
+	t.Logf("%d of %d calls choose a different set of structures (lazy cheaper in %d, eager in %d); no final plan uses %d of %d structures lazy chose, %d of %d eager chose",
+		differ, len(calls), lazyCheaper, eagerCheaper, unused[0], chosen[0], unused[1], chosen[1])
+}
+
+// BenchmarkTune runs one Tune per class of the pinned fixture under the
+// default options, with its bytes and allocations per call.
+func BenchmarkTune(b *testing.B) {
+	fx := newPinnedFixture(b)
+	for wi, w := range fx.ws {
+		b.Run(fx.names[wi], func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Tune(w, fx.prov, Options{}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -146,51 +146,64 @@ func (c *candidate) addTo(cfg *physical.Config) bool {
 func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error) {
 	opt := optimizer.New(prov)
 	cfg := &physical.Config{}
-	// base are the workload's plans under the empty configuration: the
-	// prefilter and the final pass re-plan from them.
+	// base are the workload's plans under the empty configuration, which
+	// the final pass re-plans from. costs are the workload's estimates
+	// under cfg, which every what-if trial starts from: a trial re-prices
+	// the branches a candidate's structure can serve, and a query naming
+	// none of its tables keeps its estimates without a call.
 	base := make([]*optimizer.Plan, len(w))
+	costs := make([]*optimizer.Costs, len(w))
 	tables := make([][]string, len(w))
 	for i, wq := range w {
 		p, err := opt.PlanQuery(wq.Q, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("physdesign: base cost of query %d: %w", i, err)
 		}
-		base[i], tables[i] = p, wq.Q.Tables()
+		base[i], costs[i], tables[i] = p, p.Costs(), wq.Q.Tables()
 	}
-	// plans are the workload's plans under cfg. A what-if call re-plans
-	// from them the branches a candidate's structure can serve; a query
-	// naming none of its tables keeps plan and cost without a call.
-	plans := base
 	cands := generateCandidates(w, prov, opts)
-	cands = prefilterCandidates(cands, w, opt, base, opts)
-	// Lazy greedy selection: scores only go down as structures are
-	// added, so a stale-score heap avoids re-evaluating every candidate
-	// every round (the classic lazy submodular trick).
+	cands = prefilterCandidates(cands, w, opt, costs, opts)
+	// Lazy greedy selection, used as a heuristic: each round re-evaluates
+	// only the candidate with the highest score, stale or fresh, until the
+	// highest is fresh, and picks that one. Eager greedy, which
+	// re-evaluates every candidate every round, would pick the same only
+	// if no candidate's benefit rose as structures are added, and here
+	// one can; TestTuneLazyAgainstEager reports how often the two differ.
 	type scored struct {
 		c     *candidate
 		score float64
 		round int
-		plans []*optimizer.Plan // the workload's plans with c added, as of round
+		costs []*optimizer.Costs // the workload's estimates with c added, as of round
 	}
-	evaluate := func(c *candidate) (float64, []*optimizer.Plan, bool) {
-		trial := cfg.Clone()
+	// trial is cfg plus the candidate under evaluation, refilled for every
+	// trial: a cost state keeps no configuration.
+	trial := &physical.Config{}
+	evaluate := func(c *candidate) (float64, []*optimizer.Costs, bool) {
+		trial.Indexes = append(trial.Indexes[:0], cfg.Indexes...)
+		trial.Views = append(trial.Views[:0], cfg.Views...)
+		trial.Partitions = append(trial.Partitions[:0], cfg.Partitions...)
 		if !c.addTo(trial) {
 			return 0, nil, false
 		}
 		benefit := -c.maintenanceCost(opts.InsertRates)
-		trialPlans := append([]*optimizer.Plan(nil), plans...)
+		trialCosts, copied := costs, false // copied when the first estimate changes
 		for i, wq := range w {
 			if !intersects(tables[i], c.tables) {
 				continue
 			}
-			p, err := opt.Replan(plans[i], trial, c.added)
+			e, err := opt.ReplanCosts(costs[i], trial, c.added)
 			if err != nil {
 				return 0, nil, false
 			}
-			trialPlans[i] = p
-			benefit += wq.Weight * (plans[i].Cost - p.Cost)
+			benefit += wq.Weight * (costs[i].Cost - e.Cost)
+			if e != costs[i] {
+				if !copied {
+					trialCosts, copied = slices.Clone(costs), true
+				}
+				trialCosts[i] = e
+			}
 		}
-		return benefit, trialPlans, true
+		return benefit, trialCosts, true
 	}
 	var pool []*scored
 	for _, c := range cands {
@@ -223,12 +236,12 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 				selected = best
 				break
 			}
-			benefit, trialPlans, ok := evaluate(s.c)
+			benefit, trialCosts, ok := evaluate(s.c)
 			if !ok {
 				pool[best] = nil
 				continue
 			}
-			s.plans, s.round = trialPlans, round
+			s.costs, s.round = trialCosts, round
 			s.score = benefit / math.Max(float64(s.c.bytes), 1)
 			if benefit <= 1e-9 {
 				pool[best] = nil
@@ -239,7 +252,7 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		}
 		s := pool[selected]
 		s.c.addTo(cfg)
-		plans = s.plans
+		costs = s.costs
 		pool[selected] = nil
 	}
 	// Final pass: every query re-planned from its base plan under the
@@ -247,7 +260,7 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 	// PlanQuery(q, cfg) bit for bit, and it reuses the base plans'
 	// analyses and the view rewrites memoized in them.
 	total := 0.0
-	costs := make([]float64, len(w))
+	perQuery := make([]float64, len(w))
 	final := make([]*optimizer.Plan, len(w))
 	for i, wq := range w {
 		p, err := opt.Replan(base[i], cfg, cfg)
@@ -255,7 +268,7 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 			return nil, fmt.Errorf("physdesign: final cost of query %d: %w", i, err)
 		}
 		final[i] = p
-		costs[i] = p.Cost
+		perQuery[i] = p.Cost
 		total += wq.Weight * p.Cost
 	}
 	maint := configMaintenance(cfg, opts.InsertRates)
@@ -267,7 +280,7 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		obs.Float("total_cost", total+maint))
 	return &Recommendation{
 		Config:          cfg,
-		PerQuery:        costs,
+		PerQuery:        perQuery,
 		Plans:           final,
 		TotalCost:       total + maint,
 		StructBytes:     cfg.EstBytes(prov),
@@ -308,56 +321,190 @@ func intersects(a, b []string) bool {
 // generateCandidates derives candidate structures from the workload,
 // recording which queries produced each candidate.
 func generateCandidates(w Workload, prov stats.Provider, opts Options) []*candidate {
-	seen := make(map[string]*candidate)
-	var out []*candidate
-	qi := 0
-	add := func(c *candidate) {
-		switch {
-		case c.idx != nil:
-			c.id = c.idx.ID()
-		case c.view != nil:
-			c.id = c.view.ID()
-		default:
-			c.id = c.vpart.ID()
-		}
-		if prev, ok := seen[c.id]; ok {
-			// Record the additional origin query.
-			last := len(prev.origins) - 1
-			if last < 0 || prev.origins[last] != qi {
-				prev.origins = append(prev.origins, qi)
-			}
-			return
-		}
-		c.origins = []int{qi}
-		c.added = &physical.Config{}
-		c.addTo(c.added)
-		seen[c.id] = c
-		out = append(out, c)
-	}
-	seq := 0
-	name := func(prefix string) string {
-		seq++
-		return prefix + "_" + strconv.Itoa(seq)
-	}
+	cs := &candidateSet{prov: prov, opts: opts, seen: make(map[string]*candidate)}
 	for i, wq := range w {
-		qi = i
+		cs.qi = i
 		for _, s := range wq.Q.Branches {
-			for _, c := range branchCandidates(s, prov, opts, name) {
-				add(c)
-			}
+			cs.branch(s)
 		}
 	}
 	// Deterministic order helps reproducibility.
-	sort.SliceStable(out, func(i, j int) bool { return out[i].id < out[j].id })
-	return out
+	sort.SliceStable(cs.out, func(i, j int) bool { return cs.out[i].id < cs.out[j].id })
+	return cs.out
+}
+
+// candidateSet collects a workload's distinct candidates. A structure's
+// ID is written into a scratch buffer and looked up before the structure
+// is built, so a duplicate — most of what a workload's branches propose —
+// is never built. An index's ID is written without building anything.
+type candidateSet struct {
+	prov stats.Provider
+	opts Options
+	seen map[string]*candidate
+	out  []*candidate
+	qi   int    // the workload query being generated from
+	seq  int    // numbers index and view names; a duplicate advances it too
+	id   []byte // the ID of the structure being proposed
+}
+
+// known reports whether the structure whose ID is in cs.id was proposed
+// before, recording query qi as one more origin of it.
+func (cs *candidateSet) known() bool {
+	prev, ok := cs.seen[string(cs.id)]
+	if ok {
+		if last := len(prev.origins) - 1; prev.origins[last] != cs.qi {
+			prev.origins = append(prev.origins, cs.qi)
+		}
+	}
+	return ok
+}
+
+// add records a new candidate, whose ID is in cs.id.
+func (cs *candidateSet) add(c *candidate) {
+	c.id = string(cs.id)
+	c.origins = []int{cs.qi}
+	c.added = &physical.Config{}
+	c.addTo(c.added)
+	cs.seen[c.id] = c
+	cs.out = append(cs.out, c)
+}
+
+// name returns the name of the structure numbered seq.
+func (cs *candidateSet) name(prefix string) string {
+	return prefix + "_" + strconv.Itoa(cs.seq)
+}
+
+// branch proposes the candidates of one branch.
+func (cs *candidateSet) branch(s *sqlast.Select) {
+	// columnsOf is s.ColumnsOf, computed once per table: index copies
+	// what it keeps, and nothing writes to the lists, so they are shared.
+	var colTables []string
+	var colLists [][]string
+	columnsOf := func(table string) []string {
+		if i := slices.Index(colTables, table); i >= 0 {
+			return colLists[i]
+		}
+		cols := s.ColumnsOf(table)
+		colTables, colLists = append(colTables, table), append(colLists, cols)
+		return cols
+	}
+	// Selection indexes: plain and covering.
+	for _, p := range s.Where {
+		if p.Kind != sqlast.PredCompare || p.Op == sqlast.OpNe {
+			continue
+		}
+		t := p.Col.Table
+		cs.index(t, p.Col.Column, nil)
+		cs.index(t, p.Col.Column, columnsOf(t))
+	}
+	// Join and EXISTS probe indexes (plain and covering).
+	for _, p := range s.Where {
+		switch p.Kind {
+		case sqlast.PredJoin:
+			for _, side := range [2]sqlast.ColRef{p.Left, p.Right} {
+				if side.Column == rel.PIDColumn {
+					cs.index(side.Table, rel.PIDColumn, nil)
+					cs.index(side.Table, rel.PIDColumn, columnsOf(side.Table))
+				}
+				if side.Column == rel.IDColumn {
+					cs.index(side.Table, rel.IDColumn, nil)
+				}
+			}
+		case sqlast.PredExists, sqlast.PredOrExists:
+			cs.index(p.Table, p.JoinCol, []string{p.InnerCol})
+		}
+	}
+	// Materialized join view for two-table branches.
+	if !cs.opts.DisableViews && len(s.From) == 2 {
+		if v, ok := joinViewCandidate(s, columnsOf); ok {
+			cs.seq++
+			cs.id = append(cs.id[:0], v.ID()...)
+			if !cs.known() {
+				view := v // v stays on the stack when it is a duplicate
+				view.Name = cs.name("v_" + v.Outer)
+				cs.add(&candidate{view: &view, tables: []string{v.Outer, v.Inner}, bytes: v.EstBytes(cs.prov)})
+			}
+		}
+	}
+	// Vertical partition: referenced columns vs the rest.
+	if cs.opts.EnableVPartitions {
+		for _, t := range s.From {
+			ts := cs.prov.TableStats(t)
+			if ts == nil {
+				continue
+			}
+			refd := dedupe(columnsOf(t), []string{rel.IDColumn, rel.PIDColumn})
+			var rest []string
+			for c := range ts.Cols {
+				if c == rel.IDColumn || c == rel.PIDColumn || containsStr(refd, c) {
+					continue
+				}
+				rest = append(rest, c)
+			}
+			sort.Strings(rest)
+			if len(refd) == 0 || len(rest) == 0 {
+				continue
+			}
+			vp := &physical.VPartition{Table: t, Groups: [][]string{refd, rest}}
+			cs.id = append(cs.id[:0], vp.ID()...)
+			if !cs.known() {
+				cs.add(&candidate{vpart: vp, tables: []string{t}, bytes: vp.EstBytes(ts) - ts.Bytes()})
+			}
+		}
+	}
+}
+
+// index proposes an index on table keyed by key and including the
+// columns of include other than key; include is sorted and unique, as
+// ColumnsOf returns columns.
+func (cs *candidateSet) index(table, key string, include []string) {
+	ts := cs.prov.TableStats(table)
+	if ts == nil {
+		return
+	}
+	cs.seq++
+	cs.id = appendIndexID(cs.id[:0], table, key, include)
+	if cs.known() {
+		return
+	}
+	var inc []string
+	for _, c := range include {
+		if c != key {
+			inc = append(inc, c)
+		}
+	}
+	idx := &physical.Index{Name: cs.name("ix_" + table), Table: table, Key: []string{key}, Include: inc}
+	cs.add(&candidate{idx: idx, tables: []string{table}, bytes: idx.EstBytes(ts)})
+}
+
+// appendIndexID appends to b the Index.ID of the index index proposes,
+// which TestCandidatesMatchBuildThenDedupe holds to Index.ID.
+func appendIndexID(b []byte, table, key string, include []string) []byte {
+	b = append(b, "idx:"...)
+	b = append(b, table...)
+	b = append(b, '(')
+	b = append(b, key...)
+	b = append(b, ")inc("...)
+	first := true
+	for _, c := range include {
+		if c == key {
+			continue
+		}
+		if !first {
+			b = append(b, ',')
+		}
+		b, first = append(b, c...), false
+	}
+	return append(b, ')')
 }
 
 // prefilterCandidates ranks candidates by their benefit on the queries
 // that generated them (one cheap what-if each) and keeps the top
 // MaxCandidates, so heavily partitioned mappings with hundreds of
-// near-duplicate candidates stay tractable.
+// near-duplicate candidates stay tractable. base are the workload's
+// estimates under the empty configuration.
 func prefilterCandidates(cands []*candidate, w Workload, opt *optimizer.Optimizer,
-	base []*optimizer.Plan, opts Options) []*candidate {
+	base []*optimizer.Costs, opts Options) []*candidate {
 	limit := defaultMaxCandidates
 	if len(cands) <= limit {
 		return cands
@@ -368,15 +515,15 @@ func prefilterCandidates(cands []*candidate, w Workload, opt *optimizer.Optimize
 	}
 	rs := make([]ranked, 0, len(cands))
 	for _, c := range cands {
-		// The base plans are planned under the empty configuration, so
-		// the trial is the structure alone.
+		// The base estimates are of the empty configuration, so the trial
+		// is the structure alone.
 		benefit := -c.maintenanceCost(opts.InsertRates)
 		for _, qi := range c.origins {
-			p, err := opt.Replan(base[qi], c.added, c.added)
+			e, err := opt.ReplanCosts(base[qi], c.added, c.added)
 			if err != nil {
 				continue
 			}
-			benefit += w[qi].Weight * (base[qi].Cost - p.Cost)
+			benefit += w[qi].Weight * (base[qi].Cost - e.Cost)
 		}
 		if benefit <= 0 {
 			continue
@@ -394,96 +541,11 @@ func prefilterCandidates(cands []*candidate, w Workload, opt *optimizer.Optimize
 	return out
 }
 
-// branchCandidates derives candidates from one branch.
-func branchCandidates(s *sqlast.Select, prov stats.Provider, opts Options,
-	name func(string) string) []*candidate {
-	var out []*candidate
-	// columnsOf is s.ColumnsOf, computed once per table: mkIndex and
-	// dedupe copy what they keep, so the lists are shared.
-	var colTables []string
-	var colLists [][]string
-	columnsOf := func(table string) []string {
-		if i := slices.Index(colTables, table); i >= 0 {
-			return colLists[i]
-		}
-		cols := s.ColumnsOf(table)
-		colTables, colLists = append(colTables, table), append(colLists, cols)
-		return cols
-	}
-	mkIndex := func(table string, key []string, include []string) {
-		ts := prov.TableStats(table)
-		if ts == nil {
-			return
-		}
-		idx := &physical.Index{Name: name("ix_" + table), Table: table, Key: key, Include: dedupe(include, key)}
-		out = append(out, &candidate{idx: idx, tables: []string{table}, bytes: idx.EstBytes(ts)})
-	}
-	// Selection indexes: plain and covering.
-	for _, p := range s.Where {
-		if p.Kind != sqlast.PredCompare || p.Op == sqlast.OpNe {
-			continue
-		}
-		t := p.Col.Table
-		mkIndex(t, []string{p.Col.Column}, nil)
-		mkIndex(t, []string{p.Col.Column}, columnsOf(t))
-	}
-	// Join and EXISTS probe indexes (plain and covering).
-	for _, p := range s.Where {
-		switch p.Kind {
-		case sqlast.PredJoin:
-			for _, side := range []sqlast.ColRef{p.Left, p.Right} {
-				if side.Column == rel.PIDColumn {
-					mkIndex(side.Table, []string{rel.PIDColumn}, nil)
-					mkIndex(side.Table, []string{rel.PIDColumn}, columnsOf(side.Table))
-				}
-				if side.Column == rel.IDColumn {
-					mkIndex(side.Table, []string{rel.IDColumn}, nil)
-				}
-			}
-		case sqlast.PredExists, sqlast.PredOrExists:
-			mkIndex(p.Table, []string{p.JoinCol}, []string{p.InnerCol})
-		}
-	}
-	// Materialized join view for two-table branches.
-	if !opts.DisableViews && len(s.From) == 2 {
-		if v := joinViewCandidate(s, name); v != nil {
-			out = append(out, &candidate{
-				view:   v,
-				tables: []string{v.Outer, v.Inner},
-				bytes:  v.EstBytes(prov),
-			})
-		}
-	}
-	// Vertical partition: referenced columns vs the rest.
-	if opts.EnableVPartitions {
-		for _, t := range s.From {
-			ts := prov.TableStats(t)
-			if ts == nil {
-				continue
-			}
-			refd := dedupe(columnsOf(t), []string{rel.IDColumn, rel.PIDColumn})
-			var rest []string
-			for c := range ts.Cols {
-				if c == rel.IDColumn || c == rel.PIDColumn || containsStr(refd, c) {
-					continue
-				}
-				rest = append(rest, c)
-			}
-			sort.Strings(rest)
-			if len(refd) == 0 || len(rest) == 0 {
-				continue
-			}
-			vp := &physical.VPartition{Table: t, Groups: [][]string{refd, rest}}
-			out = append(out, &candidate{vpart: vp, tables: []string{t},
-				bytes: vp.EstBytes(ts) - ts.Bytes()})
-		}
-	}
-	return out
-}
-
-// joinViewCandidate builds a parent-child join view matching the
-// branch, or nil.
-func joinViewCandidate(s *sqlast.Select, name func(string) string) *physical.View {
+// joinViewCandidate is the parent-child join view matching the branch,
+// unnamed: over its first PID = ID join, the outer side's columns plus ID
+// and the inner side's columns, sorted. columnsOf is the branch's
+// ColumnsOf.
+func joinViewCandidate(s *sqlast.Select, columnsOf func(string) []string) (physical.View, bool) {
 	for _, p := range s.Where {
 		if p.Kind != sqlast.PredJoin {
 			continue
@@ -496,17 +558,14 @@ func joinViewCandidate(s *sqlast.Select, name func(string) string) *physical.Vie
 			continue
 		}
 		inner, outer := l.Table, r.Table
-		oc := s.ColumnsOf(outer)
-		ic := s.ColumnsOf(inner)
+		oc := columnsOf(outer)
 		if !containsStr(oc, rel.IDColumn) {
-			oc = append(oc, rel.IDColumn)
+			oc = append(slices.Clone(oc), rel.IDColumn)
+			sort.Strings(oc)
 		}
-		sort.Strings(oc)
-		sort.Strings(ic)
-		return &physical.View{Name: name("v_" + outer), Outer: outer, Inner: inner,
-			OuterCols: oc, InnerCols: ic}
+		return physical.View{Outer: outer, Inner: inner, OuterCols: oc, InnerCols: columnsOf(inner)}, true
 	}
-	return nil
+	return physical.View{}, false
 }
 
 func dedupe(cols, minus []string) []string {
