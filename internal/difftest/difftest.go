@@ -260,6 +260,12 @@ func Run(c Case) (RunStats, *Mismatch) {
 			st.Skipped++
 			continue
 		}
+		// Every branch has a shape the optimizer and the executors take.
+		for bi, s := range sql.Branches {
+			if err := s.CheckShape(); err != nil {
+				return st, fail("translate", i, q.String(), "branch %d: %v (applied %v)", bi, err, applied)
+			}
+		}
 		translated = append(translated, tq{i, q, sql})
 	}
 

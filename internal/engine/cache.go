@@ -150,7 +150,7 @@ func (b *Built) PreparedContext(ctx context.Context, plan *optimizer.Plan) (*Pre
 		} else {
 			var ops int
 			for _, br := range pp.branches {
-				ops += len(br.ops)
+				ops += br.operators()
 			}
 			sp.SetAttr(obs.Int("operators", int64(ops)))
 		}

@@ -178,7 +178,9 @@ func matchCompare(v rel.Value, op sqlast.CmpOp, lit rel.Value) bool {
 
 // planShape refuses, with one error per shape, every plan shape that
 // translate, the optimizer and physdesign never emit, so both executors
-// compile only the shapes they do: a seek that names partition groups,
+// compile only the shapes they do: a branch sqlast.CheckShape refuses,
+// or one whose plan joins other than once per table past the driver
+// (both wrap sqlast.ErrBranchShape); a seek that names partition groups,
 // has no predicate, seeks by <> or by anything but a compare on the
 // leading column of an index of its own table; a predicate of a kind
 // sqlast does not define; an EXISTS without a value column; an
@@ -188,6 +190,12 @@ func matchCompare(v rel.Value, op sqlast.CmpOp, lit rel.Value) bool {
 // column that does not resolve is left to the branch's own checks.
 func planShape(b *Built, plan *optimizer.Plan) error {
 	for bi, br := range plan.Branches {
+		if err := br.Sel.CheckShape(); err != nil {
+			return fmt.Errorf("engine: branch %d: %w", bi, err)
+		}
+		if len(br.Joins) != len(br.Sel.From)-1 {
+			return fmt.Errorf("engine: branch %d joins %d times over %d tables: %w", bi, len(br.Joins), len(br.Sel.From), sqlast.ErrBranchShape)
+		}
 		if a := br.Driver; a.Kind == optimizer.AccessSeek {
 			sp := a.SeekPred
 			switch {

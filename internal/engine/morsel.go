@@ -77,7 +77,7 @@ func (pp *PreparedPlan) executeMorsels(ctx context.Context, sp *obs.Span, reg *o
 		ranges := pb.morselRanges(n)
 		r.span = sp.Child("executor.branch",
 			obs.Int("branch", int64(bi)),
-			obs.Int("operators", int64(len(pb.ops))),
+			obs.Int("operators", int64(pb.operators())),
 			obs.Int("morsels", int64(len(ranges))))
 		runs[bi] = r
 		r.lo = len(tasks)

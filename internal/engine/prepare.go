@@ -19,11 +19,12 @@ import (
 // EXISTS probe resolved once at compile time against the Built's
 // plan-lifetime caches. The pipeline carries row ids, not
 // values: a batch is one []int32 row-id vector per table in scope — the
-// driver is table 0, join j's inner table j+1 (scopeTable.idx) — of at
-// most batchSize rows. Kernels compact the driver's vector, joins read
-// their outer key straight from the outer table's column vector and
-// append row ids to their output vectors, and post-join filters run
-// the same columnar kernels over the row ids of the table they read.
+// driver is table 0 and the join's inner table, if the branch has one,
+// table 1 (scopeTable.idx) — of at most batchSize rows. Kernels compact
+// the driver's vector, the join reads its outer key straight from the
+// driver's column vector and appends row ids to its output vectors, and
+// post-join filters run the same columnar kernels over the row ids of
+// the table they read.
 // The only rel.Value an execution writes is a result cell: the sink
 // copies each projected column from its column vector into one fresh,
 // exactly-sized arena per batch (see colFill), and assemble cuts the
@@ -230,38 +231,26 @@ type driverSrc struct {
 	need []int
 }
 
-// pipeKind discriminates pipeline operators.
-type pipeKind int
-
-const (
-	pipeFilter pipeKind = iota
-	pipeHashJoin
-	pipeINLJoin
-)
-
-// pipeOp is one compiled pipeline operator. What it reads from column
-// vectors — a filter's kernel, a join's outer-key reader — is compiled
+// joinOp is a branch's one join, compiled: the driver column its outer
+// key reads and the index it probes — an INL join's own, a hash join's
+// cached key index on its build side. Its outer-key reader is compiled
 // into readers, per source.
-type pipeOp struct {
-	kind pipeKind
+type joinOp struct {
+	inl   bool
+	outer int
+	bi    *builtIndex
+	// scanCount is the per-execution scan accounting a hash join's inner
+	// source incurs (the reference executor re-scans the build side every
+	// execution; the batch executor charges the same counters but skips
+	// the rebuild): RowsScanned per run.
+	scanCount int64
+}
 
-	// Filter: the predicate and the one table it reads.
+// postFilter is a predicate applied after the join, and the one table it
+// reads. Its kernel is compiled into readers, per source.
+type postFilter struct {
 	pred *sqlast.Pred
 	tab  int
-
-	// Join fields: the outer key column, the operator's index among the
-	// branch's joins (its output buffers in branchState), and the index
-	// it probes — an INL join's own, a hash join's cached key index on
-	// its build side.
-	outer tabCol
-	out   int
-	bi    *builtIndex
-
-	// Hash join: the per-execution scan accounting its inner source
-	// incurs (the reference executor re-scans the build side every
-	// execution; the batch executor charges the same counters but skips
-	// the rebuild).
-	scanCount int64 // RowsScanned per run
 }
 
 // outCol is one projected column: the column it reads and its output
@@ -279,8 +268,10 @@ type preparedBranch struct {
 	// over the driver table's vectors (readers.kerns) that compact the
 	// vector of driver row ids before anything downstream sees a row.
 	kernPreds []*sqlast.Pred
-	ops       []pipeOp
-	nJoins    int
+	// join is nil for a branch that reads one table; filters are the
+	// predicates applied after it, in WHERE order.
+	join    *joinOp
+	filters []postFilter
 	// outs are the projected columns; nulls the output positions of NULL
 	// items. A result row is len(outs)+len(nulls) values wide.
 	outs  []outCol
@@ -290,7 +281,7 @@ type preparedBranch struct {
 	// (see sink).
 	orderOut int
 	// srcs is the source of every table in scope, by idx: the driver
-	// table (which each acquired scan fragment stands in for), then each
+	// table (which each acquired scan fragment stands in for), then the
 	// join's inner table. rd is compiled against srcs; what reads table 0
 	// only when the driver is resident (see readersFor).
 	srcs []*rel.Table
@@ -308,36 +299,35 @@ type preparedBranch struct {
 
 // readers are everything a branch reads from its tables' column
 // vectors, compiled against one set of sources: the driver-stage
-// kernels, per pipeline operator a filter (nil for a join) or a join's
-// outer-key reader, and the sink's fills, one per outs entry.
+// kernels, the join's outer-key reader, one filter per postFilter, and
+// the sink's fills, one per outs entry.
 type readers struct {
-	kerns    []colKernel
-	filters  []rowFilter
-	joinKeys []colFill
-	fills    []colFill
+	kerns   []colKernel
+	joinKey colFill
+	filters []rowFilter
+	fills   []colFill
 }
 
 // branchState is the per-execution operator state, row-id vectors
 // only: the driver vector the kernels compact (drv holds it as the
-// driver-stage batch), a filter's scratch vector, and per join its
-// output buffers.
+// driver-stage batch) and, for a branch with a join, the join's buffers
+// and the scratch vector of the filters after it.
 type branchState struct {
 	sel     []int32
-	drv     [][]int32
+	drv     [1][]int32
 	scratch []int32
-	joins   []joinBuf
+	join    joinBuf
 }
 
-// joinBuf buffers one join's matches: for each, the outer row's
-// position in the batch being probed and the inner row id. A full
-// buffer gathers the outer rows' ids into out, after which inner is
-// the last vector, and moves on as a batch. finger is the join's
-// position in its index (see seekInt), kept across batches and
-// executions: any position is a valid start.
+// joinBuf buffers the join's matches: for each, the driver row's
+// position in the batch being probed, and, in batch[1], the inner row
+// id. A full buffer gathers the driver rows' ids into batch[0] and moves
+// on as a batch. finger is the join's position in its index (see
+// seekInt), kept across batches and executions: any position is a valid
+// start.
 type joinBuf struct {
 	pos    []int32
-	inner  []int32
-	out    [][]int32
+	batch  [2][]int32
 	finger int
 }
 
@@ -416,13 +406,13 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 	}
 	pb.srcs = []*rel.Table{t}
 	applied := make(map[int]bool)
-	// Filters before the first join are driver-stage kernels; each later
-	// one filters the batches of the join before it.
+	// Filters before the join are driver-stage kernels; the later ones
+	// filter the join's batches. A plan joins at most once (planShape).
 	if err := pb.appendFilters(br, sc, applied); err != nil {
 		return nil, err
 	}
-	for _, j := range br.Joins {
-		if err := pb.appendJoin(b, sc, j); err != nil {
+	if len(br.Joins) > 0 {
+		if err := pb.appendJoin(b, sc, br.Joins[0]); err != nil {
 			return nil, err
 		}
 		if err := pb.appendFilters(br, sc, applied); err != nil {
@@ -455,10 +445,9 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 	// pages has no vectors until a scan acquires a fragment of it.
 	pb.src.refs = driver.refs
 	pb.rd = readers{
-		kerns:    make([]colKernel, len(pb.kernPreds)),
-		filters:  make([]rowFilter, len(pb.ops)),
-		joinKeys: make([]colFill, len(pb.ops)),
-		fills:    make([]colFill, len(pb.outs)),
+		kerns:   make([]colKernel, len(pb.kernPreds)),
+		filters: make([]rowFilter, len(pb.filters)),
+		fills:   make([]colFill, len(pb.outs)),
 	}
 	resident := t.Resident()
 	if err := pb.compileReaders(&pb.rd, pb.srcs, func(tab int) bool { return tab > 0 || resident }); err != nil {
@@ -470,9 +459,8 @@ func prepareBranch(b *Built, br *optimizer.Branch) (*preparedBranch, error) {
 
 // appendFilters records every not-yet-applied predicate whose
 // referenced tables are in scope, in WHERE order — the same application
-// order as the reference executor's applyPreds passes. Before the first
-// join a predicate is a driver-stage kernel; after it, a filter
-// operator.
+// order as the reference executor's applyPreds passes. Before the join a
+// predicate is a driver-stage kernel; after it, a postFilter.
 func (pb *preparedBranch) appendFilters(br *optimizer.Branch, sc *scope, applied map[int]bool) error {
 	s := br.Sel
 	for i := range s.Where {
@@ -490,10 +478,10 @@ func (pb *preparedBranch) appendFilters(br *optimizer.Branch, sc *scope, applied
 				return err
 			}
 		}
-		if pb.nJoins == 0 {
+		if pb.join == nil {
 			pb.kernPreds = append(pb.kernPreds, p)
 		} else {
-			pb.ops = append(pb.ops, pipeOp{kind: pipeFilter, pred: p, tab: tc.tab})
+			pb.filters = append(pb.filters, postFilter{pred: p, tab: tc.tab})
 		}
 		applied[i] = true
 	}
@@ -508,8 +496,9 @@ func predCols(p *sqlast.Pred) []sqlast.ColRef {
 	return append(p.Cols[:len(p.Cols):len(p.Cols)], p.OuterCol)
 }
 
-// appendJoin compiles one join step, resolving the build side through
-// the Built's structure caches.
+// appendJoin compiles the branch's join, resolving the build side
+// through the Built's structure caches. Only the driver is in scope
+// before it, so its outer key is a driver column.
 func (pb *preparedBranch) appendJoin(b *Built, sc *scope, j optimizer.Join) error {
 	outer, err := sc.ref(j.OuterCol)
 	if err != nil {
@@ -518,16 +507,15 @@ func (pb *preparedBranch) appendJoin(b *Built, sc *scope, j optimizer.Join) erro
 	if err := joinKeys(b, j.OuterCol, j.InnerCol); err != nil {
 		return err
 	}
-	op := pipeOp{kind: pipeHashJoin, outer: outer, out: pb.nJoins}
-	pb.nJoins++
+	op := &joinOp{outer: outer.col}
 	if j.Method == optimizer.JoinINL {
 		if op.bi, err = inlIndex(b, j); err != nil {
 			return err
 		}
-		op.kind = pipeINLJoin
+		op.inl = true
 		sc.add(j.Inner.Table, colNames(op.bi.table))
 		pb.srcs = append(pb.srcs, op.bi.table)
-		pb.ops = append(pb.ops, op)
+		pb.join = op
 		return nil
 	}
 	// Hash join: resolve the inner source, its size, and its key column.
@@ -575,7 +563,7 @@ func (pb *preparedBranch) appendJoin(b *Built, sc *scope, j optimizer.Join) erro
 	if op.bi, err = b.keyIndex(srcKey, t, ji); err != nil {
 		return err
 	}
-	pb.ops = append(pb.ops, op)
+	pb.join = op
 	return nil
 }
 
@@ -593,18 +581,16 @@ func (pb *preparedBranch) compileReaders(rd *readers, srcs []*rel.Table, want fu
 			rd.kerns[i] = k
 		}
 	}
-	for i := range pb.ops {
-		switch op := &pb.ops[i]; {
-		case op.kind != pipeFilter:
-			if want(op.outer.tab) {
-				rd.joinKeys[i] = newColFill(srcs[op.outer.tab], op.outer.col, 0)
-			}
-		case want(op.tab):
-			f, err := compileRowFilter(b, op.pred, op.tab, srcs, sc)
+	if pb.join != nil && want(0) {
+		rd.joinKey = newColFill(srcs[0], pb.join.outer, 0)
+	}
+	for i, f := range pb.filters {
+		if want(f.tab) {
+			rf, err := compileRowFilter(b, f.pred, f.tab, srcs, sc)
 			if err != nil {
 				return err
 			}
-			rd.filters[i] = f
+			rd.filters[i] = rf
 		}
 	}
 	for i, o := range pb.outs {
@@ -631,10 +617,9 @@ func (pb *preparedBranch) readersFor(frag *rel.Table) (*readers, error) {
 	srcs := slices.Clone(pb.srcs)
 	srcs[0] = frag
 	rd := &readers{
-		kerns:    make([]colKernel, len(pb.kernPreds)),
-		filters:  slices.Clone(pb.rd.filters),
-		joinKeys: slices.Clone(pb.rd.joinKeys),
-		fills:    slices.Clone(pb.rd.fills),
+		kerns:   make([]colKernel, len(pb.kernPreds)),
+		filters: slices.Clone(pb.rd.filters),
+		fills:   slices.Clone(pb.rd.fills),
 	}
 	if err := pb.compileReaders(rd, srcs, func(tab int) bool { return tab == 0 }); err != nil {
 		return nil, err
@@ -642,22 +627,26 @@ func (pb *preparedBranch) readersFor(frag *rel.Table) (*readers, error) {
 	return rd, nil
 }
 
-// initPool wires the per-execution state pool: the driver vector and
-// each join's buffers, every vector batchSize row ids long.
+// initPool wires the per-execution state pool (see branchState), every
+// vector batchSize row ids long.
 func (pb *preparedBranch) initPool() {
 	vec := func() []int32 { return make([]int32, 0, batchSize) }
 	pb.pool.New = func() any {
-		st := &branchState{sel: vec(), drv: make([][]int32, 1), scratch: vec(), joins: make([]joinBuf, pb.nJoins)}
-		for j := range st.joins {
-			// Join j's output holds tables 0..j+1; the last is inner.
-			jb := &st.joins[j]
-			jb.pos, jb.inner, jb.out = vec(), vec(), make([][]int32, j+2)
-			for t := 0; t <= j; t++ {
-				jb.out[t] = vec()
-			}
+		st := &branchState{sel: vec()}
+		if pb.join != nil {
+			st.scratch, st.join = vec(), joinBuf{pos: vec(), batch: [2][]int32{vec(), vec()}}
 		}
 		return st
 	}
+}
+
+// operators counts the branch's pipeline operators after the
+// driver-stage kernels: the join and the filters after it.
+func (pb *preparedBranch) operators() int {
+	if pb.join == nil {
+		return 0
+	}
+	return 1 + len(pb.filters)
 }
 
 // precharge charges the hash-join build-side scan counters. The
@@ -666,11 +655,8 @@ func (pb *preparedBranch) initPool() {
 // front — once per branch, never per morsel — keeps Stats aligned at any
 // worker count.
 func (pb *preparedBranch) precharge(st *ExecStats) {
-	for i := range pb.ops {
-		op := &pb.ops[i]
-		if op.kind == pipeHashJoin {
-			st.RowsScanned += op.scanCount
-		}
+	if pb.join != nil && !pb.join.inl {
+		st.RowsScanned += pb.join.scanCount
 	}
 }
 
@@ -751,15 +737,20 @@ func (pb *preparedBranch) runRange(ctx context.Context, out *outSlot, enc RowEnc
 	r := &pipeRun{pb: pb, st: state, out: out, enc: enc}
 
 	// feed compacts a vector of driver row ids with the driver-stage
-	// kernels and pushes the survivors through the pipeline.
+	// kernels and pushes the survivors through the join, if any, into the
+	// sink.
 	feed := func(sel []int32) {
 		for _, k := range r.rd.kerns {
 			if sel = k(sel); len(sel) == 0 {
 				return
 			}
 		}
+		if pb.join != nil {
+			r.join(sel)
+			return
+		}
 		state.drv[0] = sel
-		r.push(0, state.drv)
+		r.sink(state.drv[:])
 	}
 	if pb.src.kind == srcSeek {
 		// One span of driver positions, indexing the seek's id list.
@@ -835,73 +826,65 @@ type pipeRun struct {
 	enc RowEncoder
 }
 
-// push runs a batch — one row-id vector per table in scope — through
-// the operators from oi on and into the sink.
-func (r *pipeRun) push(oi int, vecs [][]int32) {
-	for ops := r.pb.ops; oi < len(ops); oi++ {
-		op := &ops[oi]
-		if op.kind != pipeFilter {
-			r.join(oi, op, vecs)
-			return
-		}
-		r.rd.filters[oi](vecs, r.st.scratch)
-		if len(vecs[0]) == 0 {
-			return
-		}
-	}
-	r.sink(vecs)
-}
-
-// join probes the inner table's index once per row of vecs with the
-// outer key, an INT read straight from its column vector, and buffers
-// each match's outer position and inner row id; full buffers move on as
-// batches (see flush). An INL join charges its matches to RowsSought; a
-// hash join's build-side scan is charged up front (see precharge).
-func (r *pipeRun) join(oi int, op *pipeOp, vecs [][]int32) {
-	jb := &r.st.joins[op.out]
-	jb.pos, jb.inner = jb.pos[:0], jb.inner[:0]
-	key := &r.rd.joinKeys[oi]
-	for i, row := range vecs[op.outer.tab] {
+// join probes the inner table's index once per driver row of drv with
+// the outer key, an INT read straight from its column vector, and
+// buffers each match's driver position and inner row id; full buffers
+// move on as batches (see flush). An INL join charges its matches to
+// RowsSought; a hash join's build-side scan is charged up front (see
+// precharge).
+func (r *pipeRun) join(drv []int32) {
+	op, jb, key := r.pb.join, &r.st.join, &r.rd.joinKey
+	jb.pos, jb.batch[1] = jb.pos[:0], jb.batch[1][:0]
+	for i, row := range drv {
 		if key.null(row) {
 			continue
 		}
 		rids := op.bi.seekInt(key.ints[row], &jb.finger)
-		if op.kind == pipeINLJoin {
+		if op.inl {
 			r.out.st.RowsSought += int64(len(rids))
 		}
 		for _, rid := range rids {
 			if jb.add(i, rid) {
-				r.flush(oi, jb, vecs)
+				r.flush(drv)
 			}
 		}
 	}
 	if len(jb.pos) > 0 {
-		r.flush(oi, jb, vecs)
+		r.flush(drv)
 	}
 }
 
-// add buffers one match, outer row i and inner row m, and reports
+// add buffers one match, driver row i and inner row m, and reports
 // whether the buffer is full.
 func (jb *joinBuf) add(i int, m int32) bool {
 	jb.pos = append(jb.pos, int32(i))
-	jb.inner = append(jb.inner, m)
+	jb.batch[1] = append(jb.batch[1], m)
 	return len(jb.pos) == batchSize
 }
 
-// flush gathers the outer row ids of join oi's buffered matches from
-// the batch being probed, one vector per outer table, and pushes them
-// on with the inner row ids.
-func (r *pipeRun) flush(oi int, jb *joinBuf, in [][]int32) {
-	for t, ids := range in {
-		v := jb.out[t][:len(jb.pos)]
-		for k, p := range jb.pos {
-			v[k] = ids[p]
-		}
-		jb.out[t] = v
+// flush gathers the driver row ids of the buffered matches from drv, the
+// batch being probed, runs the joined batch through the filters after
+// the join and into the sink, and empties the buffer.
+func (r *pipeRun) flush(drv []int32) {
+	jb := &r.st.join
+	v := jb.batch[0][:len(jb.pos)]
+	for k, p := range jb.pos {
+		v[k] = drv[p]
 	}
-	jb.out[len(in)] = jb.inner
-	r.push(oi+1, jb.out)
-	jb.pos, jb.inner = jb.pos[:0], jb.inner[:0]
+	jb.batch[0] = v
+	r.filter(jb.batch[:])
+	jb.pos, jb.batch[1] = jb.pos[:0], jb.batch[1][:0]
+}
+
+// filter runs a joined batch through the filters after the join and
+// into the sink.
+func (r *pipeRun) filter(vecs [][]int32) {
+	for _, f := range r.rd.filters {
+		if f(vecs, r.st.scratch); len(vecs[0]) == 0 {
+			return
+		}
+	}
+	r.sink(vecs)
 }
 
 // sink projects a batch into one exactly-sized arena: one fill per

@@ -13,7 +13,8 @@ import (
 
 // TestPlanShapeRefusal: both executors run only the plan shapes
 // translate, the optimizer and physdesign emit, and refuse every other
-// with one error, whichever entry point compiles the plan: a predicate
+// with one error, whichever entry point compiles the plan: a plan whose
+// joins do not join each FROM table past the driver once, a predicate
 // kind sqlast does not define (the OR list it once had), an EXISTS
 // without a value column, an OR-or-EXISTS reading a second table, a
 // non-NULL literal typed unlike its column in each place a literal meets
@@ -81,6 +82,12 @@ func TestPlanShapeRefusal(t *testing.T) {
 	crossTable.Query.Branches[0].From = []string{"p", "c"}
 	crossTable.Branches[0].Joins = []optimizer.Join{{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c"},
 		OuterCol: col("p", "ID"), InnerCol: col("c", "PID")}}
+	hashC := optimizer.Join{Method: optimizer.JoinHash, Inner: optimizer.Access{Table: "c"}, OuterCol: col("p", "ID"), InnerCol: col("c", "PID")}
+	twoJoins := plan(scan, -1, sqlast.Pred{Kind: sqlast.PredJoin, Left: col("c", "PID"), Right: col("p", "ID")})
+	twoJoins.Query.Branches[0].From = []string{"p", "c"}
+	twoJoins.Branches[0].Joins = []optimizer.Join{hashC, hashC}
+	joinless := plan(scan, -1)
+	joinless.Branches[0].Joins = []optimizer.Join{hashC}
 
 	refused := []struct {
 		name, want string
@@ -91,6 +98,8 @@ func TestPlanShapeRefusal(t *testing.T) {
 		{"bare EXISTS", "has no value column", plan(scan, -1, exists(sqlast.PredExists, rel.Str("w1"), ""))},
 		{"bare OR-or-EXISTS", "has no value column", plan(scan, -1, exists(sqlast.PredOrExists, rel.Str("w1"), "", col("p", "s")))},
 		{"OR-or-EXISTS over two tables", "reads its outer column's table alone", crossTable},
+		{"two joins on a two-table branch", "joins 2 times over 2 tables", twoJoins},
+		{"a join on a one-table branch", "joins 1 times over 1 tables", joinless},
 		{"string literal, INT column", "a literal has its column's type", plan(scan, -1, cmp(col("p", "n"), sqlast.OpGe, rel.Str("2")))},
 		{"INT literal, FLOAT column", "a literal has its column's type", plan(scan, -1, cmp(col("p", "f"), sqlast.OpLt, rel.Int(2)))},
 		{"FLOAT literal, INT column", "a literal has its column's type", plan(scan, -1, cmp(col("p", "n"), sqlast.OpEq, rel.Float(1)))},

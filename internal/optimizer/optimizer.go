@@ -9,7 +9,6 @@
 package optimizer
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -93,7 +92,7 @@ func (m JoinMethod) String() string {
 	return "HASH"
 }
 
-// Join describes one join step of a left-deep plan.
+// Join describes the join of a two-table branch's plan.
 type Join struct {
 	Method JoinMethod
 	// Inner describes the inner input (for hash: a scan; for INL the
@@ -114,7 +113,8 @@ type Branch struct {
 	View *physical.View
 	// Driver is the first (driving) access.
 	Driver Access
-	// Joins are the remaining joins in order.
+	// Joins holds the join to the other table of a two-table branch, and
+	// is empty for a one-table branch or a view plan.
 	Joins []Join
 	// Rows and Cost are branch-level estimates.
 	Rows, Cost float64
@@ -296,9 +296,10 @@ func New(p stats.Provider) *Optimizer { return &Optimizer{Provider: p} }
 func (o *Optimizer) Calls() int64 { return o.calls.Load() }
 
 // PlanQuery builds the minimum-estimated-cost physical plan for the
-// query under the configuration.
+// query under the configuration. A branch of a shape sqlast.CheckShape
+// refuses is an error wrapping sqlast.ErrBranchShape.
 func (o *Optimizer) PlanQuery(q *sqlast.Query, cfg *physical.Config) (*Plan, error) {
-	return o.plan(q, cfg, func(i int) *analysis { return o.analyse(q.Branches[i]) })
+	return o.plan(q, cfg, func(i int) (*analysis, error) { return o.analyse(q.Branches[i]) })
 }
 
 // PlanFrom plans c.Query under cfg from the branch analyses c carries,
@@ -308,7 +309,7 @@ func (o *Optimizer) PlanQuery(q *sqlast.Query, cfg *physical.Config) (*Plan, err
 // from ReplanCosts, and ReplanCosts' rule on concurrent calls holds for
 // it too.
 func (o *Optimizer) PlanFrom(c *Costs, cfg *physical.Config) (*Plan, error) {
-	return o.plan(c.Query, cfg, func(i int) *analysis { return c.branches[i].an })
+	return o.plan(c.Query, cfg, func(i int) (*analysis, error) { return c.branches[i].an, nil })
 }
 
 // ReplanCosts returns prev's estimates under cfg, where cfg is the
@@ -356,14 +357,18 @@ func (o *Optimizer) ReplanCosts(prev *Costs, cfg, added *physical.Config) (*Cost
 
 // plan is the one planning loop: every branch of q under cfg, from the
 // analysis an gives for its index.
-func (o *Optimizer) plan(q *sqlast.Query, cfg *physical.Config, an func(i int) *analysis) (*Plan, error) {
+func (o *Optimizer) plan(q *sqlast.Query, cfg *physical.Config, an func(i int) (*analysis, error)) (*Plan, error) {
 	o.calls.Add(1)
 	if cfg == nil {
 		cfg = &physical.Config{}
 	}
 	plan := &Plan{Query: q, Branches: make([]*Branch, len(q.Branches))}
 	for i := range q.Branches {
-		b, err := o.planBranch(an(i), cfg)
+		a, err := an(i)
+		if err != nil {
+			return nil, err
+		}
+		b, err := o.planBranch(a, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -399,27 +404,19 @@ func (o *Optimizer) Cost(q *sqlast.Query, cfg *physical.Config) (float64, error)
 	return p.Cost, nil
 }
 
-// maxJoinTables is the widest FROM list a branch may have: left-deep
-// orders are enumerated exhaustively, and 8! = 40 320 orders is the
-// most a what-if call can afford. The translator's widest branch joins
-// two tables (a host relation and one child relation).
-const maxJoinTables = 8
-
-// ErrTooManyTables is returned (wrapped) for a branch whose FROM list
-// names more than eight tables.
-var ErrTooManyTables = errors.New("optimizer: branch joins too many tables to enumerate join orders")
-
 // analysis is everything planning a branch reads that no physical
 // configuration changes. PlanQuery makes one per branch and Plan.Costs
-// carries it forward, so ReplanCosts and PlanFrom start from the join
-// graph, not from the SQL.
+// carries it forward, so ReplanCosts and PlanFrom start from the join,
+// not from the SQL.
 type analysis struct {
 	sel *sqlast.Select
-	// from is aligned with sel.From (nil when that is wider than
-	// maxJoinTables).
+	// from is aligned with sel.From: one table, or two (sqlast.CheckShape).
 	from []fromTable
+	// join holds the two columns of a two-table branch's join predicate,
+	// aligned with from: join[k] is the column of from[k].
+	join [2]sqlast.ColRef
 	// probes are the columns an index must lead with to be used by the
-	// branch: every non-<> compare column (a seek), both columns of every
+	// branch: every non-<> compare column (a seek), both columns of the
 	// join predicate (the inner column of an index nested-loop join), and
 	// the Table and JoinCol of every EXISTS and OR-EXISTS predicate (the
 	// semi-join probe).
@@ -432,25 +429,11 @@ type analysis struct {
 // fromTable is one FROM table of an analysed branch.
 type fromTable struct {
 	name string
-	// ts is nil when the provider has no statistics for the table; no
-	// join order can then be planned.
-	ts *stats.TableStats
+	ts   *stats.TableStats
 	// needed is sel.ColumnsOf(name); rows the cardinality after the
 	// table's local predicates.
 	needed []string
 	rows   float64
-	// edges are the join predicates with this table on one side, in
-	// WHERE order.
-	edges []joinEdge
-}
-
-// joinEdge is a join predicate oriented towards one FROM table: outer
-// is the column of the other side, inner the column of the table.
-type joinEdge struct {
-	// others has a bit for every FROM position holding the other
-	// side's table.
-	others       uint
-	outer, inner sqlast.ColRef
 }
 
 // viewRewrite is a branch rewritten over a view.
@@ -464,8 +447,12 @@ type viewRewrite struct {
 }
 
 // analyse derives a branch's analysis from its SQL and the provider's
-// statistics.
-func (o *Optimizer) analyse(s *sqlast.Select) *analysis {
+// statistics. It is the optimizer's one check of the branch's shape and
+// of its tables' statistics: a branch whose analysis exists plans.
+func (o *Optimizer) analyse(s *sqlast.Select) (*analysis, error) {
+	if err := s.CheckShape(); err != nil {
+		return nil, fmt.Errorf("optimizer: %w", err)
+	}
 	an := &analysis{sel: s}
 	if len(s.Where) > 0 {
 		an.probes = make([]sqlast.ColRef, 0, 2*len(s.Where))
@@ -478,41 +465,24 @@ func (o *Optimizer) analyse(s *sqlast.Select) *analysis {
 			}
 		case sqlast.PredJoin:
 			an.probes = append(an.probes, p.Left, p.Right)
+			an.join = [2]sqlast.ColRef{p.Left, p.Right}
+			if p.Left.Table != s.From[0] {
+				an.join = [2]sqlast.ColRef{p.Right, p.Left}
+			}
 		case sqlast.PredExists, sqlast.PredOrExists:
 			an.probes = append(an.probes, sqlast.ColRef{Table: p.Table, Column: p.JoinCol})
 		}
-	}
-	if len(s.From) > maxJoinTables {
-		return an
-	}
-	positions := func(table string) (mask uint) {
-		for j, u := range s.From {
-			if u == table {
-				mask |= 1 << j
-			}
-		}
-		return mask
 	}
 	an.from = make([]fromTable, len(s.From))
 	for i, t := range s.From {
 		ft := &an.from[i]
 		ft.name, ft.needed = t, s.ColumnsOf(t)
-		if ft.ts = o.Provider.TableStats(t); ft.ts != nil {
-			ft.rows, _ = o.localRows(s, t, ft.ts, nil)
+		if ft.ts = o.Provider.TableStats(t); ft.ts == nil {
+			return nil, fmt.Errorf("optimizer: no statistics for table %s of branch %s", t, s.SQL())
 		}
-		for _, p := range s.Where {
-			if p.Kind != sqlast.PredJoin {
-				continue
-			}
-			if p.Right.Table == t {
-				ft.edges = append(ft.edges, joinEdge{others: positions(p.Left.Table), outer: p.Left, inner: p.Right})
-			}
-			if p.Left.Table == t {
-				ft.edges = append(ft.edges, joinEdge{others: positions(p.Right.Table), outer: p.Right, inner: p.Left})
-			}
-		}
+		ft.rows, _ = o.localRows(s, t, ft.ts, nil)
 	}
-	return an
+	return an, nil
 }
 
 // serves reports whether a structure of added can change the branch's
@@ -579,52 +549,56 @@ func (o *Optimizer) planBranch(an *analysis, cfg *physical.Config) (*Branch, err
 	return e.build(view, rows, cost), nil
 }
 
-// orderEnum enumerates the left-deep orders of a branch in place:
-// lexicographically by FROM position, the first table varying slowest.
-// The order being extended lives in driver/joins and a prefix's joins
-// are planned once for all its completions; only a complete order
-// cheaper than every earlier one is copied to best*.
+// orderEnum plans a branch's join orders: FROM[0] driving and, for a
+// two-table branch, FROM[1] driving, joined to the other table by the
+// branch's one join predicate. The second order replaces the first only
+// when it is strictly cheaper, so of equal costs FROM[0] drives.
 type orderEnum struct {
 	o   *Optimizer
 	an  *analysis
 	cfg *physical.Config
 
-	driver Access
-	joins  [maxJoinTables - 1]Join
-
-	found              bool
-	bestDriver         Access
-	bestJoins          [maxJoinTables - 1]Join
-	bestRows, bestCost float64
+	driver     Access
+	join       Join // zero for a one-table branch
+	rows, cost float64
 }
 
-// run finds the cheapest left-deep join order over the base tables; of
-// equal costs the order earlier in the enumeration wins.
-func (e *orderEnum) run() error {
-	s := e.an.sel
-	switch n := len(s.From); {
-	case n == 0:
-		return fmt.Errorf("optimizer: branch without FROM: %s", s.SQL())
-	case n > maxJoinTables:
-		return fmt.Errorf("%w: %d, at most %d: %s", ErrTooManyTables, n, maxJoinTables, s.SQL())
+// run leaves the cheaper order in e.
+func (e *orderEnum) run() (err error) {
+	if e.driver, e.join, e.rows, e.cost, err = e.order(0); err != nil || len(e.an.from) == 1 {
+		return err
 	}
-	e.extend(0, 0, 0, 0)
-	if !e.found {
-		return fmt.Errorf("optimizer: no joinable order for branch %s", s.SQL())
+	driver, join, rows, cost, err := e.order(1)
+	if err == nil && cost < e.cost {
+		e.driver, e.join, e.rows, e.cost = driver, join, rows, cost
 	}
-	return nil
+	return err
+}
+
+// order plans the order FROM[first] drives, with its EXISTS semi-joins
+// folded in.
+func (e *orderEnum) order(first int) (driver Access, join Join, rows, cost float64, err error) {
+	from := e.an.from
+	driver = e.o.bestTableAccess(e.an.sel, &from[first], e.cfg)
+	rows, cost = driver.Rows, driver.Cost
+	if len(from) == 2 {
+		join = e.o.bestJoin(&from[1-first], e.cfg, rows, e.an.join[first], e.an.join[1-first])
+		rows, cost = join.Rows, cost+join.Cost
+	}
+	rows, ecost, err := e.o.applyExists(e.an.sel, rows, e.cfg)
+	return driver, join, rows, cost + (ecost + rows*CostTuple), err
 }
 
 // choose picks the cheaper of the base-table plan and any view-rewritten
-// plan without building either: the enumeration leaves the cheapest
-// order in e, and view is the winning rewrite, nil when the base plan
-// wins; rows and cost are the winner's. Of equal costs the base plan,
-// then the view earlier in cfg.Views, wins.
+// plan without building either: run leaves the cheaper order in e, and
+// view is the winning rewrite, nil when the base plan wins; rows and
+// cost are the winner's. Of equal costs the base plan, then the view
+// earlier in cfg.Views, wins.
 func (e *orderEnum) choose() (view *viewRewrite, rows, cost float64, err error) {
 	if err := e.run(); err != nil {
 		return nil, 0, 0, err
 	}
-	rows, cost = e.bestRows, e.bestCost
+	rows, cost = e.rows, e.cost
 	for _, v := range e.cfg.Views {
 		if !viewOf(e.an.sel.From, v) {
 			continue
@@ -650,52 +624,16 @@ func (e *orderEnum) build(view *viewRewrite, rows, cost float64) *Branch {
 		// Sel is the rewritten select: it is what executes.
 		return &Branch{Sel: view.sel, View: view.view, Driver: view.scan, Rows: rows, Cost: cost, an: e.an}
 	}
-	return &Branch{Sel: e.an.sel, Driver: e.bestDriver, Joins: append([]Join(nil), e.bestJoins[:len(e.an.from)-1]...),
-		Rows: rows, Cost: cost, an: e.an}
+	b := &Branch{Sel: e.an.sel, Driver: e.driver, Rows: rows, Cost: cost, an: e.an}
+	if len(e.an.from) == 2 {
+		b.Joins = []Join{e.join}
+	}
+	return b
 }
 
 // sameFloat compares estimates to the bit, as the plans they end up in
 // are compared.
 func sameFloat(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-// extend tries every table not yet joined as table number depth of the
-// order; rows and cost are the prefix's.
-func (e *orderEnum) extend(depth int, joined uint, rows, cost float64) {
-	from := e.an.from
-	if depth == len(from) {
-		rows, ecost, err := e.o.applyExists(e.an.sel, rows, e.cfg)
-		if err != nil {
-			return
-		}
-		cost += ecost + rows*CostTuple
-		if !e.found || cost < e.bestCost {
-			e.found, e.bestDriver, e.bestRows, e.bestCost = true, e.driver, rows, cost
-			copy(e.bestJoins[:], e.joins[:depth-1])
-		}
-		return
-	}
-	for t := range from {
-		ft := &from[t]
-		if joined&(1<<t) != 0 || ft.ts == nil {
-			continue
-		}
-		if depth == 0 {
-			e.driver = e.o.bestTableAccess(e.an.sel, ft, e.cfg)
-			e.extend(1, 1<<t, e.driver.Rows, e.driver.Cost)
-			continue
-		}
-		// The first predicate joining t to the prefix; without one no
-		// completion of prefix+t can be planned.
-		for i := range ft.edges {
-			if edge := &ft.edges[i]; edge.others&joined != 0 {
-				j := e.o.bestJoin(ft, e.cfg, rows, edge.outer, edge.inner)
-				e.joins[depth-1] = j
-				e.extend(depth+1, joined|1<<t, j.Rows, cost+j.Cost)
-				break
-			}
-		}
-	}
-}
 
 // bestTableAccess picks the cheapest access path for a driving table.
 func (o *Optimizer) bestTableAccess(s *sqlast.Select, ft *fromTable, cfg *physical.Config) Access {

@@ -254,6 +254,44 @@ func TestCallsCount(t *testing.T) {
 	}
 }
 
+// TestJoinOrderTieDrivesFromFirst: two tables with the same statistics,
+// joined column to column, cost the same in either order to the bit, and
+// the plan drives from FROM[0], whichever table that is.
+func TestJoinOrderTieDrivesFromFirst(t *testing.T) {
+	ts := func(name string) *stats.TableStats {
+		return &stats.TableStats{Name: name, Rows: 3000, RowBytes: 24, Cols: map[string]*stats.ColumnStats{
+			"ID": {Count: 3000, Distinct: 3000, AvgWidth: 8, Typ: rel.TInt},
+			"K":  {Count: 3000, Distinct: 700, AvgWidth: 8, Typ: rel.TInt}}}
+	}
+	o := New(stats.MapProvider{"a": ts("a"), "b": ts("b")})
+	for _, from := range [][]string{{"a", "b"}, {"b", "a"}} {
+		s := &sqlast.Select{
+			Items: []sqlast.SelectItem{{Col: &sqlast.ColRef{Table: "a", Column: "ID"}, As: "aID"},
+				{Col: &sqlast.ColRef{Table: "b", Column: "ID"}, As: "bID"}},
+			From:  from,
+			Where: []sqlast.Pred{{Kind: sqlast.PredJoin, Left: col("a", "K"), Right: col("b", "K")}},
+		}
+		an, err := o.analyse(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e := orderEnum{o: o, an: an, cfg: &physical.Config{}}
+		_, _, rows0, cost0, err0 := e.order(0)
+		_, _, rows1, cost1, err1 := e.order(1)
+		if err0 != nil || err1 != nil || !sameFloat(cost0, cost1) || !sameFloat(rows0, rows1) {
+			t.Fatalf("FROM %v: orders cost %v/%v rows %v/%v (%v, %v); the fixture needs a tie to the bit",
+				from, cost0, cost1, rows0, rows1, err0, err1)
+		}
+		p, err := o.PlanQuery(&sqlast.Query{Branches: []*sqlast.Select{s}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := p.Branches[0]; b.Driver.Table != from[0] || len(b.Joins) != 1 || b.Joins[0].Inner.Table != from[1] {
+			t.Errorf("FROM %v: plan drives %s and joins %v, want FROM[0] driving", from, b.Driver.Table, b.Joins)
+		}
+	}
+}
+
 func TestPermutations(t *testing.T) {
 	perms := permutations([]string{"a", "b", "c"})
 	if len(perms) != 6 {

@@ -1,7 +1,6 @@
 package optimizer
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -694,18 +693,6 @@ func joinPred(child, parent string) sqlast.Pred {
 	return sqlast.Pred{Kind: sqlast.PredJoin, Left: col(child, "PID"), Right: col(parent, "ID")}
 }
 
-// threeTableBranch joins movie, award and actor as a chain; award joins
-// actor only, so the orders starting movie, award are unjoinable.
-func threeTableBranch() *sqlast.Select {
-	return &sqlast.Select{
-		Items: []sqlast.SelectItem{{Col: &sqlast.ColRef{Table: "movie", Column: "ID"}, As: "ID"},
-			{Col: &sqlast.ColRef{Table: "award", Column: "prize"}, As: "prize"}},
-		From: []string{"movie", "award", "actor"},
-		Where: []sqlast.Pred{joinPred("actor", "movie"), joinPred("award", "actor"),
-			{Kind: sqlast.PredCompare, Op: sqlast.OpEq, Col: col("movie", "genre"), Value: rel.Str("g")}},
-	}
-}
-
 // TestReplanCases walks hand-built branches through the configurations
 // that exercise one planner rule each, chaining ReplanCosts and planning
 // each step's state with PlanFrom.
@@ -716,7 +703,7 @@ func TestReplanCases(t *testing.T) {
 		Cols: []sqlast.ColRef{col("movie", "title")}, Table: "actor", JoinCol: "PID", InnerCol: "actor",
 		OuterCol: col("movie", "ID")})
 	q := &sqlast.Query{OrderBy: "ID", Branches: []*sqlast.Select{
-		exists, orExists, threeTableBranch(), joinBranch(), selectMovie()}}
+		exists, orExists, joinBranch(), selectMovie()}}
 	view := func(name string) *physical.View {
 		return &physical.View{Name: name, Outer: "movie", Inner: "actor",
 			OuterCols: []string{"ID", "genre"}, InnerCols: []string{"PID", "actor"}}
@@ -730,15 +717,13 @@ func TestReplanCases(t *testing.T) {
 		serves []int
 	}{
 		{"index under EXISTS only", structure{tables: []string{"actor"},
-			idx: &physical.Index{Name: "a_pid", Table: "actor", Key: []string{"PID"}}}, []int{0, 1, 2, 3}},
-		{"index on the third table", structure{tables: []string{"award"},
-			idx: &physical.Index{Name: "w_pid", Table: "award", Key: []string{"PID"}, Include: []string{"prize"}}}, []int{2}},
+			idx: &physical.Index{Name: "a_pid", Table: "actor", Key: []string{"PID"}}}, []int{0, 1, 2}},
 		{"index no predicate probes", structure{tables: []string{"movie"},
 			idx: &physical.Index{Name: "m_year", Table: "movie", Key: []string{"year"}}}, nil},
-		{"first of two equal views", structure{tables: []string{"movie", "actor"}, view: v1}, []int{3}},
-		{"second of two equal views", structure{tables: []string{"movie", "actor"}, view: v2}, []int{3}},
+		{"first of two equal views", structure{tables: []string{"movie", "actor"}, view: v1}, []int{2}},
+		{"second of two equal views", structure{tables: []string{"movie", "actor"}, view: v2}, []int{2}},
 		{"partitioned driver", structure{tables: []string{"movie"},
-			vpart: &physical.VPartition{Table: "movie", Groups: [][]string{{"title"}, {"year", "genre"}}}}, []int{0, 1, 2, 3, 4}},
+			vpart: &physical.VPartition{Table: "movie", Groups: [][]string{{"title"}, {"year", "genre"}}}}, []int{0, 1, 2, 3}},
 	}
 	o := New(caseStats())
 	cfg := &physical.Config{}
@@ -778,7 +763,7 @@ func TestReplanCases(t *testing.T) {
 		sameEstimates(t, step.name+": ReplanCosts vs PlanQuery", next, full)
 		samePlan(t, step.name+": PlanFrom vs PlanQuery", plan, full)
 		samePlan(t, step.name+": PlanQuery vs reference", full, ref)
-		// v2 ties v1 and loses: branch 3, the only one it serves, keeps its
+		// v2 ties v1 and loses: branch 2, the only one it serves, keeps its
 		// estimates, so the state is prev itself.
 		if step.st.view == v2 && next != prev {
 			t.Errorf("%s: no estimate changed, but ReplanCosts returned a new state", step.name)
@@ -788,14 +773,11 @@ func TestReplanCases(t *testing.T) {
 	if gated == 0 {
 		t.Error("no branch on a step's tables was kept by the gate")
 	}
-	if got := plan.Branches[3].View; got != v1 {
+	if got := plan.Branches[2].View; got != v1 {
 		t.Errorf("equal-cost views: branch answered from %v, want v1, the first in cfg.Views", got)
 	}
-	if got := plan.Branches[2].Driver.Table; len(plan.Branches[2].Joins) != 2 {
-		t.Errorf("three-table branch: driver %s with %d joins", got, len(plan.Branches[2].Joins))
-	}
-	if len(plan.Branches[4].Driver.Groups) == 0 {
-		t.Errorf("partitioned driver not planned as a partition scan: %+v", plan.Branches[4].Driver)
+	if len(plan.Branches[3].Driver.Groups) == 0 {
+		t.Errorf("partitioned driver not planned as a partition scan: %+v", plan.Branches[3].Driver)
 	}
 	// The views the other way round: still the first wins.
 	swapped := cfg.Clone()
@@ -804,8 +786,8 @@ func TestReplanCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Branches[3].View != v2 {
-		t.Errorf("equal-cost views swapped: branch answered from %v, want v2", p.Branches[3].View)
+	if p.Branches[2].View != v2 {
+		t.Errorf("equal-cost views swapped: branch answered from %v, want v2", p.Branches[2].View)
 	}
 }
 
@@ -931,72 +913,6 @@ func TestReplanServesIsSound(t *testing.T) {
 		if onTables == 0 {
 			t.Errorf("mapping %d: %d branches rejected, none on the structure's tables", mi, rejected)
 		}
-	}
-}
-
-// chainBranch joins n tables t0 ← t1 ← … (each the parent of the next).
-func chainBranch(n int) (*sqlast.Select, stats.MapProvider) {
-	s := &sqlast.Select{Items: []sqlast.SelectItem{{Col: &sqlast.ColRef{Table: "t0", Column: "ID"}, As: "ID"}}}
-	prov := stats.MapProvider{}
-	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("t%d", i)
-		s.From = append(s.From, name)
-		if i > 0 {
-			s.Where = append(s.Where, joinPred(name, s.From[i-1]))
-		}
-		rows := int64(1000 * (i + 1))
-		prov[name] = &stats.TableStats{Name: name, Rows: rows, RowBytes: 24, Cols: map[string]*stats.ColumnStats{
-			"ID":  {Count: rows, Distinct: rows, AvgWidth: 8, Typ: rel.TInt},
-			"PID": {Count: rows, Distinct: rows / 2, AvgWidth: 8, Typ: rel.TInt},
-			"x":   {Count: rows, Distinct: 10, AvgWidth: 8, Typ: rel.TInt}}}
-	}
-	return s, prov
-}
-
-// TestJoinOrderEnumerationBounds: the widest branch the planner takes is
-// planned like the reference plans it, a prefix no join predicate
-// extends is dropped once rather than once per completion, and a wider
-// branch is a typed error.
-func TestJoinOrderEnumerationBounds(t *testing.T) {
-	s, prov := chainBranch(maxJoinTables)
-	o := New(prov)
-	q := &sqlast.Query{Branches: []*sqlast.Select{s}}
-	// Every table partitioned: each table access and join step planned
-	// allocates its partition-group list, so allocations count steps.
-	cfg := &physical.Config{}
-	for _, t := range s.From {
-		cfg.AddPartition(&physical.VPartition{Table: t, Groups: [][]string{{"x"}}})
-	}
-	got, err := o.PlanQuery(q, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if testing.Short() {
-		t.Log("skipping the 40 320-order reference plan in -short mode")
-	} else {
-		want, err := o.refPlanQuery(q, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		samePlan(t, "8-table chain", got, want)
-	}
-	// A chain has 2^(n-1) joinable orders; their prefixes are intervals
-	// of the chain, a few hundred join steps in all. Planning every
-	// order's prefix up to its first unreachable table is tens of
-	// thousands.
-	if allocs := testing.AllocsPerRun(3, func() { o.PlanQuery(q, cfg) }); allocs > 2000 {
-		t.Errorf("planning the 8-table chain allocates %v objects: unjoinable prefixes are not abandoned", allocs)
-	}
-	wide, prov := chainBranch(maxJoinTables + 1)
-	_, err = New(prov).PlanQuery(&sqlast.Query{Branches: []*sqlast.Select{wide}}, nil)
-	if !errors.Is(err, ErrTooManyTables) {
-		t.Errorf("9-table branch: error %v, want ErrTooManyTables", err)
-	}
-	// No join predicate at all: no order, an error, not a panic.
-	s2, prov2 := chainBranch(2)
-	s2.Where = nil
-	if _, err := New(prov2).PlanQuery(&sqlast.Query{Branches: []*sqlast.Select{s2}}, nil); err == nil {
-		t.Error("unjoinable branch planned")
 	}
 }
 

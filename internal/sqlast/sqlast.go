@@ -8,6 +8,7 @@
 package sqlast
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -165,6 +166,35 @@ type Select struct {
 	From []string
 	// Where is a conjunction of predicates.
 	Where []Pred
+}
+
+// ErrBranchShape is wrapped by every refusal of CheckShape.
+var ErrBranchShape = errors.New("sqlast: a branch reads one table, or joins two by one equi-join")
+
+// CheckShape refuses, wrapping ErrBranchShape, a branch of any shape but
+// the two a sorted outer union's branches take: one FROM table and no
+// join predicate (a host relation alone), or two distinct FROM tables
+// and exactly one join predicate, which equates a column of one with a
+// column of the other (a host relation and one child relation). The
+// optimizer and the executors plan and run only these.
+func (s *Select) CheckShape() error {
+	joins := 0
+	var join *Pred
+	for i := range s.Where {
+		if s.Where[i].Kind == PredJoin {
+			joins++
+			join = &s.Where[i]
+		}
+	}
+	switch {
+	case len(s.From) == 1 && joins == 0:
+		return nil
+	case len(s.From) == 2 && joins == 1 && s.From[0] != s.From[1] &&
+		(join.Left.Table == s.From[0] && join.Right.Table == s.From[1] ||
+			join.Left.Table == s.From[1] && join.Right.Table == s.From[0]):
+		return nil
+	}
+	return fmt.Errorf("%w: %d FROM tables and %d join predicates in %s", ErrBranchShape, len(s.From), joins, s.SQL())
 }
 
 // SQL renders the branch.

@@ -1,6 +1,7 @@
 package sqlast
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -108,6 +109,39 @@ func TestValidateRejections(t *testing.T) {
 			t.Error("want error")
 		}
 	})
+}
+
+// TestCheckShape: the sample's host branch and host-child branch pass,
+// whichever of the two tables the join names first, and every other
+// shape is refused with ErrBranchShape.
+func TestCheckShape(t *testing.T) {
+	q := sampleQuery()
+	for i, s := range q.Branches {
+		if err := s.CheckShape(); err != nil {
+			t.Errorf("branch %d: %v", i, err)
+		}
+	}
+	join := q.Branches[1].Where[0]
+	swapped := *q.Branches[1]
+	swapped.From = []string{"author", "inproc"}
+	if err := swapped.CheckShape(); err != nil {
+		t.Errorf("FROM swapped: %v", err)
+	}
+	cmp := q.Branches[0].Where[0]
+	ref := func(table, col string) ColRef { return ColRef{Table: table, Column: col} }
+	for name, s := range map[string]*Select{
+		"no FROM":               {},
+		"three tables":          {From: []string{"inproc", "author", "editor"}, Where: []Pred{join, {Kind: PredJoin, Left: ref("editor", "PID"), Right: ref("inproc", "ID")}}},
+		"two tables, no join":   {From: []string{"inproc", "author"}, Where: []Pred{cmp}},
+		"two tables, two joins": {From: []string{"inproc", "author"}, Where: []Pred{join, {Kind: PredJoin, Left: ref("author", "ID"), Right: ref("inproc", "PID")}}},
+		"one table, a join":     {From: []string{"inproc"}, Where: []Pred{join}},
+		"one table twice":       {From: []string{"inproc", "inproc"}, Where: []Pred{{Kind: PredJoin, Left: ref("inproc", "PID"), Right: ref("inproc", "ID")}}},
+		"join off FROM":         {From: []string{"inproc", "author"}, Where: []Pred{{Kind: PredJoin, Left: ref("editor", "PID"), Right: ref("inproc", "ID")}}},
+	} {
+		if err := s.CheckShape(); !errors.Is(err, ErrBranchShape) {
+			t.Errorf("%s: %v, want ErrBranchShape", name, err)
+		}
+	}
 }
 
 func TestCmpOpMatches(t *testing.T) {

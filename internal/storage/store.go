@@ -425,17 +425,6 @@ func (s *Store) Table(name string) (*rel.Table, error) {
 	return s.assemble(r)
 }
 
-// assembleLocked is assemble over a read pinned now. It has no Close
-// fence: the background compaction Close waits out assembles during
-// shutdown.
-func (s *Store) assembleLocked(e *TableEntry, tail *rel.Table) (*rel.Table, error) {
-	r, err := s.pinLocked(e, 0, tail)
-	if err != nil {
-		return nil, err
-	}
-	return s.assemble(r)
-}
-
 // assemble is the only way a live store's manifest entry becomes a
 // whole *rel.Table: a pinned read from chunk 0, timed under
 // storage.segment.loads and load_ns.
@@ -557,16 +546,35 @@ func (s *Store) chunkedDirLocked(e *TableEntry) (*chunkedDir, error) {
 	return d, nil
 }
 
-// view is the one constructor behind Built and PagedBuilt:
-// a single walk over the manifest under s.mu that captures every
-// table's entry and pins the redo prefix committed at that instant, and
-// turns each pair into an assembled table — or, when paged, into a
+// view is the one constructor behind Built and PagedBuilt: a single
+// walk over the manifest under s.mu that captures every table's entry
+// and pins the redo prefix committed at that instant. Built's view pins
+// a read of every table in that one hold of the lock and assembles them
+// after it (see assembleAll); a paged view turns each pair into a
 // schema-only shell plus the ChunkScan that serves its driver-stage
-// scans. A shell hydrates through assembleLocked over the same captured
-// pair, so all the tables of one view describe one point in time, and
-// fails with ErrStale once a compaction replaced the manifest it was
-// captured from.
+// scans. A shell hydrates by pinning a read of the same captured pair
+// under the lock and assembling it outside, so all the tables of one
+// view describe one point in time, and fails with ErrStale once a
+// compaction replaced the manifest it was captured from.
 func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan, error) {
+	if !paged {
+		reads, man, pinErr := s.pinAll()
+		if man == nil {
+			return nil, nil, nil, pinErr
+		}
+		tables, err := s.assembleAll(reads)
+		if err == nil {
+			err = pinErr
+		}
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		db := rel.NewDatabase()
+		for _, t := range tables {
+			db.Add(t)
+		}
+		return db, man.Design, nil, nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -574,37 +582,6 @@ func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan,
 	}
 	db := rel.NewDatabase()
 	man := s.man // the shells' staleness fence, as a ChunkScan's
-	if !paged {
-		// Up to GOMAXPROCS tables assemble at once (par.Do). The workers
-		// find every directory they read resolved and every tail pinned,
-		// since chunkedDirLocked writes s.dirs. The tables before the
-		// first directory that fails still assemble, so the error is the
-		// lowest-numbered table's, as in a sequential loop.
-		n := len(man.Tables)
-		tails := make([]*rel.Table, n)
-		var dirErr error
-		for i := range man.Tables {
-			if _, dirErr = s.chunkedDirLocked(&man.Tables[i]); dirErr != nil {
-				n = i
-				break
-			}
-			tails[i] = s.tailLocked(man.Tables[i].Name)
-		}
-		tables := make([]*rel.Table, n)
-		if err := par.Do(n, runtime.GOMAXPROCS(0), func(i int) (err error) {
-			tables[i], err = s.assembleLocked(&man.Tables[i], tails[i])
-			return err
-		}); err != nil {
-			return nil, nil, nil, err
-		}
-		if dirErr != nil {
-			return nil, nil, nil, dirErr
-		}
-		for _, t := range tables {
-			db.Add(t)
-		}
-		return db, man.Design, nil, nil
-	}
 	var scans []*ChunkScan
 	for i := range man.Tables {
 		e := man.Tables[i] // copy: a shell's loader outlives this call
@@ -620,19 +597,67 @@ func (s *Store) view(paged bool) (*rel.Database, *physical.Config, []*ChunkScan,
 			bytes += tail.Bytes()
 		}
 		db.Add(rel.NewVirtualTable(e.Name, e.Parent, cs.d.Cols, cs.rows, bytes, func() (*rel.Table, error) {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if s.closed {
-				return nil, ErrClosed
+			r, err := func() (*segmentRead, error) {
+				s.mu.Lock()
+				defer s.mu.Unlock()
+				if s.closed {
+					return nil, ErrClosed
+				}
+				if s.man != man {
+					return nil, fmt.Errorf("%w: hydrating %q: the store compacted; create a new view", ErrStale, e.Name)
+				}
+				return s.pinLocked(&e, 0, tail)
+			}()
+			if err != nil {
+				return nil, err
 			}
-			if s.man != man {
-				return nil, fmt.Errorf("%w: hydrating %q: the store compacted; create a new view", ErrStale, e.Name)
-			}
-			return s.assembleLocked(&e, tail)
+			return s.assemble(r)
 		}))
 		scans = append(scans, cs)
 	}
 	return db, man.Design, scans, nil
+}
+
+// pinAll pins, in one hold of the lock, a read of every table of the
+// manifest with the redo prefix committed at that instant, in manifest
+// order. It stops at the first table it cannot pin and returns the
+// reads before it with that error; man is nil when the store is closed.
+func (s *Store) pinAll() (reads []*segmentRead, man *Manifest, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return nil, nil, ErrClosed
+	}
+	man = s.man
+	for i := range man.Tables {
+		e := &man.Tables[i]
+		r, err := s.pinLocked(e, 0, s.tailLocked(e.Name))
+		if err != nil {
+			return reads, man, err
+		}
+		reads = append(reads, r)
+	}
+	return reads, man, nil
+}
+
+// assembleAll assembles pinned reads, up to GOMAXPROCS at once
+// (par.Do), outside the store lock. On an error it reports the
+// lowest-numbered read's, as a sequential loop would, and closes the
+// files of the reads it did not start.
+func (s *Store) assembleAll(reads []*segmentRead) ([]*rel.Table, error) {
+	tables := make([]*rel.Table, len(reads))
+	err := par.Do(len(reads), runtime.GOMAXPROCS(0), func(i int) (err error) {
+		r := reads[i]
+		reads[i] = nil
+		tables[i], err = s.assemble(r)
+		return err
+	})
+	for _, r := range reads {
+		if r != nil && r.f != nil {
+			r.f.Close()
+		}
+	}
+	return tables, err
 }
 
 // Built assembles the full database and rebuilds the physical design

@@ -74,7 +74,7 @@ func TestEmittedQueriesPassTheEngineDoor(t *testing.T) {
 			}
 			opt := optimizer.New(shred.DeriveStats(m, col))
 			for _, wq := range queries {
-				q, err := Translate(m, wq.XPath)
+				q, err := translateShaped(t, m, wq.XPath)
 				var u *Unsupported
 				if errors.As(err, &u) {
 					continue

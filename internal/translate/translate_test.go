@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/schema"
 	"repro/internal/shred"
+	"repro/internal/sqlast"
 	"repro/internal/xpath"
 )
 
@@ -19,12 +20,28 @@ func compile(t *testing.T, tree *schema.Tree) *shred.Mapping {
 	return m
 }
 
+// translateShaped is Translate, failing the test when a branch of the
+// translation has a shape sqlast.CheckShape refuses: the optimizer and
+// the executors take only the shapes it passes.
+func translateShaped(t *testing.T, m *shred.Mapping, q *xpath.Query) (*sqlast.Query, error) {
+	t.Helper()
+	sql, err := Translate(m, q)
+	if err == nil {
+		for i, s := range sql.Branches {
+			if serr := s.CheckShape(); serr != nil {
+				t.Fatalf("%s: branch %d: %v", q, i, serr)
+			}
+		}
+	}
+	return sql, err
+}
+
 func TestTranslateIntroExampleShape(t *testing.T) {
 	// Mapping 1 of Section 1.1: the translated SQL must be the sorted
 	// outer union of the paper.
 	m := compile(t, schema.DBLP())
 	q := xpath.MustParse(`/dblp/inproceedings[booktitle = "SIGMOD CONFERENCE"]/(title | year | author)`)
-	sql, err := Translate(m, q)
+	sql, err := translateShaped(t, m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +77,7 @@ func TestTranslateRepetitionSplitShape(t *testing.T) {
 	}
 	m := compile(t, tree)
 	q := xpath.MustParse(`/dblp/inproceedings[booktitle = "SIGMOD CONFERENCE"]/(title | year | author)`)
-	sql, err := Translate(m, q)
+	sql, err := translateShaped(t, m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +104,7 @@ func TestTranslatePartitionPruning(t *testing.T) {
 	m := compile(t, tree)
 
 	q := xpath.MustParse(`//movie/language`)
-	sql, err := Translate(m, q)
+	sql, err := translateShaped(t, m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +116,7 @@ func TestTranslatePartitionPruning(t *testing.T) {
 	}
 	// A query on a column present in both partitions reads both.
 	q2 := xpath.MustParse(`//movie/title`)
-	sql2, err := Translate(m, q2)
+	sql2, err := translateShaped(t, m, q2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +134,7 @@ func TestTranslateSelectionPruning(t *testing.T) {
 	movie.Distributions = []schema.Distribution{{Choice: choice.ID}}
 	m := compile(t, tree)
 	q := xpath.MustParse(`//movie[box_office >= 1000]/(title | year)`)
-	sql, err := Translate(m, q)
+	sql, err := translateShaped(t, m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +156,7 @@ func TestTranslateSplitSelection(t *testing.T) {
 	}
 	m := compile(t, tree)
 	q := xpath.MustParse(`//inproceedings[author = "x"]/title`)
-	sql, err := Translate(m, q)
+	sql, err := translateShaped(t, m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +171,7 @@ func TestTranslateSplitSelection(t *testing.T) {
 func TestTranslateChildSelectionUsesExists(t *testing.T) {
 	m := compile(t, schema.DBLP())
 	q := xpath.MustParse(`//inproceedings[author = "x"]/title`)
-	sql, err := Translate(m, q)
+	sql, err := translateShaped(t, m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +185,7 @@ func TestTranslateMultipleContexts(t *testing.T) {
 	// outlined book title (title1 relation).
 	m := compile(t, schema.DBLP())
 	q := xpath.MustParse(`//title`)
-	sql, err := Translate(m, q)
+	sql, err := translateShaped(t, m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +198,7 @@ func TestTranslateMultipleContexts(t *testing.T) {
 func TestTranslateBareContext(t *testing.T) {
 	m := compile(t, schema.Movie())
 	q := xpath.MustParse(`//movie`)
-	sql, err := Translate(m, q)
+	sql, err := translateShaped(t, m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +221,7 @@ func TestTranslateErrors(t *testing.T) {
 		`//movie[nonexistent = "x"]/title`,
 	}
 	for _, qs := range cases {
-		if _, err := Translate(m, xpath.MustParse(qs)); err == nil {
+		if _, err := translateShaped(t, m, xpath.MustParse(qs)); err == nil {
 			t.Errorf("%s: want error", qs)
 		}
 	}
@@ -257,7 +274,7 @@ func TestTranslateUnsupportedKinds(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := Translate(compile(t, tc.tree(t)), xpath.MustParse(tc.query))
+			_, err := translateShaped(t, compile(t, tc.tree(t)), xpath.MustParse(tc.query))
 			var un *Unsupported
 			if !errors.As(err, &un) || un.Kind != tc.want {
 				t.Fatalf("%s: error %v, want an Unsupported of kind %d", tc.query, err, tc.want)
@@ -277,7 +294,7 @@ func TestTranslateUnsupportedKinds(t *testing.T) {
 		tree.ElementsNamed("movie")[0].Distributions = []schema.Distribution{{Optionals: []int{rating.ID}}}
 		m := compile(t, tree)
 		aka.Annotation = "movie"
-		_, err := Translate(m, xpath.MustParse(`//movie[aka_title = "x"]/title`))
+		_, err := translateShaped(t, m, xpath.MustParse(`//movie[aka_title = "x"]/title`))
 		var un *Unsupported
 		if !errors.As(err, &un) || un.Kind != PartitionedOverflowSelection {
 			t.Fatalf("error %v, want an Unsupported of kind %d", err, PartitionedOverflowSelection)
@@ -285,7 +302,7 @@ func TestTranslateUnsupportedKinds(t *testing.T) {
 	})
 
 	// Malformed queries are not refusals of a shape.
-	if _, err := Translate(compile(t, schema.Movie()), xpath.MustParse(`//nonexistent/title`)); err == nil || errors.As(err, new(*Unsupported)) {
+	if _, err := translateShaped(t, compile(t, schema.Movie()), xpath.MustParse(`//nonexistent/title`)); err == nil || errors.As(err, new(*Unsupported)) {
 		t.Errorf("unknown context: error %v, want a plain error", err)
 	}
 }
@@ -300,7 +317,7 @@ func TestTranslateProvablyEmptyIsZeroBranches(t *testing.T) {
 	choice := tree.ElementsNamed("box_office")[0].UnderChoice()
 	tree.ElementsNamed("movie")[0].Distributions = []schema.Distribution{{Choice: choice.ID}}
 	m := compile(t, tree)
-	sql, err := Translate(m, xpath.MustParse(`//movie[box_office >= 1000]/seasons`))
+	sql, err := translateShaped(t, m, xpath.MustParse(`//movie[box_office >= 1000]/seasons`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +325,7 @@ func TestTranslateProvablyEmptyIsZeroBranches(t *testing.T) {
 		t.Fatalf("got %d branches, ORDER BY %q:\n%s", len(sql.Branches), sql.OrderBy, sql.SQL())
 	}
 	// One arm alone keeps its partition.
-	if sql, err := Translate(m, xpath.MustParse(`//movie[box_office >= 1000]/title`)); err != nil || len(sql.Branches) == 0 {
+	if sql, err := translateShaped(t, m, xpath.MustParse(`//movie[box_office >= 1000]/title`)); err != nil || len(sql.Branches) == 0 {
 		t.Fatalf("a query of one arm: %v, %+v", err, sql)
 	}
 }
@@ -331,7 +348,7 @@ func TestTranslateDeepProjection(t *testing.T) {
 	}
 	m := compile(t, tree)
 	q := xpath.MustParse(`//order[customer = "c"]/(item/sku)`)
-	sql, err := Translate(m, q)
+	sql, err := translateShaped(t, m, q)
 	if err != nil {
 		t.Fatal(err)
 	}
