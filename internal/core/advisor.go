@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -124,6 +125,9 @@ type Metrics struct {
 	PhysDesignCalls int
 	// OptimizerCalls counts what-if optimizer invocations.
 	OptimizerCalls int64
+	// TuneCalls splits the optimizer calls the physical design tool made
+	// by the phase of its search that made them.
+	TuneCalls physdesign.PhaseCalls
 	// EvalCacheHits counts evaluations answered from the shared
 	// memoization cache instead of being recomputed; EvalCacheMisses
 	// counts evaluations computed and cached. Hits carry none of the
@@ -146,6 +150,7 @@ func (m *Metrics) merge(o Metrics) {
 	m.CostsDerived += o.CostsDerived
 	m.PhysDesignCalls += o.PhysDesignCalls
 	m.OptimizerCalls += o.OptimizerCalls
+	m.TuneCalls.Add(o.TuneCalls)
 	m.EvalCacheHits += o.EvalCacheHits
 	m.EvalCacheMisses += o.EvalCacheMisses
 	for k, n := range o.Dropped {
@@ -308,6 +313,25 @@ type evalResult struct {
 	sqls    []*sqlast.Query
 	rec     *physdesign.Recommendation
 	cost    float64
+
+	// objects are rec.Plans[i].Objects(), listed by planObjects on the
+	// first derivation from this evaluation for every later one to read.
+	objectsOnce sync.Once
+	objects     [][]string
+}
+
+// planObjects returns every final plan's Objects(), listed once: the
+// round workers' derivations from one evaluation share the lists.
+func (ev *evalResult) planObjects() [][]string {
+	ev.objectsOnce.Do(func() {
+		ev.objects = make([][]string, len(ev.rec.Plans))
+		for i, p := range ev.rec.Plans {
+			if p != nil {
+				ev.objects[i] = p.Objects()
+			}
+		}
+	})
+	return ev.objects
 }
 
 // evaluateFull compiles, translates, derives statistics, and tunes a
@@ -336,6 +360,7 @@ func (a *Advisor) evaluateFull(tree *schema.Tree, sig string, met *Metrics) (*ev
 	met.PhysDesignCalls++
 	met.MappingsCosted++
 	met.OptimizerCalls += rec.OptimizerCalls
+	met.TuneCalls.Add(rec.Calls)
 	ev.rec = rec
 	ev.cost = rec.TotalCost
 	sp.SetAttr(obs.Float("cost", ev.cost))

@@ -323,6 +323,7 @@ func (a *Advisor) deriveCostFull(cur *evalResult, next *schema.Tree, met *Metric
 	}
 	met.PhysDesignCalls++
 	met.OptimizerCalls += rec.OptimizerCalls
+	met.TuneCalls.Add(rec.Calls)
 	ri := 0
 	for i := range a.W.Queries {
 		if derived[i] {
@@ -397,11 +398,10 @@ func changedTables(cur, next *evalResult) map[string]bool {
 // columns survive in the new mapping). A derivable query's objects are
 // returned with it: the structures its derived cost keeps using.
 func derivable(cur *evalResult, qi int, changed map[string]bool, next *evalResult) ([]string, bool) {
-	plan := cur.rec.Plans[qi]
-	if plan == nil {
+	if cur.rec.Plans[qi] == nil {
 		return nil, false
 	}
-	objs := plan.Objects()
+	objs := cur.planObjects()[qi]
 	for _, obj := range objs {
 		switch {
 		case strings.HasPrefix(obj, "idx:"):

@@ -168,3 +168,39 @@ func firstDiff(want, got string) string {
 	}
 	return "(equal)"
 }
+
+// TestPinnedTuneCallsRepeat: on the first pinned Greedy search, whose
+// cost derivation re-tunes as well as tunes, Metrics.TuneCalls (the
+// tool's what-if calls by phase, summed over every tool call including
+// the ones round workers merge) is the same over 3 runs at Parallelism 1
+// and 3 at Parallelism 4, counts every phase, and sums to no more than
+// the search's OptimizerCalls.
+func TestPinnedTuneCallsRepeat(t *testing.T) {
+	names, run := pinnedRuns(pinnedFixtures(t, 5))
+	var first Metrics
+	for _, par := range []int{1, 4} {
+		for r := 0; r < 3; r++ {
+			res, err := run[0](par)
+			if err != nil {
+				t.Fatalf("%s parallelism %d: %v", names[0], par, err)
+			}
+			m := res.Metrics
+			if first.PhysDesignCalls == 0 {
+				first = m
+				t.Logf("%s: tool calls %d, optimizer calls %d, by tool phase %+v", names[0], m.PhysDesignCalls, m.OptimizerCalls, m.TuneCalls)
+				c := m.TuneCalls
+				if c.Base == 0 || c.Prefilter == 0 || c.Select == 0 || c.Final == 0 {
+					t.Errorf("%s: a phase counts no call: %+v", names[0], c)
+				}
+				if sum := c.Base + c.Prefilter + c.Select + c.Final; sum > m.OptimizerCalls {
+					t.Errorf("%s: tool phases sum to %d, more than the search's %d optimizer calls", names[0], sum, m.OptimizerCalls)
+				}
+				continue
+			}
+			if m.TuneCalls != first.TuneCalls || m.OptimizerCalls != first.OptimizerCalls {
+				t.Errorf("%s parallelism %d run %d: tool phases %+v and %d optimizer calls, first run %+v and %d",
+					names[0], par, r, m.TuneCalls, m.OptimizerCalls, first.TuneCalls, first.OptimizerCalls)
+			}
+		}
+	}
+}

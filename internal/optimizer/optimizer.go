@@ -319,12 +319,16 @@ func (o *Optimizer) PlanFrom(c *Costs, cfg *physical.Config) (*Plan, error) {
 // when a structure of added can serve it (see serves), by the join-order
 // enumeration and view comparison PlanQuery runs, and no plan is built.
 // When no branch's estimates change it returns prev itself and allocates
-// nothing; otherwise a fresh Costs. prev must come from Plan.Costs of a
-// plan of this optimizer or from ReplanCosts. Calls may record view
-// rewrites in the analyses prev shares with every cost state descending
-// from the same PlanQuery, so calls on such states, and PlanFrom on them,
-// must not run concurrently.
-func (o *Optimizer) ReplanCosts(prev *Costs, cfg, added *physical.Config) (*Costs, error) {
+// nothing. Otherwise it writes the estimates into dst, reusing dst's
+// branch slice, and returns dst; a nil dst, or dst == prev, gets a fresh
+// Costs instead, so prev is never written. A caller that passes dst owns
+// it: no estimate it still reads may be dst, since dst's old contents are
+// overwritten, and on an error dst holds a partial state. prev must come
+// from Plan.Costs of a plan of this optimizer or from ReplanCosts. Calls
+// may record view rewrites in the analyses prev shares with every cost
+// state descending from the same PlanQuery, so calls on such states, and
+// PlanFrom on them, must not run concurrently.
+func (o *Optimizer) ReplanCosts(dst, prev *Costs, cfg, added *physical.Config) (*Costs, error) {
 	o.calls.Add(1)
 	if cfg == nil {
 		cfg = &physical.Config{}
@@ -343,7 +347,10 @@ func (o *Optimizer) ReplanCosts(prev *Costs, cfg, added *physical.Config) (*Cost
 			continue
 		}
 		if next == prev {
-			next = &Costs{Query: prev.Query, branches: slices.Clone(prev.branches)}
+			if next = dst; next == nil || next == prev {
+				next = &Costs{}
+			}
+			next.Query, next.branches = prev.Query, append(next.branches[:0], prev.branches...)
 		}
 		next.branches[i].rows, next.branches[i].cost = rows, cost
 	}

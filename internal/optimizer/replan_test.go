@@ -492,7 +492,7 @@ func TestReplanMatchesPlanQuery(t *testing.T) {
 					served[bi] = o.serves(b.an, added)
 				}
 				calls := o.Calls()
-				next, err := o.ReplanCosts(prev, cfg, added)
+				next, err := o.ReplanCosts(nil, prev, cfg, added)
 				if err != nil {
 					t.Fatalf("%s: ReplanCosts: %v", label, err)
 				}
@@ -627,7 +627,7 @@ func TestReplanCostsMatchesReplan(t *testing.T) {
 				label := fmt.Sprintf("mapping %d step %d query %d", mi, step, i)
 				from := prev[i].Costs()
 				calls := o.Calls()
-				got, err := o.ReplanCosts(from, cfg, added)
+				got, err := o.ReplanCosts(nil, from, cfg, added)
 				if err != nil {
 					t.Fatalf("%s: ReplanCosts: %v", label, err)
 				}
@@ -639,7 +639,7 @@ func TestReplanCostsMatchesReplan(t *testing.T) {
 					t.Fatalf("%s: PlanQuery: %v", label, err)
 				}
 				sameEstimates(t, label+" ReplanCosts vs PlanQuery", got, full)
-				if chain[i], err = o.ReplanCosts(chain[i], cfg, added); err != nil {
+				if chain[i], err = o.ReplanCosts(nil, chain[i], cfg, added); err != nil {
 					t.Fatalf("%s: chained ReplanCosts: %v", label, err)
 				}
 				sameCosts(t, label+" chained ReplanCosts vs ReplanCosts from the plan", chain[i], got)
@@ -745,7 +745,7 @@ func TestReplanCases(t *testing.T) {
 				gated++
 			}
 		}
-		next, err := o.ReplanCosts(prev, cfg, added)
+		next, err := o.ReplanCosts(nil, prev, cfg, added)
 		if err != nil {
 			t.Fatalf("%s: %v", step.name, err)
 		}
@@ -831,7 +831,7 @@ func TestReplanCostsUntouchedAllocatesNothing(t *testing.T) {
 		if served != tc.served {
 			t.Fatalf("%s: %d branches served, want %d", tc.name, served, tc.served)
 		}
-		got, err := o.ReplanCosts(prev, tc.cfg, tc.cfg)
+		got, err := o.ReplanCosts(nil, prev, tc.cfg, tc.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -839,7 +839,7 @@ func TestReplanCostsUntouchedAllocatesNothing(t *testing.T) {
 			t.Fatalf("%s: estimates changed %v, want %v", tc.name, got != prev, tc.changed)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			if _, err := o.ReplanCosts(prev, tc.cfg, tc.cfg); err != nil {
+			if _, err := o.ReplanCosts(nil, prev, tc.cfg, tc.cfg); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -847,6 +847,104 @@ func TestReplanCostsUntouchedAllocatesNothing(t *testing.T) {
 			t.Errorf("%s: ReplanCosts allocates %v objects, want %v", tc.name, allocs, tc.allocs)
 		}
 	}
+}
+
+// snapshot copies a cost state, branch slice included, so a later
+// sameCosts can tell whether anything wrote the original.
+func snapshot(c *Costs) *Costs {
+	cp := *c
+	cp.branches = slices.Clone(c.branches)
+	return &cp
+}
+
+// TestReplanCostsWritesOwnedState walks TestReplanCostsMatchesReplan's
+// growth, pricing every query at every step three ways from Plan.Costs
+// of the previous step's plan: into a nil dst, into one scratch dst that
+// every call of the walk shares (queries of different branch counts
+// included), and with dst == prev. A call that changes an estimate must
+// return the scratch state with the nil-dst call's estimates and
+// analyses to the bit; one that changes none must return prev; and
+// prev is never written, so dst == prev gets a fresh state. Then, on
+// the fixture of TestReplanCostsUntouchedAllocatesNothing, a changing
+// call into a warmed dst allocates nothing.
+func TestReplanCostsWritesOwnedState(t *testing.T) {
+	provs, queries := fig5Fixture(t)
+	for mi, prov := range provs {
+		o := New(prov)
+		prev := basePlans(t, o, queries[mi])
+		scratch := &Costs{}
+		written := 0
+		growthWalk(mi, prov, queries[mi], func(step int, _ structure, cfg, added *physical.Config) {
+			for i := range queries[mi] {
+				label := fmt.Sprintf("mapping %d step %d query %d", mi, step, i)
+				from := prev[i].Costs()
+				before := snapshot(from)
+				want, err := o.ReplanCosts(nil, from, cfg, added)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				got, err := o.ReplanCosts(scratch, from, cfg, added)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameCosts(t, label+" into the scratch state vs a nil dst", got, want)
+				switch {
+				case want == from && got != from:
+					t.Errorf("%s: no estimate changed, but the call did not return prev", label)
+				case want != from && got != scratch:
+					t.Errorf("%s: an estimate changed, but the call did not return its dst", label)
+				case want != from:
+					written++
+				}
+				self, err := o.ReplanCosts(from, from, cfg, added)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				sameCosts(t, label+" with dst == prev vs a nil dst", self, want)
+				sameCosts(t, label+" prev after the three calls", from, before)
+				if (self == from) != (want == from) {
+					t.Errorf("%s: with dst == prev the call returned prev %v, want %v", label, self == from, want == from)
+				}
+				if prev[i], err = o.PlanFrom(want, cfg); err != nil {
+					t.Fatalf("%s: PlanFrom: %v", label, err)
+				}
+			}
+			if t.Failed() {
+				t.FailNow()
+			}
+		})
+		t.Logf("mapping %d: %d calls wrote the scratch state", mi, written)
+		if written == 0 {
+			t.Errorf("mapping %d: no call wrote the scratch state", mi)
+		}
+	}
+
+	o := New(caseStats())
+	q := &sqlast.Query{OrderBy: "ID", Branches: []*sqlast.Select{selectMovie(), joinBranch()}}
+	p, err := o.PlanQuery(q, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := p.Costs()
+	cfg := &physical.Config{Indexes: []*physical.Index{
+		{Name: "a_pid", Table: "actor", Key: []string{"PID"}, Include: []string{"actor"}}}}
+	want, err := o.ReplanCosts(nil, prev, cfg, cfg)
+	if err != nil || want == prev {
+		t.Fatalf("the fixture's call must change an estimate: err %v", err)
+	}
+	dst := &Costs{}
+	if _, err := o.ReplanCosts(dst, prev, cfg, cfg); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := o.ReplanCosts(dst, prev, cfg, cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a changing call into a warmed dst allocates %v objects, want 0", allocs)
+	}
+	sameCosts(t, "warmed dst vs a nil dst", dst, want)
 }
 
 // TestReplanServesIsSound: over the Fig. 5 fixture, grown by random

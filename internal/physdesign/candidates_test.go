@@ -37,8 +37,6 @@ func refGenerateCandidates(w Workload, prov stats.Provider, opts Options) []*can
 			return
 		}
 		c.origins = []int{qi}
-		c.added = &physical.Config{}
-		c.addTo(c.added)
 		seen[c.id] = c
 		out = append(out, c)
 	}
@@ -153,7 +151,7 @@ func refJoinViewCandidate(s *sqlast.Select, name func(string) string) *physical.
 
 // describe renders everything a candidate carries that Tune reads: its
 // ID and its structure's own, the structure field by field (name
-// included), its tables, bytes, origins and added configuration.
+// included), its tables, bytes and origins.
 func describe(c *candidate) string {
 	var id, st string
 	switch {
@@ -164,8 +162,8 @@ func describe(c *candidate) string {
 	default:
 		id, st = c.vpart.ID(), fmt.Sprintf("%+v", *c.vpart)
 	}
-	return fmt.Sprintf("id %s (structure's %s) %s tables %v bytes %d origins %v added %s",
-		c.id, id, st, c.tables, c.bytes, c.origins, c.added)
+	return fmt.Sprintf("id %s (structure's %s) %s tables %v bytes %d origins %v",
+		c.id, id, st, c.tables, c.bytes, c.origins)
 }
 
 // TestCandidatesMatchBuildThenDedupe: generateCandidates proposes the

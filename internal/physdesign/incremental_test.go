@@ -204,6 +204,79 @@ func tuneOracle(w Workload, prov stats.Provider, opts Options, eager bool) (*Rec
 		StructBytes: cfg.EstBytes(prov), MaintenanceCost: maint, OptimizerCalls: opt.Calls()}, nil
 }
 
+// tuneFresh is Tune with ownStates off: every what-if trial prices into
+// fresh states and a fresh per-workload slice, as before trials wrote
+// into memory their candidate owns.
+func tuneFresh(w Workload, prov stats.Provider, opts Options) (*Recommendation, error) {
+	ownStates = false
+	defer func() { ownStates = true }()
+	return Tune(w, prov, opts)
+}
+
+// TestTuneOwnedStatesMatchFresh: a Tune whose trials write into the
+// states their candidate owns returns what tuneFresh returns —
+// configuration, total, maintenance and every per-query cost to the bit,
+// sizes, plans, and the call count of every phase — over every class of
+// the pinned fixture under both pinned options and over the DBLP
+// workloads, whose candidates reach the prefilter, under
+// TestTuneMatchesFullReplanning's options.
+func TestTuneOwnedStatesMatchFresh(t *testing.T) {
+	type call struct {
+		label string
+		w     Workload
+		prov  stats.Provider
+		opts  []Options
+	}
+	var calls []call
+	fx := newPinnedFixture(t)
+	for wi, w := range fx.ws {
+		calls = append(calls, call{fx.names[wi], w, fx.prov, fx.options()})
+	}
+	ws, provs := dblpWorkloads(t)
+	for wi, w := range ws {
+		rates := map[string]float64{}
+		for _, t := range w[0].Q.Tables() {
+			rates[t] = 40
+		}
+		calls = append(calls, call{fmt.Sprintf("workload %d", wi), w, provs[wi], []Options{
+			{}, {EnableVPartitions: true}, {EnableVPartitions: true, StorageBytes: 1 << 20},
+			{DisableViews: true, StorageBytes: 1 << 20}, {InsertRates: rates}}})
+	}
+	bits := math.Float64bits
+	for _, c := range calls {
+		for _, opts := range c.opts {
+			label := fmt.Sprintf("%s options %+v", c.label, opts)
+			want, err := tuneFresh(c.w, c.prov, opts)
+			if err != nil {
+				t.Fatalf("%s: fresh: %v", label, err)
+			}
+			got, err := Tune(c.w, c.prov, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if got.Config.String() != want.Config.String() {
+				t.Errorf("%s: configuration\n%swant\n%s", label, got.Config, want.Config)
+			}
+			if bits(got.TotalCost) != bits(want.TotalCost) || bits(got.MaintenanceCost) != bits(want.MaintenanceCost) {
+				t.Errorf("%s: total/maintenance %v/%v, want %v/%v", label,
+					got.TotalCost, got.MaintenanceCost, want.TotalCost, want.MaintenanceCost)
+			}
+			if got.StructBytes != want.StructBytes || got.OptimizerCalls != want.OptimizerCalls || got.Calls != want.Calls {
+				t.Errorf("%s: bytes/calls/phases %d/%d/%+v, want %d/%d/%+v", label, got.StructBytes, got.OptimizerCalls,
+					got.Calls, want.StructBytes, want.OptimizerCalls, want.Calls)
+			}
+			for i := range want.PerQuery {
+				if bits(got.PerQuery[i]) != bits(want.PerQuery[i]) {
+					t.Errorf("%s: query %d cost %v, want %v", label, i, got.PerQuery[i], want.PerQuery[i])
+				}
+				if g, w := got.Plans[i].Explain(), want.Plans[i].Explain(); g != w {
+					t.Errorf("%s: query %d plan\n%swant\n%s", label, i, g, w)
+				}
+			}
+		}
+	}
+}
+
 // dblpWorkloads translates a 16-query DBLP workload (four of each Fig. 5
 // class) under the hybrid mapping and a transformed one; both yield more
 // candidates than the prefilter keeps.
@@ -338,11 +411,11 @@ func TestTuneFinalPlansAreFull(t *testing.T) {
 }
 
 // TestTunePhaseCalls: the tuner span's per-phase what-if counts add up
-// to the recommendation's call count, the base and final passes make one
-// call per query each, and three runs count the same, for every class of
-// the pinned fixture under both pinned options and for
-// TestTuneMatchesFullReplanning's two DBLP workloads, whose candidates
-// reach the prefilter.
+// to the recommendation's call count and equal its Calls, the base and
+// final passes make one call per query each, and three runs count the
+// same, for every class of the pinned fixture under both pinned options
+// and for TestTuneMatchesFullReplanning's two DBLP workloads, whose
+// candidates reach the prefilter.
 func TestTunePhaseCalls(t *testing.T) {
 	type call struct {
 		label     string
@@ -383,6 +456,9 @@ func TestTunePhaseCalls(t *testing.T) {
 			}
 			if sum != rec.OptimizerCalls {
 				t.Errorf("%s: phase counts %v add up to %d, the recommendation counts %d", c.label, counts, sum, rec.OptimizerCalls)
+			}
+			if got := []int64{rec.Calls.Base, rec.Calls.Prefilter, rec.Calls.Select, rec.Calls.Final}; !slices.Equal(got, counts) {
+				t.Errorf("%s: the recommendation's phase counts %v, the span's %v", c.label, got, counts)
 			}
 			if n := int64(len(c.w)); counts[0] != n || counts[3] != n {
 				t.Errorf("%s: base and final passes made %d and %d calls, want %d each", c.label, counts[0], counts[3], n)

@@ -76,6 +76,23 @@ type Recommendation struct {
 	MaintenanceCost float64
 	// OptimizerCalls is the number of what-if optimizer invocations.
 	OptimizerCalls int64
+	// Calls splits OptimizerCalls by the phase of Tune that made them.
+	Calls PhaseCalls
+}
+
+// PhaseCalls counts a Tune call's what-if optimizer calls by phase: the
+// base plans, the prefilter's trials, the lazy-greedy evaluations and
+// the final plans. They add up to Recommendation.OptimizerCalls.
+type PhaseCalls struct {
+	Base, Prefilter, Select, Final int64
+}
+
+// Add accumulates o into p.
+func (p *PhaseCalls) Add(o PhaseCalls) {
+	p.Base += o.Base
+	p.Prefilter += o.Prefilter
+	p.Select += o.Select
+	p.Final += o.Final
 }
 
 // maintenancePerRow is the cost of keeping one structure current for
@@ -112,6 +129,10 @@ const (
 	defaultMaxStructures = 32
 )
 
+// ownStates is false only in tests, which then give every what-if trial
+// fresh states to hold Tune's reuse of the states a trial owns to them.
+var ownStates = true
+
 // candidate is one structure under consideration.
 type candidate struct {
 	idx     *physical.Index
@@ -121,9 +142,6 @@ type candidate struct {
 	tables  []string // the structure's tables: only queries naming one can change plan
 	bytes   int64
 	origins []int // workload indices of the queries that generated it
-	// added is the structure alone: what a what-if call passes ReplanCosts
-	// as the added structures, and prefilterCandidates' whole trial.
-	added *physical.Config
 }
 
 // addTo adds the structure to a configuration made of other candidates.
@@ -140,6 +158,13 @@ func (c *candidate) addTo(cfg *physical.Config) bool {
 		return cfg.AddPartition(c.vpart)
 	}
 	return true
+}
+
+// alone refills cfg with the structure alone: what a what-if call passes
+// ReplanCosts as the added structures.
+func (c *candidate) alone(cfg *physical.Config) {
+	cfg.Indexes, cfg.Views, cfg.Partitions = cfg.Indexes[:0], cfg.Views[:0], cfg.Partitions[:0]
+	c.addTo(cfg)
 }
 
 // Tune runs the tool over the workload.
@@ -174,36 +199,57 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		score float64
 		round int
 		costs []*optimizer.Costs // the workload's estimates with c added, as of round
+		// own and states are the memory c's trials write: the per-workload
+		// slice and, per query, the state its last changed trial wrote (nil
+		// until one does). costs is own, or the base slice itself when no
+		// estimate changed. Only c's own trials write them, so a state stays
+		// what it was while a selected candidate's costs are the base.
+		own, states []*optimizer.Costs
 	}
-	// trial is cfg plus the candidate under evaluation, refilled for every
-	// trial: a cost state keeps no configuration.
-	trial := &physical.Config{}
-	evaluate := func(c *candidate) (float64, []*optimizer.Costs, bool) {
+	// trial is cfg plus the candidate under evaluation and added the
+	// candidate alone, both refilled for every trial: a cost state keeps
+	// no configuration.
+	trial, added := &physical.Config{}, &physical.Config{}
+	evaluate := func(s *scored) (float64, bool) {
+		c := s.c
 		trial.Indexes = append(trial.Indexes[:0], cfg.Indexes...)
 		trial.Views = append(trial.Views[:0], cfg.Views...)
 		trial.Partitions = append(trial.Partitions[:0], cfg.Partitions...)
 		if !c.addTo(trial) {
-			return 0, nil, false
+			return 0, false
+		}
+		c.alone(added)
+		if !ownStates {
+			s.own, s.states = nil, nil
 		}
 		benefit := -c.maintenanceCost(opts.InsertRates)
-		trialCosts, copied := costs, false // copied when the first estimate changes
+		s.costs = costs // s.own once the first estimate changes
+		copied := false
 		for i, wq := range w {
 			if !intersects(tables[i], c.tables) {
 				continue
 			}
-			e, err := opt.ReplanCosts(costs[i], trial, c.added)
+			var dst *optimizer.Costs
+			if s.states != nil {
+				dst = s.states[i]
+			}
+			e, err := opt.ReplanCosts(dst, costs[i], trial, added)
 			if err != nil {
-				return 0, nil, false
+				return 0, false
 			}
 			benefit += wq.Weight * (costs[i].Cost - e.Cost)
-			if e != costs[i] {
-				if !copied {
-					trialCosts, copied = slices.Clone(costs), true
-				}
-				trialCosts[i] = e
+			if e == costs[i] {
+				continue
 			}
+			if s.states == nil {
+				s.states, s.own = make([]*optimizer.Costs, len(w)), make([]*optimizer.Costs, len(w))
+			}
+			if !copied {
+				s.costs, copied = append(s.own[:0], costs...), true
+			}
+			s.states[i], s.costs[i] = e, e
 		}
-		return benefit, trialCosts, true
+		return benefit, true
 	}
 	var pool []*scored
 	for _, c := range cands {
@@ -236,12 +282,12 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 				selected = best
 				break
 			}
-			benefit, trialCosts, ok := evaluate(s.c)
+			benefit, ok := evaluate(s)
 			if !ok {
 				pool[best] = nil
 				continue
 			}
-			s.costs, s.round = trialCosts, round
+			s.round = round
 			s.score = benefit / math.Max(float64(s.c.bytes), 1)
 			if benefit <= 1e-9 {
 				pool[best] = nil
@@ -250,6 +296,8 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		if selected < 0 {
 			break
 		}
+		// The selected candidate's states become the base and leave the
+		// pool with it, so no trial writes them again.
 		s := pool[selected]
 		s.c.addTo(cfg)
 		costs = s.costs
@@ -273,6 +321,8 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		total += wq.Weight * p.Cost
 	}
 	maint := configMaintenance(cfg, opts.InsertRates)
+	calls := PhaseCalls{Base: callsBase, Prefilter: callsPrefilter - callsBase,
+		Select: callsSelect - callsPrefilter, Final: opt.Calls() - callsSelect}
 	opts.Obs.SetAttr(
 		obs.Int("queries", int64(len(w))),
 		obs.Int("candidates", int64(len(cands))),
@@ -280,10 +330,10 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		obs.Int("optimizer_calls", opt.Calls()),
 		// The what-if calls of each phase: base pass, prefilter, greedy
 		// selection, final pass.
-		obs.Int("calls_base", callsBase),
-		obs.Int("calls_prefilter", callsPrefilter-callsBase),
-		obs.Int("calls_select", callsSelect-callsPrefilter),
-		obs.Int("calls_final", opt.Calls()-callsSelect),
+		obs.Int("calls_base", calls.Base),
+		obs.Int("calls_prefilter", calls.Prefilter),
+		obs.Int("calls_select", calls.Select),
+		obs.Int("calls_final", calls.Final),
 		obs.Float("total_cost", total+maint))
 	return &Recommendation{
 		Config:          cfg,
@@ -293,6 +343,7 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 		StructBytes:     cfg.EstBytes(prov),
 		MaintenanceCost: maint,
 		OptimizerCalls:  opt.Calls(),
+		Calls:           calls,
 	}, nil
 }
 
@@ -370,8 +421,6 @@ func (cs *candidateSet) known() bool {
 func (cs *candidateSet) add(c *candidate) {
 	c.id = string(cs.id)
 	c.origins = []int{cs.qi}
-	c.added = &physical.Config{}
-	c.addTo(c.added)
 	cs.seen[c.id] = c
 	cs.out = append(cs.out, c)
 }
@@ -521,12 +570,19 @@ func prefilterCandidates(cands []*candidate, w Workload, opt *optimizer.Optimize
 		score float64
 	}
 	rs := make([]ranked, 0, len(cands))
+	// A trial's state is read for its total alone, so every trial is priced
+	// into one scratch state.
+	scratch, added := &optimizer.Costs{}, &physical.Config{}
+	if !ownStates {
+		scratch = nil
+	}
 	for _, c := range cands {
 		// The base estimates are of the empty configuration, so the trial
 		// is the structure alone.
+		c.alone(added)
 		benefit := -c.maintenanceCost(opts.InsertRates)
 		for _, qi := range c.origins {
-			e, err := opt.ReplanCosts(base[qi], c.added, c.added)
+			e, err := opt.ReplanCosts(scratch, base[qi], added, added)
 			if err != nil {
 				continue
 			}

@@ -175,23 +175,29 @@ func (v *View) EstBytes(p stats.Provider) int64 {
 }
 
 // Stats derives TableStats for the view so the optimizer can cost
-// access to it like a table.
+// access to it like a table. A carried column shares its table's
+// *stats.ColumnStats, which the view's statistics never write; only a
+// column whose Distinct exceeds the view's rows is copied, to clamp it.
+// Statistics are read-only once derived, so round workers tuning side by
+// side may share them.
 func (v *View) Stats(p stats.Provider) *stats.TableStats {
 	rows := v.EstRows(p)
-	ts := &stats.TableStats{Name: v.Name, Rows: rows, Cols: make(map[string]*stats.ColumnStats)}
+	ts := &stats.TableStats{Name: v.Name, Rows: rows,
+		Cols: make(map[string]*stats.ColumnStats, len(v.OuterCols)+len(v.InnerCols))}
 	var width float64 = 8
-	copyCols := func(t string, cols []string) {
+	carry := func(t string, cols []string) {
 		src := p.TableStats(t)
 		for _, c := range cols {
 			name := t + "__" + c
 			if src != nil {
 				if cs := src.Col(c); cs != nil {
-					sc := *cs
-					if sc.Distinct > rows {
-						sc.Distinct = rows
+					if cs.Distinct > rows {
+						clamped := *cs
+						clamped.Distinct = rows
+						cs = &clamped
 					}
-					ts.Cols[name] = &sc
-					width += (1-sc.NullFrac)*colWidth(&sc) + sc.NullFrac
+					ts.Cols[name] = cs
+					width += (1-cs.NullFrac)*colWidth(cs) + cs.NullFrac
 					continue
 				}
 			}
@@ -199,8 +205,8 @@ func (v *View) Stats(p stats.Provider) *stats.TableStats {
 			width += 8
 		}
 	}
-	copyCols(v.Outer, v.OuterCols)
-	copyCols(v.Inner, v.InnerCols)
+	carry(v.Outer, v.OuterCols)
+	carry(v.Inner, v.InnerCols)
 	ts.RowBytes = width
 	return ts
 }

@@ -1,6 +1,7 @@
 package physical
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -145,5 +146,110 @@ func TestConfigEstBytes(t *testing.T) {
 	cfg.AddIndex(&Index{Table: "movie", Key: []string{"year"}})
 	if cfg.EstBytes(prov) <= 0 {
 		t.Error("index bytes not counted")
+	}
+}
+
+// refViewStats is View.Stats as it stood before the view's statistics
+// shared its tables' column statistics: every carried column copied.
+func refViewStats(v *View, p stats.Provider) *stats.TableStats {
+	rows := v.EstRows(p)
+	ts := &stats.TableStats{Name: v.Name, Rows: rows, Cols: make(map[string]*stats.ColumnStats)}
+	var width float64 = 8
+	copyCols := func(t string, cols []string) {
+		src := p.TableStats(t)
+		for _, c := range cols {
+			name := t + "__" + c
+			if src != nil {
+				if cs := src.Col(c); cs != nil {
+					sc := *cs
+					if sc.Distinct > rows {
+						sc.Distinct = rows
+					}
+					ts.Cols[name] = &sc
+					width += (1-sc.NullFrac)*colWidth(&sc) + sc.NullFrac
+					continue
+				}
+			}
+			ts.Cols[name] = &stats.ColumnStats{Typ: rel.TInt, Count: rows, Distinct: rows, AvgWidth: 8}
+			width += 8
+		}
+	}
+	copyCols(v.Outer, v.OuterCols)
+	copyCols(v.Inner, v.InnerCols)
+	ts.RowBytes = width
+	return ts
+}
+
+// TestViewStatsSharesColumnStats: View.Stats equals the copying version
+// value for value, and every carried column is its table's own
+// *ColumnStats except the ones whose Distinct it clamps to the view's
+// rows, which are copies that leave the table's statistics as they were.
+// The fixture clamps outer columns (more distinct movies than actor rows),
+// shares the rest, and synthesizes a column its table has no statistics
+// for and every column of a table without statistics.
+func TestViewStatsSharesColumnStats(t *testing.T) {
+	movie := tableStats()
+	movie.Cols["year"].NullFrac = 0.1
+	movie.Cols["year"].MCVs = []stats.MCV{{Value: rel.Int(1999), Frac: 0.2}}
+	actor := &stats.TableStats{Name: "actor", Rows: 4000, RowBytes: 30, Cols: map[string]*stats.ColumnStats{
+		"PID":   {Count: 4000, Distinct: 3000, AvgWidth: 8, Typ: rel.TInt},
+		"actor": {Count: 3800, Distinct: 2000, AvgWidth: 16, NullFrac: 0.05, Typ: rel.TString},
+	}}
+	prov := stats.MapProvider{"movie": movie, "actor": actor}
+	before := map[string]stats.ColumnStats{}
+	for name, ts := range prov {
+		for c, cs := range ts.Cols {
+			before[name+"."+c] = *cs
+		}
+	}
+	views := []*View{
+		{Name: "v1", Outer: "movie", Inner: "actor",
+			OuterCols: []string{"ID", "title", "year"}, InnerCols: []string{"PID", "actor", "role"}},
+		{Name: "v2", Outer: "studio", Inner: "actor", OuterCols: []string{"ID", "name"}, InnerCols: []string{"actor"}},
+	}
+	clamped, shared := 0, 0
+	for _, v := range views {
+		got, want := v.Stats(prov), refViewStats(v, prov)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: stats %+v, want %+v", v.Name, got, want)
+		}
+		for _, side := range []struct {
+			table string
+			cols  []string
+		}{{v.Outer, v.OuterCols}, {v.Inner, v.InnerCols}} {
+			for _, c := range side.cols {
+				vc := got.Cols[side.table+"__"+c]
+				var src *stats.ColumnStats
+				if ts := prov.TableStats(side.table); ts != nil {
+					src = ts.Col(c)
+				}
+				switch {
+				case src == nil:
+					if vc == nil {
+						t.Errorf("%s: no statistics for %s.%s", v.Name, side.table, c)
+					}
+				case src.Distinct > got.Rows:
+					clamped++
+					if vc == src {
+						t.Errorf("%s: clamped column %s.%s shares its table's statistics", v.Name, side.table, c)
+					}
+				default:
+					shared++
+					if vc != src {
+						t.Errorf("%s: column %s.%s is a copy, want its table's statistics", v.Name, side.table, c)
+					}
+				}
+			}
+		}
+	}
+	if clamped == 0 || shared == 0 {
+		t.Errorf("%d clamped and %d shared columns: the fixture must have both", clamped, shared)
+	}
+	for name, ts := range prov {
+		for c, cs := range ts.Cols {
+			if !reflect.DeepEqual(*cs, before[name+"."+c]) {
+				t.Errorf("%s.%s changed: %+v, was %+v", name, c, *cs, before[name+"."+c])
+			}
+		}
 	}
 }

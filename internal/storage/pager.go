@@ -37,7 +37,9 @@ import (
 // chunk's whole frame before it knows what it will keep, so resident +
 // in-flight bytes can exceed the budget by one frame per concurrent
 // loader (the peak field tracks the high-water mark so tests can pin
-// exactly that bound).
+// exactly that bound). An admission made while every victim is pinned
+// goes over the budget as well, until the last unpin of a chunk evicts
+// back down to it.
 type pager struct {
 	dir    string
 	budget int64
@@ -265,15 +267,25 @@ func (p *pager) hitLocked(e *pageEntry, cols []int) (*rel.Table, func()) {
 // (see chunkPinned). The last unpin of an entry invalidate marked dead
 // drops it from the ring and the accounting — until then its bytes stay
 // resident (the reader still holds the fragment), so the gauge and peak
-// reflect actual residency.
+// reflect actual residency. The last unpin of an entry then evicts down
+// to the budget: an admission made while every victim was pinned left the
+// cache over it, and without this nothing would evict again until the
+// next fault. Under the budget that is one comparison.
 func (p *pager) unpin(e *pageEntry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if e.pins == 0 {
 		return
 	}
-	if e.pins--; e.pins == 0 && e.dead {
+	if e.pins--; e.pins > 0 {
+		return
+	}
+	if e.dead {
 		p.dropDeadLocked(e)
+	}
+	if p.budget > 0 && p.resident > p.budget {
+		p.evictFor(0)
+		p.reg.Gauge("storage.pager.resident_bytes").Set(float64(p.resident))
 	}
 }
 

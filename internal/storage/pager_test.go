@@ -204,6 +204,44 @@ func TestPagerConcurrentLoads(t *testing.T) {
 	}
 }
 
+// TestPagerEvictsToBudgetWhenPinsRelease: four chunks pinned at once
+// against a three-chunk budget make the fourth admission go over it,
+// since every victim is pinned. Once the pins are released, residency is
+// back under the budget without another fault; before, the excess stayed
+// until the next fault, and every concurrent loader's frame came on top
+// of it.
+func TestPagerEvictsToBudgetWhenPinsRelease(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, d, maxChunk := pagerFixture(t, 640, 0, reg)
+	p.budget = 3 * maxChunk
+	if len(d.Chunks) < 4 {
+		t.Fatalf("fixture too small: %d chunks", len(d.Chunks))
+	}
+	var releases []func()
+	for k := 0; k < 4; k++ {
+		_, release, err := p.chunkPinned("fact.seg", d, k, d.all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		releases = append(releases, release)
+	}
+	if r := p.residentBytes(); r <= p.budget {
+		t.Fatalf("four pinned chunks hold %d bytes, within the budget %d: the probe needs an over-budget admission", r, p.budget)
+	}
+	for _, release := range releases {
+		release()
+	}
+	if r := p.residentBytes(); r > p.budget {
+		t.Fatalf("resident %d exceeds budget %d with no pin held", r, p.budget)
+	}
+	if g := int64(reg.Gauge("storage.pager.resident_bytes").Value()); g != p.residentBytes() {
+		t.Fatalf("resident gauge %d, resident %d", g, p.residentBytes())
+	}
+	if reg.Counter("storage.pager.evictions").Value() == 0 {
+		t.Fatal("nothing evicted")
+	}
+}
+
 // TestPagerInvalidate drops a table's chunks and serves fresh bytes on
 // the next touch.
 func TestPagerInvalidate(t *testing.T) {
