@@ -204,79 +204,6 @@ func tuneOracle(w Workload, prov stats.Provider, opts Options, eager bool) (*Rec
 		StructBytes: cfg.EstBytes(prov), MaintenanceCost: maint, OptimizerCalls: opt.Calls()}, nil
 }
 
-// tuneFresh is Tune with ownStates off: every what-if trial prices into
-// fresh states and a fresh per-workload slice, as before trials wrote
-// into memory their candidate owns.
-func tuneFresh(w Workload, prov stats.Provider, opts Options) (*Recommendation, error) {
-	ownStates = false
-	defer func() { ownStates = true }()
-	return Tune(w, prov, opts)
-}
-
-// TestTuneOwnedStatesMatchFresh: a Tune whose trials write into the
-// states their candidate owns returns what tuneFresh returns —
-// configuration, total, maintenance and every per-query cost to the bit,
-// sizes, plans, and the call count of every phase — over every class of
-// the pinned fixture under both pinned options and over the DBLP
-// workloads, whose candidates reach the prefilter, under
-// TestTuneMatchesFullReplanning's options.
-func TestTuneOwnedStatesMatchFresh(t *testing.T) {
-	type call struct {
-		label string
-		w     Workload
-		prov  stats.Provider
-		opts  []Options
-	}
-	var calls []call
-	fx := newPinnedFixture(t)
-	for wi, w := range fx.ws {
-		calls = append(calls, call{fx.names[wi], w, fx.prov, fx.options()})
-	}
-	ws, provs := dblpWorkloads(t)
-	for wi, w := range ws {
-		rates := map[string]float64{}
-		for _, t := range w[0].Q.Tables() {
-			rates[t] = 40
-		}
-		calls = append(calls, call{fmt.Sprintf("workload %d", wi), w, provs[wi], []Options{
-			{}, {EnableVPartitions: true}, {EnableVPartitions: true, StorageBytes: 1 << 20},
-			{DisableViews: true, StorageBytes: 1 << 20}, {InsertRates: rates}}})
-	}
-	bits := math.Float64bits
-	for _, c := range calls {
-		for _, opts := range c.opts {
-			label := fmt.Sprintf("%s options %+v", c.label, opts)
-			want, err := tuneFresh(c.w, c.prov, opts)
-			if err != nil {
-				t.Fatalf("%s: fresh: %v", label, err)
-			}
-			got, err := Tune(c.w, c.prov, opts)
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
-			}
-			if got.Config.String() != want.Config.String() {
-				t.Errorf("%s: configuration\n%swant\n%s", label, got.Config, want.Config)
-			}
-			if bits(got.TotalCost) != bits(want.TotalCost) || bits(got.MaintenanceCost) != bits(want.MaintenanceCost) {
-				t.Errorf("%s: total/maintenance %v/%v, want %v/%v", label,
-					got.TotalCost, got.MaintenanceCost, want.TotalCost, want.MaintenanceCost)
-			}
-			if got.StructBytes != want.StructBytes || got.OptimizerCalls != want.OptimizerCalls || got.Calls != want.Calls {
-				t.Errorf("%s: bytes/calls/phases %d/%d/%+v, want %d/%d/%+v", label, got.StructBytes, got.OptimizerCalls,
-					got.Calls, want.StructBytes, want.OptimizerCalls, want.Calls)
-			}
-			for i := range want.PerQuery {
-				if bits(got.PerQuery[i]) != bits(want.PerQuery[i]) {
-					t.Errorf("%s: query %d cost %v, want %v", label, i, got.PerQuery[i], want.PerQuery[i])
-				}
-				if g, w := got.Plans[i].Explain(), want.Plans[i].Explain(); g != w {
-					t.Errorf("%s: query %d plan\n%swant\n%s", label, i, g, w)
-				}
-			}
-		}
-	}
-}
-
 // dblpWorkloads translates a 16-query DBLP workload (four of each Fig. 5
 // class) under the hybrid mapping and a transformed one; both yield more
 // candidates than the prefilter keeps.
@@ -617,7 +544,19 @@ func BenchmarkTune(b *testing.B) {
 // TestTuneMatchesFullReplanning: incremental what-if costing is an
 // implementation detail of Tune — configuration, every cost to the bit,
 // sizes and the optimizer-call count equal the full re-planning loop's.
+// The inputs are the DBLP workloads, whose candidates reach the
+// prefilter, and the movie workload under five options, and every class
+// of the pinned fixture under both pinned options. Tune's trials write
+// into cost states their candidate owns and tuneFull keeps no state, so
+// this also holds that reuse to planning every trial from nothing.
 func TestTuneMatchesFullReplanning(t *testing.T) {
+	type call struct {
+		label string
+		w     Workload
+		prov  stats.Provider
+		opts  []Options
+	}
+	var calls []call
 	ws, provs := dblpWorkloads(t)
 	mw, mprov, _ := movieWorkload(t)
 	ws, provs = append(ws, mw), append(provs, mprov)
@@ -635,14 +574,22 @@ func TestTuneMatchesFullReplanning(t *testing.T) {
 		for _, t := range w[0].Q.Tables() {
 			rates[t] = 40
 		}
-		for _, opts := range []Options{
+		calls = append(calls, call{fmt.Sprintf("workload %d", wi), w, prov, []Options{
 			{},
 			{EnableVPartitions: true},
 			{EnableVPartitions: true, StorageBytes: bound},
 			{DisableViews: true, StorageBytes: bound},
 			{InsertRates: rates},
-		} {
-			label := fmt.Sprintf("workload %d options %+v", wi, opts)
+		}})
+	}
+	fx := newPinnedFixture(t)
+	for wi, w := range fx.ws {
+		calls = append(calls, call{fx.names[wi], w, fx.prov, fx.options()})
+	}
+	for _, c := range calls {
+		w, prov := c.w, c.prov
+		for _, opts := range c.opts {
+			label := fmt.Sprintf("%s options %+v", c.label, opts)
 			want, err := tuneFull(w, prov, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)

@@ -129,10 +129,6 @@ const (
 	defaultMaxStructures = 32
 )
 
-// ownStates is false only in tests, which then give every what-if trial
-// fresh states to hold Tune's reuse of the states a trial owns to them.
-var ownStates = true
-
 // candidate is one structure under consideration.
 type candidate struct {
 	idx     *physical.Index
@@ -219,9 +215,6 @@ func Tune(w Workload, prov stats.Provider, opts Options) (*Recommendation, error
 			return 0, false
 		}
 		c.alone(added)
-		if !ownStates {
-			s.own, s.states = nil, nil
-		}
 		benefit := -c.maintenanceCost(opts.InsertRates)
 		s.costs = costs // s.own once the first estimate changes
 		copied := false
@@ -573,9 +566,6 @@ func prefilterCandidates(cands []*candidate, w Workload, opt *optimizer.Optimize
 	// A trial's state is read for its total alone, so every trial is priced
 	// into one scratch state.
 	scratch, added := &optimizer.Costs{}, &physical.Config{}
-	if !ownStates {
-		scratch = nil
-	}
 	for _, c := range cands {
 		// The base estimates are of the empty configuration, so the trial
 		// is the structure alone.

@@ -39,7 +39,8 @@ import (
 // loader (the peak field tracks the high-water mark so tests can pin
 // exactly that bound). An admission made while every victim is pinned
 // goes over the budget as well, until the last unpin of a chunk evicts
-// back down to it.
+// the others back down to it; a chunk larger than the whole budget is
+// admitted alone and stays.
 type pager struct {
 	dir    string
 	budget int64
@@ -267,10 +268,13 @@ func (p *pager) hitLocked(e *pageEntry, cols []int) (*rel.Table, func()) {
 // (see chunkPinned). The last unpin of an entry invalidate marked dead
 // drops it from the ring and the accounting — until then its bytes stay
 // resident (the reader still holds the fragment), so the gauge and peak
-// reflect actual residency. The last unpin of an entry then evicts down
-// to the budget: an admission made while every victim was pinned left the
-// cache over it, and without this nothing would evict again until the
-// next fault. Under the budget that is one comparison.
+// reflect actual residency. The last unpin of an entry then evicts other
+// chunks down to the budget: an admission made while every victim was
+// pinned left the cache over it, and without this nothing would evict
+// again until the next fault. e itself stays, as a fault keeps the chunk
+// it admits, so a chunk larger than the whole budget stays resident
+// alone and its next read is a hit. Under the budget that is one
+// comparison.
 func (p *pager) unpin(e *pageEntry) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -284,7 +288,9 @@ func (p *pager) unpin(e *pageEntry) {
 		p.dropDeadLocked(e)
 	}
 	if p.budget > 0 && p.resident > p.budget {
+		e.pins++
 		p.evictFor(0)
+		e.pins--
 		p.reg.Gauge("storage.pager.resident_bytes").Set(float64(p.resident))
 	}
 }

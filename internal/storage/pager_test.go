@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -209,7 +210,8 @@ func TestPagerConcurrentLoads(t *testing.T) {
 // since every victim is pinned. Once the pins are released, residency is
 // back under the budget without another fault; before, the excess stayed
 // until the next fault, and every concurrent loader's frame came on top
-// of it.
+// of it. The release keeps the chunk it releases, so a chunk larger than
+// the whole budget stays resident alone and is read again as a hit.
 func TestPagerEvictsToBudgetWhenPinsRelease(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, d, maxChunk := pagerFixture(t, 640, 0, reg)
@@ -239,6 +241,26 @@ func TestPagerEvictsToBudgetWhenPinsRelease(t *testing.T) {
 	}
 	if reg.Counter("storage.pager.evictions").Value() == 0 {
 		t.Fatal("nothing evicted")
+	}
+
+	// A chunk larger than the whole budget is admitted alone, and its
+	// release keeps it: the next read of it is a hit.
+	reg = obs.NewRegistry()
+	p, d, maxChunk = pagerFixture(t, 640, 0, reg)
+	p.budget = maxChunk / 2
+	big := slices.IndexFunc(d.Chunks, func(c chunkRef) bool { return c.Size == maxChunk })
+	for read := 0; read < 2; read++ {
+		_, release, err := p.chunkPinned("fact.seg", d, big, d.all)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		if r, want := p.residentBytes(), charged(d.Chunks[big]); r != want {
+			t.Fatalf("read %d: resident %d after releasing an over-budget chunk, want its %d bytes", read, r, want)
+		}
+	}
+	if h, f := reg.Counter("storage.pager.hits").Value(), reg.Counter("storage.pager.faults").Value(); h != 1 || f != 1 {
+		t.Fatalf("two reads of an over-budget chunk: %v hits, %v faults, want 1 and 1", h, f)
 	}
 }
 
